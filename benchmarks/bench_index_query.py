@@ -13,7 +13,12 @@ Two tiers:
   ``indexed_rows_examined`` series is EXACT and must stay flat while
   ``scan_rows_examined`` is EXACT and equals the record count — the
   sublinearity evidence is in deterministic counts, with wall-clock
-  series (TIMING) alongside.
+  series (TIMING) alongside. The write side and the proof are measured at
+  the same sizes: one more record-bearing block through ``apply_block`` and
+  one ``prove`` must not grow in shape with the index — the leaves one
+  block re-serialises is an EXACT count that stays equal, the timings
+  (median of several samples) stay within a constant factor while the
+  ledger grows up to 100x.
 * **Fabric parity** — a real deployment: every query shape runs through
   both the index route and the chaincode scan route and the answers must
   be byte-identical; verified answers' Merkle membership proofs must
@@ -23,11 +28,16 @@ Runnable standalone for CI (``python benchmarks/bench_index_query.py
 --quick``): smaller sizes, same gates, emits ``index_query_quick``.
 """
 
+import statistics
 import time
+from types import SimpleNamespace
 
 from repro.bench import emit, emit_json, format_table
+from repro.crypto.merkle import MerkleTree
+from repro.fabric.tx import WriteEntry
 from repro.fabric.worldstate import Version, WorldState
-from repro.index import PeerIndex, verify_answer_records
+from repro.index import PeerIndex, verify_answer_records, verify_posting_proof
+from repro.obs.prof import profiling
 from repro.util.serialization import canonical_json
 
 FULL_SIZES = (2_000, 20_000, 100_000)
@@ -35,9 +45,33 @@ QUICK_SIZES = (1_000, 8_000)
 RECORDS_PER_CAMERA = 100
 TXS_PER_BLOCK = 16
 CLASSES = ("car", "truck", "bus", "motorcycle")
+WRITE_SAMPLES = 7
+OPS_PER_SAMPLE = 25
+# apply_block / prove may cost this many times more at the largest size than
+# at the smallest (tree depth grows by log2 of the size ratio; a re-hash of
+# every leaf would grow by the size ratio itself, 8x quick / 50x full).
+MAX_WRITE_GROWTH = 3.0
 
 
 # -- tier 1: synthetic scaling -------------------------------------------------
+
+
+def _record(i: int, cam: str, timestamp: float) -> tuple[str, bytes]:
+    entry_id = f"e{i:07d}"
+    record = {
+        "entry_id": entry_id,
+        "cid": f"bafy-{i:07d}",
+        "data_hash": "0" * 64,
+        "metadata": {
+            "camera_id": cam,
+            "timestamp": timestamp,
+            "detections": [{"vehicle_class": CLASSES[i % len(CLASSES)]}],
+        },
+        "source_id": cam,
+        "uploader": cam,
+        "uploader_org": "org1",
+    }
+    return f"data:{entry_id}", canonical_json(record)
 
 
 def _build_world(n: int) -> tuple[WorldState, int]:
@@ -45,24 +79,10 @@ def _build_world(n: int) -> tuple[WorldState, int]:
     world = WorldState()
     cameras = max(4, n // RECORDS_PER_CAMERA)
     for i in range(n):
-        cam = f"cam-{i % cameras:05d}"
-        entry_id = f"e{i:07d}"
-        record = {
-            "entry_id": entry_id,
-            "cid": f"bafy-{i:07d}",
-            "data_hash": "0" * 64,
-            "metadata": {
-                "camera_id": cam,
-                "timestamp": float(i),
-                "detections": [{"vehicle_class": CLASSES[i % len(CLASSES)]}],
-            },
-            "source_id": cam,
-            "uploader": cam,
-            "uploader_org": "org1",
-        }
+        key, raw = _record(i, f"cam-{i % cameras:05d}", float(i))
         world.apply_write(
-            f"data:{entry_id}",
-            canonical_json(record),
+            key,
+            raw,
             Version(block=i // TXS_PER_BLOCK + 1, tx=i % TXS_PER_BLOCK),
             tx_id=f"tx-{i}",
             timestamp=0.0,
@@ -91,6 +111,52 @@ def _indexed(world: WorldState, index: PeerIndex, camera: str) -> list[dict]:
     ]
 
 
+def _probe_block(number: int, i: int, camera: str, timestamp: float):
+    """The slice of a committed block ``apply_block`` reads, one record."""
+    key, raw = _record(i, camera, timestamp)
+    tx = SimpleNamespace(rwset=SimpleNamespace(writes=(WriteEntry(key, raw),)))
+    return SimpleNamespace(number=number, validation_codes=(), transactions=[tx])
+
+
+def _write_side(index: PeerIndex, n: int, camera: str) -> dict:
+    """Cost of one more record-bearing block, and of one proof, on an index
+    of ``n`` records. Every probe record appends to postings that already
+    exist (its camera, source, class and the newest time bucket), the
+    steady state of a ledger whose population has stopped growing."""
+    block = _probe_block(index.height, n, camera, float(n - 1))
+    with profiling() as profiler:  # the count pass is not timed
+        index.apply_block(block)
+    leaves_serialized = sum(
+        s.calls
+        for s in profiler.center_stats()
+        if s.center == "serialize.canonical_json"
+    )
+    apply_ms, prove_ms = [], []
+    for k in range(WRITE_SAMPLES):  # each sample is the mean of a short burst
+        first = n + 1 + k * OPS_PER_SAMPLE
+        blocks = [
+            _probe_block(index.height + j, first + j, camera, float(n - 1))
+            for j in range(OPS_PER_SAMPLE)
+        ]
+        t0 = time.perf_counter()
+        for block in blocks:
+            index.apply_block(block)
+        apply_ms.append((time.perf_counter() - t0) * 1e3 / OPS_PER_SAMPLE)
+        t0 = time.perf_counter()
+        for _ in range(OPS_PER_SAMPLE):
+            proof = index.prove("camera", camera)
+        prove_ms.append((time.perf_counter() - t0) * 1e3 / OPS_PER_SAMPLE)
+        assert verify_posting_proof(proof, index.root())
+    assert index.root() == MerkleTree(index.leaves()).root.hex(), (
+        f"maintained root diverged from the reference at n={n}"
+    )
+    return {
+        "apply_block_ms": apply_ms,
+        "prove_ms": prove_ms,
+        "apply_leaves_serialized": float(leaves_serialized),
+    }
+
+
 def _scaling_round(n: int) -> dict:
     world, height = _build_world(n)
     index = PeerIndex.from_world(world, height)
@@ -112,6 +178,7 @@ def _scaling_round(n: int) -> dict:
     verified = verify_answer_records(via_index, (proof,), index.root())
     assert verified == len(via_index)
     return {
+        **_write_side(index, n, camera),
         "n": n,
         "indexed_rows_examined": float(len(via_index)),
         "scan_rows_examined": float(n),
@@ -192,12 +259,13 @@ def _run(sizes) -> dict:
     for r in rounds:
         n = int(r["n"])
         for key in ("indexed_rows_examined", "scan_rows_examined",
-                    "indexed_ms", "scan_ms", "proof_verified_records"):
+                    "indexed_ms", "scan_ms", "proof_verified_records",
+                    "apply_block_ms", "prove_ms", "apply_leaves_serialized"):
             name = f"{key}_n{n}"
             if key.endswith("_ms"):
                 # _ms suffix keeps the trend taxonomy classifying it TIMING.
                 name = f"{key[:-3]}_n{n}_ms"
-            series[name] = [r[key]]
+            series[name] = r[key] if isinstance(r[key], list) else [r[key]]
     parity = _parity_round()
     series["parity_queries"] = [parity["parity_queries"]]
     series["proofs_verified"] = [parity["proofs_verified"]]
@@ -219,6 +287,17 @@ def _gate(series: dict, sizes) -> None:
         "indexed route slower than a full scan at the largest size"
     )
     assert series["parity_queries"][0] == float(len(_PARITY_QUERIES))
+    # The write side and the proof do not grow in shape with the index.
+    assert series[f"apply_leaves_serialized_n{hi}"] == (
+        series[f"apply_leaves_serialized_n{lo}"]
+    ), "one block re-serialises more leaves on a larger index"
+    for op in ("apply_block", "prove"):
+        at_lo = statistics.median(series[f"{op}_n{lo}_ms"])
+        at_hi = statistics.median(series[f"{op}_n{hi}_ms"])
+        assert at_hi <= MAX_WRITE_GROWTH * at_lo, (
+            f"{op} grew {at_hi / at_lo:.1f}x while the ledger grew {hi // lo}x "
+            f"({at_lo * 1e3:.0f} -> {at_hi * 1e3:.0f} us)"
+        )
 
 
 def _emit(series: dict, sizes, name: str) -> None:
@@ -230,10 +309,13 @@ def _emit(series: dict, sizes, name: str) -> None:
             int(series[f"scan_rows_examined_n{n}"][0]),
             f"{series[f'indexed_n{n}_ms'][0]:.2f}",
             f"{series[f'scan_n{n}_ms'][0]:.2f}",
+            f"{statistics.median(series[f'apply_block_n{n}_ms']) * 1e3:.0f}",
+            f"{statistics.median(series[f'prove_n{n}_ms']) * 1e3:.0f}",
         ])
     text = format_table(
         f"Indexed vs full-scan retrieval ({RECORDS_PER_CAMERA} records/camera)",
-        ["records", "index rows", "scan rows", "index ms", "scan ms"],
+        ["records", "index rows", "scan rows", "index ms", "scan ms",
+         "apply us/block", "prove us"],
         rows,
     )
     emit(name, text)

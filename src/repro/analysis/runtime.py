@@ -145,6 +145,12 @@ class Sanitizer:
         """SAN308: the peer's block-incremental index must equal an index
         rebuilt from scratch out of its world state at the same height.
 
+        The rebuild is compared against both the *maintained* epoch root
+        (what the peer serves) and the *reference* root re-serialised from
+        the live postings, ``MerkleTree(index.leaves())`` — the maintained
+        tree caches leaf hashes, so alone it would miss a posting corrupted
+        in memory that no later block touches.
+
         Skipped when tombstones exist — deleted records are invisible to
         the world state, so a from-scratch rebuild legitimately differs
         (see :meth:`repro.index.PeerIndex.from_world`).
@@ -160,6 +166,7 @@ class Sanitizer:
                     f"its ledger is at {peer.ledger.height}",
                 )
             ]
+        from repro.crypto.merkle import MerkleTree
         from repro.index import PeerIndex
 
         rebuilt = PeerIndex.from_world(
@@ -167,18 +174,24 @@ class Sanitizer:
             peer.ledger.height,
             trusted_threshold=index.trusted_threshold,
             min_threshold=index.min_threshold,
-        )
-        if rebuilt.root() != index.root():
-            return [
-                Finding.for_rule(
-                    "SAN308", f"index:{peer.name}", at, 0,
-                    f"{peer.name}'s incremental index root "
-                    f"{index.root()[:16]}… disagrees with a from-scratch "
-                    f"rebuild {rebuilt.root()[:16]}… at height "
-                    f"{peer.ledger.height}",
-                )
-            ]
-        return []
+        ).root()
+        live = {
+            "maintained": index.root(),
+            "re-hashed from live postings": MerkleTree(index.leaves()).root.hex(),
+        }
+        diverged = [
+            f"{which} {root[:16]}…" for which, root in live.items() if root != rebuilt
+        ]
+        if not diverged:
+            return []
+        return [
+            Finding.for_rule(
+                "SAN308", f"index:{peer.name}", at, 0,
+                f"{peer.name}'s incremental index root "
+                f"({' and '.join(diverged)}) disagrees with a from-scratch "
+                f"rebuild {rebuilt[:16]}… at height {peer.ledger.height}",
+            )
+        ]
 
     # -- query parity (called by repro.query.executor) ----------------------
 

@@ -64,31 +64,81 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """Merkle tree over a fixed sequence of byte-string leaves.
+    """Merkle tree over a sequence of byte-string leaves, maintainable in place.
 
     An odd node at any level is promoted unpaired (Certificate-Transparency
     style) rather than duplicated, so the tree of *n* leaves never commits to
     phantom data.
+
+    :meth:`update` re-hashes one leaf and its root path (O(log n));
+    :meth:`insert` and :meth:`delete` shift every later leaf, so they
+    recompute the interior nodes from the splice point rightwards (O(n - i),
+    leaf hashes are kept). After any sequence of these the tree is
+    indistinguishable from one freshly built over the same leaves.
     """
 
     def __init__(self, leaves: Sequence[bytes]) -> None:
         if not leaves:
             raise ValueError("Merkle tree requires at least one leaf")
         with profiled("crypto.merkle") as pf:
-            self._leaves = [bytes(leaf) for leaf in leaves]
-            pf.add_bytes(sum(len(leaf) for leaf in self._leaves))
+            pf.add_bytes(sum(len(leaf) for leaf in leaves))
             # _levels[0] is the leaf-hash level; the last level is [root].
-            self._levels: list[list[bytes]] = [[_leaf_hash(l) for l in self._leaves]]
-            while len(self._levels[-1]) > 1:
-                prev = self._levels[-1]
-                nxt = [
-                    _node_hash(prev[i], prev[i + 1]) if i + 1 < len(prev) else prev[i]
-                    for i in range(0, len(prev), 2)
-                ]
-                self._levels.append(nxt)
+            # Only hashes are kept: the tree does not retain leaf bytes.
+            self._levels: list[list[bytes]] = [[_leaf_hash(bytes(l)) for l in leaves]]
+            self._rehash(0)
+
+    def _rehash(self, start: int, stop: int | None = None) -> None:
+        """Recompute the interior nodes above leaf positions ``[start, stop)``;
+        ``stop=None`` runs to the end and resizes the levels to fit."""
+        levels = self._levels
+        k = 0
+        while len(levels[k]) > 1:
+            below = levels[k]
+            if k + 1 == len(levels):
+                levels.append([])
+            start //= 2
+            if stop is None:
+                end = len(below)
+            else:
+                stop = (stop + 1) // 2
+                end = min(2 * stop, len(below))
+            levels[k + 1][start:stop] = [
+                _node_hash(below[i], below[i + 1]) if i + 1 < len(below) else below[i]
+                for i in range(2 * start, end, 2)
+            ]
+            k += 1
+        del levels[k + 1 :]
+
+    def update(self, index: int, leaf: bytes) -> None:
+        """Replace the leaf at ``index``."""
+        self._check_index(index, len(self))
+        with profiled("crypto.merkle", n_bytes=len(leaf)):
+            self._levels[0][index] = _leaf_hash(leaf)
+            self._rehash(index, index + 1)
+
+    def insert(self, index: int, leaf: bytes) -> None:
+        """Splice a new leaf in before position ``index`` (``len`` appends)."""
+        self._check_index(index, len(self) + 1)
+        with profiled("crypto.merkle", n_bytes=len(leaf)):
+            self._levels[0].insert(index, _leaf_hash(leaf))
+            self._rehash(index)
+
+    def delete(self, index: int) -> None:
+        """Remove the leaf at ``index``; the last leaf cannot be removed."""
+        self._check_index(index, len(self))
+        if len(self) == 1:
+            raise ValueError("Merkle tree requires at least one leaf")
+        with profiled("crypto.merkle"):
+            del self._levels[0][index]
+            self._rehash(index)
+
+    @staticmethod
+    def _check_index(index: int, bound: int) -> None:
+        if not 0 <= index < bound:
+            raise IndexError(f"leaf index {index} out of range")
 
     def __len__(self) -> int:
-        return len(self._leaves)
+        return len(self._levels[0])
 
     @property
     def root(self) -> bytes:
@@ -96,8 +146,7 @@ class MerkleTree:
 
     def proof(self, index: int) -> MerkleProof:
         """Build the inclusion proof for the leaf at ``index``."""
-        if not 0 <= index < len(self._leaves):
-            raise IndexError(f"leaf index {index} out of range")
+        self._check_index(index, len(self))
         steps: list[ProofStep] = []
         pos = index
         for level in self._levels[:-1]:

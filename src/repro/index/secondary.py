@@ -11,15 +11,28 @@ Structure
 * Trust bands are *mutable* (scores move sources between bands), so the
   ``trust_band`` dimension is kept as the current source→score-digest map
   per band rather than an append-only posting.
-* :meth:`PeerIndex.root` Merkle-hashes every posting leaf (plus the band
-  leaves and a height leaf) with :class:`~repro.crypto.merkle.MerkleTree`;
-  the root after applying block *n* is **epoch n**'s digest. Epoch digests
-  are journaled into the WAL by the durability layer and auditable by the
-  explorer.
-* :meth:`PeerIndex.prove` produces a :class:`PostingProof` a light client
-  can verify against a trusted epoch root with :func:`verify_posting_proof`
-  — no chain replay: the client recomputes the posting chain from the
-  proof's entries, rebuilds the leaf, and checks Merkle membership.
+* The epoch tree is one :class:`~repro.crypto.merkle.MerkleTree` over a
+  height leaf, one leaf per posting in ``(dim, value)`` order, the band
+  leaves and a tombstone leaf when any exist. It is **maintained in
+  place**: :meth:`PeerIndex.apply_block` re-hashes exactly the leaves the
+  block touched and their root paths — O(changed postings · log n) — and a
+  *new* key (first sight of a camera, a new time bucket) is spliced in at
+  its sorted position, recomputing interior nodes from there rightwards.
+  The tree is derived state: never persisted, built once (one
+  ``MerkleTree`` over all leaves) by ``from_doc`` / ``from_world``.
+* :meth:`PeerIndex.root` is an O(1) read of that tree; the root after
+  applying block *n* is **epoch n**'s digest. Epoch digests are journaled
+  into the WAL by the durability layer and auditable by the explorer.
+* :meth:`PeerIndex.prove` is an O(log n) read that produces a
+  :class:`PostingProof` a light client can verify against a trusted epoch
+  root with :func:`verify_posting_proof` — no chain replay: the client
+  recomputes the posting chain from the proof's entries, rebuilds the
+  leaf, and checks Merkle membership.
+* :meth:`PeerIndex.leaves` under a from-scratch ``MerkleTree`` is the
+  **reference implementation** of the root: byte-identical to the
+  maintained one at every epoch, used by tests and by SAN308 (which
+  compares a ``from_world`` rebuild against both), never on the commit or
+  query path.
 
 The index only ever observes **valid** transactions' write sets, so it is
 rebuildable from world state alone (:meth:`PeerIndex.from_world`) — that is
@@ -30,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.chaincodes.data import TIME_BUCKET_S, time_bucket
@@ -50,9 +64,15 @@ DIMS = ("source", "camera", "class", "violation", "time")
 TRUSTED_THRESHOLD = 0.75
 MIN_TRUST_THRESHOLD = 0.25
 
-# Wide numeric time ranges iterate bucket ids directly up to this span;
-# beyond it we filter the posting keys instead (sparse-range protection).
-_MAX_BUCKET_SPAN = 4096
+# Leaf keys ``(rank, dim, value)`` sort in epoch-tree order: the height
+# leaf, postings by (dim, value), band leaves, then the tombstone leaf.
+_META, _POSTING, _BAND, _TOMBSTONES = range(4)
+_LeafKey = tuple[int, str, str]
+_META_KEY: _LeafKey = (_META, "_meta", "")
+_TOMBSTONES_KEY: _LeafKey = (_TOMBSTONES, "_tombstones", "")
+
+# Zero-padded time-bucket ids sort chronologically only inside this range.
+_BUCKET_ID_LIMIT = 10**12
 
 
 def _seed_chain(dim: str, value: str) -> str:
@@ -204,6 +224,10 @@ class PeerIndex:
         self.block_filters: dict[int, BlockFilter] = {}
         self.tombstones: set[str] = set()
         self._indexed: set[str] = set()
+        # The maintained epoch tree: sorted leaf keys, their Merkle tree, and
+        # the keys whose leaves the block being applied has changed so far.
+        self._dirty: set[_LeafKey] = set()
+        self._rebuild_tree()
 
     # -- band mapping --------------------------------------------------------
 
@@ -231,6 +255,8 @@ class PeerIndex:
         for token in tokens:
             filt.add(token)
         self.block_filters[block.number] = filt
+        self._dirty.add(_META_KEY)
+        self._flush_tree()
         digest = self.root()
         self.epochs[block.number] = digest
         return digest
@@ -242,6 +268,7 @@ class PeerIndex:
                 entry_id = key[len(_DATA_PREFIX):]
                 if entry_id in self._indexed:
                     self.tombstones.add(entry_id)
+                    self._dirty.add(_TOMBSTONES_KEY)
                 return []
             try:
                 record = json.loads(write.value)
@@ -267,6 +294,7 @@ class PeerIndex:
             if posting is None:
                 posting = self.postings[(dim, value)] = Posting(dim, value)
             posting.append(entry_id, digest)
+            self._dirty.add((_POSTING, dim, value))
             tokens.append(f"{dim}={value}")
         self._indexed.add(entry_id)
         return tokens
@@ -313,28 +341,74 @@ class PeerIndex:
             self.bands[old].pop(source_id, None)
             if not self.bands[old]:
                 del self.bands[old]
+            self._dirty.add((_BAND, "trust_band", old))
         self.band_of[source_id] = band
         self.bands.setdefault(band, {})[source_id] = record_digest(raw)
+        self._dirty.add((_BAND, "trust_band", band))
         return [f"trust_band={band}"]
 
     # -- the authenticated epoch root ------------------------------------------
 
-    def leaves(self) -> list[bytes]:
-        """Deterministic leaf order: height leaf, entry postings sorted by
-        (dim, value), band leaves, then the tombstone leaf when present."""
-        out = [canonical_json({"dim": "_meta", "height": self.height})]
-        for key in sorted(self.postings):
-            out.append(self.postings[key].leaf_bytes())
-        for band in sorted(self.bands):
-            out.append(_band_leaf_bytes(band, self.bands[band]))
+    def _live_keys(self) -> list[_LeafKey]:
+        """Sorted leaf keys derived from the live posting/band state."""
+        keys = [_META_KEY]
+        keys.extend((_POSTING, dim, value) for dim, value in sorted(self.postings))
+        keys.extend((_BAND, "trust_band", band) for band in sorted(self.bands))
         if self.tombstones:
-            out.append(
-                canonical_json({"dim": "_tombstones", "ids": sorted(self.tombstones)})
-            )
-        return out
+            keys.append(_TOMBSTONES_KEY)
+        return keys
+
+    def _leaf(self, key: _LeafKey) -> bytes | None:
+        """Leaf bytes for ``key`` from live state; None if it has no leaf."""
+        rank, dim, value = key
+        if rank == _META:
+            return canonical_json({"dim": "_meta", "height": self.height})
+        if rank == _POSTING:
+            return self.postings[(dim, value)].leaf_bytes()
+        if rank == _BAND:
+            sources = self.bands.get(value)
+            return _band_leaf_bytes(value, sources) if sources else None
+        if not self.tombstones:
+            return None
+        return canonical_json({"dim": "_tombstones", "ids": sorted(self.tombstones)})
+
+    def leaves(self) -> list[bytes]:
+        """Every leaf re-serialised from live state, in deterministic order:
+        height leaf, entry postings sorted by (dim, value), band leaves, then
+        the tombstone leaf when present. ``MerkleTree(index.leaves()).root``
+        is the reference the maintained :meth:`root` must equal."""
+        return [self._leaf(key) for key in self._live_keys()]
+
+    def _rebuild_tree(self) -> None:
+        """Bulk build: one ``MerkleTree`` over every leaf of the live state."""
+        self._keys = self._live_keys()
+        self._tree = MerkleTree([self._leaf(key) for key in self._keys])
+        self._dirty.clear()
+
+    def _flush_tree(self) -> None:
+        """Bring the tree up to date with the leaves changed since the last
+        flush: re-hash a changed leaf's root path, splice a new key in at its
+        sorted position, drop a leaf whose band emptied."""
+        keys, tree = self._keys, self._tree
+        # Sorted so the hash-call counts profiles fingerprint do not depend
+        # on set iteration order.
+        for key in sorted(self._dirty):
+            leaf = self._leaf(key)
+            pos = bisect_left(keys, key)
+            present = pos < len(keys) and keys[pos] == key
+            if leaf is None:
+                if present:
+                    del keys[pos]
+                    tree.delete(pos)
+            elif present:
+                tree.update(pos, leaf)
+            else:
+                keys.insert(pos, key)
+                tree.insert(pos, leaf)
+        self._dirty.clear()
 
     def root(self) -> str:
-        return MerkleTree(self.leaves()).root.hex()
+        return self._tree.root.hex()
 
     def prove(self, dim: str, value: str) -> PostingProof:
         """Membership proof for one posting (or trust band) at the current
@@ -344,22 +418,20 @@ class PeerIndex:
             sources = self.bands.get(value)
             if sources is None:
                 raise MerkleProofError(f"no trust band {value!r} in the index")
-            target = _band_leaf_bytes(value, sources)
+            key = (_BAND, dim, value)
             entries = tuple(sorted(sources.items()))
         else:
             posting = self.postings.get((dim, value))
             if posting is None:
                 raise MerkleProofError(f"no posting for {dim}={value!r}")
-            target = posting.leaf_bytes()
+            key = (_POSTING, dim, value)
             entries = tuple(posting.entries)
-        leaves = self.leaves()
-        tree = MerkleTree(leaves)
         return PostingProof(
             dim=dim,
             value=value,
             entries=entries,
-            merkle=tree.proof(leaves.index(target)),
-            root=tree.root.hex(),
+            merkle=self._tree.proof(bisect_left(self._keys, key)),
+            root=self.root(),
             height=self.height,
         )
 
@@ -390,22 +462,9 @@ class PeerIndex:
 
     def lookup_time_range(self, lower: float, upper: float) -> list[str]:
         """Entry ids whose time bucket intersects ``[lower, upper)``."""
-        if upper < lower:
-            return []
-        lo_b, hi_b = int(lower // TIME_BUCKET_S), int(upper // TIME_BUCKET_S)
-        if hi_b - lo_b + 1 <= _MAX_BUCKET_SPAN:
-            buckets = [f"{b:012d}" for b in range(lo_b, hi_b + 1)]
-        else:  # sparse wide range: filter the values actually present
-            buckets = sorted(
-                v
-                for (dim, v) in self.postings
-                if dim == "time" and lo_b <= int(v) <= hi_b
-            )
         ids: set[str] = set()
-        for bucket in buckets:
-            posting = self.postings.get(("time", bucket))
-            if posting is not None:
-                ids.update(eid for eid, _ in posting.entries)
+        for bucket in self.time_buckets(lower, upper):
+            ids.update(eid for eid, _ in self.postings[("time", bucket)].entries)
         return sorted(ids - self.tombstones)
 
     def time_buckets(self, lower: float, upper: float) -> list[str]:
@@ -413,11 +472,17 @@ class PeerIndex:
         if upper < lower:
             return []
         lo_b, hi_b = int(lower // TIME_BUCKET_S), int(upper // TIME_BUCKET_S)
-        return sorted(
-            v
-            for (dim, v) in self.postings
-            if dim == "time" and lo_b <= int(v) <= hi_b
-        )
+        if 0 <= lo_b and hi_b < _BUCKET_ID_LIMIT:
+            lo_key = (_POSTING, "time", f"{lo_b:012d}")
+            hi_key = (_POSTING, "time", f"{hi_b:012d}")
+        else:  # ids outside the padded range do not sort numerically
+            lo_key, hi_key = (_POSTING, "time", ""), (_POSTING, "time\x00", "")
+        keys = self._keys
+        return [
+            value
+            for _, _, value in keys[bisect_left(keys, lo_key) : bisect_right(keys, hi_key)]
+            if lo_b <= int(value) <= hi_b
+        ]
 
     def blocks_possibly_containing(self, dim: str, value: str) -> list[int]:
         """Block numbers whose posting filter admits ``dim=value``."""
@@ -472,6 +537,7 @@ class PeerIndex:
             int(n): BlockFilter.from_doc(f) for n, f in doc.get("filters", {}).items()
         }
         out.tombstones = set(doc.get("tombstones", ()))
+        out._rebuild_tree()
         return out
 
     @classmethod
@@ -517,6 +583,7 @@ class PeerIndex:
                 filt.add(token)
             out.block_filters[block_n] = filt
         out.height = height
+        out._rebuild_tree()
         if height > 0:
             out.epochs[height - 1] = out.root()
         return out

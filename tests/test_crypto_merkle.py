@@ -85,3 +85,90 @@ def test_property_mutated_leaf_fails(leaves, data):
 @given(st.lists(st.binary(max_size=16), min_size=1, max_size=16))
 def test_property_root_deterministic(leaves):
     assert MerkleTree(leaves).root == MerkleTree(leaves).root
+
+
+# -- in-place maintenance: update / insert / delete ---------------------------
+
+
+def _assert_same_as_fresh(tree: MerkleTree, leaves: list[bytes]) -> None:
+    fresh = MerkleTree(leaves)
+    assert len(tree) == len(leaves)
+    assert tree.root == fresh.root
+    for i, leaf in enumerate(leaves):
+        assert tree.proof(i) == fresh.proof(i)
+        assert tree.proof(i).is_valid(leaf, fresh.root)
+
+
+# Draws are reduced modulo the current size, so every op is always legal.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["update", "insert", "delete"]),
+        st.integers(min_value=0, max_value=64),
+        st.binary(max_size=8),
+    ),
+    max_size=24,
+)
+
+
+def _apply_ops(tree: MerkleTree, leaves: list[bytes], ops) -> None:
+    for op, at, leaf in ops:
+        if op == "update":
+            i = at % len(leaves)
+            leaves[i] = leaf
+            tree.update(i, leaf)
+        elif op == "insert":
+            i = at % (len(leaves) + 1)
+            leaves.insert(i, leaf)
+            tree.insert(i, leaf)
+        elif len(leaves) > 1:
+            i = at % len(leaves)
+            del leaves[i]
+            tree.delete(i)
+        _assert_same_as_fresh(tree, leaves)
+
+
+@given(st.lists(st.binary(max_size=8), min_size=1, max_size=20), _OPS)
+def test_property_in_place_ops_match_fresh_tree(leaves, ops):
+    _apply_ops(MerkleTree(leaves), list(leaves), ops)
+
+
+class TestInPlaceMaintenance:
+    # Sizes either side of every odd-promotion boundary up to three levels.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9])
+    def test_every_position_at_promotion_boundaries(self, n):
+        base = [bytes([i]) for i in range(n)]
+        for i in range(n):
+            tree, leaves = MerkleTree(base), list(base)
+            _apply_ops(tree, leaves, [("update", i, b"u"), ("insert", i, b"i")])
+            if n > 1:
+                _apply_ops(MerkleTree(base), list(base), [("delete", i, b"")])
+        _apply_ops(MerkleTree(base), list(base), [("insert", n, b"end")])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9])
+    def test_delete_down_to_one_leaf_and_grow_back(self, n):
+        leaves = [bytes([i]) for i in range(n)]
+        tree = MerkleTree(leaves)
+        _apply_ops(tree, leaves, [("delete", k, b"") for k in range(n - 1)])
+        assert len(tree) == 1 and tree.root == MerkleTree(leaves).root
+        with pytest.raises(ValueError):
+            tree.delete(0)
+        _apply_ops(tree, leaves, [("insert", k, bytes([k])) for k in range(n)])
+
+    def test_out_of_range_rejected(self):
+        tree = MerkleTree([b"a", b"b"])
+        with pytest.raises(IndexError):
+            tree.update(2, b"x")
+        with pytest.raises(IndexError):
+            tree.insert(3, b"x")
+        with pytest.raises(IndexError):
+            tree.delete(-1)
+        assert tree.root == MerkleTree([b"a", b"b"]).root
+
+    def test_stale_proof_fails_after_update(self):
+        tree = MerkleTree([b"a", b"b", b"c"])
+        before = tree.root
+        proof = tree.proof(1)
+        tree.update(2, b"z")
+        assert proof.is_valid(b"b", before)
+        assert not proof.is_valid(b"b", tree.root)
+        assert tree.proof(1).is_valid(b"b", tree.root)

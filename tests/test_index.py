@@ -10,11 +10,16 @@ epoch digests.
 
 import dataclasses
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import Client, Framework, FrameworkConfig
+from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleProofError, QueryError
+from repro.fabric.tx import WriteEntry
+from repro.fabric.worldstate import Version, WorldState
 from repro.index import (
     BlockFilter,
     PeerIndex,
@@ -284,6 +289,198 @@ class TestExecutorRouting:
         assert answer.verify() == 0
 
 
+# -- the maintained epoch tree --------------------------------------------------
+
+
+def _block(number, writes):
+    """The slice of a committed block ``apply_block`` reads: one tx per write."""
+    return SimpleNamespace(
+        number=number,
+        validation_codes=(),
+        transactions=[
+            SimpleNamespace(rwset=SimpleNamespace(writes=(w,))) for w in writes
+        ],
+    )
+
+
+def _record_write(entry_id, source, camera, ts, vehicle_class="car"):
+    record = {
+        "entry_id": entry_id,
+        "cid": f"bafy-{entry_id}",
+        "metadata": {
+            "camera_id": camera,
+            "timestamp": ts,
+            "detections": [{"vehicle_class": vehicle_class}],
+        },
+        "source_id": source,
+    }
+    return WriteEntry(f"data:{entry_id}", canonical_json(record))
+
+
+def _trust_write(source, score):
+    return WriteEntry(
+        f"trust:{source}", canonical_json({"score": score, "source_id": source})
+    )
+
+
+def _delete_write(entry_id):
+    return WriteEntry(f"data:{entry_id}", None, is_delete=True)
+
+
+class _Chain:
+    """A PeerIndex fed synthetic blocks alongside the world state they
+    commit, checking the maintained tree against the reference per block."""
+
+    def __init__(self):
+        self.index = PeerIndex()
+        self.world = WorldState()
+
+    def commit(self, *writes):
+        index, number = self.index, self.index.height
+        previous_root = index.root()
+        for tx, write in enumerate(writes):
+            self.world.apply_write(
+                write.key, write.value, Version(number, tx), f"tx-{number}-{tx}", 0.0
+            )
+        epoch = index.apply_block(_block(number, writes))
+        root = index.root()
+        assert epoch == root == index.epochs[number] != previous_root
+        assert root == MerkleTree(index.leaves()).root.hex()
+        targets = list(index.postings) + [("trust_band", b) for b in index.bands]
+        for dim, value in targets:
+            proof = index.prove(dim, value)
+            assert proof.root == root and proof.height == number + 1
+            assert verify_posting_proof(proof, root)
+            stale = dataclasses.replace(proof, root=previous_root)
+            with pytest.raises(MerkleProofError):
+                verify_posting_proof(stale, previous_root)
+        assert PeerIndex.from_doc(index.to_doc()).root() == root
+        if not index.tombstones:  # from_world cannot see deleted records
+            assert PeerIndex.from_world(self.world, index.height).root() == root
+        return root
+
+
+class TestMaintainedTree:
+    def test_empty_index_has_the_reference_root(self):
+        index = PeerIndex()
+        assert index.root() == MerkleTree(index.leaves()).root.hex()
+
+    def test_scripted_structural_changes(self):
+        chain = _Chain()
+        index = chain.index
+        chain.commit(_record_write("e0", "src-m", "cam-m", 6000.0))
+        # New keys landing before, between and after the existing ones.
+        chain.commit(_record_write("e1", "src-a", "cam-a", 600.0, "bus"))
+        chain.commit(_record_write("e2", "src-z", "cam-z", 60000.0, "van"))
+        chain.commit(_record_write("e3", "src-k", "cam-k", 3000.0, "car"))
+        # Appends to existing postings only: no new leaf.
+        n_leaves = len(index.leaves())
+        chain.commit(_record_write("e4", "src-m", "cam-m", 6001.0))
+        assert len(index.leaves()) == n_leaves
+        # First band leaf, then a second band.
+        chain.commit(_trust_write("src-m", 0.9))
+        chain.commit(_trust_write("src-a", 0.5))
+        assert sorted(index.bands) == ["provisional", "trusted"]
+        # A source moving between bands; its old band empties and disappears.
+        chain.commit(_trust_write("src-a", 0.95))
+        assert sorted(index.bands) == ["trusted"]
+        chain.commit(_trust_write("src-m", 0.1), _trust_write("src-a", 0.1))
+        assert sorted(index.bands) == ["untrusted"]
+        # Several records in one block, sharing a new posting.
+        chain.commit(
+            _record_write("e5", "src-b", "cam-m", 6002.0),
+            _record_write("e6", "src-b", "cam-b", 1200.0),
+        )
+        # A block that changes nothing but the height.
+        chain.commit()
+        # First tombstone adds the last leaf; the second only updates it.
+        n_leaves = len(index.leaves())
+        chain.commit(_delete_write("e1"))
+        assert len(index.leaves()) == n_leaves + 1
+        chain.commit(_delete_write("e2"), _delete_write("never-indexed"))
+        assert len(index.leaves()) == n_leaves + 1
+        assert index.lookup("source", "src-a") == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sequences_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        chain = _Chain()
+        entries: list[str] = []
+        for number in range(40):
+            writes = []
+            for _ in range(rng.randint(0, 3)):
+                roll = rng.random()
+                if roll < 0.6 or not entries:
+                    entry_id = f"e{number:03d}-{len(writes)}"
+                    writes.append(
+                        _record_write(
+                            entry_id,
+                            f"src-{rng.randrange(6)}",
+                            f"cam-{rng.randrange(40):02d}",
+                            float(rng.randrange(0, 40_000)),
+                            rng.choice(["car", "bus", "truck"]),
+                        )
+                    )
+                    entries.append(entry_id)
+                elif roll < 0.9:
+                    writes.append(
+                        _trust_write(f"src-{rng.randrange(3)}", rng.random())
+                    )
+                elif number > 25:  # keep from_world comparable for a while
+                    writes.append(_delete_write(rng.choice(entries)))
+            chain.commit(*writes)
+        assert chain.index.height == 40
+
+    def test_range_lookups_match_a_scan_of_the_keys(self):
+        chain = _Chain()
+        stamps = [-700.0, -1.0, 0.0, 599.0, 600.0, 4200.0, 90_000.0, 7e14]
+        for i, ts in enumerate(stamps):
+            chain.commit(_record_write(f"e{i}", "src", "cam", ts))
+        index = chain.index
+        bounds = [-1e4, -600.0, -0.5, 0.0, 600.0, 4199.0, 4800.0, 1e5, 8e14]
+        for lower in bounds:
+            for upper in bounds:
+                lo_b, hi_b = int(lower // 600), int(upper // 600)
+                expected = sorted(
+                    v
+                    for dim, v in index.postings
+                    if dim == "time" and lower <= upper and lo_b <= int(v) <= hi_b
+                )
+                assert index.time_buckets(lower, upper) == expected
+                assert index.lookup_time_range(lower, upper) == sorted(
+                    eid
+                    for v in expected
+                    for eid, _ in index.postings[("time", v)].entries
+                )
+
+    def test_apply_cost_does_not_grow_with_the_number_of_postings(self):
+        """Height-creep gate on exact call counts: the same block shape
+        (one record appending to five existing postings) re-serialises the
+        same leaves and hashes only their root paths at ~50 and ~500
+        postings."""
+        from repro.obs.prof import profiling
+
+        touched = 5  # height leaf + source, camera, time, class postings
+        for cameras, n_leaves in ((22, 50), (240, 486)):
+            index = PeerIndex()
+            for i in range(cameras):
+                cam = f"cam-{i:03d}"
+                index.apply_block(
+                    _block(i, [_record_write(f"e{i}", cam, cam, 600.0 * (i % 4))])
+                )
+            assert len(index.leaves()) == n_leaves
+            probe = _record_write("probe", "cam-007", "cam-007", 0.0)
+            with profiling() as profiler:
+                index.apply_block(_block(index.height, [probe]))
+            assert index.root() == MerkleTree(index.leaves()).root.hex()
+            calls = {s.center: s.calls for s in profiler.center_stats()}
+            assert calls["serialize.canonical_json"] == touched
+            assert calls["crypto.merkle"] == touched
+            # One leaf hash plus at most one node hash per level, per leaf.
+            depth = (n_leaves - 1).bit_length()
+            assert calls["crypto.hash"] <= touched * (depth + 1)
+
+
 class TestDurability:
     def test_wal_replay_restores_index(self):
         framework = make_framework(
@@ -393,3 +590,23 @@ class TestSanitizerMode:
 
             runtime._ACTIVE = None
         assert any(f.rule_id == "SAN308" for f in report.findings)
+
+    def test_corruption_no_later_block_touches_is_flagged(self):
+        framework = make_framework(sanitize="index")
+        try:
+            client, _ = populate(framework, n=2)
+            peer = next(iter(framework.channel.peers.values()))
+            # The next submit (a car at t=100) appends to neither this
+            # posting nor its leaf, so the maintained tree keeps serving the
+            # cached leaf hash: only re-hashing the live postings shows it.
+            peer.index.postings[("class", "truck")].chain = "00" * 32
+            client.submit(b"one-more", dict(META))
+            report = framework.sanitizer.finalize()
+        finally:
+            import repro.analysis.runtime as runtime
+
+            runtime._ACTIVE = None
+        findings = [f for f in report.findings if f.rule_id == "SAN308"]
+        assert findings
+        assert all("re-hashed from live postings" in f.message for f in findings)
+        assert not any("maintained" in f.message for f in findings)
