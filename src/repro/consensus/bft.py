@@ -32,6 +32,7 @@ decided. Repeatedly-misbehaving replicas can be reported to a
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -87,6 +88,21 @@ class Decision:
     item_votes: dict[str, tuple[bool, ...]] = field(default_factory=dict, compare=False)
 
 
+# Start of every replica's decided-log hash chain (the digest of an empty log).
+_EMPTY_LOG_LINK = hashlib.sha256(b"pbft-decided-log").digest()
+_LINK = len(_EMPTY_LOG_LINK)
+
+
+def _log_frame(decision: Decision) -> bytes:
+    """Fixed framing of what a log digest commits to per decision: 8-byte
+    seq, one verdict byte, then the request id (the only variable part)."""
+    return (
+        decision.seq.to_bytes(8, "big")
+        + (b"\x01" if decision.accepted else b"\x00")
+        + decision.request.request_id.encode()
+    )
+
+
 def _digest(request: ClientRequest) -> str:
     return hashlib.sha256(
         canonical_json({"id": request.request_id, "payload": request.payload})
@@ -124,6 +140,13 @@ class BftReplica(NetNode):
         self._next_seq = 0  # primary-only counter
         self._assigned: set[str] = set()  # request ids this primary proposed
         self._decided_seqs: set[int] = set()
+        # The decided log in seq order, hash-chained: link i commits to every
+        # decision with seq <= _seqs[i], so a prefix digest is a bisect and
+        # deciding costs one hash (see _chain_decision). Links are kept
+        # end to end in one buffer, _LINK bytes each.
+        self._seqs: list[int] = []
+        self._by_seq: list[Decision] = []
+        self._links = bytearray()
         # seq -> digest this replica has *prepared* (sent COMMIT for). An
         # honest replica never prepares two different digests at one seq —
         # even across views — which is what makes conflicting decisions at
@@ -408,45 +431,61 @@ class BftReplica(NetNode):
         )
         slot.decision = decision
         self.log.append(decision)
+        self._chain_decision(decision)
         self._pending_timeouts[request.request_id] = True
         self.cluster.notify_decision(self.name, decision)
         self._maybe_checkpoint()
 
     # -- checkpointing / log GC -----------------------------------------------
 
+    def _chain_decision(self, decision: Decision) -> None:
+        """Extend the log hash chain by one link. A decision arriving below
+        the highest decided seq splices in and re-chains from there, so a
+        prefix digest stays a function of the *set* of decisions <= seq."""
+        pos = bisect_right(self._seqs, decision.seq)
+        self._seqs.insert(pos, decision.seq)
+        self._by_seq.insert(pos, decision)
+        link = self._link(pos)
+        del self._links[pos * _LINK :]
+        for later in self._by_seq[pos:]:
+            link = hashlib.sha256(link + _log_frame(later)).digest()
+            self._links += link
+
+    def _link(self, n_decisions: int) -> bytes:
+        """The chain link after the first ``n_decisions`` in seq order."""
+        if n_decisions == 0:
+            return _EMPTY_LOG_LINK
+        return bytes(self._links[(n_decisions - 1) * _LINK : n_decisions * _LINK])
+
     def _log_digest(self, up_to_seq: int) -> str:
         """Digest of the decided log prefix — what checkpoints agree on."""
-        prefix = sorted(
-            (d.seq, d.request.request_id, d.accepted)
-            for d in self.log
-            if d.seq <= up_to_seq
-        )
-        return hashlib.sha256(canonical_json([list(p) for p in prefix])).hexdigest()
+        return self._link(bisect_right(self._seqs, up_to_seq)).hex()
 
     def log_frontier(self, up_to_seq: int | None = None) -> tuple[int, str]:
         """Public checkpoint view of the decided log: ``(seq, prefix digest)``.
 
         With no argument, the frontier is the replica's highest decided
-        sequence. Durable-storage checkpoints persist this pair so a
-        restarted validator can prove its log prefix is the one that was
-        persisted (see :mod:`repro.storage.persistence`).
+        sequence. The digest is the hash-chain link at ``seq``: replicas that
+        decided the same ``(seq, request, verdict)`` set up to ``seq`` agree
+        on it, one with a gap differs. Durable-storage checkpoints persist
+        this pair so a restarted validator can prove its log prefix is the
+        one that was persisted (see :mod:`repro.storage.persistence`).
         """
-        seq = (
-            up_to_seq
-            if up_to_seq is not None
-            else max((d.seq for d in self.log), default=-1)
-        )
-        return seq, self._log_digest(seq)
+        if up_to_seq is None:
+            up_to_seq = self._seqs[-1] if self._seqs else -1
+        return up_to_seq, self._log_digest(up_to_seq)
 
     def _maybe_checkpoint(self) -> None:
         interval = self.cluster.checkpoint_interval
         if interval <= 0:
             return
-        decided = {d.seq for d in self.log}
-        # Checkpoint at the highest contiguous multiple-of-interval frontier.
+        # Checkpoint at the highest multiple-of-interval frontier such that
+        # every seq in (stable_checkpoint, frontier] is decided.
+        stable = self.stable_checkpoint
+        below = bisect_right(self._seqs, stable)
         target = -1
-        seq = self.stable_checkpoint + interval
-        while set(range(0, seq + 1)) <= decided | set(range(0, self.stable_checkpoint + 1)):
+        seq = stable + interval
+        while bisect_right(self._seqs, seq) - below == seq - stable:
             target = seq
             seq += interval
         if target < 0:
@@ -540,8 +579,8 @@ class BftReplica(NetNode):
     def _enter_view(self, view: int) -> None:
         self.view = view
         # Primary's sequence counter continues past anything it has decided.
-        if self._decided_seqs:
-            self._next_seq = max(self._next_seq, max(self._decided_seqs) + 1)
+        if self._seqs:
+            self._next_seq = max(self._next_seq, self._seqs[-1] + 1)
 
 
 class BftCluster:

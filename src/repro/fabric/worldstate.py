@@ -10,14 +10,22 @@ per key for provenance queries.
 
 Composite keys pack an index name and attribute parts into one range-
 scannable string using the same ``\\x00`` framing Fabric uses.
+
+Checkpoints and the state digest read the live state as one canonical
+*snapshot line* per key (``[key, value_hex, block, tx]``). A line is
+serialised when a checkpoint first needs it and kept until the key is next
+written, so a checkpoint costs what changed since the last one, not what
+exists (see :meth:`WorldState.snapshot_lines`).
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import LedgerError
+from repro.util.serialization import canonical_json
 
 # Composite keys: \x00 + objectType + \x00 + attr1 + \x00 + attr2 + ...
 COMPOSITE_SEP = "\x00"
@@ -56,6 +64,10 @@ class WorldState:
     _versions: dict[str, Version] = field(default_factory=dict)
     _sorted_keys: list[str] = field(default_factory=list)
     _history: dict[str, list[HistoryEntry]] = field(default_factory=dict)
+    # key -> its snapshot line, for keys unchanged since the last
+    # snapshot_lines() (apply_write is the only writer of the maps above);
+    # derived state, so it takes no part in ==.
+    _lines: dict[str, bytes] = field(default_factory=dict, compare=False, repr=False)
 
     # -- reads ----------------------------------------------------------------
 
@@ -100,6 +112,7 @@ class WorldState:
             raise LedgerError(
                 f"write to {key!r} with stale version {version} < {current}"
             )
+        self._lines.pop(key, None)  # the one invalidation site: puts and deletes
         if value is None:
             if key in self._values:
                 del self._values[key]
@@ -120,6 +133,43 @@ class WorldState:
 
     def snapshot_versions(self, keys: list[str]) -> dict[str, Version | None]:
         return {k: self._versions.get(k) for k in keys}
+
+    # -- snapshot lines (checkpoints, state digest) -----------------------------------
+
+    def _line(self, key: str) -> bytes:
+        version = self._versions[key]
+        return canonical_json([key, self._values[key].hex(), version.block, version.tx])
+
+    def snapshot_lines(self) -> tuple[bytes, ...]:
+        """One canonical ``[key, value_hex, block, tx]`` line per live key, in
+        key order — the body of a :class:`~repro.fabric.snapshot.Snapshot`.
+
+        This is the only call that fills the line cache: a line serialised
+        here is kept until :meth:`apply_write` next touches its key, so the
+        next checkpoint re-serialises only what changed in between, and a
+        deployment that never checkpoints holds no lines. Memoising inside a
+        read is safe because it runs only on the single-threaded commit /
+        recovery path (``DurabilityManager.checkpoint_peer``, state
+        transfer); query threads never reach it.
+        """
+        lines = self._lines
+        out = []
+        for key in self._sorted_keys:
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = self._line(key)
+            out.append(line)
+        return tuple(out)
+
+    def digest(self) -> str:
+        """sha256 over the snapshot lines in key order: the deterministic
+        digest of (key, value, version) of the live state. Reads cached
+        lines and computes a missing one without storing it."""
+        h = hashlib.sha256()
+        lines = self._lines
+        for key in self._sorted_keys:
+            h.update(lines.get(key) or self._line(key))
+        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ Structure
   *new* key (first sight of a camera, a new time bucket) is spliced in at
   its sorted position, recomputing interior nodes from there rightwards.
   The tree is derived state: never persisted, built once (one
-  ``MerkleTree`` over all leaves) by ``from_doc`` / ``from_world``.
+  ``MerkleTree`` over all leaves) by ``from_lines`` / ``from_world``.
 * :meth:`PeerIndex.root` is an O(1) read of that tree; the root after
   applying block *n* is **epoch n**'s digest. Epoch digests are journaled
   into the WAL by the durability layer and auditable by the explorer.
@@ -33,6 +33,14 @@ Structure
   maintained one at every epoch, used by tests and by SAN308 (which
   compares a ``from_world`` rebuild against both), never on the commit or
   query path.
+* Checkpoints persist the index as **lines** (:meth:`PeerIndex.to_lines` /
+  :meth:`PeerIndex.from_lines`): a small header, each posting as a head
+  line plus its entries in runs of ``_RUN`` (full runs immutable, head and
+  last run kept on the :class:`Posting` until its next ``append``), and one
+  immutable ``[n, epoch, filter]`` line per block. A line is serialised
+  when its item changes and joined when a checkpoint is written, so a
+  checkpoint costs the postings and blocks changed since the last one. Only
+  ``to_lines`` fills these caches; the commit and query paths never do.
 
 The index only ever observes **valid** transactions' write sets, so it is
 rebuildable from world state alone (:meth:`PeerIndex.from_world`) — that is
@@ -51,7 +59,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
 from repro.fabric.tx import ValidationCode
 from repro.index.filters import BlockFilter
-from repro.util.serialization import canonical_json
+from repro.util.serialization import canonical_json, from_canonical_json
 
 _DATA_PREFIX = "data:"
 _TRUST_PREFIX = "trust:"
@@ -70,6 +78,9 @@ _META, _POSTING, _BAND, _TOMBSTONES = range(4)
 _LeafKey = tuple[int, str, str]
 _META_KEY: _LeafKey = (_META, "_meta", "")
 _TOMBSTONES_KEY: _LeafKey = (_TOMBSTONES, "_tombstones", "")
+
+# Entries per checkpoint line of a posting (see Posting.lines).
+_RUN = 64
 
 # Zero-padded time-bucket ids sort chronologically only inside this range.
 _BUCKET_ID_LIMIT = 10**12
@@ -101,6 +112,11 @@ class Posting:
     value: str
     entries: list[tuple[str, str]] = field(default_factory=list)
     chain: str = ""
+    # Checkpoint lines: a full run of _RUN entries never changes again, so
+    # its line is kept for good; the head and the partial last run are
+    # dropped by the next append.
+    _runs: list[bytes] = field(default_factory=list, compare=False, repr=False)
+    _ends: tuple[bytes, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -109,6 +125,23 @@ class Posting:
     def append(self, entry_id: str, digest: str) -> None:
         self.chain = _extend_chain(self.chain, entry_id, digest)
         self.entries.append((entry_id, digest))
+        self._ends = ()
+
+    def lines(self) -> list[bytes]:
+        """Checkpoint lines: a head ``[dim, value, chain, n]``, then the
+        ``n`` entries in runs of ``_RUN``, one line per run. Serialised once
+        per change, and a change costs the head and the runs it reached,
+        however long the posting is. Only :meth:`PeerIndex.to_lines` calls
+        this, so an index that is never checkpointed holds no lines."""
+        if not self._ends:
+            entries, runs = self.entries, self._runs
+            full = len(entries) - len(entries) % _RUN
+            for start in range(len(runs) * _RUN, full, _RUN):
+                runs.append(canonical_json(entries[start : start + _RUN]))
+            head = canonical_json([self.dim, self.value, self.chain, len(entries)])
+            tail = (canonical_json(entries[full:]),) if full < len(entries) else ()
+            self._ends = (head, *tail)
+        return [self._ends[0], *self._runs, *self._ends[1:]]
 
     def leaf_bytes(self) -> bytes:
         return canonical_json(
@@ -224,6 +257,10 @@ class PeerIndex:
         self.block_filters: dict[int, BlockFilter] = {}
         self.tombstones: set[str] = set()
         self._indexed: set[str] = set()
+        # block -> its checkpoint line; a block's epoch and filter never
+        # change once applied, so a line is serialised by the first
+        # to_lines() after the block and kept for good.
+        self._block_lines: dict[int, bytes] = {}
         # The maintained epoch tree: sorted leaf keys, their Merkle tree, and
         # the keys whose leaves the block being applied has changed so far.
         self._dirty: set[_LeafKey] = set()
@@ -495,48 +532,83 @@ class PeerIndex:
         """An empty index with this one's thresholds (post-wipe state)."""
         return PeerIndex(self.trusted_threshold, self.min_threshold)
 
-    def to_doc(self) -> dict:
-        return {
-            "height": self.height,
-            "thresholds": [self.trusted_threshold, self.min_threshold],
-            "postings": [
-                [dim, value, p.chain, [[e, d] for e, d in p.entries]]
-                for (dim, value), p in sorted(self.postings.items())
-            ],
-            "bands": {
-                band: [[s, d] for s, d in sorted(members.items())]
-                for band, members in sorted(self.bands.items())
-            },
-            "epochs": {str(n): digest for n, digest in sorted(self.epochs.items())},
-            "filters": {
-                str(n): f.to_doc() for n, f in sorted(self.block_filters.items())
-            },
-            "tombstones": sorted(self.tombstones),
-        }
+    def to_lines(self) -> list[bytes]:
+        """The checkpoint form of the index: canonical-JSON lines, free of
+        raw newlines, so the durability layer stores them ``\\n``-joined.
+
+        * a header — height, thresholds, bands, tombstones and the two
+          section lengths; small, re-serialised every time;
+        * each posting's :meth:`Posting.lines` in ``(dim, value)`` order, kept
+          on the :class:`Posting` until its next append;
+        * one line ``[n, epoch, filter]`` per block, immutable.
+
+        So a checkpoint serialises the postings and blocks changed since the
+        previous one and joins the rest. The epoch tree is derived state and
+        is not written (:meth:`from_lines` rebuilds it).
+        """
+        blocks = sorted(self.epochs.keys() | self.block_filters.keys())
+        lines = [
+            canonical_json(
+                {
+                    "height": self.height,
+                    "thresholds": [self.trusted_threshold, self.min_threshold],
+                    "bands": {
+                        band: sorted(members.items())
+                        for band, members in self.bands.items()
+                    },
+                    "tombstones": sorted(self.tombstones),
+                    "postings": len(self.postings),
+                    "blocks": len(blocks),
+                }
+            )
+        ]
+        for key in sorted(self.postings):
+            lines.extend(self.postings[key].lines())
+        block_lines = self._block_lines
+        for n in blocks:
+            line = block_lines.get(n)
+            if line is None:
+                filt = self.block_filters.get(n)
+                line = block_lines[n] = canonical_json(
+                    [n, self.epochs.get(n), None if filt is None else filt.to_doc()]
+                )
+            lines.append(line)
+        return lines
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "PeerIndex":
-        trusted, minimum = doc.get("thresholds", [TRUSTED_THRESHOLD, MIN_TRUST_THRESHOLD])
+    def from_lines(cls, lines: list[bytes]) -> "PeerIndex":
+        """Inverse of :meth:`to_lines`. Raises ``EncodingError`` /
+        ``LookupError`` / ``TypeError`` / ``ValueError`` on a damaged file;
+        the caller falls back to :meth:`from_world`."""
+        header = from_canonical_json(lines[0])
+        trusted, minimum = header["thresholds"]
         out = cls(float(trusted), float(minimum))
-        out.height = int(doc["height"])
-        for dim, value, chain, entries in doc.get("postings", ()):
+        out.height = int(header["height"])
+        at = 1
+        for _ in range(int(header["postings"])):
+            dim, value, chain, n = from_canonical_json(lines[at])
             posting = Posting(dim=dim, value=value, chain=chain)
-            posting.entries = [(e, d) for e, d in entries]
+            runs = lines[at + 1 : at + 1 + -(-int(n) // _RUN)]
+            for line in runs:
+                posting.entries.extend((e, d) for e, d in from_canonical_json(line))
+            if len(posting.entries) != n:
+                raise ValueError(f"posting {dim}={value!r} is missing entries")
+            at += 1 + len(runs)
             out.postings[(dim, value)] = posting
-        out._indexed = {
-            eid
-            for (dim, _), posting in out.postings.items()
-            for eid, _ in posting.entries
-        }
-        for band, members in doc.get("bands", {}).items():
+            out._indexed.update(e for e, _ in posting.entries)
+        if len(lines) - at != int(header["blocks"]):
+            raise ValueError("index file does not hold the lines its header counts")
+        for band, members in header["bands"].items():
             out.bands[band] = {s: d for s, d in members}
             for s in out.bands[band]:
                 out.band_of[s] = band
-        out.epochs = {int(n): d for n, d in doc.get("epochs", {}).items()}
-        out.block_filters = {
-            int(n): BlockFilter.from_doc(f) for n, f in doc.get("filters", {}).items()
-        }
-        out.tombstones = set(doc.get("tombstones", ()))
+        out.tombstones = set(header["tombstones"])
+        for line in lines[at:]:
+            n, epoch, filt = from_canonical_json(line)
+            if epoch is not None:
+                out.epochs[int(n)] = epoch
+            if filt is not None:
+                out.block_filters[int(n)] = BlockFilter.from_doc(filt)
         out._rebuild_tree()
         return out
 

@@ -12,9 +12,21 @@ the ordering service) holds:
   written atomically; the WAL is truncated once the checkpoint covers it;
 * ``private`` — the peer's private-collection side databases at the same
   height (snapshots cover only public state);
+* ``index`` — the peer's :class:`~repro.index.PeerIndex` as
+  ``to_lines()``, newline-joined;
 * ``frontier-<replica>`` — each PBFT validator's decided-log frontier
   ``{seq, stable, digest}``, so a restarted validator set can prove its
   log prefix matches what was persisted.
+
+A checkpoint file is whole, but writing it costs what changed: the snapshot
+and the index are joins of canonical-JSON lines that the world state and the
+index keep per key / posting / block and re-serialise only after a change
+(``WorldState.snapshot_lines``, ``PeerIndex.to_lines``); only the small
+headers and the private sidecar are serialised every time. The frontiers are
+written once per ledger height, by the first peer to checkpoint there, and
+the orderer's own log (``submit`` / ``batch`` records) is compacted at the
+same moment to the records whose transactions are not yet on a ledger — so
+it holds what no checkpoint covers yet rather than every batch ever cut.
 
 Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 
@@ -109,6 +121,13 @@ class RecoveryOutcome:
         return base + (f" damage={self.wal_damage}" if self.wal_damage else "")
 
 
+def _record_tx_ids(doc: dict) -> list[str]:
+    """Transaction ids an orderer-log record (``submit`` / ``batch``) is about."""
+    if doc.get("type") == "batch":
+        return [tx["proposal"]["tx_id"] for tx in doc["txs"]]
+    return [doc["tx_id"]]
+
+
 class DurabilityManager:
     """Owns every node's simulated disk and drives crash recovery."""
 
@@ -132,6 +151,9 @@ class DurabilityManager:
         self.stats = DurabilityStats()
         self.recovery_log: list[RecoveryOutcome] = []
         self._replaying: set[str] = set()
+        # Ledger height of the last checkpoint that also covered the
+        # ordering service (validator frontiers + orderer-log compaction).
+        self._orderer_checkpoint_height = -1
         for peer in channel.peers.values():
             peer.journal = self
         if hasattr(channel.orderer, "journal"):
@@ -197,7 +219,15 @@ class DurabilityManager:
     # -- checkpoints -----------------------------------------------------------
 
     def checkpoint_peer(self, peer) -> None:
-        """Atomic snapshot of ledger/world/private state; WAL truncated after."""
+        """Atomic snapshot of ledger/world/private state; WAL truncated after.
+
+        The snapshot and index files are joins of lines their owners cache
+        per world key / posting / block, so this costs what changed since
+        the peer's previous checkpoint. The ordering service's share — the
+        validator frontiers and the orderer-log compaction — is done by the
+        first peer to checkpoint at each ledger height: every peer's
+        checkpoint at one height would persist the same validator logs.
+        """
         store = self.stores.get(peer.name)
         if store is None:
             return
@@ -206,12 +236,15 @@ class DurabilityManager:
             store.write_file(CHECKPOINT_FILE, snapshot.to_bytes())
             store.write_file(PRIVATE_FILE, canonical_json(self._private_doc(peer)))
             if getattr(peer, "index", None) is not None:
-                store.write_file(INDEX_FILE, canonical_json(peer.index.to_doc()))
+                store.write_file(INDEX_FILE, b"\n".join(peer.index.to_lines()))
             store.truncate_log(WAL_LOG)
             store.sync()
         self.stats.checkpoints += 1
         get_registry().counter("checkpoints_total").inc()
-        self.checkpoint_validators()
+        if peer.ledger.height != self._orderer_checkpoint_height:
+            self._orderer_checkpoint_height = peer.ledger.height
+            self.checkpoint_validators()
+            self._compact_orderer_log()
 
     def checkpoint_validators(self) -> int:
         """Persist every PBFT replica's decided-log frontier."""
@@ -233,6 +266,30 @@ class DurabilityManager:
             )
         self.orderer_store.sync()
         return len(cluster.replica_names)
+
+    def _compact_orderer_log(self) -> None:
+        """Rewrite the orderer log without the records whose transactions
+        are all on a ledger already. What stays is what an orderer restart
+        would still have to drive: submitted or cut, not yet committed.
+
+        Every peer's ledger is asked, not only the checkpointing one's: a
+        peer that recovered by state transfer indexes no transaction below
+        its snapshot height, and would keep those records for good."""
+        store = self.orderer_store
+        store.sync()  # compaction reads the durable tier: leave nothing behind it
+        records, _tail = store.read_log(WAL_LOG)
+        ledgers = [peer.ledger for peer in self.channel.peers.values()]
+        keep = []
+        for payload in records:
+            tx_ids = _record_tx_ids(from_canonical_json(payload))
+            if not all(any(led.has_tx(tx_id) for led in ledgers) for tx_id in tx_ids):
+                keep.append(payload)
+        if len(keep) == len(records):
+            return
+        store.truncate_log(WAL_LOG)
+        for payload in keep:
+            store.append(WAL_LOG, payload)
+        store.sync()
 
     def verify_validator_frontiers(self) -> dict[str, bool]:
         """Check each persisted frontier digest against the live replica log."""
@@ -347,15 +404,14 @@ class DurabilityManager:
         return list(dropped)
 
     def pending_batches(self) -> dict[str, list[str]]:
-        """Durably recorded batches (request id -> tx ids) from the orderer WAL."""
+        """Durably recorded batches (request id -> tx ids) not yet covered by
+        a checkpoint: the orderer log is compacted whenever one is written."""
         records, _tail = self.orderer_store.read_log(WAL_LOG)
         out: dict[str, list[str]] = {}
         for payload in records:
             doc = from_canonical_json(payload)
             if doc.get("type") == "batch":
-                out[doc["request_id"]] = [
-                    tx["proposal"]["tx_id"] for tx in doc["txs"]
-                ]
+                out[doc["request_id"]] = _record_tx_ids(doc)
         return out
 
     # -- internals -------------------------------------------------------------
@@ -529,8 +585,8 @@ class DurabilityManager:
         restored = None
         if raw is not None:
             try:
-                restored = PeerIndex.from_doc(from_canonical_json(raw))
-            except (EncodingError, KeyError, TypeError, ValueError):
+                restored = PeerIndex.from_lines(raw.split(b"\n"))
+            except (EncodingError, LookupError, TypeError, ValueError):
                 restored = None
         if restored is not None and restored.height == peer.ledger.height:
             peer.index = restored

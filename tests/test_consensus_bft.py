@@ -259,3 +259,75 @@ class TestViewChangeSafety:
         assert decided
         assert all(d.seq >= 2 for d in decided)
         assert cluster.log_prefix_consistent()
+
+
+class TestLogHashChain:
+    """The decided log's seq-ordered hash chain behind ``log_frontier``."""
+
+    @staticmethod
+    def _decision(seq, accepted=True, request_id=None):
+        from repro.consensus.bft import Decision
+        from repro.consensus.messages import ClientRequest
+
+        return Decision(
+            seq=seq,
+            view=0,
+            request=ClientRequest(request_id=request_id or f"req-{seq}", payload=seq),
+            accepted=accepted,
+            valid_votes=3,
+            invalid_votes=0,
+        )
+
+    def _replica_fed(self, seqs, rejected=()):
+        replica = make_cluster().replicas["validator-1"]
+        for seq in seqs:
+            replica._chain_decision(self._decision(seq, seq not in rejected))
+        return replica
+
+    def test_out_of_order_delivery_builds_the_in_order_chain(self):
+        import itertools
+
+        in_order = self._replica_fed(range(5))
+        frontiers = [in_order.log_frontier(seq) for seq in range(-1, 6)]
+        assert len({digest for _, digest in frontiers}) == 6  # -1, 0..4; 5 == 4
+        for order in itertools.permutations(range(5)):
+            shuffled = self._replica_fed(order)
+            assert shuffled._seqs == [0, 1, 2, 3, 4]
+            assert [shuffled.log_frontier(seq) for seq in range(-1, 6)] == frontiers
+            assert shuffled.log_frontier() == in_order.log_frontier()
+
+    def test_equal_prefixes_agree_and_a_gap_differs(self):
+        full = self._replica_fed(range(6))
+        gapped = self._replica_fed([0, 1, 3, 4, 5])
+        for seq in (-1, 0, 1):
+            assert gapped.log_frontier(seq) == full.log_frontier(seq)
+        for seq in (2, 3, 4, 5):
+            assert gapped.log_frontier(seq)[1] != full.log_frontier(seq)[1]
+        gapped._chain_decision(self._decision(2))  # the straggler arrives
+        assert gapped.log_frontier() == full.log_frontier() == (5, full._links[-32:].hex())
+
+    def test_digest_commits_to_request_and_verdict(self):
+        base = self._replica_fed(range(3))
+        other_verdict = self._replica_fed(range(3), rejected={1})
+        assert other_verdict.log_frontier(0) == base.log_frontier(0)
+        assert other_verdict.log_frontier(1)[1] != base.log_frontier(1)[1]
+        renamed = self._replica_fed(range(2))
+        renamed._chain_decision(self._decision(2, request_id="someone-else"))
+        assert renamed.log_frontier(1) == base.log_frontier(1)
+        assert renamed.log_frontier(2)[1] != base.log_frontier(2)[1]
+
+    def test_live_replicas_agree_on_every_frontier(self):
+        cluster = make_cluster()
+        for i in range(6):
+            cluster.submit(f"r{i}")
+        cluster.run()
+        replicas = list(cluster.replicas.values())
+        for seq in range(-1, 6):
+            assert len({r.log_frontier(seq) for r in replicas}) == 1
+        assert {r.log_frontier() for r in replicas} == {replicas[0].log_frontier(5)}
+        assert replicas[0]._seqs == sorted(d.seq for d in replicas[0].log)
+
+    def test_empty_log_frontier(self):
+        replica = make_cluster().replicas["validator-2"]
+        seq, digest = replica.log_frontier()
+        assert seq == -1 and digest == replica.log_frontier(10)[1]

@@ -10,6 +10,8 @@ from repro.fabric.snapshot import states_agree
 from repro.fabric.worldstate import Version
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.storage import CORRUPT, TRUNCATE, DurabilityManager
+from repro.storage.persistence import WAL_LOG
+from repro.util.serialization import from_canonical_json
 
 from tests.fabric_helpers import KvChaincode, make_network
 
@@ -154,16 +156,66 @@ class TestOrdererDurability:
 
     def test_batched_txs_survive_because_the_batch_wal_is_synced(self):
         net, channel, alice, manager = durable_network(
-            consensus="bft", max_batch_size=2
+            checkpoint_interval=4, consensus="bft", max_batch_size=2
         )
-        put_n(channel, alice, 4)
+        put_n(channel, alice, 6)  # checkpoint at 4 covers the first four batches
         batches = manager.pending_batches()
         batched_txs = {tx for txs in batches.values() for tx in txs}
-        assert len(batched_txs) == 4
+        assert len(batched_txs) == 2  # cut since, not yet under a checkpoint
+        ledger = channel.peers["peer0.org1"].ledger
+        assert {ledger.find_tx(tx)[0].number for tx in batched_txs} == {4, 5}
         dropped = manager.crash_orderer()  # queue is empty: batches already cut
         assert dropped == []
         assert manager.pending_batches() == batches  # synced records survive
-        assert channel.height() == 4  # and every batched tx committed
+        assert channel.height() == 6  # and every batched tx committed
+
+    def test_orderer_log_is_bounded_by_the_checkpoint_interval(self):
+        """The orderer log holds what no checkpoint covers yet, so its size
+        right after a checkpoint does not grow with the chain."""
+        net, channel, alice, manager = durable_network(
+            checkpoint_interval=4, consensus="bft"
+        )
+        sizes, peaks = [], []
+        for interval in range(5):
+            put_n(channel, alice, 3, prefix=f"i{interval}-")
+            peaks.append(manager.orderer_store.log_bytes(WAL_LOG))
+            put_n(channel, alice, 1, prefix=f"i{interval}-last")
+            sizes.append(manager.orderer_store.log_bytes(WAL_LOG))
+        assert channel.height() == 20
+        assert sizes == [0] * 5  # everything submitted is committed and covered
+        assert manager.pending_batches() == {}
+        assert peaks[0] > 0 and max(peaks) <= 1.1 * peaks[0]
+
+    def test_compaction_keeps_what_is_not_yet_on_the_ledger(self):
+        net, channel, alice, manager = durable_network(
+            checkpoint_interval=0, consensus="bft", max_batch_size=10
+        )
+        put_n(channel, alice, 2)  # committed; cadence off, so nothing compacted yet
+        waiting = channel.invoke_async(alice, "kv", "put", ["waiting", "v"])
+        manager.checkpoint_peer(channel.peers["peer0.org1"])
+        records, _ = manager.orderer_store.read_log(WAL_LOG)
+        assert [from_canonical_json(r) for r in records] == [
+            {"type": "submit", "tx_id": waiting}
+        ]
+        channel.flush()  # cut and committed, but no checkpoint covers it yet
+        assert list(manager.pending_batches().values()) == [[waiting]]
+
+    def test_a_state_transferred_first_peer_does_not_pin_old_records(self):
+        """A peer adopted from a snapshot indexes no tx below its base; when
+        it is the first to checkpoint at a height, the other ledgers still
+        vouch for the records of the blocks it skipped."""
+        net, channel, alice, manager = durable_network(
+            checkpoint_interval=4, consensus="bft"
+        )
+        first = next(iter(channel.peers))
+        put_n(channel, alice, 5)  # compacted at 4; block 5's records remain
+        assert len(manager.pending_batches()) == 1
+        manager.damage_wal(first, CORRUPT)
+        assert manager.crash_and_recover(first).kind == "state_transfer"
+        assert channel.peers[first].ledger.base_height == 5  # indexes no tx below
+        put_n(channel, alice, 3, prefix="later")  # `first` checkpoints height 8 first
+        assert manager.pending_batches() == {}
+        assert manager.orderer_store.log_bytes(WAL_LOG) == 0
 
     def test_resilient_invoke_resubmits_after_an_orderer_crash(self):
         """Satellite path: the client's retry layer re-proposes a tx the
@@ -246,3 +298,52 @@ class TestSan307:
         assert any(
             f.rule_id == "SAN307" and "diverges" in f.message for f in findings
         )
+
+
+class TestCheckpointCost:
+    def test_checkpoint_serialisation_does_not_grow_with_the_world(self):
+        """Height-creep gate on exact call counts: after the same 8-block
+        delta, one checkpoint serialises the same number of values on a
+        ~500-key world as on a ~5000-key one — what changed, not what exists."""
+        from repro.obs.prof import profiling
+        from repro.trust import SourceTier
+
+        counts = {}
+        for padding in (500, 5000):
+            framework = Framework(
+                FrameworkConfig(
+                    consensus="bft", durability=True, checkpoint_interval=0
+                )
+            )
+            channel, manager = framework.channel, framework.durability
+            identity = framework.register_source("cam", tier=SourceTier.TRUSTED)
+            for peer in channel.peers.values():
+                for i in range(padding):
+                    peer.world.apply_write(
+                        f"pad:{i:05d}", b"x" * 64, Version(0, 0), "pad", 0.0
+                    )
+            peer, other = channel.peers.values()
+
+            def commit_eight_blocks(start):
+                for i in range(start, start + 8):
+                    channel.invoke(
+                        identity, "data_upload", "add_data",
+                        [f"cid-{i}", "a" * 64, "{}"],
+                    )
+
+            commit_eight_blocks(0)
+            manager.checkpoint_peer(peer)  # fills the caches
+            commit_eight_blocks(8)
+            with profiling() as profiler:
+                manager.checkpoint_peer(peer)
+            calls = {}
+            for stat in profiler.center_stats():
+                calls[stat.center] = calls.get(stat.center, 0) + stat.calls
+            assert calls["storage.checkpoint"] == 1
+            assert len(peer.world) >= padding
+            counts[padding] = calls["serialize.canonical_json"]
+            manager.crash_and_recover(peer.name)
+            assert states_agree(peer, other)
+            assert peer.index.root() == other.index.root()
+        assert counts[500] == counts[5000]
+        assert counts[500] < 100  # a few per changed key, posting and block

@@ -59,6 +59,74 @@ class TestSnapshotRoundtrip:
         with pytest.raises(LedgerError):
             Snapshot.from_bytes(b'{"channel":"x"}')
 
+    def test_serialized_form_is_a_header_line_plus_the_world_lines(self):
+        _, channel, _ = self.make_populated()
+        peer = next(iter(channel.peers.values()))
+        snap = take_snapshot(peer, channel.name)
+        header, *lines = snap.to_bytes().split(b"\n")
+        assert tuple(lines) == snap.entries == peer.world.snapshot_lines()
+        assert json.loads(header) == {
+            "channel": channel.name,
+            "digest": state_digest(peer.world),
+            "height": peer.ledger.height,
+            "last_block_hash": peer.ledger.last_hash(),
+            "n": len(peer.world),
+        }
+
+    def test_empty_world_roundtrip(self):
+        net, channel, _ = make_network()
+        peer = next(iter(channel.peers.values()))
+        snap = take_snapshot(peer, channel.name)
+        assert snap.entries == ()
+        assert Snapshot.from_bytes(snap.to_bytes()) == snap
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "flipped_hex_digit",
+            "non_hex_digit",
+            "dropped_line",
+            "swapped_lines",
+            "header_n_off_by_one",
+            "header_field_missing",
+            "non_json_line",
+            "wrong_arity",
+            "trailing_newline",
+        ],
+    )
+    def test_damaged_bytes_never_get_adopted(self, damage):
+        net, channel, alice = self.make_populated()
+        source = next(iter(channel.peers.values()))
+        header, *lines = take_snapshot(source, channel.name).to_bytes().split(b"\n")
+        doc = json.loads(header)
+        if damage == "flipped_hex_digit":
+            row = json.loads(lines[2])
+            row[1] = ("0" if row[1][0] != "0" else "1") + row[1][1:]
+            lines[2] = json.dumps(row, separators=(",", ":")).encode()
+        elif damage == "non_hex_digit":
+            row = json.loads(lines[2])
+            row[1] = "g" + row[1][1:]
+            lines[2] = json.dumps(row, separators=(",", ":")).encode()
+        elif damage == "dropped_line":
+            del lines[1]
+        elif damage == "swapped_lines":
+            lines[0], lines[1] = lines[1], lines[0]
+        elif damage == "header_n_off_by_one":
+            doc["n"] += 1
+        elif damage == "header_field_missing":
+            del doc["last_block_hash"]
+        elif damage == "non_json_line":
+            lines[3] = lines[3][:-1]
+        elif damage == "wrong_arity":
+            lines[3] = json.dumps(json.loads(lines[3])[:3], separators=(",", ":")).encode()
+        elif damage == "trailing_newline":
+            lines.append(b"")
+        header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        victim = Peer("victim", source.identity, net.msp_registry)
+        with pytest.raises(LedgerError):
+            bootstrap_peer(victim, Snapshot.from_bytes(b"\n".join([header, *lines])))
+        assert victim.ledger.height == 0 and len(victim.world) == 0
+
     def test_bootstrap_reproduces_state(self):
         net, channel, alice = self.make_populated()
         source = next(iter(channel.peers.values()))

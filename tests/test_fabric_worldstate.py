@@ -1,5 +1,8 @@
 """Tests for the versioned world state, composite keys, and history."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +94,94 @@ class TestWorldState:
         for i, (k, v) in enumerate(items.items()):
             ws_put(ws, k, v, 1, tx=i)
         assert ws.range() == sorted(items.items())
+
+
+_KEYS = st.sampled_from(["a", "b", "c", "d\n", "\x00idx\x00e\x00"])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _KEYS, st.binary(max_size=6)),
+        st.tuples(st.just("delete"), _KEYS),
+        st.tuples(st.just("lines")),
+        st.tuples(st.just("digest")),
+    ),
+    max_size=40,
+)
+
+
+def _fresh_copy(ws):
+    fresh = WorldState()
+    for key, value in ws.range():
+        fresh.apply_write(key, value, ws.get_version(key), "fresh", 0.0)
+    return fresh
+
+
+class TestSnapshotLines:
+    """The per-key line cache behind checkpoints and the state digest."""
+
+    def test_lines_are_canonical_key_value_version_rows_in_key_order(self):
+        ws = WorldState()
+        ws_put(ws, "b", b"\x01\xff", 3, tx=2)
+        ws_put(ws, "a", b"", 1)
+        ws_put(ws, "gone", b"x", 1)
+        ws.apply_write("gone", None, Version(2, 0), "tx", 0.0)
+        lines = ws.snapshot_lines()
+        assert [json.loads(line) for line in lines] == [
+            ["a", "", 1, 0],
+            ["b", "01ff", 3, 2],
+        ]
+        assert ws.digest() == hashlib.sha256(b"".join(lines)).hexdigest()
+
+    @given(_OPS)
+    def test_any_interleaving_equals_a_fresh_world_with_the_same_content(self, ops):
+        ws = WorldState()
+        for block, op in enumerate(ops):
+            if op[0] == "put":
+                ws_put(ws, op[1], op[2], block)
+            elif op[0] == "delete":
+                ws.apply_write(op[1], None, Version(block, 0), "tx", 0.0)
+            elif op[0] == "lines":
+                ws.snapshot_lines()
+            else:
+                ws.digest()
+            assert ws.digest() == _fresh_copy(ws).digest()
+        fresh = _fresh_copy(ws)
+        assert ws.snapshot_lines() == fresh.snapshot_lines()
+        assert ws.digest() == fresh.digest()  # and with every line cached
+        assert all(b"\n" not in line for line in ws.snapshot_lines())
+
+    @given(_OPS)
+    def test_only_snapshot_lines_fills_the_cache(self, ops):
+        ws = WorldState()
+        for block, op in enumerate(ops):
+            if op[0] == "put":
+                ws_put(ws, op[1], op[2], block)
+            elif op[0] == "delete":
+                ws.apply_write(op[1], None, Version(block, 0), "tx", 0.0)
+            else:
+                ws.digest()
+        assert ws._lines == {}  # never snapshotted: digest() stored nothing
+        ws.snapshot_lines()
+        assert sorted(ws._lines) == ws.keys()
+
+    def test_a_write_drops_exactly_its_own_line(self):
+        ws = WorldState()
+        for key in "abc":
+            ws_put(ws, key, b"v", 1)
+        before = ws.snapshot_lines()
+        ws_put(ws, "b", b"v2", 2)
+        ws.apply_write("c", None, Version(2, 1), "tx", 0.0)
+        assert sorted(ws._lines) == ["a"]
+        after = ws.snapshot_lines()
+        assert after[0] is before[0]  # joined, not re-serialised
+        assert [json.loads(line)[0] for line in after] == ["a", "b"]
+        assert json.loads(after[1]) == ["b", b"v2".hex(), 2, 0]
+
+    def test_cache_does_not_take_part_in_equality(self):
+        a, b = WorldState(), WorldState()
+        for ws in (a, b):
+            ws_put(ws, "k", b"v", 1, ts=0.0)
+        a.snapshot_lines()
+        assert a == b
 
 
 class TestCompositeKeys:

@@ -354,7 +354,7 @@ class _Chain:
             stale = dataclasses.replace(proof, root=previous_root)
             with pytest.raises(MerkleProofError):
                 verify_posting_proof(stale, previous_root)
-        assert PeerIndex.from_doc(index.to_doc()).root() == root
+        assert PeerIndex.from_lines(index.to_lines()).root() == root
         if not index.tombstones:  # from_world cannot see deleted records
             assert PeerIndex.from_world(self.world, index.height).root() == root
         return root
@@ -511,18 +511,135 @@ class TestDurability:
         assert peer.index.root() == root_before
         assert peer.index.height == peer.ledger.height
 
-    def test_index_doc_roundtrip(self):
+    def test_index_lines_roundtrip(self):
         framework = make_framework()
         populate(framework, n=4)
         framework.record_trust_on_chain("idx-cam")
         peer = next(iter(framework.channel.peers.values()))
-        restored = PeerIndex.from_doc(peer.index.to_doc())
+        restored = PeerIndex.from_lines(peer.index.to_lines())
         assert restored.root() == peer.index.root()
         assert restored.height == peer.index.height
         assert restored.epochs == peer.index.epochs
         assert restored.lookup("source", "idx-cam") == (
             peer.index.lookup("source", "idx-cam")
         )
+
+
+def _filter_docs(index):
+    return {n: f.to_doc() for n, f in index.block_filters.items()}
+
+
+class TestCheckpointLines:
+    """``to_lines`` / ``from_lines``: the index's checkpoint form, whose
+    posting and block lines are cached between checkpoints."""
+
+    def _populated(self):
+        chain = _Chain()
+        chain.commit(_record_write("e0", "src-a", "cam-a", 600.0))
+        chain.commit(_record_write("e1", "src-b", "cam-b", 1200.0, "bus"))
+        chain.commit(_trust_write("src-a", 0.9), _trust_write("src-b", 0.1))
+        chain.commit()  # a block with an empty filter
+        chain.commit(_delete_write("e1"))
+        return chain
+
+    def test_roundtrip_reproduces_every_persisted_part(self):
+        index = self._populated().index
+        lines = index.to_lines()
+        assert all(b"\n" not in line for line in lines)
+        restored = PeerIndex.from_lines(b"\n".join(lines).split(b"\n"))
+        assert restored.root() == index.root()
+        assert restored.height == index.height == 5
+        assert restored.epochs == index.epochs
+        assert _filter_docs(restored) == _filter_docs(index)
+        assert sorted(restored.block_filters) == [0, 1, 2, 3, 4]
+        assert restored.bands == index.bands and restored.band_of == index.band_of
+        assert restored.tombstones == index.tombstones == {"e1"}
+        assert restored.to_lines() == lines
+
+    def test_original_and_restored_stay_equal_under_further_blocks(self):
+        index = self._populated().index
+        restored = PeerIndex.from_lines(index.to_lines())
+        further = [
+            [_record_write("e2", "src-a", "cam-a", 601.0)],  # appends to cached postings
+            [_record_write("e3", "src-c", "cam-c", 9000.0, "van")],  # new postings
+            [_trust_write("src-b", 0.8), _delete_write("e0")],
+        ]
+        for writes in further:
+            for target in (index, restored):
+                target.apply_block(_block(target.height, writes))
+            assert restored.root() == index.root()
+            assert restored.to_lines() == index.to_lines()
+        assert restored.epochs == index.epochs
+
+    def test_an_append_after_to_lines_shows_in_the_next_one(self):
+        index = self._populated().index
+        before = index.to_lines()
+        assert index.to_lines() == before  # nothing changed: the same lines
+        index.apply_block(
+            _block(index.height, [_record_write("e9", "src-a", "cam-z", 600.0)])
+        )
+        after = index.to_lines()
+        changed = {
+            dim_value
+            for dim_value, p in index.postings.items()
+            if not set(p.lines()) <= set(before)
+        }
+        assert changed == {
+            ("source", "src-a"), ("camera", "cam-z"),
+            ("time", "000000000001"), ("class", "car"),
+        }
+        assert b'"e9"' in index.postings[("source", "src-a")].lines()[-1]
+        assert len(after) == len(before) + 3  # a new posting (2 lines), a new block
+        fresh = PeerIndex.from_lines(after)
+        assert fresh.lookup("source", "src-a") == index.lookup("source", "src-a")
+        assert "e9" in fresh.lookup("camera", "cam-z")
+
+    def test_a_long_posting_is_written_in_immutable_runs(self):
+        from repro.index.secondary import _RUN
+
+        index = PeerIndex()
+        kept: list[bytes] = []
+        for i in range(2 * _RUN + 3):
+            index.apply_block(
+                _block(i, [_record_write(f"e{i:04d}", "hot-src", f"cam-{i}", 0.0)])
+            )
+            if i % 7 and i + 1 not in (_RUN, 2 * _RUN):
+                continue  # checkpoint at irregular points and on both boundaries
+            head, *runs = index.postings[("source", "hot-src")].lines()
+            assert json.loads(head)[3] == i + 1
+            assert [len(json.loads(run)) for run in runs] == (
+                [_RUN] * ((i + 1) // _RUN) + [(i + 1) % _RUN] * bool((i + 1) % _RUN)
+            )
+            full = runs[: (i + 1) // _RUN]
+            assert all(a is b for a, b in zip(kept, full))  # joined, not redone
+            kept = full
+            restored = PeerIndex.from_lines(index.to_lines())
+            assert restored.root() == index.root()
+            assert restored.postings[("source", "hot-src")].entries == (
+                index.postings[("source", "hot-src")].entries
+            )
+        assert len(kept) == 2
+
+    def test_lines_fill_only_when_a_checkpoint_asks(self):
+        index = self._populated().index.fresh()
+        index.apply_block(_block(0, [_record_write("e0", "src-a", "cam-a", 600.0)]))
+        index.lookup("source", "src-a"), index.prove("source", "src-a"), index.root()
+        assert index._block_lines == {}
+        assert all(p._ends == () and p._runs == [] for p in index.postings.values())
+
+    @pytest.mark.parametrize("damage", ["drop_posting", "drop_block", "garble"])
+    def test_damaged_lines_raise_what_the_restore_path_catches(self, damage):
+        from repro.errors import EncodingError
+
+        lines = self._populated().index.to_lines()
+        if damage == "drop_posting":
+            del lines[1]
+        elif damage == "drop_block":
+            del lines[-1]
+        else:
+            lines[2] = lines[2][: len(lines[2]) // 2]
+        with pytest.raises((EncodingError, LookupError, TypeError, ValueError)):
+            PeerIndex.from_lines(lines)
 
 
 class TestExplorerIntegration:
