@@ -1,170 +1,70 @@
-"""Ledger invariant checker (SAN302–SAN305).
+"""Ledger sanitizer rules (SAN302–SAN305): the chain audit under rule ids.
 
-Live mode (:func:`check_block_commit`, called by the sanitizer after every
-block a peer commits) re-verifies, *independently of the append path's own
-validation*, that the committed chain still satisfies the paper's integrity
-invariants:
+The checks live in :mod:`repro.fabric.audit`, shared with ``verify_chain``
+and ``audit_chain``; this module says what a finding *means* to the sanitizer:
+``RULE_OF`` maps the audit's ``check`` to a rule id, a pass's ``state_replay``
+findings are summarised into one SAN305, and a SAN303 also names the altered
+transaction — the one whose endorsements no longer verify over its committed
+rwset (``audit.endorsement_verifies`` without an MSP).
 
-* **SAN302** — every block's ``previous_hash`` equals the preceding
-  header's hash (the hash chain is unbroken from the checkpoint forward);
-* **SAN303** — every block's ``data_hash`` equals the recomputed Merkle
-  root of its transaction envelopes;
-* **SAN305** — replaying the write sets of all VALID transactions from the
-  checkpoint reproduces the live world state byte for byte.
-
-(The height-monotonicity check, SAN304, lives in the sanitizer itself
-because it needs per-peer commit history across calls.)
-
-Offline mode (:func:`check_store`) audits a finished chain the same way but
-additionally *pinpoints* a tampered block: on a Merkle-root mismatch it
-re-verifies each transaction's endorsement signatures over
-:func:`~repro.fabric.peer.endorsement_payload` — the altered transaction is
-the one whose endorsers no longer verify, and the finding names the block
-number, tx index, and tx id.
+:func:`check_block_commit` is the live mode (the whole chain after every
+commit, independently of the append path), :func:`check_store` the offline
+one; SAN304's stateful half (commits arrive in height order) is the sanitizer's.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-from repro.errors import IdentityError, SignatureError
-from repro.util.serialization import canonical_json
+from repro.fabric import audit
 
 from .rules import Finding
 
-
-def _replay_writes(store) -> dict[str, bytes]:
-    """World state implied by the chain: VALID txs' writes, in order."""
-    from repro.fabric.tx import ValidationCode
-
-    replayed: dict[str, bytes] = {}
-    for block in store.blocks():
-        codes = block.validation_codes or tuple(
-            ValidationCode.VALID for _ in block.transactions
-        )
-        for tx, code in zip(block.transactions, codes):
-            if code is not ValidationCode.VALID:
-                continue
-            for write in tx.rwset.writes:
-                if write.is_delete:
-                    replayed.pop(write.key, None)
-                else:
-                    replayed[write.key] = write.value
-    return replayed
+RULE_OF = {
+    "header_chain": "SAN302",
+    "merkle_root": "SAN303",
+    "block_number": "SAN304",
+    "state_replay": "SAN305",
+}
 
 
-def state_digest(items: dict[str, bytes]) -> str:
-    return hashlib.sha256(
-        canonical_json({k: v.hex() for k, v in sorted(items.items())})
-    ).hexdigest()
-
-
-def _check_links_and_roots(store, location: str) -> list[Finding]:
-    findings: list[Finding] = []
-    from repro.crypto.merkle import merkle_root
-
-    prev = store.base_prev_hash
-    for block in store.blocks():
-        if block.header.previous_hash != prev:
-            findings.append(
-                Finding.for_rule(
-                    "SAN302", location, block.number, 0,
-                    f"block {block.number}: previous_hash "
-                    f"{block.header.previous_hash[:16]}… does not match prior "
-                    f"header hash {prev[:16]}…",
-                )
-            )
-        recomputed = merkle_root(
-            [tx.envelope_bytes() for tx in block.transactions]
-        ).hex()
-        if recomputed != block.header.data_hash:
-            findings.append(
-                Finding.for_rule(
-                    "SAN303", location, block.number, 0,
-                    f"block {block.number}: recomputed Merkle root "
-                    f"{recomputed[:16]}… != header data_hash "
-                    f"{block.header.data_hash[:16]}…"
-                    + _pinpoint_tampered_tx(block),
-                )
-            )
-        prev = block.header.hash()
-    return findings
-
-
-def _pinpoint_tampered_tx(block) -> str:
-    """Name the altered tx: its endorsement signatures no longer verify."""
-    from repro.fabric.peer import endorsement_payload
-
-    suspects: list[str] = []
-    for tx_num, tx in enumerate(block.transactions):
-        if not tx.endorsements:
-            continue
-        payload = endorsement_payload(tx)
-        any_valid = False
-        for endorsement in tx.endorsements:
-            try:
-                endorsement.endorser.public_key.verify(payload, endorsement.signature)
-                any_valid = True
-                break
-            except (SignatureError, IdentityError):
-                continue
-        if not any_valid:
-            suspects.append(f"tx {tx_num} ({tx.tx_id[:16]})")
+def _tampered_txs(block) -> str:
+    suspects = [
+        f"tx {tx_num} ({tx.tx_id[:16]})"
+        for tx_num, tx in enumerate(block.transactions)
+        if tx.endorsements and not audit.endorsement_verifies(tx)
+    ]
     if suspects:
         return f"; tampered: {', '.join(suspects)}"
     return "; no single tx implicated (header-level tamper)"
 
 
-def _check_replay(store, world, location: str) -> list[Finding]:
-    if store.base_height != 0:
-        return []  # checkpointed store: pre-snapshot writes are not replayable
-    replayed = _replay_writes(store)
-    live = dict(world.range("", ""))
-    if replayed == live:
-        return []
-    missing = sorted(set(replayed) - set(live))
-    extra = sorted(set(live) - set(replayed))
-    changed = sorted(
-        k for k in set(replayed) & set(live) if replayed[k] != live[k]
-    )
-    detail = []
-    if missing:
-        detail.append(f"missing from live state: {missing[:3]}")
-    if extra:
-        detail.append(f"unexplained live keys: {extra[:3]}")
-    if changed:
-        detail.append(f"value mismatch: {changed[:3]}")
-    return [
-        Finding.for_rule(
-            "SAN305", location, store.height, 0,
-            f"replay digest {state_digest(replayed)[:16]}… != live state "
-            f"digest {state_digest(live)[:16]}… ({'; '.join(detail)})",
+def check_store(store, world=None, location: str = "ledger") -> list[Finding]:
+    """Offline audit of a finished chain (and optionally its world state)."""
+    findings: list[Finding] = []
+    for found in audit.check_chain(store):
+        message = f"block {found.block}: {found.detail}"
+        if found.check == "merkle_root":
+            message += _tampered_txs(store.block(found.block))
+        findings.append(
+            Finding.for_rule(RULE_OF[found.check], location, found.block, 0, message)
         )
-    ]
+    if world is None:
+        return findings
+    # One SAN305 per pass: the first three keys of each kind of disagreement.
+    kinds: dict[str, list[str]] = {}
+    for found in audit.check_state(store, world):
+        kind, _, key = found.detail.partition(": ")
+        kinds.setdefault(kind, []).append(key)
+    if kinds:
+        summary = "; ".join(f"{k}: [{', '.join(v[:3])}]" for k, v in kinds.items())
+        findings.append(
+            Finding.for_rule(
+                RULE_OF["state_replay"], location, store.height, 0,
+                f"live world state disagrees with the chain's replayed writes ({summary})",
+            )
+        )
+    return findings
 
 
 def check_block_commit(peer, block) -> list[Finding]:
     """Per-commit invariant pass over *peer*'s chain (live sanitizer)."""
-    location = f"ledger:{peer.name}"
-    findings = _check_links_and_roots(peer.ledger, location)
-    findings.extend(_check_replay(peer.ledger, peer.world, location))
-    return findings
-
-
-def check_store(store, world=None, location: str = "ledger") -> list[Finding]:
-    """Offline audit of a finished chain (and optionally its world state)."""
-    findings: list[Finding] = []
-    expected = store.base_height
-    for block in store.blocks():
-        if block.number != expected:
-            findings.append(
-                Finding.for_rule(
-                    "SAN304", location, block.number, 0,
-                    f"block numbered {block.number} where {expected} expected",
-                )
-            )
-        expected += 1
-    findings.extend(_check_links_and_roots(store, location))
-    if world is not None:
-        findings.extend(_check_replay(store, world, location))
-    return findings
+    return check_store(peer.ledger, peer.world, f"ledger:{peer.name}")

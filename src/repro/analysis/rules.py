@@ -87,7 +87,8 @@ _RULES = (
          "a transaction envelope was altered after ordering",
          "runtime"),
     Rule("SAN304", ERROR, "non-monotone ledger height",
-         "a peer committed out of sequence; block delivery is broken",
+         "a block is not numbered by its position, or a peer committed out "
+         "of sequence; block delivery is broken",
          "runtime"),
     Rule("SAN305", ERROR, "world-state replay divergence",
          "replaying all valid write sets does not reproduce the live state",
@@ -96,8 +97,9 @@ _RULES = (
          "honest validators' decided logs are not prefix-consistent",
          "runtime"),
     Rule("SAN307", ERROR, "post-recovery state divergence",
-         "a crash-recovered peer's state digest disagrees with honest peers "
-         "at the same height, or the recovered chain fails audit_chain()",
+         "audit_chain() is not clean after a crash recovery: the chain or "
+         "its state fails the audit, or peers at one height disagree on the "
+         "head hash or the state digest",
          "runtime"),
     Rule("SAN308", ERROR, "secondary index diverged from world state",
          "a peer's block-incremental index does not match an index rebuilt "

@@ -225,40 +225,24 @@ class Sanitizer:
             self._expected_heights[peer_name] = resume_height
 
     def check_recovery(self, peer, channel) -> None:
-        """SAN307: a recovered peer must be indistinguishable from an honest
-        one — ``state_digest`` parity with every online peer at the same
-        height, and a clean full-chain ``audit_chain()``."""
+        """SAN307: after a recovery the chain audit is clean. That audit
+        (``audit_chain()``, the checks of :mod:`repro.fabric.audit`) includes
+        replica parity — head hash and state digest equal across the online
+        peers at one height — so a recovered peer that is distinguishable
+        from an honest one is a finding."""
         if "recovery" not in self.modes:
             return
-        from repro.fabric.snapshot import state_digest
         from repro.obs.explorer import LedgerExplorer
 
-        found: list[Finding] = []
-        digest = state_digest(peer.world)
         height = peer.ledger.height
-        for other in channel.peers.values():
-            if other is peer or not other.online or other.ledger.height != height:
-                continue
-            if state_digest(other.world) != digest:
-                found.append(
-                    Finding.for_rule(
-                        "SAN307", f"recovery:{peer.name}", height, 0,
-                        f"recovered peer {peer.name} diverges from "
-                        f"{other.name} at height {height} "
-                        f"({digest[:16]}… != {state_digest(other.world)[:16]}…)",
-                    )
-                )
-                break
-        audit = LedgerExplorer(channel).audit_chain(offchain=False)
-        if not audit.ok:
-            first = audit.findings[0]
-            found.append(
-                Finding.for_rule(
-                    "SAN307", f"recovery:{peer.name}", height, 0,
-                    f"audit_chain failed after recovery of {peer.name}: "
-                    f"{first.check}: {first.detail}",
-                )
+        found = [
+            Finding.for_rule(
+                "SAN307", f"recovery:{peer.name}", height, 0,
+                f"audit_chain failed after recovery of {peer.name}: "
+                f"{finding.check}: {finding.detail}",
             )
+            for finding in LedgerExplorer(channel).audit_chain(offchain=False).findings
+        ]
         if "index" in self.modes:
             # A recovered peer's rebuilt/restored index must also agree
             # with a from-scratch rebuild of its recovered world state.

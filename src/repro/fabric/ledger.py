@@ -5,6 +5,10 @@ the block's transaction envelopes, so any historical tamper breaks the chain
 at verification. Block metadata records the per-transaction validation codes
 the committer assigned — invalid transactions stay in the block (the audit
 trail the paper's provenance story needs) but never touch the world state.
+
+What "intact" means is defined once, in :mod:`repro.fabric.audit`;
+:meth:`BlockStore.append` and :meth:`BlockStore.verify_chain` run those
+checks and turn the first finding into a :class:`LedgerError`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.errors import LedgerError
+from repro.fabric.audit import AuditFinding, check_block, check_chain
 from repro.fabric.tx import Transaction, ValidationCode
 from repro.util.serialization import canonical_json
 
@@ -82,6 +87,12 @@ class Block:
 GENESIS_PREVIOUS_HASH = "0" * 64
 
 
+def _raise_first(findings: list[AuditFinding]) -> None:
+    if findings:
+        first = findings[0]
+        raise LedgerError(f"block {first.block}: {first.detail}")
+
+
 @dataclass
 class BlockStore:
     """Append-only chain of blocks with lookup indexes.
@@ -98,20 +109,8 @@ class BlockStore:
     _by_txid: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def append(self, block: Block) -> None:
-        expected_number = self.base_height + len(self._blocks)
-        if block.number != expected_number:
-            raise LedgerError(
-                f"expected block {expected_number}, got {block.number}"
-            )
-        expected_prev = (
-            self._blocks[-1].header.hash() if self._blocks else self.base_prev_hash
-        )
-        if block.header.previous_hash != expected_prev:
-            raise LedgerError(f"block {block.number} breaks the hash chain")
-        # Recompute the data hash: the store never trusts the producer.
-        recomputed = merkle_root([tx.envelope_bytes() for tx in block.transactions]).hex()
-        if recomputed != block.header.data_hash:
-            raise LedgerError(f"block {block.number} data hash mismatch")
+        # The store never trusts the producer: same checks as verify_chain.
+        _raise_first(check_block(block, self.height, self.last_hash()))
         self._blocks.append(block)
         for i, tx in enumerate(block.transactions):
             self._by_txid.setdefault(tx.tx_id, (block.number, i))
@@ -155,17 +154,6 @@ class BlockStore:
         return tx_id in self._by_txid
 
     def verify_chain(self) -> None:
-        """Full-chain audit (from the checkpoint forward): hash links and
-        per-block Merkle roots."""
-        prev = self.base_prev_hash
-        for i, block in enumerate(self._blocks, start=self.base_height):
-            if block.number != i:
-                raise LedgerError(f"block {i} has wrong number {block.number}")
-            if block.header.previous_hash != prev:
-                raise LedgerError(f"hash chain broken at block {i}")
-            recomputed = merkle_root(
-                [tx.envelope_bytes() for tx in block.transactions]
-            ).hex()
-            if recomputed != block.header.data_hash:
-                raise LedgerError(f"data hash mismatch at block {i}")
-            prev = block.header.hash()
+        """Full-chain audit (from the checkpoint forward): block numbering,
+        hash links and per-block Merkle roots."""
+        _raise_first(check_chain(self))

@@ -40,26 +40,11 @@ from repro.fabric.tx import (
     Transaction,
     TxProposal,
     ValidationCode,
+    endorsement_payload,
 )
 from repro.fabric.worldstate import Version, WorldState
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
-
-
-def endorsement_payload(tx: Transaction) -> bytes:
-    """The bytes every endorser of ``tx`` must have signed: the tx id, the
-    read/write set, and the chaincode response, exactly as produced by
-    :meth:`ProposalResponse.response_payload` for a successful simulation."""
-    from repro.util.serialization import canonical_json
-
-    return canonical_json(
-        {
-            "tx_id": tx.tx_id,
-            "rwset": tx.rwset.to_dict(),
-            "response": tx.response,
-            "success": True,
-        }
-    )
 
 
 @dataclass

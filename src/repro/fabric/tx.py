@@ -209,6 +209,20 @@ class Transaction:
             )
 
 
+def endorsement_payload(tx: Transaction) -> bytes:
+    """The bytes every endorser of ``tx`` must have signed: the tx id, the
+    read/write set, and the chaincode response, exactly as produced by
+    :meth:`ProposalResponse.response_payload` for a successful simulation."""
+    return canonical_json(
+        {
+            "tx_id": tx.tx_id,
+            "rwset": tx.rwset.to_dict(),
+            "response": tx.response,
+            "success": True,
+        }
+    )
+
+
 @dataclass(frozen=True)
 class ChaincodeEvent:
     """An application event emitted during chaincode execution."""

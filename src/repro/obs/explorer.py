@@ -9,11 +9,14 @@ module is the Explorer half: a read-only API over a live channel that can
   (the transactions' write sets), independently of the world-state copy
   the provenance chaincode serves — the two must agree on an honest peer,
 * chart a source's trust-score trajectory from the state history DB,
-* run a full chain-integrity audit: header hash links, per-block
-  transaction Merkle roots, creator/endorsement signatures, a world-state
-  replay cross-check, cross-peer head comparison, and (when given the
-  IPFS cluster) hash verification of every off-chain block each data
-  entry references — pinpointing the exact block/tx/node that is wrong.
+* run a full integrity audit: the chain audit of :mod:`repro.fabric.audit`
+  (block numbering, header hash links, per-block Merkle roots,
+  creator/endorsement signatures, world-state replay, replica parity — the
+  same checks ``BlockStore.verify_chain`` raises on and the ledger sanitizer
+  files as SAN302–305/307, reported here as they are), plus two sections of
+  its own: the peers' index epochs and (when given the IPFS cluster) hash
+  verification of every off-chain block each data entry references —
+  pinpointing the exact block/tx/node that is wrong.
 
 Everything here reads committed state only; the explorer never signs,
 orders, or writes.
@@ -24,37 +27,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import IdentityError, ObservabilityError, SignatureError
+from repro.errors import ObservabilityError
+from repro.fabric import audit
+from repro.fabric.audit import AuditFinding
 from repro.fabric.channel import Channel
 from repro.fabric.ledger import Block
-from repro.fabric.peer import Peer, endorsement_payload
-from repro.fabric.tx import Transaction, ValidationCode
+from repro.fabric.peer import Peer
+from repro.fabric.tx import ValidationCode
 from repro.fabric.worldstate import composite_prefix_range
-from repro.crypto.merkle import merkle_root
 
 _DATA_PREFIX = "data:"
 _TRUST_PREFIX = "trust:"
 _PROV_INDEX = "prov"
-
-
-@dataclass(frozen=True)
-class AuditFinding:
-    """One integrity violation, located as precisely as the evidence allows."""
-
-    check: str                 # header_chain | merkle_root | creator_signature | ...
-    detail: str
-    block: int | None = None
-    tx_id: str | None = None
-    node: str | None = None    # IPFS node (off-chain findings)
-    cid: str | None = None     # off-chain root CID
-
-    def to_dict(self) -> dict:
-        out = {"check": self.check, "detail": self.detail}
-        for key in ("block", "tx_id", "node", "cid"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 @dataclass
@@ -256,10 +240,7 @@ class LedgerExplorer:
         events: list[dict] = []
         ledger = self.reference_peer().ledger
         for block in ledger.blocks():
-            codes = block.validation_codes
-            for i, tx in enumerate(block.transactions):
-                if codes and codes[i] is not ValidationCode.VALID:
-                    continue
+            for tx in audit.valid_txs(block):
                 if tx.proposal.chaincode != "provenance" or tx.proposal.fn != "record":
                     continue
                 if not tx.proposal.args or tx.proposal.args[0] != entry_id:
@@ -299,41 +280,34 @@ class LedgerExplorer:
     # -- the audit ----------------------------------------------------------------
 
     def audit_chain(self, offchain: bool = True) -> AuditReport:
-        """Full-chain integrity audit; findings pinpoint what is wrong.
+        """Full integrity audit; findings pinpoint what is wrong.
 
-        On-chain: header hash links and per-block Merkle roots, creator
-        and endorsement signatures of every VALID transaction, a replay of
-        all valid write sets compared against the reference peer's world
-        state, and a head comparison across online peers. Off-chain (when
-        the explorer holds the IPFS cluster): every block of every data
-        entry's DAG is re-hashed against its CID on every node that holds
-        it — silent bit rot names the node and the rotten block.
+        On-chain, the checks of :mod:`repro.fabric.audit` over the reference
+        peer: block numbering, header hash links and Merkle roots, creator
+        and endorsement signatures of every VALID transaction, the replay of
+        all valid write sets against its world state, and head-hash +
+        state-digest parity across the online peers. Then the index epochs,
+        and off-chain (when the explorer holds the IPFS cluster) every block
+        of every data entry's DAG re-hashed against its CID on every node
+        that holds it — silent bit rot names the node and the rotten block.
         """
         report = AuditReport()
         peer = self.reference_peer()
         ledger = peer.ledger
         blocks = ledger.blocks()
+        msp = self.channel.msp_registry
+        findings = report.findings
 
-        prev = ledger.base_prev_hash
+        report.blocks_checked = len(blocks)
+        findings.extend(audit.check_chain(ledger))
         for block in blocks:
-            report.blocks_checked += 1
-            n = block.number
-            if block.header.previous_hash != prev:
-                report.findings.append(
-                    AuditFinding("header_chain", "previous-hash link broken", block=n)
-                )
-            recomputed = merkle_root(
-                [tx.envelope_bytes() for tx in block.transactions]
-            ).hex()
-            if recomputed != block.header.data_hash:
-                report.findings.append(
-                    AuditFinding("merkle_root", "tx Merkle root mismatch", block=n)
-                )
-            self._audit_txs(block, report)
-            prev = block.header.hash()
-
-        self._audit_state_replay(peer, blocks, report)
-        self._audit_peer_heads(report)
+            report.txs_checked += len(audit.valid_txs(block))
+            findings.extend(audit.check_signatures(block, msp))
+        report.state_keys_checked = len(audit.replay_writes(blocks))
+        findings.extend(audit.check_state(ledger, peer.world))
+        findings.extend(
+            audit.check_peers(p for p in self.channel.peers.values() if p.online)
+        )
         self._audit_index(peer, blocks, report)
         if offchain and self.ipfs is not None:
             self._audit_offchain(peer, report)
@@ -396,88 +370,6 @@ class LedgerExplorer:
                         "reproduced by replaying the chain through a fresh "
                         "index",
                         block=block.number,
-                    )
-                )
-
-    def _audit_txs(self, block: Block, report: AuditReport) -> None:
-        msp = self.channel.msp_registry
-        codes = block.validation_codes
-        for i, tx in enumerate(block.transactions):
-            if codes and codes[i] is not ValidationCode.VALID:
-                continue  # invalid txs carry their verdict in the code
-            report.txs_checked += 1
-            try:
-                msp.verify_signature(
-                    tx.proposal.creator,
-                    tx.proposal.signing_payload(),
-                    tx.proposal.signature,
-                )
-            except (IdentityError, SignatureError) as exc:
-                report.findings.append(
-                    AuditFinding(
-                        "creator_signature", str(exc), block=block.number, tx_id=tx.tx_id
-                    )
-                )
-            payload = endorsement_payload(tx)
-            if not any(
-                self._endorsement_ok(msp, e, payload) for e in tx.endorsements
-            ):
-                report.findings.append(
-                    AuditFinding(
-                        "endorsement_signature",
-                        "no endorsement verifies against the committed rwset",
-                        block=block.number,
-                        tx_id=tx.tx_id,
-                    )
-                )
-
-    @staticmethod
-    def _endorsement_ok(msp, endorsement, payload: bytes) -> bool:
-        try:
-            msp.validate_identity(endorsement.endorser)
-            endorsement.endorser.public_key.verify(payload, endorsement.signature)
-        except (IdentityError, SignatureError):
-            return False
-        return True
-
-    def _audit_state_replay(
-        self, peer: Peer, blocks: list[Block], report: AuditReport
-    ) -> None:
-        """Re-apply every valid write set; the result must equal the world
-        state for every replayed key (committer honesty spot-check)."""
-        replayed: dict[str, bytes | None] = {}
-        for block in blocks:
-            codes = block.validation_codes
-            for i, tx in enumerate(block.transactions):
-                if codes and codes[i] is not ValidationCode.VALID:
-                    continue
-                for write in tx.rwset.writes:
-                    replayed[write.key] = None if write.is_delete else write.value
-        for key, expected in replayed.items():
-            report.state_keys_checked += 1
-            if peer.world.get(key) != expected:
-                report.findings.append(
-                    AuditFinding(
-                        "state_replay",
-                        f"world state disagrees with replayed writes for key {key!r}",
-                    )
-                )
-
-    def _audit_peer_heads(self, report: AuditReport) -> None:
-        """Online peers at the same height must share the same head hash."""
-        by_height: dict[int, dict[str, str]] = {}
-        for name, peer in self.channel.peers.items():
-            if peer.online:
-                by_height.setdefault(peer.ledger.height, {})[name] = (
-                    peer.ledger.last_hash()
-                )
-        for height, heads in by_height.items():
-            if len(set(heads.values())) > 1:
-                report.findings.append(
-                    AuditFinding(
-                        "peer_divergence",
-                        f"peers at height {height} disagree on the head hash: "
-                        + ", ".join(f"{n}={h[:12]}…" for n, h in sorted(heads.items())),
                     )
                 )
 

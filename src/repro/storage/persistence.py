@@ -36,7 +36,8 @@ Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 2. **Verified state transfer** — on WAL corruption or an unusable
    checkpoint: take a snapshot from the best online donor, check that
    *every* online peer at that height agrees on the state digest and
-   head hash (quorum heads), adopt it, and catch up via block delivery.
+   head hash (:func:`repro.fabric.audit.check_peers`, the replica-parity
+   check every audit runs), adopt it, and catch up via block delivery.
 3. **Full resync** — last resort with no usable donor snapshot: rejoin
    empty and let gossip deliver the chain from genesis.
 
@@ -56,6 +57,7 @@ from repro.errors import (
     RecoveryError,
     WalCorruptionError,
 )
+from repro.fabric.audit import check_peers
 from repro.fabric.gossip import sync_peer
 from repro.fabric.ledger import Block, BlockStore
 from repro.fabric.privatedata import PrivateStateStore
@@ -63,7 +65,6 @@ from repro.fabric.snapshot import (
     Snapshot,
     adopt_snapshot,
     bootstrap_peer,
-    state_digest,
     take_snapshot,
 )
 from repro.fabric.worldstate import Version, WorldState
@@ -493,15 +494,11 @@ class DurabilityManager:
         )
         donor = at_head[0]
         snapshot = take_snapshot(donor, self.channel.name)
-        for other in at_head[1:]:
-            if (
-                state_digest(other.world) != snapshot.digest
-                or other.ledger.last_hash() != snapshot.last_block_hash
-            ):
-                raise RecoveryError(
-                    f"state-transfer donors disagree at height {head} — "
-                    f"refusing unverifiable snapshot"
-                )
+        diverged = check_peers(at_head)
+        if diverged:
+            raise RecoveryError(
+                f"refusing unverifiable state-transfer snapshot: {diverged[0].detail}"
+            )
         adopt_snapshot(peer, snapshot)  # resets partial replay state, verifies digest
         self._adopt_private(peer, at_head)
         if peer.index is not None:

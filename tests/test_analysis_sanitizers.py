@@ -137,6 +137,38 @@ class TestLedgerSanitizer:
         assert victim.tx_id[:16] in message
 
 
+    def test_post_checkpoint_tamper_on_a_bootstrapped_peer(self):
+        """A store that starts at a checkpoint still replays what it holds:
+        check_store used to skip the whole replay when base_height != 0."""
+        from repro.fabric import Peer
+        from repro.fabric.snapshot import bootstrap_peer, take_snapshot
+        from repro.obs.explorer import LedgerExplorer
+
+        net, channel, client = make_network("solo")
+        for i in range(3):
+            channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
+        source = next(iter(channel.peers.values()))
+        fresh = Peer(
+            "late-joiner", source.identity, net.msp_registry,
+            collections=channel.collections,
+        )
+        bootstrap_peer(fresh, take_snapshot(source, channel.name))
+        channel.join_peer(fresh)  # installs chaincodes
+        channel.invoke(client, "kv", "put", ["late", "v"])
+        assert fresh.ledger.base_height == 3 and fresh.world.get("late") == b"v"
+        assert check_store(fresh.ledger, fresh.world) == []
+        fresh.world._values["late"] = b"evil"
+        findings = check_store(fresh.ledger, fresh.world)
+        assert [f.rule_id for f in findings] == ["SAN305"]
+        assert "value mismatch: ['late']" in findings[0].message
+        # The explorer, reading from that peer, says the same thing.
+        for peer in channel.peers.values():
+            peer.online = peer is fresh
+        report = LedgerExplorer(channel).audit_chain(offchain=False)
+        assert [f.check for f in report.findings] == ["state_replay"]
+        assert "'late'" in report.findings[0].detail
+
+
 class TestLockSanitizer:
     def test_opposite_acquisition_order_reported(self):
         registry = LockRegistry()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.runtime import Sanitizer
 from repro.core import Framework, FrameworkConfig
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, RecoveryError
 from repro.fabric.snapshot import states_agree
 from repro.fabric.worldstate import Version
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -124,6 +124,29 @@ class TestStateTransfer:
         outcome = manager.crash_and_recover("peer1.org1")
         assert outcome.kind == "full_resync"
         assert manager.stats.full_resyncs == 1
+
+    @pytest.mark.parametrize("half", ["head hash", "state digest"])
+    def test_donors_that_disagree_on_either_half_are_refused(self, half):
+        """Donor agreement is the audit's replica-parity check: same refusal,
+        same wording, whichever of the two halves differs."""
+        import dataclasses
+
+        net, channel, alice, manager = durable_network(checkpoint_interval=8)
+        put_n(channel, alice, 3)
+        liar = channel.peers["peer0.org1"]
+        if half == "head hash":
+            last = liar.ledger._blocks[-1]
+            liar.ledger._blocks[-1] = dataclasses.replace(
+                last, header=dataclasses.replace(last.header, timestamp=-1.0)
+            )
+        else:
+            liar.world._values["k0"] = b"evil"
+        with pytest.raises(RecoveryError, match=f"{half} diverges .*peer0.org1="):
+            manager._state_transfer(channel.peers["peer1.org1"])
+        manager.damage_wal("peer1.org1", CORRUPT)
+        outcome = manager.crash_and_recover("peer1.org1")
+        assert outcome.kind == "full_resync"
+        assert states_agree(channel.peers["peer1.org1"], channel.peers["peer3.org2"])
 
     def test_recovery_metrics_are_exported(self):
         _, channel, alice, manager = durable_network(checkpoint_interval=4)

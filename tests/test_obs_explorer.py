@@ -183,6 +183,44 @@ class TestAudit:
         findings = [f for f in report.findings if f.check == "state_replay"]
         assert findings and key in findings[0].detail
 
+    def test_ghost_key_is_a_state_replay_finding(self, deployment):
+        """A key no transaction wrote: the explorer used to look only at the
+        keys its replay produced, so it passed while SAN305 fired."""
+        from repro.analysis import check_store
+        from repro.fabric.worldstate import Version
+
+        framework, client = deployment
+        _submit(client, n=1)
+        explorer = LedgerExplorer(framework.channel)
+        peer = explorer.reference_peer()
+        peer.world.apply_write("data:ghost", b"{}", Version(0, 0), "evil", 0.0)
+        report = explorer.audit_chain(offchain=False)
+        findings = [f for f in report.findings if f.check == "state_replay"]
+        assert len(findings) == 1 and "'data:ghost'" in findings[0].detail
+        sanitizer = check_store(peer.ledger, peer.world)
+        assert [f.rule_id for f in sanitizer] == ["SAN305"]
+        assert "'data:ghost'" in sanitizer[0].message
+
+    def test_rewritten_state_on_a_non_reference_peer_is_peer_divergence(
+        self, deployment
+    ):
+        """Replica parity compares state digests as well as head hashes, so
+        it does not matter which peer the explorer happens to read from."""
+        framework, client = deployment
+        entry_id = _submit(client, n=1)[0]
+        explorer = LedgerExplorer(framework.channel)
+        reference = explorer.reference_peer()
+        victim = next(
+            p for p in framework.channel.peers.values() if p is not reference
+        )
+        victim.world._values["data:" + entry_id] = b'{"cid": "tampered"}'
+        report = explorer.audit_chain(offchain=False)
+        assert not report.ok
+        assert [f.check for f in report.findings] == ["peer_divergence"]
+        detail = report.findings[0].detail
+        assert "state digest diverges" in detail and "head hash" not in detail
+        assert reference.name in detail and victim.name in detail
+
     def test_offchain_bit_rot_names_node_and_block(self, deployment):
         framework, client = deployment
         entry_id = _submit(client, n=1)[0]
