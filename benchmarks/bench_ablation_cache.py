@@ -54,7 +54,7 @@ def test_ablation_query_cache(benchmark):
 
     uncached, cached, hits = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
-        ["uncached (chaincode scan each time)", f"{uncached * 1e6:.1f}"],
+        ["uncached (executed each time)", f"{uncached * 1e6:.1f}"],
         ["cached (height-validated)", f"{cached * 1e6:.1f}"],
         ["speedup", f"{uncached / cached:.1f}x"],
     ]

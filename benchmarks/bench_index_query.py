@@ -19,10 +19,15 @@ Two tiers:
   block re-serialises is an EXACT count that stays equal, the timings
   (median of several samples) stay within a constant factor while the
   ledger grows up to 100x.
-* **Fabric parity** — a real deployment: every query shape runs through
-  both the index route and the chaincode scan route and the answers must
-  be byte-identical; verified answers' Merkle membership proofs must
-  check out against the epoch root. Both counts are EXACT.
+* **Fabric parity** — a real deployment at epoch-scale timestamps: every
+  query shape (equality, time window with ``<`` / ``<=`` / ``=`` edges,
+  ``class ... LIMIT k``, unindexed predicates) runs through both the state
+  routes (index, or the state scan when nothing routes) and the chaincode
+  scan route and the answers must be byte-identical; verified answers'
+  Merkle membership proofs must check out against the epoch root. All
+  counts are EXACT, including what the read path is meant to cost:
+  ``limit_rows_examined`` (a LIMIT stops at its last row) and
+  ``repeat_records_decoded`` (a repeated query decodes nothing, = 0).
 
 Runnable standalone for CI (``python benchmarks/bench_index_query.py
 --quick``): smaller sizes, same gates, emits ``index_query_quick``.
@@ -190,12 +195,21 @@ def _scaling_round(n: int) -> dict:
 
 # -- tier 2: fabric parity -----------------------------------------------------
 
+# Epoch-scale, where float64 spacing (2.4e-7 s) swallows a fixed epsilon on a
+# range's upper edge; records are 200 s apart from here.
+_T0 = 1_700_000_000
+PARITY_RECORDS = 48
+_LIMIT_QUERY = f"vehicle_class = 'car' AND metadata.timestamp >= {_T0 + 4800} LIMIT 4"
 _PARITY_QUERIES = (
     "source_id = 'par-cam-1'",
     "vehicle_class = 'truck'",
-    "metadata.timestamp >= 0 AND metadata.timestamp < 1800",
-    "vehicle_class = 'car' AND metadata.timestamp >= 600",
-    "color = 'red'",  # no index route: exercises the fallback
+    f"metadata.timestamp >= {_T0} AND metadata.timestamp < {_T0 + 1800}",
+    f"vehicle_class = 'car' AND metadata.timestamp >= {_T0 + 600}",
+    f"metadata.timestamp >= {_T0} AND metadata.timestamp <= {_T0 + 400}",
+    f"metadata.timestamp = {_T0 + 400}",
+    _LIMIT_QUERY,
+    f"metadata.timestamp >= {_T0 + 4000}",  # half-open, no index route: state scan
+    "color = 'red'",  # no index route, no rows
 )
 
 
@@ -208,12 +222,12 @@ def _parity_round() -> dict:
     identities = {}
     for cam in ("par-cam-1", "par-cam-2"):
         identities[cam] = framework.register_source(cam, tier=SourceTier.TRUSTED)
-    for i in range(12):
+    for i in range(PARITY_RECORDS):
         cam = f"par-cam-{i % 2 + 1}"
         meta = {
             "source_id": cam,
             "camera_id": cam,
-            "timestamp": float(i * 200),
+            "timestamp": float(_T0 + i * 200),
             "detections": [{"vehicle_class": CLASSES[i % len(CLASSES)]}],
         }
         framework.channel.invoke(
@@ -228,11 +242,19 @@ def _parity_round() -> dict:
         identity=identities["par-cam-1"],
         cache_enabled=False,
     )
+    stats = engine.stats
     parity_queries = 0
     proofs_verified = 0
+    repeat_decoded = 0
+    limit_examined = 0
     for text in _PARITY_QUERIES:
         engine.use_index = True
         indexed = [r.record for r in engine.run(text)]
+        decoded, examined = stats.records_decoded, stats.rows_scanned
+        engine.run(text)
+        repeat_decoded += stats.records_decoded - decoded
+        if text == _LIMIT_QUERY:
+            limit_examined = stats.rows_scanned - examined
         engine.use_index = False
         scanned = [r.record for r in engine.run(text)]
         assert canonical_json(indexed) == canonical_json(scanned), (
@@ -240,13 +262,17 @@ def _parity_round() -> dict:
         )
         parity_queries += 1
     engine.use_index = True
-    for text in _PARITY_QUERIES[:4]:
+    for text in _PARITY_QUERIES:
+        if engine.plan(text).index_route is None:
+            continue  # nothing to prove without an index route
         answer = engine.run_verified(text)
         answer.verify()
         proofs_verified += len(answer.proofs)
     return {
         "parity_queries": float(parity_queries),
         "proofs_verified": float(proofs_verified),
+        "limit_rows_examined": float(limit_examined),
+        "repeat_records_decoded": float(repeat_decoded),
     }
 
 
@@ -266,9 +292,8 @@ def _run(sizes) -> dict:
                 # _ms suffix keeps the trend taxonomy classifying it TIMING.
                 name = f"{key[:-3]}_n{n}_ms"
             series[name] = r[key] if isinstance(r[key], list) else [r[key]]
-    parity = _parity_round()
-    series["parity_queries"] = [parity["parity_queries"]]
-    series["proofs_verified"] = [parity["proofs_verified"]]
+    for key, value in _parity_round().items():
+        series[key] = [value]
     return series
 
 
@@ -287,6 +312,10 @@ def _gate(series: dict, sizes) -> None:
         "indexed route slower than a full scan at the largest size"
     )
     assert series["parity_queries"][0] == float(len(_PARITY_QUERIES))
+    # The read path costs what it returns: a LIMIT stops inside the class
+    # posting (one record in four is a car), a repeat decodes nothing.
+    assert 4 <= series["limit_rows_examined"][0] < PARITY_RECORDS // len(CLASSES)
+    assert series["repeat_records_decoded"][0] == 0.0
     # The write side and the proof do not grow in shape with the index.
     assert series[f"apply_leaves_serialized_n{hi}"] == (
         series[f"apply_leaves_serialized_n{lo}"]

@@ -106,8 +106,8 @@ _RULES = (
          "from its world state at the same height",
          "runtime"),
     Rule("SAN309", ERROR, "indexed query answers diverge from scan answers",
-         "the authenticated index route and the chaincode scan route "
-         "returned different answers for the same query",
+         "a world-state route (authenticated index or state scan) and the "
+         "chaincode scan route returned different answers for the same query",
          "runtime"),
     Rule("SAN401", ERROR, "lock-order cycle",
          "two locks are acquired in opposite orders on different paths; "

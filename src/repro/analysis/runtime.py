@@ -196,8 +196,9 @@ class Sanitizer:
     # -- query parity (called by repro.query.executor) ----------------------
 
     def check_query_parity(self, description: str, indexed: list, scanned: list) -> None:
-        """SAN309: the index route and the chaincode scan route must return
-        byte-identical answers for the same query."""
+        """SAN309: a world-state route (index or state scan, ``indexed``) and
+        the chaincode scan route must return byte-identical answers for the
+        same query."""
         if "index" not in self.modes:
             return
         from repro.util.serialization import canonical_json

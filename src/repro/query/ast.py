@@ -9,6 +9,7 @@ containing a truck" query shape.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,12 +28,24 @@ DETECTION_PATHS = set(ARRAY_PATHS)
 
 def get_path(record: dict, path: str) -> Any:
     """Resolve a dotted path; missing segments yield None."""
+    return _walk(record, path.split("."))
+
+
+def _walk(record: dict, parts: tuple[str, ...] | list[str]) -> Any:
     current: Any = record
-    for part in path.split("."):
-        if not isinstance(current, dict) or part not in current:
-            return None
-        current = current[part]
+    try:
+        for part in parts:
+            current = current[part]
+    except (KeyError, TypeError):  # missing key / stepping into a non-dict
+        return None
     return current
+
+
+def _resolve(path: str) -> tuple[tuple[str, ...], bool]:
+    """``(parts, quantified)``: the pre-split path a predicate on ``path``
+    reads, and whether that is an array it matches ANY element of."""
+    array = ARRAY_PATHS.get(path)
+    return tuple((array or path).split(".")), array is not None
 
 
 class Expr:
@@ -43,12 +56,12 @@ class Expr:
 
 
 _OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
 }
 
 
@@ -57,16 +70,20 @@ class Compare(Expr):
     field: str
     op: str
     value: Any
+    # Resolved once, here, not once per record; derived, so not identity.
+    _path: tuple[tuple[str, ...], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise QueryError(f"unknown operator {self.op!r}")
+        object.__setattr__(self, "_path", _resolve(self.field))
 
     def matches(self, record: dict) -> bool:
-        if self.field in ARRAY_PATHS:
-            elements = get_path(record, ARRAY_PATHS[self.field]) or []
-            return any(self._cmp(e.get(self.field)) for e in elements)
-        return self._cmp(get_path(record, self.field))
+        parts, quantified = self._path
+        actual = _walk(record, parts)
+        if quantified:
+            return any(self._cmp(e.get(self.field)) for e in actual or ())
+        return self._cmp(actual)
 
     def _cmp(self, actual: Any) -> bool:
         if actual is None:
@@ -81,12 +98,17 @@ class Compare(Expr):
 class InSet(Expr):
     field: str
     values: tuple[Any, ...]
+    _path: tuple[tuple[str, ...], bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_path", _resolve(self.field))
 
     def matches(self, record: dict) -> bool:
-        if self.field in ARRAY_PATHS:
-            elements = get_path(record, ARRAY_PATHS[self.field]) or []
-            return any(e.get(self.field) in self.values for e in elements)
-        return get_path(record, self.field) in self.values
+        parts, quantified = self._path
+        actual = _walk(record, parts)
+        if quantified:
+            return any(e.get(self.field) in self.values for e in actual or ())
+        return actual in self.values
 
 
 @dataclass(frozen=True)
@@ -94,7 +116,10 @@ class And(Expr):
     parts: tuple[Expr, ...]
 
     def matches(self, record: dict) -> bool:
-        return all(p.matches(record) for p in self.parts)
+        for part in self.parts:
+            if not part.matches(record):
+                return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,19 @@ blockchain" the paper guarantees.
 When the plan carries an :class:`~repro.query.planner.IndexRoute`, the
 metadata half is served from a peer's block-incremental authenticated
 index (:mod:`repro.index`) instead of a chaincode scan: a posting lookup
-plus direct world-state point reads, sublinear in chain height. The
-chaincode access path remains the fallback (and the parity oracle — the
-``index`` sanitizer cross-checks the two answers byte-for-byte).
+plus direct world-state point reads, sublinear in chain height. A plan
+with no usable index reads the same peer's ``data:`` key range directly.
+The chaincode access path remains the fallback (and the parity oracle —
+the ``index`` sanitizer cross-checks the two answers byte-for-byte).
 :meth:`QueryEngine.run_verified` additionally attaches Merkle membership
 proofs a light client can check against a trusted epoch root without
 replaying the chain.
+
+Both state routes hand out candidates as a lazy stream in entry-id order:
+a record is JSON-decoded once and reused while the world state still holds
+the very value object it was decoded from, and a ``LIMIT`` without
+``ORDER BY`` stops the stream at the last row it needs — so a query costs
+the rows it examines, and examining a row costs a dict lookup.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import dataclasses
 import hashlib
 import json
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.analysis.lockcheck import guard_shared, make_lock
@@ -44,11 +52,21 @@ from repro.query.planner import IndexRoute, Plan, plan_query
 from repro.util.parallel import parallel_map
 
 _DATA_PREFIX = "data:"
+_DATA_END = _DATA_PREFIX + "\x7f"
+
+# Decoded ``data:`` records an engine keeps at once (oldest dropped first).
+_MAX_DECODED_RECORDS = 4096
 
 
 @dataclass(frozen=True)
 class QueryRow:
     """One result: the on-chain record, optionally joined with raw bytes.
+
+    ``record`` is **shared and read-only**: every row, every cached result
+    and every later query that returns the same entry hand out the one
+    decoded dict the engine keeps for it. Copy before changing it (under
+    the ``index`` sanitizer SAN309 reports a mutated record on the next
+    query that returns it).
 
     ``verified`` is only True when the fetched bytes were actually checked
     against an on-chain ``data_hash`` — a record with no stored hash comes
@@ -72,8 +90,9 @@ class QueryRow:
 @dataclass
 class QueryStats:
     queries: int = 0
-    rows_scanned: int = 0
+    rows_scanned: int = 0   # candidate records examined (a LIMIT stops early)
     rows_returned: int = 0
+    records_decoded: int = 0  # JSON decodes on the state routes (a reuse is none)
     bytes_fetched: int = 0
     integrity_checks: int = 0
     cache_hits: int = 0
@@ -106,6 +125,28 @@ class VerifiedAnswer:
         )
 
 
+def _matching(candidates: Iterable[dict], plan: Plan, query: Query) -> tuple[list[dict], int]:
+    """``(matched, examined)``: the candidates the plan's residual accepts.
+
+    Candidates arrive in entry-id order, so with a LIMIT and no ORDER BY the
+    first LIMIT matches are the answer and the rest are never examined
+    (:meth:`Query.apply_post` still defines the cut; this only stops early).
+    """
+    stop = query.limit if query.order_by is None else None
+    matches = plan.residual.matches
+    matched: list[dict] = []
+    examined = 0
+    if stop == 0:
+        return matched, examined
+    for record in candidates:
+        examined += 1
+        if matches(record):
+            matched.append(record)
+            if len(matched) == stop:
+                break
+    return matched, examined
+
+
 @dataclass
 class QueryEngine:
     """Routes queries across the blockchain and IPFS executors."""
@@ -128,6 +169,11 @@ class QueryEngine:
     # eviction (deterministic — dict preserves insertion order).
     cache_max_entries: int = 256
     _cache: dict[str, tuple[int, list["QueryRow"]]] = field(default_factory=dict)
+    # data: key -> (the value object world state handed out, its decoded
+    # form). An entry is good only while the peer being read still returns
+    # that same object, so a rewritten or deleted key, a recovered peer and
+    # a fail-over to another peer all miss and refill without being told.
+    _records: dict[str, tuple[bytes, dict]] = field(default_factory=dict, repr=False)
     # make_lock: a plain Lock normally; instrumented for lock-order and
     # guarded-write checking when the repro.analysis sanitizers are active.
     _stats_lock: threading.Lock = field(
@@ -135,9 +181,10 @@ class QueryEngine:
     )
 
     def __post_init__(self) -> None:
-        # Under the locks sanitizer, any _cache mutation outside
+        # Under the locks sanitizer, any _cache / _records mutation outside
         # _stats_lock surfaces as a SAN402 finding.
         self._cache = guard_shared(self._cache, self._stats_lock, "query.cache")
+        self._records = guard_shared(self._records, self._stats_lock, "query.records")
 
     # -- planning -------------------------------------------------------------
 
@@ -190,11 +237,12 @@ class QueryEngine:
                 if isinstance(query, str):
                     query = parse_query(query)
                 plan = plan_query(query)
-            route = plan.index_route if self.use_index else None
-            candidates = None
-            if route is not None:
-                candidates = self._execute_index(route, height_snapshot)
-            used_index = candidates is not None
+            route = candidates = None
+            if self.use_index:
+                route = plan.index_route
+                candidates = self._execute_state(route, height_snapshot)
+            from_state = candidates is not None
+            used_index = from_state and route is not None
             if route is not None:
                 get_registry().counter(
                     "query_index_route_total",
@@ -202,9 +250,11 @@ class QueryEngine:
                 ).inc()
             if candidates is None:
                 candidates = self._execute_paths(plan)
-            matched = [r for r in candidates if plan.residual.matches(r)]
+            with obs_span("query.filter") as fsp:
+                matched, examined = _matching(candidates, plan, query)
+                fsp.set_attr("examined", examined)
             matched = query.apply_post(matched)
-            if used_index:
+            if from_state:
                 self._check_index_parity(query, plan, matched)
             if fetch_data:
                 fetched = parallel_map(
@@ -221,7 +271,7 @@ class QueryEngine:
                 rows = [QueryRow(record=record) for record in matched]
             with self._stats_lock:
                 self.stats.queries += 1
-                self.stats.rows_scanned += len(candidates)
+                self.stats.rows_scanned += examined
                 self.stats.rows_returned += len(rows)
                 if route is not None:
                     if used_index:
@@ -270,12 +320,12 @@ class QueryEngine:
             dims = [(route.dim, route.value)] if index.has(route.dim, route.value) else []
             entry_ids = index.lookup(route.dim, route.value)
         proofs = tuple(index.prove(dim, value) for dim, value in dims)
-        candidates = self._load_records(peer, entry_ids)
-        matched = [r for r in candidates if plan.residual.matches(r)]
-        matched = dataclasses.replace(query, select=None).apply_post(matched)
+        query = dataclasses.replace(query, select=None)
+        matched, examined = _matching(self._load_records(peer, entry_ids), plan, query)
+        matched = query.apply_post(matched)
         with self._stats_lock:
             self.stats.queries += 1
-            self.stats.rows_scanned += len(candidates)
+            self.stats.rows_scanned += examined
             self.stats.rows_returned += len(matched)
             self.stats.index_hits += 1
         return VerifiedAnswer(
@@ -326,45 +376,63 @@ class QueryEngine:
                 return peer
         return None
 
-    @staticmethod
-    def _load_records(peer, entry_ids: list[str]) -> list[dict]:
-        out = []
+    def _load_records(self, peer, entry_ids: Iterable[str]) -> Iterator[dict]:
+        """The live records under ``entry_ids``, decoded at most once each."""
+        get = peer.world.get
         for entry_id in entry_ids:
-            raw = peer.world.get(_DATA_PREFIX + entry_id)
+            key = _DATA_PREFIX + entry_id
+            raw = get(key)
             if raw is not None:
-                out.append(json.loads(raw))
-        return out
+                yield self._decoded(key, raw)
 
-    def _execute_index(self, route: IndexRoute, height: int) -> list[dict] | None:
-        """Serve candidates from a peer's secondary index; None = fall back.
+    def _decoded(self, key: str, raw: bytes) -> dict:
+        """``raw`` decoded — from ``_records`` when ``raw`` is the object it
+        holds for ``key`` (same object, same bytes), else decoded and kept."""
+        hit = self._records.get(key)
+        if hit is not None and hit[0] is raw:
+            return hit[1]
+        record = json.loads(raw)
+        with self._stats_lock:
+            self.stats.records_decoded += 1
+            if key not in self._records and len(self._records) >= _MAX_DECODED_RECORDS:
+                del self._records[next(iter(self._records))]
+            self._records[key] = (raw, record)
+        return record
 
-        A posting lookup plus point reads of the matching records — no
-        chaincode range scan, no per-query proposal signing. ``entry_ids``
-        come back sorted, so candidates are already in entry-id order.
+    def _execute_state(self, route: IndexRoute | None, height: int) -> Iterator[dict] | None:
+        """Candidates straight from an in-sync peer's world state, as a lazy
+        stream in entry-id order; None = fall back to the chaincode paths.
+
+        With a route: a posting lookup plus point reads of the matching
+        records (``entry_ids`` come back sorted). Without one: the peer's
+        whole ``data:`` key range, which is in entry-id order by key. No
+        chaincode scan and no per-query proposal signing either way.
         """
         peer = self._index_peer(height)
         if peer is None:
             return None
+        if route is None:
+            rows = peer.world.range(_DATA_PREFIX, _DATA_END)
+            return (self._decoded(key, raw) for key, raw in rows)
         with obs_span("query.index_read") as sp:
             if route.time_range is not None:
                 entry_ids = peer.index.lookup_time_range(*route.time_range)
             else:
                 entry_ids = peer.index.lookup(route.dim, route.value)
-            out = self._load_records(peer, entry_ids)
-            sp.set_attr("rows", len(out))
-        return out
+            sp.set_attr("rows", len(entry_ids))
+        return self._load_records(peer, entry_ids)
 
     def _check_index_parity(self, query: Query, plan: Plan, matched: list[dict]) -> None:
         """SAN309: under the ``index`` sanitizer, re-run the chaincode scan
-        path and require a byte-identical answer."""
+        path and require a byte-identical final answer. Its records are
+        decoded afresh, so a shared record a caller changed shows here too."""
         from repro.analysis.runtime import active_sanitizer
 
         sanitizer = active_sanitizer()
         if sanitizer is None or "index" not in sanitizer.modes:
             return
-        scanned = [r for r in self._execute_paths(plan) if plan.residual.matches(r)]
-        scanned = query.apply_post(scanned)
-        sanitizer.check_query_parity(plan.explain(), matched, scanned)
+        scanned, _ = _matching(self._execute_paths(plan), plan, query)
+        sanitizer.check_query_parity(plan.explain(), matched, query.apply_post(scanned))
 
     # -- cache (callers hold _stats_lock) ----------------------------------------
 

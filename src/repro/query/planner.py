@@ -16,6 +16,7 @@ path when no peer serves the index at the snapshot height.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.query.ast import Compare, Expr, InSet, Query, conjuncts
@@ -156,10 +157,11 @@ def _time_range_path(parts: list[Expr]) -> AccessPath | None:
             lower = upper = part.value
     if lower is None or upper is None:
         return None  # half-open ranges would scan unbounded buckets
-    # list_by_time_range filters [start, end); widen the upper edge so
-    # "<= t" and "= t" include t itself.
+    # list_by_time_range filters [start, end); widen the upper edge to the
+    # next float so "<= t" and "= t" include t itself (a fixed epsilon is
+    # absorbed by any epoch-scale t). repr round-trips it exactly.
     return AccessPath(
         fn="list_by_time_range",
-        args=(str(float(lower)), str(float(upper) + 1e-9)),
+        args=(str(float(lower)), str(math.nextafter(float(upper), math.inf))),
         index="by_time",
     )

@@ -260,6 +260,50 @@ class TestExecutorRouting:
         assert len(rows) == len(receipts)
         assert engine.stats.index_misses == 1
 
+    def test_failover_reads_the_other_peers_state_not_the_kept_decode(self):
+        """Replicas are not assumed to agree: with the reference peer offline
+        the engine returns what the *next* peer's world state holds."""
+        framework = make_framework(peers_per_org=2)
+        client, receipts = populate(framework, n=3)
+        engine = client.engine
+        engine.cache_enabled = False
+        text = "source_id = 'idx-cam'"
+        before = [r.record for r in engine.run(text)]
+        peer0, peer1 = (framework.channel.peers[n] for n in ("peer0.org1", "peer1.org1"))
+        assert framework.channel.indexing.reference_peer() is peer0
+        key = "data:" + before[0]["entry_id"]
+        only_on_peer1 = dict(before[0], cid="bafy-only-on-peer1")
+        peer1.world.apply_write(
+            key, canonical_json(only_on_peer1),
+            Version(framework.channel.height(), 0), "tx-diverge", 0.0,
+        )
+        assert [r.record for r in engine.run(text)] == before  # still peer0
+        peer0.online = False
+        try:
+            after = [r.record for r in engine.run(text)]
+        finally:
+            peer0.online = True
+        assert after == [only_on_peer1, *before[1:]]
+        assert [r.record for r in engine.run(text)] == before  # peer0 again
+
+    def test_recovered_reference_peer_is_decoded_afresh(self):
+        framework = make_framework(
+            consensus="bft", peers_per_org=2, durability=True, checkpoint_interval=4
+        )
+        client, receipts = populate(framework, n=6)
+        engine = client.engine
+        engine.cache_enabled = False
+        text = "vehicle_class = 'truck'"
+        before = engine.run(text)
+        reference = framework.channel.indexing.reference_peer()
+        framework.durability.crash_and_recover(reference.name)
+        assert framework.channel.indexing.reference_peer() is reference
+        decoded = engine.stats.records_decoded
+        after = engine.run(text)
+        assert engine.stats.records_decoded - decoded == len(before) == 3
+        assert [r.record for r in after] == [r.record for r in before]
+        assert all(a.record is not b.record for a, b in zip(after, before))
+
     def test_run_verified_end_to_end(self):
         framework = make_framework()
         client, receipts = populate(framework, n=4)
@@ -690,6 +734,39 @@ class TestSanitizerMode:
             runtime._ACTIVE = None
         assert report.ok, report.render()
         assert report.checks["index"] > 0
+
+    def test_state_scan_route_is_parity_checked(self):
+        framework = make_framework(sanitize="index")
+        try:
+            client, _ = populate(framework, n=3)
+            checks = framework.sanitizer.report().checks["index"]
+            rows = client.engine.run("metadata.timestamp >= 800 LIMIT 1")  # no route
+            report = framework.sanitizer.finalize()
+        finally:
+            import repro.analysis.runtime as runtime
+
+            runtime._ACTIVE = None
+        assert len(rows) == 1 and client.engine.stats.index_hits == 0
+        assert report.checks["index"] == checks + 1
+        assert report.ok, report.render()
+
+    def test_a_caller_changing_a_shared_record_is_flagged(self):
+        """``QueryRow.record`` is read-only; SAN309's fresh chaincode decode
+        is what notices a caller who wrote to one."""
+        framework = make_framework(sanitize="index")
+        try:
+            client, _ = populate(framework, n=3)
+            rows = client.engine.run("source_id = 'idx-cam'")
+            assert framework.sanitizer.report().ok
+            rows[0].record["cid"] = "bafy-scribbled"
+            again = client.engine.run("metadata.camera_id = 'idx-cam'")
+            assert again[0].record is rows[0].record
+            report = framework.sanitizer.finalize()
+        finally:
+            import repro.analysis.runtime as runtime
+
+            runtime._ACTIVE = None
+        assert [f.rule_id for f in report.findings] == ["SAN309"]
 
     def test_divergent_index_is_flagged(self):
         framework = make_framework(sanitize="index")

@@ -7,6 +7,7 @@ from repro.errors import IntegrityError, QueryParseError
 from repro.query import Compare, InSet, Query, parse_query, plan_query
 from repro.query.ast import And, Not, Or, TrueExpr, get_path
 from repro.trust import SourceTier
+from repro.util.serialization import canonical_json
 
 
 class TestParser:
@@ -235,3 +236,234 @@ class TestExecution:
         engine.run("")
         full_scan = engine.stats.rows_scanned - start
         assert indexed_scan < full_scan
+
+
+# -- queries that cost what they return ----------------------------------------
+
+T0 = 1_700_000_000  # epoch-scale: float64 spacing here is 2.4e-7 s
+N_BULK = 160
+
+
+def _bulk_framework(**overrides):
+    """``N_BULK`` records 30 s apart from ``T0``, alternating car / truck,
+    four cameras; stored through ``add_data`` directly (no payloads)."""
+    config = dict(consensus="solo", n_ipfs_nodes=2, max_batch_size=32)
+    config.update(overrides)
+    framework = Framework(FrameworkConfig(**config))
+    client = Client(framework, framework.register_source("bulk", tier=SourceTier.TRUSTED))
+    pending = []
+    for i in range(N_BULK):
+        meta = {
+            "camera_id": f"cam-{i % 4}",
+            "timestamp": float(T0 + 30 * i),
+            "location": {"lat": 12.0 + i / 1000},
+            "detections": [{"vehicle_class": "car" if i % 2 == 0 else "truck"}],
+        }
+        pending.append(framework.channel.invoke_async(
+            client.identity, "data_upload", "add_data",
+            [f"bafy-bulk-{i}", "0" * 64, canonical_json(meta).decode()],
+        ))
+    framework.channel.flush()
+    client.engine.cache_enabled = False
+    return framework, client
+
+
+@pytest.fixture(scope="module")
+def bulk():
+    return _bulk_framework()
+
+
+def _counted(engine, counter, call):
+    """``(call(), how far it moved engine.stats.<counter>)``."""
+    before = getattr(engine.stats, counter)
+    out = call()
+    return out, getattr(engine.stats, counter) - before
+
+
+class TestTimeBoundary:
+    """``<= t`` and ``= t`` keep the row at exactly ``t`` on every route."""
+
+    @pytest.mark.parametrize("text, expected", [
+        (f"metadata.timestamp >= {T0} AND metadata.timestamp <= {T0 + 30}", 2),
+        (f"metadata.timestamp = {T0 + 30}", 1),
+    ], ids=["le", "eq"])
+    def test_boundary_row_on_both_routes(self, bulk, text, expected):
+        engine = bulk[1].engine
+        try:
+            for use_index in (True, False):
+                engine.use_index = use_index
+                assert len(engine.run(text)) == expected, f"use_index={use_index}"
+        finally:
+            engine.use_index = True
+
+    def test_boundary_row_under_the_index_sanitizer(self):
+        import repro.analysis.runtime as runtime
+
+        try:
+            framework, client = _bulk_framework(sanitize="index")
+            for text in (
+                f"metadata.timestamp >= {T0} AND metadata.timestamp <= {T0 + 30}",
+                f"metadata.timestamp = {T0 + 30}",
+            ):
+                client.engine.run(text)
+            report = framework.sanitizer.finalize()
+        finally:
+            runtime._ACTIVE = None
+        assert not [f for f in report.findings if f.rule_id == "SAN309"], report.render()
+
+
+class TestDecodeOnce:
+    RANGE = f"metadata.timestamp >= {T0 + 600} AND metadata.timestamp < {T0 + 1800}"
+
+    def test_repeated_query_decodes_nothing_and_shares_records(self, bulk):
+        engine = bulk[1].engine
+        first = engine.run(self.RANGE)
+        second, decoded = _counted(engine, "records_decoded", lambda: engine.run(self.RANGE))
+        assert len(first) == 40
+        assert decoded == 0
+        assert all(a.record is b.record for a, b in zip(first, second))
+
+    def test_full_scan_reuses_what_the_index_route_decoded(self, bulk):
+        engine = bulk[1].engine
+        engine.run("metadata.location.lat > 0")  # every record, state scan
+        _, decoded = _counted(engine, "records_decoded", lambda: engine.run(self.RANGE))
+        assert decoded == 0
+        _, decoded = _counted(engine, "records_decoded", lambda: engine.run("vehicle_class = 'car'"))
+        assert decoded == 0
+
+    def test_rewritten_and_deleted_keys_are_read_fresh(self):
+        from repro.fabric.worldstate import Version
+
+        framework, client = _bulk_framework()
+        engine = client.engine
+        rows = engine.run("metadata.camera_id = 'cam-1'")
+        world = framework.channel.indexing.reference_peer().world
+        height = framework.channel.height()
+        changed, dropped = rows[0].record, rows[1].record
+        rewritten = dict(changed, cid="bafy-rewritten")
+        world.apply_write(
+            "data:" + changed["entry_id"], canonical_json(rewritten),
+            Version(height, 0), "tx-rewrite", 0.0,
+        )
+        world.apply_write(
+            "data:" + dropped["entry_id"], None, Version(height, 1), "tx-drop", 0.0
+        )
+        again, decoded = _counted(
+            engine, "records_decoded", lambda: engine.run("metadata.camera_id = 'cam-1'")
+        )
+        assert decoded == 1
+        assert again[0].record == rewritten
+        assert changed["cid"] != "bafy-rewritten"  # the old dict was not touched
+        assert dropped["entry_id"] not in {r.entry_id for r in again}
+        assert len(again) == len(rows) - 1
+
+    def test_kept_records_are_bounded_oldest_first(self, bulk, monkeypatch):
+        from repro.query import executor
+
+        framework, client = bulk
+        engine = executor.QueryEngine(
+            channel=framework.channel, cluster=framework.ipfs,
+            identity=client.identity, cache_enabled=False,
+        )
+        monkeypatch.setattr(executor, "_MAX_DECODED_RECORDS", 8)
+        rows = engine.run("")
+        assert len(rows) == N_BULK
+        assert list(engine._records) == ["data:" + r.entry_id for r in rows[-8:]]
+
+
+class TestLimitStops:
+    def test_limit_examines_up_to_the_last_row_it_returns(self, bulk):
+        """``class ... LIMIT k``: records examined == the position, among the
+        class posting in entry-id order, of the k-th one the residual takes."""
+        engine = bulk[1].engine
+        floor = T0 + 30 * 20
+        cars = sorted(
+            (r.record for r in engine.run("vehicle_class = 'car'")),
+            key=lambda r: r["entry_id"],
+        )
+        assert len(cars) == N_BULK // 2
+        position = matches = 0
+        for record in cars:
+            position += 1
+            matches += record["metadata"]["timestamp"] >= floor
+            if matches == 50:
+                break
+        assert matches == 50 and position < len(cars)
+        text = f"vehicle_class = 'car' AND metadata.timestamp >= {floor} LIMIT 50"
+        rows, examined = _counted(engine, "rows_scanned", lambda: engine.run(text))
+        assert len(rows) == 50
+        assert examined == position
+        answer, examined = _counted(engine, "rows_scanned", lambda: engine.run_verified(text))
+        assert [r["entry_id"] for r in answer.records] == [r.entry_id for r in rows]
+        assert examined == position
+
+    def test_limit_stops_a_state_scan_too(self, bulk):
+        engine = bulk[1].engine
+        rows, examined = _counted(
+            engine, "rows_scanned", lambda: engine.run("metadata.location.lat > 0 LIMIT 5")
+        )
+        assert len(rows) == examined == 5
+
+    def test_order_by_still_examines_every_candidate(self, bulk):
+        engine = bulk[1].engine
+        text = "vehicle_class = 'car' ORDER BY metadata.timestamp DESC LIMIT 5"
+        rows, examined = _counted(engine, "rows_scanned", lambda: engine.run(text))
+        assert examined == N_BULK // 2
+        assert [r.record["metadata"]["timestamp"] for r in rows] == [
+            float(T0 + 30 * i) for i in (158, 156, 154, 152, 150)
+        ]
+
+    def test_limit_zero_examines_nothing(self, bulk):
+        engine = bulk[1].engine
+        rows, examined = _counted(
+            engine, "rows_scanned", lambda: engine.run("vehicle_class = 'car' LIMIT 0")
+        )
+        assert rows == [] and examined == 0
+
+
+class TestRoutesAgree:
+    """The eight query shapes of ``benchmarks/e2e`` answer identically from
+    the index route, the state scan and the chaincode paths."""
+
+    T = T0 + 30 * 40
+    SHAPES = {
+        "eq_hot": "metadata.camera_id = 'cam-2'",
+        "eq_adhoc": f"metadata.camera_id = 'cam-1' AND metadata.timestamp >= {T}",
+        "range": f"metadata.timestamp >= {T} AND metadata.timestamp < {T + 3600}",
+        "verified": "metadata.camera_id = 'cam-3'",
+        "join": f"metadata.camera_id = 'cam-0' AND metadata.timestamp >= {T} LIMIT 8",
+        "class": f"vehicle_class = 'truck' AND metadata.timestamp >= {T} LIMIT 50",
+        "scan": "metadata.location.lat > 12.08",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_three_routes_one_answer(self, bulk, shape, monkeypatch):
+        import dataclasses
+
+        engine = bulk[1].engine
+        query = parse_query(self.SHAPES[shape])
+        # A one-branch OR means the same and has no index route: the planner
+        # sends it down the state scan.
+        unrouted = dataclasses.replace(query, where=Or((query.where,)))
+        assert plan_query(unrouted).full_scan
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_execute_paths", None)  # the state routes never call it
+            hits = engine.stats.index_hits
+            via_index = [r.record for r in engine.run(query)]
+            assert engine.stats.index_hits - hits == (shape != "scan")
+            via_state = [r.record for r in engine.run(unrouted)]
+            if shape == "verified":
+                assert list(engine.run_verified(query).records) == via_index
+        engine.use_index = False
+        try:
+            via_chaincode = [r.record for r in engine.run(query)]
+        finally:
+            engine.use_index = True
+        assert via_index
+        assert canonical_json(via_index) == canonical_json(via_state)
+        assert canonical_json(via_index) == canonical_json(via_chaincode)
+
+    def test_point_lookup_matches_the_shared_record(self, bulk):
+        engine = bulk[1].engine
+        row = engine.run(self.SHAPES["eq_hot"])[0]
+        assert engine.get(row.entry_id).record == row.record
