@@ -84,7 +84,8 @@ _RULES = (
          "block's previous_hash does not match the preceding header hash",
          "runtime"),
     Rule("SAN303", ERROR, "block Merkle root mismatch",
-         "a transaction envelope was altered after ordering",
+         "a transaction envelope was altered after ordering, or a remembered "
+         "canonical form is not what its value serialises to",
          "runtime"),
     Rule("SAN304", ERROR, "non-monotone ledger height",
          "a block is not numbered by its position, or a peer committed out "

@@ -50,7 +50,7 @@ from repro.errors import ConsensusError
 from repro.net import Message, NetNode, SimNetwork
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
-from repro.util.serialization import canonical_json
+from repro.util.serialization import canonical_json, once
 
 
 class Behaviour(str, Enum):
@@ -104,9 +104,16 @@ def _log_frame(decision: Decision) -> bytes:
 
 
 def _digest(request: ClientRequest) -> str:
-    return hashlib.sha256(
-        canonical_json({"id": request.request_id, "payload": request.payload})
-    ).hexdigest()
+    """What replicas agree on. One request object reaches the primary and
+    every replica, so it is digested once; a different object claiming the
+    same request id is digested afresh, which is the honest replica's check."""
+    return once(
+        request,
+        "digest",
+        lambda: hashlib.sha256(
+            canonical_json({"id": request.request_id, "payload": request.payload})
+        ).hexdigest(),
+    )
 
 
 @dataclass
@@ -263,7 +270,10 @@ class BftReplica(NetNode):
             self._on_new_view(payload)
 
     def _slot(self, view: int, seq: int) -> _SlotState:
-        return self._slots.setdefault((view, seq), _SlotState())
+        slot = self._slots.get((view, seq))
+        if slot is None:
+            slot = self._slots[(view, seq)] = _SlotState()
+        return slot
 
     def _verdict_for(self, request: ClientRequest) -> tuple[bool, ...]:
         """Per-item validation verdicts for a (possibly batched) request."""

@@ -15,6 +15,10 @@ The semantic (``docs/STATIC_ANALYSIS.md`` has the table):
 * **Block** (:func:`check_block`, :func:`check_chain`) — number equals
   position, ``previous_hash`` equals the prior header's hash, ``data_hash``
   equals the recomputed Merkle root of the transaction envelopes.
+* **Remembered forms** (:func:`check_remembered`) — the header hash and each
+  transaction's signing payload, envelope and endorsement payload, as every
+  node in this process is served them (``util.serialization.once``), equal
+  what a copy nothing was remembered for serialises to.
 * **Signatures** (:func:`check_signatures`, :func:`endorsement_verifies`) —
   every VALID transaction's creator signature verifies through the MSP and
   at least one endorsement verifies over ``endorsement_payload(tx)``.
@@ -27,7 +31,7 @@ The semantic (``docs/STATIC_ANALYSIS.md`` has the table):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.crypto.merkle import merkle_root
 from repro.errors import IdentityError, SignatureError
@@ -101,6 +105,36 @@ def check_chain(store) -> list[AuditFinding]:
         findings.extend(check_block(block, number, prev))
         prev = block.header.hash()
     return findings
+
+
+def check_remembered(block) -> list[AuditFinding]:
+    """The canonical forms *block*'s values hand out against a fresh
+    computation. Forms are remembered per object and shared by every verifier
+    in the process, so a wrong one would satisfy :func:`check_block` on every
+    peer alike; a ``dataclasses.replace`` copy is an object nothing was
+    remembered for, and what it serialises to is the oracle."""
+    pairs = [("header hash", None, block.header.hash(), replace(block.header).hash())]
+    for tx in block.transactions:
+        fresh = replace(tx, proposal=replace(tx.proposal))
+        pairs += [
+            ("signing_payload", tx,
+             tx.proposal.signing_payload(), fresh.proposal.signing_payload()),
+            ("envelope_bytes", tx, tx.envelope_bytes(), fresh.envelope_bytes()),
+            ("endorsement_payload", tx,
+             endorsement_payload(tx), endorsement_payload(fresh)),
+        ]
+    return [
+        AuditFinding(
+            "remembered_form",
+            f"remembered {form}"
+            + (f" of tx {tx.tx_id[:16]}" if tx is not None else "")
+            + " differs from a fresh computation",
+            block=block.number,
+            tx_id=tx.tx_id if tx is not None else None,
+        )
+        for form, tx, remembered, recomputed in pairs
+        if remembered != recomputed
+    ]
 
 
 # -- signatures ---------------------------------------------------------------

@@ -189,7 +189,7 @@ class Channel:
         creator = identity.info()
         nonce = f"{self.name}:{next(self._nonce)}".encode()
         tx_id = TxProposal.make_tx_id(creator, nonce)
-        unsigned = TxProposal(
+        return TxProposal(
             tx_id=tx_id,
             channel=self.name,
             chaincode=chaincode,
@@ -198,19 +198,7 @@ class Channel:
             creator=creator,
             timestamp=self.clock.now(),
             transient=tuple(sorted((transient or {}).items())),
-        )
-        signature = identity.sign(unsigned.signing_payload())
-        return TxProposal(
-            tx_id=unsigned.tx_id,
-            channel=unsigned.channel,
-            chaincode=unsigned.chaincode,
-            fn=unsigned.fn,
-            args=unsigned.args,
-            creator=unsigned.creator,
-            timestamp=unsigned.timestamp,
-            signature=signature,
-            transient=unsigned.transient,
-        )
+        ).signed_by(identity)
 
     def _endorsing_orgs(self, chaincode: str, endorsing_orgs: list[str] | None) -> list[str]:
         definition = next(
@@ -307,15 +295,7 @@ class Channel:
                     "endorsers produced divergent read/write sets "
                     "(non-deterministic chaincode or state skew)"
                 )
-            first = responses[0]
-            return Transaction(
-                proposal=proposal,
-                rwset=first.rwset,
-                response=first.response,
-                endorsements=tuple(r.endorsement for r in responses),
-                events=first.events,
-                private_data=first.private_data,
-            )
+            return Transaction.from_responses(proposal, responses)
 
     def invoke(
         self,

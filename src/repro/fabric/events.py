@@ -13,8 +13,9 @@ import fnmatch
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.fabric.audit import valid_txs
 from repro.fabric.ledger import Block
-from repro.fabric.tx import ChaincodeEvent, ValidationCode
+from repro.fabric.tx import ChaincodeEvent
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,7 @@ class EventHub:
         event = BlockEvent(peer=peer, block=block)
         for callback in list(self._block_subs):
             callback(event)
-        codes = block.validation_codes or tuple(
-            ValidationCode.VALID for _ in block.transactions
-        )
-        for tx, code in zip(block.transactions, codes):
-            if code is not ValidationCode.VALID:
-                continue  # events from invalid transactions never fire
+        for tx in valid_txs(block):  # events from invalid transactions never fire
             for cc_event in tx.events:
                 self._publish_cc(peer, block.number, tx.tx_id, cc_event)
 

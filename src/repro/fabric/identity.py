@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from repro.crypto.keys import KeyPair, PublicKey
 
@@ -33,7 +34,7 @@ class IdentityInfo:
     role: Role
     public_key_hex: str
 
-    @property
+    @cached_property
     def public_key(self) -> PublicKey:
         return PublicKey.from_hex(self.public_key_hex)
 
@@ -74,13 +75,19 @@ class Identity:
     def create_random(cls, name: str, org: str, role: Role = Role.CLIENT) -> "Identity":
         return cls(name=name, org=org, role=role, keypair=KeyPair.generate())
 
-    def info(self) -> IdentityInfo:
+    @cached_property
+    def _info(self) -> IdentityInfo:
         return IdentityInfo(
             name=self.name,
             org=self.org,
             role=self.role,
             public_key_hex=self.keypair.public.hex(),
         )
+
+    def info(self) -> IdentityInfo:
+        """The public half — one frozen value per identity, shared by every
+        proposal and endorsement it signs (so its key is parsed once)."""
+        return self._info
 
     def sign(self, message: bytes) -> bytes:
         return self.keypair.sign(message)

@@ -20,7 +20,7 @@ from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.errors import LedgerError
 from repro.fabric.audit import AuditFinding, check_block, check_chain
 from repro.fabric.tx import Transaction, ValidationCode
-from repro.util.serialization import canonical_json
+from repro.util.serialization import canonical_json, once
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class BlockHeader:
     timestamp: float
 
     def hash(self) -> str:
+        return once(self, "hash", self._hash)
+
+    def _hash(self) -> str:
         return hashlib.sha256(
             canonical_json(
                 {

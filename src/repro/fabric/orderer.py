@@ -35,8 +35,7 @@ from repro.consensus.bft import Behaviour, BftCluster, Decision
 from repro.consensus.messages import ClientRequest
 from repro.errors import OrderingError
 from repro.fabric.ledger import Block, GENESIS_PREVIOUS_HASH
-from repro.fabric.peer import endorsement_payload
-from repro.fabric.tx import Transaction
+from repro.fabric.tx import Transaction, endorsement_payload
 from repro.net import SimNetwork
 from repro.obs.prof import get_profiler, profiled
 from repro.obs.tracer import span as obs_span
@@ -283,10 +282,10 @@ class BftOrderer:
                     if enqueued is not None:
                         profiler.record_queue_wait("orderer.submit", now - enqueued)
             with profiled("consensus.order"):
-                envelope_hashes = [
+                envelope_hashes = tuple(
                     hashlib.sha256(self._txs[tx_id].envelope_bytes()).hexdigest()
                     for tx_id in batch
-                ]
+                )
                 batch_digest = hashlib.sha256(
                     "".join(envelope_hashes).encode()
                 ).hexdigest()
@@ -298,9 +297,11 @@ class BftOrderer:
                 self.journal.record_batch(
                     request_id, [self._txs[tx_id] for tx_id in batch]
                 )
+            # Tuples: the primary and every replica share this one payload,
+            # and its digest is remembered on the request that carries it.
             self.cluster.submit(
                 {
-                    "tx_ids": list(batch),
+                    "tx_ids": tuple(batch),
                     "envelope_hashes": envelope_hashes,
                     "batch_digest": batch_digest,
                 },

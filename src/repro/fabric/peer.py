@@ -145,27 +145,17 @@ class Peer:
         except ChaincodeError as exc:
             self.stats.endorsement_failures += 1
             response, success, message = json.dumps(None), False, str(exc)
-        rwset = stub.rwset()
-        unsigned = ProposalResponse(
+        self.stats.endorsements += 1
+        return ProposalResponse(
             tx_id=proposal.tx_id,
-            rwset=rwset,
+            rwset=stub.rwset(),
             response=response,
             success=success,
             message=message,
             endorsement=Endorsement(endorser=self.identity.info(), signature=b""),
-        )
-        signature = self.identity.sign(unsigned.response_payload())
-        self.stats.endorsements += 1
-        return ProposalResponse(
-            tx_id=unsigned.tx_id,
-            rwset=unsigned.rwset,
-            response=unsigned.response,
-            success=unsigned.success,
-            message=unsigned.message,
-            endorsement=Endorsement(endorser=self.identity.info(), signature=signature),
             events=stub.events(),
             private_data=stub.private_writes(),
-        )
+        ).endorsed_by(self.identity)
 
     def resimulate(self, proposal: TxProposal) -> tuple:
         """Re-run a proposal's simulation on a fresh stub — no signing, no

@@ -12,18 +12,24 @@ The execute-order-validate flow is carried by three structures:
 :class:`ReadWriteSet` records each read key with the version observed at
 simulation time and each written key with its new value; equality of rwsets
 across endorsers is what lets the client detect non-deterministic chaincode.
+
+All of these are frozen, so each canonical form (signing payload, endorsed
+payload, envelope, rwset digest) is computed by the first node that asks and
+remembered while the transaction is in flight
+(:func:`repro.util.serialization.once`); build-then-sign hands the signed
+value the bytes that were signed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from repro.fabric.identity import IdentityInfo
+from repro.fabric.identity import Identity, IdentityInfo
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
-from repro.util.serialization import canonical_json
+from repro.util.serialization import canonical_json, once
 
 
 class ValidationCode(str, Enum):
@@ -75,7 +81,11 @@ class ReadWriteSet:
         }
 
     def digest(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_dict())).hexdigest()
+        return once(
+            self,
+            "digest",
+            lambda: hashlib.sha256(canonical_json(self.to_dict())).hexdigest(),
+        )
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,7 @@ class TxProposal:
     def transient_map(self) -> dict[str, bytes]:
         return dict(self.transient)
 
-    def signing_payload(self) -> bytes:
+    def _signing_payload(self) -> bytes:
         return canonical_json(
             {
                 "tx_id": self.tx_id,
@@ -113,6 +123,18 @@ class TxProposal:
                 "timestamp": self.timestamp,
             }
         )
+
+    def signing_payload(self) -> bytes:
+        return once(self, "signing_payload", self._signing_payload)
+
+    def signed_by(self, identity: Identity) -> "TxProposal":
+        """This proposal carrying ``identity``'s signature. The signature is
+        not part of the signing payload, so the signed value remembers the
+        bytes that were signed instead of serialising them again."""
+        payload = self._signing_payload()
+        signed = replace(self, signature=identity.sign(payload))
+        once(signed, "signing_payload", lambda: payload)
+        return signed
 
     @staticmethod
     def make_tx_id(creator: IdentityInfo, nonce: bytes) -> str:
@@ -146,16 +168,18 @@ class ProposalResponse:
     # (signed) rwset, the payloads themselves travel out-of-band.
     private_data: tuple["PrivateWrite", ...] = ()
 
-    def response_payload(self) -> bytes:
-        """Bytes the endorser signed: binds tx, rwset, and return value."""
-        return canonical_json(
-            {
-                "tx_id": self.tx_id,
-                "rwset": self.rwset.to_dict(),
-                "response": self.response,
-                "success": self.success,
-            }
+    def endorsed_by(self, identity: Identity) -> "ProposalResponse":
+        """This simulation result carrying ``identity``'s endorsement; the
+        endorsed value remembers the payload that was signed."""
+        payload = _endorsement_payload(self)
+        signed = replace(
+            self,
+            endorsement=Endorsement(
+                endorser=identity.info(), signature=identity.sign(payload)
+            ),
         )
+        once(signed, "endorsement_payload", lambda: payload)
+        return signed
 
 
 @dataclass(frozen=True)
@@ -184,6 +208,26 @@ class Transaction:
     # hashes (inside the public rwset) are, exactly as in Fabric.
     private_data: tuple[PrivateWrite, ...] = ()
 
+    @classmethod
+    def from_responses(
+        cls, proposal: TxProposal, responses: list[ProposalResponse]
+    ) -> "Transaction":
+        """The first response's simulation result under every endorser's
+        signature. What its endorsers must have signed is what the first of
+        them did sign, so that payload is handed over, not rebuilt."""
+        first = responses[0]
+        tx = cls(
+            proposal=proposal,
+            rwset=first.rwset,
+            response=first.response,
+            endorsements=tuple(r.endorsement for r in responses),
+            events=first.events,
+            private_data=first.private_data,
+        )
+        if first.success and first.tx_id == tx.tx_id:
+            once(tx, "endorsement_payload", lambda: endorsement_payload(first))
+        return tx
+
     @property
     def tx_id(self) -> str:
         return self.proposal.tx_id
@@ -193,6 +237,9 @@ class Transaction:
 
     def envelope_bytes(self) -> bytes:
         """Canonical bytes of the full transaction (hashed into blocks)."""
+        return once(self, "envelope_bytes", self._envelope_bytes)
+
+    def _envelope_bytes(self) -> bytes:
         with profiled("serialize.envelope"):
             return canonical_json(
                 {
@@ -209,18 +256,24 @@ class Transaction:
             )
 
 
-def endorsement_payload(tx: Transaction) -> bytes:
-    """The bytes every endorser of ``tx`` must have signed: the tx id, the
-    read/write set, and the chaincode response, exactly as produced by
-    :meth:`ProposalResponse.response_payload` for a successful simulation."""
+def _endorsement_payload(signed: ProposalResponse | Transaction) -> bytes:
     return canonical_json(
         {
-            "tx_id": tx.tx_id,
-            "rwset": tx.rwset.to_dict(),
-            "response": tx.response,
-            "success": True,
+            "tx_id": signed.tx_id,
+            "rwset": signed.rwset.to_dict(),
+            "response": signed.response,
+            # Only successful simulations are assembled into transactions.
+            "success": getattr(signed, "success", True),
         }
     )
+
+
+def endorsement_payload(signed: ProposalResponse | Transaction) -> bytes:
+    """The bytes an endorser signs, binding the tx id, the read/write set,
+    the chaincode response and whether simulation succeeded — asked of the
+    endorser's own :class:`ProposalResponse` or of the :class:`Transaction`
+    assembled from it, whose every endorser must have signed exactly this."""
+    return once(signed, "endorsement_payload", lambda: _endorsement_payload(signed))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from repro.chaincodes.data import TIME_BUCKET_S, time_bucket
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
-from repro.fabric.tx import ValidationCode
+from repro.fabric.audit import valid_txs
 from repro.index.filters import BlockFilter
 from repro.util.serialization import canonical_json, from_canonical_json
 
@@ -280,11 +280,8 @@ class PeerIndex:
     def apply_block(self, block) -> str:
         """Index a committed (annotated) block's valid writes; returns the
         new epoch digest, also recorded under ``epochs[block.number]``."""
-        codes = block.validation_codes
         tokens: list[str] = []
-        for i, tx in enumerate(block.transactions):
-            if codes and codes[i] is not ValidationCode.VALID:
-                continue
+        for tx in valid_txs(block):
             for write in tx.rwset.writes:
                 tokens.extend(self._apply_write(write))
         self.height = block.number + 1

@@ -107,6 +107,29 @@ class TestLedgerSanitizer:
         assert report.checks["ledger"] == 6
         assert last_report() is report
 
+    def test_wrong_remembered_form_is_reported(self):
+        """Every node in the process is served the same remembered bytes, so
+        a wrong envelope builds the block's Merkle root *and* satisfies every
+        peer's recomputation of it; only a fresh serialisation disagrees."""
+        from repro.util.serialization import once
+
+        net, channel, client = make_network("solo")
+        sanitizer = install_sanitizers(channel, spec="ledger")
+        channel.invoke(client, "kv", "put", ["honest", "v"])
+        proposal, responses = channel.endorse(client, "kv", "put", ["k", "v"])
+        tx = channel.assemble(proposal, responses)
+        once(tx, "envelope_bytes", lambda: b'{"not":"this transaction"}')  # first to ask
+        channel.orderer.submit(tx)
+        channel.flush()
+        assert channel.result(tx.tx_id).ok  # nothing on the commit path noticed
+        for peer in channel.peers.values():
+            peer.ledger.verify_chain()
+        report = sanitizer.finalize()
+        assert [f.rule_id for f in report.findings] == ["SAN303"] * len(channel.peers)
+        for finding in report.findings:
+            assert "block 1: remembered envelope_bytes of tx" in finding.message
+            assert tx.tx_id[:16] in finding.message
+
     def test_offline_audit_of_honest_chain_clean(self):
         net, channel, client = make_network("solo")
         for i in range(3):

@@ -231,6 +231,37 @@ class TestViewChangeSafety:
         replica._dispatch(PrePrepare(1, 0, _digest(req), req))
         assert (1, 0) in replica._slots  # same digest: participation allowed
 
+    def test_remembered_digest_does_not_vouch_for_another_request_object(self):
+        """The digest is remembered per request *object*. A pre-prepare that
+        carries a different object under the same request id, with an altered
+        payload and the original's digest, is digested afresh and refused."""
+        import dataclasses
+
+        from repro.consensus.bft import _digest
+        from repro.consensus.messages import ClientRequest, PrePrepare
+
+        cluster = make_cluster()
+        payload = {"tx_ids": ("tx-a", "tx-b"), "batch_digest": "d0"}
+        honest = ClientRequest(request_id="batch-0", payload=payload, n_items=2)
+        digest = _digest(honest)
+        assert _digest(honest) == digest  # remembered
+        forged = [
+            ClientRequest(
+                request_id="batch-0",
+                payload={"tx_ids": ("tx-a", "tx-evil"), "batch_digest": "d0"},
+                n_items=2,
+            ),
+            dataclasses.replace(honest, payload={**payload, "batch_digest": "d1"}),
+        ]
+        replica = cluster.replicas["validator-1"]
+        for request in forged:
+            replica._dispatch(PrePrepare(0, 0, digest, request))
+            assert replica._slot(0, 0).pre_prepare is None
+            assert not replica._slot(0, 0).sent_prepare
+        replica._dispatch(PrePrepare(0, 0, digest, honest))
+        assert replica._slot(0, 0).pre_prepare.request is honest
+        assert replica._slot(0, 0).sent_prepare
+
     def test_view_change_votes_carry_prepared_frontier(self):
         cluster = make_cluster()
         for i in range(3):
