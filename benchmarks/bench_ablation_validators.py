@@ -28,8 +28,9 @@ def _run_config(n_validators: int):
     for i in range(N_TXS):
         client.submit(DATA, {"timestamp": float(i), "detections": []})
     elapsed = (time.perf_counter() - start) / N_TXS
-    # Client.submit issues several supporting txs (provenance etc.); count
-    # messages per ordered transaction for a fair per-tx figure.
+    # Client.submit is one ordered tx for a trusted source (record + trail;
+    # an untrusted source adds a trust-score tx); count messages per ordered
+    # transaction for a fair per-tx figure.
     ordered = orderer._cutter.txs_ordered
     msgs = (orderer.consensus_messages - msgs_before) / max(1, ordered)
     return elapsed, msgs

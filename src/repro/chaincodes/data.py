@@ -83,6 +83,23 @@ class DataUploadChaincode(Chaincode):
         )
         return {"entry_id": entry_id, "cid": cid}
 
+    def store(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
+        """The whole store path as one atomic transaction: :meth:`add_data`
+        plus the entry's ``captured`` → ``stored`` provenance trail, recorded
+        by the provenance chaincode in this same simulation — one rwset, one
+        endorsement, one block. The ``stored`` event's block is the block of
+        its own ``tx_id``; a failure anywhere leaves neither record nor trail.
+        """
+        result = self.add_data(stub, cid, data_hash, metadata_json)
+        actor = stub.get_creator().name
+        for action, details in (("captured", {"data_hash": data_hash}), ("stored", {"cid": cid})):
+            stub.invoke_chaincode(
+                "provenance",
+                "record",
+                [result["entry_id"], action, actor, canonical_json(details).decode()],
+            )
+        return result
+
     def _index(self, stub: ChaincodeStub, entry_id: str, record: dict) -> None:
         metadata = record["metadata"]
         marker = b"\x01"  # composite index entries carry no payload

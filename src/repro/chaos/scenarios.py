@@ -144,8 +144,11 @@ def crash_recovery(seed: int = 0, n_cycles: int = 40) -> ChaosScenario:
             AmnesiaCrash(at_cycle=12, peer_name="peer2.org2", torn_write=True),
             # Latent media corruption, then a crash: checksum failure on
             # recovery forces verified state transfer from honest peers.
-            DiskFault(at_cycle=18, peer_name="peer1.org1", mode="corrupt"),
-            AmnesiaCrash(at_cycle=19, peer_name="peer1.org1"),
+            # (Two blocks a cycle, a checkpoint every 8: cycles 17/18 keep
+            # the corrupt frame in the live WAL — at 18/19 the crash would
+            # land on a checkpoint that compacts the damage away unread.)
+            DiskFault(at_cycle=17, peer_name="peer1.org1", mode="corrupt"),
+            AmnesiaCrash(at_cycle=18, peer_name="peer1.org1"),
             # Orderer amnesia: queued txs are dropped (and counted).
             OrdererCrash(at_cycle=24),
             # Lost tail sectors read as a torn tail: truncated replay,

@@ -161,6 +161,7 @@ class BftReplica(NetNode):
         # _on_pre_prepare's guard).
         self._prepared_digest: dict[int, str] = {}
         self._view_votes: dict[int, dict[str, ViewChange]] = {}
+        self._peer_views: dict[str, int] = {}  # highest view each peer has voted in
         self._pending_timeouts: dict[str, bool] = {}
         self._rearms: dict[str, int] = {}  # view changes triggered per request
         self._checkpoint_votes: dict[tuple[int, str], set[str]] = {}
@@ -304,6 +305,7 @@ class BftReplica(NetNode):
         return digest
 
     def _on_pre_prepare(self, msg: PrePrepare) -> None:
+        self._saw_view(self.cluster.primary_for(msg.view), msg.view)
         if msg.view != self.view:
             return
         # Cross-view safety guard: once prepared at this seq, never help a
@@ -340,6 +342,7 @@ class BftReplica(NetNode):
         self._maybe_progress(msg.view, msg.seq)
 
     def _on_prepare(self, msg: Prepare) -> None:
+        self._saw_view(msg.replica, msg.view)
         if msg.view != self.view:
             return
         slot = self._slot(msg.view, msg.seq)
@@ -347,6 +350,7 @@ class BftReplica(NetNode):
         self._maybe_progress(msg.view, msg.seq)
 
     def _on_commit(self, msg: Commit) -> None:
+        self._saw_view(msg.replica, msg.view)
         if msg.view != self.view:
             return
         slot = self._slot(msg.view, msg.seq)
@@ -585,6 +589,27 @@ class BftReplica(NetNode):
     def _on_new_view(self, msg: NewView) -> None:
         if msg.new_view > self.view:
             self._enter_view(msg.new_view)
+
+    def _saw_view(self, peer: str, view: int) -> None:
+        """View synchronisation: ``peer`` sent a protocol vote in ``view``.
+
+        A replica left behind by a view change it missed (its votes were
+        dropped, or it was partitioned) ignores every message of the later
+        view and is ignored in turn — and a primary never arms a timeout, so
+        a 2/2 split never gathers the f+1 view-change votes that would
+        reunite it. Once f+1 distinct peers are ahead, at least one of them
+        is honest and really works there, so follow to the highest view f+1
+        of them have reached. Fewer than f+1 (all possibly faulty) move
+        nobody, whatever view they claim.
+        """
+        if view <= self._peer_views.get(peer, -1):
+            return  # the common case: nothing new from this peer
+        if peer == self.name or peer not in self.cluster.replicas:
+            return
+        self._peer_views[peer] = view
+        ahead = sorted((v for v in self._peer_views.values() if v > self.view), reverse=True)
+        if len(ahead) > self.f:
+            self._enter_view(ahead[self.f])
 
     def _enter_view(self, view: int) -> None:
         self.view = view

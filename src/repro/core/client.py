@@ -3,8 +3,9 @@
 ``submit`` walks the full store path ①–⑦: the source signs its data, the
 trust engine gates admission, raw bytes go to IPFS (③), and the CID plus
 extracted metadata go through endorsement, BFT ordering, and commit onto
-the ledger (④–⑦), with provenance events recorded and the source's trust
-score updated from the validators' votes and stored on-chain.
+the ledger (④–⑦) together with the entry's ``captured`` → ``stored``
+provenance events — one transaction — and the source's trust score is
+updated from the validators' votes and stored on-chain.
 
 ``retrieve``/``query`` walk the retrieval path Ⓐ–Ⓓ: metadata from the
 blockchain query executor, raw bytes from the IPFS executor, and integrity
@@ -154,35 +155,15 @@ class Client:
             add_result = framework.ipfs.add(data)
             cid = add_result.cid.encode()
 
-            # ④–⑦ metadata + CID through endorsement, ordering (BFT), commit.
+            # ④–⑦ metadata + CID + the captured → stored provenance trail
+            # through endorsement, ordering (BFT), commit: one transaction.
             metadata = dict(metadata)
             metadata.setdefault("source_id", source_id)
             metadata.setdefault("data_hash", data_hash)
             result = framework.resilient_invoke(
-                self.identity, "data_upload", "add_data", [cid, data_hash, json.dumps(metadata)]
+                self.identity, "data_upload", "store", [cid, data_hash, json.dumps(metadata)]
             )
             entry_id = json.loads(result.response)["entry_id"] if result.ok else result.tx_id
-
-            # Provenance trail for the new entry.
-            if result.ok:
-                with obs_span("submit.provenance"):
-                    framework.resilient_invoke(
-                        self.identity,
-                        "provenance",
-                        "record",
-                        [entry_id, "captured", source_id, json.dumps({"data_hash": data_hash})],
-                    )
-                    framework.resilient_invoke(
-                        self.identity,
-                        "provenance",
-                        "record",
-                        [
-                            entry_id,
-                            "stored",
-                            source_id,
-                            json.dumps({"cid": cid, "block": result.block_number}),
-                        ],
-                    )
 
             # Trust update from the consensus outcome.
             with obs_span("submit.trust_update"):

@@ -6,10 +6,11 @@ footage. :class:`BatchIngestor` pipelines the store path: payloads go to
 IPFS in parallel (chunking + hashing + replication overlap on a thread
 pool), metadata transactions queue into the orderer's batch
 (``max_batch_size > 1``) where *one* BFT consensus instance per block
-decides them all, and one flush commits a whole block of entries.
-Provenance writes are batched the same way — each entry's trail recorded
-under the identity of the source that submitted it — and trust updates
-coalesce to one score write per source per batch rather than one per item.
+decides them all, and one flush commits a whole block of entries. Each
+item is the same ``data_upload.store`` transaction ``Client.submit`` sends —
+record and ``captured`` → ``stored`` trail together, under the identity of
+the source that submitted it — and trust updates coalesce to one score
+write per source per batch rather than one per item.
 
 Admission is per item: a non-admitted source's items are skipped and
 counted in :attr:`IngestReport.rejected` (nothing of theirs is stored
@@ -40,8 +41,8 @@ class IngestReport:
     ``submitted`` counts items that reached the ledger as transactions
     (admitted items); ``rejected`` counts both admission skips and
     transactions the consensus refused. ``blocks`` counts only the blocks
-    the data transactions landed in — provenance/trust follow-up blocks
-    are bookkeeping, not ingest throughput.
+    the data transactions landed in — trust follow-up blocks are
+    bookkeeping, not ingest throughput.
     """
 
     submitted: int
@@ -151,9 +152,11 @@ class BatchIngestor:
                     queue="ingest.hash",
                 )
 
-            # On-chain metadata: endorse + queue into the orderer's batch;
-            # one flush drives one consensus instance per cut block.
-            tx_meta: list[tuple[str, str, Identity, str, str]] = []
+            # On-chain metadata (+ provenance trail unless switched off):
+            # endorse + queue into the orderer's batch; one flush drives one
+            # consensus instance per cut block.
+            fn = "store" if self.record_provenance else "add_data"
+            tx_meta: list[tuple[str, str]] = []
             for (item, identity), add_result, data_hash in zip(
                 admitted, add_results, hashes
             ):
@@ -162,68 +165,27 @@ class BatchIngestor:
                 tx_id = channel.invoke_async(
                     identity,
                     "data_upload",
-                    "add_data",
+                    fn,
                     [add_result.cid.encode(), data_hash, json.dumps(metadata)],
                 )
-                tx_meta.append(
-                    (tx_id, item.source_id, identity, add_result.cid.encode(), data_hash)
-                )
+                tx_meta.append((tx_id, item.source_id))
 
             channel.flush()
             # Ingest throughput counts only the blocks the data landed in;
-            # provenance/trust follow-ups below cut their own blocks.
+            # the trust follow-ups below cut their own blocks.
             ingest_blocks = channel.height() - blocks_before
 
-            committed: list[tuple[str, str, Identity, str, str, int]] = []
+            entry_ids: list[str] = []
             rejected = len(skipped)
             outcomes: dict[str, list[bool]] = {}
-            for tx_id, source_id, identity, cid, data_hash in tx_meta:
+            for tx_id, source_id in tx_meta:
                 result = channel.result(tx_id)
                 ok = result.code is ValidationCode.VALID
                 outcomes.setdefault(source_id, []).append(ok)
                 if ok:
-                    entry_id = json.loads(result.response)["entry_id"]
-                    committed.append(
-                        (entry_id, source_id, identity, cid, data_hash, result.block_number)
-                    )
+                    entry_ids.append(json.loads(result.response)["entry_id"])
                 else:
                     rejected += 1
-
-            if self.record_provenance and committed:
-                with obs_span("ingest.provenance"):
-                    # Each entry's trail is recorded under the identity of
-                    # the source that submitted it (actor = that source),
-                    # mirroring Client.submit's captured → stored trail.
-                    # Two waves with a flush between: both events of one
-                    # entry extend the same hash chain (read-modify-write
-                    # of its head), so batching them into one block would
-                    # MVCC-conflict the second event.
-                    for entry_id, source_id, identity, cid, data_hash, block in committed:
-                        channel.invoke_async(
-                            identity,
-                            "provenance",
-                            "record",
-                            [
-                                entry_id,
-                                "captured",
-                                source_id,
-                                json.dumps({"data_hash": data_hash}),
-                            ],
-                        )
-                    channel.flush()
-                    for entry_id, source_id, identity, cid, data_hash, block in committed:
-                        channel.invoke_async(
-                            identity,
-                            "provenance",
-                            "record",
-                            [
-                                entry_id,
-                                "stored",
-                                source_id,
-                                json.dumps({"cid": cid, "block": block}),
-                            ],
-                        )
-                    channel.flush()
 
             # One coalesced trust update per source.
             with obs_span("ingest.trust_update"):
@@ -237,17 +199,17 @@ class BatchIngestor:
                         )
                     framework.record_trust_on_chain(source_id)
 
-            root.set_attr("committed", len(committed))
+            root.set_attr("committed", len(entry_ids))
             root.set_attr("rejected", rejected)
 
         elapsed = time.perf_counter() - start
         return IngestReport(
             submitted=len(tx_meta),
-            committed=len(committed),
+            committed=len(entry_ids),
             rejected=rejected,
             blocks=ingest_blocks,
             payload_bytes=payload_bytes,
             elapsed_s=elapsed,
-            entry_ids=tuple(entry_id for entry_id, *_ in committed),
+            entry_ids=tuple(entry_ids),
             skipped_sources=tuple(skipped),
         )

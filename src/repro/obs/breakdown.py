@@ -52,12 +52,10 @@ STAGE_LABELS = {
     "consensus.validate": "consensus (bft)",
     "fabric.deliver": "deliver",
     "fabric.peer.commit": "validate+commit",
-    "submit.provenance": "provenance",
     "submit.trust_update": "trust update",
     "trust.observe_validators": "trust update",
     "ingest.item": "ingest prepare",
     "ingest.store": "ipfs add",
-    "ingest.provenance": "provenance",
     "ingest.trust_update": "trust update",
     "ipfs.add_many": "ipfs add",
     "fabric.flush": "order",

@@ -230,21 +230,19 @@ class LedgerExplorer:
     def provenance_trail(self, entry_id: str) -> list[dict]:
         """The entry's provenance chain, reconstructed from the *ledger*.
 
-        Every valid ``provenance.record`` transaction for the entry wrote
-        the full event under its composite lineage key; reading those
-        writes out of the committed blocks rebuilds the exact chain the
-        chaincode's ``lineage`` query serves from world state — including
-        each event's actor, which PR 3 pinned to the submitting source.
+        Every valid transaction that recorded an event for the entry — a
+        ``data_upload.store`` (two events in one transaction) or a bare
+        ``provenance.record`` — wrote the full event under the entry's
+        composite lineage key; reading those writes out of the committed
+        blocks rebuilds the exact chain the chaincode's ``lineage`` query
+        serves from world state — including each event's actor, which PR 3
+        pinned to the submitting source.
         """
         prefix, _ = composite_prefix_range(_PROV_INDEX, [entry_id])
         events: list[dict] = []
         ledger = self.reference_peer().ledger
         for block in ledger.blocks():
             for tx in audit.valid_txs(block):
-                if tx.proposal.chaincode != "provenance" or tx.proposal.fn != "record":
-                    continue
-                if not tx.proposal.args or tx.proposal.args[0] != entry_id:
-                    continue
                 for write in tx.rwset.writes:
                     if write.key.startswith(prefix) and write.value is not None:
                         events.append(json.loads(write.value))

@@ -82,6 +82,10 @@ class TestBatchProvenanceAttribution:
         assert [e["action"] for e in batch_trail] == ["captured", "stored"]
         for batch_event, submit_event in zip(batch_trail, submit_trail):
             assert set(batch_event["details"]) == set(submit_event["details"])
+        # The stored event's block is the block of its own tx_id, so the
+        # trail no longer spends a second round to write it down.
+        assert [set(e["details"]) for e in submit_trail] == [{"data_hash"}, {"cid"}]
+        assert {e["tx_id"] for e in submit_trail} == {submitted.tx_id}
 
     def test_provenance_chain_verifies(self):
         framework = make_framework()
@@ -145,17 +149,17 @@ class TestPartialAdmission:
 
 class TestBlocksAccounting:
     def test_blocks_counts_only_data_blocks(self):
-        """Provenance/trust follow-up blocks must not inflate the ingest
-        block count: 8 items in one batch = 1 data block."""
+        """The trust follow-up block must not inflate the ingest block
+        count: 8 items (records + trails) in one batch = 1 data block."""
         framework = make_framework(batch=8)
-        ingestor = BatchIngestor(framework)  # provenance ON: cuts extra blocks
-        ingestor.register(framework.register_source("blk-cam", tier=SourceTier.TRUSTED))
+        ingestor = BatchIngestor(framework)
+        ingestor.register(framework.register_source("blk-cam"))  # untrusted: scored
         height_before = framework.channel.height()
         report = ingestor.ingest(make_items("blk-cam", 8))
         assert report.blocks == 1
-        # The follow-ups really did cut more blocks — they are just not
+        # The score write really did cut one more block — it is just not
         # charged to ingest throughput.
-        assert framework.channel.height() - height_before > report.blocks
+        assert framework.channel.height() - height_before == report.blocks + 1
 
 
 class TestCacheStalenessRace:

@@ -222,6 +222,52 @@ class TestDataUploadRetrieval:
             channel.query(client, "data_retrieval", "list_by_time_range", ["100", "0"])
 
 
+class TestAtomicStore:
+    """``data_upload.store``: record + captured → stored trail, one rwset."""
+
+    def test_store_writes_record_and_trail_in_one_transaction(self, env):
+        _, channel, client = env
+        height = channel.height()
+        result = channel.invoke(
+            client, "data_upload", "store", ["bafyfake", "ab" * 32, json.dumps(META)]
+        )
+        assert result.ok and channel.height() == height + 1
+        entry_id = json.loads(result.response)["entry_id"]
+        assert entry_id == result.tx_id
+        assert q(channel, client, "data_retrieval", "get_cid", [entry_id]) == "bafyfake"
+        chain = q(channel, client, "provenance", "lineage", [entry_id])
+        assert [(e["action"], e["actor"], e["details"]) for e in chain] == [
+            ("captured", "client", {"data_hash": "ab" * 32}),
+            ("stored", "client", {"cid": "bafyfake"}),
+        ]
+        assert {e["tx_id"] for e in chain} == {result.tx_id}
+        assert q(channel, client, "provenance", "verify", [entry_id])["length"] == 2
+
+    def test_failure_in_the_nested_record_leaves_nothing(self, env, monkeypatch):
+        _, channel, client = env
+        original = ProvenanceChaincode.record
+
+        def stored_fails(self, stub, entry_id, action, actor, details_json="{}"):
+            if action == "stored":
+                raise ChaincodeError("lineage store unavailable")
+            return original(self, stub, entry_id, action, actor, details_json)
+
+        monkeypatch.setattr(ProvenanceChaincode, "record", stored_fails)
+        before = {name: peer.world.keys() for name, peer in channel.peers.items()}
+        with pytest.raises(ChaincodeError, match="lineage store unavailable"):
+            channel.invoke(
+                client, "data_upload", "store", ["bafyfake", "ab" * 32, json.dumps(META)]
+            )
+        # add_data and the captured event had already been simulated when
+        # the stored event raised; none of it may reach any peer's state.
+        assert {name: peer.world.keys() for name, peer in channel.peers.items()} == before
+        assert not any(
+            key.startswith(("data:", "provhead:")) or "prov" in key
+            for keys in before.values()
+            for key in keys
+        )
+
+
 class TestProvenance:
     def test_record_and_lineage(self, env):
         _, channel, client = env

@@ -1,6 +1,8 @@
 """Chaos engineering: seeded fault injection drives the whole stack and the
 system must come back — zero data loss, deterministic recovery traces."""
 
+import json
+
 import pytest
 
 from repro.chaos import (
@@ -102,7 +104,10 @@ class TestStandardScenario:
     def run(self):
         registry = MetricsRegistry()
         set_registry(registry)
-        return get_scenario("standard", seed=0, n_cycles=50).run(), registry
+        seen = {}
+        scenario = get_scenario("standard", seed=0, n_cycles=50)
+        scenario.on_cycle = lambda cycle, framework, manager: seen.update(framework=framework)
+        return scenario.run(), registry, seen["framework"]
 
     @pytest.fixture()
     def report(self, run):
@@ -131,6 +136,53 @@ class TestStandardScenario:
         assert counters.get('circuit_transitions_total{dep="fabric",to="open"}', 0) >= 1
         assert counters.get('circuit_transitions_total{dep="fabric",to="closed"}', 0) >= 1
         assert counters.get('chaos_faults_total{kind="MessageChaosOn"}', 0) == 3
+
+
+    def test_every_stored_record_has_its_whole_trail(self, run):
+        """The store is one transaction, so a drop storm can refuse a record
+        but cannot commit it without its trail (three rounds could: data in,
+        a provenance retry exhausted — 4 of 48 records on this seed)."""
+        _, _, framework = run
+        channel = framework.channel
+        tallest = max(channel.peers.values(), key=lambda p: p.ledger.height)
+        entries = [key[len("data:"):] for key, _ in tallest.world.range("data:", "data:\x7f")]
+        assert len(entries) >= 40
+        for entry_id in entries:
+            lineage = json.loads(
+                channel.query(framework.admin, "provenance", "lineage", [entry_id], peer=tallest.name)
+            )
+            assert [e["action"] for e in lineage[:2]] == ["captured", "stored"], entry_id
+            verified = json.loads(
+                channel.query(framework.admin, "provenance", "verify", [entry_id], peer=tallest.name)
+            )
+            assert verified["length"] == len(lineage)
+
+
+class TestStandardScenarioAcrossSeeds:
+    """Seed 0 was the only one pinned, and seeds 3 and 4 ended 20/50: after
+    the drop storm the validators sat 2/2 in adjacent views for good. Views
+    resynchronise now, on every seed."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    def test_recovers_with_zero_loss_and_consistent_logs(self, seed):
+        import dataclasses
+
+        from repro.analysis.runtime import active_sanitizer
+
+        scenario = get_scenario("standard", seed=seed)
+        scenario.config = dataclasses.replace(scenario.config, sanitize="consensus")
+
+        def logs_agree(cycle, framework, manager):
+            assert framework.channel.orderer.cluster.log_prefix_consistent(), cycle
+
+        scenario.on_cycle = logs_agree
+        report = scenario.run()
+        assert report.submitted_ok >= 40
+        assert report.data_loss == 0 and report.stored == report.submitted_ok
+        assert all(c.submitted and c.retrieved for c in report.cycles if c.cycle >= 30)
+        san_report = active_sanitizer().finalize()
+        assert san_report.ok, san_report.render()  # SAN306
+        assert san_report.checks["consensus"] == 1
 
 
 class TestDeterminism:

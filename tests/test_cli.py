@@ -145,7 +145,7 @@ class TestExplorerCli:
     def test_explorer_blocks_and_provenance(self, capsys):
         assert main(["explorer", "blocks", "--videos", "1"]) == 0
         out = capsys.readouterr().out
-        assert "data_upload.add_data(VALID)" in out
+        assert "data_upload.store(VALID)" in out
         assert main(["explorer", "provenance", "--videos", "1"]) == 0
         out = capsys.readouterr().out
         assert "captured@" in out and "stored@" in out

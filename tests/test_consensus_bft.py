@@ -292,6 +292,61 @@ class TestViewChangeSafety:
         assert cluster.log_prefix_consistent()
 
 
+class TestViewSynchronisation:
+    """A replica left in an old view follows f+1 peers that moved on; fewer
+    than f+1 move nobody."""
+
+    def test_two_two_view_split_reunites_on_a_clean_network(self):
+        """Views 32/32/31/31: each side's primary proposes, its one follower
+        prepares, nobody reaches 2f+1 — and a primary arms no timeout, so
+        each side only ever holds one view-change vote. Without view
+        synchronisation this never decides anything."""
+        cluster = make_cluster(view_timeout=0.5)
+        for name, view in zip(cluster.replica_names, (32, 32, 31, 31)):
+            cluster.replicas[name].view = view
+        req = cluster.submit("after the split")
+        cluster.run()
+        assert cluster.agreement_reached(req.request_id)
+        assert len({r.view for r in cluster.replicas.values()}) == 1
+        assert cluster.log_prefix_consistent()
+
+    def _claim(self, cluster, liars, view):
+        from repro.consensus.messages import Prepare
+
+        for liar in liars:
+            cluster.replicas[liar].broadcast(
+                Prepare(view, 0, "no-such-digest", liar, True), kind="Prepare"
+            )
+        cluster.run()
+
+    def test_one_liar_moves_nobody_f_plus_one_do(self):
+        cluster = make_cluster()
+        honest = [cluster.replicas[n] for n in ("validator-0", "validator-1")]
+        self._claim(cluster, ["validator-3"], 10**6)
+        assert [r.view for r in honest] == [0, 0]
+        self._claim(cluster, ["validator-2"], 10**6 + 7)
+        # f+1 = 2 peers are ahead now: follow to the view both have reached.
+        assert [r.view for r in honest] == [10**6, 10**6]
+        req = cluster.submit("still live")
+        cluster.run()
+        assert all(
+            any(d.request.request_id == req.request_id for d in r.log) for r in honest
+        )
+
+    def test_peer_views_hold_replica_names_only(self):
+        from repro.consensus.messages import Commit, Prepare
+
+        cluster = make_cluster()
+        replica = cluster.replicas["validator-1"]
+        for i in range(50):
+            replica._dispatch(Prepare(9, i, "d", f"stranger-{i}", True))
+            replica._dispatch(Commit(9 + i, i, "d", f"validator-{i % 4}", True))
+        # No stranger was remembered, so _peer_views cannot outgrow n, and the
+        # three real peers ended on 57 / 55 / 56: f+1 of them reached 56.
+        assert replica._peer_views == {"validator-0": 57, "validator-2": 55, "validator-3": 56}
+        assert replica.view == 56
+
+
 class TestLogHashChain:
     """The decided log's seq-ordered hash chain behind ``log_frontier``."""
 

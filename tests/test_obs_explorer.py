@@ -98,6 +98,18 @@ class TestProvenance:
         assert trail == explorer.lineage(entry_id)
         assert trail == client.provenance(entry_id)
 
+    def test_trail_spans_store_and_bare_record_transactions(self, deployment):
+        """Events are found by the key they wrote, whichever chaincode call
+        wrote them: the store transaction's two, then retrieve's own."""
+        framework, client = deployment
+        entry_id = _submit(client, n=1)[0]
+        client.retrieve(entry_id)
+        explorer = LedgerExplorer(framework.channel)
+        trail = explorer.provenance_trail(entry_id)
+        assert [e["action"] for e in trail] == ["captured", "stored", "accessed"]
+        assert trail[0]["tx_id"] == trail[1]["tx_id"] == entry_id != trail[2]["tx_id"]
+        assert trail == explorer.lineage(entry_id)
+
     def test_batch_ingest_trail_attributes_each_source(self):
         framework = Framework(FrameworkConfig(max_batch_size=8))
         ingestor = BatchIngestor(framework, record_provenance=True)

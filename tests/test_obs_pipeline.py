@@ -54,7 +54,6 @@ class TestStorageSpanTree:
             "fabric.peer.endorse",
             "fabric.order",
             "fabric.peer.commit",
-            "submit.provenance",
             "submit.trust_update",
         ):
             assert required in names, f"missing {required} under client.submit"
