@@ -7,14 +7,12 @@ Four cooperating layers keep the framework's trust story machine-checked:
   concurrency/error-handling hygiene rules (HYG2xx);
 * :mod:`repro.analysis.flow` — ``repro flowcheck``, whole-program
   interprocedural analysis: nondeterminism taint reaching
-  consensus-critical sinks (FLOW5xx) and static lock-order / shared-state
-  checks (FLOW6xx) over an alias-resolved call graph;
-* :mod:`repro.analysis.runtime` (+ :mod:`divergence`, :mod:`invariants`,
-  :mod:`lockcheck`) — sanitizers (SAN3xx/SAN4xx) toggled by
-  ``REPRO_SANITIZE``/``--sanitize`` that re-simulate endorsements, audit
-  ledger invariants at every commit, and detect lock-order inversions;
+  consensus-critical sinks (FLOW5xx) over an alias-resolved call graph;
+* :mod:`repro.analysis.runtime` (+ :mod:`divergence`, :mod:`invariants`)
+  — sanitizers (SAN3xx) toggled by ``REPRO_SANITIZE``/``--sanitize`` that
+  re-simulate endorsements and audit ledger invariants at every commit;
 * :mod:`repro.analysis.baseline` — the accepted-findings baselines the
-  ``lint-gate`` and ``flow-gate`` CI jobs diff against.
+  ``lint-gate`` CI job diffs against.
 
 Both static layers parse through :mod:`repro.analysis.astcache`, so one
 process (or one CI cache directory) parses each module once.
@@ -27,16 +25,6 @@ from .flow import analyze_paths as flow_analyze_paths
 from .flow import build_program
 from .invariants import check_store
 from .linter import lint_file, lint_paths, lint_source
-from .lockcheck import (
-    GuardedShared,
-    LockRegistry,
-    TimedLock,
-    TrackedLock,
-    guard_shared,
-    lock_name,
-    make_lock,
-    unwrap_tracked,
-)
 from .rules import (
     RULES,
     Finding,
@@ -59,31 +47,23 @@ __all__ = [
     "RULES",
     "Finding",
     "FlowFinding",
-    "GuardedShared",
-    "LockRegistry",
     "Pragmas",
     "Rule",
     "Sanitizer",
     "SanitizerReport",
-    "TimedLock",
-    "TrackedLock",
     "build_program",
     "check_store",
     "diff_baseline",
     "enabled_modes",
     "flow_analyze_paths",
     "get_rule",
-    "guard_shared",
     "install_sanitizers",
     "last_report",
     "lint_file",
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "lock_name",
-    "make_lock",
     "parse_modes",
     "parse_pragmas",
-    "unwrap_tracked",
     "write_baseline",
 ]

@@ -1,16 +1,13 @@
-"""Interprocedural flow analysis: nondeterminism taint + static lock checks.
+"""Interprocedural flow analysis: nondeterminism taint.
 
-Three passes over one whole-program index (see :mod:`.callgraph`):
+One pass over one whole-program index (see :mod:`.callgraph`):
 
 * :mod:`.taint` — FLOW501–506, nondeterminism sources reaching
   consensus-critical sinks through any number of calls;
-* :mod:`.concurrency` — FLOW601–603, static lock-order cycles, unguarded
-  thread-shared writes, blocking under a lock;
 * :mod:`.engine` — orchestration, pragma filtering, deterministic output.
 """
 
 from .callgraph import Program, build_program
-from .concurrency import analyze_concurrency
 from .engine import FlowReport, analyze_paths, analyze_program
 from .taint import analyze_taint
 
@@ -20,6 +17,5 @@ __all__ = [
     "analyze_paths",
     "analyze_program",
     "analyze_taint",
-    "analyze_concurrency",
     "FlowReport",
 ]

@@ -1,7 +1,7 @@
 """Whole-program call graph with alias-aware name resolution.
 
-The flow analyzer's three passes (taint, lock order, shared-write) share one
-view of the program, built here in two phases:
+The flow analyzer's taint pass sees the program through one index, built
+here in two phases:
 
 1. **Index** — every module under the scan roots is parsed (through the
    shared AST cache) and its imports, classes, functions, and methods are
@@ -16,11 +16,6 @@ view of the program, built here in two phases:
    through a *unique-method* index: an attribute call whose name names
    exactly one method in the whole program resolves to it; ambiguous names
    stay unresolved rather than guessing.
-
-Thread-entry edges are first-class: ``parallel_map(fn, …)``,
-``Thread(target=fn)``, and ``executor.submit(fn, …)``/``pool.map(fn, …)``
-record an edge *caller → fn* marked ``thread=True``, so downstream passes
-know which functions execute off the caller's thread.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ from repro.errors import AnalysisError
 
 from ..astcache import parse_module
 
-# Receiver names that mark `.submit(fn)` / `.map(fn)` as a pool dispatch.
-_POOL_HINTS = ("pool", "executor", "workers")
 # Method names too generic to resolve through the unique-method index even
 # when the program happens to define exactly one: these collide with
 # builtin container/stdlib APIs constantly.
@@ -61,7 +54,6 @@ class CallSite:
 
     node: ast.Call
     callee: Callee | None          # None = unresolved
-    thread_targets: list[str] = field(default_factory=list)  # qualnames run on other threads
 
 
 @dataclass
@@ -110,8 +102,8 @@ class Program:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.method_index: dict[str, list[str]] = {}
-        # caller qualname -> [(callee qualname, thread?)]
-        self.edges: dict[str, list[tuple[str, bool]]] = {}
+        # caller qualname -> [callee qualname]
+        self.edges: dict[str, list[str]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -120,18 +112,8 @@ class Program:
 
     def callers_of(self, qualname: str) -> list[str]:
         return sorted(
-            caller for caller, outs in self.edges.items()
-            if any(target == qualname for target, _ in outs)
+            caller for caller, outs in self.edges.items() if qualname in outs
         )
-
-    def thread_entries(self) -> list[str]:
-        """Functions that run on a spawned thread (pool task / Thread target)."""
-        entries = set()
-        for outs in self.edges.values():
-            for target, threaded in outs:
-                if threaded:
-                    entries.add(target)
-        return sorted(entries)
 
     def resolve_method(self, class_qualname: str, method: str) -> str | None:
         """Look up *method* on a class, walking declared bases."""
@@ -163,11 +145,10 @@ class Program:
                 for q, f in sorted(self.functions.items())
             },
             "edges": sorted(
-                [caller, target, "thread" if threaded else "call"]
+                [caller, target]
                 for caller, outs in self.edges.items()
-                for target, threaded in outs
+                for target in outs
             ),
-            "thread_entries": self.thread_entries(),
         }
 
 
@@ -408,65 +389,6 @@ class Resolver:
         return None
 
 
-_THREAD_FACTORIES = {
-    "threading.Thread": "target",
-    "threading.Timer": None,       # positional arg 1
-}
-_POOL_METHODS = frozenset({"submit", "map"})
-_PARALLEL_MAP = ("repro.util.parallel.parallel_map", "parallel_map")
-
-
-def _thread_targets(resolver: Resolver, call: ast.Call, callee: Callee | None) -> list[str]:
-    """Function qualnames this call hands to another thread."""
-    refs: list[ast.expr] = []
-    if callee is not None and callee.kind == "external":
-        if callee.target in _THREAD_FACTORIES:
-            for kw in call.keywords:
-                if kw.arg == "target":
-                    refs.append(kw.value)
-            if callee.target == "threading.Timer" and len(call.args) >= 2:
-                refs.append(call.args[1])
-    target_name = callee.target if callee is not None else ""
-    func = call.func
-    # parallel_map is recognized by name even when the receiver can't be
-    # resolved (`self.pool.parallel_map(fn, …)`) — the name is specific
-    # enough that a syntactic match beats losing the thread edge.
-    syntactic_pm = (isinstance(func, ast.Name) and func.id == "parallel_map") or (
-        isinstance(func, ast.Attribute) and func.attr == "parallel_map"
-    )
-    if call.args and (
-        syntactic_pm
-        or target_name in _PARALLEL_MAP
-        or target_name.endswith(".parallel_map")
-    ):
-        refs.append(call.args[0])
-    if isinstance(func, ast.Attribute) and func.attr in _POOL_METHODS:
-        recv = func.value
-        recv_name = ""
-        if isinstance(recv, ast.Name):
-            recv_name = recv.id
-        elif isinstance(recv, ast.Attribute):
-            recv_name = recv.attr
-        if any(hint in recv_name.lower() for hint in _POOL_HINTS):
-            if call.args:
-                refs.append(call.args[0])
-    targets = []
-    for ref in refs:
-        if isinstance(ref, ast.Lambda):
-            # `parallel_map(lambda x: self.fetch(x), …)` — every function the
-            # lambda body calls runs on the worker thread.
-            for inner in ast.walk(ref.body):
-                if isinstance(inner, ast.Call):
-                    resolved = resolver.resolve_callable(inner.func)
-                    if resolved is not None and resolved.kind == "func":
-                        targets.append(resolved.target)
-            continue
-        resolved = resolver.resolve_callable(ref)
-        if resolved is not None and resolved.kind == "func":
-            targets.append(resolved.target)
-    return targets
-
-
 def _own_statements(fn: FunctionInfo) -> list[ast.AST]:
     """All AST nodes of a function body, excluding nested def bodies
     (nested defs are separate functions in the index)."""
@@ -490,13 +412,10 @@ def _resolve_calls(program: Program) -> None:
             if not isinstance(node, ast.Call):
                 continue
             callee = resolver.resolve_callable(node.func)
-            threads = _thread_targets(resolver, node, callee)
-            sites.append(CallSite(node=node, callee=callee, thread_targets=threads))
+            sites.append(CallSite(node=node, callee=callee))
             outs = program.edges.setdefault(fn.qualname, [])
             if callee is not None and callee.kind == "func":
-                outs.append((callee.target, False))
-            for t in threads:
-                outs.append((t, True))
+                outs.append(callee.target)
         # Deterministic order for downstream traversals.
         sites.sort(key=lambda s: (s.node.lineno, s.node.col_offset))
         fn.calls = sites

@@ -1,10 +1,10 @@
 """Front door of the flow analyzer: build → analyze → filter → report.
 
-``analyze_paths`` is what the ``repro flowcheck`` CLI and the flow-gate CI
+``analyze_paths`` is what the ``repro flowcheck`` CLI and the lint-gate CI
 job call: it builds the whole-program index once (through the shared AST
-cache), runs the taint and concurrency passes over it, converts raw pass
-output into :class:`~repro.analysis.rules.FlowFinding` records, applies the
-same pragma machinery the linter uses (``# reprolint: disable=FLOW501``
+cache), runs the taint pass over it, converts raw pass output into
+:class:`~repro.analysis.rules.FlowFinding` records, applies the same pragma
+machinery the linter uses (``# reprolint: disable=FLOW501``
 suppresses a finding whose *anchor line* carries the pragma;
 ``disable-file`` suppresses for the whole module), and returns findings in
 a deterministic order — sorted by path, line, column, rule — so baseline
@@ -19,7 +19,6 @@ from pathlib import Path
 
 from ..rules import FlowFinding, parse_pragmas
 from .callgraph import Program, build_program
-from .concurrency import analyze_concurrency
 from .taint import analyze_taint
 
 
@@ -76,33 +75,24 @@ def _apply_pragmas(program: Program, findings: list[FlowFinding]) -> list[FlowFi
 
 
 def analyze_program(program: Program) -> FlowReport:
-    """Run both flow passes over an already-built program index."""
-    findings: list[FlowFinding] = []
-
+    """Run the taint pass over an already-built program index."""
     taint = analyze_taint(program)
-    for t in taint:
-        findings.append(FlowFinding.for_rule(
+    findings = [
+        FlowFinding.for_rule(
             t.rule_id, t.path, t.line, t.col,
             f"{t.kind} value flows into {t.sink}()",
             trace=t.trace,
-        ))
-
-    conc = analyze_concurrency(program)
-    for c in conc:
-        findings.append(FlowFinding.for_rule(
-            c.rule_id, c.path, c.line, c.col, c.message, trace=c.trace,
-        ))
-
+        )
+        for t in taint
+    ]
     findings = _apply_pragmas(program, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message))
     stats = {
         "modules": len(program.modules),
         "functions": len(program.functions),
         "call_edges": sum(len(v) for v in program.edges.values()),
-        "thread_entries": len(program.thread_entries()),
         "taint_findings": len(taint),
-        "concurrency_findings": len(conc),
-        "suppressed": len(taint) + len(conc) - len(findings),
+        "suppressed": len(taint) - len(findings),
     }
     return FlowReport(findings=findings, program=program, stats=stats)
 

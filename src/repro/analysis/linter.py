@@ -7,8 +7,8 @@ Two rule families (catalogue in :mod:`repro.analysis.rules`):
   is simulated independently by every endorser, so any ambient input (wall
   clock, RNG, environment, uuid, hash order) or non-canonical encoding
   diverges the rwsets and voids the endorsement-policy comparison.
-* **HYG2xx** fire everywhere — concurrency and error-handling hygiene for
-  the threaded paths added around ``util.parallel``.
+* **HYG2xx** fire everywhere — locking and error-handling hygiene (callers
+  may drive a ``Client`` from their own threads).
 
 The analyzer is purely syntactic: imports are resolved through their
 aliases (``import numpy.random as nr`` still trips DET102) but no types are

@@ -7,17 +7,16 @@ a mode spec — from the ``REPRO_SANITIZE`` environment variable, the
 
     REPRO_SANITIZE=all                 # every sanitizer
     REPRO_SANITIZE=divergence,ledger   # just those two
-    repro chaos run standard --sanitize locks
+    repro chaos run standard --sanitize index
 
-Modes: ``divergence`` (SAN301), ``ledger`` (SAN302–SAN305), ``locks``
-(SAN401/SAN402), ``consensus`` (SAN306), ``recovery`` (SAN307), ``index``
-(SAN308/SAN309).
+Modes: ``divergence`` (SAN301), ``ledger`` (SAN302–SAN305), ``consensus``
+(SAN306), ``recovery`` (SAN307), ``index`` (SAN308/SAN309).
 
 :func:`install_sanitizers` wires a :class:`Sanitizer` into a channel; the
 peers call back after each endorsement/commit. Findings accumulate instead
 of raising, so one run reports every violation; :meth:`Sanitizer.finalize`
-adds the end-of-run checks (consensus log consistency, lock-graph cycles)
-and publishes the :class:`SanitizerReport` for the CLI/CI gate.
+adds the end-of-run check (consensus log consistency) and publishes the
+:class:`SanitizerReport` for the CLI/CI gate.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 
-from . import divergence, invariants, lockcheck
+from . import divergence, invariants
 from .rules import Finding
 
-MODES = ("divergence", "ledger", "locks", "consensus", "recovery", "index")
+MODES = ("divergence", "ledger", "consensus", "recovery", "index")
 
 
 def parse_modes(spec: str) -> frozenset[str]:
@@ -98,9 +97,6 @@ class Sanitizer:
     def __init__(self, modes: frozenset[str]) -> None:
         self.modes = frozenset(modes)
         self.channel = None
-        self.lock_registry = (
-            lockcheck.LockRegistry() if "locks" in self.modes else None
-        )
         self._mutex = threading.Lock()
         self._findings: list[Finding] = []
         self._checks = {mode: 0 for mode in sorted(self.modes)}
@@ -272,17 +268,9 @@ class Sanitizer:
         ]
 
     def finalize(self) -> SanitizerReport:
-        """Run the end-of-run checks and publish the report (idempotent)."""
+        """Run the end-of-run check and publish the report (idempotent)."""
         if not self._finalized:
-            extra: list[Finding] = []
-            if "consensus" in self.modes:
-                extra.extend(self._check_consensus())
-            if self.lock_registry is not None:
-                with self._mutex:
-                    self._checks["locks"] += 1
-                extra.extend(self.lock_registry.findings())
-                if lockcheck.active_registry() is self.lock_registry:
-                    lockcheck.deactivate()
+            extra = self._check_consensus() if "consensus" in self.modes else []
             with self._mutex:
                 self._findings.extend(extra)
                 self._finalized = True
@@ -294,8 +282,6 @@ class Sanitizer:
         with self._mutex:
             findings = list(self._findings)
             checks = dict(self._checks)
-        if self.lock_registry is not None and not self._finalized:
-            findings.extend(self.lock_registry.findings())
         return SanitizerReport(
             modes=tuple(sorted(self.modes)),
             checks=checks,
@@ -344,7 +330,5 @@ def install_sanitizers(channel, spec: str = "") -> Sanitizer | None:
     channel.sanitizer = sanitizer
     for peer in channel.peers.values():
         peer.sanitizer = sanitizer
-    if sanitizer.lock_registry is not None:
-        lockcheck.activate(sanitizer.lock_registry)
     _ACTIVE = sanitizer
     return sanitizer

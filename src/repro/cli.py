@@ -9,7 +9,7 @@ every invocation stands up a fresh network — there is no daemon):
 * ``query "<text>"``       — run a query against a freshly populated demo set
 * ``chaos``                — run a seeded fault-injection scenario (``chaos list`` to enumerate)
 * ``lint``                 — run the reprolint static analyzer (determinism + hygiene rules)
-* ``flowcheck``            — run the interprocedural flow analyzer (taint + lock analysis)
+* ``flowcheck``            — run the interprocedural flow analyzer (nondeterminism taint)
 * ``sanitize-run``         — run a chaos scenario with the runtime sanitizers enabled
 * ``metrics``              — run a traced demo, print the metrics (Prometheus/JSON)
 * ``trace``                — run a traced demo, print the span tree + Fig. 5/6 breakdown
@@ -32,6 +32,8 @@ import repro
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.runtime import MODES as sanitizer_modes
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Blockchain-enabled storage/retrieval framework (IPPS 2025 reproduction)",
@@ -111,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--top", type=int, default=20,
                       help="cost-center rows to print (default 20)")
     prof.add_argument("--json", action="store_true", dest="as_json",
-                      help="print the profile (centers/locks/queues/coverage) as JSON")
+                      help="print the profile (centers/queues/coverage) as JSON")
     prof.add_argument("--collapsed", default=None, metavar="FILE",
                       help="write collapsed stacks (flamegraph.pl input)")
     prof.add_argument("--out", default=None, metavar="FILE",
@@ -158,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "verify the expected fire→resolve lifecycle (CI health gate)")
     chaos_run.add_argument("--sanitize", default="", metavar="MODES",
                            help="enable runtime sanitizers for the run: 'all' or a comma "
-                                "list of divergence,ledger,locks,consensus,recovery")
+                                f"list of {','.join(sanitizer_modes)}")
     chaos_sub.add_parser("list", help="list available scenarios")
 
     lint = sub.add_parser(
@@ -175,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flowcheck = sub.add_parser(
         "flowcheck",
         help="run the interprocedural flow analyzer (nondeterminism taint "
-             "FLOW5xx + static lock analysis FLOW6xx) over source paths",
+             "FLOW5xx) over source paths",
     )
     flowcheck.add_argument("paths", nargs="*", default=["src/repro"],
                            help="files or directories to analyze (default: src/repro)")

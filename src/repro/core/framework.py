@@ -64,10 +64,10 @@ class FrameworkConfig:
     breaker_failure_threshold: int = 8
     breaker_cooldown_s: float = 0.25
     resilience_seed: int = 0
-    # Runtime sanitizer modes (repro.analysis): "" disables, "all" enables
-    # everything, or a comma list of
-    # divergence/ledger/locks/consensus/recovery. Combined with the
-    # REPRO_SANITIZE environment variable at build time.
+    # Runtime sanitizer modes: "" disables, "all" enables everything, or a
+    # comma list of names from repro.analysis.runtime.MODES (the one place
+    # they are listed). Combined with the REPRO_SANITIZE environment
+    # variable at build time.
     sanitize: str = ""
     # Durable node state (repro.storage): when enabled, every peer and the
     # orderer journal to a simulated DurableStore (WAL + checkpoints), and

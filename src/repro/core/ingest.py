@@ -2,15 +2,15 @@
 
 ``Client.submit`` is synchronous — one transaction, one block — which is
 right for interactive use and wrong for a camera uploading a day of
-footage. :class:`BatchIngestor` pipelines the store path: payloads go to
-IPFS in parallel (chunking + hashing + replication overlap on a thread
-pool), metadata transactions queue into the orderer's batch
-(``max_batch_size > 1``) where *one* BFT consensus instance per block
-decides them all, and one flush commits a whole block of entries. Each
-item is the same ``data_upload.store`` transaction ``Client.submit`` sends —
-record and ``captured`` → ``stored`` trail together, under the identity of
-the source that submitted it — and trust updates coalesce to one score
-write per source per batch rather than one per item.
+footage. :class:`BatchIngestor` batches the store path: payloads go to
+IPFS one after another in input order, metadata transactions queue into
+the orderer's batch (``max_batch_size > 1``) where *one* BFT consensus
+instance per block decides them all, and one flush commits a whole block
+of entries. Each item is the same ``data_upload.store`` transaction
+``Client.submit`` sends — record and ``captured`` → ``stored`` trail
+together, under the identity of the source that submitted it — and trust
+updates coalesce to one score write per source per batch rather than one
+per item.
 
 Admission is per item: a non-admitted source's items are skipped and
 counted in :attr:`IngestReport.rejected` (nothing of theirs is stored
@@ -67,12 +67,10 @@ class IngestReport:
 
 @dataclass
 class BatchIngestor:
-    """Pipelined multi-item ingestion for one framework."""
+    """Batched multi-item ingestion for one framework."""
 
     framework: Framework
     record_provenance: bool = True
-    # Thread-pool width for the off-chain store phase (None = default).
-    io_workers: int | None = None
     _identities: dict[str, Identity] = field(default_factory=dict)
 
     def register(self, identity: Identity) -> None:
@@ -135,22 +133,15 @@ class BatchIngestor:
 
             admitted, skipped = self._admit(items)
 
-            # Off-chain store: chunk + hash + replicate every payload in
-            # parallel — the per-item pipelines are independent, so the
-            # batch overlaps instead of serializing.
+            # Off-chain store: chunk + hash every payload, in input order.
             with obs_span("ingest.store") as sp:
                 payloads = [item.payload for item, _ in admitted]
                 payload_bytes = sum(len(p) for p in payloads)
                 sp.set_attr("bytes", payload_bytes)
-                add_results = framework.ipfs.add_many(
-                    payloads, max_workers=self.io_workers
-                )
-                hashes = parallel_map(
-                    lambda p: hashlib.sha256(p).hexdigest(),
-                    payloads,
-                    max_workers=self.io_workers,
-                    queue="ingest.hash",
-                )
+                add_results = framework.ipfs.add_many(payloads)
+                # Through the module global on purpose: the e2e harness wraps
+                # it to time this sha256 pass (span ``ingest.hash_payloads``).
+                hashes = parallel_map(lambda p: hashlib.sha256(p).hexdigest(), payloads)
 
             # On-chain metadata (+ provenance trail unless switched off):
             # endorse + queue into the orderer's batch; one flush drives one

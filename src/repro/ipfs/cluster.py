@@ -20,7 +20,6 @@ from repro.ipfs.node import IpfsNode
 from repro.ipfs.unixfs import AddResult
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
-from repro.util.parallel import parallel_map
 
 
 @dataclass(frozen=True)
@@ -143,15 +142,14 @@ class IpfsCluster:
         payloads: list[bytes],
         node: str | None = None,
         announce: bool = True,
-        max_workers: int | None = None,
     ) -> list[AddResult]:
-        """Store many payloads, overlapping chunking+hashing on a thread
-        pool; results come back in input order.
+        """Store many payloads in input order under one span.
 
         All payloads land on one node (the requested one, or the add
-        failover target), exactly as N sequential :meth:`add` calls would;
-        provider records are announced serially afterwards so the DHT sees
-        the same sequence of updates as the serial path.
+        failover target) with the results, block-store insertion order and
+        DHT announcement sequence of N sequential :meth:`add` calls. The
+        first failing payload's error propagates: nothing after it is
+        stored, and a failed batch announces nothing.
         """
         with obs_span("ipfs.add_many") as sp:
             sp.set_attr("items", len(payloads))
@@ -164,34 +162,11 @@ class IpfsCluster:
                 sp.set_attr("failover_from", target.peer_id)
                 target = self.node(None)
             sp.set_attr("node", target.peer_id)
-            results = parallel_map(
-                target.add_bytes, payloads, max_workers=max_workers, queue="ipfs.add"
-            )
+            results = [target.add_bytes(payload) for payload in payloads]
             if announce:
                 for result in results:
                     self.dht.provide(target.peer_id, result.cid)
             return results
-
-    def cat_many(
-        self,
-        cids: list[CID],
-        node: str | None = None,
-        max_workers: int | None = None,
-    ) -> list[bytes]:
-        """Fetch many files concurrently; results come back in input order.
-
-        Each fetch follows the full :meth:`cat` path (local fast path, DHT
-        provider discovery, bitswap, stale-provider failover); the first
-        failing fetch's error propagates, as in a serial loop.
-        """
-        with obs_span("ipfs.cat_many") as sp:
-            sp.set_attr("items", len(cids))
-            return parallel_map(
-                lambda cid: self.cat(cid, node=node),
-                cids,
-                max_workers=max_workers,
-                queue="ipfs.cat",
-            )
 
     def providers_for(self, cid: CID, requester: str) -> list[str]:
         with obs_span("ipfs.dht.providers") as sp:

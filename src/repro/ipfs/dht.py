@@ -15,9 +15,9 @@ experiments can check the O(log n) routing property.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 
-from repro.analysis.lockcheck import make_lock
 from repro.crypto.cid import CID
 
 K_BUCKET_SIZE = 20
@@ -127,9 +127,9 @@ class DhtRegistry:
         self.nodes: dict[str, DhtNode] = {}
         self.replication = replication
         self.bucket_size = bucket_size
-        # Concurrent cat()/add() workers run lookups in parallel; the hop
+        # Callers may read through one cluster from several threads; the hop
         # counter is the only cross-thread mutable state in the registry.
-        self._stats_lock = make_lock("dht.stats")
+        self._stats_lock = threading.Lock()
         self.lookup_hops = 0
 
     # -- membership ----------------------------------------------------------

@@ -67,7 +67,6 @@ STAGE_LABELS = {
     "fabric.query": "on-chain read",
     "query.fetch": "off-chain fetch",
     "ipfs.cat": "off-chain fetch",
-    "ipfs.cat_many": "off-chain fetch",
     "ipfs.dht.providers": "dht resolve",
     "ipfs.node.cat": "off-chain fetch",
     "query.verify": "integrity verify",

@@ -2,7 +2,7 @@
 
 ``pipeline_breakdown()`` and ``repro critpath`` attribute wall time to
 *stages* (spans) and nodes; this module attributes it to *cost centers* —
-``crypto.sign``, ``serialize.canonical_json``, ``lock.wait`` — below the
+``crypto.sign``, ``serialize.canonical_json``, ``queue.wait`` — below the
 span level, so "the fixed overhead is dominated by signing/serialization"
 becomes a measured table instead of a guess.
 
@@ -27,14 +27,11 @@ Design mirrors :mod:`repro.obs.tracer`:
   ``peer`` / ``replica`` attr (or an ``orderer`` attr) names the node;
   everything else is ``client`` work.
 
-Lock contention and queue waits are first-class rows: ``lock.wait`` and
-``queue.wait`` centers aggregate across all locks/queues, with per-name
-detail kept separately (:class:`LockStat` / :class:`QueueStat`) and — when
-a registry is attached — exported as ``lock_wait_seconds_total{name}``,
-``lock_hold_seconds_total{name}`` and ``queue_wait_seconds_total{queue}``
-counters plus latency histograms. Lock *hold* time is metrics-only: a
-hold interval contains whatever ran under the lock, so a profile row for
-it would double-count.
+Queue waits are a first-class row: the ``queue.wait`` center aggregates
+across all logical queues (the orderer's batch queue), with per-name detail
+kept separately (:class:`QueueStat`) and — when a registry is attached —
+exported as the ``queue_wait_seconds_total{queue}`` counter plus a latency
+histogram.
 
 Determinism: :meth:`Profiler.fingerprint` hashes **call counts only**
 (never seconds, never bytes — payload byte lengths can embed wall-clock
@@ -65,7 +62,6 @@ from repro.obs.tracer import LATENCY_BUCKETS, Tracer, current_span
 
 __all__ = [
     "CenterStat",
-    "LockStat",
     "QueueStat",
     "ProfileReport",
     "Profiler",
@@ -81,18 +77,16 @@ __all__ = [
     "write_collapsed",
     "chrome_trace_tree",
     "write_chrome_trace_tree",
-    "run_queued",
 ]
 
-# Synthetic centers for stall accounting.
-LOCK_WAIT = "lock.wait"
+# Synthetic center for stall accounting.
 QUEUE_WAIT = "queue.wait"
 
 # Node label for frames recorded outside any node-attributed span.
 CLIENT_NODE = "client"
 
 # The innermost open frame in this execution context (mirrors the
-# tracer's ``_current_span``; worker tasks sever it — see run_queued).
+# tracer's ``_current_span``).
 _current_frame: ContextVar["_Frame | None"] = ContextVar(
     "repro_obs_prof_frame", default=None
 )
@@ -182,26 +176,8 @@ class CenterStat:
 
 
 @dataclass(frozen=True)
-class LockStat:
-    """Contention totals for one named lock (made by ``make_lock``)."""
-
-    name: str
-    acquires: int
-    wait_s: float
-    hold_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "acquires": self.acquires,
-            "wait_s": self.wait_s,
-            "hold_s": self.hold_s,
-        }
-
-
-@dataclass(frozen=True)
 class QueueStat:
-    """Submit→start delay totals for one named work queue."""
+    """Enqueue→start delay totals for one named work queue."""
 
     name: str
     tasks: int
@@ -216,7 +192,6 @@ class ProfileReport:
     """Snapshot of a profiler: centers ranked by exclusive time."""
 
     centers: tuple[CenterStat, ...]
-    locks: tuple[LockStat, ...]
     queues: tuple[QueueStat, ...]
     fingerprint: str
 
@@ -228,7 +203,7 @@ class ProfileReport:
         return self.centers[:n]
 
     def render_lines(self, top_n: int = 20) -> list[str]:
-        """Human tables: top centers, then lock and queue detail."""
+        """Human tables: top centers, then queue detail."""
         from repro.bench.report import format_table
 
         total = self.total_exclusive_s or 1.0
@@ -249,18 +224,6 @@ class ProfileReport:
             ["node", "center", "calls", "excl ms", "incl ms", "bytes", "share"],
             rows,
         ).splitlines()
-        if self.locks:
-            lines.append("")
-            lines.extend(
-                format_table(
-                    "lock contention",
-                    ["lock", "acquires", "wait ms", "hold ms"],
-                    [
-                        [s.name, s.acquires, f"{s.wait_s * 1e3:.3f}", f"{s.hold_s * 1e3:.3f}"]
-                        for s in self.locks
-                    ],
-                ).splitlines()
-            )
         if self.queues:
             lines.append("")
             lines.extend(
@@ -276,7 +239,6 @@ class ProfileReport:
         return {
             "fingerprint": self.fingerprint,
             "centers": [c.to_dict() for c in self.centers],
-            "locks": [s.to_dict() for s in self.locks],
             "queues": [s.to_dict() for s in self.queues],
         }
 
@@ -303,12 +265,7 @@ class ProfileReport:
 
 
 class Profiler:
-    """Accumulates cost-center frames; install via :func:`enable_profiler`.
-
-    Internal state lives behind a *raw* ``threading.Lock`` on purpose:
-    ``make_lock`` routes its contention telemetry here, so the profiler
-    must never route its own locking back through ``make_lock``.
-    """
+    """Accumulates cost-center frames; install via :func:`enable_profiler`."""
 
     def __init__(
         self,
@@ -324,8 +281,6 @@ class Profiler:
         self._paths: dict[tuple[str, tuple[str, ...]], list] = {}
         # span_id -> center -> [calls, exclusive_s]
         self._span_centers: dict[str, dict[str, list]] = {}
-        # lock name -> [acquires, wait_s, hold_s]
-        self._locks: dict[str, list] = {}
         # queue name -> [tasks, wait_s]
         self._queues: dict[str, list] = {}
         # span_id -> resolved node label (walk the parent chain once).
@@ -392,50 +347,11 @@ class Profiler:
                 sacc[0] += 1
                 sacc[1] += exclusive_s
 
-    def _record_leaf(self, center: str, seconds: float) -> None:
-        """Record a completed leaf region with no live frame of its own.
-
-        Used for in-thread stalls (lock waits): the elapsed time already
-        sits inside the enclosing frame's window, so it is charged as a
-        child to keep the parent's exclusive time honest.
-        """
-        parent = _current_frame.get()
-        if parent is not None:
-            parent.child_s += seconds
-            path = parent.path + (center,)
-        else:
-            path = (center,)
-        self._record(center, path, seconds, seconds, 0)
-
-    def record_lock_wait(self, name: str, seconds: float) -> None:
-        self._record_leaf(LOCK_WAIT, seconds)
-        with self._mutex:
-            acc = self._locks.setdefault(name, [0, 0.0, 0.0])
-            acc[0] += 1
-            acc[1] += seconds
-        if self.registry is not None:
-            self.registry.counter("lock_wait_seconds_total", {"name": name}).inc(seconds)
-            self.registry.histogram(
-                "lock_wait_seconds", LATENCY_BUCKETS, labels={"name": name}
-            ).observe(seconds)
-
-    def record_lock_hold(self, name: str, seconds: float) -> None:
-        # Metrics + per-lock detail only: the hold window contains the
-        # work done under the lock, so a profile row would double-count.
-        with self._mutex:
-            acc = self._locks.setdefault(name, [0, 0.0, 0.0])
-            acc[2] += seconds
-        if self.registry is not None:
-            self.registry.counter("lock_hold_seconds_total", {"name": name}).inc(seconds)
-            self.registry.histogram(
-                "lock_hold_seconds", LATENCY_BUCKETS, labels={"name": name}
-            ).observe(seconds)
-
     def record_queue_wait(self, name: str, seconds: float) -> None:
-        """Charge one task's submit→start delay to the ``queue.wait`` center.
+        """Charge one task's enqueue→start delay to the ``queue.wait`` center.
 
-        Called on the worker thread after :func:`run_queued` severed the
-        caller's frame, so it never mutates another thread's open frame.
+        Recorded as a root-level row: the delay overlaps whatever else ran
+        meanwhile, so it is never subtracted from an open frame.
         """
         if seconds < 0.0:
             seconds = 0.0
@@ -471,13 +387,6 @@ class Profiler:
                 for span_id, centers in self._span_centers.items()
             }
 
-    def lock_stats(self) -> list[LockStat]:
-        with self._mutex:
-            return [
-                LockStat(name, acc[0], acc[1], acc[2])
-                for name, acc in sorted(self._locks.items())
-            ]
-
     def queue_stats(self) -> list[QueueStat]:
         with self._mutex:
             return [
@@ -493,7 +402,6 @@ class Profiler:
                     f"{node}|{center}": acc[0]
                     for (node, center), acc in self._centers.items()
                 },
-                "locks": {name: acc[0] for name, acc in self._locks.items()},
                 "queues": {name: acc[0] for name, acc in self._queues.items()},
             }
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -505,7 +413,6 @@ class Profiler:
         )
         return ProfileReport(
             centers=tuple(centers),
-            locks=tuple(self.lock_stats()),
             queues=tuple(self.queue_stats()),
             fingerprint=self.fingerprint(),
         )
@@ -586,24 +493,6 @@ def profiling(
         yield profiler
     finally:
         set_profiler(previous)
-
-
-def run_queued(queue: str, submitted_s: float, fn: Callable, item: Any) -> Any:
-    """Run one pooled task, charging its submit→start delay to ``queue``.
-
-    ``parallel_map`` submits workers with this wrapper when profiling is
-    on. It runs inside the caller's *copied* context (spans propagate as
-    before) but severs the current frame first: a worker must never add
-    child time to a frame that is still open on the submitting thread.
-    """
-    token = _current_frame.set(None)
-    try:
-        profiler = _PROFILER
-        if profiler is not None:
-            profiler.record_queue_wait(queue, profiler.clock() - submitted_s)
-        return fn(item)
-    finally:
-        _current_frame.reset(token)
 
 
 # ---------------------------------------------------------------------------

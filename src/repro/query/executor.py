@@ -37,7 +37,6 @@ import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro.analysis.lockcheck import guard_shared, make_lock
 from repro.crypto.cid import CID
 from repro.errors import EncodingError, IntegrityError, QueryError
 from repro.fabric.channel import Channel
@@ -49,7 +48,6 @@ from repro.obs.tracer import span as obs_span
 from repro.query.ast import Query
 from repro.query.parser import parse_query
 from repro.query.planner import IndexRoute, Plan, plan_query
-from repro.util.parallel import parallel_map
 
 _DATA_PREFIX = "data:"
 _DATA_END = _DATA_PREFIX + "\x7f"
@@ -159,9 +157,6 @@ class QueryEngine:
     # Metadata-only results cached per query text, valid while the chain
     # height is unchanged (any new block may contain new matching records).
     cache_enabled: bool = True
-    # Worker threads fetching payloads concurrently share the stats object;
-    # the lock keeps its counters exact.
-    fetch_workers: int | None = None
     # Route plans through the peers' authenticated secondary index when one
     # is attached and in sync (fall back to chaincode scans otherwise).
     use_index: bool = True
@@ -174,17 +169,9 @@ class QueryEngine:
     # that same object, so a rewritten or deleted key, a recovered peer and
     # a fail-over to another peer all miss and refill without being told.
     _records: dict[str, tuple[bytes, dict]] = field(default_factory=dict, repr=False)
-    # make_lock: a plain Lock normally; instrumented for lock-order and
-    # guarded-write checking when the repro.analysis sanitizers are active.
-    _stats_lock: threading.Lock = field(
-        default_factory=lambda: make_lock("query.stats"), repr=False
-    )
-
-    def __post_init__(self) -> None:
-        # Under the locks sanitizer, any _cache / _records mutation outside
-        # _stats_lock surfaces as a SAN402 finding.
-        self._cache = guard_shared(self._cache, self._stats_lock, "query.cache")
-        self._records = guard_shared(self._records, self._stats_lock, "query.records")
+    # Callers may drive one engine from several threads; the lock keeps the
+    # stats counters exact and guards _cache / _records.
+    _stats_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # -- planning -------------------------------------------------------------
 
@@ -212,8 +199,8 @@ class QueryEngine:
         re-executes instead of serving pre-commit rows as fresh. The cache
         holds at most ``cache_max_entries`` query texts (FIFO eviction).
 
-        With ``fetch_data=True`` the per-row IPFS payloads are fetched
-        concurrently on a thread pool (``fetch_workers`` caps the pool).
+        With ``fetch_data=True`` the per-row IPFS payloads are fetched and
+        verified one after another, in row order.
         """
         with obs_span("query.run") as sp:
             if isinstance(query, str):
@@ -257,16 +244,10 @@ class QueryEngine:
             if from_state:
                 self._check_index_parity(query, plan, matched)
             if fetch_data:
-                fetched = parallel_map(
-                    lambda record: self.fetch_payload_verified(record, verify=verify),
-                    matched,
-                    max_workers=self.fetch_workers,
-                    queue="query.fetch",
-                )
-                rows = [
-                    QueryRow(record=record, data=data, verified=verified)
-                    for record, (data, verified) in zip(matched, fetched)
-                ]
+                rows = []
+                for record in matched:
+                    data, verified = self.fetch_payload_verified(record, verify=verify)
+                    rows.append(QueryRow(record=record, data=data, verified=verified))
             else:
                 rows = [QueryRow(record=record) for record in matched]
             with self._stats_lock:

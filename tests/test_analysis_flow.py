@@ -1,4 +1,4 @@
-"""Tests for repro.analysis.flow — call graph, taint, concurrency, engine.
+"""Tests for repro.analysis.flow — call graph, taint, engine.
 
 Fixture trees are written under ``tmp_path`` as a small package and analyzed
 through the same entry point the CLI uses, so resolution runs the full
@@ -53,7 +53,7 @@ class TestCallGraph:
             ),
         })
         program = build_program([pkg])
-        assert ("pkg.a.helper", False) in program.edges["pkg.b.caller"]
+        assert "pkg.a.helper" in program.edges["pkg.b.caller"]
 
     def test_method_resolves_through_base_class(self, tmp_path):
         pkg = write_tree(tmp_path, {
@@ -67,7 +67,7 @@ class TestCallGraph:
             ),
         })
         program = build_program([pkg])
-        assert ("pkg.m.Base.shared_thing", False) in program.edges["pkg.m.Child.go"]
+        assert "pkg.m.Base.shared_thing" in program.edges["pkg.m.Child.go"]
 
     def test_nested_function_indexed_and_resolved(self, tmp_path):
         pkg = write_tree(tmp_path, {
@@ -80,32 +80,12 @@ class TestCallGraph:
         })
         program = build_program([pkg])
         assert "pkg.n.outer.<locals>.inner" in program.functions
-        assert ("pkg.n.outer.<locals>.inner", False) in program.edges["pkg.n.outer"]
-
-    def test_thread_entry_edges(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "t.py": (
-                "import threading\n"
-                "def worker():\n"
-                "    return 1\n"
-                "def helper(x):\n"
-                "    return x\n"
-                "def spawn():\n"
-                "    t = threading.Thread(target=worker)\n"
-                "    t.start()\n"
-                "def fan(parallel_map, items):\n"
-                "    return parallel_map(lambda x: helper(x), items)\n"
-            ),
-        })
-        program = build_program([pkg])
-        entries = program.thread_entries()
-        assert "pkg.t.worker" in entries
-        assert "pkg.t.helper" in entries  # through the lambda body
+        assert "pkg.n.outer.<locals>.inner" in program.edges["pkg.n.outer"]
 
     def test_callgraph_dict_is_json_shaped(self, tmp_path):
         pkg = write_tree(tmp_path, {"a.py": "def f():\n    return 0\n"})
         raw = build_program([pkg]).to_dict()
-        assert set(raw) == {"modules", "functions", "edges", "thread_entries"}
+        assert set(raw) == {"modules", "functions", "edges"}
         assert "pkg.a.f" in raw["functions"]
 
 
@@ -302,167 +282,6 @@ class TestTaint:
 
 
 # ---------------------------------------------------------------------------
-# Concurrency pass (FLOW6xx)
-# ---------------------------------------------------------------------------
-
-
-class TestConcurrency:
-    def test_acceptance_lock_order_inversion_across_modules(self, tmp_path):
-        """The ISSUE's acceptance case (b): an inversion between two modules
-        yields exactly one finding with both directions in the trace."""
-        pkg = write_tree(tmp_path, {
-            "locks_a.py": (
-                "import threading\n"
-                "LOCK_A = threading.Lock()\n"
-                "def do_a(other):\n"
-                "    with LOCK_A:\n"
-                "        other.enter_b()\n"
-            ),
-            "locks_b.py": (
-                "import threading\n"
-                "from .locks_a import LOCK_A\n"
-                "LOCK_B = threading.Lock()\n"
-                "class B:\n"
-                "    def enter_b(self):\n"
-                "        with LOCK_B:\n"
-                "            pass\n"
-                "    def inverted(self):\n"
-                "        with LOCK_B:\n"
-                "            with LOCK_A:\n"
-                "                pass\n"
-            ),
-        })
-        report = analyze_paths([pkg])
-        assert rule_ids(report) == ["FLOW601"]
-        (finding,) = report.findings
-        assert "lock-order cycle" in finding.message
-        trace = "\n".join(finding.trace)
-        assert "LOCK_A" in trace and "LOCK_B" in trace
-        assert "while holding" in trace
-
-    def test_consistent_lock_order_is_clean(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "import threading\n"
-                "A = threading.Lock()\n"
-                "B = threading.Lock()\n"
-                "def one():\n"
-                "    with A:\n"
-                "        with B:\n"
-                "            pass\n"
-                "def two():\n"
-                "    with A:\n"
-                "        with B:\n"
-                "            pass\n"
-            ),
-        })
-        assert analyze_paths([pkg]).findings == []
-
-    def test_unguarded_write_on_thread_path(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "class Engine:\n"
-                "    def __init__(self, parallel_map):\n"
-                "        self.hits = 0\n"
-                "        self.pm = parallel_map\n"
-                "    def fetch(self, item):\n"
-                "        self.hits += 1\n"
-                "        return item\n"
-                "    def fetch_all(self, items):\n"
-                "        return self.pm.parallel_map(lambda i: self.fetch(i), items)\n"
-            ),
-        })
-        report = analyze_paths([pkg])
-        assert rule_ids(report) == ["FLOW602"]
-        assert "self.hits" in report.findings[0].message
-        assert "spawned thread" in "\n".join(report.findings[0].trace)
-
-    def test_guarded_write_on_thread_path_is_clean(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "import threading\n"
-                "class Engine:\n"
-                "    def __init__(self, parallel_map):\n"
-                "        self.hits = 0\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.pm = parallel_map\n"
-                "    def fetch(self, item):\n"
-                "        with self._lock:\n"
-                "            self.hits += 1\n"
-                "        return item\n"
-                "    def fetch_all(self, items):\n"
-                "        return self.pm.parallel_map(lambda i: self.fetch(i), items)\n"
-            ),
-        })
-        assert analyze_paths([pkg]).findings == []
-
-    def test_blocking_call_under_lock(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "import threading\n"
-                "import time\n"
-                "LOCK = threading.Lock()\n"
-                "def slow():\n"
-                "    with LOCK:\n"
-                "        time.sleep(0.5)\n"
-            ),
-        })
-        report = analyze_paths([pkg])
-        assert rule_ids(report) == ["FLOW603"]
-        assert "time.sleep" in report.findings[0].message
-
-    def test_transitive_blocking_under_lock(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "import threading\n"
-                "import time\n"
-                "LOCK = threading.Lock()\n"
-                "def wait_for_it():\n"
-                "    time.sleep(1)\n"
-                "def critical():\n"
-                "    with LOCK:\n"
-                "        wait_for_it()\n"
-            ),
-        })
-        report = analyze_paths([pkg])
-        assert rule_ids(report) == ["FLOW603"]
-        trace = "\n".join(report.findings[0].trace)
-        assert "critical() calls wait_for_it()" in trace
-
-    def test_future_result_under_lock(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "import threading\n"
-                "LOCK = threading.Lock()\n"
-                "def collect(futures):\n"
-                "    with LOCK:\n"
-                "        return [f.result() for f in futures]\n"
-            ),
-        })
-        assert rule_ids(analyze_paths([pkg])) == ["FLOW603"]
-
-    def test_dataclass_field_lock_is_recognized(self, tmp_path):
-        pkg = write_tree(tmp_path, {
-            "m.py": (
-                "import threading\n"
-                "import time\n"
-                "from dataclasses import dataclass, field\n"
-                "@dataclass\n"
-                "class S:\n"
-                "    guard: threading.Lock = field(\n"
-                "        default_factory=threading.Lock)\n"
-                "    def tick(self):\n"
-                "        with self.guard:\n"
-                "            time.sleep(1)\n"
-            ),
-        })
-        report = analyze_paths([pkg])
-        # The with-region is understood as a lock hold -> FLOW603 fires.
-        assert rule_ids(report) == ["FLOW603"]
-        assert "S.guard" in report.findings[0].message
-
-
-# ---------------------------------------------------------------------------
 # Engine / repository acceptance
 # ---------------------------------------------------------------------------
 
@@ -475,7 +294,6 @@ class TestEngine:
         assert report.findings == []
         assert elapsed < 30.0  # acceptance bound; typically a few seconds
         assert report.stats["modules"] > 100
-        assert report.stats["thread_entries"] >= 1
 
     def test_findings_are_sorted_deterministically(self, tmp_path):
         pkg = write_tree(tmp_path, {

@@ -5,6 +5,7 @@ import pytest
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
 from repro.errors import UntrustedSourceError
 from repro.trust import SourceTier
+from repro.util.rng import rng_for
 from repro.workloads.traffic import IngestItem, ingest_stream
 
 
@@ -54,6 +55,34 @@ class TestBatchIngestor:
         for entry_id in report.entry_ids:
             result = client.retrieve(entry_id)
             assert result.verified
+
+    def test_same_batch_leaves_the_same_offchain_state(self):
+        """Insertion order and DHT routing cost are structural: two fresh
+        frameworks fed the same 16 items end up byte-for-byte alike."""
+        # Four 64 KiB chunks per item: enough work per payload that a racing
+        # writer would be seen in the block-store order.
+        items = [
+            IngestItem(
+                source_id="cam-s",
+                payload=rng_for(9, "ingest", str(i)).bytes(256 * 1024),
+                metadata={"timestamp": float(i), "detections": []},
+                observation=None,
+            )
+            for i in range(16)
+        ]
+
+        def run():
+            framework = make_framework(batch=16)
+            ingestor = BatchIngestor(framework)
+            ingestor.register(framework.register_source("cam-s", tier=SourceTier.TRUSTED))
+            assert ingestor.ingest(items).committed == 16
+            ipfs = framework.ipfs
+            stores = {
+                peer_id: list(node.blockstore.cids()) for peer_id, node in ipfs.nodes.items()
+            }
+            return ipfs.stat(), stores, ipfs.dht.lookup_hops
+
+        assert run() == run()
 
     def test_unregistered_identity_rejected(self):
         framework = make_framework()

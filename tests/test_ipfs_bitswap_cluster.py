@@ -176,3 +176,52 @@ class TestIpfsCluster:
         for i, (cid, data) in enumerate(files.items()):
             reader = f"ipfs-{(i + 1) % 4}"
             assert cluster.cat(cid, node=reader) == data
+
+
+class TestAddMany:
+    """``add_many`` is N sequential ``add`` calls under one span."""
+
+    @staticmethod
+    def _cluster_with_announcements():
+        cluster = IpfsCluster(n_nodes=3, chunker=FixedSizeChunker(100))
+        announced, provide = [], cluster.dht.provide
+
+        def spy(provider, cid):
+            announced.append((provider, cid))
+            return provide(provider, cid)
+
+        cluster.dht.provide = spy
+        return cluster, announced
+
+    def test_equals_sequential_adds(self):
+        # Overlapping payloads, so dedup makes insertion order observable.
+        payloads = [rng_for(8, "many", str(i % 5)).bytes(150 * (i + 1)) for i in range(12)]
+        one, one_announced = self._cluster_with_announcements()
+        many, many_announced = self._cluster_with_announcements()
+        expected = [one.add(p, node="ipfs-1") for p in payloads]
+        assert many.add_many(payloads, node="ipfs-1") == expected
+        assert list(many.node("ipfs-1").blockstore.cids()) \
+            == list(one.node("ipfs-1").blockstore.cids())
+        assert many_announced == one_announced
+        assert many_announced == [("ipfs-1", r.cid) for r in expected]
+        assert many.stat() == one.stat()
+
+    def test_first_failure_propagates_and_stops_the_batch(self):
+        cluster, announced = self._cluster_with_announcements()
+        node = cluster.node("ipfs-0")
+        payloads = [bytes([i]) * 300 for i in range(6)]
+        add_bytes = node.add_bytes
+
+        def failing(data):
+            if data in (payloads[2], payloads[4]):
+                raise StorageError(f"disk full at payload {data[0]}")
+            return add_bytes(data)
+
+        node.add_bytes = failing
+        with pytest.raises(StorageError, match="payload 2"):
+            cluster.add_many(payloads, node="ipfs-0")
+        node.add_bytes = add_bytes
+        reference = IpfsCluster(n_nodes=1, chunker=FixedSizeChunker(100))
+        stored = [node.has_local(reference.add(p).cid) for p in payloads]
+        assert stored == [True, True, False, False, False, False]
+        assert announced == []  # a failed batch announces nothing

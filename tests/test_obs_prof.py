@@ -1,21 +1,12 @@
 """Tests for the cost-center profiler: no-op mode, nesting, attribution,
-lock/queue telemetry, exports, determinism, and span reconciliation."""
+queue telemetry, exports, determinism, and span reconciliation."""
 
-import threading
 import time
 import tracemalloc
 
 import pytest
 
 from repro import obs
-from repro.analysis import lockcheck
-from repro.analysis.lockcheck import (
-    GuardedShared,
-    LockRegistry,
-    TimedLock,
-    guard_shared,
-    make_lock,
-)
 from repro.obs.prof import (
     _NOOP,
     Profiler,
@@ -25,9 +16,7 @@ from repro.obs.prof import (
     profiled,
     profiled_call,
     profiling,
-    run_queued,
 )
-from repro.util.parallel import parallel_map
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +24,6 @@ def _no_global_leak():
     yield
     obs.disable()
     obs.disable_profiler()
-    lockcheck.deactivate()
     obs.set_registry(obs.MetricsRegistry())
 
 
@@ -123,99 +111,24 @@ class TestRecording:
         assert obs.get_profiler() is outer
 
 
-class TestLockTelemetry:
-    def test_make_lock_records_wait_and_hold(self):
+class TestQueueTelemetry:
+    def test_queue_wait_is_a_root_row_with_per_queue_detail(self):
         registry = obs.MetricsRegistry()
         obs.set_registry(registry)
         profiler = obs.enable_profiler(registry=registry)
-        lock = make_lock("test.lock")
-        with lock:
-            pass
-        locks = {s.name: s for s in profiler.lock_stats()}
-        assert locks["test.lock"].acquires == 1
-        assert locks["test.lock"].wait_s >= 0.0
-        assert locks["test.lock"].hold_s > 0.0
-        text = registry.render()
-        assert 'lock_wait_seconds_total{name="test.lock"}' in text
-        assert 'lock_hold_seconds_total{name="test.lock"}' in text
-
-    def test_contended_lock_accumulates_wait(self):
-        profiler = obs.enable_profiler()
-        lock = make_lock("contended")
-        acquired = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with lock:
-                acquired.set()
-                release.wait(timeout=5.0)
-
-        t = threading.Thread(target=holder)
-        t.start()
-        assert acquired.wait(timeout=5.0)
-        threading.Timer(0.02, release.set).start()
-        with lock:  # blocks until the timer releases the holder
-            pass
-        t.join()
-        locks = {s.name: s for s in profiler.lock_stats()}
-        assert locks["contended"].acquires == 2
-        assert locks["contended"].wait_s > 0.0
-        centers = {s.center for s in profiler.center_stats()}
-        assert "lock.wait" in centers
-
-    def test_hostile_lock_name_escapes_in_exposition(self):
-        registry = obs.MetricsRegistry()
-        obs.set_registry(registry)
-        obs.enable_profiler(registry=registry)
-        hostile = 'we"ird\\na\nme'
-        lock = make_lock(hostile)
-        with lock:
-            pass
-        text = registry.render()
-        # Raw injection would break the exposition line; the escaped forms
-        # must appear instead of a literal quote/newline inside the value.
-        assert 'name="we\\"ird\\\\na\\nme"' in text
-        for line in text.splitlines():
-            assert not line.startswith("me\"}")
-
-    def test_timed_lock_composes_with_sanitizer_tracking(self):
-        registry = LockRegistry()
-        lockcheck.activate(registry)
-        obs.enable_profiler()
-        lock = make_lock("guarded")
-        assert isinstance(lock, TimedLock)  # profiler wrap over TrackedLock
-        shared = guard_shared({}, lock, "guarded.map")
-        assert isinstance(shared, GuardedShared)
-        with lock:
-            shared["k"] = 1  # guarded write: no finding
-        assert not registry.findings()
-
-    def test_disabled_mode_uses_plain_locks(self):
-        obs.disable_profiler()
-        lock = make_lock("plain")
-        assert not isinstance(lock, TimedLock)
-
-
-class TestQueueTelemetry:
-    def test_parallel_map_records_queue_wait(self):
-        profiler = obs.enable_profiler()
-        out = parallel_map(
-            lambda x: x * 2, list(range(8)), max_workers=4, queue="test.queue"
-        )
-        assert out == [x * 2 for x in range(8)]
-        queues = {s.name: s for s in profiler.queue_stats()}
-        assert queues["test.queue"].tasks == 8
-        assert queues["test.queue"].wait_s >= 0.0
-
-    def test_run_queued_severs_caller_frame(self):
-        profiler = obs.enable_profiler()
         with profiled("outer"):
-            run_queued("q", profiler.clock(), lambda x: x, 1)
-        stats = {s.center: s for s in profiler.center_stats()}
-        # queue.wait recorded as a root frame, not under "outer".
+            profiler.record_queue_wait("test.queue", 0.25)
+            profiler.record_queue_wait("test.queue", -1.0)  # clock skew: clamped
+        queues = {s.name: s for s in profiler.queue_stats()}
+        assert queues["test.queue"].tasks == 2
+        assert queues["test.queue"].wait_s == pytest.approx(0.25)
+        # queue.wait is recorded as a root frame, never as child time of the
+        # frame that happened to be open when the task started.
         paths = {path for (_node, path) in profiler.path_stats()}
         assert ("queue.wait",) in paths
+        stats = {s.center: s for s in profiler.center_stats()}
         assert stats["outer"].exclusive_s == pytest.approx(stats["outer"].inclusive_s)
+        assert 'queue_wait_seconds_total{queue="test.queue"}' in registry.render()
 
 
 class TestDeterminism:

@@ -1,8 +1,7 @@
 """Regression tests for QueryEngine thread safety and error mapping.
 
-The stats counters and the result cache are shared across the fetch pool
-and any caller threads; every mutation must hold ``_stats_lock`` (the
-locks sanitizer's SAN402 rule watches the cache through ``guard_shared``).
+Callers may drive one engine from their own threads, so the stats counters
+and the result cache are shared; every mutation must hold ``_stats_lock``.
 ``fetch_payload_verified`` must map *every* malformed-record shape to a
 typed :class:`~repro.errors.QueryError`, not leak parser internals.
 """
@@ -12,8 +11,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import lockcheck
-from repro.analysis import runtime as analysis_runtime
 from repro.core import Client, Framework, FrameworkConfig
 from repro.errors import QueryError
 from repro.query import QueryEngine
@@ -23,18 +20,10 @@ META = {"timestamp": 1.0, "camera_id": "race-cam",
         "detections": [{"vehicle_class": "car", "confidence": 0.9}]}
 
 
-@pytest.fixture(autouse=True)
-def _reset_sanitizer_globals():
-    yield
-    lockcheck.deactivate()
-    analysis_runtime._ACTIVE = None
-
-
 class TestStatsRaces:
-    def test_concurrent_runs_keep_exact_counters_and_pass_san402(self):
-        """N threads x M queries: counters must be exact and the locks
-        sanitizer must see no unguarded cache mutation."""
-        framework = Framework(FrameworkConfig(consensus="solo", sanitize="locks"))
+    def test_concurrent_runs_keep_exact_counters(self):
+        """N threads x M queries: every run() is counted exactly once."""
+        framework = Framework(FrameworkConfig(consensus="solo"))
         client = Client(
             framework, framework.register_source("race-cam", tier=SourceTier.TRUSTED)
         )
@@ -61,7 +50,8 @@ class TestStatsRaces:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         # The racy pre-fix counters lost increments under contention; every
         # run() must be counted exactly once, hit or miss.
@@ -69,24 +59,6 @@ class TestStatsRaces:
         assert engine.stats.cache_hits <= engine.stats.queries
         # Each distinct text was really executed at least once.
         assert engine.stats.queries - engine.stats.cache_hits >= len(texts)
-        report = framework.sanitizer.finalize()
-        assert not any(f.rule_id == "SAN402" for f in report.findings), (
-            report.render()
-        )
-
-    def test_cache_is_guarded_under_lock_registry(self):
-        """With the lock registry active the cache is a GuardedShared proxy;
-        a bare mutation outside the guard is a SAN402 finding."""
-        registry = lockcheck.LockRegistry()
-        lockcheck.activate(registry)
-        engine = QueryEngine(
-            channel=SimpleNamespace(),
-            cluster=SimpleNamespace(),
-            identity=SimpleNamespace(),
-        )
-        assert isinstance(engine._cache, lockcheck.GuardedShared)
-        engine._cache["rogue"] = (0, [])  # no lock held
-        assert any(f.rule_id == "SAN402" for f in registry.findings())
 
 
 class TestMalformedCid:
