@@ -121,7 +121,7 @@ def _profile_quick():
 
     registry = obs.MetricsRegistry()
     obs.set_registry(registry)
-    profiler = obs.enable_profiler(registry=registry)
+    profiler = obs.enable_profiler()
     obs.enable(registry=registry)
     try:
         results = _sweep(QUICK_BATCH_SIZES, QUICK_N_ITEMS)

@@ -14,9 +14,6 @@ Four cooperating layers keep the framework's trust story machine-checked:
 * :mod:`repro.analysis.baseline` — the accepted-findings baselines the
   ``lint-gate`` CI job diffs against.
 
-Both static layers parse through :mod:`repro.analysis.astcache`, so one
-process (or one CI cache directory) parses each module once.
-
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and workflows.
 """
 

@@ -3,11 +3,11 @@
 The flow analyzer's taint pass sees the program through one index, built
 here in two phases:
 
-1. **Index** — every module under the scan roots is parsed (through the
-   shared AST cache) and its imports, classes, functions, and methods are
-   registered under *qualified names* (``repro.util.clock.WallClock.now``).
-   Relative imports resolve against the module's package; ``import x as y``
-   and ``from x import f as g`` aliases resolve exactly as in the linter.
+1. **Index** — every module under the scan roots is parsed and its
+   imports, classes, functions, and methods are registered under
+   *qualified names* (``repro.util.clock.WallClock.now``). Relative
+   imports resolve against the module's package; ``import x as y`` and
+   ``from x import f as g`` aliases resolve exactly as in the linter.
 2. **Resolve** — every call site in every function body is resolved to
    either a program function (an intra-program edge), an external dotted
    name (``time.time`` — matched against source/sink tables), or left
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.errors import AnalysisError
 
-from ..astcache import parse_module
+from ..linter import parse_source, read_source
 
 # Method names too generic to resolve through the unique-method index even
 # when the program happens to define exactly one: these collide with
@@ -428,15 +428,6 @@ def _resolve_calls(program: Program) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _display_path(path: Path) -> str:
-    import os
-
-    try:
-        return path.resolve().relative_to(Path(os.getcwd()).resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
 def build_program(paths: list[str | Path]) -> Program:
     """Parse and index every ``.py`` file under the given roots."""
     program = Program()
@@ -450,14 +441,14 @@ def build_program(paths: list[str | Path]) -> Program:
             raise AnalysisError(f"flow target does not exist: {root}")
         base = root if root.is_dir() else root.parent
         for file in files:
-            parsed = parse_module(file, display_path=_display_path(file))
             name = module_name_for(file, base)
             if name in program.modules:
                 continue
+            shown, source = read_source(file)
             _index_module(
                 program,
                 ModuleInfo(
-                    name=name, path=parsed.path, source=parsed.source, tree=parsed.tree
+                    name=name, path=shown, source=source, tree=parse_source(source, shown)
                 ),
                 is_package=file.name == "__init__.py",
             )

@@ -426,19 +426,10 @@ def is_chaincode_module(path: str, tree: ast.Module) -> bool:
 
 
 def lint_source(
-    source: str, path: str = "<string>", *, chaincode: bool | None = None,
-    tree: ast.Module | None = None,
+    source: str, path: str = "<string>", *, chaincode: bool | None = None
 ) -> list[Finding]:
-    """Lint one module's source text; returns pragma-filtered findings.
-
-    A pre-parsed ``tree`` (from :mod:`repro.analysis.astcache`) skips the
-    parse; the caller guarantees it matches ``source``.
-    """
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            raise AnalysisError(f"cannot parse {path}: {exc}") from exc
+    """Lint one module's source text; returns pragma-filtered findings."""
+    tree = parse_source(source, path)
     if chaincode is None:
         chaincode = is_chaincode_module(path, tree)
     visitor = _Visitor(path, chaincode)
@@ -458,14 +449,24 @@ def _display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def lint_file(path: str | Path, *, chaincode: bool | None = None) -> list[Finding]:
-    from .astcache import parse_module
+def parse_source(source: str, path: str = "<string>") -> ast.Module:
+    try:
+        return ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise AnalysisError(f"cannot parse {path}: {exc}") from exc
 
-    p = Path(path)
-    parsed = parse_module(p, display_path=_display_path(p))
-    return lint_source(
-        parsed.source, parsed.path, chaincode=chaincode, tree=parsed.tree
-    )
+
+def read_source(path: Path) -> tuple[str, str]:
+    """``(display path, source text)`` of one file, for either analyzer."""
+    try:
+        return _display_path(path), path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise AnalysisError(f"cannot read {path}: {exc}") from exc
+
+
+def lint_file(path: str | Path, *, chaincode: bool | None = None) -> list[Finding]:
+    shown, source = read_source(Path(path))
+    return lint_source(source, shown, chaincode=chaincode)
 
 
 def iter_python_files(paths: list[str | Path]) -> list[Path]:

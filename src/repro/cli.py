@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--items", type=int, default=1, help="items to store+retrieve")
     trace.add_argument("--out", default=None, metavar="FILE",
-                       help="also write a Chrome trace_event JSON (chrome://tracing)")
+                       help="also write the Chrome trace_event JSON (one process row "
+                            "per node; chrome://tracing)")
     trace.add_argument("--breakdown", action="store_true",
                        help="print the per-stage Fig. 5/6 latency decomposition")
 
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--items", type=int, default=1, help="items to store+retrieve first")
     crit.add_argument("--json", action="store_true", dest="as_json")
     crit.add_argument("--out", default=None, metavar="FILE",
-                      help="write the tx's cross-node Chrome trace (one process row per node)")
+                      help="write the tx's Chrome trace (one process row per node)")
 
     prof = sub.add_parser(
         "prof",
@@ -113,11 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--top", type=int, default=20,
                       help="cost-center rows to print (default 20)")
     prof.add_argument("--json", action="store_true", dest="as_json",
-                      help="print the profile (centers/queues/coverage) as JSON")
+                      help="print the profile (centers/coverage) as JSON")
     prof.add_argument("--collapsed", default=None, metavar="FILE",
                       help="write collapsed stacks (flamegraph.pl input)")
     prof.add_argument("--out", default=None, metavar="FILE",
-                      help="write a Chrome trace_event JSON of the cost-center tree")
+                      help="write the run's Chrome trace_event JSON (one process row "
+                           "per node)")
     prof.add_argument("--emit", default=None, metavar="NAME",
                       help="emit a BENCH_<NAME>.json profile envelope for bench-diff")
     prof.add_argument("--min-coverage", type=float, default=None, metavar="FRAC",
@@ -453,7 +455,8 @@ def _cmd_trace(args) -> int:
         if args.out:
             obs.write_chrome_trace(args.out, tracer)
             print(f"\nchrome trace: {args.out} "
-                  f"({len(tracer.finished)} spans; open in chrome://tracing)")
+                  f"({len(tracer.finished)} spans, one process row per node; "
+                  f"open in chrome://tracing)")
     finally:
         obs.disable()
     return 0
@@ -462,7 +465,7 @@ def _cmd_trace(args) -> int:
 def _cmd_critpath(args) -> int:
     from repro import obs
     from repro.errors import ObservabilityError
-    from repro.obs.critpath import critical_path, write_chrome_trace_by_node
+    from repro.obs.critpath import critical_path
 
     tracer, _registry = _traced_demo(args.items)
     try:
@@ -477,7 +480,7 @@ def _cmd_critpath(args) -> int:
             for line in crit.render_lines():
                 print(line)
         if args.out:
-            write_chrome_trace_by_node(args.out, tracer, trace_id=crit.trace_id)
+            obs.write_chrome_trace(args.out, tracer, trace_id=crit.trace_id)
             print(f"\nchrome trace (node = process row): {args.out}")
     finally:
         obs.disable()
@@ -489,7 +492,7 @@ def _cmd_prof(args) -> int:
 
     registry = obs.MetricsRegistry()
     obs.set_registry(registry)
-    profiler = obs.enable_profiler(registry=registry)
+    profiler = obs.enable_profiler()
     try:
         if args.target == "demo":
             tracer, _registry = _traced_demo(args.items)
@@ -521,8 +524,8 @@ def _cmd_prof(args) -> int:
             obs.write_collapsed(args.collapsed, profiler)
             print(f"collapsed stacks      : {args.collapsed} (flamegraph.pl input)")
         if args.out:
-            obs.write_chrome_trace_tree(args.out, profiler)
-            print(f"chrome trace          : {args.out} (cost-center tree)")
+            obs.write_chrome_trace(args.out, tracer)
+            print(f"chrome trace          : {args.out} (one process row per node)")
         if args.emit:
             from repro.bench.report import emit_json
 

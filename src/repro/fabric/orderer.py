@@ -37,7 +37,7 @@ from repro.errors import OrderingError
 from repro.fabric.ledger import Block, GENESIS_PREVIOUS_HASH
 from repro.fabric.tx import Transaction, endorsement_payload
 from repro.net import SimNetwork
-from repro.obs.prof import get_profiler, profiled
+from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
 from repro.util.clock import Clock, WallClock
 
@@ -231,9 +231,6 @@ class BftOrderer:
         # acceptance); the trust engine reads these to score sources and
         # validators.
         self.decisions: dict[str, TxDecision] = {}
-        # Profiler enqueue clocks: tx_id -> submit time, drained by
-        # _order_batch as orderer.submit queue waits.
-        self._enqueued_s: dict[str, float] = {}
         tx_validator = validator or default_tx_validator
 
         def replica_validator(
@@ -274,13 +271,6 @@ class BftOrderer:
         with obs_span("fabric.order") as sp:
             sp.set_attr("orderer", "bft")
             sp.set_attr("batch_size", len(batch))
-            profiler = get_profiler()
-            if profiler is not None and self._enqueued_s:
-                now = profiler.clock()
-                for tx_id in batch:
-                    enqueued = self._enqueued_s.pop(tx_id, None)
-                    if enqueued is not None:
-                        profiler.record_queue_wait("orderer.submit", now - enqueued)
             with profiled("consensus.order"):
                 envelope_hashes = tuple(
                     hashlib.sha256(self._txs[tx_id].envelope_bytes()).hexdigest()
@@ -317,9 +307,6 @@ class BftOrderer:
             raise OrderingError(f"transaction {tx.tx_id!r} already submitted")
         self._txs[tx.tx_id] = tx
         self._queue.append(tx.tx_id)
-        profiler = get_profiler()
-        if profiler is not None:
-            self._enqueued_s[tx.tx_id] = profiler.clock()
         if self.journal is not None:
             self.journal.record_submit(tx)
         if len(self._queue) >= self._cutter.max_batch_size:
@@ -333,7 +320,6 @@ class BftOrderer:
         dropped, self._queue = self._queue, []
         for tx_id in dropped:
             del self._txs[tx_id]
-            self._enqueued_s.pop(tx_id, None)
         return dropped
 
     def flush(self) -> None:

@@ -11,7 +11,6 @@ from repro.net.latency import (
 from repro.net.message import Message
 from repro.net.node import NetNode
 from repro.net.simnet import FaultAction, NetStats, SimNetwork
-from repro.net.trace import MessageTrace, TraceEntry
 
 __all__ = [
     "ConstantLatency",
@@ -24,6 +23,4 @@ __all__ = [
     "NetNode",
     "NetStats",
     "SimNetwork",
-    "MessageTrace",
-    "TraceEntry",
 ]

@@ -97,9 +97,6 @@ class SimNetwork:
         # Chaos hook: when set, called once per sent message (after the
         # drop_rate check) and may drop, delay, or duplicate it.
         self.fault_injector: Callable[[Message], FaultAction] | None = None
-        # Delivery taps: observers (tracers, debuggers) called for every
-        # delivered message, after stats are updated and before the handler.
-        self.taps: list[Handler] = []
 
     # -- membership ---------------------------------------------------------
 
@@ -205,8 +202,6 @@ class SimNetwork:
             return
         self.stats.delivered += 1
         self.stats.bytes_delivered += msg.size_bytes
-        for tap in self.taps:
-            tap(msg)
         tracer = get_tracer()
         if tracer is None:
             with profiled("net.deliver"):

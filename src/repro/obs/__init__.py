@@ -13,26 +13,30 @@ Explorer, built in:
   :class:`MetricsRegistry` with *labeled* counters/gauges/histograms and
   Prometheus text exposition (promoted from ``repro.fabric.monitor``,
   which re-exports for compatibility).
-* **Exporters** (:mod:`repro.obs.export`): Prometheus text, JSON
-  snapshots, and Chrome ``trace_event`` JSON for
-  ``chrome://tracing`` / Perfetto.
+* **Exporters** (:mod:`repro.obs.export`): Prometheus text, a JSON
+  metrics snapshot, and the Chrome ``trace_event`` JSON for
+  ``chrome://tracing`` / Perfetto — one process row per node, one lane per
+  trace within it.
 * **Breakdown** (:mod:`repro.obs.breakdown`): :func:`pipeline_breakdown`
   reproduces the paper's per-stage storage/retrieval latency decomposition
   (Figs. 5–6) from real spans, with per-stage cost-center rows and explicit
-  ``other`` residuals when the profiler ran alongside the tracer.
+  ``other`` residuals when the profiler ran alongside the tracer;
+  :func:`invoke_coverage` is the same sum over ``fabric.invoke``.
 * **Profiler** (:mod:`repro.obs.prof`): deterministic cost-center profiler
   — :func:`profiled` frames over crypto/serialization/consensus/IPFS hot
-  paths with exact inclusive/exclusive time, bytes and queue-wait
-  telemetry, collapsed-stack + Chrome-trace export, and a
-  seeded-run :meth:`Profiler.fingerprint`. Opt-in via
+  paths with exact inclusive/exclusive time and bytes, collapsed-stack
+  export, and a seeded-run :meth:`Profiler.fingerprint`. Opt-in via
   :func:`enable_profiler` / scoped :func:`profiling`; disabled,
   :func:`profiled` returns a shared no-op probe (zero allocation).
 * **Critical path** (:mod:`repro.obs.critpath`): with trace contexts
   propagated across :mod:`repro.net` messages, :func:`critical_path`
   extracts the longest dependency chain of a committed tx across client,
   peers, orderer, and validators, attributing wall time to
-  ``{stage, node, msg_kind}``; :func:`chrome_trace_by_node` renders the
-  cross-node DAG with one process row per node.
+  ``{stage, node, msg_kind}``.
+
+One attribution rule ties these together: a span's node
+(:attr:`Span.node`) is resolved once, on the span, and the profiler, the
+critical path and the Chrome trace all read it.
 * **Bench trends** (:mod:`repro.obs.benchtrend`): the standardized BENCH
   JSON envelope (schema version, seed, config fingerprint), the
   append-only ``benchmarks/results/history/`` store, and the
@@ -64,15 +68,14 @@ Quickstart::
 from repro.obs.breakdown import (
     PipelineBreakdown,
     StageTime,
+    invoke_coverage,
     pipeline_breakdown,
     render_breakdown,
 )
 from repro.obs.export import (
     chrome_trace,
-    chrome_trace_events,
     metrics_json,
     render_prometheus,
-    spans_json,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -88,17 +91,13 @@ from repro.obs.prof import (
     CenterStat,
     ProfileReport,
     Profiler,
-    QueueStat,
     collapsed_stacks,
     disable_profiler,
     enable_profiler,
     get_profiler,
-    invoke_coverage,
     profiled,
-    profiled_call,
     profiling,
     set_profiler,
-    write_chrome_trace_tree,
     write_collapsed,
 )
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
@@ -132,14 +131,7 @@ _LAZY_SUBMODULE = {
             "standard_rules",
         ),
         "explorer": ("AuditFinding", "AuditReport", "LedgerExplorer"),
-        "critpath": (
-            "CritSegment",
-            "CriticalPath",
-            "chrome_trace_by_node",
-            "critical_path",
-            "span_node",
-            "write_chrome_trace_by_node",
-        ),
+        "critpath": ("CritSegment", "CriticalPath", "critical_path"),
         "benchtrend": (
             "DiffReport",
             "MetricDelta",
@@ -190,10 +182,7 @@ __all__ = [
     "standard_rules",
     "CritSegment",
     "CriticalPath",
-    "chrome_trace_by_node",
     "critical_path",
-    "span_node",
-    "write_chrome_trace_by_node",
     "DiffReport",
     "MetricDelta",
     "classify_metric",
@@ -206,13 +195,12 @@ __all__ = [
     "record_history",
     "PipelineBreakdown",
     "StageTime",
+    "invoke_coverage",
     "pipeline_breakdown",
     "render_breakdown",
     "chrome_trace",
-    "chrome_trace_events",
     "metrics_json",
     "render_prometheus",
-    "spans_json",
     "write_chrome_trace",
     "Counter",
     "Gauge",
@@ -224,17 +212,13 @@ __all__ = [
     "CenterStat",
     "ProfileReport",
     "Profiler",
-    "QueueStat",
     "collapsed_stacks",
     "disable_profiler",
     "enable_profiler",
     "get_profiler",
-    "invoke_coverage",
     "profiled",
-    "profiled_call",
     "profiling",
     "set_profiler",
-    "write_chrome_trace_tree",
     "write_collapsed",
     "NOOP_SPAN",
     "NoopSpan",

@@ -17,12 +17,14 @@ When the cost-center profiler (:mod:`repro.obs.prof`) ran alongside the
 tracer, each stage additionally decomposes into the cost centers recorded
 inside its spans (``crypto.sign``, ``serialize.canonical_json``, ...),
 with a per-stage ``other`` sub-row for whatever the centers leave
-unexplained.
+unexplained. :func:`invoke_coverage` is the same sum over ``fabric.invoke``
+roots: both go through :func:`centers_under`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.obs.span import Span
 from repro.obs.tracer import Tracer, get_tracer
@@ -150,6 +152,60 @@ def _center_rows(
     return tuple(rows)
 
 
+def _span_centers(profiler) -> dict[str, dict[str, tuple[int, float]]]:
+    if profiler is None:
+        from repro.obs.prof import get_profiler
+
+        profiler = get_profiler()
+    return profiler.span_center_seconds() if profiler is not None else {}
+
+
+def centers_under(
+    tracer: Tracer,
+    root: Span,
+    span_centers: dict[str, dict[str, tuple[int, float]]],
+    into: dict[str, dict[str, list]],
+    label: Callable[[Span], str] = lambda span: "",
+) -> None:
+    """Add the cost-center time recorded in ``root`` and its descendants to
+    ``into``, as ``label(span) -> center -> [calls, seconds]``.
+
+    The walk is the *execution* view, so remote work (consensus rounds,
+    block delivery) counts under the frame that ran it.
+    """
+    for span in [root, *tracer.descendants(root, view="exec")]:
+        centers = span_centers.get(span.span_id)
+        if not centers:
+            continue
+        per_label = into.setdefault(label(span), {})
+        for center, (calls, seconds) in centers.items():
+            cacc = per_label.setdefault(center, [0, 0.0])
+            cacc[0] += calls
+            cacc[1] += seconds
+
+
+def invoke_coverage(
+    tracer: Tracer | None, profiler=None, root_name: str = "fabric.invoke"
+) -> float:
+    """Fraction of ``root_name`` wall time explained by cost centers.
+
+    Sums the center seconds under every finished ``root_name`` span and
+    divides by their total wall time. This is the ≥ 0.9 acceptance number
+    ``repro prof --min-coverage`` gates on.
+    """
+    span_centers = _span_centers(profiler)
+    if tracer is None or not span_centers:
+        return 0.0
+    wall = 0.0
+    acc: dict[str, dict[str, list]] = {}
+    for root in tracer.spans(root_name):
+        if root.finished:
+            wall += root.duration_s
+            centers_under(tracer, root, span_centers, acc)
+    attributed = sum(seconds for _calls, seconds in acc.get("", {}).values())
+    return attributed / wall if wall > 0.0 else 0.0
+
+
 def pipeline_breakdown(
     tracer: Tracer | None = None, profiler=None
 ) -> dict[str, PipelineBreakdown]:
@@ -164,11 +220,7 @@ def pipeline_breakdown(
     tracer = tracer or get_tracer()
     if tracer is None:
         return {}
-    if profiler is None:
-        from repro.obs.prof import get_profiler
-
-        profiler = get_profiler()
-    span_centers = profiler.span_center_seconds() if profiler is not None else {}
+    span_centers = _span_centers(profiler)
     acc: dict[str, dict[str, list[float]]] = {}
     # pipeline -> stage -> center -> [calls, seconds]
     centers_acc: dict[str, dict[str, dict[str, list]]] = {}
@@ -182,25 +234,20 @@ def pipeline_breakdown(
         samples[pipeline] = samples.get(pipeline, 0) + 1
         stages = acc.setdefault(pipeline, {})
         pcenters = centers_acc.setdefault(pipeline, {})
+
+        def stage_of(span: Span, root: Span = root) -> str:
+            return UNATTRIBUTED if span is root else STAGE_LABELS.get(span.name, span.name)
+
+        centers_under(tracer, root, span_centers, pcenters, stage_of)
         # Walk the *execution* view: remote spans (message deliveries) nest
         # under the frame that ran them, not under their causal sender —
         # the view where child intervals sit inside the parent's, which
         # exclusive-time accounting needs to partition wall time without
         # double-booking seconds.
         for span in [root, *tracer.descendants(root, view="exec")]:
-            if span is root:
-                stage = UNATTRIBUTED
-            else:
-                stage = STAGE_LABELS.get(span.name, span.name)
-            for center, (calls, seconds) in span_centers.get(span.span_id, {}).items():
-                cacc = pcenters.setdefault(stage, {}).setdefault(center, [0, 0.0])
-                cacc[0] += calls
-                cacc[1] += seconds
-            kids = tracer.children(span, view="exec")
-            exclusive = _exclusive_s(span, kids)
-            if exclusive <= 0.0:
-                continue
-            stages.setdefault(stage, []).append(exclusive)
+            exclusive = _exclusive_s(span, tracer.children(span, view="exec"))
+            if exclusive > 0.0:
+                stages.setdefault(stage_of(span), []).append(exclusive)
     out: dict[str, PipelineBreakdown] = {}
     for pipeline, stages in acc.items():
         pcenters = centers_acc.get(pipeline, {})

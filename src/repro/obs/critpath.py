@@ -15,13 +15,11 @@ msg_kind}``, which is the target list ROADMAP item 3 (the ~4–5 ms fixed
 blockchain overhead dominating Fig. 5) needs: not "consensus is slow" but
 "prepare-message delivery on validator-2 accounts for X µs of the path".
 
-Exports:
-
-* :func:`critical_path` — the analysis, as a typed :class:`CriticalPath`;
-* :func:`chrome_trace_by_node` — Chrome ``trace_event`` JSON with one
-  *process row per node* (metadata ``process_name`` events), so the
-  cross-node picture renders spatially in chrome://tracing / Perfetto;
-* ``repro critpath <txid>`` in the CLI drives both.
+A segment's node is its span's :attr:`~repro.obs.span.Span.node`, the
+value the profiler charges frames to and the Chrome trace
+(:func:`repro.obs.export.chrome_trace`, one process row per node) lays out
+by. ``repro critpath <txid>`` in the CLI drives the analysis and, with
+``--out``, writes that trace for the transaction.
 """
 
 from __future__ import annotations
@@ -32,34 +30,6 @@ from repro.errors import ObservabilityError
 from repro.obs.breakdown import STAGE_LABELS
 from repro.obs.span import Span
 from repro.obs.tracer import Tracer, get_tracer
-
-# Fallback node for spans with no node-ish attribute anywhere up the chain:
-# the client process that drives submit/retrieve.
-CLIENT_NODE = "client"
-
-
-def span_node(span: Span, by_id: dict[str, Span]) -> str:
-    """The node a span executed on: nearest self-or-ancestor node attribute.
-
-    Spans carry their location as attributes today — ``net.deliver`` sets
-    ``node`` (the destination), peer spans set ``peer``, BFT replicas set
-    ``replica``, ordering spans set ``orderer`` — so attribution is a walk
-    up the parent chain to the nearest location marker.
-    """
-    cur: Span | None = span
-    while cur is not None:
-        attrs = cur.attrs
-        if "node" in attrs:
-            return str(attrs["node"])
-        if "peer" in attrs:
-            return str(attrs["peer"])
-        if "replica" in attrs:
-            return str(attrs["replica"])
-        if "orderer" in attrs:
-            return "orderer"
-        cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
-    return CLIENT_NODE
-
 
 @dataclass(frozen=True)
 class CritSegment:
@@ -216,12 +186,12 @@ def _trace_root(anchor: Span, by_id: dict[str, Span]) -> Span:
     return cur
 
 
-def _segment(span: Span, lo: float, hi: float, by_id: dict[str, Span]) -> CritSegment:
+def _segment(span: Span, lo: float, hi: float) -> CritSegment:
     return CritSegment(
         span_name=span.name,
         span_id=span.span_id,
         stage=STAGE_LABELS.get(span.name, span.name),
-        node=span_node(span, by_id),
+        node=span.node,
         msg_kind=str(span.attrs.get("kind", "")) if span.name == "net.deliver" else "",
         start_s=lo,
         end_s=hi,
@@ -233,7 +203,6 @@ def _walk(
     lo: float,
     hi: float,
     children: dict[str, list[Span]],
-    by_id: dict[str, Span],
     segs: list[CritSegment],
 ) -> None:
     """Blame ``span`` for ``[lo, hi]`` except where a causal child was the
@@ -247,12 +216,12 @@ def _walk(
     while kids and t > lo:
         last = kids.pop()
         if last.end_s < t:
-            segs.append(_segment(span, last.end_s, t, by_id))
-        _walk(last, max(last.start_s, lo), last.end_s, children, by_id, segs)
+            segs.append(_segment(span, last.end_s, t))
+        _walk(last, max(last.start_s, lo), last.end_s, children, segs)
         t = max(last.start_s, lo)
         kids = [c for c in kids if c.end_s <= t]
     if t > lo:
-        segs.append(_segment(span, lo, t, by_id))
+        segs.append(_segment(span, lo, t))
 
 
 def critical_path(tracer: Tracer | None = None, tx_id: str | None = None) -> CriticalPath:
@@ -278,9 +247,9 @@ def critical_path(tracer: Tracer | None = None, tx_id: str | None = None) -> Cri
         if s.parent_id is not None:
             children.setdefault(s.parent_id, []).append(s)
     segs: list[CritSegment] = []
-    _walk(root, root.start_s, root.end_s, children, by_id, segs)
+    _walk(root, root.start_s, root.end_s, children, segs)
     segs.sort(key=lambda seg: seg.start_s)
-    nodes = sorted({span_node(s, by_id) for s in trace_spans})
+    nodes = sorted({s.node for s in trace_spans})
     path_nodes = sorted({seg.node for seg in segs})
     return CriticalPath(
         tx_id=str(anchor.attrs.get("tx_id", "")),
@@ -291,77 +260,3 @@ def critical_path(tracer: Tracer | None = None, tx_id: str | None = None) -> Cri
         nodes=tuple(nodes),
         path_nodes=tuple(path_nodes),
     )
-
-
-# ---------------------------------------------------------------------------
-# Chrome trace with node = process row
-# ---------------------------------------------------------------------------
-
-
-def chrome_trace_by_node(tracer: Tracer | None = None, trace_id: str | None = None) -> dict:
-    """Chrome ``trace_event`` JSON with one *process* row per node.
-
-    Unlike :func:`repro.obs.export.chrome_trace` (one thread lane per
-    trace), this view maps each node — client, peers, orderer, validators —
-    to its own ``pid`` with a ``process_name`` metadata record, so the
-    cross-node hops of a transaction render as a swimlane diagram.
-    ``trace_id`` restricts the export to one transaction's DAG.
-    """
-    tracer = tracer or get_tracer()
-    spans = list(tracer.finished) if tracer is not None else []
-    spans = [
-        s for s in spans
-        if s.finished and s.end_s is not None
-        and (trace_id is None or s.trace_id == trace_id)
-    ]
-    if not spans:
-        return {"traceEvents": [], "displayTimeUnit": "ms",
-                "otherData": {"producer": "repro.obs.critpath"}}
-    by_id = {s.span_id: s for s in spans}
-    t0 = min(s.start_s for s in spans)
-    node_of = {s.span_id: span_node(s, by_id) for s in spans}
-    pids = {node: i + 1 for i, node in enumerate(sorted(set(node_of.values())))}
-    events: list[dict] = [
-        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-         "args": {"name": node}}
-        for node, pid in pids.items()
-    ]
-    lanes: dict[tuple[str, str], int] = {}
-    for span in sorted(spans, key=lambda s: s.start_s):
-        node = node_of[span.span_id]
-        lane = lanes.setdefault((node, span.trace_id), len(
-            [k for k in lanes if k[0] == node]) + 1)
-        args = {str(k): v for k, v in span.attrs.items()}
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        if span.remote:
-            args["remote"] = True
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.name.split(".", 1)[0],
-                "ph": "X",
-                "ts": (span.start_s - t0) * 1e6,
-                "dur": span.duration_s * 1e6,
-                "pid": pids[node],
-                "tid": lane,
-                "args": args,
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.obs.critpath"},
-    }
-
-
-def write_chrome_trace_by_node(
-    path: str, tracer: Tracer | None = None, trace_id: str | None = None,
-    indent: int | None = None,
-) -> str:
-    import json
-
-    with open(path, "w") as fh:
-        fh.write(json.dumps(chrome_trace_by_node(tracer, trace_id), indent=indent))
-    return path

@@ -4,25 +4,25 @@ Three formats, one per audience:
 
 * :func:`render_prometheus` — scrape-style text for dashboards (the
   Grafana surface of the paper's testbed);
-* :func:`metrics_json` / :func:`spans_json` — machine-readable snapshots
-  for benches and cross-PR trend tracking;
+* :func:`metrics_json` — a machine-readable metrics snapshot for benches
+  and cross-PR trend tracking;
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` format, so a stored/retrieved item's journey through
-  endorse → order → validate → commit → IPFS renders as a flame chart in
-  ``chrome://tracing`` or https://ui.perfetto.dev.
+  endorse → order → validate → commit → IPFS renders node by node in
+  ``chrome://tracing`` or https://ui.perfetto.dev. It is the one trace
+  writer: ``repro trace``, ``repro critpath`` and ``repro prof`` all write
+  it with ``--out``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from repro.obs.metrics import (  # noqa: F401  (escape re-exported: it is part of the exposition contract)
     MetricsRegistry,
     escape_label_value,
     get_registry,
 )
-from repro.obs.span import Span
 from repro.obs.tracer import Tracer, get_tracer
 
 
@@ -40,36 +40,42 @@ def metrics_json(registry: MetricsRegistry | None = None, indent: int | None = N
     return json.dumps((registry or get_registry()).snapshot(), indent=indent, sort_keys=True)
 
 
-def spans_json(tracer: Tracer | None = None, indent: int | None = None) -> str:
-    tracer = tracer or get_tracer()
-    spans = tracer.finished if tracer is not None else []
-    return json.dumps([s.to_dict() for s in spans], indent=indent, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Chrome trace_event
 # ---------------------------------------------------------------------------
 
 
-def chrome_trace_events(spans: Iterable[Span]) -> list[dict]:
-    """Spans as Chrome 'complete' (``ph: "X"``) events.
+def chrome_trace(tracer: Tracer | None = None, trace_id: str | None = None) -> dict:
+    """The ``chrome://tracing`` / Perfetto JSON object for a tracer's spans.
 
-    Timestamps are microseconds relative to the earliest span, one ``tid``
-    (lane) per trace so concurrent pipelines render side by side, and span
-    attributes plus lineage land in ``args`` for the inspector pane.
+    One *process* row per node (a ``process_name`` metadata record naming
+    it — client, peers, orderer, validators) and, within a node, one lane
+    per trace, so a transaction's cross-node hops render as a swimlane
+    diagram and concurrent pipelines side by side. Spans are Chrome
+    "complete" (``ph: "X"``) events in microseconds from the earliest span,
+    with attributes and lineage in ``args``. ``trace_id`` restricts the
+    export to one trace.
     """
-    spans = [s for s in spans if s.finished and s.end_s is not None]
-    if not spans:
-        return []
-    t0 = min(s.start_s for s in spans)
-    tids: dict[str, int] = {}
-    events: list[dict] = []
+    tracer = tracer or get_tracer()
+    spans = [
+        s for s in (tracer.finished if tracer is not None else ())
+        if s.finished and (trace_id is None or s.trace_id == trace_id)
+    ]
+    pids = {node: pid for pid, node in enumerate(sorted({s.node for s in spans}), 1)}
+    events: list[dict] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": node}}
+        for node, pid in pids.items()
+    ]
+    t0 = min((s.start_s for s in spans), default=0.0)
+    lanes: dict[str, dict[str, int]] = {}
     for span in sorted(spans, key=lambda s: s.start_s):
-        tid = tids.setdefault(span.trace_id, len(tids) + 1)
+        node_lanes = lanes.setdefault(span.node, {})
         args = {str(k): v for k, v in span.attrs.items()}
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
+        if span.remote:
+            args["remote"] = True
         if span.status != "ok":
             args["error"] = span.error
         events.append(
@@ -79,27 +85,25 @@ def chrome_trace_events(spans: Iterable[Span]) -> list[dict]:
                 "ph": "X",
                 "ts": (span.start_s - t0) * 1e6,
                 "dur": span.duration_s * 1e6,
-                "pid": 1,
-                "tid": tid,
+                "pid": pids[span.node],
+                "tid": node_lanes.setdefault(span.trace_id, len(node_lanes) + 1),
                 "args": args,
             }
         )
-    return events
-
-
-def chrome_trace(tracer: Tracer | None = None) -> dict:
-    """The full ``chrome://tracing`` JSON object for a tracer's spans."""
-    tracer = tracer or get_tracer()
-    spans = tracer.finished if tracer is not None else []
     return {
-        "traceEvents": chrome_trace_events(spans),
+        "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {"producer": "repro.obs"},
     }
 
 
-def write_chrome_trace(path: str, tracer: Tracer | None = None, indent: int | None = None) -> str:
-    text = json.dumps(chrome_trace(tracer), indent=indent)
+def write_chrome_trace(
+    path: str,
+    tracer: Tracer | None = None,
+    trace_id: str | None = None,
+    indent: int | None = None,
+) -> str:
+    text = json.dumps(chrome_trace(tracer, trace_id), indent=indent)
     with open(path, "w") as fh:
         fh.write(text)
     return path

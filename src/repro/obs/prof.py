@@ -2,9 +2,11 @@
 
 ``pipeline_breakdown()`` and ``repro critpath`` attribute wall time to
 *stages* (spans) and nodes; this module attributes it to *cost centers* —
-``crypto.sign``, ``serialize.canonical_json``, ``queue.wait`` — below the
-span level, so "the fixed overhead is dominated by signing/serialization"
-becomes a measured table instead of a guess.
+``crypto.sign``, ``serialize.canonical_json``, ``consensus.order`` — below
+the span level, so "the fixed overhead is dominated by signing/serialization"
+becomes a measured table instead of a guess. A center holds only work done
+inside its frame: time something spent waiting while other work ran is not
+a center.
 
 Design mirrors :mod:`repro.obs.tracer`:
 
@@ -19,19 +21,12 @@ Design mirrors :mod:`repro.obs.tracer`:
   exclusive times sum without double counting.
 * Frames attach to the enclosing tracer span (when tracing is on), which
   is how :func:`repro.obs.breakdown.pipeline_breakdown` decomposes each
-  pipeline stage into cost centers, and how :func:`invoke_coverage`
-  checks what fraction of ``fabric.invoke`` wall time the named centers
-  explain.
-* The node label is resolved from the enclosing span chain exactly like
-  the critical-path extractor: the nearest span carrying a ``node`` /
-  ``peer`` / ``replica`` attr (or an ``orderer`` attr) names the node;
-  everything else is ``client`` work.
-
-Queue waits are a first-class row: the ``queue.wait`` center aggregates
-across all logical queues (the orderer's batch queue), with per-name detail
-kept separately (:class:`QueueStat`) and — when a registry is attached —
-exported as the ``queue_wait_seconds_total{queue}`` counter plus a latency
-histogram.
+  pipeline stage into cost centers, and how
+  :func:`repro.obs.breakdown.invoke_coverage` checks what fraction of
+  ``fabric.invoke`` wall time the named centers explain.
+* The node label is the enclosing span's :attr:`Span.node` — the same
+  value the critical path and the Chrome trace report; frames outside any
+  span are ``client`` work.
 
 Determinism: :meth:`Profiler.fingerprint` hashes **call counts only**
 (never seconds, never bytes — payload byte lengths can embed wall-clock
@@ -54,36 +49,24 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import wraps
 from typing import Any, Callable, Iterator
 
-from repro.obs.span import Span
-from repro.obs.tracer import LATENCY_BUCKETS, Tracer, current_span
+from repro.obs.span import CLIENT_NODE
+from repro.obs.tracer import current_span
 
 __all__ = [
     "CenterStat",
-    "QueueStat",
     "ProfileReport",
     "Profiler",
     "profiled",
-    "profiled_call",
     "enable_profiler",
     "disable_profiler",
     "get_profiler",
     "set_profiler",
     "profiling",
-    "invoke_coverage",
     "collapsed_stacks",
     "write_collapsed",
-    "chrome_trace_tree",
-    "write_chrome_trace_tree",
 ]
-
-# Synthetic center for stall accounting.
-QUEUE_WAIT = "queue.wait"
-
-# Node label for frames recorded outside any node-attributed span.
-CLIENT_NODE = "client"
 
 # The innermost open frame in this execution context (mirrors the
 # tracer's ``_current_span``).
@@ -176,23 +159,10 @@ class CenterStat:
 
 
 @dataclass(frozen=True)
-class QueueStat:
-    """Enqueue→start delay totals for one named work queue."""
-
-    name: str
-    tasks: int
-    wait_s: float
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "tasks": self.tasks, "wait_s": self.wait_s}
-
-
-@dataclass(frozen=True)
 class ProfileReport:
     """Snapshot of a profiler: centers ranked by exclusive time."""
 
     centers: tuple[CenterStat, ...]
-    queues: tuple[QueueStat, ...]
     fingerprint: str
 
     @property
@@ -203,7 +173,7 @@ class ProfileReport:
         return self.centers[:n]
 
     def render_lines(self, top_n: int = 20) -> list[str]:
-        """Human tables: top centers, then queue detail."""
+        """Human table of the top centers."""
         from repro.bench.report import format_table
 
         total = self.total_exclusive_s or 1.0
@@ -219,27 +189,16 @@ class ProfileReport:
             ]
             for stat in self.top(top_n)
         ]
-        lines = format_table(
+        return format_table(
             f"cost centers (top {min(top_n, len(self.centers))} of {len(self.centers)} by exclusive time)",
             ["node", "center", "calls", "excl ms", "incl ms", "bytes", "share"],
             rows,
         ).splitlines()
-        if self.queues:
-            lines.append("")
-            lines.extend(
-                format_table(
-                    "queue waits",
-                    ["queue", "tasks", "wait ms"],
-                    [[s.name, s.tasks, f"{s.wait_s * 1e3:.3f}"] for s in self.queues],
-                ).splitlines()
-            )
-        return lines
 
     def to_dict(self) -> dict:
         return {
             "fingerprint": self.fingerprint,
             "centers": [c.to_dict() for c in self.centers],
-            "queues": [s.to_dict() for s in self.queues],
         }
 
     def series(self) -> dict[str, list[float]]:
@@ -267,13 +226,8 @@ class ProfileReport:
 class Profiler:
     """Accumulates cost-center frames; install via :func:`enable_profiler`."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        registry: Any | None = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.registry = registry
         self._mutex = threading.Lock()
         # (node, center) -> [calls, inclusive_s, exclusive_s, n_bytes]
         self._centers: dict[tuple[str, str], list] = {}
@@ -281,40 +235,8 @@ class Profiler:
         self._paths: dict[tuple[str, tuple[str, ...]], list] = {}
         # span_id -> center -> [calls, exclusive_s]
         self._span_centers: dict[str, dict[str, list]] = {}
-        # queue name -> [tasks, wait_s]
-        self._queues: dict[str, list] = {}
-        # span_id -> resolved node label (walk the parent chain once).
-        self._span_nodes: dict[str, str] = {}
 
     # -- recording -----------------------------------------------------------
-
-    def _node_for(self, span: Span) -> str:
-        """Node owning ``span``: nearest enclosing node/peer/replica attr.
-
-        Mirrors the critical-path extractor's attribution. Walks the
-        *live* span chain via the contextvar tokens, so it must only be
-        called while the span is still open (frame exits always are).
-        """
-        cached = self._span_nodes.get(span.span_id)
-        if cached is not None:
-            return cached
-        node = CLIENT_NODE
-        cur: Any = span
-        while isinstance(cur, Span):
-            attrs = cur.attrs
-            label = attrs.get("node") or attrs.get("peer") or attrs.get("replica")
-            if label is not None:
-                node = str(label)
-                break
-            if "orderer" in attrs:
-                node = "orderer"
-                break
-            token = cur._token
-            if token is None:
-                break
-            cur = token.old_value  # the span this one stacked on
-        self._span_nodes[span.span_id] = node
-        return node
 
     def _record(
         self,
@@ -325,9 +247,9 @@ class Profiler:
         n_bytes: int,
     ) -> None:
         span = current_span()
-        if isinstance(span, Span):
+        if span is not None:
             span_id: str | None = span.span_id
-            node = self._node_for(span)
+            node = span.node
         else:
             span_id = None
             node = CLIENT_NODE
@@ -346,25 +268,6 @@ class Profiler:
                 )
                 sacc[0] += 1
                 sacc[1] += exclusive_s
-
-    def record_queue_wait(self, name: str, seconds: float) -> None:
-        """Charge one task's enqueue→start delay to the ``queue.wait`` center.
-
-        Recorded as a root-level row: the delay overlaps whatever else ran
-        meanwhile, so it is never subtracted from an open frame.
-        """
-        if seconds < 0.0:
-            seconds = 0.0
-        self._record(QUEUE_WAIT, (QUEUE_WAIT,), seconds, seconds, 0)
-        with self._mutex:
-            acc = self._queues.setdefault(name, [0, 0.0])
-            acc[0] += 1
-            acc[1] += seconds
-        if self.registry is not None:
-            self.registry.counter("queue_wait_seconds_total", {"queue": name}).inc(seconds)
-            self.registry.histogram(
-                "queue_wait_seconds", LATENCY_BUCKETS, labels={"queue": name}
-            ).observe(seconds)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -387,13 +290,6 @@ class Profiler:
                 for span_id, centers in self._span_centers.items()
             }
 
-    def queue_stats(self) -> list[QueueStat]:
-        with self._mutex:
-            return [
-                QueueStat(name, acc[0], acc[1])
-                for name, acc in sorted(self._queues.items())
-            ]
-
     def fingerprint(self) -> str:
         """sha256 over call counts only — seed-deterministic by design."""
         with self._mutex:
@@ -402,7 +298,6 @@ class Profiler:
                     f"{node}|{center}": acc[0]
                     for (node, center), acc in self._centers.items()
                 },
-                "queues": {name: acc[0] for name, acc in self._queues.items()},
             }
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
@@ -413,7 +308,6 @@ class Profiler:
         )
         return ProfileReport(
             centers=tuple(centers),
-            queues=tuple(self.queue_stats()),
             fingerprint=self.fingerprint(),
         )
 
@@ -443,24 +337,6 @@ def profiled(center: str, n_bytes: int = 0) -> Any:
     return _Frame(profiler, center, n_bytes)
 
 
-def profiled_call(center: str) -> Callable:
-    """Decorator form; checks enablement at *call* time, so functions
-    decorated at import (profiler off) still profile once enabled."""
-
-    def decorate(fn: Callable) -> Callable:
-        @wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            profiler = _PROFILER
-            if profiler is None:
-                return fn(*args, **kwargs)
-            with _Frame(profiler, center, 0):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
 def get_profiler() -> Profiler | None:
     return _PROFILER
 
@@ -470,10 +346,8 @@ def set_profiler(profiler: Profiler | None) -> None:
     _PROFILER = profiler
 
 
-def enable_profiler(
-    registry: Any | None = None, clock: Callable[[], float] = time.perf_counter
-) -> Profiler:
-    profiler = Profiler(clock=clock, registry=registry)
+def enable_profiler(clock: Callable[[], float] = time.perf_counter) -> Profiler:
+    profiler = Profiler(clock=clock)
     set_profiler(profiler)
     return profiler
 
@@ -483,12 +357,10 @@ def disable_profiler() -> None:
 
 
 @contextmanager
-def profiling(
-    registry: Any | None = None, clock: Callable[[], float] = time.perf_counter
-) -> Iterator[Profiler]:
+def profiling(clock: Callable[[], float] = time.perf_counter) -> Iterator[Profiler]:
     """Scoped enable/disable, restoring whatever was installed before."""
     previous = _PROFILER
-    profiler = enable_profiler(registry=registry, clock=clock)
+    profiler = enable_profiler(clock=clock)
     try:
         yield profiler
     finally:
@@ -496,39 +368,8 @@ def profiling(
 
 
 # ---------------------------------------------------------------------------
-# Coverage & export
+# Export
 # ---------------------------------------------------------------------------
-
-
-def invoke_coverage(
-    tracer: Tracer | None,
-    profiler: Profiler | None = None,
-    root_name: str = "fabric.invoke",
-) -> float:
-    """Fraction of ``root_name`` wall time explained by cost centers.
-
-    For every finished root span, sums the exclusive seconds of all
-    frames attached to the span or any of its execution-order
-    descendants (which is where remote consensus/commit work lands),
-    divided by total root wall time. This is the ≥ 0.9 acceptance
-    number ``repro prof --min-coverage`` gates on.
-    """
-    profiler = profiler if profiler is not None else _PROFILER
-    if tracer is None or profiler is None:
-        return 0.0
-    span_centers = profiler.span_center_seconds()
-    wall = 0.0
-    attributed = 0.0
-    for root in tracer.spans(root_name):
-        if not root.finished:
-            continue
-        wall += root.duration_s
-        for span in [root, *tracer.descendants(root, view="exec")]:
-            for _calls, seconds in span_centers.get(span.span_id, {}).values():
-                attributed += seconds
-    if wall <= 0.0:
-        return 0.0
-    return attributed / wall
 
 
 def collapsed_stacks(profiler: Profiler | None = None) -> list[str]:
@@ -550,72 +391,3 @@ def collapsed_stacks(profiler: Profiler | None = None) -> list[str]:
 def write_collapsed(path: str, profiler: Profiler | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(collapsed_stacks(profiler)) + "\n")
-
-
-def chrome_trace_tree(profiler: Profiler | None = None) -> dict:
-    """Chrome ``traceEvents`` view of the aggregated cost-center tree.
-
-    One synthetic process per node, one ``X`` event per frame path with
-    duration = aggregate inclusive time and children laid out
-    sequentially from the parent's start. Timestamps are synthetic tree
-    coordinates (this is an aggregate profile, not a timeline); load in
-    ``chrome://tracing`` / Perfetto to browse nesting visually.
-    """
-    events: list[dict] = []
-    profiler = profiler if profiler is not None else _PROFILER
-    if profiler is None:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-    stats = profiler.path_stats()
-    nodes = sorted({node for node, _path in stats})
-    for pid, node in enumerate(nodes, start=1):
-        events.append(
-            {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": node}}
-        )
-        node_paths = {path: v for (n, path), v in stats.items() if n == node}
-        # Inclusive µs per path = own exclusive + all recorded extensions.
-        incl: dict[tuple[str, ...], float] = {
-            path: excl for path, (_c, excl) in node_paths.items()
-        }
-        for path in list(incl):
-            for depth in range(1, len(path)):
-                incl.setdefault(path[:depth], 0.0)
-        for path in sorted(incl, key=len, reverse=True):
-            if len(path) > 1:
-                incl[path[:-1]] += incl[path]
-        children: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        roots: list[tuple[str, ...]] = []
-        for path in sorted(incl):
-            if len(path) == 1:
-                roots.append(path)
-            else:
-                children.setdefault(path[:-1], []).append(path)
-
-        def emit(path: tuple[str, ...], ts: int, pid: int = pid) -> int:
-            dur = max(1, round(incl[path] * 1e6))
-            calls = node_paths.get(path, (0, 0.0))[0]
-            events.append(
-                {
-                    "name": path[-1],
-                    "cat": "prof",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": 1,
-                    "ts": ts,
-                    "dur": dur,
-                    "args": {"calls": calls, "path": ";".join(path)},
-                }
-            )
-            cursor = ts
-            for child in children.get(path, ()):
-                cursor += emit(child, cursor)
-            return dur
-
-        cursor = 0
-        for root in roots:
-            cursor += emit(root, cursor)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace_tree(path: str, profiler: Profiler | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace_tree(profiler), fh, indent=1)

@@ -8,6 +8,12 @@ constructs them directly.
 
 Identifiers are deterministic (a process-wide counter, not random), so
 traces of the same run are stable and testable.
+
+Every span also knows the *node* it ran on — the one attribution rule the
+profiler, the critical path and the Chrome trace all read: a span's own
+``node`` / ``peer`` / ``replica`` attribute (first present wins), ``orderer``
+if it carries an ``orderer`` attribute, otherwise the node of the span it
+opened under, and ``client`` at the top.
 """
 
 from __future__ import annotations
@@ -21,9 +27,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 _ids = itertools.count(1)
 
+# Node of a span with no location attribute anywhere above it: the client
+# process that drives submit/retrieve.
+CLIENT_NODE = "client"
+
+# Attributes that name a span's node, in precedence order.
+_NODE_ATTRS = ("node", "peer", "replica", "orderer")
+
 
 def next_span_id() -> str:
     return f"{next(_ids):08x}"
+
+
+def own_node(attrs: dict[str, Any]) -> str | None:
+    """The node named by a span's own attributes, or ``None``."""
+    for key in _NODE_ATTRS:
+        if key in attrs:
+            return "orderer" if key == "orderer" else str(attrs[key])
+    return None
 
 
 @dataclass(frozen=True)
@@ -60,6 +81,7 @@ class Span:
         "parent_id",
         "exec_parent_id",
         "remote",
+        "node",
         "start_s",
         "end_s",
         "attrs",
@@ -86,6 +108,7 @@ class Span:
         # sender and exec_parent_id the frame that ran the delivery.
         self.exec_parent_id: str | None = None
         self.remote: bool = False  # True when parented across a message hop
+        self.node: str = CLIENT_NODE  # resolved on enter, see the module docs
         self.start_s: float = 0.0
         self.end_s: float | None = None
         self.attrs: dict[str, Any] = attrs if attrs is not None else {}
@@ -99,6 +122,10 @@ class Span:
 
     def set_attr(self, key: str, value: Any) -> "Span":
         self.attrs[key] = value
+        if key in _NODE_ATTRS:
+            # Spans already opened under this one keep the node they
+            # inherited; location attributes are set before any child opens.
+            self.node = own_node(self.attrs)
         return self
 
     def context(self) -> SpanContext:
@@ -139,6 +166,7 @@ class Span:
             "parent_id": self.parent_id,
             "exec_parent_id": self.exec_parent_id,
             "remote": self.remote,
+            "node": self.node,
             "start_s": self.start_s,
             "end_s": self.end_s,
             "duration_s": self.duration_s,

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
+from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext, own_node
 
 _current_span: ContextVar[Span | None] = ContextVar("repro_obs_current_span", default=None)
 
@@ -94,8 +94,12 @@ class Tracer:
 
     def _enter(self, span: Span) -> None:
         parent = _current_span.get()
+        node = own_node(span.attrs)
         if parent is not None:
             span.exec_parent_id = parent.span_id
+            span.node = parent.node if node is None else node
+        elif node is not None:
+            span.node = node
         remote = span._remote_parent
         if remote is not None:
             # Causal parent: the span that *sent* the message. The ambient

@@ -5,12 +5,10 @@ through the same entry point the CLI uses, so resolution runs the full
 import-alias path (the fixtures are *packages*, not single modules).
 """
 
-import ast
 import time
 
 import pytest
 
-from repro.analysis import astcache
 from repro.analysis.flow import analyze_paths, build_program
 from repro.analysis.flow.callgraph import module_name_for
 from pathlib import Path
@@ -37,6 +35,13 @@ def rule_ids(report):
 
 
 class TestCallGraph:
+    def test_syntax_error_is_typed(self, tmp_path):
+        from repro.errors import AnalysisError
+
+        pkg = write_tree(tmp_path, {"bad.py": "def broken(:\n"})
+        with pytest.raises(AnalysisError, match="cannot parse"):
+            build_program([pkg])
+
     def test_module_naming_is_rooted_at_scan_parent(self):
         assert module_name_for(Path("src/repro/util/clock.py"), Path("src/repro")) \
             == "repro.util.clock"
@@ -314,53 +319,3 @@ class TestEngine:
         report = analyze_paths([pkg])
         paths = [f.path for f in report.findings]
         assert paths == sorted(paths)
-
-
-# ---------------------------------------------------------------------------
-# AST cache
-# ---------------------------------------------------------------------------
-
-
-class TestAstCache:
-    def test_memo_hits_by_content(self, tmp_path):
-        target = tmp_path / "m.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        first = astcache.parse_module(target)
-        second = astcache.parse_module(target)
-        assert second.tree is first.tree  # same object: memo hit
-        target.write_text("x = 2\n", encoding="utf-8")
-        third = astcache.parse_module(target)
-        assert third.tree is not first.tree
-
-    def test_disk_cache_round_trip(self, tmp_path, monkeypatch):
-        cache_dir = tmp_path / "astcache"
-        monkeypatch.setenv("REPRO_AST_CACHE", str(cache_dir))
-        target = tmp_path / "m.py"
-        target.write_text("def f():\n    return 41\n", encoding="utf-8")
-        parsed = astcache.parse_module(target)
-        entries = list(cache_dir.glob("*.astpkl"))
-        assert len(entries) == 1
-        # A second process would load from disk; simulate by clearing memo.
-        astcache.clear_memo()
-        again = astcache.parse_module(target)
-        assert ast.dump(again.tree) == ast.dump(parsed.tree)
-
-    def test_corrupt_disk_entry_falls_back_to_parse(self, tmp_path, monkeypatch):
-        cache_dir = tmp_path / "astcache"
-        monkeypatch.setenv("REPRO_AST_CACHE", str(cache_dir))
-        target = tmp_path / "m.py"
-        target.write_text("y = 3\n", encoding="utf-8")
-        astcache.parse_module(target)
-        (entry,) = cache_dir.glob("*.astpkl")
-        entry.write_bytes(b"not a pickle")
-        astcache.clear_memo()
-        parsed = astcache.parse_module(target)  # must not raise
-        assert isinstance(parsed.tree, ast.Module)
-
-    def test_syntax_error_is_typed(self, tmp_path):
-        from repro.errors import AnalysisError
-
-        target = tmp_path / "bad.py"
-        target.write_text("def broken(:\n", encoding="utf-8")
-        with pytest.raises(AnalysisError):
-            astcache.parse_module(target)

@@ -93,6 +93,18 @@ class TestCli:
         doc = json.loads(out_file.read_text())
         assert doc["traceEvents"], "chrome trace should contain events"
 
+    @pytest.mark.parametrize(
+        "argv", [["trace"], ["critpath", "latest"], ["prof", "demo"]]
+    )
+    def test_every_out_flag_writes_the_per_node_chrome_trace(self, tmp_path, argv):
+        out_file = tmp_path / "trace.json"
+        assert main([*argv, "--items", "1", "--out", str(out_file)]) == 0
+        events = json.loads(out_file.read_text())["traceEvents"]
+        rows = {e["args"]["name"]: e["pid"] for e in events if e["ph"] == "M"}
+        assert {"client", "orderer"} <= set(rows)
+        spans = [e for e in events if e["ph"] == "X"]
+        assert spans and {e["pid"] for e in spans} == set(rows.values())
+
     def test_trace_leaves_global_tracer_disabled(self):
         from repro.obs import get_tracer
 

@@ -1,7 +1,15 @@
-"""Tests for message tracing, including PBFT phase analysis."""
+"""Tests for message tracing, including PBFT phase analysis.
 
+With tracing on, every delivered message is a ``net.deliver`` span carrying
+its sender (``src``), destination (``node``) and ``kind``; that span stream
+is the network's message trace.
+"""
+
+from collections import Counter
+
+from repro import obs
 from repro.consensus import BftCluster
-from repro.net import ConstantLatency, MessageTrace, NetNode, SimNetwork
+from repro.net import ConstantLatency, NetNode, SimNetwork
 
 
 class Echo(NetNode):
@@ -9,81 +17,63 @@ class Echo(NetNode):
         pass
 
 
+def deliveries(tracer):
+    return tracer.spans("net.deliver")
+
+
 class TestMessageTrace:
     def make(self):
         net = SimNetwork(latency=ConstantLatency(base=0.01))
-        trace = MessageTrace(net)
         a, b = Echo("a", net), Echo("b", net)
-        return net, trace, a, b
+        return net, a, b
 
     def test_records_deliveries_with_time(self):
-        net, trace, a, b = self.make()
-        a.send("b", "x", kind="ping", size_bytes=100)
-        net.run()
-        assert len(trace) == 1
-        entry = trace.entries[0]
-        assert (entry.src, entry.dst, entry.kind, entry.size_bytes) == ("a", "b", "ping", 100)
-        assert entry.time >= 0.01
+        net, a, b = self.make()
+        with obs.enabled() as tracer:
+            a.send("b", "x", kind="ping", size_bytes=100)
+            net.run()
+        (span,) = deliveries(tracer)
+        assert span.attrs == {"src": "a", "node": "b", "kind": "ping"}
+        assert span.node == "b"
+        assert span.finished and span.end_s >= span.start_s
 
     def test_dropped_messages_not_recorded(self):
-        net, trace, a, b = self.make()
+        net, a, b = self.make()
         net.set_node_up("b", False)
-        a.send("b", "lost")
-        net.run()
-        assert len(trace) == 0
-
-    def test_count_and_bytes_by_kind(self):
-        net, trace, a, b = self.make()
-        for _ in range(3):
-            a.send("b", "x", kind="ping", size_bytes=10)
-        a.send("b", "y", kind="pong", size_bytes=99)
-        net.run()
-        assert trace.count_by_kind() == {"ping": 3, "pong": 1}
-        assert trace.bytes_by_kind() == {"ping": 30, "pong": 99}
+        with obs.enabled() as tracer:
+            a.send("b", "lost")
+            net.run()
+        assert deliveries(tracer) == []
 
     def test_pair_matrix(self):
-        net, trace, a, b = self.make()
-        a.send("b", 1)
-        a.send("b", 2)
-        b.send("a", 3)
-        net.run()
-        assert trace.pair_matrix() == {("a", "b"): 2, ("b", "a"): 1}
-
-    def test_between_window(self):
-        net, trace, a, b = self.make()
-        a.send("b", "early")
-        net.schedule(5.0, lambda: a.send("b", "late"))
-        net.run()
-        assert len(trace.between(0.0, 1.0)) == 1
-        assert len(trace.between(4.0, 10.0)) == 1
+        net, a, b = self.make()
+        with obs.enabled() as tracer:
+            a.send("b", 1)
+            a.send("b", 2)
+            b.send("a", 3)
+            net.run()
+        pairs = Counter((s.attrs["src"], s.node) for s in deliveries(tracer))
+        assert pairs == {("a", "b"): 2, ("b", "a"): 1}
 
     def test_detach_stops_recording(self):
-        net, trace, a, b = self.make()
-        a.send("b", 1)
-        net.run()
-        trace.detach()
+        net, a, b = self.make()
+        with obs.enabled() as tracer:
+            a.send("b", 1)
+            net.run()
         a.send("b", 2)
         net.run()
-        assert len(trace) == 1
-
-    def test_timeline_renders(self):
-        net, trace, a, b = self.make()
-        for i in range(3):
-            a.send("b", i, kind="msg")
-        net.run()
-        text = trace.timeline(limit=2)
-        assert "a" in text and "-> b" in text
-        assert "1 more" in text
+        assert len(deliveries(tracer)) == 1
+        assert net.stats.delivered == 2
 
 
 class TestPbftPhaseAnalysis:
     def test_three_phases_visible_and_quadratic(self):
         net = SimNetwork(latency=ConstantLatency(base=0.001))
-        trace = MessageTrace(net)
         cluster = BftCluster(n_replicas=4, network=net)
-        cluster.submit("payload")
-        cluster.run()
-        kinds = trace.count_by_kind()
+        with obs.enabled() as tracer:
+            cluster.submit("payload")
+            cluster.run()
+        kinds = Counter(s.attrs["kind"] for s in deliveries(tracer))
         # One pre-prepare broadcast (n-1), then all-to-all prepare/commit.
         assert kinds["PrePrepare"] == 3
         assert kinds["Prepare"] >= 9   # (n-1) broadcasts of n-1 each, minus self

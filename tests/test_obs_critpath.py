@@ -14,13 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core import Client, Framework, FrameworkConfig
-from repro.obs.critpath import (
-    chrome_trace_by_node,
-    critical_path,
-    span_node,
-    tx_anchor,
-    write_chrome_trace_by_node,
-)
+from repro.obs.critpath import critical_path, tx_anchor
 from repro.errors import ObservabilityError
 from repro.trust import SourceTier
 
@@ -115,25 +109,27 @@ class TestSpanNode:
                 with tracer.span("mid"):
                     with tracer.span("leaf", attrs={"replica": "validator-2"}):
                         pass
-        by_id = {s.span_id: s for s in tracer.finished}
+                with tracer.span("order") as sp:
+                    sp.set_attr("orderer", "bft")  # set after open, still its own
         (leaf,) = tracer.spans("leaf")
         (mid,) = tracer.spans("mid")
-        assert span_node(leaf, by_id) == "validator-2"
-        assert span_node(mid, by_id) == "peer0"  # inherited from ancestor
+        (order,) = tracer.spans("order")
+        assert leaf.node == "validator-2"
+        assert mid.node == "peer0"  # inherited from the span it opened under
+        assert order.node == "orderer"
 
     def test_unattributed_span_defaults_to_client(self):
         with obs.enabled() as tracer:
             with tracer.span("bare"):
                 pass
-        by_id = {s.span_id: s for s in tracer.finished}
-        assert span_node(tracer.spans("bare")[0], by_id) == "client"
+        assert tracer.spans("bare")[0].node == "client"
 
 
 class TestChromeTraceByNode:
     def test_one_process_row_per_node(self, traced_commit, tmp_path):
         tracer, receipt = traced_commit
         cp = critical_path(tracer, receipt.tx_id)
-        events = chrome_trace_by_node(tracer, trace_id=cp.trace_id)["traceEvents"]
+        events = obs.chrome_trace(tracer, trace_id=cp.trace_id)["traceEvents"]
         meta = [e for e in events if e.get("ph") == "M"]
         row_names = {e["args"]["name"] for e in meta}
         assert set(cp.nodes) <= row_names
@@ -142,7 +138,7 @@ class TestChromeTraceByNode:
         # Every duration event lands on a declared process row.
         assert {e["pid"] for e in events if e.get("ph") == "X"} <= pids
         out = tmp_path / "trace.json"
-        write_chrome_trace_by_node(out, tracer, trace_id=cp.trace_id)
+        obs.write_chrome_trace(out, tracer, trace_id=cp.trace_id)
         assert json.loads(out.read_text())["traceEvents"]
 
 

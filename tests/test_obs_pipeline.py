@@ -119,19 +119,21 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         obs.write_chrome_trace(str(path), traced_run)
         doc = json.loads(path.read_text())
-        events = doc["traceEvents"]
+        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(events) == len(traced_run.finished)
         for event in events:
-            assert event["ph"] == "X"
             assert event["ts"] >= 0 and event["dur"] >= 0
             assert isinstance(event["name"], str) and event["name"]
             assert "span_id" in event["args"]
 
     def test_one_lane_per_trace(self, traced_run):
         events = obs.chrome_trace(traced_run)["traceEvents"]
-        lanes = {e["tid"] for e in events}
-        n_traces = len({s.trace_id for s in traced_run.finished})
-        assert len(lanes) == n_traces
+        rows = {e["args"]["name"]: e["pid"] for e in events if e["ph"] == "M"}
+        assert set(rows) == {s.node for s in traced_run.finished}
+        for node, pid in rows.items():
+            lanes = {e["tid"] for e in events if e["ph"] == "X" and e["pid"] == pid}
+            traces = {s.trace_id for s in traced_run.finished if s.node == node}
+            assert len(lanes) == len(traces)
 
 
 class TestBreakdown:

@@ -1,22 +1,15 @@
 """Tests for the cost-center profiler: no-op mode, nesting, attribution,
-queue telemetry, exports, determinism, and span reconciliation."""
+exports, determinism, and span reconciliation."""
 
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from repro import obs
-from repro.obs.prof import (
-    _NOOP,
-    Profiler,
-    chrome_trace_tree,
-    collapsed_stacks,
-    invoke_coverage,
-    profiled,
-    profiled_call,
-    profiling,
-)
+from repro.obs import invoke_coverage
+from repro.obs.prof import _NOOP, Profiler, collapsed_stacks, profiled, profiling
 
 
 @pytest.fixture(autouse=True)
@@ -51,19 +44,6 @@ class TestDisabledMode:
         current, _peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert current < 2048, f"disabled profiling leaked {current} B"
-
-    def test_decorator_checks_enablement_at_call_time(self):
-        obs.disable_profiler()
-
-        @profiled_call("deco.center")
-        def work():
-            return 7
-
-        assert work() == 7  # decorated while disabled: plain call
-        profiler = obs.enable_profiler()
-        assert work() == 7
-        stats = {s.center: s for s in profiler.center_stats()}
-        assert stats["deco.center"].calls == 1
 
 
 class TestRecording:
@@ -111,33 +91,13 @@ class TestRecording:
         assert obs.get_profiler() is outer
 
 
-class TestQueueTelemetry:
-    def test_queue_wait_is_a_root_row_with_per_queue_detail(self):
-        registry = obs.MetricsRegistry()
-        obs.set_registry(registry)
-        profiler = obs.enable_profiler(registry=registry)
-        with profiled("outer"):
-            profiler.record_queue_wait("test.queue", 0.25)
-            profiler.record_queue_wait("test.queue", -1.0)  # clock skew: clamped
-        queues = {s.name: s for s in profiler.queue_stats()}
-        assert queues["test.queue"].tasks == 2
-        assert queues["test.queue"].wait_s == pytest.approx(0.25)
-        # queue.wait is recorded as a root frame, never as child time of the
-        # frame that happened to be open when the task started.
-        paths = {path for (_node, path) in profiler.path_stats()}
-        assert ("queue.wait",) in paths
-        stats = {s.center: s for s in profiler.center_stats()}
-        assert stats["outer"].exclusive_s == pytest.approx(stats["outer"].inclusive_s)
-        assert 'queue_wait_seconds_total{queue="test.queue"}' in registry.render()
-
-
 class TestDeterminism:
     def _chaos_fingerprint(self):
         from repro.chaos import get_scenario
 
         registry = obs.MetricsRegistry()
         obs.set_registry(registry)
-        with profiling(registry=registry) as profiler:
+        with profiling() as profiler:
             tracer = obs.enable(registry=registry)
             try:
                 get_scenario("standard", seed=0, n_cycles=6).run()
@@ -167,7 +127,7 @@ class TestReconciliation:
 
         registry = obs.MetricsRegistry()
         obs.set_registry(registry)
-        profiler = obs.enable_profiler(registry=registry)
+        profiler = obs.enable_profiler()
         tracer = obs.enable(registry=registry)
         framework = Framework(FrameworkConfig())
         client = Client(
@@ -259,20 +219,6 @@ class TestExports:
             assert frames and int(weight) >= 0
         assert any(line.startswith("p0;outer;inner ") for line in lines)
 
-    def test_chrome_trace_tree_structure(self):
-        profiler = self._small_profile()
-        doc = chrome_trace_tree(profiler)
-        events = doc["traceEvents"]
-        names = {e["name"] for e in events if e["ph"] == "X"}
-        assert {"outer", "inner"} <= names
-        procs = [e for e in events if e["ph"] == "M"]
-        assert any(e["args"]["name"] == "p0" for e in procs)
-        outer = next(e for e in events if e["ph"] == "X" and e["name"] == "outer")
-        inner = next(e for e in events if e["ph"] == "X" and e["name"] == "inner")
-        # Child laid out within the parent's synthetic window.
-        assert outer["ts"] <= inner["ts"]
-        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
-
     def test_report_series_shape(self):
         profiler = self._small_profile()
         series = profiler.report().series()
@@ -285,4 +231,70 @@ class TestExports:
     def test_exports_empty_when_disabled(self):
         obs.disable_profiler()
         assert collapsed_stacks(None) == []
-        assert chrome_trace_tree(None)["traceEvents"] == []
+
+
+class TestAttributionModel:
+    @staticmethod
+    def _profiled_ingest(batch_size):
+        """One run of the quick batching sweep (16 items at ``batch_size``),
+        profiled and traced; at 16 the orderer holds transactions in its
+        batch queue while the rest of the batch is prepared."""
+        from repro.core import BatchIngestor, Framework, FrameworkConfig
+        from repro.trust import SourceTier
+        from repro.workloads.traffic import IngestItem
+
+        with profiling() as profiler, obs.enabled(max_spans=None) as tracer:
+            framework = Framework(
+                FrameworkConfig(consensus="bft", max_batch_size=batch_size)
+            )
+            ingestor = BatchIngestor(framework, record_provenance=False)
+            ingestor.register(
+                framework.register_source("batch-cam", tier=SourceTier.TRUSTED)
+            )
+            items = [
+                IngestItem(
+                    source_id="batch-cam",
+                    payload=bytes([i]) * 4096,
+                    metadata={"timestamp": float(i), "detections": []},
+                    observation=None,
+                )
+                for i in range(16)
+            ]
+            assert ingestor.ingest(items).committed == 16
+        return tracer, profiler
+
+    def test_centers_fit_their_span_and_nodes_match_critical_path(self):
+        for batch_size in (1, 16):
+            self._check_attribution(*self._profiled_ingest(batch_size))
+
+    @staticmethod
+    def _check_attribution(tracer, profiler):
+        spans = {s.span_id: s for s in tracer.finished}
+        span_centers = profiler.span_center_seconds()
+        assert span_centers
+        # A center holds only work done inside the span it is recorded
+        # under, so the centers of a span never add up to more than it.
+        for span_id, centers in span_centers.items():
+            span = spans[span_id]
+            held = sum(seconds for _calls, seconds in centers.values())
+            assert held <= span.duration_s + 1e-9, (
+                f"{span.name}: centers hold {held:.6f}s of a "
+                f"{span.duration_s:.6f}s span: {sorted(centers)}"
+            )
+        # Frames are charged to the node critical_path reports for their
+        # span (the committed invokes cross client, peers, orderer and
+        # validators).
+        on_path: Counter = Counter()
+        for invoke in tracer.spans("fabric.invoke"):
+            path = obs.critical_path(tracer, invoke.attrs["tx_id"])
+            nodes = {seg.span_id: seg.node for seg in path.segments}
+            for span_id, node in nodes.items():
+                for center, (calls, _s) in span_centers.get(span_id, {}).items():
+                    on_path[node, center] += calls
+        assert len({node for node, _center in on_path}) >= 3
+        rows = {(s.node, s.center): s.calls for s in profiler.center_stats()}
+        for (node, center), calls in sorted(on_path.items()):
+            assert rows.get((node, center), 0) >= calls, (
+                f"{center}: {calls} calls on {node}'s critical-path spans, "
+                f"but the profiler charged {rows.get((node, center), 0)} to {node}"
+            )
