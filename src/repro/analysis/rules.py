@@ -108,7 +108,7 @@ _RULES = (
          "runtime"),
     Rule("SAN309", ERROR, "indexed query answers diverge from scan answers",
          "a world-state route (authenticated index or state scan) and the "
-         "chaincode scan route returned different answers for the same query",
+         "chaincode full scan returned different answers for the same query",
          "runtime"),
     # -- flow rules: whole-program interprocedural analysis ----------------
     Rule("FLOW501", ERROR, "wall-clock value flows into a consensus-critical sink",

@@ -193,8 +193,8 @@ class Sanitizer:
 
     def check_query_parity(self, description: str, indexed: list, scanned: list) -> None:
         """SAN309: a world-state route (index or state scan, ``indexed``) and
-        the chaincode scan route must return byte-identical answers for the
-        same query."""
+        the chaincode full scan (``scanned``) must return byte-identical
+        answers for the same query."""
         if "index" not in self.modes:
             return
         from repro.util.serialization import canonical_json

@@ -1,19 +1,10 @@
 """The paper's chaincodes (§III-B): admin enrollment, user registration,
-data upload/retrieval with secondary indexes, hash-chained provenance, and
+data upload/retrieval, hash-chained provenance, and
 on-chain trust scores."""
 
 from repro.chaincodes.access import AccessControlChaincode
 from repro.chaincodes.admin import AdminEnrollmentChaincode
-from repro.chaincodes.data import (
-    DataRetrievalChaincode,
-    DataUploadChaincode,
-    IDX_CAMERA,
-    IDX_CLASS,
-    IDX_SOURCE,
-    IDX_TIME,
-    TIME_BUCKET_S,
-    time_bucket,
-)
+from repro.chaincodes.data import DataRetrievalChaincode, DataUploadChaincode
 from repro.chaincodes.provenance import GENESIS_HASH, ProvenanceChaincode
 from repro.chaincodes.registry import UserRegistrationChaincode
 from repro.chaincodes.trust_cc import TrustScoreChaincode
@@ -23,12 +14,6 @@ __all__ = [
     "AdminEnrollmentChaincode",
     "DataRetrievalChaincode",
     "DataUploadChaincode",
-    "IDX_CAMERA",
-    "IDX_CLASS",
-    "IDX_SOURCE",
-    "IDX_TIME",
-    "TIME_BUCKET_S",
-    "time_bucket",
     "GENESIS_HASH",
     "ProvenanceChaincode",
     "UserRegistrationChaincode",

@@ -6,11 +6,13 @@ transaction's id (``ctx.stub.getTxID()`` in the paper); the retrieval
 contract reads that record back so the client can fetch the raw bytes from
 IPFS by CID and verify them against the on-chain hash.
 
-On top of the snippets, the upload path maintains composite-key secondary
-indexes (by source, by camera, by time bucket, by vehicle class) — the
-"efficient querying mechanisms" contribution — and records the raw-data
-SHA-256 so retrieval can prove integrity, the provenance property §III-B c
-calls out.
+On top of the snippets, the upload path records the raw-data SHA-256 so
+retrieval can prove integrity, the provenance property §III-B c calls out.
+The contracts keep no secondary index of their own: the "efficient querying
+mechanisms" contribution is the peers' block-incremental authenticated
+index (:mod:`repro.index`), derived from these ``data:`` records. The
+retrieval contract's :meth:`~DataRetrievalChaincode.list_all` full scan is
+the query engine's fallback and its parity oracle.
 """
 
 from __future__ import annotations
@@ -23,19 +25,6 @@ from repro.util.serialization import canonical_json
 from repro.util.clock import isoformat
 
 _DATA_PREFIX = "data:"
-# Composite index object types.
-IDX_SOURCE = "data~source"
-IDX_CAMERA = "data~camera"
-IDX_TIME = "data~time"
-IDX_CLASS = "data~class"
-IDX_VIOLATION = "data~violation"
-
-TIME_BUCKET_S = 600  # ten-minute buckets for time-range queries
-
-
-def time_bucket(timestamp: float) -> str:
-    """Zero-padded bucket id so lexicographic order is chronological."""
-    return f"{int(timestamp // TIME_BUCKET_S):012d}"
 
 
 class DataUploadChaincode(Chaincode):
@@ -76,7 +65,6 @@ class DataUploadChaincode(Chaincode):
             "uploader_org": stub.get_creator().org,
         }
         stub.put_state(key, canonical_json(record))
-        self._index(stub, entry_id, record)
         stub.set_event(
             "DataStored",
             {"entry_id": entry_id, "cid": cid, "source_id": record["source_id"]},
@@ -100,33 +88,6 @@ class DataUploadChaincode(Chaincode):
             )
         return result
 
-    def _index(self, stub: ChaincodeStub, entry_id: str, record: dict) -> None:
-        metadata = record["metadata"]
-        marker = b"\x01"  # composite index entries carry no payload
-        stub.put_state(
-            stub.create_composite_key(IDX_SOURCE, [record["source_id"], entry_id]), marker
-        )
-        camera = metadata.get("camera_id")
-        if camera:
-            stub.put_state(
-                stub.create_composite_key(IDX_CAMERA, [str(camera), entry_id]), marker
-            )
-        ts = metadata.get("timestamp")
-        if isinstance(ts, (int, float)):
-            stub.put_state(
-                stub.create_composite_key(IDX_TIME, [time_bucket(ts), entry_id]), marker
-            )
-        for detection in metadata.get("detections", []):
-            cls = detection.get("vehicle_class")
-            if cls:
-                key = stub.create_composite_key(IDX_CLASS, [str(cls), entry_id])
-                stub.put_state(key, marker)
-        for violation in metadata.get("violations", []):
-            vtype = violation.get("violation_type")
-            if vtype:
-                key = stub.create_composite_key(IDX_VIOLATION, [str(vtype), entry_id])
-                stub.put_state(key, marker)
-
     # -- reads shared with the retrieval contract -------------------------------
 
     def get_data(self, stub: ChaincodeStub, entry_id: str):
@@ -137,7 +98,7 @@ class DataUploadChaincode(Chaincode):
 
 
 class DataRetrievalChaincode(Chaincode):
-    """The paper's retrieval contract: metadata lookup and index scans.
+    """The paper's retrieval contract: metadata lookup and the full scan.
 
     The raw-bytes fetch from IPFS happens off-chain in the client (the
     paper's ``ipfsClient.get(metadata.cid)`` line is the client library's
@@ -160,55 +121,9 @@ class DataRetrievalChaincode(Chaincode):
     def get_cid(self, stub: ChaincodeStub, entry_id: str):
         return self.get_data(stub, entry_id)["cid"]
 
-    def _ids_from_index(self, stub: ChaincodeStub, object_type: str, attrs: list[str]):
-        rows = stub.get_state_by_partial_composite_key(object_type, attrs)
-        ids = []
-        for key, _ in rows:
-            _, parts = stub.split_composite_key(key)
-            ids.append(parts[-1])
-        return ids
-
-    def _load_many(self, stub: ChaincodeStub, ids: list[str]):
-        out = []
-        for entry_id in ids:
-            raw = stub.get_state(self._key(entry_id))
-            if raw is not None:
-                out.append(json.loads(raw))
-        return out
-
-    def list_by_source(self, stub: ChaincodeStub, source_id: str):
-        return self._load_many(stub, self._ids_from_index(stub, IDX_SOURCE, [source_id]))
-
-    def list_by_camera(self, stub: ChaincodeStub, camera_id: str):
-        return self._load_many(stub, self._ids_from_index(stub, IDX_CAMERA, [camera_id]))
-
-    def list_by_vehicle_class(self, stub: ChaincodeStub, vehicle_class: str):
-        return self._load_many(stub, self._ids_from_index(stub, IDX_CLASS, [vehicle_class]))
-
-    def list_by_violation(self, stub: ChaincodeStub, violation_type: str):
-        return self._load_many(stub, self._ids_from_index(stub, IDX_VIOLATION, [violation_type]))
-
-    def list_by_time_range(self, stub: ChaincodeStub, start_ts: str, end_ts: str):
-        """Entries whose metadata timestamp falls in [start_ts, end_ts)."""
-        start, end = float(start_ts), float(end_ts)
-        if end < start:
-            raise ChaincodeError("time range end before start")
-        ids: list[str] = []
-        bucket = int(start // TIME_BUCKET_S)
-        last_bucket = int(end // TIME_BUCKET_S)
-        while bucket <= last_bucket:
-            ids.extend(self._ids_from_index(stub, IDX_TIME, [f"{bucket:012d}"]))
-            bucket += 1
-        records = self._load_many(stub, ids)
-        return [
-            r
-            for r in records
-            if isinstance(r["metadata"].get("timestamp"), (int, float))
-            and start <= r["metadata"]["timestamp"] < end
-        ]
-
     def list_all(self, stub: ChaincodeStub):
-        """Full scan of data records (the planner's fallback access path)."""
+        """Every data record, in entry-id (key) order: the query engine's
+        fallback when no peer serves the index, and its parity oracle."""
         rows = stub.get_state_by_range(_DATA_PREFIX, _DATA_PREFIX + "\x7f")
         return [json.loads(v) for _, v in rows]
 

@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.fabric import Channel, FabricNetwork, Identity, Role
 from repro.fabric.tx import ValidationCode
+from repro.index import IndexManager
 from repro.ipfs import FixedSizeChunker, IpfsCluster
 from repro.ipfs.chunker import Chunker
 from repro.resilience import ResilienceHub, RetryPolicy, retry
@@ -75,10 +76,6 @@ class FrameworkConfig:
     durability: bool = False
     checkpoint_interval: int = 8   # blocks between checkpoints (0 disables)
     wal_sync_every: int = 1        # fsync the WAL every N blocks
-    # Block-incremental authenticated secondary index (repro.index): every
-    # peer maintains per-block posting filters plus a cumulative index the
-    # query planner routes equality/range/time predicates through.
-    index_enabled: bool = True
 
 
 class Framework:
@@ -115,18 +112,15 @@ class Framework:
                 checkpoint_interval=cfg.checkpoint_interval,
                 wal_sync_every=cfg.wal_sync_every,
             )
-        # The secondary index attaches before the first invoke so epoch 0
-        # covers the admin-enrollment block; the durability journal above
-        # records each epoch digest into the WAL.
-        self.indexing = None
-        if cfg.index_enabled:
-            from repro.index import IndexManager
-
-            self.indexing = IndexManager(
-                self.channel,
-                trusted_threshold=cfg.trusted_threshold,
-                min_threshold=cfg.min_trust_threshold,
-            )
+        # The block-incremental authenticated secondary index (the one
+        # index the query planner routes through) attaches before the first
+        # invoke so epoch 0 covers the admin-enrollment block; the
+        # durability journal above records each epoch digest into the WAL.
+        self.indexing = IndexManager(
+            self.channel,
+            trusted_threshold=cfg.trusted_threshold,
+            min_threshold=cfg.min_trust_threshold,
+        )
         for chaincode in (
             AdminEnrollmentChaincode(),
             UserRegistrationChaincode(),

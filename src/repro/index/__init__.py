@@ -23,9 +23,11 @@ over the index's postings, so
 from repro.index.filters import BlockFilter
 from repro.index.manager import IndexManager
 from repro.index.secondary import (
+    TIME_BUCKET_S,
     PeerIndex,
     Posting,
     PostingProof,
+    time_bucket,
     verify_answer_records,
     verify_posting_proof,
 )
@@ -36,6 +38,8 @@ __all__ = [
     "PeerIndex",
     "Posting",
     "PostingProof",
+    "TIME_BUCKET_S",
+    "time_bucket",
     "verify_answer_records",
     "verify_posting_proof",
 ]

@@ -54,7 +54,6 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from repro.chaincodes.data import TIME_BUCKET_S, time_bucket
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
 from repro.fabric.audit import valid_txs
@@ -82,8 +81,15 @@ _TOMBSTONES_KEY: _LeafKey = (_TOMBSTONES, "_tombstones", "")
 # Entries per checkpoint line of a posting (see Posting.lines).
 _RUN = 64
 
+TIME_BUCKET_S = 600  # ten-minute buckets for time-range queries
+
 # Zero-padded time-bucket ids sort chronologically only inside this range.
 _BUCKET_ID_LIMIT = 10**12
+
+
+def time_bucket(timestamp: float) -> str:
+    """Zero-padded bucket id so lexicographic order is chronological."""
+    return f"{int(timestamp // TIME_BUCKET_S):012d}"
 
 
 def _seed_chain(dim: str, value: str) -> str:

@@ -27,7 +27,7 @@ from repro.query.aggregate import (
 )
 from repro.query.executor import QueryEngine, QueryRow, QueryStats, VerifiedAnswer
 from repro.query.parser import parse_query
-from repro.query.planner import AccessPath, IndexRoute, Plan, plan_query
+from repro.query.planner import IndexRoute, Plan, plan_query
 
 __all__ = [
     "And",
@@ -55,7 +55,6 @@ __all__ = [
     "QueryStats",
     "VerifiedAnswer",
     "parse_query",
-    "AccessPath",
     "IndexRoute",
     "Plan",
     "plan_query",

@@ -12,11 +12,12 @@ blockchain" the paper guarantees.
 
 When the plan carries an :class:`~repro.query.planner.IndexRoute`, the
 metadata half is served from a peer's block-incremental authenticated
-index (:mod:`repro.index`) instead of a chaincode scan: a posting lookup
-plus direct world-state point reads, sublinear in chain height. A plan
-with no usable index reads the same peer's ``data:`` key range directly.
-The chaincode access path remains the fallback (and the parity oracle —
-the ``index`` sanitizer cross-checks the two answers byte-for-byte).
+index (:mod:`repro.index`): a posting lookup plus direct world-state point
+reads, sublinear in chain height. A plan with no route reads the same
+peer's ``data:`` key range directly. When no peer is in sync, one chaincode
+``list_all`` read filtered by the plan's residual answers instead; that
+full scan is also the reference answer (:meth:`QueryEngine.scan`) the
+``index`` sanitizer checks every state-route answer against byte-for-byte.
 :meth:`QueryEngine.run_verified` additionally attaches Merkle membership
 proofs a light client can check against a trusted epoch root without
 replaying the chain.
@@ -157,9 +158,6 @@ class QueryEngine:
     # Metadata-only results cached per query text, valid while the chain
     # height is unchanged (any new block may contain new matching records).
     cache_enabled: bool = True
-    # Route plans through the peers' authenticated secondary index when one
-    # is attached and in sync (fall back to chaincode scans otherwise).
-    use_index: bool = True
     # The cache is bounded: at most this many distinct query texts, FIFO
     # eviction (deterministic — dict preserves insertion order).
     cache_max_entries: int = 256
@@ -224,10 +222,8 @@ class QueryEngine:
                 if isinstance(query, str):
                     query = parse_query(query)
                 plan = plan_query(query)
-            route = candidates = None
-            if self.use_index:
-                route = plan.index_route
-                candidates = self._execute_state(route, height_snapshot)
+            route = plan.index_route
+            candidates = self._execute_state(route, height_snapshot)
             from_state = candidates is not None
             used_index = from_state and route is not None
             if route is not None:
@@ -236,7 +232,7 @@ class QueryEngine:
                     {"route": "index" if used_index else "fallback"},
                 ).inc()
             if candidates is None:
-                candidates = self._execute_paths(plan)
+                candidates = self._chain_records()
             with obs_span("query.filter") as fsp:
                 matched, examined = _matching(candidates, plan, query)
                 fsp.set_attr("examined", examined)
@@ -318,28 +314,24 @@ class QueryEngine:
 
     # -- the blockchain executors ---------------------------------------------
 
-    def _execute_paths(self, plan: Plan) -> list[dict]:
-        seen: set[str] = set()
-        out: list[dict] = []
+    def scan(self, query: Query | str) -> list[dict]:
+        """The reference answer: the chaincode's ``list_all`` full scan,
+        filtered by the residual, then ``ORDER BY`` / ``LIMIT`` / ``SELECT``.
+        No index, no peer state, no cache and no stats; every record is
+        decoded afresh."""
+        if isinstance(query, str):
+            query = parse_query(query)
+        matched, _ = _matching(self._chain_records(), plan_query(query), query)
+        return query.apply_post(matched)
+
+    def _chain_records(self) -> list[dict]:
+        """Every ``data:`` record through one chaincode read, in entry-id
+        (key) order."""
         with obs_span("query.chain_read") as sp:
-            sp.set_attr("paths", len(plan.paths))
-            for path in plan.paths:
-                raw = self.channel.query(
-                    self.identity, self.retrieval_chaincode, path.fn, list(path.args)
-                )
-                for record in json.loads(raw):
-                    entry_id = record.get("entry_id")
-                    if entry_id is None or entry_id in seen:
-                        continue
-                    seen.add(entry_id)
-                    out.append(record)
-            # Candidates in entry-id order on every path (chaincode index
-            # scans arrive bucket-major; the authenticated index arrives
-            # sorted) so LIMIT-without-ORDER-BY is deterministic and the
-            # two routes stay byte-identical.
-            out.sort(key=lambda r: r["entry_id"])
-            sp.set_attr("rows", len(out))
-        return out
+            raw = self.channel.query(self.identity, self.retrieval_chaincode, "list_all", [])
+            records = json.loads(raw)
+            sp.set_attr("rows", len(records))
+        return records
 
     def _index_peer(self, height: int):
         """An online peer whose ledger *and* index are at ``height``."""
@@ -382,7 +374,7 @@ class QueryEngine:
 
     def _execute_state(self, route: IndexRoute | None, height: int) -> Iterator[dict] | None:
         """Candidates straight from an in-sync peer's world state, as a lazy
-        stream in entry-id order; None = fall back to the chaincode paths.
+        stream in entry-id order; None = fall back to the chaincode scan.
 
         With a route: a posting lookup plus point reads of the matching
         records (``entry_ids`` come back sorted). Without one: the peer's
@@ -404,16 +396,15 @@ class QueryEngine:
         return self._load_records(peer, entry_ids)
 
     def _check_index_parity(self, query: Query, plan: Plan, matched: list[dict]) -> None:
-        """SAN309: under the ``index`` sanitizer, re-run the chaincode scan
-        path and require a byte-identical final answer. Its records are
-        decoded afresh, so a shared record a caller changed shows here too."""
+        """SAN309: under the ``index`` sanitizer, require a byte-identical
+        final answer from :meth:`scan`. Its records are decoded afresh, so a
+        shared record a caller changed shows here too."""
         from repro.analysis.runtime import active_sanitizer
 
         sanitizer = active_sanitizer()
         if sanitizer is None or "index" not in sanitizer.modes:
             return
-        scanned, _ = _matching(self._execute_paths(plan), plan, query)
-        sanitizer.check_query_parity(plan.explain(), matched, query.apply_post(scanned))
+        sanitizer.check_query_parity(plan.explain(), matched, self.scan(query))
 
     # -- cache (callers hold _stats_lock) ----------------------------------------
 

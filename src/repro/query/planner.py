@@ -1,17 +1,12 @@
-"""Query planner: choose the cheapest on-chain access path.
+"""Query planner: choose the access path for a query's metadata half.
 
-The Data Upload chaincode maintains composite-key indexes by source,
-camera, vehicle class, and time bucket. The planner inspects the query's
-top-level conjuncts for a predicate one of those indexes can serve, emits
-the corresponding chaincode call, and keeps the whole filter as a residual
-(indexes narrow the candidate set; the residual guarantees correctness).
-With no usable predicate it falls back to the full ``list_all`` scan.
-
-When the same predicate is servable by the peers' block-incremental
-authenticated index (:mod:`repro.index`), the plan additionally carries an
-:class:`IndexRoute` — the executor prefers it (a direct posting lookup on
-an in-sync peer, no chaincode scan) and falls back to the chaincode access
-path when no peer serves the index at the snapshot height.
+The peers' block-incremental authenticated index (:mod:`repro.index`) is the
+one secondary index. The planner inspects the query's top-level conjuncts
+for a predicate it can serve — equality on source, camera, vehicle class or
+violation type, or a closed time window — and emits an :class:`IndexRoute`
+for it, keeping the whole filter as a residual (the index narrows the
+candidate set; the residual guarantees correctness). A plan with no route
+is a full scan of the ``data:`` records.
 """
 
 from __future__ import annotations
@@ -23,21 +18,12 @@ from repro.query.ast import Compare, Expr, InSet, Query, conjuncts
 
 
 @dataclass(frozen=True)
-class AccessPath:
-    """One chaincode invocation that yields candidate records."""
-
-    fn: str
-    args: tuple[str, ...]
-    index: str  # human-readable name for EXPLAIN-style output
-
-
-@dataclass(frozen=True)
 class IndexRoute:
     """One posting lookup in the authenticated secondary index.
 
     Equality predicates carry ``(dim, value)``; time-window predicates
-    carry ``time_range`` (``[lower, upper)``, upper already widened the
-    same way as the chaincode access path).
+    carry ``time_range`` (``[lower, upper)``, the upper edge widened so an
+    inclusive ``<= t`` / ``= t`` keeps ``t``).
     """
 
     dim: str
@@ -52,37 +38,22 @@ class IndexRoute:
 
 @dataclass(frozen=True)
 class Plan:
-    paths: tuple[AccessPath, ...]
     residual: Expr
-    full_scan: bool
     index_route: IndexRoute | None = None
 
     def explain(self) -> str:
-        if self.full_scan:
+        if self.index_route is None:
             return "FULL SCAN data:* -> filter"
-        steps = ", ".join(f"{p.index}({', '.join(p.args)})" for p in self.paths)
-        out = f"INDEX {steps} -> filter"
-        if self.index_route is not None:
-            out += f" [authenticated route: {self.index_route.describe()}]"
-        return out
+        return f"INDEX {self.index_route.describe()} -> filter"
 
-
-# field -> (index name, chaincode fn); equality predicates only.
-_EQUALITY_INDEXES = {
-    "source_id": ("by_source", "list_by_source"),
-    "camera_id": ("by_camera", "list_by_camera"),
-    "metadata.camera_id": ("by_camera", "list_by_camera"),
-    "vehicle_class": ("by_class", "list_by_vehicle_class"),
-    "violation_type": ("by_violation", "list_by_violation"),
-}
 
 # field -> posting dimension in the peers' authenticated index.
 _INDEX_DIMS = {
     "source_id": "source",
     "camera_id": "camera",
     "metadata.camera_id": "camera",
-    "vehicle_class": "class",
     "violation_type": "violation",
+    "vehicle_class": "class",
 }
 
 _TIME_FIELD = "metadata.timestamp"
@@ -90,59 +61,27 @@ _TIME_FIELD = "metadata.timestamp"
 
 def plan_query(query: Query) -> Plan:
     parts = conjuncts(query.where)
-
     # Preference order: the most selective index first — source/camera
-    # pinpoint one device; vehicle class is broader; time range broader still.
-    for field in ("source_id", "camera_id", "metadata.camera_id"):
-        path = _equality_path(parts, field)
-        if path is not None:
-            return Plan(
-                paths=(path,),
-                residual=query.where,
-                full_scan=False,
-                index_route=IndexRoute(dim=_INDEX_DIMS[field], value=path.args[0]),
-            )
-
-    for field in ("violation_type", "vehicle_class"):
-        path = _equality_path(parts, field)
-        if path is not None:
-            return Plan(
-                paths=(path,),
-                residual=query.where,
-                full_scan=False,
-                index_route=IndexRoute(dim=_INDEX_DIMS[field], value=path.args[0]),
-            )
-
-    time_path = _time_range_path(parts)
-    if time_path is not None:
-        return Plan(
-            paths=(time_path,),
-            residual=query.where,
-            full_scan=False,
-            index_route=IndexRoute(
-                dim="time",
-                time_range=(float(time_path.args[0]), float(time_path.args[1])),
-            ),
-        )
-
-    return Plan(
-        paths=(AccessPath(fn="list_all", args=(), index="full"),),
-        residual=query.where,
-        full_scan=True,
-    )
+    # pinpoint one device; violation type and vehicle class are broader;
+    # a time window broader still.
+    for field in _INDEX_DIMS:
+        value = _equality_value(parts, field)
+        if value is not None:
+            route = IndexRoute(dim=_INDEX_DIMS[field], value=value)
+            return Plan(residual=query.where, index_route=route)
+    return Plan(residual=query.where, index_route=_time_route(parts))
 
 
-def _equality_path(parts: list[Expr], field: str) -> AccessPath | None:
-    index, fn = _EQUALITY_INDEXES[field]
+def _equality_value(parts: list[Expr], field: str) -> str | None:
     for part in parts:
         if isinstance(part, Compare) and part.field == field and part.op == "=":
-            return AccessPath(fn=fn, args=(str(part.value),), index=index)
+            return str(part.value)
         if isinstance(part, InSet) and part.field == field and len(part.values) == 1:
-            return AccessPath(fn=fn, args=(str(part.values[0]),), index=index)
+            return str(part.values[0])
     return None
 
 
-def _time_range_path(parts: list[Expr]) -> AccessPath | None:
+def _time_route(parts: list[Expr]) -> IndexRoute | None:
     lower, upper = None, None
     for part in parts:
         if not isinstance(part, Compare) or part.field != _TIME_FIELD:
@@ -157,11 +96,10 @@ def _time_range_path(parts: list[Expr]) -> AccessPath | None:
             lower = upper = part.value
     if lower is None or upper is None:
         return None  # half-open ranges would scan unbounded buckets
-    # list_by_time_range filters [start, end); widen the upper edge to the
-    # next float so "<= t" and "= t" include t itself (a fixed epsilon is
-    # absorbed by any epoch-scale t). repr round-trips it exactly.
-    return AccessPath(
-        fn="list_by_time_range",
-        args=(str(float(lower)), str(math.nextafter(float(upper), math.inf))),
-        index="by_time",
+    # The route covers [lower, upper); widen the upper edge to the next
+    # float so "<= t" and "= t" include t itself (a fixed epsilon is
+    # absorbed by any epoch-scale t).
+    return IndexRoute(
+        dim="time",
+        time_range=(float(lower), math.nextafter(float(upper), math.inf)),
     )

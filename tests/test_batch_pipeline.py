@@ -173,22 +173,22 @@ class TestCacheStalenessRace:
         engine = client.engine
 
         query = "source_id = 'race-cam'"
-        # Pin the scan route: the race is injected via _execute_paths, and
-        # the cache's height snapshot is shared by both routes anyway.
-        engine.use_index = False
-        original = engine._execute_paths
+        # Pin the chaincode fallback: the race is injected into its read,
+        # and the cache's height snapshot is shared by every route anyway.
+        original = engine._chain_records
 
-        def racy_execute(plan):
-            rows = original(plan)
+        def racy_read():
+            rows = original()
             # A writer commits while this query is executing.
             client.submit(b"second", dict(META))
             return rows
 
-        engine._execute_paths = racy_execute
+        engine._index_peer = lambda height: None
+        engine._chain_records = racy_read
         try:
             assert len(engine.run(query)) == 1
         finally:
-            engine._execute_paths = original
+            del engine._index_peer, engine._chain_records
         # The cached snapshot predates the mid-query commit; the next run
         # must re-execute and see both entries.
         rows = engine.run(query)

@@ -14,6 +14,8 @@ from repro.chaincodes import (
     UserRegistrationChaincode,
 )
 from repro.fabric import FabricNetwork, Role
+from repro.ipfs import IpfsCluster
+from repro.query import QueryEngine
 
 
 @pytest.fixture()
@@ -35,6 +37,11 @@ def env():
 
 def q(channel, client, cc, fn, args):
     return json.loads(channel.query(client, cc, fn, args))
+
+
+def scan(channel, client, text):
+    engine = QueryEngine(channel=channel, cluster=IpfsCluster(n_nodes=1), identity=client)
+    return engine.scan(text)
 
 
 class TestAdminEnrollment:
@@ -183,19 +190,24 @@ class TestDataUploadRetrieval:
         with pytest.raises(ChaincodeError, match="sha-256"):
             channel.invoke(client, "data_upload", "add_data", ["cid", "zz", "{}"])
 
+    # The contracts keep no secondary index: a "list by" is the retrieval
+    # contract's list_all full scan filtered by the query (QueryEngine.scan).
+
     def test_list_by_source(self, env):
         _, channel, client = env
         upload(channel, client)
         other = dict(META, source_id="mobile-3", camera_id="")
         upload(channel, client, meta=other)
-        records = q(channel, client, "data_retrieval", "list_by_source", ["cam-7"])
+        everything = q(channel, client, "data_retrieval", "list_all", [])
+        assert [r["entry_id"] for r in everything] == sorted(r["entry_id"] for r in everything)
+        records = scan(channel, client, "source_id = 'cam-7'")
         assert len(records) == 1
         assert records[0]["source_id"] == "cam-7"
 
     def test_list_by_camera(self, env):
         _, channel, client = env
         upload(channel, client)
-        records = q(channel, client, "data_retrieval", "list_by_camera", ["cam-7"])
+        records = scan(channel, client, "metadata.camera_id = 'cam-7'")
         assert len(records) == 1
 
     def test_list_by_vehicle_class(self, env):
@@ -203,8 +215,8 @@ class TestDataUploadRetrieval:
         upload(channel, client)
         no_truck = dict(META, detections=[{"vehicle_class": "car", "confidence": 0.9}])
         upload(channel, client, meta=no_truck)
-        trucks = q(channel, client, "data_retrieval", "list_by_vehicle_class", ["truck"])
-        cars = q(channel, client, "data_retrieval", "list_by_vehicle_class", ["car"])
+        trucks = scan(channel, client, "vehicle_class = 'truck'")
+        cars = scan(channel, client, "vehicle_class = 'car'")
         assert len(trucks) == 1
         assert len(cars) == 2
 
@@ -213,13 +225,13 @@ class TestDataUploadRetrieval:
         upload(channel, client, meta=dict(META, timestamp=100.0))
         upload(channel, client, meta=dict(META, timestamp=5000.0))
         upload(channel, client, meta=dict(META, timestamp=90000.0))
-        hits = q(channel, client, "data_retrieval", "list_by_time_range", ["0", "6000"])
+        hits = scan(channel, client, "metadata.timestamp >= 0 AND metadata.timestamp < 6000")
         assert sorted(r["metadata"]["timestamp"] for r in hits) == [100.0, 5000.0]
 
     def test_time_range_validation(self, env):
         _, channel, client = env
-        with pytest.raises(ChaincodeError, match="end before start"):
-            channel.query(client, "data_retrieval", "list_by_time_range", ["100", "0"])
+        upload(channel, client, meta=dict(META, timestamp=50.0))
+        assert scan(channel, client, "metadata.timestamp >= 100 AND metadata.timestamp < 0") == []
 
 
 class TestAtomicStore:

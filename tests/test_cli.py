@@ -52,7 +52,7 @@ class TestCli:
     def test_query(self, capsys):
         assert main(["query", "vehicle_class = 'car'", "--videos", "2"]) == 0
         out = capsys.readouterr().out
-        assert "plan   : INDEX by_class" in out
+        assert "plan   : INDEX class=car -> filter" in out
         assert "matched:" in out
 
     def test_export_and_inspect_bundle(self, capsys, tmp_path):

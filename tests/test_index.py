@@ -213,11 +213,11 @@ class TestPlannerRouting:
     def test_unindexed_predicate_has_no_route(self):
         plan = plan_query(parse_query("color = 'red'"))
         assert plan.index_route is None
-        assert plan.full_scan
+        assert plan.explain() == "FULL SCAN data:* -> filter"
 
     def test_explain_mentions_route(self):
         plan = plan_query(parse_query("source_id = 'cam-1'"))
-        assert "authenticated route: source=cam-1" in plan.explain()
+        assert plan.explain() == "INDEX source=cam-1 -> filter"
 
 
 class TestExecutorRouting:
@@ -232,11 +232,8 @@ class TestExecutorRouting:
             "metadata.timestamp >= 0 AND metadata.timestamp <= 2000 "
             "ORDER BY metadata.timestamp LIMIT 2",
         ):
-            engine.use_index = True
             indexed = [r.record for r in engine.run(text)]
-            engine.use_index = False
-            scanned = [r.record for r in engine.run(text)]
-            assert canonical_json(indexed) == canonical_json(scanned), text
+            assert canonical_json(indexed) == canonical_json(engine.scan(text)), text
 
     def test_index_route_counts_hits(self):
         framework = make_framework()
@@ -245,9 +242,9 @@ class TestExecutorRouting:
         engine.cache_enabled = False
         engine.run("source_id = 'idx-cam'")
         assert engine.stats.index_hits == 1
-        engine.use_index = False
-        engine.run("source_id = 'idx-cam'")
-        assert engine.stats.index_hits == 1  # scan route doesn't count
+        engine.scan("source_id = 'idx-cam'")
+        engine.run("color = 'red'")
+        assert engine.stats.index_hits == 1  # neither scan route counts
 
     def test_fallback_when_no_peer_serves_index(self):
         framework = make_framework()
@@ -331,6 +328,57 @@ class TestExecutorRouting:
         assert answer.records == ()
         assert answer.proofs == ()
         assert answer.verify() == 0
+
+
+class TestOneSecondaryIndex:
+    """The peers' ``PeerIndex`` is the only secondary index: a store
+    transaction writes its ``data:`` record and its provenance trail, and
+    no composite index key."""
+
+    INDEXED_META = dict(
+        META,
+        detections=[{"vehicle_class": "car"}, {"vehicle_class": "truck"}],
+        violations=[{"violation_type": "speeding"}],
+    )
+
+    def test_store_writes_only_the_record_and_its_provenance(self):
+        from repro.core import BatchIngestor
+        from repro.fabric.worldstate import make_composite_key
+        from repro.workloads import IngestItem
+
+        framework = make_framework()
+        client = Client(framework, framework.register_source("one-cam", tier=SourceTier.TRUSTED))
+        entry_ids = [client.submit(b"submitted", dict(self.INDEXED_META)).entry_id]
+        ingestor = BatchIngestor(framework)
+        ingestor.register(client.identity)
+        items = [
+            IngestItem("one-cam", f"batched-{i}".encode(), dict(self.INDEXED_META), None)
+            for i in range(2)
+        ]
+        entry_ids += ingestor.ingest(items).entry_ids
+        assert len(entry_ids) == 3
+
+        peer = next(iter(framework.channel.peers.values()))
+        assert not [key for key in peer.world.keys() if "data~" in key]
+        txs = {
+            tx.tx_id: tx for block in peer.ledger.blocks() for tx in block.transactions
+        }
+        for entry_id in entry_ids:
+            assert {w.key for w in txs[entry_id].rwset.writes} == {
+                "data:" + entry_id,
+                make_composite_key("prov", [entry_id, "00000000"]),
+                make_composite_key("prov", [entry_id, "00000001"]),
+                "provhead:" + entry_id,
+            }
+        # The one index still serves every dimension the metadata carries.
+        for text in (
+            "camera_id = 'idx-cam'", "vehicle_class = 'truck'",
+            "violation_type = 'speeding'", "source_id = 'one-cam'",
+        ):
+            plan = plan_query(parse_query(text))
+            assert peer.index.lookup(plan.index_route.dim, plan.index_route.value) == (
+                sorted(entry_ids)
+            ), text
 
 
 # -- the maintained epoch tree --------------------------------------------------

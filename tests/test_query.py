@@ -1,10 +1,12 @@
 """Tests for the query engine: parser, planner, and hybrid execution."""
 
+import math
+
 import pytest
 
 from repro.core import Client, Framework, FrameworkConfig
 from repro.errors import IntegrityError, QueryParseError
-from repro.query import Compare, InSet, Query, parse_query, plan_query
+from repro.query import Compare, IndexRoute, InSet, Query, parse_query, plan_query
 from repro.query.ast import And, Not, Or, TrueExpr, get_path
 from repro.trust import SourceTier
 from repro.util.serialization import canonical_json
@@ -109,39 +111,40 @@ class TestAst:
 class TestPlanner:
     def test_source_index_preferred(self):
         plan = plan_query(parse_query("source_id = 'cam-1' AND vehicle_class = 'car'"))
-        assert not plan.full_scan
-        assert plan.paths[0].fn == "list_by_source"
+        assert plan.index_route == IndexRoute(dim="source", value="cam-1")
 
     def test_camera_index(self):
         plan = plan_query(parse_query("camera_id = 'cam-1'"))
-        assert plan.paths[0].fn == "list_by_camera"
+        assert plan.index_route == IndexRoute(dim="camera", value="cam-1")
 
     def test_class_index(self):
         plan = plan_query(parse_query("vehicle_class = 'truck'"))
-        assert plan.paths[0].fn == "list_by_vehicle_class"
+        assert plan.index_route == IndexRoute(dim="class", value="truck")
 
     def test_time_range_index(self):
         plan = plan_query(
             parse_query("metadata.timestamp >= 100 AND metadata.timestamp < 200")
         )
-        assert plan.paths[0].fn == "list_by_time_range"
+        # The route's upper edge is widened to the next float (for "<= t").
+        widened = math.nextafter(200.0, math.inf)
+        assert plan.index_route == IndexRoute(dim="time", time_range=(100.0, widened))
 
     def test_half_open_time_range_not_indexed(self):
         plan = plan_query(parse_query("metadata.timestamp >= 100"))
-        assert plan.full_scan
+        assert plan.index_route is None
 
     def test_or_falls_back_to_scan(self):
         plan = plan_query(parse_query("source_id = 'a' OR vehicle_class = 'car'"))
-        assert plan.full_scan
+        assert plan.index_route is None
 
     def test_empty_where_scans(self):
         plan = plan_query(parse_query(""))
-        assert plan.full_scan
-        assert "FULL SCAN" in plan.explain()
+        assert plan.index_route is None
+        assert plan.explain() == "FULL SCAN data:* -> filter"
 
     def test_explain_index(self):
         plan = plan_query(parse_query("source_id = 'cam-1'"))
-        assert "by_source" in plan.explain()
+        assert plan.explain() == "INDEX source=cam-1 -> filter"
 
 
 @pytest.fixture(scope="module")
@@ -244,14 +247,9 @@ T0 = 1_700_000_000  # epoch-scale: float64 spacing here is 2.4e-7 s
 N_BULK = 160
 
 
-def _bulk_framework(**overrides):
+def _store_bulk(channel, identity):
     """``N_BULK`` records 30 s apart from ``T0``, alternating car / truck,
     four cameras; stored through ``add_data`` directly (no payloads)."""
-    config = dict(consensus="solo", n_ipfs_nodes=2, max_batch_size=32)
-    config.update(overrides)
-    framework = Framework(FrameworkConfig(**config))
-    client = Client(framework, framework.register_source("bulk", tier=SourceTier.TRUSTED))
-    pending = []
     for i in range(N_BULK):
         meta = {
             "camera_id": f"cam-{i % 4}",
@@ -259,11 +257,19 @@ def _bulk_framework(**overrides):
             "location": {"lat": 12.0 + i / 1000},
             "detections": [{"vehicle_class": "car" if i % 2 == 0 else "truck"}],
         }
-        pending.append(framework.channel.invoke_async(
-            client.identity, "data_upload", "add_data",
+        channel.invoke_async(
+            identity, "data_upload", "add_data",
             [f"bafy-bulk-{i}", "0" * 64, canonical_json(meta).decode()],
-        ))
-    framework.channel.flush()
+        )
+    channel.flush()
+
+
+def _bulk_framework(**overrides):
+    config = dict(consensus="solo", n_ipfs_nodes=2, max_batch_size=32)
+    config.update(overrides)
+    framework = Framework(FrameworkConfig(**config))
+    client = Client(framework, framework.register_source("bulk", tier=SourceTier.TRUSTED))
+    _store_bulk(framework.channel, client.identity)
     client.engine.cache_enabled = False
     return framework, client
 
@@ -289,12 +295,8 @@ class TestTimeBoundary:
     ], ids=["le", "eq"])
     def test_boundary_row_on_both_routes(self, bulk, text, expected):
         engine = bulk[1].engine
-        try:
-            for use_index in (True, False):
-                engine.use_index = use_index
-                assert len(engine.run(text)) == expected, f"use_index={use_index}"
-        finally:
-            engine.use_index = True
+        assert len(engine.run(text)) == expected
+        assert len(engine.scan(text)) == expected
 
     def test_boundary_row_under_the_index_sanitizer(self):
         import repro.analysis.runtime as runtime
@@ -421,15 +423,38 @@ class TestLimitStops:
         assert rows == [] and examined == 0
 
 
+@pytest.fixture(scope="module")
+def bare(bulk):
+    """The ``bulk`` records on a bare channel: no index manager, so no peer
+    serves the index and every query takes the chaincode fallback."""
+    from repro.chaincodes import DataRetrievalChaincode, DataUploadChaincode
+    from repro.fabric import FabricNetwork, Role
+    from repro.query import QueryEngine
+
+    net = FabricNetwork()
+    channel = net.create_channel("bare", orgs=["org1"], max_batch_size=32)
+    channel.install_chaincode(DataUploadChaincode())
+    channel.install_chaincode(DataRetrievalChaincode())
+    identity = net.register_identity("bulk", "org1", role=Role.CLIENT)
+    _store_bulk(channel, identity)
+    return QueryEngine(
+        channel=channel, cluster=bulk[0].ipfs, identity=identity, cache_enabled=False
+    )
+
+
 class TestRoutesAgree:
-    """The eight query shapes of ``benchmarks/e2e`` answer identically from
-    the index route, the state scan and the chaincode paths."""
+    """The query shapes of ``benchmarks/e2e``, plus the inclusive time
+    edges, answer identically from the index route, the state scan and the
+    chaincode full scan (:meth:`QueryEngine.scan`) — and on a channel no
+    indexed peer serves, the fallback answers what ``scan()`` answers."""
 
     T = T0 + 30 * 40
     SHAPES = {
         "eq_hot": "metadata.camera_id = 'cam-2'",
         "eq_adhoc": f"metadata.camera_id = 'cam-1' AND metadata.timestamp >= {T}",
         "range": f"metadata.timestamp >= {T} AND metadata.timestamp < {T + 3600}",
+        "le_edge": f"metadata.timestamp >= {T} AND metadata.timestamp <= {T + 30}",
+        "eq_edge": f"metadata.timestamp = {T + 30}",
         "verified": "metadata.camera_id = 'cam-3'",
         "join": f"metadata.camera_id = 'cam-0' AND metadata.timestamp >= {T} LIMIT 8",
         "class": f"vehicle_class = 'truck' AND metadata.timestamp >= {T} LIMIT 50",
@@ -437,31 +462,35 @@ class TestRoutesAgree:
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_three_routes_one_answer(self, bulk, shape, monkeypatch):
+    def test_three_routes_one_answer(self, bulk, bare, shape, monkeypatch):
         import dataclasses
 
         engine = bulk[1].engine
         query = parse_query(self.SHAPES[shape])
+        routed = plan_query(query).index_route is not None
+        assert routed == (shape != "scan")
         # A one-branch OR means the same and has no index route: the planner
         # sends it down the state scan.
         unrouted = dataclasses.replace(query, where=Or((query.where,)))
-        assert plan_query(unrouted).full_scan
+        assert plan_query(unrouted).index_route is None
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_execute_paths", None)  # the state routes never call it
+            patch.setattr(engine, "_chain_records", None)  # the state routes never call it
             hits = engine.stats.index_hits
             via_index = [r.record for r in engine.run(query)]
-            assert engine.stats.index_hits - hits == (shape != "scan")
+            assert engine.stats.index_hits - hits == routed
             via_state = [r.record for r in engine.run(unrouted)]
             if shape == "verified":
                 assert list(engine.run_verified(query).records) == via_index
-        engine.use_index = False
-        try:
-            via_chaincode = [r.record for r in engine.run(query)]
-        finally:
-            engine.use_index = True
+        via_chaincode = engine.scan(query)
         assert via_index
         assert canonical_json(via_index) == canonical_json(via_state)
         assert canonical_json(via_index) == canonical_json(via_chaincode)
+
+        misses = bare.stats.index_misses
+        via_fallback = [r.record for r in bare.run(query)]
+        assert bare.stats.index_misses - misses == routed
+        assert canonical_json(via_fallback) == canonical_json(bare.scan(query))
+        assert len(via_fallback) == len(via_index)
 
     def test_point_lookup_matches_the_shared_record(self, bulk):
         engine = bulk[1].engine
