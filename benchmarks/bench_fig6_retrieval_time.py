@@ -60,7 +60,9 @@ def test_fig6_sweep(benchmark):
 
 
 def test_fig6_reads_bypass_consensus(benchmark):
-    """Reads must not generate ordering work — the no-gas-cost property."""
+    """Reads must not generate ordering work — the no-gas-cost property.
+    That holds for the client's whole retrieval path too: a read's
+    ``accessed`` event cuts no block, it rides the next write's round."""
     framework = _storage_framework()
     client = Client(framework, framework.register_source("read-cam", tier=SourceTier.TRUSTED))
     receipt = client.submit(payload(64 << 10, seed=5), {"timestamp": 1.0, "detections": []})
@@ -68,6 +70,14 @@ def test_fig6_reads_bypass_consensus(benchmark):
     blocks_before = orderer.blocks_cut
     benchmark(lambda: client.engine.get(receipt.entry_id, fetch_data=True))
     assert orderer.blocks_cut == blocks_before
+    reads = 8  # under the queue bound that would force a round of its own
+    for _ in range(reads):
+        assert client.retrieve(receipt.entry_id).verified
+    assert orderer.blocks_cut == blocks_before
+    client.submit(payload(1 << 10, seed=8), {"timestamp": 2.0, "detections": []})
+    assert orderer.blocks_cut == blocks_before + 1
+    lineage = client.provenance(receipt.entry_id)
+    assert [e["action"] for e in lineage].count("accessed") == reads
 
 
 def test_fig6_retrieve_1mib_full_path(benchmark):

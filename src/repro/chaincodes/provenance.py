@@ -8,6 +8,10 @@ Each data entry gets a hash-chained lineage: every provenance event
 event's hash, so the full chain is verifiable from the latest record and
 any historical edit is detectable. Entries are stored under composite keys
 ``prov / <entry_id> / <seq>`` so one range scan returns a lineage in order.
+
+:meth:`ProvenanceChaincode.record_many` appends a list of events in one
+simulation — how a reader's queued ``accessed`` events ride the next
+ordering round as one transaction.
 """
 
 from __future__ import annotations
@@ -50,12 +54,36 @@ class ProvenanceChaincode(Chaincode):
         details_json: str = "{}",
     ):
         """Append one provenance event to a data entry's chain."""
-        if not entry_id or not action:
-            raise ChaincodeError("entry_id and action are required")
         try:
             details = json.loads(details_json)
         except json.JSONDecodeError as exc:
             raise ChaincodeError(f"details is not valid JSON: {exc}") from exc
+        return self._append(stub, entry_id, action, actor, details)
+
+    def record_many(self, stub: ChaincodeStub, events_json: str):
+        """Append events in list order, each ``{"entry_id", "action",
+        "actor", "details"}``; the stub reads its own writes, so two events
+        on one entry chain as ``seq`` k, k+1 within this one transaction."""
+        try:
+            events = json.loads(events_json)
+        except json.JSONDecodeError as exc:
+            raise ChaincodeError(f"events is not valid JSON: {exc}") from exc
+        if not isinstance(events, list) or not all(isinstance(e, dict) for e in events):
+            raise ChaincodeError("events must be a list of objects")
+        return [
+            self._append(
+                stub,
+                event.get("entry_id", ""),
+                event.get("action", ""),
+                event.get("actor", ""),
+                event.get("details", {}),
+            )
+            for event in events
+        ]
+
+    def _append(self, stub: ChaincodeStub, entry_id: str, action: str, actor: str, details):
+        if not entry_id or not action:
+            raise ChaincodeError("entry_id and action are required")
         head_raw = stub.get_state(self._head_key(entry_id))
         if head_raw is None:
             seq, prev_hash = 0, GENESIS_HASH

@@ -844,9 +844,11 @@ def _cmd_explorer(args) -> int:
         return 0
     if args.what == "trust":
         # The demo ingest scores sources engine-side only; snapshot the
-        # scores on-chain so there is a timeline to chart.
+        # scores on-chain so there is a timeline to chart. The snapshots are
+        # rider writes: nothing else is queued, so flush orders them.
         for source_id in framework.trust.sources():
             framework.record_trust_on_chain(source_id)
+        framework.channel.flush()
         for source_id in explorer.trust_sources():
             timeline = explorer.trust_timeline(source_id)
             if args.as_json:

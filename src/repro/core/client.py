@@ -4,12 +4,18 @@
 trust engine gates admission, raw bytes go to IPFS (③), and the CID plus
 extracted metadata go through endorsement, BFT ordering, and commit onto
 the ledger (④–⑦) together with the entry's ``captured`` → ``stored``
-provenance events — one transaction — and the source's trust score is
-updated from the validators' votes and stored on-chain.
+provenance events — one transaction, one block. The source's trust score
+is updated from the validators' votes, and its on-chain snapshot rides the
+next ordering round.
 
 ``retrieve``/``query`` walk the retrieval path Ⓐ–Ⓓ: metadata from the
 blockchain query executor, raw bytes from the IPFS executor, and integrity
-verification of the bytes against the on-chain record.
+verification of the bytes against the on-chain record. A read cuts no
+block: its ``accessed`` provenance event (and an ACL denial's log entry)
+is queued and rides the next ordering round. The inspection calls
+(``provenance``, ``verify_provenance``, ``access_log``,
+``on_chain_trust``) drain that queue first, so a caller always sees its
+own reads.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from repro.core.framework import Framework
 from repro.crypto.cid import CID
 from repro.errors import (
     DagError,
-    FabricError,
     IntegrityError,
     InvalidBlockError,
     ResilienceError,
@@ -229,7 +234,9 @@ class Client:
 
         The on-chain ACL (access_control chaincode) is consulted first:
         restricted entries are only served to allowed orgs, and denials are
-        written to the immutable access log.
+        written to the immutable access log. A served read queues its
+        ``accessed`` provenance event; neither write cuts a block of its
+        own — both ride the next ordering round.
 
         The off-chain fetch is self-healing: a corrupted replica is
         quarantined and the bytes re-fetched from surviving copies, and if
@@ -245,19 +252,8 @@ class Client:
             data, verified, degraded, failure = self._fetch_with_recovery(
                 row.record, verify=verify, allow_degraded=allow_degraded
             )
-            with obs_span("retrieve.provenance") as sp:
-                try:
-                    self.framework.resilient_invoke(
-                        self.identity,
-                        "provenance",
-                        "record",
-                        [entry_id, "accessed", self.source_id, "{}"],
-                    )
-                except (FabricError, ResilienceError) as exc:
-                    # The read itself succeeded; losing one access-log entry
-                    # must not fail it — but it must not vanish silently.
-                    sp.set_attr("write_failed", type(exc).__name__)
-                    get_registry().counter("provenance_write_failures_total").inc()
+            with obs_span("retrieve.provenance"):
+                self.framework.record_access(self.identity, entry_id)
             root.set_attr("bytes", len(data or b""))
             if degraded:
                 root.set_attr("degraded", True)
@@ -323,9 +319,7 @@ class Client:
             [entry_id, self.identity.org],
         )
         if not json.loads(raw)["allowed"]:
-            self.framework.channel.invoke(
-                self.identity, "access_control", "log_access", [entry_id, "denied"]
-            )
+            self.framework.log_denied_access(self.identity, entry_id)
             raise AccessDeniedError(
                 f"org {self.identity.org!r} is not allowed to read entry {entry_id!r}"
             )
@@ -339,6 +333,7 @@ class Client:
         return json.loads(result.response)
 
     def access_log(self, entry_id: str) -> list[dict]:
+        self.framework.riders.drain()
         raw = self.framework.channel.query(
             self.identity, "access_control", "access_log", [entry_id]
         )
@@ -349,12 +344,14 @@ class Client:
     # ------------------------------------------------------------------
 
     def provenance(self, entry_id: str) -> list[dict]:
+        self.framework.riders.drain()
         raw = self.framework.channel.query(
             self.identity, "provenance", "lineage", [entry_id]
         )
         return json.loads(raw)
 
     def verify_provenance(self, entry_id: str) -> dict:
+        self.framework.riders.drain()
         raw = self.framework.channel.query(
             self.identity, "provenance", "verify", [entry_id]
         )
@@ -364,6 +361,7 @@ class Client:
         return self.framework.trust.score(source_id or self.source_id)
 
     def on_chain_trust(self, source_id: str | None = None) -> dict:
+        self.framework.riders.drain()
         raw = self.framework.channel.query(
             self.identity, "trust_score", "get_score", [source_id or self.source_id]
         )

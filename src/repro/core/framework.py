@@ -5,11 +5,17 @@ all five chaincodes installed, the IPFS cluster, the trust engine, and the
 validator pool — in the paper's testbed shape by default (two orgs / two
 peers, one orderer, two IPFS nodes, BFT validation). :class:`FrameworkConfig`
 exposes every knob the benchmarks sweep.
+
+A read's ``accessed`` event, an access denial's log entry and a source's
+trust-score snapshot do not cut blocks of their own: :class:`RiderQueue`
+holds them until the next ordering round carries them (see
+:mod:`repro.fabric.channel`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 from repro.chaincodes import (
     AdminEnrollmentChaincode,
@@ -31,12 +37,26 @@ from repro.errors import (
     TrustError,
 )
 from repro.fabric import Channel, FabricNetwork, Identity, Role
+from repro.fabric.channel import DeferredCall
 from repro.fabric.tx import ValidationCode
 from repro.index import IndexManager
 from repro.ipfs import FixedSizeChunker, IpfsCluster
 from repro.ipfs.chunker import Chunker
+from repro.obs.metrics import get_registry
 from repro.resilience import ResilienceHub, RetryPolicy, retry
 from repro.trust import SourceTier, TrustEngine, ValidatorPool
+
+# Queued rider writes force an ordering round of their own at this many,
+# when no carrier has come along to take them.
+MAX_PENDING_RIDERS = 64
+
+# Per kind of rider write: the chaincode it calls, and the counter a write
+# refused on every attempt is recorded in.
+_RIDER_KINDS = {
+    "record_many": ("provenance", "provenance_write_failures_total"),
+    "log_access": ("access_control", "provenance_write_failures_total"),
+    "put_score": ("trust_score", "trust_write_failures_total"),
+}
 
 
 @dataclass(frozen=True)
@@ -76,6 +96,104 @@ class FrameworkConfig:
     durability: bool = False
     checkpoint_interval: int = 8   # blocks between checkpoints (0 disables)
     wal_sync_every: int = 1        # fsync the WAL every N blocks
+
+
+@dataclass(eq=False)
+class _Write:
+    """One queued rider write; ``flight`` is the call carrying it, if any."""
+
+    identity: Identity
+    fn: str
+    args: tuple[str, ...]
+    flight: DeferredCall | None = None
+    attempts: int = 0
+    done: bool = False
+
+
+class RiderQueue:
+    """The channel's rider source: writes waiting for the next ordering round.
+
+    Access events (``record_many`` writes, args ``entry_id, action, actor``)
+    coalesce into one ``provenance.record_many`` per reader per round; every
+    other write is one call of its own, in queue order. An entry's events
+    land in the order they were queued: an entry whose earlier event is
+    another reader's, or still in flight, waits for a later round rather
+    than racing it into an MVCC conflict. A write its round ended without
+    goes back to the queue; one refused ``max_attempts`` times is counted
+    in its lost-write counter — never dropped silently.
+    """
+
+    def __init__(self, channel: Channel, max_attempts: int) -> None:
+        self.channel = channel
+        self.max_attempts = max_attempts
+        self._writes: list[_Write] = []  # not yet settled, oldest first
+
+    def put(self, identity: Identity, fn: str, args: list[str]) -> None:
+        self._writes.append(_Write(identity, fn, tuple(args)))
+        if self.pending() >= MAX_PENDING_RIDERS:
+            try:
+                self.channel.flush()
+            except FabricError:
+                pass  # the writes went back to the queue; a later round retries
+
+    def pending(self) -> int:
+        """Writes queued and not in flight."""
+        return sum(1 for w in self._writes if w.flight is None)
+
+    def drain(self) -> None:
+        """Order rounds until every write has landed or been counted lost.
+        An event kept waiting behind another reader's takes a round of its
+        own; a round that settles nothing ends the drain, leaving the rest
+        queued."""
+        while self._writes:
+            before = len(self._writes)
+            self.channel.flush()
+            if len(self._writes) >= before:
+                return
+
+    def take(self) -> list[DeferredCall]:
+        calls: list[DeferredCall] = []
+        events: dict[str, list[_Write]] = {}  # reader -> its events this round
+        claimed: dict[str, str] = {}  # entry id -> its reader this round, "" = wait
+        for w in self._writes:
+            if w.fn != "record_many":
+                if w.flight is None:
+                    chaincode = _RIDER_KINDS[w.fn][0]
+                    calls.append(DeferredCall(w.identity, chaincode, w.fn, w.args, (w,)))
+                continue
+            entry_id, reader = w.args[0], w.identity.name
+            if w.flight is not None or claimed.setdefault(entry_id, reader) != reader:
+                claimed[entry_id] = ""
+            else:
+                events.setdefault(reader, []).append(w)
+        for batch in events.values():
+            doc = [
+                {"entry_id": entry_id, "action": action, "actor": actor, "details": {}}
+                for entry_id, action, actor in (w.args for w in batch)
+            ]
+            args = (json.dumps(doc),)
+            calls.append(
+                DeferredCall(batch[0].identity, "provenance", "record_many", args, tuple(batch))
+            )
+        for call in calls:
+            for w in call.writes:
+                w.flight = call
+        return calls
+
+    def settle(self, call: DeferredCall, committed: bool | None) -> None:
+        for w in call.writes:
+            if w.done:
+                continue
+            if committed:
+                w.done = True  # whichever copy of it committed first
+            elif w.flight is call:
+                w.flight = None
+                if committed is False:
+                    w.attempts += 1
+                    if w.attempts >= self.max_attempts:
+                        w.done = True
+                        get_registry().counter(_RIDER_KINDS[w.fn][1]).inc()
+        self._writes = [w for w in self._writes if not w.done]
 
 
 class Framework:
@@ -145,6 +263,10 @@ class Framework:
             cooldown_s=cfg.breaker_cooldown_s,
             seed=cfg.resilience_seed,
         )
+        self.riders = RiderQueue(
+            self.channel, max_attempts=self.resilience.retry_policy.max_attempts
+        )
+        self.channel.riders = self.riders
         self.validator_pool = ValidatorPool()
         if cfg.consensus == "bft":
             for name in self.channel.orderer.cluster.replica_names:  # type: ignore[attr-defined]
@@ -261,13 +383,23 @@ class Framework:
             )
         return removed
 
-    def record_trust_on_chain(self, source_id: str) -> None:
-        import json
+    # -- rider writes: each rides the next ordering round ------------------------
 
+    def record_trust_on_chain(self, source_id: str) -> None:
+        """Queue a snapshot of the engine's current score for the source.
+        Every call is its own ``put_score`` (``score_history`` keeps every
+        point), so the on-chain score may lag the engine's but is never
+        ahead of it."""
         record = self.trust.chain_record(source_id)
-        self.resilient_invoke(
-            self.admin, "trust_score", "put_score", [source_id, json.dumps(record)]
-        )
+        self.riders.put(self.admin, "put_score", [source_id, json.dumps(record)])
+
+    def record_access(self, identity: Identity, entry_id: str) -> None:
+        """Queue the ``accessed`` provenance event of a read served to ``identity``."""
+        self.riders.put(identity, "record_many", [entry_id, "accessed", identity.name])
+
+    def log_denied_access(self, identity: Identity, entry_id: str) -> None:
+        """Queue the access-log entry of a read the ACL refused ``identity``."""
+        self.riders.put(identity, "log_access", [entry_id, "denied"])
 
     def require_registered(self, source_id: str) -> None:
         if not self.trust.is_registered(source_id):

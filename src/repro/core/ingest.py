@@ -10,7 +10,8 @@ of entries. Each item is the same ``data_upload.store`` transaction
 ``Client.submit`` sends — record and ``captured`` → ``stored`` trail
 together, under the identity of the source that submitted it — and trust
 updates coalesce to one score write per source per batch rather than one
-per item.
+per item. Score writes cut no block: they ride the next ordering round,
+normally the next batch's.
 
 Admission is per item: a non-admitted source's items are skipped and
 counted in :attr:`IngestReport.rejected` (nothing of theirs is stored
@@ -40,9 +41,10 @@ class IngestReport:
 
     ``submitted`` counts items that reached the ledger as transactions
     (admitted items); ``rejected`` counts both admission skips and
-    transactions the consensus refused. ``blocks`` counts only the blocks
-    the data transactions landed in — trust follow-up blocks are
-    bookkeeping, not ingest throughput.
+    transactions the consensus refused. ``blocks`` counts the blocks the
+    batch cut; the data transactions land in them together with whatever
+    rider writes were queued before the batch (the previous batch's score
+    writes, reads' access events).
     """
 
     submitted: int
@@ -144,8 +146,9 @@ class BatchIngestor:
                 hashes = parallel_map(lambda p: hashlib.sha256(p).hexdigest(), payloads)
 
             # On-chain metadata (+ provenance trail unless switched off):
-            # endorse + queue into the orderer's batch; one flush drives one
-            # consensus instance per cut block.
+            # endorse + queue into the orderer's batch (the first carries the
+            # queued riders); one flush drives one consensus instance per
+            # cut block.
             fn = "store" if self.record_provenance else "add_data"
             tx_meta: list[tuple[str, str]] = []
             for (item, identity), add_result, data_hash in zip(
@@ -162,8 +165,6 @@ class BatchIngestor:
                 tx_meta.append((tx_id, item.source_id))
 
             channel.flush()
-            # Ingest throughput counts only the blocks the data landed in;
-            # the trust follow-ups below cut their own blocks.
             ingest_blocks = channel.height() - blocks_before
 
             entry_ids: list[str] = []
@@ -178,7 +179,8 @@ class BatchIngestor:
                 else:
                     rejected += 1
 
-            # One coalesced trust update per source.
+            # One coalesced trust update per source; its score write rides
+            # the next ordering round.
             with obs_span("ingest.trust_update"):
                 for source_id, oks in outcomes.items():
                     if framework.trust.tier(source_id) is SourceTier.TRUSTED:

@@ -11,6 +11,14 @@ operations the paper's client performs:
   and no consensus, the paper's observation that "reading from the
   blockchain does not incur gas costs".
 
+A write that needs no ordering round of its own — an access-log event, a
+trust-score snapshot — is a *rider*: a :class:`RiderSource` set as
+``Channel.riders`` hands over :class:`DeferredCall` s, which are endorsed
+under their real creator right before the next carrier transaction is
+submitted and ordered in the same consensus instance and block. With
+nothing else to carry them, :meth:`Channel.flush` orders them as their own
+round.
+
 :class:`FabricNetwork` assembles the pieces — MSP registry, channels,
 orderers — the way the paper's testbed stands up its HLF network (one
 channel, two peers, one orderer).
@@ -19,7 +27,8 @@ channel, two peers, one orderer).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Protocol
 
 from repro.errors import (
     AccessDeniedError,
@@ -65,6 +74,28 @@ class TxResult:
         return self.code is ValidationCode.VALID
 
 
+@dataclass(frozen=True, eq=False)
+class DeferredCall:
+    """One rider: a chaincode call made under ``identity`` in the next
+    ordering round. ``writes`` is the rider source's own bookkeeping,
+    handed back to :meth:`RiderSource.settle`."""
+
+    identity: Identity
+    chaincode: str
+    fn: str
+    args: tuple[str, ...]
+    writes: tuple = ()
+
+
+class RiderSource(Protocol):
+    def take(self) -> list[DeferredCall]:
+        """The calls to endorse for the round about to be submitted."""
+
+    def settle(self, call: DeferredCall, committed: bool | None) -> None:
+        """``True``: committed VALID. ``False``: refused (endorsement failed
+        or committed non-VALID). ``None``: its round ended without it."""
+
+
 @dataclass
 class ChannelStats:
     invokes: int = 0
@@ -95,6 +126,9 @@ class Channel:
         self.sanitizer = None
         # Index manager (repro.index.IndexManager); equips joining peers.
         self.indexing = None
+        # Writes that ride the next ordering round (see the module doc).
+        self.riders: RiderSource | None = None
+        self._riding: dict[str, DeferredCall] = {}  # rider tx id -> its call
         self._definitions: list[ChaincodeDefinition] = []
         self._results: dict[str, TxResult] = {}
         self._nonce = itertools.count()
@@ -169,12 +203,15 @@ class Channel:
         if annotated is None:
             raise FabricError("no online peer to commit the block")
         for i, tx in enumerate(annotated.transactions):
-            self._results[tx.tx_id] = TxResult(
+            result = self._results[tx.tx_id] = TxResult(
                 tx_id=tx.tx_id,
                 code=annotated.validation_codes[i],
                 response=tx.response,
                 block_number=annotated.number,
             )
+            call = self._riding.pop(tx.tx_id, None)
+            if call is not None:
+                self.riders.settle(call, result.ok)
 
     # -- client write path -------------------------------------------------------------
 
@@ -321,7 +358,7 @@ class Channel:
             tx_id = self.invoke_async(identity, chaincode, fn, args, endorsing_orgs, transient)
             sp.set_attr("tx_id", tx_id)
             if tx_id not in self._results:
-                self.orderer.flush()
+                self._flush_orderer()
             try:
                 return self._results[tx_id]
             except KeyError:
@@ -342,13 +379,47 @@ class Channel:
             identity, chaincode, fn, args, endorsing_orgs, transient
         )
         tx = self.assemble(proposal, responses)
-        self.orderer.submit(tx)
+        self.orderer.submit(tx, riders=self._endorse_riders())
         self.stats.invokes += 1
         return tx.tx_id
 
-    def flush(self) -> None:
-        with obs_span("fabric.flush"):
+    def _endorse_riders(self) -> tuple[Transaction, ...]:
+        """Endorse every deferred call for the round about to be submitted;
+        a call whose endorsement fails is refused, not fatal to the carrier."""
+        if self.riders is None:
+            return ()
+        txs = []
+        for call in self.riders.take():
+            try:
+                proposal, responses = self.endorse(
+                    call.identity, call.chaincode, call.fn, list(call.args)
+                )
+                tx = self.assemble(proposal, responses)
+            except FabricError:
+                self.riders.settle(call, False)
+                continue
+            self._riding[tx.tx_id] = call
+            txs.append(tx)
+        return tuple(txs)
+
+    def _flush_orderer(self) -> None:
+        """Drive the orderer until its queue is committed. A rider still
+        uncommitted afterwards goes back to its source; it stays tracked in
+        case its stalled consensus instance decides later."""
+        try:
             self.orderer.flush()
+        finally:
+            for call in list(self._riding.values()):
+                self.riders.settle(call, None)
+
+    def flush(self) -> None:
+        """Commit everything queued, riders included: with no carrier
+        queued, the deferred calls are ordered as their own round."""
+        with obs_span("fabric.flush"):
+            riders = self._endorse_riders()
+            if riders:
+                self.orderer.submit(riders[0], riders=riders[1:])
+            self._flush_orderer()
 
     def result(self, tx_id: str) -> TxResult:
         try:

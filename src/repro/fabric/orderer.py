@@ -21,6 +21,11 @@ Two implementations behind one interface:
   Consensus messages per committed transaction drop by roughly the batch
   factor, which is what makes ``max_batch_size`` a real throughput lever.
 
+Both take ``submit(tx, riders=())``: a *rider* is a write that needs no
+ordering round of its own (an access-log event, a trust-score snapshot).
+It is queued with the carrier ``tx`` and ordered in the same consensus
+instance and block; ``max_batch_size`` counts carriers only.
+
 Orderers do not execute chaincode and never touch the world state — they
 sequence opaque envelopes, exactly as in Fabric.
 """
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from repro.consensus.bft import Behaviour, BftCluster, Decision
 from repro.consensus.messages import ClientRequest
@@ -47,13 +52,13 @@ DeliverFn = Callable[[Block, frozenset[str]], None]
 
 
 class Orderer(Protocol):
-    def submit(self, tx: Transaction) -> None: ...
+    def submit(self, tx: Transaction, riders: Sequence[Transaction] = ()) -> None: ...
     def flush(self) -> None: ...
     def register_delivery(self, deliver: DeliverFn) -> None: ...
 
 
 class _BatchCutter:
-    """Shared batching + hash-chain bookkeeping for both orderers."""
+    """Shared block-building + hash-chain bookkeeping for both orderers."""
 
     def __init__(self, max_batch_size: int, clock: Clock) -> None:
         if max_batch_size < 1:
@@ -61,7 +66,6 @@ class _BatchCutter:
         self.max_batch_size = max_batch_size
         self.clock = clock
         self._pending: list[Transaction] = []
-        self._pending_rejected: set[str] = set()
         self._next_number = 0
         self._prev_hash = GENESIS_PREVIOUS_HASH
         self._delivery: list[DeliverFn] = []
@@ -71,25 +75,23 @@ class _BatchCutter:
     def register_delivery(self, deliver: DeliverFn) -> None:
         self._delivery.append(deliver)
 
-    def enqueue(self, tx: Transaction, rejected: bool) -> None:
+    def add(self, tx: Transaction) -> None:
         self._pending.append(tx)
-        if rejected:
-            self._pending_rejected.add(tx.tx_id)
-        if len(self._pending) >= self.max_batch_size:
-            self.cut()
 
     def cut(self) -> None:
-        if not self._pending:
-            return
+        """Cut everything added since the last cut as one block."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self.emit(pending)
+
+    def emit(self, txs: Sequence[Transaction], rejected: frozenset[str] = frozenset()) -> None:
+        """Cut exactly ``txs`` as the next block and deliver it."""
         block = Block.build(
             number=self._next_number,
             previous_hash=self._prev_hash,
-            transactions=tuple(self._pending),
+            transactions=tuple(txs),
             timestamp=self.clock.now(),
         )
-        rejected = frozenset(self._pending_rejected)
-        self._pending = []
-        self._pending_rejected = set()
         self._next_number += 1
         self._prev_hash = block.header.hash()
         self.blocks_cut += 1
@@ -98,24 +100,43 @@ class _BatchCutter:
             deliver(block, rejected)
 
 
-class SoloOrderer:
-    """Single-node sequencer (no fault tolerance, no validation)."""
+class _Ordering:
+    """``submit`` for both orderers: carriers, their riders, and when a
+    full batch goes to be cut. Subclasses queue one transaction
+    (``_queue``) and cut what is queued (``_cut``)."""
 
     def __init__(self, max_batch_size: int = 1, clock: Clock | None = None) -> None:
         self._cutter = _BatchCutter(max_batch_size, clock or WallClock())
         # Durability hook (repro.storage.persistence.DurabilityManager).
         self.journal = None
+        self._carriers = 0  # queued carriers (riders do not count)
+        self._announced: set[str] = set()  # rider tx ids on their way in
 
-    def submit(self, tx: Transaction) -> None:
-        with obs_span("fabric.order") as sp:
-            sp.set_attr("orderer", "solo")
-            sp.set_attr("tx_id", tx.tx_id)
-            if self.journal is not None:
-                self.journal.record_submit(tx)
-            self._cutter.enqueue(tx, rejected=False)
+    def submit(self, tx: Transaction, riders: Sequence[Transaction] = ()) -> None:
+        """Queue ``tx`` for ordering with the riders that travel with it.
 
-    def flush(self) -> None:
-        self._cutter.cut()
+        Each rider goes through ``submit`` itself, right behind ``tx`` and
+        before any cut, so every transaction is journaled (and traced) once;
+        it lands in the same consensus instance and block as ``tx``.
+        """
+        is_rider = tx.tx_id in self._announced
+        self._announced.discard(tx.tx_id)
+        self._queue(tx)
+        if self.journal is not None:
+            self.journal.record_submit(tx)
+        self._announced.update(rider.tx_id for rider in riders)
+        for rider in riders:
+            self.submit(rider)
+        if not is_rider:
+            self._carriers += 1
+            if self._carriers >= self._cutter.max_batch_size:
+                self._cut()
+
+    def _queue(self, tx: Transaction) -> None:
+        raise NotImplementedError
+
+    def _cut(self) -> None:
+        raise NotImplementedError
 
     def register_delivery(self, deliver: DeliverFn) -> None:
         self._cutter.register_delivery(deliver)
@@ -127,6 +148,26 @@ class SoloOrderer:
     @property
     def txs_ordered(self) -> int:
         return self._cutter.txs_ordered
+
+
+class SoloOrderer(_Ordering):
+    """Single-node sequencer (no fault tolerance, no validation)."""
+
+    def submit(self, tx: Transaction, riders: Sequence[Transaction] = ()) -> None:
+        with obs_span("fabric.order") as sp:
+            sp.set_attr("orderer", "solo")
+            sp.set_attr("tx_id", tx.tx_id)
+            super().submit(tx, riders)
+
+    def _queue(self, tx: Transaction) -> None:
+        self._cutter.add(tx)
+
+    def _cut(self) -> None:
+        self._carriers = 0
+        self._cutter.cut()
+
+    def flush(self) -> None:
+        self._cut()
 
 
 def default_tx_validator(tx: Transaction) -> bool:
@@ -190,23 +231,24 @@ class TxDecision:
         return len(votes) - sum(1 for v in votes.values() if v)
 
 
-class BftOrderer:
+class BftOrderer(_Ordering):
     """Ordering via a PBFT validator cluster, amortized over blocks.
 
-    ``submit`` queues the transaction; once ``max_batch_size`` transactions
-    accumulate (or ``flush`` is called) the whole batch becomes *one* BFT
-    consensus instance. The digest replicas agree on covers every envelope
-    hash in the batch, and each replica's prepare/commit vote carries one
-    ``validator(tx)`` verdict per transaction, so per-transaction
-    acceptance (and ``REJECTED_BY_CONSENSUS`` flagging) is decided exactly
-    as in the one-instance-per-transaction configuration. Decisions are
-    collected from the first replica to decide (all honest replicas decide
+    ``submit`` queues the transaction (and its riders); once
+    ``max_batch_size`` carriers accumulate (or ``flush`` is called) the
+    whole queue becomes *one* BFT consensus instance, and each decided
+    instance is cut as exactly one block. The digest replicas agree on
+    covers every envelope hash in the batch, and each replica's
+    prepare/commit vote carries one ``validator(tx)`` verdict per
+    transaction, so per-transaction acceptance (and
+    ``REJECTED_BY_CONSENSUS`` flagging) is decided exactly as in the
+    one-instance-per-transaction configuration. Decisions are collected
+    from the first replica to decide (all honest replicas decide
     identically — that is the BFT guarantee, separately tested in the
     consensus suite).
 
     ``submit`` is asynchronous: it never drives the validator network.
-    ``flush`` runs the network until every in-flight batch decides, then
-    cuts the final (possibly partial) block.
+    ``flush`` runs the network until every in-flight batch decides.
     """
 
     def __init__(
@@ -219,11 +261,9 @@ class BftOrderer:
         network: SimNetwork | None = None,
         checkpoint_interval: int = 0,
     ) -> None:
-        self._cutter = _BatchCutter(max_batch_size, clock or WallClock())
-        # Durability hook (repro.storage.persistence.DurabilityManager).
-        self.journal = None
+        super().__init__(max_batch_size, clock)
         self._txs: dict[str, Transaction] = {}
-        self._queue: list[str] = []  # tx ids awaiting a consensus instance
+        self._queued: list[str] = []  # tx ids awaiting a consensus instance
         self._decided: set[str] = set()  # batch request ids already enqueued
         self._batch_seq = 0
         self.batches_ordered = 0
@@ -257,17 +297,21 @@ class BftOrderer:
         if request_id in self._decided:
             return  # one enqueue per batch, not per replica
         self._decided.add(request_id)
-        tx_ids = decision.request.payload["tx_ids"]
-        for index, tx_id in enumerate(tx_ids):
+        txs: list[Transaction] = []
+        rejected: set[str] = set()
+        for index, tx_id in enumerate(decision.request.payload["tx_ids"]):
             tx_decision = TxDecision(tx_id=tx_id, index=index, batch=decision)
             self.decisions[tx_id] = tx_decision
-            self._cutter.enqueue(self._txs[tx_id], rejected=not tx_decision.accepted)
+            txs.append(self._txs[tx_id])
+            if not tx_decision.accepted:
+                rejected.add(tx_id)
+        self._cutter.emit(txs, frozenset(rejected))
 
-    def _order_batch(self) -> None:
+    def _cut(self) -> None:
         """Start one consensus instance over everything currently queued."""
-        if not self._queue:
+        batch, self._queued, self._carriers = self._queued, [], 0
+        if not batch:
             return
-        batch, self._queue = self._queue, []
         with obs_span("fabric.order") as sp:
             sp.set_attr("orderer", "bft")
             sp.set_attr("batch_size", len(batch))
@@ -301,43 +345,28 @@ class BftOrderer:
 
     # -- orderer interface --------------------------------------------------------
 
-    def submit(self, tx: Transaction) -> None:
+    def _queue(self, tx: Transaction) -> None:
         """Queue a transaction for batched ordering (no decision implied)."""
         if tx.tx_id in self._txs:
             raise OrderingError(f"transaction {tx.tx_id!r} already submitted")
         self._txs[tx.tx_id] = tx
-        self._queue.append(tx.tx_id)
-        if self.journal is not None:
-            self.journal.record_submit(tx)
-        if len(self._queue) >= self._cutter.max_batch_size:
-            self._order_batch()
+        self._queued.append(tx.tx_id)
 
     def drop_queued(self) -> list[str]:
         """Orderer crash-amnesia: transactions submitted but not yet handed
         to a consensus instance are simply gone. Returns the dropped tx ids
         (oldest first) so the caller can count and report them — clients
         must resubmit through the resilience retry path."""
-        dropped, self._queue = self._queue, []
+        dropped, self._queued, self._carriers = self._queued, [], 0
         for tx_id in dropped:
             del self._txs[tx_id]
         return dropped
 
     def flush(self) -> None:
-        self._order_batch()
-        # Drive the validator network until every in-flight batch decides.
+        self._cut()
+        # Drive the validator network until every in-flight batch decides;
+        # each decision is delivered as its own block.
         self.cluster.run()
-        self._cutter.cut()
-
-    def register_delivery(self, deliver: DeliverFn) -> None:
-        self._cutter.register_delivery(deliver)
-
-    @property
-    def blocks_cut(self) -> int:
-        return self._cutter.blocks_cut
-
-    @property
-    def txs_ordered(self) -> int:
-        return self._cutter.txs_ordered
 
     @property
     def consensus_messages(self) -> int:

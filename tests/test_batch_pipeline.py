@@ -149,17 +149,31 @@ class TestPartialAdmission:
 
 class TestBlocksAccounting:
     def test_blocks_counts_only_data_blocks(self):
-        """The trust follow-up block must not inflate the ingest block
-        count: 8 items (records + trails) in one batch = 1 data block."""
+        """8 items (records + trails) in one batch = 1 data block, and the
+        batch's score write cuts no block of its own: it rides the next
+        batch's block."""
         framework = make_framework(batch=8)
         ingestor = BatchIngestor(framework)
         ingestor.register(framework.register_source("blk-cam"))  # untrusted: scored
         height_before = framework.channel.height()
         report = ingestor.ingest(make_items("blk-cam", 8))
         assert report.blocks == 1
-        # The score write really did cut one more block — it is just not
-        # charged to ingest throughput.
-        assert framework.channel.height() - height_before == report.blocks + 1
+        assert framework.channel.height() - height_before == report.blocks
+        peer = next(iter(framework.channel.peers.values()))
+        assert "trust:blk-cam" not in dict(peer.world.range("trust:", "trust:\x7f"))
+
+        second = ingestor.ingest([
+            IngestItem("blk-cam", b"second batch %d " % i * 40, dict(META), None)
+            for i in range(8)
+        ])
+        assert second.blocks == 1
+        assert framework.channel.height() - height_before == 2
+        block = peer.ledger.blocks()[-1]
+        fns = [tx.proposal.fn for tx in block.transactions]
+        # The first carrier takes the queued rider right behind it.
+        assert fns == ["store", "put_score"] + ["store"] * 7
+        assert all(code.name == "VALID" for code in block.validation_codes)
+        assert peer.world.get("trust:blk-cam") is not None
 
 
 class TestCacheStalenessRace:

@@ -169,9 +169,13 @@ class TestExplorerCli:
         assert "audit      : PASS" in out
 
     def test_explorer_trust_shows_score_timelines(self, capsys):
+        """The snapshots are rider writes; the command's flush lands exactly
+        one per source before the timelines are read."""
         assert main(["explorer", "trust", "--videos", "1"]) == 0
         out = capsys.readouterr().out
-        assert "cam-00" in out and "updates:" in out
+        lines = [line for line in out.splitlines() if "updates:" in line]
+        assert lines and any(line.startswith("cam-00") for line in lines)
+        assert all(" 1 updates: " in line for line in lines)
 
 
 class TestHealthCli:

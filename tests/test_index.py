@@ -106,6 +106,9 @@ class TestIncrementalMaintenance:
         _, receipts = populate(framework, n=2)
         framework.record_trust_on_chain("idx-cam")
         peer = next(iter(framework.channel.peers.values()))
+        # The score write is a rider: queued, indexed once a round carries it.
+        assert "idx-cam" not in peer.index.band_of
+        framework.channel.flush()
         assert peer.index.band_of.get("idx-cam") == "trusted"
         assert peer.index.lookup("trust_band", "trusted") == sorted(
             r.entry_id for r in receipts

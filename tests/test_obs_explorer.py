@@ -100,15 +100,25 @@ class TestProvenance:
 
     def test_trail_spans_store_and_bare_record_transactions(self, deployment):
         """Events are found by the key they wrote, whichever chaincode call
-        wrote them: the store transaction's two, then retrieve's own."""
+        wrote them: the store transaction's two, then the read's
+        ``record_many`` rider, which cuts no block of its own and lands in
+        the block of the next store."""
         framework, client = deployment
         entry_id = _submit(client, n=1)[0]
+        height = framework.channel.height()
         client.retrieve(entry_id)
+        assert framework.channel.height() == height
+        carrier = _submit(client, n=1)[0]
         explorer = LedgerExplorer(framework.channel)
         trail = explorer.provenance_trail(entry_id)
         assert [e["action"] for e in trail] == ["captured", "stored", "accessed"]
         assert trail[0]["tx_id"] == trail[1]["tx_id"] == entry_id != trail[2]["tx_id"]
         assert trail == explorer.lineage(entry_id)
+        assert explorer.tx_view(trail[2]["tx_id"])["fn"] == "record_many"
+        assert (
+            explorer.tx_view(trail[2]["tx_id"])["block"]
+            == explorer.tx_view(carrier)["block"]
+        )
 
     def test_batch_ingest_trail_attributes_each_source(self):
         framework = Framework(FrameworkConfig(max_batch_size=8))
@@ -151,6 +161,9 @@ class TestProvenance:
 
 class TestTrustTimeline:
     def test_timeline_orders_score_snapshots(self, deployment):
+        """Two snapshots queued back to back are two ``put_score`` riders —
+        not coalesced — and the flush orders them in one block, oldest
+        first, so the timeline ends at the engine's current score."""
         framework, client = deployment
         _submit(client, n=1)
         framework.record_trust_on_chain("cam-solo")
@@ -158,13 +171,17 @@ class TestTrustTimeline:
             "cam-solo", accepted=True, valid_votes=3, invalid_votes=0
         )
         framework.record_trust_on_chain("cam-solo")
-        framework.channel.flush()
         explorer = LedgerExplorer(framework.channel)
+        assert explorer.trust_timeline("cam-solo") == []
+        framework.channel.flush()
         assert "cam-solo" in explorer.trust_sources()
         timeline = explorer.trust_timeline("cam-solo")
         assert len(timeline) == 2
         assert [t["source_id"] for t in timeline] == ["cam-solo", "cam-solo"]
-        assert timeline[0]["block"] <= timeline[1]["block"]
+        assert timeline[0]["block"] == timeline[1]["block"]
+        block = explorer.block_view(timeline[0]["block"])
+        assert [t["tx_id"] for t in block["transactions"]] == [t["tx_id"] for t in timeline]
+        assert timeline[-1]["score"] == framework.trust.score("cam-solo")
         assert all("score" in t and "tx_id" in t for t in timeline)
 
 
