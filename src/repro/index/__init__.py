@@ -5,8 +5,9 @@ selector query degenerates into a linear world-state scan. This package is
 the search structure the BPI line of work motivates for hybrid-storage
 blockchains: each peer keeps a cumulative index over metadata attributes
 (source, camera, vehicle class, violation type, time bucket, trust band),
-updated block-by-block at commit time, plus a per-block bloom filter over
-the attribute values the block touched.
+updated block-by-block at commit time. The index is derived state: a
+function of committed world state, never persisted, and rebuilt from the
+state a peer adopts on every recovery path (:meth:`PeerIndex.from_world`).
 
 Every epoch (one per committed block) is committed to by a Merkle root
 over the index's postings, so
@@ -20,7 +21,6 @@ over the index's postings, so
   (:func:`verify_posting_proof` / :func:`verify_answer_records`).
 """
 
-from repro.index.filters import BlockFilter
 from repro.index.manager import IndexManager
 from repro.index.secondary import (
     TIME_BUCKET_S,
@@ -33,7 +33,6 @@ from repro.index.secondary import (
 )
 
 __all__ = [
-    "BlockFilter",
     "IndexManager",
     "PeerIndex",
     "Posting",

@@ -19,7 +19,7 @@ Structure
   *new* key (first sight of a camera, a new time bucket) is spliced in at
   its sorted position, recomputing interior nodes from there rightwards.
   The tree is derived state: never persisted, built once (one
-  ``MerkleTree`` over all leaves) by ``from_lines`` / ``from_world``.
+  ``MerkleTree`` over all leaves) by ``from_world``.
 * :meth:`PeerIndex.root` is an O(1) read of that tree; the root after
   applying block *n* is **epoch n**'s digest. Epoch digests are journaled
   into the WAL by the durability layer and auditable by the explorer.
@@ -33,18 +33,12 @@ Structure
   maintained one at every epoch, used by tests and by SAN308 (which
   compares a ``from_world`` rebuild against both), never on the commit or
   query path.
-* Checkpoints persist the index as **lines** (:meth:`PeerIndex.to_lines` /
-  :meth:`PeerIndex.from_lines`): a small header, each posting as a head
-  line plus its entries in runs of ``_RUN`` (full runs immutable, head and
-  last run kept on the :class:`Posting` until its next ``append``), and one
-  immutable ``[n, epoch, filter]`` line per block. A line is serialised
-  when its item changes and joined when a checkpoint is written, so a
-  checkpoint costs the postings and blocks changed since the last one. Only
-  ``to_lines`` fills these caches; the commit and query paths never do.
 
 The index only ever observes **valid** transactions' write sets, so it is
-rebuildable from world state alone (:meth:`PeerIndex.from_world`) — that is
-both the recovery path and the SAN308 divergence check.
+derived state: rebuildable from world state alone
+(:meth:`PeerIndex.from_world`). Nothing persists it — every recovery path
+rebuilds it from the state the peer adopted, and SAN308 compares the same
+rebuild against the maintained root at every commit.
 """
 
 from __future__ import annotations
@@ -57,8 +51,7 @@ from dataclasses import dataclass, field
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
 from repro.fabric.audit import valid_txs
-from repro.index.filters import BlockFilter
-from repro.util.serialization import canonical_json, from_canonical_json
+from repro.util.serialization import canonical_json
 
 _DATA_PREFIX = "data:"
 _TRUST_PREFIX = "trust:"
@@ -77,9 +70,6 @@ _META, _POSTING, _BAND, _TOMBSTONES = range(4)
 _LeafKey = tuple[int, str, str]
 _META_KEY: _LeafKey = (_META, "_meta", "")
 _TOMBSTONES_KEY: _LeafKey = (_TOMBSTONES, "_tombstones", "")
-
-# Entries per checkpoint line of a posting (see Posting.lines).
-_RUN = 64
 
 TIME_BUCKET_S = 600  # ten-minute buckets for time-range queries
 
@@ -118,11 +108,6 @@ class Posting:
     value: str
     entries: list[tuple[str, str]] = field(default_factory=list)
     chain: str = ""
-    # Checkpoint lines: a full run of _RUN entries never changes again, so
-    # its line is kept for good; the head and the partial last run are
-    # dropped by the next append.
-    _runs: list[bytes] = field(default_factory=list, compare=False, repr=False)
-    _ends: tuple[bytes, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -131,23 +116,6 @@ class Posting:
     def append(self, entry_id: str, digest: str) -> None:
         self.chain = _extend_chain(self.chain, entry_id, digest)
         self.entries.append((entry_id, digest))
-        self._ends = ()
-
-    def lines(self) -> list[bytes]:
-        """Checkpoint lines: a head ``[dim, value, chain, n]``, then the
-        ``n`` entries in runs of ``_RUN``, one line per run. Serialised once
-        per change, and a change costs the head and the runs it reached,
-        however long the posting is. Only :meth:`PeerIndex.to_lines` calls
-        this, so an index that is never checkpointed holds no lines."""
-        if not self._ends:
-            entries, runs = self.entries, self._runs
-            full = len(entries) - len(entries) % _RUN
-            for start in range(len(runs) * _RUN, full, _RUN):
-                runs.append(canonical_json(entries[start : start + _RUN]))
-            head = canonical_json([self.dim, self.value, self.chain, len(entries)])
-            tail = (canonical_json(entries[full:]),) if full < len(entries) else ()
-            self._ends = (head, *tail)
-        return [self._ends[0], *self._runs, *self._ends[1:]]
 
     def leaf_bytes(self) -> bytes:
         return canonical_json(
@@ -260,13 +228,8 @@ class PeerIndex:
         self.band_of: dict[str, str] = {}
         self.height = 0  # blocks applied; epoch n exists once height == n+1
         self.epochs: dict[int, str] = {}
-        self.block_filters: dict[int, BlockFilter] = {}
         self.tombstones: set[str] = set()
         self._indexed: set[str] = set()
-        # block -> its checkpoint line; a block's epoch and filter never
-        # change once applied, so a line is serialised by the first
-        # to_lines() after the block and kept for good.
-        self._block_lines: dict[int, bytes] = {}
         # The maintained epoch tree: sorted leaf keys, their Merkle tree, and
         # the keys whose leaves the block being applied has changed so far.
         self._dirty: set[_LeafKey] = set()
@@ -286,22 +249,17 @@ class PeerIndex:
     def apply_block(self, block) -> str:
         """Index a committed (annotated) block's valid writes; returns the
         new epoch digest, also recorded under ``epochs[block.number]``."""
-        tokens: list[str] = []
         for tx in valid_txs(block):
             for write in tx.rwset.writes:
-                tokens.extend(self._apply_write(write))
+                self._apply_write(write)
         self.height = block.number + 1
-        filt = BlockFilter()
-        for token in tokens:
-            filt.add(token)
-        self.block_filters[block.number] = filt
         self._dirty.add(_META_KEY)
         self._flush_tree()
         digest = self.root()
         self.epochs[block.number] = digest
         return digest
 
-    def _apply_write(self, write) -> list[str]:
+    def _apply_write(self, write) -> None:
         key = write.key
         if key.startswith(_DATA_PREFIX):
             if write.is_delete or write.value is None:
@@ -309,35 +267,31 @@ class PeerIndex:
                 if entry_id in self._indexed:
                     self.tombstones.add(entry_id)
                     self._dirty.add(_TOMBSTONES_KEY)
-                return []
-            try:
-                record = json.loads(write.value)
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return []
-            if not isinstance(record, dict):
-                return []
-            entry_id = record.get("entry_id") or key[len(_DATA_PREFIX):]
-            return self._insert(entry_id, record, write.value)
-        if key.startswith(_TRUST_PREFIX):
-            if write.is_delete or write.value is None:
-                return []
-            return self._apply_trust(key[len(_TRUST_PREFIX):], write.value)
-        return []
+                return
+            self._insert(key, write.value)
+        elif key.startswith(_TRUST_PREFIX):
+            if not (write.is_delete or write.value is None):
+                self._apply_trust(key[len(_TRUST_PREFIX):], write.value)
 
-    def _insert(self, entry_id: str, record: dict, raw: bytes) -> list[str]:
+    def _insert(self, key: str, raw: bytes) -> None:
+        """Index one ``data:`` record; undecodable values are skipped."""
+        try:
+            record = json.loads(raw)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return
+        if not isinstance(record, dict):
+            return
+        entry_id = record.get("entry_id") or key[len(_DATA_PREFIX):]
         if entry_id in self._indexed:
-            return []  # data records are immutable; re-commit is a no-op
+            return  # data records are immutable; re-commit is a no-op
         digest = record_digest(raw)
-        tokens = []
         for dim, value in self._record_dims(record):
             posting = self.postings.get((dim, value))
             if posting is None:
                 posting = self.postings[(dim, value)] = Posting(dim, value)
             posting.append(entry_id, digest)
             self._dirty.add((_POSTING, dim, value))
-            tokens.append(f"{dim}={value}")
         self._indexed.add(entry_id)
-        return tokens
 
     @staticmethod
     def _record_dims(record: dict) -> list[tuple[str, str]]:
@@ -364,17 +318,17 @@ class PeerIndex:
         dims.extend(("violation", v) for v in sorted(violations))
         return dims
 
-    def _apply_trust(self, source_id: str, raw: bytes) -> list[str]:
+    def _apply_trust(self, source_id: str, raw: bytes) -> None:
         try:
             record = json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError):
-            return []
+            return
         if not isinstance(record, dict):
-            return []
+            return
         try:
             score = float(record.get("score", 0.0))
         except (TypeError, ValueError):
-            return []
+            return
         band = self.band_for(score)
         old = self.band_of.get(source_id)
         if old is not None and old != band:
@@ -385,7 +339,6 @@ class PeerIndex:
         self.band_of[source_id] = band
         self.bands.setdefault(band, {})[source_id] = record_digest(raw)
         self._dirty.add((_BAND, "trust_band", band))
-        return [f"trust_band={band}"]
 
     # -- the authenticated epoch root ------------------------------------------
 
@@ -524,96 +477,11 @@ class PeerIndex:
             if lo_b <= int(value) <= hi_b
         ]
 
-    def blocks_possibly_containing(self, dim: str, value: str) -> list[int]:
-        """Block numbers whose posting filter admits ``dim=value``."""
-        token = f"{dim}={value}"
-        return [n for n, f in sorted(self.block_filters.items()) if token in f]
-
-    # -- persistence / rebuild ----------------------------------------------------
+    # -- rebuild ------------------------------------------------------------------
 
     def fresh(self) -> "PeerIndex":
         """An empty index with this one's thresholds (post-wipe state)."""
         return PeerIndex(self.trusted_threshold, self.min_threshold)
-
-    def to_lines(self) -> list[bytes]:
-        """The checkpoint form of the index: canonical-JSON lines, free of
-        raw newlines, so the durability layer stores them ``\\n``-joined.
-
-        * a header — height, thresholds, bands, tombstones and the two
-          section lengths; small, re-serialised every time;
-        * each posting's :meth:`Posting.lines` in ``(dim, value)`` order, kept
-          on the :class:`Posting` until its next append;
-        * one line ``[n, epoch, filter]`` per block, immutable.
-
-        So a checkpoint serialises the postings and blocks changed since the
-        previous one and joins the rest. The epoch tree is derived state and
-        is not written (:meth:`from_lines` rebuilds it).
-        """
-        blocks = sorted(self.epochs.keys() | self.block_filters.keys())
-        lines = [
-            canonical_json(
-                {
-                    "height": self.height,
-                    "thresholds": [self.trusted_threshold, self.min_threshold],
-                    "bands": {
-                        band: sorted(members.items())
-                        for band, members in self.bands.items()
-                    },
-                    "tombstones": sorted(self.tombstones),
-                    "postings": len(self.postings),
-                    "blocks": len(blocks),
-                }
-            )
-        ]
-        for key in sorted(self.postings):
-            lines.extend(self.postings[key].lines())
-        block_lines = self._block_lines
-        for n in blocks:
-            line = block_lines.get(n)
-            if line is None:
-                filt = self.block_filters.get(n)
-                line = block_lines[n] = canonical_json(
-                    [n, self.epochs.get(n), None if filt is None else filt.to_doc()]
-                )
-            lines.append(line)
-        return lines
-
-    @classmethod
-    def from_lines(cls, lines: list[bytes]) -> "PeerIndex":
-        """Inverse of :meth:`to_lines`. Raises ``EncodingError`` /
-        ``LookupError`` / ``TypeError`` / ``ValueError`` on a damaged file;
-        the caller falls back to :meth:`from_world`."""
-        header = from_canonical_json(lines[0])
-        trusted, minimum = header["thresholds"]
-        out = cls(float(trusted), float(minimum))
-        out.height = int(header["height"])
-        at = 1
-        for _ in range(int(header["postings"])):
-            dim, value, chain, n = from_canonical_json(lines[at])
-            posting = Posting(dim=dim, value=value, chain=chain)
-            runs = lines[at + 1 : at + 1 + -(-int(n) // _RUN)]
-            for line in runs:
-                posting.entries.extend((e, d) for e, d in from_canonical_json(line))
-            if len(posting.entries) != n:
-                raise ValueError(f"posting {dim}={value!r} is missing entries")
-            at += 1 + len(runs)
-            out.postings[(dim, value)] = posting
-            out._indexed.update(e for e, _ in posting.entries)
-        if len(lines) - at != int(header["blocks"]):
-            raise ValueError("index file does not hold the lines its header counts")
-        for band, members in header["bands"].items():
-            out.bands[band] = {s: d for s, d in members}
-            for s in out.bands[band]:
-                out.band_of[s] = band
-        out.tombstones = set(header["tombstones"])
-        for line in lines[at:]:
-            n, epoch, filt = from_canonical_json(line)
-            if epoch is not None:
-                out.epochs[int(n)] = epoch
-            if filt is not None:
-                out.block_filters[int(n)] = BlockFilter.from_doc(filt)
-        out._rebuild_tree()
-        return out
 
     @classmethod
     def from_world(
@@ -623,40 +491,32 @@ class PeerIndex:
         trusted_threshold: float = TRUSTED_THRESHOLD,
         min_threshold: float = MIN_TRUST_THRESHOLD,
     ) -> "PeerIndex":
-        """Rebuild from committed world state (recovery / divergence check).
+        """Rebuild from committed world state — the one way a peer gets its
+        index back (checkpoint adoption, state transfer, a late join) and
+        the SAN308 divergence check.
 
         Replaying inserts in ``(block, tx)`` version order reproduces the
         exact chained posting digests of incremental maintenance, so the
-        rebuilt root matches the live root at the same height. Per-block
-        filters are approximated from the data records' versions (trust
-        tokens are not recoverable per block from current state); deleted
-        records are invisible here, so callers skip root comparison for
-        indexes carrying tombstones.
+        rebuilt root matches the live root at the same height. The rebuild
+        holds one epoch, ``height - 1``: the history before it is not in
+        world state, and the ledger of a peer that adopted a snapshot holds
+        no block below it either.
+
+        Like SAN308's rebuild, it does not see ``data:`` deletes: a deleted
+        record is gone from world state, so no tombstone is rebuilt. No
+        chaincode deletes a ``data:`` key, so this never arises in a
+        deployment; callers still skip root comparison for an index that
+        carries tombstones.
         """
         out = cls(trusted_threshold, min_threshold)
         rows = []
         for key, raw in world.range(_DATA_PREFIX, _DATA_END):
             version = world.get_version(key)
             rows.append((version.block, version.tx, key, raw))
-        tokens_by_block: dict[int, list[str]] = {}
-        for block_n, _tx, key, raw in sorted(rows):
-            try:
-                record = json.loads(raw)
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue
-            if not isinstance(record, dict):
-                continue
-            entry_id = record.get("entry_id") or key[len(_DATA_PREFIX):]
-            tokens_by_block.setdefault(block_n, []).extend(
-                out._insert(entry_id, record, raw)
-            )
+        for _block, _tx, key, raw in sorted(rows):
+            out._insert(key, raw)
         for key, raw in world.range(_TRUST_PREFIX, _TRUST_END):
             out._apply_trust(key[len(_TRUST_PREFIX):], raw)
-        for block_n, tokens in tokens_by_block.items():
-            filt = BlockFilter()
-            for token in tokens:
-                filt.add(token)
-            out.block_filters[block_n] = filt
         out.height = height
         out._rebuild_tree()
         if height > 0:

@@ -334,20 +334,11 @@ class QueryEngine:
         return records
 
     def _index_peer(self, height: int):
-        """An online peer whose ledger *and* index are at ``height``."""
+        """The channel's reference peer at ``height``
+        (:meth:`IndexManager.reference_peer`); None on a channel without
+        indexing, where no peer holds an index."""
         indexing = getattr(self.channel, "indexing", None)
-        if indexing is not None:
-            return indexing.reference_peer(height)
-        for name in sorted(self.channel.peers):
-            peer = self.channel.peers[name]
-            if (
-                peer.online
-                and peer.ledger.height == height
-                and getattr(peer, "index", None) is not None
-                and peer.index.height == height
-            ):
-                return peer
-        return None
+        return None if indexing is None else indexing.reference_peer(height)
 
     def _load_records(self, peer, entry_ids: Iterable[str]) -> Iterator[dict]:
         """The live records under ``entry_ids``, decoded at most once each."""

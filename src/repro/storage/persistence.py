@@ -12,18 +12,22 @@ the ordering service) holds:
   written atomically; the WAL is truncated once the checkpoint covers it;
 * ``private`` — the peer's private-collection side databases at the same
   height (snapshots cover only public state);
-* ``index`` — the peer's :class:`~repro.index.PeerIndex` as
-  ``to_lines()``, newline-joined;
 * ``frontier-<replica>`` — each PBFT validator's decided-log frontier
   ``{seq, stable, digest}``, so a restarted validator set can prove its
   log prefix matches what was persisted.
 
+The peer's :class:`~repro.index.PeerIndex` is derived state and is not
+persisted: every recovery path rebuilds it from the world state the peer
+adopted (:meth:`~repro.index.PeerIndex.from_world`). What the WAL keeps of
+it is each block's epoch digest, which replay checks the rebuilt index
+against.
+
 A checkpoint file is whole, but writing it costs what changed: the snapshot
-and the index are joins of canonical-JSON lines that the world state and the
-index keep per key / posting / block and re-serialise only after a change
-(``WorldState.snapshot_lines``, ``PeerIndex.to_lines``); only the small
-headers and the private sidecar are serialised every time. The frontiers are
-written once per ledger height, by the first peer to checkpoint there, and
+is a join of canonical-JSON lines that the world state keeps per key and
+re-serialises only after a change (``WorldState.snapshot_lines``); only
+the small header and the private sidecar are serialised every time. The
+frontiers are written once per ledger height, by the first peer to
+checkpoint there, and
 the orderer's own log (``submit`` / ``batch`` records) is compacted at the
 same moment to the records whose transactions are not yet on a ledger — so
 it holds what no checkpoint covers yet rather than every batch ever cut.
@@ -31,13 +35,16 @@ it holds what no checkpoint covers yet rather than every batch ever cut.
 Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 
 1. **WAL replay** — adopt the checkpoint snapshot (digest-verified by
-   :func:`~repro.fabric.snapshot.bootstrap_peer`), then re-commit every
-   WAL block through the normal validation path; a torn tail is dropped.
+   :func:`~repro.fabric.snapshot.bootstrap_peer`), rebuild the index from
+   it, then re-commit every WAL block through the normal validation path,
+   checking each rebuilt epoch against the journaled one; a torn tail is
+   dropped.
 2. **Verified state transfer** — on WAL corruption or an unusable
    checkpoint: take a snapshot from the best online donor, check that
    *every* online peer at that height agrees on the state digest and
    head hash (:func:`repro.fabric.audit.check_peers`, the replica-parity
-   check every audit runs), adopt it, and catch up via block delivery.
+   check every audit runs), adopt it, rebuild the index from it, and
+   catch up via block delivery.
 3. **Full resync** — last resort with no usable donor snapshot: rejoin
    empty and let gossip deliver the chain from genesis.
 
@@ -68,6 +75,7 @@ from repro.fabric.snapshot import (
     take_snapshot,
 )
 from repro.fabric.worldstate import Version, WorldState
+from repro.index import PeerIndex
 from repro.obs.metrics import get_registry
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
@@ -78,7 +86,6 @@ from repro.util.serialization import canonical_json, from_canonical_json
 WAL_LOG = "wal"
 CHECKPOINT_FILE = "checkpoint"
 PRIVATE_FILE = "private"
-INDEX_FILE = "index"
 
 
 @dataclass
@@ -222,10 +229,11 @@ class DurabilityManager:
     def checkpoint_peer(self, peer) -> None:
         """Atomic snapshot of ledger/world/private state; WAL truncated after.
 
-        The snapshot and index files are joins of lines their owners cache
-        per world key / posting / block, so this costs what changed since
-        the peer's previous checkpoint. The ordering service's share — the
-        validator frontiers and the orderer-log compaction — is done by the
+        The snapshot file is a join of lines the world state caches per
+        key, so this costs what changed since the peer's previous
+        checkpoint. The index is not written: recovery rebuilds it from the
+        snapshot. The ordering service's share — the validator frontiers
+        and the orderer-log compaction — is done by the
         first peer to checkpoint at each ledger height: every peer's
         checkpoint at one height would persist the same validator logs.
         """
@@ -236,8 +244,6 @@ class DurabilityManager:
             snapshot = take_snapshot(peer, self.channel.name)
             store.write_file(CHECKPOINT_FILE, snapshot.to_bytes())
             store.write_file(PRIVATE_FILE, canonical_json(self._private_doc(peer)))
-            if getattr(peer, "index", None) is not None:
-                store.write_file(INDEX_FILE, b"\n".join(peer.index.to_lines()))
             store.truncate_log(WAL_LOG)
             store.sync()
         self.stats.checkpoints += 1
@@ -442,7 +448,7 @@ class DurabilityManager:
             snapshot = Snapshot.from_bytes(raw)
             bootstrap_peer(peer, snapshot)  # digest-verified adoption
             self._restore_private(peer, store)
-            self._restore_index(peer, store)
+            self._rebuild_index(peer)
             ckpt_height = snapshot.height
         if peer.sanitizer is not None:
             peer.sanitizer.note_recovery(peer.name, peer.ledger.height)
@@ -501,18 +507,7 @@ class DurabilityManager:
             )
         adopt_snapshot(peer, snapshot)  # resets partial replay state, verifies digest
         self._adopt_private(peer, at_head)
-        if peer.index is not None:
-            # The index is derivable from world state, so a verified
-            # snapshot is enough to rebuild it (epoch history before the
-            # snapshot height is not recoverable and stays empty).
-            from repro.index import PeerIndex
-
-            peer.index = PeerIndex.from_world(
-                peer.world,
-                peer.ledger.height,
-                peer.index.trusted_threshold,
-                peer.index.min_threshold,
-            )
+        self._rebuild_index(peer)
         if peer.sanitizer is not None:
             peer.sanitizer.note_recovery(peer.name, peer.ledger.height)
         return donor.name
@@ -566,34 +561,22 @@ class DurabilityManager:
                 )
 
     @staticmethod
-    def _restore_index(peer, store: DurableStore) -> None:
-        """Restore the checkpointed index; rebuild from world on any gap.
+    def _rebuild_index(peer) -> None:
+        """Rebuild the peer's index from the snapshot it just adopted.
 
-        A checkpoint written by :meth:`checkpoint_peer` always carries a
-        matching index file, but an older store (or one damaged between
-        files) may not — the index is state-derived, so a rebuild from the
-        freshly adopted world is always a sound fallback.
+        The index is derived from world state, so the adopted state is all
+        it needs. The rebuild holds one epoch, the snapshot's (``height -
+        1``) — the ledger holds no block below the snapshot either — and WAL
+        replay or block delivery extend it from there.
         """
         if peer.index is None:
             return
-        from repro.index import PeerIndex
-
-        raw = store.read_file(INDEX_FILE)
-        restored = None
-        if raw is not None:
-            try:
-                restored = PeerIndex.from_lines(raw.split(b"\n"))
-            except (EncodingError, LookupError, TypeError, ValueError):
-                restored = None
-        if restored is not None and restored.height == peer.ledger.height:
-            peer.index = restored
-        else:
-            peer.index = PeerIndex.from_world(
-                peer.world,
-                peer.ledger.height,
-                peer.index.trusted_threshold,
-                peer.index.min_threshold,
-            )
+        peer.index = PeerIndex.from_world(
+            peer.world,
+            peer.ledger.height,
+            peer.index.trusted_threshold,
+            peer.index.min_threshold,
+        )
 
     def _adopt_private(self, peer, donors) -> None:
         """Private collections can only come from a same-org donor (snapshots

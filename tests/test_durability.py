@@ -369,4 +369,4 @@ class TestCheckpointCost:
             assert states_agree(peer, other)
             assert peer.index.root() == other.index.root()
         assert counts[500] == counts[5000]
-        assert counts[500] < 100  # a few per changed key, posting and block
+        assert counts[500] < 100  # a few per changed key

@@ -20,12 +20,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleProofError, QueryError
 from repro.fabric.tx import WriteEntry
 from repro.fabric.worldstate import Version, WorldState
-from repro.index import (
-    BlockFilter,
-    PeerIndex,
-    verify_answer_records,
-    verify_posting_proof,
-)
+from repro.index import PeerIndex, verify_answer_records, verify_posting_proof
 from repro.query import QueryEngine, parse_query, plan_query
 from repro.trust import SourceTier
 from repro.util.serialization import canonical_json
@@ -113,26 +108,6 @@ class TestIncrementalMaintenance:
         assert peer.index.lookup("trust_band", "trusted") == sorted(
             r.entry_id for r in receipts
         )
-
-    def test_block_filters_narrow_blocks(self):
-        framework = make_framework()
-        _, receipts = populate(framework, n=4)
-        peer = next(iter(framework.channel.peers.values()))
-        blocks = peer.index.blocks_possibly_containing("source", "idx-cam")
-        assert blocks  # the uploads' blocks admit the token
-        # A bloom filter can false-positive but never false-negative: every
-        # block that really contains the value must be reported.
-        data_blocks = {
-            peer.world.get_version(f"data:{r.entry_id}").block for r in receipts
-        }
-        assert data_blocks <= set(blocks)
-
-    def test_filter_roundtrip(self):
-        filt = BlockFilter()
-        filt.add("source=cam-1")
-        restored = BlockFilter.from_doc(filt.to_doc())
-        assert "source=cam-1" in restored
-        assert "source=cam-2" not in restored
 
 
 class TestProofs:
@@ -449,7 +424,6 @@ class _Chain:
             stale = dataclasses.replace(proof, root=previous_root)
             with pytest.raises(MerkleProofError):
                 verify_posting_proof(stale, previous_root)
-        assert PeerIndex.from_lines(index.to_lines()).root() == root
         if not index.tombstones:  # from_world cannot see deleted records
             assert PeerIndex.from_world(self.world, index.height).root() == root
         return root
@@ -576,165 +550,120 @@ class TestMaintainedTree:
             assert calls["crypto.hash"] <= touched * (depth + 1)
 
 
+def _durable_framework():
+    framework = make_framework(
+        consensus="bft", peers_per_org=2, durability=True, checkpoint_interval=4
+    )
+    populate(framework, n=8)  # height 10: checkpoints at 4 and 8, two WAL blocks
+    return framework
+
+
+def _assert_matches_survivors(framework, peer):
+    """The recovered peer's height and root equal every survivor's, and it
+    holds the survivors' epochs from the adopted snapshot's height - 1 on,
+    as its ledger holds their blocks from that height on."""
+    first = peer.ledger.base_height - 1
+    assert first >= 0  # recovery adopted a snapshot
+    for other in framework.channel.peers.values():
+        if other is peer:
+            continue
+        assert (peer.ledger.height, peer.index.root()) == (
+            other.ledger.height, other.index.root()
+        ), other.name
+        assert dict(peer.index.epochs) == {
+            n: epoch for n, epoch in other.index.epochs.items() if n >= first
+        }, other.name
+    assert peer.index.height == peer.ledger.height
+
+
 class TestDurability:
+    def test_checkpoints_write_no_index_file(self):
+        """The index is derived state: a checkpoint writes the world
+        snapshot and the private sidecar, nothing else."""
+        framework = _durable_framework()
+        manager = framework.durability
+        assert manager.stats.checkpoints >= 2 * len(framework.channel.peers)
+        for name in framework.channel.peers:
+            assert manager.stores[name].files() == ["checkpoint", "private"], name
+
     def test_wal_replay_restores_index(self):
-        framework = make_framework(
-            consensus="bft", peers_per_org=2, durability=True, checkpoint_interval=4
-        )
-        populate(framework, n=6)
+        framework = _durable_framework()
         peer = framework.channel.peers["peer1.org1"]
-        root_before = peer.index.root()
-        epochs_before = dict(peer.index.epochs)
         outcome = framework.durability.crash_and_recover("peer1.org1")
         assert outcome.kind == "wal_replay", outcome.detail()
-        assert peer.index.root() == root_before
-        assert dict(peer.index.epochs) == epochs_before
-        assert peer.index.height == peer.ledger.height
+        assert outcome.checkpoint_height >= 4 and outcome.replayed_blocks > 0
+        assert peer.ledger.base_height == outcome.checkpoint_height
+        _assert_matches_survivors(framework, peer)
+
+    def test_a_doctored_wal_epoch_forces_state_transfer(self):
+        """Replay checks every epoch the index rebuilt from the checkpoint
+        against the one journaled: a well-framed WAL record that lies about
+        it is untrustworthy, and recovery falls back to state transfer."""
+        from repro.storage.persistence import WAL_LOG
+        from repro.util.serialization import from_canonical_json
+
+        framework = _durable_framework()
+        peer = framework.channel.peers["peer1.org1"]
+        store = framework.durability.stores[peer.name]
+        records, _ = store.read_log(WAL_LOG)
+        assert records
+        store.truncate_log(WAL_LOG)
+        for payload in records:
+            doc = from_canonical_json(payload)
+            doc["index_epoch"] = "ab" * 32
+            store.append(WAL_LOG, canonical_json(doc))
+        store.sync()
+        outcome = framework.durability.crash_and_recover(peer.name)
+        assert (outcome.kind, outcome.wal_damage) == ("state_transfer", "invalid")
+        _assert_matches_survivors(framework, peer)
 
     def test_state_transfer_rebuilds_index(self):
         from repro.storage import CORRUPT
 
-        framework = make_framework(
-            consensus="bft", peers_per_org=2, durability=True, checkpoint_interval=4
-        )
-        populate(framework, n=6)
+        framework = _durable_framework()
         peer = framework.channel.peers["peer1.org1"]
         root_before = peer.index.root()
         framework.durability.damage_wal("peer1.org1", CORRUPT)
         outcome = framework.durability.crash_and_recover("peer1.org1")
         assert outcome.kind == "state_transfer", outcome.detail()
         assert peer.index.root() == root_before
-        assert peer.index.height == peer.ledger.height
+        _assert_matches_survivors(framework, peer)
 
-    def test_index_lines_roundtrip(self):
+    def test_rebuilt_index_matches_the_live_one(self):
         framework = make_framework()
         populate(framework, n=4)
         framework.record_trust_on_chain("idx-cam")
+        framework.channel.flush()
         peer = next(iter(framework.channel.peers.values()))
-        restored = PeerIndex.from_lines(peer.index.to_lines())
-        assert restored.root() == peer.index.root()
-        assert restored.height == peer.index.height
-        assert restored.epochs == peer.index.epochs
-        assert restored.lookup("source", "idx-cam") == (
-            peer.index.lookup("source", "idx-cam")
-        )
+        live = peer.index
+        rebuilt = PeerIndex.from_world(peer.world, peer.ledger.height)
+        assert rebuilt.root() == live.root()
+        assert rebuilt.height == live.height
+        assert rebuilt.epochs == {live.height - 1: live.epochs[live.height - 1]}
+        assert rebuilt.bands == live.bands == {"trusted": live.bands["trusted"]}
+        assert rebuilt.lookup("source", "idx-cam") == live.lookup("source", "idx-cam")
 
-
-def _filter_docs(index):
-    return {n: f.to_doc() for n, f in index.block_filters.items()}
-
-
-class TestCheckpointLines:
-    """``to_lines`` / ``from_lines``: the index's checkpoint form, whose
-    posting and block lines are cached between checkpoints."""
-
-    def _populated(self):
+    def test_rebuilt_index_tracks_further_blocks(self):
+        """What WAL replay does after a checkpoint: a rebuild from world
+        state, extended block by block, stays equal to the live index."""
         chain = _Chain()
         chain.commit(_record_write("e0", "src-a", "cam-a", 600.0))
         chain.commit(_record_write("e1", "src-b", "cam-b", 1200.0, "bus"))
         chain.commit(_trust_write("src-a", 0.9), _trust_write("src-b", 0.1))
-        chain.commit()  # a block with an empty filter
-        chain.commit(_delete_write("e1"))
-        return chain
-
-    def test_roundtrip_reproduces_every_persisted_part(self):
-        index = self._populated().index
-        lines = index.to_lines()
-        assert all(b"\n" not in line for line in lines)
-        restored = PeerIndex.from_lines(b"\n".join(lines).split(b"\n"))
-        assert restored.root() == index.root()
-        assert restored.height == index.height == 5
-        assert restored.epochs == index.epochs
-        assert _filter_docs(restored) == _filter_docs(index)
-        assert sorted(restored.block_filters) == [0, 1, 2, 3, 4]
-        assert restored.bands == index.bands and restored.band_of == index.band_of
-        assert restored.tombstones == index.tombstones == {"e1"}
-        assert restored.to_lines() == lines
-
-    def test_original_and_restored_stay_equal_under_further_blocks(self):
-        index = self._populated().index
-        restored = PeerIndex.from_lines(index.to_lines())
+        chain.commit()
+        index = chain.index
+        rebuilt = PeerIndex.from_world(chain.world, index.height)
         further = [
-            [_record_write("e2", "src-a", "cam-a", 601.0)],  # appends to cached postings
+            [_record_write("e2", "src-a", "cam-a", 601.0)],  # appends to postings
             [_record_write("e3", "src-c", "cam-c", 9000.0, "van")],  # new postings
             [_trust_write("src-b", 0.8), _delete_write("e0")],
         ]
         for writes in further:
-            for target in (index, restored):
+            for target in (index, rebuilt):
                 target.apply_block(_block(target.height, writes))
-            assert restored.root() == index.root()
-            assert restored.to_lines() == index.to_lines()
-        assert restored.epochs == index.epochs
-
-    def test_an_append_after_to_lines_shows_in_the_next_one(self):
-        index = self._populated().index
-        before = index.to_lines()
-        assert index.to_lines() == before  # nothing changed: the same lines
-        index.apply_block(
-            _block(index.height, [_record_write("e9", "src-a", "cam-z", 600.0)])
-        )
-        after = index.to_lines()
-        changed = {
-            dim_value
-            for dim_value, p in index.postings.items()
-            if not set(p.lines()) <= set(before)
-        }
-        assert changed == {
-            ("source", "src-a"), ("camera", "cam-z"),
-            ("time", "000000000001"), ("class", "car"),
-        }
-        assert b'"e9"' in index.postings[("source", "src-a")].lines()[-1]
-        assert len(after) == len(before) + 3  # a new posting (2 lines), a new block
-        fresh = PeerIndex.from_lines(after)
-        assert fresh.lookup("source", "src-a") == index.lookup("source", "src-a")
-        assert "e9" in fresh.lookup("camera", "cam-z")
-
-    def test_a_long_posting_is_written_in_immutable_runs(self):
-        from repro.index.secondary import _RUN
-
-        index = PeerIndex()
-        kept: list[bytes] = []
-        for i in range(2 * _RUN + 3):
-            index.apply_block(
-                _block(i, [_record_write(f"e{i:04d}", "hot-src", f"cam-{i}", 0.0)])
-            )
-            if i % 7 and i + 1 not in (_RUN, 2 * _RUN):
-                continue  # checkpoint at irregular points and on both boundaries
-            head, *runs = index.postings[("source", "hot-src")].lines()
-            assert json.loads(head)[3] == i + 1
-            assert [len(json.loads(run)) for run in runs] == (
-                [_RUN] * ((i + 1) // _RUN) + [(i + 1) % _RUN] * bool((i + 1) % _RUN)
-            )
-            full = runs[: (i + 1) // _RUN]
-            assert all(a is b for a, b in zip(kept, full))  # joined, not redone
-            kept = full
-            restored = PeerIndex.from_lines(index.to_lines())
-            assert restored.root() == index.root()
-            assert restored.postings[("source", "hot-src")].entries == (
-                index.postings[("source", "hot-src")].entries
-            )
-        assert len(kept) == 2
-
-    def test_lines_fill_only_when_a_checkpoint_asks(self):
-        index = self._populated().index.fresh()
-        index.apply_block(_block(0, [_record_write("e0", "src-a", "cam-a", 600.0)]))
-        index.lookup("source", "src-a"), index.prove("source", "src-a"), index.root()
-        assert index._block_lines == {}
-        assert all(p._ends == () and p._runs == [] for p in index.postings.values())
-
-    @pytest.mark.parametrize("damage", ["drop_posting", "drop_block", "garble"])
-    def test_damaged_lines_raise_what_the_restore_path_catches(self, damage):
-        from repro.errors import EncodingError
-
-        lines = self._populated().index.to_lines()
-        if damage == "drop_posting":
-            del lines[1]
-        elif damage == "drop_block":
-            del lines[-1]
-        else:
-            lines[2] = lines[2][: len(lines[2]) // 2]
-        with pytest.raises((EncodingError, LookupError, TypeError, ValueError)):
-            PeerIndex.from_lines(lines)
+            assert rebuilt.root() == index.root()
+        assert rebuilt.tombstones == index.tombstones == {"e0"}
+        assert rebuilt.epochs == {n: e for n, e in index.epochs.items() if n >= 3}
 
 
 class TestExplorerIntegration:
