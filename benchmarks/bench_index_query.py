@@ -27,8 +27,10 @@ Two tiers:
   verified answers' Merkle membership proofs must check out against the
   epoch root. All
   counts are EXACT, including what the read path is meant to cost:
-  ``limit_rows_examined`` (a LIMIT stops at its last row) and
-  ``repeat_records_decoded`` (a repeated query decodes nothing, = 0).
+  ``limit_rows_examined`` (a LIMIT stops at its last row),
+  ``window_rows_filtered`` (a time window runs its residual on its edge
+  buckets' rows only) and ``repeat_records_decoded`` (a repeated query
+  decodes nothing, = 0).
 
 Runnable standalone for CI (``python benchmarks/bench_index_query.py
 --quick``): smaller sizes, same gates, emits ``index_query_quick``.
@@ -201,10 +203,12 @@ def _scaling_round(n: int) -> dict:
 _T0 = 1_700_000_000
 PARITY_RECORDS = 48
 _LIMIT_QUERY = f"vehicle_class = 'car' AND metadata.timestamp >= {_T0 + 4800} LIMIT 4"
+# Four buckets: two edges, two the window wholly covers.
+_WINDOW_QUERY = f"metadata.timestamp >= {_T0} AND metadata.timestamp < {_T0 + 1800}"
 _PARITY_QUERIES = (
     "source_id = 'par-cam-1'",
     "vehicle_class = 'truck'",
-    f"metadata.timestamp >= {_T0} AND metadata.timestamp < {_T0 + 1800}",
+    _WINDOW_QUERY,
     f"vehicle_class = 'car' AND metadata.timestamp >= {_T0 + 600}",
     f"metadata.timestamp >= {_T0} AND metadata.timestamp <= {_T0 + 400}",
     f"metadata.timestamp = {_T0 + 400}",
@@ -248,6 +252,7 @@ def _parity_round() -> dict:
     proofs_verified = 0
     repeat_decoded = 0
     limit_examined = 0
+    window_filtered, window_examined = _residual_calls(engine, _WINDOW_QUERY)
     for text in _PARITY_QUERIES:
         indexed = [r.record for r in engine.run(text)]
         decoded, examined = stats.records_decoded, stats.rows_scanned
@@ -265,12 +270,38 @@ def _parity_round() -> dict:
         answer = engine.run_verified(text)
         answer.verify()
         proofs_verified += len(answer.proofs)
+    # Only the window's edge buckets meet the residual; the rows of the
+    # buckets it wholly covers are examined and accepted unfiltered.
+    assert 0 < window_filtered < window_examined, (window_filtered, window_examined)
     return {
         "parity_queries": float(parity_queries),
         "proofs_verified": float(proofs_verified),
         "limit_rows_examined": float(limit_examined),
+        "window_rows_filtered": float(window_filtered),
         "repeat_records_decoded": float(repeat_decoded),
     }
+
+
+def _residual_calls(engine, text: str) -> tuple[int, int]:
+    """``(residual evaluations, rows examined)`` for one run of ``text``,
+    whose residual is an AND."""
+    from repro.query import And
+
+    calls = 0
+    matches = And.matches
+
+    def counted(self, record):
+        nonlocal calls
+        calls += 1
+        return matches(self, record)
+
+    examined = engine.stats.rows_scanned
+    And.matches = counted
+    try:
+        engine.run(text)
+    finally:
+        And.matches = matches
+    return calls, engine.stats.rows_scanned - examined
 
 
 # -- harness ---------------------------------------------------------------------

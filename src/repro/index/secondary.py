@@ -7,7 +7,9 @@ Structure
   committed under that value **in commit order**, together with a chained
   digest — ``chain = H(prev_chain || entry_id || record_digest)`` — so an
   append costs O(1) and the whole history of the posting is committed by
-  one hash.
+  one hash. It also keeps the ids in entry-id order (one ``insort`` per
+  append, not in the leaf), so a lookup copies or merges sorted runs
+  instead of sorting a posting per call.
 * Trust bands are *mutable* (scores move sources between bands), so the
   ``trust_band`` dimension is kept as the current source→score-digest map
   per band rather than an append-only posting.
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.crypto.merkle import MerkleProof, MerkleTree
@@ -108,6 +110,8 @@ class Posting:
     value: str
     entries: list[tuple[str, str]] = field(default_factory=list)
     chain: str = ""
+    # The same ids in entry-id order: derived, for lookups, not in the leaf.
+    ids: list[str] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -116,6 +120,7 @@ class Posting:
     def append(self, entry_id: str, digest: str) -> None:
         self.chain = _extend_chain(self.chain, entry_id, digest)
         self.entries.append((entry_id, digest))
+        insort(self.ids, entry_id)
 
     def leaf_bytes(self) -> bytes:
         return canonical_json(
@@ -437,28 +442,33 @@ class PeerIndex:
         return (dim, value) in self.postings
 
     def lookup(self, dim: str, value: str) -> list[str]:
-        """Entry ids under one value, sorted; tombstoned entries excluded.
-        ``trust_band`` expands through the member sources' postings."""
+        """Entry ids under one value, in entry-id order; tombstoned entries
+        excluded. ``trust_band`` expands through the member sources' postings."""
         if dim == "trust_band":
-            ids: set[str] = set()
-            for source in self.bands.get(value, ()):
-                posting = self.postings.get(("source", source))
-                if posting is not None:
-                    ids.update(eid for eid, _ in posting.entries)
-            return sorted(ids - self.tombstones)
-        posting = self.postings.get((dim, value))
-        if posting is None:
-            return []
-        return sorted(
-            {eid for eid, _ in posting.entries if eid not in self.tombstones}
-        )
+            keys = [("source", source) for source in self.bands.get(value, ())]
+        else:
+            keys = [(dim, value)]
+        postings = self.postings
+        return self._merged([postings[k].ids for k in keys if k in postings])
 
     def lookup_time_range(self, lower: float, upper: float) -> list[str]:
         """Entry ids whose time bucket intersects ``[lower, upper)``."""
-        ids: set[str] = set()
-        for bucket in self.time_buckets(lower, upper):
-            ids.update(eid for eid, _ in self.postings[("time", bucket)].entries)
-        return sorted(ids - self.tombstones)
+        buckets = self.time_buckets(lower, upper)
+        return self._merged([self.postings[("time", b)].ids for b in buckets])
+
+    def _merged(self, runs: list[list[str]]) -> list[str]:
+        """A list of the caller's own: the disjoint sorted ``runs`` in
+        entry-id order (one sort merges them), less any tombstoned id."""
+        if len(runs) == 1:
+            ids = runs[0].copy()
+        else:
+            ids = []
+            for run in runs:
+                ids += run
+            ids.sort()
+        if self.tombstones:
+            ids = [eid for eid in ids if eid not in self.tombstones]
+        return ids
 
     def time_buckets(self, lower: float, upper: float) -> list[str]:
         """Bucket values present in the index that intersect the range."""

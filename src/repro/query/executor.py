@@ -23,10 +23,11 @@ proofs a light client can check against a trusted epoch root without
 replaying the chain.
 
 Both state routes hand out candidates as a lazy stream in entry-id order:
-a record is JSON-decoded once and reused while the world state still holds
-the very value object it was decoded from, and a ``LIMIT`` without
-``ORDER BY`` stops the stream at the last row it needs — so a query costs
-the rows it examines, and examining a row costs a dict lookup.
+a record is JSON-decoded into one shared row, reused while the world state
+still holds the very value object it was decoded from, and a ``LIMIT``
+without ``ORDER BY`` stops the stream at the last row it needs — so a query
+costs the rows it examines, and examining a row costs a dict lookup. A time
+window's residual runs on its edge buckets' rows only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import dataclasses
 import hashlib
 import json
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.crypto.cid import CID
@@ -48,7 +49,7 @@ from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
 from repro.query.ast import Query
 from repro.query.parser import parse_query
-from repro.query.planner import IndexRoute, Plan, plan_query
+from repro.query.planner import Plan, plan_query
 
 _DATA_PREFIX = "data:"
 _DATA_END = _DATA_PREFIX + "\x7f"
@@ -61,11 +62,11 @@ _MAX_DECODED_RECORDS = 4096
 class QueryRow:
     """One result: the on-chain record, optionally joined with raw bytes.
 
-    ``record`` is **shared and read-only**: every row, every cached result
-    and every later query that returns the same entry hand out the one
-    decoded dict the engine keeps for it. Copy before changing it (under
-    the ``index`` sanitizer SAN309 reports a mutated record on the next
-    query that returns it).
+    A metadata-only row is **shared and read-only**, ``record`` included:
+    every answer, every cached result and every later query that returns
+    the same entry hand out the one row the engine keeps for it. Copy the
+    record before changing it (under the ``index`` sanitizer SAN309
+    reports a mutated record on the next query that returns it).
 
     ``verified`` is only True when the fetched bytes were actually checked
     against an on-chain ``data_hash`` — a record with no stored hash comes
@@ -124,26 +125,56 @@ class VerifiedAnswer:
         )
 
 
-def _matching(candidates: Iterable[dict], plan: Plan, query: Query) -> tuple[list[dict], int]:
-    """``(matched, examined)``: the candidates the plan's residual accepts.
+_Filter = Callable[[dict], bool]
+_Rows = list[QueryRow]
+
+
+def _matching(candidates: Iterable[QueryRow], matches: _Filter, query: Query) -> tuple[_Rows, int]:
+    """``(matched, examined)``: the candidate rows whose record ``matches``.
 
     Candidates arrive in entry-id order, so with a LIMIT and no ORDER BY the
     first LIMIT matches are the answer and the rest are never examined
     (:meth:`Query.apply_post` still defines the cut; this only stops early).
     """
     stop = query.limit if query.order_by is None else None
-    matches = plan.residual.matches
-    matched: list[dict] = []
+    matched: _Rows = []
     examined = 0
     if stop == 0:
         return matched, examined
-    for record in candidates:
+    for row in candidates:
         examined += 1
-        if matches(record):
-            matched.append(record)
+        if matches(row.record):
+            matched.append(row)
             if len(matched) == stop:
                 break
     return matched, examined
+
+
+def _edge_filter(index, plan: Plan) -> _Filter:
+    """A time route's filter: the residual, skipped for a record from a
+    bucket the plan's window :meth:`~Plan.covers` (so only edges pay it)."""
+    residual = plan.residual.matches
+    if not plan.window:
+        return residual
+    interior = {
+        entry_id
+        for bucket in index.time_buckets(*plan.index_route.time_range)
+        if plan.covers(int(bucket))
+        for entry_id in index.postings[("time", bucket)].ids
+    }
+    return lambda record: record.get("entry_id") in interior or residual(record)
+
+
+def _answer(matched: _Rows, query: Query) -> _Rows:
+    """:meth:`Query.apply_post` over rows. Unprojected, every answer row is
+    the matched row its record came with."""
+    if query.order_by is None and query.select is None:
+        return matched  # _matching already stopped at the LIMIT
+    records = query.apply_post([row.record for row in matched])
+    if query.select is not None:
+        return [QueryRow(record) for record in records]
+    rows = {id(row.record): row for row in matched}
+    return [rows[id(record)] for record in records]
 
 
 @dataclass
@@ -162,11 +193,11 @@ class QueryEngine:
     # eviction (deterministic — dict preserves insertion order).
     cache_max_entries: int = 256
     _cache: dict[str, tuple[int, list["QueryRow"]]] = field(default_factory=dict)
-    # data: key -> (the value object world state handed out, its decoded
-    # form). An entry is good only while the peer being read still returns
-    # that same object, so a rewritten or deleted key, a recovered peer and
-    # a fail-over to another peer all miss and refill without being told.
-    _records: dict[str, tuple[bytes, dict]] = field(default_factory=dict, repr=False)
+    # data: key -> (the value object world state handed out, the row of its
+    # decoded form). An entry is good only while the peer being read still
+    # returns that same object, so a rewritten or deleted key, a recovered
+    # peer and a fail-over to another peer all miss and refill untold.
+    _records: dict[str, tuple[bytes, QueryRow]] = field(default_factory=dict, repr=False)
     # Callers may drive one engine from several threads; the lock keeps the
     # stats counters exact and guards _cache / _records.
     _stats_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -223,29 +254,26 @@ class QueryEngine:
                     query = parse_query(query)
                 plan = plan_query(query)
             route = plan.index_route
-            candidates = self._execute_state(route, height_snapshot)
-            from_state = candidates is not None
+            state = self._execute_state(plan, height_snapshot)
+            from_state = state is not None
             used_index = from_state and route is not None
             if route is not None:
                 get_registry().counter(
                     "query_index_route_total",
                     {"route": "index" if used_index else "fallback"},
                 ).inc()
-            if candidates is None:
-                candidates = self._chain_records()
+            if state is None:
+                state = map(QueryRow, self._chain_records()), plan.residual.matches
+            candidates, matches = state
             with obs_span("query.filter") as fsp:
-                matched, examined = _matching(candidates, plan, query)
+                matched, examined = _matching(candidates, matches, query)
                 fsp.set_attr("examined", examined)
-            matched = query.apply_post(matched)
+            rows = _answer(matched, query)
             if from_state:
-                self._check_index_parity(query, plan, matched)
-            if fetch_data:
-                rows = []
-                for record in matched:
-                    data, verified = self.fetch_payload_verified(record, verify=verify)
-                    rows.append(QueryRow(record=record, data=data, verified=verified))
-            else:
-                rows = [QueryRow(record=record) for record in matched]
+                self._check_index_parity(query, plan, rows)
+            if fetch_data:  # a row that carries bytes is not the shared one
+                fetch = self.fetch_payload_verified
+                rows = [QueryRow(r.record, *fetch(r.record, verify=verify)) for r in rows]
             with self._stats_lock:
                 self.stats.queries += 1
                 self.stats.rows_scanned += examined
@@ -298,8 +326,8 @@ class QueryEngine:
             entry_ids = index.lookup(route.dim, route.value)
         proofs = tuple(index.prove(dim, value) for dim, value in dims)
         query = dataclasses.replace(query, select=None)
-        matched, examined = _matching(self._load_records(peer, entry_ids), plan, query)
-        matched = query.apply_post(matched)
+        rows, examined = _matching(self._load_rows(peer, entry_ids), plan.residual.matches, query)
+        matched = [row.record for row in _answer(rows, query)]
         with self._stats_lock:
             self.stats.queries += 1
             self.stats.rows_scanned += examined
@@ -321,8 +349,8 @@ class QueryEngine:
         decoded afresh."""
         if isinstance(query, str):
             query = parse_query(query)
-        matched, _ = _matching(self._chain_records(), plan_query(query), query)
-        return query.apply_post(matched)
+        matches = query.where.matches
+        return query.apply_post([r for r in self._chain_records() if matches(r)])
 
     def _chain_records(self) -> list[dict]:
         """Every ``data:`` record through one chaincode read, in entry-id
@@ -340,32 +368,33 @@ class QueryEngine:
         indexing = getattr(self.channel, "indexing", None)
         return None if indexing is None else indexing.reference_peer(height)
 
-    def _load_records(self, peer, entry_ids: Iterable[str]) -> Iterator[dict]:
-        """The live records under ``entry_ids``, decoded at most once each."""
+    def _load_rows(self, peer, entry_ids: Iterable[str]) -> Iterator[QueryRow]:
+        """The rows of the live records under ``entry_ids``, each decoded once."""
         get = peer.world.get
         for entry_id in entry_ids:
             key = _DATA_PREFIX + entry_id
             raw = get(key)
             if raw is not None:
-                yield self._decoded(key, raw)
+                yield self._row(key, raw)
 
-    def _decoded(self, key: str, raw: bytes) -> dict:
-        """``raw`` decoded — from ``_records`` when ``raw`` is the object it
-        holds for ``key`` (same object, same bytes), else decoded and kept."""
+    def _row(self, key: str, raw: bytes) -> QueryRow:
+        """``raw``'s shared row — from ``_records`` when ``raw`` is the object
+        it holds for ``key`` (same object, same bytes), else decoded and kept."""
         hit = self._records.get(key)
         if hit is not None and hit[0] is raw:
             return hit[1]
-        record = json.loads(raw)
+        row = QueryRow(json.loads(raw))
         with self._stats_lock:
             self.stats.records_decoded += 1
             if key not in self._records and len(self._records) >= _MAX_DECODED_RECORDS:
                 del self._records[next(iter(self._records))]
-            self._records[key] = (raw, record)
-        return record
+            self._records[key] = (raw, row)
+        return row
 
-    def _execute_state(self, route: IndexRoute | None, height: int) -> Iterator[dict] | None:
-        """Candidates straight from an in-sync peer's world state, as a lazy
-        stream in entry-id order; None = fall back to the chaincode scan.
+    def _execute_state(self, plan: Plan, height: int) -> tuple[Iterator[QueryRow], _Filter] | None:
+        """``(candidates, matches)`` straight from an in-sync peer's world
+        state: a lazy stream of rows in entry-id order and the filter they
+        need; None = fall back to the chaincode scan.
 
         With a route: a posting lookup plus point reads of the matching
         records (``entry_ids`` come back sorted). Without one: the peer's
@@ -375,18 +404,21 @@ class QueryEngine:
         peer = self._index_peer(height)
         if peer is None:
             return None
+        route, matches = plan.index_route, plan.residual.matches
         if route is None:
             rows = peer.world.range(_DATA_PREFIX, _DATA_END)
-            return (self._decoded(key, raw) for key, raw in rows)
+            return (self._row(key, raw) for key, raw in rows), matches
+        index = peer.index
         with obs_span("query.index_read") as sp:
             if route.time_range is not None:
-                entry_ids = peer.index.lookup_time_range(*route.time_range)
+                entry_ids = index.lookup_time_range(*route.time_range)
+                matches = _edge_filter(index, plan)
             else:
-                entry_ids = peer.index.lookup(route.dim, route.value)
+                entry_ids = index.lookup(route.dim, route.value)
             sp.set_attr("rows", len(entry_ids))
-        return self._load_records(peer, entry_ids)
+        return self._load_rows(peer, entry_ids), matches
 
-    def _check_index_parity(self, query: Query, plan: Plan, matched: list[dict]) -> None:
+    def _check_index_parity(self, query: Query, plan: Plan, rows: _Rows) -> None:
         """SAN309: under the ``index`` sanitizer, require a byte-identical
         final answer from :meth:`scan`. Its records are decoded afresh, so a
         shared record a caller changed shows here too."""
@@ -395,7 +427,7 @@ class QueryEngine:
         sanitizer = active_sanitizer()
         if sanitizer is None or "index" not in sanitizer.modes:
             return
-        sanitizer.check_query_parity(plan.explain(), matched, self.scan(query))
+        sanitizer.check_query_parity(plan.explain(), [r.record for r in rows], self.scan(query))
 
     # -- cache (callers hold _stats_lock) ----------------------------------------
 

@@ -12,6 +12,7 @@ Grammar (case-insensitive keywords)::
     comparison := field op value | field "IN" "(" value {"," value} ")"
     op      := "=" | "!=" | ">" | ">=" | "<" | "<="
     value   := 'string' | number | true | false
+                 (in a string, a backslash escapes the next character)
 
 Examples the examples/ scripts run::
 
@@ -22,7 +23,6 @@ Examples the examples/ scripts run::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.errors import QueryParseError
 from repro.query.ast import And, Compare, Expr, InSet, Not, Or, Query, TrueExpr
@@ -47,10 +47,11 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+# (kind, text): a kind is a _TOKEN_RE group name, or "keyword".
+_Token = tuple[str, str]
+_END: _Token = ("end", "")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -64,13 +65,12 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             raise QueryParseError(f"cannot tokenize query at: {remainder[:20]!r}")
         pos = match.end()
-        for kind, value in match.groupdict().items():
-            if value is not None:
-                if kind == "word" and value.lower() in _KEYWORDS:
-                    tokens.append(_Token("keyword", value.lower()))
-                else:
-                    tokens.append(_Token(kind, value))
-                break
+        kind = match.lastgroup
+        value = match[kind]
+        if kind == "word" and value.lower() in _KEYWORDS:
+            tokens.append(("keyword", value.lower()))
+        else:
+            tokens.append((kind, value))
     return tokens
 
 
@@ -79,62 +79,62 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else _END
 
     def next(self) -> _Token:
         token = self.peek()
-        if token is None:
+        if token is _END:
             raise QueryParseError("unexpected end of query")
         self.pos += 1
         return token
 
     def accept_keyword(self, *words: str) -> str | None:
-        token = self.peek()
-        if token is not None and token.kind == "keyword" and token.text in words:
+        kind, text = self.peek()
+        if kind == "keyword" and text in words:
             self.pos += 1
-            return token.text
+            return text
         return None
 
-    def expect(self, kind: str) -> _Token:
-        token = self.next()
-        if token.kind != kind:
-            raise QueryParseError(f"expected {kind}, got {token.text!r}")
-        return token
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be a ``kind``."""
+        token_kind, text = self.next()
+        if token_kind != kind:
+            raise QueryParseError(f"expected {kind}, got {text!r}")
+        return text
 
     # -- grammar ---------------------------------------------------------------
 
     def parse_query(self) -> Query:
         select: tuple[str, ...] | None = None
         if self.accept_keyword("select"):
-            fields = [self.expect("word").text]
-            while self.peek() is not None and self.peek().kind == "comma":
+            fields = [self.expect("word")]
+            while self.peek()[0] == "comma":
                 self.next()
-                fields.append(self.expect("word").text)
+                fields.append(self.expect("word"))
             select = tuple(fields)
         self.accept_keyword("where")
         where: Expr = TrueExpr()
-        token = self.peek()
-        if token is not None and not (token.kind == "keyword" and token.text in ("order", "limit")):
+        if self.peek() not in (_END, ("keyword", "order"), ("keyword", "limit")):
             where = self.parse_or()
         order_by = None
         descending = False
         if self.accept_keyword("order"):
             if not self.accept_keyword("by"):
                 raise QueryParseError("ORDER must be followed by BY")
-            order_by = self.expect("word").text
+            order_by = self.expect("word")
             if self.accept_keyword("desc"):
                 descending = True
             else:
                 self.accept_keyword("asc")
         limit = None
         if self.accept_keyword("limit"):
-            limit_token = self.expect("number")
-            if "." in limit_token.text:
+            limit_text = self.expect("number")
+            if "." in limit_text:
                 raise QueryParseError("LIMIT must be an integer")
-            limit = int(limit_token.text)
-        if self.peek() is not None:
-            raise QueryParseError(f"trailing input at {self.peek().text!r}")
+            limit = int(limit_text)
+        if self.peek() is not _END:
+            raise QueryParseError(f"trailing input at {self.peek()[1]!r}")
         return Query(
             where=where,
             order_by=order_by,
@@ -158,8 +158,7 @@ class _Parser:
     def parse_unary(self) -> Expr:
         if self.accept_keyword("not"):
             return Not(self.parse_unary())
-        token = self.peek()
-        if token is not None and token.kind == "lparen":
+        if self.peek()[0] == "lparen":
             self.next()
             inner = self.parse_or()
             self.expect("rparen")
@@ -167,29 +166,30 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expr:
-        field = self.expect("word").text
+        field = self.expect("word")
         if self.accept_keyword("in"):
             self.expect("lparen")
             values = [self.parse_value()]
-            while self.peek() is not None and self.peek().kind == "comma":
+            while self.peek()[0] == "comma":
                 self.next()
                 values.append(self.parse_value())
             self.expect("rparen")
             return InSet(field=field, values=tuple(values))
-        op_token = self.next()
-        if op_token.kind != "op":
-            raise QueryParseError(f"expected comparison operator, got {op_token.text!r}")
-        return Compare(field=field, op=op_token.text, value=self.parse_value())
+        kind, op = self.next()
+        if kind != "op":
+            raise QueryParseError(f"expected comparison operator, got {op!r}")
+        return Compare(field=field, op=op, value=self.parse_value())
 
     def parse_value(self):
-        token = self.next()
-        if token.kind == "string":
-            return token.text[1:-1].replace("\\'", "'")
-        if token.kind == "number":
-            return float(token.text) if "." in token.text else int(token.text)
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            return token.text == "true"
-        raise QueryParseError(f"expected a value, got {token.text!r}")
+        kind, text = self.next()
+        if kind == "string":
+            # One pass, so "\\" is one backslash and "\'" one quote.
+            return _ESCAPE_RE.sub(r"\1", text[1:-1])
+        if kind == "number":
+            return float(text) if "." in text else int(text)
+        if kind == "keyword" and text in ("true", "false"):
+            return text == "true"
+        raise QueryParseError(f"expected a value, got {text!r}")
 
 
 def parse_query(text: str) -> Query:

@@ -7,6 +7,10 @@ violation type, or a closed time window — and emits an :class:`IndexRoute`
 for it, keeping the whole filter as a residual (the index narrows the
 candidate set; the residual guarantees correctness). A plan with no route
 is a full scan of the ``data:`` records.
+
+When the residual is nothing but the routed time window (numeric ``<`` /
+``<=`` / ``>`` / ``>=`` bounds), the plan keeps those bounds as its
+``window``: a bucket they wholly cover (:meth:`Plan.covers`) needs no filter.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.index.secondary import TIME_BUCKET_S
 from repro.query.ast import Compare, Expr, InSet, Query, conjuncts
 
 
@@ -40,11 +45,22 @@ class IndexRoute:
 class Plan:
     residual: Expr
     index_route: IndexRoute | None = None
+    # The residual's conjuncts when they are exactly the routed time window.
+    window: tuple[Compare, ...] = ()
+
+    def covers(self, bucket: int) -> bool:
+        """Does every time in ``bucket`` satisfy the window? Checked on its edges."""
+        start = bucket * TIME_BUCKET_S
+        end = start + TIME_BUCKET_S
+        return bool(self.window) and all(
+            _BUCKET_WITHIN[part.op](start, end, part.value) for part in self.window
+        )
 
     def explain(self) -> str:
         if self.index_route is None:
             return "FULL SCAN data:* -> filter"
-        return f"INDEX {self.index_route.describe()} -> filter"
+        edges = " edge buckets" if self.window else ""
+        return f"INDEX {self.index_route.describe()} -> filter{edges}"
 
 
 # field -> posting dimension in the peers' authenticated index.
@@ -58,6 +74,14 @@ _INDEX_DIMS = {
 
 _TIME_FIELD = "metadata.timestamp"
 
+# op -> does a bound ``t op value`` hold for every t in [start, end)?
+_BUCKET_WITHIN = {
+    ">": lambda start, end, value: start > value,
+    ">=": lambda start, end, value: start >= value,
+    "<": lambda start, end, value: end <= value,
+    "<=": lambda start, end, value: end <= value,
+}
+
 
 def plan_query(query: Query) -> Plan:
     parts = conjuncts(query.where)
@@ -69,7 +93,9 @@ def plan_query(query: Query) -> Plan:
         if value is not None:
             route = IndexRoute(dim=_INDEX_DIMS[field], value=value)
             return Plan(residual=query.where, index_route=route)
-    return Plan(residual=query.where, index_route=_time_route(parts))
+    route = _time_route(parts)
+    bounds = route and all(_is_time_bound(p) and p.op in _BUCKET_WITHIN for p in parts)
+    return Plan(query.where, route, window=tuple(parts) if bounds else ())
 
 
 def _equality_value(parts: list[Expr], field: str) -> str | None:
@@ -81,12 +107,16 @@ def _equality_value(parts: list[Expr], field: str) -> str | None:
     return None
 
 
+def _is_time_bound(part: Expr) -> bool:
+    if not isinstance(part, Compare) or part.field != _TIME_FIELD:
+        return False
+    return isinstance(part.value, (int, float))
+
+
 def _time_route(parts: list[Expr]) -> IndexRoute | None:
     lower, upper = None, None
     for part in parts:
-        if not isinstance(part, Compare) or part.field != _TIME_FIELD:
-            continue
-        if not isinstance(part.value, (int, float)):
+        if not _is_time_bound(part):
             continue
         if part.op in (">", ">="):
             lower = part.value if lower is None else max(lower, part.value)

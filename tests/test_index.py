@@ -550,6 +550,88 @@ class TestMaintainedTree:
             assert calls["crypto.hash"] <= touched * (depth + 1)
 
 
+def _committed_ids(index, *keys):
+    """``sorted(set(ids) - tombstones)`` over the postings under ``keys``."""
+    ids = {
+        eid
+        for key in keys
+        if key in index.postings
+        for eid, _ in index.postings[key].entries
+    }
+    return sorted(ids - index.tombstones)
+
+
+class TestPostingOrder:
+    """Lookups hand out entry-id order kept at append time, not sorted per
+    call, and never a list the index still holds."""
+
+    def _random_chain(self, seed, deletes):
+        rng = random.Random(seed)
+        chain = _Chain()
+        for number in range(30):
+            writes = []
+            for k in range(rng.randint(1, 4)):
+                # Ids arrive out of order, so every posting needs its insort.
+                entry_id = f"e{rng.randrange(10**6):06d}-{number}-{k}"
+                writes.append(_record_write(
+                    entry_id, f"src-{rng.randrange(4)}", f"cam-{rng.randrange(5)}",
+                    float(rng.randrange(-3000, 9000)), rng.choice(["car", "bus"]),
+                ))
+            if rng.random() < 0.3:
+                writes.append(_trust_write(f"src-{rng.randrange(4)}", rng.random()))
+            chain.commit(*writes)
+        if deletes:
+            entries = sorted(chain.index._indexed)
+            chain.commit(*(_delete_write(eid) for eid in rng.sample(entries, 5)))
+        return chain
+
+    def _assert_order(self, index):
+        for (dim, value), posting in index.postings.items():
+            assert posting.ids == sorted(eid for eid, _ in posting.entries)
+            assert index.lookup(dim, value) == _committed_ids(index, (dim, value))
+        for band, sources in index.bands.items():
+            keys = [("source", source) for source in sources]
+            assert index.lookup("trust_band", band) == _committed_ids(index, *keys)
+        for lower, upper in ((-3000, 9000), (-601, -1), (0, 600), (1200.5, 4800)):
+            keys = [("time", b) for b in index.time_buckets(lower, upper)]
+            assert index.lookup_time_range(lower, upper) == _committed_ids(index, *keys)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lookups_are_in_entry_id_order(self, seed):
+        chain = self._random_chain(seed, deletes=False)
+        self._assert_order(chain.index)
+        assert chain.index.bands
+        rebuilt = PeerIndex.from_world(chain.world, chain.index.height)
+        for key, posting in chain.index.postings.items():
+            assert rebuilt.postings[key].ids == posting.ids
+        self._assert_order(rebuilt)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tombstoned_ids_are_left_out(self, seed):
+        index = self._random_chain(seed, deletes=True).index
+        assert len(index.tombstones) == 5
+        self._assert_order(index)
+
+    @pytest.mark.parametrize("deletes", [False, True])
+    def test_a_returned_list_is_the_callers_own(self, deletes):
+        index = self._random_chain(0, deletes=deletes).index
+        band = sorted(index.bands)[0]
+        root = index.root()
+        for lookup in (
+            lambda: index.lookup("camera", "cam-1"),
+            lambda: index.lookup("trust_band", band),
+            lambda: index.lookup_time_range(0, 600),
+            lambda: index.lookup_time_range(-3000, 9000),
+        ):
+            before = list(lookup())
+            assert before
+            returned = lookup()
+            returned.reverse()
+            returned.append("e-forged")
+            assert lookup() == before
+        assert index.root() == root == MerkleTree(index.leaves()).root.hex()
+
+
 def _durable_framework():
     framework = make_framework(
         consensus="bft", peers_per_org=2, durability=True, checkpoint_interval=4

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Client, Framework, FrameworkConfig
 from repro.errors import IntegrityError, QueryParseError
@@ -59,6 +61,14 @@ class TestParser:
     def test_escaped_quote(self):
         q = parse_query(r"name = 'O\'Brien'")
         assert q.where.value == "O'Brien"
+
+    @pytest.mark.parametrize("text, value", [
+        (r"source_id = 'a\\b'", "a\\b"),
+        (r"source_id = 'x\\'", "x\\"),
+        (r"source_id = 'it\'s \\\' here'", "it's \\' here"),
+    ])
+    def test_escaped_backslash_is_one_backslash(self, text, value):
+        assert parse_query(text).where.value == value
 
     def test_errors(self):
         for bad in ("x =", "x ~ 1", "ORDER x", "x = 1 LIMIT 1.5", "x = 1 garbage = 2", "= 5"):
@@ -496,3 +506,132 @@ class TestRoutesAgree:
         engine = bulk[1].engine
         row = engine.run(self.SHAPES["eq_hot"])[0]
         assert engine.get(row.entry_id).record == row.record
+
+
+# -- time windows: only the edge buckets are filtered ---------------------------
+
+EDGE = 2_833_334 * 600  # a time-bucket edge at epoch scale (T0 + 400)
+TS = "metadata.timestamp"
+# Every 150 s for 13 buckets, so each bucket edge holds a record; plus
+# negative timestamps, whose bucket ids sort outside the padded range.
+WINDOW_STAMPS = [float(EDGE + 150 * k) for k in range(-8, 44)] + [
+    -1800.0, -1200.0, -600.5, -600.0, -1.0, 0.0, 599.0, 600.0,
+]
+
+
+@pytest.fixture(scope="module")
+def windowed():
+    framework = Framework(FrameworkConfig(consensus="solo", n_ipfs_nodes=2, max_batch_size=32))
+    client = Client(framework, framework.register_source("win", tier=SourceTier.TRUSTED))
+    for i, ts in enumerate(WINDOW_STAMPS):
+        meta = {
+            "camera_id": f"cam-{i % 3}",
+            "timestamp": ts,
+            "detections": [{"vehicle_class": "car" if i % 2 == 0 else "truck"}],
+        }
+        framework.channel.invoke_async(
+            client.identity, "data_upload", "add_data",
+            [f"bafy-win-{i}", "0" * 64, canonical_json(meta).decode()],
+        )
+    framework.channel.flush()
+    client.engine.cache_enabled = False
+    return framework, client.engine
+
+
+def _window_parity(engine, text):
+    """The index route answers ``text`` as the chaincode full scan does."""
+    hits = engine.stats.index_hits
+    answer = [row.record for row in engine.run(text)]
+    assert engine.stats.index_hits == hits + 1, text
+    assert canonical_json(answer) == canonical_json(engine.scan(text)), text
+    return answer
+
+
+class TestWindows:
+    WINDOWS = {
+        "one_bucket_on_its_edges": f"{TS} >= {EDGE} AND {TS} < {EDGE + 600}",
+        "one_bucket_open_closed": f"{TS} > {EDGE} AND {TS} <= {EDGE + 600}",
+        "inside_one_bucket": f"{TS} > {EDGE + 1} AND {TS} <= {EDGE + 450}",
+        "two_buckets": f"{TS} >= {EDGE + 300} AND {TS} < {EDGE + 900}",
+        "three_buckets": f"{TS} > {EDGE - 600} AND {TS} <= {EDGE + 1200}",
+        "seven_buckets": f"{TS} >= {EDGE + 100} AND {TS} < {EDGE + 4100}",
+        "fractional_bounds": f"{TS} >= {EDGE + 0.5} AND {TS} < {EDGE + 1799.5}",
+        "redundant_bounds": (
+            f"{TS} >= {EDGE} AND {TS} > {EDGE + 150} AND "
+            f"{TS} < {EDGE + 3000} AND {TS} <= {EDGE + 2400}"
+        ),
+        "empty": f"{TS} >= {EDGE + 100} AND {TS} < {EDGE + 100}",
+        "negative": f"{TS} >= -1200 AND {TS} < 0",
+        "across_zero": f"{TS} > -600 AND {TS} <= 600",
+        "far_negative": f"{TS} >= -10000000000000 AND {TS} <= -600",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(WINDOWS))
+    def test_window_matches_the_scan(self, windowed, shape):
+        text = self.WINDOWS[shape]
+        assert plan_query(parse_query(text)).window
+        _window_parity(windowed[1], text)
+
+    @pytest.mark.parametrize("text", [
+        f"{TS} = {EDGE + 600}",
+        f"{TS} = -600",
+        f"{TS} >= {EDGE} AND {TS} < {EDGE + 4200} AND metadata.camera_id != 'cam-1'",
+        f"{TS} >= {EDGE} AND {TS} < {EDGE + 4200} AND NOT vehicle_class = 'car'",
+        f"{TS} >= -1800 AND {TS} <= 600 AND metadata.camera_id != 'cam-0'",
+    ], ids=["eq", "eq_negative", "and_ne", "and_not", "negative_and_ne"])
+    def test_other_plans_filter_every_candidate(self, windowed, monkeypatch, text):
+        """``= t`` or a second predicate: no window, the residual runs on
+        every candidate the route hands out."""
+        engine = windowed[1]
+        plan = plan_query(parse_query(text))
+        assert plan.window == ()
+        with monkeypatch.context() as patch:
+            calls = _count_residual_calls(patch, type(plan.residual))
+            _, examined = _counted(engine, "rows_scanned", lambda: engine.run(text))
+            assert calls() == examined
+        assert _window_parity(engine, text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lower=st.sampled_from([">", ">="]),
+        upper=st.sampled_from(["<", "<="]),
+        lo=st.integers(-4, 12), hi=st.integers(-4, 12),
+        lo_shift=st.sampled_from([0, 0.5, 1, 150, -1]),
+        hi_shift=st.sampled_from([0, 0.5, 1, 150, -1]),
+    )
+    def test_random_windows_around_bucket_edges(
+        self, windowed, lower, upper, lo, hi, lo_shift, hi_shift
+    ):
+        text = (
+            f"{TS} {lower} {EDGE + 600 * lo + lo_shift} AND "
+            f"{TS} {upper} {EDGE + 600 * hi + hi_shift}"
+        )
+        _window_parity(windowed[1], text)
+
+    def test_only_the_edge_buckets_meet_the_residual(self, windowed, monkeypatch):
+        framework, engine = windowed
+        text = self.WINDOWS["seven_buckets"]
+        route = plan_query(parse_query(text)).index_route
+        index = framework.channel.indexing.reference_peer().index
+        buckets = index.time_buckets(*route.time_range)
+        assert len(buckets) == 7
+        edges = len(index.lookup("time", buckets[0])) + len(index.lookup("time", buckets[-1]))
+        calls = _count_residual_calls(monkeypatch)
+        rows, examined = _counted(engine, "rows_scanned", lambda: engine.run(text))
+        assert examined == len(index.lookup_time_range(*route.time_range)) == 28
+        assert 0 < calls() <= edges == 8
+        assert len(rows) == 27  # EDGE + 150 .. EDGE + 4050, every 150 s
+
+
+def _count_residual_calls(monkeypatch, expr_type=And):
+    """Count ``expr_type.matches`` calls from here on; returns the reader."""
+    calls = 0
+    matches = expr_type.matches
+
+    def counted(self, record):
+        nonlocal calls
+        calls += 1
+        return matches(self, record)
+
+    monkeypatch.setattr(expr_type, "matches", counted)
+    return lambda: calls
