@@ -1,8 +1,12 @@
 """Hash primitives used across the framework.
 
 SHA-256 is the workhorse: it addresses IPFS blocks (via multihash), chains
-ledger blocks, and anchors provenance records. Helpers here centralize digest
-creation so the choice of function is a single point of configuration.
+ledger blocks, and anchors provenance records. Helpers here name the
+algorithm and open one ``crypto.hash`` profile frame per call. Hot loops
+that hash many small inputs with a fixed algorithm call ``hashlib.sha256``
+themselves instead: Merkle node hashes (:mod:`repro.crypto.merkle`, timed
+as ``crypto.merkle``), posting chains and record digests in the index, the
+rwset and transaction-id digests.
 """
 
 from __future__ import annotations

@@ -10,22 +10,26 @@ an interior node in as a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from hashlib import sha256
+from itertools import chain
+from typing import Iterable, Sequence
 
-from repro.crypto.hashing import digest
 from repro.errors import MerkleProofError
 from repro.obs.prof import profiled
 
+# Hashes call sha256 directly, not crypto.hashing.digest: a tree pass is one
+# ``crypto.merkle`` frame, not one profiled frame and one algorithm lookup
+# per node.
 _LEAF = b"\x00"
 _NODE = b"\x01"
 
 
 def _leaf_hash(data: bytes) -> bytes:
-    return digest(_LEAF + data)
+    return sha256(_LEAF + data).digest()
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
-    return digest(_NODE + left + right)
+    return sha256(_NODE + left + right).digest()
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,11 @@ class MerkleTree:
     style) rather than duplicated, so the tree of *n* leaves never commits to
     phantom data.
 
-    :meth:`update` re-hashes one leaf and its root path (O(log n));
-    :meth:`insert` and :meth:`delete` shift every later leaf, so they
-    recompute the interior nodes from the splice point rightwards (O(n - i),
-    leaf hashes are kept). After any sequence of these the tree is
+    :meth:`edit` applies a batch of leaf updates, inserts and deletes, then
+    re-hashes in one bottom-up pass, each changed interior node once: the
+    parents of updated positions (O(log n) each) and, when the batch splices,
+    every node right of the leftmost splice, since every later leaf shifted
+    (O(n - i); leaf hashes are kept). After any sequence of edits the tree is
     indistinguishable from one freshly built over the same leaves.
     """
 
@@ -85,52 +90,77 @@ class MerkleTree:
             # _levels[0] is the leaf-hash level; the last level is [root].
             # Only hashes are kept: the tree does not retain leaf bytes.
             self._levels: list[list[bytes]] = [[_leaf_hash(bytes(l)) for l in leaves]]
-            self._rehash(0)
+            self._rehash((), 0)
 
-    def _rehash(self, start: int, stop: int | None = None) -> None:
-        """Recompute the interior nodes above leaf positions ``[start, stop)``;
-        ``stop=None`` runs to the end and resizes the levels to fit."""
+    def edit(self, ops: Iterable[tuple[str, int, bytes | None]]) -> None:
+        """Apply ``ops`` in order, then re-hash once.
+
+        An op is ``("update", i, leaf)``, ``("insert", i, leaf)`` (``i ==
+        len`` appends) or ``("delete", i, None)``; ``i`` indexes the leaves
+        as the ops before it left them. The whole batch is checked before any
+        leaf changes — an index out of range raises :class:`IndexError`,
+        deleting the last leaf :class:`ValueError` — so a refused batch
+        leaves the tree as it was.
+        """
+        ops = list(ops)
+        n = len(self)
+        for op, index, _ in ops:
+            if op not in ("update", "insert", "delete"):
+                raise ValueError(f"unknown Merkle tree edit {op!r}")
+            self._check_index(index, n + 1 if op == "insert" else n)
+            if op == "insert":
+                n += 1
+            elif op == "delete":
+                if n == 1:
+                    raise ValueError("Merkle tree requires at least one leaf")
+                n -= 1
+        with profiled("crypto.merkle") as pf:
+            hashes = self._levels[0]
+            updated: set[int] = set()
+            start: int | None = None  # leftmost splice
+            for op, index, leaf in ops:
+                if op == "delete":
+                    del hashes[index]
+                else:
+                    pf.add_bytes(len(leaf))
+                    if op == "update":
+                        hashes[index] = _leaf_hash(leaf)
+                        updated.add(index)
+                        continue
+                    hashes.insert(index, _leaf_hash(leaf))
+                if start is None or index < start:
+                    start = index
+            self._rehash(updated, start)
+
+    def _rehash(self, dirty: Iterable[int], start: int | None) -> None:
+        """The one bottom-up pass: recompute the interior nodes above the
+        leaf positions in ``dirty`` and above every position from ``start``
+        on, each once, resizing the levels to fit. ``start=None``: nothing
+        was spliced, so every level keeps its size. A position at or right
+        of ``start`` may be stale; the tail covers it."""
         levels = self._levels
         k = 0
         while len(levels[k]) > 1:
             below = levels[k]
+            n = len(below)
             if k + 1 == len(levels):
                 levels.append([])
-            start //= 2
-            if stop is None:
-                end = len(below)
-            else:
-                stop = (stop + 1) // 2
-                end = min(2 * stop, len(below))
-            levels[k + 1][start:stop] = [
-                _node_hash(below[i], below[i + 1]) if i + 1 < len(below) else below[i]
-                for i in range(2 * start, end, 2)
-            ]
+            above = levels[k + 1]
+            parents = {p // 2 for p in dirty}
+            todo: Iterable[int] = parents
+            if start is not None:
+                start //= 2
+                parents = {q for q in parents if q < start}
+                above[start:] = below[2 * start :: 2]  # resized; refilled below
+                todo = chain(parents, range(start, len(above)))
+            for q in todo:  # _node_hash, inlined: the pass is a hot loop
+                i = 2 * q
+                above[q] = (
+                    sha256(_NODE + below[i] + below[i + 1]).digest() if i + 1 < n else below[i]
+                )
+            dirty = parents
             k += 1
         del levels[k + 1 :]
-
-    def update(self, index: int, leaf: bytes) -> None:
-        """Replace the leaf at ``index``."""
-        self._check_index(index, len(self))
-        with profiled("crypto.merkle", n_bytes=len(leaf)):
-            self._levels[0][index] = _leaf_hash(leaf)
-            self._rehash(index, index + 1)
-
-    def insert(self, index: int, leaf: bytes) -> None:
-        """Splice a new leaf in before position ``index`` (``len`` appends)."""
-        self._check_index(index, len(self) + 1)
-        with profiled("crypto.merkle", n_bytes=len(leaf)):
-            self._levels[0].insert(index, _leaf_hash(leaf))
-            self._rehash(index)
-
-    def delete(self, index: int) -> None:
-        """Remove the leaf at ``index``; the last leaf cannot be removed."""
-        self._check_index(index, len(self))
-        if len(self) == 1:
-            raise ValueError("Merkle tree requires at least one leaf")
-        with profiled("crypto.merkle"):
-            del self._levels[0][index]
-            self._rehash(index)
 
     @staticmethod
     def _check_index(index: int, bound: int) -> None:

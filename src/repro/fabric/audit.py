@@ -16,9 +16,9 @@ The semantic (``docs/STATIC_ANALYSIS.md`` has the table):
   position, ``previous_hash`` equals the prior header's hash, ``data_hash``
   equals the recomputed Merkle root of the transaction envelopes.
 * **Remembered forms** (:func:`check_remembered`) — the header hash and each
-  transaction's signing payload, envelope and endorsement payload, as every
-  node in this process is served them (``util.serialization.once``), equal
-  what a copy nothing was remembered for serialises to.
+  transaction's rwset, signing payload, envelope and endorsement payload, as
+  every node in this process is served them (``util.serialization.once``),
+  equal what a copy nothing was remembered for serialises to.
 * **Signatures** (:func:`check_signatures`, :func:`endorsement_verifies`) —
   every VALID transaction's creator signature verifies through the MSP and
   at least one endorsement verifies over ``endorsement_payload(tx)``.
@@ -115,8 +115,11 @@ def check_remembered(block) -> list[AuditFinding]:
     remembered for, and what it serialises to is the oracle."""
     pairs = [("header hash", None, block.header.hash(), replace(block.header).hash())]
     for tx in block.transactions:
-        fresh = replace(tx, proposal=replace(tx.proposal))
+        # Every form a fresh transaction would read from a shared part is
+        # remembered on that part, so the parts are copied too.
+        fresh = replace(tx, proposal=replace(tx.proposal), rwset=replace(tx.rwset))
         pairs += [
+            ("rwset canonical", tx, tx.rwset.canonical(), fresh.rwset.canonical()),
             ("signing_payload", tx,
              tx.proposal.signing_payload(), fresh.proposal.signing_payload()),
             ("envelope_bytes", tx, tx.envelope_bytes(), fresh.envelope_bytes()),

@@ -14,10 +14,12 @@ simulation time and each written key with its new value; equality of rwsets
 across endorsers is what lets the client detect non-deterministic chaincode.
 
 All of these are frozen, so each canonical form (signing payload, endorsed
-payload, envelope, rwset digest) is computed by the first node that asks and
+payload, envelope, rwset) is computed by the first node that asks and
 remembered while the transaction is in flight
 (:func:`repro.util.serialization.once`); build-then-sign hands the signed
-value the bytes that were signed.
+value the bytes that were signed. The rwset is the bulk of every form that
+holds it, so it is rendered once per rwset object and spliced into the
+endorsed payload and the envelope as bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from enum import Enum
 from repro.fabric.identity import Identity, IdentityInfo
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
-from repro.util.serialization import canonical_json, once
+from repro.util.serialization import canonical_json, canonical_json_splice, once
 
 
 class ValidationCode(str, Enum):
@@ -80,12 +82,14 @@ class ReadWriteSet:
             "writes": [w.to_dict() for w in self.writes],
         }
 
+    def canonical(self) -> bytes:
+        """``canonical_json(self.to_dict())``, rendered once per rwset
+        object: the digest hashes it, and the endorsement payload and the
+        envelope splice it in rather than render the rwset again."""
+        return once(self, "canonical", lambda: canonical_json(self.to_dict()))
+
     def digest(self) -> str:
-        return once(
-            self,
-            "digest",
-            lambda: hashlib.sha256(canonical_json(self.to_dict())).hexdigest(),
-        )
+        return hashlib.sha256(self.canonical()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -241,30 +245,32 @@ class Transaction:
 
     def _envelope_bytes(self) -> bytes:
         with profiled("serialize.envelope"):
-            return canonical_json(
+            return canonical_json_splice(
                 {
                     "proposal": self.proposal.signing_payload().decode("utf-8"),
                     "proposal_sig": self.proposal.signature.hex(),
-                    "rwset": self.rwset.to_dict(),
                     "response": self.response,
                     "endorsements": [
                         {"endorser": e.endorser.to_dict(), "sig": e.signature.hex()}
                         for e in self.endorsements
                     ],
                     "events": [ev.to_dict() for ev in self.events],
-                }
+                },
+                "rwset",
+                self.rwset.canonical(),
             )
 
 
 def _endorsement_payload(signed: ProposalResponse | Transaction) -> bytes:
-    return canonical_json(
+    return canonical_json_splice(
         {
             "tx_id": signed.tx_id,
-            "rwset": signed.rwset.to_dict(),
             "response": signed.response,
             # Only successful simulations are assembled into transactions.
             "success": getattr(signed, "success", True),
-        }
+        },
+        "rwset",
+        signed.rwset.canonical(),
     )
 
 

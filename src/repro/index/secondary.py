@@ -16,10 +16,12 @@ Structure
 * The epoch tree is one :class:`~repro.crypto.merkle.MerkleTree` over a
   height leaf, one leaf per posting in ``(dim, value)`` order, the band
   leaves and a tombstone leaf when any exist. It is **maintained in
-  place**: :meth:`PeerIndex.apply_block` re-hashes exactly the leaves the
-  block touched and their root paths — O(changed postings · log n) — and a
-  *new* key (first sight of a camera, a new time bucket) is spliced in at
-  its sorted position, recomputing interior nodes from there rightwards.
+  place**: :meth:`PeerIndex.apply_block` hands the leaves the block
+  touched to the tree as one batch, and one pass re-hashes each interior
+  node above them once — O(changed postings · log n), shared ancestors
+  hashed once — while a *new* key (first sight of a camera, a new time
+  bucket) is spliced in at its sorted position, recomputing interior nodes
+  from the leftmost splice rightwards.
   The tree is derived state: never persisted, built once (one
   ``MerkleTree`` over all leaves) by ``from_world``.
 * :meth:`PeerIndex.root` is an O(1) read of that tree; the root after
@@ -385,11 +387,14 @@ class PeerIndex:
 
     def _flush_tree(self) -> None:
         """Bring the tree up to date with the leaves changed since the last
-        flush: re-hash a changed leaf's root path, splice a new key in at its
-        sorted position, drop a leaf whose band emptied."""
-        keys, tree = self._keys, self._tree
-        # Sorted so the hash-call counts profiles fingerprint do not depend
-        # on set iteration order.
+        flush, as one :meth:`MerkleTree.edit` batch: update a changed leaf,
+        splice a new key in at its sorted position, drop a leaf whose band
+        emptied — then one re-hash pass."""
+        keys = self._keys
+        ops: list[tuple[str, int, bytes | None]] = []
+        # Each op's position is the key's place in ``keys`` as the ops before
+        # it left it, so any order gives the same tree; key order keeps the
+        # batch itself reproducible.
         for key in sorted(self._dirty):
             leaf = self._leaf(key)
             pos = bisect_left(keys, key)
@@ -397,12 +402,13 @@ class PeerIndex:
             if leaf is None:
                 if present:
                     del keys[pos]
-                    tree.delete(pos)
+                    ops.append(("delete", pos, None))
             elif present:
-                tree.update(pos, leaf)
+                ops.append(("update", pos, leaf))
             else:
                 keys.insert(pos, key)
-                tree.insert(pos, leaf)
+                ops.append(("insert", pos, leaf))
+        self._tree.edit(ops)
         self._dirty.clear()
 
     def root(self) -> str:

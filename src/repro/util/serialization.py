@@ -10,7 +10,9 @@ same logical record; Python's default ``json.dumps`` does not guarantee that.
 :func:`once` is the serialize-once primitive: a transaction in flight is one
 frozen object that the orderer, four validators and every committing peer
 each ask for the same canonical forms, and a frozen value's form cannot
-change, so it is computed by the first to ask.
+change, so it is computed by the first to ask. :func:`canonical_json_splice`
+lets a form that contains another remembered form (the rwset inside the
+envelope) reuse its bytes instead of rendering it again.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ from repro.errors import EncodingError
 from repro.obs.prof import profiled
 
 _SCALARS = (str, int, bool, type(None))
+_PLAIN = frozenset(_SCALARS)
 # json.dumps builds a new encoder per call when given non-default arguments.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 T = TypeVar("T")
 
 # Enough for the largest batch in flight (a 64-transaction block, ~7 forms
-# per transaction) and flat in ledger height: a chain walk over old blocks
+# per transaction at two endorsers: the signing payload, the envelope, the
+# transaction's endorsed payload, and an endorsed payload and a rendered
+# rwset per endorser) and flat in ledger height: a chain walk over old blocks
 # recomputes their forms and pushes out the oldest entries, nothing grows.
 ONCE_MAX_ENTRIES = 1024
 # (id(owner), form) -> (owner, value). The entry holds its owner, so the id
@@ -71,15 +76,22 @@ def _check(value: Any, depth: int = 0) -> None:
         return
     if isinstance(value, _SCALARS):
         return
+    # A child of an exact scalar type is accepted here, not by a call per
+    # child; every other child (a float, a container, a str subclass) and any
+    # child past the depth limit still takes the call, so the same inputs
+    # raise the same errors.
+    child = depth + 1
     if isinstance(value, (list, tuple)):
         for item in value:
-            _check(item, depth + 1)
+            if child > 64 or type(item) not in _PLAIN:
+                _check(item, child)
         return
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise EncodingError(f"non-string dict key {key!r}")
-            _check(item, depth + 1)
+            if child > 64 or type(item) not in _PLAIN:
+                _check(item, child)
         return
     raise EncodingError(f"type {type(value).__name__} is not canonically serializable")
 
@@ -91,6 +103,22 @@ def canonical_json(value: Any) -> bytes:
         out = _ENCODER.encode(value).encode("utf-8")
         pf.add_bytes(len(out))
         return out
+
+
+def canonical_json_splice(value: dict, key: str, fragment: bytes) -> bytes:
+    """``canonical_json({**value, key: v})`` for a ``v`` already rendered:
+    ``fragment`` is ``canonical_json(v)``, so ``v`` is not walked or rendered
+    again. The keys of ``value`` either side of ``key`` in sorted order are
+    rendered and ``fragment`` is spliced between them; the profile counts the
+    rendered bytes, not the spliced ones. ``key`` must not be in ``value``."""
+    with profiled("serialize.canonical_json") as pf:
+        _check(value)
+        head = _ENCODER.encode({k: v for k, v in value.items() if k < key})[:-1]
+        tail = _ENCODER.encode({k: v for k, v in value.items() if k > key})[1:]
+        before = f"{head}{',' if len(head) > 1 else ''}{_ENCODER.encode(key)}:".encode("utf-8")
+        after = f"{',' if len(tail) > 1 else ''}{tail}".encode("utf-8")
+        pf.add_bytes(len(before) + len(after))
+        return before + fragment + after
 
 
 def from_canonical_json(data: bytes) -> Any:

@@ -128,6 +128,34 @@ class TestLedgerSanitizer:
             assert "block 1: remembered envelope_bytes of tx" in finding.message
             assert tx.tx_id[:16] in finding.message
 
+    def test_wrong_remembered_rwset_is_reported(self):
+        """The envelope splices in the bytes remembered for its rwset object,
+        so the oracle's fresh transaction needs a fresh rwset as well: one
+        that shared it would be served the same wrong bytes."""
+        from repro.util import serialization
+
+        net, channel, client = make_network("solo")
+        sanitizer = install_sanitizers(channel, spec="ledger")
+        channel.invoke(client, "kv", "put", ["honest", "v"])
+        proposal, responses = channel.endorse(client, "kv", "put", ["k", "v"])
+        tx = channel.assemble(proposal, responses)
+        honest = tx.rwset.canonical()  # rendered when the endorsers signed
+        doctored = honest.replace(b'"value":"76"', b'"value":"77"')
+        assert doctored != honest
+        serialization._once[(id(tx.rwset), "canonical")] = (tx.rwset, doctored)
+        channel.orderer.submit(tx)
+        channel.flush()
+        assert channel.result(tx.tx_id).ok  # nothing on the commit path noticed
+        assert b'"value":"77"' in tx.envelope_bytes()
+        report = sanitizer.finalize()
+        assert [f.rule_id for f in report.findings] == ["SAN303"] * 2 * len(channel.peers)
+        forms = [f.message.split(" of tx ")[0] for f in report.findings]
+        assert forms == [
+            "block 1: remembered rwset canonical",
+            "block 1: remembered envelope_bytes",
+        ] * len(channel.peers)
+        assert all(tx.tx_id[:16] in f.message for f in report.findings)
+
     def test_offline_audit_of_honest_chain_clean(self):
         net, channel, client = make_network("solo")
         for i in range(3):

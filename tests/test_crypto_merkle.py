@@ -87,7 +87,7 @@ def test_property_root_deterministic(leaves):
     assert MerkleTree(leaves).root == MerkleTree(leaves).root
 
 
-# -- in-place maintenance: update / insert / delete ---------------------------
+# -- in-place maintenance: MerkleTree.edit --------------------------------------
 
 
 def _assert_same_as_fresh(tree: MerkleTree, leaves: list[bytes]) -> None:
@@ -110,26 +110,49 @@ _OPS = st.lists(
 )
 
 
-def _apply_ops(tree: MerkleTree, leaves: list[bytes], ops) -> None:
+def _legal(leaves: list[bytes], ops):
+    """``ops`` with indices reduced to legal ones, each applied to
+    ``leaves`` as it is yielded; a delete that would empty the tree is
+    dropped."""
     for op, at, leaf in ops:
         if op == "update":
             i = at % len(leaves)
             leaves[i] = leaf
-            tree.update(i, leaf)
         elif op == "insert":
             i = at % (len(leaves) + 1)
             leaves.insert(i, leaf)
-            tree.insert(i, leaf)
         elif len(leaves) > 1:
             i = at % len(leaves)
             del leaves[i]
-            tree.delete(i)
+            leaf = None
+        else:
+            continue
+        yield op, i, leaf
+
+
+def _apply_ops(tree: MerkleTree, leaves: list[bytes], ops) -> None:
+    """One op per ``edit``, the tree checked after each."""
+    for op in _legal(leaves, ops):
+        tree.edit([op])
         _assert_same_as_fresh(tree, leaves)
+
+
+def _apply_batch(tree: MerkleTree, leaves: list[bytes], ops) -> None:
+    """Every op in one ``edit`` call: one re-hash pass."""
+    tree.edit(list(_legal(leaves, ops)))
+    _assert_same_as_fresh(tree, leaves)
 
 
 @given(st.lists(st.binary(max_size=8), min_size=1, max_size=20), _OPS)
 def test_property_in_place_ops_match_fresh_tree(leaves, ops):
     _apply_ops(MerkleTree(leaves), list(leaves), ops)
+
+
+@given(st.lists(st.binary(max_size=8), min_size=1, max_size=40), _OPS)
+def test_property_batched_edit_matches_fresh_tree(leaves, ops):
+    """Mixed updates, inserts and deletes in one call equal a fresh tree
+    over the resulting leaves, and every proof verifies."""
+    _apply_batch(MerkleTree(leaves), list(leaves), ops)
 
 
 class TestInPlaceMaintenance:
@@ -138,37 +161,52 @@ class TestInPlaceMaintenance:
     def test_every_position_at_promotion_boundaries(self, n):
         base = [bytes([i]) for i in range(n)]
         for i in range(n):
-            tree, leaves = MerkleTree(base), list(base)
-            _apply_ops(tree, leaves, [("update", i, b"u"), ("insert", i, b"i")])
-            if n > 1:
-                _apply_ops(MerkleTree(base), list(base), [("delete", i, b"")])
-        _apply_ops(MerkleTree(base), list(base), [("insert", n, b"end")])
+            for apply in (_apply_ops, _apply_batch):
+                apply(MerkleTree(base), list(base), [("update", i, b"u"), ("insert", i, b"i")])
+                if n > 1:
+                    apply(MerkleTree(base), list(base), [("delete", i, b"")])
+                    # An update left of a splice, the splice, and one right of it.
+                    apply(
+                        MerkleTree(base),
+                        list(base),
+                        [("update", 0, b"l"), ("insert", i, b"i"), ("update", n, b"r")],
+                    )
+        for apply in (_apply_ops, _apply_batch):
+            apply(MerkleTree(base), list(base), [("insert", n, b"end")])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9])
     def test_delete_down_to_one_leaf_and_grow_back(self, n):
-        leaves = [bytes([i]) for i in range(n)]
-        tree = MerkleTree(leaves)
-        _apply_ops(tree, leaves, [("delete", k, b"") for k in range(n - 1)])
-        assert len(tree) == 1 and tree.root == MerkleTree(leaves).root
-        with pytest.raises(ValueError):
-            tree.delete(0)
-        _apply_ops(tree, leaves, [("insert", k, bytes([k])) for k in range(n)])
+        for apply in (_apply_ops, _apply_batch):
+            leaves = [bytes([i]) for i in range(n)]
+            tree = MerkleTree(leaves)
+            apply(tree, leaves, [("delete", k, b"") for k in range(n - 1)])
+            assert len(tree) == 1 and tree.root == MerkleTree(leaves).root
+            with pytest.raises(ValueError):
+                tree.edit([("delete", 0, None)])
+            apply(tree, leaves, [("insert", k, bytes([k])) for k in range(n)])
 
     def test_out_of_range_rejected(self):
         tree = MerkleTree([b"a", b"b"])
         with pytest.raises(IndexError):
-            tree.update(2, b"x")
+            tree.edit([("update", 2, b"x")])
         with pytest.raises(IndexError):
-            tree.insert(3, b"x")
+            tree.edit([("insert", 3, b"x")])
         with pytest.raises(IndexError):
-            tree.delete(-1)
-        assert tree.root == MerkleTree([b"a", b"b"]).root
+            tree.edit([("delete", -1, None)])
+        # A batch is checked whole: a bad op after good ones changes nothing.
+        with pytest.raises(IndexError):
+            tree.edit([("update", 0, b"x"), ("delete", 1, None), ("update", 1, b"y")])
+        with pytest.raises(ValueError):
+            tree.edit([("delete", 0, None), ("delete", 0, None)])
+        with pytest.raises(ValueError):
+            tree.edit([("upsert", 0, b"x")])
+        _assert_same_as_fresh(tree, [b"a", b"b"])
 
     def test_stale_proof_fails_after_update(self):
         tree = MerkleTree([b"a", b"b", b"c"])
         before = tree.root
         proof = tree.proof(1)
-        tree.update(2, b"z")
+        tree.edit([("update", 2, b"z")])
         assert proof.is_valid(b"b", before)
         assert not proof.is_valid(b"b", tree.root)
         assert tree.proof(1).is_valid(b"b", tree.root)

@@ -3,19 +3,25 @@ computed once per object, a copy computes afresh, and the memo stays bounded
 and flat in ledger height."""
 
 import dataclasses
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric.identity import Identity
 from repro.fabric.tx import (
+    ChaincodeEvent,
     Endorsement,
     ProposalResponse,
+    ReadEntry,
     ReadWriteSet,
     Transaction,
     TxProposal,
     WriteEntry,
     endorsement_payload,
 )
+from repro.fabric.worldstate import Version
 from repro.obs.prof import profiling
 from repro.util import serialization
 from repro.util.serialization import ONCE_MAX_ENTRIES, canonical_json
@@ -65,19 +71,37 @@ def canonical_json_calls():
         )
 
 
+@pytest.fixture
+def rwset_renders(monkeypatch):
+    """Count the rwsets rendered inside the test (``ReadWriteSet.to_dict``
+    is what every rendering of an rwset starts from)."""
+    calls = []
+    to_dict = ReadWriteSet.to_dict
+
+    def counting(self):
+        calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(ReadWriteSet, "to_dict", counting)
+    return lambda: len(calls)
+
+
 class TestRememberedForms:
-    def test_each_form_is_serialised_once_per_object(self, canonical_json_calls):
+    def test_each_form_is_serialised_once_per_object(self, canonical_json_calls, rwset_renders):
         tx = make_tx()
+        assert rwset_renders() == 1  # by the endorser, for the payload it signed
         before = canonical_json_calls()
         forms = [
             (tx.envelope_bytes(), tx.proposal.signing_payload(),
-             endorsement_payload(tx), tx.rwset.digest())
+             endorsement_payload(tx), tx.rwset.digest(), tx.rwset.canonical())
             for _ in range(3)
         ]
         assert forms[0] == forms[1] == forms[2]
-        # The envelope and the rwset digest; the signing payload and the
-        # endorsement payload arrived with the values (build-then-sign).
-        assert canonical_json_calls() - before == 2
+        # The envelope, with the endorser's rwset bytes spliced in; the
+        # signing payload and the endorsement payload arrived with the values
+        # (build-then-sign) and the digest hashes the remembered rwset.
+        assert canonical_json_calls() - before == 1
+        assert rwset_renders() == 1
 
     def test_replace_copy_recomputes_and_differs(self):
         tx = make_tx()
@@ -89,16 +113,22 @@ class TestRememberedForms:
         forged_proposal = dataclasses.replace(tx.proposal, args=("k", "evil"))
         assert forged_proposal.signing_payload() != tx.proposal.signing_payload()
 
-    def test_signed_values_remember_the_bytes_that_were_signed(self, canonical_json_calls):
+    def test_signed_values_remember_the_bytes_that_were_signed(
+        self, canonical_json_calls, rwset_renders
+    ):
         before = canonical_json_calls()
         proposal = make_proposal()
         response = make_response(proposal)
-        assert canonical_json_calls() - before == 2  # one per signature made
+        # One per signature made, and the one rendering of the rwset.
+        assert canonical_json_calls() - before == 3
+        assert rwset_renders() == 1
         ALICE.info().public_key.verify(proposal.signing_payload(), proposal.signature)
         PEER.info().public_key.verify(
             endorsement_payload(response), response.endorsement.signature
         )
-        assert canonical_json_calls() - before == 2
+        assert response.rwset.digest()
+        assert canonical_json_calls() - before == 3
+        assert rwset_renders() == 1
         # Remembered, and right: an equal copy serialises to the same bytes.
         assert dataclasses.replace(proposal).signing_payload() == proposal.signing_payload()
         assert endorsement_payload(dataclasses.replace(response)) == endorsement_payload(response)
@@ -154,6 +184,78 @@ class TestRememberedForms:
         assert all(other.signing_payload() for other in others)
         assert key not in serialization._once
         assert tx.envelope_bytes() == envelope
+
+
+_TEXT = st.text(
+    st.sampled_from('"\\/é日\n\x00') | st.characters(exclude_categories=("Cs",)),
+    max_size=12,
+)
+_RWSETS = st.builds(
+    ReadWriteSet,
+    reads=st.lists(
+        st.builds(
+            ReadEntry,
+            key=_TEXT,
+            version=st.none() | st.builds(Version, st.integers(0, 2**40), st.integers(0, 99)),
+        ),
+        max_size=3,
+    ).map(tuple),
+    writes=st.lists(
+        st.builds(WriteEntry, key=_TEXT, value=st.binary(max_size=16))
+        | _TEXT.map(lambda key: WriteEntry(key, None, is_delete=True)),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+class TestSplicedFormsEqualTheWholeDictRendering:
+    """The rwset is spliced into the endorsed payload and the envelope as
+    bytes; the oracle is the whole-dict ``canonical_json`` they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_RWSETS, _TEXT, _TEXT, st.booleans(), st.dictionaries(_TEXT, _TEXT, max_size=2))
+    def test_bytes_are_identical(self, rwset, tx_id, response, success, payload):
+        proposal = TxProposal(
+            tx_id=tx_id, channel="ch", chaincode="kv", fn="put", args=(response,),
+            creator=ALICE.info(), timestamp=1.5, signature=b"\x01\x02",
+        )
+        simulated = ProposalResponse(
+            tx_id=tx_id, rwset=rwset, response=response, success=success,
+            message="", endorsement=Endorsement(endorser=PEER.info(), signature=b"\x03"),
+        )
+        tx = Transaction(
+            proposal=proposal, rwset=rwset, response=response,
+            endorsements=(simulated.endorsement,),
+            events=(ChaincodeEvent("kv", "put", payload),),
+        )
+        rendered = rwset.to_dict()
+        assert rwset.digest() == hashlib.sha256(canonical_json(rendered)).hexdigest()
+        for signed, ok in ((simulated, success), (tx, True)):
+            assert endorsement_payload(signed) == canonical_json(
+                {"tx_id": tx_id, "rwset": rendered, "response": response, "success": ok}
+            )
+        assert tx.envelope_bytes() == canonical_json(
+            {
+                "proposal": proposal.signing_payload().decode("utf-8"),
+                "proposal_sig": proposal.signature.hex(),
+                "rwset": rendered,
+                "response": response,
+                "endorsements": [
+                    {"endorser": PEER.info().to_dict(), "sig": simulated.endorsement.signature.hex()}
+                ],
+                "events": [{"chaincode": "kv", "name": "put", "payload": payload}],
+            }
+        )
+
+    def test_empty_rwset(self):
+        assert ReadWriteSet().canonical() == b'{"reads":[],"writes":[]}'
+        proposal = make_proposal()
+        failed = make_response(proposal, success=False)
+        empty = dataclasses.replace(failed, rwset=ReadWriteSet())
+        assert endorsement_payload(empty) == canonical_json(
+            {"tx_id": "tx-0", "rwset": {"reads": [], "writes": []},
+             "response": "null", "success": False}
+        )
 
 
 class TestMemoIsFlatInLedgerHeight:

@@ -522,13 +522,43 @@ class TestMaintainedTree:
                     for eid, _ in index.postings[("time", v)].entries
                 )
 
-    def test_apply_cost_does_not_grow_with_the_number_of_postings(self):
+    def test_one_block_splices_several_keys_and_empties_a_band(self):
+        """One ``MerkleTree.edit`` batch holding inserts either side of
+        updates and a band leaf's delete; ``commit`` checks the root against
+        ``MerkleTree(index.leaves())`` and every proof."""
+        chain = _Chain()
+        index = chain.index
+        chain.commit(_record_write("e0", "src-m", "cam-m", 6000.0), _trust_write("src-m", 0.9))
+        chain.commit(_trust_write("src-a", 0.5))
+        assert sorted(index.bands) == ["provisional", "trusted"]
+        n_leaves = len(index.leaves())
+        chain.commit(
+            _record_write("e1", "src-a", "cam-a", 600.0, "bus"),
+            _record_write("e2", "src-z", "cam-z", 60000.0, "van"),
+            _record_write("e3", "src-m", "cam-m", 6001.0),
+            _trust_write("src-a", 0.95),
+        )
+        assert sorted(index.bands) == ["trusted"]
+        # Source, camera, time and class keys for e1 and e2; one band gone.
+        assert len(index.leaves()) == n_leaves + 8 - 1
+
+    def test_apply_cost_does_not_grow_with_the_number_of_postings(self, monkeypatch):
         """Height-creep gate on exact call counts: the same block shape
         (one record appending to five existing postings) re-serialises the
-        same leaves and hashes only their root paths at ~50 and ~500
-        postings."""
+        same leaves in one ``crypto.merkle`` pass at ~50 and ~500 postings,
+        which hashes each ancestor of a changed leaf at most once."""
+        from repro.crypto import merkle
         from repro.obs.prof import profiling
 
+        node_hashes = []
+
+        def counting_sha256(data):
+            if data[:1] == b"\x01":
+                node_hashes.append(data)
+            return real_sha256(data)
+
+        real_sha256 = merkle.sha256
+        monkeypatch.setattr(merkle, "sha256", counting_sha256)
         touched = 5  # height leaf + source, camera, time, class postings
         for cameras, n_leaves in ((22, 50), (240, 486)):
             index = PeerIndex()
@@ -537,17 +567,25 @@ class TestMaintainedTree:
                 index.apply_block(
                     _block(i, [_record_write(f"e{i}", cam, cam, 600.0 * (i % 4))])
                 )
-            assert len(index.leaves()) == n_leaves
+            before = index.leaves()
+            assert len(before) == n_leaves
             probe = _record_write("probe", "cam-007", "cam-007", 0.0)
+            node_hashes.clear()
             with profiling() as profiler:
                 index.apply_block(_block(index.height, [probe]))
-            assert index.root() == MerkleTree(index.leaves()).root.hex()
+            hashed = len(node_hashes)
+            after = index.leaves()
+            changed = [i for i, (old, new) in enumerate(zip(before, after)) if old != new]
+            assert len(after) == n_leaves and len(changed) == touched
+            assert index.root() == MerkleTree(after).root.hex()
             calls = {s.center: s.calls for s in profiler.center_stats()}
             assert calls["serialize.canonical_json"] == touched
-            assert calls["crypto.merkle"] == touched
-            # One leaf hash plus at most one node hash per level, per leaf.
+            assert calls["crypto.merkle"] == 1
+            assert "crypto.hash" not in calls  # node hashes are the pass's own
+            # Shared ancestors are hashed once, not once per changed leaf.
             depth = (n_leaves - 1).bit_length()
-            assert calls["crypto.hash"] <= touched * (depth + 1)
+            ancestors = {(k, p >> k) for p in changed for k in range(1, depth + 1)}
+            assert 0 < hashed <= len(ancestors) < touched * depth
 
 
 def _committed_ids(index, *keys):

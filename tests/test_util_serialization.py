@@ -1,8 +1,10 @@
 """Tests for canonical JSON serialization and the serialize-once memo."""
 
+import math
 import sys
 import threading
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from repro.util import serialization
 from repro.util.serialization import (
     ONCE_MAX_ENTRIES,
     canonical_json,
+    canonical_json_splice,
     from_canonical_json,
     once,
 )
@@ -89,6 +92,99 @@ def test_canonical_fixed_point(value):
     """Serializing the parse of a canonical form reproduces the same bytes."""
     first = canonical_json(value)
     assert canonical_json(from_canonical_json(first)) == first
+
+
+def _reference_check(value, depth=0):
+    """``serialization._check`` as it was before scalar children were
+    accepted inline: one call per value. The oracle for the same errors."""
+    if depth > 64:
+        raise EncodingError("canonical JSON nesting exceeds 64 levels")
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise EncodingError("NaN/Inf are not canonically serializable")
+        return
+    if isinstance(value, (str, int, bool, type(None))):
+        return
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _reference_check(item, depth + 1)
+        return
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise EncodingError(f"non-string dict key {key!r}")
+            _reference_check(item, depth + 1)
+        return
+    raise EncodingError(f"type {type(value).__name__} is not canonically serializable")
+
+
+def _outcome(check, value):
+    try:
+        check(value)
+    except EncodingError as exc:
+        return str(exc)
+    return None
+
+
+def _nested(levels, innermost, in_dict=False):
+    value = innermost
+    for _ in range(levels):
+        value = {"k": value} if in_dict else [value]
+    return value
+
+
+class _Colour(str, Enum):
+    RED = "red"
+
+
+_CHECK_CASES = {
+    **{
+        f"{levels} levels, {name} innermost{' (dicts)' if in_dict else ''}": _nested(
+            levels, innermost, in_dict
+        )
+        for levels in (63, 64, 65)
+        for name, innermost in (("scalar", "leaf"), ("empty list", []), ("empty dict", {}))
+        for in_dict in (False, True)
+    },
+    "NaN in a list in a dict": {"a": [1, float("nan")]},
+    "-Inf in a tuple": (1, float("-inf")),
+    "non-str key inside a list": [{"a": 1}, {1: "x"}],
+    "non-str key before a deep child": _nested(64, {1: "x", "k": [0]}),
+    "str-Enum value": {"colour": _Colour.RED, "list": [_Colour.RED]},
+    "bytes value": {"v": b"ab"},
+    "bytes in a list": ["ok", b"x"],
+    "bool and None children": [True, None, {"f": False, "n": None}],
+    "object child": [1, object()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
+def test_check_raises_what_the_call_per_value_walk_raised(case):
+    value = _CHECK_CASES[case]
+    assert _outcome(serialization._check, value) == _outcome(_reference_check, value)
+
+
+@given(json_values)
+def test_check_accepts_what_the_call_per_value_walk_accepted(value):
+    assert _outcome(serialization._check, value) is _outcome(_reference_check, value) is None
+
+
+json_objects = st.dictionaries(st.text(max_size=10), json_values, max_size=5)
+
+
+@given(json_objects, st.text(max_size=10), json_values)
+def test_splice_equals_the_whole_dict_rendering(value, key, inner):
+    value.pop(key, None)
+    assert canonical_json_splice(value, key, canonical_json(inner)) == canonical_json(
+        {**value, key: inner}
+    )
+
+
+def test_splice_refuses_what_canonical_json_refuses():
+    with pytest.raises(EncodingError):
+        canonical_json_splice({"x": float("nan")}, "rwset", b"{}")
+    with pytest.raises(EncodingError):
+        canonical_json_splice({1: "a"}, "rwset", b"{}")
 
 
 @dataclass(frozen=True)
