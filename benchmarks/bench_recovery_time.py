@@ -20,8 +20,8 @@ Then the counterweight to cheap recovery — what a checkpoint costs:
 
 Every round runs at two ledger sizes, the same workload generator stopped at
 ``N_BLOCKS`` and at ``N_BLOCKS_LARGE`` blocks; the large size's series carry
-a ``large_`` prefix. A checkpoint writes the world snapshot and the private
-sidecar — the index is derived state, rebuilt on recovery, never written —
+a ``large_`` prefix. A checkpoint writes one file, the world snapshot — the
+index is derived state, rebuilt on recovery, never written —
 and must cost what changed since the last one, so the two sizes'
 ``checkpoint_canonical_json_calls`` are asserted equal and their
 ``checkpoint_serialized_bytes`` within 2x of each other.

@@ -12,7 +12,8 @@ Run:  python examples/smart_city_dashboard.py
 """
 
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
-from repro.fabric.monitor import ChannelMonitor, channel_summary
+from repro.fabric.monitor import ChannelMonitor
+from repro.obs.explorer import LedgerExplorer
 from repro.query import Avg, Count, Max, aggregate, explode, time_series
 from repro.trust import SourceTier
 from repro.vision import TrafficDataset, ViolationDetector, attach_violations
@@ -98,7 +99,7 @@ def main() -> None:
     )
 
     print("\n== Ledger health (Explorer view) ==")
-    summary = channel_summary(framework.channel)
+    summary = LedgerExplorer(framework.channel).summary()
     print(f"  channel {summary['channel']!r} at height {summary['height']}; "
           f"tx outcomes: {summary['tx_by_code']}")
     for name, info in summary["peers"].items():

@@ -95,7 +95,7 @@ PBFT_MESSAGE_CLASSES = (
 SINK_EXTERNAL_PREFIXES = ("hashlib.",)
 # Attribute-call names that are chaincode state-write sinks even when the
 # receiver cannot be resolved (every stub flavour shares these names).
-SINK_METHOD_NAMES = frozenset({"put_state", "put_private_data", "set_event"})
+SINK_METHOD_NAMES = frozenset({"put_state", "set_event"})
 # Function *names* that are sinks wherever they live — these names are the
 # framework's own conventions, so a module outside the qualname table (a
 # test fixture, a future refactor) still gets sink treatment.

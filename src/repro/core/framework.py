@@ -295,7 +295,6 @@ class Framework:
         args: list[str],
         op: str | None = None,
         endorsing_orgs: list[str] | None = None,
-        transient: dict[str, bytes] | None = None,
     ):
         """``channel.invoke`` hardened for a faulty deployment.
 
@@ -314,9 +313,7 @@ class Framework:
             if not breaker.allow():
                 raise CircuitOpenError("fabric", breaker.retry_after_s())
             try:
-                result = self.channel.invoke(
-                    identity, chaincode, fn, args, endorsing_orgs, transient
-                )
+                result = self.channel.invoke(identity, chaincode, fn, args, endorsing_orgs)
             except self._NO_RETRY:
                 raise
             except FabricError:

@@ -16,13 +16,6 @@ from repro.fabric.ledger import Block, BlockHeader, BlockStore, GENESIS_PREVIOUS
 from repro.fabric.msp import MSP, MSPRegistry
 from repro.fabric.orderer import BftOrderer, SoloOrderer, default_tx_validator
 from repro.fabric.peer import Peer, PeerStats, endorsement_payload
-from repro.fabric.privatedata import (
-    CollectionRegistry,
-    PrivateCollection,
-    PrivateStateStore,
-    private_hash_key,
-    value_hash,
-)
 from repro.fabric.policy import AllOf, And, AnyOf, MajorityOf, Or, OutOf, Policy, SignedBy
 from repro.fabric.tx import (
     ChaincodeEvent,
@@ -73,11 +66,6 @@ __all__ = [
     "Peer",
     "PeerStats",
     "endorsement_payload",
-    "CollectionRegistry",
-    "PrivateCollection",
-    "PrivateStateStore",
-    "private_hash_key",
-    "value_hash",
     "AllOf",
     "And",
     "AnyOf",

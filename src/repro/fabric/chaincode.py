@@ -18,13 +18,7 @@ from typing import Any, Callable
 
 from repro.errors import ChaincodeError, ChaincodeNotFoundError, EncodingError
 from repro.fabric.identity import IdentityInfo
-from repro.fabric.privatedata import (
-    CollectionRegistry,
-    PrivateStateStore,
-    private_hash_key,
-    value_hash,
-)
-from repro.fabric.tx import ChaincodeEvent, PrivateWrite, ReadEntry, ReadWriteSet, WriteEntry
+from repro.fabric.tx import ChaincodeEvent, ReadEntry, ReadWriteSet, WriteEntry
 from repro.fabric.worldstate import (
     WorldState,
     composite_prefix_range,
@@ -45,9 +39,6 @@ class ChaincodeStub:
         timestamp: float,
         chaincode_name: str,
         invoker: Callable[[str, str, list[str], "ChaincodeStub"], str] | None = None,
-        private: PrivateStateStore | None = None,
-        collections: CollectionRegistry | None = None,
-        transient: dict[str, bytes] | None = None,
     ) -> None:
         self._world = world
         self._tx_id = tx_id
@@ -55,12 +46,8 @@ class ChaincodeStub:
         self._timestamp = timestamp
         self._chaincode_name = chaincode_name
         self._invoker = invoker
-        self._private = private
-        self._collections = collections
-        self._transient = dict(transient or {})
         self._reads: dict[str, ReadEntry] = {}
         self._writes: dict[str, WriteEntry] = {}  # insertion-ordered
-        self._private_writes: dict[tuple[str, str], PrivateWrite] = {}
         self._events: list[ChaincodeEvent] = []
 
     # -- transaction context ----------------------------------------------------
@@ -75,11 +62,6 @@ class ChaincodeStub:
         """Proposal timestamp — chaincode must not read wall clocks, or the
         endorsers' rwsets would diverge."""
         return self._timestamp
-
-    def get_transient(self, key: str) -> bytes | None:
-        """Sensitive input passed off-ledger (Fabric's transient map); the
-        standard way to feed values into ``put_private_data``."""
-        return self._transient.get(key)
 
     # -- state access -----------------------------------------------------------
 
@@ -158,49 +140,6 @@ class ChaincodeStub:
     ) -> list[tuple[str, bytes]]:
         start, end = composite_prefix_range(object_type, attributes)
         return self.get_state_by_range(start, end)
-
-    # -- private data (org-scoped collections) -------------------------------------
-
-    def put_private_data(self, collection: str, key: str, value: bytes) -> None:
-        """Write to a private collection: plaintext to member-org side DBs,
-        only its hash onto the public ledger."""
-        if self._collections is None:
-            raise ChaincodeError("private collections are not configured here")
-        self._collections.get(collection)  # validates existence
-        if not key:
-            raise ChaincodeError("cannot put empty private key")
-        if not isinstance(value, (bytes, bytearray)):
-            raise ChaincodeError("private values must be bytes")
-        write = PrivateWrite(collection=collection, key=key, value=bytes(value))
-        self._private_writes[(collection, key)] = write
-        # The endorsed, ordered, block-hashed artifact is the hash write.
-        hash_key = private_hash_key(collection, key)
-        self._writes[hash_key] = WriteEntry(
-            key=hash_key, value=write.value_hash().encode(), is_delete=False
-        )
-
-    def get_private_data(self, collection: str, key: str) -> bytes | None:
-        """Read a private value: buffered writes first, then this peer's
-        side database (raises if the peer's org is not a member)."""
-        if (collection, key) in self._private_writes:
-            return self._private_writes[(collection, key)].value
-        if self._private is None:
-            raise ChaincodeError("this peer holds no private collections")
-        return self._private.store_for(collection).get(key)
-
-    def get_private_data_hash(self, collection: str, key: str) -> str | None:
-        """The on-chain hash of a private value — readable by *any* org,
-        which is how non-members verify disclosed values."""
-        raw = self.get_state(private_hash_key(collection, key))
-        return raw.decode() if raw is not None else None
-
-    def verify_private_disclosure(self, collection: str, key: str, value: bytes) -> bool:
-        """Does a value disclosed off-band match the on-chain hash?"""
-        stored = self.get_private_data_hash(collection, key)
-        return stored is not None and stored == value_hash(value)
-
-    def private_writes(self) -> tuple[PrivateWrite, ...]:
-        return tuple(self._private_writes.values())
 
     # -- history ----------------------------------------------------------------------
 

@@ -46,7 +46,6 @@ from repro.fabric.ledger import Block
 from repro.fabric.msp import MSPRegistry
 from repro.fabric.orderer import BftOrderer, Orderer, SoloOrderer
 from repro.fabric.peer import Peer
-from repro.fabric.privatedata import CollectionRegistry, PrivateCollection
 from repro.fabric.policy import AnyOf, Policy
 from repro.fabric.tx import (
     ProposalResponse,
@@ -118,7 +117,6 @@ class Channel:
         self.orderer = orderer
         self.clock = clock or WallClock()
         self.peers: dict[str, Peer] = {}
-        self.collections = CollectionRegistry()
         self.events = EventHub()
         self.stats = ChannelStats()
         self.rejected_by_block: dict[int, frozenset[str]] = {}
@@ -155,13 +153,6 @@ class Channel:
         self._definitions.append(definition)
         for peer in self.peers.values():
             peer.install_chaincode(definition)
-
-    def define_collection(self, name: str, member_orgs: list[str]) -> PrivateCollection:
-        """Define a private data collection; member-org peers will hold the
-        plaintext, everyone else only the on-chain hashes."""
-        collection = PrivateCollection(name=name, member_orgs=frozenset(member_orgs))
-        self.collections.define(collection)
-        return collection
 
     def update_chaincode_policy(self, chaincode: str, policy: Policy) -> None:
         """Replace a chaincode's endorsement policy (Fabric's chaincode
@@ -216,12 +207,7 @@ class Channel:
     # -- client write path -------------------------------------------------------------
 
     def _build_proposal(
-        self,
-        identity: Identity,
-        chaincode: str,
-        fn: str,
-        args: list[str],
-        transient: dict[str, bytes] | None = None,
+        self, identity: Identity, chaincode: str, fn: str, args: list[str]
     ) -> TxProposal:
         creator = identity.info()
         nonce = f"{self.name}:{next(self._nonce)}".encode()
@@ -234,7 +220,6 @@ class Channel:
             args=tuple(args),
             creator=creator,
             timestamp=self.clock.now(),
-            transient=tuple(sorted((transient or {}).items())),
         ).signed_by(identity)
 
     def _endorsing_orgs(self, chaincode: str, endorsing_orgs: list[str] | None) -> list[str]:
@@ -252,7 +237,6 @@ class Channel:
         fn: str,
         args: list[str],
         endorsing_orgs: list[str] | None = None,
-        transient: dict[str, bytes] | None = None,
     ) -> tuple[TxProposal, list[ProposalResponse]]:
         """Run the endorsement phase only (exposed for tests and benches).
 
@@ -267,7 +251,7 @@ class Channel:
             sp.set_attr("chaincode", chaincode)
             sp.set_attr("fn", fn)
             with profiled("endorse.propose"):
-                proposal = self._build_proposal(identity, chaincode, fn, args, transient)
+                proposal = self._build_proposal(identity, chaincode, fn, args)
             orgs = self._endorsing_orgs(chaincode, endorsing_orgs)
             responses: list[ProposalResponse] = []
             attempts: list[EndorsementAttempt] = []
@@ -341,7 +325,6 @@ class Channel:
         fn: str,
         args: list[str],
         endorsing_orgs: list[str] | None = None,
-        transient: dict[str, bytes] | None = None,
     ) -> TxResult:
         """Full write path; blocks until the transaction commits.
 
@@ -355,7 +338,7 @@ class Channel:
         with obs_span("fabric.invoke") as sp:
             sp.set_attr("chaincode", chaincode)
             sp.set_attr("fn", fn)
-            tx_id = self.invoke_async(identity, chaincode, fn, args, endorsing_orgs, transient)
+            tx_id = self.invoke_async(identity, chaincode, fn, args, endorsing_orgs)
             sp.set_attr("tx_id", tx_id)
             if tx_id not in self._results:
                 self._flush_orderer()
@@ -373,11 +356,8 @@ class Channel:
         fn: str,
         args: list[str],
         endorsing_orgs: list[str] | None = None,
-        transient: dict[str, bytes] | None = None,
     ) -> str:
-        proposal, responses = self.endorse(
-            identity, chaincode, fn, args, endorsing_orgs, transient
-        )
+        proposal, responses = self.endorse(identity, chaincode, fn, args, endorsing_orgs)
         tx = self.assemble(proposal, responses)
         self.orderer.submit(tx, riders=self._endorse_riders())
         self.stats.invokes += 1
@@ -550,14 +530,7 @@ class FabricNetwork:
                 peer_identity = self.register_identity(
                     f"peer{idx}.{org}", org, role=Role.PEER
                 )
-                channel.join_peer(
-                    Peer(
-                        f"peer{idx}.{org}",
-                        peer_identity,
-                        self.msp_registry,
-                        collections=channel.collections,
-                    )
-                )
+                channel.join_peer(Peer(f"peer{idx}.{org}", peer_identity, self.msp_registry))
         self.channels[name] = channel
         return channel
 
@@ -569,7 +542,7 @@ class FabricNetwork:
 
     def add_org_to_channel(self, channel_name: str, org: str, peers: int = 1) -> list[Peer]:
         """Admit a new organization at runtime: register its MSP, stand up
-        its peers (with the channel's chaincodes and collections), and
+        its peers (with the channel's chaincodes), and
         catch them up to the current chain via gossip anti-entropy —
         Fabric's channel-config-update flow, in one call."""
         channel = self.channel(channel_name)
@@ -579,12 +552,7 @@ class FabricNetwork:
         for _ in range(peers):
             idx = next(self._peer_counter)
             identity = self.register_identity(f"peer{idx}.{org}", org, role=Role.PEER)
-            peer = Peer(
-                f"peer{idx}.{org}",
-                identity,
-                self.msp_registry,
-                collections=channel.collections,
-            )
+            peer = Peer(f"peer{idx}.{org}", identity, self.msp_registry)
             channel.join_peer(peer)
             joined.append(peer)
         channel.anti_entropy()

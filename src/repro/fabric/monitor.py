@@ -1,27 +1,17 @@
-"""Monitoring: channel-level metrics and the Explorer-style summary.
+"""Live ledger metrics for one channel.
 
-The metrics primitives (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram`, :class:`MetricsRegistry`) now live in
-:mod:`repro.obs.metrics` — the process-wide observability layer — and are
-re-exported here for backward compatibility. What remains fabric-specific:
-
-* :class:`ChannelMonitor` — subscribes to a channel's event hub and keeps
-  the ledger metrics live (blocks, transactions by validation code, block
-  fill, chain height).
-* :func:`channel_summary` — the Explorer-style overview: height, tx
-  totals, per-peer state, installed chaincodes, orgs.
+:class:`ChannelMonitor` subscribes to a channel's event hub and keeps the
+ledger metrics live (blocks, transactions by validation code, block fill,
+chain height) in a :class:`~repro.obs.metrics.MetricsRegistry`. The
+Explorer-style channel overview is
+:meth:`repro.obs.explorer.LedgerExplorer.summary`.
 """
 
 from __future__ import annotations
 
 from repro.fabric.channel import Channel
 from repro.fabric.events import BlockEvent
-from repro.obs.metrics import (  # noqa: F401  (re-exported for compatibility)
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
 
 class ChannelMonitor:
@@ -48,15 +38,3 @@ class ChannelMonitor:
 
     def render(self) -> str:
         return self.metrics.render()
-
-
-def channel_summary(channel: Channel) -> dict:
-    """Hyperledger-Explorer-style overview of one channel.
-
-    Thin compatibility shim: the aggregation moved to
-    :meth:`repro.obs.explorer.LedgerExplorer.summary`, which also serves
-    the ``repro explorer`` CLI. Same dict shape as before.
-    """
-    from repro.obs.explorer import LedgerExplorer
-
-    return LedgerExplorer(channel).summary()

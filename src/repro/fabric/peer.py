@@ -27,11 +27,6 @@ from repro.errors import (
 )
 from repro.fabric.chaincode import ChaincodeDefinition, ChaincodeRegistry, ChaincodeStub
 from repro.fabric.identity import Identity
-from repro.fabric.privatedata import (
-    CollectionRegistry,
-    PrivateStateStore,
-    private_hash_key,
-)
 from repro.fabric.ledger import Block, BlockStore
 from repro.fabric.msp import MSPRegistry
 from repro.fabric.tx import (
@@ -59,21 +54,13 @@ class PeerStats:
 class Peer:
     """One endorsing/committing peer."""
 
-    def __init__(
-        self,
-        name: str,
-        identity: Identity,
-        msp_registry: MSPRegistry,
-        collections: CollectionRegistry | None = None,
-    ) -> None:
+    def __init__(self, name: str, identity: Identity, msp_registry: MSPRegistry) -> None:
         self.name = name
         self.identity = identity
         self.msp_registry = msp_registry
         self.world = WorldState()
         self.ledger = BlockStore()
         self.chaincodes = ChaincodeRegistry()
-        self.collections = collections or CollectionRegistry()
-        self.private = PrivateStateStore(org=identity.org, registry=self.collections)
         self.online = True
         self.stats = PeerStats()
         # Runtime sanitizer hook (repro.analysis.runtime.Sanitizer); None in
@@ -111,9 +98,6 @@ class Peer:
             timestamp=proposal.timestamp,
             chaincode_name=chaincode_name,
             invoker=invoker,
-            private=self.private,
-            collections=self.collections,
-            transient=proposal.transient_map(),
         )
 
     def endorse(self, proposal: TxProposal) -> ProposalResponse:
@@ -154,7 +138,6 @@ class Peer:
             message=message,
             endorsement=Endorsement(endorser=self.identity.info(), signature=b""),
             events=stub.events(),
-            private_data=stub.private_writes(),
         ).endorsed_by(self.identity)
 
     def resimulate(self, proposal: TxProposal) -> tuple:
@@ -277,7 +260,6 @@ class Peer:
                         tx_id=tx.tx_id,
                         timestamp=block.header.timestamp,
                     )
-                self._apply_private(tx, version, block.header.timestamp)
         # Index after ledger append + state writes: a block the ledger
         # rejects must never advance the index.
         if self.index is not None:
@@ -287,25 +269,6 @@ class Peer:
         self.stats.txs_valid += len(staged)
         self.stats.txs_invalid += len(block.transactions) - len(staged)
         return annotated
-
-    def _apply_private(self, tx: Transaction, version: Version, timestamp: float) -> None:
-        """Store private payloads this peer's org is entitled to, after
-        verifying each against its on-chain hash."""
-        for pw in tx.private_data:
-            if not self.private.has_collection(pw.collection):
-                continue  # not a member: the payload is not for us
-            on_chain = self.world.get(private_hash_key(pw.collection, pw.key))
-            if on_chain is None or on_chain.decode() != pw.value_hash():
-                # Payload doesn't match what was endorsed — drop it rather
-                # than poison the side DB (Fabric purges such payloads too).
-                continue
-            self.private.store_for(pw.collection).apply_write(
-                key=pw.key,
-                value=pw.value,
-                version=version,
-                tx_id=tx.tx_id,
-                timestamp=timestamp,
-            )
 
     # ------------------------------------------------------------------
     # Queries (read-only, no ordering — the paper's gas-free read path)

@@ -146,12 +146,8 @@ def adopt_snapshot(peer: Peer, snapshot: Snapshot) -> int:
     revived-node case — but refuses to move a peer *backwards*: adopting a
     snapshot below the peer's current height would silently discard
     committed blocks. Returns the number of blocks the peer skipped
-    replaying (snapshot height minus the height it was at). The private
-    side databases are reset; they must be refilled from a same-org peer
-    (see :meth:`repro.storage.persistence.DurabilityManager._adopt_private`).
+    replaying (snapshot height minus the height it was at).
     """
-    from repro.fabric.privatedata import PrivateStateStore
-
     if snapshot.height < peer.ledger.height:
         raise LedgerError(
             f"snapshot at height {snapshot.height} is behind peer "
@@ -160,7 +156,6 @@ def adopt_snapshot(peer: Peer, snapshot: Snapshot) -> int:
     skipped = snapshot.height - peer.ledger.height
     peer.world = WorldState()
     peer.ledger = BlockStore()
-    peer.private = PrivateStateStore(org=peer.org, registry=peer.collections)
     bootstrap_peer(peer, snapshot)  # digest-verified adoption
     return skipped
 

@@ -94,13 +94,7 @@ class ReadWriteSet:
 
 @dataclass(frozen=True)
 class TxProposal:
-    """A client's signed request to execute chaincode.
-
-    ``transient`` carries sensitive inputs (private-collection payloads)
-    that must never appear on the ledger: it is excluded from the signing
-    payload and hence from every block hash, exactly like Fabric's
-    transient map.
-    """
+    """A client's signed request to execute chaincode."""
 
     tx_id: str
     channel: str
@@ -110,10 +104,6 @@ class TxProposal:
     creator: IdentityInfo
     timestamp: float
     signature: bytes = b""
-    transient: tuple[tuple[str, bytes], ...] = ()
-
-    def transient_map(self) -> dict[str, bytes]:
-        return dict(self.transient)
 
     def _signing_payload(self) -> bytes:
         return canonical_json(
@@ -168,9 +158,6 @@ class ProposalResponse:
     # Chaincode events captured during simulation. Not covered by the
     # endorsement signature (as in Fabric, events ride in the tx envelope).
     events: tuple["ChaincodeEvent", ...] = ()
-    # Private-collection payloads from simulation; their hashes are in the
-    # (signed) rwset, the payloads themselves travel out-of-band.
-    private_data: tuple["PrivateWrite", ...] = ()
 
     def endorsed_by(self, identity: Identity) -> "ProposalResponse":
         """This simulation result carrying ``identity``'s endorsement; the
@@ -187,19 +174,6 @@ class ProposalResponse:
 
 
 @dataclass(frozen=True)
-class PrivateWrite:
-    """One private-collection write: the payload travels to member-org
-    peers only; the public rwset carries just its hash (HLF private data)."""
-
-    collection: str
-    key: str
-    value: bytes
-
-    def value_hash(self) -> str:
-        return hashlib.sha256(self.value).hexdigest()
-
-
-@dataclass(frozen=True)
 class Transaction:
     """Proposal + endorsements, as submitted to the ordering service."""
 
@@ -208,9 +182,6 @@ class Transaction:
     response: str
     endorsements: tuple[Endorsement, ...]
     events: tuple["ChaincodeEvent", ...] = ()
-    # Private payloads; NOT part of the envelope/block hash — only their
-    # hashes (inside the public rwset) are, exactly as in Fabric.
-    private_data: tuple[PrivateWrite, ...] = ()
 
     @classmethod
     def from_responses(
@@ -226,7 +197,6 @@ class Transaction:
             response=first.response,
             endorsements=tuple(r.endorsement for r in responses),
             events=first.events,
-            private_data=first.private_data,
         )
         if first.success and first.tx_id == tx.tx_id:
             once(tx, "endorsement_payload", lambda: endorsement_payload(first))

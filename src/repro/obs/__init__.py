@@ -11,8 +11,7 @@ Explorer, built in:
   guard check per instrumented call.
 * **Metrics** (:mod:`repro.obs.metrics`): process-wide
   :class:`MetricsRegistry` with *labeled* counters/gauges/histograms and
-  Prometheus text exposition (promoted from ``repro.fabric.monitor``,
-  which re-exports for compatibility).
+  Prometheus text exposition.
 * **Exporters** (:mod:`repro.obs.export`): Prometheus text, a JSON
   metrics snapshot, and the Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto — one process row per node, one lane per

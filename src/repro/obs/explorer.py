@@ -180,8 +180,9 @@ class LedgerExplorer:
     # -- Explorer-style overview -------------------------------------------------
 
     def summary(self) -> dict:
-        """The channel overview ``repro.fabric.monitor.channel_summary``
-        historically produced (same shape, now served by the explorer)."""
+        """Hyperledger-Explorer-style overview of the channel: height, tx
+        totals by validation code, per-peer state, installed chaincodes and
+        orgs."""
         peers = {}
         tx_by_code: dict[str, int] = {}
         reference = None
@@ -205,7 +206,6 @@ class LedgerExplorer:
             "height": self.channel.height(),
             "orgs": sorted({p.org for p in self.channel.peers.values()}),
             "chaincodes": self.channel.chaincode_names(),
-            "collections": self.channel.collections.names(),
             "tx_by_code": dict(sorted(tx_by_code.items())),
             "peers": peers,
         }

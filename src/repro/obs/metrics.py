@@ -1,7 +1,6 @@
 """Process-wide metrics facade: labeled counters, gauges, and histograms.
 
-Promoted out of ``repro.fabric.monitor`` (which keeps thin re-exports) so
-every layer — fabric, IPFS, consensus, trust, query — records into one
+Every layer — fabric, IPFS, consensus, trust, query — records into one
 registry with one exposition format. The paper's testbed watches its
 network through Grafana; :meth:`MetricsRegistry.render` is that surface,
 programmatic and Prometheus-conformant:

@@ -15,7 +15,6 @@ from repro.fabric.ledger import Block, BlockHeader
 from repro.fabric.tx import (
     ChaincodeEvent,
     Endorsement,
-    PrivateWrite,
     ReadEntry,
     ReadWriteSet,
     Transaction,
@@ -45,7 +44,6 @@ def proposal_to_doc(proposal: TxProposal) -> dict:
         "creator": proposal.creator.to_dict(),
         "timestamp": proposal.timestamp,
         "signature": proposal.signature.hex(),
-        "transient": [[key, value.hex()] for key, value in proposal.transient],
     }
 
 
@@ -59,7 +57,6 @@ def proposal_from_doc(doc: dict) -> TxProposal:
         creator=IdentityInfo.from_dict(doc["creator"]),
         timestamp=float(doc["timestamp"]),
         signature=bytes.fromhex(doc["signature"]),
-        transient=tuple((key, bytes.fromhex(value)) for key, value in doc["transient"]),
     )
 
 
@@ -103,7 +100,6 @@ def tx_to_doc(tx: Transaction) -> dict:
             {"chaincode": ev.chaincode, "name": ev.name, "payload": ev.payload}
             for ev in tx.events
         ],
-        "private": [[p.collection, p.key, p.value.hex()] for p in tx.private_data],
     }
 
 
@@ -124,10 +120,6 @@ def tx_from_doc(doc: dict) -> Transaction:
                 chaincode=ev["chaincode"], name=ev["name"], payload=ev["payload"]
             )
             for ev in doc["events"]
-        ),
-        private_data=tuple(
-            PrivateWrite(collection=collection, key=key, value=bytes.fromhex(value))
-            for collection, key, value in doc["private"]
         ),
     )
 

@@ -10,8 +10,6 @@ the ordering service) holds:
 * ``checkpoint`` — the peer's :class:`~repro.fabric.snapshot.Snapshot`
   at the last checkpoint height (every ``checkpoint_interval`` blocks),
   written atomically; the WAL is truncated once the checkpoint covers it;
-* ``private`` — the peer's private-collection side databases at the same
-  height (snapshots cover only public state);
 * ``frontier-<replica>`` — each PBFT validator's decided-log frontier
   ``{seq, stable, digest}``, so a restarted validator set can prove its
   log prefix matches what was persisted.
@@ -22,13 +20,12 @@ adopted (:meth:`~repro.index.PeerIndex.from_world`). What the WAL keeps of
 it is each block's epoch digest, which replay checks the rebuilt index
 against.
 
-A checkpoint file is whole, but writing it costs what changed: the snapshot
-is a join of canonical-JSON lines that the world state keeps per key and
-re-serialises only after a change (``WorldState.snapshot_lines``); only
-the small header and the private sidecar are serialised every time. The
-frontiers are written once per ledger height, by the first peer to
-checkpoint there, and
-the orderer's own log (``submit`` / ``batch`` records) is compacted at the
+A checkpoint is one file, whole, but writing it costs what changed: the
+snapshot is a join of canonical-JSON lines that the world state keeps per
+key and re-serialises only after a change (``WorldState.snapshot_lines``);
+only the small header is serialised every time. The frontiers are written
+once per ledger height, by the first peer to checkpoint there, and the
+orderer's own log (``submit`` / ``batch`` records) is compacted at the
 same moment to the records whose transactions are not yet on a ledger — so
 it holds what no checkpoint covers yet rather than every batch ever cut.
 
@@ -55,7 +52,7 @@ metrics, and handing the peer to the SAN307 sanitizer check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     DurabilityError,
@@ -67,14 +64,13 @@ from repro.errors import (
 from repro.fabric.audit import check_peers
 from repro.fabric.gossip import sync_peer
 from repro.fabric.ledger import Block, BlockStore
-from repro.fabric.privatedata import PrivateStateStore
 from repro.fabric.snapshot import (
     Snapshot,
     adopt_snapshot,
     bootstrap_peer,
     take_snapshot,
 )
-from repro.fabric.worldstate import Version, WorldState
+from repro.fabric.worldstate import WorldState
 from repro.index import PeerIndex
 from repro.obs.metrics import get_registry
 from repro.obs.prof import profiled
@@ -85,7 +81,6 @@ from repro.util.serialization import canonical_json, from_canonical_json
 
 WAL_LOG = "wal"
 CHECKPOINT_FILE = "checkpoint"
-PRIVATE_FILE = "private"
 
 
 @dataclass
@@ -227,7 +222,7 @@ class DurabilityManager:
     # -- checkpoints -----------------------------------------------------------
 
     def checkpoint_peer(self, peer) -> None:
-        """Atomic snapshot of ledger/world/private state; WAL truncated after.
+        """Atomic snapshot of ledger and world state; WAL truncated after.
 
         The snapshot file is a join of lines the world state caches per
         key, so this costs what changed since the peer's previous
@@ -243,7 +238,6 @@ class DurabilityManager:
         with profiled("storage.checkpoint"):
             snapshot = take_snapshot(peer, self.channel.name)
             store.write_file(CHECKPOINT_FILE, snapshot.to_bytes())
-            store.write_file(PRIVATE_FILE, canonical_json(self._private_doc(peer)))
             store.truncate_log(WAL_LOG)
             store.sync()
         self.stats.checkpoints += 1
@@ -435,7 +429,6 @@ class DurabilityManager:
         (they live in config/packages, not node state)."""
         peer.world = WorldState()
         peer.ledger = BlockStore()
-        peer.private = PrivateStateStore(org=peer.org, registry=peer.collections)
         if getattr(peer, "index", None) is not None:
             peer.index = peer.index.fresh()
         peer.online = True
@@ -447,7 +440,6 @@ class DurabilityManager:
         if raw is not None:
             snapshot = Snapshot.from_bytes(raw)
             bootstrap_peer(peer, snapshot)  # digest-verified adoption
-            self._restore_private(peer, store)
             self._rebuild_index(peer)
             ckpt_height = snapshot.height
         if peer.sanitizer is not None:
@@ -506,7 +498,6 @@ class DurabilityManager:
                 f"refusing unverifiable state-transfer snapshot: {diverged[0].detail}"
             )
         adopt_snapshot(peer, snapshot)  # resets partial replay state, verifies digest
-        self._adopt_private(peer, at_head)
         self._rebuild_index(peer)
         if peer.sanitizer is not None:
             peer.sanitizer.note_recovery(peer.name, peer.ledger.height)
@@ -530,37 +521,6 @@ class DurabilityManager:
         return sync_peer(peer, best, self.channel.rejected_by_block)
 
     @staticmethod
-    def _private_doc(peer) -> dict:
-        doc: dict[str, list] = {}
-        for collection, store in sorted(peer.private._stores.items()):
-            entries = []
-            for key in store.keys():
-                value = store.get(key)
-                if value is None:
-                    continue
-                version = store.get_version(key)
-                entries.append([key, value.hex(), version.block, version.tx])
-            doc[collection] = entries
-        return doc
-
-    def _restore_private(self, peer, store: DurableStore) -> None:
-        raw = store.read_file(PRIVATE_FILE)
-        if raw is None:
-            return
-        for collection, entries in from_canonical_json(raw).items():
-            if not peer.private.has_collection(collection):
-                continue
-            target = peer.private.store_for(collection)
-            for key, value, block, tx in entries:
-                target.apply_write(
-                    key,
-                    bytes.fromhex(value),
-                    Version(block=int(block), tx=int(tx)),
-                    tx_id="checkpoint-restore",
-                    timestamp=0.0,
-                )
-
-    @staticmethod
     def _rebuild_index(peer) -> None:
         """Rebuild the peer's index from the snapshot it just adopted.
 
@@ -577,24 +537,3 @@ class DurabilityManager:
             peer.index.trusted_threshold,
             peer.index.min_threshold,
         )
-
-    def _adopt_private(self, peer, donors) -> None:
-        """Private collections can only come from a same-org donor (snapshots
-        cover public state; non-members never hold the plaintext)."""
-        for donor in donors:
-            if donor.org != peer.org:
-                continue
-            for collection, store in sorted(donor.private._stores.items()):
-                target = peer.private.store_for(collection)
-                for key in store.keys():
-                    value = store.get(key)
-                    if value is None:
-                        continue
-                    target.apply_write(
-                        key,
-                        value,
-                        store.get_version(key),
-                        tx_id="state-transfer",
-                        timestamp=0.0,
-                    )
-            return

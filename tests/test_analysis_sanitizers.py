@@ -197,10 +197,7 @@ class TestLedgerSanitizer:
         for i in range(3):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
         source = next(iter(channel.peers.values()))
-        fresh = Peer(
-            "late-joiner", source.identity, net.msp_registry,
-            collections=channel.collections,
-        )
+        fresh = Peer("late-joiner", source.identity, net.msp_registry)
         bootstrap_peer(fresh, take_snapshot(source, channel.name))
         channel.join_peer(fresh)  # installs chaincodes
         channel.invoke(client, "kv", "put", ["late", "v"])

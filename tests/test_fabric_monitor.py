@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.fabric.monitor import (
-    ChannelMonitor,
-    Histogram,
-    MetricsRegistry,
-    channel_summary,
-)
+from repro.fabric.monitor import ChannelMonitor
+from repro.obs.explorer import LedgerExplorer
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 from tests.fabric_helpers import make_network
 
@@ -100,7 +97,7 @@ class TestChannelSummary:
     def test_summary_shape(self):
         net, channel, alice = make_network(peers_per_org=2)
         channel.invoke(alice, "kv", "put", ["k", "v"])
-        summary = channel_summary(channel)
+        summary = LedgerExplorer(channel).summary()
         assert summary["channel"] == "traffic"
         assert summary["height"] == 1
         assert summary["orgs"] == ["org1", "org2"]
@@ -116,6 +113,6 @@ class TestChannelSummary:
         lagging = list(channel.peers.values())[-1]
         lagging.online = False
         channel.invoke(alice, "kv", "put", ["k", "v"])
-        summary = channel_summary(channel)
+        summary = LedgerExplorer(channel).summary()
         assert summary["peers"][lagging.name]["online"] is False
         assert summary["peers"][lagging.name]["height"] == 0

@@ -166,10 +166,7 @@ class TestSnapshotRoundtrip:
         source = next(iter(channel.peers.values()))
         snap = take_snapshot(source, channel.name)
 
-        fresh = Peer(
-            "late-joiner", source.identity, net.msp_registry,
-            collections=channel.collections,
-        )
+        fresh = Peer("late-joiner", source.identity, net.msp_registry)
         bootstrap_peer(fresh, snap)
         channel.join_peer(fresh)  # installs chaincodes
 
@@ -241,10 +238,7 @@ class TestSnapshotRoundtrip:
         net, channel, alice = self.make_populated()
         source = next(iter(channel.peers.values()))
         snap = take_snapshot(source, channel.name)
-        fresh = Peer(
-            "mvcc-check", source.identity, net.msp_registry,
-            collections=channel.collections,
-        )
+        fresh = Peer("mvcc-check", source.identity, net.msp_registry)
         bootstrap_peer(fresh, snap)
         channel.join_peer(fresh)
         # increment reads key-0's version; it must match on both peers.

@@ -699,12 +699,12 @@ def _assert_matches_survivors(framework, peer):
 class TestDurability:
     def test_checkpoints_write_no_index_file(self):
         """The index is derived state: a checkpoint writes the world
-        snapshot and the private sidecar, nothing else."""
+        snapshot, nothing else."""
         framework = _durable_framework()
         manager = framework.durability
         assert manager.stats.checkpoints >= 2 * len(framework.channel.peers)
         for name in framework.channel.peers:
-            assert manager.stores[name].files() == ["checkpoint", "private"], name
+            assert manager.stores[name].files() == ["checkpoint"], name
 
     def test_wal_replay_restores_index(self):
         framework = _durable_framework()

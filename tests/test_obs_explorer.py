@@ -70,12 +70,23 @@ class TestBrowsing:
         assert [b["number"] for b in explorer.blocks(start=2, limit=2)] == [2, 3]
 
     def test_summary_matches_monitor_shim(self, deployment):
-        from repro.fabric.monitor import channel_summary
+        from repro.fabric.monitor import ChannelMonitor
 
         framework, client = deployment
-        _submit(client)
         explorer = LedgerExplorer(framework.channel)
-        assert explorer.summary() == channel_summary(framework.channel)
+        before = explorer.summary()["tx_by_code"]
+        monitor = ChannelMonitor(framework.channel)
+        _submit(client)
+        summary = explorer.summary()
+        metrics = monitor.metrics.snapshot()
+        assert summary["height"] == metrics["gauges"]["chain_height"]
+        assert {
+            code: n - before.get(code, 0) for code, n in summary["tx_by_code"].items()
+        } == {
+            key.split('"')[1].upper(): int(n)
+            for key, n in metrics["counters"].items()
+            if key.startswith("txs_total")
+        }
 
     def test_no_online_peer_is_an_error(self, deployment):
         framework, client = deployment

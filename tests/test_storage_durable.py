@@ -3,6 +3,7 @@ torn writes, injected media faults, atomic files, and exact round-trips."""
 
 import pytest
 
+from repro.crypto.merkle import merkle_root
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage import CORRUPT, TRUNCATE, DurableStore
 from repro.storage.codec import (
@@ -149,3 +150,22 @@ class TestCodecRoundTrip:
         assert rebuilt.header == block.header
         assert tuple(rebuilt.validation_codes) == tuple(block.validation_codes)
         assert canonical_json(block_to_doc(rebuilt)) == canonical_json(doc)
+
+    def test_tx_doc_carries_only_the_envelope_fields(self):
+        """A WAL tx doc is the envelope's content and nothing beside it; a
+        multi-tx block decodes to the same envelopes and data hash."""
+        net, channel, alice = make_network(max_batch_size=3)
+        for i in range(3):
+            channel.invoke_async(alice, "kv", "put", [f"k{i}", f"v{i}"])
+        channel.flush()
+        peer = next(iter(channel.peers.values()))
+        block = peer.ledger.block(peer.ledger.height - 1)
+        assert len(block.transactions) == 3
+        for tx in block.transactions:
+            doc = tx_to_doc(tx)
+            assert set(doc) == {"proposal", "rwset", "response", "endorsements", "events"}
+            assert "transient" not in doc["proposal"]
+        rebuilt = block_from_doc(block_to_doc(block))
+        envelopes = [tx.envelope_bytes() for tx in rebuilt.transactions]
+        assert envelopes == [tx.envelope_bytes() for tx in block.transactions]
+        assert merkle_root(envelopes).hex() == rebuilt.header.data_hash == block.header.data_hash
