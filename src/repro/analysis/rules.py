@@ -107,8 +107,9 @@ _RULES = (
          "from its world state at the same height",
          "runtime"),
     Rule("SAN309", ERROR, "indexed query answers diverge from scan answers",
-         "a world-state route (authenticated index or state scan) and the "
-         "chaincode full scan returned different answers for the same query",
+         "a world-state route (authenticated index, state scan or point "
+         "read) and the chaincode read (full scan or get_data) returned "
+         "different answers for the same query",
          "runtime"),
     # -- flow rules: whole-program interprocedural analysis ----------------
     Rule("FLOW501", ERROR, "wall-clock value flows into a consensus-critical sink",

@@ -192,9 +192,9 @@ class Sanitizer:
     # -- query parity (called by repro.query.executor) ----------------------
 
     def check_query_parity(self, description: str, indexed: list, scanned: list) -> None:
-        """SAN309: a world-state route (index or state scan, ``indexed``) and
-        the chaincode full scan (``scanned``) must return byte-identical
-        answers for the same query."""
+        """SAN309: a world-state route (index, state scan or point read,
+        ``indexed``) and the chaincode read (full scan or ``get_data``,
+        ``scanned``) must return byte-identical answers for the same query."""
         if "index" not in self.modes:
             return
         from repro.util.serialization import canonical_json
@@ -204,8 +204,8 @@ class Sanitizer:
             found.append(
                 Finding.for_rule(
                     "SAN309", "query", 0, 0,
-                    f"indexed answer ({len(indexed)} rows) diverges from "
-                    f"scan answer ({len(scanned)} rows) for {description}",
+                    f"world-state answer ({len(indexed)} rows) diverges from "
+                    f"the chaincode answer ({len(scanned)} rows) for {description}",
                 )
             )
         with self._mutex:

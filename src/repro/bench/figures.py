@@ -192,9 +192,10 @@ def fig6_retrieval_times(
     sizes=DEFAULT_SIZES, repeats: int = 3, seed: int = 1, framework: Framework | None = None
 ) -> list[HybridTiming]:
     """Retrieve files of each size by bare CID from IPFS, and through the
-    full retrieval path (metadata from the ledger + IPFS fetch + hash
-    verification). Reads never touch consensus — the paper's no-gas-cost
-    observation — so the overhead stays near-constant."""
+    full retrieval path (the record from a peer's world state + IPFS fetch
+    + one hash check against ``data_hash``). Reads never touch consensus —
+    the paper's no-gas-cost observation — and both paths hash each byte
+    once, so the overhead stays near-constant."""
     framework = framework or _storage_framework()
     client = Client(framework, framework.register_source("bench-ret", tier=SourceTier.TRUSTED))
     out = []

@@ -232,9 +232,12 @@ class Client:
     ) -> RetrievalResult:
         """Fetch a record's metadata from the chain and its bytes from IPFS.
 
-        The on-chain ACL (access_control chaincode) is consulted first:
-        restricted entries are only served to allowed orgs, and denials are
-        written to the immutable access log. A served read queues its
+        The on-chain ACL (access_control chaincode) is consulted first, the
+        read's one signed proposal: restricted entries are only served to
+        allowed orgs, and denials are written to the immutable access log.
+        The record then comes from a peer's world state
+        (:meth:`QueryEngine.get`); ``RetrievalResult.record`` is that shared
+        read-only record, so copy it before changing it. A served read queues its
         ``accessed`` provenance event; neither write cuts a block of its
         own — both ride the next ordering round.
 

@@ -65,9 +65,10 @@ class IpfsNode:
                 self.pins.pin(result.cid, recursive=True)
             return result
 
-    def cat_local(self, cid: CID) -> bytes:
-        """Read a file using only local blocks (raises if any is missing)."""
-        return self.unixfs.read_file(cid)
+    def cat_local(self, cid: CID, verify_leaves: bool = True) -> bytes:
+        """Read a file using only local blocks (raises if any is missing);
+        ``verify_leaves`` as in :meth:`UnixFS.read_file`."""
+        return self.unixfs.read_file(cid, verify_leaves)
 
     def has_local(self, cid: CID) -> bool:
         return self.blockstore.has(cid)
@@ -95,24 +96,32 @@ class IpfsNode:
         if not self.blockstore.has(cid):
             self.bitswap.want(cid, providers, on_transfer=on_transfer)
 
-    def cat(self, cid: CID, providers: list[str] | None = None, on_transfer=None) -> bytes:
+    def cat(
+        self,
+        cid: CID,
+        providers: list[str] | None = None,
+        on_transfer=None,
+        verify_leaves: bool = True,
+    ) -> bytes:
         """Read a file, fetching any missing blocks from ``providers``.
 
         Traverses the DAG top-down: interior nodes are fetched first, then
-        their children, so only the blocks of *this* file move.
+        their children, so only the blocks of *this* file move. A fetched
+        block is checked in bitswap either way; ``verify_leaves`` is as in
+        :meth:`UnixFS.read_file`.
         """
         providers = providers or []
         with obs_span("ipfs.node.cat") as sp:
             sp.set_attr("peer", self.peer_id)
             try:
-                data = self.cat_local(cid)
+                data = self.cat_local(cid, verify_leaves)
                 sp.set_attr("remote", False)
                 return data
             except BlockNotFoundError:
                 pass
             sp.set_attr("remote", True)
             self._ensure_subtree(cid, providers, on_transfer)
-            return self.cat_local(cid)
+            return self.cat_local(cid, verify_leaves)
 
     def _ensure_subtree(self, cid: CID, providers: list[str], on_transfer) -> None:
         self.fetch_block(cid, providers, on_transfer)

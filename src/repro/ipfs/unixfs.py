@@ -4,7 +4,8 @@
 builds a fan-out tree of DAG nodes bottom-up (default fan-out 174, matching
 go-ipfs); a single-chunk file is stored as one raw block with no envelope,
 exactly as IPFS does. ``read_file`` walks the tree in order, verifying every
-block hash, and reassembles the bytes. ``file_size`` answers from link
+leaf hash unless its caller verifies the whole payload, and reassembles the
+bytes. ``file_size`` answers from link
 metadata without touching leaf data.
 """
 
@@ -87,24 +88,29 @@ class UnixFS:
 
     # -- read path -----------------------------------------------------------
 
-    def read_file(self, root: CID) -> bytes:
-        """Reassemble a file from its root CID, verifying every block."""
+    def read_file(self, root: CID, verify_leaves: bool = True) -> bytes:
+        """Reassemble a file from its root CID.
+
+        Every leaf is re-hashed against its CID (a rotted one raises
+        :class:`~repro.errors.DagError`) unless ``verify_leaves`` is False.
+        Pass False only when the caller checks the whole payload against a
+        digest of its own, so each byte is hashed once either way."""
         out = bytearray()
         with profiled("ipfs.read") as pf:
-            self._read_into(root, out)
+            self._read_into(root, out, verify_leaves)
             pf.add_bytes(len(out))
         return bytes(out)
 
-    def _read_into(self, cid: CID, out: bytearray) -> None:
+    def _read_into(self, cid: CID, out: bytearray, verify_leaves: bool) -> None:
         if cid.codec == CODEC_DAG_JSON:
             node = self.dag.get(cid)
             if node.data != _FILE_NODE_DATA:
                 raise DagError(f"{cid} is not a UnixFS file node")
             for link in node.links:
-                self._read_into(link.cid, out)
+                self._read_into(link.cid, out, verify_leaves)
         else:
             block = self.blockstore.get(cid)
-            if not cid.verifies(block.data):  # pragma: no cover - store verifies
+            if verify_leaves and not cid.verifies(block.data):
                 raise DagError(f"leaf block {cid} failed verification")
             out.extend(block.data)
 

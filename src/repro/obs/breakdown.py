@@ -66,6 +66,7 @@ STAGE_LABELS = {
     "query.plan": "plan",
     "query.get": "query route",
     "query.chain_read": "on-chain read",
+    "query.state_read": "on-chain read",
     "fabric.query": "on-chain read",
     "query.fetch": "off-chain fetch",
     "ipfs.cat": "off-chain fetch",

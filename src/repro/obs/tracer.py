@@ -93,8 +93,12 @@ class Tracer:
         return Span(name, self, attrs, remote_parent=remote_parent)
 
     def _enter(self, span: Span) -> None:
+        # A span's interval covers its own enter/exit bookkeeping, so that
+        # cost is billed to the span's stage, not to its parent's self time
+        # (which, for a root, is the breakdown's unattributed remainder).
+        span.start_s = self.clock()
         parent = _current_span.get()
-        node = own_node(span.attrs)
+        node = own_node(span.attrs) if span.attrs else None
         if parent is not None:
             span.exec_parent_id = parent.span_id
             span.node = parent.node if node is None else node
@@ -112,10 +116,8 @@ class Tracer:
             span.parent_id = parent.span_id
             span.trace_id = parent.trace_id
         span._token = _current_span.set(span)
-        span.start_s = self.clock()
 
     def _exit(self, span: Span, exc: BaseException | None) -> None:
-        span.end_s = self.clock()
         if exc is not None:
             span.record_error(exc)
         if span._token is not None:
@@ -126,6 +128,7 @@ class Tracer:
             self.dropped += 1
             if self.registry is not None:
                 self.registry.counter("spans_dropped_total").inc()
+        span.end_s = self.clock()
         self.finished.append(span)
         self._index(span)
         if self.registry is not None:
@@ -294,7 +297,7 @@ def span(
     tracer = _GLOBAL
     if tracer is None:
         return NOOP_SPAN
-    return tracer.span(name, attrs, remote_parent=remote_parent)
+    return Span(name, tracer, attrs, remote_parent)
 
 
 def current_span() -> Span | None:

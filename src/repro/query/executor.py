@@ -2,13 +2,20 @@
 
 Figure 1's retrieval flow (Ⓐ–Ⓓ): the user's query goes to the query
 processor, which routes the metadata part to the *blockchain query
-executor* (a chaincode read on a peer — no ordering, no consensus cost)
-and, when raw data is requested, the CID part to the *database query
-executor* (an IPFS fetch). Every fetched payload is verified against the
-on-chain record twice over — the CID must hash-match the bytes (content
-addressing) and the stored SHA-256 ``data_hash`` must match as well — the
-"verification of retrieved data against its metadata stored on the
-blockchain" the paper guarantees.
+executor* (a read of a peer's world state — no ordering, no consensus
+cost, no signed proposal) and, when raw data is requested, the CID part to
+the *database query executor* (an IPFS fetch). Every fetched payload is
+verified against the on-chain record — the "verification of retrieved data
+against its metadata stored on the blockchain" the paper guarantees — and
+each byte is hashed once for it: the stored SHA-256 ``data_hash`` must
+match the bytes, and only a read with nothing to compare against
+(``verify=False``, or a record without ``data_hash``) re-hashes every leaf
+against its CID instead. Bytes that arrive from another IPFS node are
+checked against their CID in bitswap before they are stored.
+
+:meth:`QueryEngine.get` is the point read: one world-state lookup on the
+same reference peer as the query routes below, with the chaincode's
+``get_data`` read as its fallback and its ``index``-sanitizer oracle.
 
 When the plan carries an :class:`~repro.query.planner.IndexRoute`, the
 metadata half is served from a peer's block-incremental authenticated
@@ -71,7 +78,7 @@ class QueryRow:
     ``verified`` is only True when the fetched bytes were actually checked
     against an on-chain ``data_hash`` — a record with no stored hash comes
     back ``verified=False`` even under ``verify=True``, never silently
-    passing (the CID content-address check still ran either way).
+    passing (its leaves were still checked against their CIDs).
     """
 
     record: dict
@@ -270,7 +277,7 @@ class QueryEngine:
                 fsp.set_attr("examined", examined)
             rows = _answer(matched, query)
             if from_state:
-                self._check_index_parity(query, plan, rows)
+                self._check_parity(plan.explain(), rows, lambda: self.scan(query))
             if fetch_data:  # a row that carries bytes is not the shared one
                 fetch = self.fetch_payload_verified
                 rows = [QueryRow(r.record, *fetch(r.record, verify=verify)) for r in rows]
@@ -418,16 +425,20 @@ class QueryEngine:
             sp.set_attr("rows", len(entry_ids))
         return self._load_rows(peer, entry_ids), matches
 
-    def _check_index_parity(self, query: Query, plan: Plan, rows: _Rows) -> None:
-        """SAN309: under the ``index`` sanitizer, require a byte-identical
-        final answer from :meth:`scan`. Its records are decoded afresh, so a
-        shared record a caller changed shows here too."""
+    def _check_parity(
+        self, description: str, rows: _Rows, reference: Callable[[], list[dict]]
+    ) -> None:
+        """SAN309: under the ``index`` sanitizer, require a state-route
+        answer byte-identical to ``reference()``, the chaincode's answer
+        (:meth:`scan` for a query, ``get_data`` for a point read). Its
+        records are decoded afresh, so a shared record a caller changed
+        shows here too."""
         from repro.analysis.runtime import active_sanitizer
 
         sanitizer = active_sanitizer()
         if sanitizer is None or "index" not in sanitizer.modes:
             return
-        sanitizer.check_query_parity(plan.explain(), [r.record for r in rows], self.scan(query))
+        sanitizer.check_query_parity(description, [r.record for r in rows], reference())
 
     # -- cache (callers hold _stats_lock) ----------------------------------------
 
@@ -443,16 +454,37 @@ class QueryEngine:
     # -- point lookups ---------------------------------------------------------------
 
     def get(self, entry_id: str, fetch_data: bool = False, verify: bool = True) -> QueryRow:
+        """One record by entry id, read the way :meth:`run` reads: a point
+        read of the reference peer's world state, answered with the shared
+        row (read-only, see :class:`QueryRow`). When no peer is in sync, or
+        its state has no such key, the retrieval chaincode's ``get_data``
+        answers instead, so an unknown id raises its
+        :class:`~repro.errors.ChaincodeError`."""
         with obs_span("query.get") as sp:
             sp.set_attr("entry_id", entry_id)
-            raw = self.channel.query(
-                self.identity, self.retrieval_chaincode, "get_data", [entry_id]
-            )
-            record = json.loads(raw)
-            data, verified = None, False
+            row = None
+            peer = self._index_peer(self.channel.height())
+            if peer is not None:
+                with obs_span("query.state_read"):
+                    row = next(self._load_rows(peer, (entry_id,)), None)
+            if row is None:
+                row = QueryRow(self._chain_get(entry_id))
+            else:
+                self._check_parity(
+                    f"get {entry_id!r}", [row], lambda: [self._chain_get(entry_id, peer.name)]
+                )
             if fetch_data:
-                data, verified = self.fetch_payload_verified(record, verify=verify)
-            return QueryRow(record=record, data=data, verified=verified)
+                row = QueryRow(row.record, *self.fetch_payload_verified(row.record, verify=verify))
+            return row
+
+    def _chain_get(self, entry_id: str, peer: str | None = None) -> dict:
+        """The record through the chaincode's ``get_data`` read: a signed
+        proposal, decoded afresh."""
+        return json.loads(
+            self.channel.query(
+                self.identity, self.retrieval_chaincode, "get_data", [entry_id], peer=peer
+            )
+        )
 
     # -- the off-chain executor ----------------------------------------------------------
 
@@ -473,6 +505,12 @@ class QueryEngine:
         :class:`~repro.errors.IntegrityError`. A missing *or malformed*
         ``cid`` field raises a typed :class:`~repro.errors.QueryError`
         (never a raw parse exception).
+
+        Each byte is hashed once: when the bytes will be checked against
+        ``data_hash``, the IPFS read skips its per-leaf CID re-hash (rot
+        then surfaces here, as the mismatch); otherwise every leaf is
+        checked against its CID. Bytes pulled from another node are checked
+        in bitswap either way.
         """
         with obs_span("query.fetch") as sp:
             try:
@@ -486,14 +524,14 @@ class QueryEngine:
                     f"record for entry {record.get('entry_id')!r} has a "
                     f"malformed CID: {exc}"
                 ) from exc
-            data = self.cluster.cat(cid)
+            stored_hash = record.get("data_hash") if verify else None
+            data = self.cluster.cat(cid, verify_leaves=stored_hash is None)
             sp.set_attr("bytes", len(data))
             with self._stats_lock:
                 self.stats.bytes_fetched += len(data)
             if not verify:
                 return data, False
             with obs_span("query.verify") as vsp:
-                stored_hash = record.get("data_hash")
                 if stored_hash is None:
                     # Nothing on-chain to verify against: the CID check
                     # (content addressing) ran, but the paper's metadata
