@@ -1,16 +1,14 @@
-"""Ablation: BFT ordering vs solo (CFT-free) ordering vs Raft.
+"""Ablation: BFT ordering vs solo (single-sequencer) ordering.
 
 Prices the paper's choice of BFT consensus: what does Byzantine tolerance
-cost per transaction compared to a single sequencer, and how does the
-message complexity compare to Raft's majority replication?
+cost per transaction on the full store path, compared to a single
+sequencer, and how does that cost grow with the validator count?
 """
 
 import time
 
 from repro.bench import emit, format_table
-from repro.consensus import RaftCluster
 from repro.core import Client, Framework, FrameworkConfig
-from repro.net import ConstantLatency, SimNetwork
 from repro.trust import SourceTier
 from repro.workloads.filesizes import payload
 
@@ -26,32 +24,16 @@ def _submit_n(framework, n=N_TXS):
     return (time.perf_counter() - start) / n
 
 
-def _raft_per_tx(n=N_TXS):
-    net = SimNetwork(latency=ConstantLatency(base=0.0005))
-    cluster = RaftCluster(n_nodes=5, network=net, seed=3)
-    cluster.elect()
-    start = time.perf_counter()
-    for i in range(n):
-        cluster.submit({"n": i})
-    end_time = cluster.network.clock.now() + 1.0
-    cluster.network.run(until=end_time)
-    elapsed = time.perf_counter() - start
-    assert len(cluster.committed_payloads()) == n
-    return elapsed / n
-
-
 def test_ablation_consensus_cost(benchmark):
     def run():
         solo = _submit_n(Framework(FrameworkConfig(consensus="solo")))
         bft4 = _submit_n(Framework(FrameworkConfig(consensus="bft", n_validators=4)))
         bft7 = _submit_n(Framework(FrameworkConfig(consensus="bft", n_validators=7)))
-        raft = _raft_per_tx()
-        return solo, bft4, bft7, raft
+        return solo, bft4, bft7
 
-    solo, bft4, bft7, raft = benchmark.pedantic(run, rounds=1, iterations=1)
+    solo, bft4, bft7 = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
         ["solo orderer (no consensus)", f"{solo * 1e3:.3f}", "0", "none"],
-        ["raft n=5 (CFT baseline)", f"{raft * 1e3:.3f}", "2 (minority crash)", "crash only"],
         ["pbft n=4 (paper config)", f"{bft4 * 1e3:.3f}", "1", "byzantine"],
         ["pbft n=7", f"{bft7 * 1e3:.3f}", "2", "byzantine"],
     ]

@@ -1,5 +1,5 @@
-"""Benchmark harness: timers, table rendering, and per-figure data
-generation for the paper's evaluation (Figures 2–6)."""
+"""Benchmark harness: table rendering and per-figure data generation for
+the paper's evaluation (Figures 2–6)."""
 
 from repro.bench.figures import (
     ConfidenceSeries,
@@ -18,7 +18,6 @@ from repro.bench.report import (
     results_dir,
     series_stats,
 )
-from repro.bench.timer import Timing, measure
 
 __all__ = [
     "results_dir",
@@ -34,6 +33,4 @@ __all__ = [
     "format_table",
     "human_size",
     "series_stats",
-    "Timing",
-    "measure",
 ]

@@ -1,43 +1,28 @@
-"""Consensus substrate: PBFT-style BFT (the paper's validator protocol) and
-Raft (the crash-fault-tolerant baseline for ablations)."""
+"""Consensus substrate: PBFT-style BFT, the paper's validator protocol."""
 
 from repro.consensus.bft import Behaviour, BftCluster, BftReplica, Decision
 from repro.consensus.messages import (
-    AppendEntries,
-    AppendReply,
     Checkpoint,
     ClientRequest,
     Commit,
-    LogEntry,
     NewView,
     Phase,
     Prepare,
     PrePrepare,
-    RequestVote,
     ViewChange,
-    VoteReply,
 )
-from repro.consensus.raft import RaftCluster, RaftNode, Role
 
 __all__ = [
     "Behaviour",
     "BftCluster",
     "BftReplica",
     "Decision",
-    "AppendEntries",
-    "AppendReply",
     "Checkpoint",
     "ClientRequest",
     "Commit",
-    "LogEntry",
     "NewView",
     "Phase",
     "Prepare",
     "PrePrepare",
-    "RequestVote",
     "ViewChange",
-    "VoteReply",
-    "RaftCluster",
-    "RaftNode",
-    "Role",
 ]

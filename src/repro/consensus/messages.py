@@ -1,4 +1,4 @@
-"""Wire messages for the consensus protocols (PBFT and Raft)."""
+"""Wire messages for the PBFT consensus protocol."""
 
 from __future__ import annotations
 
@@ -102,59 +102,3 @@ class ViewChange:
 class NewView:
     new_view: int
     primary: str
-
-
-# ---------------------------------------------------------------------------
-# Raft
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RequestVote:
-    term: int
-    candidate: str
-    last_log_index: int
-    last_log_term: int
-
-
-@dataclass(frozen=True)
-class VoteReply:
-    term: int
-    voter: str
-    granted: bool
-
-
-@dataclass(frozen=True)
-class LogEntry:
-    term: int
-    payload: Any
-
-
-@dataclass(frozen=True)
-class AppendEntries:
-    term: int
-    leader: str
-    prev_log_index: int
-    prev_log_term: int
-    entries: tuple[LogEntry, ...]
-    leader_commit: int
-
-
-@dataclass(frozen=True)
-class AppendReply:
-    term: int
-    follower: str
-    success: bool
-    match_index: int
-
-
-@dataclass(frozen=True)
-class InstallSnapshot:
-    """Raft log compaction: ships the committed prefix to a follower whose
-    next needed entry was already compacted away on the leader."""
-
-    term: int
-    leader: str
-    last_included_index: int
-    last_included_term: int
-    payloads: tuple[Any, ...]  # the committed prefix, in order

@@ -227,16 +227,6 @@ class CircuitOpenError(ResilienceError):
         self.retry_after_s = retry_after_s
 
 
-class FailoverExhaustedError(ResilienceError):
-    """Every candidate target of a failover group failed."""
-
-    def __init__(self, op: str, attempts: tuple = ()) -> None:
-        detail = "; ".join(f"{a.target}: {a.error}" for a in attempts) or "no candidates"
-        super().__init__(f"failover for {op!r} exhausted: {detail}")
-        self.op = op
-        self.attempts = tuple(attempts)
-
-
 # ---------------------------------------------------------------------------
 # Observability
 # ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@
 The layer that makes the storage/retrieval pipeline survivable: retries
 with exponential backoff and *deterministic* jitter (seeded streams, never
 wall-clock entropy), per-dependency circuit breakers with the standard
-closed/open/half-open machine, deadline budgets, and ordered failover
-reads. Every recovery action is metered into the shared
-:mod:`repro.obs` registry (``retries_total``, ``circuit_state``,
-``failover_attempts_total``, ...) so fault → recovery causality shows up
-in traces and ``repro metrics`` output.
+closed/open/half-open machine, and deadline budgets. Every recovery
+action is metered into the shared :mod:`repro.obs` registry
+(``retries_total``, ``circuit_state``, ``ipfs_failover_total``, ...) so
+fault → recovery causality shows up in traces and ``repro metrics`` output.
 
 Integration points live where failures actually bite:
 :meth:`repro.ipfs.cluster.IpfsCluster.cat` fails over across providers and
@@ -17,15 +16,12 @@ writes through :meth:`~repro.core.framework.Framework.resilient_invoke`.
 """
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.failover import FailoverAttempt, try_each
 from repro.resilience.hub import ResilienceHub
 from repro.resilience.retry import Budget, RetryPolicy, retry
 
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
-    "FailoverAttempt",
-    "try_each",
     "ResilienceHub",
     "Budget",
     "RetryPolicy",

@@ -2,22 +2,12 @@
 cross-validation against trusted records, peer endorsements, and validator
 pool accountability (paper §III-A)."""
 
-from repro.trust.anomaly import (
-    AnomalyDetector,
-    AnomalyReport,
-    ConsensusResult,
-    MultiSourceConsensus,
-)
 from repro.trust.crossval import CrossValidator, Observation, endorsement_score
 from repro.trust.engine import AdmissionDecision, SourceTier, TrustEngine
 from repro.trust.score import HistoricalReliability, TrustScore, TrustWeights
 from repro.trust.validator_pool import ValidatorPool, ValidatorRecord
 
 __all__ = [
-    "AnomalyDetector",
-    "AnomalyReport",
-    "ConsensusResult",
-    "MultiSourceConsensus",
     "CrossValidator",
     "Observation",
     "endorsement_score",

@@ -1,10 +1,8 @@
 """Tests for the figure-regeneration harness (small parameterizations)."""
 
 import numpy as np
-import pytest
 
 from repro.bench import (
-    Timing,
     fig2_sample_record,
     fig3_confidence,
     fig4_extraction_scatter,
@@ -12,20 +10,7 @@ from repro.bench import (
     fig6_retrieval_times,
     format_table,
     human_size,
-    measure,
 )
-
-
-class TestTimer:
-    def test_measure_collects_samples(self):
-        timing = measure(lambda: sum(range(1000)), repeat=3, warmup=1)
-        assert len(timing.samples) == 3
-        assert timing.mean > 0
-        assert timing.minimum <= timing.median <= timing.mean + timing.std + 1e-9
-
-    def test_invalid_repeat(self):
-        with pytest.raises(ValueError):
-            measure(lambda: None, repeat=0)
 
 
 class TestReport:

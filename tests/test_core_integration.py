@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.core import Client, Framework, FrameworkConfig
-from repro.errors import TrustError, UntrustedSourceError
+from repro.errors import FabricError, TrustError, UntrustedSourceError
 from repro.fabric import ValidationCode
 from repro.trust import SourceTier
 from repro.vision import SceneGenerator, SimulatedYolo, StaticCamera
@@ -172,6 +172,12 @@ class TestFrameworkShape:
     def test_solo_mode_has_no_validators(self):
         framework = Framework(FrameworkConfig(consensus="solo"))
         assert framework.consensus_votes("whatever") == {}
+
+    def test_unknown_consensus_is_refused_not_replaced(self):
+        # Only "solo" and "bft" order transactions; any other name must stop
+        # the build rather than quietly fall back to one of them.
+        with pytest.raises(FabricError, match="'raft'"):
+            Framework(FrameworkConfig(consensus="raft"))
 
     def test_all_chaincodes_installed(self, bft_framework):
         peer = next(iter(bft_framework.channel.peers.values()))

@@ -1,5 +1,5 @@
-"""Resilience primitives: retry/backoff, circuit breaker, failover, and
-their integration into the framework's submit path."""
+"""Resilience primitives: retry/backoff and circuit breaker, and their
+integration into the framework's submit path."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.errors import (
     ChaincodeNotFoundError,
     CircuitOpenError,
     FabricError,
-    FailoverExhaustedError,
     IdentityError,
     MVCCConflictError,
     RetryExhaustedError,
@@ -20,7 +19,6 @@ from repro.resilience import (
     ResilienceHub,
     RetryPolicy,
     retry,
-    try_each,
 )
 from repro.trust import SourceTier
 
@@ -206,43 +204,6 @@ class TestCircuitBreaker:
         assert counters['circuit_transitions_total{dep="dep",to="open"}'] == 1.0
         assert counters['circuit_transitions_total{dep="dep",to="half_open"}'] == 1.0
         assert counters['circuit_transitions_total{dep="dep",to="closed"}'] == 1.0
-
-
-class TestFailover:
-    def test_first_healthy_target_wins(self):
-        result, attempts = try_each([1, 2, 3], lambda t: t * 10, op="t")
-        assert result == 10
-        assert attempts == []
-
-    def test_collects_attempt_trail_before_success(self):
-        def fn(target):
-            if target != "c":
-                raise FabricError(f"{target} down")
-            return "served"
-
-        result, attempts = try_each(["a", "b", "c"], fn, op="t")
-        assert result == "served"
-        assert [a.target for a in attempts] == ["a", "b"]
-        assert all(a.kind == "FabricError" for a in attempts)
-
-    def test_exhaustion_carries_every_attempt(self):
-        def fn(target):
-            raise FabricError("down")
-
-        with pytest.raises(FailoverExhaustedError) as exc_info:
-            try_each(["a", "b"], fn, op="t")
-        assert len(exc_info.value.attempts) == 2
-
-    def test_programming_errors_do_not_fail_over(self):
-        calls = []
-
-        def fn(target):
-            calls.append(target)
-            raise TypeError("bug")
-
-        with pytest.raises(TypeError):
-            try_each(["a", "b"], fn, op="t")
-        assert calls == ["a"]
 
 
 class TestHub:
