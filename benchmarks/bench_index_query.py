@@ -245,7 +245,6 @@ def _parity_round() -> dict:
         channel=framework.channel,
         cluster=framework.ipfs,
         identity=identities["par-cam-1"],
-        cache_enabled=False,
     )
     stats = engine.stats
     parity_queries = 0

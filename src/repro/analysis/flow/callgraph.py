@@ -110,11 +110,6 @@ class Program:
     def function(self, qualname: str) -> FunctionInfo | None:
         return self.functions.get(qualname)
 
-    def callers_of(self, qualname: str) -> list[str]:
-        return sorted(
-            caller for caller, outs in self.edges.items() if qualname in outs
-        )
-
     def resolve_method(self, class_qualname: str, method: str) -> str | None:
         """Look up *method* on a class, walking declared bases."""
         seen: set[str] = set()

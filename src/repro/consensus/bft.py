@@ -708,14 +708,6 @@ class BftCluster:
 
     # -- inspection ------------------------------------------------------------------
 
-    def honest_replicas(self) -> list[BftReplica]:
-        return [
-            r
-            for r in self.replicas.values()
-            if r.behaviour in (Behaviour.NORMAL, Behaviour.ALWAYS_VALID, Behaviour.ALWAYS_INVALID)
-            and self.network.is_up(r.name)
-        ]
-
     def decided_log(self) -> list[Decision]:
         """The agreed log, taken from any honest NORMAL replica with the
         longest log (all honest logs must be prefix-consistent)."""

@@ -133,12 +133,6 @@ class EndorsementError(FabricError):
         super().__init__(message)
         self.attempts: tuple[EndorsementAttempt, ...] = tuple(attempts)
 
-    def attempted_orgs(self) -> list[str]:
-        return sorted({a.org for a in self.attempts})
-
-    def attempted_peers(self) -> list[str]:
-        return [a.peer for a in self.attempts if a.peer]
-
 
 class ChaincodeError(FabricError):
     """A chaincode invocation raised or returned an application error."""
@@ -171,14 +165,6 @@ class OrderingError(FabricError):
 
 class ConsensusError(ReproError):
     """Base class for consensus-protocol failures."""
-
-
-class QuorumNotReachedError(ConsensusError):
-    """Fewer than the required quorum of validators agreed."""
-
-
-class ViewChangeError(ConsensusError):
-    """View change could not complete (too many faulty replicas)."""
 
 
 # ---------------------------------------------------------------------------

@@ -106,27 +106,6 @@ class ChaincodeStub:
                 self._reads[key] = ReadEntry(key=key, version=self._world.get_version(key))
         return out
 
-    def get_query_result(
-        self, selector_json: str, start: str = "", end: str = "", limit: int | None = None
-    ) -> list[tuple[str, dict]]:
-        """CouchDB-style rich query over the (JSON-valued) state.
-
-        Scans ``[start, end)`` (whole state by default) and returns
-        (key, document) pairs matching the selector. Observed keys join
-        the read set through the underlying range scan, like any state
-        read.
-        """
-        import json as _json
-
-        from repro.fabric.richquery import select
-
-        try:
-            selector = _json.loads(selector_json)
-        except _json.JSONDecodeError as exc:
-            raise ChaincodeError(f"selector is not valid JSON: {exc}") from exc
-        rows = self.get_state_by_range(start, end)
-        return select(rows, selector, limit=limit)
-
     # -- composite keys ------------------------------------------------------------
 
     def create_composite_key(self, object_type: str, attributes: list[str]) -> str:

@@ -129,11 +129,6 @@ class WorldState:
             HistoryEntry(tx_id=tx_id, version=version, value=value, timestamp=timestamp)
         )
 
-    # -- snapshots (endorsement simulation) ------------------------------------------
-
-    def snapshot_versions(self, keys: list[str]) -> dict[str, Version | None]:
-        return {k: self._versions.get(k) for k in keys}
-
     # -- snapshot lines (checkpoints, state digest) -----------------------------------
 
     def _line(self, key: str) -> bytes:

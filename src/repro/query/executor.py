@@ -70,10 +70,10 @@ class QueryRow:
     """One result: the on-chain record, optionally joined with raw bytes.
 
     A metadata-only row is **shared and read-only**, ``record`` included:
-    every answer, every cached result and every later query that returns
-    the same entry hand out the one row the engine keeps for it. Copy the
-    record before changing it (under the ``index`` sanitizer SAN309
-    reports a mutated record on the next query that returns it).
+    every answer, and every later query that returns the same entry, hands
+    out the one row the engine keeps for it. Copy the record before
+    changing it (under the ``index`` sanitizer SAN309 reports a mutated
+    record on the next query that returns it).
 
     ``verified`` is only True when the fetched bytes were actually checked
     against an on-chain ``data_hash`` — a record with no stored hash comes
@@ -102,6 +102,7 @@ class QueryStats:
     records_decoded: int = 0  # JSON decodes on the state routes (a reuse is none)
     bytes_fetched: int = 0
     integrity_checks: int = 0
+    # Always 0 (there is no result cache); read by name by the e2e harness.
     cache_hits: int = 0
     cache_evictions: int = 0
     index_hits: int = 0     # queries answered from the authenticated index
@@ -193,20 +194,13 @@ class QueryEngine:
     identity: Identity
     retrieval_chaincode: str = "data_retrieval"
     stats: QueryStats = field(default_factory=QueryStats)
-    # Metadata-only results cached per query text, valid while the chain
-    # height is unchanged (any new block may contain new matching records).
-    cache_enabled: bool = True
-    # The cache is bounded: at most this many distinct query texts, FIFO
-    # eviction (deterministic — dict preserves insertion order).
-    cache_max_entries: int = 256
-    _cache: dict[str, tuple[int, list["QueryRow"]]] = field(default_factory=dict)
     # data: key -> (the value object world state handed out, the row of its
     # decoded form). An entry is good only while the peer being read still
     # returns that same object, so a rewritten or deleted key, a recovered
     # peer and a fail-over to another peer all miss and refill untold.
     _records: dict[str, tuple[bytes, QueryRow]] = field(default_factory=dict, repr=False)
     # Callers may drive one engine from several threads; the lock keeps the
-    # stats counters exact and guards _cache / _records.
+    # stats counters exact and guards _records.
     _stats_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # -- planning -------------------------------------------------------------
@@ -226,14 +220,9 @@ class QueryEngine:
     ) -> list[QueryRow]:
         """Execute a query; optionally join raw IPFS data per row.
 
-        Metadata-only results (``fetch_data=False``) are cached per query
-        text while the chain height is unchanged — reads are the hot path
-        of the paper's retrieval story, and an unchanged chain cannot
-        change their answer. The cache entry is keyed on the chain height
-        observed *before* execution: a block committed mid-query makes the
-        stored snapshot stale against the new height, so the next run
-        re-executes instead of serving pre-commit rows as fresh. The cache
-        holds at most ``cache_max_entries`` query texts (FIFO eviction).
+        Every run plans and executes afresh, so a repeated text sees each
+        block committed since, and under the ``index`` sanitizer every
+        state-route answer is checked against :meth:`scan` (SAN309).
 
         With ``fetch_data=True`` the per-row IPFS payloads are fetched and
         verified one after another, in row order.
@@ -242,26 +231,12 @@ class QueryEngine:
             if isinstance(query, str):
                 sp.set_attr("query", query[:80])
             sp.set_attr("fetch_data", fetch_data)
-            # Snapshot the height first: the result set reflects the chain
-            # as of *at most* this height, and the cache must not claim
-            # freshness beyond it.
-            height_snapshot = self.channel.height()
-            cache_key = None
-            if self.cache_enabled and not fetch_data and isinstance(query, str):
-                cache_key = query
-                with self._stats_lock:
-                    cached = self._cache.get(cache_key)
-                    if cached is not None and cached[0] == height_snapshot:
-                        self.stats.cache_hits += 1
-                        self.stats.queries += 1
-                        sp.set_attr("cache_hit", True)
-                        return list(cached[1])
             with obs_span("query.plan"):
                 if isinstance(query, str):
                     query = parse_query(query)
                 plan = plan_query(query)
             route = plan.index_route
-            state = self._execute_state(plan, height_snapshot)
+            state = self._execute_state(plan, self.channel.height())
             from_state = state is not None
             used_index = from_state and route is not None
             if route is not None:
@@ -290,8 +265,6 @@ class QueryEngine:
                         self.stats.index_hits += 1
                     else:
                         self.stats.index_misses += 1
-                if cache_key is not None:
-                    self._cache_store(cache_key, height_snapshot, rows)
             sp.set_attr("rows", len(rows))
             sp.set_attr("index_route", used_index)
             return rows
@@ -352,7 +325,7 @@ class QueryEngine:
     def scan(self, query: Query | str) -> list[dict]:
         """The reference answer: the chaincode's ``list_all`` full scan,
         filtered by the residual, then ``ORDER BY`` / ``LIMIT`` / ``SELECT``.
-        No index, no peer state, no cache and no stats; every record is
+        No index, no peer state and no stats; every record is
         decoded afresh."""
         if isinstance(query, str):
             query = parse_query(query)
@@ -439,17 +412,6 @@ class QueryEngine:
         if sanitizer is None or "index" not in sanitizer.modes:
             return
         sanitizer.check_query_parity(description, [r.record for r in rows], reference())
-
-    # -- cache (callers hold _stats_lock) ----------------------------------------
-
-    def _cache_store(self, key: str, height: int, rows: list[QueryRow]) -> None:
-        if key not in self._cache:
-            while len(self._cache) >= max(1, self.cache_max_entries):
-                oldest = next(iter(self._cache))
-                del self._cache[oldest]
-                self.stats.cache_evictions += 1
-                get_registry().counter("query_cache_evictions_total").inc()
-        self._cache[key] = (height, list(rows))
 
     # -- point lookups ---------------------------------------------------------------
 

@@ -203,7 +203,6 @@ class TestExecutorRouting:
         framework = make_framework()
         client, _ = populate(framework, n=5)
         engine = client.engine
-        engine.cache_enabled = False
         for text in (
             "source_id = 'idx-cam'",
             "vehicle_class = 'truck'",
@@ -217,7 +216,6 @@ class TestExecutorRouting:
         framework = make_framework()
         client, _ = populate(framework, n=3)
         engine = client.engine
-        engine.cache_enabled = False
         engine.run("source_id = 'idx-cam'")
         assert engine.stats.index_hits == 1
         engine.scan("source_id = 'idx-cam'")
@@ -228,7 +226,6 @@ class TestExecutorRouting:
         framework = make_framework()
         client, receipts = populate(framework, n=3)
         engine = client.engine
-        engine.cache_enabled = False
         for peer in framework.channel.peers.values():
             peer.index = None
         rows = engine.run("source_id = 'idx-cam'")
@@ -241,7 +238,6 @@ class TestExecutorRouting:
         framework = make_framework(peers_per_org=2)
         client, receipts = populate(framework, n=3)
         engine = client.engine
-        engine.cache_enabled = False
         text = "source_id = 'idx-cam'"
         before = [r.record for r in engine.run(text)]
         peer0, peer1 = (framework.channel.peers[n] for n in ("peer0.org1", "peer1.org1"))
@@ -267,7 +263,6 @@ class TestExecutorRouting:
         )
         client, receipts = populate(framework, n=6)
         engine = client.engine
-        engine.cache_enabled = False
         text = "vehicle_class = 'truck'"
         before = engine.run(text)
         reference = framework.channel.indexing.reference_peer()
@@ -825,7 +820,6 @@ class TestSanitizerMode:
         framework = make_framework(sanitize="index")
         try:
             client, _ = populate(framework, n=3)
-            client.engine.cache_enabled = False
             client.engine.run("source_id = 'idx-cam'")
             report = framework.sanitizer.finalize()
         finally:
@@ -852,21 +846,25 @@ class TestSanitizerMode:
 
     def test_a_caller_changing_a_shared_record_is_flagged(self):
         """``QueryRow.record`` is read-only; SAN309's fresh chaincode decode
-        is what notices a caller who wrote to one."""
-        framework = make_framework(sanitize="index")
-        try:
-            client, _ = populate(framework, n=3)
-            rows = client.engine.run("source_id = 'idx-cam'")
-            assert framework.sanitizer.report().ok
-            rows[0].record["cid"] = "bafy-scribbled"
-            again = client.engine.run("metadata.camera_id = 'idx-cam'")
-            assert again[0].record is rows[0].record
-            report = framework.sanitizer.finalize()
-        finally:
-            import repro.analysis.runtime as runtime
+        is what notices a caller who wrote to one — also when the repeat is
+        the same text at the same height."""
+        for repeat in ("metadata.camera_id = 'idx-cam'", "source_id = 'idx-cam'"):
+            framework = make_framework(sanitize="index")
+            try:
+                client, _ = populate(framework, n=3)
+                rows = client.engine.run("source_id = 'idx-cam'")
+                before = framework.sanitizer.report()
+                assert before.ok
+                rows[0].record["cid"] = "bafy-scribbled"
+                again = client.engine.run(repeat)
+                assert again[0].record is rows[0].record
+                report = framework.sanitizer.finalize()
+            finally:
+                import repro.analysis.runtime as runtime
 
-            runtime._ACTIVE = None
-        assert [f.rule_id for f in report.findings] == ["SAN309"]
+                runtime._ACTIVE = None
+            assert report.checks["index"] == before.checks["index"] + 1, repeat
+            assert [f.rule_id for f in report.findings] == ["SAN309"], repeat
 
     def test_divergent_index_is_flagged(self):
         framework = make_framework(sanitize="index")

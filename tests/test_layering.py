@@ -11,9 +11,15 @@ Every module under ``repro`` has a caller outside ``tests/``: another
 re-exports a module is not a caller; whoever imports the re-exported name
 from the package is. ``repro.__main__`` is run by ``python -m repro``, never
 imported, so it needs no caller.
+
+Within a module, every public top-level function and class is named
+somewhere besides its own definition: in ``src/``, ``tests/``,
+``benchmarks/`` or ``examples/``.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -107,3 +113,25 @@ def test_every_module_has_a_caller_outside_its_tests():
                 name = name.rsplit(".", 1)[0]
             called.add(name)
     assert sorted(modules - called - ORPHANS_ALLOWED.keys()) == []
+
+
+def test_every_public_top_level_name_is_named_elsewhere():
+    """A public top-level function or class (no leading underscore, so
+    dunders are exempt) whose name appears nowhere but at its definition
+    has no caller, no test and no reader: it goes."""
+    words = Counter()
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in (REPO / top).rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                text = path.read_text(encoding="utf-8", errors="replace")
+                words.update(re.findall(r"\w+", text))
+    definitions = Counter()
+    sites = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    definitions[node.name] += 1
+                    sites[node.name] = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+    unnamed = [sites[name] for name, n in definitions.items() if words[name] <= n]
+    assert sorted(unnamed) == []

@@ -241,7 +241,6 @@ class TestExecution:
     def test_index_path_scans_fewer_rows_than_full(self, populated):
         _, cam, _ = populated
         engine = cam.engine
-        engine.cache_enabled = False  # measure real scans, not cache hits
         start = engine.stats.rows_scanned
         engine.run("source_id = 'mob-B'")
         indexed_scan = engine.stats.rows_scanned - start
@@ -280,7 +279,6 @@ def _bulk_framework(**overrides):
     framework = Framework(FrameworkConfig(**config))
     client = Client(framework, framework.register_source("bulk", tier=SourceTier.TRUSTED))
     _store_bulk(framework.channel, client.identity)
-    client.engine.cache_enabled = False
     return framework, client
 
 
@@ -375,7 +373,7 @@ class TestDecodeOnce:
         framework, client = bulk
         engine = executor.QueryEngine(
             channel=framework.channel, cluster=framework.ipfs,
-            identity=client.identity, cache_enabled=False,
+            identity=client.identity,
         )
         monkeypatch.setattr(executor, "_MAX_DECODED_RECORDS", 8)
         rows = engine.run("")
@@ -447,9 +445,7 @@ def bare(bulk):
     channel.install_chaincode(DataRetrievalChaincode())
     identity = net.register_identity("bulk", "org1", role=Role.CLIENT)
     _store_bulk(channel, identity)
-    return QueryEngine(
-        channel=channel, cluster=bulk[0].ipfs, identity=identity, cache_enabled=False
-    )
+    return QueryEngine(channel=channel, cluster=bulk[0].ipfs, identity=identity)
 
 
 class TestRoutesAgree:
@@ -534,7 +530,6 @@ def windowed():
             [f"bafy-win-{i}", "0" * 64, canonical_json(meta).decode()],
         )
     framework.channel.flush()
-    client.engine.cache_enabled = False
     return framework, client.engine
 
 
