@@ -7,18 +7,16 @@ every invocation stands up a fresh network — there is no daemon):
 * ``ingest``               — batch-ingest synthetic traffic videos, print throughput
 * ``figure {2,3,4,5,6}``   — regenerate one of the paper's evaluation figures
 * ``query "<text>"``       — run a query against a freshly populated demo set
-* ``chaos``                — run a seeded fault-injection scenario (``chaos list`` to enumerate)
+* ``chaos``                — run a seeded fault-injection scenario (``chaos list`` to
+  enumerate); ``--alerts`` gates the alert lifecycle, ``--sanitize`` the runtime sanitizers
 * ``lint``                 — run the reprolint static analyzer (determinism + hygiene rules)
 * ``flowcheck``            — run the interprocedural flow analyzer (nondeterminism taint)
-* ``sanitize-run``         — run a chaos scenario with the runtime sanitizers enabled
 * ``metrics``              — run a traced demo, print the metrics (Prometheus/JSON)
-* ``trace``                — run a traced demo, print the span tree + Fig. 5/6 breakdown
-* ``critpath``             — cross-node critical path of a committed tx (stage/node/msg)
-* ``prof``                 — cost-center profile of a chaos scenario (or the traced demo)
+* ``prof``                 — run a chaos scenario (or the traced demo) and explain it:
+  cost centers, the Fig. 5/6 stage breakdown, ``--tx``'s critical path, ``--out`` trace
 * ``bench-diff``           — gate fresh BENCH results against the checked-in baseline
 * ``explorer``             — browse the ledger: blocks, txs, provenance, trust, audit
 * ``health``               — component health + SLIs for a live deployment
-* ``top``                  — live dashboard over a running chaos scenario
 * ``info``                 — version and default configuration
 """
 
@@ -79,26 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exposition format (default: prometheus text)",
     )
 
-    trace = sub.add_parser(
-        "trace", help="run a traced store+retrieve demo and print the span tree"
-    )
-    trace.add_argument("--items", type=int, default=1, help="items to store+retrieve")
-    trace.add_argument("--out", default=None, metavar="FILE",
-                       help="also write the Chrome trace_event JSON (one process row "
-                            "per node; chrome://tracing)")
-    trace.add_argument("--breakdown", action="store_true",
-                       help="print the per-stage Fig. 5/6 latency decomposition")
-
-    crit = sub.add_parser(
-        "critpath",
-        help="critical path of a committed tx across client/peers/orderer/validators",
-    )
-    crit.add_argument("tx_id", help="tx id (prefix ok), or 'latest' for the most recent")
-    crit.add_argument("--items", type=int, default=1, help="items to store+retrieve first")
-    crit.add_argument("--json", action="store_true", dest="as_json")
-    crit.add_argument("--out", default=None, metavar="FILE",
-                      help="write the tx's Chrome trace (one process row per node)")
-
     prof = sub.add_parser(
         "prof",
         help="run a workload under the cost-center profiler and print the profile",
@@ -115,13 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="cost-center rows to print (default 20)")
     prof.add_argument("--json", action="store_true", dest="as_json",
                       help="print the profile (centers/coverage) as JSON")
-    prof.add_argument("--collapsed", default=None, metavar="FILE",
-                      help="write collapsed stacks (flamegraph.pl input)")
+    prof.add_argument("--tx", default=None, metavar="ID",
+                      help="also print this committed tx's cross-node critical path "
+                           "(tx id prefix, or 'latest'); limits --out to its trace")
     prof.add_argument("--out", default=None, metavar="FILE",
                       help="write the run's Chrome trace_event JSON (one process row "
                            "per node)")
-    prof.add_argument("--emit", default=None, metavar="NAME",
-                      help="emit a BENCH_<NAME>.json profile envelope for bench-diff")
     prof.add_argument("--min-coverage", type=float, default=None, metavar="FRAC",
                       help="fail (exit 1) unless cost centers explain at least FRAC "
                            "of fabric.invoke wall time")
@@ -191,20 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     flowcheck.add_argument("--callgraph-out", default=None, metavar="FILE",
                            help="also dump the resolved call graph as JSON to FILE")
 
-    sanitize = sub.add_parser(
-        "sanitize-run",
-        help="run a chaos scenario with the runtime sanitizers on and report findings",
-    )
-    sanitize.add_argument("scenario", nargs="?", default="standard",
-                          help="scenario name (see `repro chaos list`)")
-    sanitize.add_argument("--seed", type=int, default=0)
-    sanitize.add_argument("--cycles", type=int, default=None,
-                          help="override the scenario's cycle count")
-    sanitize.add_argument("--sanitize", default="all", metavar="MODES",
-                          help="modes to enable (default: all)")
-    sanitize.add_argument("--json", action="store_true", dest="as_json",
-                          help="print the combined summary as JSON (for CI)")
-
     explorer = sub.add_parser(
         "explorer", help="browse a demo ledger: blocks, txs, provenance, trust, audit"
     )
@@ -222,15 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument("--items", type=int, default=3, help="items to store first")
     health.add_argument("--json", action="store_true", dest="as_json")
-
-    top = sub.add_parser(
-        "top", help="live health/alert dashboard over a running chaos scenario"
-    )
-    top.add_argument("--scenario", default="standard")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--cycles", type=int, default=None)
-    top.add_argument("--plain", action="store_true",
-                     help="one status line per cycle instead of redrawing the screen")
 
     sub.add_parser("info", help="version and defaults")
     return parser
@@ -398,20 +352,13 @@ def _cmd_inspect_bundle(path: str) -> int:
     return 0
 
 
-def _traced_demo(n_items: int):
-    """Store + retrieve ``n_items`` under an active tracer and registry.
-
-    Returns ``(tracer, registry)`` after the run; the tracer is left
-    installed so the caller can export spans, and must be disabled by
-    the caller.
-    """
-    from repro import obs
+def _traced_demo(n_items: int, registry) -> None:
+    """Store + retrieve ``n_items`` under the installed tracer, reporting
+    the channel and validator metrics to ``registry``."""
     from repro.core import Client, Framework, FrameworkConfig
     from repro.fabric.monitor import ChannelMonitor
     from repro.trust import SourceTier
 
-    registry = obs.MetricsRegistry()
-    obs.enable(registry=registry)
     framework = Framework(FrameworkConfig())
     ChannelMonitor(framework.channel, registry)
     framework.validator_pool.registry = registry
@@ -425,14 +372,15 @@ def _traced_demo(n_items: int):
              "detections": [{"vehicle_class": "car", "confidence": 0.9}]},
         )
         client.retrieve(receipt.entry_id)
-    return obs.get_tracer(), registry
 
 
 def _cmd_metrics(args) -> int:
     from repro import obs
 
-    tracer, registry = _traced_demo(args.items)
+    registry = obs.MetricsRegistry()
+    obs.enable(registry=registry)
     try:
+        _traced_demo(args.items, registry)
         if args.format == "json":
             print(obs.metrics_json(registry, indent=2))
         else:
@@ -442,104 +390,60 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro import obs
-
-    tracer, _registry = _traced_demo(args.items)
-    try:
-        for line in tracer.tree_lines():
-            print(line)
-        if args.breakdown:
-            print()
-            print(obs.render_breakdown(obs.pipeline_breakdown(tracer)))
-        if args.out:
-            obs.write_chrome_trace(args.out, tracer)
-            print(f"\nchrome trace: {args.out} "
-                  f"({len(tracer.finished)} spans, one process row per node; "
-                  f"open in chrome://tracing)")
-    finally:
-        obs.disable()
-    return 0
-
-
-def _cmd_critpath(args) -> int:
-    from repro import obs
-    from repro.errors import ObservabilityError
-    from repro.obs.critpath import critical_path
-
-    tracer, _registry = _traced_demo(args.items)
-    try:
-        try:
-            crit = critical_path(tracer, args.tx_id)
-        except ObservabilityError as exc:
-            print(f"repro critpath: {exc}", file=sys.stderr)
-            return 2
-        if args.as_json:
-            print(json.dumps(crit.to_dict(), indent=2, sort_keys=True))
-        else:
-            for line in crit.render_lines():
-                print(line)
-        if args.out:
-            obs.write_chrome_trace(args.out, tracer, trace_id=crit.trace_id)
-            print(f"\nchrome trace (node = process row): {args.out}")
-    finally:
-        obs.disable()
-    return 0
-
-
 def _cmd_prof(args) -> int:
+    """Exit codes: 0 ok, 1 coverage below ``--min-coverage``, 2 unknown
+    scenario or tx."""
     from repro import obs
+    from repro.chaos import get_scenario
+    from repro.errors import ObservabilityError, ReproError
+    from repro.obs.critpath import critical_path
 
     registry = obs.MetricsRegistry()
     obs.set_registry(registry)
     profiler = obs.enable_profiler()
+    tracer = obs.enable(registry=registry)
     try:
         if args.target == "demo":
-            tracer, _registry = _traced_demo(args.items)
+            _traced_demo(args.items, registry)
         else:
-            from repro.chaos import get_scenario
-            from repro.errors import ReproError
-
-            tracer = obs.enable(registry=registry)
             try:
                 scenario = get_scenario(args.target, seed=args.seed, n_cycles=args.cycles)
             except ReproError as exc:
                 print(f"repro prof: {exc}", file=sys.stderr)
                 return 2
             scenario.run()
+        crit = None
+        if args.tx is not None:
+            try:
+                crit = critical_path(tracer, args.tx)
+            except ObservabilityError as exc:
+                print(f"repro prof: {exc}", file=sys.stderr)
+                return 2
         report = profiler.report()
         coverage = obs.invoke_coverage(tracer, profiler)
         if args.as_json:
             doc = report.to_dict()
             doc["invoke_coverage"] = coverage
+            if crit is not None:
+                doc["critical_path"] = crit.to_dict()
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             for line in report.render_lines(args.top):
                 print(line)
             print()
+            print(obs.render_breakdown(obs.pipeline_breakdown(tracer, profiler)))
+            if crit is not None:
+                print()
+                for line in crit.render_lines():
+                    print(line)
+            print()
             print(f"fabric.invoke coverage: {coverage * 100:.1f}% of wall time "
                   f"attributed to cost centers")
             print(f"fingerprint           : {report.fingerprint}")
-        if args.collapsed:
-            obs.write_collapsed(args.collapsed, profiler)
-            print(f"collapsed stacks      : {args.collapsed} (flamegraph.pl input)")
         if args.out:
-            obs.write_chrome_trace(args.out, tracer)
+            trace_id = crit.trace_id if crit is not None else None
+            obs.write_chrome_trace(args.out, tracer, trace_id=trace_id)
             print(f"chrome trace          : {args.out} (one process row per node)")
-        if args.emit:
-            from repro.bench.report import emit_json
-
-            path = emit_json(
-                args.emit,
-                report.series(),
-                meta={
-                    "target": args.target,
-                    "fingerprint": report.fingerprint,
-                    "invoke_coverage": coverage,
-                },
-                seed=args.seed,
-            )
-            print(f"profile envelope      : {path}")
         if args.min_coverage is not None and coverage < args.min_coverage:
             print(
                 f"repro prof: coverage {coverage:.3f} below required "
@@ -596,19 +500,18 @@ def _cmd_chaos(args) -> int:
     registry = MetricsRegistry()
     set_registry(registry)
     scenario = get_scenario(args.scenario, seed=args.seed, n_cycles=args.cycles)
-    sanitize_spec = getattr(args, "sanitize", "")
-    if sanitize_spec:
+    if args.sanitize:
         import dataclasses
 
         from repro.analysis.runtime import parse_modes
         from repro.errors import AnalysisError
 
         try:
-            parse_modes(sanitize_spec)  # fail fast on a bad spec
+            parse_modes(args.sanitize)  # fail fast on a bad spec
         except AnalysisError as exc:
             print(f"repro chaos: {exc}", file=sys.stderr)
             return 2
-        scenario.config = dataclasses.replace(scenario.config, sanitize=sanitize_spec)
+        scenario.config = dataclasses.replace(scenario.config, sanitize=args.sanitize)
     probe = None
     if args.alerts:
         probe = ChaosAlertProbe(registry=registry)
@@ -616,7 +519,7 @@ def _cmd_chaos(args) -> int:
     report = scenario.run()
     summary = report.summary()
     sanitize_ok = True
-    if sanitize_spec:
+    if args.sanitize:
         from repro.analysis.runtime import active_sanitizer
 
         sanitizer = active_sanitizer()
@@ -755,42 +658,19 @@ def _cmd_flowcheck(args) -> int:
     return 1 if new else 0
 
 
-def _cmd_sanitize_run(args) -> int:
-    import dataclasses
-
-    from repro.analysis.runtime import active_sanitizer, parse_modes
-    from repro.chaos import get_scenario
-    from repro.errors import AnalysisError
-    from repro.obs.metrics import MetricsRegistry, set_registry
+def _block_number(text: str) -> int:
+    from repro.errors import ReproError
 
     try:
-        parse_modes(args.sanitize)
-    except AnalysisError as exc:
-        print(f"repro sanitize-run: {exc}", file=sys.stderr)
-        return 2
-    set_registry(MetricsRegistry())
-    scenario = get_scenario(args.scenario, seed=args.seed, n_cycles=args.cycles)
-    scenario.config = dataclasses.replace(scenario.config, sanitize=args.sanitize)
-    report = scenario.run()
-    sanitizer = active_sanitizer()
-    san_report = sanitizer.finalize() if sanitizer is not None else None
-    if args.as_json:
-        summary = report.summary()
-        summary["sanitizers"] = san_report.to_dict() if san_report else None
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(f"scenario   : {args.scenario} (seed {args.seed}), "
-              f"data loss {report.data_loss}")
-        if san_report is not None:
-            for line in san_report.render().splitlines():
-                print(line)
-        else:
-            print("sanitizers : none enabled")
-    ok = report.data_loss == 0 and (san_report is None or san_report.ok)
-    return 0 if ok else 1
+        return int(text)
+    except ValueError:
+        raise ReproError(f"block number must be an integer, got {text!r}") from None
 
 
 def _cmd_explorer(args) -> int:
+    """Exit codes: 0 ok, 1 audit failed, 2 bad block number or unknown
+    block / tx."""
+    from repro.errors import ReproError
     from repro.obs.explorer import LedgerExplorer
 
     client, n_items = _demo_client(args.videos)
@@ -823,14 +703,19 @@ def _cmd_explorer(args) -> int:
                             for t in b["transactions"])
             print(f"block {b['number']:>3}  {b['hash'][:16]}…  {b['tx_count']} txs: {txs}")
         return 0
-    if args.what == "block":
-        emit(explorer.block_view(int(args.arg or 0)))
-        return 0
-    if args.what == "tx":
-        if not args.arg:
-            print("usage: repro explorer tx <tx_id>", file=sys.stderr)
+    if args.what == "tx" and not args.arg:
+        print("usage: repro explorer tx <tx_id>", file=sys.stderr)
+        return 2
+    if args.what in ("block", "tx"):
+        try:
+            if args.what == "block":
+                view = explorer.block_view(_block_number(args.arg or "0"))
+            else:
+                view = explorer.tx_view(args.arg)
+        except ReproError as exc:
+            print(f"repro explorer: {exc}", file=sys.stderr)
             return 2
-        emit(explorer.tx_view(args.arg))
+        emit(view)
         return 0
     if args.what == "provenance":
         entry_ids = [args.arg] if args.arg else explorer.entry_ids()
@@ -903,53 +788,6 @@ def _cmd_health(args) -> int:
     return 0 if report.healthy else 1
 
 
-def _cmd_top(args) -> int:
-    from repro.chaos import get_scenario
-    from repro.obs.alerts import AlertEngine, ChaosAlertProbe
-    from repro.obs.metrics import MetricsRegistry, set_registry
-
-    registry = MetricsRegistry()
-    set_registry(registry)
-    scenario = get_scenario(args.scenario, seed=args.seed, n_cycles=args.cycles)
-    probe = ChaosAlertProbe(registry=registry)
-    n_cycles = scenario.n_cycles
-
-    def draw(cycle: int, framework, manager) -> None:
-        probe(cycle, framework, manager)
-        report = probe.reports[-1]
-        engine: AlertEngine = probe.engine
-        if args.plain:
-            active = ",".join(engine.active()) or "-"
-            print(f"cycle {cycle:>3}/{n_cycles}  {report.status.label.upper():<9} "
-                  f"alerts: {active}")
-            return
-        lines = [
-            f"repro top — scenario {scenario.name} (seed {scenario.seed})  "
-            f"cycle {cycle + 1}/{n_cycles}",
-            "",
-            *report.render_lines(),
-            "",
-            f"alerts firing: {', '.join(engine.active()) or 'none'}",
-            "recent transitions:",
-            *[f"  {line}" for line in engine.render_lines()[-8:]],
-        ]
-        sys.stdout.write("\x1b[H\x1b[2J" + "\n".join(lines) + "\n")
-        sys.stdout.flush()
-
-    scenario.on_cycle = draw
-    report = scenario.run()
-    ok, problems = probe.verify(args.scenario)
-    print()
-    print(f"run complete: {report.summary()['submitted_ok']}/{n_cycles} cycles "
-          f"submitted, data loss {report.data_loss}")
-    print("alert log:")
-    for line in probe.engine.render_lines() if probe.engine else []:
-        print(f"  {line}")
-    for problem in problems:
-        print(f"  !! {problem}")
-    return 0 if report.data_loss == 0 else 1
-
-
 def _cmd_info() -> int:
     from repro.core import FrameworkConfig
 
@@ -977,10 +815,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_inspect_bundle(args.path)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "critpath":
-        return _cmd_critpath(args)
     if args.command == "prof":
         return _cmd_prof(args)
     if args.command == "bench-diff":
@@ -991,14 +825,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_lint(args)
     if args.command == "flowcheck":
         return _cmd_flowcheck(args)
-    if args.command == "sanitize-run":
-        return _cmd_sanitize_run(args)
     if args.command == "explorer":
         return _cmd_explorer(args)
     if args.command == "health":
         return _cmd_health(args)
-    if args.command == "top":
-        return _cmd_top(args)
     if args.command == "info":
         return _cmd_info()
     return 2  # pragma: no cover - argparse enforces choices

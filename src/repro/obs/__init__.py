@@ -23,10 +23,10 @@ Explorer, built in:
   :func:`invoke_coverage` is the same sum over ``fabric.invoke``.
 * **Profiler** (:mod:`repro.obs.prof`): deterministic cost-center profiler
   — :func:`profiled` frames over crypto/serialization/consensus/IPFS hot
-  paths with exact inclusive/exclusive time and bytes, collapsed-stack
-  export, and a seeded-run :meth:`Profiler.fingerprint`. Opt-in via
-  :func:`enable_profiler` / scoped :func:`profiling`; disabled,
-  :func:`profiled` returns a shared no-op probe (zero allocation).
+  paths with exact inclusive/exclusive time and bytes, and a seeded-run
+  :meth:`Profiler.fingerprint`. Opt-in via :func:`enable_profiler` /
+  scoped :func:`profiling`; disabled, :func:`profiled` returns a shared
+  no-op probe (zero allocation).
 * **Critical path** (:mod:`repro.obs.critpath`): with trace contexts
   propagated across :mod:`repro.net` messages, :func:`critical_path`
   extracts the longest dependency chain of a committed tx across client,
@@ -57,7 +57,6 @@ Quickstart::
 
     tracer = obs.enable(registry=obs.get_registry())
     ...  # run any Framework/Client workload
-    print("\\n".join(tracer.tree_lines()))
     print(obs.render_breakdown(obs.pipeline_breakdown(tracer)))
     obs.write_chrome_trace("trace.json", tracer)
     print(obs.render_prometheus())
@@ -90,14 +89,12 @@ from repro.obs.prof import (
     CenterStat,
     ProfileReport,
     Profiler,
-    collapsed_stacks,
     disable_profiler,
     enable_profiler,
     get_profiler,
     profiled,
     profiling,
     set_profiler,
-    write_collapsed,
 )
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
 from repro.obs.tracer import (
@@ -211,14 +208,12 @@ __all__ = [
     "CenterStat",
     "ProfileReport",
     "Profiler",
-    "collapsed_stacks",
     "disable_profiler",
     "enable_profiler",
     "get_profiler",
     "profiled",
     "profiling",
     "set_profiler",
-    "write_collapsed",
     "NOOP_SPAN",
     "NoopSpan",
     "Span",

@@ -183,7 +183,7 @@ class AlertEngine:
 
 
 def standard_rules() -> list[AlertRule]:
-    """The default rule set ``repro health``/``repro top``/CI all use.
+    """The default rule set ``repro health`` and ``repro chaos run --alerts`` use.
 
     Every signal referenced here is deterministic under a seeded chaos run
     (component statuses and counter-ratio SLIs only — never wall-clock
@@ -284,8 +284,8 @@ class ChaosAlertProbe:
     evaluation per cycle.
 
     Built lazily on the first cycle (the scenario constructs its framework
-    inside ``run()``), then exposes the monitor, engine, and full report
-    stream for assertions after the run.
+    inside ``run()``), then exposes the monitor and engine for assertions
+    after the run.
     """
 
     def __init__(
@@ -299,7 +299,6 @@ class ChaosAlertProbe:
         self.window = window
         self.monitor: HealthMonitor | None = None
         self.engine: AlertEngine | None = None
-        self.reports: list[HealthReport] = []
 
     def __call__(self, cycle: int, framework, manager) -> None:
         if self.monitor is None:
@@ -310,9 +309,7 @@ class ChaosAlertProbe:
                 window=self.window,
             )
             self.engine = AlertEngine(self.rules, registry=self.registry)
-        report = self.monitor.check()
-        self.reports.append(report)
-        self.engine.evaluate(report)
+        self.engine.evaluate(self.monitor.check())
 
     # -- post-run verdict --------------------------------------------------------
 

@@ -3,11 +3,13 @@
 The paper reports storage time (Fig. 5) and retrieval time (Fig. 6) broken
 into IPFS work versus blockchain overhead. :func:`pipeline_breakdown`
 reproduces that decomposition from *real* spans of a traced run: every
-``client.submit`` root becomes a storage sample and every
-``client.retrieve`` / ``query.run`` root a retrieval sample, and each
-sample's wall time is attributed stage by stage using **exclusive** span
-times (a span's duration minus its children's), so nested instrumentation
-never double-counts and the stage totals sum back to the measured
+outermost ``client.submit`` span becomes a storage sample and every
+outermost ``client.retrieve`` / ``query.run`` span a retrieval sample
+(outermost: a root, or under spans such as ``chaos.scenario`` that belong
+to no pipeline), and each sample's wall time is attributed stage by
+stage using **exclusive** span times (a span's duration minus its
+children's), so nested instrumentation never double-counts and the stage
+totals sum back to the measured
 end-to-end wall time, minus only genuinely uninstrumented gaps — and those
 gaps are no longer silent: any wall time the stages don't explain shows up
 as an explicit ``other`` row rather than only depressing the coverage
@@ -29,7 +31,7 @@ from typing import Callable
 from repro.obs.span import Span
 from repro.obs.tracer import Tracer, get_tracer
 
-# Root span name -> which pipeline the sample belongs to.
+# Sample span name -> which pipeline the sample belongs to.
 ROOTS = {
     "client.submit": "storage",
     "ingest.batch": "storage",
@@ -119,8 +121,8 @@ class StageTime:
 @dataclass(frozen=True)
 class PipelineBreakdown:
     pipeline: str            # "storage" | "retrieval"
-    samples: int             # number of root spans aggregated
-    wall_s: float            # summed end-to-end wall time of those roots
+    samples: int             # number of sample spans aggregated
+    wall_s: float            # summed end-to-end wall time of those samples
     stages: tuple[StageTime, ...]
 
     @property
@@ -185,6 +187,19 @@ def centers_under(
             cacc[1] += seconds
 
 
+def _samples(tracer: Tracer) -> list[Span]:
+    """The outermost spans named in :data:`ROOTS`, in start order."""
+    found: list[Span] = []
+    frontier = tracer.roots()
+    while frontier:
+        span = frontier.pop()
+        if span.name in ROOTS:
+            found.append(span)
+        else:
+            frontier.extend(tracer.children(span))
+    return sorted(found, key=lambda s: s.start_s)
+
+
 def invoke_coverage(
     tracer: Tracer | None, profiler=None, root_name: str = "fabric.invoke"
 ) -> float:
@@ -213,7 +228,7 @@ def pipeline_breakdown(
     """Aggregate a traced run into per-stage storage/retrieval breakdowns.
 
     Returns ``{"storage": ..., "retrieval": ...}`` (keys present only when
-    the trace contains such roots). When a cost-center profiler is active
+    the trace contains such samples). When a cost-center profiler is active
     (or passed explicitly), every stage also carries the cost centers
     recorded inside its spans, and residuals surface as ``other`` rows at
     both the stage and the pipeline level.
@@ -227,9 +242,9 @@ def pipeline_breakdown(
     centers_acc: dict[str, dict[str, dict[str, list]]] = {}
     wall: dict[str, float] = {}
     samples: dict[str, int] = {}
-    for root in tracer.roots():
-        pipeline = ROOTS.get(root.name)
-        if pipeline is None or not root.finished:
+    for root in _samples(tracer):
+        pipeline = ROOTS[root.name]
+        if not root.finished:
             continue
         wall[pipeline] = wall.get(pipeline, 0.0) + root.duration_s
         samples[pipeline] = samples.get(pipeline, 0) + 1

@@ -18,7 +18,7 @@ blockchain overhead dominating Fig. 5) needs: not "consensus is slow" but
 A segment's node is its span's :attr:`~repro.obs.span.Span.node`, the
 value the profiler charges frames to and the Chrome trace
 (:func:`repro.obs.export.chrome_trace`, one process row per node) lays out
-by. ``repro critpath <txid>`` in the CLI drives the analysis and, with
+by. ``repro prof --tx <txid>`` in the CLI prints the analysis and, with
 ``--out``, writes that trace for the transaction.
 """
 

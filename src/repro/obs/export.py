@@ -10,8 +10,8 @@ Three formats, one per audience:
   ``trace_event`` format, so a stored/retrieved item's journey through
   endorse → order → validate → commit → IPFS renders node by node in
   ``chrome://tracing`` or https://ui.perfetto.dev. It is the one trace
-  writer: ``repro trace``, ``repro critpath`` and ``repro prof`` all write
-  it with ``--out``.
+  writer: ``repro prof --out`` writes it, limited to one transaction's
+  trace with ``--tx``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Deterministic cost-center profiler for the hot path.
 
-``pipeline_breakdown()`` and ``repro critpath`` attribute wall time to
+``pipeline_breakdown()`` and ``critical_path()`` attribute wall time to
 *stages* (spans) and nodes; this module attributes it to *cost centers* —
 ``crypto.sign``, ``serialize.canonical_json``, ``consensus.order`` — below
 the span level, so "the fixed overhead is dominated by signing/serialization"
@@ -64,8 +64,6 @@ __all__ = [
     "get_profiler",
     "set_profiler",
     "profiling",
-    "collapsed_stacks",
-    "write_collapsed",
 ]
 
 # The innermost open frame in this execution context (mirrors the
@@ -100,14 +98,13 @@ _NOOP = _NoopProbe()
 class _Frame:
     """One live ``profiled(...)`` region; records itself on exit."""
 
-    __slots__ = ("center", "n_bytes", "path", "child_s", "start_s", "_profiler", "_token")
+    __slots__ = ("center", "n_bytes", "child_s", "start_s", "_profiler", "_token")
 
     def __init__(self, profiler: "Profiler", center: str, n_bytes: int) -> None:
         self._profiler = profiler
         self.center = center
         self.n_bytes = n_bytes
         self.child_s = 0.0
-        self.path: tuple[str, ...] = ()
         self.start_s = 0.0
         self._token = None
 
@@ -116,8 +113,6 @@ class _Frame:
         return self
 
     def __enter__(self) -> "_Frame":
-        parent = _current_frame.get()
-        self.path = parent.path + (self.center,) if parent is not None else (self.center,)
         self._token = _current_frame.set(self)
         self.start_s = self._profiler.clock()
         return self
@@ -132,7 +127,7 @@ class _Frame:
         exclusive = inclusive - self.child_s
         if exclusive < 0.0:
             exclusive = 0.0
-        profiler._record(self.center, self.path, inclusive, exclusive, self.n_bytes)
+        profiler._record(self.center, inclusive, exclusive, self.n_bytes)
         return False
 
 
@@ -231,8 +226,6 @@ class Profiler:
         self._mutex = threading.Lock()
         # (node, center) -> [calls, inclusive_s, exclusive_s, n_bytes]
         self._centers: dict[tuple[str, str], list] = {}
-        # (node, path) -> [calls, exclusive_s] — the cost-center tree.
-        self._paths: dict[tuple[str, tuple[str, ...]], list] = {}
         # span_id -> center -> [calls, exclusive_s]
         self._span_centers: dict[str, dict[str, list]] = {}
 
@@ -241,7 +234,6 @@ class Profiler:
     def _record(
         self,
         center: str,
-        path: tuple[str, ...],
         inclusive_s: float,
         exclusive_s: float,
         n_bytes: int,
@@ -259,9 +251,6 @@ class Profiler:
             acc[1] += inclusive_s
             acc[2] += exclusive_s
             acc[3] += n_bytes
-            pacc = self._paths.setdefault((node, path), [0, 0.0])
-            pacc[0] += 1
-            pacc[1] += exclusive_s
             if span_id is not None:
                 sacc = self._span_centers.setdefault(span_id, {}).setdefault(
                     center, [0, 0.0]
@@ -277,10 +266,6 @@ class Profiler:
                 CenterStat(node, center, acc[0], acc[1], acc[2], acc[3])
                 for (node, center), acc in self._centers.items()
             ]
-
-    def path_stats(self) -> dict[tuple[str, tuple[str, ...]], tuple[int, float]]:
-        with self._mutex:
-            return {key: (acc[0], acc[1]) for key, acc in self._paths.items()}
 
     def span_center_seconds(self) -> dict[str, dict[str, tuple[int, float]]]:
         """``span_id -> center -> (calls, exclusive_s)`` for breakdowns."""
@@ -366,28 +351,3 @@ def profiling(clock: Callable[[], float] = time.perf_counter) -> Iterator[Profil
     finally:
         set_profiler(previous)
 
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def collapsed_stacks(profiler: Profiler | None = None) -> list[str]:
-    """flamegraph.pl-compatible lines: ``node;center;... <microseconds>``.
-
-    Weights are exclusive time in integer microseconds, one line per
-    distinct (node, frame path); feed straight into ``flamegraph.pl``.
-    """
-    profiler = profiler if profiler is not None else _PROFILER
-    if profiler is None:
-        return []
-    lines = []
-    for (node, path), (_calls, excl_s) in sorted(profiler.path_stats().items()):
-        frames = ";".join((node,) + path)
-        lines.append(f"{frames} {max(0, round(excl_s * 1e6))}")
-    return lines
-
-
-def write_collapsed(path: str, profiler: Profiler | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(collapsed_stacks(profiler)) + "\n")

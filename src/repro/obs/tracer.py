@@ -211,39 +211,6 @@ class Tracer:
             frontier.extend(kids)
         return out
 
-    def tree(self) -> list[dict[str, Any]]:
-        """The forest of finished spans as nested dicts."""
-
-        def build(span: Span) -> dict[str, Any]:
-            node = span.to_dict()
-            node["children"] = [build(c) for c in self.children(span)]
-            return node
-
-        return [build(r) for r in sorted(self.roots(), key=lambda s: s.start_s)]
-
-    def tree_lines(self, max_attr_len: int = 40) -> list[str]:
-        """Human-readable indented rendering of the span forest."""
-        lines: list[str] = []
-
-        def walk(span: Span, depth: int) -> None:
-            attrs = ""
-            if span.attrs:
-                joined = ", ".join(f"{k}={v}" for k, v in span.attrs.items())
-                if len(joined) > max_attr_len:
-                    joined = joined[: max_attr_len - 1] + "…"
-                attrs = f"  [{joined}]"
-            flag = "" if span.status == "ok" else f"  !! {span.error}"
-            lines.append(
-                f"{'  ' * depth}{span.name:<{max(1, 30 - 2 * depth)}} "
-                f"{span.duration_s * 1e3:9.3f} ms{attrs}{flag}"
-            )
-            for child in self.children(span):
-                walk(child, depth + 1)
-
-        for root in sorted(self.roots(), key=lambda s: s.start_s):
-            walk(root, 0)
-        return lines
-
     def clear(self) -> None:
         self.finished.clear()
         self._children_ix.clear()

@@ -1,11 +1,16 @@
 """Smoke tests for the CLI."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.runtime import MODES
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestCli:
@@ -80,21 +85,31 @@ class TestCli:
         assert snap["counters"]["blocks_total"] >= 1
         assert "chain_height" in snap["gauges"]
 
-    def test_trace_tree_and_chrome_export(self, capsys, tmp_path):
-        import json
-
+    def test_prof_explains_one_tx_and_traces_only_it(self, capsys, tmp_path):
         out_file = tmp_path / "trace.json"
-        assert main(["trace", "--items", "1", "--breakdown", "--out", str(out_file)]) == 0
+        assert main(["prof", "demo", "--items", "1", "--tx", "latest",
+                     "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
-        assert "client.submit" in out
-        assert "fabric.peer.endorse" in out
+        assert "cost centers" in out
         assert "storage breakdown (Fig. 5)" in out
         assert "retrieval breakdown (Fig. 6)" in out
-        doc = json.loads(out_file.read_text())
-        assert doc["traceEvents"], "chrome trace should contain events"
+        assert "critical path" in out
+        events = json.loads(out_file.read_text())["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X"]
+        # One item stores and retrieves as two traces; --tx keeps the
+        # committed tx's, so every node row holds a single lane.
+        names = {e["name"] for e in spans}
+        assert "client.submit" in names and "client.retrieve" not in names
+        assert {e["tid"] for e in spans} == {1}
+
+    def test_prof_json_carries_the_critical_path(self, capsys):
+        assert main(["prof", "demo", "--items", "1", "--tx", "latest", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["critical_path"]["segments"]
+        assert doc["invoke_coverage"] > 0
 
     @pytest.mark.parametrize(
-        "argv", [["trace"], ["critpath", "latest"], ["prof", "demo"]]
+        "argv", [["prof", "demo"], ["prof", "demo", "--tx", "latest"]]
     )
     def test_every_out_flag_writes_the_per_node_chrome_trace(self, tmp_path, argv):
         out_file = tmp_path / "trace.json"
@@ -105,11 +120,12 @@ class TestCli:
         spans = [e for e in events if e["ph"] == "X"]
         assert spans and {e["pid"] for e in spans} == set(rows.values())
 
-    def test_trace_leaves_global_tracer_disabled(self):
-        from repro.obs import get_tracer
+    def test_prof_leaves_global_tracer_and_profiler_disabled(self):
+        from repro.obs import get_profiler, get_tracer
 
-        assert main(["trace", "--items", "1"]) == 0
+        assert main(["prof", "demo", "--items", "1"]) == 0
         assert get_tracer() is None
+        assert get_profiler() is None
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -177,6 +193,20 @@ class TestExplorerCli:
         assert lines and any(line.startswith("cam-00") for line in lines)
         assert all(" 1 updates: " in line for line in lines)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["block", "abc"], "block number must be an integer, got 'abc'"),
+            (["block", "999"], "no block 999"),
+            (["tx", "nosuch"], "transaction 'nosuch' not found"),
+        ],
+    )
+    def test_explorer_bad_lookup_is_usage_error(self, capsys, argv, message):
+        assert main(["explorer", *argv, "--videos", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro explorer: {message}")
+        assert captured.out == ""
+
 
 class TestHealthCli:
     def test_health_clean_run_is_healthy(self, capsys):
@@ -192,15 +222,6 @@ class TestHealthCli:
         assert {c["component"] for c in payload["components"]} >= {
             "fabric.peers", "ipfs.nodes", "resilience.breakers",
         }
-
-
-class TestTopCli:
-    def test_top_plain_short_run(self, capsys):
-        assert main(["top", "--plain", "--cycles", "7", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "cycle " in out
-        assert "alerts:" in out
-        assert "run complete:" in out
 
 
 class TestChaosAlertsCli:
@@ -278,16 +299,17 @@ class TestLintCli:
 
 
 class TestSanitizeRunCli:
+    """A sanitized chaos run: ``chaos run --sanitize``."""
+
     def test_short_standard_run_clean(self, capsys):
-        assert main(["sanitize-run", "standard", "--seed", "0", "--cycles", "8"]) == 0
+        assert main(["chaos", "run", "standard", "--seed", "0", "--cycles", "8",
+                     "--sanitize", "all"]) == 0
         out = capsys.readouterr().out
-        assert "data loss 0" in out
-        assert "no findings" in out
-        for mode in MODES:
-            assert mode in out
+        assert "data loss  : 0" in out
+        assert f"sanitizers : PASS ({', '.join(sorted(MODES))})" in out
 
     def test_json_output(self, capsys):
-        assert main(["sanitize-run", "standard", "--seed", "1", "--cycles", "6",
+        assert main(["chaos", "run", "standard", "--seed", "1", "--cycles", "6",
                      "--sanitize", "ledger", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["data_loss"] == 0
@@ -298,7 +320,7 @@ class TestSanitizeRunCli:
     def test_bad_mode_is_usage_error(self, capsys):
         # The retired ``locks`` mode gets no alias: it reads like any stranger.
         for stranger in ("turbo", "locks"):
-            assert main(["sanitize-run", "standard", "--sanitize", stranger]) == 2
+            assert main(["chaos", "run", "standard", "--sanitize", stranger]) == 2
             err = capsys.readouterr().err
             assert f"unknown sanitizer mode(s) ['{stranger}']" in err
             assert f"valid: {', '.join(MODES)}" in err
@@ -311,9 +333,9 @@ class TestSanitizeRunCli:
 
     def test_chaos_run_accepts_sanitize_flag(self, capsys):
         assert main(["chaos", "run", "standard", "--seed", "0", "--cycles", "8",
-                     "--sanitize", "all"]) == 0
+                     "--sanitize", "index,ledger"]) == 0
         out = capsys.readouterr().out
-        assert "sanitizers : PASS" in out
+        assert "sanitizers : PASS (index, ledger)" in out
 
 
 class TestFlowcheckCli:
@@ -413,3 +435,27 @@ class TestFlowcheckCli:
         monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
         assert main(["flowcheck"]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
+
+
+class TestDocsNameRealCommands:
+    """Every ``python -m repro <cmd>`` and ```repro <cmd>`` the docs, the
+    examples and CI spell is a subcommand the parser defines, so a deleted
+    command cannot live on in a runbook."""
+
+    SOURCES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
+               "examples/**/*.py", ".github/workflows/ci.yml")
+    COMMAND = re.compile(r"(?:python -m repro|`repro) ([a-z][a-z0-9-]*)")
+
+    def test_every_named_command_is_a_subparser(self):
+        (subparsers,) = [a for a in _build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        named = {}
+        for pattern in self.SOURCES:
+            for path in sorted(REPO.glob(pattern)):
+                for match in self.COMMAND.finditer(path.read_text(encoding="utf-8")):
+                    named.setdefault(match.group(1), set()).add(
+                        str(path.relative_to(REPO)))
+        assert {"chaos", "prof", "explorer", "metrics"} <= set(named)
+        stale = {cmd: sorted(where) for cmd, where in named.items()
+                 if cmd not in subparsers.choices}
+        assert not stale, f"docs name commands the CLI does not define: {stale}"

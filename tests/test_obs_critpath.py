@@ -143,10 +143,12 @@ class TestChromeTraceByNode:
 
 
 class TestCritpathCli:
+    """``repro prof --tx`` is the CLI of the critical path."""
+
     def test_cli_prints_attribution_table(self, capsys):
         from repro.cli import main
 
-        assert main(["critpath", "latest"]) == 0
+        assert main(["prof", "demo", "--items", "1", "--tx", "latest"]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "client" in out
@@ -154,4 +156,5 @@ class TestCritpathCli:
     def test_cli_unknown_tx_exits_2(self, capsys):
         from repro.cli import main
 
-        assert main(["critpath", "ffffffffffff"]) == 2
+        assert main(["prof", "demo", "--items", "1", "--tx", "ffffffffffff"]) == 2
+        assert "repro prof:" in capsys.readouterr().err

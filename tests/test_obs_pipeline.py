@@ -187,3 +187,16 @@ class TestBreakdown:
     def test_empty_without_tracer(self):
         obs.disable()
         assert obs.pipeline_breakdown() == {}
+
+    def test_samples_nested_under_a_chaos_run_count(self):
+        """A chaos scenario roots every cycle's submit and retrieve under
+        ``chaos.scenario``; they are still the outermost pipeline spans."""
+        from repro.chaos import get_scenario
+
+        with obs.enabled() as tracer:
+            report = get_scenario("standard", seed=0, n_cycles=4).run()
+        roots = {s.name for s in tracer.roots()}
+        assert "chaos.scenario" in roots and "client.submit" not in roots
+        breakdowns = obs.pipeline_breakdown(tracer)
+        assert breakdowns["storage"].samples == report.summary()["submitted_ok"]
+        assert breakdowns["retrieval"].samples >= 4

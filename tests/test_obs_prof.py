@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.obs import invoke_coverage
-from repro.obs.prof import _NOOP, Profiler, collapsed_stacks, profiled, profiling
+from repro.obs.prof import _NOOP, Profiler, profiled, profiling
 
 
 @pytest.fixture(autouse=True)
@@ -113,10 +113,10 @@ class TestDeterminism:
 
     def test_fingerprint_ignores_timing(self):
         p1, p2 = Profiler(), Profiler()
-        p1._record("c", ("c",), 1.0, 1.0, 0)
-        p2._record("c", ("c",), 99.0, 99.0, 0)
+        p1._record("c", 1.0, 1.0, 0)
+        p2._record("c", 99.0, 99.0, 0)
         assert p1.fingerprint() == p2.fingerprint()
-        p2._record("c", ("c",), 0.0, 0.0, 0)
+        p2._record("c", 0.0, 0.0, 0)
         assert p1.fingerprint() != p2.fingerprint()
 
 
@@ -210,15 +210,6 @@ class TestExports:
         obs.disable()
         return profiler
 
-    def test_collapsed_stacks_format(self):
-        profiler = self._small_profile()
-        lines = collapsed_stacks(profiler)
-        assert lines
-        for line in lines:
-            frames, _, weight = line.rpartition(" ")
-            assert frames and int(weight) >= 0
-        assert any(line.startswith("p0;outer;inner ") for line in lines)
-
     def test_report_series_shape(self):
         profiler = self._small_profile()
         series = profiler.report().series()
@@ -227,10 +218,6 @@ class TestExports:
         assert all(
             key.endswith("_calls") or key.endswith("_excl_s") for key in series
         )
-
-    def test_exports_empty_when_disabled(self):
-        obs.disable_profiler()
-        assert collapsed_stacks(None) == []
 
 
 class TestAttributionModel:

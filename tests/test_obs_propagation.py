@@ -201,8 +201,6 @@ class TestEvictionConsistency:
         # Walks over the retained window don't crash and stay O(retained).
         for root in tracer.roots():
             tracer.descendants(root)
-        tracer.tree()
-        tracer.tree_lines()
 
     def test_eviction_keeps_indexes_consistent(self):
         with obs.enabled(max_spans=4) as tracer:

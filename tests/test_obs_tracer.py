@@ -115,25 +115,6 @@ class TestQueries:
         assert [s.name for s in kids] == ["mid", "mid2"]
         assert {s.name for s in tracer.descendants(root)} == {"mid", "leaf", "mid2"}
 
-    def test_tree_nests_dicts(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        (tree,) = tracer.tree()
-        assert tree["name"] == "root"
-        assert tree["children"][0]["name"] == "child"
-        assert tree["children"][0]["children"] == []
-
-    def test_tree_lines_indent(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        lines = tracer.tree_lines()
-        assert lines[0].startswith("root")
-        assert lines[1].startswith("  child")
-
     def test_clear(self):
         tracer = Tracer()
         with tracer.span("x"):
