@@ -1,27 +1,25 @@
-"""repro.analysis — determinism linter, flow analyzer, runtime sanitizers.
+"""repro.analysis — the ``repro lint`` analyzer and the runtime sanitizers.
 
-Four cooperating layers keep the framework's trust story machine-checked:
+Three cooperating layers keep the framework's trust story machine-checked:
 
-* :mod:`repro.analysis.linter` — ``reprolint``, an AST analyzer with
-  determinism rules for chaincode modules (DET1xx) and repo-wide
-  concurrency/error-handling hygiene rules (HYG2xx);
-* :mod:`repro.analysis.flow` — ``repro flowcheck``, whole-program
-  interprocedural analysis: nondeterminism taint reaching
+* :mod:`repro.analysis.linter` — ``repro lint``: one parse of the tree,
+  then a local pass (repo-wide hygiene rules HYG2xx, and DET105 for
+  ``json.dumps`` in chaincode) and the :mod:`repro.analysis.flow` pass,
+  whole-program interprocedural nondeterminism taint reaching
   consensus-critical sinks (FLOW5xx) over an alias-resolved call graph;
 * :mod:`repro.analysis.runtime` (+ :mod:`divergence`, :mod:`invariants`)
   — sanitizers (SAN3xx) toggled by ``REPRO_SANITIZE``/``--sanitize`` that
   re-simulate endorsements and audit ledger invariants at every commit;
-* :mod:`repro.analysis.baseline` — the accepted-findings baselines the
+* :mod:`repro.analysis.baseline` — the accepted-findings baseline the
   ``lint-gate`` CI job diffs against.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and workflows.
 """
 
 from .baseline import diff_baseline, load_baseline, write_baseline
-from .flow import analyze_paths as flow_analyze_paths
 from .flow import build_program
 from .invariants import check_store
-from .linter import lint_file, lint_paths, lint_source
+from .linter import LintReport, lint_paths, lint_source
 from .rules import (
     RULES,
     Finding,
@@ -44,6 +42,7 @@ __all__ = [
     "RULES",
     "Finding",
     "FlowFinding",
+    "LintReport",
     "Pragmas",
     "Rule",
     "Sanitizer",
@@ -52,11 +51,9 @@ __all__ = [
     "check_store",
     "diff_baseline",
     "enabled_modes",
-    "flow_analyze_paths",
     "get_rule",
     "install_sanitizers",
     "last_report",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "load_baseline",

@@ -1,21 +1,14 @@
 """Interprocedural flow analysis: nondeterminism taint.
 
-One pass over one whole-program index (see :mod:`.callgraph`):
+The flow pass of ``repro lint`` (see :mod:`repro.analysis.linter`):
 
+* :mod:`.callgraph` — reads and parses every file once into one
+  whole-program index with an alias-resolved call graph;
 * :mod:`.taint` — FLOW501–506, nondeterminism sources reaching
-  consensus-critical sinks through any number of calls;
-* :mod:`.engine` — orchestration, pragma filtering, deterministic output.
+  consensus-critical sinks through any number of calls.
 """
 
 from .callgraph import Program, build_program
-from .engine import FlowReport, analyze_paths, analyze_program
 from .taint import analyze_taint
 
-__all__ = [
-    "Program",
-    "build_program",
-    "analyze_paths",
-    "analyze_program",
-    "analyze_taint",
-    "FlowReport",
-]
+__all__ = ["Program", "analyze_taint", "build_program"]

@@ -1,13 +1,16 @@
 """Whole-program call graph with alias-aware name resolution.
 
-The flow analyzer's taint pass sees the program through one index, built
+Both passes of ``repro lint`` see the program through one index, built
 here in two phases:
 
-1. **Index** — every module under the scan roots is parsed and its
+1. **Index** — every module under the scan roots is read and parsed once
+   (the local pass walks the same trees), and its
    imports, classes, functions, and methods are registered under
-   *qualified names* (``repro.util.clock.WallClock.now``). Relative
-   imports resolve against the module's package; ``import x as y`` and
-   ``from x import f as g`` aliases resolve exactly as in the linter.
+   *qualified names* (``repro.util.clock.WallClock.now``); each module and
+   class body is one more function, ``<owner>.<body>``. Relative imports
+   resolve against the module's package; ``import x as y`` and
+   ``from x import f as g`` aliases resolve exactly as in the linter. Two
+   files that would be one module name are an error, not a skip.
 2. **Resolve** — every call site in every function body is resolved to
    either a program function (an intra-program edge), an external dotted
    name (``time.time`` — matched against source/sink tables), or left
@@ -26,8 +29,6 @@ from pathlib import Path
 
 from repro.errors import AnalysisError
 
-from ..linter import parse_source, read_source
-
 # Method names too generic to resolve through the unique-method index even
 # when the program happens to define exactly one: these collide with
 # builtin container/stdlib APIs constantly.
@@ -44,16 +45,6 @@ class Callee:
 
     kind: str        # "func" (program function) | "external" (dotted name)
     target: str      # qualname or external dotted path
-    line: int
-    col: int
-
-
-@dataclass
-class CallSite:
-    """One ``ast.Call`` inside a function body, after resolution."""
-
-    node: ast.Call
-    callee: Callee | None          # None = unresolved
 
 
 @dataclass
@@ -66,7 +57,10 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_qualname: str | None     # enclosing class, for methods
     params: list[str]              # positional parameter names (self included)
-    calls: list[CallSite] = field(default_factory=list)
+    # A module or class body: the module or class whose names it binds.
+    binds: str | None = None
+    # Names bound in the body (params included); any other name is global.
+    locals: frozenset[str] = frozenset()
 
     @property
     def name(self) -> str:
@@ -107,9 +101,6 @@ class Program:
 
     # -- lookups -----------------------------------------------------------
 
-    def function(self, qualname: str) -> FunctionInfo | None:
-        return self.functions.get(qualname)
-
     def resolve_method(self, class_qualname: str, method: str) -> str | None:
         """Look up *method* on a class, walking declared bases."""
         seen: set[str] = set()
@@ -126,25 +117,6 @@ class Program:
                 return info.methods[method]
             queue.extend(info.bases)
         return None
-
-    def to_dict(self) -> dict:
-        """JSON view for ``repro flowcheck --callgraph-out``."""
-        return {
-            "modules": sorted(self.modules),
-            "functions": {
-                q: {
-                    "path": f.path,
-                    "line": f.line,
-                    "class": f.class_qualname,
-                }
-                for q, f in sorted(self.functions.items())
-            },
-            "edges": sorted(
-                [caller, target]
-                for caller, outs in self.edges.items()
-                for target in outs
-            ),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +233,35 @@ def _direct_child_defs(parent: ast.AST) -> list[ast.FunctionDef | ast.AsyncFunct
     return found
 
 
+def _index_body(
+    program: Program, module: ModuleInfo, owner: str, node: ast.Module | ast.ClassDef,
+    class_qualname: str | None,
+) -> None:
+    """A module or class body runs once, on import: index its statements
+    (not its defs) as a function ``<owner>.<body>`` that binds *owner*'s
+    names."""
+    body = [s for s in node.body if not isinstance(s, (
+        ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
+    ))]
+    if not body:
+        return
+    fake = ast.FunctionDef(
+        name="<body>", args=ast.arguments([], [], None, [], [], None, []), body=body,
+        decorator_list=[], lineno=getattr(node, "lineno", 1), col_offset=0,
+    )
+    qualname = f"{owner}.<body>"
+    program.functions[qualname] = FunctionInfo(
+        qualname=qualname, module=module.name, path=module.path, node=fake,
+        class_qualname=class_qualname, params=[], binds=owner,
+    )
+
+
 def _index_module(program: Program, module: ModuleInfo, *, is_package: bool = False) -> None:
     program.modules[module.name] = module
     module.aliases = _collect_aliases(
         module.tree.body, module.name, is_package=is_package
     )
+    _index_body(program, module, module.name, module.tree, None)
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _index_function(program, module, node, module.name, None)
@@ -285,6 +281,7 @@ def _index_module(program: Program, module: ModuleInfo, *, is_package: bool = Fa
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     _index_function(program, module, item, class_qualname, class_qualname)
+            _index_body(program, module, class_qualname, node, class_qualname)
 
 
 # ---------------------------------------------------------------------------
@@ -301,37 +298,28 @@ class Resolver:
         self.module = program.modules[fn.module]
         self.aliases = self.module.aliases
 
-    def _expand(self, dotted: str) -> str:
-        """Apply the module alias map to the chain's root segment."""
-        root, _, rest = dotted.partition(".")
-        root = self.aliases.get(root, root)
-        return f"{root}.{rest}" if rest else root
-
     def resolve_dotted(self, dotted: str) -> Callee | None:
         """Map an alias-expanded dotted path onto the program index."""
         program = self.program
         # Exact function (module.func or module.Class.method via import).
         if dotted in program.functions:
-            return Callee("func", dotted, 0, 0)
+            return Callee("func", dotted)
         # Class constructor -> its __init__ (or the class itself when the
         # class has no explicit __init__; passes treat that as opaque).
         if dotted in program.classes:
             init = program.resolve_method(dotted, "__init__")
-            return Callee("func", init, 0, 0) if init else Callee("external", dotted, 0, 0)
+            return Callee("func", init) if init else Callee("external", dotted)
         # module.Class.method spelled through an imported module object.
         head, _, attr = dotted.rpartition(".")
         if head in program.classes:
             target = program.resolve_method(head, attr)
             if target is not None:
-                return Callee("func", target, 0, 0)
+                return Callee("func", target)
         return None
 
     def resolve_callable(self, node: ast.expr) -> Callee | None:
         """Resolve a call target / function reference expression."""
         program, fn = self.program, self.fn
-        line = getattr(node, "lineno", fn.line)
-        col = getattr(node, "col_offset", 0)
-
         if isinstance(node, ast.Name):
             expanded = self.aliases.get(node.id, node.id)
             if "." not in expanded:
@@ -340,34 +328,31 @@ class Resolver:
                 while scope:
                     nested = f"{scope}.<locals>.{expanded}"
                     if nested in program.functions:
-                        return Callee("func", nested, line, col)
+                        return Callee("func", nested)
                     scope = scope.rsplit(".<locals>.", 1)[0] if ".<locals>." in scope else ""
                 # Module-level function or class in this module.
-                local = f"{fn.module}.{expanded}"
-                hit = self.resolve_dotted(local)
-                if hit is not None:
-                    return Callee(hit.kind, hit.target, line, col)
-                return Callee("external", expanded, line, col)
-            hit = self.resolve_dotted(expanded)
-            if hit is not None:
-                return Callee(hit.kind, hit.target, line, col)
-            return Callee("external", expanded, line, col)
+                local = self.resolve_dotted(f"{fn.module}.{expanded}")
+                return local or Callee("external", expanded)
+            return self.resolve_dotted(expanded) or Callee("external", expanded)
 
         if isinstance(node, ast.Attribute):
-            # self.method / cls.method: walk the declared class hierarchy.
             recv = node.value
+            if isinstance(recv, ast.Constant):
+                return None  # '...'.format(): a literal is no program object
+            # self.method / cls.method: walk the declared class hierarchy.
             if isinstance(recv, ast.Name) and recv.id in ("self", "cls") \
                     and fn.class_qualname is not None:
                 target = program.resolve_method(fn.class_qualname, node.attr)
                 if target is not None:
-                    return Callee("func", target, line, col)
+                    return Callee("func", target)
                 return None  # unknown attribute on self: field or inherited-external
-            dotted = _dotted_name(node, self.aliases)
-            if dotted is not None:
-                expanded = self._expand(dotted)
+            # Alias-expanded once: ``from datetime import datetime`` makes
+            # ``datetime.now`` read ``datetime.datetime.now``.
+            expanded = _dotted_name(node, self.aliases)
+            if expanded is not None:
                 hit = self.resolve_dotted(expanded)
                 if hit is not None:
-                    return Callee(hit.kind, hit.target, line, col)
+                    return hit
                 # The chain is external only when its root is an *imported*
                 # name (``time.time``, ``os.environ.get``). A bare local
                 # variable receiver falls through to the method index.
@@ -375,11 +360,11 @@ class Resolver:
                 while isinstance(base, ast.Attribute):
                     base = base.value
                 if isinstance(base, ast.Name) and base.id in self.aliases:
-                    return Callee("external", expanded, line, col)
+                    return Callee("external", expanded)
             # obj.method(): unique-method fallback.
             candidates = program.method_index.get(node.attr, [])
             if len(candidates) == 1 and node.attr not in _GENERIC_METHODS:
-                return Callee("func", candidates[0], line, col)
+                return Callee("func", candidates[0])
             return None
         return None
 
@@ -402,29 +387,48 @@ def _own_statements(fn: FunctionInfo) -> list[ast.AST]:
 def _resolve_calls(program: Program) -> None:
     for fn in program.functions.values():
         resolver = Resolver(program, fn)
-        sites: list[CallSite] = []
+        outs: list[str] = []
+        bound, declared = set(fn.params), set()
         for node in _own_statements(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = resolver.resolve_callable(node.func)
-            sites.append(CallSite(node=node, callee=callee))
-            outs = program.edges.setdefault(fn.qualname, [])
-            if callee is not None and callee.kind == "func":
-                outs.append(callee.target)
-        # Deterministic order for downstream traversals.
-        sites.sort(key=lambda s: (s.node.lineno, s.node.col_offset))
-        fn.calls = sites
-    for outs in program.edges.values():
-        outs.sort()
+            if isinstance(node, ast.Call):
+                callee = resolver.resolve_callable(node.func)
+                if callee is not None and callee.kind == "func":
+                    outs.append(callee.target)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.Global):
+                declared.update(node.names)
+        program.edges[fn.qualname] = sorted(outs)
+        fn.locals = frozenset(bound - declared)
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Entry points
 # ---------------------------------------------------------------------------
+
+
+def _display_path(path: Path) -> str:
+    """Stable repo-relative posix path so baselines survive checkout moves."""
+    try:
+        return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
+def _add_module(program: Program, name: str, path: str, source: str,
+                *, is_package: bool = False) -> None:
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise AnalysisError(f"cannot parse {path}: {exc}") from exc
+    _index_module(
+        program, ModuleInfo(name=name, path=path, source=source, tree=tree),
+        is_package=is_package,
+    )
 
 
 def build_program(paths: list[str | Path]) -> Program:
-    """Parse and index every ``.py`` file under the given roots."""
+    """Read, parse and index every ``.py`` file under the given roots."""
     program = Program()
     for raw in paths:
         root = Path(raw)
@@ -433,19 +437,31 @@ def build_program(paths: list[str | Path]) -> Program:
         elif root.is_file():
             files = [root]
         else:
-            raise AnalysisError(f"flow target does not exist: {root}")
+            raise AnalysisError(f"lint target does not exist: {root}")
         base = root if root.is_dir() else root.parent
         for file in files:
             name = module_name_for(file, base)
-            if name in program.modules:
+            seen = program.modules.get(name)
+            if seen is not None:
+                if seen.path != _display_path(file):
+                    raise AnalysisError(
+                        f"{file} and {seen.path} are both module {name!r}; "
+                        "lint them in separate runs"
+                    )
                 continue
-            shown, source = read_source(file)
-            _index_module(
-                program,
-                ModuleInfo(
-                    name=name, path=shown, source=source, tree=parse_source(source, shown)
-                ),
-                is_package=file.name == "__init__.py",
-            )
+            try:
+                source = file.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise AnalysisError(f"cannot read {file}: {exc}") from exc
+            _add_module(program, name, _display_path(file), source,
+                        is_package=file.name == "__init__.py")
+    _resolve_calls(program)
+    return program
+
+
+def source_program(source: str, path: str = "<string>") -> Program:
+    """A one-module program of *source*, shown as *path*."""
+    program = Program()
+    _add_module(program, Path(path).stem, path, source)
     _resolve_calls(program)
     return program

@@ -1,95 +1,41 @@
-"""``reprolint`` — AST-based determinism and hygiene analyzer.
+"""``reprolint`` — the ``repro lint`` analyzer: one parse, two passes.
 
-Two rule families (catalogue in :mod:`repro.analysis.rules`):
+:func:`lint_paths` builds the whole-program index once
+(:func:`~repro.analysis.flow.build_program` reads and parses every file)
+and runs both passes over it (catalogue in :mod:`repro.analysis.rules`):
 
-* **DET1xx** fire only in *chaincode modules* — files under a
-  ``chaincodes/`` directory or defining a ``Chaincode`` subclass. Chaincode
-  is simulated independently by every endorser, so any ambient input (wall
-  clock, RNG, environment, uuid, hash order) or non-canonical encoding
-  diverges the rwsets and voids the endorsement-policy comparison.
-* **HYG2xx** fire everywhere — locking and error-handling hygiene (callers
-  may drive a ``Client`` from their own threads).
+* the **local pass** judges one statement at a time — **HYG2xx**
+  (locking and error-handling hygiene, everywhere: callers may drive a
+  ``Client`` from their own threads) and **DET105** (``json.dumps``
+  without ``sort_keys`` in a *chaincode module*: a file under a
+  ``chaincodes/`` directory or defining a ``Chaincode`` subclass);
+* the **flow pass** (:mod:`repro.analysis.flow.taint`, FLOW5xx) follows
+  clock, rng, uuid, environment, set-order and float-format values across
+  calls into every consensus-critical sink, a chaincode's response
+  included.
 
-The analyzer is purely syntactic: imports are resolved through their
-aliases (``import numpy.random as nr`` still trips DET102) but no types are
-inferred, so the rules aim at the unambiguous spellings of each bug class
-and accept ``# reprolint: disable=RULE`` pragmas for the rest.
+Both passes resolve imports through their aliases but infer no types, so
+they aim at the unambiguous spellings of each bug class and accept
+``# reprolint: disable=HYG204``-style pragmas (naming a live rule) for the
+rest.
 """
 
 from __future__ import annotations
 
 import ast
-import os
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import AnalysisError
+from .flow.callgraph import Program, build_program, source_program
+from .flow.taint import analyze_taint
+from .rules import Finding, FlowFinding, parse_pragmas
 
-from .rules import Finding, parse_pragmas
-
-# Dotted call targets that read ambient state, per rule. Public: the flow
-# analyzer (repro.analysis.flow.taint) seeds its taint sources from these
-# same tables, so a spelling added here is caught both locally (DET1xx in
-# chaincode) and interprocedurally (FLOW5xx into any consensus sink).
-CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns", "time.thread_time", "time.thread_time_ns",
-    "time.clock_gettime", "time.clock_gettime_ns", "time.localtime",
-    "time.gmtime", "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-RANDOM_ROOTS = ("random.", "secrets.", "numpy.random.")
-RANDOM_CALLS = frozenset({"os.urandom"})
-ENV_CALLS = frozenset({"os.getenv", "os.environb.get"})
-ENV_ATTRS = frozenset({"os.environ", "os.environb"})
-UUID_CALLS = frozenset({"uuid.uuid1", "uuid.uuid3", "uuid.uuid4", "uuid.uuid5"})
-
-# Backwards-compatible private aliases (internal call sites below).
-_CLOCK_CALLS = CLOCK_CALLS
-_RANDOM_ROOTS = RANDOM_ROOTS
-_ENV_CALLS = ENV_CALLS
-_ENV_ATTRS = ENV_ATTRS
-_UUID_CALLS = UUID_CALLS
-_SET_CONSTRUCTORS = {"set", "frozenset"}
-_MUTATING_METHODS = {
-    "append", "add", "update", "setdefault", "pop", "popitem", "clear",
-    "extend", "remove", "discard", "insert", "sort",
-}
 _CONTAINER_CONSTRUCTORS = {
     "dict", "list", "set", "collections.defaultdict", "collections.OrderedDict",
     "collections.Counter", "collections.deque", "defaultdict", "OrderedDict",
     "Counter", "deque",
 }
-
-# Float presentation types in a format spec / printf string.
-_FLOAT_SPEC_CHARS = "feEgG%"
-
-
-def _is_float_format_spec(spec: str) -> bool:
-    spec = spec.strip()
-    return bool(spec) and spec[-1] in _FLOAT_SPEC_CHARS
-
-
-def _printf_has_float(fmt: str) -> bool:
-    i = 0
-    while True:
-        i = fmt.find("%", i)
-        if i < 0 or i + 1 >= len(fmt):
-            return False
-        j = i + 1
-        while j < len(fmt) and fmt[j] in "-+ #0123456789.*":
-            j += 1
-        if j < len(fmt) and fmt[j] in "feEgG":
-            return True
-        i = j + 1
-
-
-class _Scope:
-    """One function (or module) body: tracked locals and globals."""
-
-    def __init__(self) -> None:
-        self.set_names: set[str] = set()
-        self.global_names: set[str] = set()
 
 
 class _Visitor(ast.NodeVisitor):
@@ -99,7 +45,8 @@ class _Visitor(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self.aliases: dict[str, str] = {}
         self.module_containers: set[str] = set()
-        self.scopes: list[_Scope] = [_Scope()]
+        # `global` names per enclosing function; the module is scopes[0].
+        self.scopes: list[set[str]] = [set()]
         self._lock_depth = 0  # nesting depth of `with <lock>:` blocks
 
     # -- helpers ----------------------------------------------------------
@@ -147,7 +94,7 @@ class _Visitor(ast.NodeVisitor):
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self._check_mutable_defaults(node)
-        self.scopes.append(_Scope())
+        self.scopes.append(set())
         self.generic_visit(node)
         self.scopes.pop()
 
@@ -166,20 +113,14 @@ class _Visitor(ast.NodeVisitor):
     visit_AsyncWith = _visit_with
 
     def visit_Global(self, node: ast.Global) -> None:
-        self.scopes[-1].global_names.update(node.names)
+        self.scopes[-1].update(node.names)
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        is_container = self._is_container_value(node.value)
-        is_set = self._is_set_value(node.value)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                if not self._in_function() and is_container:
+        if not self._in_function() and self._is_container_value(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
                     self.module_containers.add(target.id)
-                if is_set:
-                    self.scopes[-1].set_names.add(target.id)
-                elif target.id in self.scopes[-1].set_names:
-                    self.scopes[-1].set_names.discard(target.id)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -201,36 +142,18 @@ class _Visitor(ast.NodeVisitor):
             return dotted in _CONTAINER_CONSTRUCTORS
         return False
 
-    def _is_set_value(self, value: ast.expr) -> bool:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            dotted = self._dotted(value.func)
-            return dotted in _SET_CONSTRUCTORS
-        return False
-
-    # -- DET: calls into ambient state ------------------------------------
+    # -- DET105 and HYG201: calls -----------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._dotted(node.func)
-        if self.chaincode and dotted is not None:
-            if dotted in _CLOCK_CALLS:
-                self._emit("DET101", node, f"call to {dotted}() reads the wall clock")
-            elif (
-                dotted.startswith(_RANDOM_ROOTS)
-                or dotted in ("random", "secrets")
-                or dotted in RANDOM_CALLS
-            ):
-                self._emit("DET102", node, f"call to {dotted}() is a nondeterministic source")
-            elif dotted in _ENV_CALLS:
-                self._emit("DET103", node, f"call to {dotted}() reads the process environment")
-            elif dotted in _UUID_CALLS:
-                self._emit("DET104", node, f"call to {dotted}() generates a per-process uuid")
-            elif dotted == "json.dumps" and not self._has_sort_keys(node):
-                self._emit(
-                    "DET105", node,
-                    "json.dumps without sort_keys=True produces order-dependent bytes",
-                )
+        if (
+            self.chaincode
+            and self._dotted(node.func) == "json.dumps"
+            and not self._has_sort_keys(node)
+        ):
+            self._emit(
+                "DET105", node,
+                "json.dumps without sort_keys=True produces order-dependent bytes",
+            )
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "acquire"
@@ -242,8 +165,6 @@ class _Visitor(ast.NodeVisitor):
                 "explicit lock.acquire(); the matching release() can be skipped "
                 "by an exception",
             )
-        if self.chaincode:
-            self._check_format_call(node)
         self.generic_visit(node)
 
     @staticmethod
@@ -273,31 +194,7 @@ class _Visitor(ast.NodeVisitor):
                 return True
         return False
 
-    def _check_format_call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "format"
-            and isinstance(node.func.value, ast.Constant)
-            and isinstance(node.func.value.value, str)
-        ):
-            fmt = node.func.value.value
-            for seg in fmt.split("{")[1:]:
-                field = seg.split("}")[0]
-                if ":" in field and _is_float_format_spec(field.rsplit(":", 1)[1]):
-                    self._emit(
-                        "DET107", node,
-                        f"float presentation format {field.rsplit(':', 1)[1]!r} in state value",
-                    )
-                    break
-
-    # -- DET103: os.environ attribute access ------------------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.chaincode:
-            dotted = self._dotted(node)
-            if dotted in _ENV_ATTRS:
-                self._emit("DET103", node, f"{dotted} read in chaincode")
-        self.generic_visit(node)
+    # -- HYG204: module-level shared state --------------------------------
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if (
@@ -305,71 +202,13 @@ class _Visitor(ast.NodeVisitor):
             and isinstance(node.value, ast.Name)
             and node.value.id in self.module_containers
             and self._in_function()
-            and node.value.id not in self.scopes[-1].global_names
+            and node.value.id not in self.scopes[-1]
             and self._lock_depth == 0
         ):
             self._emit(
                 "HYG204", node,
                 f"write to module-level container {node.value.id!r} inside a function",
             )
-        self.generic_visit(node)
-
-    # -- DET106: iteration over sets --------------------------------------
-
-    def _check_iter(self, iter_node: ast.expr, node: ast.AST) -> None:
-        if not self.chaincode:
-            return
-        if self._is_set_value(iter_node):
-            self._emit("DET106", node, "iteration over a set literal (hash order)")
-        elif (
-            isinstance(iter_node, ast.Name)
-            and iter_node.id in self.scopes[-1].set_names
-        ):
-            self._emit(
-                "DET106", node,
-                f"iteration over set {iter_node.id!r} (hash order)",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iter(node.iter, node)
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node) -> None:
-        for comp in node.generators:
-            self._check_iter(comp.iter, node)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-
-    # -- DET107: float formatting -----------------------------------------
-
-    def visit_FormattedValue(self, node: ast.FormattedValue) -> None:
-        if self.chaincode and node.format_spec is not None:
-            for part in ast.walk(node.format_spec):
-                if (
-                    isinstance(part, ast.Constant)
-                    and isinstance(part.value, str)
-                    and _is_float_format_spec(part.value)
-                ):
-                    self._emit(
-                        "DET107", node,
-                        f"float presentation format {part.value!r} in f-string",
-                    )
-                    break
-        self.generic_visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if (
-            self.chaincode
-            and isinstance(node.op, ast.Mod)
-            and isinstance(node.left, ast.Constant)
-            and isinstance(node.left.value, str)
-            and _printf_has_float(node.left.value)
-        ):
-            self._emit("DET107", node, "printf-style float formatting in state value")
         self.generic_visit(node)
 
     # -- HYG202: swallowed exceptions -------------------------------------
@@ -425,67 +264,55 @@ def is_chaincode_module(path: str, tree: ast.Module) -> bool:
     return False
 
 
-def lint_source(
-    source: str, path: str = "<string>", *, chaincode: bool | None = None
-) -> list[Finding]:
-    """Lint one module's source text; returns pragma-filtered findings."""
-    tree = parse_source(source, path)
-    if chaincode is None:
-        chaincode = is_chaincode_module(path, tree)
-    visitor = _Visitor(path, chaincode)
-    visitor.visit(tree)
-    pragmas = parse_pragmas(source)
-    findings = [f for f in visitor.findings if pragmas.allows(f.rule_id, f.line)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+@dataclass
+class LintReport:
+    """What ``repro lint`` found in one program, after pragmas."""
+
+    findings: list[Finding]
+    stats: dict   # modules, functions, call_edges, suppressed
 
 
-def _display_path(path: Path) -> str:
-    """Stable repo-relative posix path so baselines survive checkout moves."""
-    try:
-        rel = path.resolve().relative_to(Path(os.getcwd()).resolve())
-        return rel.as_posix()
-    except ValueError:
-        return path.as_posix()
+_TRACE_LOC_RE = re.compile(r"^(?P<path>.+?):(?P<line>\d+): ")
 
 
-def parse_source(source: str, path: str = "<string>") -> ast.Module:
-    try:
-        return ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        raise AnalysisError(f"cannot parse {path}: {exc}") from exc
+def _lint_program(program: Program) -> LintReport:
+    """Run the local and the flow pass over an already-built program."""
+    pragmas = {m.path: parse_pragmas(m.source, m.path) for m in program.modules.values()}
+    found: list[Finding] = []
+    for module in program.modules.values():
+        visitor = _Visitor(module.path, is_chaincode_module(module.path, module.tree))
+        visitor.visit(module.tree)
+        found.extend(visitor.findings)
+    found.extend(analyze_taint(program))
+
+    def allowed(path: str, rule_id: str, line: int) -> bool:
+        return path not in pragmas or pragmas[path].allows(rule_id, line)
+
+    # A flow finding is suppressed at its sink (the anchor) *or* at its
+    # source, the first step of its trace: one annotation at the origin
+    # silences every flow it feeds.
+    kept = []
+    for f in found:
+        src = _TRACE_LOC_RE.match(f.trace[0]) if isinstance(f, FlowFinding) and f.trace else None
+        if allowed(f.path, f.rule_id, f.line) and (
+            src is None or allowed(src["path"], f.rule_id, int(src["line"]))
+        ):
+            kept.append(f)
+    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message))
+    stats = {
+        "modules": len(program.modules),
+        "functions": len(program.functions),
+        "call_edges": sum(len(v) for v in program.edges.values()),
+        "suppressed": len(found) - len(kept),
+    }
+    return LintReport(findings=kept, stats=stats)
 
 
-def read_source(path: Path) -> tuple[str, str]:
-    """``(display path, source text)`` of one file, for either analyzer."""
-    try:
-        return _display_path(path), path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise AnalysisError(f"cannot read {path}: {exc}") from exc
-
-
-def lint_file(path: str | Path, *, chaincode: bool | None = None) -> list[Finding]:
-    shown, source = read_source(Path(path))
-    return lint_source(source, shown, chaincode=chaincode)
-
-
-def iter_python_files(paths: list[str | Path]) -> list[Path]:
-    files: list[Path] = []
-    for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        elif p.is_file():
-            files.append(p)
-        else:
-            raise AnalysisError(f"lint target does not exist: {p}")
-    return files
-
-
-def lint_paths(paths: list[str | Path]) -> list[Finding]:
+def lint_paths(paths: list[str | Path]) -> LintReport:
     """Lint every ``.py`` file under the given files/directories."""
-    findings: list[Finding] = []
-    for file in iter_python_files(paths):
-        findings.extend(lint_file(file))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return _lint_program(build_program(paths))
+
+
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Lint one module's source text, as its own one-module program."""
+    return _lint_program(source_program(source, path)).findings

@@ -1,9 +1,10 @@
-"""Rule catalogue shared by the linter and the runtime sanitizers.
+"""Rule catalogue shared by ``repro lint`` and the runtime sanitizers.
 
-Every check — static (``DET*``/``HYG*``, reported by :mod:`repro.analysis.
-linter`) or dynamic (``SAN*``, reported by the sanitizers) — carries a rule
-id, a severity, and a fix hint, so a finding is actionable wherever it
-surfaces: linter output, sanitizer report, or the CI lint gate.
+Every check — static (``DET105``/``HYG*``/``FLOW*``, reported by
+:mod:`repro.analysis.linter`) or dynamic (``SAN*``, reported by the
+sanitizers) — carries a rule id, a severity, and a fix hint, so a finding
+is actionable wherever it surfaces: lint output, sanitizer report, or the
+CI lint gate.
 
 Suppression is per line or per file, via pragma comments::
 
@@ -11,14 +12,18 @@ Suppression is per line or per file, via pragma comments::
     y = time.time()    # reprolint: disable          (all rules, this line)
     # reprolint: disable-file=HYG204                 (whole file, these rules)
 
-Findings are plain data (``to_dict``/``from_dict``) so the JSON output and
-the checked-in baseline round-trip losslessly.
+A pragma naming a rule id the catalogue does not define is an
+:class:`~repro.errors.AnalysisError`, so a stale suppression cannot
+silently suppress nothing.
+
+Findings are plain data (``to_dict``) for the JSON output; the checked-in
+baseline keeps only their identity (:meth:`Finding.key`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import AnalysisError
 
@@ -34,32 +39,13 @@ class Rule:
     severity: str
     summary: str
     fix_hint: str
-    scope: str  # "chaincode" | "repo" | "runtime"
+    scope: str  # "chaincode" | "repo" | "runtime" | "flow"
 
 
 _RULES = (
-    # -- determinism rules: chaincode modules only -------------------------
-    Rule("DET101", ERROR, "wall-clock read in chaincode",
-         "use stub.get_timestamp(); endorsers reading real clocks diverge",
-         "chaincode"),
-    Rule("DET102", ERROR, "random number source in chaincode",
-         "derive values from tx inputs (tx id, args); randomness diverges rwsets",
-         "chaincode"),
-    Rule("DET103", ERROR, "environment read in chaincode",
-         "pass configuration through chaincode args, not os.environ",
-         "chaincode"),
-    Rule("DET104", ERROR, "uuid generation in chaincode",
-         "key state off stub.get_tx_id(); uuids differ per endorser",
-         "chaincode"),
+    # -- determinism API misuse: chaincode modules only --------------------
     Rule("DET105", ERROR, "json.dumps without sort_keys=True in chaincode",
          "use repro.util.serialization.canonical_json for state values",
-         "chaincode"),
-    Rule("DET106", ERROR, "iteration over a set in chaincode",
-         "sets iterate in hash order; sort first (sorted(...)) before iterating",
-         "chaincode"),
-    Rule("DET107", WARNING, "float formatting in chaincode",
-         "float presentation is locale/precision-fragile in state values; "
-         "store numbers as JSON numbers via canonical_json",
          "chaincode"),
     # -- hygiene rules: whole repository -----------------------------------
     Rule("HYG201", WARNING, "lock.acquire() outside a with-statement",
@@ -136,8 +122,6 @@ _RULES = (
 )
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _RULES}
-LINT_RULE_IDS = tuple(r.id for r in _RULES if r.scope in ("chaincode", "repo"))
-FLOW_RULE_IDS = tuple(r.id for r in _RULES if r.scope == "flow")
 
 
 def get_rule(rule_id: str) -> Rule:
@@ -173,40 +157,15 @@ class Finding:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-            "fix_hint": self.fix_hint,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        return cls(
-            rule_id=raw["rule_id"],
-            path=raw["path"],
-            line=int(raw.get("line", 0)),
-            col=int(raw.get("col", 0)),
-            message=raw["message"],
-            severity=raw.get("severity", ERROR),
-            fix_hint=raw.get("fix_hint", ""),
-        )
-
-    @classmethod
-    def for_rule(cls, rule_id: str, path: str, line: int, col: int, message: str) -> "Finding":
+    def for_rule(cls, rule_id: str, path: str, line: int, col: int, message: str,
+                 **extra):
+        """A finding of *rule_id*, with the rule's severity and fix hint."""
         rule = get_rule(rule_id)
-        return cls(
-            rule_id=rule_id,
-            path=path,
-            line=line,
-            col=col,
-            message=message,
-            severity=rule.severity,
-            fix_hint=rule.fix_hint,
-        )
+        return cls(rule_id=rule_id, path=path, line=line, col=col, message=message,
+                   severity=rule.severity, fix_hint=rule.fix_hint, **extra)
 
 
 @dataclass(frozen=True)
@@ -230,40 +189,7 @@ class FlowFinding(Finding):
         return f"{head}\n{steps}"
 
     def to_dict(self) -> dict:
-        raw = super().to_dict()
-        raw["trace"] = list(self.trace)
-        return raw
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FlowFinding":
-        base = Finding.from_dict(raw)
-        return cls(
-            rule_id=base.rule_id,
-            path=base.path,
-            line=base.line,
-            col=base.col,
-            message=base.message,
-            severity=base.severity,
-            fix_hint=base.fix_hint,
-            trace=tuple(raw.get("trace", ())),
-        )
-
-    @classmethod
-    def for_rule(  # type: ignore[override]
-        cls, rule_id: str, path: str, line: int, col: int, message: str,
-        trace: tuple[str, ...] = (),
-    ) -> "FlowFinding":
-        rule = get_rule(rule_id)
-        return cls(
-            rule_id=rule_id,
-            path=path,
-            line=line,
-            col=col,
-            message=message,
-            severity=rule.severity,
-            fix_hint=rule.fix_hint,
-            trace=trace,
-        )
+        return {**super().to_dict(), "trace": list(self.trace)}
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +217,7 @@ class Pragmas:
         return True
 
 
-def parse_pragmas(source: str) -> Pragmas:
+def parse_pragmas(source: str, path: str = "<string>") -> Pragmas:
     file_disabled: set[str] = set()
     line_disabled: dict[int, frozenset[str]] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -304,6 +230,9 @@ def parse_pragmas(source: str) -> Pragmas:
             if rules_raw
             else frozenset({ALL})
         )
+        unknown = sorted(rules - {ALL} - RULES.keys())
+        if unknown:
+            raise AnalysisError(f"{path}:{lineno}: pragma names unknown rule(s) {unknown}")
         if match.group("kind") == "disable-file":
             file_disabled |= rules
         else:

@@ -9,8 +9,7 @@ every invocation stands up a fresh network — there is no daemon):
 * ``query "<text>"``       — run a query against a freshly populated demo set
 * ``chaos``                — run a seeded fault-injection scenario (``chaos list`` to
   enumerate); ``--alerts`` gates the alert lifecycle, ``--sanitize`` the runtime sanitizers
-* ``lint``                 — run the reprolint static analyzer (determinism + hygiene rules)
-* ``flowcheck``            — run the interprocedural flow analyzer (nondeterminism taint)
+* ``lint``                 — run the static analyzer: hygiene rules + nondeterminism taint
 * ``metrics``              — run a traced demo, print the metrics (Prometheus/JSON)
 * ``prof``                 — run a chaos scenario (or the traced demo) and explain it:
   cost centers, the Fig. 5/6 stage breakdown, ``--tx``'s critical path, ``--out`` trace
@@ -143,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos_sub.add_parser("list", help="list available scenarios")
 
     lint = sub.add_parser(
-        "lint", help="run reprolint (determinism + hygiene rules) over source paths"
+        "lint", help="run reprolint (hygiene rules + interprocedural nondeterminism "
+                     "taint FLOW5xx) over source paths"
     )
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint (default: src/repro)")
@@ -152,21 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="accepted-findings baseline file (missing = empty)")
     lint.add_argument("--update-baseline", action="store_true",
                       help="accept all current findings into the baseline and exit 0")
-
-    flowcheck = sub.add_parser(
-        "flowcheck",
-        help="run the interprocedural flow analyzer (nondeterminism taint "
-             "FLOW5xx) over source paths",
-    )
-    flowcheck.add_argument("paths", nargs="*", default=["src/repro"],
-                           help="files or directories to analyze (default: src/repro)")
-    flowcheck.add_argument("--format", choices=["text", "json"], default="text")
-    flowcheck.add_argument("--baseline", default=".reproflow-baseline.json",
-                           help="accepted-findings baseline file (missing = empty)")
-    flowcheck.add_argument("--update-baseline", action="store_true",
-                           help="accept all current findings into the baseline and exit 0")
-    flowcheck.add_argument("--callgraph-out", default=None, metavar="FILE",
-                           help="also dump the resolved call graph as JSON to FILE")
 
     explorer = sub.add_parser(
         "explorer", help="browse a demo ledger: blocks, txs, provenance, trust, audit"
@@ -574,17 +559,18 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_lint(args) -> int:
     """Exit codes are pre-commit-friendly: 0 clean (or fully baselined),
-    1 new findings, 2 usage error (bad path / baseline / rule id)."""
+    1 new findings, 2 usage error (bad path / baseline / pragma rule id)."""
     from repro.analysis.baseline import diff_baseline, load_baseline, write_baseline
     from repro.analysis.linter import lint_paths
     from repro.errors import AnalysisError
 
     try:
-        findings = lint_paths(args.paths)
+        report = lint_paths(args.paths)
         accepted = load_baseline(args.baseline)
     except AnalysisError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
+    findings, stats = report.findings, report.stats
     if args.update_baseline:
         write_baseline(args.baseline, findings)
         print(f"baseline updated: {len(findings)} finding(s) -> {args.baseline}")
@@ -597,51 +583,7 @@ def _cmd_lint(args) -> int:
                 "paths": list(args.paths),
                 "findings": [f.to_dict() for f in new],
                 "baselined": baselined,
-                "ok": not new,
-            },
-            indent=2, sort_keys=True,
-        ))
-    else:
-        for finding in new:
-            print(finding.render())
-        print(f"reprolint: {len(new)} new finding(s), {baselined} baselined")
-    return 1 if new else 0
-
-
-def _cmd_flowcheck(args) -> int:
-    """Same exit-code contract as ``repro lint``: 0 clean (or fully
-    baselined), 1 new findings, 2 usage error."""
-    from repro.analysis.baseline import diff_baseline, load_baseline, write_baseline
-    from repro.analysis.flow import analyze_paths
-    from repro.errors import AnalysisError
-
-    try:
-        report = analyze_paths(args.paths)
-        accepted = load_baseline(args.baseline)
-    except AnalysisError as exc:
-        print(f"repro flowcheck: {exc}", file=sys.stderr)
-        return 2
-    if args.callgraph_out:
-        try:
-            with open(args.callgraph_out, "w", encoding="utf-8") as fh:
-                json.dump(report.program.to_dict(), fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            print(f"repro flowcheck: cannot write callgraph: {exc}", file=sys.stderr)
-            return 2
-    findings = report.findings
-    if args.update_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"baseline updated: {len(findings)} finding(s) -> {args.baseline}")
-        return 0
-    new = diff_baseline(findings, accepted)
-    baselined = len(findings) - len(new)
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "paths": list(args.paths),
-                "findings": [f.to_dict() for f in new],
-                "baselined": baselined,
-                "stats": report.stats,
+                "stats": stats,
                 "ok": not new,
             },
             indent=2, sort_keys=True,
@@ -650,10 +592,9 @@ def _cmd_flowcheck(args) -> int:
         for finding in new:
             print(finding.render())
         print(
-            f"repro flowcheck: {len(new)} new finding(s), {baselined} baselined "
-            f"({report.stats['modules']} modules, "
-            f"{report.stats['functions']} functions, "
-            f"{report.stats['call_edges']} call edges)"
+            f"reprolint: {len(new)} new finding(s), {baselined} baselined "
+            f"({stats['modules']} modules, {stats['functions']} functions, "
+            f"{stats['call_edges']} call edges)"
         )
     return 1 if new else 0
 
@@ -823,8 +764,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_chaos(args)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "flowcheck":
-        return _cmd_flowcheck(args)
     if args.command == "explorer":
         return _cmd_explorer(args)
     if args.command == "health":

@@ -1,4 +1,5 @@
-"""Tests for reprolint: determinism + hygiene rules, pragmas, baselines."""
+"""Tests for ``repro lint``: the local rules, what the flow pass reports in
+chaincode, pragmas and baselines."""
 
 import json
 
@@ -22,46 +23,56 @@ def rule_ids(findings):
     return [f.rule_id for f in findings]
 
 
+def cc_source(returns: str, imports: str = "import time", params: str = "stub") -> str:
+    """A one-method ``Chaincode`` subclass returning *returns* (line 7)."""
+    return (
+        f"{imports}\n"
+        "from repro.fabric.chaincode import Chaincode\n"
+        "\n"
+        "\n"
+        "class Example(Chaincode):\n"
+        f"    def f(self, {params}):\n"
+        f"        return {returns}\n"
+    )
+
+
 class TestDeterminismRules:
+    """What a chaincode function returns is signed by every endorser, so an
+    ambient read there is a FLOW finding of ``repro lint``."""
+
     def test_wall_clock_in_chaincode_flagged_with_location(self):
-        source = (
-            "import time\n"
-            "\n"
-            "\n"
-            "def stamp(stub):\n"
-            "    return {'at': time.time()}\n"
-        )
-        findings = lint_source(source, CC_PATH)
-        assert rule_ids(findings) == ["DET101"]
+        findings = lint_source(cc_source("{'at': time.time()}"), CC_PATH)
+        assert rule_ids(findings) == ["FLOW501"]
         f = findings[0]
-        assert f.line == 5 and f.path == CC_PATH
-        assert "time.time" in f.message
-        assert "DET101" in f.render() and f"{CC_PATH}:5:" in f.render()
+        assert f.line == 7 and f.path == CC_PATH
+        assert "time.time" in f.trace[0]
+        assert f.message == "clock value flows into Chaincode.dispatch()"
+        assert "FLOW501" in f.render() and f"{CC_PATH}:7:" in f.render()
         assert "stub.get_timestamp" in f.fix_hint
 
     def test_import_alias_resolved(self):
-        source = "import time as t\n\ndef f(stub):\n    return t.time()\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET101"]
+        source = cc_source("t.time()", imports="import time as t")
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW501"]
 
     def test_from_import_resolved(self):
-        source = "from time import time\n\ndef f(stub):\n    return time()\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET101"]
+        source = cc_source("time()", imports="from time import time")
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW501"]
 
     def test_random_flagged(self):
-        source = "import random\n\ndef f(stub):\n    return random.random()\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET102"]
+        source = cc_source("random.random()", imports="import random")
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW502"]
 
     def test_environ_flagged(self):
-        source = "import os\n\ndef f(stub):\n    return os.environ['HOME']\n"
-        assert "DET103" in rule_ids(lint_source(source, CC_PATH))
+        source = cc_source("os.environ['HOME']", imports="import os")
+        assert "FLOW504" in rule_ids(lint_source(source, CC_PATH))
 
     def test_getenv_flagged(self):
-        source = "import os\n\ndef f(stub):\n    return os.getenv('HOME')\n"
-        assert "DET103" in rule_ids(lint_source(source, CC_PATH))
+        source = cc_source("os.getenv('HOME')", imports="import os")
+        assert "FLOW504" in rule_ids(lint_source(source, CC_PATH))
 
     def test_uuid_flagged(self):
-        source = "import uuid\n\ndef f(stub):\n    return str(uuid.uuid4())\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET104"]
+        source = cc_source("str(uuid.uuid4())", imports="import uuid")
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW503"]
 
     def test_json_dumps_without_sort_keys_flagged(self):
         source = "import json\n\ndef f(stub):\n    return json.dumps({'a': 1})\n"
@@ -75,19 +86,20 @@ class TestDeterminismRules:
 
     def test_set_iteration_flagged(self):
         source = "def f(stub, keys):\n    for k in set(keys):\n        stub.put_state(k, b'1')\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET106"]
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW505"]
 
     def test_set_comprehension_iteration_flagged(self):
-        source = "def f(stub, keys):\n    return [k for k in {k for k in keys}]\n"
-        assert "DET106" in rule_ids(lint_source(source, CC_PATH))
+        source = cc_source("[k for k in {k for k in keys}]", params="stub, keys")
+        assert "FLOW505" in rule_ids(lint_source(source, CC_PATH))
 
     def test_float_formatting_warned(self):
-        source = "def f(stub, score):\n    return f'{score:.2f}'\n"
+        source = cc_source("f'{score:.2f}'", params="stub, score")
         findings = lint_source(source, CC_PATH)
-        assert rule_ids(findings) == ["DET107"]
+        assert rule_ids(findings) == ["FLOW506"]
         assert findings[0].severity == "warning"
 
     def test_determinism_rules_skip_non_chaincode_modules(self):
+        # A clock read that reaches no consensus sink cannot diverge anything.
         source = "import time\n\ndef f():\n    return time.time()\n"
         assert lint_source(source, "src/repro/util/anything.py") == []
 
@@ -103,7 +115,7 @@ class TestDeterminismRules:
             "    def stamp(self, stub):\n"
             "        return {'at': time.time()}\n"
         )
-        assert rule_ids(lint_source(source, "plugins/custom.py")) == ["DET101"]
+        assert rule_ids(lint_source(source, "plugins/custom.py")) == ["FLOW501"]
 
 
 class TestHygieneRules:
@@ -155,36 +167,45 @@ class TestHygieneRules:
 
 
 class TestPragmas:
-    SOURCE = "import time\n\ndef f(stub):\n    return time.time()  # reprolint: disable=DET101\n"
+    SOURCE = cc_source("time.time()  # reprolint: disable=FLOW501")
 
     def test_line_pragma_suppresses(self):
         assert lint_source(self.SOURCE, CC_PATH) == []
 
     def test_line_pragma_is_rule_specific(self):
-        source = "import time\n\ndef f(stub):\n    return time.time()  # reprolint: disable=DET105\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET101"]
+        source = cc_source("time.time()  # reprolint: disable=DET105")
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW501"]
 
     def test_file_pragma_suppresses_everywhere(self):
-        source = "# reprolint: disable-file=DET101\nimport time\n\ndef f(stub):\n    return time.time()\n"
+        source = "# reprolint: disable-file=FLOW501\n" + cc_source("time.time()")
         assert lint_source(source, CC_PATH) == []
 
     def test_bare_disable_suppresses_all_rules(self):
-        source = "import time\n\ndef f(stub):\n    return time.time()  # reprolint: disable\n"
+        source = cc_source("time.time()  # reprolint: disable")
         assert lint_source(source, CC_PATH) == []
 
     def test_parse_pragmas_collects_both_kinds(self):
         pragmas = parse_pragmas(
-            "# reprolint: disable-file=DET107\nx = 1  # reprolint: disable=HYG204\n"
+            "# reprolint: disable-file=FLOW506\nx = 1  # reprolint: disable=HYG204\n"
         )
-        assert not pragmas.allows("DET107", 99)
+        assert not pragmas.allows("FLOW506", 99)
         assert not pragmas.allows("HYG204", 2)
         assert pragmas.allows("HYG204", 1)
+
+    @pytest.mark.parametrize("pragma", [
+        "# reprolint: disable=DET999",
+        "# reprolint: disable=DET101",           # a retired rule suppresses nothing
+        "# reprolint: disable-file=HYG204,FLOW599",
+    ])
+    def test_pragma_naming_an_unknown_rule_is_an_error(self, pragma):
+        with pytest.raises(AnalysisError, match="x.py:2: pragma names unknown rule"):
+            lint_source(f"x = 1\ny = 2  {pragma}\n", "x.py")
 
 
 class TestRepoHygiene:
     def test_repo_is_self_clean(self):
-        # The acceptance bar: reprolint over its own codebase, no baseline.
-        assert lint_paths(["src/repro"]) == []
+        # The acceptance bar: both passes over the codebase, no baseline.
+        assert lint_paths(["src/repro"]).findings == []
 
     def test_chaincode_modules_detected_by_path(self):
         import ast
@@ -203,18 +224,14 @@ class TestRepoHygiene:
 
 class TestBaseline:
     def test_roundtrip_and_diff(self, tmp_path):
-        findings = lint_source(
-            "import time\n\ndef f(stub):\n    return time.time()\n", CC_PATH
-        )
+        findings = lint_source(cc_source("time.time()"), CC_PATH)
         baseline_file = tmp_path / "baseline.json"
         write_baseline(baseline_file, findings)
         known = load_baseline(baseline_file)
         assert known == {f.key() for f in findings}
         assert diff_baseline(findings, known) == []
-        fresh = lint_source(
-            "import uuid\n\ndef g(stub):\n    return uuid.uuid4()\n", CC_PATH
-        )
-        assert [f.rule_id for f in diff_baseline(findings + fresh, known)] == ["DET104"]
+        fresh = lint_source(cc_source("uuid.uuid4()", imports="import uuid"), CC_PATH)
+        assert [f.rule_id for f in diff_baseline(findings + fresh, known)] == ["FLOW503"]
 
     def test_missing_baseline_is_empty(self, tmp_path):
         assert load_baseline(tmp_path / "nope.json") == set()
@@ -227,8 +244,8 @@ class TestBaseline:
 
 
 class TestExpandedSources:
-    """Regression net for the wall-clock/entropy source tables: every call
-    the flow analyzer treats as a taint source must also lint as DET1xx."""
+    """Regression net for the wall-clock/entropy source tables: every
+    spelling is a source the flow pass follows into a chaincode response."""
 
     @pytest.mark.parametrize("call", [
         "time.monotonic()", "time.monotonic_ns()", "time.perf_counter()",
@@ -236,69 +253,53 @@ class TestExpandedSources:
         "time.clock_gettime(0)", "time.clock_gettime_ns(0)",
     ])
     def test_clock_variants_flagged(self, call):
-        source = f"import time\n\ndef f(stub):\n    return {call}\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET101"]
+        assert rule_ids(lint_source(cc_source(call), CC_PATH)) == ["FLOW501"]
 
     def test_datetime_now_flagged_through_alias(self):
-        source = (
-            "from datetime import datetime as dt\n\n"
-            "def f(stub):\n    return dt.now().isoformat()\n"
+        source = cc_source(
+            "dt.now().isoformat()", imports="from datetime import datetime as dt"
         )
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET101"]
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW501"]
 
     def test_os_urandom_flagged_as_entropy(self):
-        source = "import os\n\ndef f(stub):\n    return os.urandom(8)\n"
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET102"]
-
-    def test_linter_and_flow_share_one_source_table(self):
-        from repro.analysis import linter
-        from repro.analysis.flow import taint
-
-        assert taint.CLOCK_CALLS is linter.CLOCK_CALLS
-        assert taint.UUID_CALLS is linter.UUID_CALLS
+        source = cc_source("os.urandom(8)", imports="import os")
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW502"]
 
 
 class TestMultiRulePragmas:
     def test_line_pragma_with_rule_list(self):
-        source = (
-            "import time\n\n"
-            "def f(stub, score):\n"
-            "    return f'{score:.2f}', time.time()  # reprolint: disable=DET101,DET107\n"
+        source = cc_source(
+            "f'{score:.2f}', time.time()  # reprolint: disable=FLOW501,FLOW506",
+            params="stub, score",
         )
         assert lint_source(source, CC_PATH) == []
 
     def test_line_pragma_list_is_still_specific(self):
-        source = (
-            "import time\n\n"
-            "def f(stub, score):\n"
-            "    return f'{score:.2f}', time.time()  # reprolint: disable=DET107,DET105\n"
+        source = cc_source(
+            "f'{score:.2f}', time.time()  # reprolint: disable=FLOW506,DET105",
+            params="stub, score",
         )
-        assert rule_ids(lint_source(source, CC_PATH)) == ["DET101"]
+        assert rule_ids(lint_source(source, CC_PATH)) == ["FLOW501"]
 
     def test_disable_file_with_rule_list(self):
-        source = (
-            "# reprolint: disable-file=DET101,DET104\n"
-            "import time\nimport uuid\n\n"
-            "def f(stub):\n    return time.time(), uuid.uuid4()\n"
+        source = "# reprolint: disable-file=FLOW501,FLOW503\n" + cc_source(
+            "time.time(), uuid.uuid4()", imports="import time\nimport uuid"
         )
         assert lint_source(source, CC_PATH) == []
 
     def test_disabled_file_findings_do_not_reach_the_baseline_diff(self):
-        source = (
-            "# reprolint: disable-file=DET101\n"
-            "import time\nimport uuid\n\n"
-            "def f(stub):\n    return time.time(), uuid.uuid4()\n"
+        source = "# reprolint: disable-file=FLOW501\n" + cc_source(
+            "time.time(), uuid.uuid4()", imports="import time\nimport uuid"
         )
         findings = lint_source(source, CC_PATH)
         # Only the non-suppressed finding is left to diff against a baseline.
-        assert [f.rule_id for f in diff_baseline(findings, set())] == ["DET104"]
+        assert [f.rule_id for f in diff_baseline(findings, set())] == ["FLOW503"]
 
 
 class TestBaselineStability:
     def test_write_is_deduped_and_sorted(self, tmp_path):
         findings = lint_source(
-            "import time\nimport uuid\n\n"
-            "def f(stub):\n    return time.time(), uuid.uuid4()\n",
+            cc_source("time.time(), uuid.uuid4()", imports="import time\nimport uuid"),
             CC_PATH,
         )
         target = tmp_path / "b.json"
@@ -313,12 +314,9 @@ class TestBaselineStability:
         assert keys == sorted(keys)
 
     def test_baseline_identity_ignores_line_moves(self, tmp_path):
-        original = lint_source(
-            "import time\n\ndef f(stub):\n    return time.time()\n", CC_PATH
-        )
+        original = lint_source(cc_source("time.time()"), CC_PATH)
         target = tmp_path / "b.json"
         write_baseline(target, original)
-        shifted = lint_source(
-            "import time\n\n\n\n\ndef f(stub):\n    return time.time()\n", CC_PATH
-        )
+        shifted = lint_source("\n\n\n" + cc_source("time.time()"), CC_PATH)
+        assert shifted[0].line != original[0].line
         assert diff_baseline(shifted, load_baseline(target)) == []

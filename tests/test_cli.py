@@ -243,21 +243,33 @@ class TestLintCli:
         assert main(["lint", str(target), "--baseline", str(tmp_path / "b.json")]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
 
+    @staticmethod
+    def _chaincode(module: str, returns: str) -> str:
+        """A chaincode whose one function returns *returns* (line 7)."""
+        return (
+            f"import {module}\n"
+            "from repro.fabric.chaincode import Chaincode\n\n\n"
+            "class Bad(Chaincode):\n"
+            "    def f(self, stub):\n"
+            f"        return {returns}\n"
+        )
+
     def test_seeded_wall_clock_read_fails_with_rule_and_location(self, capsys, tmp_path):
         chaincodes = tmp_path / "chaincodes"
         chaincodes.mkdir()
         target = chaincodes / "bad.py"
-        target.write_text("import time\n\n\ndef stamp(stub):\n    return {'at': time.time()}\n")
+        target.write_text(self._chaincode("time", "{'at': time.time()}"))
         assert main(["lint", str(target), "--baseline", str(tmp_path / "b.json")]) == 1
         out = capsys.readouterr().out
-        assert "DET101" in out
-        assert "bad.py:5:" in out
+        assert "FLOW501" in out
+        assert "bad.py:7:" in out
 
     def test_json_format(self, capsys, tmp_path):
         chaincodes = tmp_path / "chaincodes"
         chaincodes.mkdir()
-        (chaincodes / "bad.py").write_text(
-            "import uuid\n\n\ndef f(stub):\n    return str(uuid.uuid4())\n"
+        (chaincodes / "bad.py").write_text(self._chaincode("uuid", "str(uuid.uuid4())"))
+        (chaincodes / "dump.py").write_text(
+            "import json\n\n\ndef f(stub):\n    return json.dumps({'a': 1})\n"
         )
         assert main([
             "lint", str(chaincodes), "--format", "json",
@@ -265,14 +277,14 @@ class TestLintCli:
         ]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert [f["rule_id"] for f in payload["findings"]] == ["DET104"]
+        # One report for both passes.
+        assert [f["rule_id"] for f in payload["findings"]] == ["FLOW503", "DET105"]
+        assert set(payload) == {"paths", "findings", "baselined", "stats", "ok"}
 
     def test_baseline_workflow(self, capsys, tmp_path):
         chaincodes = tmp_path / "chaincodes"
         chaincodes.mkdir()
-        (chaincodes / "old.py").write_text(
-            "import time\n\n\ndef f(stub):\n    return time.time()\n"
-        )
+        (chaincodes / "old.py").write_text(self._chaincode("time", "time.time()"))
         baseline = tmp_path / "baseline.json"
         assert main(["lint", str(chaincodes), "--baseline", str(baseline),
                      "--update-baseline"]) == 0
@@ -281,14 +293,28 @@ class TestLintCli:
         assert main(["lint", str(chaincodes), "--baseline", str(baseline)]) == 0
         assert "1 baselined" in capsys.readouterr().out
         # ...but a fresh one still does.
-        (chaincodes / "new.py").write_text(
-            "import random\n\n\ndef g(stub):\n    return random.random()\n"
-        )
+        (chaincodes / "new.py").write_text(self._chaincode("random", "random.random()"))
         assert main(["lint", str(chaincodes), "--baseline", str(baseline)]) == 1
 
     def test_missing_path_is_usage_error(self, capsys, tmp_path):
         assert main(["lint", str(tmp_path / "nope"), "--baseline",
                      str(tmp_path / "b.json")]) == 2
+
+    def test_two_roots_with_one_module_name_are_usage_error(self, capsys, tmp_path):
+        roots = []
+        for side in ("a", "b"):
+            pkg = tmp_path / side / "pkg"
+            pkg.mkdir(parents=True)
+            (pkg / "m.py").write_text("X = 1\n")
+            roots.append(str(pkg))
+        assert main(["lint", *roots, "--baseline", str(tmp_path / "b.json")]) == 2
+        assert "are both module 'pkg.m'" in capsys.readouterr().err
+
+    def test_pragma_naming_an_unknown_rule_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "stale.py"
+        target.write_text("import time\nT = time.time()  # reprolint: disable=DET101\n")
+        assert main(["lint", str(target), "--baseline", str(tmp_path / "b.json")]) == 2
+        assert "stale.py:2: pragma names unknown rule(s) ['DET101']" in capsys.readouterr().err
 
     def test_repo_is_clean_against_checked_in_baseline(self, capsys, monkeypatch):
         import pathlib
@@ -339,6 +365,9 @@ class TestSanitizeRunCli:
 
 
 class TestFlowcheckCli:
+    """The flow check (FLOW5xx) through ``repro lint``: traces, stats and
+    the baseline, on a package tree."""
+
     @staticmethod
     def _fixture_tree(tmp_path):
         """One true FLOW5xx positive, plus one suppressed flow."""
@@ -373,13 +402,13 @@ class TestFlowcheckCli:
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")
         (pkg / "ok.py").write_text("def add(a, b):\n    return a + b\n")
-        assert main(["flowcheck", str(pkg),
+        assert main(["lint", str(pkg),
                      "--baseline", str(tmp_path / "b.json")]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
 
     def test_fixture_tree_reports_each_family_once(self, capsys, tmp_path):
         pkg = self._fixture_tree(tmp_path)
-        assert main(["flowcheck", str(pkg),
+        assert main(["lint", str(pkg),
                      "--baseline", str(tmp_path / "b.json")]) == 1
         out = capsys.readouterr().out
         assert out.count("FLOW501") == 1   # suppressed flow must not add one
@@ -387,7 +416,7 @@ class TestFlowcheckCli:
 
     def test_json_output_carries_traces(self, capsys, tmp_path):
         pkg = self._fixture_tree(tmp_path)
-        assert main(["flowcheck", str(pkg), "--format", "json",
+        assert main(["lint", str(pkg), "--format", "json",
                      "--baseline", str(tmp_path / "b.json")]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
@@ -401,10 +430,10 @@ class TestFlowcheckCli:
     def test_baseline_workflow(self, capsys, tmp_path):
         pkg = self._fixture_tree(tmp_path)
         baseline = tmp_path / "baseline.json"
-        assert main(["flowcheck", str(pkg), "--baseline", str(baseline),
+        assert main(["lint", str(pkg), "--baseline", str(baseline),
                      "--update-baseline"]) == 0
         capsys.readouterr()
-        assert main(["flowcheck", str(pkg), "--baseline", str(baseline)]) == 0
+        assert main(["lint", str(pkg), "--baseline", str(baseline)]) == 0
         assert "1 baselined" in capsys.readouterr().out
         # A fresh flow still fails the gate.
         (pkg / "fresh.py").write_text(
@@ -413,28 +442,32 @@ class TestFlowcheckCli:
             "def leak():\n"
             "    return canonical_json(os.getenv('HOME'))\n"
         )
-        assert main(["flowcheck", str(pkg), "--baseline", str(baseline)]) == 1
+        assert main(["lint", str(pkg), "--baseline", str(baseline)]) == 1
         assert "FLOW504" in capsys.readouterr().out
 
-    def test_callgraph_export(self, capsys, tmp_path):
-        pkg = self._fixture_tree(tmp_path)
-        graph_file = tmp_path / "graph.json"
-        main(["flowcheck", str(pkg), "--baseline", str(tmp_path / "b.json"),
-              "--callgraph-out", str(graph_file)])
-        graph = json.loads(graph_file.read_text())
-        assert "pkg.seal.seal" in graph["functions"]
-        assert ["pkg.seal.seal", "pkg.seal.stamp"] in graph["edges"]
-
     def test_missing_path_is_usage_error(self, capsys, tmp_path):
-        assert main(["flowcheck", str(tmp_path / "nope"),
+        # A missing path beside a real package refuses the whole run
+        # rather than analysing the part that exists.
+        pkg = self._fixture_tree(tmp_path)
+        assert main(["lint", str(pkg), str(tmp_path / "nope"),
                      "--baseline", str(tmp_path / "b.json")]) == 2
+        captured = capsys.readouterr()
+        assert "FLOW501" not in captured.out
+        assert "does not exist" in captured.err
 
     def test_repo_is_clean_against_checked_in_baseline(self, capsys, monkeypatch):
         import pathlib
 
         monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
-        assert main(["flowcheck"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert main(["lint", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert payload["findings"] == []
+        assert payload["baselined"] == 0
+        # The flow pass ran over the whole call graph: its raw findings
+        # exist and every one is silenced by a pragma, not by a baseline.
+        assert payload["stats"]["call_edges"] > 0
+        assert payload["stats"]["suppressed"] > 0
 
 
 class TestDocsNameRealCommands:

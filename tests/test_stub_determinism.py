@@ -1,6 +1,8 @@
 """Endorsement determinism: the same proposal, simulated twice against the
 same world state, must produce byte-identical read/write sets — the property
-the DET1xx lint rules and the divergence sanitizer (SAN301) both protect.
+the flow check of ``repro lint`` (FLOW5xx, which follows clock, rng, uuid,
+environment, set-order and float-format values into state writes and the
+chaincode response) and the divergence sanitizer (SAN301) both protect.
 Exercised over the real application chaincodes (data / provenance / trust)."""
 
 import hashlib
