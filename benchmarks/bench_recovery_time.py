@@ -14,21 +14,24 @@ Then the counterweight to cheap recovery — what a checkpoint costs:
 
 * **Steady-state checkpoint** — the cadence is switched off, one checkpoint
   interval of blocks is committed, and one ``checkpoint_peer`` is measured in
-  isolation: once under the profiler (``checkpoint_canonical_json_calls``,
-  ``checkpoint_serialized_bytes``), once more, after another interval, on the
-  clock (``checkpoint_wall_s``).
+  isolation: once under the profiler and the I/O counters
+  (``checkpoint_canonical_json_calls``, ``checkpoint_serialized_bytes``,
+  ``checkpoint_hashed_bytes``, ``checkpoint_written_bytes``), once more,
+  after another interval, on the clock (``checkpoint_wall_s``).
 
 Every round runs at two ledger sizes, the same workload generator stopped at
 ``N_BLOCKS`` and at ``N_BLOCKS_LARGE`` blocks; the large size's series carry
-a ``large_`` prefix. A checkpoint writes one file, the world snapshot — the
-index is derived state, rebuilt on recovery, never written —
-and must cost what changed since the last one, so the two sizes'
-``checkpoint_canonical_json_calls`` are asserted equal and their
-``checkpoint_serialized_bytes`` within 2x of each other.
+a ``large_`` prefix. A checkpoint writes one delta of the world-state lines
+written since the last one — the index is derived state, rebuilt on
+recovery, never written — and must cost what changed, not what exists: the
+two sizes' ``checkpoint_canonical_json_calls`` are asserted equal, and their
+serialised, hashed (every byte fed to sha256) and written (every byte handed
+to the disk) bytes within 2x of each other.
 
 The count series (``replayed_blocks``, ``catchup_blocks``,
 ``state_transfer_blocks``, ``checkpoint_height``,
-``checkpoint_canonical_json_calls``, ``checkpoint_serialized_bytes``) are
+``checkpoint_canonical_json_calls``, ``checkpoint_serialized_bytes``,
+``checkpoint_hashed_bytes``, ``checkpoint_written_bytes``) are
 EXACT in the bench-trend taxonomy — any drift is a behaviour change the
 `repro bench-diff` gate must catch. The ``*_wall_s`` series are TIMING:
 one-sided, tolerance-gated. Exits non-zero if a recovered peer fails state
@@ -41,6 +44,7 @@ Runnable standalone for CI (``python benchmarks/bench_recovery_time.py
 import time
 
 from repro.bench import emit, emit_json, format_table
+from repro.bench.iocount import counting_io
 from repro.core import Framework, FrameworkConfig
 from repro.fabric.snapshot import states_agree
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -108,7 +112,7 @@ def _steady_checkpoint(framework, identity):
     try:
         manager.checkpoint_peer(peer)
         _commit(framework, identity, CHECKPOINT_INTERVAL)
-        with profiling() as profiler:
+        with profiling() as profiler, counting_io() as io:
             manager.checkpoint_peer(peer)
         serialised = [
             s for s in profiler.center_stats() if s.center == "serialize.canonical_json"
@@ -122,6 +126,8 @@ def _steady_checkpoint(framework, identity):
     return {
         "checkpoint_canonical_json_calls": float(sum(s.calls for s in serialised)),
         "checkpoint_serialized_bytes": float(sum(s.n_bytes for s in serialised)),
+        "checkpoint_hashed_bytes": float(io["hashed"]),
+        "checkpoint_written_bytes": float(io["written"]),
         "checkpoint_wall_s": wall_s,
     }
 
@@ -180,13 +186,14 @@ def _check(series):
         f"{series[calls][0]} at {N_BLOCKS} blocks, "
         f"{series['large_' + calls][0]} at {N_BLOCKS_LARGE}"
     )
-    small, large = (
-        max(series[prefix + "checkpoint_serialized_bytes"]) for prefix, _ in SIZES
-    )
-    assert large <= 2 * small, (
-        f"checkpoint bytes grew {large / small:.1f}x from {N_BLOCKS} to "
-        f"{N_BLOCKS_LARGE} blocks"
-    )
+    for what in ("serialized", "hashed", "written"):
+        small, large = (
+            max(series[f"{prefix}checkpoint_{what}_bytes"]) for prefix, _ in SIZES
+        )
+        assert large <= 2 * small, (
+            f"checkpoint {what} bytes grew {large / small:.1f}x from {N_BLOCKS} "
+            f"to {N_BLOCKS_LARGE} blocks"
+        )
 
 
 def _emit(series, rounds):
@@ -212,11 +219,14 @@ def _emit(series, rounds):
     )
     text += "\n\n" + format_table(
         f"One steady-state checkpoint ({CHECKPOINT_INTERVAL} blocks since the last)",
-        ["blocks", "canonical_json calls", "serialised bytes", "mean ms"],
+        ["blocks", "canonical_json calls", "serialised bytes", "hashed bytes",
+         "written bytes", "mean ms"],
         [
             [n_blocks,
              int(series[prefix + "checkpoint_canonical_json_calls"][0]),
              int(max(series[prefix + "checkpoint_serialized_bytes"])),
+             int(max(series[prefix + "checkpoint_hashed_bytes"])),
+             int(max(series[prefix + "checkpoint_written_bytes"])),
              mean_ms(prefix + "checkpoint_wall_s")]
             for prefix, n_blocks in SIZES
         ],
@@ -261,7 +271,9 @@ def main(argv=None):
         f"fetched {int(series['state_transfer_blocks'][0])} blocks, "
         f"parity held on both paths; a checkpoint serialises "
         f"{int(series['checkpoint_canonical_json_calls'][0])} values at "
-        f"{N_BLOCKS} and at {N_BLOCKS_LARGE} blocks"
+        f"{N_BLOCKS} and at {N_BLOCKS_LARGE} blocks, and hashes "
+        f"{int(series['checkpoint_hashed_bytes'][0])} / "
+        f"{int(series['large_checkpoint_hashed_bytes'][0])} bytes"
     )
 
 

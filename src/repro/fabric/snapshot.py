@@ -18,10 +18,17 @@ the key is next written): the digest is sha256 over the lines, a snapshot's
 bytes are a header line plus the lines. A receiver never trusts a line — it
 loads key, value and version from each and recomputes the digest from what
 it loaded.
+
+A :class:`SnapshotDelta` carries only the lines of the keys written since a
+peer's previous checkpoint, plus the keys deleted since. It is not
+digest-verified — that would hash the whole world — but hash-chained: its
+own sha256 covers its body, and its ``prev`` names the delta before it, or
+the base snapshot's state digest for the first.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.errors import EncodingError, LedgerError
@@ -102,14 +109,118 @@ def _parse_entry(line: bytes) -> tuple[str, bytes, Version]:
         raise LedgerError(f"malformed snapshot entry: {exc}") from exc
 
 
+@dataclass(frozen=True)
+class SnapshotDelta:
+    """What one peer's world changed between two of its checkpoints.
+
+    ``body`` is a header line — ``height``, ``last_block_hash``, ``prev``,
+    ``deleted`` (``[key, block, tx]`` per deleted key) and the entry count
+    ``n`` — followed by the snapshot lines of the written keys still live, in
+    key order; ``digest`` is sha256 over ``body``. ``to_bytes`` puts the
+    digest on a line of its own before the body.
+    """
+
+    body: bytes
+    digest: str
+
+    def to_bytes(self) -> bytes:
+        return self.digest.encode("ascii") + b"\n" + self.body
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "SnapshotDelta":
+        digest, _, body = raw.partition(b"\n")
+        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+            raise LedgerError("snapshot delta does not match its own hash")
+        return cls(body=body, digest=digest.decode("ascii"))
+
+
+def chain_digest(raw: bytes | None) -> str | None:
+    """The digest a delta written after the checkpoint file ``raw`` chains
+    onto: a base's state digest or a delta's own hash, read from the first
+    line and not verified (recovery verifies). ``None`` when there is no
+    file or its first line is unreadable: nothing can chain onto it."""
+    if raw is None:
+        return None
+    end = raw.find(b"\n")
+    first = raw if end < 0 else raw[:end]
+    try:
+        if first.startswith(b"{"):
+            return str(from_canonical_json(first)["digest"])
+        return first.decode("ascii")
+    except (EncodingError, KeyError, TypeError, UnicodeDecodeError):
+        return None
+
+
+def take_delta(peer: Peer, changed: list[str], prev: str) -> SnapshotDelta:
+    """The delta of the ``changed`` keys (in key order) at the peer's height,
+    chained onto ``prev``."""
+    world = peer.world
+    live = [key for key in changed if world.has(key)]
+    deleted = []
+    for key in changed:
+        if not world.has(key):
+            version = world.get_version(key)
+            deleted.append([key, version.block, version.tx])
+    header = canonical_json(
+        {
+            "height": peer.ledger.height,
+            "last_block_hash": peer.ledger.last_hash(),
+            "prev": prev,
+            "deleted": deleted,
+            "n": len(live),
+        }
+    )
+    body = b"\n".join((header, *world.snapshot_lines(live)))
+    return SnapshotDelta(body=body, digest=hashlib.sha256(body).hexdigest())
+
+
+def apply_delta(peer: Peer, delta: SnapshotDelta, prev: str) -> None:
+    """Load a delta onto a peer holding the base and the deltas before it;
+    ``prev`` is the digest the delta must chain onto. A broken link, a
+    malformed body or a height below the peer's is a :class:`LedgerError`."""
+    header, *entries = delta.body.split(b"\n")
+    try:
+        doc = from_canonical_json(header)
+        link, height = doc["prev"], int(doc["height"])
+        last_block_hash, declared = doc["last_block_hash"], int(doc["n"])
+        deleted = [
+            (key, Version(block=int(block), tx=int(tx)))
+            for key, block, tx in doc["deleted"]
+        ]
+    except (EncodingError, KeyError, TypeError, ValueError) as exc:
+        raise LedgerError(f"malformed snapshot delta: {exc}") from exc
+    if link != prev:
+        raise LedgerError("snapshot delta does not chain onto the checkpoint before it")
+    if declared != len(entries) or height < peer.ledger.height:
+        raise LedgerError(
+            f"malformed snapshot delta: {len(entries)} of {declared} entries "
+            f"at height {height}, peer at {peer.ledger.height}"
+        )
+    world, previous = peer.world, None
+    for line in entries:
+        key, value, version = _parse_entry(line)
+        if previous is not None and key <= previous:
+            raise LedgerError(f"snapshot delta entries out of key order at {key!r}")
+        previous = key
+        world.apply_write(key, value, version, tx_id="snapshot", timestamp=0.0)
+    for key, version in deleted:
+        world.apply_write(key, None, version, tx_id="snapshot", timestamp=0.0)
+    peer.ledger = BlockStore(base_height=height, base_prev_hash=last_block_hash)
+
+
 def take_snapshot(peer: Peer, channel_name: str) -> Snapshot:
-    """Capture a peer's current world state and ledger coordinate."""
+    """Capture a peer's current world state and ledger coordinate; the
+    digest is hashed from the same lines the snapshot carries."""
+    entries = peer.world.snapshot_lines()
+    digest = hashlib.sha256()
+    for line in entries:
+        digest.update(line)
     return Snapshot(
         channel=channel_name,
         height=peer.ledger.height,
         last_block_hash=peer.ledger.last_hash(),
-        entries=peer.world.snapshot_lines(),
-        digest=peer.world.digest(),
+        entries=entries,
+        digest=digest.hexdigest(),
     )
 
 

@@ -14,8 +14,9 @@ scannable string using the same ``\\x00`` framing Fabric uses.
 Checkpoints and the state digest read the live state as one canonical
 *snapshot line* per key (``[key, value_hex, block, tx]``). A line is
 serialised when a checkpoint first needs it and kept until the key is next
-written, so a checkpoint costs what changed since the last one, not what
-exists (see :meth:`WorldState.snapshot_lines`).
+written (see :meth:`WorldState.snapshot_lines`), and the world remembers
+which keys were written since the last checkpoint
+(:meth:`WorldState.take_changed`), so a delta checkpoint reads only those.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _enc
 
 from repro.errors import LedgerError
-from repro.util.serialization import canonical_json
 
 # Composite keys: \x00 + objectType + \x00 + attr1 + \x00 + attr2 + ...
 COMPOSITE_SEP = "\x00"
@@ -68,6 +69,9 @@ class WorldState:
     # snapshot_lines() (apply_write is the only writer of the maps above);
     # derived state, so it takes no part in ==.
     _lines: dict[str, bytes] = field(default_factory=dict, compare=False, repr=False)
+    # Keys written since the last take_changed(); None until its first call,
+    # so a world that is never checkpointed tracks nothing.
+    _changed: set[str] | None = field(default=None, compare=False, repr=False)
 
     # -- reads ----------------------------------------------------------------
 
@@ -113,6 +117,8 @@ class WorldState:
                 f"write to {key!r} with stale version {version} < {current}"
             )
         self._lines.pop(key, None)  # the one invalidation site: puts and deletes
+        if self._changed is not None:
+            self._changed.add(key)
         if value is None:
             if key in self._values:
                 del self._values[key]
@@ -132,12 +138,15 @@ class WorldState:
     # -- snapshot lines (checkpoints, state digest) -----------------------------------
 
     def _line(self, key: str) -> bytes:
-        version = self._versions[key]
-        return canonical_json([key, self._values[key].hex(), version.block, version.tx])
+        """``canonical_json([key, value_hex, block, tx])``, written out: only
+        the key can need escaping, so the long hex value is not scanned."""
+        version, value_hex = self._versions[key], self._values[key].hex()
+        return f'[{_enc(key)},"{value_hex}",{version.block},{version.tx}]'.encode()
 
-    def snapshot_lines(self) -> tuple[bytes, ...]:
+    def snapshot_lines(self, keys: list[str] | None = None) -> tuple[bytes, ...]:
         """One canonical ``[key, value_hex, block, tx]`` line per live key, in
-        key order — the body of a :class:`~repro.fabric.snapshot.Snapshot`.
+        key order — the body of a :class:`~repro.fabric.snapshot.Snapshot` —
+        or per key of ``keys``, each of them live.
 
         This is the only call that fills the line cache: a line serialised
         here is kept until :meth:`apply_write` next touches its key, so the
@@ -149,12 +158,19 @@ class WorldState:
         """
         lines = self._lines
         out = []
-        for key in self._sorted_keys:
+        for key in self._sorted_keys if keys is None else keys:
             line = lines.get(key)
             if line is None:
                 line = lines[key] = self._line(key)
             out.append(line)
         return tuple(out)
+
+    def take_changed(self) -> list[str] | None:
+        """The keys :meth:`apply_write` touched since the previous call, in
+        key order, and start the next interval. ``None`` on a world's first
+        call: before it nothing was tracked, so every key counts as changed."""
+        changed, self._changed = self._changed, set()
+        return None if changed is None else sorted(changed)
 
     def digest(self) -> str:
         """sha256 over the snapshot lines in key order: the deterministic

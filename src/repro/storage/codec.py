@@ -6,9 +6,16 @@ the same Merkle root and its header to the same chain hash, or replay
 would be rejected by the very validation it is meant to satisfy. Every
 ``bytes`` field is hex-encoded (canonical JSON refuses raw bytes), and
 tuples are rebuilt on decode so frozen dataclass equality holds.
+
+The batch and block records are written out directly, and each
+transaction's document once per transaction object (:func:`tx_json`), so
+the orderer's batch record and every peer's block record share its bytes.
 """
 
 from __future__ import annotations
+
+import math
+from json.encoder import encode_basestring as _enc
 
 from repro.fabric.identity import IdentityInfo
 from repro.fabric.ledger import Block, BlockHeader
@@ -24,6 +31,7 @@ from repro.fabric.tx import (
 )
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
+from repro.util.serialization import canonical_json, once
 
 
 def _version_doc(version: Version | None) -> dict | None:
@@ -136,6 +144,91 @@ def block_to_doc(block: Block) -> dict:
             "txs": [tx_to_doc(tx) for tx in block.transactions],
             "codes": [code.value for code in block.validation_codes],
         }
+
+
+# -- WAL records: canonical_json of the *_to_doc documents, written out in key
+# order, since every committed transaction passes through three of them.
+
+
+def _json(value) -> str:
+    """``canonical_json(value)`` as text, rendering only what is no string,
+    ``None`` or finite float."""
+    if type(value) is str:
+        return _enc(value)
+    if value is None:
+        return "null"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return canonical_json(value).decode()
+
+
+def _identity_json(identity: IdentityInfo) -> str:
+    return (
+        f'{{"name":{_enc(identity.name)},"org":{_enc(identity.org)},'
+        f'"public_key":{_enc(identity.public_key_hex)},"role":{_enc(identity.role.value)}}}'
+    )
+
+
+def _render_tx(tx: Transaction) -> bytes:
+    proposal, rwset = tx.proposal, tx.rwset
+    endorsements = ",".join(
+        f'{{"endorser":{_identity_json(e.endorser)},"sig":"{e.signature.hex()}"}}'
+        for e in tx.endorsements
+    )
+    events = ",".join(
+        f'{{"chaincode":{_enc(ev.chaincode)},"name":{_enc(ev.name)},'
+        f'"payload":{_json(ev.payload)}}}'
+        for ev in tx.events
+    )
+    reads = ",".join(
+        f'[{_enc(r.key)},{{"block":{r.version.block},"tx":{r.version.tx}}}]'
+        if r.version is not None else f"[{_enc(r.key)},null]"
+        for r in rwset.reads
+    )
+    writes = ",".join(
+        f'[{_enc(w.key)},{"null" if w.value is None else _enc(w.value.hex())},'
+        f'{"true" if w.is_delete else "false"}]'
+        for w in rwset.writes
+    )
+    return (
+        f'{{"endorsements":[{endorsements}],"events":[{events}],"proposal":{{'
+        f'"args":[{",".join(map(_json, proposal.args))}],'
+        f'"chaincode":{_enc(proposal.chaincode)},"channel":{_enc(proposal.channel)},'
+        f'"creator":{_identity_json(proposal.creator)},"fn":{_enc(proposal.fn)},'
+        f'"signature":"{proposal.signature.hex()}","timestamp":{_json(proposal.timestamp)},'
+        f'"tx_id":{_enc(proposal.tx_id)}}},"response":{_json(tx.response)},'
+        f'"rwset":{{"reads":[{reads}],"writes":[{writes}]}}}}'
+    ).encode()
+
+
+def tx_json(tx: Transaction) -> bytes:
+    """``canonical_json(tx_to_doc(tx))``, written once per transaction object."""
+    return once(tx, "tx_json", lambda: _render_tx(tx))
+
+
+def batch_record(request_id: str, txs) -> bytes:
+    """``canonical_json({"type": "batch", "request_id": ..., "txs": [doc, ...]})``."""
+    head = f'{{"request_id":{_enc(request_id)},"txs":['.encode()
+    return head + b",".join(tx_json(tx) for tx in txs) + b'],"type":"batch"}'
+
+
+def block_record(block: Block, rejected: list[str], index_epoch: str | None) -> bytes:
+    """``canonical_json({"type": "block", "block": block_to_doc(block),
+    "rejected": rejected, "index_epoch": index_epoch})``."""
+    header = block.header
+    codes = ",".join(_enc(code.value) for code in block.validation_codes)
+    head = (
+        f'{{"block":{{"codes":[{codes}],"header":{{'
+        f'"data_hash":{_enc(header.data_hash)},"number":{header.number},'
+        f'"previous_hash":{_enc(header.previous_hash)},'
+        f'"timestamp":{_json(header.timestamp)}}},"txs":['
+    )
+    tail = (
+        f']}},"index_epoch":{_json(index_epoch)},'
+        f'"rejected":[{",".join(map(_enc, rejected))}],"type":"block"}}'
+    )
+    txs = b",".join(tx_json(tx) for tx in block.transactions)
+    return head.encode() + txs + tail.encode()
 
 
 def block_from_doc(doc: dict) -> Block:

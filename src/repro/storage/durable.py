@@ -17,9 +17,10 @@ from:
 * **Injectable media faults.** :meth:`damage_tail` truncates or corrupts
   the synced log in place (bit-rot, a bad sector), for chaos faults that
   exercise the WAL-damage recovery path.
-* **Atomic file writes.** ``write_file`` stages content that only becomes
-  visible at the next ``sync`` — the write-temp-then-rename idiom, so a
-  checkpoint is either entirely the old one or entirely the new one.
+* **Atomic file writes.** ``write_file`` and ``delete_file`` stage a change
+  that only becomes visible at the next ``sync`` — the write-temp-then-rename
+  idiom, so the files one ``sync`` changes are either all the old ones or
+  all the new ones.
 
 Log framing — each record is::
 
@@ -62,7 +63,7 @@ class DurableStore:
         self._synced_logs: dict[str, bytearray] = {}
         self._unsynced_logs: dict[str, bytearray] = {}
         self._files: dict[str, bytes] = {}
-        self._pending_files: dict[str, bytes] = {}
+        self._pending_files: dict[str, bytes | None] = {}  # None: a delete
         self.syncs = 0
 
     # -- writes ---------------------------------------------------------------
@@ -77,6 +78,10 @@ class DurableStore:
         """Stage a whole-file replacement; visible only after the next sync."""
         self._pending_files[name] = bytes(content)
 
+    def delete_file(self, name: str) -> None:
+        """Stage a file's removal; like a write, it lands at the next sync."""
+        self._pending_files[name] = None
+
     def truncate_log(self, log: str) -> None:
         """Drop a log entirely (both tiers) — e.g. after a covering checkpoint."""
         self._synced_logs.pop(log, None)
@@ -87,7 +92,11 @@ class DurableStore:
         for log, buf in self._unsynced_logs.items():
             self._synced_logs.setdefault(log, bytearray()).extend(buf)
         self._unsynced_logs = {}
-        self._files.update(self._pending_files)
+        for name, content in self._pending_files.items():
+            if content is None:
+                self._files.pop(name, None)
+            else:
+                self._files[name] = content
         self._pending_files = {}
         self.syncs += 1
 

@@ -6,10 +6,13 @@ the ordering service) holds:
 * ``wal`` — one framed canonical-JSON record per committed block
   (``{"type": "block", "block": ..., "rejected": [...]}``), synced every
   ``wal_sync_every`` blocks — so a crash can lose at most the unsynced
-  suffix;
-* ``checkpoint`` — the peer's :class:`~repro.fabric.snapshot.Snapshot`
-  at the last checkpoint height (every ``checkpoint_interval`` blocks),
-  written atomically; the WAL is truncated once the checkpoint covers it;
+  suffix; its transaction documents are the ones the orderer's ``batch``
+  record holds, written once (:func:`~repro.storage.codec.tx_json`);
+* ``checkpoint`` plus ``checkpoint-delta-<n>`` — a base
+  :class:`~repro.fabric.snapshot.Snapshot` and the
+  :class:`~repro.fabric.snapshot.SnapshotDelta` of each checkpoint since
+  (one every ``checkpoint_interval`` blocks), written atomically; the WAL
+  is truncated once a checkpoint covers it;
 * ``frontier-<replica>`` — each PBFT validator's decided-log frontier
   ``{seq, stable, digest}``, so a restarted validator set can prove its
   log prefix matches what was persisted.
@@ -20,24 +23,26 @@ adopted (:meth:`~repro.index.PeerIndex.from_world`). What the WAL keeps of
 it is each block's epoch digest, which replay checks the rebuilt index
 against.
 
-A checkpoint is one file, whole, but writing it costs what changed: the
-snapshot is a join of canonical-JSON lines that the world state keeps per
-key and re-serialises only after a change (``WorldState.snapshot_lines``);
-only the small header is serialised every time. The frontiers are written
-once per ledger height, by the first peer to checkpoint there, and the
-orderer's own log (``submit`` / ``batch`` records) is compacted at the
+A checkpoint writes and hashes what changed since the peer's previous
+one: a delta of the lines of the keys written since
+(``WorldState.take_changed``), hash-chained onto the delta before it or the
+base's state digest. Once the deltas' bytes reach the base's, it *folds*:
+a fresh base, the deltas deleted in the same ``sync``. The frontiers are
+written once per ledger height, by the first peer to checkpoint there, and
+the orderer's own log (``submit`` / ``batch`` records) is compacted at the
 same moment to the records whose transactions are not yet on a ledger — so
 it holds what no checkpoint covers yet rather than every batch ever cut.
 
 Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 
-1. **WAL replay** — adopt the checkpoint snapshot (digest-verified by
-   :func:`~repro.fabric.snapshot.bootstrap_peer`), rebuild the index from
-   it, then re-commit every WAL block through the normal validation path,
-   checking each rebuilt epoch against the journaled one; a torn tail is
-   dropped.
+1. **WAL replay** — adopt the base snapshot (digest-verified by
+   :func:`~repro.fabric.snapshot.bootstrap_peer`), apply the deltas in
+   order, each checked against its own hash and its ``prev`` link, rebuild
+   the index from the result, then re-commit every WAL block through the
+   normal validation path, checking each rebuilt epoch against the
+   journaled one; a torn tail is dropped.
 2. **Verified state transfer** — on WAL corruption or an unusable
-   checkpoint: take a snapshot from the best online donor, check that
+   checkpoint piece: take a snapshot from the best online donor, check that
    *every* online peer at that height agrees on the state digest and
    head hash (:func:`repro.fabric.audit.check_peers`, the replica-parity
    check every audit runs), adopt it, rebuild the index from it, and
@@ -46,8 +51,8 @@ Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
    empty and let gossip deliver the chain from genesis.
 
 Whatever the path, recovery ends by rebuilding the node's durable state
-(fresh checkpoint, truncated WAL), emitting a ``recovery`` span plus
-metrics, and handing the peer to the SAN307 sanitizer check.
+(a fold: fresh base, no deltas, truncated WAL), emitting a ``recovery``
+span plus metrics, and handing the peer to the SAN307 sanitizer check.
 """
 
 from __future__ import annotations
@@ -66,8 +71,12 @@ from repro.fabric.gossip import sync_peer
 from repro.fabric.ledger import Block, BlockStore
 from repro.fabric.snapshot import (
     Snapshot,
+    SnapshotDelta,
     adopt_snapshot,
+    apply_delta,
     bootstrap_peer,
+    chain_digest,
+    take_delta,
     take_snapshot,
 )
 from repro.fabric.worldstate import WorldState
@@ -75,12 +84,13 @@ from repro.index import PeerIndex
 from repro.obs.metrics import get_registry
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
-from repro.storage.codec import block_from_doc, block_to_doc, tx_to_doc
+from repro.storage.codec import batch_record, block_from_doc, block_record
 from repro.storage.durable import DurableStore
 from repro.util.serialization import canonical_json, from_canonical_json
 
 WAL_LOG = "wal"
 CHECKPOINT_FILE = "checkpoint"
+DELTA_PREFIX = CHECKPOINT_FILE + "-delta-"
 
 
 @dataclass
@@ -131,6 +141,14 @@ def _record_tx_ids(doc: dict) -> list[str]:
     return [doc["tx_id"]]
 
 
+def _delta_files(store: DurableStore) -> list[str]:
+    """The delta files on a peer's disk, oldest first."""
+    return sorted(
+        (n for n in store.files() if n.startswith(DELTA_PREFIX)),
+        key=lambda n: int(n[len(DELTA_PREFIX):]),
+    )
+
+
 class DurabilityManager:
     """Owns every node's simulated disk and drives crash recovery."""
 
@@ -154,6 +172,9 @@ class DurabilityManager:
         self.stats = DurabilityStats()
         self.recovery_log: list[RecoveryOutcome] = []
         self._replaying: set[str] = set()
+        # The orderer log's records and their tx ids, so that compaction
+        # decodes none; rebuilt from disk after a crash.
+        self._orderer_log: list[tuple[bytes, list[str]]] = []
         # Ledger height of the last checkpoint that also covered the
         # ordering service (validator frontiers + orderer-log compaction).
         self._orderer_checkpoint_height = -1
@@ -180,14 +201,7 @@ class DurabilityManager:
         with profiled("storage.wal"):
             store.append(
                 WAL_LOG,
-                canonical_json(
-                    {
-                        "type": "block",
-                        "block": block_to_doc(block),
-                        "rejected": sorted(consensus_rejected or ()),
-                        "index_epoch": index_epoch,
-                    }
-                ),
+                block_record(block, sorted(consensus_rejected or ()), index_epoch),
             )
             self.stats.wal_records += 1
             height = peer.ledger.height
@@ -200,46 +214,53 @@ class DurabilityManager:
         """A tx entered the orderer queue — deliberately *not* synced: queued
         but uncut transactions are exactly what an orderer crash loses."""
         with profiled("storage.wal"):
-            self.orderer_store.append(
-                WAL_LOG, canonical_json({"type": "submit", "tx_id": tx.tx_id})
+            self._append_orderer(
+                canonical_json({"type": "submit", "tx_id": tx.tx_id}), [tx.tx_id]
             )
 
     def record_batch(self, request_id: str, txs) -> None:
         """A batch went to consensus: persist it (synced) with full tx docs."""
         with profiled("storage.wal"):
-            self.orderer_store.append(
-                WAL_LOG,
-                canonical_json(
-                    {
-                        "type": "batch",
-                        "request_id": request_id,
-                        "txs": [tx_to_doc(tx) for tx in txs],
-                    }
-                ),
+            self._append_orderer(
+                batch_record(request_id, txs), [tx.tx_id for tx in txs]
             )
             self.orderer_store.sync()
+
+    def _append_orderer(self, payload: bytes, tx_ids: list[str]) -> None:
+        self.orderer_store.append(WAL_LOG, payload)
+        self._orderer_log.append((payload, tx_ids))
 
     # -- checkpoints -----------------------------------------------------------
 
     def checkpoint_peer(self, peer) -> None:
-        """Atomic snapshot of ledger and world state; WAL truncated after.
+        """Atomic checkpoint of ledger and world state; WAL truncated after.
 
-        The snapshot file is a join of lines the world state caches per
-        key, so this costs what changed since the peer's previous
-        checkpoint. The index is not written: recovery rebuilds it from the
-        snapshot. The ordering service's share — the validator frontiers
-        and the orderer-log compaction — is done by the
-        first peer to checkpoint at each ledger height: every peer's
+        One delta of what changed since the peer's previous checkpoint, or a
+        fold once the deltas' bytes reach the base's or the world has no base
+        to be a delta of (it was just replaced). The index is not written:
+        recovery rebuilds it from the snapshot. The ordering service's share
+        — the validator frontiers and the orderer-log compaction — is done by
+        the first peer to checkpoint at each ledger height: every peer's
         checkpoint at one height would persist the same validator logs.
         """
         store = self.stores.get(peer.name)
         if store is None:
             return
         with profiled("storage.checkpoint"):
-            snapshot = take_snapshot(peer, self.channel.name)
-            store.write_file(CHECKPOINT_FILE, snapshot.to_bytes())
-            store.truncate_log(WAL_LOG)
+            changed = peer.world.take_changed()
+            base, deltas = store.read_file(CHECKPOINT_FILE), _delta_files(store)
+            deltas_bytes = sum(len(store.read_file(name)) for name in deltas)
+            prev = chain_digest(store.read_file(deltas[-1]) if deltas else base)
+            if changed is None or base is None or prev is None or deltas_bytes >= len(base):
+                snapshot = take_snapshot(peer, self.channel.name)
+                store.write_file(CHECKPOINT_FILE, snapshot.to_bytes())
+                for name in deltas:
+                    store.delete_file(name)
+            else:
+                delta = take_delta(peer, changed, prev)
+                store.write_file(f"{DELTA_PREFIX}{len(deltas) + 1}", delta.to_bytes())
             store.sync()
+            store.truncate_log(WAL_LOG)
         self.stats.checkpoints += 1
         get_registry().counter("checkpoints_total").inc()
         if peer.ledger.height != self._orderer_checkpoint_height:
@@ -277,19 +298,19 @@ class DurabilityManager:
         peer that recovered by state transfer indexes no transaction below
         its snapshot height, and would keep those records for good."""
         store = self.orderer_store
-        store.sync()  # compaction reads the durable tier: leave nothing behind it
-        records, _tail = store.read_log(WAL_LOG)
+        store.sync()  # the rewrite replaces the durable tier: leave nothing behind it
         ledgers = [peer.ledger for peer in self.channel.peers.values()]
-        keep = []
-        for payload in records:
-            tx_ids = _record_tx_ids(from_canonical_json(payload))
-            if not all(any(led.has_tx(tx_id) for led in ledgers) for tx_id in tx_ids):
-                keep.append(payload)
-        if len(keep) == len(records):
+        keep = [
+            record
+            for record in self._orderer_log
+            if not all(any(led.has_tx(tx_id) for led in ledgers) for tx_id in record[1])
+        ]
+        if len(keep) == len(self._orderer_log):
             return
         store.truncate_log(WAL_LOG)
-        for payload in keep:
+        for payload, _tx_ids in keep:
             store.append(WAL_LOG, payload)
+        self._orderer_log = keep
         store.sync()
 
     def verify_validator_frontiers(self) -> dict[str, bool]:
@@ -318,12 +339,13 @@ class DurabilityManager:
         return self.recover_peer(peer_name)
 
     def damage_wal(self, peer_name: str, mode: str) -> str:
-        """Injected media fault; falls back to the checkpoint file when the
-        synced WAL has nothing to damage (so the fault always bites)."""
+        """Injected media fault; falls back to the newest checkpoint file —
+        the last delta, else the base — when the synced WAL has nothing to
+        damage (so the fault always bites)."""
         store = self.stores[self._peer(peer_name).name]
         detail = store.damage_tail(WAL_LOG, mode)
         if detail.startswith("no-op"):
-            detail = store.corrupt_file(CHECKPOINT_FILE)
+            detail = store.corrupt_file((_delta_files(store) or [CHECKPOINT_FILE])[-1])
         return detail
 
     def recover_peer(self, peer_name: str) -> RecoveryOutcome:
@@ -386,7 +408,8 @@ class DurabilityManager:
             sp.set_attr("replayed", replayed)
             sp.set_attr("caught_up", caught_up)
             sp.set_attr("lag", lag)
-            # Rebuild durable state so the *next* crash restarts from here.
+            # Rebuild durable state (a fold: the world was replaced) so the
+            # *next* crash restarts from here.
             self.checkpoint_peer(peer)
             if peer.sanitizer is not None:
                 peer.sanitizer.check_recovery(peer, self.channel)
@@ -397,6 +420,10 @@ class DurabilityManager:
         orderer = self.channel.orderer
         dropped = orderer.drop_queued() if hasattr(orderer, "drop_queued") else []
         self.orderer_store.crash()
+        records, _tail = self.orderer_store.read_log(WAL_LOG)
+        self._orderer_log = [
+            (payload, _record_tx_ids(from_canonical_json(payload))) for payload in records
+        ]
         if dropped:
             self.stats.orderer_dropped_txs += len(dropped)
             get_registry().counter(
@@ -434,14 +461,19 @@ class DurabilityManager:
         peer.online = True
 
     def _replay(self, peer, store: DurableStore, records: list[bytes]) -> tuple[int, int]:
-        """Checkpoint adoption + WAL replay through full validation."""
+        """Checkpoint adoption (base, then deltas) + WAL replay through full validation."""
         ckpt_height = 0
         raw = store.read_file(CHECKPOINT_FILE)
         if raw is not None:
             snapshot = Snapshot.from_bytes(raw)
             bootstrap_peer(peer, snapshot)  # digest-verified adoption
+            prev = snapshot.digest
+            for name in _delta_files(store):
+                delta = SnapshotDelta.from_bytes(store.read_file(name))
+                apply_delta(peer, delta, prev)
+                prev = delta.digest
             self._rebuild_index(peer)
-            ckpt_height = snapshot.height
+            ckpt_height = peer.ledger.height
         if peer.sanitizer is not None:
             peer.sanitizer.note_recovery(peer.name, peer.ledger.height)
         replayed = 0

@@ -32,11 +32,12 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 
 T = TypeVar("T")
 
-# Enough for the largest batch in flight (a 64-transaction block, ~7 forms
+# Enough for the largest batch in flight (a 64-transaction block, ~8 forms
 # per transaction at two endorsers: the signing payload, the envelope, the
-# transaction's endorsed payload, and an endorsed payload and a rendered
-# rwset per endorser) and flat in ledger height: a chain walk over old blocks
-# recomputes their forms and pushes out the oldest entries, nothing grows.
+# transaction's endorsed payload, its WAL document, and an endorsed payload
+# and a rendered rwset per endorser) and flat in ledger height: a chain walk
+# over old blocks recomputes their forms and pushes out the oldest entries,
+# nothing grows.
 ONCE_MAX_ENTRIES = 1024
 # (id(owner), form) -> (owner, value). The entry holds its owner, so the id
 # cannot be reused while the entry lives; oldest entry out first.

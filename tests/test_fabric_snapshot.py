@@ -8,10 +8,13 @@ from repro.errors import LedgerError
 from repro.fabric import Peer
 from repro.fabric.snapshot import (
     Snapshot,
+    SnapshotDelta,
     adopt_snapshot,
+    apply_delta,
     bootstrap_peer,
     state_digest,
     states_agree,
+    take_delta,
     take_snapshot,
 )
 
@@ -247,3 +250,47 @@ class TestSnapshotRoundtrip:
         assert result.ok
         out = json.loads(channel.query(alice, "kv", "get", ["counter"], peer="mvcc-check"))
         assert out["value"] == "1"
+
+
+class TestSnapshotDelta:
+    """A base plus the deltas after it restores what the source holds."""
+
+    def test_base_plus_deltas_reproduce_state_and_height(self):
+        net, channel, alice = make_network()
+        source = next(iter(channel.peers.values()))
+        channel.invoke(alice, "kv", "put", ["keep", "v"])
+        channel.invoke(alice, "kv", "put", ["gone", "v"])
+        base = take_snapshot(source, channel.name)
+        source.world.take_changed()  # the base is where changes count from
+        prev, deltas = base.digest, []
+        for step in range(2):
+            channel.invoke(alice, "kv", "put", [f"new-{step}", "v"])
+            channel.invoke(alice, "kv", "put", ["keep", f"v{step}"])
+        channel.invoke(alice, "kv", "delete", ["gone"])
+        for _ in range(2):  # a second delta with nothing in it
+            delta = take_delta(source, source.world.take_changed(), prev)
+            deltas.append(SnapshotDelta.from_bytes(delta.to_bytes()))
+            prev = delta.digest
+        fresh = Peer("restored", source.identity, net.msp_registry)
+        bootstrap_peer(fresh, base)
+        prev = base.digest
+        for delta in deltas:
+            apply_delta(fresh, delta, prev)
+            prev = delta.digest
+        assert states_agree(fresh, source) and fresh.world.get("gone") is None
+        assert (fresh.ledger.height, fresh.ledger.last_hash()) == (
+            source.ledger.height, source.ledger.last_hash(),
+        )
+
+    def test_a_flipped_byte_or_a_wrong_link_is_refused(self):
+        net, channel, alice = make_network()
+        source = next(iter(channel.peers.values()))
+        channel.invoke(alice, "kv", "put", ["k", "v"])
+        raw = take_delta(source, ["k"], "0" * 64).to_bytes()
+        damaged = bytearray(raw)
+        damaged[len(raw) // 2] ^= 0xFF
+        with pytest.raises(LedgerError, match="own hash"):
+            SnapshotDelta.from_bytes(bytes(damaged))
+        fresh = Peer("victim", source.identity, net.msp_registry)
+        with pytest.raises(LedgerError, match="does not chain"):
+            apply_delta(fresh, SnapshotDelta.from_bytes(raw), "1" * 64)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import LedgerError
+from repro.util.serialization import canonical_json
 from repro.fabric.worldstate import (
     Version,
     WorldState,
@@ -175,6 +176,29 @@ class TestSnapshotLines:
         assert after[0] is before[0]  # joined, not re-serialised
         assert [json.loads(line)[0] for line in after] == ["a", "b"]
         assert json.loads(after[1]) == ["b", b"v2".hex(), 2, 0]
+
+    @given(
+        st.text(),
+        st.binary(max_size=64),
+        st.integers(0, 2**63),
+        st.integers(0, 2**31),
+    )
+    def test_a_line_is_the_canonical_json_of_its_row(self, key, value, block, tx):
+        ws = WorldState()
+        ws_put(ws, key, value, block, tx=tx)
+        assert ws.snapshot_lines([key]) == (canonical_json([key, value.hex(), block, tx]),)
+
+    def test_take_changed_lists_the_keys_written_since_its_last_call(self):
+        ws = WorldState()
+        ws_put(ws, "a", b"v", 1)
+        assert ws.take_changed() is None  # nothing was tracked before
+        assert ws.take_changed() == []
+        ws_put(ws, "c", b"v", 2)
+        ws_put(ws, "b", b"v", 2)
+        ws.apply_write("a", None, Version(2, 1), "tx", 0.0)
+        ws_put(ws, "c", b"w", 3)
+        assert ws.take_changed() == ["a", "b", "c"]  # deletes too, each key once
+        assert ws.take_changed() == []
 
     def test_cache_does_not_take_part_in_equality(self):
         a, b = WorldState(), WorldState()

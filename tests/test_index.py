@@ -694,12 +694,14 @@ def _assert_matches_survivors(framework, peer):
 class TestDurability:
     def test_checkpoints_write_no_index_file(self):
         """The index is derived state: a checkpoint writes the world
-        snapshot, nothing else."""
+        snapshot (a base and its deltas), nothing else."""
         framework = _durable_framework()
         manager = framework.durability
         assert manager.stats.checkpoints >= 2 * len(framework.channel.peers)
         for name in framework.channel.peers:
-            assert manager.stores[name].files() == ["checkpoint"], name
+            base, *deltas = manager.stores[name].files()
+            assert base == "checkpoint", name
+            assert all(f.startswith("checkpoint-delta-") for f in deltas), name
 
     def test_wal_replay_restores_index(self):
         framework = _durable_framework()

@@ -2,14 +2,32 @@
 torn writes, injected media faults, atomic files, and exact round-trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.merkle import merkle_root
 from repro.errors import StorageError, WalCorruptionError
+from repro.fabric.identity import IdentityInfo, Role
+from repro.fabric.ledger import Block, BlockHeader
+from repro.fabric.tx import (
+    ChaincodeEvent,
+    Endorsement,
+    ReadEntry,
+    ReadWriteSet,
+    Transaction,
+    TxProposal,
+    ValidationCode,
+    WriteEntry,
+)
+from repro.fabric.worldstate import Version
 from repro.storage import CORRUPT, TRUNCATE, DurableStore
 from repro.storage.codec import (
+    batch_record,
     block_from_doc,
+    block_record,
     block_to_doc,
     tx_from_doc,
+    tx_json,
     tx_to_doc,
 )
 from repro.util.serialization import canonical_json
@@ -109,6 +127,21 @@ class TestAtomicFiles:
         store.crash()
         assert store.read_file("checkpoint") == b"v1"
 
+    def test_a_delete_is_staged_like_a_write(self):
+        store = DurableStore()
+        for name in ("base", "delta-1"):
+            store.write_file(name, b"v1")
+        store.sync()
+        store.write_file("base", b"v2")
+        store.delete_file("delta-1")
+        assert store.files() == ["base", "delta-1"]
+        store.crash()  # neither the write nor the delete reached the disk
+        assert (store.read_file("base"), store.files()) == (b"v1", ["base", "delta-1"])
+        store.write_file("base", b"v2")
+        store.delete_file("delta-1")
+        store.sync()  # both did, together
+        assert (store.read_file("base"), store.files()) == (b"v2", ["base"])
+
     def test_corrupt_file_flips_content(self):
         store = DurableStore()
         store.write_file("checkpoint", b"pristine-bytes")
@@ -169,3 +202,108 @@ class TestCodecRoundTrip:
         envelopes = [tx.envelope_bytes() for tx in rebuilt.transactions]
         assert envelopes == [tx.envelope_bytes() for tx in block.transactions]
         assert merkle_root(envelopes).hex() == rebuilt.header.data_hash == block.header.data_hash
+
+
+_numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+_json_values = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_identities = st.builds(
+    IdentityInfo,
+    name=st.text(), org=st.text(), role=st.sampled_from(Role), public_key_hex=st.text(),
+)
+_transactions = st.builds(
+    Transaction,
+    proposal=st.builds(
+        TxProposal,
+        tx_id=st.text(), channel=st.text(), chaincode=st.text(), fn=st.text(),
+        args=st.lists(st.text(), max_size=3).map(tuple),
+        creator=_identities, timestamp=_numbers, signature=st.binary(max_size=64),
+    ),
+    rwset=st.builds(
+        ReadWriteSet,
+        reads=st.lists(
+            st.builds(
+                ReadEntry,
+                key=st.text(),
+                version=st.none() | st.builds(
+                    Version, block=st.integers(0, 2**40), tx=st.integers(0, 2**20)
+                ),
+            ),
+            max_size=3,
+        ).map(tuple),
+        writes=st.lists(
+            st.builds(
+                WriteEntry,
+                key=st.text(), value=st.none() | st.binary(max_size=32),
+                is_delete=st.booleans(),
+            ),
+            max_size=3,
+        ).map(tuple),
+    ),
+    response=st.text(),
+    endorsements=st.lists(
+        st.builds(Endorsement, endorser=_identities, signature=st.binary(max_size=64)),
+        max_size=2,
+    ).map(tuple),
+    events=st.lists(
+        st.builds(
+            ChaincodeEvent,
+            chaincode=st.text(), name=st.text(),
+            payload=st.dictionaries(st.text(), _json_values, max_size=3),
+        ),
+        max_size=2,
+    ).map(tuple),
+)
+
+
+class TestWalRecordRendering:
+    """The WAL records are written out rather than rendered, so each is held
+    to ``canonical_json`` of the document it stands for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(txs=st.lists(_transactions, max_size=3))
+    def test_transactions_and_batches(self, txs):
+        for tx in txs:
+            assert tx_json(tx) == canonical_json(tx_to_doc(tx))
+        for request_id in ("batch-0", "b\"\u00e9\n"):
+            assert batch_record(request_id, txs) == canonical_json(
+                {"type": "batch", "request_id": request_id, "txs": [tx_to_doc(t) for t in txs]}
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        txs=st.lists(_transactions, max_size=2),
+        number=st.integers(0, 2**63),
+        hashes=st.tuples(st.text(), st.text()),
+        timestamp=_numbers,
+        codes=st.lists(st.sampled_from(ValidationCode), min_size=2, max_size=2),
+        rejected=st.lists(st.text(), max_size=3),
+        epoch=st.none() | st.text(),
+    )
+    def test_blocks(self, txs, number, hashes, timestamp, codes, rejected, epoch):
+        block = Block(
+            header=BlockHeader(
+                number=number, previous_hash=hashes[0], data_hash=hashes[1],
+                timestamp=timestamp,
+            ),
+            transactions=tuple(txs),
+            validation_codes=tuple(codes[: len(txs)]),
+        )
+        assert block_record(block, rejected, epoch) == canonical_json(
+            {
+                "type": "block",
+                "block": block_to_doc(block),
+                "rejected": rejected,
+                "index_epoch": epoch,
+            }
+        )
+
+    def test_an_unserialisable_value_is_refused_as_canonical_json_refuses_it(self):
+        from repro.errors import EncodingError
+
+        header = BlockHeader(number=1, previous_hash="p", data_hash="d", timestamp=float("nan"))
+        with pytest.raises(EncodingError):
+            block_record(Block(header=header, transactions=(), validation_codes=()), [], None)
