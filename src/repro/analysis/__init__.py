@@ -34,7 +34,6 @@ from .runtime import (
     SanitizerReport,
     enabled_modes,
     install_sanitizers,
-    last_report,
     parse_modes,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "enabled_modes",
     "get_rule",
     "install_sanitizers",
-    "last_report",
     "lint_paths",
     "lint_source",
     "load_baseline",

@@ -126,7 +126,6 @@ SINK_QUALNAMES = {
     "repro.util.serialization.canonical_json": "canonical_json",
     "repro.crypto.hashing.digest": "crypto.digest",
     "repro.crypto.hashing.hexdigest": "crypto.hexdigest",
-    "repro.crypto.hashing.digest_many": "crypto.digest_many",
     "repro.crypto.merkle.merkle_root": "merkle_root",
     "repro.crypto.merkle.MerkleTree.__init__": "MerkleTree",
     "repro.storage.codec.tx_to_doc": "codec.tx_to_doc",

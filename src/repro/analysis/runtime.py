@@ -165,12 +165,7 @@ class Sanitizer:
         from repro.crypto.merkle import MerkleTree
         from repro.index import PeerIndex
 
-        rebuilt = PeerIndex.from_world(
-            peer.world,
-            peer.ledger.height,
-            trusted_threshold=index.trusted_threshold,
-            min_threshold=index.min_threshold,
-        ).root()
+        rebuilt = PeerIndex.from_world(peer.world, peer.ledger.height).root()
         live = {
             "maintained": index.root(),
             "re-hashed from live postings": MerkleTree(index.leaves()).root.hex(),
@@ -268,15 +263,13 @@ class Sanitizer:
         ]
 
     def finalize(self) -> SanitizerReport:
-        """Run the end-of-run check and publish the report (idempotent)."""
+        """Run the end-of-run check and return the report (idempotent)."""
         if not self._finalized:
             extra = self._check_consensus() if "consensus" in self.modes else []
             with self._mutex:
                 self._findings.extend(extra)
                 self._finalized = True
-        report = self.report()
-        _publish(report)
-        return report
+        return self.report()
 
     def report(self) -> SanitizerReport:
         with self._mutex:
@@ -290,28 +283,18 @@ class Sanitizer:
 
 
 # ---------------------------------------------------------------------------
-# Installation + last-report plumbing
+# Installation
 # ---------------------------------------------------------------------------
 
-_LAST_REPORT: SanitizerReport | None = None
 _ACTIVE: Sanitizer | None = None
 
 
-def _publish(report: SanitizerReport) -> None:
-    global _LAST_REPORT
-    _LAST_REPORT = report
-
-
-def last_report() -> SanitizerReport | None:
-    """The report of the most recently finalized sanitized run, if any.
+def active_sanitizer() -> Sanitizer | None:
+    """The most recently installed sanitizer, if any.
 
     This is how the CLI reaches the sanitizer of a Framework built deep
     inside a chaos scenario it never held a reference to.
     """
-    return _LAST_REPORT
-
-
-def active_sanitizer() -> Sanitizer | None:
     return _ACTIVE
 
 
@@ -327,7 +310,6 @@ def install_sanitizers(channel, spec: str = "") -> Sanitizer | None:
         return None
     sanitizer = Sanitizer(modes)
     sanitizer.channel = channel
-    channel.sanitizer = sanitizer
     for peer in channel.peers.values():
         peer.sanitizer = sanitizer
     _ACTIVE = sanitizer

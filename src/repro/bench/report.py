@@ -94,11 +94,9 @@ def emit_json(
     its raw measurements; each gets mean/std/median summary statistics so
     downstream tooling never re-derives them. The document is the v2 BENCH
     envelope (:mod:`repro.obs.benchtrend`): schema version, ``seed``, and a
-    config fingerprint, so `repro bench-diff` can compare runs. Set
-    ``REPRO_BENCH_HISTORY=1`` to also append the envelope to the
-    append-only history store under ``benchmarks/results/history/``.
+    config fingerprint, so `repro bench-diff` can compare runs.
     """
-    from repro.obs.benchtrend import make_envelope, record_history
+    from repro.obs.benchtrend import make_envelope
 
     doc = make_envelope(
         name,
@@ -113,8 +111,6 @@ def emit_json(
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"BENCH_{name}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if os.environ.get("REPRO_BENCH_HISTORY"):
-        record_history(doc, out)
     return path
 
 

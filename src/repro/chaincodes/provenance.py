@@ -28,10 +28,6 @@ IDX_PROV = "prov"
 _HEAD_PREFIX = "provhead:"
 GENESIS_HASH = "0" * 64
 
-# The lifecycle actions a record may go through; free-form extras allowed
-# but these anchor the tests and examples.
-STANDARD_ACTIONS = ("captured", "validated", "stored", "accessed", "flagged")
-
 
 def _entry_hash(entry: dict) -> str:
     hashable = {k: v for k, v in entry.items() if k != "entry_hash"}

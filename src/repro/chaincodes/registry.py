@@ -64,9 +64,6 @@ class UserRegistrationChaincode(Chaincode):
             raise ChaincodeError(f"user {user_id} not found")
         return json.loads(raw)
 
-    def user_exists(self, stub: ChaincodeStub, user_id: str):
-        return stub.get_state(self._key(user_id)) is not None
-
     def deactivate_user(self, stub: ChaincodeStub, user_id: str):
         record = self.get_user(stub, user_id)
         record["active"] = False

@@ -21,7 +21,6 @@ from repro.chaos.faults import (
     HealPartition,
     IpfsNodeCrash,
     IpfsNodeRestart,
-    MessageChaosOff,
     MessageChaosOn,
     NetChaosInjector,
     OrdererCrash,
@@ -43,7 +42,6 @@ __all__ = [
     "ValidatorCrash",
     "ValidatorRestart",
     "MessageChaosOn",
-    "MessageChaosOff",
     "Partition",
     "HealPartition",
     "CorruptRandomBlock",

@@ -173,16 +173,6 @@ class MessageChaosOn(Fault):
 
 
 @dataclass(frozen=True)
-class MessageChaosOff(Fault):
-    def inject(self, framework, rng):
-        network = _consensus_network(framework)
-        if network is None:
-            return "no-op (no consensus network)"
-        network.fault_injector = None
-        return "removed"
-
-
-@dataclass(frozen=True)
 class Partition(Fault):
     """Split the consensus network into the given sides."""
 

@@ -6,7 +6,6 @@ from repro.consensus.messages import (
     ClientRequest,
     Commit,
     NewView,
-    Phase,
     Prepare,
     PrePrepare,
     ViewChange,
@@ -21,7 +20,6 @@ __all__ = [
     "ClientRequest",
     "Commit",
     "NewView",
-    "Phase",
     "Prepare",
     "PrePrepare",
     "ViewChange",

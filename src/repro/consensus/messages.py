@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any
 
 
 # ---------------------------------------------------------------------------
 # PBFT
 # ---------------------------------------------------------------------------
-
-
-class Phase(str, Enum):
-    PRE_PREPARE = "pre-prepare"
-    PREPARE = "prepare"
-    COMMIT = "commit"
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,13 @@ chain the origin framework enforced, now portable.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 from repro.core.client import Client
 from repro.crypto.cid import CID
 from repro.crypto.keys import PublicKey
 from repro.errors import IntegrityError, SignatureError, StorageError
-from repro.ipfs.blockstore import Blockstore, MemoryBlockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.car import export_car, import_car
 from repro.ipfs.unixfs import UnixFS
 from repro.util.serialization import canonical_json, from_canonical_json
@@ -97,9 +96,9 @@ def export_bundle(client: Client, query_text: str) -> bytes:
 
 def import_bundle(
     raw: bytes,
-    blockstore: Blockstore | None = None,
+    blockstore: MemoryBlockstore | None = None,
     expected_exporter: PublicKey | None = None,
-) -> tuple[Bundle, Blockstore]:
+) -> tuple[Bundle, MemoryBlockstore]:
     """Verify and unpack a bundle; returns the entries and a blockstore
     holding the (hash-verified) payload blocks."""
     blockstore = blockstore if blockstore is not None else MemoryBlockstore()

@@ -38,7 +38,7 @@ from repro.fabric import Identity, ValidationCode
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.query import QueryEngine, QueryRow
-from repro.trust import SourceTier
+from repro.trust import CORROBORATION_FLOOR, SourceTier
 from repro.trust.crossval import Observation
 from repro.vision import Frame, MetadataExtractor, SimulatedYolo
 
@@ -143,7 +143,7 @@ class Client:
                     neighbours = framework.trust.cross_validator.neighbours(observation)
                     if neighbours:
                         cross = framework.trust.cross_validate(observation)
-                        if cross < framework.config.corroboration_floor:
+                        if cross < CORROBORATION_FLOOR:
                             framework.trust.record_validation(
                                 source_id, False,
                                 valid_votes=0, invalid_votes=len(neighbours),
@@ -153,7 +153,7 @@ class Client:
                             raise UntrustedSourceError(
                                 f"source {source_id!r} contradicts {len(neighbours)} trusted "
                                 f"observation(s) (cross-validation {cross:.2f} < "
-                                f"{framework.config.corroboration_floor}); submission refused"
+                                f"{CORROBORATION_FLOOR}); submission refused"
                             )
 
             # ③ raw data to IPFS.

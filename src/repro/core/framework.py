@@ -43,7 +43,7 @@ from repro.index import IndexManager
 from repro.ipfs import FixedSizeChunker, IpfsCluster
 from repro.ipfs.chunker import Chunker
 from repro.obs.metrics import get_registry
-from repro.resilience import ResilienceHub, RetryPolicy, retry
+from repro.resilience import ResilienceHub, retry
 from repro.trust import SourceTier, TrustEngine, ValidatorPool
 
 # Queued rider writes force an ordering round of their own at this many,
@@ -72,18 +72,14 @@ class FrameworkConfig:
     n_ipfs_nodes: int = 2
     chunk_size: int = 64 * 1024
     channel_name: str = "traffic"
-    trusted_threshold: float = 0.75
-    min_trust_threshold: float = 0.25
     # Paper §III: "If discrepancies are detected, the data may require
     # further validation from multiple trusted sources before it is
     # recorded." With strict admission, a low-trust source's submission is
-    # rejected up-front when trusted neighbours contradict its observation.
+    # rejected up-front when trusted neighbours contradict its observation
+    # (cross-validation below repro.trust.CORROBORATION_FLOOR).
     strict_admission: bool = False
-    corroboration_floor: float = 0.5
-    # Resilience layer (retry/breaker semantics shared by every hot path).
-    retry_max_attempts: int = 4
-    breaker_failure_threshold: int = 8
-    breaker_cooldown_s: float = 0.25
+    # Seeds the resilience layer's retry jitter (retry/breaker semantics
+    # shared by every hot path).
     resilience_seed: int = 0
     # Runtime sanitizer modes: "" disables, "all" enables everything, or a
     # comma list of names from repro.analysis.runtime.MODES (the one place
@@ -234,11 +230,7 @@ class Framework:
         # index the query planner routes through) attaches before the first
         # invoke so epoch 0 covers the admin-enrollment block; the
         # durability journal above records each epoch digest into the WAL.
-        self.indexing = IndexManager(
-            self.channel,
-            trusted_threshold=cfg.trusted_threshold,
-            min_threshold=cfg.min_trust_threshold,
-        )
+        self.indexing = IndexManager(self.channel)
         for chaincode in (
             AdminEnrollmentChaincode(),
             UserRegistrationChaincode(),
@@ -253,16 +245,8 @@ class Framework:
             n_nodes=cfg.n_ipfs_nodes,
             chunker=chunker or FixedSizeChunker(cfg.chunk_size),
         )
-        self.trust = TrustEngine(
-            trusted_threshold=cfg.trusted_threshold,
-            min_threshold=cfg.min_trust_threshold,
-        )
-        self.resilience = ResilienceHub(
-            retry_policy=RetryPolicy(max_attempts=cfg.retry_max_attempts),
-            failure_threshold=cfg.breaker_failure_threshold,
-            cooldown_s=cfg.breaker_cooldown_s,
-            seed=cfg.resilience_seed,
-        )
+        self.trust = TrustEngine()
+        self.resilience = ResilienceHub(seed=cfg.resilience_seed)
         self.riders = RiderQueue(
             self.channel, max_attempts=self.resilience.retry_policy.max_attempts
         )

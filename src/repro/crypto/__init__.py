@@ -2,7 +2,7 @@
 multihash, and content identifiers (CIDs)."""
 
 from repro.crypto.cid import CID, CODEC_DAG_JSON, CODEC_DAG_PB, CODEC_RAW
-from repro.crypto.hashing import SHA2_256, SHA2_512, digest, digest_many, hexdigest
+from repro.crypto.hashing import SHA2_256, SHA2_512, digest, hexdigest
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, SIGNATURE_SIZE
 from repro.crypto.merkle import MerkleProof, MerkleTree, ProofStep, merkle_root
 from repro.crypto.multihash import CODE_SHA2_256, CODE_SHA2_512, Multihash
@@ -15,7 +15,6 @@ __all__ = [
     "SHA2_256",
     "SHA2_512",
     "digest",
-    "digest_many",
     "hexdigest",
     "KeyPair",
     "PrivateKey",

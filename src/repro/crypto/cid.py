@@ -102,9 +102,3 @@ class CID:
     def verifies(self, data: bytes) -> bool:
         """Does ``data`` hash to this CID's digest?"""
         return self.multihash.matches(data)
-
-    def to_v1(self) -> "CID":
-        """Upgrade a CIDv0 to the equivalent CIDv1 (same hash, same codec)."""
-        if self.version == 1:
-            return self
-        return CID(version=1, codec=self.codec, multihash=self.multihash)

@@ -12,7 +12,6 @@ rwset and transaction-id digests.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 from repro.obs.prof import profiled
 
@@ -40,15 +39,3 @@ def hexdigest(data: bytes, algo: str = SHA2_256) -> str:
     """Hex form of :func:`digest`."""
     return digest(data, algo).hex()
 
-
-def digest_many(parts: Iterable[bytes], algo: str = SHA2_256) -> bytes:
-    """Hash the concatenation of ``parts`` without materializing it."""
-    with profiled("crypto.hash") as pf:
-        try:
-            h = _ALGOS[algo]()
-        except KeyError:
-            raise ValueError(f"unsupported hash algorithm {algo!r}") from None
-        for part in parts:
-            h.update(part)
-            pf.add_bytes(len(part))
-        return h.digest()

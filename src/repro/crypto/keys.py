@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets
 from dataclasses import dataclass
 
 from repro.errors import SignatureError
@@ -103,12 +102,6 @@ class KeyPair:
 
     private: PrivateKey
     public: PublicKey
-
-    @classmethod
-    def generate(cls) -> "KeyPair":
-        """Generate a fresh random keypair (cryptographic randomness)."""
-        priv = PrivateKey(secrets.token_bytes(32))
-        return cls(private=priv, public=priv.public_key())
 
     @classmethod
     def from_seed(cls, seed: bytes | str) -> "KeyPair":

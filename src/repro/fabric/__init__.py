@@ -9,14 +9,14 @@ from repro.fabric.chaincode import (
     ChaincodeStub,
 )
 from repro.fabric.channel import Channel, ChannelStats, FabricNetwork, TxResult
-from repro.fabric.events import BlockEvent, ChaincodeEventRecord, EventHub
+from repro.fabric.events import BlockEvent, EventHub
 from repro.fabric.gossip import anti_entropy, sync_peer
 from repro.fabric.identity import Identity, IdentityInfo, Role
 from repro.fabric.ledger import Block, BlockHeader, BlockStore, GENESIS_PREVIOUS_HASH
 from repro.fabric.msp import MSP, MSPRegistry
 from repro.fabric.orderer import BftOrderer, SoloOrderer, default_tx_validator
 from repro.fabric.peer import Peer, PeerStats, endorsement_payload
-from repro.fabric.policy import AllOf, And, AnyOf, MajorityOf, Or, OutOf, Policy, SignedBy
+from repro.fabric.policy import AnyOf, Or, OutOf, Policy, SignedBy
 from repro.fabric.tx import (
     ChaincodeEvent,
     Endorsement,
@@ -47,7 +47,6 @@ __all__ = [
     "FabricNetwork",
     "TxResult",
     "BlockEvent",
-    "ChaincodeEventRecord",
     "EventHub",
     "anti_entropy",
     "sync_peer",
@@ -66,10 +65,7 @@ __all__ = [
     "Peer",
     "PeerStats",
     "endorsement_payload",
-    "AllOf",
-    "And",
     "AnyOf",
-    "MajorityOf",
     "Or",
     "OutOf",
     "Policy",

@@ -120,9 +120,7 @@ class Channel:
         self.events = EventHub()
         self.stats = ChannelStats()
         self.rejected_by_block: dict[int, frozenset[str]] = {}
-        # Runtime sanitizer (repro.analysis); propagated to joining peers.
-        self.sanitizer = None
-        # Index manager (repro.index.IndexManager); equips joining peers.
+        # Index manager (repro.index.IndexManager); the query engine's index.
         self.indexing = None
         # Writes that ride the next ordering round (see the module doc).
         self.riders: RiderSource | None = None
@@ -138,10 +136,6 @@ class Channel:
         if peer.name in self.peers:
             raise FabricError(f"peer {peer.name!r} already joined channel {self.name!r}")
         self.peers[peer.name] = peer
-        if self.sanitizer is not None:
-            peer.sanitizer = self.sanitizer
-        if self.indexing is not None:
-            self.indexing.attach(peer)
         for definition in self._definitions:
             peer.install_chaincode(definition)
 
@@ -154,17 +148,15 @@ class Channel:
         for peer in self.peers.values():
             peer.install_chaincode(definition)
 
-    def update_chaincode_policy(self, chaincode: str, policy: Policy) -> None:
-        """Replace a chaincode's endorsement policy (Fabric's chaincode
-        definition update — required e.g. after admitting a new org)."""
-        for definition in self._definitions:
-            if definition.chaincode.name == chaincode:
-                definition.policy = policy
-                return
-        raise FabricError(f"chaincode {chaincode!r} not installed on {self.name!r}")
-
     def org_peers(self, org: str) -> list[Peer]:
         return [p for p in self.peers.values() if p.org == org and p.online]
+
+    def _at_height_first(self, peers: list[Peer]) -> list[Peer]:
+        """Discovery-service ranking: a peer still catching up after a
+        restart would endorse or answer from stale state, so peers at chain
+        height come first, each group in join order."""
+        height = self.height()
+        return sorted(peers, key=lambda p: p.ledger.height != height)
 
     def chaincode_names(self) -> list[str]:
         """Names of the chaincodes installed on this channel (sorted)."""
@@ -255,14 +247,8 @@ class Channel:
             orgs = self._endorsing_orgs(chaincode, endorsing_orgs)
             responses: list[ProposalResponse] = []
             attempts: list[EndorsementAttempt] = []
-            height = self.height()
             for org in orgs:
-                # Discovery-service ranking: a peer still catching up after
-                # a restart would endorse against stale state and diverge
-                # the rwset, so peers at chain height are tried first.
-                candidates = sorted(
-                    self.org_peers(org), key=lambda p: p.ledger.height != height
-                )
+                candidates = self._at_height_first(self.org_peers(org))
                 if not candidates:
                     attempts.append(EndorsementAttempt(peer="", org=org, kind="no_peers"))
                     continue
@@ -419,10 +405,11 @@ class Channel:
     ) -> str:
         """Read-only chaincode execution on one peer; no ordering.
 
-        With no explicit ``peer``, online peers are tried in order — a peer
-        that fails mid-query is skipped and the next one answers. Request-
-        level errors (bad identity, unknown chaincode, chaincode failure)
-        propagate immediately: every peer would reject them the same way.
+        With no explicit ``peer``, online peers are tried in order, those at
+        chain height first — a peer that fails mid-query is skipped and the
+        next one answers. Request-level errors (bad identity, unknown
+        chaincode, chaincode failure) propagate immediately: every peer
+        would reject them the same way.
         """
         with obs_span("fabric.query") as sp:
             sp.set_attr("chaincode", chaincode)
@@ -431,7 +418,7 @@ class Channel:
             self.stats.queries += 1
             if peer is not None:
                 return self.peers[peer].query(proposal)
-            online = [p for p in self.peers.values() if p.online]
+            online = self._at_height_first([p for p in self.peers.values() if p.online])
             if not online:
                 raise FabricError("no online peer to query")
             last_error: FabricError | None = None
@@ -539,21 +526,3 @@ class FabricNetwork:
             return self.channels[name]
         except KeyError:
             raise FabricError(f"unknown channel {name!r}") from None
-
-    def add_org_to_channel(self, channel_name: str, org: str, peers: int = 1) -> list[Peer]:
-        """Admit a new organization at runtime: register its MSP, stand up
-        its peers (with the channel's chaincodes), and
-        catch them up to the current chain via gossip anti-entropy —
-        Fabric's channel-config-update flow, in one call."""
-        channel = self.channel(channel_name)
-        if org not in self.msp_registry.orgs():
-            self.add_org(org)
-        joined: list[Peer] = []
-        for _ in range(peers):
-            idx = next(self._peer_counter)
-            identity = self.register_identity(f"peer{idx}.{org}", org, role=Role.PEER)
-            peer = Peer(f"peer{idx}.{org}", identity, self.msp_registry)
-            channel.join_peer(peer)
-            joined.append(peer)
-        channel.anti_entropy()
-        return joined

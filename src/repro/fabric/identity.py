@@ -67,13 +67,9 @@ class Identity:
 
     @classmethod
     def create(cls, name: str, org: str, role: Role = Role.CLIENT) -> "Identity":
-        """Deterministic identity (key derived from name+org), for tests and
-        reproducible experiments; use :meth:`create_random` otherwise."""
+        """Deterministic identity (key derived from name+org), for
+        reproducible experiments."""
         return cls(name=name, org=org, role=role, keypair=KeyPair.from_seed(f"{org}/{name}"))
-
-    @classmethod
-    def create_random(cls, name: str, org: str, role: Role = Role.CLIENT) -> "Identity":
-        return cls(name=name, org=org, role=role, keypair=KeyPair.generate())
 
     @cached_property
     def _info(self) -> IdentityInfo:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.crypto.merkle import MerkleTree, merkle_root
+from repro.crypto.merkle import merkle_root
 from repro.errors import LedgerError
 from repro.fabric.audit import AuditFinding, check_block, check_chain
 from repro.fabric.tx import Transaction, ValidationCode
@@ -56,9 +56,6 @@ class Block:
     @property
     def number(self) -> int:
         return self.header.number
-
-    def tx_merkle_tree(self) -> MerkleTree:
-        return MerkleTree([tx.envelope_bytes() for tx in self.transactions])
 
     @classmethod
     def build(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IdentityError, SignatureError
-from repro.fabric.identity import Identity, IdentityInfo, Role
+from repro.fabric.identity import Identity, IdentityInfo
 
 
 @dataclass
@@ -39,9 +39,6 @@ class MSP:
             raise IdentityError(f"cannot revoke unknown identity {name!r}")
         self._revoked.add(name)
 
-    def reinstate(self, name: str) -> None:
-        self._revoked.discard(name)
-
     def is_valid(self, info: IdentityInfo) -> bool:
         """Enrolled, unrevoked, and the registered key matches."""
         registered = self._members.get(info.name)
@@ -51,12 +48,6 @@ class MSP:
             and registered.public_key_hex == info.public_key_hex
             and registered.role == info.role
         )
-
-    def members(self, role: Role | None = None) -> list[IdentityInfo]:
-        out = [m for m in self._members.values() if m.name not in self._revoked]
-        if role is not None:
-            out = [m for m in out if m.role == role]
-        return out
 
 
 class MSPRegistry:

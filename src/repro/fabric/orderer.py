@@ -221,15 +221,6 @@ class TxDecision:
             }
         return dict(self.batch.votes)
 
-    @property
-    def valid_votes(self) -> int:
-        return sum(1 for v in self.votes.values() if v)
-
-    @property
-    def invalid_votes(self) -> int:
-        votes = self.votes
-        return len(votes) - sum(1 for v in votes.values() if v)
-
 
 class BftOrderer(_Ordering):
     """Ordering via a PBFT validator cluster, amortized over blocks.

@@ -4,10 +4,9 @@ A policy is an expression tree over org principals, mirroring Fabric's
 policy language::
 
     SignedBy("org1")                       # any org1 endorsement
-    And(SignedBy("org1"), SignedBy("org2"))
     Or(SignedBy("org1"), SignedBy("org2"))
     OutOf(2, SignedBy("org1"), SignedBy("org2"), SignedBy("org3"))
-    MajorityOf("org1", "org2", "org3")
+    AnyOf("org1", "org2")                  # the channel default
 
 Policies are evaluated at commit time against the set of orgs whose peers
 produced valid endorsements — an unsatisfied policy marks the transaction
@@ -72,24 +71,11 @@ class OutOf(Policy):
         return f"OutOf({self.n}, {', '.join(map(repr, self.policies))})"
 
 
-def And(*policies: Policy) -> OutOf:
-    """All sub-policies must hold."""
-    return OutOf(len(policies), *policies)
-
-
 def Or(*policies: Policy) -> OutOf:
     """Any sub-policy suffices."""
     return OutOf(1, *policies)
 
 
-def MajorityOf(*orgs: str) -> OutOf:
-    """A strict majority of the named orgs must endorse."""
-    return OutOf(len(orgs) // 2 + 1, *(SignedBy(o) for o in orgs))
-
-
 def AnyOf(*orgs: str) -> OutOf:
     return Or(*(SignedBy(o) for o in orgs))
 
-
-def AllOf(*orgs: str) -> OutOf:
-    return And(*(SignedBy(o) for o in orgs))

@@ -206,9 +206,6 @@ class Transaction:
     def tx_id(self) -> str:
         return self.proposal.tx_id
 
-    def endorsing_orgs(self) -> set[str]:
-        return {e.endorser.org for e in self.endorsements}
-
     def envelope_bytes(self) -> bytes:
         """Canonical bytes of the full transaction (hashed into blocks)."""
         return once(self, "envelope_bytes", self._envelope_bytes)

@@ -1,47 +1,24 @@
 """IndexManager: attach one :class:`PeerIndex` per peer on a channel.
 
-The manager is the channel-level lifecycle owner: it equips every current
-peer with an index (rebuilding from world state for peers that already
-hold committed blocks, e.g. a late-added org after anti-entropy), hooks
-``channel.indexing`` so :meth:`Channel.join_peer` can equip future peers,
-and picks the reference peer the query engine reads indexed answers from.
+The manager is the channel-level lifecycle owner: it equips every peer with
+an empty index when the channel is stood up, hooks ``channel.indexing`` for
+the query engine, and picks the reference peer the query engine reads
+indexed answers from.
 """
 
 from __future__ import annotations
 
-from repro.index.secondary import MIN_TRUST_THRESHOLD, TRUSTED_THRESHOLD, PeerIndex
+from repro.index.secondary import PeerIndex
 
 
 class IndexManager:
     """Per-channel owner of the peers' block-incremental indexes."""
 
-    def __init__(
-        self,
-        channel,
-        trusted_threshold: float = TRUSTED_THRESHOLD,
-        min_threshold: float = MIN_TRUST_THRESHOLD,
-    ) -> None:
+    def __init__(self, channel) -> None:
         self.channel = channel
-        self.trusted_threshold = trusted_threshold
-        self.min_threshold = min_threshold
         channel.indexing = self
         for peer in channel.peers.values():
-            self.attach(peer)
-
-    def attach(self, peer) -> PeerIndex:
-        """Equip *peer* with an index, rebuilding from its current state."""
-        if getattr(peer, "index", None) is not None:
-            return peer.index
-        if peer.ledger.height > 0:
-            peer.index = PeerIndex.from_world(
-                peer.world,
-                peer.ledger.height,
-                self.trusted_threshold,
-                self.min_threshold,
-            )
-        else:
-            peer.index = PeerIndex(self.trusted_threshold, self.min_threshold)
-        return peer.index
+            peer.index = PeerIndex()
 
     def reference_peer(self, height: int | None = None):
         """The first online peer (by name) whose ledger *and* index are at

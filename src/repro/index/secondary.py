@@ -55,18 +55,13 @@ from dataclasses import dataclass, field
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
 from repro.fabric.audit import valid_txs
+from repro.trust.engine import MIN_TRUST_THRESHOLD, TRUSTED_THRESHOLD
 from repro.util.serialization import canonical_json
 
 _DATA_PREFIX = "data:"
 _TRUST_PREFIX = "trust:"
 _DATA_END = _DATA_PREFIX + "\x7f"
 _TRUST_END = _TRUST_PREFIX + "\x7f"
-
-# Entry dimensions (append-only postings). ``trust_band`` is separate.
-DIMS = ("source", "camera", "class", "violation", "time")
-
-TRUSTED_THRESHOLD = 0.75
-MIN_TRUST_THRESHOLD = 0.25
 
 # Leaf keys ``(rank, dim, value)`` sort in epoch-tree order: the height
 # leaf, postings by (dim, value), band leaves, then the tombstone leaf.
@@ -222,13 +217,7 @@ def verify_answer_records(
 class PeerIndex:
     """One peer's cumulative index, advanced one committed block at a time."""
 
-    def __init__(
-        self,
-        trusted_threshold: float = TRUSTED_THRESHOLD,
-        min_threshold: float = MIN_TRUST_THRESHOLD,
-    ) -> None:
-        self.trusted_threshold = trusted_threshold
-        self.min_threshold = min_threshold
+    def __init__(self) -> None:
         self.postings: dict[tuple[str, str], Posting] = {}
         # band -> source -> digest of the current on-chain trust record.
         self.bands: dict[str, dict[str, str]] = {}
@@ -245,9 +234,9 @@ class PeerIndex:
     # -- band mapping --------------------------------------------------------
 
     def band_for(self, score: float) -> str:
-        if score >= self.trusted_threshold:
+        if score >= TRUSTED_THRESHOLD:
             return "trusted"
-        if score >= self.min_threshold:
+        if score >= MIN_TRUST_THRESHOLD:
             return "provisional"
         return "untrusted"
 
@@ -495,21 +484,11 @@ class PeerIndex:
 
     # -- rebuild ------------------------------------------------------------------
 
-    def fresh(self) -> "PeerIndex":
-        """An empty index with this one's thresholds (post-wipe state)."""
-        return PeerIndex(self.trusted_threshold, self.min_threshold)
-
     @classmethod
-    def from_world(
-        cls,
-        world,
-        height: int,
-        trusted_threshold: float = TRUSTED_THRESHOLD,
-        min_threshold: float = MIN_TRUST_THRESHOLD,
-    ) -> "PeerIndex":
+    def from_world(cls, world, height: int) -> "PeerIndex":
         """Rebuild from committed world state — the one way a peer gets its
-        index back (checkpoint adoption, state transfer, a late join) and
-        the SAN308 divergence check.
+        index back (checkpoint adoption, state transfer) and the SAN308
+        divergence check.
 
         Replaying inserts in ``(block, tx)`` version order reproduces the
         exact chained posting digests of incremental maintenance, so the
@@ -524,7 +503,7 @@ class PeerIndex:
         deployment; callers still skip root comparison for an index that
         carries tombstones.
         """
-        out = cls(trusted_threshold, min_threshold)
+        out = cls()
         rows = []
         for key, raw in world.range(_DATA_PREFIX, _DATA_END):
             version = world.get_version(key)

@@ -3,12 +3,7 @@ Merkle DAG, UnixFS files, Kademlia DHT, bitswap exchange, pinning and GC."""
 
 from repro.ipfs.bitswap import BitswapStats, Engine, Ledger
 from repro.ipfs.block import Block
-from repro.ipfs.blockstore import (
-    Blockstore,
-    BlockstoreStats,
-    FSBlockstore,
-    MemoryBlockstore,
-)
+from repro.ipfs.blockstore import BlockstoreStats, MemoryBlockstore
 from repro.ipfs.chunker import (
     DEFAULT_CHUNK_SIZE,
     Chunker,
@@ -27,9 +22,7 @@ __all__ = [
     "Engine",
     "Ledger",
     "Block",
-    "Blockstore",
     "BlockstoreStats",
-    "FSBlockstore",
     "MemoryBlockstore",
     "DEFAULT_CHUNK_SIZE",
     "Chunker",

@@ -15,13 +15,13 @@ experiments can report network-realistic fetch times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError, InvalidBlockError
 from repro.ipfs.block import Block
-from repro.ipfs.blockstore import Blockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 from repro.obs.metrics import get_registry
 
 
@@ -57,7 +57,7 @@ class Engine:
     GRACE_BYTES = 8 * 1024 * 1024
     MAX_DEBT_RATIO = 4.0
 
-    def __init__(self, peer_id: str, blockstore: Blockstore) -> None:
+    def __init__(self, peer_id: str, blockstore: MemoryBlockstore) -> None:
         self.peer_id = peer_id
         self.blockstore = blockstore
         self.ledgers: dict[str, Ledger] = {}
@@ -72,17 +72,6 @@ class Engine:
         """Create a bidirectional session between two engines."""
         self._peers[other.peer_id] = other
         other._peers[self.peer_id] = self
-
-    def disconnect(self, peer_id: str) -> None:
-        """Tear down the session with ``peer_id`` (both directions)."""
-        other = self._peers.pop(peer_id, None)
-        if other is not None:
-            other._peers.pop(self.peer_id, None)
-
-    def disconnect_all(self) -> None:
-        """Tear down every session (node decommission)."""
-        for peer_id in list(self._peers):
-            self.disconnect(peer_id)
 
     def peers(self) -> list[str]:
         """Peer ids with an open session, sorted."""

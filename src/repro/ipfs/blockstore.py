@@ -1,18 +1,13 @@
-"""Blockstores: where blocks physically live on a node.
+"""The blockstore: where blocks physically live on a node.
 
-:class:`MemoryBlockstore` backs tests and benchmarks; :class:`FSBlockstore`
-persists blocks under a sharded directory layout (two-character fan-out of
-the CID string, like go-ipfs's flatfs) so a directory never accumulates
-millions of entries. Both share the :class:`Blockstore` interface, and both
-count puts/gets/bytes for the storage-time benchmarks.
+:class:`MemoryBlockstore` keeps blocks in a dict keyed by CID and counts
+puts/gets/bytes for the storage-time benchmarks.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Iterator
 
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError
@@ -27,19 +22,6 @@ class BlockstoreStats:
     misses: int = 0
     bytes_written: int = 0
     bytes_read: int = 0
-
-
-class Blockstore(Protocol):
-    """Minimal storage interface the DAG and bitswap layers build on."""
-
-    stats: BlockstoreStats
-
-    def put(self, block: Block) -> None: ...
-    def get(self, cid: CID) -> Block: ...
-    def has(self, cid: CID) -> bool: ...
-    def delete(self, cid: CID) -> None: ...
-    def cids(self) -> Iterator[CID]: ...
-    def __len__(self) -> int: ...
 
 
 @dataclass
@@ -88,64 +70,3 @@ class MemoryBlockstore:
         if cid not in self._blocks:
             raise BlockNotFoundError(cid)
         self._blocks[cid] = data
-
-
-class FSBlockstore:
-    """Filesystem blockstore with two-character shard directories.
-
-    A block for CID ``bafy...xyz`` lives at ``root/<last2>/<cid>.blk``;
-    sharding on the *suffix* (like go-ipfs) spreads base32 CIDs uniformly.
-    """
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = BlockstoreStats()
-
-    def _path(self, cid: CID) -> Path:
-        text = cid.encode()
-        return self.root / text[-2:] / f"{text}.blk"
-
-    def put(self, block: Block) -> None:
-        self.stats.puts += 1
-        path = self._path(block.cid)
-        if path.exists():
-            return
-        path.parent.mkdir(exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(block.data)
-        os.replace(tmp, path)  # atomic publish: readers never see partial blocks
-        self.stats.bytes_written += len(block.data)
-
-    def get(self, cid: CID) -> Block:
-        self.stats.gets += 1
-        path = self._path(cid)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            raise BlockNotFoundError(cid) from None
-        self.stats.hits += 1
-        self.stats.bytes_read += len(data)
-        # Verify on read: disk corruption must not propagate silently.
-        return Block.verified(cid, data)
-
-    def has(self, cid: CID) -> bool:
-        return self._path(cid).exists()
-
-    def delete(self, cid: CID) -> None:
-        try:
-            self._path(cid).unlink()
-        except FileNotFoundError:
-            pass
-
-    def cids(self) -> Iterator[CID]:
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                if entry.suffix == ".blk":
-                    yield CID.parse(entry.stem)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.cids())

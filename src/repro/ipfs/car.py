@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.crypto.cid import CID
 from repro.errors import DagError, EncodingError, StorageError
 from repro.ipfs.block import Block
-from repro.ipfs.blockstore import Blockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.dag import DagService
 from repro.util.serialization import canonical_json, from_canonical_json
 from repro.util.varint import decode_varint, encode_varint
@@ -25,7 +25,7 @@ from repro.util.varint import decode_varint, encode_varint
 CAR_VERSION = 1
 
 
-def export_car(blockstore: Blockstore, roots: list[CID]) -> bytes:
+def export_car(blockstore: MemoryBlockstore, roots: list[CID]) -> bytes:
     """Serialize the subgraphs under ``roots`` into a CAR byte string.
 
     Shared blocks are written once even when reachable from several roots.
@@ -47,7 +47,7 @@ def export_car(blockstore: Blockstore, roots: list[CID]) -> bytes:
     return bytes(out)
 
 
-def import_car(blockstore: Blockstore, raw: bytes) -> list[CID]:
+def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
     """Load a CAR into a blockstore, verifying every block; returns roots.
 
     Fails if any root's subgraph is incomplete after the import — a CAR

@@ -117,7 +117,3 @@ class RollingChunker:
             yield data[start:cut]
             start = cut
 
-
-def chunk_sizes(chunker: Chunker, data: bytes) -> list[int]:
-    """Sizes of the chunks ``chunker`` produces for ``data`` (test helper)."""
-    return [len(c) for c in chunker.chunks(data)]

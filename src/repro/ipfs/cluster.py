@@ -104,15 +104,6 @@ class IpfsCluster:
             get_registry().counter("ipfs_quarantined_blocks_total").inc(removed)
         return removed
 
-    def remove_node(self, peer_id: str) -> None:
-        """Take a node out of the swarm (crash/decommission): its blocks
-        become unreachable, its DHT records are forgotten, and bitswap
-        sessions to it are torn down."""
-        node = self.node(peer_id)  # raises on unknown id
-        del self.nodes[peer_id]
-        self.dht.leave(peer_id)
-        node.bitswap.disconnect_all()
-
     # -- cluster-level API -------------------------------------------------------
 
     def add(self, data: bytes, node: str | None = None, announce: bool = True) -> AddResult:

@@ -16,7 +16,7 @@ from typing import Iterator
 from repro.crypto.cid import CID, CODEC_DAG_JSON
 from repro.errors import DagError
 from repro.ipfs.block import Block
-from repro.ipfs.blockstore import Blockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 from repro.util.serialization import canonical_json, from_canonical_json
 
 
@@ -76,15 +76,11 @@ class DagNode:
     def to_block(self) -> Block:
         return Block.for_data(self.serialize(), codec=CODEC_DAG_JSON)
 
-    def total_size(self) -> int:
-        """Bytes in this node's payload plus all linked subgraphs."""
-        return len(self.data) + sum(l.tsize for l in self.links)
-
 
 class DagService:
     """Put/get DAG nodes against a blockstore, with traversal helpers."""
 
-    def __init__(self, blockstore: Blockstore) -> None:
+    def __init__(self, blockstore: MemoryBlockstore) -> None:
         self.blockstore = blockstore
 
     def put(self, node: DagNode) -> CID:

@@ -22,7 +22,6 @@ from repro.crypto.cid import CID
 
 K_BUCKET_SIZE = 20
 ALPHA = 3  # parallelism of iterative lookups (batch size per round)
-KEY_BITS = 256
 
 
 def key_for_peer(peer_id: str) -> int:
@@ -52,7 +51,6 @@ class RoutingTable:
     own_key: int
     bucket_size: int = K_BUCKET_SIZE
     _buckets: dict[int, list[str]] = field(default_factory=dict)
-    _keys: dict[str, int] = field(default_factory=dict)
 
     def add(self, peer_id: str) -> None:
         key = key_for_peer(peer_id)
@@ -70,16 +68,6 @@ class RoutingTable:
             # liveness ping; the simulator's peers don't silently vanish).
             bucket.pop(0)
         bucket.append(peer_id)
-        self._keys[peer_id] = key
-
-    def remove(self, peer_id: str) -> None:
-        key = self._keys.pop(peer_id, None)
-        if key is None:
-            return
-        idx = bucket_index(self.own_key, key)
-        bucket = self._buckets.get(idx, [])
-        if peer_id in bucket:
-            bucket.remove(peer_id)
 
     def peers(self) -> list[str]:
         return [p for bucket in self._buckets.values() for p in bucket]
@@ -148,11 +136,6 @@ class DhtRegistry:
             for found in self.iterative_find_peers(peer_id, node.key):
                 node.table.add(found)
         return node
-
-    def leave(self, peer_id: str) -> None:
-        self.nodes.pop(peer_id, None)
-        for node in self.nodes.values():
-            node.table.remove(peer_id)
 
     def _require(self, peer_id: str) -> DhtNode:
         try:

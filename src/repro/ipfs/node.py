@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError
 from repro.ipfs.bitswap import Engine
-from repro.ipfs.blockstore import Blockstore, MemoryBlockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import Chunker
 from repro.ipfs.dag import DagService
 from repro.ipfs.pin import GCResult, PinManager, collect_garbage
@@ -34,11 +34,10 @@ class IpfsNode:
     def __init__(
         self,
         peer_id: str,
-        blockstore: Blockstore | None = None,
         chunker: Chunker | None = None,
     ) -> None:
         self.peer_id = peer_id
-        self.blockstore = blockstore if blockstore is not None else MemoryBlockstore()
+        self.blockstore = MemoryBlockstore()
         self.unixfs = UnixFS(self.blockstore, chunker=chunker)
         self.dag = DagService(self.blockstore)
         self.pins = PinManager()

@@ -37,9 +37,6 @@ class PinManager:
         else:
             raise PinError(f"{cid} is not pinned")
 
-    def is_pinned(self, cid: CID) -> bool:
-        return cid in self.direct or cid in self.recursive
-
     def live_set(self, dag: DagService) -> set[CID]:
         """All CIDs protected from GC: direct pins + recursive closures."""
         live: set[CID] = set(self.direct)

@@ -5,8 +5,7 @@ builds a fan-out tree of DAG nodes bottom-up (default fan-out 174, matching
 go-ipfs); a single-chunk file is stored as one raw block with no envelope,
 exactly as IPFS does. ``read_file`` walks the tree in order, verifying every
 leaf hash unless its caller verifies the whole payload, and reassembles the
-bytes. ``file_size`` answers from link
-metadata without touching leaf data.
+bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from repro.crypto.cid import CID, CODEC_DAG_JSON
 from repro.errors import DagError
 from repro.ipfs.block import Block
-from repro.ipfs.blockstore import Blockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import Chunker, FixedSizeChunker
 from repro.ipfs.dag import DagLink, DagNode, DagService
 from repro.obs.prof import profiled
@@ -42,7 +41,7 @@ class UnixFS:
 
     def __init__(
         self,
-        blockstore: Blockstore,
+        blockstore: MemoryBlockstore,
         chunker: Chunker | None = None,
         fanout: int = DEFAULT_FANOUT,
     ) -> None:
@@ -113,13 +112,6 @@ class UnixFS:
             if verify_leaves and not cid.verifies(block.data):
                 raise DagError(f"leaf block {cid} failed verification")
             out.extend(block.data)
-
-    def file_size(self, root: CID) -> int:
-        """File size from link metadata alone (no leaf reads)."""
-        if root.codec != CODEC_DAG_JSON:
-            return len(self.blockstore.get(root).data)
-        node = self.dag.get(root)
-        return sum(l.tsize for l in node.links)
 
     def leaf_cids(self, root: CID) -> list[CID]:
         """CIDs of the raw chunks, in file order."""

@@ -1,27 +1,11 @@
-"""Link latency and bandwidth models for the network simulator.
+"""Link latency for the network simulator.
 
-A :class:`LatencyModel` maps (src, dst, message size) to a one-way delay in
-simulated seconds. Models compose a fixed propagation component with a
-size-proportional transmission component (``size / bandwidth``) and optional
-random jitter drawn from a seeded generator, so identical seeds yield
-identical delay sequences.
+:class:`ConstantLatency` maps (src, dst, message size) to a one-way delay in
+simulated seconds: a fixed propagation component plus a size-proportional
+transmission component (``size / bandwidth``).
 """
 
 from __future__ import annotations
-
-from typing import Protocol
-
-import numpy as np
-
-from repro.util.rng import rng_for
-
-
-class LatencyModel(Protocol):
-    """Delay computation interface used by :class:`repro.net.SimNetwork`."""
-
-    def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """One-way delay in seconds for a message of ``size_bytes``."""
-        ...
 
 
 class ConstantLatency:
@@ -37,77 +21,3 @@ class ConstantLatency:
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
         return self.base + (size_bytes * 8.0) / self.bandwidth_bps
-
-
-class JitterLatency:
-    """Constant base plus uniform jitter; models a LAN with scheduling noise.
-
-    Jitter is drawn from a generator seeded per (seed) so simulations are
-    reproducible; src/dst do not affect the stream, only its consumption
-    order, which the deterministic event loop fixes.
-    """
-
-    def __init__(
-        self,
-        base: float = 0.001,
-        jitter: float = 0.0005,
-        bandwidth_bps: float = 1e9,
-        seed: int = 0,
-    ) -> None:
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        self._const = ConstantLatency(base, bandwidth_bps)
-        self.jitter = jitter
-        self._rng = rng_for(seed, "net", "jitter")
-
-    def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        return self._const.delay(src, dst, size_bytes) + float(
-            self._rng.uniform(0.0, self.jitter)
-        )
-
-
-class LogNormalLatency:
-    """Heavy-tailed WAN-like latency: lognormal propagation + transmission.
-
-    Models the occasional straggler message that dominates consensus round
-    time — the reason BFT quorum waits are sized 2f+1 of 3f+1 rather than all.
-    """
-
-    def __init__(
-        self,
-        median: float = 0.02,
-        sigma: float = 0.4,
-        bandwidth_bps: float = 1e8,
-        seed: int = 0,
-    ) -> None:
-        if median <= 0:
-            raise ValueError("median latency must be positive")
-        self.median = median
-        self.sigma = sigma
-        self.bandwidth_bps = bandwidth_bps
-        self._rng = rng_for(seed, "net", "lognormal")
-
-    def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        prop = float(self._rng.lognormal(mean=np.log(self.median), sigma=self.sigma))
-        return prop + (size_bytes * 8.0) / self.bandwidth_bps
-
-
-class PairwiseLatency:
-    """Explicit per-link base latencies with a fallback model.
-
-    Lets experiments place some peers "far away" (e.g. a drone uplink with a
-    slow radio) while the rest of the cluster shares a datacenter profile.
-    """
-
-    def __init__(self, fallback: LatencyModel | None = None) -> None:
-        self.fallback = fallback or ConstantLatency()
-        self._links: dict[tuple[str, str], LatencyModel] = {}
-
-    def set_link(self, src: str, dst: str, model: LatencyModel, symmetric: bool = True) -> None:
-        self._links[(src, dst)] = model
-        if symmetric:
-            self._links[(dst, src)] = model
-
-    def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        model = self._links.get((src, dst), self.fallback)
-        return model.delay(src, dst, size_bytes)

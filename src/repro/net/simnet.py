@@ -12,8 +12,7 @@ Failure injection supported at the network level:
 
 * node crash / restart (:meth:`set_node_up`),
 * network partitions (:meth:`partition` / :meth:`heal`),
-* probabilistic message drops (``drop_rate``),
-* per-link latency overrides (via :class:`repro.net.latency.PairwiseLatency`).
+* probabilistic message drops (``drop_rate``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import NetworkError, NodeUnreachableError
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import ConstantLatency
 from repro.net.message import Message
 from repro.obs.prof import profiled
 from repro.obs.tracer import current_context, get_tracer
@@ -77,7 +76,7 @@ class SimNetwork:
 
     def __init__(
         self,
-        latency: LatencyModel | None = None,
+        latency: ConstantLatency | None = None,
         drop_rate: float = 0.0,
         seed: int = 0,
     ) -> None:

@@ -37,8 +37,7 @@ One attribution rule ties these together: a span's node
 (:attr:`Span.node`) is resolved once, on the span, and the profiler, the
 critical path and the Chrome trace all read it.
 * **Bench trends** (:mod:`repro.obs.benchtrend`): the standardized BENCH
-  JSON envelope (schema version, seed, config fingerprint), the
-  append-only ``benchmarks/results/history/`` store, and the
+  JSON envelope (schema version, seed, config fingerprint) and the
   direction-aware diffing behind ``repro bench-diff``.
 * **Explorer** (:mod:`repro.obs.explorer`): the Hyperledger-Explorer half —
   :class:`LedgerExplorer` browses blocks/txs, reconstructs provenance
@@ -137,8 +136,6 @@ _LAZY_SUBMODULE = {
             "diff_docs",
             "load_bench",
             "make_envelope",
-            "migrate_legacy",
-            "record_history",
         ),
         "health": (
             "ComponentHealth",
@@ -187,8 +184,6 @@ __all__ = [
     "diff_docs",
     "load_bench",
     "make_envelope",
-    "migrate_legacy",
-    "record_history",
     "PipelineBreakdown",
     "StageTime",
     "invoke_coverage",

@@ -1,4 +1,4 @@
-"""Bench-trend tracking: a standard BENCH envelope, history, and diffing.
+"""Bench-trend tracking: a standard BENCH envelope and diffing.
 
 Every ``BENCH_<name>.json`` artifact under ``benchmarks/results/`` carries
 the same envelope (v2):
@@ -13,13 +13,10 @@ the same envelope (v2):
 * ``meta`` / ``series`` — as before: free-form run parameters and, per
   series, summary statistics plus raw values.
 
-Around the envelope:
-
-* :func:`record_history` appends envelopes to an append-only store under
-  ``benchmarks/results/history/<name>.jsonl`` (one line per run);
-* :func:`diff_docs` / :func:`compare_dirs` compare a fresh run against the
-  checked-in baseline with **per-metric, direction-aware tolerances** —
-  ``repro bench-diff`` exits non-zero on regression, and CI runs it.
+Around the envelope, :func:`diff_docs` / :func:`compare_dirs` compare a
+fresh run against the checked-in baseline with **per-metric,
+direction-aware tolerances** — ``repro bench-diff`` exits non-zero on
+regression, and CI runs it.
 
 Metric directions are inferred from series names:
 
@@ -92,60 +89,15 @@ def make_envelope(
     }
 
 
-def migrate_legacy(doc: Mapping[str, object]) -> dict:
-    """Lift a pre-envelope (v1) BENCH document into the v2 envelope.
-
-    v1 docs had only ``{name, meta, series}``; the seed, when recorded at
-    all, lived in ``meta`` (kept there too, for byte-for-byte series
-    compatibility). Already-enveloped docs pass through unchanged.
-    """
-    if doc.get("schema_version") == SCHEMA_VERSION:
-        return dict(doc)
-    name = str(doc.get("name", ""))
-    if not name:
-        raise ObservabilityError("BENCH document has no name — not a bench artifact")
-    meta = doc.get("meta") or {}
-    seed = meta.get("seed") if isinstance(meta, dict) else None
-    return make_envelope(
-        name,
-        doc.get("series") or {},
-        meta=meta,
-        seed=int(seed) if isinstance(seed, (int, float)) and not isinstance(seed, bool) else None,
-    )
-
-
 def load_bench(path: Path) -> dict:
-    """Read one BENCH_*.json, migrating v1 docs to the envelope in memory."""
+    """Read one BENCH_*.json; anything but the v2 envelope is refused."""
     try:
-        raw = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ObservabilityError(f"cannot read bench artifact {path}: {exc}") from exc
-    return migrate_legacy(raw)
-
-
-def record_history(doc: Mapping[str, object], results_dir: Path) -> Path:
-    """Append one envelope to the append-only history store.
-
-    One JSONL file per bench name under ``<results_dir>/history/``; each
-    emitted run adds one line, so trends are replayable by reading the file
-    top to bottom.
-    """
-    name = str(doc.get("name", ""))
-    if not name:
-        raise ObservabilityError("cannot record history for an unnamed bench document")
-    history = Path(results_dir) / "history"
-    history.mkdir(parents=True, exist_ok=True)
-    path = history / f"{name}.jsonl"
-    with open(path, "a") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    return path
-
-
-def load_history(name: str, results_dir: Path) -> list[dict]:
-    path = Path(results_dir) / "history" / f"{name}.jsonl"
-    if not path.exists():
-        return []
-    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+        raise ObservabilityError(f"{path} is not a v{SCHEMA_VERSION} BENCH envelope")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -219,12 +219,6 @@ class LedgerExplorer:
             for key, _ in world.range(_DATA_PREFIX, _DATA_PREFIX + "\x7f")
         ]
 
-    def entry(self, entry_id: str) -> dict:
-        raw = self.reference_peer().world.get(_DATA_PREFIX + entry_id)
-        if raw is None:
-            raise ObservabilityError(f"no data entry {entry_id!r} on the ledger")
-        return json.loads(raw)
-
     # -- provenance ---------------------------------------------------------------
 
     def provenance_trail(self, entry_id: str) -> list[dict]:
@@ -351,10 +345,7 @@ class LedgerExplorer:
             return
         from repro.index import PeerIndex
 
-        replayed = PeerIndex(
-            trusted_threshold=reference.trusted_threshold,
-            min_threshold=reference.min_threshold,
-        )
+        replayed = PeerIndex()
         for block in blocks:
             replayed.apply_block(block)
             recorded_epoch = reference.epochs.get(block.number)

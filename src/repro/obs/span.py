@@ -60,16 +60,6 @@ class SpanContext:
     trace_id: str
     span_id: str
 
-    def to_headers(self) -> dict[str, str]:
-        """The context as wire headers (for serializing transports)."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_headers(cls, headers: dict[str, str] | None) -> "SpanContext | None":
-        if not headers or "trace_id" not in headers or "span_id" not in headers:
-            return None
-        return cls(trace_id=headers["trace_id"], span_id=headers["span_id"])
-
 
 class Span:
     """One timed region. Use as ``with tracer.span("name") as sp:``."""

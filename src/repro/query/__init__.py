@@ -18,9 +18,6 @@ from repro.query.aggregate import (
     Count,
     Max,
     Metric,
-    Min,
-    Std,
-    Sum,
     aggregate,
     explode,
     time_series,
@@ -44,9 +41,6 @@ __all__ = [
     "Count",
     "Max",
     "Metric",
-    "Min",
-    "Std",
-    "Sum",
     "aggregate",
     "explode",
     "time_series",

@@ -3,7 +3,7 @@
 The paper's users — "law enforcement and analysts" — rarely want raw rows;
 they want counts per camera, average confidence per vehicle class, traffic
 volume over time. This module aggregates the record dictionaries the query
-engine returns (group-by, count/sum/avg/min/max, time-bucketed series),
+engine returns (group-by, count/avg/max, time-bucketed series),
 including aggregation *over detections* (one record holds many) via the
 ``explode`` option.
 """
@@ -24,10 +24,10 @@ class Metric:
     """One named aggregation over a field path (None path = row count)."""
 
     name: str
-    kind: str  # count | sum | avg | min | max | std
+    kind: str  # count | avg | max
     path: str | None = None
 
-    _KINDS = ("count", "sum", "avg", "min", "max", "std")
+    _KINDS = ("count", "avg", "max")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -46,13 +46,7 @@ class Metric:
         if not values:
             return 0
         arr = np.asarray(values, dtype=float)
-        return {
-            "sum": float(arr.sum()),
-            "avg": float(arr.mean()),
-            "min": float(arr.min()),
-            "max": float(arr.max()),
-            "std": float(arr.std()),
-        }[self.kind]
+        return float(arr.mean() if self.kind == "avg" else arr.max())
 
 
 def Count(name: str = "count") -> Metric:
@@ -63,20 +57,9 @@ def Avg(path: str, name: str | None = None) -> Metric:
     return Metric(name=name or f"avg({path})", kind="avg", path=path)
 
 
-def Sum(path: str, name: str | None = None) -> Metric:
-    return Metric(name=name or f"sum({path})", kind="sum", path=path)
-
-
-def Min(path: str, name: str | None = None) -> Metric:
-    return Metric(name=name or f"min({path})", kind="min", path=path)
-
-
 def Max(path: str, name: str | None = None) -> Metric:
     return Metric(name=name or f"max({path})", kind="max", path=path)
 
-
-def Std(path: str, name: str | None = None) -> Metric:
-    return Metric(name=name or f"std({path})", kind="std", path=path)
 
 
 def explode(records: list[dict], path: str) -> list[dict]:

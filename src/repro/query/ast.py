@@ -22,8 +22,6 @@ ARRAY_PATHS = {
     "color": "metadata.detections",
     "violation_type": "metadata.violations",
 }
-# Backwards-compatible alias (original name for the detections subset).
-DETECTION_PATHS = set(ARRAY_PATHS)
 
 
 def get_path(record: dict, path: str) -> Any:

@@ -21,13 +21,12 @@ class ResilienceHub:
 
     def __init__(
         self,
-        retry_policy: RetryPolicy | None = None,
         failure_threshold: int = 8,
         cooldown_s: float = 0.25,
         seed: int = 0,
         now: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
         self.seed = seed

@@ -457,7 +457,7 @@ class DurabilityManager:
         peer.world = WorldState()
         peer.ledger = BlockStore()
         if getattr(peer, "index", None) is not None:
-            peer.index = peer.index.fresh()
+            peer.index = PeerIndex()
         peer.online = True
 
     def _replay(self, peer, store: DurableStore, records: list[bytes]) -> tuple[int, int]:
@@ -563,9 +563,4 @@ class DurabilityManager:
         """
         if peer.index is None:
             return
-        peer.index = PeerIndex.from_world(
-            peer.world,
-            peer.ledger.height,
-            peer.index.trusted_threshold,
-            peer.index.min_threshold,
-        )
+        peer.index = PeerIndex.from_world(peer.world, peer.ledger.height)

@@ -3,7 +3,14 @@ cross-validation against trusted records, peer endorsements, and validator
 pool accountability (paper §III-A)."""
 
 from repro.trust.crossval import CrossValidator, Observation, endorsement_score
-from repro.trust.engine import AdmissionDecision, SourceTier, TrustEngine
+from repro.trust.engine import (
+    CORROBORATION_FLOOR,
+    MIN_TRUST_THRESHOLD,
+    TRUSTED_THRESHOLD,
+    AdmissionDecision,
+    SourceTier,
+    TrustEngine,
+)
 from repro.trust.score import HistoricalReliability, TrustScore, TrustWeights
 from repro.trust.validator_pool import ValidatorPool, ValidatorRecord
 
@@ -11,6 +18,9 @@ __all__ = [
     "CrossValidator",
     "Observation",
     "endorsement_score",
+    "CORROBORATION_FLOOR",
+    "MIN_TRUST_THRESHOLD",
+    "TRUSTED_THRESHOLD",
     "AdmissionDecision",
     "SourceTier",
     "TrustEngine",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,15 @@ class Observation:
 
 @dataclass
 class CrossValidator:
-    """Scores observations against a sliding window of trusted records."""
+    """Scores observations against the trusted records fed to it."""
 
     # Records farther than these radii contribute nothing.
     max_distance_deg: float = 0.01  # ~1.1 km
     max_time_gap_s: float = 120.0
-    window_s: float = 3600.0  # trusted records older than this are dropped
     _trusted: list[Observation] = field(default_factory=list)
 
     def add_trusted(self, obs: Observation) -> None:
         self._trusted.append(obs)
-
-    def prune(self, now: float) -> int:
-        before = len(self._trusted)
-        self._trusted = [o for o in self._trusted if now - o.timestamp <= self.window_s]
-        return before - len(self._trusted)
 
     def neighbours(self, obs: Observation) -> list[Observation]:
         return [
@@ -91,9 +84,6 @@ class CrossValidator:
         # Blend toward neutral 0.5 as proximity falls: weak matches should
         # not drag an honest source to zero.
         return proximity * count_sim + (1.0 - proximity) * 0.5
-
-    def trusted_count(self) -> int:
-        return len(self._trusted)
 
 
 def endorsement_score(valid_votes: int, invalid_votes: int) -> float:

@@ -18,6 +18,16 @@ from repro.trust.crossval import CrossValidator, Observation, endorsement_score
 from repro.trust.score import TrustScore, TrustWeights
 
 
+# Score bands. At or above TRUSTED_THRESHOLD an untrusted source is treated
+# like the trusted tier; below MIN_TRUST_THRESHOLD it is quarantined. The
+# secondary index buckets sources by the same two numbers.
+TRUSTED_THRESHOLD = 0.75
+MIN_TRUST_THRESHOLD = 0.25
+# Cross-validation a contradicted low-trust submission must reach under
+# strict admission, and a corroborated accept must reach to count.
+CORROBORATION_FLOOR = 0.5
+
+
 class SourceTier(str, Enum):
     TRUSTED = "trusted"        # institutional: cameras, drones, city sensors
     UNTRUSTED = "untrusted"    # crowd-sourced: mobiles, social media
@@ -37,13 +47,10 @@ class AdmissionDecision:
 
 @dataclass
 class TrustEngine:
-    trusted_threshold: float = 0.75   # above: treated like the trusted tier
-    min_threshold: float = 0.25       # below: quarantined
     weights: TrustWeights = field(default_factory=TrustWeights)
     cross_validator: CrossValidator = field(default_factory=CrossValidator)
     _scores: dict[str, TrustScore] = field(default_factory=dict)
     _tiers: dict[str, SourceTier] = field(default_factory=dict)
-    _last_seen: dict[str, float] = field(default_factory=dict)
 
     # -- registration ------------------------------------------------------------
 
@@ -96,7 +103,7 @@ class TrustEngine:
             admitted=True,
             tier=tier,
             trust=value,
-            requires_corroboration=value < self.trusted_threshold,
+            requires_corroboration=value < TRUSTED_THRESHOLD,
             reason="untrusted source admitted with validation",
         )
 
@@ -118,27 +125,23 @@ class TrustEngine:
         valid_votes: int,
         invalid_votes: int,
         observation: Observation | None = None,
-        now: float | None = None,
     ) -> float:
         """Fold a consensus outcome into the source's score; returns it.
 
         Quarantine / release transitions happen here: a source whose score
-        crosses ``min_threshold`` downward is quarantined; a quarantined
-        source that accumulates corroborated accepts is released. ``now``
-        (optional) stamps the source's last activity for staleness decay.
+        crosses ``MIN_TRUST_THRESHOLD`` downward is quarantined; a
+        quarantined source that accumulates corroborated accepts is released.
         """
         tier = self.tier(source_id)
-        if now is not None:
-            self._last_seen[source_id] = now
         if tier is SourceTier.TRUSTED:
             return 1.0
         trust = self._scores[source_id]
         cross = self.cross_validate(observation) if observation is not None else None
         endorse = endorsement_score(valid_votes, invalid_votes)
         value = trust.update(accepted, cross_validation=cross, endorsement=endorse)
-        if value < self.min_threshold:
+        if value < MIN_TRUST_THRESHOLD:
             self._tiers[source_id] = SourceTier.QUARANTINED
-        elif tier is SourceTier.QUARANTINED and value >= self.min_threshold * 2:
+        elif tier is SourceTier.QUARANTINED and value >= MIN_TRUST_THRESHOLD * 2:
             self._tiers[source_id] = SourceTier.UNTRUSTED
         return value
 
@@ -147,38 +150,18 @@ class TrustEngine:
         strong trusted corroboration counts toward release."""
         if self.tier(source_id) is SourceTier.TRUSTED:
             return 1.0
-        if cross_validation < 0.5:
-            raise TrustError("corroborated accept requires cross-validation >= 0.5")
+        if cross_validation < CORROBORATION_FLOOR:
+            raise TrustError(
+                f"corroborated accept requires cross-validation >= {CORROBORATION_FLOOR}"
+            )
         trust = self._scores[source_id]
         value = trust.update(True, cross_validation=cross_validation)
         if (
             self._tiers[source_id] is SourceTier.QUARANTINED
-            and value >= self.min_threshold * 2
+            and value >= MIN_TRUST_THRESHOLD * 2
         ):
             self._tiers[source_id] = SourceTier.UNTRUSTED
         return value
-
-    # -- staleness --------------------------------------------------------------------
-
-    def apply_time_decay(self, now: float, half_life_s: float = 7 * 86400.0) -> dict[str, float]:
-        """Fade idle untrusted sources toward neutral: a reputation earned
-        months ago (good or bad) should not count as fresh evidence.
-
-        Decay never *releases* quarantine — a bad actor cannot wait out its
-        sentence; release requires corroborated accepts. Returns the new
-        score of every source that decayed.
-        """
-        if half_life_s <= 0:
-            raise TrustError("half_life_s must be positive")
-        updated: dict[str, float] = {}
-        for source_id, trust in self._scores.items():
-            last = self._last_seen.get(source_id)
-            if last is None or now <= last:
-                continue
-            factor = 0.5 ** ((now - last) / half_life_s)
-            updated[source_id] = trust.decay_toward_neutral(factor)
-            self._last_seen[source_id] = now
-        return updated
 
     # -- reporting -----------------------------------------------------------------------
 

@@ -15,9 +15,9 @@ module implements each signal and their weighted combination:
   :mod:`repro.trust.crossval` / the validator votes and are folded in by
   :class:`TrustScore`.
 
-Scores live in [0, 1]; sources above ``trusted_threshold`` short-cut
+Scores live in [0, 1]; sources above ``TRUSTED_THRESHOLD`` short-cut
 validation (the paper's trusted tier: traffic cameras, drones); sources
-below ``min_threshold`` are quarantined ("data may require further
+below ``MIN_TRUST_THRESHOLD`` are quarantined ("data may require further
 validation from multiple trusted sources").
 """
 
@@ -63,15 +63,6 @@ class HistoricalReliability:
         """0→1 as evidence accumulates; scales the weight history gets."""
         effective_n = self.alpha + self.beta - 2.0
         return effective_n / (effective_n + 5.0)
-
-    def decay_toward_prior(self, factor: float) -> None:
-        """Time decay with no observation: evidence fades toward the prior,
-        pulling the score toward 0.5 and shrinking confidence. ``factor``
-        in (0, 1]; 1 = no decay."""
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("decay factor must be in (0, 1]")
-        self.alpha = 1.0 + (self.alpha - 1.0) * factor
-        self.beta = 1.0 + (self.beta - 1.0) * factor
 
 
 @dataclass(frozen=True)
@@ -130,14 +121,6 @@ class TrustScore:
             + w.cross_validation * self.last_cross_validation
             + w.endorsement * self.last_endorsement
         ) / total
-
-    def decay_toward_neutral(self, factor: float) -> float:
-        """Fade the whole score toward neutral 0.5 (staleness decay); the
-        signals were observed long ago and should not be trusted fresh."""
-        self.history.decay_toward_prior(factor)
-        self.last_cross_validation = 0.5 + (self.last_cross_validation - 0.5) * factor
-        self.last_endorsement = 0.5 + (self.last_endorsement - 0.5) * factor
-        return self.value
 
     def to_chain_record(self) -> dict:
         """The on-chain representation (paper: trust scores are stored

@@ -1,7 +1,7 @@
 """Shared low-level utilities: varints, base encodings, canonical JSON,
 clocks, and deterministic RNG derivation."""
 
-from repro.util.clock import Clock, MonotonicClock, SimClock, WallClock, isoformat
+from repro.util.clock import Clock, SimClock, WallClock, isoformat
 from repro.util.encoding import b32decode, b32encode, b58decode, b58encode
 from repro.util.parallel import parallel_map
 from repro.util.rng import derive_seed, rng_for
@@ -10,7 +10,6 @@ from repro.util.varint import decode_varint, encode_varint
 
 __all__ = [
     "Clock",
-    "MonotonicClock",
     "SimClock",
     "WallClock",
     "isoformat",

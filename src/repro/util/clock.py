@@ -2,7 +2,7 @@
 
 Components that need "now" (block timestamps, trust decay, provenance records)
 take a :class:`Clock` so tests and the discrete-event network simulator can
-drive time deterministically, while benchmarks use the real monotonic clock.
+drive time deterministically, while benchmarks use the wall clock.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ class WallClock:
 
     def now(self) -> float:
         return time.time()
-
-
-class MonotonicClock:
-    """Real monotonic time; preferred for measuring durations."""
-
-    def now(self) -> float:
-        return time.monotonic()
 
 
 class SimClock:

@@ -108,15 +108,3 @@ class SimulatedYolo:
                 )
             )
         return detections
-
-    def confidence_stats(self, detections: list[Detection]) -> dict:
-        if not detections:
-            return {"n": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
-        conf = np.array([d.confidence for d in detections])
-        return {
-            "n": len(detections),
-            "mean": float(conf.mean()),
-            "std": float(conf.std()),
-            "min": float(conf.min()),
-            "max": float(conf.max()),
-        }

@@ -27,6 +27,3 @@ def payload(size: int, seed: int = 0, label: str = "payload") -> bytes:
         raise ValueError("size must be non-negative")
     return rng_for(seed, "filesizes", label, str(size)).bytes(size)
 
-
-def payload_series(sizes=DEFAULT_SIZES, seed: int = 0) -> list[bytes]:
-    return [payload(s, seed=seed) for s in sizes]

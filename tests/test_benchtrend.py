@@ -1,4 +1,4 @@
-"""The BENCH envelope, history store, and direction-aware bench diffing."""
+"""The BENCH envelope and direction-aware bench diffing."""
 
 import json
 
@@ -16,10 +16,7 @@ from repro.obs.benchtrend import (
     config_fingerprint,
     diff_docs,
     load_bench,
-    load_history,
     make_envelope,
-    migrate_legacy,
-    record_history,
 )
 
 
@@ -51,22 +48,6 @@ class TestEnvelope:
             "a", {"y": 2, "x": 1}
         )
 
-    def test_migrate_legacy_lifts_v1(self):
-        v1 = {"name": "old", "meta": {"seed": 3, "k": 1}, "series": {"m": {"mean": 2.0}}}
-        doc = migrate_legacy(v1)
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["seed"] == 3
-        assert doc["meta"] == {"seed": 3, "k": 1}  # meta kept byte-for-byte
-        assert doc["series"] == {"m": {"mean": 2.0}}
-
-    def test_migrate_passes_v2_through(self):
-        doc = envelope(m=[1.0])
-        assert migrate_legacy(doc) == doc
-
-    def test_migrate_rejects_nameless_doc(self):
-        with pytest.raises(ObservabilityError):
-            migrate_legacy({"series": {}})
-
 
 class TestEmitJson:
     def test_emit_json_honors_bench_dir_override(self, tmp_path, monkeypatch, capsys):
@@ -80,26 +61,12 @@ class TestEmitJson:
         assert doc["series"]["msgs"]["mean"] == 5.0
         assert doc["series"]["msgs"]["values"] == [4.0, 6.0]
 
-    def test_history_appends_only_when_enabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        emit_json("trial", {"msgs": [1.0]})
-        assert load_history("trial", tmp_path) == []
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "1")
-        emit_json("trial", {"msgs": [1.0]})
-        emit_json("trial", {"msgs": [2.0]})
-        runs = load_history("trial", tmp_path)
-        assert [r["series"]["msgs"]["mean"] for r in runs] == [1.0, 2.0]
-
-    def test_record_history_is_append_only(self, tmp_path):
-        record_history(envelope(m=[1.0]), tmp_path)
-        record_history(envelope(m=[2.0]), tmp_path)
-        lines = (tmp_path / "history" / "demo.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-
     def test_load_bench_rejects_garbage(self, tmp_path):
         bad = tmp_path / "BENCH_x.json"
         bad.write_text("{not json")
+        with pytest.raises(ObservabilityError):
+            load_bench(bad)
+        bad.write_text(json.dumps({"name": "v1", "series": {}}))  # no envelope
         with pytest.raises(ObservabilityError):
             load_bench(bad)
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.cid import CID, CODEC_DAG_PB, CODEC_RAW
-from repro.crypto.hashing import SHA2_256, SHA2_512, digest
+from repro.crypto.hashing import SHA2_512, digest
 from repro.crypto.multihash import CODE_SHA2_256, Multihash
 from repro.errors import EncodingError
 
@@ -72,14 +72,6 @@ class TestCIDv0:
     def test_v0_requires_sha256(self):
         with pytest.raises(EncodingError):
             CID.for_data(b"x", codec=CODEC_DAG_PB, version=0, algo=SHA2_512)
-
-    def test_to_v1_preserves_hash(self):
-        v0 = CID.for_data(b"block", codec=CODEC_DAG_PB, version=0)
-        v1 = v0.to_v1()
-        assert v1.version == 1
-        assert v1.multihash == v0.multihash
-        assert v1.encode().startswith("b")
-
 
 class TestCIDv1:
     def test_starts_with_b(self):

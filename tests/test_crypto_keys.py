@@ -9,9 +9,6 @@ from repro.errors import SignatureError
 
 
 class TestKeyPair:
-    def test_generate_produces_distinct_pairs(self):
-        assert KeyPair.generate().public != KeyPair.generate().public
-
     def test_from_seed_deterministic(self):
         assert KeyPair.from_seed("alice").public == KeyPair.from_seed("alice").public
 

@@ -298,7 +298,6 @@ class TestSan307:
     def _attach(self, channel):
         sanitizer = Sanitizer(frozenset(["recovery"]))
         sanitizer.channel = channel
-        channel.sanitizer = sanitizer
         for peer in channel.peers.values():
             peer.sanitizer = sanitizer
         return sanitizer

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.merkle import MerkleTree
 from repro.errors import LedgerError
 from repro.fabric import GENESIS_PREVIOUS_HASH
 from repro.fabric.identity import Identity
@@ -57,7 +58,8 @@ class TestBlock:
 
     def test_tx_merkle_proof(self):
         b = make_block(0, GENESIS_PREVIOUS_HASH, n_txs=4)
-        tree = b.tx_merkle_tree()
+        tree = MerkleTree([tx.envelope_bytes() for tx in b.transactions])
+        assert tree.root.hex() == b.header.data_hash  # the header commits to the txs
         proof = tree.proof(2)
         proof.verify(b.transactions[2].envelope_bytes(), tree.root)
 

@@ -1,7 +1,5 @@
 """Cross-cutting failure-injection tests: the system under partial failure."""
 
-import json
-
 import pytest
 
 from repro.consensus import Behaviour
@@ -109,7 +107,7 @@ class TestIpfsFailures:
         # Kill every current holder but one; repair from the survivor.
         holders = mgr.status(root).holders
         for victim in holders[:-1]:
-            cluster.remove_node(victim)
+            cluster.crash_node(victim)
         assert mgr.repair()  # did work
         status = mgr.status(root)
         assert status.healthy
@@ -119,7 +117,7 @@ class TestIpfsFailures:
         cluster = IpfsCluster(n_nodes=3, chunker=FixedSizeChunker(200))
         data = rng_for(2, "fail").bytes(800)
         root = cluster.add(data, node="ipfs-0").cid  # only ipfs-0 holds it
-        cluster.remove_node("ipfs-0")
+        cluster.crash_node("ipfs-0")
         with pytest.raises(BlockNotFoundError):
             cluster.cat(root, node="ipfs-1")
 
@@ -134,7 +132,7 @@ class TestIpfsFailures:
         mgr = ReplicationManager(framework.ipfs, replication_factor=2)
         status = mgr.replicate(CID.parse(receipt.cid))
         # Lose one replica; retrieval still verifies.
-        framework.ipfs.remove_node(status.holders[0])
+        framework.ipfs.crash_node(status.holders[0])
         result = client.retrieve(receipt.entry_id)
         assert result.verified and result.data == b"replicate me" * 100
 
@@ -245,10 +243,7 @@ class TestChaosScenarioDriven:
         registry = self._fresh_registry()
         scenario = ChaosScenario(
             name="breaker-cycle",
-            config=FrameworkConfig(
-                consensus="bft", resilience_seed=4,
-                retry_max_attempts=2, breaker_failure_threshold=4,
-            ),
+            config=FrameworkConfig(consensus="bft", resilience_seed=4),
             faults=[
                 # Losing 2 of 4 validators destroys the 2f+1 quorum: every
                 # submit fails until the restarts, tripping the breaker.

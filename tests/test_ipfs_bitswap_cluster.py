@@ -98,7 +98,7 @@ class TestIpfsNode:
     def test_add_auto_pins(self):
         node = IpfsNode("n0")
         result = node.add_bytes(b"pinned content")
-        assert node.pins.is_pinned(result.cid)
+        assert result.cid in node.pins.recursive
 
     def test_gc_after_unpin_removes(self):
         node = IpfsNode("n0", chunker=FixedSizeChunker(50))

@@ -1,4 +1,4 @@
-"""Tests for blocks and blockstores (memory + filesystem)."""
+"""Tests for blocks and the blockstore."""
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError, InvalidBlockError
 from repro.ipfs.block import Block
-from repro.ipfs.blockstore import FSBlockstore, MemoryBlockstore
+from repro.ipfs.blockstore import MemoryBlockstore
 
 
 class TestBlock:
@@ -28,91 +28,60 @@ class TestBlock:
         assert len(Block.for_data(b"abc")) == 3
 
 
-def stores(tmp_path):
-    return [MemoryBlockstore(), FSBlockstore(tmp_path / "blocks")]
-
-
 class TestBlockstores:
-    def test_put_get_roundtrip(self, tmp_path):
-        for store in stores(tmp_path):
-            block = Block.for_data(b"hello")
-            store.put(block)
-            assert store.get(block.cid).data == b"hello"
-
-    def test_has(self, tmp_path):
-        for store in stores(tmp_path):
-            block = Block.for_data(b"hello")
-            assert not store.has(block.cid)
-            store.put(block)
-            assert store.has(block.cid)
-
-    def test_get_missing_raises(self, tmp_path):
-        for store in stores(tmp_path):
-            with pytest.raises(BlockNotFoundError):
-                store.get(CID.for_data(b"nothing"))
-
-    def test_delete(self, tmp_path):
-        for store in stores(tmp_path):
-            block = Block.for_data(b"gone")
-            store.put(block)
-            store.delete(block.cid)
-            assert not store.has(block.cid)
-
-    def test_delete_missing_is_noop(self, tmp_path):
-        for store in stores(tmp_path):
-            store.delete(CID.for_data(b"never"))  # must not raise
-
-    def test_dedup_identical_blocks(self, tmp_path):
-        for store in stores(tmp_path):
-            block = Block.for_data(b"same")
-            store.put(block)
-            store.put(block)
-            assert len(store) == 1
-            assert store.stats.bytes_written == 4
-
-    def test_cids_enumerates_all(self, tmp_path):
-        for store in stores(tmp_path):
-            blocks = [Block.for_data(bytes([i]) * 10) for i in range(5)]
-            for b in blocks:
-                store.put(b)
-            assert set(store.cids()) == {b.cid for b in blocks}
-
-    def test_stats_track_hits_and_misses(self, tmp_path):
-        for store in stores(tmp_path):
-            block = Block.for_data(b"x")
-            store.put(block)
-            store.get(block.cid)
-            with pytest.raises(BlockNotFoundError):
-                store.get(CID.for_data(b"y"))
-            assert store.stats.hits == 1
-            assert store.stats.misses == 1
-
-
-class TestFSBlockstore:
-    def test_persistence_across_instances(self, tmp_path):
-        root = tmp_path / "persist"
-        block = Block.for_data(b"durable")
-        FSBlockstore(root).put(block)
-        assert FSBlockstore(root).get(block.cid).data == b"durable"
-
-    def test_corruption_detected_on_read(self, tmp_path):
-        root = tmp_path / "corrupt"
-        store = FSBlockstore(root)
-        block = Block.for_data(b"honest bytes")
+    def test_put_get_roundtrip(self):
+        store = MemoryBlockstore()
+        block = Block.for_data(b"hello")
         store.put(block)
-        # Flip bytes on disk behind the store's back.
-        path = store._path(block.cid)
-        path.write_bytes(b"evil bytes!!")
-        with pytest.raises(InvalidBlockError):
-            store.get(block.cid)
+        assert store.get(block.cid).data == b"hello"
 
-    def test_sharded_layout(self, tmp_path):
-        root = tmp_path / "shards"
-        store = FSBlockstore(root)
-        block = Block.for_data(b"shard me")
+    def test_has(self):
+        store = MemoryBlockstore()
+        block = Block.for_data(b"hello")
+        assert not store.has(block.cid)
         store.put(block)
-        shard = block.cid.encode()[-2:]
-        assert (root / shard / f"{block.cid.encode()}.blk").exists()
+        assert store.has(block.cid)
+
+    def test_get_missing_raises(self):
+        store = MemoryBlockstore()
+        with pytest.raises(BlockNotFoundError):
+            store.get(CID.for_data(b"nothing"))
+
+    def test_delete(self):
+        store = MemoryBlockstore()
+        block = Block.for_data(b"gone")
+        store.put(block)
+        store.delete(block.cid)
+        assert not store.has(block.cid)
+
+    def test_delete_missing_is_noop(self):
+        store = MemoryBlockstore()
+        store.delete(CID.for_data(b"never"))  # must not raise
+
+    def test_dedup_identical_blocks(self):
+        store = MemoryBlockstore()
+        block = Block.for_data(b"same")
+        store.put(block)
+        store.put(block)
+        assert len(store) == 1
+        assert store.stats.bytes_written == 4
+
+    def test_cids_enumerates_all(self):
+        store = MemoryBlockstore()
+        blocks = [Block.for_data(bytes([i]) * 10) for i in range(5)]
+        for b in blocks:
+            store.put(b)
+        assert set(store.cids()) == {b.cid for b in blocks}
+
+    def test_stats_track_hits_and_misses(self):
+        store = MemoryBlockstore()
+        block = Block.for_data(b"x")
+        store.put(block)
+        store.get(block.cid)
+        with pytest.raises(BlockNotFoundError):
+            store.get(CID.for_data(b"y"))
+        assert store.stats.hits == 1
+        assert store.stats.misses == 1
 
     @given(st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=8, unique=True))
     def test_property_roundtrip_many(self, payloads):

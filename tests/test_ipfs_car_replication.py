@@ -5,7 +5,6 @@ import pytest
 from repro.crypto.cid import CID
 from repro.errors import StorageError
 from repro.ipfs import FixedSizeChunker, IpfsCluster, MemoryBlockstore, UnixFS
-from repro.ipfs.block import Block
 from repro.ipfs.car import export_car, import_car
 from repro.ipfs.replication import ReplicationManager
 from repro.util.rng import rng_for
@@ -128,7 +127,7 @@ class TestReplicationManager:
         root = cluster.add(data, node="ipfs-0").cid
         status = mgr.replicate(root)
         victim = status.holders[0]
-        cluster.remove_node(victim)
+        cluster.crash_node(victim)
         degraded = mgr.status(root)
         # Repair restores the factor from the surviving copy.
         repaired = mgr.repair()
@@ -155,8 +154,3 @@ class TestReplicationManager:
         cluster = IpfsCluster(n_nodes=2)
         with pytest.raises(StorageError):
             ReplicationManager(cluster, replication_factor=0)
-
-    def test_remove_unknown_node_rejected(self):
-        cluster, _ = self.make()
-        with pytest.raises(StorageError):
-            cluster.remove_node("ipfs-99")

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ipfs.chunker import FixedSizeChunker, RollingChunker, chunk_sizes
+from repro.ipfs.chunker import FixedSizeChunker, RollingChunker
 from repro.util.rng import rng_for
+
+
+def chunk_sizes(chunker, data: bytes) -> list[int]:
+    return [len(c) for c in chunker.chunks(data)]
 
 
 class TestFixedSizeChunker:

@@ -39,11 +39,6 @@ class TestDagNode:
         with pytest.raises(DagError):
             DagNode.deserialize(b'{"nope":1}')
 
-    def test_total_size(self):
-        child = CID.for_data(b"c")
-        node = DagNode(data=b"abc", links=(DagLink("", child, 10),))
-        assert node.total_size() == 13
-
 
 class TestDagService:
     def test_put_get_roundtrip(self):
@@ -118,15 +113,6 @@ class TestUnixFS:
         fs = self.make()
         assert fs.add_file(b"aaa").cid != fs.add_file(b"bbb").cid
 
-    def test_file_size_without_reading_leaves(self):
-        fs = self.make(chunk=100)
-        data = rng_for(4, "unixfs").bytes(1234)
-        result = fs.add_file(data)
-        reads_before = fs.blockstore.stats.bytes_read
-        assert fs.file_size(result.cid) == 1234
-        # Only the root node was read, far less than the file.
-        assert fs.blockstore.stats.bytes_read - reads_before < 1234
-
     def test_leaf_cids_in_order(self):
         fs = self.make(chunk=3)
         result = fs.add_file(b"abcdefghi")
@@ -166,10 +152,3 @@ class TestUnixFS:
     def test_property_roundtrip_cdc(self, data):
         fs = UnixFS(MemoryBlockstore(), chunker=RollingChunker(target_size=256))
         assert fs.read_file(fs.add_file(data).cid) == data
-
-    @settings(max_examples=20)
-    @given(st.binary(max_size=4096), st.integers(min_value=1, max_value=256))
-    def test_property_size_metadata_accurate(self, data, chunk):
-        fs = UnixFS(MemoryBlockstore(), chunker=FixedSizeChunker(chunk), fanout=5)
-        result = fs.add_file(data)
-        assert fs.file_size(result.cid) == len(data)

@@ -22,14 +22,14 @@ class TestPinManager:
         pins = PinManager()
         cid = CID.for_data(b"x")
         pins.pin(cid)
-        assert pins.is_pinned(cid)
+        assert cid in pins.recursive
 
     def test_unpin(self):
         pins = PinManager()
         cid = CID.for_data(b"x")
         pins.pin(cid)
         pins.unpin(cid)
-        assert not pins.is_pinned(cid)
+        assert cid not in pins.recursive | pins.direct
 
     def test_unpin_never_pinned_raises(self):
         with pytest.raises(PinError):

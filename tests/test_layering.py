@@ -1,5 +1,5 @@
 """Structural guards: one thread of control, ``repro.analysis`` is a leaf,
-and no module lives only for its own tests.
+and no module, name or knob lives only for its own tests.
 
 The framework spawns no threads or processes of its own (callers may bring
 theirs; the locks that keep shared counters exact stay), and only the CLI
@@ -13,13 +13,18 @@ from the package is. ``repro.__main__`` is run by ``python -m repro``, never
 imported, so it needs no caller.
 
 Within a module, every public top-level function and class is named
-somewhere besides its own definition: in ``src/``, ``tests/``,
-``benchmarks/`` or ``examples/``.
+somewhere besides its own definition: in ``src/``, ``benchmarks/`` or
+``examples/``. A package ``__init__`` re-export and a test do not count.
+
+Every :class:`~repro.core.FrameworkConfig` field is set by keyword in
+``src/``, ``benchmarks/`` or ``examples/``; a field no caller sets to a
+second value is a constant, not a knob.
 """
 
 import ast
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import repro
@@ -115,14 +120,25 @@ def test_every_module_has_a_caller_outside_its_tests():
     assert sorted(modules - called - ORPHANS_ALLOWED.keys()) == []
 
 
+# Public top-level names kept with no caller in the system: test oracles and
+# fixture entry points, each with its reason.
+ENTRY_POINTS_ALLOWED = {
+    "evaluate_frames": "repro.vision.eval's entry point; the Fig. 3 oracle "
+    "(see ORPHANS_ALLOWED) that tests/test_vision_eval.py runs",
+    "lint_source": "lints one source string as its own program: the fixture "
+    "entry point the analyzer tests feed their snippets through",
+}
+
+
 def test_every_public_top_level_name_is_named_elsewhere():
     """A public top-level function or class (no leading underscore, so
-    dunders are exempt) whose name appears nowhere but at its definition
-    has no caller, no test and no reader: it goes."""
+    dunders are exempt) whose name appears nowhere in ``src/``,
+    ``benchmarks/`` or ``examples/`` but at its definition and in package
+    re-exports has no caller outside its tests: it goes."""
     words = Counter()
-    for top in ("src", "tests", "benchmarks", "examples"):
+    for top in ("src", "benchmarks", "examples"):
         for path in (REPO / top).rglob("*"):
-            if path.is_file() and "__pycache__" not in path.parts:
+            if path.is_file() and "__pycache__" not in path.parts and path.name != "__init__.py":
                 text = path.read_text(encoding="utf-8", errors="replace")
                 words.update(re.findall(r"\w+", text))
     definitions = Counter()
@@ -133,5 +149,53 @@ def test_every_public_top_level_name_is_named_elsewhere():
                 if not node.name.startswith("_"):
                     definitions[node.name] += 1
                     sites[node.name] = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-    unnamed = [sites[name] for name, n in definitions.items() if words[name] <= n]
+    assert ENTRY_POINTS_ALLOWED.keys() <= definitions.keys()
+    unnamed = [
+        sites[name]
+        for name, n in definitions.items()
+        if words[name] <= n and name not in ENTRY_POINTS_ALLOWED
+    ]
     assert sorted(unnamed) == []
+
+
+# FrameworkConfig fields kept although no caller sets them, each with its reason.
+DEPLOYMENT_SETTINGS = {
+    "channel_name": "a deployment identifier: the channel the peers join",
+    "orgs": "a deployment identifier: the organizations on the channel",
+    "strict_admission": "the paper's §III admission behaviour; "
+    "tests/test_strict_admission.py turns it on",
+}
+
+
+CONFIG_SETTERS = ("FrameworkConfig", "replace", "dataclasses.replace")
+
+
+def _config_keywords(tree: ast.Module) -> set[str]:
+    """Field names one module passes to ``FrameworkConfig`` or to
+    ``dataclasses.replace``: their keywords, plus every string dict key
+    when it splats a mapping into one."""
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in CONFIG_SETTERS
+    ]
+    names = {kw.arg for call in calls for kw in call.keywords if kw.arg is not None}
+    if any(kw.arg is None for call in calls for kw in call.keywords):
+        names |= {
+            key.value
+            for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key in node.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        }
+    return names
+
+
+def test_every_framework_config_field_is_set_outside_the_tests():
+    from repro.core import FrameworkConfig
+
+    set_by_callers = set()
+    for _importer, _is_init, _package, tree in _parsed():
+        set_by_callers |= _config_keywords(tree)
+    names = {f.name for f in fields(FrameworkConfig)}
+    assert DEPLOYMENT_SETTINGS.keys() <= names
+    assert sorted(names - set_by_callers - DEPLOYMENT_SETTINGS.keys()) == []

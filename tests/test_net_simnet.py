@@ -214,28 +214,6 @@ class TestEventLoop:
 
 
 class TestLatencyModels:
-    def test_pairwise_override(self):
-        from repro.net import PairwiseLatency
-
-        model = PairwiseLatency(fallback=ConstantLatency(base=0.001))
-        model.set_link("a", "c", ConstantLatency(base=1.0))
-        assert model.delay("a", "b", 0) == pytest.approx(0.001)
-        assert model.delay("a", "c", 0) >= 1.0
-        assert model.delay("c", "a", 0) >= 1.0  # symmetric by default
-
-    def test_jitter_bounded(self):
-        from repro.net import JitterLatency
-
-        model = JitterLatency(base=0.01, jitter=0.005, seed=1)
-        delays = [model.delay("a", "b", 0) for _ in range(100)]
-        assert all(0.01 <= d <= 0.015 for d in delays)
-
-    def test_lognormal_positive(self):
-        from repro.net import LogNormalLatency
-
-        model = LogNormalLatency(median=0.02, seed=1)
-        assert all(model.delay("a", "b", 100) > 0 for _ in range(100))
-
     def test_constant_validation(self):
         with pytest.raises(ValueError):
             ConstantLatency(base=-1)

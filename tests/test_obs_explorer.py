@@ -153,7 +153,9 @@ class TestProvenance:
         assert len(report.entry_ids) == 6
         seen_sources = set()
         for entry_id in report.entry_ids:
-            source_id = explorer.entry(entry_id)["source_id"]
+            source_id = json.loads(
+                framework.channel.query(framework.admin, "data_retrieval", "get_data", [entry_id])
+            )["source_id"]
             seen_sources.add(source_id)
             trail = explorer.provenance_trail(entry_id)
             assert [e["action"] for e in trail] == ["captured", "stored"]

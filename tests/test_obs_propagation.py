@@ -74,12 +74,6 @@ class TestRemoteParent:
         assert inner.parent_id == inner.exec_parent_id == outer.span_id
         assert inner.remote is False
 
-    def test_context_headers_round_trip(self):
-        ctx = SpanContext(trace_id="t", span_id="s")
-        assert SpanContext.from_headers(ctx.to_headers()) == ctx
-        assert SpanContext.from_headers(None) is None
-        assert SpanContext.from_headers({"trace_id": "t"}) is None
-
 
 class TestSimnetPropagation:
     def test_delivery_span_parents_to_sender_span(self):

@@ -3,7 +3,7 @@ integration into the framework's submit path."""
 
 import pytest
 
-from repro.core import Client, Framework, FrameworkConfig
+from repro.core import Framework, FrameworkConfig
 from repro.errors import (
     ChaincodeNotFoundError,
     CircuitOpenError,
@@ -262,15 +262,13 @@ class TestResilientInvoke:
         assert calls["n"] == 1
 
     def test_persistent_outage_opens_the_fabric_breaker(self, monkeypatch):
-        framework, identity = self._framework(
-            breaker_failure_threshold=4, retry_max_attempts=2
-        )
+        framework, identity = self._framework()
 
         def down(*args, **kwargs):
             raise FabricError("ordering service unreachable")
 
         monkeypatch.setattr(framework.channel, "invoke", down)
-        for _ in range(2):  # 2 submits x 2 attempts = 4 failures
+        for _ in range(2):  # 2 submits x 4 attempts = the threshold of 8 failures
             with pytest.raises(RetryExhaustedError):
                 framework.resilient_invoke(identity, "kv", "put", ["k", "v"])
         with pytest.raises((CircuitOpenError, RetryExhaustedError)) as exc_info:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.clock import MonotonicClock, SimClock, WallClock, isoformat
+from repro.util.clock import SimClock, WallClock, isoformat
 from repro.util.rng import derive_seed, rng_for
 
 
@@ -32,12 +32,6 @@ class TestSimClock:
 class TestRealClocks:
     def test_wall_clock_is_epoch_scale(self):
         assert WallClock().now() > 1.6e9  # after 2020
-
-    def test_monotonic_never_decreases(self):
-        clock = MonotonicClock()
-        a = clock.now()
-        b = clock.now()
-        assert b >= a
 
 
 class TestIsoformat:

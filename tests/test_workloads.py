@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import DEFAULT_SIZES, IngestItem, ingest_stream, payload, payload_series
+from repro.workloads import IngestItem, ingest_stream, payload
 
 
 class TestFileSizes:
@@ -26,10 +26,6 @@ class TestFileSizes:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             payload(-1)
-
-    def test_series_matches_grid(self):
-        series = payload_series()
-        assert [len(p) for p in series] == list(DEFAULT_SIZES)
 
 
 class TestIngestStream:
