@@ -7,7 +7,8 @@ findings are summarised into one SAN305, and a SAN303 also names the altered
 transaction — the one whose endorsements no longer verify over its committed
 rwset (``audit.endorsement_verifies`` without an MSP). A remembered canonical
 form that is not what its value serialises to is a SAN303 too: the bytes
-hashed into the block are not the transaction's.
+hashed into the block are not the transaction's. So is a remembered
+signature verdict that a fresh check does not repeat.
 
 :func:`check_block_commit` is the live mode (the whole chain after every
 commit, independently of the append path), :func:`check_store` the offline

@@ -32,7 +32,7 @@ decided. Repeatedly-misbehaving replicas can be reported to a
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -141,8 +141,15 @@ class BftReplica(NetNode):
         super().__init__(name, network)
         self.cluster = cluster
         self.behaviour = behaviour
+        # The replica set is fixed at construction, so f and the quorum are
+        # the cluster's, computed once.
+        self.f = cluster.f
+        self.quorum = cluster.quorum
         self.view = 0
         self.log: list[Decision] = []
+        # Protocol state of undecided instances. A slot is freed once it is
+        # decided and this replica's own commit is out; the decision stays
+        # in the log, where a straggler commit finds it by seq.
         self._slots: dict[tuple[int, int], _SlotState] = {}
         self._next_seq = 0  # primary-only counter
         self._assigned: set[str] = set()  # request ids this primary proposed
@@ -171,20 +178,8 @@ class BftReplica(NetNode):
 
     # -- identity helpers ----------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self.cluster.replica_names)
-
-    @property
-    def f(self) -> int:
-        return (self.n - 1) // 3
-
     def is_primary(self) -> bool:
         return self.cluster.primary_for(self.view) == self.name
-
-    def _quorum(self) -> int:
-        # 2f+1 of 3f+1: the classic BFT quorum (>= two-thirds).
-        return 2 * self.f + 1
 
     # -- sending with fault model ---------------------------------------------
 
@@ -232,7 +227,9 @@ class BftReplica(NetNode):
 
     def _check_timeout(self, request: ClientRequest) -> None:
         if self._pending_timeouts.get(request.request_id):
-            return  # committed in time
+            del self._pending_timeouts[request.request_id]  # committed in time
+            self._rearms.pop(request.request_id, None)
+            return
         rearms = self._rearms.get(request.request_id, 0)
         if rearms >= self.cluster.max_view_changes:
             # Give up on this request: unbounded re-arming turns one lost
@@ -255,26 +252,27 @@ class BftReplica(NetNode):
             self._dispatch(msg.payload)
 
     def _dispatch(self, payload: Any) -> None:
-        if isinstance(payload, ClientRequest):
-            self.on_request(payload)
-        elif isinstance(payload, PrePrepare):
-            self._on_pre_prepare(payload)
-        elif isinstance(payload, Prepare):
-            self._on_prepare(payload)
-        elif isinstance(payload, Commit):
-            self._on_commit(payload)
-        elif isinstance(payload, Checkpoint):
-            self._on_checkpoint(payload)
-        elif isinstance(payload, ViewChange):
-            self._on_view_change(payload)
-        elif isinstance(payload, NewView):
-            self._on_new_view(payload)
+        handler = self._HANDLERS.get(type(payload))
+        if handler is not None:
+            handler(self, payload)
 
-    def _slot(self, view: int, seq: int) -> _SlotState:
+    def _slot(self, view: int, seq: int) -> _SlotState | None:
+        """The protocol state of instance (view, seq), made on first use;
+        ``None`` once the instance is decided and its state freed."""
         slot = self._slots.get((view, seq))
         if slot is None:
+            if self._freed(view, seq) is not None:
+                return None
             slot = self._slots[(view, seq)] = _SlotState()
         return slot
+
+    def _freed(self, view: int, seq: int) -> Decision | None:
+        """The decision of a freed slot (view, seq), from the log. Below a
+        stable checkpoint the slot state was garbage-collected instead."""
+        if seq <= self.stable_checkpoint or seq not in self._decided_seqs:
+            return None
+        decision = self._by_seq[bisect_left(self._seqs, seq)]
+        return decision if decision.view == view else None
 
     def _verdict_for(self, request: ClientRequest) -> tuple[bool, ...]:
         """Per-item validation verdicts for a (possibly batched) request."""
@@ -317,6 +315,8 @@ class BftReplica(NetNode):
         if prior is not None and prior != msg.digest:
             return
         slot = self._slot(msg.view, msg.seq)
+        if slot is None:
+            return
         if slot.pre_prepare is not None and slot.pre_prepare.digest != msg.digest:
             return  # equivocation detected: keep the first, ignore the fork
         # Honest replicas check the primary's digest against the request.
@@ -339,44 +339,55 @@ class BftReplica(NetNode):
                 item_votes=slot.my_verdict,
             )
         )
-        self._maybe_progress(msg.view, msg.seq)
+        self._maybe_progress(msg.view, msg.seq, slot)
 
     def _on_prepare(self, msg: Prepare) -> None:
         self._saw_view(msg.replica, msg.view)
         if msg.view != self.view:
             return
         slot = self._slot(msg.view, msg.seq)
-        slot.prepares[msg.replica] = msg
-        self._maybe_progress(msg.view, msg.seq)
+        if slot is not None:
+            slot.prepares[msg.replica] = msg
+            self._maybe_progress(msg.view, msg.seq, slot)
 
     def _on_commit(self, msg: Commit) -> None:
         self._saw_view(msg.replica, msg.view)
         if msg.view != self.view:
             return
         slot = self._slot(msg.view, msg.seq)
-        slot.commits[msg.replica] = msg
-        if slot.decided and slot.decision is not None and slot.pre_prepare is not None:
-            # Straggler commits keep enriching the decision's vote record so
-            # accountability (validator flagging) judges every validator that
-            # eventually voted, not just the first quorum. The verdict itself
-            # never changes — the thresholds are mutually exclusive.
-            if msg.digest == slot.pre_prepare.digest:
-                slot.decision.votes.setdefault(msg.replica, msg.valid)
-                n_items = len(slot.decision.item_accepted) or 1
-                slot.decision.item_votes.setdefault(
-                    msg.replica, tuple(msg.item_vote(i) for i in range(n_items))
-                )
+        if slot is not None and (not slot.decided or slot.decision is None):
+            slot.commits[msg.replica] = msg
+            self._maybe_progress(msg.view, msg.seq, slot)
             return
-        self._maybe_progress(msg.view, msg.seq)
+        # Straggler commits keep enriching the decision's vote record so
+        # accountability (validator flagging) judges every validator that
+        # eventually voted, not just the first quorum. The verdict itself
+        # never changes — the thresholds are mutually exclusive.
+        if slot is None:
+            # Freed: the log keeps the decision, and _prepared_digest the
+            # digest this replica prepared, which was its pre-prepare's.
+            decision = self._freed(msg.view, msg.seq)
+            digest = self._prepared_digest[msg.seq]
+        else:
+            decision, digest = slot.decision, slot.pre_prepare.digest
+        if msg.digest == digest:
+            decision.votes.setdefault(msg.replica, msg.valid)
+            n_items = len(decision.item_accepted) or 1
+            decision.item_votes.setdefault(
+                msg.replica, tuple(msg.item_vote(i) for i in range(n_items))
+            )
 
-    def _maybe_progress(self, view: int, seq: int) -> None:
-        slot = self._slot(view, seq)
+    def _maybe_progress(self, view: int, seq: int, slot: _SlotState) -> None:
         if slot.pre_prepare is None:
             return
         digest = slot.pre_prepare.digest
-        matching_prepares = [p for p in slot.prepares.values() if p.digest == digest]
-        # Prepared: pre-prepare + 2f prepares matching the digest (own included).
-        if not slot.sent_commit and len(matching_prepares) >= 2 * self.f + 1:
+        # Prepared: pre-prepare + 2f prepares matching the digest (own
+        # included). Fewer votes than a quorum cannot match enough.
+        if (
+            not slot.sent_commit
+            and len(slot.prepares) >= self.quorum
+            and sum(p.digest == digest for p in slot.prepares.values()) >= self.quorum
+        ):
             slot.sent_commit = True
             self._prepared_digest.setdefault(seq, digest)
             n_items = max(1, slot.pre_prepare.request.n_items)
@@ -391,8 +402,14 @@ class BftReplica(NetNode):
                     item_votes=verdict,
                 )
             )
+        if not slot.decided and len(slot.commits) >= self.quorum:
+            self._maybe_decide(view, seq, slot, digest)
+        if slot.decided and slot.sent_commit and slot.decision is not None:
+            self._slots.pop((view, seq), None)  # the log keeps the decision
+
+    def _maybe_decide(self, view: int, seq: int, slot: _SlotState, digest: str) -> None:
         matching_commits = [c for c in slot.commits.values() if c.digest == digest]
-        if slot.decided or len(matching_commits) < self._quorum():
+        if len(matching_commits) < self.quorum:
             return
         # Validity thresholds are arrival-order independent and mutually
         # exclusive: with n = 3f+1 votes, "valid >= 2f+1" and
@@ -404,7 +421,7 @@ class BftReplica(NetNode):
         for i in range(n_items):
             valid_i = sum(1 for c in matching_commits if c.item_vote(i))
             invalid_i = len(matching_commits) - valid_i
-            if valid_i >= self._quorum():
+            if valid_i >= self.quorum:
                 item_accepted.append(True)
             elif invalid_i >= self.f + 1:
                 item_accepted.append(False)
@@ -446,7 +463,8 @@ class BftReplica(NetNode):
         slot.decision = decision
         self.log.append(decision)
         self._chain_decision(decision)
-        self._pending_timeouts[request.request_id] = True
+        if request.request_id in self._pending_timeouts:
+            self._pending_timeouts[request.request_id] = True
         self.cluster.notify_decision(self.name, decision)
         self._maybe_checkpoint()
 
@@ -512,7 +530,7 @@ class BftReplica(NetNode):
             return
         votes = self._checkpoint_votes.setdefault((msg.seq, msg.digest), set())
         votes.add(msg.replica)
-        if len(votes) >= self._quorum():
+        if len(votes) >= self.quorum:
             self._gc_to(msg.seq)
 
     def _gc_to(self, seq: int) -> None:
@@ -565,7 +583,7 @@ class BftReplica(NetNode):
                 )
             )
             return
-        if len(votes) >= self._quorum():
+        if len(votes) >= self.quorum:
             self._enter_view(msg.new_view)
             if self.is_primary():
                 # Continue past every slot the quorum may have decided: any
@@ -617,6 +635,17 @@ class BftReplica(NetNode):
         if self._seqs:
             self._next_seq = max(self._next_seq, self._seqs[-1] + 1)
 
+    # One handler per message type, looked up by the payload's exact type.
+    _HANDLERS: dict[type, Callable[["BftReplica", Any], None]] = {
+        ClientRequest: on_request,
+        PrePrepare: _on_pre_prepare,
+        Prepare: _on_prepare,
+        Commit: _on_commit,
+        Checkpoint: _on_checkpoint,
+        ViewChange: _on_view_change,
+        NewView: _on_new_view,
+    }
+
 
 class BftCluster:
     """Builds and drives a set of PBFT replicas on one SimNetwork.
@@ -643,6 +672,8 @@ class BftCluster:
             raise ConsensusError("PBFT needs n >= 4 (n = 3f+1, f >= 1)")
         self.network = network or SimNetwork()
         self.replica_names = [f"validator-{i}" for i in range(n_replicas)]
+        self.f = (n_replicas - 1) // 3
+        self.quorum = 2 * self.f + 1  # of 3f+1: the classic BFT quorum (>= 2/3)
         self._validator = validator or (lambda name, req: True)
         self.view_timeout = view_timeout
         self.max_view_changes = max_view_changes
@@ -658,10 +689,6 @@ class BftCluster:
         self._client_seq = 0
 
     # -- cluster facts ---------------------------------------------------------
-
-    @property
-    def f(self) -> int:
-        return (len(self.replica_names) - 1) // 3
 
     def primary_for(self, view: int) -> str:
         return self.replica_names[view % len(self.replica_names)]

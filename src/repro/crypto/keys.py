@@ -11,17 +11,22 @@ framework relies on:
 
 The scheme: the private key is 32 random bytes; the public key is
 ``SHA-256("repro-pub" || private)``. A signature over message ``m`` is
-``HMAC-SHA256(private, m)`` accompanied by a *verifier tag*
-``SHA-256(public || signature || m)``. Verification recomputes the tag from
-the public key. Because only the holder of ``private`` can produce the HMAC
-whose tag matches, a forger without the private key must invert SHA-256.
+``mac || tag``, where the signer sets ``mac = HMAC-SHA256(private, m)`` and
+``tag = SHA-256(public || mac || m)``. Verification recomputes the tag from
+the public key and checks it; it cannot check ``mac``, which needs the
+private key.
 
-This is **not** publicly verifiable asymmetric crypto (verification here
-checks internal consistency, and honest verifiers in this framework also keep
-a registry of public keys — exactly what Fabric's MSP does with certificates).
-It deliberately preserves the framework-visible behaviour: per-identity
-unforgeable signatures with constant size and O(message) signing cost, so the
-timing shape of the paper's signing/validation path is intact.
+What this gives: a signature is bound to its message and its public key, so
+an altered message, a signature moved to another message, or one checked
+under another identity's key fails. What it does **not** give is
+unforgeability. The public key is on the chain, so anyone can pick any
+32-byte ``mac`` and compute the matching tag: this is not a digital
+signature. It keeps the framework-visible shape (constant size, O(message)
+signing and verification cost) and relies on the MSP only for membership.
+ROADMAP item 2(b)-(c) replaces it with deterministic ECDSA P-256 and adds
+tests that forge. Remembering a verdict (``fabric.tx``) adds no hole of its
+own: it is kept per transaction object, and a forged signature arrives on a
+fresh object and is checked like any other.
 """
 
 from __future__ import annotations

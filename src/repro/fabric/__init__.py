@@ -15,7 +15,7 @@ from repro.fabric.identity import Identity, IdentityInfo, Role
 from repro.fabric.ledger import Block, BlockHeader, BlockStore, GENESIS_PREVIOUS_HASH
 from repro.fabric.msp import MSP, MSPRegistry
 from repro.fabric.orderer import BftOrderer, SoloOrderer, default_tx_validator
-from repro.fabric.peer import Peer, PeerStats, endorsement_payload
+from repro.fabric.peer import Peer, PeerStats
 from repro.fabric.policy import AnyOf, Or, OutOf, Policy, SignedBy
 from repro.fabric.tx import (
     ChaincodeEvent,
@@ -27,6 +27,7 @@ from repro.fabric.tx import (
     TxProposal,
     ValidationCode,
     WriteEntry,
+    endorsement_payload,
 )
 from repro.fabric.worldstate import (
     HistoryEntry,

@@ -16,12 +16,14 @@ The semantic (``docs/STATIC_ANALYSIS.md`` has the table):
   position, ``previous_hash`` equals the prior header's hash, ``data_hash``
   equals the recomputed Merkle root of the transaction envelopes.
 * **Remembered forms** (:func:`check_remembered`) — the header hash and each
-  transaction's rwset, signing payload, envelope and endorsement payload, as
-  every node in this process is served them (``util.serialization.once``),
-  equal what a copy nothing was remembered for serialises to.
+  transaction's rwset, signing payload, envelope and endorsement payload,
+  and its creator and endorsement signature verdicts, as every node in this
+  process is served them (``util.serialization.once``), equal what a copy
+  nothing was remembered for computes.
 * **Signatures** (:func:`check_signatures`, :func:`endorsement_verifies`) —
   every VALID transaction's creator signature verifies through the MSP and
-  at least one endorsement verifies over ``endorsement_payload(tx)``.
+  at least one endorsement verifies over ``endorsement_payload(tx)``. These
+  verify for real; they are the oracle the remembered verdicts answer to.
 * **State replay** (:func:`replay_writes`, :func:`check_state`) — every key
   the chain wrote holds its last written value (a deleted key is absent),
   and on a store that starts at genesis no live key lacks a write.
@@ -125,6 +127,10 @@ def check_remembered(block) -> list[AuditFinding]:
             ("envelope_bytes", tx, tx.envelope_bytes(), fresh.envelope_bytes()),
             ("endorsement_payload", tx,
              endorsement_payload(tx), endorsement_payload(fresh)),
+            ("signature_error", tx,
+             tx.proposal.signature_error(), fresh.proposal.signature_error()),
+            ("endorsement_verdicts", tx,
+             tx.endorsement_verdicts(), fresh.endorsement_verdicts()),
         ]
     return [
         AuditFinding(

@@ -10,9 +10,13 @@ signature is only as good as the registered, unrevoked identity behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import IdentityError, SignatureError
 from repro.fabric.identity import Identity, IdentityInfo
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fabric.tx import TxProposal
 
 
 @dataclass
@@ -91,6 +95,18 @@ class MSPRegistry:
         try:
             info.public_key.verify(message, signature)
         except SignatureError as exc:
-            raise SignatureError(
-                f"bad signature from {info.name!r}@{info.org!r}: {exc}"
-            ) from exc
+            raise _bad_signature(info, str(exc)) from exc
+
+    def verify_proposal(self, proposal: "TxProposal") -> None:
+        """:meth:`verify_signature` of a proposal's creator over its signing
+        payload. The signature's verdict is remembered on the proposal
+        (``TxProposal.signature_error``); membership is checked on every
+        call, so a revocation after the verdict still refuses."""
+        self.validate_identity(proposal.creator)
+        error = proposal.signature_error()
+        if error is not None:
+            raise _bad_signature(proposal.creator, error)
+
+
+def _bad_signature(info: IdentityInfo, why: str) -> SignatureError:
+    return SignatureError(f"bad signature from {info.name!r}@{info.org!r}: {why}")

@@ -35,7 +35,6 @@ from repro.fabric.tx import (
     Transaction,
     TxProposal,
     ValidationCode,
-    endorsement_payload,
 )
 from repro.fabric.worldstate import Version, WorldState
 from repro.obs.prof import profiled
@@ -117,9 +116,7 @@ class Peer:
     def _endorse_inner(self, proposal: TxProposal) -> ProposalResponse:
         if not self.online:
             raise FabricError(f"peer {self.name!r} is offline")
-        self.msp_registry.verify_signature(
-            proposal.creator, proposal.signing_payload(), proposal.signature
-        )
+        self.msp_registry.verify_proposal(proposal)
         definition = self.chaincodes.get(proposal.chaincode)
         stub = self._make_stub(proposal, proposal.chaincode)
         try:
@@ -186,22 +183,21 @@ class Peer:
             return ValidationCode.DUPLICATE_TXID
         # Creator identity and proposal signature.
         try:
-            self.msp_registry.verify_signature(
-                tx.proposal.creator, tx.proposal.signing_payload(), tx.proposal.signature
-            )
+            self.msp_registry.verify_proposal(tx.proposal)
         except IdentityError:
             return ValidationCode.BAD_IDENTITY
         except SignatureError:
             return ValidationCode.BAD_SIGNATURE
-        # Endorsement signatures: each must sign this exact rwset+response.
-        payload = endorsement_payload(tx)
+        # Endorsement signatures: each must sign this exact rwset+response,
+        # and its endorser must still be a member.
         valid_orgs: set[str] = set()
-        for endorsement in tx.endorsements:
+        for endorsement, verified in zip(tx.endorsements, tx.endorsement_verdicts()):
+            if not verified:
+                continue  # an invalid endorsement simply doesn't count
             try:
                 self.msp_registry.validate_identity(endorsement.endorser)
-                endorsement.endorser.public_key.verify(payload, endorsement.signature)
-            except (IdentityError, SignatureError):
-                continue  # an invalid endorsement simply doesn't count
+            except IdentityError:
+                continue
             valid_orgs.add(endorsement.endorser.org)
         try:
             definition = self.chaincodes.get(tx.proposal.chaincode)
@@ -278,9 +274,7 @@ class Peer:
         """Execute a read-only invocation; writes are discarded."""
         if not self.online:
             raise FabricError(f"peer {self.name!r} is offline")
-        self.msp_registry.verify_signature(
-            proposal.creator, proposal.signing_payload(), proposal.signature
-        )
+        self.msp_registry.verify_proposal(proposal)
         definition = self.chaincodes.get(proposal.chaincode)
         stub = self._make_stub(proposal, proposal.chaincode)
         with profiled("endorse.simulate"):

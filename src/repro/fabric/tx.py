@@ -19,7 +19,11 @@ remembered while the transaction is in flight
 (:func:`repro.util.serialization.once`); build-then-sign hands the signed
 value the bytes that were signed. The rwset is the bulk of every form that
 holds it, so it is rendered once per rwset object and spliced into the
-endorsed payload and the envelope as bytes.
+endorsed payload and the envelope as bytes. A signature's verdict over a
+remembered payload is a form too (:meth:`TxProposal.signature_error`,
+:meth:`Transaction.endorsement_verdicts`): the endorsing peers, the four
+validators and the committing peers share one check per signature. Whether
+the signer is still a member is not a form; the MSP is asked every time.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from repro.errors import SignatureError
 from repro.fabric.identity import Identity, IdentityInfo
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
@@ -130,6 +135,18 @@ class TxProposal:
         once(signed, "signing_payload", lambda: payload)
         return signed
 
+    def signature_error(self) -> str | None:
+        """Why the creator's signature does not verify over
+        :meth:`signing_payload`, or ``None`` when it does."""
+        return once(self, "signature_error", self._signature_error)
+
+    def _signature_error(self) -> str | None:
+        try:
+            self.creator.public_key.verify(self.signing_payload(), self.signature)
+        except SignatureError as exc:
+            return str(exc)
+        return None
+
     @staticmethod
     def make_tx_id(creator: IdentityInfo, nonce: bytes) -> str:
         return hashlib.sha256(
@@ -205,6 +222,17 @@ class Transaction:
     @property
     def tx_id(self) -> str:
         return self.proposal.tx_id
+
+    def endorsement_verdicts(self) -> tuple[bool, ...]:
+        """Whether each endorser's signature verifies over
+        ``endorsement_payload(self)``, in endorsement order."""
+        return once(self, "endorsement_verdicts", self._endorsement_verdicts)
+
+    def _endorsement_verdicts(self) -> tuple[bool, ...]:
+        payload = endorsement_payload(self)
+        return tuple(
+            e.endorser.public_key.is_valid(payload, e.signature) for e in self.endorsements
+        )
 
     def envelope_bytes(self) -> bytes:
         """Canonical bytes of the full transaction (hashed into blocks)."""

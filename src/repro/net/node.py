@@ -19,10 +19,7 @@ class NetNode:
     def __init__(self, name: str, network: SimNetwork) -> None:
         self.name = name
         self.network = network
-        network.register(name, self._handle)
-
-    def _handle(self, msg: Message) -> None:
-        self.on_message(msg)
+        network.register(name, self.on_message)
 
     def on_message(self, msg: Message) -> None:  # pragma: no cover - abstract
         raise NotImplementedError

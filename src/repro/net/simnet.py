@@ -6,7 +6,9 @@ delivery event after the latency model's delay, and :meth:`SimNetwork.run`
 drains the event heap in (time, sequence) order. Sequence numbers break
 timestamp ties deterministically, so a given seed always produces the same
 message interleaving — the property that makes Byzantine-fault tests
-reproducible.
+reproducible. An event is a plain ``(time, seq, action, arg)`` tuple: a
+delivery is ``(…, _deliver, message)``, a timer ``(…, action, None)``; the
+unique ``seq`` means the heap never compares past it.
 
 Failure injection supported at the network level:
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import NetworkError, NodeUnreachableError
@@ -31,13 +33,6 @@ from repro.util.clock import SimClock
 from repro.util.rng import rng_for
 
 Handler = Callable[[Message], None]
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
 
 
 @dataclass
@@ -87,9 +82,10 @@ class SimNetwork:
         self.drop_rate = drop_rate
         self.stats = NetStats()
         self._handlers: dict[str, Handler] = {}
+        self._order: list[str] = []  # node names, sorted at register
         self._up: dict[str, bool] = {}
         self._groups: dict[str, int] = {}  # partition group per node; same = reachable
-        self._events: list[_Event] = []
+        self._events: list[tuple[float, int, Callable, Any]] = []
         self._seq = itertools.count()
         self._rng = rng_for(seed, "net", "drops")
         self._running = False
@@ -104,11 +100,12 @@ class SimNetwork:
         if name in self._handlers:
             raise NetworkError(f"node {name!r} already registered")
         self._handlers[name] = handler
+        self._order = sorted(self._handlers)
         self._up[name] = True
         self._groups[name] = 0
 
     def nodes(self) -> list[str]:
-        return sorted(self._handlers)
+        return list(self._order)
 
     def set_node_up(self, name: str, up: bool) -> None:
         """Crash (``up=False``) or restart a node. Messages to a down node
@@ -140,9 +137,6 @@ class SimNetwork:
         for name in self._groups:
             self._groups[name] = 0
 
-    def reachable(self, src: str, dst: str) -> bool:
-        return self._groups[src] == self._groups[dst]
-
     # -- messaging ------------------------------------------------------------
 
     def send(self, src: str, dst: str, payload: Any, size_bytes: int = 256, kind: str = "msg") -> None:
@@ -160,9 +154,10 @@ class SimNetwork:
         # the message (None when tracing is off — one global read). The
         # stamp happens at send time, so the causal parent is the span
         # that *sent*, not whatever runs the event loop at delivery.
+        now = self.clock.now()
         msg = Message(
             src=src, dst=dst, payload=payload, size_bytes=size_bytes,
-            kind=kind, send_time=self.clock.now(), trace_ctx=current_context(),
+            kind=kind, send_time=now, trace_ctx=current_context(),
         )
         self.stats.sent += 1
         self.stats.bytes_sent += size_bytes
@@ -179,14 +174,15 @@ class SimNetwork:
         if fault.extra_delay_s > 0:
             self.stats.delayed_chaos += 1
             delay += fault.extra_delay_s
-        self.schedule(delay, lambda: self._deliver(msg))
+        when = now + delay
+        heapq.heappush(self._events, (when, next(self._seq), self._deliver, msg))
         if fault.duplicate:
             self.stats.duplicated_chaos += 1
-            self.schedule(delay, lambda: self._deliver(msg))
+            heapq.heappush(self._events, (when, next(self._seq), self._deliver, msg))
 
     def broadcast(self, src: str, payload: Any, size_bytes: int = 256, kind: str = "msg") -> None:
         """Send to every other node (the BFT protocols' primitive)."""
-        for dst in self.nodes():
+        for dst in self._order:
             if dst != src:
                 self.send(src, dst, payload, size_bytes=size_bytes, kind=kind)
 
@@ -196,7 +192,7 @@ class SimNetwork:
         if not self._up.get(msg.dst, False):
             self.stats.dropped_down += 1
             return
-        if not self.reachable(msg.src, msg.dst):
+        if self._groups[msg.src] != self._groups[msg.dst]:
             self.stats.dropped_partition += 1
             return
         self.stats.delivered += 1
@@ -224,9 +220,7 @@ class SimNetwork:
         """Run ``action`` after ``delay`` simulated seconds (timers etc.)."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(
-            self._events, _Event(self.clock.now() + delay, next(self._seq), action)
-        )
+        heapq.heappush(self._events, (self.clock.now() + delay, next(self._seq), action, None))
 
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> int:
         """Drain events in (time, seq) order; returns events processed.
@@ -238,19 +232,23 @@ class SimNetwork:
             raise NetworkError("SimNetwork.run is not reentrant")
         self._running = True
         processed = 0
+        events = self._events
         try:
             # net.run's *exclusive* time is the drain machinery (heap pops,
             # clock advances); each action runs under net.dispatch, whose
             # own exclusive is the span/delivery machinery around the
             # handler — frames opened inside subtract themselves out.
             with profiled("net.run"):
-                while self._events and processed < max_events:
-                    if until is not None and self._events[0].time > until:
+                while events and processed < max_events:
+                    if until is not None and events[0][0] > until:
                         break
-                    event = heapq.heappop(self._events)
-                    self.clock.advance_to(event.time)
+                    when, _, action, arg = heapq.heappop(events)
+                    self.clock.advance_to(when)
                     with profiled("net.dispatch"):
-                        event.action()
+                        if arg is None:
+                            action()
+                        else:
+                            action(arg)
                     processed += 1
         finally:
             self._running = False

@@ -9,8 +9,8 @@ same logical record; Python's default ``json.dumps`` does not guarantee that.
 
 :func:`once` is the serialize-once primitive: a transaction in flight is one
 frozen object that the orderer, four validators and every committing peer
-each ask for the same canonical forms, and a frozen value's form cannot
-change, so it is computed by the first to ask. :func:`canonical_json_splice`
+each ask for the same canonical forms (and signature verdicts), and a frozen
+value's form cannot change, so it is computed by the first to ask. :func:`canonical_json_splice`
 lets a form that contains another remembered form (the rwset inside the
 envelope) reuse its bytes instead of rendering it again.
 """
@@ -32,12 +32,13 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 
 T = TypeVar("T")
 
-# Enough for the largest batch in flight (a 64-transaction block, ~8 forms
-# per transaction at two endorsers: the signing payload, the envelope, the
-# transaction's endorsed payload, its WAL document, and an endorsed payload
-# and a rendered rwset per endorser) and flat in ledger height: a chain walk
-# over old blocks recomputes their forms and pushes out the oldest entries,
-# nothing grows.
+# Enough for the largest batch in flight (a 64-transaction block, ~10 forms
+# per transaction at two endorsers, 640 in all: the signing payload and the
+# creator's signature verdict, the envelope, the transaction's endorsed
+# payload and its endorsement verdicts, its WAL document, and an endorsed
+# payload and a rendered rwset per endorser) and flat in ledger height: a
+# chain walk over old blocks recomputes their forms and pushes out the
+# oldest entries, nothing grows.
 ONCE_MAX_ENTRIES = 1024
 # (id(owner), form) -> (owner, value). The entry holds its owner, so the id
 # cannot be reused while the entry lives; oldest entry out first.

@@ -15,7 +15,7 @@ from repro.analysis import (
 from repro.analysis import runtime as analysis_runtime
 from repro.analysis.runtime import MODES
 from repro.errors import AnalysisError
-from repro.fabric import Chaincode
+from repro.fabric import Chaincode, ValidationCode
 
 from tests.fabric_helpers import make_network
 
@@ -153,6 +153,37 @@ class TestLedgerSanitizer:
             "block 1: remembered envelope_bytes",
         ] * len(channel.peers)
         assert all(tx.tx_id[:16] in f.message for f in report.findings)
+
+    @pytest.mark.parametrize(
+        "form, owner, wrong, code",
+        [
+            ("endorsement_verdicts", lambda tx: tx, (False, False),
+             ValidationCode.ENDORSEMENT_POLICY_FAILURE),
+            ("signature_error", lambda tx: tx.proposal, "doctored",
+             ValidationCode.BAD_SIGNATURE),
+        ],
+    )
+    def test_wrong_remembered_verdict_is_reported(self, form, owner, wrong, code):
+        """A signature's verdict is remembered per transaction object and
+        served to every validator and committing peer alike, so a wrong one
+        misleads them all; only a fresh check disagrees."""
+        from repro.util import serialization
+
+        net, channel, client = make_network("solo")
+        sanitizer = install_sanitizers(channel, spec="ledger")
+        channel.invoke(client, "kv", "put", ["honest", "v"])
+        proposal, responses = channel.endorse(client, "kv", "put", ["k", "v"])
+        tx = channel.assemble(proposal, responses)
+        assert len(tx.endorsements) == 2
+        serialization._once[(id(owner(tx)), form)] = (owner(tx), wrong)
+        channel.orderer.submit(tx)
+        channel.flush()
+        assert channel.result(tx.tx_id).code is code  # the commit path was misled
+        report = sanitizer.finalize()
+        assert [f.rule_id for f in report.findings] == ["SAN303"] * len(channel.peers)
+        for finding in report.findings:
+            assert f"block 1: remembered {form} of tx" in finding.message
+            assert tx.tx_id[:16] in finding.message
 
     def test_offline_audit_of_honest_chain_clean(self):
         net, channel, client = make_network("solo")

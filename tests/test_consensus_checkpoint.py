@@ -1,7 +1,10 @@
 """Tests for PBFT checkpointing and protocol-state garbage collection."""
 
+import pytest
+
 from repro.consensus import Behaviour, BftCluster
-from repro.net import ConstantLatency, SimNetwork
+from repro.net import ConstantLatency, FaultAction, SimNetwork
+from repro.net.simnet import NO_FAULT
 
 
 def make_cluster(interval=10, n=4, behaviours=None):
@@ -41,7 +44,7 @@ class TestCheckpointing:
         cluster.run()
         for replica in cluster.replicas.values():
             assert replica.stable_checkpoint == -1
-            assert len(replica._slots) == 5
+            assert not replica._checkpoint_votes  # no checkpoint was taken
 
     def test_disabled_by_default(self):
         cluster = BftCluster(
@@ -81,3 +84,45 @@ class TestCheckpointing:
         late = cluster.submit("late")
         cluster.run()
         assert cluster.agreement_reached(late.request_id)
+
+
+class TestDecidedStateIsFreed:
+    """With checkpoints off (the default without durability) nothing is ever
+    garbage-collected, so a decided instance must not leave its protocol
+    state behind: the log entry is what a replica keeps."""
+
+    @pytest.mark.parametrize(
+        "behaviours", [None, {"validator-3": Behaviour.SILENT}], ids=["all-normal", "silent"]
+    )
+    def test_decisions_leave_no_slots_or_timers(self, behaviours):
+        cluster = make_cluster(interval=0, behaviours=behaviours)
+        for i in range(2000):
+            cluster.submit(i)
+            cluster.run()
+        for replica in cluster.replicas.values():
+            assert len(replica.log) == 2000
+            assert replica._slots == {}
+            assert replica._pending_timeouts == {}
+            assert replica.stable_checkpoint == -1
+
+    def test_straggler_commit_after_free_lands_in_vote_record(self):
+        cluster = make_cluster(interval=0)
+        late = "validator-2"
+        cluster.network.fault_injector = lambda msg: (
+            FaultAction(extra_delay_s=0.1)
+            if msg.kind == "Commit" and msg.src == late
+            else NO_FAULT
+        )
+        cluster.submit("x")
+        cluster.run(until=0.05)  # decided everywhere; the late commits in flight
+        others = [r for r in cluster.replicas.values() if r.name != late]
+        for replica in others:
+            (decision,) = replica.log
+            assert late not in decision.votes
+            assert replica._slots == {}
+        cluster.run()
+        for replica in cluster.replicas.values():
+            (decision,) = replica.log
+            assert set(decision.votes) == set(cluster.replica_names)
+            assert decision.item_votes[late] == (True,)
+            assert replica._slots == {}  # the late message made no new state

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError, NodeUnreachableError
-from repro.net import ConstantLatency, Message, NetNode, SimNetwork
+from repro.net import ConstantLatency, FaultAction, Message, NetNode, SimNetwork
 
 
 def make_net(**kwargs) -> SimNetwork:
@@ -189,6 +189,43 @@ class TestEventLoop:
         net.schedule(0.0, rearm)
         processed = net.run(max_events=100)
         assert processed == 100
+
+    def test_same_time_events_run_in_schedule_order(self):
+        """Events due at one instant run first in, first out by sequence
+        number, whatever their kind: sends, a fault injector's duplicate
+        (due right behind its original) and timers, including one a timer
+        schedules while the loop runs."""
+        net = make_net()
+        log = []
+
+        class Logger(NetNode):
+            def on_message(self, msg):
+                log.append(("msg", msg.payload))
+
+        a = Logger("a", net)
+        Logger("b", net)
+        net.fault_injector = lambda msg: FaultAction(duplicate=msg.payload == 2)
+
+        def first_timer():
+            log.append(("timer", 1))
+            net.schedule(0.0, lambda: log.append(("timer", "nested")))
+
+        a.send("b", 0, size_bytes=0)  # due at 0.01, as is everything below
+        net.schedule(0.01, first_timer)
+        a.send("b", 2, size_bytes=0)
+        net.schedule(0.01, lambda: log.append(("timer", 3)))
+        a.send("b", 4, size_bytes=0)
+        assert net.run() == 7
+        assert log == [
+            ("msg", 0),
+            ("timer", 1),
+            ("msg", 2),
+            ("msg", 2),
+            ("timer", 3),
+            ("msg", 4),
+            ("timer", "nested"),
+        ]
+        assert net.clock.now() == 0.01
 
     def test_negative_schedule_rejected(self):
         net = make_net()
