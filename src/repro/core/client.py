@@ -35,6 +35,7 @@ from repro.errors import (
     UntrustedSourceError,
 )
 from repro.fabric import Identity, ValidationCode
+from repro.ipfs.unixfs import frozen_payload
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.query import QueryEngine, QueryRow
@@ -109,7 +110,9 @@ class Client:
         metadata: dict,
         observation: Observation | None = None,
     ) -> SubmissionReceipt:
-        """Submit one data item with its extracted metadata."""
+        """Submit one data item with its extracted metadata; a payload that
+        is not bytes-like raises :class:`StorageError` before anything runs."""
+        data = frozen_payload(data)
         framework = self.framework
         source_id = self.source_id
         framework.require_registered(source_id)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.framework import Framework
 from repro.errors import UntrustedSourceError
 from repro.fabric import Identity, ValidationCode
+from repro.ipfs.unixfs import frozen_payload
 from repro.obs.tracer import span as obs_span
 from repro.trust import SourceTier
 from repro.util.parallel import parallel_map
@@ -124,7 +125,8 @@ class BatchIngestor:
         return admitted, skipped
 
     def ingest(self, items: list[IngestItem]) -> IngestReport:
-        """Submit all admissible items, flush once, and account for the outcome."""
+        """Submit all admissible items, flush once, and account for the outcome
+        (a payload that is not bytes-like raises ``StorageError`` first)."""
         framework = self.framework
         channel = framework.channel
         start = time.perf_counter()
@@ -137,7 +139,7 @@ class BatchIngestor:
 
             # Off-chain store: chunk + hash every payload, in input order.
             with obs_span("ingest.store") as sp:
-                payloads = [item.payload for item, _ in admitted]
+                payloads = [frozen_payload(item.payload) for item, _ in admitted]
                 payload_bytes = sum(len(p) for p in payloads)
                 sp.set_attr("bytes", payload_bytes)
                 add_results = framework.ipfs.add_many(payloads)

@@ -16,19 +16,23 @@ from repro.errors import InvalidBlockError
 
 @dataclass(frozen=True)
 class Block:
-    """Immutable (cid, data) pair with the invariant cid == hash(data)."""
+    """Immutable (cid, data) pair with the invariant cid == hash(data).
+
+    ``data`` is immutable bytes, or a read-only view of an immutable payload
+    (a chunk of a file added on this node), which it keeps alive whole."""
 
     cid: CID
-    data: bytes
+    data: bytes | memoryview
 
     @classmethod
-    def for_data(cls, data: bytes, codec: int = CODEC_RAW) -> "Block":
-        """Create a block, deriving its CID from the bytes."""
-        return cls(cid=CID.for_data(data, codec=codec), data=bytes(data))
+    def for_data(cls, data: bytes | memoryview, codec: int = CODEC_RAW) -> "Block":
+        """Create a block over ``data`` itself (no copy), deriving its CID."""
+        return cls(cid=CID.for_data(data, codec=codec), data=data)
 
     @classmethod
-    def verified(cls, cid: CID, data: bytes) -> "Block":
-        """Accept a block from an untrusted source only if the hash matches."""
+    def verified(cls, cid: CID, data: bytes | memoryview) -> "Block":
+        """Accept a block from an untrusted source only if the hash matches;
+        it holds its own ``bytes``, as a transfer into another store would."""
         if not cid.verifies(data):
             raise InvalidBlockError(f"data does not hash to {cid}")
         return cls(cid=cid, data=bytes(data))

@@ -26,9 +26,13 @@ class BlockstoreStats:
 
 @dataclass
 class MemoryBlockstore:
-    """Dict-backed blockstore; deduplicates identical blocks by CID."""
+    """Dict-backed blockstore; deduplicates identical blocks by CID.
 
-    _blocks: dict[CID, bytes] = field(default_factory=dict)
+    Block data is kept as given: a leaf added here is a view that keeps its
+    whole payload alive until the last of its leaves is deleted. Byte
+    counts are block lengths either way."""
+
+    _blocks: dict[CID, bytes | memoryview] = field(default_factory=dict)
     stats: BlockstoreStats = field(default_factory=BlockstoreStats)
 
     def put(self, block: Block) -> None:

@@ -28,13 +28,14 @@ CAR_VERSION = 1
 def export_car(blockstore: MemoryBlockstore, roots: list[CID]) -> bytes:
     """Serialize the subgraphs under ``roots`` into a CAR byte string.
 
-    Shared blocks are written once even when reachable from several roots.
+    Shared blocks are written once even when reachable from several roots,
+    and each block's bytes are copied once, by the final join.
     """
     if not roots:
         raise StorageError("a CAR needs at least one root")
     dag = DagService(blockstore)
     header = canonical_json({"version": CAR_VERSION, "roots": [r.encode() for r in roots]})
-    out = bytearray(encode_varint(len(header)) + header)
+    parts = [encode_varint(len(header)), header]
     written: set[CID] = set()
     for root in roots:
         for cid, _ in dag.walk(root):
@@ -42,9 +43,9 @@ def export_car(blockstore: MemoryBlockstore, roots: list[CID]) -> bytes:
                 continue
             written.add(cid)
             data = blockstore.get(cid).data
-            section = cid.encode().encode("ascii") + b"\n" + data
-            out += encode_varint(len(section)) + section
-    return bytes(out)
+            prefix = cid.encode().encode("ascii") + b"\n"
+            parts += [encode_varint(len(prefix) + len(data)), prefix, data]
+    return b"".join(parts)
 
 
 def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
@@ -66,18 +67,20 @@ def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
         raise StorageError(f"bad CAR roots: {exc}") from exc
     pos += header_len
 
+    view = memoryview(raw)
     while pos < len(raw):
         section_len, pos = decode_varint(raw, pos)
-        section = raw[pos : pos + section_len]
-        if len(section) != section_len:
+        end = pos + section_len
+        if end > len(raw):
             raise StorageError("truncated CAR section")
-        pos += section_len
-        sep = section.find(b"\n")
+        sep = raw.find(b"\n", pos, end)
         if sep < 0:
             raise StorageError("malformed CAR section (no CID delimiter)")
-        cid = CID.parse(section[:sep].decode("ascii"))
-        # Block.verified raises InvalidBlockError on any hash mismatch.
-        blockstore.put(Block.verified(cid, section[sep + 1 :]))
+        cid = CID.parse(raw[pos:sep].decode("ascii"))
+        # Block.verified raises InvalidBlockError on any hash mismatch and
+        # makes the block's one copy out of the view.
+        blockstore.put(Block.verified(cid, view[sep + 1 : end]))
+        pos = end
 
     dag = DagService(blockstore)
     for root in roots:

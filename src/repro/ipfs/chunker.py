@@ -13,6 +13,9 @@ The rolling hash here is a windowed sum of per-byte gear values, computed
 with a vectorized NumPy prefix-sum rather than a byte-at-a-time loop: the
 whole file's boundary predicate is evaluated in a handful of array ops,
 which keeps CDC from dominating the storage path that Figure 5 measures.
+
+Neither chunker copies: a chunk is a read-only ``memoryview`` slice of the
+payload, and a payload that fits in one chunk is yielded as itself.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ DEFAULT_CHUNK_SIZE = 256 * 1024  # go-ipfs default
 
 
 class Chunker(Protocol):
-    """Splits a byte string into consecutive chunks covering it exactly."""
+    """Splits a byte string into consecutive chunks covering it exactly.
 
-    def chunks(self, data: bytes) -> Iterator[bytes]:
+    Chunks are read-only views of ``data`` (which must not change while
+    they live); a payload that is one chunk is yielded as itself."""
+
+    def chunks(self, data: bytes) -> Iterator[bytes | memoryview]:
         ...
 
 
@@ -41,12 +47,13 @@ class FixedSizeChunker:
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
 
-    def chunks(self, data: bytes) -> Iterator[bytes]:
-        if not data:
-            yield b""
+    def chunks(self, data: bytes) -> Iterator[bytes | memoryview]:
+        if len(data) <= self.chunk_size:
+            yield data
             return
+        view = memoryview(data).toreadonly()
         for start in range(0, len(data), self.chunk_size):
-            yield data[start : start + self.chunk_size]
+            yield view[start : start + self.chunk_size]
 
 
 class RollingChunker:
@@ -96,11 +103,12 @@ class RollingChunker:
         hits = np.nonzero(windowed % self._mask_mod == 0)[0] + w
         return hits
 
-    def chunks(self, data: bytes) -> Iterator[bytes]:
+    def chunks(self, data: bytes) -> Iterator[bytes | memoryview]:
         if not data:
             yield b""
             return
         hits = self._boundaries(data)
+        view = memoryview(data).toreadonly()
         start = 0
         hit_idx = 0
         n = len(data)
@@ -114,6 +122,6 @@ class RollingChunker:
                 cut = int(hits[hit_idx])
             if n - cut < 1 and cut != n:  # pragma: no cover - defensive
                 cut = n
-            yield data[start:cut]
+            yield data if cut - start == n else view[start:cut]
             start = cut
 

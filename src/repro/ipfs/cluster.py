@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.cid import CID, CODEC_DAG_JSON
-from repro.errors import BlockNotFoundError, InvalidBlockError, StorageError
-from repro.ipfs.block import Block
+from repro.errors import BlockNotFoundError, StorageError
 from repro.ipfs.chunker import Chunker
 from repro.ipfs.dht import DhtRegistry
 from repro.ipfs.node import IpfsNode
-from repro.ipfs.unixfs import AddResult
+from repro.ipfs.unixfs import AddResult, frozen_payload
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 
@@ -94,9 +93,7 @@ class IpfsCluster:
         with obs_span("ipfs.restart_rehash") as sp:
             sp.set_attr("node", peer_id)
             for cid in sorted(node.blockstore.cids(), key=lambda c: c.encode()):
-                try:
-                    Block.verified(cid, node.blockstore.get(cid).data)
-                except InvalidBlockError:
+                if not cid.verifies(node.blockstore.get(cid).data):
                     node.blockstore.delete(cid)
                     removed += 1
             sp.set_attr("removed", removed)
@@ -112,7 +109,9 @@ class IpfsCluster:
         Announcing covers every block of the file (root and children share
         the provider in practice since whole files live on the adding node;
         we announce the root, which is how IPFS advertises files too).
+        A payload that is not bytes-like raises :class:`StorageError`.
         """
+        data = frozen_payload(data)
         with obs_span("ipfs.add") as sp:
             sp.set_attr("bytes", len(data))
             target = self.node(node)
@@ -140,8 +139,10 @@ class IpfsCluster:
         failover target) with the results, block-store insertion order and
         DHT announcement sequence of N sequential :meth:`add` calls. The
         first failing payload's error propagates: nothing after it is
-        stored, and a failed batch announces nothing.
+        stored, and a failed batch announces nothing (a payload that is not
+        bytes-like fails it before anything is stored).
         """
+        payloads = [frozen_payload(p) for p in payloads]
         with obs_span("ipfs.add_many") as sp:
             sp.set_attr("items", len(payloads))
             sp.set_attr("bytes", sum(len(p) for p in payloads))
@@ -234,10 +235,7 @@ class IpfsCluster:
             if current in seen or not node.blockstore.has(current):
                 continue
             seen.add(current)
-            block = node.blockstore.get(current)
-            try:
-                Block.verified(current, block.data)
-            except InvalidBlockError:
+            if not current.verifies(node.blockstore.get(current).data):
                 node.blockstore.delete(current)
                 removed += 1
                 continue

@@ -6,6 +6,10 @@ go-ipfs); a single-chunk file is stored as one raw block with no envelope,
 exactly as IPFS does. ``read_file`` walks the tree in order, verifying every
 leaf hash unless its caller verifies the whole payload, and reassembles the
 bytes.
+
+Each payload byte is copied at most once: the leaves of a file added here
+are views of its payload (a mutable input is frozen into ``bytes`` first),
+and a read joins the leaves once, so a one-leaf file reads back as itself.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.cid import CID, CODEC_DAG_JSON
-from repro.errors import DagError
+from repro.errors import DagError, StorageError
 from repro.ipfs.block import Block
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import Chunker, FixedSizeChunker
@@ -24,6 +28,15 @@ DEFAULT_FANOUT = 174  # go-ipfs balanced-DAG default
 
 # Payload marker distinguishing file-tree interior nodes from other DAG uses.
 _FILE_NODE_DATA = b"unixfs:file"
+
+
+def frozen_payload(data: bytes) -> bytes:
+    """``data`` as immutable bytes: itself if it is ``bytes``, else one copy
+    of a bytes-like buffer, so a caller that later edits its buffer cannot
+    change a stored block. Anything else raises :class:`StorageError`."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise StorageError(f"payload must be bytes-like, not {type(data).__name__}")
+    return data if isinstance(data, bytes) else bytes(data)
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,7 @@ class UnixFS:
 
     def add_file(self, data: bytes) -> AddResult:
         """Store ``data`` and return its root CID."""
+        data = frozen_payload(data)
         leaves: list[DagLink] = []
         n_leaves = 0
         with profiled("ipfs.chunk", n_bytes=len(data)):
@@ -94,13 +108,14 @@ class UnixFS:
         :class:`~repro.errors.DagError`) unless ``verify_leaves`` is False.
         Pass False only when the caller checks the whole payload against a
         digest of its own, so each byte is hashed once either way."""
-        out = bytearray()
+        parts: list[bytes | memoryview] = []
         with profiled("ipfs.read") as pf:
-            self._read_into(root, out, verify_leaves)
-            pf.add_bytes(len(out))
-        return bytes(out)
+            self._read_into(root, parts, verify_leaves)
+            data = b"".join(parts)  # a lone ``bytes`` leaf comes back as is
+            pf.add_bytes(len(data))
+        return data
 
-    def _read_into(self, cid: CID, out: bytearray, verify_leaves: bool) -> None:
+    def _read_into(self, cid: CID, out: list, verify_leaves: bool) -> None:
         if cid.codec == CODEC_DAG_JSON:
             node = self.dag.get(cid)
             if node.data != _FILE_NODE_DATA:
@@ -111,7 +126,7 @@ class UnixFS:
             block = self.blockstore.get(cid)
             if verify_leaves and not cid.verifies(block.data):
                 raise DagError(f"leaf block {cid} failed verification")
-            out.extend(block.data)
+            out.append(block.data)
 
     def leaf_cids(self, root: CID) -> list[CID]:
         """CIDs of the raw chunks, in file order."""

@@ -364,8 +364,7 @@ class LedgerExplorer:
 
     def _audit_offchain(self, peer: Peer, report: AuditReport) -> None:
         from repro.crypto.cid import CID, CODEC_DAG_JSON
-        from repro.errors import InvalidBlockError, StorageError
-        from repro.ipfs.block import Block as IpfsBlock
+        from repro.errors import StorageError
 
         for key, raw in peer.world.range(_DATA_PREFIX, _DATA_PREFIX + "\x7f"):
             record = json.loads(raw)
@@ -391,11 +390,8 @@ class LedgerExplorer:
                     if cid in seen or not node.blockstore.has(cid):
                         continue
                     seen.add(cid)
-                    stored = node.blockstore.get(cid)
                     report.offchain_blocks_checked += 1
-                    try:
-                        IpfsBlock.verified(cid, stored.data)
-                    except InvalidBlockError:
+                    if not cid.verifies(node.blockstore.get(cid).data):
                         report.findings.append(
                             AuditFinding(
                                 "offchain_block",
