@@ -282,25 +282,10 @@ def _parity_round() -> dict:
 
 
 def _residual_calls(engine, text: str) -> tuple[int, int]:
-    """``(residual evaluations, rows examined)`` for one run of ``text``,
-    whose residual is an AND."""
-    from repro.query import And
-
-    calls = 0
-    matches = And.matches
-
-    def counted(self, record):
-        nonlocal calls
-        calls += 1
-        return matches(self, record)
-
-    examined = engine.stats.rows_scanned
-    And.matches = counted
-    try:
-        engine.run(text)
-    finally:
-        And.matches = matches
-    return calls, engine.stats.rows_scanned - examined
+    """``(residual evaluations, rows examined)`` for one run of ``text``."""
+    filtered, examined = engine.stats.rows_filtered, engine.stats.rows_scanned
+    engine.run(text)
+    return engine.stats.rows_filtered - filtered, engine.stats.rows_scanned - examined
 
 
 # -- harness ---------------------------------------------------------------------

@@ -81,6 +81,10 @@ def time_bucket(timestamp: float) -> str:
     return f"{int(timestamp // TIME_BUCKET_S):012d}"
 
 
+def _list(value) -> list:
+    return value if isinstance(value, list) else []
+
+
 def _seed_chain(dim: str, value: str) -> str:
     """Domain-separated starting digest of a posting chain."""
     return hashlib.sha256(f"posting\x00{dim}\x00{value}".encode()).hexdigest()
@@ -304,10 +308,12 @@ class PeerIndex:
             dims.append(("time", time_bucket(ts)))
         classes, violations = set(), set()
         if isinstance(metadata, dict):
-            for detection in metadata.get("detections") or ():
+            # A non-list array field indexes nothing, as a non-object element
+            # does: a client's malformed record must never fail a commit.
+            for detection in _list(metadata.get("detections")):
                 if isinstance(detection, dict) and detection.get("vehicle_class"):
                     classes.add(str(detection["vehicle_class"]))
-            for violation in metadata.get("violations") or ():
+            for violation in _list(metadata.get("violations")):
                 if isinstance(violation, dict) and violation.get("violation_type"):
                     violations.add(str(violation["violation_type"]))
         dims.extend(("class", c) for c in sorted(classes))

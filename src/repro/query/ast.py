@@ -10,6 +10,7 @@ containing a truck" query shape.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,31 +27,89 @@ ARRAY_PATHS = {
 
 def get_path(record: dict, path: str) -> Any:
     """Resolve a dotted path; missing segments yield None."""
-    return _walk(record, path.split("."))
-
-
-def _walk(record: dict, parts: tuple[str, ...] | list[str]) -> Any:
     current: Any = record
     try:
-        for part in parts:
+        for part in path.split("."):
             current = current[part]
     except (KeyError, TypeError):  # missing key / stepping into a non-dict
         return None
     return current
 
 
-def _resolve(path: str) -> tuple[tuple[str, ...], bool]:
-    """``(parts, quantified)``: the pre-split path a predicate on ``path``
-    reads, and whether that is an array it matches ANY element of."""
+_Predicate = Callable[[dict], bool]
+
+
+def _compile_path(path: str, op: Callable[[Any, Any], bool], value: Any) -> _Predicate:
+    """The predicate ``<path> op value`` over one record, with the path split
+    into keys and ``op`` and ``value`` bound once. A missing key or a step
+    into a non-dict reads None, None never matches, and a cross-type
+    comparison is False. An :data:`ARRAY_PATHS` path matches when ANY object
+    element of its list matches; a non-list, or a non-object element, does
+    not. Paths of depth 2 and 3 are read by direct indexing."""
     array = ARRAY_PATHS.get(path)
-    return tuple((array or path).split(".")), array is not None
+    keys = tuple((array or path).split("."))
+    if array is not None:
+
+        def match(record: dict) -> bool:
+            try:
+                for key in keys:
+                    record = record[key]
+            except (KeyError, TypeError):
+                return False
+            if not isinstance(record, list):
+                return False
+            for element in record:
+                if isinstance(element, dict):
+                    actual = element.get(path)
+                    try:
+                        if actual is not None and op(actual, value):
+                            return True
+                    except TypeError:
+                        pass
+            return False
+
+    elif len(keys) == 2:
+        a, b = keys
+
+        def match(record: dict) -> bool:
+            try:
+                actual = record[a][b]
+                return actual is not None and op(actual, value)
+            except (KeyError, TypeError):
+                return False
+
+    elif len(keys) == 3:
+        a, b, c = keys
+
+        def match(record: dict) -> bool:
+            try:
+                actual = record[a][b][c]
+                return actual is not None and op(actual, value)
+            except (KeyError, TypeError):
+                return False
+
+    else:
+
+        def match(record: dict) -> bool:
+            try:
+                for key in keys:
+                    record = record[key]
+                return record is not None and op(record, value)
+            except (KeyError, TypeError):
+                return False
+
+    return match
 
 
 class Expr:
-    """Base filter expression."""
+    """Base filter expression. ``matches(record)`` is the node compiled, when
+    it is built, into one closure over its parts' closures: filtering a row
+    is one call, not a walk of the tree."""
 
-    def matches(self, record: dict) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+    matches: _Predicate
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matches", self._compile())
 
 
 _OPS = {
@@ -63,85 +122,73 @@ _OPS = {
 }
 
 
+def _is_in(actual: Any, values: tuple[Any, ...]) -> bool:
+    return actual in values
+
+
+_matcher_of = operator.attrgetter("matches")
+
+
 @dataclass(frozen=True)
 class Compare(Expr):
     field: str
     op: str
     value: Any
-    # Resolved once, here, not once per record; derived, so not identity.
-    _path: tuple[tuple[str, ...], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise QueryError(f"unknown operator {self.op!r}")
-        object.__setattr__(self, "_path", _resolve(self.field))
+        super().__post_init__()
 
-    def matches(self, record: dict) -> bool:
-        parts, quantified = self._path
-        actual = _walk(record, parts)
-        if quantified:
-            return any(self._cmp(e.get(self.field)) for e in actual or ())
-        return self._cmp(actual)
-
-    def _cmp(self, actual: Any) -> bool:
-        if actual is None:
-            return False
-        try:
-            return _OPS[self.op](actual, self.value)
-        except TypeError:
-            return False  # cross-type comparisons never match
+    def _compile(self) -> _Predicate:
+        return _compile_path(self.field, _OPS[self.op], self.value)
 
 
 @dataclass(frozen=True)
 class InSet(Expr):
     field: str
     values: tuple[Any, ...]
-    _path: tuple[tuple[str, ...], bool] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_path", _resolve(self.field))
-
-    def matches(self, record: dict) -> bool:
-        parts, quantified = self._path
-        actual = _walk(record, parts)
-        if quantified:
-            return any(e.get(self.field) in self.values for e in actual or ())
-        return actual in self.values
+    def _compile(self) -> _Predicate:
+        return _compile_path(self.field, _is_in, self.values)
 
 
 @dataclass(frozen=True)
 class And(Expr):
     parts: tuple[Expr, ...]
 
-    def matches(self, record: dict) -> bool:
-        for part in self.parts:
-            if not part.matches(record):
-                return False
-        return True
+    def _compile(self) -> _Predicate:
+        tests = tuple(map(_matcher_of, self.parts))
+        if len(tests) == 2:
+            first, second = tests
+            return lambda record: first(record) and second(record)
+        return lambda record: all(test(record) for test in tests)
 
 
 @dataclass(frozen=True)
 class Or(Expr):
     parts: tuple[Expr, ...]
 
-    def matches(self, record: dict) -> bool:
-        return any(p.matches(record) for p in self.parts)
+    def _compile(self) -> _Predicate:
+        tests = tuple(map(_matcher_of, self.parts))
+        return lambda record: any(test(record) for test in tests)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     inner: Expr
 
-    def matches(self, record: dict) -> bool:
-        return not self.inner.matches(record)
+    def _compile(self) -> _Predicate:
+        inner = self.inner.matches
+        return lambda record: not inner(record)
 
 
 @dataclass(frozen=True)
 class TrueExpr(Expr):
     """Matches everything (empty WHERE clause)."""
 
-    def matches(self, record: dict) -> bool:
-        return True
+    def _compile(self) -> _Predicate:
+        return lambda record: True
 
 
 @dataclass(frozen=True)
@@ -167,11 +214,14 @@ class Query:
         out = records
         if self.order_by is not None:
             path = self.order_by
-            out = sorted(
-                out,
-                key=lambda r: (get_path(r, path) is None, get_path(r, path)),
-                reverse=self.descending,
-            )
+            try:
+                out = sorted(
+                    out,
+                    key=lambda r: ((v := get_path(r, path)) is None, v),
+                    reverse=self.descending,
+                )
+            except TypeError:
+                raise QueryError(f"ORDER BY {path}: values of mixed types do not order") from None
         if self.limit is not None:
             out = out[: self.limit]
         if self.select is not None:

@@ -42,8 +42,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.crypto.cid import CID
@@ -98,6 +99,7 @@ class QueryRow:
 class QueryStats:
     queries: int = 0
     rows_scanned: int = 0   # candidate records examined (a LIMIT stops early)
+    rows_filtered: int = 0  # examined records the residual ran on (see _matching)
     rows_returned: int = 0
     records_decoded: int = 0  # JSON decodes on the state routes (a reuse is none)
     bytes_fetched: int = 0
@@ -137,8 +139,12 @@ _Filter = Callable[[dict], bool]
 _Rows = list[QueryRow]
 
 
-def _matching(candidates: Iterable[QueryRow], matches: _Filter, query: Query) -> tuple[_Rows, int]:
-    """``(matched, examined)``: the candidate rows whose record ``matches``.
+def _matching(
+    candidates: Iterable[QueryRow], matches: _Filter, query: Query, exempt: Collection[str] = ()
+) -> tuple[_Rows, int, int]:
+    """``(matched, examined, filtered)``: the candidate rows whose record
+    ``matches``, how many were examined, and on how many ``matches`` ran —
+    a row whose entry id is ``exempt`` is taken without it.
 
     Candidates arrive in entry-id order, so with a LIMIT and no ORDER BY the
     first LIMIT matches are the answer and the rest are never examined
@@ -146,31 +152,33 @@ def _matching(candidates: Iterable[QueryRow], matches: _Filter, query: Query) ->
     """
     stop = query.limit if query.order_by is None else None
     matched: _Rows = []
-    examined = 0
+    examined = taken = 0
     if stop == 0:
-        return matched, examined
+        return matched, examined, examined
     for row in candidates:
         examined += 1
-        if matches(row.record):
-            matched.append(row)
-            if len(matched) == stop:
-                break
-    return matched, examined
+        record = row.record
+        if exempt and record.get("entry_id") in exempt:
+            taken += 1
+        elif not matches(record):
+            continue
+        matched.append(row)
+        if len(matched) == stop:
+            break
+    return matched, examined, examined - taken
 
 
-def _edge_filter(index, plan: Plan) -> _Filter:
-    """A time route's filter: the residual, skipped for a record from a
-    bucket the plan's window :meth:`~Plan.covers` (so only edges pay it)."""
-    residual = plan.residual.matches
+def _interior(index, plan: Plan) -> set[str]:
+    """The candidates that need no filter: on a window-only plan, those of
+    the buckets its window :meth:`~Plan.covers` (so only edge buckets pay it)."""
     if not plan.window:
-        return residual
-    interior = {
+        return set()
+    return {
         entry_id
         for bucket in index.time_buckets(*plan.index_route.time_range)
         if plan.covers(int(bucket))
         for entry_id in index.postings[("time", bucket)].ids
     }
-    return lambda record: record.get("entry_id") in interior or residual(record)
 
 
 def _answer(matched: _Rows, query: Query) -> _Rows:
@@ -245,20 +253,23 @@ class QueryEngine:
                     {"route": "index" if used_index else "fallback"},
                 ).inc()
             if state is None:
-                state = map(QueryRow, self._chain_records()), plan.residual.matches
-            candidates, matches = state
+                state = map(QueryRow, self._chain_records()), ()
+            candidates, exempt = state
             with obs_span("query.filter") as fsp:
-                matched, examined = _matching(candidates, matches, query)
+                matched, examined, filtered = _matching(
+                    candidates, plan.residual.matches, query, exempt
+                )
                 fsp.set_attr("examined", examined)
             rows = _answer(matched, query)
             if from_state:
-                self._check_parity(plan.explain(), rows, lambda: self.scan(query))
+                self._check_parity(plan.explain, rows, lambda: self.scan(query))
             if fetch_data:  # a row that carries bytes is not the shared one
                 fetch = self.fetch_payload_verified
                 rows = [QueryRow(r.record, *fetch(r.record, verify=verify)) for r in rows]
             with self._stats_lock:
                 self.stats.queries += 1
                 self.stats.rows_scanned += examined
+                self.stats.rows_filtered += filtered
                 self.stats.rows_returned += len(rows)
                 if route is not None:
                     if used_index:
@@ -306,11 +317,14 @@ class QueryEngine:
             entry_ids = index.lookup(route.dim, route.value)
         proofs = tuple(index.prove(dim, value) for dim, value in dims)
         query = dataclasses.replace(query, select=None)
-        rows, examined = _matching(self._load_rows(peer, entry_ids), plan.residual.matches, query)
+        rows, examined, filtered = _matching(
+            self._load_rows(peer, entry_ids), plan.residual.matches, query
+        )
         matched = [row.record for row in _answer(rows, query)]
         with self._stats_lock:
             self.stats.queries += 1
             self.stats.rows_scanned += examined
+            self.stats.rows_filtered += filtered
             self.stats.rows_returned += len(matched)
             self.stats.index_hits += 1
         return VerifiedAnswer(
@@ -350,12 +364,13 @@ class QueryEngine:
 
     def _load_rows(self, peer, entry_ids: Iterable[str]) -> Iterator[QueryRow]:
         """The rows of the live records under ``entry_ids``, each decoded once."""
-        get = peer.world.get
+        get, kept = peer.world.get, self._records
         for entry_id in entry_ids:
             key = _DATA_PREFIX + entry_id
             raw = get(key)
             if raw is not None:
-                yield self._row(key, raw)
+                hit = kept.get(key)
+                yield hit[1] if hit is not None and hit[0] is raw else self._row(key, raw)
 
     def _row(self, key: str, raw: bytes) -> QueryRow:
         """``raw``'s shared row — from ``_records`` when ``raw`` is the object
@@ -371,10 +386,13 @@ class QueryEngine:
             self._records[key] = (raw, row)
         return row
 
-    def _execute_state(self, plan: Plan, height: int) -> tuple[Iterator[QueryRow], _Filter] | None:
-        """``(candidates, matches)`` straight from an in-sync peer's world
-        state: a lazy stream of rows in entry-id order and the filter they
-        need; None = fall back to the chaincode scan.
+    def _execute_state(
+        self, plan: Plan, height: int
+    ) -> tuple[Iterator[QueryRow], set[str]] | None:
+        """``(candidates, exempt)`` straight from an in-sync peer's world
+        state: a lazy stream of rows in entry-id order and the entry ids
+        among them the residual need not run on; None = fall back to the
+        chaincode scan.
 
         With a route: a posting lookup plus point reads of the matching
         records (``entry_ids`` come back sorted). Without one: the peer's
@@ -384,34 +402,34 @@ class QueryEngine:
         peer = self._index_peer(height)
         if peer is None:
             return None
-        route, matches = plan.index_route, plan.residual.matches
+        route = plan.index_route
         if route is None:
             rows = peer.world.range(_DATA_PREFIX, _DATA_END)
-            return (self._row(key, raw) for key, raw in rows), matches
+            return (self._row(key, raw) for key, raw in rows), set()
         index = peer.index
         with obs_span("query.index_read") as sp:
             if route.time_range is not None:
                 entry_ids = index.lookup_time_range(*route.time_range)
-                matches = _edge_filter(index, plan)
             else:
                 entry_ids = index.lookup(route.dim, route.value)
             sp.set_attr("rows", len(entry_ids))
-        return self._load_rows(peer, entry_ids), matches
+        return self._load_rows(peer, entry_ids), _interior(index, plan)
 
     def _check_parity(
-        self, description: str, rows: _Rows, reference: Callable[[], list[dict]]
+        self, describe: Callable[[], str], rows: _Rows, reference: Callable[[], list[dict]]
     ) -> None:
         """SAN309: under the ``index`` sanitizer, require a state-route
         answer byte-identical to ``reference()``, the chaincode's answer
         (:meth:`scan` for a query, ``get_data`` for a point read). Its
         records are decoded afresh, so a shared record a caller changed
         shows here too."""
-        from repro.analysis.runtime import active_sanitizer
-
-        sanitizer = active_sanitizer()
+        # No sanitizer is active unless its module was imported, so looking
+        # the module up (not importing it) keeps this a dict read when off.
+        runtime = sys.modules.get("repro.analysis.runtime")
+        sanitizer = runtime and runtime.active_sanitizer()
         if sanitizer is None or "index" not in sanitizer.modes:
             return
-        sanitizer.check_query_parity(description, [r.record for r in rows], reference())
+        sanitizer.check_query_parity(describe(), [r.record for r in rows], reference())
 
     # -- point lookups ---------------------------------------------------------------
 
@@ -433,7 +451,8 @@ class QueryEngine:
                 row = QueryRow(self._chain_get(entry_id))
             else:
                 self._check_parity(
-                    f"get {entry_id!r}", [row], lambda: [self._chain_get(entry_id, peer.name)]
+                    lambda: f"get {entry_id!r}", [row],
+                    lambda: [self._chain_get(entry_id, peer.name)],
                 )
             if fetch_data:
                 row = QueryRow(row.record, *self.fetch_payload_verified(row.record, verify=verify))
