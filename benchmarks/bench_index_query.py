@@ -137,7 +137,7 @@ def _write_side(index: PeerIndex, n: int, camera: str) -> dict:
     leaves_serialized = sum(
         s.calls
         for s in profiler.center_stats()
-        if s.center == "serialize.canonical_json"
+        if s.center == "serialize.index_leaf"
     )
     apply_ms, prove_ms = [], []
     for k in range(WRITE_SAMPLES):  # each sample is the mean of a short burst

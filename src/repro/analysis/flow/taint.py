@@ -130,8 +130,6 @@ SINK_QUALNAMES = {
     "repro.crypto.merkle.MerkleTree.__init__": "MerkleTree",
     "repro.storage.codec.tx_to_doc": "codec.tx_to_doc",
     "repro.storage.codec.block_to_doc": "codec.block_to_doc",
-    "repro.storage.codec.proposal_to_doc": "codec.proposal_to_doc",
-    "repro.storage.codec.rwset_to_doc": "codec.rwset_to_doc",
 }
 # PBFT message constructors: fields enter every replica's decision state.
 PBFT_MESSAGE_CLASSES = (

@@ -65,10 +65,6 @@ class DataUploadChaincode(Chaincode):
             "uploader_org": stub.get_creator().org,
         }
         stub.put_state(key, canonical_json(record))
-        stub.set_event(
-            "DataStored",
-            {"entry_id": entry_id, "cid": cid, "source_id": record["source_id"]},
-        )
         return {"entry_id": entry_id, "cid": cid}
 
     def store(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):

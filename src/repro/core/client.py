@@ -121,14 +121,10 @@ class Client:
             root.set_attr("source_id", source_id)
             root.set_attr("bytes", len(data))
 
-            # ① digital signature over the data (checked by admission).
+            # ① SHA-256 of the data; the creator's proposal signature covers
+            # it as the store's ``data_hash`` argument.
             with obs_span("submit.sign"):
                 data_hash = hashlib.sha256(data).hexdigest()
-                signature = self.identity.sign(bytes.fromhex(data_hash))
-                if not self.identity.info().public_key.is_valid(
-                    bytes.fromhex(data_hash), signature
-                ):  # pragma: no cover - defensive
-                    raise UntrustedSourceError("submission signature failed self-check")
 
             # ② admission: trust gate before anything is stored.
             with obs_span("submit.admission"):

@@ -35,7 +35,7 @@ from repro.errors import EncodingError, LedgerError
 from repro.fabric.ledger import BlockStore
 from repro.fabric.peer import Peer
 from repro.fabric.worldstate import Version, WorldState
-from repro.util.serialization import canonical_json, from_canonical_json
+from repro.util.serialization import canonical_json, from_canonical_json, value_from_json
 
 
 def state_digest(world: WorldState) -> str:
@@ -49,7 +49,7 @@ class Snapshot:
     """A verifiable capture of one peer's committed state.
 
     ``entries`` are the world's snapshot lines — canonical JSON
-    ``[key, value_hex, block, tx]``, one per live key in key order — exactly
+    ``[key, value, block, tx]``, one per live key in key order — exactly
     as :meth:`WorldState.snapshot_lines` caches them, so serialising a
     snapshot is a join. Canonical JSON never contains a raw newline, which
     makes ``\\n`` a safe separator: ``to_bytes`` is a header line followed by
@@ -99,12 +99,13 @@ class Snapshot:
 
 def _parse_entry(line: bytes) -> tuple[str, bytes, Version]:
     """Decode one snapshot line into ``(key, value, version)``; raises
-    :class:`LedgerError` for an unparsable line, wrong arity or bad hex."""
+    :class:`LedgerError` for an unparsable line, wrong arity or a value
+    :func:`value_from_json` refuses."""
     try:
-        key, value_hex, block, tx = from_canonical_json(line)
+        key, value, block, tx = from_canonical_json(line)
         if not isinstance(key, str):
             raise TypeError(f"key is {type(key).__name__}, not str")
-        return key, bytes.fromhex(value_hex), Version(block=int(block), tx=int(tx))
+        return key, value_from_json(value), Version(block=int(block), tx=int(tx))
     except (EncodingError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed snapshot entry: {exc}") from exc
 

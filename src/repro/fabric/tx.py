@@ -17,13 +17,15 @@ All of these are frozen, so each canonical form (signing payload, endorsed
 payload, envelope, rwset) is computed by the first node that asks and
 remembered while the transaction is in flight
 (:func:`repro.util.serialization.once`); build-then-sign hands the signed
-value the bytes that were signed. The rwset is the bulk of every form that
-holds it, so it is rendered once per rwset object and spliced into the
-endorsed payload and the envelope as bytes. A signature's verdict over a
-remembered payload is a form too (:meth:`TxProposal.signature_error`,
-:meth:`Transaction.endorsement_verdicts`): the endorsing peers, the four
-validators and the committing peers share one check per signature. Whether
-the signer is still a member is not a form; the MSP is asked every time.
+value the bytes that were signed. The rwset and the signed proposal are
+rendered once per object and spliced into the forms that hold them as bytes.
+The envelope is a transaction's one stored form (blocks hash it, the WAL
+writes it), and a written value is its UTF-8 text in every form. A
+signature's verdict over a remembered payload is a form too
+(:meth:`TxProposal.signature_error`, :meth:`Transaction.endorsement_verdicts`):
+the endorsing peers, the four validators and the committing peers share one
+check per signature. Whether the signer is still a member is not a form; the
+MSP is asked every time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.errors import SignatureError
 from repro.fabric.identity import Identity, IdentityInfo
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
-from repro.util.serialization import canonical_json, canonical_json_splice, once
+from repro.util.serialization import canonical_json, canonical_json_splice, once, value_to_json
 
 
 class ValidationCode(str, Enum):
@@ -71,7 +73,7 @@ class WriteEntry:
     def to_dict(self) -> dict:
         return {
             "key": self.key,
-            "value": self.value.hex() if self.value is not None else None,
+            "value": value_to_json(self.value) if self.value is not None else None,
             "is_delete": self.is_delete,
         }
 
@@ -242,7 +244,6 @@ class Transaction:
         with profiled("serialize.envelope"):
             return canonical_json_splice(
                 {
-                    "proposal": self.proposal.signing_payload().decode("utf-8"),
                     "proposal_sig": self.proposal.signature.hex(),
                     "response": self.response,
                     "endorsements": [
@@ -251,8 +252,7 @@ class Transaction:
                     ],
                     "events": [ev.to_dict() for ev in self.events],
                 },
-                "rwset",
-                self.rwset.canonical(),
+                {"proposal": self.proposal.signing_payload(), "rwset": self.rwset.canonical()},
             )
 
 
@@ -264,8 +264,7 @@ def _endorsement_payload(signed: ProposalResponse | Transaction) -> bytes:
             # Only successful simulations are assembled into transactions.
             "success": getattr(signed, "success", True),
         },
-        "rwset",
-        signed.rwset.canonical(),
+        {"rwset": signed.rwset.canonical()},
     )
 
 

@@ -12,7 +12,8 @@ Composite keys pack an index name and attribute parts into one range-
 scannable string using the same ``\\x00`` framing Fabric uses.
 
 Checkpoints and the state digest read the live state as one canonical
-*snapshot line* per key (``[key, value_hex, block, tx]``). A line is
+*snapshot line* per key (``[key, value, block, tx]``, the value as its
+UTF-8 text or, for bytes that are not UTF-8, ``{"base64": ...}``). A line is
 serialised when a checkpoint first needs it and kept until the key is next
 written (see :meth:`WorldState.snapshot_lines`), and the world remembers
 which keys were written since the last checkpoint
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _enc
 
 from repro.errors import LedgerError
+from repro.util.serialization import canonical_json, value_to_json
 
 # Composite keys: \x00 + objectType + \x00 + attr1 + \x00 + attr2 + ...
 COMPOSITE_SEP = "\x00"
@@ -138,13 +140,14 @@ class WorldState:
     # -- snapshot lines (checkpoints, state digest) -----------------------------------
 
     def _line(self, key: str) -> bytes:
-        """``canonical_json([key, value_hex, block, tx])``, written out: only
-        the key can need escaping, so the long hex value is not scanned."""
-        version, value_hex = self._versions[key], self._values[key].hex()
-        return f'[{_enc(key)},"{value_hex}",{version.block},{version.tx}]'.encode()
+        """``canonical_json([key, value, block, tx])`` with the value as
+        :func:`value_to_json` renders it, written out."""
+        version, value = self._versions[key], value_to_json(self._values[key])
+        text = _enc(value) if type(value) is str else canonical_json(value).decode()
+        return f"[{_enc(key)},{text},{version.block},{version.tx}]".encode()
 
     def snapshot_lines(self, keys: list[str] | None = None) -> tuple[bytes, ...]:
-        """One canonical ``[key, value_hex, block, tx]`` line per live key, in
+        """One canonical ``[key, value, block, tx]`` line per live key, in
         key order — the body of a :class:`~repro.fabric.snapshot.Snapshot` —
         or per key of ``keys``, each of them live.
 

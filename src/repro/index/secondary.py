@@ -51,10 +51,12 @@ import hashlib
 import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _enc
 
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
 from repro.fabric.audit import valid_txs
+from repro.obs.prof import profiled
 from repro.trust.engine import MIN_TRUST_THRESHOLD, TRUSTED_THRESHOLD
 from repro.util.serialization import canonical_json
 
@@ -124,14 +126,22 @@ class Posting:
         insort(self.ids, entry_id)
 
     def leaf_bytes(self) -> bytes:
-        return canonical_json(
-            {
-                "chain": self.chain,
-                "dim": self.dim,
-                "n": len(self.entries),
-                "value": self.value,
-            }
+        return _posting_leaf(self.chain, self.dim, len(self.entries), self.value)
+
+
+def _posting_leaf(chain: str, dim: str, n: int, value: str) -> bytes:
+    """``canonical_json({"chain": chain, "dim": dim, "n": n, "value": value})``,
+    written out: the shape is fixed, so no domain walk is needed."""
+    with profiled("serialize.index_leaf"):
+        return f'{{"chain":{_enc(chain)},"dim":{_enc(dim)},"n":{n},"value":{_enc(value)}}}'.encode(
+            "utf-8"
         )
+
+
+def _height_leaf(height: int) -> bytes:
+    """``canonical_json({"dim": "_meta", "height": height})``, written out."""
+    with profiled("serialize.index_leaf"):
+        return f'{{"dim":"_meta","height":{height}}}'.encode()
 
 
 def _band_leaf_bytes(band: str, sources: dict[str, str]) -> bytes:
@@ -177,14 +187,7 @@ def verify_posting_proof(proof: PostingProof, trusted_root: str) -> bool:
         chain = _seed_chain(proof.dim, proof.value)
         for entry_id, digest in proof.entries:
             chain = _extend_chain(chain, entry_id, digest)
-        leaf = canonical_json(
-            {
-                "chain": chain,
-                "dim": proof.dim,
-                "n": len(proof.entries),
-                "value": proof.value,
-            }
-        )
+        leaf = _posting_leaf(chain, proof.dim, len(proof.entries), proof.value)
     proof.merkle.verify(leaf, bytes.fromhex(trusted_root))
     return True
 
@@ -357,7 +360,7 @@ class PeerIndex:
         """Leaf bytes for ``key`` from live state; None if it has no leaf."""
         rank, dim, value = key
         if rank == _META:
-            return canonical_json({"dim": "_meta", "height": self.height})
+            return _height_leaf(self.height)
         if rank == _POSTING:
             return self.postings[(dim, value)].leaf_bytes()
         if rank == _BAND:

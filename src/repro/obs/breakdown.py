@@ -43,7 +43,7 @@ ROOTS = {
 # so nothing silently disappears from the decomposition.
 STAGE_LABELS = {
     # storage path (paper Fig. 5 / Figure 1 steps ①–⑦)
-    "submit.sign": "signature",
+    "submit.sign": "data hash",
     "submit.admission": "trust admission",
     "ipfs.add": "ipfs add",
     "ipfs.add_bytes": "ipfs chunk+dag",

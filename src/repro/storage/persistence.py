@@ -6,8 +6,8 @@ the ordering service) holds:
 * ``wal`` — one framed canonical-JSON record per committed block
   (``{"type": "block", "block": ..., "rejected": [...]}``), synced every
   ``wal_sync_every`` blocks — so a crash can lose at most the unsynced
-  suffix; its transaction documents are the ones the orderer's ``batch``
-  record holds, written once (:func:`~repro.storage.codec.tx_json`);
+  suffix; its transaction documents are the envelopes the orderer's
+  ``batch`` record holds, rendered once (:func:`~repro.storage.codec.tx_json`);
 * ``checkpoint`` plus ``checkpoint-delta-<n>`` — a base
   :class:`~repro.fabric.snapshot.Snapshot` and the
   :class:`~repro.fabric.snapshot.SnapshotDelta` of each checkpoint since

@@ -10,13 +10,19 @@ same logical record; Python's default ``json.dumps`` does not guarantee that.
 :func:`once` is the serialize-once primitive: a transaction in flight is one
 frozen object that the orderer, four validators and every committing peer
 each ask for the same canonical forms (and signature verdicts), and a frozen
-value's form cannot change, so it is computed by the first to ask. :func:`canonical_json_splice`
-lets a form that contains another remembered form (the rwset inside the
-envelope) reuse its bytes instead of rendering it again.
+value's form cannot change, so it is computed by the first to ask.
+:func:`canonical_json_splice` lets a form that contains other remembered
+forms (the signed proposal and the rwset inside the envelope) reuse their
+bytes instead of rendering them again.
+
+A value a transaction writes travels as JSON text wherever it is carried —
+rwset, envelope, WAL, snapshot line — through one pair of helpers,
+:func:`value_to_json` and :func:`value_from_json`.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import threading
@@ -32,10 +38,10 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 
 T = TypeVar("T")
 
-# Enough for the largest batch in flight (a 64-transaction block, ~10 forms
-# per transaction at two endorsers, 640 in all: the signing payload and the
-# creator's signature verdict, the envelope, the transaction's endorsed
-# payload and its endorsement verdicts, its WAL document, and an endorsed
+# Enough for the largest batch in flight (a 64-transaction block, ~9 forms
+# per transaction at two endorsers, 576 in all: the signing payload and the
+# creator's signature verdict, the envelope (also its WAL document), the
+# transaction's endorsed payload and its endorsement verdicts, and an endorsed
 # payload and a rendered rwset per endorser) and flat in ledger height: a
 # chain walk over old blocks recomputes their forms and pushes out the
 # oldest entries, nothing grows.
@@ -107,20 +113,51 @@ def canonical_json(value: Any) -> bytes:
         return out
 
 
-def canonical_json_splice(value: dict, key: str, fragment: bytes) -> bytes:
-    """``canonical_json({**value, key: v})`` for a ``v`` already rendered:
-    ``fragment`` is ``canonical_json(v)``, so ``v`` is not walked or rendered
-    again. The keys of ``value`` either side of ``key`` in sorted order are
-    rendered and ``fragment`` is spliced between them; the profile counts the
-    rendered bytes, not the spliced ones. ``key`` must not be in ``value``."""
+def canonical_json_splice(value: dict, fragments: dict[str, bytes]) -> bytes:
+    """``canonical_json({**value, **{k: v}})`` for values ``v`` already
+    rendered: ``fragments[k]`` is ``canonical_json(v)``, so ``v`` is not
+    walked or rendered again. The keys of ``value`` are rendered in runs
+    between the fragment keys in sorted order and each fragment is spliced
+    in as it is; the profile counts the rendered bytes, not the spliced
+    ones. No key of ``fragments`` may be in ``value``."""
     with profiled("serialize.canonical_json") as pf:
         _check(value)
-        head = _ENCODER.encode({k: v for k, v in value.items() if k < key})[:-1]
-        tail = _ENCODER.encode({k: v for k, v in value.items() if k > key})[1:]
-        before = f"{head}{',' if len(head) > 1 else ''}{_ENCODER.encode(key)}:".encode("utf-8")
-        after = f"{',' if len(tail) > 1 else ''}{tail}".encode("utf-8")
-        pf.add_bytes(len(before) + len(after))
-        return before + fragment + after
+        parts: list[bytes] = []
+        run: dict = {}
+        for key in sorted(value.keys() | fragments.keys()):
+            fragment = fragments.get(key)
+            if fragment is None:
+                run[key] = value[key]
+                continue
+            if run:
+                parts.append(_ENCODER.encode(run)[1:-1].encode("utf-8"))
+                run = {}
+            parts.append(_ENCODER.encode(key).encode("utf-8") + b":" + fragment)
+        if run:
+            parts.append(_ENCODER.encode(run)[1:-1].encode("utf-8"))
+        out = b"{" + b",".join(parts) + b"}"
+        pf.add_bytes(len(out) - sum(map(len, fragments.values())))
+        return out
+
+
+def value_to_json(value: bytes) -> str | dict:
+    """A written value as JSON: its UTF-8 text, or ``{"base64": ...}`` for
+    bytes that are not UTF-8. ``value_from_json`` is the inverse."""
+    try:
+        return value.decode("utf-8")
+    except UnicodeDecodeError:
+        return {"base64": base64.b64encode(value).decode("ascii")}
+
+
+def value_from_json(doc: Any) -> bytes:
+    """The value :func:`value_to_json` rendered as ``doc``. Anything else —
+    a lone surrogate, bad base64, another shape — raises :class:`ValueError`
+    (:class:`EncodingError` for the shape)."""
+    if type(doc) is str:
+        return doc.encode("utf-8")
+    if type(doc) is dict and doc.keys() == {"base64"} and type(doc["base64"]) is str:
+        return base64.b64decode(doc["base64"], validate=True)
+    raise EncodingError(f"not a written value: {type(doc).__name__}")
 
 
 def from_canonical_json(data: bytes) -> Any:

@@ -138,13 +138,13 @@ class TestLedgerSanitizer:
         proposal, responses = channel.endorse(client, "kv", "put", ["k", "v"])
         tx = channel.assemble(proposal, responses)
         honest = tx.rwset.canonical()  # rendered when the endorsers signed
-        doctored = honest.replace(b'"value":"76"', b'"value":"77"')
+        doctored = honest.replace(b'"value":"v"', b'"value":"w"')
         assert doctored != honest
         serialization._once[(id(tx.rwset), "canonical")] = (tx.rwset, doctored)
         channel.orderer.submit(tx)
         channel.flush()
         assert channel.result(tx.tx_id).ok  # nothing on the commit path noticed
-        assert b'"value":"77"' in tx.envelope_bytes()
+        assert b'"value":"w"' in tx.envelope_bytes()
         report = sanitizer.finalize()
         assert [f.rule_id for f in report.findings] == ["SAN303"] * 2 * len(channel.peers)
         forms = [f.message.split(" of tx ")[0] for f in report.findings]

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ChaincodeError
 from repro.chaincodes import (
@@ -15,11 +17,17 @@ from repro.chaincodes import (
 )
 from repro.fabric import FabricNetwork, Role
 from repro.ipfs import IpfsCluster
+from repro.fabric.worldstate import composite_prefix_range
 from repro.query import QueryEngine
+from repro.util.serialization import canonical_json
 
 
 @pytest.fixture()
 def env():
+    return make_env()
+
+
+def make_env():
     net = FabricNetwork()
     channel = net.create_channel("traffic", orgs=["org1", "org2"])
     for cc in (
@@ -280,6 +288,18 @@ class TestAtomicStore:
         )
 
 
+_KEYS = st.sampled_from(["entry_id", "entry_hash", "details", "x", '",\\"entry_id\\":', "é"])
+_DETAILS = st.dictionaries(
+    _KEYS,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8) | _KEYS,
+        lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_KEYS, inner, max_size=2),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+
+
 class TestProvenance:
     def test_record_and_lineage(self, env):
         _, channel, client = env
@@ -305,6 +325,24 @@ class TestProvenance:
             channel.invoke(client, "provenance", "record", ["e", action, "a", "{}"])
         result = q(channel, client, "provenance", "verify", ["e"])
         assert result["length"] == 4
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_DETAILS, min_size=1, max_size=3))
+    def test_each_stored_entry_is_canonical_and_the_chain_verifies(self, details):
+        """An entry is rendered once and stored with its hash spliced in;
+        details that nest an ``entry_id`` key must not move the splice."""
+        _, channel, client = make_env()
+        first, *rest = details
+        channel.invoke(client, "provenance", "record", ["e", "captured", "a", json.dumps(first)])
+        events = [{"entry_id": "e", "action": "stored", "actor": "b", "details": d} for d in rest]
+        channel.invoke(client, "provenance", "record_many", [json.dumps(events)])
+        peer = next(iter(channel.peers.values()))
+        rows = peer.world.range(*composite_prefix_range("prov", ["e"]))
+        assert len(rows) == len(details)
+        for _, raw in rows:
+            assert raw == canonical_json(json.loads(raw))
+        assert [json.loads(raw)["details"] for _, raw in rows] == details
+        assert q(channel, client, "provenance", "verify", ["e"])["length"] == len(details)
 
     def test_verify_empty_rejected(self, env):
         _, channel, client = env

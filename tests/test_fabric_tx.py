@@ -236,7 +236,10 @@ class TestSplicedFormsEqualTheWholeDictRendering:
             )
         assert tx.envelope_bytes() == canonical_json(
             {
-                "proposal": proposal.signing_payload().decode("utf-8"),
+                "proposal": {
+                    "tx_id": tx_id, "channel": "ch", "chaincode": "kv", "fn": "put",
+                    "args": [response], "creator": ALICE.info().to_dict(), "timestamp": 1.5,
+                },
                 "proposal_sig": proposal.signature.hex(),
                 "rwset": rendered,
                 "response": response,

@@ -14,6 +14,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import Client, Framework, FrameworkConfig
 from repro.crypto.merkle import MerkleTree
@@ -21,6 +23,7 @@ from repro.errors import MerkleProofError, QueryError
 from repro.fabric.tx import WriteEntry
 from repro.fabric.worldstate import Version, WorldState
 from repro.index import PeerIndex, verify_answer_records, verify_posting_proof
+from repro.index.secondary import Posting, _height_leaf, _posting_leaf
 from repro.query import QueryEngine, parse_query, plan_query
 from repro.trust import SourceTier
 from repro.util.serialization import canonical_json
@@ -574,13 +577,35 @@ class TestMaintainedTree:
             assert len(after) == n_leaves and len(changed) == touched
             assert index.root() == MerkleTree(after).root.hex()
             calls = {s.center: s.calls for s in profiler.center_stats()}
-            assert calls["serialize.canonical_json"] == touched
+            assert calls["serialize.index_leaf"] == touched
+            assert "serialize.canonical_json" not in calls
             assert calls["crypto.merkle"] == 1
             assert "crypto.hash" not in calls  # node hashes are the pass's own
             # Shared ancestors are hashed once, not once per changed leaf.
             depth = (n_leaves - 1).bit_length()
             ancestors = {(k, p >> k) for p in changed for k in range(1, depth + 1)}
             assert 0 < hashed <= len(ancestors) < touched * depth
+
+
+_LEAF_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\n\t\x7fé日\u2028') | st.characters(exclude_categories=("Cs",)),
+    max_size=12,
+)
+
+
+class TestLeafBytes:
+    """Posting and height leaves are written out, not rendered; the oracle
+    is ``canonical_json`` of the dict each stands for."""
+
+    @given(_LEAF_TEXT, _LEAF_TEXT, st.integers(0, 2**63), st.lists(_LEAF_TEXT, max_size=3))
+    def test_leaves_are_the_canonical_json_of_their_dicts(self, dim, value, height, ids):
+        posting = Posting(dim, value)
+        for entry_id in ids:
+            posting.append(entry_id, "ab" * 32)
+        expected = {"chain": posting.chain, "dim": dim, "n": len(ids), "value": value}
+        assert posting.leaf_bytes() == canonical_json(expected)
+        assert _posting_leaf(posting.chain, dim, len(ids), value) == canonical_json(expected)
+        assert _height_leaf(height) == canonical_json({"dim": "_meta", "height": height})
 
 
 def _committed_ids(index, *keys):

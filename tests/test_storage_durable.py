@@ -196,8 +196,12 @@ class TestCodecRoundTrip:
         assert len(block.transactions) == 3
         for tx in block.transactions:
             doc = tx_to_doc(tx)
-            assert set(doc) == {"proposal", "rwset", "response", "endorsements", "events"}
+            assert set(doc) == {
+                "proposal", "proposal_sig", "rwset", "response", "endorsements", "events"
+            }
             assert "transient" not in doc["proposal"]
+            assert canonical_json(doc["proposal"]) == tx.proposal.signing_payload()
+            assert canonical_json(doc) == tx.envelope_bytes()
         rebuilt = block_from_doc(block_to_doc(block))
         envelopes = [tx.envelope_bytes() for tx in rebuilt.transactions]
         assert envelopes == [tx.envelope_bytes() for tx in block.transactions]
