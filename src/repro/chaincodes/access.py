@@ -3,9 +3,16 @@
 The paper picks a permissioned platform because "many stakeholders need
 selective access to sensitive information" — surveillance footage is not
 public record. This contract stores an ACL per data entry (which orgs may
-fetch the raw bytes) and an immutable access-request audit trail; the
-query engine consults it before the off-chain fetch, so the blockchain —
-not client goodwill — decides who reads what.
+fetch the raw bytes) and an immutable access-request audit trail.
+:meth:`AccessControlChaincode.check_access` decides for the proposal's
+signed creator, so the blockchain — not client goodwill — decides who reads
+what.
+
+Where it applies: ``Client.retrieve`` asks ``check_access`` before the
+off-chain fetch, and only it. ``Client.query(..., fetch_data=True)`` and
+``QueryEngine.get(..., fetch_data=True)`` read the world state and IPFS
+directly and return a restricted entry's bytes to any org (ROADMAP lists
+the gap).
 
 Entries without an ACL stay readable by everyone (open data is the default
 for pollution sensors and the like); setting an ACL closes the entry to
@@ -71,11 +78,12 @@ class AccessControlChaincode(Chaincode):
             return None  # open entry
         return json.loads(raw)
 
-    def check_access(self, stub: ChaincodeStub, entry_id: str, org: str):
-        """May ``org`` read this entry's raw data?"""
+    def check_access(self, stub: ChaincodeStub, entry_id: str):
+        """May the proposal's creator read this entry's raw data? The org is
+        the signed creator's, never an argument, so the signature the peer
+        verified is what the decision rests on."""
         acl = self.get_acl(stub, entry_id)
-        allowed = acl is None or org in acl["allowed_orgs"]
-        return {"entry_id": entry_id, "org": org, "allowed": allowed}
+        return acl is None or stub.get_creator().org in acl["allowed_orgs"]
 
     def log_access(self, stub: ChaincodeStub, entry_id: str, outcome: str):
         """Append an access attempt to the immutable audit trail."""

@@ -232,8 +232,9 @@ class Client:
         """Fetch a record's metadata from the chain and its bytes from IPFS.
 
         The on-chain ACL (access_control chaincode) is consulted first, the
-        read's one signed proposal: restricted entries are only served to
-        allowed orgs, and denials are written to the immutable access log.
+        read's one signed proposal: it decides for the signed reader's org,
+        restricted entries are only served to allowed orgs, and denials are
+        written to the immutable access log.
         The record then comes from a peer's world state
         (:meth:`QueryEngine.get`); ``RetrievalResult.record`` is that shared
         read-only record, so copy it before changing it. A served read queues its
@@ -316,11 +317,10 @@ class Client:
     def _enforce_acl(self, entry_id: str) -> None:
         from repro.errors import AccessDeniedError
 
-        raw = self.framework.channel.query(
-            self.identity, "access_control", "check_access",
-            [entry_id, self.identity.org],
+        allowed = self.framework.channel.query(
+            self.identity, "access_control", "check_access", [entry_id]
         )
-        if not json.loads(raw)["allowed"]:
+        if allowed != "true":
             self.framework.log_denied_access(self.identity, entry_id)
             raise AccessDeniedError(
                 f"org {self.identity.org!r} is not allowed to read entry {entry_id!r}"

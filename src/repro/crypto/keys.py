@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SignatureError
 from repro.obs.prof import profiled
@@ -90,15 +91,19 @@ class PrivateKey:
 
     key_bytes: bytes
 
+    @cached_property
+    def _public_bytes(self) -> bytes:
+        """The public key, derived once per key rather than per signature."""
+        return hashlib.sha256(_PUB_DOMAIN + self.key_bytes).digest()
+
     def public_key(self) -> PublicKey:
-        return PublicKey(hashlib.sha256(_PUB_DOMAIN + self.key_bytes).digest())
+        return PublicKey(self._public_bytes)
 
     def sign(self, message: bytes) -> bytes:
         """Sign ``message``; returns a 64-byte signature."""
         with profiled("crypto.sign", n_bytes=len(message)):
-            mac = hmac.new(self.key_bytes, message, hashlib.sha256).digest()
-            tag = hashlib.sha256(self.public_key().key_bytes + mac + message).digest()
-            return mac + tag
+            mac = hmac.digest(self.key_bytes, message, "sha256")
+            return mac + hashlib.sha256(self._public_bytes + mac + message).digest()
 
 
 @dataclass(frozen=True)

@@ -201,18 +201,16 @@ class Channel:
     def _build_proposal(
         self, identity: Identity, chaincode: str, fn: str, args: list[str]
     ) -> TxProposal:
-        creator = identity.info()
         nonce = f"{self.name}:{next(self._nonce)}".encode()
-        tx_id = TxProposal.make_tx_id(creator, nonce)
-        return TxProposal(
-            tx_id=tx_id,
+        return TxProposal.signed(
+            identity,
+            tx_id=TxProposal.make_tx_id(identity.info(), nonce),
             channel=self.name,
             chaincode=chaincode,
             fn=fn,
             args=tuple(args),
-            creator=creator,
             timestamp=self.clock.now(),
-        ).signed_by(identity)
+        )
 
     def _endorsing_orgs(self, chaincode: str, endorsing_orgs: list[str] | None) -> list[str]:
         definition = next(

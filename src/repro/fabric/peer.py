@@ -30,7 +30,6 @@ from repro.fabric.identity import Identity
 from repro.fabric.ledger import Block, BlockStore
 from repro.fabric.msp import MSPRegistry
 from repro.fabric.tx import (
-    Endorsement,
     ProposalResponse,
     Transaction,
     TxProposal,
@@ -127,15 +126,15 @@ class Peer:
             self.stats.endorsement_failures += 1
             response, success, message = json.dumps(None), False, str(exc)
         self.stats.endorsements += 1
-        return ProposalResponse(
+        return ProposalResponse.endorsed(
+            self.identity,
             tx_id=proposal.tx_id,
             rwset=stub.rwset(),
             response=response,
             success=success,
             message=message,
-            endorsement=Endorsement(endorser=self.identity.info(), signature=b""),
             events=stub.events(),
-        ).endorsed_by(self.identity)
+        )
 
     def resimulate(self, proposal: TxProposal) -> tuple:
         """Re-run a proposal's simulation on a fresh stub — no signing, no

@@ -16,9 +16,11 @@ across endorsers is what lets the client detect non-deterministic chaincode.
 All of these are frozen, so each canonical form (signing payload, endorsed
 payload, envelope, rwset) is computed by the first node that asks and
 remembered while the transaction is in flight
-(:func:`repro.util.serialization.once`); build-then-sign hands the signed
-value the bytes that were signed. The rwset and the signed proposal are
-rendered once per object and spliced into the forms that hold them as bytes.
+(:func:`repro.util.serialization.once`). A signed value is constructed once
+(:meth:`TxProposal.signed`, :meth:`ProposalResponse.endorsed`) and handed the
+bytes that were signed; the proposal's, of a fixed shape, are written out
+directly. The rwset and the signed proposal are rendered once per object and
+spliced into the forms that hold them as bytes.
 The envelope is a transaction's one stored form (blocks hash it, the WAL
 writes it), and a written value is its UTF-8 text in every form. A
 signature's verdict over a remembered payload is a form too
@@ -31,10 +33,12 @@ MSP is asked every time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring as _enc
 
-from repro.errors import SignatureError
+from repro.errors import EncodingError, SignatureError
 from repro.fabric.identity import Identity, IdentityInfo
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
@@ -112,30 +116,30 @@ class TxProposal:
     timestamp: float
     signature: bytes = b""
 
-    def _signing_payload(self) -> bytes:
-        return canonical_json(
-            {
-                "tx_id": self.tx_id,
-                "channel": self.channel,
-                "chaincode": self.chaincode,
-                "fn": self.fn,
-                "args": list(self.args),
-                "creator": self.creator.to_dict(),
-                "timestamp": self.timestamp,
-            }
+    @classmethod
+    def signed(
+        cls, identity: Identity, *, tx_id: str, channel: str, chaincode: str, fn: str,
+        args: tuple[str, ...], timestamp: float,
+    ) -> "TxProposal":
+        """The proposal of these fields with ``identity`` as its creator and
+        signer, constructed once; it remembers the bytes that were signed."""
+        creator = identity.info()
+        payload = _proposal_payload(tx_id, channel, chaincode, fn, args, creator, timestamp)
+        proposal = cls(
+            tx_id, channel, chaincode, fn, args, creator, timestamp, identity.sign(payload)
         )
+        once(proposal, "signing_payload", lambda: payload)
+        return proposal
 
     def signing_payload(self) -> bytes:
-        return once(self, "signing_payload", self._signing_payload)
-
-    def signed_by(self, identity: Identity) -> "TxProposal":
-        """This proposal carrying ``identity``'s signature. The signature is
-        not part of the signing payload, so the signed value remembers the
-        bytes that were signed instead of serialising them again."""
-        payload = self._signing_payload()
-        signed = replace(self, signature=identity.sign(payload))
-        once(signed, "signing_payload", lambda: payload)
-        return signed
+        return once(
+            self,
+            "signing_payload",
+            lambda: _proposal_payload(
+                self.tx_id, self.channel, self.chaincode, self.fn, self.args,
+                self.creator, self.timestamp,
+            ),
+        )
 
     def signature_error(self) -> str | None:
         """Why the creator's signature does not verify over
@@ -178,16 +182,16 @@ class ProposalResponse:
     # endorsement signature (as in Fabric, events ride in the tx envelope).
     events: tuple["ChaincodeEvent", ...] = ()
 
-    def endorsed_by(self, identity: Identity) -> "ProposalResponse":
-        """This simulation result carrying ``identity``'s endorsement; the
-        endorsed value remembers the payload that was signed."""
-        payload = _endorsement_payload(self)
-        signed = replace(
-            self,
-            endorsement=Endorsement(
-                endorser=identity.info(), signature=identity.sign(payload)
-            ),
-        )
+    @classmethod
+    def endorsed(
+        cls, identity: Identity, *, tx_id: str, rwset: ReadWriteSet, response: str,
+        success: bool, message: str, events: tuple["ChaincodeEvent", ...],
+    ) -> "ProposalResponse":
+        """This simulation result under ``identity``'s endorsement,
+        constructed once; it remembers the payload that was signed."""
+        payload = _endorsement_payload(tx_id, rwset, response, success)
+        endorsement = Endorsement(endorser=identity.info(), signature=identity.sign(payload))
+        signed = cls(tx_id, rwset, response, success, message, endorsement, events)
         once(signed, "endorsement_payload", lambda: payload)
         return signed
 
@@ -256,15 +260,37 @@ class Transaction:
             )
 
 
-def _endorsement_payload(signed: ProposalResponse | Transaction) -> bytes:
+def _proposal_payload(
+    tx_id: str, channel: str, chaincode: str, fn: str, args: tuple[str, ...],
+    creator: IdentityInfo, timestamp: float,
+) -> bytes:
+    """``canonical_json`` of the proposal's fields with the creator as its
+    dict, written out: the shape is fixed and every leaf is a string but the
+    timestamp, a finite float (or an int). Anything else (a non-``str`` arg, a
+    NaN timestamp) raises :class:`EncodingError`."""
+    with profiled("serialize.proposal"):
+        if type(timestamp) is float:
+            if not math.isfinite(timestamp):
+                raise EncodingError("NaN/Inf are not canonically serializable")
+        elif type(timestamp) is not int:
+            raise EncodingError(f"timestamp is a {type(timestamp).__name__}, not a number")
+        try:
+            text = (
+                f'{{"args":[{",".join(map(_enc, args))}],"chaincode":{_enc(chaincode)},'
+                f'"channel":{_enc(channel)},"creator":{{"name":{_enc(creator.name)},'
+                f'"org":{_enc(creator.org)},"public_key":{_enc(creator.public_key_hex)},'
+                f'"role":{_enc(creator.role.value)}}},"fn":{_enc(fn)},'
+                f'"timestamp":{timestamp!r},"tx_id":{_enc(tx_id)}}}'
+            )
+        except TypeError as exc:
+            raise EncodingError(f"proposal is not canonically serializable: {exc}") from exc
+        return text.encode("utf-8")
+
+
+def _endorsement_payload(tx_id: str, rwset: ReadWriteSet, response: str, success: bool) -> bytes:
     return canonical_json_splice(
-        {
-            "tx_id": signed.tx_id,
-            "response": signed.response,
-            # Only successful simulations are assembled into transactions.
-            "success": getattr(signed, "success", True),
-        },
-        {"rwset": signed.rwset.canonical()},
+        {"tx_id": tx_id, "response": response, "success": success},
+        {"rwset": rwset.canonical()},
     )
 
 
@@ -273,7 +299,14 @@ def endorsement_payload(signed: ProposalResponse | Transaction) -> bytes:
     the chaincode response and whether simulation succeeded — asked of the
     endorser's own :class:`ProposalResponse` or of the :class:`Transaction`
     assembled from it, whose every endorser must have signed exactly this."""
-    return once(signed, "endorsement_payload", lambda: _endorsement_payload(signed))
+    return once(
+        signed,
+        "endorsement_payload",
+        # Only successful simulations are assembled into transactions.
+        lambda: _endorsement_payload(
+            signed.tx_id, signed.rwset, signed.response, getattr(signed, "success", True)
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import Client, Framework, FrameworkConfig
-from repro.errors import AccessDeniedError, ChaincodeError
+from repro.errors import AccessDeniedError, ChaincodeError, IdentityError
 from repro.trust import SourceTier
 
 META = {"timestamp": 1.0, "detections": []}
@@ -81,16 +81,60 @@ class TestAclChaincode:
             )
 
     def test_check_access_query(self, env):
-        framework, police, _ = env
+        """The decision is the signed creator's: the same call answers per
+        reader, and an entry with no ACL is open to every reader."""
+        framework, police, city = env
         receipt = police.submit(b"q", dict(META))
-        police.restrict(receipt.entry_id, ["police"])
-        out = json.loads(
-            framework.channel.query(
-                police.identity, "access_control", "check_access",
-                [receipt.entry_id, "city"],
+
+        def check(client):
+            return framework.channel.query(
+                client.identity, "access_control", "check_access", [receipt.entry_id]
             )
-        )
-        assert out["allowed"] is False
+
+        assert check(police) == check(city) == "true"
+        police.restrict(receipt.entry_id, ["police"])
+        assert check(police) == "true"
+        assert check(city) == "false"
+
+    def test_an_outsider_is_refused_whatever_it_passes(self, env):
+        framework, police, city = env
+        receipt = police.submit(b"not for the city", dict(META))
+        police.restrict(receipt.entry_id, ["police"])
+        for args in (
+            [receipt.entry_id],
+            [receipt.entry_id, "police"],
+            [receipt.entry_id, "police", "city"],
+        ):
+            try:
+                answer = framework.channel.query(
+                    city.identity, "access_control", "check_access", args
+                )
+            except ChaincodeError:
+                continue
+            assert answer == "false", args
+        with pytest.raises(AccessDeniedError):
+            city.retrieve(receipt.entry_id)
+
+    def test_the_old_two_argument_call_is_a_chaincode_error(self, env):
+        framework, police, city = env
+        receipt = police.submit(b"two args", dict(META))
+        with pytest.raises(ChaincodeError, match="bad arguments"):
+            framework.channel.query(
+                city.identity, "access_control", "check_access", [receipt.entry_id, "city"]
+            )
+
+    def test_a_denied_read_queues_its_access_log_rider(self, env):
+        framework, police, city = env
+        receipt = police.submit(b"denied and logged", dict(META))
+        police.restrict(receipt.entry_id, ["police"])
+        framework.riders.drain()
+        height, pending = framework.channel.height(), framework.riders.pending()
+        with pytest.raises(AccessDeniedError):
+            city.retrieve(receipt.entry_id)
+        assert framework.riders.pending() == pending + 1
+        assert framework.channel.height() == height  # queued, no block of its own
+        log = police.access_log(receipt.entry_id)
+        assert [(e["org"], e["outcome"]) for e in log] == [("city", "denied")]
 
     def test_log_access_outcome_validated(self, env):
         framework, police, _ = env
@@ -98,6 +142,23 @@ class TestAclChaincode:
             framework.channel.invoke(
                 police.identity, "access_control", "log_access", ["e", "maybe"]
             )
+
+
+class TestMembershipIsCheckedOnEveryRead:
+    def test_a_revoked_readers_retrieve_is_refused(self):
+        framework = Framework(FrameworkConfig(consensus="solo"))
+        owner = Client(
+            framework, framework.register_source("cam", org="org1", tier=SourceTier.TRUSTED)
+        )
+        reader = Client(
+            framework, framework.register_source("analyst", org="org2", tier=SourceTier.TRUSTED)
+        )
+        receipt = owner.submit(b"open to members", dict(META))
+        assert reader.retrieve(receipt.entry_id).data == b"open to members"
+        framework.channel.msp_registry.msp("org2").revoke(reader.identity.name)
+        with pytest.raises(IdentityError, match="revoked"):
+            reader.retrieve(receipt.entry_id)
+        assert owner.retrieve(receipt.entry_id).data == b"open to members"
 
 
 class TestReadsSkipAPeerBehindTheChain:

@@ -1,10 +1,13 @@
 """Tests for keypairs and the HMAC-based signature scheme."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, PublicKey
+from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, PrivateKey, PublicKey
 from repro.errors import SignatureError
 
 
@@ -89,3 +92,17 @@ def test_property_cross_message_rejection(m1, m2):
     sig = kp.sign(m1)
     if m1 != m2:
         assert not kp.public.is_valid(m2, sig)
+
+
+@given(st.binary(min_size=32, max_size=32), st.binary(max_size=512))
+def test_sign_equals_the_hmac_object_construction(key, message):
+    """One ``hmac.digest`` call and a public key derived once per key sign
+    the same bytes as an ``hmac.new`` object and a public key recomputed per
+    signature."""
+    private = PrivateKey(key)
+    mac = hmac.new(key, message, hashlib.sha256).digest()
+    public = hashlib.sha256(b"repro-pub-v1" + key).digest()
+    expected = mac + hashlib.sha256(public + mac + message).digest()
+    assert private.sign(message) == expected
+    assert private.sign(message) == expected  # and again, from the derived key
+    assert private.public_key() == PublicKey(public)

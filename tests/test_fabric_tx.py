@@ -1,15 +1,18 @@
 """Tests for serialize-once on the transaction values: each canonical form is
 computed once per object, a copy computes afresh, and the memo stays bounded
-and flat in ledger height."""
+and flat in ledger height. The proposal's signing payload is written out
+directly; ``canonical_json`` of the same dict is its oracle."""
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fabric.identity import Identity
+from repro.errors import EncodingError
+from repro.fabric.identity import Identity, IdentityInfo, Role
 from repro.fabric.tx import (
     ChaincodeEvent,
     Endorsement,
@@ -33,26 +36,27 @@ PEER = Identity.create("peer0", "org1")
 
 
 def make_proposal(n=0) -> TxProposal:
-    return TxProposal(
+    return TxProposal.signed(
+        ALICE,
         tx_id=f"tx-{n}",
         channel="ch",
         chaincode="kv",
         fn="put",
         args=("k", str(n)),
-        creator=ALICE.info(),
         timestamp=float(n),
-    ).signed_by(ALICE)
+    )
 
 
 def make_response(proposal: TxProposal, success=True) -> ProposalResponse:
-    return ProposalResponse(
+    return ProposalResponse.endorsed(
+        PEER,
         tx_id=proposal.tx_id,
         rwset=ReadWriteSet(writes=(WriteEntry(key="k", value=b"v"),)),
         response='{"key":"k"}' if success else "null",
         success=success,
         message="" if success else "deliberate failure",
-        endorsement=Endorsement(endorser=PEER.info(), signature=b""),
-    ).endorsed_by(PEER)
+        events=(),
+    )
 
 
 def make_tx(n=0) -> Transaction:
@@ -61,14 +65,18 @@ def make_tx(n=0) -> Transaction:
 
 
 @pytest.fixture
-def canonical_json_calls():
-    """Count ``serialize.canonical_json`` calls made inside the test."""
+def center_calls():
+    """Count the calls of a profiled center made inside the test."""
     with profiling() as profiler:
-        yield lambda: sum(
-            stat.calls
-            for stat in profiler.center_stats()
-            if stat.center == "serialize.canonical_json"
+        yield lambda center: sum(
+            stat.calls for stat in profiler.center_stats() if stat.center == center
         )
+
+
+@pytest.fixture
+def canonical_json_calls(center_calls):
+    """Count ``serialize.canonical_json`` calls made inside the test."""
+    return lambda: center_calls("serialize.canonical_json")
 
 
 @pytest.fixture
@@ -114,20 +122,23 @@ class TestRememberedForms:
         assert forged_proposal.signing_payload() != tx.proposal.signing_payload()
 
     def test_signed_values_remember_the_bytes_that_were_signed(
-        self, canonical_json_calls, rwset_renders
+        self, center_calls, canonical_json_calls, rwset_renders
     ):
         before = canonical_json_calls()
         proposal = make_proposal()
         response = make_response(proposal)
-        # One per signature made, and the one rendering of the rwset.
-        assert canonical_json_calls() - before == 3
+        # One rendering per signature made: the proposal's payload written
+        # out, and the endorsed payload around the one rendering of the rwset.
+        assert center_calls("serialize.proposal") == 1
+        assert canonical_json_calls() - before == 2
         assert rwset_renders() == 1
         ALICE.info().public_key.verify(proposal.signing_payload(), proposal.signature)
         PEER.info().public_key.verify(
             endorsement_payload(response), response.endorsement.signature
         )
         assert response.rwset.digest()
-        assert canonical_json_calls() - before == 3
+        assert center_calls("serialize.proposal") == 1
+        assert canonical_json_calls() - before == 2
         assert rwset_renders() == 1
         # Remembered, and right: an equal copy serialises to the same bytes.
         assert dataclasses.replace(proposal).signing_payload() == proposal.signing_payload()
@@ -275,3 +286,140 @@ class TestMemoIsFlatInLedgerHeight:
         before = len(serialization._once)
         peer.ledger.verify_chain()
         assert len(serialization._once) == before == ONCE_MAX_ENTRIES
+
+
+def proposal_dict(proposal: TxProposal) -> dict:
+    """The proposal as the dict ``canonical_json`` rendered before the
+    payload was written out."""
+    return {
+        "tx_id": proposal.tx_id,
+        "channel": proposal.channel,
+        "chaincode": proposal.chaincode,
+        "fn": proposal.fn,
+        "args": list(proposal.args),
+        "creator": proposal.creator.to_dict(),
+        "timestamp": proposal.timestamp,
+    }
+
+
+def rendered(render):
+    """``render()``, or the type of what it raised."""
+    try:
+        return render()
+    except Exception as exc:  # the oracle compares what each side raised
+        return type(exc)
+
+
+# Quotes, backslashes, control characters, separators JSON must escape or
+# keep, non-BMP characters, and anything else but a lone surrogate.
+_HOSTILE = st.text(
+    st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\u2028", "é", "日", "😀"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=10,
+)
+_TIMESTAMPS = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 3.0, 1.7e9,
+                               1712345678.123456, 1e16, 1e-7]) | st.floats(
+    allow_nan=False, allow_infinity=False
+) | st.integers()
+# A lone surrogate planted in one of the string fields, or none.
+_SURROGATE = st.none() | st.tuples(st.integers(0, 10), st.sampled_from(["\ud800", "\udfff"]))
+
+
+class TestProposalPayloadIsCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_HOSTILE, min_size=7, max_size=11),
+        st.sampled_from(list(Role)), _TIMESTAMPS, _SURROGATE,
+    )
+    def test_written_payload_equals_canonical_json(self, texts, role, timestamp, surrogate):
+        if surrogate is not None:
+            at, char = surrogate
+            texts[at % len(texts)] += char
+        tx_id, channel, chaincode, fn, name, org, key, *args = texts
+        proposal = TxProposal(
+            tx_id=tx_id, channel=channel, chaincode=chaincode, fn=fn, args=tuple(args),
+            creator=IdentityInfo(name=name, org=org, role=role, public_key_hex=key),
+            timestamp=timestamp,
+        )
+        written = rendered(proposal.signing_payload)
+        assert written == rendered(lambda: canonical_json(proposal_dict(proposal)))
+        # A lone surrogate cannot be UTF-8: both sides raise, nothing else does.
+        assert (written is UnicodeEncodeError) == (surrogate is not None)
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_a_timestamp_json_cannot_carry_is_refused(self, timestamp):
+        with pytest.raises(EncodingError, match="NaN/Inf"):
+            TxProposal.signed(
+                ALICE, tx_id="t", channel="ch", chaincode="kv", fn="put", args=("k",),
+                timestamp=timestamp,
+            )
+
+    @pytest.mark.parametrize("arg", [5, 1.5, None, True, b"k", ["k"], {"k": "v"}])
+    def test_a_non_str_arg_is_refused_where_the_proposal_is_built(self, arg):
+        with pytest.raises(EncodingError, match="not canonically serializable"):
+            TxProposal.signed(
+                ALICE, tx_id="t", channel="ch", chaincode="kv", fn="put", args=("k", arg),
+                timestamp=1.0,
+            )
+        net, channel, client = make_network()
+        with pytest.raises(EncodingError):
+            channel.invoke(client, "kv", "put", ["k", arg])
+        assert channel.height() == 0
+
+    @pytest.mark.parametrize("timestamp", ["1.0", True, None])
+    def test_a_timestamp_that_is_no_number_is_refused(self, timestamp):
+        with pytest.raises(EncodingError, match="not a number"):
+            TxProposal.signed(
+                ALICE, tx_id="t", channel="ch", chaincode="kv", fn="put", args=(),
+                timestamp=timestamp,
+            )
+
+
+class TestBuiltOnceEqualsTheFormerCopies:
+    """``TxProposal.signed`` and ``ProposalResponse.endorsed`` construct the
+    signed value once; before, an unsigned value was built and then copied
+    with ``dataclasses.replace``. Every remembered form must agree."""
+
+    def test_proposal(self):
+        built = make_proposal(7)
+        unsigned = TxProposal(
+            tx_id="tx-7", channel="ch", chaincode="kv", fn="put", args=("k", "7"),
+            creator=ALICE.info(), timestamp=7.0,
+        )
+        former = dataclasses.replace(
+            unsigned, signature=ALICE.sign(canonical_json(proposal_dict(unsigned)))
+        )
+        fresh = dataclasses.replace(built)
+        assert built == former
+        for value in (former, fresh):
+            assert value.signing_payload() == built.signing_payload()
+            assert value.signature_error() is built.signature_error() is None
+
+    @pytest.mark.parametrize("success", [True, False])
+    def test_response(self, success):
+        proposal = make_proposal()
+        built = make_response(proposal, success=success)
+        unsigned = ProposalResponse(
+            tx_id=proposal.tx_id,
+            rwset=ReadWriteSet(writes=(WriteEntry(key="k", value=b"v"),)),
+            response=built.response,
+            success=success,
+            message=built.message,
+            endorsement=Endorsement(endorser=PEER.info(), signature=b""),
+        )
+        payload = canonical_json(
+            {"tx_id": proposal.tx_id, "rwset": unsigned.rwset.to_dict(),
+             "response": unsigned.response, "success": success}
+        )
+        former = dataclasses.replace(
+            unsigned,
+            endorsement=Endorsement(endorser=PEER.info(), signature=PEER.sign(payload)),
+        )
+        assert built == former
+        for value in (former, dataclasses.replace(built)):
+            assert endorsement_payload(value) == endorsement_payload(built) == payload
+        txs = [Transaction.from_responses(proposal, [r]) for r in (built, former)]
+        assert txs[0] == txs[1]
+        assert txs[0].envelope_bytes() == txs[1].envelope_bytes()
+        # A transaction stands for a successful simulation only.
+        assert txs[0].endorsement_verdicts() == txs[1].endorsement_verdicts() == (success,)
