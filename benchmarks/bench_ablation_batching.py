@@ -41,7 +41,7 @@ def _run(batch_size: int, n_items: int = N_ITEMS):
     framework = Framework(
         FrameworkConfig(consensus="bft", max_batch_size=batch_size)
     )
-    ingestor = BatchIngestor(framework, record_provenance=False)
+    ingestor = BatchIngestor(framework)
     ingestor.register(framework.register_source("batch-cam", tier=SourceTier.TRUSTED))
     orderer = framework.channel.orderer
     msgs_before = orderer.consensus_messages

@@ -53,7 +53,7 @@ def _run_onchain():
             blob = base64.b64encode(payload(size, seed=14, label=f"onc-{i}")).decode()
             # Naive design: the payload itself rides in the metadata record.
             framework.channel.invoke(
-                admin, "data_upload", "add_data",
+                admin, "data_upload", "store",
                 ["inline", "0" * 64, json.dumps({"timestamp": float(i), "blob": blob})],
             )
         times[size] = (time.perf_counter() - start) / N_PER_SIZE

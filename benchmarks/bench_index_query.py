@@ -238,7 +238,7 @@ def _parity_round() -> dict:
         framework.channel.invoke(
             identities[cam],
             "data_upload",
-            "add_data",
+            "store",
             [f"bafy-par-{i}", "0" * 64, canonical_json(meta).decode()],
         )
     engine = QueryEngine(

@@ -70,7 +70,7 @@ def _commit(framework, identity, n_blocks):
     while channel.height() < target:
         i = channel.height()
         channel.invoke(
-            identity, "data_upload", "add_data", [f"cid-{i}", "a" * 64, "{}"]
+            identity, "data_upload", "store", [f"cid-{i}", "a" * 64, "{}"]
         )
 
 

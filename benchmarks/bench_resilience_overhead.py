@@ -75,7 +75,7 @@ def test_resilient_invoke_vs_raw_invoke(benchmark):
     for i in range(rounds):
         t0 = time.perf_counter()
         framework.channel.invoke(
-            identity, "data_upload", "add_data", [f"cid-raw-{i}", "a" * 64, "{}"],
+            identity, "data_upload", "store", [f"cid-raw-{i}", "a" * 64, "{}"],
         )
         raw_s.append(time.perf_counter() - t0)
 
@@ -84,7 +84,7 @@ def test_resilient_invoke_vs_raw_invoke(benchmark):
     def hardened():
         i = state["i"] = state["i"] + 1
         framework.resilient_invoke(
-            identity, "data_upload", "add_data", [f"cid-res-{i}", "b" * 64, "{}"],
+            identity, "data_upload", "store", [f"cid-res-{i}", "b" * 64, "{}"],
         )
 
     benchmark(hardened)

@@ -77,7 +77,7 @@ def main() -> None:
     from repro.fabric import Endorsement, Transaction, ValidationCode
 
     proposal, responses = framework.channel.endorse(
-        client.identity, "data_upload", "add_data",
+        client.identity, "data_upload", "store",
         ["bafyforged", "0" * 64, json.dumps({"timestamp": 1.0})],
     )
     good = framework.channel.assemble(proposal, responses)

@@ -54,7 +54,7 @@ def print_block(title, table):
 def main() -> None:
     framework = Framework(FrameworkConfig(consensus="bft", max_batch_size=16))
     monitor = ChannelMonitor(framework.channel)
-    ingestor = BatchIngestor(framework, record_provenance=False)
+    ingestor = BatchIngestor(framework)
     items = build_items()
     identity = None
     for source in sorted({i.source_id for i in items}):

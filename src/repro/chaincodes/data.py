@@ -8,6 +8,8 @@ IPFS by CID and verify them against the on-chain hash.
 
 On top of the snippets, the upload path records the raw-data SHA-256 so
 retrieval can prove integrity, the provenance property §III-B c calls out.
+The record is the store's only write: the entry's ``captured`` → ``stored``
+provenance events are read from it (:mod:`repro.chaincodes.provenance`).
 The contracts keep no secondary index of their own: the "efficient querying
 mechanisms" contribution is the peers' block-incremental authenticated
 index (:mod:`repro.index`), derived from these ``data:`` records. The
@@ -34,11 +36,14 @@ class DataUploadChaincode(Chaincode):
     def _key(entry_id: str) -> str:
         return _DATA_PREFIX + entry_id
 
-    def add_data(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
-        """Record a validated upload: CID + metadata, keyed by tx id.
+    def store(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
+        """Record a validated upload: CID + metadata, keyed by tx id — the
+        whole store path, one write in one transaction.
 
         ``data_hash`` is the SHA-256 of the raw bytes stored off-chain;
         verification at retrieval compares the fetched bytes against it.
+        The record also determines the entry's ``captured`` → ``stored``
+        provenance events, which the provenance chaincode builds from it.
         """
         if not cid:
             raise ChaincodeError("cid must be non-empty")
@@ -66,31 +71,6 @@ class DataUploadChaincode(Chaincode):
         }
         stub.put_state(key, canonical_json(record))
         return {"entry_id": entry_id, "cid": cid}
-
-    def store(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
-        """The whole store path as one atomic transaction: :meth:`add_data`
-        plus the entry's ``captured`` → ``stored`` provenance trail, recorded
-        by the provenance chaincode in this same simulation — one rwset, one
-        endorsement, one block. The ``stored`` event's block is the block of
-        its own ``tx_id``; a failure anywhere leaves neither record nor trail.
-        """
-        result = self.add_data(stub, cid, data_hash, metadata_json)
-        actor = stub.get_creator().name
-        for action, details in (("captured", {"data_hash": data_hash}), ("stored", {"cid": cid})):
-            stub.invoke_chaincode(
-                "provenance",
-                "record",
-                [result["entry_id"], action, actor, canonical_json(details).decode()],
-            )
-        return result
-
-    # -- reads shared with the retrieval contract -------------------------------
-
-    def get_data(self, stub: ChaincodeStub, entry_id: str):
-        raw = stub.get_state(self._key(entry_id))
-        if raw is None:
-            raise ChaincodeError(f"No metadata found for transaction ID {entry_id}")
-        return json.loads(raw)
 
 
 class DataRetrievalChaincode(Chaincode):

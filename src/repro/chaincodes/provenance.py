@@ -4,10 +4,12 @@
 preventing tampering and maintaining an immutable record of changes."
 
 Each data entry gets a hash-chained lineage: every provenance event
-(captured → validated → stored → accessed → …) links to the previous
-event's hash, so the full chain is verifiable from the latest record and
-any historical edit is detectable. Entries are stored under composite keys
-``prov / <entry_id> / <seq>`` so one range scan returns a lineage in order.
+(captured → stored → accessed → …) links to the previous event's hash, so
+the full chain is verifiable from the latest record and any historical
+edit is detectable. A store's ``captured`` and ``stored`` events are read
+from its ``data:`` record (:func:`store_events`), which determines them;
+later events are stored under composite keys ``prov / <entry_id> / <seq>``
+so one range scan returns them in order, the first chained on ``stored``.
 
 :meth:`ProvenanceChaincode.record_many` appends a list of events in one
 simulation — how a reader's queued ``accessed`` events ride the next
@@ -25,6 +27,7 @@ from repro.util.serialization import canonical_json
 from repro.util.clock import isoformat
 
 IDX_PROV = "prov"
+_DATA_PREFIX = "data:"
 _HEAD_PREFIX = "provhead:"
 GENESIS_HASH = "0" * 64
 
@@ -34,27 +37,37 @@ def _entry_hash(entry: dict) -> str:
     return hashlib.sha256(canonical_json(hashable)).hexdigest()
 
 
+def store_events(record: dict) -> list[dict]:
+    """The ``captured`` → ``stored`` events a store's data record
+    determines: seq 0 and 1 by its uploader, tx id and ``created_at``,
+    hash-chained from :data:`GENESIS_HASH`, keys in canonical order."""
+    events, prev_hash = [], GENESIS_HASH
+    for seq, (action, details) in enumerate(
+        (("captured", {"data_hash": record["data_hash"]}), ("stored", {"cid": record["cid"]}))
+    ):
+        entry = {
+            "action": action,
+            "actor": record["uploader"],
+            "details": details,
+            "entry_hash": "",  # keeps its canonical place; _entry_hash skips it
+            "entry_id": record["entry_id"],
+            "prev_hash": prev_hash,
+            "seq": seq,
+            "timestamp": record["created_at"],
+            "tx_id": record["entry_id"],
+        }
+        entry["entry_hash"] = prev_hash = _entry_hash(entry)
+        events.append(entry)
+    return events
+
+
 class ProvenanceChaincode(Chaincode):
     name = "provenance"
 
     @staticmethod
-    def _head_key(entry_id: str) -> str:
-        return _HEAD_PREFIX + entry_id
-
-    def record(
-        self,
-        stub: ChaincodeStub,
-        entry_id: str,
-        action: str,
-        actor: str,
-        details_json: str = "{}",
-    ):
-        """Append one provenance event to a data entry's chain."""
-        try:
-            details = json.loads(details_json)
-        except json.JSONDecodeError as exc:
-            raise ChaincodeError(f"details is not valid JSON: {exc}") from exc
-        return self._append(stub, entry_id, action, actor, details)
+    def _store_events(stub: ChaincodeStub, entry_id: str) -> list[dict]:
+        raw = stub.get_state(_DATA_PREFIX + entry_id)
+        return [] if raw is None else store_events(json.loads(raw))
 
     def record_many(self, stub: ChaincodeStub, events_json: str):
         """Append events in list order, each ``{"entry_id", "action",
@@ -80,12 +93,16 @@ class ProvenanceChaincode(Chaincode):
     def _append(self, stub: ChaincodeStub, entry_id: str, action: str, actor: str, details):
         if not entry_id or not action:
             raise ChaincodeError("entry_id and action are required")
-        head_raw = stub.get_state(self._head_key(entry_id))
-        if head_raw is None:
-            seq, prev_hash = 0, GENESIS_HASH
-        else:
+        head_raw = stub.get_state(_HEAD_PREFIX + entry_id)
+        if head_raw is not None:
             head = json.loads(head_raw)
             seq, prev_hash = head["seq"] + 1, head["entry_hash"]
+        else:
+            # The entry's first written event: after a store's derived
+            # pair, or at the genesis of an entry with no data record.
+            derived = self._store_events(stub, entry_id)
+            seq = len(derived)
+            prev_hash = derived[-1]["entry_hash"] if derived else GENESIS_HASH
         entry = {
             "entry_id": entry_id,
             "seq": seq,
@@ -107,7 +124,7 @@ class ProvenanceChaincode(Chaincode):
             key, b'%s"entry_hash":"%s",%s' % (hashable[:cut], entry_hash.encode(), hashable[cut:])
         )
         stub.put_state(
-            self._head_key(entry_id),
+            _HEAD_PREFIX + entry_id,
             # Canonical: the head record is re-read and re-hashed on every
             # append, so its bytes must not depend on dict order.
             canonical_json({"seq": seq, "entry_hash": entry_hash}),
@@ -115,9 +132,10 @@ class ProvenanceChaincode(Chaincode):
         return {"seq": seq, "entry_hash": entry_hash}
 
     def lineage(self, stub: ChaincodeStub, entry_id: str):
-        """The full provenance chain of an entry, oldest first."""
+        """The full provenance chain of an entry, oldest first: the events
+        its data record determines, then the written ones."""
         rows = stub.get_state_by_partial_composite_key(IDX_PROV, [entry_id])
-        return [json.loads(v) for _, v in rows]
+        return self._store_events(stub, entry_id) + [json.loads(v) for _, v in rows]
 
     def verify(self, stub: ChaincodeStub, entry_id: str):
         """Recompute and check every hash link; returns the verified length.
@@ -137,9 +155,3 @@ class ProvenanceChaincode(Chaincode):
                 raise ChaincodeError(f"provenance entry {i} hash mismatch")
             prev_hash = entry["entry_hash"]
         return {"entry_id": entry_id, "length": len(chain), "head": prev_hash}
-
-    def head(self, stub: ChaincodeStub, entry_id: str):
-        raw = stub.get_state(self._head_key(entry_id))
-        if raw is None:
-            raise ChaincodeError(f"no provenance for entry {entry_id}")
-        return json.loads(raw)

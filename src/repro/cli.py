@@ -203,7 +203,7 @@ def _cmd_ingest(args) -> int:
     framework = Framework(
         FrameworkConfig(consensus=args.consensus, max_batch_size=args.batch)
     )
-    ingestor = BatchIngestor(framework, record_provenance=False)
+    ingestor = BatchIngestor(framework)
     items = list(ingest_stream(n_videos=args.videos, frames_per_video=args.frames))
     for source in sorted({i.source_id for i in items}):
         ingestor.register(framework.register_source(source, tier=SourceTier.TRUSTED))
@@ -257,7 +257,7 @@ def _cmd_query(args) -> int:
     from repro.workloads.traffic import ingest_stream
 
     framework = Framework(FrameworkConfig(consensus="solo", max_batch_size=16))
-    ingestor = BatchIngestor(framework, record_provenance=False)
+    ingestor = BatchIngestor(framework)
     items = list(ingest_stream(n_videos=args.videos, frames_per_video=2))
     identity = None
     for source in sorted({i.source_id for i in items}):
@@ -298,7 +298,7 @@ def _demo_client(videos: int):
     from repro.workloads.traffic import ingest_stream
 
     framework = Framework(FrameworkConfig(consensus="solo", max_batch_size=16))
-    ingestor = BatchIngestor(framework, record_provenance=True)
+    ingestor = BatchIngestor(framework)
     items = list(ingest_stream(n_videos=videos, frames_per_video=2))
     identity = None
     for source in sorted({i.source_id for i in items}):

@@ -3,17 +3,19 @@
 ``submit`` walks the full store path ①–⑦: the source signs its data, the
 trust engine gates admission, raw bytes go to IPFS (③), and the CID plus
 extracted metadata go through endorsement, BFT ordering, and commit onto
-the ledger (④–⑦) together with the entry's ``captured`` → ``stored``
-provenance events — one transaction, one block. The source's trust score
-is updated from the validators' votes, and its on-chain snapshot rides the
-next ordering round.
+the ledger (④–⑦) as one ``data:`` record — one transaction, one block.
+That record determines the entry's ``captured`` → ``stored`` provenance
+events, which are read from it rather than written beside it. The
+source's trust score is updated from the validators' votes, and its
+on-chain snapshot rides the next ordering round.
 
 ``retrieve``/``query`` walk the retrieval path Ⓐ–Ⓓ: metadata from the
 blockchain query executor, raw bytes from the IPFS executor, and integrity
 verification of the bytes against the on-chain record. A read cuts no
 block: its ``accessed`` provenance event (and an ACL denial's log entry)
-is queued and rides the next ordering round. The inspection calls
-(``provenance``, ``verify_provenance``, ``access_log``,
+is queued and rides the next ordering round, where the entry's first
+written event chains on the record's ``stored`` event. The inspection
+calls (``provenance``, ``verify_provenance``, ``access_log``,
 ``on_chain_trust``) drain that queue first, so a caller always sees its
 own reads.
 """
@@ -159,11 +161,11 @@ class Client:
             add_result = framework.ipfs.add(data)
             cid = add_result.cid.encode()
 
-            # ④–⑦ metadata + CID + the captured → stored provenance trail
-            # through endorsement, ordering (BFT), commit: one transaction.
+            # ④–⑦ metadata + CID through endorsement, ordering (BFT),
+            # commit: one transaction, whose record is also the entry's
+            # captured → stored provenance.
             metadata = dict(metadata)
             metadata.setdefault("source_id", source_id)
-            metadata.setdefault("data_hash", data_hash)
             result = framework.resilient_invoke(
                 self.identity, "data_upload", "store", [cid, data_hash, json.dumps(metadata)]
             )

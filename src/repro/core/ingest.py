@@ -7,11 +7,11 @@ IPFS one after another in input order, metadata transactions queue into
 the orderer's batch (``max_batch_size > 1``) where *one* BFT consensus
 instance per block decides them all, and one flush commits a whole block
 of entries. Each item is the same ``data_upload.store`` transaction
-``Client.submit`` sends — record and ``captured`` → ``stored`` trail
-together, under the identity of the source that submitted it — and trust
-updates coalesce to one score write per source per batch rather than one
-per item. Score writes cut no block: they ride the next ordering round,
-normally the next batch's.
+``Client.submit`` sends — one record, which also determines the entry's
+``captured`` → ``stored`` provenance, under the identity of the source
+that submitted it — and trust updates coalesce to one score write per
+source per batch rather than one per item. Score writes cut no block:
+they ride the next ordering round, normally the next batch's.
 
 Admission is per item: a non-admitted source's items are skipped and
 counted in :attr:`IngestReport.rejected` (nothing of theirs is stored
@@ -70,7 +70,11 @@ class IngestReport:
 
 @dataclass
 class BatchIngestor:
-    """Batched multi-item ingestion for one framework."""
+    """Batched multi-item ingestion for one framework.
+
+    ``record_provenance`` is accepted and ignored, so callers that still
+    pass it keep working: every store's record carries its provenance.
+    """
 
     framework: Framework
     record_provenance: bool = True
@@ -147,11 +151,9 @@ class BatchIngestor:
                 # it to time this sha256 pass (span ``ingest.hash_payloads``).
                 hashes = parallel_map(lambda p: hashlib.sha256(p).hexdigest(), payloads)
 
-            # On-chain metadata (+ provenance trail unless switched off):
-            # endorse + queue into the orderer's batch (the first carries the
-            # queued riders); one flush drives one consensus instance per
-            # cut block.
-            fn = "store" if self.record_provenance else "add_data"
+            # On-chain metadata: endorse + queue into the orderer's batch
+            # (the first carries the queued riders); one flush drives one
+            # consensus instance per cut block.
             tx_meta: list[tuple[str, str]] = []
             for (item, identity), add_result, data_hash in zip(
                 admitted, add_results, hashes
@@ -161,7 +163,7 @@ class BatchIngestor:
                 tx_id = channel.invoke_async(
                     identity,
                     "data_upload",
-                    fn,
+                    "store",
                     [add_result.cid.encode(), data_hash, json.dumps(metadata)],
                 )
                 tx_meta.append((tx_id, item.source_id))

@@ -6,8 +6,10 @@ module is the Explorer half: a read-only API over a live channel that can
 
 * browse blocks and transactions with their validation codes,
 * reconstruct a data entry's provenance trail **from the ledger itself**
-  (the transactions' write sets), independently of the world-state copy
-  the provenance chaincode serves — the two must agree on an honest peer,
+  (the transactions' write sets: the store's ``data:`` record determines
+  the first two events, later events are written under the lineage key),
+  independently of the world-state copy the provenance chaincode serves —
+  the two must agree on an honest peer,
 * chart a source's trust-score trajectory from the state history DB,
 * run a full integrity audit: the chain audit of :mod:`repro.fabric.audit`
   (block numbering, header hash links, per-block Merkle roots,
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.chaincodes.provenance import store_events
 from repro.errors import ObservabilityError
 from repro.fabric import audit
 from repro.fabric.audit import AuditFinding
@@ -224,21 +227,26 @@ class LedgerExplorer:
     def provenance_trail(self, entry_id: str) -> list[dict]:
         """The entry's provenance chain, reconstructed from the *ledger*.
 
-        Every valid transaction that recorded an event for the entry — a
-        ``data_upload.store`` (two events in one transaction) or a bare
-        ``provenance.record`` — wrote the full event under the entry's
-        composite lineage key; reading those writes out of the committed
+        The ``data_upload.store`` transaction's write of the entry's
+        ``data:`` record determines its ``captured`` → ``stored`` events;
+        every later event is a valid transaction's write under the entry's
+        composite lineage key. Reading those writes out of the committed
         blocks rebuilds the exact chain the chaincode's ``lineage`` query
-        serves from world state — including each event's actor, which PR 3
-        pinned to the submitting source.
+        serves from world state — including each event's actor, the
+        submitting source.
         """
+        data_key = _DATA_PREFIX + entry_id
         prefix, _ = composite_prefix_range(_PROV_INDEX, [entry_id])
         events: list[dict] = []
         ledger = self.reference_peer().ledger
         for block in ledger.blocks():
             for tx in audit.valid_txs(block):
                 for write in tx.rwset.writes:
-                    if write.key.startswith(prefix) and write.value is not None:
+                    if write.value is None:
+                        continue
+                    if write.key == data_key:
+                        events.extend(store_events(json.loads(write.value)))
+                    elif write.key.startswith(prefix):
                         events.append(json.loads(write.value))
         return sorted(events, key=lambda e: e["seq"])
 
@@ -246,7 +254,9 @@ class LedgerExplorer:
         """The same chain as served from world state (the chaincode's view)."""
         start, end = composite_prefix_range(_PROV_INDEX, [entry_id])
         world = self.reference_peer().world
-        return [json.loads(value) for _, value in world.range(start, end)]
+        record = world.get(_DATA_PREFIX + entry_id)
+        derived = [] if record is None else store_events(json.loads(record))
+        return derived + [json.loads(value) for _, value in world.range(start, end)]
 
     # -- trust timelines ----------------------------------------------------------
 

@@ -238,7 +238,7 @@ class TestVerifiedFlag:
 class TestBatchedConsensus:
     def test_one_instance_per_cut_block(self):
         framework = make_framework(batch=8, consensus="bft")
-        ingestor = BatchIngestor(framework, record_provenance=False)
+        ingestor = BatchIngestor(framework)
         ingestor.register(framework.register_source("bft-cam", tier=SourceTier.TRUSTED))
         before = framework.channel.orderer.batches_ordered
         report = ingestor.ingest(make_items("bft-cam", 8))
@@ -288,7 +288,7 @@ class TestBatchedConsensus:
         ratios = {}
         for batch in (1, 16):
             framework = make_framework(batch=batch, consensus="bft")
-            ingestor = BatchIngestor(framework, record_provenance=False)
+            ingestor = BatchIngestor(framework)
             ingestor.register(
                 framework.register_source("amortize-cam", tier=SourceTier.TRUSTED)
             )

@@ -15,7 +15,7 @@ from repro.chaincodes import (
     TrustScoreChaincode,
     UserRegistrationChaincode,
 )
-from repro.fabric import FabricNetwork, Role
+from repro.fabric import ChaincodeStub, FabricNetwork, Role
 from repro.ipfs import IpfsCluster
 from repro.fabric.worldstate import composite_prefix_range
 from repro.query import QueryEngine
@@ -161,7 +161,7 @@ META = {
 
 def upload(channel, client, cid="bafyfake", data_hash="0" * 64, meta=None):
     result = channel.invoke(
-        client, "data_upload", "add_data",
+        client, "data_upload", "store",
         [cid, data_hash, json.dumps(meta or META)],
     )
     return json.loads(result.response)["entry_id"]
@@ -189,14 +189,14 @@ class TestDataUploadRetrieval:
     def test_invalid_metadata_rejected(self, env):
         _, channel, client = env
         with pytest.raises(ChaincodeError, match="not valid JSON"):
-            channel.invoke(client, "data_upload", "add_data", ["cid", "0" * 64, "{bad"])
+            channel.invoke(client, "data_upload", "store", ["cid", "0" * 64, "{bad"])
         with pytest.raises(ChaincodeError, match="JSON object"):
-            channel.invoke(client, "data_upload", "add_data", ["cid", "0" * 64, "[1]"])
+            channel.invoke(client, "data_upload", "store", ["cid", "0" * 64, "[1]"])
 
     def test_bad_hash_rejected(self, env):
         _, channel, client = env
         with pytest.raises(ChaincodeError, match="sha-256"):
-            channel.invoke(client, "data_upload", "add_data", ["cid", "zz", "{}"])
+            channel.invoke(client, "data_upload", "store", ["cid", "zz", "{}"])
 
     # The contracts keep no secondary index: a "list by" is the retrieval
     # contract's list_all full scan filtered by the query (QueryEngine.scan).
@@ -243,7 +243,8 @@ class TestDataUploadRetrieval:
 
 
 class TestAtomicStore:
-    """``data_upload.store``: record + captured → stored trail, one rwset."""
+    """``data_upload.store``: the record is the store's one write, and its
+    ``captured`` → ``stored`` events are read from it."""
 
     def test_store_writes_record_and_trail_in_one_transaction(self, env):
         _, channel, client = env
@@ -263,29 +264,29 @@ class TestAtomicStore:
         assert {e["tx_id"] for e in chain} == {result.tx_id}
         assert q(channel, client, "provenance", "verify", [entry_id])["length"] == 2
 
-    def test_failure_in_the_nested_record_leaves_nothing(self, env, monkeypatch):
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            (["bafyfake", "ab" * 32, "{bad"], "not valid JSON"),
+            (["", "ab" * 32, "{}"], "cid must be non-empty"),
+            (None, "already exists"),
+        ],
+        ids=["bad-json", "no-cid", "duplicate"],
+    )
+    def test_a_store_that_raises_leaves_nothing(self, env, monkeypatch, args, match):
         _, channel, client = env
-        original = ProvenanceChaincode.record
-
-        def stored_fails(self, stub, entry_id, action, actor, details_json="{}"):
-            if action == "stored":
-                raise ChaincodeError("lineage store unavailable")
-            return original(self, stub, entry_id, action, actor, details_json)
-
-        monkeypatch.setattr(ProvenanceChaincode, "record", stored_fails)
-        before = {name: peer.world.keys() for name, peer in channel.peers.items()}
-        with pytest.raises(ChaincodeError, match="lineage store unavailable"):
-            channel.invoke(
-                client, "data_upload", "store", ["bafyfake", "ab" * 32, json.dumps(META)]
-            )
-        # add_data and the captured event had already been simulated when
-        # the stored event raised; none of it may reach any peer's state.
-        assert {name: peer.world.keys() for name, peer in channel.peers.items()} == before
-        assert not any(
-            key.startswith(("data:", "provhead:")) or "prov" in key
-            for keys in before.values()
-            for key in keys
-        )
+        if args is None:
+            # A second store under an existing entry's tx id: the one
+            # function refuses it after reading the record it would clobber.
+            existing = upload(channel, client)
+            monkeypatch.setattr(ChaincodeStub, "get_tx_id", lambda stub: existing)
+            args = ["bafyother", "cd" * 32, json.dumps(META)]
+        before = {name: dict(peer.world.range()) for name, peer in channel.peers.items()}
+        height = channel.height()
+        with pytest.raises(ChaincodeError, match=match):
+            channel.invoke(client, "data_upload", "store", args)
+        assert {name: dict(peer.world.range()) for name, peer in channel.peers.items()} == before
+        assert channel.height() == height
 
 
 _KEYS = st.sampled_from(["entry_id", "entry_hash", "details", "x", '",\\"entry_id\\":', "é"])
@@ -300,21 +301,25 @@ _DETAILS = st.dictionaries(
 )
 
 
+def record(channel, client, entry_id, action, actor, details=None):
+    """One event, appended through ``record_many`` in a transaction of its own."""
+    event = {"entry_id": entry_id, "action": action, "actor": actor, "details": details or {}}
+    return channel.invoke(client, "provenance", "record_many", [json.dumps([event])])
+
+
 class TestProvenance:
     def test_record_and_lineage(self, env):
         _, channel, client = env
         for action in ("captured", "validated", "stored"):
-            channel.invoke(
-                client, "provenance", "record", ["entry-1", action, "cam-7", "{}"]
-            )
+            record(channel, client, "entry-1", action, "cam-7")
         chain = q(channel, client, "provenance", "lineage", ["entry-1"])
         assert [e["action"] for e in chain] == ["captured", "validated", "stored"]
         assert [e["seq"] for e in chain] == [0, 1, 2]
 
     def test_chain_links(self, env):
         _, channel, client = env
-        channel.invoke(client, "provenance", "record", ["e", "captured", "a", "{}"])
-        channel.invoke(client, "provenance", "record", ["e", "stored", "a", "{}"])
+        record(channel, client, "e", "captured", "a")
+        record(channel, client, "e", "stored", "a")
         chain = q(channel, client, "provenance", "lineage", ["e"])
         assert chain[0]["prev_hash"] == "0" * 64
         assert chain[1]["prev_hash"] == chain[0]["entry_hash"]
@@ -322,7 +327,7 @@ class TestProvenance:
     def test_verify_ok(self, env):
         _, channel, client = env
         for action in ("captured", "validated", "stored", "accessed"):
-            channel.invoke(client, "provenance", "record", ["e", action, "a", "{}"])
+            record(channel, client, "e", action, "a")
         result = q(channel, client, "provenance", "verify", ["e"])
         assert result["length"] == 4
 
@@ -333,7 +338,7 @@ class TestProvenance:
         details that nest an ``entry_id`` key must not move the splice."""
         _, channel, client = make_env()
         first, *rest = details
-        channel.invoke(client, "provenance", "record", ["e", "captured", "a", json.dumps(first)])
+        record(channel, client, "e", "captured", "a", first)
         events = [{"entry_id": "e", "action": "stored", "actor": "b", "details": d} for d in rest]
         channel.invoke(client, "provenance", "record_many", [json.dumps(events)])
         peer = next(iter(channel.peers.values()))
@@ -351,18 +356,40 @@ class TestProvenance:
 
     def test_lineages_are_isolated(self, env):
         _, channel, client = env
-        channel.invoke(client, "provenance", "record", ["e1", "captured", "a", "{}"])
-        channel.invoke(client, "provenance", "record", ["e2", "captured", "b", "{}"])
+        record(channel, client, "e1", "captured", "a")
+        record(channel, client, "e2", "captured", "b")
         assert len(q(channel, client, "provenance", "lineage", ["e1"])) == 1
 
     def test_details_payload(self, env):
         _, channel, client = env
-        channel.invoke(
-            client, "provenance", "record",
-            ["e", "validated", "bft", json.dumps({"votes": 4})],
-        )
+        record(channel, client, "e", "validated", "bft", {"votes": 4})
         chain = q(channel, client, "provenance", "lineage", ["e"])
         assert chain[0]["details"] == {"votes": 4}
+
+    def test_bad_events_are_rejected(self, env):
+        _, channel, client = env
+        with pytest.raises(ChaincodeError, match="not valid JSON"):
+            channel.invoke(client, "provenance", "record_many", ["{bad"])
+        with pytest.raises(ChaincodeError, match="list of objects"):
+            channel.invoke(client, "provenance", "record_many", ['[1]'])
+        with pytest.raises(ChaincodeError, match="entry_id and action are required"):
+            channel.invoke(client, "provenance", "record_many", ['[{"action": "x"}]'])
+
+    def test_the_first_written_event_chains_on_the_records_stored_event(self, env):
+        _, channel, client = env
+        entry_id = upload(channel, client)
+        record(channel, client, entry_id, "accessed", "reader")
+        chain = q(channel, client, "provenance", "lineage", [entry_id])
+        assert [(e["seq"], e["action"]) for e in chain] == [
+            (0, "captured"), (1, "stored"), (2, "accessed"),
+        ]
+        assert chain[2]["prev_hash"] == chain[1]["entry_hash"]
+        peer = next(iter(channel.peers.values()))
+        rows = peer.world.range(*composite_prefix_range("prov", [entry_id]))
+        assert [json.loads(raw)["seq"] for _, raw in rows] == [2]
+        assert q(channel, client, "provenance", "verify", [entry_id]) == {
+            "entry_id": entry_id, "length": 3, "head": chain[2]["entry_hash"],
+        }
 
 
 class TestTrustScoreChaincode:

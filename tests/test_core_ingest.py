@@ -39,7 +39,7 @@ class TestBatchIngestor:
 
     def test_batching_cuts_fewer_blocks_than_items(self):
         framework = make_framework(batch=8)
-        ingestor = BatchIngestor(framework, record_provenance=False)
+        ingestor = BatchIngestor(framework)
         identity = framework.register_source("cam-c", tier=SourceTier.TRUSTED)
         ingestor.register(identity)
         report = ingestor.ingest(make_items("cam-c", 8))
@@ -103,7 +103,7 @@ class TestBatchIngestor:
     def test_untrusted_source_trust_updated_once_per_batch(self):
         framework = make_framework()
         identity = framework.register_source("mob-e")
-        ingestor = BatchIngestor(framework, record_provenance=False)
+        ingestor = BatchIngestor(framework)
         ingestor.register(identity)
         before = framework.trust.score("mob-e")
         ingestor.ingest(make_items("mob-e", 5))
@@ -115,7 +115,7 @@ class TestBatchIngestor:
 
     def test_vision_stream_end_to_end(self):
         framework = make_framework(batch=16)
-        ingestor = BatchIngestor(framework, record_provenance=False)
+        ingestor = BatchIngestor(framework)
         items = list(ingest_stream(n_videos=2, frames_per_video=2, seed=5))
         sources = {item.source_id for item in items}
         for source in sources:
@@ -140,7 +140,7 @@ class TestBatchIngestor:
         sequential = time.perf_counter() - start
 
         framework_batch = Framework(FrameworkConfig(consensus="bft", max_batch_size=16))
-        ingestor = BatchIngestor(framework_batch, record_provenance=False)
+        ingestor = BatchIngestor(framework_batch)
         ingestor.register(
             framework_batch.register_source("seq-cam", tier=SourceTier.TRUSTED)
         )
@@ -149,3 +149,35 @@ class TestBatchIngestor:
         batched = time.perf_counter() - start
 
         assert batched < sequential
+
+
+class TestOneRecordShape:
+    """``Client.submit`` and ``BatchIngestor.ingest`` send the same store:
+    the payload hash is the record's top-level ``data_hash``, never copied
+    into the metadata, while a caller's own metadata is kept as given."""
+
+    @staticmethod
+    def stored_metadata(metadata):
+        framework = make_framework()
+        identity = framework.register_source("cam-shape", tier=SourceTier.TRUSTED)
+        client = Client(framework, identity)
+        submitted = client.submit(b"same shape" * 20, dict(metadata))
+        ingestor = BatchIngestor(framework)
+        ingestor.register(identity)
+        (ingested,) = ingestor.ingest(
+            [IngestItem("cam-shape", b"same shape" * 20, dict(metadata), None)]
+        ).entry_ids
+        records = [client.get_metadata(submitted.entry_id), client.get_metadata(ingested)]
+        assert [r["data_hash"] for r in records] == [submitted.data_hash] * 2
+        return [r["metadata"] for r in records]
+
+    def test_submit_and_ingest_store_equal_metadata(self):
+        submitted, ingested = self.stored_metadata({"timestamp": 1.0, "detections": []})
+        assert submitted == ingested == {
+            "timestamp": 1.0, "detections": [], "source_id": "cam-shape",
+        }
+
+    def test_a_callers_own_data_hash_is_kept(self):
+        own = {"timestamp": 1.0, "data_hash": "ab" * 32}
+        submitted, ingested = self.stored_metadata(own)
+        assert submitted == ingested == dict(own, source_id="cam-shape")

@@ -354,7 +354,7 @@ class TestCheckpointCost:
             def commit_eight_blocks(start):
                 for i in range(start, start + 8):
                     channel.invoke(
-                        identity, "data_upload", "add_data",
+                        identity, "data_upload", "store",
                         [f"cid-{i}", "a" * 64, "{}"],
                     )
 

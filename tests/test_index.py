@@ -317,9 +317,8 @@ class TestOneSecondaryIndex:
         violations=[{"violation_type": "speeding"}],
     )
 
-    def test_store_writes_only_the_record_and_its_provenance(self):
+    def test_store_writes_only_the_record(self):
         from repro.core import BatchIngestor
-        from repro.fabric.worldstate import make_composite_key
         from repro.workloads import IngestItem
 
         framework = make_framework()
@@ -340,12 +339,7 @@ class TestOneSecondaryIndex:
             tx.tx_id: tx for block in peer.ledger.blocks() for tx in block.transactions
         }
         for entry_id in entry_ids:
-            assert {w.key for w in txs[entry_id].rwset.writes} == {
-                "data:" + entry_id,
-                make_composite_key("prov", [entry_id, "00000000"]),
-                make_composite_key("prov", [entry_id, "00000001"]),
-                "provhead:" + entry_id,
-            }
+            assert {w.key for w in txs[entry_id].rwset.writes} == {"data:" + entry_id}
         # The one index still serves every dimension the metadata carries.
         for text in (
             "camera_id = 'idx-cam'", "vehicle_class = 'truck'",

@@ -133,7 +133,7 @@ class TestProvenance:
 
     def test_batch_ingest_trail_attributes_each_source(self):
         framework = Framework(FrameworkConfig(max_batch_size=8))
-        ingestor = BatchIngestor(framework, record_provenance=True)
+        ingestor = BatchIngestor(framework)
         for source in ("cam-a", "cam-b"):
             ingestor.register(
                 framework.register_source(source, tier=SourceTier.TRUSTED)

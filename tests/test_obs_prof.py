@@ -234,7 +234,7 @@ class TestAttributionModel:
             framework = Framework(
                 FrameworkConfig(consensus="bft", max_batch_size=batch_size)
             )
-            ingestor = BatchIngestor(framework, record_provenance=False)
+            ingestor = BatchIngestor(framework)
             ingestor.register(
                 framework.register_source("batch-cam", tier=SourceTier.TRUSTED)
             )

@@ -258,7 +258,7 @@ N_BULK = 160
 
 def _store_bulk(channel, identity):
     """``N_BULK`` records 30 s apart from ``T0``, alternating car / truck,
-    four cameras; stored through ``add_data`` directly (no payloads)."""
+    four cameras; stored through ``data_upload.store`` directly (no payloads)."""
     for i in range(N_BULK):
         meta = {
             "camera_id": f"cam-{i % 4}",
@@ -267,7 +267,7 @@ def _store_bulk(channel, identity):
             "detections": [{"vehicle_class": "car" if i % 2 == 0 else "truck"}],
         }
         channel.invoke_async(
-            identity, "data_upload", "add_data",
+            identity, "data_upload", "store",
             [f"bafy-bulk-{i}", "0" * 64, canonical_json(meta).decode()],
         )
     channel.flush()
@@ -526,7 +526,7 @@ def windowed():
             "detections": [{"vehicle_class": "car" if i % 2 == 0 else "truck"}],
         }
         framework.channel.invoke_async(
-            client.identity, "data_upload", "add_data",
+            client.identity, "data_upload", "store",
             [f"bafy-win-{i}", "0" * 64, canonical_json(meta).decode()],
         )
     framework.channel.flush()

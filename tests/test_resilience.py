@@ -242,11 +242,11 @@ class TestResilientInvoke:
 
         monkeypatch.setattr(framework.channel, "invoke", conflicted)
         result = framework.resilient_invoke(
-            identity, "data_upload", "add_data", ["cid1", "a" * 64, "{}"],
+            identity, "data_upload", "store", ["cid1", "a" * 64, "{}"],
         )
         assert result.ok
         counters = get_registry().snapshot()["counters"]
-        assert counters['retries_total{op="data_upload.add_data"}'] == 1.0
+        assert counters['retries_total{op="data_upload.store"}'] == 1.0
 
     def test_deterministic_request_errors_are_not_retried(self, monkeypatch):
         framework, identity = self._framework()

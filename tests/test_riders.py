@@ -288,8 +288,9 @@ class TestFailureContract:
         attempts = framework.resilience.retry_policy.max_attempts
         for i in range(attempts):
             assert framework.riders.pending() == 1
+            flagged = {"entry_id": entry_id, "action": "flagged", "actor": "admin"}
             framework.channel.invoke(
-                framework.admin, "provenance", "record", [entry_id, "flagged", "admin", "{}"]
+                framework.admin, "provenance", "record_many", [json.dumps([flagged])]
             )
         assert framework.riders.pending() == 0
         assert counter("provenance_write_failures_total") == 1

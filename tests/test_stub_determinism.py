@@ -31,8 +31,12 @@ METADATA = json.dumps(
 )
 
 CASES = [
-    ("data_upload", "add_data", ["bafy-demo-cid", PAYLOAD_HASH, METADATA]),
-    ("provenance", "record", ["entry-1", "stored", "cam-7", "{}"]),
+    ("data_upload", "store", ["bafy-demo-cid", PAYLOAD_HASH, METADATA]),
+    (
+        "provenance",
+        "record_many",
+        [json.dumps([{"entry_id": "entry-1", "action": "stored", "actor": "cam-7"}])],
+    ),
     ("trust_score", "put_score", ["cam-7", json.dumps({"score": 0.75})]),
 ]
 
