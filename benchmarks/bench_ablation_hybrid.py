@@ -12,6 +12,7 @@ import time
 
 from repro.bench import emit, format_table, human_size
 from repro.core import Client, Framework, FrameworkConfig
+from repro.crypto.cid import CID
 from repro.trust import SourceTier
 from repro.workloads.filesizes import payload
 
@@ -47,6 +48,8 @@ def _run_onchain():
     times = {}
     import json
 
+    # The record must name a CID; this one names no stored bytes.
+    inline = CID.for_data(b"inline").encode()
     for size in SIZES:
         start = time.perf_counter()
         for i in range(N_PER_SIZE):
@@ -54,7 +57,7 @@ def _run_onchain():
             # Naive design: the payload itself rides in the metadata record.
             framework.channel.invoke(
                 admin, "data_upload", "store",
-                ["inline", "0" * 64, json.dumps({"timestamp": float(i), "blob": blob})],
+                [inline, json.dumps({"timestamp": float(i), "blob": blob})],
             )
         times[size] = (time.perf_counter() - start) / N_PER_SIZE
     return times, _ledger_bytes(framework)

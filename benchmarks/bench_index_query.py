@@ -41,6 +41,7 @@ import time
 from types import SimpleNamespace
 
 from repro.bench import emit, emit_json, format_table
+from repro.crypto.cid import CID
 from repro.crypto.merkle import MerkleTree
 from repro.fabric.tx import WriteEntry
 from repro.fabric.worldstate import Version, WorldState
@@ -69,7 +70,6 @@ def _record(i: int, cam: str, timestamp: float) -> tuple[str, bytes]:
     record = {
         "entry_id": entry_id,
         "cid": f"bafy-{i:07d}",
-        "data_hash": "0" * 64,
         "metadata": {
             "camera_id": cam,
             "timestamp": timestamp,
@@ -239,7 +239,7 @@ def _parity_round() -> dict:
             identities[cam],
             "data_upload",
             "store",
-            [f"bafy-par-{i}", "0" * 64, canonical_json(meta).decode()],
+            [CID.for_data(b"par-%d" % i).encode(), canonical_json(meta).decode()],
         )
     engine = QueryEngine(
         channel=framework.channel,

@@ -46,6 +46,7 @@ import time
 from repro.bench import emit, emit_json, format_table
 from repro.bench.iocount import counting_io
 from repro.core import Framework, FrameworkConfig
+from repro.crypto.cid import CID
 from repro.fabric.snapshot import states_agree
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.prof import profiling
@@ -70,7 +71,7 @@ def _commit(framework, identity, n_blocks):
     while channel.height() < target:
         i = channel.height()
         channel.invoke(
-            identity, "data_upload", "store", [f"cid-{i}", "a" * 64, "{}"]
+            identity, "data_upload", "store", [CID.for_data(b"%d" % i).encode(), "{}"]
         )
 
 

@@ -10,6 +10,7 @@ end-to-end figure compares ``Framework.resilient_invoke`` against a raw
 
 from repro.bench import emit_json
 from repro.core import Framework, FrameworkConfig
+from repro.crypto.cid import CID
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import CircuitBreaker, retry
 from repro.trust import SourceTier
@@ -73,19 +74,17 @@ def test_resilient_invoke_vs_raw_invoke(benchmark):
     # ledger-growth effects comparable between the two series).
     raw_s = []
     for i in range(rounds):
+        cid = CID.for_data(b"raw-%d" % i).encode()
         t0 = time.perf_counter()
-        framework.channel.invoke(
-            identity, "data_upload", "store", [f"cid-raw-{i}", "a" * 64, "{}"],
-        )
+        framework.channel.invoke(identity, "data_upload", "store", [cid, "{}"])
         raw_s.append(time.perf_counter() - t0)
 
     state = {"i": 0}
 
     def hardened():
         i = state["i"] = state["i"] + 1
-        framework.resilient_invoke(
-            identity, "data_upload", "store", [f"cid-res-{i}", "b" * 64, "{}"],
-        )
+        cid = CID.for_data(b"res-%d" % i).encode()
+        framework.resilient_invoke(identity, "data_upload", "store", [cid, "{}"])
 
     benchmark(hardened)
     hardened_s = benchmark.stats.stats.mean

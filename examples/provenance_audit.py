@@ -5,18 +5,19 @@ Demonstrates every integrity mechanism the paper claims, by attacking each:
 
 1. hash-chained provenance per data entry (verify, then show a break),
 2. content addressing — serving different bytes under a stored CID fails,
-3. on-chain data-hash verification at retrieval,
+3. the record's CID as the one on-chain commitment — doctoring it breaks the
+   lineage that chained on the honest record,
 4. the ledger's block hash chain detecting history rewrites,
 5. Byzantine validators voting a forged endorsement out (2/3 rule).
 
 Run:  python examples/provenance_audit.py
 """
 
-import hashlib
 import json
 
 from repro.core import Client, Framework, FrameworkConfig
-from repro.errors import IntegrityError, LedgerError
+from repro.crypto.cid import CID
+from repro.errors import ChaincodeError, DagError, LedgerError
 from repro.trust import SourceTier
 
 
@@ -49,16 +50,38 @@ def main() -> None:
     print(f"  hash of forgery: {recomputed[:16]}…")
     print(f"  detected: {recomputed != lineage[1]['entry_hash']}")
 
-    print("\n== Attack 2: wrong bytes under the stored data hash ==")
-    record = dict(client.get_metadata(receipt.entry_id))
-    record["data_hash"] = hashlib.sha256(b"doctored evidence").hexdigest()
+    print("\n== Attack 2: wrong bytes under the stored CID ==")
+    record = client.get_metadata(receipt.entry_id)
+    cid = CID.parse(record["cid"])
+    holders = [n for n in framework.ipfs.nodes.values() if n.has_local(cid)]
+    honest = holders[0].blockstore.get(cid).data
+    for node in holders:
+        node.blockstore.corrupt(cid, b"doctored evidence")
     try:
         client.engine.fetch_payload(record)
         print("  NOT detected — bug!")
-    except IntegrityError as exc:
+    except DagError as exc:
         print(f"  detected: {exc}")
+    for node in holders:
+        node.blockstore.corrupt(cid, honest)  # restore for the rest of the demo
 
-    print("\n== Attack 3: rewriting ledger history ==")
+    print("\n== Attack 3: a record doctored to name other bytes ==")
+    doctored_cid = framework.ipfs.add(b"doctored evidence").cid.encode()
+    key = "data:" + receipt.entry_id
+    originals = {}
+    for name, peer in framework.channel.peers.items():
+        originals[name] = peer.world.get(key)
+        doctored = dict(json.loads(originals[name]), cid=doctored_cid)
+        peer.world._values[key] = json.dumps(doctored).encode()
+    try:
+        client.verify_provenance(receipt.entry_id)
+        print("  NOT detected — bug!")
+    except ChaincodeError as exc:
+        print(f"  detected (the analyst's reads chained on the honest record): {exc}")
+    for name, peer in framework.channel.peers.items():
+        peer.world._values[key] = originals[name]  # restore
+
+    print("\n== Attack 4: rewriting ledger history ==")
     peer = next(iter(framework.channel.peers.values()))
     block0 = peer.ledger.block(0)
     from repro.fabric.ledger import Block
@@ -73,12 +96,12 @@ def main() -> None:
     peer.ledger.verify_chain()
     print("  history restored; chain verifies again")
 
-    print("\n== Attack 4: forged endorsement through BFT ordering ==")
+    print("\n== Attack 5: forged endorsement through BFT ordering ==")
     from repro.fabric import Endorsement, Transaction, ValidationCode
 
     proposal, responses = framework.channel.endorse(
         client.identity, "data_upload", "store",
-        ["bafyforged", "0" * 64, json.dumps({"timestamp": 1.0})],
+        [doctored_cid, json.dumps({"timestamp": 1.0})],
     )
     good = framework.channel.assemble(proposal, responses)
     forged_tx = Transaction(

@@ -4,12 +4,14 @@ The split mirrors the paper's two snippets: the upload contract records a
 data entry's IPFS CID plus extracted metadata on-chain under the uploading
 transaction's id (``ctx.stub.getTxID()`` in the paper); the retrieval
 contract reads that record back so the client can fetch the raw bytes from
-IPFS by CID and verify them against the on-chain hash.
+IPFS by CID and verify them against it.
 
-On top of the snippets, the upload path records the raw-data SHA-256 so
-retrieval can prove integrity, the provenance property §III-B c calls out.
-The record is the store's only write: the entry's ``captured`` → ``stored``
-provenance events are read from it (:mod:`repro.chaincodes.provenance`).
+The CID is the record's one commitment to the raw bytes: it is the root of a
+sha-256 Merkle DAG over the payload's chunks, so a read that hashes every
+block under it proves integrity, the provenance property §III-B c calls out,
+and no second payload digest is stored beside it. The record is the store's
+only write: the entry's ``captured`` → ``stored`` provenance events are read
+from it (:mod:`repro.chaincodes.provenance`).
 The contracts keep no secondary index of their own: the "efficient querying
 mechanisms" contribution is the peers' block-incremental authenticated
 index (:mod:`repro.index`), derived from these ``data:`` records. The
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import ChaincodeError
+from repro.crypto.cid import CID
+from repro.errors import ChaincodeError, EncodingError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
 from repro.util.serialization import canonical_json
 from repro.util.clock import isoformat
@@ -36,19 +39,20 @@ class DataUploadChaincode(Chaincode):
     def _key(entry_id: str) -> str:
         return _DATA_PREFIX + entry_id
 
-    def store(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
+    def store(self, stub: ChaincodeStub, cid: str, metadata_json: str):
         """Record a validated upload: CID + metadata, keyed by tx id — the
         whole store path, one write in one transaction.
 
-        ``data_hash`` is the SHA-256 of the raw bytes stored off-chain;
-        verification at retrieval compares the fetched bytes against it.
-        The record also determines the entry's ``captured`` → ``stored``
-        provenance events, which the provenance chaincode builds from it.
+        ``cid`` addresses the raw bytes stored off-chain and is what
+        retrieval verifies every fetched block against; a string that does
+        not parse as a CID is refused. The record also determines the
+        entry's ``captured`` → ``stored`` provenance events, which the
+        provenance chaincode builds from it.
         """
-        if not cid:
-            raise ChaincodeError("cid must be non-empty")
-        if len(data_hash) != 64:
-            raise ChaincodeError("data_hash must be a sha-256 hex digest")
+        try:
+            CID.parse(cid)
+        except EncodingError as exc:
+            raise ChaincodeError(f"cid {cid!r} is not a CID: {exc}") from exc
         try:
             metadata = json.loads(metadata_json)
         except json.JSONDecodeError as exc:
@@ -62,7 +66,6 @@ class DataUploadChaincode(Chaincode):
         record = {
             "entry_id": entry_id,
             "cid": cid,
-            "data_hash": data_hash,
             "metadata": metadata,
             "source_id": metadata.get("source_id", stub.get_creator().name),
             "created_at": isoformat(stub.get_timestamp()),
@@ -78,8 +81,8 @@ class DataRetrievalChaincode(Chaincode):
 
     The raw-bytes fetch from IPFS happens off-chain in the client (the
     paper's ``ipfsClient.get(metadata.cid)`` line is the client library's
-    job here); this contract serves the on-chain half — the metadata, the
-    CID, and the integrity hash.
+    job here); this contract serves the on-chain half — the metadata and the
+    CID the bytes are verified against.
     """
 
     name = "data_retrieval"

@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.errors import ChaincodeError
+from repro.crypto.cid import CID
+from repro.errors import ChaincodeError, EncodingError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
 from repro.util.serialization import canonical_json
 from repro.util.clock import isoformat
@@ -40,10 +41,18 @@ def _entry_hash(entry: dict) -> str:
 def store_events(record: dict) -> list[dict]:
     """The ``captured`` → ``stored`` events a store's data record
     determines: seq 0 and 1 by its uploader, tx id and ``created_at``,
-    hash-chained from :data:`GENESIS_HASH`, keys in canonical order."""
+    hash-chained from :data:`GENESIS_HASH`, keys in canonical order.
+
+    ``captured`` carries ``data_hash``: the hex digest of the record CID's
+    multihash — for a one-chunk payload, the sha-256 of the payload."""
+    cid = record["cid"]
+    try:
+        data_hash = CID.parse(cid).multihash.digest.hex()
+    except EncodingError as exc:  # only a doctored record: store refuses these
+        raise ChaincodeError(f"data record {record['entry_id']} has no valid cid") from exc
     events, prev_hash = [], GENESIS_HASH
     for seq, (action, details) in enumerate(
-        (("captured", {"data_hash": record["data_hash"]}), ("stored", {"cid": record["cid"]}))
+        (("captured", {"data_hash": data_hash}), ("stored", {"cid": cid}))
     ):
         entry = {
             "action": action,

@@ -11,9 +11,11 @@ on-chain snapshot rides the next ordering round.
 
 ``retrieve``/``query`` walk the retrieval path Ⓐ–Ⓓ: metadata from the
 blockchain query executor, raw bytes from the IPFS executor, and integrity
-verification of the bytes against the on-chain record. A read cuts no
-block: its ``accessed`` provenance event (and an ACL denial's log entry)
-is queued and rides the next ordering round, where the entry's first
+verification of the bytes against the on-chain record's CID, block by
+block. The CID is the record's one commitment to the bytes; ``submit``
+hashes the payload once more only for its receipt's ``data_hash``. A read
+cuts no block: its ``accessed`` provenance event (and an ACL denial's log
+entry) is queued and rides the next ordering round, where the entry's first
 written event chains on the record's ``stored`` event. The inspection
 calls (``provenance``, ``verify_provenance``, ``access_log``,
 ``on_chain_trust``) drain that queue first, so a caller always sees its
@@ -30,7 +32,6 @@ from repro.core.framework import Framework
 from repro.crypto.cid import CID
 from repro.errors import (
     DagError,
-    IntegrityError,
     InvalidBlockError,
     ResilienceError,
     StorageError,
@@ -48,7 +49,10 @@ from repro.vision import Frame, MetadataExtractor, SimulatedYolo
 
 @dataclass(frozen=True)
 class SubmissionReceipt:
-    """Everything a source learns back from a successful submission."""
+    """Everything a source learns back from a successful submission.
+
+    ``cid`` is the on-chain commitment to the payload; ``data_hash`` is the
+    payload's flat sha-256, computed for the receipt and not stored."""
 
     entry_id: str
     cid: str
@@ -123,8 +127,8 @@ class Client:
             root.set_attr("source_id", source_id)
             root.set_attr("bytes", len(data))
 
-            # ① SHA-256 of the data; the creator's proposal signature covers
-            # it as the store's ``data_hash`` argument.
+            # ① SHA-256 of the data, for the receipt only: the on-chain
+            # commitment is the CID that step ③ computes.
             with obs_span("submit.sign"):
                 data_hash = hashlib.sha256(data).hexdigest()
 
@@ -167,7 +171,7 @@ class Client:
             metadata = dict(metadata)
             metadata.setdefault("source_id", source_id)
             result = framework.resilient_invoke(
-                self.identity, "data_upload", "store", [cid, data_hash, json.dumps(metadata)]
+                self.identity, "data_upload", "store", [cid, json.dumps(metadata)]
             )
             entry_id = json.loads(result.response)["entry_id"] if result.ok else result.tx_id
 
@@ -275,27 +279,24 @@ class Client:
     ) -> tuple[bytes | None, bool, bool, str | None]:
         """Returns ``(data, verified, degraded, failure)`` for a record.
 
-        ``verified`` is the *proven* outcome: True only when the bytes were
-        checked against an on-chain ``data_hash`` — a record with no stored
-        hash reads back ``verified=False`` even under ``verify=True``.
+        ``verified`` is the *proven* outcome: True when every block under
+        the record's on-chain CID was hashed against the CID naming it.
 
-        Recovery ladder: a hash mismatch quarantines the corrupted blocks
-        cluster-wide and re-fetches from clean replicas; an unreachable
-        off-chain tier degrades to metadata-only (when allowed).
+        Recovery ladder: a block that fails its hash quarantines the
+        corrupted blocks cluster-wide and re-fetches from clean replicas; an
+        unreachable off-chain tier degrades to metadata-only (when allowed).
         """
         try:
             try:
                 data, verified = self.engine.fetch_payload_verified(record, verify=verify)
                 return data, verified, False, None
-            except (IntegrityError, DagError, InvalidBlockError):
-                # IntegrityError: reassembled bytes mismatch the on-chain
-                # hash. DagError / InvalidBlockError: a locally stored
-                # block failed verification mid-walk. All three mean
-                # corruption somewhere in the replica set.
+            except (DagError, InvalidBlockError):
+                # A stored block — root, interior node or leaf — failed
+                # its hash mid-walk: corruption somewhere in the replica set.
                 dropped = self.framework.ipfs.quarantine(CID.parse(record["cid"]))
                 if dropped == 0:
-                    # No block was corrupt: the on-chain record itself
-                    # disagrees with the bytes — refetching cannot help.
+                    # Every block hashes right, yet the DAG is no file:
+                    # the record names other content — refetching cannot help.
                     raise
                 get_registry().counter("integrity_refetch_total").inc()
                 data, verified = self.engine.fetch_payload_verified(record, verify=verify)

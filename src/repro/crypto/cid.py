@@ -13,12 +13,14 @@ the chain; these objects are what the DataUpload chaincode records.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import total_ordering
 
 from repro.crypto.hashing import SHA2_256
 from repro.crypto.multihash import CODE_SHA2_256, Multihash
 from repro.errors import EncodingError
+from repro.obs.prof import profiled
 from repro.util.encoding import b32decode, b32encode, b58decode, b58encode
 from repro.util.varint import decode_varint, encode_varint
 
@@ -99,6 +101,11 @@ class CID:
     def codec_name(self) -> str:
         return _CODEC_NAMES[self.codec]
 
-    def verifies(self, data: bytes) -> bool:
-        """Does ``data`` hash to this CID's digest?"""
-        return self.multihash.matches(data)
+    def verifies(self, data: bytes | memoryview) -> bool:
+        """Does ``data`` hash to this CID's digest? A read checks every
+        block with this, so the sha2-256 case is one direct ``hashlib``
+        call (still a ``crypto.hash`` frame with its byte count)."""
+        if self.multihash.code != CODE_SHA2_256:
+            return self.multihash.matches(data)
+        with profiled("crypto.hash", n_bytes=len(data)):
+            return hashlib.sha256(data).digest() == self.multihash.digest

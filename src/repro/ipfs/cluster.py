@@ -166,14 +166,15 @@ class IpfsCluster:
             sp.set_attr("providers", len(providers))
             return providers
 
-    def cat(self, cid: CID, node: str | None = None, verify_leaves: bool = True) -> bytes:
+    def cat(self, cid: CID, node: str | None = None) -> bytes:
         """Read a file from any node, discovering providers via the DHT.
 
         If the DHT-advertised providers can't serve every block (crashed
         node, stale provider record), the read fails over to the online
-        nodes that actually hold the complete file. Blocks pulled from a
-        peer are checked in bitswap; local leaves are re-hashed unless
-        ``verify_leaves`` is False (see :meth:`UnixFS.read_file`)."""
+        nodes that actually hold the complete file. Every block under
+        ``cid`` is hashed against the CID that names it (see
+        :meth:`UnixFS.read_file`); a block pulled from a peer is also
+        checked in bitswap."""
         with obs_span("ipfs.cat") as sp:
             reader = self.node(node)
             if not reader.online:
@@ -181,14 +182,14 @@ class IpfsCluster:
             sp.set_attr("node", reader.peer_id)
             if reader.has_local(cid):
                 try:
-                    return reader.cat_local(cid, verify_leaves)
+                    return reader.cat_local(cid)
                 except StorageError:
                     # Partial local copy: fall through to the remote path.
                     sp.set_attr("partial_local", True)
                     get_registry().counter("ipfs_partial_local_total").inc()
             providers = self.providers_for(cid, reader.peer_id)
             try:
-                return reader.cat(cid, providers=providers, verify_leaves=verify_leaves)
+                return reader.cat(cid, providers=providers)
             except BlockNotFoundError:
                 # Stale-provider recovery: only content that *was* announced
                 # may fall over to replicas — unannounced content stays
@@ -209,7 +210,7 @@ class IpfsCluster:
                     "ipfs_failover_total", {"op": "cat_providers"}
                 ).inc()
                 sp.set_attr("failover_providers", len(fallback))
-                return reader.cat(cid, providers=fallback, verify_leaves=verify_leaves)
+                return reader.cat(cid, providers=fallback)
 
     def quarantine(self, cid: CID) -> int:
         """Delete locally-stored blocks under ``cid`` whose bytes no longer

@@ -64,10 +64,10 @@ class IpfsNode:
                 self.pins.pin(result.cid, recursive=True)
             return result
 
-    def cat_local(self, cid: CID, verify_leaves: bool = True) -> bytes:
-        """Read a file using only local blocks (raises if any is missing);
-        ``verify_leaves`` as in :meth:`UnixFS.read_file`."""
-        return self.unixfs.read_file(cid, verify_leaves)
+    def cat_local(self, cid: CID) -> bytes:
+        """Read a file using only local blocks, each hashed against its CID
+        (raises if any is missing or fails)."""
+        return self.unixfs.read_file(cid)
 
     def has_local(self, cid: CID) -> bool:
         return self.blockstore.has(cid)
@@ -100,27 +100,26 @@ class IpfsNode:
         cid: CID,
         providers: list[str] | None = None,
         on_transfer=None,
-        verify_leaves: bool = True,
     ) -> bytes:
         """Read a file, fetching any missing blocks from ``providers``.
 
         Traverses the DAG top-down: interior nodes are fetched first, then
         their children, so only the blocks of *this* file move. A fetched
-        block is checked in bitswap either way; ``verify_leaves`` is as in
-        :meth:`UnixFS.read_file`.
+        block is checked in bitswap before it is stored, and the read then
+        checks every block as :meth:`UnixFS.read_file` does.
         """
         providers = providers or []
         with obs_span("ipfs.node.cat") as sp:
             sp.set_attr("peer", self.peer_id)
             try:
-                data = self.cat_local(cid, verify_leaves)
+                data = self.cat_local(cid)
                 sp.set_attr("remote", False)
                 return data
             except BlockNotFoundError:
                 pass
             sp.set_attr("remote", True)
             self._ensure_subtree(cid, providers, on_transfer)
-            return self.cat_local(cid, verify_leaves)
+            return self.cat_local(cid)
 
     def _ensure_subtree(self, cid: CID, providers: list[str], on_transfer) -> None:
         self.fetch_block(cid, providers, on_transfer)

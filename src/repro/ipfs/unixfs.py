@@ -3,9 +3,11 @@
 ``add_file`` chunks the payload, stores each chunk as a raw leaf block, and
 builds a fan-out tree of DAG nodes bottom-up (default fan-out 174, matching
 go-ipfs); a single-chunk file is stored as one raw block with no envelope,
-exactly as IPFS does. ``read_file`` walks the tree in order, verifying every
-leaf hash unless its caller verifies the whole payload, and reassembles the
-bytes.
+exactly as IPFS does. ``read_file`` walks the tree in order, hashing every
+block it reads — the root, each interior node and each leaf — against the CID
+that names it, and reassembles the bytes. There is no unverified read: the
+CID is the on-chain commitment to the payload, so a read that returns bytes
+has proven them against it, one hash per block.
 
 Each payload byte is copied at most once: the leaves of a file added here
 are views of its payload (a mutable input is frozen into ``bytes`` first),
@@ -101,32 +103,29 @@ class UnixFS:
 
     # -- read path -----------------------------------------------------------
 
-    def read_file(self, root: CID, verify_leaves: bool = True) -> bytes:
-        """Reassemble a file from its root CID.
-
-        Every leaf is re-hashed against its CID (a rotted one raises
-        :class:`~repro.errors.DagError`) unless ``verify_leaves`` is False.
-        Pass False only when the caller checks the whole payload against a
-        digest of its own, so each byte is hashed once either way."""
+    def read_file(self, root: CID) -> bytes:
+        """Reassemble a file from its root CID, hashing every block against
+        the CID that names it: a rotted or substituted block, interior or
+        leaf, raises :class:`~repro.errors.DagError`."""
         parts: list[bytes | memoryview] = []
         with profiled("ipfs.read") as pf:
-            self._read_into(root, parts, verify_leaves)
+            self._read_into(root, parts)
             data = b"".join(parts)  # a lone ``bytes`` leaf comes back as is
             pf.add_bytes(len(data))
         return data
 
-    def _read_into(self, cid: CID, out: list, verify_leaves: bool) -> None:
-        if cid.codec == CODEC_DAG_JSON:
-            node = self.dag.get(cid)
-            if node.data != _FILE_NODE_DATA:
-                raise DagError(f"{cid} is not a UnixFS file node")
-            for link in node.links:
-                self._read_into(link.cid, out, verify_leaves)
-        else:
-            block = self.blockstore.get(cid)
-            if verify_leaves and not cid.verifies(block.data):
-                raise DagError(f"leaf block {cid} failed verification")
-            out.append(block.data)
+    def _read_into(self, cid: CID, out: list) -> None:
+        data = self.blockstore.get(cid).data
+        if not cid.verifies(data):
+            raise DagError(f"block {cid} failed verification")
+        if cid.codec != CODEC_DAG_JSON:
+            out.append(data)
+            return
+        node = DagNode.deserialize(data)
+        if node.data != _FILE_NODE_DATA:
+            raise DagError(f"{cid} is not a UnixFS file node")
+        for link in node.links:
+            self._read_into(link.cid, out)
 
     def leaf_cids(self, root: CID) -> list[CID]:
         """CIDs of the raw chunks, in file order."""

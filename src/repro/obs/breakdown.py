@@ -74,7 +74,6 @@ STAGE_LABELS = {
     "ipfs.cat": "off-chain fetch",
     "ipfs.dht.providers": "dht resolve",
     "ipfs.node.cat": "off-chain fetch",
-    "query.verify": "integrity verify",
     "retrieve.provenance": "provenance",
     # resilience (both paths; cheap and usually absent when healthy)
     "resilience.retry": "retry backoff",

@@ -6,12 +6,11 @@ executor* (a read of a peer's world state — no ordering, no consensus
 cost, no signed proposal) and, when raw data is requested, the CID part to
 the *database query executor* (an IPFS fetch). Every fetched payload is
 verified against the on-chain record — the "verification of retrieved data
-against its metadata stored on the blockchain" the paper guarantees — and
-each byte is hashed once for it: the stored SHA-256 ``data_hash`` must
-match the bytes, and only a read with nothing to compare against
-(``verify=False``, or a record without ``data_hash``) re-hashes every leaf
-against its CID instead. Bytes that arrive from another IPFS node are
-checked against their CID in bitswap before they are stored.
+against its metadata stored on the blockchain" the paper guarantees — by its
+CID, the record's one commitment to the bytes: the IPFS read hashes each
+block under it (root, interior nodes, leaves) once against the CID that
+names it. Bytes that arrive from another IPFS node are also checked against
+their CID in bitswap before they are stored.
 
 :meth:`QueryEngine.get` is the point read: one world-state lookup on the
 same reference peer as the query routes below, with the chaincode's
@@ -40,7 +39,6 @@ window's residual runs on its edge buckets' rows only.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import sys
 import threading
@@ -48,12 +46,11 @@ from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.crypto.cid import CID
-from repro.errors import EncodingError, IntegrityError, QueryError
+from repro.errors import EncodingError, QueryError
 from repro.fabric.channel import Channel
 from repro.fabric.identity import Identity
 from repro.ipfs.cluster import IpfsCluster
 from repro.obs.metrics import get_registry
-from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
 from repro.query.ast import Query
 from repro.query.parser import parse_query
@@ -76,10 +73,9 @@ class QueryRow:
     changing it (under the ``index`` sanitizer SAN309 reports a mutated
     record on the next query that returns it).
 
-    ``verified`` is only True when the fetched bytes were actually checked
-    against an on-chain ``data_hash`` — a record with no stored hash comes
-    back ``verified=False`` even under ``verify=True``, never silently
-    passing (its leaves were still checked against their CIDs).
+    ``verified`` is True when bytes were fetched under ``verify=True``:
+    every block under the record's CID was hashed against the CID that
+    names it, so the bytes are proven to match the on-chain commitment.
     """
 
     record: dict
@@ -103,7 +99,6 @@ class QueryStats:
     rows_returned: int = 0
     records_decoded: int = 0  # JSON decodes on the state routes (a reuse is none)
     bytes_fetched: int = 0
-    integrity_checks: int = 0
     # Always 0 (there is no result cache); read by name by the e2e harness.
     cache_hits: int = 0
     cache_evictions: int = 0
@@ -479,19 +474,15 @@ class QueryEngine:
     ) -> tuple[bytes, bool]:
         """Fetch a record's bytes and report whether integrity was *proven*.
 
-        Returns ``(data, verified)``. ``verified`` is True only when the
-        record carried an on-chain ``data_hash`` and the bytes matched it;
-        a record with no stored hash yields ``verified=False`` rather than
-        pretending the check passed. A hash mismatch raises
-        :class:`~repro.errors.IntegrityError`. A missing *or malformed*
+        Returns ``(data, verified)``. The record's ``cid`` is the on-chain
+        commitment: the IPFS read hashes every block under it — root,
+        interior nodes and leaves — against the CID that names it, so bytes
+        come back only when they match, and ``verified`` is True unless the
+        caller passed ``verify=False``, which withholds the claim (the read
+        checks the same blocks either way). A rotted or substituted block
+        raises :class:`~repro.errors.DagError`. A missing *or malformed*
         ``cid`` field raises a typed :class:`~repro.errors.QueryError`
         (never a raw parse exception).
-
-        Each byte is hashed once: when the bytes will be checked against
-        ``data_hash``, the IPFS read skips its per-leaf CID re-hash (rot
-        then surfaces here, as the mismatch); otherwise every leaf is
-        checked against its CID. Bytes pulled from another node are checked
-        in bitswap either way.
         """
         with obs_span("query.fetch") as sp:
             try:
@@ -505,27 +496,8 @@ class QueryEngine:
                     f"record for entry {record.get('entry_id')!r} has a "
                     f"malformed CID: {exc}"
                 ) from exc
-            stored_hash = record.get("data_hash") if verify else None
-            data = self.cluster.cat(cid, verify_leaves=stored_hash is None)
+            data = self.cluster.cat(cid)
             sp.set_attr("bytes", len(data))
             with self._stats_lock:
                 self.stats.bytes_fetched += len(data)
-            if not verify:
-                return data, False
-            with obs_span("query.verify") as vsp:
-                if stored_hash is None:
-                    # Nothing on-chain to verify against: the CID check
-                    # (content addressing) ran, but the paper's metadata
-                    # cross-check could not — surface that honestly.
-                    vsp.set_attr("missing_data_hash", True)
-                    return data, False
-                with self._stats_lock:
-                    self.stats.integrity_checks += 1
-                with profiled("crypto.hash", n_bytes=len(data)):
-                    actual = hashlib.sha256(data).hexdigest()
-                if actual != stored_hash:
-                    raise IntegrityError(
-                        f"data for entry {record.get('entry_id')} does not match the "
-                        f"on-chain hash (expected {stored_hash[:12]}…, got {actual[:12]}…)"
-                    )
-                return data, True
+            return data, verify

@@ -1,8 +1,10 @@
 """``parallel_map``: an ordered, serial map — one thread of control.
 
-The name survives the thread pool it once fronted because the e2e harness
-(``benchmarks/e2e/tracing.py``) wraps ``repro.core.ingest.parallel_map`` to
-attribute the ``ingest.hash_payloads`` span; renaming is a benchmark change.
+Nothing calls it. ``repro.core.ingest`` still imports the name because the
+e2e harness (``benchmarks/e2e/tracing.py``) wraps
+``repro.core.ingest.parallel_map`` for an ``ingest.hash_payloads`` span,
+which stays empty: batch ingestion hashes payloads only inside IPFS. The
+module goes when the harness stops wrapping the name, a benchmark change.
 """
 
 

@@ -9,6 +9,10 @@ writer, verbatim in behaviour. :func:`replay` runs every committed
 through them, with each transaction's own tx id, creator and timestamp, so
 :func:`lineage` and :func:`verify` answer what the former code would have
 answered for the same history.
+
+A store now sends ``(cid, metadata_json)`` and no payload hash: the writer
+is handed, as the ``data_hash`` its ``captured`` event records, the hex
+digest of the CID's multihash — the value the record's built event carries.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.crypto.cid import CID
 from repro.errors import ChaincodeError
 from repro.fabric import audit
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
@@ -34,7 +39,7 @@ def _entry_hash(entry: dict) -> str:
 class OracleDataUpload(Chaincode):
     name = "data_upload"
 
-    def add_data(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
+    def add_data(self, stub: ChaincodeStub, cid: str, metadata_json: str):
         metadata = json.loads(metadata_json)
         entry_id = stub.get_tx_id()
         key = "data:" + entry_id
@@ -43,7 +48,6 @@ class OracleDataUpload(Chaincode):
         record = {
             "entry_id": entry_id,
             "cid": cid,
-            "data_hash": data_hash,
             "metadata": metadata,
             "source_id": metadata.get("source_id", stub.get_creator().name),
             "created_at": isoformat(stub.get_timestamp()),
@@ -53,8 +57,9 @@ class OracleDataUpload(Chaincode):
         stub.put_state(key, canonical_json(record))
         return {"entry_id": entry_id, "cid": cid}
 
-    def store(self, stub: ChaincodeStub, cid: str, data_hash: str, metadata_json: str):
-        result = self.add_data(stub, cid, data_hash, metadata_json)
+    def store(self, stub: ChaincodeStub, cid: str, metadata_json: str):
+        result = self.add_data(stub, cid, metadata_json)
+        data_hash = CID.parse(cid).multihash.digest.hex()
         actor = stub.get_creator().name
         for action, details in (("captured", {"data_hash": data_hash}), ("stored", {"cid": cid})):
             stub.invoke_chaincode(

@@ -9,7 +9,7 @@ contract (one PBFT instance per cut block, per-transaction verdicts).
 import pytest
 
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
-from repro.errors import UntrustedSourceError
+from repro.errors import DagError, UntrustedSourceError
 from repro.fabric import BftOrderer
 from repro.trust import SourceTier
 from repro.workloads.traffic import IngestItem
@@ -209,16 +209,21 @@ class TestMidQueryCommit:
 
 
 class TestVerifiedFlag:
-    def test_missing_data_hash_is_unverified(self):
+    def test_a_record_is_verified_by_its_cid_alone(self):
+        """The CID is the one commitment: a record that carries nothing else
+        reads back verified, and a payload rotted under it never does."""
         framework = make_framework()
         client = Client(framework, framework.register_source("vf-cam", tier=SourceTier.TRUSTED))
-        add_result = framework.ipfs.add(b"unverifiable-bytes")
-        record = {"entry_id": "synthetic", "cid": add_result.cid.encode()}
+        cid = framework.ipfs.add(b"committed-bytes").cid
+        record = {"entry_id": "synthetic", "cid": cid.encode()}
         data, verified = client.engine.fetch_payload_verified(record)
-        assert data == b"unverifiable-bytes"
-        assert verified is False
+        assert data == b"committed-bytes"
+        assert verified is True
+        framework.ipfs.node("ipfs-0").blockstore.corrupt(cid, b"other-bytes")
+        with pytest.raises(DagError):
+            client.engine.fetch_payload_verified(record)
 
-    def test_present_data_hash_is_verified(self):
+    def test_a_stored_entry_reads_back_verified(self):
         framework = make_framework()
         identity = framework.register_source("vf2-cam", tier=SourceTier.TRUSTED)
         client = Client(framework, identity)

@@ -1,11 +1,13 @@
 """Tests for the paper's chaincodes, run through a real channel."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.cid import CID
 from repro.errors import ChaincodeError
 from repro.chaincodes import (
     AdminEnrollmentChaincode,
@@ -159,10 +161,14 @@ META = {
 }
 
 
-def upload(channel, client, cid="bafyfake", data_hash="0" * 64, meta=None):
+PAYLOAD = b"chaincode test payload"
+CID_A = CID.for_data(PAYLOAD).encode()
+CID_B = CID.for_data(b"another payload").encode()
+
+
+def upload(channel, client, cid=CID_A, meta=None):
     result = channel.invoke(
-        client, "data_upload", "store",
-        [cid, data_hash, json.dumps(meta or META)],
+        client, "data_upload", "store", [cid, json.dumps(meta or META)],
     )
     return json.loads(result.response)["entry_id"]
 
@@ -172,14 +178,15 @@ class TestDataUploadRetrieval:
         _, channel, client = env
         entry_id = upload(channel, client)
         record = q(channel, client, "data_retrieval", "get_data", [entry_id])
-        assert record["cid"] == "bafyfake"
+        assert record["cid"] == CID_A
+        assert "data_hash" not in record  # the CID is the one commitment
         assert record["metadata"]["camera_id"] == "cam-7"
         assert record["source_id"] == "cam-7"
 
     def test_get_cid(self, env):
         _, channel, client = env
-        entry_id = upload(channel, client, cid="bafyXYZ")
-        assert q(channel, client, "data_retrieval", "get_cid", [entry_id]) == "bafyXYZ"
+        entry_id = upload(channel, client, cid=CID_B)
+        assert q(channel, client, "data_retrieval", "get_cid", [entry_id]) == CID_B
 
     def test_missing_entry_raises_paper_message(self, env):
         _, channel, client = env
@@ -189,14 +196,17 @@ class TestDataUploadRetrieval:
     def test_invalid_metadata_rejected(self, env):
         _, channel, client = env
         with pytest.raises(ChaincodeError, match="not valid JSON"):
-            channel.invoke(client, "data_upload", "store", ["cid", "0" * 64, "{bad"])
+            channel.invoke(client, "data_upload", "store", [CID_A, "{bad"])
         with pytest.raises(ChaincodeError, match="JSON object"):
-            channel.invoke(client, "data_upload", "store", ["cid", "0" * 64, "[1]"])
+            channel.invoke(client, "data_upload", "store", [CID_A, "[1]"])
 
-    def test_bad_hash_rejected(self, env):
+    def test_bad_cid_rejected(self, env):
         _, channel, client = env
-        with pytest.raises(ChaincodeError, match="sha-256"):
-            channel.invoke(client, "data_upload", "store", ["cid", "zz", "{}"])
+        height = channel.height()
+        for cid in ("", "cid", "bafyfake", CID_A[:-2], "Qm" + "1" * 44):
+            with pytest.raises(ChaincodeError, match="is not a CID"):
+                channel.invoke(client, "data_upload", "store", [cid, "{}"])
+        assert channel.height() == height
 
     # The contracts keep no secondary index: a "list by" is the retrieval
     # contract's list_all full scan filtered by the query (QueryEngine.scan).
@@ -249,17 +259,17 @@ class TestAtomicStore:
     def test_store_writes_record_and_trail_in_one_transaction(self, env):
         _, channel, client = env
         height = channel.height()
-        result = channel.invoke(
-            client, "data_upload", "store", ["bafyfake", "ab" * 32, json.dumps(META)]
-        )
+        result = channel.invoke(client, "data_upload", "store", [CID_A, json.dumps(META)])
         assert result.ok and channel.height() == height + 1
         entry_id = json.loads(result.response)["entry_id"]
         assert entry_id == result.tx_id
-        assert q(channel, client, "data_retrieval", "get_cid", [entry_id]) == "bafyfake"
+        assert q(channel, client, "data_retrieval", "get_cid", [entry_id]) == CID_A
         chain = q(channel, client, "provenance", "lineage", [entry_id])
+        # ``captured`` carries the CID's digest: for a raw one-chunk CID,
+        # the payload's sha-256.
         assert [(e["action"], e["actor"], e["details"]) for e in chain] == [
-            ("captured", "client", {"data_hash": "ab" * 32}),
-            ("stored", "client", {"cid": "bafyfake"}),
+            ("captured", "client", {"data_hash": hashlib.sha256(PAYLOAD).hexdigest()}),
+            ("stored", "client", {"cid": CID_A}),
         ]
         assert {e["tx_id"] for e in chain} == {result.tx_id}
         assert q(channel, client, "provenance", "verify", [entry_id])["length"] == 2
@@ -267,8 +277,8 @@ class TestAtomicStore:
     @pytest.mark.parametrize(
         "args,match",
         [
-            (["bafyfake", "ab" * 32, "{bad"], "not valid JSON"),
-            (["", "ab" * 32, "{}"], "cid must be non-empty"),
+            ([CID_A, "{bad"], "not valid JSON"),
+            (["", "{}"], "is not a CID"),
             (None, "already exists"),
         ],
         ids=["bad-json", "no-cid", "duplicate"],
@@ -280,7 +290,7 @@ class TestAtomicStore:
             # function refuses it after reading the record it would clobber.
             existing = upload(channel, client)
             monkeypatch.setattr(ChaincodeStub, "get_tx_id", lambda stub: existing)
-            args = ["bafyother", "cd" * 32, json.dumps(META)]
+            args = [CID_B, json.dumps(META)]
         before = {name: dict(peer.world.range()) for name, peer in channel.peers.items()}
         height = channel.height()
         with pytest.raises(ChaincodeError, match=match):

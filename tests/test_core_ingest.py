@@ -1,8 +1,13 @@
 """Tests for batched ingestion."""
 
+import hashlib
+
 import pytest
 
+from repro import obs
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
+from repro.crypto import hashing
+from repro.crypto.cid import CID
 from repro.errors import UntrustedSourceError
 from repro.trust import SourceTier
 from repro.util.rng import rng_for
@@ -153,8 +158,9 @@ class TestBatchIngestor:
 
 class TestOneRecordShape:
     """``Client.submit`` and ``BatchIngestor.ingest`` send the same store:
-    the payload hash is the record's top-level ``data_hash``, never copied
-    into the metadata, while a caller's own metadata is kept as given."""
+    the payload's CID is the record's one commitment (no payload hash is
+    stored, in the record or its metadata), while a caller's own metadata is
+    kept as given."""
 
     @staticmethod
     def stored_metadata(metadata):
@@ -168,7 +174,8 @@ class TestOneRecordShape:
             [IngestItem("cam-shape", b"same shape" * 20, dict(metadata), None)]
         ).entry_ids
         records = [client.get_metadata(submitted.entry_id), client.get_metadata(ingested)]
-        assert [r["data_hash"] for r in records] == [submitted.data_hash] * 2
+        assert [r["cid"] for r in records] == [submitted.cid] * 2
+        assert not any("data_hash" in r for r in records)
         return [r["metadata"] for r in records]
 
     def test_submit_and_ingest_store_equal_metadata(self):
@@ -181,3 +188,58 @@ class TestOneRecordShape:
         own = {"timestamp": 1.0, "data_hash": "ab" * 32}
         submitted, ingested = self.stored_metadata(own)
         assert submitted == ingested == dict(own, source_id="cam-shape")
+
+
+class TestEachPayloadByteHashedOnce:
+    """IPFS hashes every chunk to build the CID, and the CID is what the
+    store sends: a batch takes no second digest of its payloads."""
+
+    @staticmethod
+    def counting_sha256(monkeypatch):
+        """Counts every byte handed to sha-256, whether through ``hashlib``
+        or the profiled ``repro.crypto.hashing`` helpers."""
+        counted = [0]
+        real = hashlib.sha256
+
+        def sha256(data=b"", **kwargs):
+            counted[0] += memoryview(data).nbytes
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        monkeypatch.setitem(hashing._ALGOS, hashing.SHA2_256, sha256)
+        return counted
+
+    def test_a_batch_of_large_payloads_hashes_each_byte_once(self, monkeypatch):
+        framework = Framework(FrameworkConfig(max_batch_size=16))
+        ingestor = BatchIngestor(framework)
+        ingestor.register(framework.register_source("cam-big", tier=SourceTier.TRUSTED))
+        rng = rng_for(11, "hash-once")
+        items = [
+            IngestItem("cam-big", rng.bytes(2 << 20), {"timestamp": float(i)}, None)
+            for i in range(16)
+        ]
+        payload_bytes = sum(len(item.payload) for item in items)
+        counted = self.counting_sha256(monkeypatch)
+        with obs.profiling() as profiler:
+            report = ingestor.ingest(items)
+        assert report.committed == 16
+        under_crypto = sum(
+            s.n_bytes for s in profiler.center_stats() if s.center.startswith("crypto.")
+        )
+        assert payload_bytes <= under_crypto <= 1.01 * payload_bytes
+        assert payload_bytes <= counted[0] <= 1.01 * payload_bytes
+
+    def test_a_multi_leaf_submit_sends_the_cid_and_receipts_the_sha256(self):
+        framework = make_framework(batch=1)
+        client = Client(framework, framework.register_source("cam-4", tier=SourceTier.TRUSTED))
+        data = rng_for(12, "four-leaves").bytes(256 * 1024)  # four 64 KiB chunks
+        receipt = client.submit(data, {"timestamp": 1.0})
+        assert receipt.ok
+        assert receipt.data_hash == hashlib.sha256(data).hexdigest()
+        assert len(framework.ipfs.node().unixfs.leaf_cids(CID.parse(receipt.cid))) == 4
+        peer = next(iter(framework.channel.peers.values()))
+        (tx,) = [
+            tx for tx in peer.ledger.blocks()[-1].transactions if tx.proposal.fn == "store"
+        ]
+        assert list(tx.proposal.args)[0] == receipt.cid and len(tx.proposal.args) == 2
+        assert client.get_metadata(receipt.entry_id)["cid"] == receipt.cid

@@ -51,7 +51,7 @@ class TestStoreRetrieve:
         assert bft_framework.ipfs.cat(CID.parse(receipt.cid)) == b"hybrid-split"
         # On-chain: no peer's world state holds the raw bytes, only metadata.
         record = client.get_metadata(receipt.entry_id)
-        assert record["data_hash"] == receipt.data_hash
+        assert record["cid"] == receipt.cid and "data_hash" not in record
         for peer in bft_framework.channel.peers.values():
             for key, value in peer.world.range():
                 assert b"hybrid-split" not in value

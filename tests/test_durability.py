@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.runtime import Sanitizer
 from repro.core import Framework, FrameworkConfig
+from repro.crypto.cid import CID
 from repro.errors import DurabilityError, RecoveryError
 from repro.fabric.snapshot import SnapshotDelta, states_agree
 from repro.fabric.tx import ValidationCode
@@ -355,7 +356,7 @@ class TestCheckpointCost:
                 for i in range(start, start + 8):
                     channel.invoke(
                         identity, "data_upload", "store",
-                        [f"cid-{i}", "a" * 64, "{}"],
+                        [CID.for_data(b"%d" % i).encode(), "{}"],
                     )
 
             commit_eight_blocks(0)

@@ -80,15 +80,15 @@ class TestAddCopiesNothing:
         buf = bytearray(original)
         cid = fs.add_file(buf).cid
         buf[:] = bytes(size)
-        assert fs.read_file(cid, verify_leaves=True) == original
+        assert fs.read_file(cid) == original
 
 
 class TestReadJoinsOnce:
     def test_read_peaks_at_one_copy(self):
         fs = make_fs()
         cid = fs.add_file(BIG).cid
-        fs.read_file(cid, verify_leaves=False)  # warm lazily built state
-        out, _, peak = traced(lambda: fs.read_file(cid, verify_leaves=False))
+        fs.read_file(cid)  # warm lazily built state
+        out, _, peak = traced(lambda: fs.read_file(cid))
         assert out == BIG and type(out) is bytes
         assert peak <= len(BIG) + CHUNK
 
@@ -107,7 +107,7 @@ class TestRotOfAViewIsCaught:
         leaf = fs.leaf_cids(cid)[3]
         fs.blockstore.corrupt(leaf, rot(fs.blockstore.get(leaf).data))
         with pytest.raises(DagError):
-            fs.read_file(cid, verify_leaves=True)
+            fs.read_file(cid)
 
     def test_restart_rehash_drops_the_rotted_leaf(self):
         cluster = IpfsCluster(n_nodes=2, chunker=FixedSizeChunker(CHUNK))

@@ -99,8 +99,7 @@ class TestRetrievalSpanTree:
             "query.get",
             "fabric.query",
             "query.fetch",
-            "ipfs.cat",
-            "query.verify",
+            "ipfs.cat",  # hashes every block against the record's CID
             "retrieve.provenance",
         ):
             assert required in names, f"missing {required} under client.retrieve"
@@ -164,7 +163,9 @@ class TestBreakdown:
     def test_retrieval_reports_paper_stages(self, traced_run):
         bd = obs.pipeline_breakdown(traced_run)["retrieval"]
         stages = {s.stage for s in bd.stages}
-        for expected in ("on-chain read", "off-chain fetch", "integrity verify"):
+        # Verification has no stage of its own: the off-chain fetch hashes
+        # each block against the record's CID as it reads it.
+        for expected in ("acl check", "on-chain read", "off-chain fetch"):
             assert expected in stages
 
     def test_shares_are_fractions_of_wall(self, traced_run):

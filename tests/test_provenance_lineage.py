@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
 from repro.core.archive import export_bundle, import_bundle
+from repro.crypto.cid import CID
 from repro.errors import ChaincodeError
 from repro.obs.explorer import LedgerExplorer
 from repro.trust import SourceTier
@@ -24,6 +25,8 @@ from repro.workloads.traffic import IngestItem
 from tests import provenance_oracle as oracle
 
 META = {"timestamp": 7.0, "camera_id": "lineage-cam", "detections": []}
+# A record field each built event depends on, and a well-formed forgery of it.
+DOCTORED = {"cid": CID.for_data(b"doctored evidence").encode(), "uploader": "impostor"}
 
 
 @pytest.fixture()
@@ -139,7 +142,7 @@ class TestADoctoredRecord:
         key = "data:" + entry_id
         for peer in framework.channel.peers.values():
             record = json.loads(peer.world.get(key))
-            record[field] = "f" * 64 if field == "data_hash" else "bafy-doctored"
+            record[field] = DOCTORED[field]
             peer.world._values[key] = json.dumps(record).encode()
 
     @staticmethod
@@ -147,7 +150,7 @@ class TestADoctoredRecord:
         report = LedgerExplorer(framework.channel).audit_chain(offchain=False)
         return [f for f in report.findings if f.check == "state_replay"]
 
-    @pytest.mark.parametrize("field", ["cid", "data_hash"])
+    @pytest.mark.parametrize("field", sorted(DOCTORED))
     def test_verify_fails_once_an_accessed_event_chained_on_it(self, deployment, field):
         framework, client = deployment
         entry_id = client.submit(b"evidence" * 40, dict(META)).entry_id
@@ -158,7 +161,7 @@ class TestADoctoredRecord:
             client.verify_provenance(entry_id)
         assert self.state_replay_findings(framework)
 
-    @pytest.mark.parametrize("field", ["cid", "data_hash"])
+    @pytest.mark.parametrize("field", sorted(DOCTORED))
     def test_the_audit_reports_it_before_any_event_chained_on_it(self, deployment, field):
         framework, client = deployment
         entry_id = client.submit(b"evidence" * 40, dict(META)).entry_id

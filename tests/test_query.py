@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Client, Framework, FrameworkConfig
-from repro.errors import IntegrityError, QueryParseError
+from repro.crypto.cid import CID
+from repro.errors import DagError, QueryParseError
 from repro.query import Compare, IndexRoute, InSet, Query, parse_query, plan_query
 from repro.query.ast import And, Not, Or, TrueExpr, get_path
 from repro.trust import SourceTier
@@ -228,8 +229,12 @@ class TestExecution:
         framework, cam, receipts = populated
         entry_id = receipts[b"frame-1"].entry_id
         record = dict(cam.get_metadata(entry_id))
-        record["data_hash"] = "0" * 64  # claim a different payload
-        with pytest.raises(IntegrityError):
+        cid = framework.ipfs.add(b"evidence that will rot").cid
+        record["cid"] = cid.encode()
+        for node in framework.ipfs.nodes.values():
+            if node.has_local(cid):
+                node.blockstore.corrupt(cid, b"other bytes")  # not what the CID names
+        with pytest.raises(DagError):
             cam.engine.fetch_payload(record)
 
     def test_stats_accumulate(self, populated):
@@ -268,7 +273,7 @@ def _store_bulk(channel, identity):
         }
         channel.invoke_async(
             identity, "data_upload", "store",
-            [f"bafy-bulk-{i}", "0" * 64, canonical_json(meta).decode()],
+            [CID.for_data(b"bulk-%d" % i).encode(), canonical_json(meta).decode()],
         )
     channel.flush()
 
@@ -527,7 +532,7 @@ def windowed():
         }
         framework.channel.invoke_async(
             client.identity, "data_upload", "store",
-            [f"bafy-win-{i}", "0" * 64, canonical_json(meta).decode()],
+            [CID.for_data(b"win-%d" % i).encode(), canonical_json(meta).decode()],
         )
     framework.channel.flush()
     return framework, client.engine

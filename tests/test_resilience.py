@@ -4,6 +4,7 @@ integration into the framework's submit path."""
 import pytest
 
 from repro.core import Framework, FrameworkConfig
+from repro.crypto.cid import CID
 from repro.errors import (
     ChaincodeNotFoundError,
     CircuitOpenError,
@@ -242,7 +243,7 @@ class TestResilientInvoke:
 
         monkeypatch.setattr(framework.channel, "invoke", conflicted)
         result = framework.resilient_invoke(
-            identity, "data_upload", "store", ["cid1", "a" * 64, "{}"],
+            identity, "data_upload", "store", [CID.for_data(b"cid1").encode(), "{}"],
         )
         assert result.ok
         counters = get_registry().snapshot()["counters"]

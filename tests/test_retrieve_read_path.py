@@ -1,22 +1,23 @@
-"""The Fig. 6 read path costs one world-state read and one hash per byte.
+"""The Fig. 6 read path costs one world-state read and one hash per block.
 
 ``QueryEngine.get`` reads the reference peer's world state (no signed
-proposal), with the chaincode's ``get_data`` as fallback and oracle; a
-payload checked against its on-chain ``data_hash`` skips the per-leaf CID
-re-hash, while every read with nothing to compare against keeps it.
+proposal), with the chaincode's ``get_data`` as fallback and oracle; the
+record's CID is the one on-chain commitment, and every read hashes each block
+under it — root, interior nodes, leaves — once against the CID that names it.
 """
 
-import hashlib
 import json
 
 import pytest
 
 from repro import obs
-from repro.core import Client, Framework, FrameworkConfig
+from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
 from repro.crypto.cid import CID
+from repro.ipfs.dag import DagNode, DagService
 from repro.errors import ChaincodeError, DagError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.trust import SourceTier
+from repro.workloads.traffic import IngestItem
 
 META = {
     "timestamp": 100.0,
@@ -47,6 +48,12 @@ def site():
         assert receipt.ok
         stored[receipt.entry_id] = data
     return framework, client, stored
+
+
+def block_bytes(framework, cid: str, node: str = "ipfs-0") -> int:
+    """Bytes of every block under ``cid``: its leaves and interior nodes."""
+    blockstore = framework.ipfs.node(node).blockstore
+    return sum(len(blockstore.get(c).data) for c, _ in DagService(blockstore).walk(CID.parse(cid)))
 
 
 def hashed_bytes(call):
@@ -123,11 +130,11 @@ class TestGetReadsWorldState:
 class TestEachByteHashedOnce:
     @pytest.mark.parametrize("size", [SMALL, LARGE])
     def test_checked_local_read_hashes_each_byte_once(self, site, size):
-        _, client, stored = site
+        framework, client, stored = site
         entry_id = next(e for e, d in stored.items() if len(d) == size)
         row, n = hashed_bytes(lambda: client.engine.get(entry_id, fetch_data=True))
         assert row.verified and row.data == stored[entry_id]
-        assert n / len(row.data) == 1.0
+        assert n == block_bytes(framework, row.record["cid"])
 
     @pytest.mark.parametrize("size", [SMALL, LARGE])
     def test_bare_cid_read_checks_every_leaf(self, site, size):
@@ -135,55 +142,99 @@ class TestEachByteHashedOnce:
         data = next(d for d in stored.values() if len(d) == size)
         cid = framework.ipfs.add(data).cid  # already stored: the same blocks
         got, n = hashed_bytes(lambda: framework.ipfs.cat(cid))
-        assert got == data and n == len(data)
+        assert got == data and n == block_bytes(framework, cid.encode())
 
     @pytest.mark.parametrize("size", [SMALL, LARGE])
     def test_unverified_read_checks_every_leaf(self, site, size):
-        _, client, stored = site
+        framework, client, stored = site
         entry_id = next(e for e, d in stored.items() if len(d) == size)
         row, n = hashed_bytes(lambda: client.engine.get(entry_id, fetch_data=True, verify=False))
         assert not row.verified and row.data == stored[entry_id]
-        assert n == len(row.data)
+        assert n == block_bytes(framework, row.record["cid"])
 
     @pytest.mark.parametrize("size", [SMALL, LARGE])
-    def test_record_without_data_hash_checks_every_leaf(self, site, size):
-        _, client, stored = site
-        entry_id = next(e for e, d in stored.items() if len(d) == size)
-        record = {k: v for k, v in client.engine.get(entry_id).record.items() if k != "data_hash"}
-        (data, verified), n = hashed_bytes(lambda: client.engine.fetch_payload_verified(record))
-        assert not verified and data == stored[entry_id]
-        assert n == len(data)
-
-    @pytest.mark.parametrize("size", [SMALL, LARGE])
-    def test_remote_read_hashes_in_bitswap_and_against_data_hash(self, size):
+    def test_a_remote_block_is_hashed_twice(self, size):
+        """Once in bitswap before it is stored, once in the read."""
         framework, client = make_site()
         data = payload(size, b"remote-")
         cid = framework.ipfs.add(data, node="ipfs-1").cid
-        record = {
-            "entry_id": "remote",
-            "cid": cid.encode(),
-            "data_hash": hashlib.sha256(data).hexdigest(),
-        }
+        record = {"entry_id": "remote", "cid": cid.encode()}
         assert not framework.ipfs.node("ipfs-0").has_local(cid)
-        # Bitswap also checks the one interior DAG node a multi-chunk file has.
-        interior = 0 if size == SMALL else len(framework.ipfs.node("ipfs-1").blockstore.get(cid))
         (got, verified), n = hashed_bytes(lambda: client.engine.fetch_payload_verified(record))
         assert verified and got == data
-        assert n == 2 * len(data) + interior
+        assert n == 2 * block_bytes(framework, cid.encode(), node="ipfs-1")
 
-    @pytest.mark.parametrize("verify_leaves", [True, False])
-    def test_rotted_leaf_is_caught_either_way(self, verify_leaves):
+    @pytest.mark.parametrize("block", ["leaf", "interior"])
+    def test_a_rotted_block_is_caught(self, block):
         framework, _ = make_site()
         data = payload(LARGE, b"rot-")
         cid = framework.ipfs.add(data).cid
         node = framework.ipfs.node("ipfs-0")
-        leaf = node.unixfs.leaf_cids(cid)[1]
-        node.blockstore.corrupt(leaf, b"rotten")
-        if verify_leaves:
-            with pytest.raises(DagError):
-                node.cat_local(cid)
-        else:  # the caller's whole-payload check is what must notice
-            assert node.cat_local(cid, verify_leaves=False) != data
+        target = node.unixfs.leaf_cids(cid)[1] if block == "leaf" else cid
+        node.blockstore.corrupt(target, b"rotten")
+        with pytest.raises(DagError, match="failed verification"):
+            node.cat_local(cid)
+
+
+class TestADoctoredInteriorNode:
+    """Another file's valid DAG node stored under the root's CID names only
+    valid leaves: a read that checked leaves alone would return the other
+    file's bytes. Every read hashes the root against its CID first."""
+
+    @staticmethod
+    def doctored(framework, cid):
+        """Store another file's root node under ``cid`` on ``ipfs-0``."""
+        node = framework.ipfs.node("ipfs-0")
+        theirs = payload(LARGE, b"theirs-")
+        other = framework.ipfs.add(theirs).cid
+        node.blockstore.corrupt(cid, node.blockstore.get(other).data)
+        # The forged node is well formed, and its leaves all verify.
+        forged = DagNode.deserialize(node.blockstore.get(cid).data)
+        leaves = [node.blockstore.get(link.cid) for link in forged.links]
+        assert all(leaf.cid.verifies(leaf.data) for leaf in leaves)
+        assert b"".join(leaf.data for leaf in leaves) == theirs
+
+    def test_every_read_refuses_it(self):
+        framework, client = make_site()
+        cid = framework.ipfs.add(payload(LARGE, b"mine-")).cid
+        self.doctored(framework, cid)
+        with pytest.raises(DagError, match="failed verification"):
+            framework.ipfs.node("ipfs-0").cat_local(cid)
+        with pytest.raises(DagError, match="failed verification"):
+            framework.ipfs.cat(cid)
+        with pytest.raises(DagError, match="failed verification"):
+            client.engine.fetch_payload_verified({"entry_id": "x", "cid": cid.encode()})
+
+    def test_a_retrieve_never_reads_it_back_verified(self):
+        set_registry(MetricsRegistry())
+        framework, client = make_site()
+        receipt = client.submit(payload(LARGE, b"mine-"), dict(META))
+        self.doctored(framework, CID.parse(receipt.cid))
+        result = client.retrieve(receipt.entry_id)
+        # Quarantined, and no clean copy is left anywhere: metadata only.
+        assert (result.data, result.verified, result.degraded) == (b"", False, True)
+        assert get_registry().snapshot()["counters"]["ipfs_quarantined_blocks_total"] == 1
+
+
+def store_entry(framework, client, path, data):
+    """One entry through ``Client.submit`` or ``BatchIngestor.ingest``."""
+    if path == "submit":
+        receipt = client.submit(data, dict(META))
+        assert receipt.ok
+        return receipt.entry_id
+    ingestor = BatchIngestor(framework)
+    ingestor.register(client.identity)
+    (entry_id,) = ingestor.ingest([IngestItem("rp-cam", data, dict(META), None)]).entry_ids
+    return entry_id
+
+
+HUGE = 2 << 20  # 32 chunks under one interior node
+HEAL_CASES = [
+    (path, size, block)
+    for path in ("submit", "ingest")
+    for size in (SMALL, LARGE, HUGE)
+    for block in (("leaf",) if size == SMALL else ("leaf", "interior"))
+]
 
 
 class TestRotUnderRetrieve:
@@ -199,6 +250,30 @@ class TestRotUnderRetrieve:
         replica.cat(cid, providers=["ipfs-0"])  # a clean copy elsewhere
         reader.blockstore.corrupt(reader.unixfs.leaf_cids(cid)[-1], b"bit rot")
         result = client.retrieve(receipt.entry_id)
+        counters = get_registry().snapshot()["counters"]
+        assert result.verified and not result.degraded and result.data == data
+        assert counters.get("integrity_refetch_total", 0) == 1
+        assert counters.get("ipfs_quarantined_blocks_total", 0) == 1
+
+    @pytest.mark.parametrize(
+        "path,size,block", HEAL_CASES,
+        ids=[f"{path}-{size // 1024}KiB-{block}" for path, size, block in HEAL_CASES],
+    )
+    def test_a_stored_entry_reads_back_verified_and_a_rotted_block_heals_once(
+        self, path, size, block
+    ):
+        set_registry(MetricsRegistry())
+        framework, client = make_site()
+        data = payload(size, f"{path}-{block}-".encode())
+        entry_id = store_entry(framework, client, path, data)
+        first = client.retrieve(entry_id)
+        assert first.verified and first.data == data
+        cid = CID.parse(first.record["cid"])
+        reader, replica = framework.ipfs.node("ipfs-0"), framework.ipfs.node("ipfs-1")
+        replica.cat(cid, providers=["ipfs-0"])  # a clean copy elsewhere
+        target = cid if block == "interior" else reader.unixfs.leaf_cids(cid)[-1]
+        reader.blockstore.corrupt(target, b"bit rot")
+        result = client.retrieve(entry_id)
         counters = get_registry().snapshot()["counters"]
         assert result.verified and not result.degraded and result.data == data
         assert counters.get("integrity_refetch_total", 0) == 1

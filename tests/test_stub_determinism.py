@@ -5,7 +5,6 @@ environment, set-order and float-format values into state writes and the
 chaincode response) and the divergence sanitizer (SAN301) both protect.
 Exercised over the real application chaincodes (data / provenance / trust)."""
 
-import hashlib
 import json
 
 import pytest
@@ -15,10 +14,11 @@ from repro.chaincodes import (
     ProvenanceChaincode,
     TrustScoreChaincode,
 )
+from repro.crypto.cid import CID
 from repro.fabric import FabricNetwork, Role
 from repro.util.serialization import canonical_json
 
-PAYLOAD_HASH = hashlib.sha256(b"frame-bytes").hexdigest()
+PAYLOAD_CID = CID.for_data(b"frame-bytes").encode()
 
 METADATA = json.dumps(
     {
@@ -31,7 +31,7 @@ METADATA = json.dumps(
 )
 
 CASES = [
-    ("data_upload", "store", ["bafy-demo-cid", PAYLOAD_HASH, METADATA]),
+    ("data_upload", "store", [PAYLOAD_CID, METADATA]),
     (
         "provenance",
         "record_many",
