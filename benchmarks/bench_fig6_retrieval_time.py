@@ -92,7 +92,7 @@ def test_fig6_retrieve_1mib_full_path(benchmark):
     receipt = client.submit(data, {"timestamp": 2.0, "detections": []})
 
     def run():
-        return client.engine.get(receipt.entry_id, fetch_data=True, verify=True)
+        return client.engine.get(receipt.entry_id, fetch_data=True)
 
     row = benchmark(run)
     assert row.data == data

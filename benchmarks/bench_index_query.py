@@ -5,7 +5,7 @@ The tentpole acceptance bar for the authenticated secondary index
 sublinear in ledger height while the chaincode full scan grows linearly,
 and the two routes must return byte-identical answers.
 
-Two tiers:
+Two tiers, and the fixed cost in front of them:
 
 * **Synthetic scaling** — world states of growing height (up to 10^5
   records in the full run) with the camera population growing in
@@ -31,6 +31,10 @@ Two tiers:
   ``window_rows_filtered`` (a time window runs its residual on its edge
   buckets' rows only) and ``repeat_records_decoded`` (a repeated query
   decodes nothing, = 0).
+* **Parse + plan** — what every query text pays before it reads a row:
+  ``parse_plan_<shape>_ms`` (TIMING) for the e2e ``eq_hot``, ``eq_adhoc``
+  and ``range`` text shapes. Their exact call counts are gated in
+  ``tests/test_query.py``.
 
 Runnable standalone for CI (``python benchmarks/bench_index_query.py
 --quick``): smaller sizes, same gates, emits ``index_query_quick``.
@@ -288,6 +292,34 @@ def _residual_calls(engine, text: str) -> tuple[int, int]:
     return engine.stats.rows_filtered - filtered, engine.stats.rows_scanned - examined
 
 
+# -- fixed cost: parse + plan ---------------------------------------------------
+
+# The e2e query_static workload's eq_hot, eq_adhoc and range text shapes.
+_PARSE_PLAN_TEXTS = {
+    "eq_hot": "metadata.camera_id = 'cam-003'",
+    "eq_adhoc": f"metadata.camera_id = 'cam-017' AND metadata.timestamp >= {_T0 + 12340}",
+    "range": f"metadata.timestamp >= {_T0 + 12340} AND metadata.timestamp < {_T0 + 15940}",
+}
+PARSE_PLAN_REPEATS = 2000
+
+
+def _parse_plan() -> dict:
+    """``plan_query(parse_query(text))`` per text shape: samples of the mean
+    over a burst, in ms (the ``_ms`` suffix makes the series TIMING)."""
+    from repro.query import parse_query, plan_query
+
+    series = {}
+    for shape, text in _PARSE_PLAN_TEXTS.items():
+        samples = []
+        for _ in range(WRITE_SAMPLES):
+            t0 = time.perf_counter()
+            for _ in range(PARSE_PLAN_REPEATS):
+                plan_query(parse_query(text))
+            samples.append((time.perf_counter() - t0) * 1e3 / PARSE_PLAN_REPEATS)
+        series[f"parse_plan_{shape}_ms"] = samples
+    return series
+
+
 # -- harness ---------------------------------------------------------------------
 
 
@@ -306,6 +338,7 @@ def _run(sizes) -> dict:
             series[name] = r[key] if isinstance(r[key], list) else [r[key]]
     for key, value in _parity_round().items():
         series[key] = [value]
+    series.update(_parse_plan())
     return series
 
 

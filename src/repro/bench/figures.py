@@ -215,7 +215,7 @@ def fig6_retrieval_times(
                 if path == "ipfs":
                     fetched = reader.cat(cid)
                 else:
-                    fetched = client.engine.get(receipt.entry_id, fetch_data=True, verify=True).data
+                    fetched = client.engine.get(receipt.entry_id, fetch_data=True).data
                 if r:
                     samples[path].append(time.perf_counter() - start)
                 assert fetched == data

@@ -232,9 +232,7 @@ class Client:
     # Retrieval path (Figure 1 Ⓐ–Ⓓ)
     # ------------------------------------------------------------------
 
-    def retrieve(
-        self, entry_id: str, verify: bool = True, allow_degraded: bool = True
-    ) -> RetrievalResult:
+    def retrieve(self, entry_id: str, allow_degraded: bool = True) -> RetrievalResult:
         """Fetch a record's metadata from the chain and its bytes from IPFS.
 
         The on-chain ACL (access_control chaincode) is consulted first, the
@@ -259,7 +257,7 @@ class Client:
                 self._enforce_acl(entry_id)
             row = self.engine.get(entry_id, fetch_data=False)
             data, verified, degraded, failure = self._fetch_with_recovery(
-                row.record, verify=verify, allow_degraded=allow_degraded
+                row.record, allow_degraded=allow_degraded
             )
             with obs_span("retrieve.provenance"):
                 self.framework.record_access(self.identity, entry_id)
@@ -275,7 +273,7 @@ class Client:
             )
 
     def _fetch_with_recovery(
-        self, record: dict, verify: bool, allow_degraded: bool
+        self, record: dict, allow_degraded: bool
     ) -> tuple[bytes | None, bool, bool, str | None]:
         """Returns ``(data, verified, degraded, failure)`` for a record.
 
@@ -288,7 +286,7 @@ class Client:
         """
         try:
             try:
-                data, verified = self.engine.fetch_payload_verified(record, verify=verify)
+                data, verified = self.engine.fetch_payload_verified(record)
                 return data, verified, False, None
             except (DagError, InvalidBlockError):
                 # A stored block — root, interior node or leaf — failed
@@ -299,7 +297,7 @@ class Client:
                     # the record names other content — refetching cannot help.
                     raise
                 get_registry().counter("integrity_refetch_total").inc()
-                data, verified = self.engine.fetch_payload_verified(record, verify=verify)
+                data, verified = self.engine.fetch_payload_verified(record)
                 return data, verified, False, None
         except (StorageError, ResilienceError) as exc:
             if not allow_degraded:

@@ -183,8 +183,10 @@ class IpfsCluster:
             if reader.has_local(cid):
                 try:
                     return reader.cat_local(cid)
-                except StorageError:
+                except BlockNotFoundError:
                     # Partial local copy: fall through to the remote path.
+                    # A block that fails its hash raises as it is: the
+                    # remote path would read the same local blocks again.
                     sp.set_attr("partial_local", True)
                     get_registry().counter("ipfs_partial_local_total").inc()
             providers = self.providers_for(cid, reader.peer_id)

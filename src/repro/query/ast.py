@@ -5,6 +5,10 @@ metadata plus envelope fields). Field paths use dots into nested objects
 (``metadata.timestamp``, ``metadata.location.lat``); the special path
 ``vehicle_class`` matches any detection in the record — the common "frames
 containing a truck" query shape.
+
+A ``WHERE`` node is a read-only value of a slotted class, built by a plain
+``__init__`` that also compiles its predicate into one closure. A
+:class:`Query` is a frozen dataclass (``dataclasses.replace`` copies it).
 """
 
 from __future__ import annotations
@@ -101,17 +105,6 @@ def _compile_path(path: str, op: Callable[[Any, Any], bool], value: Any) -> _Pre
     return match
 
 
-class Expr:
-    """Base filter expression. ``matches(record)`` is the node compiled, when
-    it is built, into one closure over its parts' closures: filtering a row
-    is one call, not a walk of the tree."""
-
-    matches: _Predicate
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matches", self._compile())
-
-
 _OPS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -126,69 +119,88 @@ def _is_in(actual: Any, values: tuple[Any, ...]) -> bool:
     return actual in values
 
 
-_matcher_of = operator.attrgetter("matches")
+class Expr:
+    """Base filter expression. ``matches(record)`` is the node compiled, when
+    it is built, into one closure over its parts' closures: filtering a row
+    is one call, not a walk of the tree. Two nodes are equal when their class
+    and ``_fields`` are, and hash and print by those, as dataclasses would."""
+
+    __slots__ = ("matches",)
+    _fields: tuple[str, ...] = ()
+    matches: _Predicate
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
 class Compare(Expr):
-    field: str
-    op: str
-    value: Any
+    __slots__ = _fields = ("field", "op", "value")
 
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise QueryError(f"unknown operator {self.op!r}")
-        super().__post_init__()
-
-    def _compile(self) -> _Predicate:
-        return _compile_path(self.field, _OPS[self.op], self.value)
+    def __init__(self, field: str, op: str, value: Any) -> None:
+        if op not in _OPS:
+            raise QueryError(f"unknown operator {op!r}")
+        self.field, self.op, self.value = field, op, value
+        self.matches = _compile_path(field, _OPS[op], value)
 
 
-@dataclass(frozen=True)
 class InSet(Expr):
-    field: str
-    values: tuple[Any, ...]
+    __slots__ = _fields = ("field", "values")
 
-    def _compile(self) -> _Predicate:
-        return _compile_path(self.field, _is_in, self.values)
+    def __init__(self, field: str, values: tuple[Any, ...]) -> None:
+        self.field, self.values = field, values
+        self.matches = _compile_path(field, _is_in, values)
 
 
-@dataclass(frozen=True)
 class And(Expr):
-    parts: tuple[Expr, ...]
+    __slots__ = _fields = ("parts",)
 
-    def _compile(self) -> _Predicate:
-        tests = tuple(map(_matcher_of, self.parts))
-        if len(tests) == 2:
-            first, second = tests
-            return lambda record: first(record) and second(record)
-        return lambda record: all(test(record) for test in tests)
+    def __init__(self, parts: tuple[Expr, ...]) -> None:
+        self.parts = parts
+        if len(parts) == 2:
+            first, second = parts[0].matches, parts[1].matches
+            self.matches = lambda record: first(record) and second(record)
+        else:
+            tests = tuple(part.matches for part in parts)
+            self.matches = lambda record: all(test(record) for test in tests)
 
 
-@dataclass(frozen=True)
 class Or(Expr):
-    parts: tuple[Expr, ...]
+    __slots__ = _fields = ("parts",)
 
-    def _compile(self) -> _Predicate:
-        tests = tuple(map(_matcher_of, self.parts))
-        return lambda record: any(test(record) for test in tests)
+    def __init__(self, parts: tuple[Expr, ...]) -> None:
+        self.parts = parts
+        tests = tuple(part.matches for part in parts)
+        self.matches = lambda record: any(test(record) for test in tests)
 
 
-@dataclass(frozen=True)
 class Not(Expr):
-    inner: Expr
+    __slots__ = _fields = ("inner",)
 
-    def _compile(self) -> _Predicate:
-        inner = self.inner.matches
-        return lambda record: not inner(record)
+    def __init__(self, inner: Expr) -> None:
+        self.inner = inner
+        test = inner.matches
+        self.matches = lambda record: not test(record)
 
 
-@dataclass(frozen=True)
 class TrueExpr(Expr):
     """Matches everything (empty WHERE clause)."""
 
-    def _compile(self) -> _Predicate:
-        return lambda record: True
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.matches = lambda record: True
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ class QueryRow:
     changing it (under the ``index`` sanitizer SAN309 reports a mutated
     record on the next query that returns it).
 
-    ``verified`` is True when bytes were fetched under ``verify=True``:
-    every block under the record's CID was hashed against the CID that
-    names it, so the bytes are proven to match the on-chain commitment.
+    ``verified`` is True when bytes were fetched: every block under the
+    record's CID was hashed against the CID that names it, so the bytes are
+    proven to match the on-chain commitment.
     """
 
     record: dict
@@ -215,12 +215,7 @@ class QueryEngine:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(
-        self,
-        query: Query | str,
-        fetch_data: bool = False,
-        verify: bool = True,
-    ) -> list[QueryRow]:
+    def run(self, query: Query | str, fetch_data: bool = False) -> list[QueryRow]:
         """Execute a query; optionally join raw IPFS data per row.
 
         Every run plans and executes afresh, so a repeated text sees each
@@ -260,7 +255,7 @@ class QueryEngine:
                 self._check_parity(plan.explain, rows, lambda: self.scan(query))
             if fetch_data:  # a row that carries bytes is not the shared one
                 fetch = self.fetch_payload_verified
-                rows = [QueryRow(r.record, *fetch(r.record, verify=verify)) for r in rows]
+                rows = [QueryRow(r.record, *fetch(r.record)) for r in rows]
             with self._stats_lock:
                 self.stats.queries += 1
                 self.stats.rows_scanned += examined
@@ -428,7 +423,7 @@ class QueryEngine:
 
     # -- point lookups ---------------------------------------------------------------
 
-    def get(self, entry_id: str, fetch_data: bool = False, verify: bool = True) -> QueryRow:
+    def get(self, entry_id: str, fetch_data: bool = False) -> QueryRow:
         """One record by entry id, read the way :meth:`run` reads: a point
         read of the reference peer's world state, answered with the shared
         row (read-only, see :class:`QueryRow`). When no peer is in sync, or
@@ -450,7 +445,7 @@ class QueryEngine:
                     lambda: [self._chain_get(entry_id, peer.name)],
                 )
             if fetch_data:
-                row = QueryRow(row.record, *self.fetch_payload_verified(row.record, verify=verify))
+                row = QueryRow(row.record, *self.fetch_payload_verified(row.record))
             return row
 
     def _chain_get(self, entry_id: str, peer: str | None = None) -> dict:
@@ -464,22 +459,19 @@ class QueryEngine:
 
     # -- the off-chain executor ----------------------------------------------------------
 
-    def fetch_payload(self, record: dict, verify: bool = True) -> bytes:
+    def fetch_payload(self, record: dict) -> bytes:
         """Fetch the raw bytes for a record from IPFS and verify integrity."""
-        data, _ = self.fetch_payload_verified(record, verify=verify)
+        data, _ = self.fetch_payload_verified(record)
         return data
 
-    def fetch_payload_verified(
-        self, record: dict, verify: bool = True
-    ) -> tuple[bytes, bool]:
+    def fetch_payload_verified(self, record: dict) -> tuple[bytes, bool]:
         """Fetch a record's bytes and report whether integrity was *proven*.
 
         Returns ``(data, verified)``. The record's ``cid`` is the on-chain
         commitment: the IPFS read hashes every block under it — root,
         interior nodes and leaves — against the CID that names it, so bytes
-        come back only when they match, and ``verified`` is True unless the
-        caller passed ``verify=False``, which withholds the claim (the read
-        checks the same blocks either way). A rotted or substituted block
+        come back only when they match, and ``verified`` is True. A rotted
+        or substituted block
         raises :class:`~repro.errors.DagError`. A missing *or malformed*
         ``cid`` field raises a typed :class:`~repro.errors.QueryError`
         (never a raw parse exception).
@@ -500,4 +492,4 @@ class QueryEngine:
             sp.set_attr("bytes", len(data))
             with self._stats_lock:
                 self.stats.bytes_fetched += len(data)
-            return data, verify
+            return data, True

@@ -18,6 +18,12 @@ Examples the examples/ scripts run::
 
     camera_id = 'cam-07' AND metadata.timestamp >= 1000
     vehicle_class IN ('truck', 'bus') ORDER BY metadata.timestamp DESC LIMIT 5
+
+A text is tokenized in one pass, one ``findall`` over a single alternation
+whose last branch catches any other non-blank character (which raises). A
+token's kind is an operator's or a punctuation mark's own text, a keyword's
+lower-cased word, or ``word`` / ``string`` / ``number``; the grammar is a
+flat descent over the kinds, one function per precedence level.
 """
 
 from __future__ import annotations
@@ -27,17 +33,16 @@ import re
 from repro.errors import QueryParseError
 from repro.query.ast import And, Compare, Expr, InSet, Not, Or, Query, TrueExpr
 
+# The branches start on disjoint characters, so their order only decides
+# speed (the commonest first); the last catches any other non-blank one.
 _TOKEN_RE = re.compile(
     r"""
-    \s*(?:
-        (?P<string>'(?:[^'\\]|\\.)*')
+        (?P<word>[A-Za-z_][A-Za-z0-9_.~-]*)
+      | (?P<sym>>=|<=|!=|[=><(),])
+      | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*')
       | (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<op>>=|<=|!=|=|>|<)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_.~-]*)
-    )""",
+      | (?P<stray>\S)
+    """,
     re.VERBOSE,
 )
 
@@ -46,155 +51,151 @@ _KEYWORDS = {
     "limit", "true", "false",
 }
 
+_OPS = {"=", "!=", ">", ">=", "<", "<="}
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
-# (kind, text): a kind is a _TOKEN_RE group name, or "keyword".
-_Token = tuple[str, str]
-_END: _Token = ("end", "")
+_END = "end"  # the kind of the sentinel token after the last one
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise QueryParseError(f"cannot tokenize query at: {remainder[:20]!r}")
-        pos = match.end()
-        kind = match.lastgroup
-        value = match[kind]
-        if kind == "word" and value.lower() in _KEYWORDS:
-            tokens.append(("keyword", value.lower()))
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """``(kinds, texts)`` of ``text``'s tokens, closed by an ``end`` token."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    for word, sym, string, number, stray in _TOKEN_RE.findall(text):
+        if stray:
+            raise _stray(text)
+        if word:
+            kind = word.lower()
+            if kind not in _KEYWORDS:
+                kind = "word"
         else:
-            tokens.append((kind, value))
-    return tokens
+            kind = sym or ("string" if string else "number")
+        kinds.append(kind)
+        texts.append(word or sym or string or number)
+    kinds.append(_END)
+    texts.append("")
+    return kinds, texts
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+def _stray(text: str) -> QueryParseError:
+    """The error for ``text``'s first character no token starts with."""
+    at = next(m.start() for m in _TOKEN_RE.finditer(text) if m.lastgroup == "stray")
+    return QueryParseError(f"cannot tokenize query at: {text[at:].strip()[:20]!r}")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else _END
 
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is _END:
-            raise QueryParseError("unexpected end of query")
-        self.pos += 1
-        return token
+def _expect(kinds: list[str], texts: list[str], i: int, wanted: str) -> str:
+    """The text of token ``i``, which must be a ``wanted`` (a ``wanted`` that
+    is no token kind always raises)."""
+    if kinds[i] == wanted:
+        return texts[i]
+    if kinds[i] == _END:
+        raise QueryParseError("unexpected end of query")
+    raise QueryParseError(f"expected {wanted}, got {texts[i]!r}")
 
-    def accept_keyword(self, *words: str) -> str | None:
-        kind, text = self.peek()
-        if kind == "keyword" and text in words:
-            self.pos += 1
-            return text
-        return None
 
-    def expect(self, kind: str) -> str:
-        """The text of the next token, which must be a ``kind``."""
-        token_kind, text = self.next()
-        if token_kind != kind:
-            raise QueryParseError(f"expected {kind}, got {text!r}")
-        return text
+def _value(kinds: list[str], texts: list[str], i: int):
+    """The literal at token ``i``."""
+    kind, text = kinds[i], texts[i]
+    if kind == "string":
+        text = text[1:-1]
+        # One pass, so "\\" is one backslash and "\'" one quote.
+        return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+    if kind == "number":
+        return float(text) if "." in text else int(text)
+    if kind == "true" or kind == "false":
+        return kind == "true"
+    return _expect(kinds, texts, i, "a value")
 
-    # -- grammar ---------------------------------------------------------------
 
-    def parse_query(self) -> Query:
-        select: tuple[str, ...] | None = None
-        if self.accept_keyword("select"):
-            fields = [self.expect("word")]
-            while self.peek()[0] == "comma":
-                self.next()
-                fields.append(self.expect("word"))
-            select = tuple(fields)
-        self.accept_keyword("where")
-        where: Expr = TrueExpr()
-        if self.peek() not in (_END, ("keyword", "order"), ("keyword", "limit")):
-            where = self.parse_or()
-        order_by = None
-        descending = False
-        if self.accept_keyword("order"):
-            if not self.accept_keyword("by"):
-                raise QueryParseError("ORDER must be followed by BY")
-            order_by = self.expect("word")
-            if self.accept_keyword("desc"):
-                descending = True
-            else:
-                self.accept_keyword("asc")
-        limit = None
-        if self.accept_keyword("limit"):
-            limit_text = self.expect("number")
-            if "." in limit_text:
-                raise QueryParseError("LIMIT must be an integer")
-            limit = int(limit_text)
-        if self.peek() is not _END:
-            raise QueryParseError(f"trailing input at {self.peek()[1]!r}")
-        return Query(
-            where=where,
-            order_by=order_by,
-            descending=descending,
-            limit=limit,
-            select=select,
-        )
+def _or(kinds: list[str], texts: list[str], i: int) -> tuple[Expr, int]:
+    """The ``or_expr`` at token ``i``, and the position after it."""
+    disjuncts = []
+    while True:
+        expr, i = _unary(kinds, texts, i)
+        if kinds[i] == "and":
+            conjuncts = [expr]
+            while kinds[i] == "and":
+                expr, i = _unary(kinds, texts, i + 1)
+                conjuncts.append(expr)
+            expr = And(tuple(conjuncts))
+        if kinds[i] != "or":
+            break
+        disjuncts.append(expr)
+        i += 1
+    if disjuncts:
+        disjuncts.append(expr)
+        return Or(tuple(disjuncts)), i
+    return expr, i
 
-    def parse_or(self) -> Expr:
-        parts = [self.parse_and()]
-        while self.accept_keyword("or"):
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def parse_and(self) -> Expr:
-        parts = [self.parse_unary()]
-        while self.accept_keyword("and"):
-            parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def parse_unary(self) -> Expr:
-        if self.accept_keyword("not"):
-            return Not(self.parse_unary())
-        if self.peek()[0] == "lparen":
-            self.next()
-            inner = self.parse_or()
-            self.expect("rparen")
-            return inner
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        field = self.expect("word")
-        if self.accept_keyword("in"):
-            self.expect("lparen")
-            values = [self.parse_value()]
-            while self.peek()[0] == "comma":
-                self.next()
-                values.append(self.parse_value())
-            self.expect("rparen")
-            return InSet(field=field, values=tuple(values))
-        kind, op = self.next()
-        if kind != "op":
-            raise QueryParseError(f"expected comparison operator, got {op!r}")
-        return Compare(field=field, op=op, value=self.parse_value())
-
-    def parse_value(self):
-        kind, text = self.next()
-        if kind == "string":
-            # One pass, so "\\" is one backslash and "\'" one quote.
-            return _ESCAPE_RE.sub(r"\1", text[1:-1])
-        if kind == "number":
-            return float(text) if "." in text else int(text)
-        if kind == "keyword" and text in ("true", "false"):
-            return text == "true"
-        raise QueryParseError(f"expected a value, got {text!r}")
+def _unary(kinds: list[str], texts: list[str], i: int) -> tuple[Expr, int]:
+    kind = kinds[i]
+    if kind == "not":
+        inner, i = _unary(kinds, texts, i + 1)
+        return Not(inner), i
+    if kind == "(":
+        inner, i = _or(kinds, texts, i + 1)
+        _expect(kinds, texts, i, ")")
+        return inner, i + 1
+    field = texts[i] if kind == "word" else _expect(kinds, texts, i, "word")
+    op = kinds[i + 1]
+    if op in _OPS:
+        return Compare(field, op, _value(kinds, texts, i + 2)), i + 3
+    if op != "in":
+        _expect(kinds, texts, i + 1, "comparison operator")
+    _expect(kinds, texts, i + 2, "(")
+    values = [_value(kinds, texts, i + 3)]
+    i += 4
+    while kinds[i] == ",":
+        values.append(_value(kinds, texts, i + 1))
+        i += 2
+    _expect(kinds, texts, i, ")")
+    return InSet(field, tuple(values)), i + 1
 
 
 def parse_query(text: str) -> Query:
     """Parse query text into a :class:`repro.query.ast.Query`."""
-    tokens = _tokenize(text)
-    if not tokens:
-        return Query()
-    return _Parser(tokens).parse_query()
+    kinds, texts = _tokenize(text)
+    i = 0
+    select = None
+    if kinds[0] == "select":
+        fields = [_expect(kinds, texts, 1, "word")]
+        i = 2
+        while kinds[i] == ",":
+            fields.append(_expect(kinds, texts, i + 1, "word"))
+            i += 2
+        select = tuple(fields)
+    if kinds[i] == "where":
+        i += 1
+    kind = kinds[i]
+    if kind == _END or kind == "order" or kind == "limit":
+        where: Expr = TrueExpr()
+    else:
+        where, i = _or(kinds, texts, i)
+    order_by = None
+    descending = False
+    if kinds[i] == "order":
+        if kinds[i + 1] != "by":
+            raise QueryParseError("ORDER must be followed by BY")
+        order_by = _expect(kinds, texts, i + 2, "word")
+        i += 3
+        descending = kinds[i] == "desc"
+        if descending or kinds[i] == "asc":
+            i += 1
+    limit = None
+    if kinds[i] == "limit":
+        limit_text = _expect(kinds, texts, i + 1, "number")
+        if "." in limit_text:
+            raise QueryParseError("LIMIT must be an integer")
+        limit = int(limit_text)
+        i += 2
+    if kinds[i] != _END:
+        raise QueryParseError(f"trailing input at {texts[i]!r}")
+    return Query(
+        where=where,
+        order_by=order_by,
+        descending=descending,
+        limit=limit,
+        select=select,
+    )

@@ -63,13 +63,15 @@ class Plan:
         return f"INDEX {self.index_route.describe()} -> filter{edges}"
 
 
-# field -> posting dimension in the peers' authenticated index.
+# field -> (preference rank, posting dimension) in the peers' authenticated
+# index. The most selective index first: source/camera pinpoint one device;
+# violation type and vehicle class are broader; a time window broader still.
 _INDEX_DIMS = {
-    "source_id": "source",
-    "camera_id": "camera",
-    "metadata.camera_id": "camera",
-    "violation_type": "violation",
-    "vehicle_class": "class",
+    "source_id": (0, "source"),
+    "camera_id": (1, "camera"),
+    "metadata.camera_id": (2, "camera"),
+    "violation_type": (3, "violation"),
+    "vehicle_class": (4, "class"),
 }
 
 _TIME_FIELD = "metadata.timestamp"
@@ -84,52 +86,45 @@ _BUCKET_WITHIN = {
 
 
 def plan_query(query: Query) -> Plan:
-    parts = conjuncts(query.where)
-    # Preference order: the most selective index first — source/camera
-    # pinpoint one device; violation type and vehicle class are broader;
-    # a time window broader still.
-    for field in _INDEX_DIMS:
-        value = _equality_value(parts, field)
-        if value is not None:
-            route = IndexRoute(dim=_INDEX_DIMS[field], value=value)
-            return Plan(residual=query.where, index_route=route)
-    route = _time_route(parts)
-    bounds = route and all(_is_time_bound(p) and p.op in _BUCKET_WITHIN for p in parts)
-    return Plan(query.where, route, window=tuple(parts) if bounds else ())
-
-
-def _equality_value(parts: list[Expr], field: str) -> str | None:
+    """The query's access path, chosen in one pass over its conjuncts: the
+    best-ranked equality (an ``=``, or a one-value ``IN``) on an indexed
+    field, else the window its numeric timestamp bounds close."""
+    where = query.where
+    parts = conjuncts(where)
+    equalities = {}  # (rank, dim) -> the value its first equality binds
+    lower = upper = None
+    window = True  # every conjunct is a bucket-checkable time bound
     for part in parts:
-        if isinstance(part, Compare) and part.field == field and part.op == "=":
-            return str(part.value)
-        if isinstance(part, InSet) and part.field == field and len(part.values) == 1:
-            return str(part.values[0])
-    return None
-
-
-def _is_time_bound(part: Expr) -> bool:
-    if not isinstance(part, Compare) or part.field != _TIME_FIELD:
-        return False
-    return isinstance(part.value, (int, float))
-
-
-def _time_route(parts: list[Expr]) -> IndexRoute | None:
-    lower, upper = None, None
-    for part in parts:
-        if not _is_time_bound(part):
+        cls = part.__class__
+        if cls is InSet and len(part.values) == 1 and part.field in _INDEX_DIMS:
+            equalities.setdefault(_INDEX_DIMS[part.field], part.values[0])
+        if cls is not Compare:
+            window = False
             continue
-        if part.op in (">", ">="):
-            lower = part.value if lower is None else max(lower, part.value)
-        elif part.op in ("<", "<="):
-            upper = part.value if upper is None else min(upper, part.value)
-        elif part.op == "=":
-            lower = upper = part.value
+        field, op, value = part.field, part.op, part.value
+        if op == "=" and field in _INDEX_DIMS:
+            equalities.setdefault(_INDEX_DIMS[field], value)
+        elif field != _TIME_FIELD or not isinstance(value, (int, float)):
+            window = False
+        elif op == ">" or op == ">=":
+            lower = value if lower is None else max(lower, value)
+        elif op == "<" or op == "<=":
+            upper = value if upper is None else min(upper, value)
+        else:  # "=" pins both edges; "!=" bounds nothing
+            window = False
+            if op == "=":
+                lower = upper = value
+    if equalities:
+        best = min(equalities)
+        route = IndexRoute(dim=best[1], value=str(equalities[best]))
+        return Plan(residual=where, index_route=route)
     if lower is None or upper is None:
-        return None  # half-open ranges would scan unbounded buckets
+        return Plan(residual=where)  # half-open ranges would scan unbounded buckets
     # The route covers [lower, upper); widen the upper edge to the next
     # float so "<= t" and "= t" include t itself (a fixed epsilon is
     # absorbed by any epoch-scale t).
-    return IndexRoute(
+    route = IndexRoute(
         dim="time",
         time_range=(float(lower), math.nextafter(float(upper), math.inf)),
     )
+    return Plan(where, route, window=tuple(parts) if window else ())

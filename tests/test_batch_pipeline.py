@@ -231,14 +231,6 @@ class TestVerifiedFlag:
         row = client.engine.get(result.entry_id, fetch_data=True)
         assert row.verified is True
 
-    def test_verify_false_never_claims_verified(self):
-        framework = make_framework()
-        identity = framework.register_source("vf3-cam", tier=SourceTier.TRUSTED)
-        client = Client(framework, identity)
-        result = client.submit(b"payload", dict(META))
-        row = client.engine.get(result.entry_id, fetch_data=True, verify=False)
-        assert row.verified is False
-
 
 class TestBatchedConsensus:
     def test_one_instance_per_cut_block(self):

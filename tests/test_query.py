@@ -1,6 +1,7 @@
 """Tests for the query engine: parser, planner, and hybrid execution."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,44 @@ class TestPlanner:
     def test_explain_index(self):
         plan = plan_query(parse_query("source_id = 'cam-1'"))
         assert plan.explain() == "INDEX source=cam-1 -> filter"
+
+
+class TestParsePlanCost:
+    """Every query text pays ``plan_query(parse_query(text))`` before it
+    reads a row. Its count of Python calls (``call`` and ``c_call`` profile
+    events) is deterministic, so it gates exactly. The texts have the shapes
+    of the e2e ``query_static`` workload's ``eq_hot``, ``eq_adhoc`` and
+    ``range`` queries."""
+
+    TEXTS = {
+        "eq_hot": "metadata.camera_id = 'cam-003'",
+        "eq_adhoc": "metadata.camera_id = 'cam-017' AND metadata.timestamp >= 1700012340",
+        "range": "metadata.timestamp >= 1700012340 AND metadata.timestamp < 1700015940",
+    }
+    # Half of what the former match-per-token parser, dataclass nodes and
+    # per-dimension planner made: 98 / 169 / 198 calls.
+    MAX_CALLS = {"eq_hot": 49, "eq_adhoc": 84, "range": 99}
+
+    @staticmethod
+    def calls(text: str) -> int:
+        plan_query(parse_query(text))  # warm any lazily built cache
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            if event == "call" or event == "c_call":
+                n += 1
+
+        sys.setprofile(count)
+        try:
+            plan_query(parse_query(text))
+        finally:
+            sys.setprofile(None)
+        return n
+
+    @pytest.mark.parametrize("shape", ["eq_hot", "eq_adhoc", "range"])
+    def test_parse_and_plan_make_at_most_half_the_calls(self, shape):
+        assert self.calls(self.TEXTS[shape]) <= self.MAX_CALLS[shape]
 
 
 @pytest.fixture(scope="module")

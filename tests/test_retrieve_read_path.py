@@ -145,14 +145,6 @@ class TestEachByteHashedOnce:
         assert got == data and n == block_bytes(framework, cid.encode())
 
     @pytest.mark.parametrize("size", [SMALL, LARGE])
-    def test_unverified_read_checks_every_leaf(self, site, size):
-        framework, client, stored = site
-        entry_id = next(e for e, d in stored.items() if len(d) == size)
-        row, n = hashed_bytes(lambda: client.engine.get(entry_id, fetch_data=True, verify=False))
-        assert not row.verified and row.data == stored[entry_id]
-        assert n == block_bytes(framework, row.record["cid"])
-
-    @pytest.mark.parametrize("size", [SMALL, LARGE])
     def test_a_remote_block_is_hashed_twice(self, size):
         """Once in bitswap before it is stored, once in the read."""
         framework, client = make_site()
@@ -163,6 +155,22 @@ class TestEachByteHashedOnce:
         (got, verified), n = hashed_bytes(lambda: client.engine.fetch_payload_verified(record))
         assert verified and got == data
         assert n == 2 * block_bytes(framework, cid.encode(), node="ipfs-1")
+
+    def test_a_rotted_local_block_is_read_once(self):
+        """Only a missing block sends a read to the providers: a local block
+        that fails its hash raises from the one local walk."""
+        set_registry(MetricsRegistry())
+        framework, _ = make_site()
+        cid = framework.ipfs.add(payload(LARGE, b"rot-")).cid
+        node = framework.ipfs.node("ipfs-0")
+        assert len(node.unixfs.leaf_cids(cid)) == 4
+        node.blockstore.corrupt(node.unixfs.leaf_cids(cid)[2], b"rotten")
+        with obs.profiling() as profiler:
+            with pytest.raises(DagError, match="failed verification"):
+                framework.ipfs.cat(cid)
+        reads = sum(s.calls for s in profiler.center_stats() if s.center == "ipfs.read")
+        assert reads == 1
+        assert "ipfs_partial_local_total" not in get_registry().snapshot()["counters"]
 
     @pytest.mark.parametrize("block", ["leaf", "interior"])
     def test_a_rotted_block_is_caught(self, block):
