@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.crypto.cid import CODEC_DAG_JSON
+from repro.ipfs.dag import is_dag_node
 from repro.net.message import Message
 from repro.net.simnet import NO_FAULT, FaultAction, SimNetwork
 from repro.util.rng import rng_for
@@ -282,7 +282,7 @@ class CorruptRandomBlock(Fault):
             if not node.online or not hasattr(node.blockstore, "corrupt"):
                 continue
             raws = sorted(
-                (c for c in node.blockstore.cids() if c.codec != CODEC_DAG_JSON),
+                (c for c in node.blockstore.cids() if not is_dag_node(c)),
                 key=lambda c: c.encode(),
             )
             if raws:

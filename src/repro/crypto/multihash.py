@@ -7,8 +7,6 @@ identifier itself. Codes follow the multiformats registry (0x12 = sha2-256,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.hashing import DIGEST_SIZES, SHA2_256, SHA2_512, digest
 from repro.errors import EncodingError
 from repro.util.varint import decode_varint, encode_varint
@@ -20,12 +18,28 @@ _ALGO_TO_CODE = {SHA2_256: CODE_SHA2_256, SHA2_512: CODE_SHA2_512}
 _CODE_TO_ALGO = {code: algo for algo, code in _ALGO_TO_CODE.items()}
 
 
-@dataclass(frozen=True)
 class Multihash:
-    """A digest tagged with the function that produced it."""
+    """A digest tagged with the function that produced it: a read-only value
+    of a slotted class, equal, hashed and printed by ``(code, digest)`` as a
+    frozen dataclass would be. One is built per CID, so construction is one
+    plain ``__init__``."""
 
-    code: int
-    digest: bytes
+    __slots__ = ("code", "digest")
+
+    def __init__(self, code: int, digest: bytes) -> None:
+        self.code = code
+        self.digest = digest
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Multihash:
+            return self.code == other.code and self.digest == other.digest
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.code, self.digest))
+
+    def __repr__(self) -> str:
+        return f"Multihash(code={self.code!r}, digest={self.digest!r})"
 
     @property
     def algo(self) -> str:

@@ -1,5 +1,5 @@
 """IPFS-like content-addressed storage substrate: chunking, blockstores,
-Merkle DAG, UnixFS files, Kademlia DHT, bitswap exchange, pinning and GC."""
+dag-pb Merkle DAG, UnixFS files, Kademlia DHT, bitswap exchange, pinning."""
 
 from repro.ipfs.bitswap import BitswapStats, Engine, Ledger
 from repro.ipfs.block import Block
@@ -14,7 +14,7 @@ from repro.ipfs.cluster import ClusterStat, IpfsCluster
 from repro.ipfs.dag import DagLink, DagNode, DagService
 from repro.ipfs.dht import DhtNode, DhtRegistry, RoutingTable, key_for_cid, key_for_peer
 from repro.ipfs.node import IpfsNode, NodeStat
-from repro.ipfs.pin import GCResult, PinManager, collect_garbage
+from repro.ipfs.pin import PinManager
 from repro.ipfs.unixfs import AddResult, UnixFS
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "key_for_peer",
     "IpfsNode",
     "NodeStat",
-    "GCResult",
     "PinManager",
-    "collect_garbage",
     "AddResult",
     "UnixFS",
 ]

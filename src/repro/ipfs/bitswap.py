@@ -140,7 +140,7 @@ class Engine:
                 ledger.bytes_received += len(verified)
                 ledger.blocks_received += 1
                 self.stats.blocks_fetched += 1
-                self.blockstore.put(verified)
+                self.blockstore.put(cid, verified.data)
                 if on_transfer is not None:
                     on_transfer(peer, len(verified))
                 return verified

@@ -8,26 +8,27 @@ the integrity property the paper leans on when it stores CIDs on-chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.cid import CID, CODEC_RAW
 from repro.errors import InvalidBlockError
 
 
-@dataclass(frozen=True)
 class Block:
-    """Immutable (cid, data) pair with the invariant cid == hash(data).
+    """Read-only (cid, data) pair with the invariant cid == hash(data): what
+    a blockstore read and a bitswap transfer hand back.
 
     ``data`` is immutable bytes, or a read-only view of an immutable payload
     (a chunk of a file added on this node), which it keeps alive whole."""
 
-    cid: CID
-    data: bytes | memoryview
+    __slots__ = ("cid", "data")
+
+    def __init__(self, cid: CID, data: bytes | memoryview) -> None:
+        self.cid = cid
+        self.data = data
 
     @classmethod
     def for_data(cls, data: bytes | memoryview, codec: int = CODEC_RAW) -> "Block":
         """Create a block over ``data`` itself (no copy), deriving its CID."""
-        return cls(cid=CID.for_data(data, codec=codec), data=data)
+        return cls(CID.for_data(data, codec=codec), data)
 
     @classmethod
     def verified(cls, cid: CID, data: bytes | memoryview) -> "Block":
@@ -35,7 +36,7 @@ class Block:
         it holds its own ``bytes``, as a transfer into another store would."""
         if not cid.verifies(data):
             raise InvalidBlockError(f"data does not hash to {cid}")
-        return cls(cid=cid, data=bytes(data))
+        return cls(cid, bytes(data))
 
     def __len__(self) -> int:
         return len(self.data)

@@ -35,11 +35,13 @@ class MemoryBlockstore:
     _blocks: dict[CID, bytes | memoryview] = field(default_factory=dict)
     stats: BlockstoreStats = field(default_factory=BlockstoreStats)
 
-    def put(self, block: Block) -> None:
+    def put(self, cid: CID, data: bytes | memoryview) -> None:
+        """Store ``data`` under ``cid`` as given; the caller has hashed it
+        (added it, or checked it against ``cid``)."""
         self.stats.puts += 1
-        if block.cid not in self._blocks:
-            self._blocks[block.cid] = block.data
-            self.stats.bytes_written += len(block.data)
+        if cid not in self._blocks:
+            self._blocks[cid] = data
+            self.stats.bytes_written += len(data)
 
     def get(self, cid: CID) -> Block:
         self.stats.gets += 1

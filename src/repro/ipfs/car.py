@@ -79,7 +79,7 @@ def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
         cid = CID.parse(raw[pos:sep].decode("ascii"))
         # Block.verified raises InvalidBlockError on any hash mismatch and
         # makes the block's one copy out of the view.
-        blockstore.put(Block.verified(cid, view[sep + 1 : end]))
+        blockstore.put(cid, Block.verified(cid, view[sep + 1 : end]).data)
         pos = end
 
     dag = DagService(blockstore)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cid import CID, CODEC_DAG_JSON
+from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError, StorageError
 from repro.ipfs.chunker import Chunker
+from repro.ipfs.dag import is_dag_node
 from repro.ipfs.dht import DhtRegistry
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.unixfs import AddResult, frozen_payload
@@ -242,7 +243,7 @@ class IpfsCluster:
                 node.blockstore.delete(current)
                 removed += 1
                 continue
-            if current.codec == CODEC_DAG_JSON:
+            if is_dag_node(current):
                 stack.extend(link.cid for link in node.dag.get(current).links)
         return removed
 

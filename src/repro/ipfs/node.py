@@ -15,8 +15,8 @@ from repro.errors import BlockNotFoundError
 from repro.ipfs.bitswap import Engine
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import Chunker
-from repro.ipfs.dag import DagService
-from repro.ipfs.pin import GCResult, PinManager, collect_garbage
+from repro.ipfs.dag import DagService, is_dag_node
+from repro.ipfs.pin import PinManager
 from repro.ipfs.unixfs import AddResult, UnixFS
 from repro.obs.tracer import span as obs_span
 
@@ -75,12 +75,6 @@ class IpfsNode:
     def pin(self, cid: CID, recursive: bool = True) -> None:
         self.pins.pin(cid, recursive=recursive)
 
-    def unpin(self, cid: CID) -> None:
-        self.pins.unpin(cid)
-
-    def gc(self) -> GCResult:
-        return collect_garbage(self.blockstore, self.pins, self.dag)
-
     def stat(self) -> NodeStat:
         return NodeStat(
             peer_id=self.peer_id,
@@ -123,9 +117,7 @@ class IpfsNode:
 
     def _ensure_subtree(self, cid: CID, providers: list[str], on_transfer) -> None:
         self.fetch_block(cid, providers, on_transfer)
-        from repro.crypto.cid import CODEC_DAG_JSON  # local import avoids cycle risk
-
-        if cid.codec == CODEC_DAG_JSON:
+        if is_dag_node(cid):
             node = self.dag.get(cid)
             for link in node.links:
                 self._ensure_subtree(link.cid, providers, on_transfer)

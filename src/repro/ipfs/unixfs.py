@@ -1,13 +1,15 @@
 """UnixFS-like file layer: files as balanced Merkle-DAG trees of chunks.
 
-``add_file`` chunks the payload, stores each chunk as a raw leaf block, and
-builds a fan-out tree of DAG nodes bottom-up (default fan-out 174, matching
-go-ipfs); a single-chunk file is stored as one raw block with no envelope,
-exactly as IPFS does. ``read_file`` walks the tree in order, hashing every
-block it reads — the root, each interior node and each leaf — against the CID
-that names it, and reassembles the bytes. There is no unverified read: the
-CID is the on-chain commitment to the payload, so a read that returns bytes
-has proven them against it, one hash per block.
+``add_file`` stores each chunk as a raw leaf for one sha2-256, one CID and
+one blockstore put, then builds a fan-out tree of dag-pb nodes bottom-up
+(default fan-out 174, matching go-ipfs) whose data is the marker
+``unixfs:file``, not go-ipfs's UnixFS protobuf; a single-chunk file is
+stored as one raw block with no envelope, exactly as IPFS does.
+``read_file`` walks the tree in order, hashing every block it reads — the
+root, each interior node and each leaf — against the CID that names it, and
+reassembles the bytes. There is no unverified read: the CID is the on-chain
+commitment to the payload, so a read that returns bytes has proven them
+against it, one hash per block.
 
 Each payload byte is copied at most once: the leaves of a file added here
 are views of its payload (a mutable input is frozen into ``bytes`` first),
@@ -18,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cid import CID, CODEC_DAG_JSON
+from repro.crypto.cid import CID
 from repro.errors import DagError, StorageError
-from repro.ipfs.block import Block
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import Chunker, FixedSizeChunker
-from repro.ipfs.dag import DagLink, DagNode, DagService
+from repro.ipfs.dag import DagLink, DagNode, DagService, is_dag_node
 from repro.obs.prof import profiled
 
 DEFAULT_FANOUT = 174  # go-ipfs balanced-DAG default
@@ -73,13 +74,13 @@ class UnixFS:
         """Store ``data`` and return its root CID."""
         data = frozen_payload(data)
         leaves: list[DagLink] = []
-        n_leaves = 0
+        put = self.blockstore.put
         with profiled("ipfs.chunk", n_bytes=len(data)):
             for chunk in self.chunker.chunks(data):
-                block = Block.for_data(chunk)
-                self.blockstore.put(block)
-                leaves.append(DagLink(name="", cid=block.cid, tsize=len(chunk)))
-                n_leaves += 1
+                cid = CID.for_data(chunk)
+                put(cid, chunk)
+                leaves.append(DagLink("", cid, len(chunk)))
+        n_leaves = len(leaves)
 
         if len(leaves) == 1:
             # Single chunk: the raw block itself is the file.
@@ -95,9 +96,7 @@ class UnixFS:
                     node = DagNode(data=_FILE_NODE_DATA, links=tuple(group))
                     cid = self.dag.put(node)
                     n_nodes += 1
-                    parents.append(
-                        DagLink(name="", cid=cid, tsize=sum(l.tsize for l in group))
-                    )
+                    parents.append(DagLink("", cid, sum([l.tsize for l in group])))
                 level = parents
         return AddResult(cid=level[0].cid, size=len(data), n_leaves=n_leaves, n_nodes=n_nodes)
 
@@ -118,7 +117,7 @@ class UnixFS:
         data = self.blockstore.get(cid).data
         if not cid.verifies(data):
             raise DagError(f"block {cid} failed verification")
-        if cid.codec != CODEC_DAG_JSON:
+        if not is_dag_node(cid):
             out.append(data)
             return
         node = DagNode.deserialize(data)
@@ -129,7 +128,7 @@ class UnixFS:
 
     def leaf_cids(self, root: CID) -> list[CID]:
         """CIDs of the raw chunks, in file order."""
-        if root.codec != CODEC_DAG_JSON:
+        if not is_dag_node(root):
             return [root]
         node = self.dag.get(root)
         out: list[CID] = []

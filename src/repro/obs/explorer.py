@@ -373,8 +373,9 @@ class LedgerExplorer:
                 )
 
     def _audit_offchain(self, peer: Peer, report: AuditReport) -> None:
-        from repro.crypto.cid import CID, CODEC_DAG_JSON
+        from repro.crypto.cid import CID
         from repro.errors import StorageError
+        from repro.ipfs.dag import is_dag_node
 
         for key, raw in peer.world.range(_DATA_PREFIX, _DATA_PREFIX + "\x7f"):
             record = json.loads(raw)
@@ -411,7 +412,7 @@ class LedgerExplorer:
                             )
                         )
                         continue
-                    if cid.codec == CODEC_DAG_JSON:
+                    if is_dag_node(cid):
                         try:
                             stack.extend(link.cid for link in node.dag.get(cid).links)
                         except StorageError:  # pragma: no cover - defensive

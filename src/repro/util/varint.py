@@ -14,36 +14,40 @@ from repro.errors import EncodingError
 # The multiformats spec caps varints at 9 bytes (63 bits) for practicality.
 MAX_VARINT_BYTES = 9
 
+_ONE_BYTE = tuple(bytes((i,)) for i in range(0x80))
+
 
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as an unsigned LEB128 varint."""
-    if value < 0:
-        raise EncodingError(f"varint cannot encode negative value {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            break
-    if len(out) > MAX_VARINT_BYTES:
+    if value < 0x80:
+        if value < 0:
+            raise EncodingError(f"varint cannot encode negative value {value}")
+        return _ONE_BYTE[value]
+    if value >> (7 * MAX_VARINT_BYTES):
         raise EncodingError("varint exceeds 9-byte maximum")
-    return bytes(out)
+    # Assemble the groups as one little-endian integer: one conversion.
+    packed = shift = 0
+    while value > 0x7F:
+        packed |= (value & 0x7F | 0x80) << shift
+        value >>= 7
+        shift += 8
+    packed |= value << shift
+    return packed.to_bytes(shift // 8 + 1, "little")
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint from ``data`` starting at ``offset``.
 
     Returns ``(value, next_offset)``. Raises :class:`EncodingError` on
-    truncated or over-long input.
+    truncated, over-long or non-minimal input (a trailing zero group, which
+    the spec forbids: each value has exactly one encoding).
     """
     result = 0
     shift = 0
     pos = offset
+    size = len(data)
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise EncodingError("truncated varint")
         if pos - offset >= MAX_VARINT_BYTES:
             raise EncodingError("varint exceeds 9-byte maximum")
@@ -51,5 +55,7 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         result |= (byte & 0x7F) << shift
         pos += 1
         if not byte & 0x80:
+            if byte == 0 and pos - offset > 1:
+                raise EncodingError("non-minimal varint")
             return result, pos
         shift += 7

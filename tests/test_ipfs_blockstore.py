@@ -32,14 +32,14 @@ class TestBlockstores:
     def test_put_get_roundtrip(self):
         store = MemoryBlockstore()
         block = Block.for_data(b"hello")
-        store.put(block)
+        store.put(block.cid, block.data)
         assert store.get(block.cid).data == b"hello"
 
     def test_has(self):
         store = MemoryBlockstore()
         block = Block.for_data(b"hello")
         assert not store.has(block.cid)
-        store.put(block)
+        store.put(block.cid, block.data)
         assert store.has(block.cid)
 
     def test_get_missing_raises(self):
@@ -50,7 +50,7 @@ class TestBlockstores:
     def test_delete(self):
         store = MemoryBlockstore()
         block = Block.for_data(b"gone")
-        store.put(block)
+        store.put(block.cid, block.data)
         store.delete(block.cid)
         assert not store.has(block.cid)
 
@@ -61,8 +61,8 @@ class TestBlockstores:
     def test_dedup_identical_blocks(self):
         store = MemoryBlockstore()
         block = Block.for_data(b"same")
-        store.put(block)
-        store.put(block)
+        store.put(block.cid, block.data)
+        store.put(block.cid, block.data)
         assert len(store) == 1
         assert store.stats.bytes_written == 4
 
@@ -70,13 +70,13 @@ class TestBlockstores:
         store = MemoryBlockstore()
         blocks = [Block.for_data(bytes([i]) * 10) for i in range(5)]
         for b in blocks:
-            store.put(b)
+            store.put(b.cid, b.data)
         assert set(store.cids()) == {b.cid for b in blocks}
 
     def test_stats_track_hits_and_misses(self):
         store = MemoryBlockstore()
         block = Block.for_data(b"x")
-        store.put(block)
+        store.put(block.cid, block.data)
         store.get(block.cid)
         with pytest.raises(BlockNotFoundError):
             store.get(CID.for_data(b"y"))
@@ -88,6 +88,6 @@ class TestBlockstores:
         store = MemoryBlockstore()
         blocks = [Block.for_data(p) for p in payloads]
         for b in blocks:
-            store.put(b)
+            store.put(b.cid, b.data)
         for b in blocks:
             assert store.get(b.cid).data == b.data

@@ -73,7 +73,7 @@ class TestCar:
         leaf = fs.leaf_cids(root)[-1]
         for cid in src.cids():
             if cid != leaf:
-                partial_store.put(src.get(cid))
+                partial_store.put(cid, src.get(cid).data)
         with pytest.raises(StorageError, match="incomplete|not found"):
             export_car(partial_store, [root])
         # And importing a truncated byte string fails cleanly too.

@@ -1,16 +1,23 @@
 """Tests for the Merkle DAG layer and UnixFS file trees."""
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cid import CID, CODEC_DAG_JSON
+from repro.crypto.cid import CID, CODEC_DAG_PB
 from repro.errors import BlockNotFoundError, DagError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import FixedSizeChunker, RollingChunker
 from repro.ipfs.dag import DagLink, DagNode, DagService
 from repro.ipfs.unixfs import UnixFS
 from repro.util.rng import rng_for
+
+
+def node_cid(node: DagNode) -> CID:
+    return CID.for_data(node.serialize(), codec=CODEC_DAG_PB)
 
 
 class TestDagNode:
@@ -23,13 +30,13 @@ class TestDagNode:
         child = CID.for_data(b"c")
         n1 = DagNode(data=b"x", links=(DagLink("l", child, 1),))
         n2 = DagNode(data=b"x", links=(DagLink("l", child, 1),))
-        assert n1.cid() == n2.cid()
+        assert node_cid(n1) == node_cid(n2)
 
     def test_link_order_changes_cid(self):
         a, b = CID.for_data(b"a"), CID.for_data(b"b")
         n1 = DagNode(links=(DagLink("", a, 1), DagLink("", b, 1)))
         n2 = DagNode(links=(DagLink("", b, 1), DagLink("", a, 1)))
-        assert n1.cid() != n2.cid()
+        assert node_cid(n1) != node_cid(n2)
 
     def test_negative_tsize_rejected(self):
         with pytest.raises(DagError):
@@ -58,7 +65,7 @@ class TestDagService:
         from repro.ipfs.block import Block
 
         leaf = Block.for_data(b"leaf")
-        store.put(leaf)
+        store.put(leaf.cid, leaf.data)
         shared = DagNode(data=b"shared", links=(DagLink("", leaf.cid, 4),))
         shared_cid = svc.put(shared)
         # Diamond: root links the shared node twice.
@@ -69,7 +76,7 @@ class TestDagService:
         root_cid = svc.put(root)
         visited = list(svc.walk(root_cid))
         assert len(visited) == 3  # root, shared, leaf — shared visited once
-        assert svc.referenced_cids(root_cid) == {root_cid, shared_cid, leaf.cid}
+        assert [cid for cid, _ in visited] == [root_cid, shared_cid, leaf.cid]
 
 
 class TestUnixFS:
@@ -95,7 +102,7 @@ class TestUnixFS:
         data = rng_for(1, "unixfs").bytes(1050)
         result = fs.add_file(data)
         assert result.n_leaves == 11
-        assert result.cid.codec == CODEC_DAG_JSON
+        assert result.cid.codec == CODEC_DAG_PB
         assert fs.read_file(result.cid) == data
 
     def test_deep_tree_with_small_fanout(self):
@@ -152,3 +159,44 @@ class TestUnixFS:
     def test_property_roundtrip_cdc(self, data):
         fs = UnixFS(MemoryBlockstore(), chunker=RollingChunker(target_size=256))
         assert fs.read_file(fs.add_file(data).cid) == data
+
+
+class TestAddReadCost:
+    """``add_file`` and ``read_file`` of a 2 MiB payload in 64 KiB chunks (32
+    raw leaves under one dag-pb node). Their counts of Python calls (``call``
+    and ``c_call`` profile events) are deterministic, so they gate exactly;
+    the former dag-json nodes and frozen-dataclass CIDs made 2228 and 1425.
+    Neither renders or parses base32: a node names its links in binary."""
+
+    MAX_ADD_CALLS = 1114
+    MAX_READ_CALLS = 950
+
+    @staticmethod
+    def calls(fn, *args):
+        counts: Counter = Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                counts[frame.f_code.co_name] += 1
+            elif event == "c_call":
+                counts[arg.__name__] += 1
+
+        sys.setprofile(count)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(None)
+        return result, counts
+
+    def test_add_and_read_stay_under_half_the_former_calls(self):
+        fs = UnixFS(MemoryBlockstore(), FixedSizeChunker(64 * 1024))
+        fs.add_file(rng_for(1, "cost").bytes(2 * 1024 * 1024))  # warm lazy state
+        data = rng_for(2, "cost").bytes(2 * 1024 * 1024)
+        added, add_calls = self.calls(fs.add_file, data)
+        assert (added.n_leaves, added.n_nodes) == (32, 1)
+        read, read_calls = self.calls(fs.read_file, added.cid)
+        assert read == data
+        assert sum(add_calls.values()) <= self.MAX_ADD_CALLS
+        assert sum(read_calls.values()) <= self.MAX_READ_CALLS
+        for counts in (add_calls, read_calls):
+            assert counts["b32encode"] == counts["b32decode"] == 0

@@ -59,6 +59,12 @@ class TestDecode:
         with pytest.raises(EncodingError):
             decode_varint(b"\x80" * 10 + b"\x01")
 
+    @pytest.mark.parametrize("raw", [b"\x80\x00", b"\x81\x00", b"\xff\x80\x00"])
+    def test_non_minimal_raises(self, raw):
+        # Each value has one encoding: a trailing zero group is refused.
+        with pytest.raises(EncodingError):
+            decode_varint(raw)
+
 
 @given(st.integers(min_value=0, max_value=(1 << 63) - 1))
 def test_roundtrip(value):
