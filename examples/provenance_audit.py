@@ -54,7 +54,7 @@ def main() -> None:
     record = client.get_metadata(receipt.entry_id)
     cid = CID.parse(record["cid"])
     holders = [n for n in framework.ipfs.nodes.values() if n.has_local(cid)]
-    honest = holders[0].blockstore.get(cid).data
+    honest = holders[0].blockstore.get(cid)
     for node in holders:
         node.blockstore.corrupt(cid, b"doctored evidence")
     try:

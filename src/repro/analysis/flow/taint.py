@@ -124,8 +124,6 @@ CONTROL_KINDS = frozenset({CLOCK, RANDOM, UUID, ENV})
 # Program functions (by qualname) whose every argument is consensus-visible.
 SINK_QUALNAMES = {
     "repro.util.serialization.canonical_json": "canonical_json",
-    "repro.crypto.hashing.digest": "crypto.digest",
-    "repro.crypto.hashing.hexdigest": "crypto.hexdigest",
     "repro.crypto.merkle.merkle_root": "merkle_root",
     "repro.crypto.merkle.MerkleTree.__init__": "MerkleTree",
     "repro.storage.codec.tx_to_doc": "codec.tx_to_doc",

@@ -43,11 +43,11 @@ def store_events(record: dict) -> list[dict]:
     determines: seq 0 and 1 by its uploader, tx id and ``created_at``,
     hash-chained from :data:`GENESIS_HASH`, keys in canonical order.
 
-    ``captured`` carries ``data_hash``: the hex digest of the record CID's
-    multihash — for a one-chunk payload, the sha-256 of the payload."""
+    ``captured`` carries ``data_hash``: the hex sha-256 digest the record's
+    CID carries — for a one-chunk payload, the sha-256 of the payload."""
     cid = record["cid"]
     try:
-        data_hash = CID.parse(cid).multihash.digest.hex()
+        data_hash = CID.parse(cid).digest.hex()
     except EncodingError as exc:  # only a doctored record: store refuses these
         raise ChaincodeError(f"data record {record['entry_id']} has no valid cid") from exc
     events, prev_hash = [], GENESIS_HASH

@@ -493,20 +493,6 @@ class BftReplica(NetNode):
         """Digest of the decided log prefix — what checkpoints agree on."""
         return self._link(bisect_right(self._seqs, up_to_seq)).hex()
 
-    def log_frontier(self, up_to_seq: int | None = None) -> tuple[int, str]:
-        """Public checkpoint view of the decided log: ``(seq, prefix digest)``.
-
-        With no argument, the frontier is the replica's highest decided
-        sequence. The digest is the hash-chain link at ``seq``: replicas that
-        decided the same ``(seq, request, verdict)`` set up to ``seq`` agree
-        on it, one with a gap differs. Durable-storage checkpoints persist
-        this pair so a restarted validator can prove its log prefix is the
-        one that was persisted (see :mod:`repro.storage.persistence`).
-        """
-        if up_to_seq is None:
-            up_to_seq = self._seqs[-1] if self._seqs else -1
-        return up_to_seq, self._log_digest(up_to_seq)
-
     def _maybe_checkpoint(self) -> None:
         interval = self.cluster.checkpoint_interval
         if interval <= 0:

@@ -1,24 +1,26 @@
 """Content identifiers (CIDs), the addresses of the IPFS-like substrate.
 
-Two versions, matching IPFS:
-
-* **CIDv0** — a bare sha2-256 multihash of a dag-pb node. Only valid for
-  sha2-256 + dag-pb, exactly as in IPFS; its string is base58btc (``Qm...``).
-* **CIDv1** — ``<varint 1><varint codec><multihash>``; its string is that
-  binary form in multibase lowercase base32 with a ``b`` prefix (``bafk…``
-  for a raw leaf, ``bafy…`` for a dag-pb node).
+A CID here has one shape: a sha2-256 CIDv1 of codec raw (a leaf, ``bafk…``)
+or dag-pb (a DAG node, ``bafy…``). Its binary form is 36 bytes,
+``<varint 1><varint codec><0x12 0x20><32-byte digest>`` — the 4-byte prefix
+names the codec — and its string is that binary form in multibase
+lowercase base32 with a ``b`` prefix. Anything else (a CIDv0 ``Qm…``
+string, another hash function, an unknown codec, a wrong length) raises
+:class:`~repro.errors.EncodingError`: a CID arriving from outside is
+checked strictly before it names anything.
 
 Two forms, two uses. The binary form (:meth:`CID.to_bytes` /
-:meth:`CID.from_bytes`) is how a DAG node names its children, so building
-and reading a file tree renders and parses no base32. The string form
-(:meth:`CID.encode` / :meth:`CID.parse`) is for where a CID leaves the DAG:
-the on-chain record ("a unique cryptographic identifier (CID)" per data
-entry, which the DataUpload chaincode stores) and CAR files.
+:meth:`CID.from_bytes`) is how a DAG node names its children and a CAR
+section names its block, so building, reading and archiving a file tree
+renders and parses no base32. The string form (:meth:`CID.encode` /
+:meth:`CID.parse`) is for where a CID leaves the DAG: the on-chain record
+("a unique cryptographic identifier (CID)" per data entry, which the
+DataUpload chaincode stores) and a CAR header's roots.
 
-A CID is a read-only value of a slotted class with dataclass-style equality
-and repr, ordered by its string. Its hash is computed once, when it is
-built, so using it as a blockstore key costs an attribute read; no byte or
-string form is kept on it.
+A CID is a read-only ``(codec, digest)`` value of a slotted class with
+dataclass-style equality and repr, ordered by its string. Its hash is
+computed once, when it is built, so using it as a blockstore key costs an
+attribute read; no byte or string form is kept on it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ from __future__ import annotations
 import hashlib
 from functools import total_ordering
 
-from repro.crypto.hashing import SHA2_256
-from repro.crypto.multihash import CODE_SHA2_256, Multihash
 from repro.errors import EncodingError
 from repro.obs.prof import profiled
-from repro.util.encoding import b32decode, b32encode, b58decode, b58encode
-from repro.util.varint import decode_varint, encode_varint
+from repro.util.encoding import b32decode, b32encode
 
 # Multicodec content-type codes (multiformats registry).
 CODEC_RAW = 0x55
@@ -39,101 +38,67 @@ CODEC_DAG_PB = 0x70
 
 _CODEC_NAMES = {CODEC_RAW: "raw", CODEC_DAG_PB: "dag-pb"}
 
-# The first four bytes of a sha2-256 CIDv1's binary form, per codec: the
-# one shape every CID this system builds has, read and written by lookup.
-_SHA256_V1_PREFIX = {
-    codec: encode_varint(1) + encode_varint(codec) + encode_varint(CODE_SHA2_256) + b"\x20"
-    for codec in _CODEC_NAMES
-}
-_SHA256_V1_CODEC = {prefix: codec for codec, prefix in _SHA256_V1_PREFIX.items()}
+# The first four bytes of the binary form, per codec: CID version 1, the
+# codec, and the multihash header of a 32-byte sha2-256 digest (0x12 0x20).
+_PREFIX = {codec: bytes([1, codec, 0x12, 0x20]) for codec in _CODEC_NAMES}
+_CODEC_OF_PREFIX = {prefix: codec for codec, prefix in _PREFIX.items()}
+CID_SIZE = 36  # bytes in the binary form
 
 
 @total_ordering
 class CID:
     """Immutable content identifier; hashable, ordered, round-trippable."""
 
-    __slots__ = ("version", "codec", "multihash", "_hash")
+    __slots__ = ("codec", "digest", "_hash")
 
-    def __init__(self, version: int, codec: int, multihash: Multihash) -> None:
-        if version == 0:
-            if codec != CODEC_DAG_PB or multihash.code != CODE_SHA2_256:
-                raise EncodingError("CIDv0 requires dag-pb + sha2-256")
-        elif version != 1:
-            raise EncodingError(f"unsupported CID version {version}")
+    def __init__(self, codec: int, digest: bytes) -> None:
         if codec not in _CODEC_NAMES:
             raise EncodingError(f"unknown codec 0x{codec:x}")
-        self.version = version
         self.codec = codec
-        self.multihash = multihash
+        self.digest = digest
         # Equal CIDs have equal digests; a digest caches its own hash.
-        self._hash = hash(multihash.digest)
+        self._hash = hash(digest)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def for_data(
-        cls,
-        data: bytes | memoryview,
-        codec: int = CODEC_RAW,
-        version: int = 1,
-        algo: str = SHA2_256,
-    ) -> "CID":
+    def for_data(cls, data: bytes | memoryview, codec: int = CODEC_RAW) -> "CID":
         """CID addressing ``data`` directly (hash of the bytes). A file add
-        calls this once per block, so sha2-256 is one direct ``hashlib``
-        call under its ``crypto.hash`` frame and byte count."""
-        if algo != SHA2_256:
-            return cls(version, codec, Multihash.of(data, algo))
+        calls this once per block: one ``hashlib`` call under its
+        ``crypto.hash`` frame and byte count."""
         with profiled("crypto.hash", n_bytes=len(data)):
             digest = hashlib.sha256(data).digest()
-        return cls(version, codec, Multihash(CODE_SHA2_256, digest))
+        return cls(codec, digest)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CID":
-        """Parse a binary CID (:meth:`to_bytes`); truncated or trailing bytes,
-        an unknown version, codec or hash function raise
+        """Parse the 36-byte binary form (:meth:`to_bytes`); any other
+        length, version, codec or hash function raises
         :class:`EncodingError`."""
-        prefix = raw[:4]
-        if prefix in _SHA256_V1_CODEC and len(raw) == 36:
-            return cls(1, _SHA256_V1_CODEC[prefix], Multihash(CODE_SHA2_256, raw[4:]))
-        if raw[:1] == b"\x12":  # CIDv0: the bare sha2-256 multihash
-            return cls(0, CODEC_DAG_PB, Multihash.decode(raw))
-        version, pos = decode_varint(raw)
-        if version != 1:
-            raise EncodingError(f"unsupported CID version {version}")
-        codec, pos = decode_varint(raw, pos)
-        mh, end = Multihash.decode_prefix(raw, pos)
-        if end != len(raw):
-            raise EncodingError("trailing bytes after CID")
-        return cls(1, codec, mh)
+        codec = _CODEC_OF_PREFIX.get(raw[:4])
+        if codec is None:
+            raise EncodingError(
+                f"not a sha2-256 CIDv1 of codec raw or dag-pb: {bytes(raw[:4]).hex()}…"
+            )
+        if len(raw) != CID_SIZE:
+            raise EncodingError(f"a binary CID is {CID_SIZE} bytes, not {len(raw)}")
+        return cls(codec, raw[4:])
 
     @classmethod
     def parse(cls, text: str) -> "CID":
-        """Parse either a CIDv0 (``Qm...``) or multibase CIDv1 (``b...``)."""
-        if text.startswith("Qm") and len(text) == 46:
-            return cls(0, CODEC_DAG_PB, Multihash.decode(b58decode(text)))
-        if text.startswith("b"):
-            cid = cls.from_bytes(b32decode(text[1:]))
-            if cid.version != 1:
-                raise EncodingError("a multibase CID must be CIDv1")
-            return cid
-        raise EncodingError(f"unrecognized CID string {text!r}")
+        """Parse the multibase base32 string (``b…``) :meth:`encode` writes."""
+        if not text.startswith("b"):
+            raise EncodingError(f"unrecognized CID string {text!r}")
+        return cls.from_bytes(b32decode(text[1:]))
 
     # -- rendering ----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Binary form: the multihash for CIDv0, else
-        ``<varint 1><varint codec><multihash>``."""
-        mh = self.multihash
-        if self.version == 0:
-            return mh.encode()
-        if mh.code == CODE_SHA2_256:
-            return _SHA256_V1_PREFIX[self.codec] + mh.digest
-        return encode_varint(1) + encode_varint(self.codec) + mh.encode()
+        """Binary form: the codec's 4-byte prefix, then the digest."""
+        return _PREFIX[self.codec] + self.digest
 
     def encode(self) -> str:
         """Canonical string form (what goes on-chain)."""
-        if self.version == 0:
-            return b58encode(self.multihash.encode())
         return "b" + b32encode(self.to_bytes())
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -145,13 +110,7 @@ class CID:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CID:
             return NotImplemented
-        mine, theirs = self.multihash, other.multihash
-        return (
-            self.codec == other.codec
-            and mine.digest == theirs.digest
-            and mine.code == theirs.code
-            and self.version == other.version
-        )
+        return self.codec == other.codec and self.digest == other.digest
 
     def __hash__(self) -> int:
         return self._hash
@@ -161,7 +120,7 @@ class CID:
 
     def __reduce__(self):
         # Rebuilt through ``__init__``: a bytes hash differs per process.
-        return CID, (self.version, self.codec, self.multihash)
+        return CID, (self.codec, self.digest)
 
     # -- semantics ----------------------------------------------------------
 
@@ -171,9 +130,7 @@ class CID:
 
     def verifies(self, data: bytes | memoryview) -> bool:
         """Does ``data`` hash to this CID's digest? A read checks every
-        block with this, so the sha2-256 case is one direct ``hashlib``
-        call (still a ``crypto.hash`` frame with its byte count)."""
-        if self.multihash.code != CODE_SHA2_256:
-            return self.multihash.matches(data)
+        block with this: one ``hashlib`` call under a ``crypto.hash`` frame
+        with its byte count."""
         with profiled("crypto.hash", n_bytes=len(data)):
-            return hashlib.sha256(data).digest() == self.multihash.digest
+            return hashlib.sha256(data).digest() == self.digest

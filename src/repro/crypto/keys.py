@@ -23,8 +23,8 @@ unforgeability. The public key is on the chain, so anyone can pick any
 32-byte ``mac`` and compute the matching tag: this is not a digital
 signature. It keeps the framework-visible shape (constant size, O(message)
 signing and verification cost) and relies on the MSP only for membership.
-ROADMAP item 2(b)-(c) replaces it with deterministic ECDSA P-256 and adds
-tests that forge. Remembering a verdict (``fabric.tx``) adds no hole of its
+The design's answer is a real scheme, deterministic ECDSA P-256, held to
+tests that try to forge. Remembering a verdict (``fabric.tx``) adds no hole of its
 own: it is kept per transaction object, and a forged signature arrives on a
 fresh object and is checked like any other.
 """

@@ -17,9 +17,8 @@ from typing import Iterable, Sequence
 from repro.errors import MerkleProofError
 from repro.obs.prof import profiled
 
-# Hashes call sha256 directly, not crypto.hashing.digest: a tree pass is one
-# ``crypto.merkle`` frame, not one profiled frame and one algorithm lookup
-# per node.
+# Hashes call sha256 directly: a tree pass is one ``crypto.merkle`` frame,
+# not one profiled frame per node.
 _LEAF = b"\x00"
 _NODE = b"\x01"
 

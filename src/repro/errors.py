@@ -21,7 +21,7 @@ class ReproError(Exception):
 
 
 class EncodingError(ReproError):
-    """Malformed varint / base58 / multihash / CID input."""
+    """Malformed varint / base32 / CID input."""
 
 
 class CryptoError(ReproError):
@@ -55,10 +55,6 @@ class BlockNotFoundError(StorageError):
 
 class InvalidBlockError(StorageError):
     """Block bytes do not hash to the CID they were presented under."""
-
-
-class PinError(StorageError):
-    """Invalid pin/unpin operation (e.g. unpinning a CID never pinned)."""
 
 
 class DagError(StorageError):

@@ -35,7 +35,6 @@ from repro.fabric.worldstate import (
     WorldState,
     composite_prefix_range,
     make_composite_key,
-    split_composite_key,
 )
 
 __all__ = [
@@ -85,5 +84,4 @@ __all__ = [
     "WorldState",
     "composite_prefix_range",
     "make_composite_key",
-    "split_composite_key",
 ]

@@ -23,7 +23,6 @@ from repro.fabric.worldstate import (
     WorldState,
     composite_prefix_range,
     make_composite_key,
-    split_composite_key,
 )
 from repro.util.serialization import canonical_json
 
@@ -110,9 +109,6 @@ class ChaincodeStub:
 
     def create_composite_key(self, object_type: str, attributes: list[str]) -> str:
         return make_composite_key(object_type, attributes)
-
-    def split_composite_key(self, key: str) -> tuple[str, list[str]]:
-        return split_composite_key(key)
 
     def get_state_by_partial_composite_key(
         self, object_type: str, attributes: list[str]

@@ -203,20 +203,6 @@ def make_composite_key(object_type: str, attributes: list[str]) -> str:
     )
 
 
-def split_composite_key(key: str) -> tuple[str, list[str]]:
-    if not key.startswith(COMPOSITE_SEP):
-        raise LedgerError(f"not a composite key: {key!r}")
-    parts = key.split(COMPOSITE_SEP)
-    # parts[0] is the empty string before the leading separator; the last
-    # element is empty from the trailing separator when attributes exist.
-    body = parts[1:]
-    if body and body[-1] == "":
-        body = body[:-1]
-    if not body:
-        raise LedgerError(f"malformed composite key: {key!r}")
-    return body[0], body[1:]
-
-
 def composite_prefix_range(object_type: str, attributes: list[str]) -> tuple[str, str]:
     """(start, end) bounds scanning all keys under a composite prefix.
 

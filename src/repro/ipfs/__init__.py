@@ -1,8 +1,7 @@
 """IPFS-like content-addressed storage substrate: chunking, blockstores,
-dag-pb Merkle DAG, UnixFS files, Kademlia DHT, bitswap exchange, pinning."""
+dag-pb Merkle DAG, UnixFS files, Kademlia DHT, bitswap exchange."""
 
 from repro.ipfs.bitswap import BitswapStats, Engine, Ledger
-from repro.ipfs.block import Block
 from repro.ipfs.blockstore import BlockstoreStats, MemoryBlockstore
 from repro.ipfs.chunker import (
     DEFAULT_CHUNK_SIZE,
@@ -13,15 +12,13 @@ from repro.ipfs.chunker import (
 from repro.ipfs.cluster import ClusterStat, IpfsCluster
 from repro.ipfs.dag import DagLink, DagNode, DagService
 from repro.ipfs.dht import DhtNode, DhtRegistry, RoutingTable, key_for_cid, key_for_peer
-from repro.ipfs.node import IpfsNode, NodeStat
-from repro.ipfs.pin import PinManager
+from repro.ipfs.node import IpfsNode
 from repro.ipfs.unixfs import AddResult, UnixFS
 
 __all__ = [
     "BitswapStats",
     "Engine",
     "Ledger",
-    "Block",
     "BlockstoreStats",
     "MemoryBlockstore",
     "DEFAULT_CHUNK_SIZE",
@@ -39,8 +36,6 @@ __all__ = [
     "key_for_cid",
     "key_for_peer",
     "IpfsNode",
-    "NodeStat",
-    "PinManager",
     "AddResult",
     "UnixFS",
 ]

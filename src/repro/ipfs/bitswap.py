@@ -4,8 +4,9 @@ Each node runs an :class:`Engine` holding a per-peer :class:`Ledger` of
 bytes exchanged. A fetch (`want`) asks candidate providers in debt-friendly
 order; the serving engine applies a reciprocity policy — peers deep in debt
 get refused once past a grace allowance, the incentive mechanism real
-bitswap uses to discourage freeloading. Every received block is verified
-against its CID before it touches the local store.
+bitswap uses to discourage freeloading. A block travels as its bytes; every
+received one is hashed against the CID it was asked for before it touches
+the local store, which keeps its own copy.
 
 Transfers are in-process (the cluster holds all nodes), but every exchange
 is metered, and an optional :class:`repro.net.SimNetwork` hook charges the
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto.cid import CID
-from repro.errors import BlockNotFoundError, InvalidBlockError
-from repro.ipfs.block import Block
+from repro.errors import BlockNotFoundError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.obs.metrics import get_registry
 
@@ -82,8 +82,9 @@ class Engine:
 
     # -- serving side ----------------------------------------------------------
 
-    def handle_want(self, requester: str, cid: CID) -> Block | None:
-        """Serve a block if we have it and the requester isn't freeloading."""
+    def handle_want(self, requester: str, cid: CID) -> bytes | memoryview | None:
+        """Serve a block's bytes if we have it and the requester isn't
+        freeloading."""
         if not self.online:
             return None
         ledger = self.ledger_for(requester)
@@ -93,11 +94,11 @@ class Engine:
             return None
         if not self.blockstore.has(cid):
             return None
-        block = self.blockstore.get(cid)
-        ledger.bytes_sent += len(block)
+        data = self.blockstore.get(cid)
+        ledger.bytes_sent += len(data)
         ledger.blocks_sent += 1
         self.stats.blocks_served += 1
-        return block
+        return data
 
     # -- fetching side ------------------------------------------------------------
 
@@ -106,8 +107,9 @@ class Engine:
         cid: CID,
         providers: list[str],
         on_transfer: Callable[[str, int], None] | None = None,
-    ) -> Block:
-        """Fetch ``cid`` from the first provider that serves it.
+    ) -> bytes | memoryview:
+        """Fetch the bytes of ``cid`` from the first provider that serves
+        them intact.
 
         Providers are tried in descending debt-ratio order (peers that owe
         us are most likely to serve). ``on_transfer(peer, nbytes)`` lets the
@@ -123,12 +125,10 @@ class Engine:
                 key=lambda p: -self.ledger_for(p).debt_ratio(),
             )
             for peer in ordered:
-                block = self._peers[peer].handle_want(self.peer_id, cid)
-                if block is None:
+                served = self._peers[peer].handle_want(self.peer_id, cid)
+                if served is None:
                     continue
-                try:
-                    verified = Block.verified(block.cid, block.data)  # trust no peer
-                except InvalidBlockError:
+                if not cid.verifies(served):  # trust no peer
                     # Corrupted bytes from this peer — reject and keep trying
                     # the remaining providers rather than poisoning the store.
                     self.stats.corrupt_rejected += 1
@@ -136,14 +136,15 @@ class Engine:
                         "ipfs_corrupt_blocks_total", {"peer": peer}
                     ).inc()
                     continue
+                data = bytes(served)  # the fetcher's own copy
                 ledger = self.ledger_for(peer)
-                ledger.bytes_received += len(verified)
+                ledger.bytes_received += len(data)
                 ledger.blocks_received += 1
                 self.stats.blocks_fetched += 1
-                self.blockstore.put(cid, verified.data)
+                self.blockstore.put(cid, data)
                 if on_transfer is not None:
-                    on_transfer(peer, len(verified))
-                return verified
+                    on_transfer(peer, len(data))
+                return data
             self.stats.fetch_failures += 1
             raise BlockNotFoundError(cid)
         finally:

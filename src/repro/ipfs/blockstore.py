@@ -1,7 +1,8 @@
 """The blockstore: where blocks physically live on a node.
 
-:class:`MemoryBlockstore` keeps blocks in a dict keyed by CID and counts
-puts/gets/bytes for the storage-time benchmarks.
+A block is its bytes, stored under the CID they hash to:
+:class:`MemoryBlockstore` keeps them in a dict keyed by CID, hands them back
+as stored, and counts puts/gets/bytes for the storage-time benchmarks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from typing import Iterator
 
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError
-from repro.ipfs.block import Block
 
 
 @dataclass
@@ -43,7 +43,8 @@ class MemoryBlockstore:
             self._blocks[cid] = data
             self.stats.bytes_written += len(data)
 
-    def get(self, cid: CID) -> Block:
+    def get(self, cid: CID) -> bytes | memoryview:
+        """The bytes stored under ``cid``, as they were put (no copy)."""
         self.stats.gets += 1
         try:
             data = self._blocks[cid]
@@ -52,7 +53,7 @@ class MemoryBlockstore:
             raise BlockNotFoundError(cid) from None
         self.stats.hits += 1
         self.stats.bytes_read += len(data)
-        return Block(cid=cid, data=data)
+        return data
 
     def has(self, cid: CID) -> bool:
         return cid in self._blocks

@@ -8,15 +8,16 @@ jurisdiction's cluster. Every imported block is hash-verified, so a CAR
 from an untrusted courier is safe to ingest.
 
 Framing (simplified from the CARv1 spec, same structure): a varint-length-
-prefixed canonical-JSON header ``{"version": 1, "roots": [...]}``, then for
-each block a varint-length-prefixed section of ``cid-string \\n raw-bytes``.
+prefixed canonical-JSON header ``{"version": 1, "roots": [...]}`` naming the
+roots by their strings, then for each block a section framed as CARv1 frames
+it, ``<varint length><36-byte binary CID><raw bytes>`` — so writing and
+reading the blocks renders and parses no base32.
 """
 
 from __future__ import annotations
 
-from repro.crypto.cid import CID
-from repro.errors import DagError, EncodingError, StorageError
-from repro.ipfs.block import Block
+from repro.crypto.cid import CID, CID_SIZE
+from repro.errors import DagError, EncodingError, InvalidBlockError, StorageError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.dag import DagService
 from repro.util.serialization import canonical_json, from_canonical_json
@@ -42,9 +43,9 @@ def export_car(blockstore: MemoryBlockstore, roots: list[CID]) -> bytes:
             if cid in written:
                 continue
             written.add(cid)
-            data = blockstore.get(cid).data
-            prefix = cid.encode().encode("ascii") + b"\n"
-            parts += [encode_varint(len(prefix) + len(data)), prefix, data]
+            data = blockstore.get(cid)
+            binary = cid.to_bytes()
+            parts += [encode_varint(len(binary) + len(data)), binary, data]
     return b"".join(parts)
 
 
@@ -73,13 +74,17 @@ def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
         end = pos + section_len
         if end > len(raw):
             raise StorageError("truncated CAR section")
-        sep = raw.find(b"\n", pos, end)
-        if sep < 0:
-            raise StorageError("malformed CAR section (no CID delimiter)")
-        cid = CID.parse(raw[pos:sep].decode("ascii"))
-        # Block.verified raises InvalidBlockError on any hash mismatch and
-        # makes the block's one copy out of the view.
-        blockstore.put(cid, Block.verified(cid, view[sep + 1 : end]).data)
+        body = pos + CID_SIZE
+        if body > end:
+            raise StorageError("malformed CAR section (shorter than a CID)")
+        try:
+            cid = CID.from_bytes(raw[pos:body])
+        except EncodingError as exc:
+            raise StorageError(f"malformed CAR section: {exc}") from exc
+        data = view[body:end]
+        if not cid.verifies(data):
+            raise InvalidBlockError(f"data does not hash to {cid}")
+        blockstore.put(cid, bytes(data))  # the block's one copy
         pos = end
 
     dag = DagService(blockstore)

@@ -94,7 +94,7 @@ class IpfsCluster:
         with obs_span("ipfs.restart_rehash") as sp:
             sp.set_attr("node", peer_id)
             for cid in sorted(node.blockstore.cids(), key=lambda c: c.encode()):
-                if not cid.verifies(node.blockstore.get(cid).data):
+                if not cid.verifies(node.blockstore.get(cid)):
                     node.blockstore.delete(cid)
                     removed += 1
             sp.set_attr("removed", removed)
@@ -239,7 +239,7 @@ class IpfsCluster:
             if current in seen or not node.blockstore.has(current):
                 continue
             seen.add(current)
-            if not current.verifies(node.blockstore.get(current).data):
+            if not current.verifies(node.blockstore.get(current)):
                 node.blockstore.delete(current)
                 removed += 1
                 continue

@@ -140,7 +140,7 @@ class DagService:
     def get(self, cid: CID) -> DagNode:
         if not is_dag_node(cid):
             raise DagError(f"CID {cid} is not a DAG node (codec {cid.codec_name})")
-        return DagNode.deserialize(self.blockstore.get(cid).data)
+        return DagNode.deserialize(self.blockstore.get(cid))
 
     def walk(self, root: CID) -> Iterator[tuple[CID, DagNode | None]]:
         """Depth-first pre-order walk of all blocks under ``root``.

@@ -1,14 +1,13 @@
-"""IpfsNode: one peer's complete stack — blockstore, UnixFS, pins, bitswap.
+"""IpfsNode: one peer's complete stack — blockstore, UnixFS, bitswap.
 
 The node is the unit the paper deploys two of ("two IPFS nodes for
 decentralized storage"). ``add_bytes`` is step ③ of the paper's Figure 1
 (store data, obtain CID); ``cat`` is step Ⓒ (fetch raw data by CID),
-fetching missing blocks from providers over bitswap.
+fetching missing blocks from providers over bitswap. A node keeps every
+block it added or fetched: there is no pinning and no garbage collector.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError
@@ -16,16 +15,8 @@ from repro.ipfs.bitswap import Engine
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import Chunker
 from repro.ipfs.dag import DagService, is_dag_node
-from repro.ipfs.pin import PinManager
 from repro.ipfs.unixfs import AddResult, UnixFS
 from repro.obs.tracer import span as obs_span
-
-
-@dataclass(frozen=True)
-class NodeStat:
-    peer_id: str
-    n_blocks: int
-    pinned_roots: int
 
 
 class IpfsNode:
@@ -40,7 +31,6 @@ class IpfsNode:
         self.blockstore = MemoryBlockstore()
         self.unixfs = UnixFS(self.blockstore, chunker=chunker)
         self.dag = DagService(self.blockstore)
-        self.pins = PinManager()
         self.bitswap = Engine(peer_id, self.blockstore)
 
     @property
@@ -53,15 +43,13 @@ class IpfsNode:
 
     # -- local operations -----------------------------------------------------
 
-    def add_bytes(self, data: bytes, pin: bool = True) -> AddResult:
+    def add_bytes(self, data: bytes) -> AddResult:
         """Chunk, hash, and store ``data``; returns the root CID."""
         with obs_span("ipfs.add_bytes") as sp:
             sp.set_attr("peer", self.peer_id)
             sp.set_attr("bytes", len(data))
             result = self.unixfs.add_file(data)
             sp.set_attr("leaves", result.n_leaves)
-            if pin:
-                self.pins.pin(result.cid, recursive=True)
             return result
 
     def cat_local(self, cid: CID) -> bytes:
@@ -71,16 +59,6 @@ class IpfsNode:
 
     def has_local(self, cid: CID) -> bool:
         return self.blockstore.has(cid)
-
-    def pin(self, cid: CID, recursive: bool = True) -> None:
-        self.pins.pin(cid, recursive=recursive)
-
-    def stat(self) -> NodeStat:
-        return NodeStat(
-            peer_id=self.peer_id,
-            n_blocks=len(self.blockstore),
-            pinned_roots=len(self.pins.recursive) + len(self.pins.direct),
-        )
 
     # -- remote fetch -----------------------------------------------------------
 

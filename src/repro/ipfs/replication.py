@@ -89,7 +89,6 @@ class ReplicationManager:
             target = self.cluster.nodes[target_id]
             providers = sorted(current)
             target.cat(cid, providers=providers)  # pulls all blocks via bitswap
-            target.pin(cid)
             # Announce the new replica so reads can discover it after the
             # original adder crashes (what ipfs-cluster does on pin).
             self.cluster.dht.provide(target_id, cid)

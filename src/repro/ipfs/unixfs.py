@@ -114,7 +114,7 @@ class UnixFS:
         return data
 
     def _read_into(self, cid: CID, out: list) -> None:
-        data = self.blockstore.get(cid).data
+        data = self.blockstore.get(cid)
         if not cid.verifies(data):
             raise DagError(f"block {cid} failed verification")
         if not is_dag_node(cid):
@@ -125,13 +125,3 @@ class UnixFS:
             raise DagError(f"{cid} is not a UnixFS file node")
         for link in node.links:
             self._read_into(link.cid, out)
-
-    def leaf_cids(self, root: CID) -> list[CID]:
-        """CIDs of the raw chunks, in file order."""
-        if not is_dag_node(root):
-            return [root]
-        node = self.dag.get(root)
-        out: list[CID] = []
-        for link in node.links:
-            out.extend(self.leaf_cids(link.cid))
-        return out

@@ -11,8 +11,8 @@ transaction's root span and extracts the longest dependency chain: at every
 point in time, exactly one span is "blamed" — the deepest causal frame that
 was still running — so the resulting segments *partition* the end-to-end
 wall time exactly. Each segment is attributed to ``{stage, node,
-msg_kind}``, which is the target list ROADMAP item 3 (the ~4–5 ms fixed
-blockchain overhead dominating Fig. 5) needs: not "consensus is slow" but
+msg_kind}``, the attribution that explaining the ~4–5 ms fixed blockchain
+overhead dominating Fig. 5 needs: not "consensus is slow" but
 "prepare-message delivery on validator-2 accounts for X µs of the path".
 
 A segment's node is its span's :attr:`~repro.obs.span.Span.node`, the

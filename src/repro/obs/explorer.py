@@ -402,7 +402,7 @@ class LedgerExplorer:
                         continue
                     seen.add(cid)
                     report.offchain_blocks_checked += 1
-                    if not cid.verifies(node.blockstore.get(cid).data):
+                    if not cid.verifies(node.blockstore.get(cid)):
                         report.findings.append(
                             AuditFinding(
                                 "offchain_block",

@@ -12,10 +12,7 @@ the ordering service) holds:
   :class:`~repro.fabric.snapshot.Snapshot` and the
   :class:`~repro.fabric.snapshot.SnapshotDelta` of each checkpoint since
   (one every ``checkpoint_interval`` blocks), written atomically; the WAL
-  is truncated once a checkpoint covers it;
-* ``frontier-<replica>`` — each PBFT validator's decided-log frontier
-  ``{seq, stable, digest}``, so a restarted validator set can prove its
-  log prefix matches what was persisted.
+  is truncated once a checkpoint covers it.
 
 The peer's :class:`~repro.index.PeerIndex` is derived state and is not
 persisted: every recovery path rebuilds it from the world state the peer
@@ -27,11 +24,11 @@ A checkpoint writes and hashes what changed since the peer's previous
 one: a delta of the lines of the keys written since
 (``WorldState.take_changed``), hash-chained onto the delta before it or the
 base's state digest. Once the deltas' bytes reach the base's, it *folds*:
-a fresh base, the deltas deleted in the same ``sync``. The frontiers are
-written once per ledger height, by the first peer to checkpoint there, and
-the orderer's own log (``submit`` / ``batch`` records) is compacted at the
-same moment to the records whose transactions are not yet on a ledger — so
-it holds what no checkpoint covers yet rather than every batch ever cut.
+a fresh base, the deltas deleted in the same ``sync``. The orderer's own
+log (``submit`` / ``batch`` records) is compacted once per ledger height,
+by the first peer to checkpoint there, to the records whose transactions
+are not yet on a ledger — so it holds what no checkpoint covers yet rather
+than every batch ever cut.
 
 Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 
@@ -175,8 +172,8 @@ class DurabilityManager:
         # The orderer log's records and their tx ids, so that compaction
         # decodes none; rebuilt from disk after a crash.
         self._orderer_log: list[tuple[bytes, list[str]]] = []
-        # Ledger height of the last checkpoint that also covered the
-        # ordering service (validator frontiers + orderer-log compaction).
+        # Ledger height of the last checkpoint that also compacted the
+        # orderer log.
         self._orderer_checkpoint_height = -1
         for peer in channel.peers.values():
             peer.journal = self
@@ -238,10 +235,9 @@ class DurabilityManager:
         One delta of what changed since the peer's previous checkpoint, or a
         fold once the deltas' bytes reach the base's or the world has no base
         to be a delta of (it was just replaced). The index is not written:
-        recovery rebuilds it from the snapshot. The ordering service's share
-        — the validator frontiers and the orderer-log compaction — is done by
-        the first peer to checkpoint at each ledger height: every peer's
-        checkpoint at one height would persist the same validator logs.
+        recovery rebuilds it from the snapshot. The orderer log is compacted
+        by the first peer to checkpoint at each ledger height: a second
+        compaction at the same height would find the same log.
         """
         store = self.stores.get(peer.name)
         if store is None:
@@ -265,29 +261,7 @@ class DurabilityManager:
         get_registry().counter("checkpoints_total").inc()
         if peer.ledger.height != self._orderer_checkpoint_height:
             self._orderer_checkpoint_height = peer.ledger.height
-            self.checkpoint_validators()
             self._compact_orderer_log()
-
-    def checkpoint_validators(self) -> int:
-        """Persist every PBFT replica's decided-log frontier."""
-        cluster = getattr(self.channel.orderer, "cluster", None)
-        if cluster is None:
-            return 0
-        for name in cluster.replica_names:
-            seq, digest = cluster.replicas[name].log_frontier()
-            self.orderer_store.write_file(
-                f"frontier-{name}",
-                canonical_json(
-                    {
-                        "replica": name,
-                        "seq": seq,
-                        "stable": cluster.replicas[name].stable_checkpoint,
-                        "digest": digest,
-                    }
-                ),
-            )
-        self.orderer_store.sync()
-        return len(cluster.replica_names)
 
     def _compact_orderer_log(self) -> None:
         """Rewrite the orderer log without the records whose transactions
@@ -312,21 +286,6 @@ class DurabilityManager:
             store.append(WAL_LOG, payload)
         self._orderer_log = keep
         store.sync()
-
-    def verify_validator_frontiers(self) -> dict[str, bool]:
-        """Check each persisted frontier digest against the live replica log."""
-        cluster = getattr(self.channel.orderer, "cluster", None)
-        if cluster is None:
-            return {}
-        out: dict[str, bool] = {}
-        for name in cluster.replica_names:
-            raw = self.orderer_store.read_file(f"frontier-{name}")
-            if raw is None:
-                continue
-            doc = from_canonical_json(raw)
-            _, digest = cluster.replicas[name].log_frontier(int(doc["seq"]))
-            out[name] = digest == doc["digest"]
-        return out
 
     # -- crash + recovery ------------------------------------------------------
 
@@ -430,17 +389,6 @@ class DurabilityManager:
                 "txs_dropped_total", {"reason": "orderer_crash"}
             ).inc(len(dropped))
         return list(dropped)
-
-    def pending_batches(self) -> dict[str, list[str]]:
-        """Durably recorded batches (request id -> tx ids) not yet covered by
-        a checkpoint: the orderer log is compacted whenever one is written."""
-        records, _tail = self.orderer_store.read_log(WAL_LOG)
-        out: dict[str, list[str]] = {}
-        for payload in records:
-            doc = from_canonical_json(payload)
-            if doc.get("type") == "batch":
-                out[doc["request_id"]] = _record_tx_ids(doc)
-        return out
 
     # -- internals -------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 clocks, and deterministic RNG derivation."""
 
 from repro.util.clock import Clock, SimClock, WallClock, isoformat
-from repro.util.encoding import b32decode, b32encode, b58decode, b58encode
+from repro.util.encoding import b32decode, b32encode
 from repro.util.parallel import parallel_map
 from repro.util.rng import derive_seed, rng_for
 from repro.util.serialization import canonical_json, from_canonical_json
@@ -15,8 +15,6 @@ __all__ = [
     "isoformat",
     "b32decode",
     "b32encode",
-    "b58decode",
-    "b58encode",
     "parallel_map",
     "derive_seed",
     "rng_for",

@@ -1,8 +1,7 @@
-"""Base encodings used by CIDs and identities: base58btc, base32, hex.
+"""Base32, the multibase of a CID's string form.
 
-base58btc is the Bitcoin alphabet used by CIDv0 (``Qm...`` identifiers);
-lowercase base32 (RFC 4648, no padding) is the default multibase for CIDv1
-(``b...`` identifiers). Both are implemented from scratch — the substrate is
+Lowercase base32 (RFC 4648, no padding) is the default multibase for CIDv1
+(``b...`` identifiers). It is implemented from scratch — the substrate is
 dependency-free by design.
 """
 
@@ -10,40 +9,12 @@ from __future__ import annotations
 
 from repro.errors import EncodingError
 
-B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_B58_INDEX = {c: i for i, c in enumerate(B58_ALPHABET)}
-
 B32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 _B32_CHARS = frozenset(B32_ALPHABET)
 # Each base32 character -> the digit of the same value that ``int(_, 32)`` reads.
 _B32_TO_INT_DIGITS = str.maketrans(B32_ALPHABET, "0123456789abcdefghijklmnopqrstuv")
 # 10 bits -> their two base32 characters.
 _B32_PAIRS = [a + b for a in B32_ALPHABET for b in B32_ALPHABET]
-
-
-def b58encode(data: bytes) -> str:
-    """Encode bytes as base58btc (Bitcoin alphabet)."""
-    # Leading zero bytes encode as leading '1' characters.
-    n_zeros = len(data) - len(data.lstrip(b"\x00"))
-    num = int.from_bytes(data, "big")
-    chars: list[str] = []
-    while num:
-        num, rem = divmod(num, 58)
-        chars.append(B58_ALPHABET[rem])
-    return "1" * n_zeros + "".join(reversed(chars))
-
-
-def b58decode(text: str) -> bytes:
-    """Decode a base58btc string to bytes."""
-    num = 0
-    for ch in text:
-        try:
-            num = num * 58 + _B58_INDEX[ch]
-        except KeyError:
-            raise EncodingError(f"invalid base58 character {ch!r}") from None
-    n_zeros = len(text) - len(text.lstrip("1"))
-    body = num.to_bytes((num.bit_length() + 7) // 8, "big") if num else b""
-    return b"\x00" * n_zeros + body
 
 
 def b32encode(data: bytes) -> str:

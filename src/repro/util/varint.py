@@ -1,4 +1,4 @@
-"""Unsigned LEB128 varints, as used by multihash/CID and block framing.
+"""Unsigned LEB128 varints, as used by dag-pb nodes and CAR framing.
 
 The wire format stores 7 bits per byte, least-significant group first; the
 high bit of each byte is a continuation flag. This matches the `unsigned

@@ -4,8 +4,25 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import ChaincodeError
+from repro.errors import ChaincodeError, LedgerError
 from repro.fabric import Chaincode, ChaincodeStub, FabricNetwork, Role
+from repro.fabric.worldstate import COMPOSITE_SEP
+
+
+def split_composite_key(key: str) -> tuple[str, list[str]]:
+    """The ``(object_type, attributes)`` a composite key was made from: the
+    layout :func:`~repro.fabric.worldstate.make_composite_key` writes, read
+    back so tests can check it."""
+    if not key.startswith(COMPOSITE_SEP):
+        raise LedgerError(f"not a composite key: {key!r}")
+    # parts[0] is the empty string before the leading separator; the last
+    # element is empty from the trailing separator when attributes exist.
+    body = key.split(COMPOSITE_SEP)[1:]
+    if body and body[-1] == "":
+        body = body[:-1]
+    if not body:
+        raise LedgerError(f"malformed composite key: {key!r}")
+    return body[0], body[1:]
 
 
 class KvChaincode(Chaincode):
@@ -43,7 +60,7 @@ class KvChaincode(Chaincode):
         rows = stub.get_state_by_partial_composite_key("cat", [category])
         out = []
         for key, value in rows:
-            _, attrs = stub.split_composite_key(key)
+            _, attrs = split_composite_key(key)
             out.append({"item": attrs[1], "value": value.decode()})
         return out
 

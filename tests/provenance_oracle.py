@@ -12,7 +12,7 @@ answered for the same history.
 
 A store now sends ``(cid, metadata_json)`` and no payload hash: the writer
 is handed, as the ``data_hash`` its ``captured`` event records, the hex
-digest of the CID's multihash — the value the record's built event carries.
+sha-256 digest the CID carries — the value the record's built event carries.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class OracleDataUpload(Chaincode):
 
     def store(self, stub: ChaincodeStub, cid: str, metadata_json: str):
         result = self.add_data(stub, cid, metadata_json)
-        data_hash = CID.parse(cid).multihash.digest.hex()
+        data_hash = CID.parse(cid).digest.hex()
         actor = stub.get_creator().name
         for action, details in (("captured", {"data_hash": data_hash}), ("stored", {"cid": cid})):
             stub.invoke_chaincode(

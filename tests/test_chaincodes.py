@@ -208,6 +208,14 @@ class TestDataUploadRetrieval:
                 channel.invoke(client, "data_upload", "store", [cid, "{}"])
         assert channel.height() == height
 
+    def test_a_cidv0_string_is_refused(self, env):
+        """A well-formed CIDv0 names no block this system can hold."""
+        _, channel, client = env
+        with pytest.raises(ChaincodeError, match="is not a CID"):
+            channel.invoke(
+                client, "data_upload", "store", ["QmTHEvCQrzxR7vFXmeyCptGYWddfamfc11W7UuziDtrw25", "{}"]
+            )
+
     # The contracts keep no secondary index: a "list by" is the retrieval
     # contract's list_all full scan filtered by the query (QueryEngine.scan).
 

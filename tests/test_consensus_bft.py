@@ -347,8 +347,16 @@ class TestViewSynchronisation:
         assert replica.view == 56
 
 
+def frontier(replica, up_to_seq=None):
+    """``(seq, prefix digest)`` of a replica's decided log, by default at its
+    highest decided seq: the digest its PBFT checkpoints carry."""
+    if up_to_seq is None:
+        up_to_seq = replica._seqs[-1] if replica._seqs else -1
+    return up_to_seq, replica._log_digest(up_to_seq)
+
+
 class TestLogHashChain:
-    """The decided log's seq-ordered hash chain behind ``log_frontier``."""
+    """The decided log's seq-ordered hash chain that PBFT checkpoints carry."""
 
     @staticmethod
     def _decision(seq, accepted=True, request_id=None):
@@ -374,33 +382,33 @@ class TestLogHashChain:
         import itertools
 
         in_order = self._replica_fed(range(5))
-        frontiers = [in_order.log_frontier(seq) for seq in range(-1, 6)]
+        frontiers = [frontier(in_order, seq) for seq in range(-1, 6)]
         assert len({digest for _, digest in frontiers}) == 6  # -1, 0..4; 5 == 4
         for order in itertools.permutations(range(5)):
             shuffled = self._replica_fed(order)
             assert shuffled._seqs == [0, 1, 2, 3, 4]
-            assert [shuffled.log_frontier(seq) for seq in range(-1, 6)] == frontiers
-            assert shuffled.log_frontier() == in_order.log_frontier()
+            assert [frontier(shuffled, seq) for seq in range(-1, 6)] == frontiers
+            assert frontier(shuffled) == frontier(in_order)
 
     def test_equal_prefixes_agree_and_a_gap_differs(self):
         full = self._replica_fed(range(6))
         gapped = self._replica_fed([0, 1, 3, 4, 5])
         for seq in (-1, 0, 1):
-            assert gapped.log_frontier(seq) == full.log_frontier(seq)
+            assert frontier(gapped, seq) == frontier(full, seq)
         for seq in (2, 3, 4, 5):
-            assert gapped.log_frontier(seq)[1] != full.log_frontier(seq)[1]
+            assert frontier(gapped, seq)[1] != frontier(full, seq)[1]
         gapped._chain_decision(self._decision(2))  # the straggler arrives
-        assert gapped.log_frontier() == full.log_frontier() == (5, full._links[-32:].hex())
+        assert frontier(gapped) == frontier(full) == (5, full._links[-32:].hex())
 
     def test_digest_commits_to_request_and_verdict(self):
         base = self._replica_fed(range(3))
         other_verdict = self._replica_fed(range(3), rejected={1})
-        assert other_verdict.log_frontier(0) == base.log_frontier(0)
-        assert other_verdict.log_frontier(1)[1] != base.log_frontier(1)[1]
+        assert frontier(other_verdict, 0) == frontier(base, 0)
+        assert frontier(other_verdict, 1)[1] != frontier(base, 1)[1]
         renamed = self._replica_fed(range(2))
         renamed._chain_decision(self._decision(2, request_id="someone-else"))
-        assert renamed.log_frontier(1) == base.log_frontier(1)
-        assert renamed.log_frontier(2)[1] != base.log_frontier(2)[1]
+        assert frontier(renamed, 1) == frontier(base, 1)
+        assert frontier(renamed, 2)[1] != frontier(base, 2)[1]
 
     def test_live_replicas_agree_on_every_frontier(self):
         cluster = make_cluster()
@@ -409,11 +417,11 @@ class TestLogHashChain:
         cluster.run()
         replicas = list(cluster.replicas.values())
         for seq in range(-1, 6):
-            assert len({r.log_frontier(seq) for r in replicas}) == 1
-        assert {r.log_frontier() for r in replicas} == {replicas[0].log_frontier(5)}
+            assert len({frontier(r, seq) for r in replicas}) == 1
+        assert {frontier(r) for r in replicas} == {frontier(replicas[0], 5)}
         assert replicas[0]._seqs == sorted(d.seq for d in replicas[0].log)
 
     def test_empty_log_frontier(self):
         replica = make_cluster().replicas["validator-2"]
-        seq, digest = replica.log_frontier()
-        assert seq == -1 and digest == replica.log_frontier(10)[1]
+        seq, digest = frontier(replica)
+        assert seq == -1 and digest == frontier(replica, 10)[1]

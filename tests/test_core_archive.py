@@ -102,6 +102,5 @@ class TestExportImport:
         target = receiver.ipfs.node("ipfs-0")
         bundle, _ = import_bundle(raw, blockstore=target.blockstore)
         for entry in bundle.entries:
-            target.pin(entry.cid)
             receiver.ipfs.dht.provide("ipfs-0", entry.cid)
             assert receiver.ipfs.cat(entry.cid, node="ipfs-1") == payloads[entry.entry_id]

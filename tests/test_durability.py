@@ -1,5 +1,5 @@
 """End-to-end durability: WAL replay, checkpoint restore, damaged-WAL state
-transfer, orderer crash semantics, validator frontiers, and SAN307."""
+transfer, orderer crash semantics and log compaction, and SAN307."""
 
 import dataclasses
 import hashlib
@@ -38,6 +38,14 @@ def durable_network(checkpoint_interval=4, wal_sync_every=1, **kwargs):
         wal_sync_every=wal_sync_every,
     )
     return net, channel, alice, manager
+
+
+def pending_batches(manager):
+    """Durably recorded batches (request id -> tx ids) still in the orderer
+    log: what was cut since the last checkpoint compacted it."""
+    records, _tail = manager.orderer_store.read_log(WAL_LOG)
+    docs = [from_canonical_json(payload) for payload in records]
+    return {d["request_id"]: _record_ids(d) for d in docs if d["type"] == "batch"}
 
 
 def put_n(channel, alice, n, prefix="k"):
@@ -186,14 +194,14 @@ class TestOrdererDurability:
             checkpoint_interval=4, consensus="bft", max_batch_size=2
         )
         put_n(channel, alice, 6)  # checkpoint at 4 covers the first four batches
-        batches = manager.pending_batches()
+        batches = pending_batches(manager)
         batched_txs = {tx for txs in batches.values() for tx in txs}
         assert len(batched_txs) == 2  # cut since, not yet under a checkpoint
         ledger = channel.peers["peer0.org1"].ledger
         assert {ledger.find_tx(tx)[0].number for tx in batched_txs} == {4, 5}
         dropped = manager.crash_orderer()  # queue is empty: batches already cut
         assert dropped == []
-        assert manager.pending_batches() == batches  # synced records survive
+        assert pending_batches(manager) == batches  # synced records survive
         assert channel.height() == 6  # and every batched tx committed
 
     def test_orderer_log_is_bounded_by_the_checkpoint_interval(self):
@@ -210,7 +218,7 @@ class TestOrdererDurability:
             sizes.append(manager.orderer_store.log_bytes(WAL_LOG))
         assert channel.height() == 20
         assert sizes == [0] * 5  # everything submitted is committed and covered
-        assert manager.pending_batches() == {}
+        assert pending_batches(manager) == {}
         assert peaks[0] > 0 and max(peaks) <= 1.1 * peaks[0]
 
     def test_compaction_keeps_what_is_not_yet_on_the_ledger(self):
@@ -225,7 +233,7 @@ class TestOrdererDurability:
             {"type": "submit", "tx_id": waiting}
         ]
         channel.flush()  # cut and committed, but no checkpoint covers it yet
-        assert list(manager.pending_batches().values()) == [[waiting]]
+        assert list(pending_batches(manager).values()) == [[waiting]]
 
     def test_a_state_transferred_first_peer_does_not_pin_old_records(self):
         """A peer adopted from a snapshot indexes no tx below its base; when
@@ -236,12 +244,12 @@ class TestOrdererDurability:
         )
         first = next(iter(channel.peers))
         put_n(channel, alice, 5)  # compacted at 4; block 5's records remain
-        assert len(manager.pending_batches()) == 1
+        assert len(pending_batches(manager)) == 1
         manager.damage_wal(first, CORRUPT)
         assert manager.crash_and_recover(first).kind == "state_transfer"
         assert channel.peers[first].ledger.base_height == 5  # indexes no tx below
         put_n(channel, alice, 3, prefix="later")  # `first` checkpoints height 8 first
-        assert manager.pending_batches() == {}
+        assert pending_batches(manager) == {}
         assert manager.orderer_store.log_bytes(WAL_LOG) == 0
 
     def test_resilient_invoke_resubmits_after_an_orderer_crash(self):
@@ -276,23 +284,6 @@ class TestOrdererDurability:
         counters = get_registry().snapshot()["counters"]
         assert counters.get('txs_dropped_total{reason="orderer_crash"}', 0) >= 1
         assert any(k.startswith("retries_total") for k in counters)
-
-
-class TestValidatorFrontiers:
-    def test_frontier_digests_verify_against_live_logs(self):
-        net, channel, alice, manager = durable_network(
-            consensus="bft", checkpoint_interval=2
-        )
-        put_n(channel, alice, 4)
-        verdict = manager.verify_validator_frontiers()
-        assert len(verdict) == 4
-        assert all(verdict.values())
-
-    def test_solo_orderer_has_no_frontiers(self):
-        _, channel, alice, manager = durable_network(consensus="solo")
-        put_n(channel, alice, 2)
-        assert manager.verify_validator_frontiers() == {}
-        assert manager.checkpoint_validators() == 0
 
 
 class TestSan307:
@@ -541,7 +532,7 @@ def _record_ids(doc):
 class TestOrdererLogCompaction:
     def test_a_scripted_run_keeps_what_decoding_every_record_would(self):
         """Compaction reads the tx ids it keeps in memory; at every
-        compaction the log it leaves, and ``pending_batches()``, must equal
+        compaction the log it leaves, and ``pending_batches``, must equal
         what decoding each durable record's body and dropping the ones on a
         ledger gives — across an orderer crash, which rebuilds the memory."""
         net, channel, alice, manager = durable_network(
@@ -565,7 +556,7 @@ class TestOrdererLogCompaction:
             compact()
             assert store.read_log(WAL_LOG) == (keep, "")
             docs = [from_canonical_json(payload) for payload in keep]
-            assert manager.pending_batches() == {
+            assert pending_batches(manager) == {
                 d["request_id"]: _record_ids(d) for d in docs if d["type"] == "batch"
             }
             dropped.append(len(records) - len(keep))

@@ -14,8 +14,8 @@ from repro.fabric.worldstate import (
     WorldState,
     composite_prefix_range,
     make_composite_key,
-    split_composite_key,
 )
+from tests.fabric_helpers import split_composite_key
 
 
 def ws_put(ws, key, value, block, tx=0, tx_id="tx", ts=0.0):

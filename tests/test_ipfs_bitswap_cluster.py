@@ -5,7 +5,6 @@ import pytest
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError, StorageError
 from repro.ipfs.bitswap import Engine
-from repro.ipfs.block import Block
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import FixedSizeChunker
 from repro.ipfs.cluster import IpfsCluster
@@ -23,26 +22,29 @@ def pair():
 class TestBitswapEngine:
     def test_fetch_from_peer(self):
         a, b = pair()
-        block = Block.for_data(b"shared block")
-        b.blockstore.put(block.cid, block.data)
-        got = a.want(block.cid, ["b"])
-        assert got.data == b"shared block"
-        assert a.blockstore.has(block.cid)
+        data = b"shared block"
+        cid = CID.for_data(data)
+        b.blockstore.put(cid, data)
+        got = a.want(cid, ["b"])
+        assert got == b"shared block"
+        assert a.blockstore.has(cid)
 
     def test_ledger_accounting_both_sides(self):
         a, b = pair()
-        block = Block.for_data(b"x" * 100)
-        b.blockstore.put(block.cid, block.data)
-        a.want(block.cid, ["b"])
+        data = b"x" * 100
+        cid = CID.for_data(data)
+        b.blockstore.put(cid, data)
+        a.want(cid, ["b"])
         assert a.ledger_for("b").bytes_received == 100
         assert b.ledger_for("a").bytes_sent == 100
         assert a.ledger_for("b").blocks_received == 1
 
     def test_local_block_short_circuits(self):
         a, _ = pair()
-        block = Block.for_data(b"local")
-        a.blockstore.put(block.cid, block.data)
-        a.want(block.cid, [])
+        data = b"local"
+        cid = CID.for_data(data)
+        a.blockstore.put(cid, data)
+        a.want(cid, [])
         assert a.stats.duplicate_wants == 1
 
     def test_missing_everywhere_raises(self):
@@ -53,10 +55,11 @@ class TestBitswapEngine:
 
     def test_unknown_provider_skipped(self):
         a, b = pair()
-        block = Block.for_data(b"data")
-        b.blockstore.put(block.cid, block.data)
-        got = a.want(block.cid, ["not-connected", "b"])
-        assert got.data == b"data"
+        data = b"data"
+        cid = CID.for_data(data)
+        b.blockstore.put(cid, data)
+        got = a.want(cid, ["not-connected", "b"])
+        assert got == b"data"
 
     def test_freeloader_refused_after_grace(self):
         a, b = pair()
@@ -64,10 +67,11 @@ class TestBitswapEngine:
         ledger = b.ledger_for("a")
         ledger.bytes_sent = Engine.GRACE_BYTES * 10
         ledger.bytes_received = 0
-        block = Block.for_data(b"now refused")
-        b.blockstore.put(block.cid, block.data)
+        data = b"now refused"
+        cid = CID.for_data(data)
+        b.blockstore.put(cid, data)
         with pytest.raises(BlockNotFoundError):
-            a.want(block.cid, ["b"])
+            a.want(cid, ["b"])
         assert b.stats.refusals == 1
 
     def test_reciprocating_peer_served(self):
@@ -75,16 +79,18 @@ class TestBitswapEngine:
         ledger = b.ledger_for("a")
         ledger.bytes_sent = Engine.GRACE_BYTES * 10
         ledger.bytes_received = Engine.GRACE_BYTES * 9  # healthy ratio
-        block = Block.for_data(b"served")
-        b.blockstore.put(block.cid, block.data)
-        assert a.want(block.cid, ["b"]).data == b"served"
+        data = b"served"
+        cid = CID.for_data(data)
+        b.blockstore.put(cid, data)
+        assert a.want(cid, ["b"]) == b"served"
 
     def test_on_transfer_callback(self):
         a, b = pair()
-        block = Block.for_data(b"y" * 64)
-        b.blockstore.put(block.cid, block.data)
+        data = b"y" * 64
+        cid = CID.for_data(data)
+        b.blockstore.put(cid, data)
         calls = []
-        a.want(block.cid, ["b"], on_transfer=lambda peer, n: calls.append((peer, n)))
+        a.want(cid, ["b"], on_transfer=lambda peer, n: calls.append((peer, n)))
         assert calls == [("b", 64)]
 
 
@@ -94,19 +100,6 @@ class TestIpfsNode:
         data = rng_for(1, "node").bytes(550)
         result = node.add_bytes(data)
         assert node.cat_local(result.cid) == data
-
-    def test_add_auto_pins(self):
-        node = IpfsNode("n0")
-        result = node.add_bytes(b"pinned content")
-        assert result.cid in node.pins.recursive
-
-    def test_stat(self):
-        node = IpfsNode("n0")
-        node.add_bytes(b"a")
-        stat = node.stat()
-        assert stat.peer_id == "n0"
-        assert stat.n_blocks == 1
-        assert stat.pinned_roots == 1
 
 
 class TestIpfsCluster:

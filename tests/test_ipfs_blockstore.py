@@ -6,41 +6,57 @@ from hypothesis import strategies as st
 
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError, InvalidBlockError
-from repro.ipfs.block import Block
 from repro.ipfs.blockstore import MemoryBlockstore
+from repro.ipfs.car import export_car, import_car
+
+
+def stored(store: MemoryBlockstore, data: bytes) -> CID:
+    """Put ``data`` under its CID; returns the CID."""
+    cid = CID.for_data(data)
+    store.put(cid, data)
+    return cid
 
 
 class TestBlock:
+    """A block is its bytes, stored under the CID they hash to."""
+
     def test_for_data_derives_cid(self):
-        block = Block.for_data(b"payload")
-        assert block.cid == CID.for_data(b"payload")
+        store = MemoryBlockstore()
+        cid = stored(store, b"payload")
+        assert cid == CID.for_data(b"payload") and cid.verifies(store.get(cid))
+
+    # Bytes from outside (here a CAR; bitswap likewise) are hashed against
+    # the CID they came under before they are stored, as their own copy.
 
     def test_verified_accepts_matching(self):
-        cid = CID.for_data(b"payload")
-        assert Block.verified(cid, b"payload").data == b"payload"
+        src, dst = MemoryBlockstore(), MemoryBlockstore()
+        cid = stored(src, b"payload")
+        assert import_car(dst, export_car(src, [cid])) == [cid]
+        assert type(dst.get(cid)) is bytes and dst.get(cid) == b"payload"
 
     def test_verified_rejects_mismatch(self):
-        cid = CID.for_data(b"payload")
+        src = MemoryBlockstore()
+        cid = stored(src, b"payload")
+        src.corrupt(cid, b"tampered")
         with pytest.raises(InvalidBlockError):
-            Block.verified(cid, b"tampered")
+            import_car(MemoryBlockstore(), export_car(src, [cid]))
 
     def test_len(self):
-        assert len(Block.for_data(b"abc")) == 3
+        store = MemoryBlockstore()
+        assert len(store.get(stored(store, b"abc"))) == 3
 
 
 class TestBlockstores:
     def test_put_get_roundtrip(self):
         store = MemoryBlockstore()
-        block = Block.for_data(b"hello")
-        store.put(block.cid, block.data)
-        assert store.get(block.cid).data == b"hello"
+        assert store.get(stored(store, b"hello")) == b"hello"
 
     def test_has(self):
         store = MemoryBlockstore()
-        block = Block.for_data(b"hello")
-        assert not store.has(block.cid)
-        store.put(block.cid, block.data)
-        assert store.has(block.cid)
+        cid = CID.for_data(b"hello")
+        assert not store.has(cid)
+        store.put(cid, b"hello")
+        assert store.has(cid)
 
     def test_get_missing_raises(self):
         store = MemoryBlockstore()
@@ -49,10 +65,9 @@ class TestBlockstores:
 
     def test_delete(self):
         store = MemoryBlockstore()
-        block = Block.for_data(b"gone")
-        store.put(block.cid, block.data)
-        store.delete(block.cid)
-        assert not store.has(block.cid)
+        cid = stored(store, b"gone")
+        store.delete(cid)
+        assert not store.has(cid)
 
     def test_delete_missing_is_noop(self):
         store = MemoryBlockstore()
@@ -60,24 +75,19 @@ class TestBlockstores:
 
     def test_dedup_identical_blocks(self):
         store = MemoryBlockstore()
-        block = Block.for_data(b"same")
-        store.put(block.cid, block.data)
-        store.put(block.cid, block.data)
+        stored(store, b"same")
+        stored(store, b"same")
         assert len(store) == 1
         assert store.stats.bytes_written == 4
 
     def test_cids_enumerates_all(self):
         store = MemoryBlockstore()
-        blocks = [Block.for_data(bytes([i]) * 10) for i in range(5)]
-        for b in blocks:
-            store.put(b.cid, b.data)
-        assert set(store.cids()) == {b.cid for b in blocks}
+        cids = {stored(store, bytes([i]) * 10) for i in range(5)}
+        assert set(store.cids()) == cids
 
     def test_stats_track_hits_and_misses(self):
         store = MemoryBlockstore()
-        block = Block.for_data(b"x")
-        store.put(block.cid, block.data)
-        store.get(block.cid)
+        store.get(stored(store, b"x"))
         with pytest.raises(BlockNotFoundError):
             store.get(CID.for_data(b"y"))
         assert store.stats.hits == 1
@@ -86,8 +96,6 @@ class TestBlockstores:
     @given(st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=8, unique=True))
     def test_property_roundtrip_many(self, payloads):
         store = MemoryBlockstore()
-        blocks = [Block.for_data(p) for p in payloads]
-        for b in blocks:
-            store.put(b.cid, b.data)
-        for b in blocks:
-            assert store.get(b.cid).data == b.data
+        cids = [stored(store, p) for p in payloads]
+        for cid, data in zip(cids, payloads):
+            assert store.get(cid) == data

@@ -21,6 +21,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.trust import SourceTier
 from repro.util.rng import rng_for
 from repro.workloads.traffic import IngestItem
+from tests.ipfs_helpers import leaf_cids
 
 KIB = 1 << 10
 CHUNK = 64 * KIB
@@ -61,8 +62,8 @@ class TestAddCopiesNothing:
     def test_leaves_are_read_only_views_of_the_payload(self, chunker):
         fs = make_fs(chunker)
         root = fs.add_file(BIG).cid
-        for leaf in fs.leaf_cids(root):
-            data = fs.blockstore.get(leaf).data
+        for leaf in leaf_cids(fs.blockstore, root):
+            data = fs.blockstore.get(leaf)
             assert isinstance(data, memoryview) and data.readonly and data.obj is BIG
 
     @pytest.mark.parametrize("chunker", [FixedSizeChunker(CHUNK), RollingChunker(CHUNK)])
@@ -70,7 +71,7 @@ class TestAddCopiesNothing:
         fs = make_fs(chunker)
         data = bytes(BIG[: CHUNK // 8])
         cid = fs.add_file(data).cid
-        assert fs.blockstore.get(cid).data is data
+        assert fs.blockstore.get(cid) is data
         assert fs.read_file(cid) is data
 
     @pytest.mark.parametrize("size", [100, 3 * CHUNK + 5])
@@ -104,8 +105,8 @@ class TestRotOfAViewIsCaught:
     def test_read_file_verifies_view_backed_leaves(self):
         fs = make_fs()
         cid = fs.add_file(BIG).cid
-        leaf = fs.leaf_cids(cid)[3]
-        fs.blockstore.corrupt(leaf, rot(fs.blockstore.get(leaf).data))
+        leaf = leaf_cids(fs.blockstore, cid)[3]
+        fs.blockstore.corrupt(leaf, rot(fs.blockstore.get(leaf)))
         with pytest.raises(DagError):
             fs.read_file(cid)
 
@@ -113,9 +114,9 @@ class TestRotOfAViewIsCaught:
         cluster = IpfsCluster(n_nodes=2, chunker=FixedSizeChunker(CHUNK))
         cid = cluster.add(BIG, node="ipfs-0").cid
         node = cluster.node("ipfs-0")
-        leaf = node.unixfs.leaf_cids(cid)[5]
+        leaf = leaf_cids(node.blockstore, cid)[5]
         cluster.crash_node("ipfs-0")
-        node.blockstore.corrupt(leaf, rot(node.blockstore.get(leaf).data))
+        node.blockstore.corrupt(leaf, rot(node.blockstore.get(leaf)))
         assert cluster.restart_node("ipfs-0") == 1
         assert not node.blockstore.has(leaf)
 
@@ -128,9 +129,9 @@ class TestRotOfAViewIsCaught:
         cid = CID.parse(receipt.cid)
         reader, replica = framework.ipfs.node("ipfs-0"), framework.ipfs.node("ipfs-1")
         replica.cat(cid, providers=["ipfs-0"])
-        leaf = reader.unixfs.leaf_cids(cid)[-1]
-        assert isinstance(reader.blockstore.get(leaf).data, memoryview)
-        reader.blockstore.corrupt(leaf, rot(reader.blockstore.get(leaf).data))
+        leaf = leaf_cids(reader.blockstore, cid)[-1]
+        assert isinstance(reader.blockstore.get(leaf), memoryview)
+        reader.blockstore.corrupt(leaf, rot(reader.blockstore.get(leaf)))
         result = client.retrieve(receipt.entry_id)
         counters = get_registry().snapshot()["counters"]
         assert result.verified and result.data == data
@@ -144,8 +145,8 @@ class TestTransferCopies:
         cid = cluster.add(BIG, node="ipfs-0").cid
         adder, fetcher = cluster.node("ipfs-0"), cluster.node("ipfs-1")
         assert cluster.cat(cid, node="ipfs-1") == BIG
-        for leaf in adder.unixfs.leaf_cids(cid):
-            assert type(fetcher.blockstore.get(leaf).data) is bytes
+        for leaf in leaf_cids(adder.blockstore, cid):
+            assert type(fetcher.blockstore.get(leaf)) is bytes
             adder.blockstore.corrupt(leaf, b"rot")
         assert fetcher.cat_local(cid) == BIG
 
@@ -190,10 +191,9 @@ class TestTypedErrorAtTheAddBoundary:
 
 
 class TestCarCopiesOnce:
-    # sha256 of the archive below since interior nodes are dag-pb (it was
-    # 38ab9ce5… with dag-json nodes): leaves and framing are unchanged, the
-    # two multi-chunk roots and their node bytes are the new format's.
-    GOLDEN = "97c967fe46c700d13b3e14631253b959db5473a28f975530b379b708c7652052"
+    # sha256 of the archive below: dag-pb interior nodes, and sections that
+    # name their block by the 36-byte binary CID, as CARv1 does.
+    GOLDEN = "5e295f44a54ea2e16ef0495d07995001c017a818cd8707c8a630920145593214"
 
     @staticmethod
     def site():
@@ -212,5 +212,5 @@ class TestCarCopiesOnce:
         store = MemoryBlockstore()
         got, _, peak = traced(lambda: import_car(store, car))
         assert got == roots and peak <= 1.2 * len(car)
-        assert all(type(store.get(cid).data) is bytes for cid in store.cids())
+        assert all(type(store.get(cid)) is bytes for cid in store.cids())
         assert UnixFS(store).read_file(roots[0]) == BIG

@@ -1,5 +1,8 @@
 """Tests for CAR import/export and the replication manager."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.crypto.cid import CID
@@ -8,6 +11,8 @@ from repro.ipfs import FixedSizeChunker, IpfsCluster, MemoryBlockstore, UnixFS
 from repro.ipfs.car import export_car, import_car
 from repro.ipfs.replication import ReplicationManager
 from repro.util.rng import rng_for
+from repro.util.varint import encode_varint
+from tests.ipfs_helpers import leaf_cids
 
 
 def make_fs():
@@ -44,7 +49,7 @@ class TestCar:
         root = fs.add_file(b"tiny").cid
         dst = MemoryBlockstore()
         import_car(dst, export_car(src, [root]))
-        assert dst.get(root).data == b"tiny"
+        assert dst.get(root) == b"tiny"
 
     def test_empty_roots_rejected(self):
         src, _ = make_fs()
@@ -70,10 +75,10 @@ class TestCar:
         full = export_car(src, [root])
         partial_store = MemoryBlockstore()
         # Re-export from a store missing a leaf to force incompleteness.
-        leaf = fs.leaf_cids(root)[-1]
+        leaf = leaf_cids(fs.blockstore, root)[-1]
         for cid in src.cids():
             if cid != leaf:
-                partial_store.put(cid, src.get(cid).data)
+                partial_store.put(cid, src.get(cid))
         with pytest.raises(StorageError, match="incomplete|not found"):
             export_car(partial_store, [root])
         # And importing a truncated byte string fails cleanly too.
@@ -83,6 +88,51 @@ class TestCar:
     def test_bad_header_rejected(self):
         with pytest.raises(StorageError):
             import_car(MemoryBlockstore(), b"\x05notjs")
+
+
+class TestCarSectionsAreBinary:
+    """A section names its block by the binary CID, as CARv1 does: only the
+    header's roots are base32, so a 2 MiB file in 64 KiB chunks (33 blocks)
+    exports and imports with one base32 call per root, not one per block."""
+
+    @staticmethod
+    def b32_calls(fn, *args):
+        counts = Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in ("b32encode", "b32decode"):
+                counts[frame.f_code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(None)
+        return result, counts
+
+    def test_no_base32_inside_the_section_loop(self):
+        store = MemoryBlockstore()
+        fs = UnixFS(store, chunker=FixedSizeChunker(64 * 1024))
+        roots = [fs.add_file(rng_for(6, "car-b32").bytes(2 << 20)).cid, fs.add_file(b"raw").cid]
+        car, exported = self.b32_calls(export_car, store, roots)
+        got, imported = self.b32_calls(import_car, MemoryBlockstore(), car)
+        assert got == roots
+        assert exported == Counter(b32encode=len(roots))
+        assert imported == Counter(b32decode=len(roots))
+
+    def test_a_section_is_its_binary_cid_then_its_bytes(self):
+        src, fs = make_fs()
+        root = fs.add_file(b"tiny").cid
+        car = export_car(src, [root])
+        section = encode_varint(36 + 4) + root.to_bytes() + b"tiny"
+        assert car.endswith(section)
+
+    def test_a_section_shorter_than_a_cid_is_refused(self):
+        src, fs = make_fs()
+        car = export_car(src, [fs.add_file(b"tiny").cid])
+        header = car[: len(car) - 41]
+        with pytest.raises(StorageError, match="shorter than a CID"):
+            import_car(MemoryBlockstore(), header + encode_varint(20) + bytes(20))
 
 
 class TestReplicationManager:

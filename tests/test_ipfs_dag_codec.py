@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.cid import CID, CODEC_DAG_PB, CODEC_RAW
-from repro.crypto.hashing import SHA2_256, SHA2_512
-from repro.crypto.multihash import CODE_SHA2_256, Multihash
 from repro.errors import DagError, EncodingError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.dag import DagLink, DagNode, DagService, is_dag_node
@@ -17,11 +15,10 @@ from repro.util.encoding import b32encode
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 cids = st.builds(
-    lambda data, codec, algo: CID.for_data(data, codec=codec, algo=algo),
+    lambda data, codec: CID.for_data(data, codec=codec),
     st.binary(max_size=16),
     st.sampled_from([CODEC_RAW, CODEC_DAG_PB]),
-    st.sampled_from([SHA2_256, SHA2_512]),
-) | st.builds(lambda data: CID.for_data(data, codec=CODEC_DAG_PB, version=0), st.binary(max_size=16))
+)
 
 links = st.builds(
     DagLink,
@@ -57,8 +54,8 @@ DIGEST_B = bytes(range(32, 64))
 GOLDEN_NODE = DagNode(
     data=b"unixfs:file",
     links=(
-        DagLink("a", CID(1, CODEC_RAW, Multihash(CODE_SHA2_256, DIGEST_A)), 300),
-        DagLink("", CID(1, CODEC_DAG_PB, Multihash(CODE_SHA2_256, DIGEST_B)), 5),
+        DagLink("a", CID(CODEC_RAW, DIGEST_A), 300),
+        DagLink("", CID(CODEC_DAG_PB, DIGEST_B), 5),
     ),
 )
 GOLDEN_BYTES = b"".join([
@@ -108,7 +105,7 @@ def pb_link(*fields: bytes) -> bytes:
     return b"\x12" + bytes([len(body)]) + body
 
 
-HASH = b"\x0a\x24" + CID(1, CODEC_RAW, Multihash(CODE_SHA2_256, DIGEST_A)).to_bytes()
+HASH = b"\x0a\x24" + CID(CODEC_RAW, DIGEST_A).to_bytes()
 NAME = b"\x12\x00"
 TSIZE = b"\x18\x05"
 DATA = b"\x0a\x00"
@@ -188,11 +185,11 @@ class TestBinaryCID:
 
     def test_layout(self):
         cid = CID.for_data(b"leaf")
-        assert cid.to_bytes() == b"\x01\x55\x12\x20" + cid.multihash.digest
-        v0 = CID.for_data(b"node", codec=CODEC_DAG_PB, version=0)
-        assert v0.to_bytes() == v0.multihash.encode()
+        assert cid.to_bytes() == b"\x01\x55\x12\x20" + cid.digest
+        node = CID.for_data(b"node", codec=CODEC_DAG_PB)
+        assert node.to_bytes() == b"\x01\x70\x12\x20" + node.digest
 
     def test_a_multibase_string_must_be_cidv1(self):
-        v0 = CID.for_data(b"node", codec=CODEC_DAG_PB, version=0)
+        v0 = b"\x12\x20" + CID.for_data(b"node", codec=CODEC_DAG_PB).digest
         with pytest.raises(EncodingError):
-            CID.parse("b" + b32encode(v0.to_bytes()))
+            CID.parse("b" + b32encode(v0))

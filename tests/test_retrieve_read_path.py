@@ -18,6 +18,7 @@ from repro.errors import ChaincodeError, DagError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.trust import SourceTier
 from repro.workloads.traffic import IngestItem
+from tests.ipfs_helpers import leaf_cids
 
 META = {
     "timestamp": 100.0,
@@ -53,7 +54,7 @@ def site():
 def block_bytes(framework, cid: str, node: str = "ipfs-0") -> int:
     """Bytes of every block under ``cid``: its leaves and interior nodes."""
     blockstore = framework.ipfs.node(node).blockstore
-    return sum(len(blockstore.get(c).data) for c, _ in DagService(blockstore).walk(CID.parse(cid)))
+    return sum(len(blockstore.get(c)) for c, _ in DagService(blockstore).walk(CID.parse(cid)))
 
 
 def hashed_bytes(call):
@@ -163,8 +164,8 @@ class TestEachByteHashedOnce:
         framework, _ = make_site()
         cid = framework.ipfs.add(payload(LARGE, b"rot-")).cid
         node = framework.ipfs.node("ipfs-0")
-        assert len(node.unixfs.leaf_cids(cid)) == 4
-        node.blockstore.corrupt(node.unixfs.leaf_cids(cid)[2], b"rotten")
+        assert len(leaf_cids(node.blockstore, cid)) == 4
+        node.blockstore.corrupt(leaf_cids(node.blockstore, cid)[2], b"rotten")
         with obs.profiling() as profiler:
             with pytest.raises(DagError, match="failed verification"):
                 framework.ipfs.cat(cid)
@@ -178,7 +179,7 @@ class TestEachByteHashedOnce:
         data = payload(LARGE, b"rot-")
         cid = framework.ipfs.add(data).cid
         node = framework.ipfs.node("ipfs-0")
-        target = node.unixfs.leaf_cids(cid)[1] if block == "leaf" else cid
+        target = leaf_cids(node.blockstore, cid)[1] if block == "leaf" else cid
         node.blockstore.corrupt(target, b"rotten")
         with pytest.raises(DagError, match="failed verification"):
             node.cat_local(cid)
@@ -195,12 +196,12 @@ class TestADoctoredInteriorNode:
         node = framework.ipfs.node("ipfs-0")
         theirs = payload(LARGE, b"theirs-")
         other = framework.ipfs.add(theirs).cid
-        node.blockstore.corrupt(cid, node.blockstore.get(other).data)
+        node.blockstore.corrupt(cid, node.blockstore.get(other))
         # The forged node is well formed, and its leaves all verify.
-        forged = DagNode.deserialize(node.blockstore.get(cid).data)
+        forged = DagNode.deserialize(node.blockstore.get(cid))
         leaves = [node.blockstore.get(link.cid) for link in forged.links]
-        assert all(leaf.cid.verifies(leaf.data) for leaf in leaves)
-        assert b"".join(leaf.data for leaf in leaves) == theirs
+        assert all(link.cid.verifies(leaf) for link, leaf in zip(forged.links, leaves))
+        assert b"".join(leaves) == theirs
 
     def test_every_read_refuses_it(self):
         framework, client = make_site()
@@ -256,7 +257,7 @@ class TestRotUnderRetrieve:
         cluster = framework.ipfs
         reader, replica = cluster.node("ipfs-0"), cluster.node("ipfs-1")
         replica.cat(cid, providers=["ipfs-0"])  # a clean copy elsewhere
-        reader.blockstore.corrupt(reader.unixfs.leaf_cids(cid)[-1], b"bit rot")
+        reader.blockstore.corrupt(leaf_cids(reader.blockstore, cid)[-1], b"bit rot")
         result = client.retrieve(receipt.entry_id)
         counters = get_registry().snapshot()["counters"]
         assert result.verified and not result.degraded and result.data == data
@@ -279,7 +280,7 @@ class TestRotUnderRetrieve:
         cid = CID.parse(first.record["cid"])
         reader, replica = framework.ipfs.node("ipfs-0"), framework.ipfs.node("ipfs-1")
         replica.cat(cid, providers=["ipfs-0"])  # a clean copy elsewhere
-        target = cid if block == "interior" else reader.unixfs.leaf_cids(cid)[-1]
+        target = cid if block == "interior" else leaf_cids(reader.blockstore, cid)[-1]
         reader.blockstore.corrupt(target, b"bit rot")
         result = client.retrieve(entry_id)
         counters = get_registry().snapshot()["counters"]

@@ -1,42 +1,11 @@
-"""Unit and property tests for base58btc and base32 encodings."""
+"""Unit and property tests for the base32 encoding."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
-from repro.util.encoding import b32decode, b32encode, b58decode, b58encode
-
-
-class TestBase58:
-    def test_empty(self):
-        assert b58encode(b"") == ""
-        assert b58decode("") == b""
-
-    def test_known_vectors(self):
-        # Standard base58 test vectors.
-        assert b58encode(b"hello world") == "StV1DL6CwTryKyV"
-        assert b58decode("StV1DL6CwTryKyV") == b"hello world"
-
-    def test_leading_zeros_preserved(self):
-        data = b"\x00\x00\x01"
-        encoded = b58encode(data)
-        assert encoded.startswith("11")
-        assert b58decode(encoded) == data
-
-    def test_all_zero_bytes(self):
-        assert b58encode(b"\x00" * 4) == "1111"
-        assert b58decode("1111") == b"\x00" * 4
-
-    def test_invalid_character_rejected(self):
-        # '0', 'O', 'I', 'l' are excluded from the alphabet.
-        for ch in "0OIl":
-            with pytest.raises(EncodingError):
-                b58decode(f"abc{ch}")
-
-    @given(st.binary(max_size=128))
-    def test_roundtrip(self, data):
-        assert b58decode(b58encode(data)) == data
+from repro.util.encoding import b32decode, b32encode
 
 
 class TestBase32:
