@@ -253,6 +253,7 @@ def _cmd_figure(number: int) -> int:
 
 def _cmd_query(args) -> int:
     from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
+    from repro.query import parse_query
     from repro.trust import SourceTier
     from repro.workloads.traffic import ingest_stream
 
@@ -269,9 +270,15 @@ def _cmd_query(args) -> int:
     print(f"plan   : {client.engine.plan(args.text).explain()}")
     rows = client.query(args.text, fetch_data=args.fetch)
     print(f"matched: {len(rows)} records")
+    projected = parse_query(args.text).select is not None
     for row in rows[:10]:
-        meta = row.record["metadata"]
         extra = f", {len(row.data)} raw bytes" if row.data is not None else ""
+        if projected:
+            # A SELECT row holds its fields (and entry_id / cid when the
+            # record has them), not the whole record: print what it holds.
+            print(f"  {json.dumps(row.record, sort_keys=True, default=str)}{extra}")
+            continue
+        meta = row.record["metadata"]
         print(f"  {row.entry_id[:12]}…  {meta.get('camera_id', '?'):<10} "
               f"t={meta.get('timestamp', 0):>10.1f}  "
               f"detections={len(meta.get('detections', []))}{extra}")

@@ -48,7 +48,7 @@ from repro.consensus.messages import (
 )
 from repro.errors import ConsensusError
 from repro.net import Message, NetNode, SimNetwork
-from repro.obs.prof import profiled
+from repro.obs.prof import get_profiler, profiled
 from repro.obs.tracer import span as obs_span
 from repro.util.serialization import canonical_json, once
 
@@ -88,6 +88,10 @@ class Decision:
     item_votes: dict[str, tuple[bool, ...]] = field(default_factory=dict, compare=False)
 
 
+# Module globals: on Python 3.11 reading an enum member off its class costs ~70 ns.
+_CRASHED = Behaviour.CRASHED
+_MUTED = frozenset({Behaviour.CRASHED, Behaviour.SILENT})  # never send
+
 # Start of every replica's decided-log hash chain (the digest of an empty log).
 _EMPTY_LOG_LINK = hashlib.sha256(b"pbft-decided-log").digest()
 _LINK = len(_EMPTY_LOG_LINK)
@@ -101,6 +105,11 @@ def _log_frame(decision: Decision) -> bytes:
         + (b"\x01" if decision.accepted else b"\x00")
         + decision.request.request_id.encode()
     )
+
+
+def _item_row(vote: Prepare | Commit, n_items: int) -> tuple[bool, ...]:
+    """A vote's verdict on each of ``n_items`` items (its aggregate if it has none)."""
+    return vote.item_votes[:n_items] if vote.item_votes else (vote.valid,) * n_items
 
 
 def _digest(request: ClientRequest) -> str:
@@ -184,11 +193,12 @@ class BftReplica(NetNode):
     # -- sending with fault model ---------------------------------------------
 
     def _cast(self, payload: Any, size: int = 512) -> None:
-        if self.behaviour in (Behaviour.CRASHED, Behaviour.SILENT):
+        if self.behaviour in _MUTED:
             return
-        self.broadcast(payload, size_bytes=size, kind=type(payload).__name__)
+        kind = type(payload)
+        self.network.broadcast(self.name, payload, size, kind.__name__)
         # Loopback: a replica processes its own votes immediately.
-        self._dispatch(payload)
+        self._HANDLERS[kind](self, payload)
 
     # -- client entry point -----------------------------------------------------
 
@@ -197,7 +207,7 @@ class BftReplica(NetNode):
         if not self.is_primary():
             self._arm_timeout(request)
             return
-        if self.behaviour in (Behaviour.CRASHED, Behaviour.SILENT):
+        if self.behaviour in _MUTED:
             return  # a dead primary stalls the slot until view change
         if request.request_id in self._assigned:
             return  # duplicate delivery (clients broadcast requests)
@@ -211,11 +221,7 @@ class BftReplica(NetNode):
                 if dst == self.name:
                     continue
                 forged = digest if i % 2 == 0 else digest[::-1]
-                self.send(
-                    dst,
-                    PrePrepare(self.view, seq, forged, request),
-                    kind="PrePrepare",
-                )
+                self.send(dst, PrePrepare(self.view, seq, forged, request), kind="PrePrepare")
             self._dispatch(PrePrepare(self.view, seq, digest, request))
             return
         self._cast(PrePrepare(self.view, seq, digest, request))
@@ -246,15 +252,22 @@ class BftReplica(NetNode):
     # -- message handling -----------------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        if self.behaviour is Behaviour.CRASHED:
+        if self.behaviour is _CRASHED:
+            return
+        payload = msg.payload
+        handler = self._HANDLERS.get(type(payload), BftReplica._ignore)
+        if get_profiler() is None:
+            handler(self, payload)
             return
         with profiled("consensus.handle"):
-            self._dispatch(msg.payload)
+            handler(self, payload)
 
     def _dispatch(self, payload: Any) -> None:
-        handler = self._HANDLERS.get(type(payload))
-        if handler is not None:
-            handler(self, payload)
+        """Handle ``payload`` as if it had just arrived."""
+        self._HANDLERS.get(type(payload), BftReplica._ignore)(self, payload)
+
+    def _ignore(self, payload: Any) -> None:
+        """Not a PBFT message: nothing to do."""
 
     def _slot(self, view: int, seq: int) -> _SlotState | None:
         """The protocol state of instance (view, seq), made on first use;
@@ -282,19 +295,16 @@ class BftReplica(NetNode):
         if self.behaviour is Behaviour.ALWAYS_INVALID:
             return (False,) * n
         # The validation smart contract executes here (paper §III step 6).
-        with obs_span("consensus.validate") as sp:
-            sp.set_attr("replica", self.name)
-            sp.set_attr("request", request.request_id)
-            sp.set_attr("items", n)
-            with profiled("consensus.validate"):
-                verdict = self.cluster.validate(self.name, request)
+        attrs = {"replica": self.name, "request": request.request_id, "items": n}
+        with obs_span("consensus.validate", attrs), profiled("consensus.validate"):
+            verdict = self.cluster.validator(self.name, request)
         if isinstance(verdict, (tuple, list)):
             if len(verdict) != n:
                 raise ConsensusError(
                     f"validator returned {len(verdict)} verdicts for a "
                     f"{n}-item request {request.request_id!r}"
                 )
-            return tuple(bool(v) for v in verdict)
+            return tuple(map(bool, verdict))
         return (bool(verdict),) * n
 
     def _vote_digest(self, digest: str) -> str:
@@ -303,8 +313,11 @@ class BftReplica(NetNode):
         return digest
 
     def _on_pre_prepare(self, msg: PrePrepare) -> None:
-        self._saw_view(self.cluster.primary_for(msg.view), msg.view)
-        if msg.view != self.view:
+        view = msg.view
+        primary = self.cluster.primary_for(view)
+        if view > self._peer_views.get(primary, -1) and primary != self.name:
+            self._saw_view(primary, view)
+        if view != self.view:
             return
         # Cross-view safety guard: once prepared at this seq, never help a
         # later view's primary order a *different* request there. A decision
@@ -314,7 +327,7 @@ class BftReplica(NetNode):
         prior = self._prepared_digest.get(msg.seq)
         if prior is not None and prior != msg.digest:
             return
-        slot = self._slot(msg.view, msg.seq)
+        slot = self._slot(view, msg.seq)
         if slot is None:
             return
         if slot.pre_prepare is not None and slot.pre_prepare.digest != msg.digest:
@@ -328,36 +341,47 @@ class BftReplica(NetNode):
         slot.sent_prepare = True
         # Independent validation — "each peer executes the smart contract
         # independently" (paper §III step 6).
-        slot.my_verdict = self._verdict_for(msg.request)
+        verdict = slot.my_verdict = self._verdict_for(msg.request)
         self._cast(
-            Prepare(
-                msg.view,
-                msg.seq,
-                self._vote_digest(msg.digest),
-                self.name,
-                all(slot.my_verdict),
-                item_votes=slot.my_verdict,
-            )
+            Prepare(view, msg.seq, self._vote_digest(msg.digest), self.name, all(verdict), verdict)
         )
-        self._maybe_progress(msg.view, msg.seq, slot)
+        # Votes that arrived ahead of the pre-prepare may complete both quorums.
+        if not slot.sent_commit and len(slot.prepares) >= self.quorum:
+            self._maybe_commit(view, msg.seq, slot)
+        if not slot.decided and len(slot.commits) >= self.quorum:
+            self._maybe_decide(view, msg.seq, slot)
+
+    # The vote handlers take the common case inline: nothing new about the
+    # sender's view (own votes never are) and a live slot. A prepare can only
+    # complete the prepare quorum, a commit the commit quorum.
 
     def _on_prepare(self, msg: Prepare) -> None:
-        self._saw_view(msg.replica, msg.view)
-        if msg.view != self.view:
+        view, peer = msg.view, msg.replica
+        if view > self._peer_views.get(peer, -1) and peer != self.name:
+            self._saw_view(peer, view)
+        if view != self.view:
             return
-        slot = self._slot(msg.view, msg.seq)
+        slot = self._slots.get((view, msg.seq)) or self._slot(view, msg.seq)
         if slot is not None:
-            slot.prepares[msg.replica] = msg
-            self._maybe_progress(msg.view, msg.seq, slot)
+            slot.prepares[peer] = msg
+            if slot.pre_prepare and not slot.sent_commit and len(slot.prepares) >= self.quorum:
+                self._maybe_commit(view, msg.seq, slot)
 
     def _on_commit(self, msg: Commit) -> None:
-        self._saw_view(msg.replica, msg.view)
-        if msg.view != self.view:
+        view, seq, peer = msg.view, msg.seq, msg.replica
+        if view > self._peer_views.get(peer, -1) and peer != self.name:
+            self._saw_view(peer, view)
+        if view != self.view:
             return
-        slot = self._slot(msg.view, msg.seq)
+        slot = self._slots.get((view, seq))
+        if slot is None:
+            decision = self._freed(view, seq)
+            if decision is None:
+                slot = self._slots[(view, seq)] = _SlotState()
         if slot is not None and (not slot.decided or slot.decision is None):
-            slot.commits[msg.replica] = msg
-            self._maybe_progress(msg.view, msg.seq, slot)
+            slot.commits[peer] = msg
+            if slot.pre_prepare and not slot.decided and len(slot.commits) >= self.quorum:
+                self._maybe_decide(view, seq, slot)
             return
         # Straggler commits keep enriching the decision's vote record so
         # accountability (validator flagging) judges every validator that
@@ -366,107 +390,80 @@ class BftReplica(NetNode):
         if slot is None:
             # Freed: the log keeps the decision, and _prepared_digest the
             # digest this replica prepared, which was its pre-prepare's.
-            decision = self._freed(msg.view, msg.seq)
-            digest = self._prepared_digest[msg.seq]
+            digest = self._prepared_digest[seq]
         else:
             decision, digest = slot.decision, slot.pre_prepare.digest
-        if msg.digest == digest:
-            decision.votes.setdefault(msg.replica, msg.valid)
-            n_items = len(decision.item_accepted) or 1
-            decision.item_votes.setdefault(
-                msg.replica, tuple(msg.item_vote(i) for i in range(n_items))
-            )
+        if msg.digest == digest and peer not in decision.votes:
+            decision.votes[peer] = msg.valid
+            decision.item_votes[peer] = _item_row(msg, len(decision.item_accepted) or 1)
 
-    def _maybe_progress(self, view: int, seq: int, slot: _SlotState) -> None:
-        if slot.pre_prepare is None:
-            return
+    def _maybe_commit(self, view: int, seq: int, slot: _SlotState) -> None:
+        """Prepared (pre-prepare plus 2f prepares matching its digest, own
+        included; callers skip fewer than 2f+1 prepares) sends our COMMIT."""
         digest = slot.pre_prepare.digest
-        # Prepared: pre-prepare + 2f prepares matching the digest (own
-        # included). Fewer votes than a quorum cannot match enough.
-        if (
-            not slot.sent_commit
-            and len(slot.prepares) >= self.quorum
-            and sum(p.digest == digest for p in slot.prepares.values()) >= self.quorum
-        ):
-            slot.sent_commit = True
-            self._prepared_digest.setdefault(seq, digest)
-            n_items = max(1, slot.pre_prepare.request.n_items)
-            verdict = slot.my_verdict if slot.my_verdict is not None else (False,) * n_items
-            self._cast(
-                Commit(
-                    view,
-                    seq,
-                    self._vote_digest(digest),
-                    self.name,
-                    all(verdict),
-                    item_votes=verdict,
-                )
-            )
-        if not slot.decided and len(slot.commits) >= self.quorum:
-            self._maybe_decide(view, seq, slot, digest)
+        matching = 0
+        for prepare in slot.prepares.values():
+            if prepare.digest == digest:
+                matching += 1
+        if matching < self.quorum:
+            return
+        slot.sent_commit = True
+        self._prepared_digest.setdefault(seq, digest)
+        n_items = max(1, slot.pre_prepare.request.n_items)
+        verdict = slot.my_verdict if slot.my_verdict is not None else (False,) * n_items
+        self._cast(Commit(view, seq, self._vote_digest(digest), self.name, all(verdict), verdict))
+        self._free_if_done(view, seq, slot)
+
+    def _free_if_done(self, view: int, seq: int, slot: _SlotState) -> None:
         if slot.decided and slot.sent_commit and slot.decision is not None:
             self._slots.pop((view, seq), None)  # the log keeps the decision
 
-    def _maybe_decide(self, view: int, seq: int, slot: _SlotState, digest: str) -> None:
-        matching_commits = [c for c in slot.commits.values() if c.digest == digest]
-        if len(matching_commits) < self.quorum:
+    def _maybe_decide(self, view: int, seq: int, slot: _SlotState) -> None:
+        digest = slot.pre_prepare.digest
+        n_items = max(1, slot.pre_prepare.request.n_items)
+        votes: dict[str, bool] = {}  # the matching commits' verdicts: aggregate
+        rows: dict[str, tuple[bool, ...]] = {}  # and per item
+        for c in slot.commits.values():
+            if c.digest == digest:
+                votes[c.replica] = c.valid
+                rows[c.replica] = _item_row(c, n_items)
+        if len(votes) < self.quorum:
             return
         # Validity thresholds are arrival-order independent and mutually
         # exclusive: with n = 3f+1 votes, "valid >= 2f+1" and
         # "invalid >= f+1" cannot both hold (2f+1 + f+1 > n), and honest
         # replicas vote identically, so every replica reaches one verdict —
         # applied independently to each item of a batched request.
-        n_items = max(1, slot.pre_prepare.request.n_items)
-        item_accepted: list[bool] = []
+        item_accepted = []
         for i in range(n_items):
-            valid_i = sum(1 for c in matching_commits if c.item_vote(i))
-            invalid_i = len(matching_commits) - valid_i
+            valid_i = 0
+            for row in rows.values():
+                if row[i]:
+                    valid_i += 1
             if valid_i >= self.quorum:
                 item_accepted.append(True)
-            elif invalid_i >= self.f + 1:
+            elif len(votes) - valid_i >= self.f + 1:
                 item_accepted.append(False)
             else:
                 return  # ordered but some item's verdict not yet determined
         slot.decided = True
-        self._decide(view, seq, slot, matching_commits, tuple(item_accepted))
-
-    def _decide(
-        self,
-        view: int,
-        seq: int,
-        slot: _SlotState,
-        commits: list[Commit],
-        item_accepted: tuple[bool, ...],
-    ) -> None:
         if seq in self._decided_seqs:
             return
         self._decided_seqs.add(seq)
-        votes = {c.replica: c.valid for c in commits}
-        valid = sum(1 for v in votes.values() if v)
-        invalid = len(votes) - valid
-        request = slot.pre_prepare.request  # type: ignore[union-attr]
-        item_votes = {
-            c.replica: tuple(c.item_vote(i) for i in range(len(item_accepted)))
-            for c in commits
-        }
+        valid = sum(votes.values())
+        request = slot.pre_prepare.request
         decision = Decision(
-            seq=seq,
-            view=view,
-            request=request,
-            accepted=all(item_accepted),
-            valid_votes=valid,
-            invalid_votes=invalid,
-            votes=votes,
-            item_accepted=item_accepted,
-            item_votes=item_votes,
+            seq, view, request, all(item_accepted), valid, len(votes) - valid,
+            votes, tuple(item_accepted), rows,
         )
         slot.decision = decision
         self.log.append(decision)
         self._chain_decision(decision)
         if request.request_id in self._pending_timeouts:
             self._pending_timeouts[request.request_id] = True
-        self.cluster.notify_decision(self.name, decision)
+        self.cluster.on_decision(self.name, decision)
         self._maybe_checkpoint()
+        self._free_if_done(view, seq, slot)
 
     # -- checkpointing / log GC -----------------------------------------------
 
@@ -540,14 +537,7 @@ class BftReplica(NetNode):
     def _start_view_change(self, new_view: int, pending: tuple[ClientRequest, ...] = ()) -> None:
         if new_view <= self.view:
             return
-        self._cast(
-            ViewChange(
-                new_view=new_view,
-                replica=self.name,
-                pending=pending,
-                max_seq=self._max_prepared_seq(),
-            )
-        )
+        self._cast(ViewChange(new_view, self.name, pending, self._max_prepared_seq()))
 
     def _on_view_change(self, msg: ViewChange) -> None:
         if msg.new_view <= self.view:
@@ -560,14 +550,7 @@ class BftReplica(NetNode):
             # change so desynced views reconverge under message loss. The
             # loopback of our own vote re-enters this handler and runs the
             # quorum check below with the updated vote set.
-            self._cast(
-                ViewChange(
-                    new_view=msg.new_view,
-                    replica=self.name,
-                    pending=(),
-                    max_seq=self._max_prepared_seq(),
-                )
-            )
+            self._start_view_change(msg.new_view)
             return
         if len(votes) >= self.quorum:
             self._enter_view(msg.new_view)
@@ -595,7 +578,9 @@ class BftReplica(NetNode):
             self._enter_view(msg.new_view)
 
     def _saw_view(self, peer: str, view: int) -> None:
-        """View synchronisation: ``peer`` sent a protocol vote in ``view``.
+        """View synchronisation: ``peer``, another replica, sent a protocol
+        vote in ``view``, a higher view than it was seen in before (the
+        vote handlers check that inline, the common case being no).
 
         A replica left behind by a view change it missed (its votes were
         dropped, or it was partitioned) ignores every message of the later
@@ -606,9 +591,7 @@ class BftReplica(NetNode):
         of them have reached. Fewer than f+1 (all possibly faulty) move
         nobody, whatever view they claim.
         """
-        if view <= self._peer_views.get(peer, -1):
-            return  # the common case: nothing new from this peer
-        if peer == self.name or peer not in self.cluster.replicas:
+        if peer not in self.cluster.replicas:
             return
         self._peer_views[peer] = view
         ahead = sorted((v for v in self._peer_views.values() if v > self.view), reverse=True)
@@ -660,16 +643,14 @@ class BftCluster:
         self.replica_names = [f"validator-{i}" for i in range(n_replicas)]
         self.f = (n_replicas - 1) // 3
         self.quorum = 2 * self.f + 1  # of 3f+1: the classic BFT quorum (>= 2/3)
-        self._validator = validator or (lambda name, req: True)
+        self.validator = validator or (lambda name, req: True)
         self.view_timeout = view_timeout
         self.max_view_changes = max_view_changes
         self.checkpoint_interval = checkpoint_interval
-        self._on_decision = on_decision
+        self.on_decision = on_decision or (lambda replica, decision: None)
         behaviours = behaviours or {}
         self.replicas: dict[str, BftReplica] = {
-            name: BftReplica(
-                name, self.network, self, behaviours.get(name, Behaviour.NORMAL)
-            )
+            name: BftReplica(name, self.network, self, behaviours.get(name, Behaviour.NORMAL))
             for name in self.replica_names
         }
         self._client_seq = 0
@@ -678,13 +659,6 @@ class BftCluster:
 
     def primary_for(self, view: int) -> str:
         return self.replica_names[view % len(self.replica_names)]
-
-    def validate(self, replica: str, request: ClientRequest):
-        return self._validator(replica, request)
-
-    def notify_decision(self, replica: str, decision: Decision) -> None:
-        if self._on_decision is not None:
-            self._on_decision(replica, decision)
 
     # -- driving ------------------------------------------------------------------
 
@@ -703,9 +677,7 @@ class BftCluster:
         # Clients broadcast the request to every replica (the PBFT variant
         # with client broadcast): the primary proposes it, the others arm
         # commit timeouts so a dead primary triggers a view change.
-        with obs_span("consensus.round") as sp:
-            sp.set_attr("request", request.request_id)
-            sp.set_attr("items", n_items)
+        with obs_span("consensus.round", {"request": request_id, "items": n_items}):
             for replica in self.replicas.values():
                 if self.network.is_up(replica.name):
                     with profiled("consensus.handle"):

@@ -1,4 +1,9 @@
-"""Wire messages for the PBFT consensus protocol."""
+"""Wire messages for the PBFT consensus protocol.
+
+A client request is frozen (its digest is remembered on it). A round's nine
+messages are slotted dataclasses with a plain ``__init__``; none is written
+after it is sent.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ class ClientRequest:
     n_items: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrePrepare:
     view: int
     seq: int
@@ -34,8 +39,8 @@ class PrePrepare:
     request: ClientRequest
 
 
-@dataclass(frozen=True)
-class Prepare:
+@dataclass(slots=True)
+class _Vote:
     view: int
     seq: int
     digest: str
@@ -48,21 +53,13 @@ class Prepare:
     valid: bool
     item_votes: tuple[bool, ...] = ()
 
-    def item_vote(self, i: int) -> bool:
-        return self.item_votes[i] if self.item_votes else self.valid
+
+class Prepare(_Vote):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Commit:
-    view: int
-    seq: int
-    digest: str
-    replica: str
-    valid: bool
-    item_votes: tuple[bool, ...] = ()
-
-    def item_vote(self, i: int) -> bool:
-        return self.item_votes[i] if self.item_votes else self.valid
+class Commit(_Vote):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,9 @@ class IpfsCluster:
         removed = 0
         with obs_span("ipfs.restart_rehash") as sp:
             sp.set_attr("node", peer_id)
-            for cid in sorted(node.blockstore.cids(), key=lambda c: c.encode()):
+            # A fixed order, in the binary form: whichever blocks rotted are
+            # all dropped, so no base32 rendering is needed to sort them.
+            for cid in sorted(node.blockstore.cids(), key=CID.to_bytes):
                 if not cid.verifies(node.blockstore.get(cid)):
                     node.blockstore.delete(cid)
                     removed += 1

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime dep
     from repro.obs.span import SpanContext
 
 
-@dataclass(frozen=True)
 class Message:
     """A network message between two named nodes.
 
@@ -18,19 +16,39 @@ class Message:
     bandwidth model and must reflect the logical wire size of the payload.
 
     ``trace_ctx`` is the W3C-traceparent-style header slot: the sender's
-    span context, stamped by ``SimNetwork.send`` when tracing is enabled,
-    restored as the remote parent at delivery. Excluded from equality like
-    ``send_time`` — tracing metadata is not message identity.
+    span context, stamped at send time when tracing is enabled, restored as
+    the remote parent at delivery. Excluded from equality like
+    ``send_time`` — tracing metadata is not message identity. One is built
+    per destination of every send: a slotted class with a plain ``__init__``.
     """
 
-    src: str
-    dst: str
-    payload: Any
-    size_bytes: int = 256
-    kind: str = "msg"
-    send_time: float = field(default=0.0, compare=False)
-    trace_ctx: "SpanContext | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ("src", "dst", "payload", "size_bytes", "kind", "send_time", "trace_ctx")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        size_bytes: int = 256,
+        kind: str = "msg",
+        send_time: float = 0.0,
+        trace_ctx: "SpanContext | None" = None,
+    ) -> None:
+        if size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.kind = kind
+        self.send_time = send_time
+        self.trace_ctx = trace_ctx
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Message):
+            return NotImplemented
+        return (self.src, self.dst, self.payload, self.size_bytes, self.kind) == (
+            other.src, other.dst, other.payload, other.size_bytes, other.kind)
+
+    def __repr__(self) -> str:
+        return f"Message({self.src!r} -> {self.dst!r}, {self.kind!r}, {self.payload!r})"

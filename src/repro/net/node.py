@@ -33,7 +33,3 @@ class NetNode:
     def after(self, delay: float, action) -> None:
         """Schedule a local timer on the shared event loop."""
         self.network.schedule(delay, action)
-
-    @property
-    def now(self) -> float:
-        return self.network.clock.now()

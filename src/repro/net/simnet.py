@@ -6,8 +6,8 @@ delivery event after the latency model's delay, and :meth:`SimNetwork.run`
 drains the event heap in (time, sequence) order. Sequence numbers break
 timestamp ties deterministically, so a given seed always produces the same
 message interleaving — the property that makes Byzantine-fault tests
-reproducible. An event is a plain ``(time, seq, action, arg)`` tuple: a
-delivery is ``(…, _deliver, message)``, a timer ``(…, action, None)``; the
+reproducible. An event is a plain ``(time, seq, action, message)`` tuple:
+a delivery is ``(…, None, message)``, a timer ``(…, action, None)``; the
 unique ``seq`` means the heap never compares past it.
 
 Failure injection supported at the network level:
@@ -19,15 +19,14 @@ Failure injection supported at the network level:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import NetworkError, NodeUnreachableError
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
-from repro.obs.prof import profiled
+from repro.obs.prof import get_profiler, profiled
 from repro.obs.tracer import current_context, get_tracer
 from repro.util.clock import SimClock
 from repro.util.rng import rng_for
@@ -82,11 +81,11 @@ class SimNetwork:
         self.drop_rate = drop_rate
         self.stats = NetStats()
         self._handlers: dict[str, Handler] = {}
-        self._order: list[str] = []  # node names, sorted at register
+        self._peers: dict[str, tuple[str, ...]] = {}  # node -> every other node, sorted
         self._up: dict[str, bool] = {}
         self._groups: dict[str, int] = {}  # partition group per node; same = reachable
-        self._events: list[tuple[float, int, Callable, Any]] = []
-        self._seq = itertools.count()
+        self._events: list[tuple[float, int, Callable | None, Message | None]] = []
+        self._seq = 0  # next event sequence number
         self._rng = rng_for(seed, "net", "drops")
         self._running = False
         # Chaos hook: when set, called once per sent message (after the
@@ -100,12 +99,10 @@ class SimNetwork:
         if name in self._handlers:
             raise NetworkError(f"node {name!r} already registered")
         self._handlers[name] = handler
-        self._order = sorted(self._handlers)
+        order = sorted(self._handlers)
+        self._peers = {n: tuple(m for m in order if m != n) for n in order}
         self._up[name] = True
         self._groups[name] = 0
-
-    def nodes(self) -> list[str]:
-        return list(self._order)
 
     def set_node_up(self, name: str, up: bool) -> None:
         """Crash (``up=False``) or restart a node. Messages to a down node
@@ -150,69 +147,78 @@ class SimNetwork:
         self._require_node(src)
         if dst not in self._handlers:
             raise NodeUnreachableError(f"unknown destination node {dst!r}")
-        # Trace-context propagation: stamp the sender's span identity onto
-        # the message (None when tracing is off — one global read). The
-        # stamp happens at send time, so the causal parent is the span
-        # that *sent*, not whatever runs the event loop at delivery.
-        now = self.clock.now()
-        msg = Message(
-            src=src, dst=dst, payload=payload, size_bytes=size_bytes,
-            kind=kind, send_time=now, trace_ctx=current_context(),
-        )
-        self.stats.sent += 1
-        self.stats.bytes_sent += size_bytes
-        if self.drop_rate and self._rng.random() < self.drop_rate:
-            self.stats.dropped_rate += 1
-            return
-        fault = self.fault_injector(msg) if self.fault_injector is not None else NO_FAULT
-        if fault.drop:
-            self.stats.dropped_chaos += 1
-            return
-        delay = self.latency.delay(src, dst, size_bytes)
-        if delay < 0:
-            raise NetworkError("latency model returned a negative delay")
-        if fault.extra_delay_s > 0:
-            self.stats.delayed_chaos += 1
-            delay += fault.extra_delay_s
-        when = now + delay
-        heapq.heappush(self._events, (when, next(self._seq), self._deliver, msg))
-        if fault.duplicate:
-            self.stats.duplicated_chaos += 1
-            heapq.heappush(self._events, (when, next(self._seq), self._deliver, msg))
+        self._enqueue(src, (dst,), payload, size_bytes, kind)
 
     def broadcast(self, src: str, payload: Any, size_bytes: int = 256, kind: str = "msg") -> None:
         """Send to every other node (the BFT protocols' primitive)."""
-        for dst in self._order:
-            if dst != src:
-                self.send(src, dst, payload, size_bytes=size_bytes, kind=kind)
+        self._require_node(src)
+        self._enqueue(src, self._peers[src], payload, size_bytes, kind)
 
-    def _deliver(self, msg: Message) -> None:
+    def _enqueue(
+        self, src: str, dsts: tuple[str, ...], payload: Any, size_bytes: int, kind: str
+    ) -> None:
+        """The one body of :meth:`send` and :meth:`broadcast`. The clock and
+        the sender's span context (None when tracing is off) are read once
+        per cast, so a message's causal parent is the span that *sent* it;
+        the drop-rate draw and the fault injector run once per message, in
+        destination order."""
+        now = self.clock.now()
+        ctx = current_context()
+        stats, events, inject = self.stats, self._events, self.fault_injector
+        drop_rate, delay_of = self.drop_rate, self.latency.delay
+        for dst in dsts:
+            msg = Message(src, dst, payload, size_bytes, kind, now, ctx)
+            stats.sent += 1
+            stats.bytes_sent += size_bytes
+            if drop_rate and self._rng.random() < drop_rate:
+                stats.dropped_rate += 1
+                continue
+            fault = NO_FAULT if inject is None else inject(msg)
+            if fault.drop:
+                stats.dropped_chaos += 1
+                continue
+            delay = delay_of(src, dst, size_bytes)
+            if delay < 0:
+                raise NetworkError("latency model returned a negative delay")
+            if fault.extra_delay_s > 0:
+                stats.delayed_chaos += 1
+                delay += fault.extra_delay_s
+            seq = self._seq
+            heappush(events, (now + delay, seq, None, msg))
+            if fault.duplicate:
+                stats.duplicated_chaos += 1
+                seq += 1
+                heappush(events, (now + delay, seq, None, msg))
+            self._seq = seq + 1
+
+    def _deliver(self, msg: Message, observed: bool) -> None:
         # Reachability and liveness are evaluated at delivery time: a message
         # in flight when a partition forms is lost, like a TCP RST mid-split.
-        if not self._up.get(msg.dst, False):
-            self.stats.dropped_down += 1
+        dst, stats = msg.dst, self.stats
+        if not self._up[dst]:
+            stats.dropped_down += 1
             return
-        if self._groups[msg.src] != self._groups[msg.dst]:
-            self.stats.dropped_partition += 1
+        if self._groups[msg.src] != self._groups[dst]:
+            stats.dropped_partition += 1
             return
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += msg.size_bytes
+        stats.delivered += 1
+        stats.bytes_delivered += msg.size_bytes
+        handler = self._handlers[dst]
+        if not observed:
+            handler(msg)
+            return
         tracer = get_tracer()
         if tracer is None:
             with profiled("net.deliver"):
-                self._handlers[msg.dst](msg)
+                handler(msg)
             return
         # Restore the remote parent: the handler (and every span it opens)
         # joins the sender's trace, turning per-node span trees into one
         # causal DAG per transaction. A message without a stamp (sent
         # outside any span) falls back to the ambient context.
-        with tracer.span(
-            "net.deliver",
-            attrs={"src": msg.src, "node": msg.dst, "kind": msg.kind},
-            remote_parent=msg.trace_ctx,
-        ):
-            with profiled("net.deliver"):
-                self._handlers[msg.dst](msg)
+        attrs = {"src": msg.src, "node": dst, "kind": msg.kind}
+        with tracer.span("net.deliver", attrs, msg.trace_ctx), profiled("net.deliver"):
+            handler(msg)
 
     # -- event loop -----------------------------------------------------------
 
@@ -220,7 +226,8 @@ class SimNetwork:
         """Run ``action`` after ``delay`` simulated seconds (timers etc.)."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._events, (self.clock.now() + delay, next(self._seq), action, None))
+        heappush(self._events, (self.clock.now() + delay, self._seq, action, None))
+        self._seq += 1
 
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> int:
         """Drain events in (time, seq) order; returns events processed.
@@ -232,28 +239,38 @@ class SimNetwork:
             raise NetworkError("SimNetwork.run is not reentrant")
         self._running = True
         processed = 0
-        events = self._events
+        events, clock = self._events, self.clock
+        now = clock.now()
+        # With no tracer and no profiler there is nothing to open around an
+        # event. Otherwise net.run's exclusive time is the drain machinery
+        # (heap pops, clock advances) and each event runs under
+        # net.dispatch, whose exclusive time is the machinery around it.
+        observed = get_tracer() is not None or get_profiler() is not None
         try:
-            # net.run's *exclusive* time is the drain machinery (heap pops,
-            # clock advances); each action runs under net.dispatch, whose
-            # own exclusive is the span/delivery machinery around the
-            # handler — frames opened inside subtract themselves out.
             with profiled("net.run"):
                 while events and processed < max_events:
                     if until is not None and events[0][0] > until:
                         break
-                    when, _, action, arg = heapq.heappop(events)
-                    self.clock.advance_to(when)
-                    with profiled("net.dispatch"):
-                        if arg is None:
-                            action()
-                        else:
-                            action(arg)
+                    when, _, action, msg = heappop(events)
+                    if when != now:
+                        clock.advance_to(when)
+                        now = when
                     processed += 1
+                    if not observed:
+                        if action is None:
+                            self._deliver(msg, False)
+                        else:
+                            action()
+                        continue
+                    with profiled("net.dispatch"):
+                        if action is None:
+                            self._deliver(msg, True)
+                        else:
+                            action()
         finally:
             self._running = False
-        if until is not None and self.clock.now() < until:
-            self.clock.advance_to(until)
+        if until is not None and clock.now() < until:
+            clock.advance_to(until)
         return processed
 
     def pending(self) -> int:

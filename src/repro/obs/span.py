@@ -89,6 +89,9 @@ class Span:
         attrs: dict[str, Any] | None = None,
         remote_parent: SpanContext | None = None,
     ) -> None:
+        # The interval starts here: making the span is bookkeeping like its
+        # enter and exit, billed to its own stage (see Tracer._enter).
+        self.start_s: float = tracer.clock()
         self.name = name
         self.span_id = next_span_id()
         self.trace_id: str = self.span_id  # overwritten on enter if nested
@@ -99,7 +102,6 @@ class Span:
         self.exec_parent_id: str | None = None
         self.remote: bool = False  # True when parented across a message hop
         self.node: str = CLIENT_NODE  # resolved on enter, see the module docs
-        self.start_s: float = 0.0
         self.end_s: float | None = None
         self.attrs: dict[str, Any] = attrs if attrs is not None else {}
         self.status: str = "ok"

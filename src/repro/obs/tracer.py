@@ -93,10 +93,10 @@ class Tracer:
         return Span(name, self, attrs, remote_parent=remote_parent)
 
     def _enter(self, span: Span) -> None:
-        # A span's interval covers its own enter/exit bookkeeping, so that
-        # cost is billed to the span's stage, not to its parent's self time
+        # A span's interval covers its own construction, enter and exit
+        # bookkeeping (start_s is read when the span is made), so that cost
+        # is billed to the span's stage, not to its parent's self time
         # (which, for a root, is the breakdown's unattributed remainder).
-        span.start_s = self.clock()
         parent = _current_span.get()
         node = own_node(span.attrs) if span.attrs else None
         if parent is not None:

@@ -60,6 +60,15 @@ class TestCli:
         assert "plan   : INDEX class=car -> filter" in out
         assert "matched:" in out
 
+    def test_query_prints_the_fields_a_select_keeps(self, capsys):
+        text = "SELECT metadata.camera_id WHERE metadata.timestamp > 0 LIMIT 2"
+        assert main(["query", text, "--videos", "2"]) == 0
+        rows = [line.strip() for line in capsys.readouterr().out.splitlines() if line.startswith("  {")]
+        assert len(rows) == 2
+        for row in map(json.loads, rows):
+            assert set(row) == {"cid", "entry_id", "metadata"}
+            assert set(row["metadata"]) == {"camera_id"}
+
     def test_export_and_inspect_bundle(self, capsys, tmp_path):
         out = tmp_path / "evidence.bundle"
         assert main(["export", str(out), "--videos", "2"]) == 0

@@ -8,7 +8,9 @@ with :class:`StorageError` at every add boundary.
 """
 
 import hashlib
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -119,6 +121,27 @@ class TestRotOfAViewIsCaught:
         node.blockstore.corrupt(leaf, rot(node.blockstore.get(leaf)))
         assert cluster.restart_node("ipfs-0") == 1
         assert not node.blockstore.has(leaf)
+
+    def test_restart_rehash_renders_no_base32(self):
+        """The rehash orders the blocks by their binary CIDs: a restart of a
+        node holding a 33-block file calls ``b32encode`` not once."""
+        cluster = IpfsCluster(n_nodes=2, chunker=FixedSizeChunker(CHUNK))
+        cluster.add(BIG, node="ipfs-0")
+        cluster.crash_node("ipfs-0")
+        calls = Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            removed = cluster.restart_node("ipfs-0")
+        finally:
+            sys.setprofile(None)
+        assert removed == 0
+        assert calls["verifies"] == 33
+        assert calls["b32encode"] == 0
 
     def test_retrieve_quarantines_and_refetches(self):
         set_registry(MetricsRegistry())
