@@ -53,7 +53,7 @@ def main() -> None:
     print("\n== Attack 2: wrong bytes under the stored CID ==")
     record = client.get_metadata(receipt.entry_id)
     cid = CID.parse(record["cid"])
-    holders = [n for n in framework.ipfs.nodes.values() if n.has_local(cid)]
+    holders = [n for n in framework.ipfs.nodes.values() if n.blockstore.has(cid)]
     honest = holders[0].blockstore.get(cid)
     for node in holders:
         node.blockstore.corrupt(cid, b"doctored evidence")

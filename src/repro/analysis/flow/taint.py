@@ -146,7 +146,7 @@ SINK_EXTERNAL_PREFIXES = ("hashlib.",)
 # events, and the keys of reads, which enter the endorsed read set.
 SINK_METHOD_NAMES = frozenset({
     "put_state", "del_state", "set_event", "get_state", "get_state_by_range",
-    "get_state_by_partial_composite_key", "invoke_chaincode",
+    "get_state_by_partial_composite_key",
 })
 # Function *names* that are sinks wherever they live — these names are the
 # framework's own conventions, so a module outside the qualname table (a

@@ -9,12 +9,14 @@ to the origin network. A bundle is:
   lineage, signed by the exporting identity;
 * a CAR archive of every referenced payload.
 
-``export_bundle`` queries the matching records' metadata and stages each
-payload on one node with one verified read. ``import_bundle`` verifies the
-exporter's signature, loads the CAR (hash-verifying every block), and reads
-each entry back under the record's CID, hashing every block against the CID
-that names it — the on-chain commitment captured in the manifest, so the
-same integrity chain the origin framework enforced is now portable.
+``export_bundle`` queries the matching records' metadata and writes the CAR
+from one node in one walk per payload, as a read walks it: each block is
+hashed against the CID that names it, and a block the node lacks is fetched
+from the cluster and stored there. ``import_bundle`` verifies the exporter's
+signature and loads the CAR, whose walk hashes each block once against the
+CID that names it; each record's CID — the on-chain commitment captured in
+the manifest — must be one of the CAR's roots, so the same integrity chain
+the origin framework enforced is now portable.
 
 Export reads world state and IPFS directly: it asks no ACL, so any org can
 export a restricted entry's bytes.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.client import Client
 from repro.crypto.cid import CID
@@ -31,7 +34,6 @@ from repro.crypto.keys import PublicKey
 from repro.errors import IntegrityError, SignatureError, StorageError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.car import export_car, import_car
-from repro.ipfs.unixfs import UnixFS
 from repro.util.serialization import canonical_json, from_canonical_json
 from repro.util.varint import decode_varint, encode_varint
 
@@ -65,22 +67,16 @@ def export_bundle(client: Client, query_text: str) -> bytes:
     rows = client.query(query_text)
     if not rows:
         raise StorageError(f"query {query_text!r} matched nothing to export")
-    # Stage all payload blocks on one node so the CAR export sees them: one
-    # read per payload, which hashes every block against the record's CID.
-    staging = client.framework.ipfs.node()
-    roots = []
-    entries = []
-    for row in rows:
-        cid = CID.parse(row.record["cid"])
-        staging.cat(cid, providers=client.framework.ipfs.providers_for(cid, staging.peer_id))
-        roots.append(cid)
-        entries.append(
-            {
-                "record": row.record,
-                "provenance": client.provenance(row.entry_id),
-            }
-        )
-    car = export_car(staging.blockstore, roots)
+    entries = [
+        {"record": row.record, "provenance": client.provenance(row.entry_id)} for row in rows
+    ]
+    cluster = client.framework.ipfs
+    staging = cluster.node()
+    car = export_car(
+        staging.blockstore,
+        [CID.parse(row.record["cid"]) for row in rows],
+        fetcher=partial(cluster.fetcher, staging),
+    )
     manifest = {
         "version": BUNDLE_VERSION,
         "channel": client.framework.channel.name,
@@ -126,13 +122,15 @@ def import_bundle(
 
     if hashlib.sha256(car).hexdigest() != manifest["car_sha256"]:
         raise IntegrityError("bundle CAR does not match the signed manifest")
-    import_car(blockstore, car)
+    roots = import_car(blockstore, car)  # every block, against its CID
 
-    fs = UnixFS(blockstore)
     entries = []
     for item in manifest["entries"]:
         record = item["record"]
-        fs.read_file(CID.parse(record["cid"]))  # every block, against its CID
+        if CID.parse(record["cid"]) not in roots:
+            raise IntegrityError(
+                f"entry {record['entry_id']}'s CID is not a root of the bundle CAR"
+            )
         entries.append(
             BundleEntry(record=record, provenance=tuple(item["provenance"]))
         )

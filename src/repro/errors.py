@@ -49,8 +49,13 @@ class BlockNotFoundError(StorageError):
     """A block CID was not present in any reachable blockstore."""
 
     def __init__(self, cid: object) -> None:
-        super().__init__(f"block not found: {cid}")
+        super().__init__(cid)
         self.cid = cid
+
+    def __str__(self) -> str:
+        # Rendered when shown, not when raised: a read raises one for each
+        # block its store lacks before it fetches that block.
+        return f"block not found: {self.cid}"
 
 
 class InvalidBlockError(StorageError):

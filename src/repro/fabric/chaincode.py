@@ -14,7 +14,7 @@ checks at commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ChaincodeError, ChaincodeNotFoundError, EncodingError
 from repro.fabric.identity import IdentityInfo
@@ -37,14 +37,12 @@ class ChaincodeStub:
         creator: IdentityInfo,
         timestamp: float,
         chaincode_name: str,
-        invoker: Callable[[str, str, list[str], "ChaincodeStub"], str] | None = None,
     ) -> None:
         self._world = world
         self._tx_id = tx_id
         self._creator = creator
         self._timestamp = timestamp
         self._chaincode_name = chaincode_name
-        self._invoker = invoker
         self._reads: dict[str, ReadEntry] = {}
         self._writes: dict[str, WriteEntry] = {}  # insertion-ordered
         self._events: list[ChaincodeEvent] = []
@@ -123,19 +121,12 @@ class ChaincodeStub:
         as in Fabric — history queries are not MVCC-protected."""
         return self._world.history(key)
 
-    # -- events & cross-chaincode ---------------------------------------------------------
+    # -- events -----------------------------------------------------------------------------
 
     def set_event(self, name: str, payload: dict | None = None) -> None:
         self._events.append(
             ChaincodeEvent(chaincode=self._chaincode_name, name=name, payload=payload or {})
         )
-
-    def invoke_chaincode(self, chaincode: str, fn: str, args: list[str]) -> str:
-        """Call another chaincode in the same transaction context; its reads
-        and writes merge into this transaction's rwset."""
-        if self._invoker is None:
-            raise ChaincodeError("cross-chaincode invocation not available here")
-        return self._invoker(chaincode, fn, args, self)
 
     # -- rwset extraction (runtime only) ----------------------------------------------------
 

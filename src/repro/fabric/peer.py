@@ -83,19 +83,12 @@ class Peer:
     # ------------------------------------------------------------------
 
     def _make_stub(self, proposal: TxProposal, chaincode_name: str) -> ChaincodeStub:
-        def invoker(cc_name: str, fn: str, args: list[str], stub: ChaincodeStub) -> str:
-            definition = self.chaincodes.get(cc_name)
-            # The nested call shares the caller's stub so its reads/writes
-            # land in the same transaction rwset.
-            return definition.chaincode.dispatch(stub, fn, args)
-
         return ChaincodeStub(
             world=self.world,
             tx_id=proposal.tx_id,
             creator=proposal.creator,
             timestamp=proposal.timestamp,
             chaincode_name=chaincode_name,
-            invoker=invoker,
         )
 
     def endorse(self, proposal: TxProposal) -> ProposalResponse:

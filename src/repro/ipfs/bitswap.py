@@ -6,7 +6,8 @@ order; the serving engine applies a reciprocity policy — peers deep in debt
 get refused once past a grace allowance, the incentive mechanism real
 bitswap uses to discourage freeloading. A block travels as its bytes; every
 received one is hashed against the CID it was asked for before it touches
-the local store, which keeps its own copy.
+the local store, which keeps its own copy. That is the one hash a fetched
+block gets: the read that asked for it takes the returned bytes as checked.
 
 Transfers are in-process (the cluster holds all nodes), but every exchange
 is metered, and an optional :class:`repro.net.SimNetwork` hook charges the
@@ -61,7 +62,6 @@ class Engine:
         self.peer_id = peer_id
         self.blockstore = blockstore
         self.ledgers: dict[str, Ledger] = {}
-        self.wantlist: set[CID] = set()
         self.stats = BitswapStats()
         # Crashed engines neither serve nor fetch; the cluster flips this.
         self.online = True
@@ -109,7 +109,9 @@ class Engine:
         on_transfer: Callable[[str, int], None] | None = None,
     ) -> bytes | memoryview:
         """Fetch the bytes of ``cid`` from the first provider that serves
-        them intact.
+        them intact, and store them: the block source of a read's walk,
+        which asks only for blocks its store lacks (a block the store has
+        comes back as stored, unhashed).
 
         Providers are tried in descending debt-ratio order (peers that owe
         us are most likely to serve). ``on_transfer(peer, nbytes)`` lets the
@@ -118,34 +120,28 @@ class Engine:
         if self.blockstore.has(cid):
             self.stats.duplicate_wants += 1
             return self.blockstore.get(cid)
-        self.wantlist.add(cid)
-        try:
-            ordered = sorted(
-                (p for p in providers if p != self.peer_id and p in self._peers),
-                key=lambda p: -self.ledger_for(p).debt_ratio(),
-            )
-            for peer in ordered:
-                served = self._peers[peer].handle_want(self.peer_id, cid)
-                if served is None:
-                    continue
-                if not cid.verifies(served):  # trust no peer
-                    # Corrupted bytes from this peer — reject and keep trying
-                    # the remaining providers rather than poisoning the store.
-                    self.stats.corrupt_rejected += 1
-                    get_registry().counter(
-                        "ipfs_corrupt_blocks_total", {"peer": peer}
-                    ).inc()
-                    continue
-                data = bytes(served)  # the fetcher's own copy
-                ledger = self.ledger_for(peer)
-                ledger.bytes_received += len(data)
-                ledger.blocks_received += 1
-                self.stats.blocks_fetched += 1
-                self.blockstore.put(cid, data)
-                if on_transfer is not None:
-                    on_transfer(peer, len(data))
-                return data
-            self.stats.fetch_failures += 1
-            raise BlockNotFoundError(cid)
-        finally:
-            self.wantlist.discard(cid)
+        ordered = sorted(
+            (p for p in providers if p != self.peer_id and p in self._peers),
+            key=lambda p: -self.ledger_for(p).debt_ratio(),
+        )
+        for peer in ordered:
+            served = self._peers[peer].handle_want(self.peer_id, cid)
+            if served is None:
+                continue
+            if not cid.verifies(served):  # trust no peer
+                # Corrupted bytes from this peer — reject and keep trying
+                # the remaining providers rather than poisoning the store.
+                self.stats.corrupt_rejected += 1
+                get_registry().counter("ipfs_corrupt_blocks_total", {"peer": peer}).inc()
+                continue
+            data = bytes(served)  # the fetcher's own copy
+            ledger = self.ledger_for(peer)
+            ledger.bytes_received += len(data)
+            ledger.blocks_received += 1
+            self.stats.blocks_fetched += 1
+            self.blockstore.put(cid, data)
+            if on_transfer is not None:
+                on_transfer(peer, len(data))
+            return data
+        self.stats.fetch_failures += 1
+        raise BlockNotFoundError(cid)

@@ -4,8 +4,9 @@ A CAR file is the portable form of a DAG: a header naming the root CIDs
 followed by the blocks themselves. It is how IPFS content moves between
 systems without a network (backup, cold archival, bulk hand-off) — for the
 framework, how a city archives evidence bundles or ships them to another
-jurisdiction's cluster. Every imported block is hash-verified, so a CAR
-from an untrusted courier is safe to ingest.
+jurisdiction's cluster. Export and import are each the one file walk
+(:func:`~repro.ipfs.unixfs.walk_file`), so every block is hashed once, as
+it is taken, and a CAR from an untrusted courier is safe to ingest.
 
 Framing (simplified from the CARv1 spec, same structure): a varint-length-
 prefixed canonical-JSON header ``{"version": 1, "roots": [...]}`` naming the
@@ -16,44 +17,64 @@ reading the blocks renders and parses no base32.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.crypto.cid import CID, CID_SIZE
-from repro.errors import DagError, EncodingError, InvalidBlockError, StorageError
+from repro.errors import (
+    BlockNotFoundError,
+    DagError,
+    EncodingError,
+    InvalidBlockError,
+    StorageError,
+)
 from repro.ipfs.blockstore import MemoryBlockstore
-from repro.ipfs.dag import DagService
+from repro.ipfs.unixfs import Fetch, checked, walk_file
 from repro.util.serialization import canonical_json, from_canonical_json
 from repro.util.varint import decode_varint, encode_varint
 
 CAR_VERSION = 1
 
 
-def export_car(blockstore: MemoryBlockstore, roots: list[CID]) -> bytes:
-    """Serialize the subgraphs under ``roots`` into a CAR byte string.
+def export_car(
+    blockstore: MemoryBlockstore,
+    roots: list[CID],
+    fetcher: Callable[[CID], Fetch] | None = None,
+) -> bytes:
+    """Serialize the files under ``roots`` into a CAR byte string.
 
-    Shared blocks are written once even when reachable from several roots,
-    and each block's bytes are copied once, by the final join.
+    One walk per root reads the blocks as a read does (:func:`checked`): each
+    is hashed as it is taken, and ``fetcher(root)``, when given, supplies
+    the blocks under ``root`` the store lacks. Shared blocks are written
+    once even when reachable from several roots, and each block's bytes are
+    copied once, by the final join.
     """
     if not roots:
         raise StorageError("a CAR needs at least one root")
-    dag = DagService(blockstore)
     header = canonical_json({"version": CAR_VERSION, "roots": [r.encode() for r in roots]})
     parts = [encode_varint(len(header)), header]
-    written: set[CID] = set()
+    take = None
+
+    def section(cid: CID) -> bytes | memoryview:
+        data = take(cid)
+        binary = cid.to_bytes()
+        parts.extend((encode_varint(len(binary) + len(data)), binary, data))
+        return data
+
+    seen: set[CID] = set()
     for root in roots:
-        for cid, _ in dag.walk(root):
-            if cid in written:
-                continue
-            written.add(cid)
-            data = blockstore.get(cid)
-            binary = cid.to_bytes()
-            parts += [encode_varint(len(binary) + len(data)), binary, data]
+        take = checked(blockstore, fetcher(root) if fetcher is not None else None)
+        walk_file(root, section, seen=seen)
     return b"".join(parts)
 
 
 def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
-    """Load a CAR into a blockstore, verifying every block; returns roots.
+    """Load the files a CAR names into a blockstore; returns its roots.
 
-    Fails if any root's subgraph is incomplete after the import — a CAR
-    that promises a root must deliver every block under it.
+    One walk per root takes each block from the blockstore, hashed, or, when
+    the store lacks it, from the CAR section that names it, which is hashed
+    against that CID (:class:`InvalidBlockError` if it fails) and then
+    stored as the block's one copy. A root whose file the CAR does not
+    complete fails the import; a section under no root is not stored.
     """
     header_len, pos = decode_varint(raw)
     try:
@@ -69,6 +90,7 @@ def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
     pos += header_len
 
     view = memoryview(raw)
+    sections: dict[CID, memoryview] = {}
     while pos < len(raw):
         section_len, pos = decode_varint(raw, pos)
         end = pos + section_len
@@ -81,17 +103,23 @@ def import_car(blockstore: MemoryBlockstore, raw: bytes) -> list[CID]:
             cid = CID.from_bytes(raw[pos:body])
         except EncodingError as exc:
             raise StorageError(f"malformed CAR section: {exc}") from exc
-        data = view[body:end]
-        if not cid.verifies(data):
-            raise InvalidBlockError(f"data does not hash to {cid}")
-        blockstore.put(cid, bytes(data))  # the block's one copy
+        sections[cid] = view[body:end]
         pos = end
 
-    dag = DagService(blockstore)
+    def from_car(cid: CID) -> bytes:
+        if cid not in sections:
+            raise BlockNotFoundError(cid)
+        if not cid.verifies(sections[cid]):
+            raise InvalidBlockError(f"data does not hash to {cid}")
+        data = bytes(sections[cid])
+        blockstore.put(cid, data)
+        return data
+
+    take = checked(blockstore, from_car)
+    seen: set[CID] = set()
     for root in roots:
         try:
-            for _cid, _node in dag.walk(root):
-                pass
-        except (StorageError, DagError) as exc:
+            walk_file(root, take, seen=seen)
+        except (BlockNotFoundError, DagError) as exc:
             raise StorageError(f"CAR incomplete under root {root}: {exc}") from exc
     return roots

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from repro.crypto.cid import CID
 from repro.errors import BlockNotFoundError, StorageError
 from repro.ipfs.chunker import Chunker
-from repro.ipfs.dag import is_dag_node
 from repro.ipfs.dht import DhtRegistry
 from repro.ipfs.node import IpfsNode
-from repro.ipfs.unixfs import AddResult, frozen_payload
+from repro.ipfs.unixfs import AddResult, Fetch, check_stored, frozen_payload
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 
@@ -170,83 +169,67 @@ class IpfsCluster:
             return providers
 
     def cat(self, cid: CID, node: str | None = None) -> bytes:
-        """Read a file from any node, discovering providers via the DHT.
-
-        If the DHT-advertised providers can't serve every block (crashed
-        node, stale provider record), the read fails over to the online
-        nodes that actually hold the complete file. Every block under
-        ``cid`` is hashed against the CID that names it (see
-        :meth:`UnixFS.read_file`); a block pulled from a peer is also
-        checked in bitswap."""
+        """Read a file on one node (the first online one by default) in one
+        walk: each block is hashed once, from the reader's store as it is
+        taken or, when missing, from :meth:`fetcher`'s sources on receipt."""
         with obs_span("ipfs.cat") as sp:
             reader = self.node(node)
             if not reader.online:
                 raise StorageError(f"cluster node {reader.peer_id!r} is offline")
             sp.set_attr("node", reader.peer_id)
-            if reader.has_local(cid):
-                try:
-                    return reader.cat_local(cid)
-                except BlockNotFoundError:
-                    # Partial local copy: fall through to the remote path.
-                    # A block that fails its hash raises as it is: the
-                    # remote path would read the same local blocks again.
-                    sp.set_attr("partial_local", True)
-                    get_registry().counter("ipfs_partial_local_total").inc()
-            providers = self.providers_for(cid, reader.peer_id)
+            return reader.unixfs.read_file(cid, self.fetcher(reader, cid))
+
+    def fetcher(self, reader: IpfsNode, root: CID) -> Fetch:
+        """Where a walk of ``root`` on ``reader`` gets a block the reader
+        lacks: over bitswap from the DHT providers of ``root``, looked up at
+        the first miss; once they fail a block, and only for content that
+        was announced (unannounced content stays undiscoverable, as DHT
+        semantics require), from the other online nodes that hold ``root``,
+        for the rest of the walk."""
+        providers: list[str] | None = None
+        failed_over = False
+
+        def fetch(cid: CID) -> bytes:
+            nonlocal providers, failed_over
+            if providers is None:
+                providers = self.providers_for(root, reader.peer_id)
             try:
-                return reader.cat(cid, providers=providers)
+                return reader.bitswap.want(cid, providers)
             except BlockNotFoundError:
-                # Stale-provider recovery: only content that *was* announced
-                # may fall over to replicas — unannounced content stays
-                # undiscoverable, as DHT semantics require.
-                if not providers:
+                if failed_over or not providers:
                     raise
-                fallback = [
+                failed_over = True
+                providers = [
                     peer_id
                     for peer_id, other in sorted(self.nodes.items())
                     if other.online
                     and peer_id != reader.peer_id
                     and peer_id not in providers
-                    and other.blockstore.has(cid)
+                    and other.blockstore.has(root)
                 ]
-                if not fallback:
+                if not providers:
                     raise
-                get_registry().counter(
-                    "ipfs_failover_total", {"op": "cat_providers"}
-                ).inc()
-                sp.set_attr("failover_providers", len(fallback))
-                return reader.cat(cid, providers=fallback)
+                get_registry().counter("ipfs_failover_total", {"op": "cat_providers"}).inc()
+                return reader.bitswap.want(cid, providers)
+
+        return fetch
 
     def quarantine(self, cid: CID) -> int:
         """Delete locally-stored blocks under ``cid`` whose bytes no longer
-        match their CID (detected corruption), cluster-wide. Returns the
-        number of blocks removed; a follow-up :meth:`cat` re-fetches clean
-        copies from surviving replicas."""
+        match their CID (detected corruption), cluster-wide, found by
+        :func:`check_stored`. Returns the number of blocks removed; a
+        follow-up :meth:`cat` re-fetches clean copies from surviving
+        replicas."""
         removed = 0
         with obs_span("ipfs.quarantine") as sp:
             for node in self.nodes.values():
-                removed += self._quarantine_node(node, cid)
+                for block, ok in check_stored(node.blockstore, cid).items():
+                    if not ok:
+                        node.blockstore.delete(block)
+                        removed += 1
             sp.set_attr("removed", removed)
         if removed:
             get_registry().counter("ipfs_quarantined_blocks_total").inc(removed)
-        return removed
-
-    @staticmethod
-    def _quarantine_node(node: IpfsNode, root: CID) -> int:
-        removed = 0
-        stack = [root]
-        seen: set[CID] = set()
-        while stack:
-            current = stack.pop()
-            if current in seen or not node.blockstore.has(current):
-                continue
-            seen.add(current)
-            if not current.verifies(node.blockstore.get(current)):
-                node.blockstore.delete(current)
-                removed += 1
-                continue
-            if is_dag_node(current):
-                stack.extend(link.cid for link in node.dag.get(current).links)
         return removed
 
     def stat(self) -> ClusterStat:

@@ -11,13 +11,12 @@ written and every varint is minimal, so a node has one encoding:
 writes, and raises :class:`~repro.errors.DagError` on anything else.
 
 :func:`is_dag_node` is the one test of whether a CID names such a node (or
-a raw leaf); every DAG walker asks it.
+a raw leaf).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.crypto.cid import CID, CODEC_DAG_PB
 from repro.errors import DagError, EncodingError
@@ -126,7 +125,8 @@ class DagNode:
 
 
 class DagService:
-    """Put/get DAG nodes against a blockstore, with a traversal helper."""
+    """Put DAG nodes into a blockstore. Reading them back is the one file
+    walk, :func:`repro.ipfs.unixfs.walk_file`."""
 
     def __init__(self, blockstore: MemoryBlockstore) -> None:
         self.blockstore = blockstore
@@ -136,30 +136,3 @@ class DagService:
         cid = CID.for_data(raw, codec=CODEC_DAG_PB)
         self.blockstore.put(cid, raw)
         return cid
-
-    def get(self, cid: CID) -> DagNode:
-        if not is_dag_node(cid):
-            raise DagError(f"CID {cid} is not a DAG node (codec {cid.codec_name})")
-        return DagNode.deserialize(self.blockstore.get(cid))
-
-    def walk(self, root: CID) -> Iterator[tuple[CID, DagNode | None]]:
-        """Depth-first pre-order walk of all blocks under ``root``.
-
-        Yields ``(cid, node)`` for DAG nodes and ``(cid, None)`` for leaf
-        (raw) blocks. Visits shared subgraphs once — the DAG may be a
-        diamond, not a tree, after deduplication.
-        """
-        seen: set[CID] = set()
-        stack = [root]
-        while stack:
-            cid = stack.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            if is_dag_node(cid):
-                node = self.get(cid)
-                yield cid, node
-                # Reverse to preserve left-to-right pre-order with a stack.
-                stack.extend(l.cid for l in reversed(node.links))
-            else:
-                yield cid, None

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.crypto.cid import CID
 from repro.errors import StorageError
 from repro.ipfs.cluster import IpfsCluster
-from repro.ipfs.dag import DagService
+from repro.ipfs.unixfs import checked, walk_file
+from repro.obs.tracer import span as obs_span
 
 
 def _rendezvous_score(cid: CID, peer_id: str) -> int:
@@ -58,15 +60,15 @@ class ReplicationManager:
         return sorted(peers, key=lambda p: -_rendezvous_score(cid, p))[:k]
 
     def holders(self, cid: CID) -> list[str]:
-        """Online nodes that actually hold the complete subgraph under ``cid``."""
+        """Online nodes that hold every block of the file under ``cid``. A
+        presence walk that hashes nothing: a copy's bytes are checked where
+        they are read or received."""
         out = []
         for peer_id, node in self.cluster.nodes.items():
             if not node.online or not node.blockstore.has(cid):
                 continue
             try:
-                dag = DagService(node.blockstore)
-                for _ in dag.walk(cid):
-                    pass
+                walk_file(cid, node.blockstore.get, seen=set())
             except StorageError:
                 continue  # partial copy doesn't count
             out.append(peer_id)
@@ -88,7 +90,11 @@ class ReplicationManager:
                 continue
             target = self.cluster.nodes[target_id]
             providers = sorted(current)
-            target.cat(cid, providers=providers)  # pulls all blocks via bitswap
+            # One walk that pulls each missing block over bitswap (checked on
+            # receipt) and hashes the ones the target has; it joins no bytes.
+            with obs_span("ipfs.replicate", {"peer": target_id}):
+                fetch = partial(target.bitswap.want, providers=providers)
+                walk_file(cid, checked(target.blockstore, fetch), seen=set())
             # Announce the new replica so reads can discover it after the
             # original adder crashes (what ipfs-cluster does on pin).
             self.cluster.dht.provide(target_id, cid)

@@ -73,7 +73,6 @@ STAGE_LABELS = {
     "query.fetch": "off-chain fetch",
     "ipfs.cat": "off-chain fetch",
     "ipfs.dht.providers": "dht resolve",
-    "ipfs.node.cat": "off-chain fetch",
     "retrieve.provenance": "provenance",
     # resilience (both paths; cheap and usually absent when healthy)
     "resilience.retry": "retry backoff",

@@ -374,8 +374,7 @@ class LedgerExplorer:
 
     def _audit_offchain(self, peer: Peer, report: AuditReport) -> None:
         from repro.crypto.cid import CID
-        from repro.errors import StorageError
-        from repro.ipfs.dag import is_dag_node
+        from repro.ipfs.unixfs import check_stored
 
         for key, raw in peer.world.range(_DATA_PREFIX, _DATA_PREFIX + "\x7f"):
             record = json.loads(raw)
@@ -393,27 +392,15 @@ class LedgerExplorer:
             for node_id, node in sorted(self.ipfs.nodes.items()):
                 if not node.online or not node.blockstore.has(root):
                     continue
-                # Read-only DAG walk with per-block hash verification — the
-                # same check quarantine applies, without the deletion.
-                stack, seen = [root], set()
-                while stack:
-                    cid = stack.pop()
-                    if cid in seen or not node.blockstore.has(cid):
-                        continue
-                    seen.add(cid)
-                    report.offchain_blocks_checked += 1
-                    if not cid.verifies(node.blockstore.get(cid)):
-                        report.findings.append(
-                            AuditFinding(
-                                "offchain_block",
-                                f"stored bytes no longer hash to {cid.encode()[:16]}…",
-                                node=node_id,
-                                cid=root.encode(),
-                            )
+                # The check quarantine applies, without the deletion.
+                verdicts = check_stored(node.blockstore, root)
+                report.offchain_blocks_checked += len(verdicts)
+                for cid in (c for c, ok in verdicts.items() if not ok):
+                    report.findings.append(
+                        AuditFinding(
+                            "offchain_block",
+                            f"stored bytes no longer hash to {cid.encode()[:16]}…",
+                            node=node_id,
+                            cid=root.encode(),
                         )
-                        continue
-                    if is_dag_node(cid):
-                        try:
-                            stack.extend(link.cid for link in node.dag.get(cid).links)
-                        except StorageError:  # pragma: no cover - defensive
-                            continue
+                    )

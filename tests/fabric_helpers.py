@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ChaincodeError, LedgerError
 from repro.fabric import Chaincode, ChaincodeStub, FabricNetwork, Role
 from repro.fabric.worldstate import COMPOSITE_SEP
@@ -80,10 +78,6 @@ class KvChaincode(Chaincode):
 
     def boom(self, stub: ChaincodeStub):
         raise ChaincodeError("deliberate failure")
-
-    def call_other(self, stub: ChaincodeStub, chaincode: str, key: str, value: str):
-        nested = stub.invoke_chaincode(chaincode, "put", [key, value])
-        return {"nested": json.loads(nested)}
 
 
 def make_network(consensus="solo", orgs=("org1", "org2"), peers_per_org=1, **kwargs):

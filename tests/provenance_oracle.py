@@ -62,8 +62,8 @@ class OracleDataUpload(Chaincode):
         data_hash = CID.parse(cid).digest.hex()
         actor = stub.get_creator().name
         for action, details in (("captured", {"data_hash": data_hash}), ("stored", {"cid": cid})):
-            stub.invoke_chaincode(
-                "provenance",
+            _ORACLES["provenance"].dispatch(
+                stub,
                 "record",
                 [result["entry_id"], action, actor, canonical_json(details).decode()],
             )
@@ -123,18 +123,13 @@ def replay(ledger) -> WorldState:
     """The world state the former writer leaves after ``ledger``'s valid
     store and ``record_many`` transactions, in commit order."""
     world = WorldState()
-
-    def invoker(chaincode, fn, args, stub):
-        return _ORACLES[chaincode].dispatch(stub, fn, args)
-
     for block in ledger.blocks():
         for i, tx in enumerate(audit.valid_txs(block)):
             proposal = tx.proposal
             if (proposal.chaincode, proposal.fn) not in _REPLAYED:
                 continue
             stub = ChaincodeStub(
-                world, tx.tx_id, proposal.creator, proposal.timestamp,
-                proposal.chaincode, invoker=invoker,
+                world, tx.tx_id, proposal.creator, proposal.timestamp, proposal.chaincode
             )
             _ORACLES[proposal.chaincode].dispatch(stub, proposal.fn, list(proposal.args))
             for write in stub.rwset().writes:

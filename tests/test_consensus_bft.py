@@ -292,6 +292,50 @@ class TestViewChangeSafety:
         assert cluster.log_prefix_consistent()
 
 
+class TestQuorumThresholds:
+    """One replica driven by hand (n = 4, f = 1, quorum 2f+1 = 3). A vote for
+    another digest counts toward no quorum: holding 2f matching votes and one
+    stray, a replica neither sends COMMIT nor decides."""
+
+    @staticmethod
+    def primed(valid=True):
+        from repro.consensus.bft import _digest
+        from repro.consensus.messages import ClientRequest, PrePrepare
+
+        replica = make_cluster(validator=lambda name, request: valid).replicas["validator-1"]
+        request = ClientRequest(request_id="q", payload="quorum")
+        digest = _digest(request)
+        replica._dispatch(PrePrepare(0, 0, digest, request))  # casts its own PREPARE
+        return replica, replica._slot(0, 0), digest
+
+    def test_commit_needs_2f_plus_1_matching_prepares(self):
+        from repro.consensus.messages import Prepare
+
+        replica, slot, digest = self.primed()
+        replica._dispatch(Prepare(0, 0, digest, "validator-0", True))
+        replica._dispatch(Prepare(0, 0, digest[::-1], "validator-2", True))
+        assert len(slot.prepares) == 3 and not slot.sent_commit
+        replica._dispatch(Prepare(0, 0, digest, "validator-3", True))
+        assert slot.sent_commit
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["accepted", "rejected"])
+    def test_decision_needs_2f_plus_1_matching_commits(self, valid):
+        """A rejection is settled by f+1 invalid votes, but it is still
+        decided only on a quorum of matching commits."""
+        from repro.consensus.messages import Commit, Prepare
+
+        replica, slot, digest = self.primed(valid)
+        for peer in ("validator-0", "validator-2"):
+            replica._dispatch(Prepare(0, 0, digest, peer, valid))
+        assert slot.sent_commit and list(slot.commits) == ["validator-1"]
+        replica._dispatch(Commit(0, 0, digest, "validator-0", valid))
+        replica._dispatch(Commit(0, 0, digest[::-1], "validator-2", valid))
+        assert len(slot.commits) == 3 and not slot.decided and replica.log == []
+        replica._dispatch(Commit(0, 0, digest, "validator-3", valid))
+        assert slot.decided and [(d.request.request_id, d.accepted) for d in replica.log] \
+            == [("q", valid)]
+
+
 class TestViewSynchronisation:
     """A replica left in an old view follows f+1 peers that moved on; fewer
     than f+1 move nobody."""

@@ -1,5 +1,7 @@
 """Tests for signed evidence bundles (export/import across deployments)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Client, Framework, FrameworkConfig
@@ -9,6 +11,16 @@ from repro.errors import IntegrityError, SignatureError, StorageError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.unixfs import UnixFS
 from repro.trust import SourceTier
+from repro.util.serialization import canonical_json, from_canonical_json
+from repro.util.varint import decode_varint, encode_varint
+
+
+def split_bundle(raw):
+    """(manifest bytes, signature, CAR) of an exported bundle."""
+    manifest_len, pos = decode_varint(raw)
+    manifest, pos = raw[pos : pos + manifest_len], pos + manifest_len
+    sig_len, pos = decode_varint(raw, pos)
+    return manifest, raw[pos : pos + sig_len], raw[pos + sig_len :]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +90,21 @@ class TestExportImport:
         raw[-10] ^= 0xFF  # inside the CAR payload
         with pytest.raises(IntegrityError, match="CAR does not match"):
             import_bundle(bytes(raw))
+
+    def test_a_record_whose_cid_is_no_car_root_is_refused(self, exporting_env):
+        """A signed manifest whose records name content its CAR does not
+        carry: the import's walk checked the CAR's roots, not the records'."""
+        _, client, _ = exporting_env
+        raw = export_bundle(client, "source_id = 'export-cam' AND metadata.timestamp <= 50")
+        other = export_bundle(client, "source_id = 'export-cam' AND metadata.timestamp >= 150")
+        manifest = from_canonical_json(split_bundle(raw)[0])
+        car = split_bundle(other)[2]
+        manifest["car_sha256"] = hashlib.sha256(car).hexdigest()
+        body = canonical_json(manifest)
+        signature = client.identity.sign(body)
+        forged = encode_varint(len(body)) + body + encode_varint(len(signature)) + signature + car
+        with pytest.raises(IntegrityError, match="not a root of the bundle CAR"):
+            import_bundle(forged)
 
     def test_empty_query_rejected(self, exporting_env):
         _, client, _ = exporting_env

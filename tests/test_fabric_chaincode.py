@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ChaincodeError
-from repro.fabric.chaincode import Chaincode, ChaincodeStub
+from repro.fabric.chaincode import ChaincodeStub
 from repro.fabric.identity import Identity
 from repro.fabric.worldstate import Version, WorldState
 
@@ -128,38 +128,3 @@ class TestDispatch:
         assert len(events) == 1
         assert events[0].name == "DataValidated"
         assert events[0].payload == {"from": "alice"}
-
-
-class TestCrossChaincode:
-    def test_nested_invocation_shares_rwset(self):
-        world = WorldState()
-        creator = Identity.create("alice", "org1").info()
-        other = KvChaincode()
-
-        def invoker(cc_name, fn, args, stub):
-            assert cc_name == "kv"
-            return other.dispatch(stub, fn, args)
-
-        stub = ChaincodeStub(
-            world=world,
-            tx_id="t",
-            creator=creator,
-            timestamp=0.0,
-            chaincode_name="caller",
-            invoker=invoker,
-        )
-
-        class Caller(Chaincode):
-            name = "caller"
-
-            def run(self, stub):
-                stub.invoke_chaincode("kv", "put", ["nested-key", "nested-value"])
-                return {}
-
-        Caller().dispatch(stub, "run", [])
-        writes = {w.key: w.value for w in stub.rwset().writes}
-        assert writes == {"nested-key": b"nested-value"}
-
-    def test_invocation_without_invoker_rejected(self):
-        with pytest.raises(ChaincodeError):
-            make_stub().invoke_chaincode("kv", "put", ["a", "b"])

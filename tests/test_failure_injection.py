@@ -111,7 +111,7 @@ class TestIpfsFailures:
         assert mgr.repair()  # did work
         status = mgr.status(root)
         assert status.healthy
-        assert cluster.node(status.holders[0]).cat_local(root) == data
+        assert cluster.node(status.holders[0]).unixfs.read_file(root) == data
 
     def test_all_holders_lost_is_a_hard_failure(self):
         cluster = IpfsCluster(n_nodes=3, chunker=FixedSizeChunker(200))

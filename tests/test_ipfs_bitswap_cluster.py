@@ -9,7 +9,9 @@ from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import FixedSizeChunker
 from repro.ipfs.cluster import IpfsCluster
 from repro.ipfs.node import IpfsNode
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.util.rng import rng_for
+from tests.ipfs_helpers import leaf_cids
 
 
 def pair():
@@ -99,7 +101,7 @@ class TestIpfsNode:
         node = IpfsNode("n0", chunker=FixedSizeChunker(100))
         data = rng_for(1, "node").bytes(550)
         result = node.add_bytes(data)
-        assert node.cat_local(result.cid) == data
+        assert node.unixfs.read_file(result.cid) == data
 
 
 class TestIpfsCluster:
@@ -114,15 +116,35 @@ class TestIpfsCluster:
         data = rng_for(4, "cluster").bytes(2000)
         result = cluster.add(data, node="ipfs-0")
         # ipfs-2 has nothing local; must discover + fetch.
-        assert not cluster.node("ipfs-2").has_local(result.cid)
+        assert not cluster.node("ipfs-2").blockstore.has(result.cid)
         assert cluster.cat(result.cid, node="ipfs-2") == data
-        assert cluster.node("ipfs-2").has_local(result.cid)
+        assert cluster.node("ipfs-2").blockstore.has(result.cid)
 
     def test_unannounced_content_unreachable_remotely(self):
         cluster = IpfsCluster(n_nodes=2, chunker=FixedSizeChunker(100))
         result = cluster.add(b"secret" * 50, node="ipfs-0", announce=False)
         with pytest.raises(BlockNotFoundError):
             cluster.cat(result.cid, node="ipfs-1")
+
+    def test_a_provider_serving_rotted_bytes_is_skipped_and_counted_once(self):
+        set_registry(MetricsRegistry())
+        cluster = IpfsCluster(n_nodes=3, chunker=FixedSizeChunker(100))
+        data = rng_for(9, "cluster").bytes(1000)
+        root = cluster.add(data, node="ipfs-0").cid
+        assert cluster.cat(root, node="ipfs-1") == data  # a clean second copy
+        cluster.dht.provide("ipfs-1", root)
+        rotted, clean = cluster.node("ipfs-0"), cluster.node("ipfs-1")
+        leaf = leaf_cids(rotted.blockstore, root)[4]
+        rotted.blockstore.corrupt(leaf, b"rotted bytes")
+        # ipfs-0 is asked first for every block, and serves all but one.
+        assert cluster.cat(root, node="ipfs-2") == data
+        fetcher = cluster.node("ipfs-2")
+        assert fetcher.bitswap.stats.corrupt_rejected == 1
+        counters = get_registry().snapshot()["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("ipfs_corrupt")} \
+            == {'ipfs_corrupt_blocks_total{peer="ipfs-0"}': 1}
+        assert clean.bitswap.ledger_for("ipfs-2").blocks_sent == 1  # the next provider
+        assert fetcher.blockstore.get(leaf) == data[400:500]  # never the rotted bytes
 
     def test_unknown_node_rejected(self):
         cluster = IpfsCluster(n_nodes=2)
@@ -207,6 +229,6 @@ class TestAddMany:
             cluster.add_many(payloads, node="ipfs-0")
         node.add_bytes = add_bytes
         reference = IpfsCluster(n_nodes=1, chunker=FixedSizeChunker(100))
-        stored = [node.has_local(reference.add(p).cid) for p in payloads]
+        stored = [node.blockstore.has(reference.add(p).cid) for p in payloads]
         assert stored == [True, True, False, False, False, False]
         assert announced == []  # a failed batch announces nothing

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.cid import CID
-from repro.errors import BlockNotFoundError, InvalidBlockError
+from repro.errors import BlockNotFoundError, DagError, InvalidBlockError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.car import export_car, import_car
 
@@ -37,9 +37,12 @@ class TestBlock:
     def test_verified_rejects_mismatch(self):
         src = MemoryBlockstore()
         cid = stored(src, b"payload")
-        src.corrupt(cid, b"tampered")
+        car = export_car(src, [cid]).replace(b"payload", b"tampere")
         with pytest.raises(InvalidBlockError):
-            import_car(MemoryBlockstore(), export_car(src, [cid]))
+            import_car(MemoryBlockstore(), car)
+        src.corrupt(cid, b"tampered")  # an export reads as a read does
+        with pytest.raises(DagError, match="failed verification"):
+            export_car(src, [cid])
 
     def test_len(self):
         store = MemoryBlockstore()

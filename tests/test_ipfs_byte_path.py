@@ -150,8 +150,8 @@ class TestRotOfAViewIsCaught:
         data = BIG[: 4 * framework.config.chunk_size]
         receipt = client.submit(data, dict(META))
         cid = CID.parse(receipt.cid)
-        reader, replica = framework.ipfs.node("ipfs-0"), framework.ipfs.node("ipfs-1")
-        replica.cat(cid, providers=["ipfs-0"])
+        reader = framework.ipfs.node("ipfs-0")
+        framework.ipfs.cat(cid, node="ipfs-1")  # a clean copy elsewhere
         leaf = leaf_cids(reader.blockstore, cid)[-1]
         assert isinstance(reader.blockstore.get(leaf), memoryview)
         reader.blockstore.corrupt(leaf, rot(reader.blockstore.get(leaf)))
@@ -171,7 +171,7 @@ class TestTransferCopies:
         for leaf in leaf_cids(adder.blockstore, cid):
             assert type(fetcher.blockstore.get(leaf)) is bytes
             adder.blockstore.corrupt(leaf, b"rot")
-        assert fetcher.cat_local(cid) == BIG
+        assert fetcher.unixfs.read_file(cid) == BIG
 
 
 class TestTypedErrorAtTheAddBoundary:

@@ -169,7 +169,7 @@ class TestReplicationManager:
         root = cluster.add(data, node="ipfs-0").cid
         status = mgr.replicate(root)
         for holder in status.holders:
-            assert cluster.node(holder).cat_local(root) == data
+            assert cluster.node(holder).unixfs.read_file(root) == data
 
     def test_repair_after_node_loss(self):
         cluster, mgr = self.make(n_nodes=4, factor=2)
@@ -185,7 +185,7 @@ class TestReplicationManager:
         assert mgr.status(root).healthy
         # Data still fully readable from any current holder.
         holder = mgr.status(root).holders[0]
-        assert cluster.node(holder).cat_local(root) == data
+        assert cluster.node(holder).unixfs.read_file(root) == data
 
     def test_repair_noop_when_healthy(self):
         cluster, mgr = self.make()

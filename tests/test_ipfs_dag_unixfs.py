@@ -12,7 +12,7 @@ from repro.errors import BlockNotFoundError, DagError
 from repro.ipfs.blockstore import MemoryBlockstore
 from repro.ipfs.chunker import FixedSizeChunker, RollingChunker
 from repro.ipfs.dag import DagLink, DagNode, DagService
-from repro.ipfs.unixfs import UnixFS
+from repro.ipfs.unixfs import _FILE_NODE_DATA, UnixFS, walk_file
 from repro.util.rng import rng_for
 from tests.ipfs_helpers import leaf_cids
 
@@ -50,32 +50,36 @@ class TestDagNode:
 
 class TestDagService:
     def test_put_get_roundtrip(self):
-        svc = DagService(MemoryBlockstore())
+        store = MemoryBlockstore()
         node = DagNode(data=b"n")
-        cid = svc.put(node)
-        assert svc.get(cid) == node
-
-    def test_get_raw_cid_rejected(self):
-        svc = DagService(MemoryBlockstore())
-        with pytest.raises(DagError):
-            svc.get(CID.for_data(b"raw"))
+        cid = DagService(store).put(node)
+        assert cid == node_cid(node) and DagNode.deserialize(store.get(cid)) == node
 
     def test_walk_visits_all_once(self):
+        """The file walk over a diamond: with a ``seen`` set it takes a shared
+        subtree once; without, it reads the shared bytes twice, in order."""
         store = MemoryBlockstore()
         svc = DagService(store)
         leaf = CID.for_data(b"leaf")
         store.put(leaf, b"leaf")
-        shared = DagNode(data=b"shared", links=(DagLink("", leaf, 4),))
+        shared = DagNode(data=_FILE_NODE_DATA, links=(DagLink("", leaf, 4),))
         shared_cid = svc.put(shared)
         # Diamond: root links the shared node twice.
         root = DagNode(
-            data=b"root",
-            links=(DagLink("l", shared_cid, 10), DagLink("r", shared_cid, 10)),
+            data=_FILE_NODE_DATA,
+            links=(DagLink("l", shared_cid, 4), DagLink("r", shared_cid, 4)),
         )
         root_cid = svc.put(root)
-        visited = list(svc.walk(root_cid))
-        assert len(visited) == 3  # root, shared, leaf — shared visited once
-        assert [cid for cid, _ in visited] == [root_cid, shared_cid, leaf]
+        taken, out = [], []
+
+        def take(cid):
+            taken.append(cid)
+            return store.get(cid)
+
+        walk_file(root_cid, take, out, seen=set())
+        assert taken == [root_cid, shared_cid, leaf]  # shared visited once
+        assert out == [b"leaf"]
+        assert UnixFS(store).read_file(root_cid) == b"leafleaf"
 
 
 class TestUnixFS:

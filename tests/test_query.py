@@ -271,7 +271,7 @@ class TestExecution:
         cid = framework.ipfs.add(b"evidence that will rot").cid
         record["cid"] = cid.encode()
         for node in framework.ipfs.nodes.values():
-            if node.has_local(cid):
+            if node.blockstore.has(cid):
                 node.blockstore.corrupt(cid, b"other bytes")  # not what the CID names
         with pytest.raises(DagError):
             cam.engine.fetch_payload(record)

@@ -12,12 +12,17 @@ import pytest
 
 from repro import obs
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
+from repro.core.archive import export_bundle, import_bundle
 from repro.crypto.cid import CID
-from repro.ipfs.dag import DagNode, DagService
 from repro.errors import ChaincodeError, DagError
+from repro.ipfs.dag import DagNode
+from repro.ipfs.replication import ReplicationManager
+from repro.ipfs.unixfs import UnixFS
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.trust import SourceTier
+from repro.util.rng import rng_for
 from repro.workloads.traffic import IngestItem
+from tests.ipfs_helpers import block_bytes as stored_block_bytes
 from tests.ipfs_helpers import leaf_cids
 
 META = {
@@ -53,15 +58,15 @@ def site():
 
 def block_bytes(framework, cid: str, node: str = "ipfs-0") -> int:
     """Bytes of every block under ``cid``: its leaves and interior nodes."""
-    blockstore = framework.ipfs.node(node).blockstore
-    return sum(len(blockstore.get(c)) for c, _ in DagService(blockstore).walk(CID.parse(cid)))
+    return stored_block_bytes(framework.ipfs.node(node).blockstore, CID.parse(cid))
 
 
-def hashed_bytes(call):
-    """(result, bytes hashed under any ``crypto.*`` cost center) of ``call()``."""
+def hashed_bytes(call, center: str = "crypto."):
+    """(result, bytes hashed under the cost centers ``center`` starts, by
+    default every ``crypto.*`` one) of ``call()``."""
     with obs.profiling() as profiler:
         result = call()
-    n = sum(s.n_bytes for s in profiler.center_stats() if s.center.startswith("crypto."))
+    n = sum(s.n_bytes for s in profiler.center_stats() if s.center.startswith(center))
     return result, n
 
 
@@ -146,16 +151,67 @@ class TestEachByteHashedOnce:
         assert got == data and n == block_bytes(framework, cid.encode())
 
     @pytest.mark.parametrize("size", [SMALL, LARGE])
-    def test_a_remote_block_is_hashed_twice(self, size):
-        """Once in bitswap before it is stored, once in the read."""
+    def test_a_remote_block_is_hashed_once(self, size):
+        """In bitswap as it arrives, before it is stored; the read's walk
+        takes the fetched bytes without hashing them again."""
         framework, client = make_site()
         data = payload(size, b"remote-")
         cid = framework.ipfs.add(data, node="ipfs-1").cid
         record = {"entry_id": "remote", "cid": cid.encode()}
-        assert not framework.ipfs.node("ipfs-0").has_local(cid)
+        assert not framework.ipfs.node("ipfs-0").blockstore.has(cid)
         (got, verified), n = hashed_bytes(lambda: client.engine.fetch_payload_verified(record))
         assert verified and got == data
-        assert n == 2 * block_bytes(framework, cid.encode(), node="ipfs-1")
+        assert n == block_bytes(framework, cid.encode(), node="ipfs-1")
+
+    def test_a_partial_local_copy_is_read_in_one_walk(self):
+        """The local blocks are hashed as they are taken and the missing
+        one as it arrives: the read does not start over from the root."""
+        framework, _ = make_site()
+        cluster = framework.ipfs
+        data = rng_for(1, "partial").bytes(LARGE)
+        cid = cluster.add(data, node="ipfs-1").cid
+        assert cluster.cat(cid, node="ipfs-0") == data
+        local = cluster.node("ipfs-0").blockstore
+        local.delete(leaf_cids(local, cid)[2])
+        got, n = hashed_bytes(lambda: cluster.cat(cid, node="ipfs-0"))
+        assert got == data and n == block_bytes(framework, cid.encode())
+
+    def test_a_replica_is_copied_in_one_walk(self):
+        framework, _ = make_site()
+        cluster = framework.ipfs
+        cid = cluster.add(rng_for(2, "replica").bytes(LARGE), node="ipfs-0").cid
+        manager = ReplicationManager(cluster, replication_factor=2)
+        status, n = hashed_bytes(lambda: manager.replicate(cid))
+        assert status.holders == ["ipfs-0", "ipfs-1"]
+        assert n == block_bytes(framework, cid.encode())
+
+    def test_a_bundle_import_hashes_each_block_once(self):
+        """Each CAR section is hashed as the import's walk takes it, and
+        that walk is the completeness check: no second read."""
+        framework, client = make_site()
+        receipt = client.submit(rng_for(3, "bundle").bytes(LARGE), dict(META))
+        raw = export_bundle(client, f"entry_id = '{receipt.entry_id}'")
+        (bundle, _), n = hashed_bytes(lambda: import_bundle(raw), "crypto.hash")
+        assert [e.entry_id for e in bundle.entries] == [receipt.entry_id]
+        assert n == block_bytes(framework, receipt.cid)
+
+    def test_a_bundle_export_fetches_what_its_node_lacks(self):
+        """The export walks as a read does: the staging node's blocks are
+        hashed as they are taken, and a missing one comes from a node that
+        holds the file, checked as it arrives."""
+        framework, client = make_site()
+        data = rng_for(4, "bundle").bytes(LARGE)
+        receipt = client.submit(data, dict(META))
+        cid = CID.parse(receipt.cid)
+        expected = block_bytes(framework, receipt.cid)
+        framework.ipfs.cat(cid, node="ipfs-1")  # a second copy
+        staging = framework.ipfs.node("ipfs-0").blockstore
+        staging.delete(leaf_cids(staging, cid)[1])
+        query = f"entry_id = '{receipt.entry_id}'"
+        raw, n = hashed_bytes(lambda: export_bundle(client, query), "crypto.hash")
+        assert n == expected
+        _, store = import_bundle(raw)
+        assert UnixFS(store).read_file(cid) == data
 
     def test_a_rotted_local_block_is_read_once(self):
         """Only a missing block sends a read to the providers: a local block
@@ -182,7 +238,7 @@ class TestEachByteHashedOnce:
         target = leaf_cids(node.blockstore, cid)[1] if block == "leaf" else cid
         node.blockstore.corrupt(target, b"rotten")
         with pytest.raises(DagError, match="failed verification"):
-            node.cat_local(cid)
+            node.unixfs.read_file(cid)
 
 
 class TestADoctoredInteriorNode:
@@ -208,7 +264,7 @@ class TestADoctoredInteriorNode:
         cid = framework.ipfs.add(payload(LARGE, b"mine-")).cid
         self.doctored(framework, cid)
         with pytest.raises(DagError, match="failed verification"):
-            framework.ipfs.node("ipfs-0").cat_local(cid)
+            framework.ipfs.node("ipfs-0").unixfs.read_file(cid)
         with pytest.raises(DagError, match="failed verification"):
             framework.ipfs.cat(cid)
         with pytest.raises(DagError, match="failed verification"):
@@ -255,8 +311,8 @@ class TestRotUnderRetrieve:
         receipt = client.submit(data, dict(META))
         cid = CID.parse(receipt.cid)
         cluster = framework.ipfs
-        reader, replica = cluster.node("ipfs-0"), cluster.node("ipfs-1")
-        replica.cat(cid, providers=["ipfs-0"])  # a clean copy elsewhere
+        reader = cluster.node("ipfs-0")
+        cluster.cat(cid, node="ipfs-1")  # a clean copy elsewhere
         reader.blockstore.corrupt(leaf_cids(reader.blockstore, cid)[-1], b"bit rot")
         result = client.retrieve(receipt.entry_id)
         counters = get_registry().snapshot()["counters"]
@@ -278,8 +334,8 @@ class TestRotUnderRetrieve:
         first = client.retrieve(entry_id)
         assert first.verified and first.data == data
         cid = CID.parse(first.record["cid"])
-        reader, replica = framework.ipfs.node("ipfs-0"), framework.ipfs.node("ipfs-1")
-        replica.cat(cid, providers=["ipfs-0"])  # a clean copy elsewhere
+        reader = framework.ipfs.node("ipfs-0")
+        framework.ipfs.cat(cid, node="ipfs-1")  # a clean copy elsewhere
         target = cid if block == "interior" else leaf_cids(reader.blockstore, cid)[-1]
         reader.blockstore.corrupt(target, b"bit rot")
         result = client.retrieve(entry_id)
