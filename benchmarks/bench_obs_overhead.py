@@ -2,9 +2,9 @@
 
 The observability acceptance bar: with no tracer installed, an
 instrumented call path costs one global read plus one ``is None`` check
-and allocates nothing — the shared :data:`~repro.obs.span.NOOP_SPAN` is
-handed back to every caller. The cost-center profiler holds the same bar
-with its shared no-op probe. ``tracemalloc`` proves the zero-allocation
+and allocates nothing — the shared :data:`~repro.obs.probe.NOOP_SPAN` is
+handed back to every caller, by ``profiled`` too while the cost-center
+profiler is off. ``tracemalloc`` proves the zero-allocation
 claims directly; pytest-benchmark bounds the per-call times against a
 bare function call.
 """

@@ -412,7 +412,7 @@ def _cmd_prof(args) -> int:
                 print(f"repro prof: {exc}", file=sys.stderr)
                 return 2
         report = profiler.report()
-        coverage = obs.invoke_coverage(tracer, profiler)
+        coverage = obs.invoke_coverage(tracer)
         if args.as_json:
             doc = report.to_dict()
             doc["invoke_coverage"] = coverage
@@ -423,7 +423,7 @@ def _cmd_prof(args) -> int:
             for line in report.render_lines(args.top):
                 print(line)
             print()
-            print(obs.render_breakdown(obs.pipeline_breakdown(tracer, profiler)))
+            print(obs.render_breakdown(obs.pipeline_breakdown(tracer)))
             if crit is not None:
                 print()
                 for line in crit.render_lines():

@@ -48,7 +48,8 @@ from repro.consensus.messages import (
 )
 from repro.errors import ConsensusError
 from repro.net import Message, NetNode, SimNetwork
-from repro.obs.prof import get_profiler, profiled
+from repro.obs import probe
+from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
 from repro.util.serialization import canonical_json, once
 
@@ -256,7 +257,7 @@ class BftReplica(NetNode):
             return
         payload = msg.payload
         handler = self._HANDLERS.get(type(payload), BftReplica._ignore)
-        if get_profiler() is None:
+        if probe.INSTALLED is None:
             handler(self, payload)
             return
         with profiled("consensus.handle"):
@@ -296,7 +297,7 @@ class BftReplica(NetNode):
             return (False,) * n
         # The validation smart contract executes here (paper §III step 6).
         attrs = {"replica": self.name, "request": request.request_id, "items": n}
-        with obs_span("consensus.validate", attrs), profiled("consensus.validate"):
+        with obs_span("consensus.validate", attrs, center="consensus.validate"):
             verdict = self.cluster.validator(self.name, request)
         if isinstance(verdict, (tuple, list)):
             if len(verdict) != n:

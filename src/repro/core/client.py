@@ -123,10 +123,7 @@ class Client:
         source_id = self.source_id
         framework.require_registered(source_id)
 
-        with obs_span("client.submit") as root:
-            root.set_attr("source_id", source_id)
-            root.set_attr("bytes", len(data))
-
+        with obs_span("client.submit", {"source_id": source_id, "bytes": len(data)}) as root:
             # ① SHA-256 of the data, for the receipt only: the on-chain
             # commitment is the CID that step ③ computes.
             with obs_span("submit.sign"):
@@ -251,8 +248,7 @@ class Client:
         still served with ``degraded=True`` (set ``allow_degraded=False``
         to fail instead).
         """
-        with obs_span("client.retrieve") as root:
-            root.set_attr("entry_id", entry_id)
+        with obs_span("client.retrieve", {"entry_id": entry_id}) as root:
             with obs_span("retrieve.acl"):
                 self._enforce_acl(entry_id)
             row = self.engine.get(entry_id, fetch_data=False)
@@ -261,16 +257,13 @@ class Client:
             )
             with obs_span("retrieve.provenance"):
                 self.framework.record_access(self.identity, entry_id)
-            root.set_attr("bytes", len(data or b""))
+            data = data or b""
+            root.set_attr("bytes", len(data))
             if degraded:
                 root.set_attr("degraded", True)
-            return RetrievalResult(
-                record=row.record,
-                data=data or b"",
-                verified=verified,
-                degraded=degraded,
-                failure=failure,
-            )
+        # Built outside the span, as submit's receipt is: the span times the
+        # retrieval, not the packaging of its answer.
+        return RetrievalResult(row.record, data, verified, degraded, failure)
 
     def _fetch_with_recovery(
         self, record: dict, allow_degraded: bool

@@ -165,36 +165,31 @@ class Channel:
     # -- block delivery -------------------------------------------------------------
 
     def _deliver_block(self, block: Block, consensus_rejected: frozenset[str]) -> None:
-        with obs_span("fabric.deliver") as sp:
-            sp.set_attr("block", block.number)
-            sp.set_attr("txs", len(block.transactions))
-            with profiled("fabric.deliver"):
-                self._deliver_block_inner(block, consensus_rejected)
-
-    def _deliver_block_inner(self, block: Block, consensus_rejected: frozenset[str]) -> None:
-        self.rejected_by_block[block.number] = consensus_rejected
-        annotated: Block | None = None
-        for peer in self.peers.values():
-            if not peer.online:
-                continue  # it will catch up via gossip anti-entropy
-            if peer.ledger.height != block.number:
-                continue  # revived mid-run behind the chain — same remedy
-            committed = peer.commit_block(block, consensus_rejected=consensus_rejected)
+        attrs = {"block": block.number, "txs": len(block.transactions)}
+        with obs_span("fabric.deliver", attrs, center="fabric.deliver"):
+            self.rejected_by_block[block.number] = consensus_rejected
+            annotated: Block | None = None
+            for peer in self.peers.values():
+                if not peer.online:
+                    continue  # it will catch up via gossip anti-entropy
+                if peer.ledger.height != block.number:
+                    continue  # revived mid-run behind the chain — same remedy
+                committed = peer.commit_block(block, consensus_rejected=consensus_rejected)
+                if annotated is None:
+                    annotated = committed
+                    self.events.publish_block(peer.name, committed)
             if annotated is None:
-                annotated = committed
-                self.events.publish_block(peer.name, committed)
-        if annotated is None:
-            raise FabricError("no online peer to commit the block")
-        for i, tx in enumerate(annotated.transactions):
-            result = self._results[tx.tx_id] = TxResult(
-                tx_id=tx.tx_id,
-                code=annotated.validation_codes[i],
-                response=tx.response,
-                block_number=annotated.number,
-            )
-            call = self._riding.pop(tx.tx_id, None)
-            if call is not None:
-                self.riders.settle(call, result.ok)
+                raise FabricError("no online peer to commit the block")
+            for i, tx in enumerate(annotated.transactions):
+                result = self._results[tx.tx_id] = TxResult(
+                    tx_id=tx.tx_id,
+                    code=annotated.validation_codes[i],
+                    response=tx.response,
+                    block_number=annotated.number,
+                )
+                call = self._riding.pop(tx.tx_id, None)
+                if call is not None:
+                    self.riders.settle(call, result.ok)
 
     # -- client write path -------------------------------------------------------------
 

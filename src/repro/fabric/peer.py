@@ -96,38 +96,33 @@ class Peer:
         requests that should never have reached this peer (bad identity,
         unknown chaincode); chaincode-level failures return an unendorsed
         failure response instead, as Fabric does."""
-        with obs_span("fabric.peer.endorse") as sp:
-            sp.set_attr("peer", self.name)
-            sp.set_attr("chaincode", proposal.chaincode)
-            with profiled("endorse.process"):
-                response = self._endorse_inner(proposal)
+        attrs = {"peer": self.name, "chaincode": proposal.chaincode}
+        with obs_span("fabric.peer.endorse", attrs, center="endorse.process"):
+            if not self.online:
+                raise FabricError(f"peer {self.name!r} is offline")
+            self.msp_registry.verify_proposal(proposal)
+            definition = self.chaincodes.get(proposal.chaincode)
+            stub = self._make_stub(proposal, proposal.chaincode)
+            try:
+                with profiled("endorse.simulate"):
+                    response = definition.chaincode.dispatch(stub, proposal.fn, list(proposal.args))
+                success, message = True, ""
+            except ChaincodeError as exc:
+                self.stats.endorsement_failures += 1
+                response, success, message = json.dumps(None), False, str(exc)
+            self.stats.endorsements += 1
+            response = ProposalResponse.endorsed(
+                self.identity,
+                tx_id=proposal.tx_id,
+                rwset=stub.rwset(),
+                response=response,
+                success=success,
+                message=message,
+                events=stub.events(),
+            )
             if self.sanitizer is not None:
                 self.sanitizer.check_endorsement(self, proposal, response)
             return response
-
-    def _endorse_inner(self, proposal: TxProposal) -> ProposalResponse:
-        if not self.online:
-            raise FabricError(f"peer {self.name!r} is offline")
-        self.msp_registry.verify_proposal(proposal)
-        definition = self.chaincodes.get(proposal.chaincode)
-        stub = self._make_stub(proposal, proposal.chaincode)
-        try:
-            with profiled("endorse.simulate"):
-                response = definition.chaincode.dispatch(stub, proposal.fn, list(proposal.args))
-            success, message = True, ""
-        except ChaincodeError as exc:
-            self.stats.endorsement_failures += 1
-            response, success, message = json.dumps(None), False, str(exc)
-        self.stats.endorsements += 1
-        return ProposalResponse.endorsed(
-            self.identity,
-            tx_id=proposal.tx_id,
-            rwset=stub.rwset(),
-            response=response,
-            success=success,
-            message=message,
-            events=stub.events(),
-        )
 
     def resimulate(self, proposal: TxProposal) -> tuple:
         """Re-run a proposal's simulation on a fresh stub — no signing, no
@@ -158,105 +153,86 @@ class Peer:
         consensus_rejected: frozenset[str],
     ) -> ValidationCode:
         with profiled("fabric.validate"):
-            return self._validate_tx_inner(
-                tx, block_number, written_this_block, consensus_rejected
-            )
-
-    def _validate_tx_inner(
-        self,
-        tx: Transaction,
-        block_number: int,
-        written_this_block: dict[str, Version],
-        consensus_rejected: frozenset[str],
-    ) -> ValidationCode:
-        if tx.tx_id in consensus_rejected:
-            return ValidationCode.REJECTED_BY_CONSENSUS
-        if self.ledger.has_tx(tx.tx_id):
-            return ValidationCode.DUPLICATE_TXID
-        # Creator identity and proposal signature.
-        try:
-            self.msp_registry.verify_proposal(tx.proposal)
-        except IdentityError:
-            return ValidationCode.BAD_IDENTITY
-        except SignatureError:
-            return ValidationCode.BAD_SIGNATURE
-        # Endorsement signatures: each must sign this exact rwset+response,
-        # and its endorser must still be a member.
-        valid_orgs: set[str] = set()
-        for endorsement, verified in zip(tx.endorsements, tx.endorsement_verdicts()):
-            if not verified:
-                continue  # an invalid endorsement simply doesn't count
+            if tx.tx_id in consensus_rejected:
+                return ValidationCode.REJECTED_BY_CONSENSUS
+            if self.ledger.has_tx(tx.tx_id):
+                return ValidationCode.DUPLICATE_TXID
+            # Creator identity and proposal signature.
             try:
-                self.msp_registry.validate_identity(endorsement.endorser)
+                self.msp_registry.verify_proposal(tx.proposal)
             except IdentityError:
-                continue
-            valid_orgs.add(endorsement.endorser.org)
-        try:
-            definition = self.chaincodes.get(tx.proposal.chaincode)
-        except ChaincodeNotFoundError:
-            return ValidationCode.CHAINCODE_ERROR
-        if not definition.policy.satisfied_by(valid_orgs):
-            return ValidationCode.ENDORSEMENT_POLICY_FAILURE
-        # MVCC: every read version must still be current, considering both
-        # the committed state and writes earlier in this very block.
-        for read in tx.rwset.reads:
-            current = written_this_block.get(read.key, self.world.get_version(read.key))
-            if current != read.version:
-                return ValidationCode.MVCC_READ_CONFLICT
-        return ValidationCode.VALID
+                return ValidationCode.BAD_IDENTITY
+            except SignatureError:
+                return ValidationCode.BAD_SIGNATURE
+            # Endorsement signatures: each must sign this exact rwset+response,
+            # and its endorser must still be a member.
+            valid_orgs: set[str] = set()
+            for endorsement, verified in zip(tx.endorsements, tx.endorsement_verdicts()):
+                if not verified:
+                    continue  # an invalid endorsement simply doesn't count
+                try:
+                    self.msp_registry.validate_identity(endorsement.endorser)
+                except IdentityError:
+                    continue
+                valid_orgs.add(endorsement.endorser.org)
+            try:
+                definition = self.chaincodes.get(tx.proposal.chaincode)
+            except ChaincodeNotFoundError:
+                return ValidationCode.CHAINCODE_ERROR
+            if not definition.policy.satisfied_by(valid_orgs):
+                return ValidationCode.ENDORSEMENT_POLICY_FAILURE
+            # MVCC: every read version must still be current, considering both
+            # the committed state and writes earlier in this very block.
+            for read in tx.rwset.reads:
+                current = written_this_block.get(read.key, self.world.get_version(read.key))
+                if current != read.version:
+                    return ValidationCode.MVCC_READ_CONFLICT
+            return ValidationCode.VALID
 
     def commit_block(self, block: Block, consensus_rejected: frozenset[str] = frozenset()) -> Block:
         """Validate and commit an ordered block; returns the block annotated
         with validation codes (identical on every honest peer)."""
-        with obs_span("fabric.peer.commit") as sp:
-            sp.set_attr("peer", self.name)
-            sp.set_attr("block", block.number)
-            with profiled("fabric.commit"):
-                annotated = self._commit_block_inner(block, consensus_rejected)
+        attrs = {"peer": self.name, "block": block.number}
+        with obs_span("fabric.peer.commit", attrs, center="fabric.commit"):
+            if not self.online:
+                raise FabricError(f"peer {self.name!r} is offline")
+            codes: list[ValidationCode] = []
+            written_this_block: dict[str, Version] = {}
+            staged: list[tuple[int, Transaction]] = []
+            for tx_num, tx in enumerate(block.transactions):
+                code = self._validate_tx(tx, block.number, written_this_block, consensus_rejected)
+                codes.append(code)
+                if code is ValidationCode.VALID:
+                    staged.append((tx_num, tx))
+                    version = Version(block=block.number, tx=tx_num)
+                    for write in tx.rwset.writes:
+                        written_this_block[write.key] = version
+            annotated = block.with_validation(codes)
+            self.ledger.append(annotated)
+            with profiled("state.apply"):
+                for tx_num, tx in staged:
+                    version = Version(block=block.number, tx=tx_num)
+                    for write in tx.rwset.writes:
+                        self.world.apply_write(
+                            key=write.key,
+                            value=None if write.is_delete else write.value,
+                            version=version,
+                            tx_id=tx.tx_id,
+                            timestamp=block.header.timestamp,
+                        )
+            # Index after ledger append + state writes: a block the ledger
+            # rejects must never advance the index.
+            if self.index is not None:
+                with profiled("index.apply"):
+                    self.index.apply_block(annotated)
+            self.stats.blocks_committed += 1
+            self.stats.txs_valid += len(staged)
+            self.stats.txs_invalid += len(block.transactions) - len(staged)
             if self.sanitizer is not None:
                 self.sanitizer.check_commit(self, annotated)
             if self.journal is not None:
                 self.journal.record_commit(self, annotated, consensus_rejected)
             return annotated
-
-    def _commit_block_inner(
-        self, block: Block, consensus_rejected: frozenset[str] = frozenset()
-    ) -> Block:
-        if not self.online:
-            raise FabricError(f"peer {self.name!r} is offline")
-        codes: list[ValidationCode] = []
-        written_this_block: dict[str, Version] = {}
-        staged: list[tuple[int, Transaction]] = []
-        for tx_num, tx in enumerate(block.transactions):
-            code = self._validate_tx(tx, block.number, written_this_block, consensus_rejected)
-            codes.append(code)
-            if code is ValidationCode.VALID:
-                staged.append((tx_num, tx))
-                version = Version(block=block.number, tx=tx_num)
-                for write in tx.rwset.writes:
-                    written_this_block[write.key] = version
-        annotated = block.with_validation(codes)
-        self.ledger.append(annotated)
-        with profiled("state.apply"):
-            for tx_num, tx in staged:
-                version = Version(block=block.number, tx=tx_num)
-                for write in tx.rwset.writes:
-                    self.world.apply_write(
-                        key=write.key,
-                        value=None if write.is_delete else write.value,
-                        version=version,
-                        tx_id=tx.tx_id,
-                        timestamp=block.header.timestamp,
-                    )
-        # Index after ledger append + state writes: a block the ledger
-        # rejects must never advance the index.
-        if self.index is not None:
-            with profiled("index.apply"):
-                self.index.apply_block(annotated)
-        self.stats.blocks_committed += 1
-        self.stats.txs_valid += len(staged)
-        self.stats.txs_invalid += len(block.transactions) - len(staged)
-        return annotated
 
     # ------------------------------------------------------------------
     # Queries (read-only, no ordering — the paper's gas-free read path)

@@ -34,7 +34,6 @@ class Ledger:
     bytes_sent: int = 0
     bytes_received: int = 0
     blocks_sent: int = 0
-    blocks_received: int = 0
 
     def debt_ratio(self) -> float:
         """How much this peer owes us: sent / (received + 1)."""
@@ -43,11 +42,8 @@ class Ledger:
 
 @dataclass
 class BitswapStats:
-    blocks_fetched: int = 0
-    blocks_served: int = 0
     fetch_failures: int = 0
     refusals: int = 0
-    duplicate_wants: int = 0
     corrupt_rejected: int = 0
 
 
@@ -97,7 +93,6 @@ class Engine:
         data = self.blockstore.get(cid)
         ledger.bytes_sent += len(data)
         ledger.blocks_sent += 1
-        self.stats.blocks_served += 1
         return data
 
     # -- fetching side ------------------------------------------------------------
@@ -110,16 +105,13 @@ class Engine:
     ) -> bytes | memoryview:
         """Fetch the bytes of ``cid`` from the first provider that serves
         them intact, and store them: the block source of a read's walk,
-        which asks only for blocks its store lacks (a block the store has
-        comes back as stored, unhashed).
+        which asks only for blocks its store lacks. Whatever it returns was
+        hashed against ``cid`` on arrival.
 
         Providers are tried in descending debt-ratio order (peers that owe
         us are most likely to serve). ``on_transfer(peer, nbytes)`` lets the
         caller charge a network model for the transfer.
         """
-        if self.blockstore.has(cid):
-            self.stats.duplicate_wants += 1
-            return self.blockstore.get(cid)
         ordered = sorted(
             (p for p in providers if p != self.peer_id and p in self._peers),
             key=lambda p: -self.ledger_for(p).debt_ratio(),
@@ -137,8 +129,6 @@ class Engine:
             data = bytes(served)  # the fetcher's own copy
             ledger = self.ledger_for(peer)
             ledger.bytes_received += len(data)
-            ledger.blocks_received += 1
-            self.stats.blocks_fetched += 1
             self.blockstore.put(cid, data)
             if on_transfer is not None:
                 on_transfer(peer, len(data))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime dep
-    from repro.obs.span import SpanContext
+    from repro.obs.probe import SpanContext
 
 
 class Message:

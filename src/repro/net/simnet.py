@@ -26,8 +26,9 @@ from typing import Any, Callable
 from repro.errors import NetworkError, NodeUnreachableError
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
-from repro.obs.prof import get_profiler, profiled
-from repro.obs.tracer import current_context, get_tracer
+from repro.obs import probe
+from repro.obs.prof import profiled
+from repro.obs.tracer import current_context, span
 from repro.util.clock import SimClock
 from repro.util.rng import rng_for
 
@@ -207,17 +208,12 @@ class SimNetwork:
         if not observed:
             handler(msg)
             return
-        tracer = get_tracer()
-        if tracer is None:
-            with profiled("net.deliver"):
-                handler(msg)
-            return
         # Restore the remote parent: the handler (and every span it opens)
         # joins the sender's trace, turning per-node span trees into one
         # causal DAG per transaction. A message without a stamp (sent
         # outside any span) falls back to the ambient context.
         attrs = {"src": msg.src, "node": dst, "kind": msg.kind}
-        with tracer.span("net.deliver", attrs, msg.trace_ctx), profiled("net.deliver"):
+        with span("net.deliver", attrs, msg.trace_ctx, center="net.deliver"):
             handler(msg)
 
     # -- event loop -----------------------------------------------------------
@@ -245,7 +241,7 @@ class SimNetwork:
         # event. Otherwise net.run's exclusive time is the drain machinery
         # (heap pops, clock advances) and each event runs under
         # net.dispatch, whose exclusive time is the machinery around it.
-        observed = get_tracer() is not None or get_profiler() is not None
+        observed = probe.INSTALLED is not None
         try:
             with profiled("net.run"):
                 while events and processed < max_events:

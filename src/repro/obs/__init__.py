@@ -3,12 +3,12 @@
 The observability layer the paper's testbed gets from Grafana + Hyperledger
 Explorer, built in:
 
-* **Tracing** (:mod:`repro.obs.tracer`, :mod:`repro.obs.span`): nested,
+* **Tracing** (:mod:`repro.obs.probe`, :mod:`repro.obs.tracer`): nested,
   contextvars-propagated spans over the full Figure-1 pipeline — client
-  submit/retrieve, endorsement, BFT ordering, validate/commit, IPFS
-  chunk/add/cat, query planning and verification. Opt-in via
-  :func:`enable` / scoped :func:`enabled`; a disabled tracer costs one
-  guard check per instrumented call.
+  submit/retrieve, endorsement, BFT ordering, validate/commit, IPFS,
+  query. A site opens one probe: a span, a span that is also a cost
+  center, or a center-only frame. Opt-in via :func:`enable` / scoped
+  :func:`enabled`; with nothing installed a site costs one global read.
 * **Metrics** (:mod:`repro.obs.metrics`): process-wide
   :class:`MetricsRegistry` with *labeled* counters/gauges/histograms and
   Prometheus text exposition.
@@ -22,11 +22,11 @@ Explorer, built in:
   ``other`` residuals when the profiler ran alongside the tracer;
   :func:`invoke_coverage` is the same sum over ``fabric.invoke``.
 * **Profiler** (:mod:`repro.obs.prof`): deterministic cost-center profiler
-  — :func:`profiled` frames over crypto/serialization/consensus/IPFS hot
-  paths with exact inclusive/exclusive time and bytes, and a seeded-run
+  over the same probes — :func:`profiled` frames, and spans that name a
+  center — with exact inclusive/exclusive time and bytes, kept per node
+  and on the span that holds them, and a seeded-run
   :meth:`Profiler.fingerprint`. Opt-in via :func:`enable_profiler` /
-  scoped :func:`profiling`; disabled, :func:`profiled` returns a shared
-  no-op probe (zero allocation).
+  scoped :func:`profiling`.
 * **Critical path** (:mod:`repro.obs.critpath`): with trace contexts
   propagated across :mod:`repro.net` messages, :func:`critical_path`
   extracts the longest dependency chain of a committed tx across client,
@@ -95,7 +95,7 @@ from repro.obs.prof import (
     profiling,
     set_profiler,
 )
-from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
+from repro.obs.probe import NOOP_SPAN, NoopSpan, Span, SpanContext
 from repro.obs.tracer import (
     LATENCY_BUCKETS,
     Tracer,

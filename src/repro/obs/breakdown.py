@@ -16,11 +16,11 @@ as an explicit ``other`` row rather than only depressing the coverage
 figure.
 
 When the cost-center profiler (:mod:`repro.obs.prof`) ran alongside the
-tracer, each stage additionally decomposes into the cost centers recorded
-inside its spans (``crypto.sign``, ``serialize.canonical_json``, ...),
-with a per-stage ``other`` sub-row for whatever the centers leave
-unexplained. :func:`invoke_coverage` is the same sum over ``fabric.invoke``
-roots: both go through :func:`centers_under`.
+tracer, each stage additionally decomposes into the cost centers its spans
+carry in :attr:`~repro.obs.probe.Span.centers` (``crypto.sign``,
+``serialize.canonical_json``, ...), with a per-stage ``other`` sub-row for
+whatever the centers leave unexplained. :func:`invoke_coverage` is the same
+sum over ``fabric.invoke`` roots: both go through :func:`centers_under`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.obs.span import Span
+from repro.obs.probe import Span
 from repro.obs.tracer import Tracer, get_tracer
 
 # Sample span name -> which pipeline the sample belongs to.
@@ -153,18 +153,9 @@ def _center_rows(
     return tuple(rows)
 
 
-def _span_centers(profiler) -> dict[str, dict[str, tuple[int, float]]]:
-    if profiler is None:
-        from repro.obs.prof import get_profiler
-
-        profiler = get_profiler()
-    return profiler.span_center_seconds() if profiler is not None else {}
-
-
 def centers_under(
     tracer: Tracer,
     root: Span,
-    span_centers: dict[str, dict[str, tuple[int, float]]],
     into: dict[str, dict[str, list]],
     label: Callable[[Span], str] = lambda span: "",
 ) -> None:
@@ -175,7 +166,7 @@ def centers_under(
     block delivery) counts under the frame that ran it.
     """
     for span in [root, *tracer.descendants(root, view="exec")]:
-        centers = span_centers.get(span.span_id)
+        centers = span.centers
         if not centers:
             continue
         per_label = into.setdefault(label(span), {})
@@ -198,43 +189,37 @@ def _samples(tracer: Tracer) -> list[Span]:
     return sorted(found, key=lambda s: s.start_s)
 
 
-def invoke_coverage(
-    tracer: Tracer | None, profiler=None, root_name: str = "fabric.invoke"
-) -> float:
+def invoke_coverage(tracer: Tracer | None, root_name: str = "fabric.invoke") -> float:
     """Fraction of ``root_name`` wall time explained by cost centers.
 
     Sums the center seconds under every finished ``root_name`` span and
     divides by their total wall time. This is the ≥ 0.9 acceptance number
     ``repro prof --min-coverage`` gates on.
     """
-    span_centers = _span_centers(profiler)
-    if tracer is None or not span_centers:
+    if tracer is None:
         return 0.0
     wall = 0.0
     acc: dict[str, dict[str, list]] = {}
     for root in tracer.spans(root_name):
         if root.finished:
             wall += root.duration_s
-            centers_under(tracer, root, span_centers, acc)
+            centers_under(tracer, root, acc)
     attributed = sum(seconds for _calls, seconds in acc.get("", {}).values())
     return attributed / wall if wall > 0.0 else 0.0
 
 
-def pipeline_breakdown(
-    tracer: Tracer | None = None, profiler=None
-) -> dict[str, PipelineBreakdown]:
+def pipeline_breakdown(tracer: Tracer | None = None) -> dict[str, PipelineBreakdown]:
     """Aggregate a traced run into per-stage storage/retrieval breakdowns.
 
     Returns ``{"storage": ..., "retrieval": ...}`` (keys present only when
-    the trace contains such samples). When a cost-center profiler is active
-    (or passed explicitly), every stage also carries the cost centers
-    recorded inside its spans, and residuals surface as ``other`` rows at
+    the trace contains such samples). When the cost-center profiler ran
+    alongside the tracer, every stage also carries the cost centers its
+    spans recorded, and residuals surface as ``other`` rows at
     both the stage and the pipeline level.
     """
     tracer = tracer or get_tracer()
     if tracer is None:
         return {}
-    span_centers = _span_centers(profiler)
     acc: dict[str, dict[str, list[float]]] = {}
     # pipeline -> stage -> center -> [calls, seconds]
     centers_acc: dict[str, dict[str, dict[str, list]]] = {}
@@ -252,7 +237,7 @@ def pipeline_breakdown(
         def stage_of(span: Span, root: Span = root) -> str:
             return UNATTRIBUTED if span is root else STAGE_LABELS.get(span.name, span.name)
 
-        centers_under(tracer, root, span_centers, pcenters, stage_of)
+        centers_under(tracer, root, pcenters, stage_of)
         # Walk the *execution* view: remote spans (message deliveries) nest
         # under the frame that ran them, not under their causal sender —
         # the view where child intervals sit inside the parent's, which

@@ -15,7 +15,7 @@ msg_kind}``, the attribution that explaining the ~4–5 ms fixed blockchain
 overhead dominating Fig. 5 needs: not "consensus is slow" but
 "prepare-message delivery on validator-2 accounts for X µs of the path".
 
-A segment's node is its span's :attr:`~repro.obs.span.Span.node`, the
+A segment's node is its span's :attr:`~repro.obs.probe.Span.node`, the
 value the profiler charges frames to and the Chrome trace
 (:func:`repro.obs.export.chrome_trace`, one process row per node) lays out
 by. ``repro prof --tx <txid>`` in the CLI prints the analysis and, with
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.errors import ObservabilityError
 from repro.obs.breakdown import STAGE_LABELS
-from repro.obs.span import Span
+from repro.obs.probe import Span
 from repro.obs.tracer import Tracer, get_tracer
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
-"""The tracer: nested spans with contextvars-based propagation.
+"""The tracer: retains finished spans and answers queries over them.
 
 Layers never thread trace handles through signatures — each instrumented
-site calls :func:`repro.obs.trace.span` (the module-level entry point) and
-parentage is resolved from a :mod:`contextvars` current-span variable, so
-traces nest correctly through any call depth and stay correct under
-``asyncio`` or thread-per-request execution.
+site calls :func:`repro.obs.tracer.span` (the module-level entry point) and
+parentage is resolved from the current-probe :mod:`contextvars` variable
+of :mod:`repro.obs.probe`, so traces nest correctly through any call depth
+and stay correct when callers bring threads of their own.
 
 Tracing is **opt-in and process-global**: :func:`enable` installs a tracer,
-:func:`disable` removes it. While disabled, :func:`span` returns a shared
-no-op span after a single guard check — instrumented hot paths cost one
+:func:`disable` removes it. While disabled, :func:`span` returns the shared
+no-op probe after a single guard check — instrumented hot paths cost one
 global read and one ``is None`` comparison, with no allocation (verified by
 ``benchmarks/bench_obs_overhead.py``).
 """
@@ -18,12 +18,18 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext, own_node
-
-_current_span: ContextVar[Span | None] = ContextVar("repro_obs_current_span", default=None)
+# span, current_span and current_context are re-exported for the sites.
+from repro.obs.probe import (
+    Span,
+    SpanContext,
+    current_context,
+    current_span,
+    install,
+    installed,
+    span,
+)
 
 # Default retention for the process-global tracer installed by
 # :func:`enable`: long-running workloads keep the most recent spans in a
@@ -92,45 +98,18 @@ class Tracer:
         """
         return Span(name, self, attrs, remote_parent=remote_parent)
 
-    def _enter(self, span: Span) -> None:
-        # A span's interval covers its own construction, enter and exit
-        # bookkeeping (start_s is read when the span is made), so that cost
-        # is billed to the span's stage, not to its parent's self time
-        # (which, for a root, is the breakdown's unattributed remainder).
-        parent = _current_span.get()
-        node = own_node(span.attrs) if span.attrs else None
-        if parent is not None:
-            span.exec_parent_id = parent.span_id
-            span.node = parent.node if node is None else node
-        elif node is not None:
-            span.node = node
-        remote = span._remote_parent
-        if remote is not None:
-            # Causal parent: the span that *sent* the message. The ambient
-            # frame is kept separately (exec_parent_id) so time stays
-            # nested under whatever ran the delivery.
-            span.parent_id = remote.span_id
-            span.trace_id = remote.trace_id
-            span.remote = True
-        elif parent is not None:
-            span.parent_id = parent.span_id
-            span.trace_id = parent.trace_id
-        span._token = _current_span.set(span)
-
-    def _exit(self, span: Span, exc: BaseException | None) -> None:
-        if exc is not None:
-            span.record_error(exc)
-        if span._token is not None:
-            _current_span.reset(span._token)
-            span._token = None
-        if self.max_spans is not None and len(self.finished) == self.max_spans:
-            self._unindex(self.finished.popleft())
+    def _exit(self, span: Span) -> None:
+        """Retain a span that just closed; its center record, if any, goes
+        with it when the ring evicts it."""
+        finished = self.finished
+        if self.max_spans is not None and len(finished) == self.max_spans:
+            self._unindex(finished.popleft())
             self.dropped += 1
             if self.registry is not None:
                 self.registry.counter("spans_dropped_total").inc()
-        span.end_s = self.clock()
-        self.finished.append(span)
+        finished.append(span)
         self._index(span)
+        span.end_s = self.clock()
         if self.registry is not None:
             self.registry.histogram(
                 "span_seconds", LATENCY_BUCKETS, labels={"name": span.name}
@@ -222,17 +201,14 @@ class Tracer:
 # Process-global tracer
 # ---------------------------------------------------------------------------
 
-_GLOBAL: Tracer | None = None
-
 
 def get_tracer() -> Tracer | None:
     """The installed tracer, or ``None`` while tracing is disabled."""
-    return _GLOBAL
+    return installed()[0]
 
 
 def set_tracer(tracer: Tracer | None) -> None:
-    global _GLOBAL
-    _GLOBAL = tracer
+    install(tracer, installed()[1])
 
 
 def enable(registry=None, max_spans: int | None = DEFAULT_MAX_SPANS) -> Tracer:
@@ -251,44 +227,10 @@ def disable() -> None:
     set_tracer(None)
 
 
-def span(
-    name: str,
-    attrs: dict[str, Any] | None = None,
-    remote_parent: SpanContext | None = None,
-) -> Span | NoopSpan:
-    """Start a span on the global tracer; the no-op singleton when disabled.
-
-    This is the call instrumented code makes. The disabled path is a single
-    guard check returning a shared object — no allocation.
-    """
-    tracer = _GLOBAL
-    if tracer is None:
-        return NOOP_SPAN
-    return Span(name, tracer, attrs, remote_parent)
-
-
-def current_span() -> Span | None:
-    """The innermost active span in this execution context, if any."""
-    return _current_span.get()
-
-
-def current_context() -> SpanContext | None:
-    """The current span's injectable context, or ``None``.
-
-    ``None`` both when tracing is disabled (checked first — the disabled
-    path costs one global read) and when no span is active. This is what
-    transports call to stamp outgoing messages.
-    """
-    if _GLOBAL is None:
-        return None
-    sp = _current_span.get()
-    return None if sp is None else sp.context()
-
-
 @contextmanager
 def enabled(registry=None, max_spans: int | None = DEFAULT_MAX_SPANS) -> Iterator[Tracer]:
     """Scoped tracing: install a fresh tracer, restore the old one after."""
-    previous = _GLOBAL
+    previous = get_tracer()
     tracer = enable(registry=registry, max_spans=max_spans)
     try:
         yield tracer

@@ -257,11 +257,11 @@ class DurabilityManager:
                 store.write_file(f"{DELTA_PREFIX}{len(deltas) + 1}", delta.to_bytes())
             store.sync()
             store.truncate_log(WAL_LOG)
+            if peer.ledger.height != self._orderer_checkpoint_height:
+                self._orderer_checkpoint_height = peer.ledger.height
+                self._compact_orderer_log()
         self.stats.checkpoints += 1
         get_registry().counter("checkpoints_total").inc()
-        if peer.ledger.height != self._orderer_checkpoint_height:
-            self._orderer_checkpoint_height = peer.ledger.height
-            self._compact_orderer_log()
 
     def _compact_orderer_log(self) -> None:
         """Rewrite the orderer log without the records whose transactions

@@ -139,7 +139,7 @@ class TestRoundCost:
         assert cluster.network.stats.sent - messages == 27
         assert sum(counts.values()) <= self.MAX_CALLS
         # Nothing is opened per message while tracing and profiling are off.
-        assert counts["profiled"] < 27 and counts["get_tracer"] <= 1
+        assert counts["profiled"] < 27 and counts["span"] < 27
 
 
 class TestObservedRound:

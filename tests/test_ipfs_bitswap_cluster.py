@@ -39,15 +39,6 @@ class TestBitswapEngine:
         a.want(cid, ["b"])
         assert a.ledger_for("b").bytes_received == 100
         assert b.ledger_for("a").bytes_sent == 100
-        assert a.ledger_for("b").blocks_received == 1
-
-    def test_local_block_short_circuits(self):
-        a, _ = pair()
-        data = b"local"
-        cid = CID.for_data(data)
-        a.blockstore.put(cid, data)
-        a.want(cid, [])
-        assert a.stats.duplicate_wants == 1
 
     def test_missing_everywhere_raises(self):
         a, _ = pair()

@@ -1,6 +1,7 @@
 """Tests for the cost-center profiler: no-op mode, nesting, attribution,
 exports, determinism, and span reconciliation."""
 
+import gc
 import time
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.obs import invoke_coverage
-from repro.obs.prof import _NOOP, Profiler, profiled, profiling
+from repro.obs.prof import Profiler, profiled, profiling
 
 
 @pytest.fixture(autouse=True)
@@ -23,7 +24,7 @@ def _no_global_leak():
 class TestDisabledMode:
     def test_disabled_returns_shared_probe(self):
         obs.disable_profiler()
-        assert profiled("x") is profiled("y") is _NOOP
+        assert profiled("x") is profiled("y") is obs.NOOP_SPAN
 
     def test_disabled_probe_supports_add_bytes(self):
         obs.disable_profiler()
@@ -84,6 +85,34 @@ class TestRecording:
         assert ("peer0.org1", "state.apply") in stats
         assert ("client", "serialize.decode") in stats
 
+    def test_one_probe_is_a_span_and_a_center(self):
+        profiler = obs.enable_profiler()
+        tracer = obs.enable()
+        with obs.span("stage", {"peer": "p0"}, center="stage.work"):
+            with profiled("inner"):
+                time.sleep(0.002)
+        (stage,) = tracer.finished  # the frame is never retained as a span
+        assert stage.name == "stage" and set(stage.centers) == {"stage.work", "inner"}
+        rows = {(s.node, s.center): s for s in profiler.center_stats()}
+        assert set(rows) == {("p0", "stage.work"), ("p0", "inner")}
+        outer, inner = rows["p0", "stage.work"], rows["p0", "inner"]
+        assert outer.inclusive_s == pytest.approx(stage.duration_s)
+        assert outer.exclusive_s <= outer.inclusive_s - inner.inclusive_s + 1e-9
+        # Without a tracer the same site is a frame; without a profiler, a
+        # plain span.
+        obs.disable()
+        with obs.span("stage", {"peer": "p0"}, center="stage.work"):
+            pass
+        assert {(s.node, s.center): s.calls for s in profiler.center_stats()}[
+            "client", "stage.work"
+        ] == 1
+        obs.disable_profiler()
+        tracer = obs.enable()
+        with obs.span("stage", {"peer": "p0"}, center="stage.work"):
+            pass
+        (stage,) = tracer.finished
+        assert stage.centers is None
+
     def test_scoped_profiling_restores_previous(self):
         outer = obs.enable_profiler()
         with profiling() as inner:
@@ -103,7 +132,7 @@ class TestDeterminism:
                 get_scenario("standard", seed=0, n_cycles=6).run()
             finally:
                 obs.disable()
-            return profiler.fingerprint(), invoke_coverage(tracer, profiler)
+            return profiler.fingerprint(), invoke_coverage(tracer)
 
     def test_fingerprint_deterministic_across_seeded_runs(self):
         fp1, cov1 = self._chaos_fingerprint()
@@ -121,13 +150,13 @@ class TestDeterminism:
 
 
 class TestReconciliation:
-    def _traced_invoke(self, n_items=2):
+    def _traced_invoke(self, n_items=2, profile=True):
         from repro.core import Client, Framework, FrameworkConfig
         from repro.trust import SourceTier
 
         registry = obs.MetricsRegistry()
         obs.set_registry(registry)
-        profiler = obs.enable_profiler()
+        profiler = obs.enable_profiler() if profile else None
         tracer = obs.enable(registry=registry)
         framework = Framework(FrameworkConfig())
         client = Client(
@@ -142,35 +171,71 @@ class TestReconciliation:
         return tracer, profiler
 
     def test_span_frames_bounded_by_span_wall_time(self):
-        tracer, profiler = self._traced_invoke()
-        spans = {s.span_id: s for s in tracer.finished}
-        for span_id, centers in profiler.span_center_seconds().items():
-            span = spans.get(span_id)
-            if span is None:
-                continue  # span still open or evicted
-            attributed = sum(seconds for _calls, seconds in centers.values())
+        tracer, _profiler = self._traced_invoke()
+        for span in tracer.finished:
+            if not span.centers:
+                continue
+            attributed = sum(seconds for _calls, seconds in span.centers.values())
             assert attributed <= span.duration_s + 1e-4, (
                 f"{span.name}: {attributed}s of frames in a "
                 f"{span.duration_s}s span"
             )
 
     def test_invoke_coverage_in_unit_range_and_substantial(self):
-        tracer, profiler = self._traced_invoke()
-        coverage = invoke_coverage(tracer, profiler)
+        tracer, _profiler = self._traced_invoke()
+        coverage = invoke_coverage(tracer)
         assert coverage <= 1.0 + 1e-6
         # CI gates >= 0.9 on the standard scenario; keep the unit bound
         # conservative so a slow box doesn't flake it.
         assert coverage >= 0.7, f"coverage collapsed to {coverage:.3f}"
 
     def test_coverage_zero_without_tracer_or_profiler(self):
-        assert invoke_coverage(None, Profiler()) == 0.0
-        assert invoke_coverage(obs.Tracer(), None) == 0.0
+        assert invoke_coverage(None) == 0.0
+        assert invoke_coverage(obs.Tracer()) == 0.0
+        # Traced without the profiler: fabric.invoke spans, no centers.
+        tracer, _profiler = self._traced_invoke(profile=False)
+        assert tracer.spans("fabric.invoke")
+        assert invoke_coverage(tracer) == 0.0
+
+
+class TestRetention:
+    def test_center_data_is_bounded_by_the_tracer_ring(self):
+        """Per-span center data lives no longer than its span: with a
+        64-span ring, 20 submit + retrieve pairs leave center data only on
+        spans the ring still holds, and the profiler keys nothing by span."""
+        from repro.core import Client, Framework, FrameworkConfig
+        from repro.trust import SourceTier
+
+        with profiling() as profiler, obs.enabled(max_spans=64) as tracer:
+            framework = Framework(FrameworkConfig())
+            client = Client(
+                framework, framework.register_source("cam", tier=SourceTier.TRUSTED)
+            )
+            for i in range(20):
+                receipt = client.submit(
+                    b"payload %d " % i * 64,
+                    {"timestamp": float(i), "camera_id": "cam", "detections": []},
+                )
+                client.retrieve(receipt.entry_id)
+            retained = {s.span_id for s in tracer.finished}
+        assert tracer.dropped > 0
+        gc.collect()
+        held = {
+            o.span_id
+            for o in gc.get_objects()
+            if isinstance(o, obs.Span) and getattr(o, "centers", None)
+        }
+        for table in vars(profiler).values():
+            if isinstance(table, dict):
+                held.update(key for key in table if isinstance(key, str))
+        assert held <= retained, f"{len(held - retained)} evicted spans keep center data"
+        assert held, "no retained span carries center data"
 
 
 class TestBreakdownIntegration:
     def test_stage_center_rows_and_other_residual(self):
         tracer, profiler = TestReconciliation()._traced_invoke(1)
-        breakdown = obs.pipeline_breakdown(tracer, profiler=profiler)
+        breakdown = obs.pipeline_breakdown(tracer)
         storage = breakdown["storage"]
         assert storage.stages, "no storage stages resolved"
         centered = [s for s in storage.stages if s.centers]
@@ -193,8 +258,7 @@ class TestBreakdownIntegration:
         assert " . " in rendered
 
     def test_breakdown_without_profiler_has_no_center_rows(self):
-        tracer, _profiler = TestReconciliation()._traced_invoke(1)
-        obs.disable_profiler()
+        tracer, _profiler = TestReconciliation()._traced_invoke(1, profile=False)
         breakdown = obs.pipeline_breakdown(tracer)
         assert all(not s.centers for s in breakdown["storage"].stages)
 
@@ -256,17 +320,17 @@ class TestAttributionModel:
 
     @staticmethod
     def _check_attribution(tracer, profiler):
-        spans = {s.span_id: s for s in tracer.finished}
-        span_centers = profiler.span_center_seconds()
+        span_centers = {s.span_id: s.centers for s in tracer.finished if s.centers}
         assert span_centers
         # A center holds only work done inside the span it is recorded
         # under, so the centers of a span never add up to more than it.
-        for span_id, centers in span_centers.items():
-            span = spans[span_id]
-            held = sum(seconds for _calls, seconds in centers.values())
+        for span in tracer.finished:
+            if not span.centers:
+                continue
+            held = sum(seconds for _calls, seconds in span.centers.values())
             assert held <= span.duration_s + 1e-9, (
                 f"{span.name}: centers hold {held:.6f}s of a "
-                f"{span.duration_s:.6f}s span: {sorted(centers)}"
+                f"{span.duration_s:.6f}s span: {sorted(span.centers)}"
             )
         # Frames are charged to the node critical_path reports for their
         # span (the committed invokes cross client, peers, orderer and

@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.net import ConstantLatency, FaultAction, NetNode, SimNetwork
-from repro.obs.span import SpanContext
+from repro.obs.probe import SpanContext
 
 
 @pytest.fixture(autouse=True)
