@@ -2,11 +2,12 @@
 
 Three cooperating layers keep the framework's trust story machine-checked:
 
-* :mod:`repro.analysis.linter` — ``repro lint``: one parse of the tree,
-  then a local pass (repo-wide hygiene rules HYG2xx, and DET105 for
-  ``json.dumps`` in chaincode) and the :mod:`repro.analysis.flow` pass,
-  whole-program interprocedural nondeterminism taint reaching
-  consensus-critical sinks (FLOW5xx) over an alias-resolved call graph;
+* :mod:`repro.analysis.linter` — ``repro lint``: one parse per file and
+  local rules (repo-wide hygiene HYG2xx; in chaincode, DET103 for reads of
+  the environment or a clock and DET105 for ``json.dumps`` without
+  ``sort_keys``). That every replica writes the same bytes for the same
+  input is checked by running the system twice
+  (``tests/differential.py``), not proved here;
 * :mod:`repro.analysis.runtime` (+ :mod:`divergence`, :mod:`invariants`)
   — sanitizers (SAN3xx) toggled by ``REPRO_SANITIZE``/``--sanitize`` that
   re-simulate endorsements and audit ledger invariants at every commit;
@@ -17,13 +18,11 @@ See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and workflows.
 """
 
 from .baseline import diff_baseline, load_baseline, write_baseline
-from .flow import build_program
 from .invariants import check_store
 from .linter import LintReport, lint_paths, lint_source
 from .rules import (
     RULES,
     Finding,
-    FlowFinding,
     Pragmas,
     Rule,
     get_rule,
@@ -40,13 +39,11 @@ from .runtime import (
 __all__ = [
     "RULES",
     "Finding",
-    "FlowFinding",
     "LintReport",
     "Pragmas",
     "Rule",
     "Sanitizer",
     "SanitizerReport",
-    "build_program",
     "check_store",
     "diff_baseline",
     "enabled_modes",

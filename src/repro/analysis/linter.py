@@ -1,20 +1,22 @@
-"""``reprolint`` — the ``repro lint`` analyzer: one parse, two passes.
+"""``reprolint`` — the ``repro lint`` analyzer: one parse per file, local rules.
 
-:func:`lint_paths` builds the whole-program index once
-(:func:`~repro.analysis.flow.build_program` reads and parses every file)
-and runs both passes over it (catalogue in :mod:`repro.analysis.rules`):
+:func:`lint_paths` reads and parses every file once and judges one
+statement at a time (catalogue in :mod:`repro.analysis.rules`):
 
-* the **local pass** judges one statement at a time — **HYG2xx**
-  (locking and error-handling hygiene, everywhere: callers may drive a
-  ``Client`` from their own threads) and **DET105** (``json.dumps``
-  without ``sort_keys`` in a *chaincode module*: a file under a
-  ``chaincodes/`` directory or defining a ``Chaincode`` subclass);
-* the **flow pass** (:mod:`repro.analysis.flow.taint`, FLOW5xx) follows
-  clock, rng, uuid, environment, set-order and float-format values across
-  calls into every consensus-critical sink, a chaincode's response
-  included.
+* **HYG2xx** — locking and error-handling hygiene, everywhere: callers may
+  drive a ``Client`` from their own threads;
+* **DET103** and **DET105** — in a *chaincode module* (a file under a
+  ``chaincodes/`` directory or defining a ``Chaincode`` subclass): a read
+  of the environment or of a clock, and ``json.dumps`` without
+  ``sort_keys``.
 
-Both passes resolve imports through their aliases but infer no types, so
+Whether the system writes the same bytes for the same input is not proved
+here but checked by running it twice (``tests/differential.py``); DET103
+covers the reads two such runs can agree on — a variable neither run sets,
+a clock compared with an instant neither run's clock has passed (DESIGN.md,
+"Determinism is checked by running twice").
+
+The rules resolve imports through their aliases but infer no types, so
 they aim at the unambiguous spellings of each bug class and accept
 ``# reprolint: disable=HYG204``-style pragmas (naming a live rule) for the
 rest.
@@ -23,18 +25,30 @@ rest.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .flow.callgraph import Program, build_program, source_program
-from .flow.taint import analyze_taint
-from .rules import Finding, FlowFinding, parse_pragmas
+from repro.errors import AnalysisError
+
+from .rules import Finding, parse_pragmas
 
 _CONTAINER_CONSTRUCTORS = {
     "dict", "list", "set", "collections.defaultdict", "collections.OrderedDict",
     "collections.Counter", "collections.deque", "defaultdict", "OrderedDict",
     "Counter", "deque",
+}
+
+# DET103: what a chaincode must not read, by the dotted name it resolves to.
+_AMBIENT = {
+    **dict.fromkeys(("os.environ", "os.environb", "os.getenv", "os.getenvb"),
+                    "the environment"),
+    **dict.fromkeys((
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+        "time.process_time_ns", "time.thread_time", "time.thread_time_ns",
+        "time.clock_gettime", "time.clock_gettime_ns", "datetime.datetime.now",
+        "datetime.datetime.utcnow", "datetime.datetime.today", "datetime.date.today",
+    ), "a clock"),
 }
 
 
@@ -141,6 +155,21 @@ class _Visitor(ast.NodeVisitor):
             dotted = self._dotted(value.func)
             return dotted in _CONTAINER_CONSTRUCTORS
         return False
+
+    # -- DET103: ambient reads in chaincode ------------------------------
+
+    def _check_ambient(self, node: ast.Attribute | ast.Name) -> None:
+        if self.chaincode and isinstance(node.ctx, ast.Load):
+            dotted = self._dotted(node)
+            if dotted in _AMBIENT:
+                self._emit("DET103", node, f"{dotted} reads {_AMBIENT[dotted]} in chaincode")
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check_ambient(node)
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check_ambient(node)
 
     # -- DET105 and HYG201: calls -----------------------------------------
 
@@ -266,53 +295,89 @@ def is_chaincode_module(path: str, tree: ast.Module) -> bool:
 
 @dataclass
 class LintReport:
-    """What ``repro lint`` found in one program, after pragmas."""
+    """What ``repro lint`` found in a set of files, after pragmas."""
 
     findings: list[Finding]
-    stats: dict   # modules, functions, call_edges, suppressed
+    stats: dict   # modules, suppressed
 
 
-_TRACE_LOC_RE = re.compile(r"^(?P<path>.+?):(?P<line>\d+): ")
+def _lint_module(source: str, path: str) -> tuple[list[Finding], int]:
+    """The findings pragmas keep in one module, and how many they dropped."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise AnalysisError(f"cannot parse {path}: {exc}") from exc
+    pragmas = parse_pragmas(source, path)
+    visitor = _Visitor(path, is_chaincode_module(path, tree))
+    visitor.visit(tree)
+    kept = [f for f in visitor.findings if pragmas.allows(f.rule_id, f.line)]
+    return kept, len(visitor.findings) - len(kept)
 
 
-def _lint_program(program: Program) -> LintReport:
-    """Run the local and the flow pass over an already-built program."""
-    pragmas = {m.path: parse_pragmas(m.source, m.path) for m in program.modules.values()}
-    found: list[Finding] = []
-    for module in program.modules.values():
-        visitor = _Visitor(module.path, is_chaincode_module(module.path, module.tree))
-        visitor.visit(module.tree)
-        found.extend(visitor.findings)
-    found.extend(analyze_taint(program))
+def _module_name(path: Path, root: Path) -> str:
+    """Dotted module name for *path* under scan root *root*, taken relative
+    to the root's parent: ``src/repro/x/y.py`` under ``src/repro`` is
+    ``repro.x.y``, the name the interpreter uses with ``PYTHONPATH=src``."""
+    try:
+        rel = path.resolve().relative_to(root.resolve().parent)
+    except ValueError:
+        rel = Path(path.name)
+    parts = list(rel.with_suffix("").parts)
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else path.stem
 
-    def allowed(path: str, rule_id: str, line: int) -> bool:
-        return path not in pragmas or pragmas[path].allows(rule_id, line)
 
-    # A flow finding is suppressed at its sink (the anchor) *or* at its
-    # source, the first step of its trace: one annotation at the origin
-    # silences every flow it feeds.
-    kept = []
-    for f in found:
-        src = _TRACE_LOC_RE.match(f.trace[0]) if isinstance(f, FlowFinding) and f.trace else None
-        if allowed(f.path, f.rule_id, f.line) and (
-            src is None or allowed(src["path"], f.rule_id, int(src["line"]))
-        ):
-            kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message))
-    stats = {
-        "modules": len(program.modules),
-        "functions": len(program.functions),
-        "call_edges": sum(len(v) for v in program.edges.values()),
-        "suppressed": len(found) - len(kept),
-    }
-    return LintReport(findings=kept, stats=stats)
+def _display_path(path: Path) -> str:
+    """Stable repo-relative posix path so baselines survive checkout moves."""
+    try:
+        return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def lint_paths(paths: list[str | Path]) -> LintReport:
-    """Lint every ``.py`` file under the given files/directories."""
-    return _lint_program(build_program(paths))
+    """Lint every ``.py`` file under the given files/directories. Two files
+    that would be one module name are an error, not a skip."""
+    modules: dict[str, str] = {}   # module name -> display path
+    findings: list[Finding] = []
+    suppressed = 0
+    for raw in paths:
+        root = Path(raw)
+        if root.is_dir():
+            files = sorted(root.rglob("*.py"))
+        elif root.is_file():
+            files = [root]
+        else:
+            raise AnalysisError(f"lint target does not exist: {root}")
+        base = root if root.is_dir() else root.parent
+        for file in files:
+            name, shown = _module_name(file, base), _display_path(file)
+            seen = modules.get(name)
+            if seen is not None:
+                if seen != shown:
+                    raise AnalysisError(
+                        f"{file} and {seen} are both module {name!r}; "
+                        "lint them in separate runs"
+                    )
+                continue
+            modules[name] = shown
+            try:
+                source = file.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise AnalysisError(f"cannot read {file}: {exc}") from exc
+            kept, dropped = _lint_module(source, shown)
+            findings.extend(kept)
+            suppressed += dropped
+    findings.sort(key=_report_order)
+    return LintReport(findings, {"modules": len(modules), "suppressed": suppressed})
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one module's source text, as its own one-module program."""
-    return _lint_program(source_program(source, path)).findings
+    """Lint one module's source text, shown as *path*."""
+    kept, _ = _lint_module(source, path)
+    return sorted(kept, key=_report_order)
+
+
+def _report_order(f: Finding) -> tuple:
+    return (f.path, f.line, f.col, f.rule_id, f.message)

@@ -1,6 +1,6 @@
 """Rule catalogue shared by ``repro lint`` and the runtime sanitizers.
 
-Every check — static (``DET105``/``HYG*``/``FLOW*``, reported by
+Every check — static (``DET*``/``HYG*``, reported by
 :mod:`repro.analysis.linter`) or dynamic (``SAN*``, reported by the
 sanitizers) — carries a rule id, a severity, and a fix hint, so a finding
 is actionable wherever it surfaces: lint output, sanitizer report, or the
@@ -39,11 +39,16 @@ class Rule:
     severity: str
     summary: str
     fix_hint: str
-    scope: str  # "chaincode" | "repo" | "runtime" | "flow"
+    scope: str  # "chaincode" | "repo" | "runtime"
 
 
 _RULES = (
-    # -- determinism API misuse: chaincode modules only --------------------
+    # -- determinism: chaincode modules only -------------------------------
+    Rule("DET103", ERROR, "chaincode reads the environment or a clock",
+         "hosts differ in both, and two runs on one host need not show it: "
+         "take time from stub.get_timestamp() and settings from the "
+         "invocation's arguments",
+         "chaincode"),
     Rule("DET105", ERROR, "json.dumps without sort_keys=True in chaincode",
          "use repro.util.serialization.canonical_json for state values",
          "chaincode"),
@@ -97,28 +102,6 @@ _RULES = (
          "read) and the chaincode read (full scan or get_data) returned "
          "different answers for the same query",
          "runtime"),
-    # -- flow rules: whole-program interprocedural analysis ----------------
-    Rule("FLOW501", ERROR, "wall-clock value flows into a consensus-critical sink",
-         "replicas read different clocks; plumb sim_clock / stub.get_timestamp() "
-         "instead, or keep timestamps out of digested bytes",
-         "flow"),
-    Rule("FLOW502", ERROR, "unseeded randomness flows into a consensus-critical sink",
-         "derive the value from tx inputs or a seeded repro.util.rng stream",
-         "flow"),
-    Rule("FLOW503", ERROR, "uuid flows into a consensus-critical sink",
-         "uuids differ per replica; key off tx ids or content hashes",
-         "flow"),
-    Rule("FLOW504", ERROR, "environment value flows into a consensus-critical sink",
-         "environment differs per host; pass configuration explicitly",
-         "flow"),
-    Rule("FLOW505", ERROR, "set-iteration order flows into a consensus-critical sink",
-         "set enumeration follows hash order; sorted(...) before the value "
-         "becomes consensus-visible",
-         "flow"),
-    Rule("FLOW506", WARNING, "float-formatted string flows into a consensus-critical sink",
-         "float presentation is precision-fragile; ship JSON numbers through "
-         "canonical_json instead of formatted strings",
-         "flow"),
 )
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _RULES}
@@ -166,30 +149,6 @@ class Finding:
         rule = get_rule(rule_id)
         return cls(rule_id=rule_id, path=path, line=line, col=col, message=message,
                    severity=rule.severity, fix_hint=rule.fix_hint, **extra)
-
-
-@dataclass(frozen=True)
-class FlowFinding(Finding):
-    """A finding with an interprocedural witness chain attached.
-
-    ``trace`` is a tuple of human-readable steps, source first, sink last —
-    each ``path:line: what happened``. The trace is presentation only: the
-    baseline identity is inherited from :meth:`Finding.key`, so a finding
-    keeps matching its baseline entry even when an unrelated edit shifts
-    the intermediate hops.
-    """
-
-    trace: tuple[str, ...] = ()
-
-    def render(self) -> str:
-        head = super().render()
-        if not self.trace:
-            return head
-        steps = "\n".join(f"      {i}. {step}" for i, step in enumerate(self.trace, 1))
-        return f"{head}\n{steps}"
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "trace": list(self.trace)}
 
 
 # ---------------------------------------------------------------------------

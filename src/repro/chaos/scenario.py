@@ -32,6 +32,7 @@ from repro.ipfs.replication import ReplicationManager
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.trust import SourceTier
+from repro.util.clock import SimClock
 from repro.util.rng import rng_for
 
 
@@ -112,19 +113,6 @@ class ChaosReport:
         }
 
 
-class _CycleClock:
-    """Deterministic time source: one tick per cycle, no wall clock."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def now(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
 @dataclass
 class ChaosScenario:
     """A named fault schedule over a framework deployment."""
@@ -154,7 +142,7 @@ class ChaosScenario:
         # cycles run in microseconds, so a wall-clock breaker would never
         # half-open within a run — and the outcome would depend on host
         # speed, breaking fingerprint determinism.
-        clock = _CycleClock()
+        clock = SimClock()  # one cycle_tick_s per cycle
         framework.resilience.set_clock(clock.now)
         source = framework.register_source("chaos-cam", tier=SourceTier.TRUSTED)
         client = Client(framework, source)

@@ -9,7 +9,7 @@ every invocation stands up a fresh network — there is no daemon):
 * ``query "<text>"``       — run a query against a freshly populated demo set
 * ``chaos``                — run a seeded fault-injection scenario (``chaos list`` to
   enumerate); ``--alerts`` gates the alert lifecycle, ``--sanitize`` the runtime sanitizers
-* ``lint``                 — run the static analyzer: hygiene rules + nondeterminism taint
+* ``lint``                 — run the static analyzer: hygiene and chaincode rules
 * ``metrics``              — run a traced demo, print the metrics (Prometheus/JSON)
 * ``prof``                 — run a chaos scenario (or the traced demo) and explain it:
   cost centers, the Fig. 5/6 stage breakdown, ``--tx``'s critical path, ``--out`` trace
@@ -142,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos_sub.add_parser("list", help="list available scenarios")
 
     lint = sub.add_parser(
-        "lint", help="run reprolint (hygiene rules + interprocedural nondeterminism "
-                     "taint FLOW5xx) over source paths"
+        "lint", help="run reprolint (hygiene rules HYG2xx, chaincode rules "
+                     "DET103/DET105) over source paths"
     )
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint (default: src/repro)")
@@ -600,8 +600,7 @@ def _cmd_lint(args) -> int:
             print(finding.render())
         print(
             f"reprolint: {len(new)} new finding(s), {baselined} baselined "
-            f"({stats['modules']} modules, {stats['functions']} functions, "
-            f"{stats['call_edges']} call edges)"
+            f"({stats['modules']} modules)"
         )
     return 1 if new else 0
 

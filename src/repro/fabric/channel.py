@@ -22,6 +22,12 @@ round.
 :class:`FabricNetwork` assembles the pieces — MSP registry, channels,
 orderers — the way the paper's testbed stands up its HLF network (one
 channel, two peers, one orderer).
+
+Ledger time is logical. A channel stamps its ``n``-th proposal
+``LEDGER_EPOCH_S + n * LEDGER_TICK_S`` (the counter its tx-id nonces come
+from), and a block carries the largest proposal timestamp in its batch. No
+replica reads a clock for a byte it signs, hashes or stores, so one input
+yields one ledger, byte for byte, on every replica and in every rerun.
 """
 
 from __future__ import annotations
@@ -56,7 +62,12 @@ from repro.fabric.tx import (
 from repro.obs.metrics import get_registry
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
-from repro.util.clock import Clock, WallClock
+
+# Ledger time: proposal n of a channel is stamped LEDGER_EPOCH_S + n ticks.
+# A chaincode's ``stub.get_timestamp()`` (and so every ``created_at``) reads
+# this ordinal, not a wall clock; a record's capture time is its metadata.
+LEDGER_EPOCH_S = 0.0
+LEDGER_TICK_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,10 @@ class Channel:
         name: str,
         msp_registry: MSPRegistry,
         orderer: Orderer,
-        clock: Clock | None = None,
     ) -> None:
         self.name = name
         self.msp_registry = msp_registry
         self.orderer = orderer
-        self.clock = clock or WallClock()
         self.peers: dict[str, Peer] = {}
         self.events = EventHub()
         self.stats = ChannelStats()
@@ -196,7 +205,8 @@ class Channel:
     def _build_proposal(
         self, identity: Identity, chaincode: str, fn: str, args: list[str]
     ) -> TxProposal:
-        nonce = f"{self.name}:{next(self._nonce)}".encode()
+        n = next(self._nonce)
+        nonce = f"{self.name}:{n}".encode()
         return TxProposal.signed(
             identity,
             tx_id=TxProposal.make_tx_id(identity.info(), nonce),
@@ -204,7 +214,7 @@ class Channel:
             chaincode=chaincode,
             fn=fn,
             args=tuple(args),
-            timestamp=self.clock.now(),
+            timestamp=LEDGER_EPOCH_S + n * LEDGER_TICK_S,
         )
 
     def _endorsing_orgs(self, chaincode: str, endorsing_orgs: list[str] | None) -> list[str]:
@@ -454,8 +464,7 @@ class FabricNetwork:
     paper's testbed.
     """
 
-    def __init__(self, clock: Clock | None = None) -> None:
-        self.clock = clock or WallClock()
+    def __init__(self) -> None:
         self.msp_registry = MSPRegistry()
         self.channels: dict[str, Channel] = {}
         self._peer_counter = itertools.count()
@@ -490,18 +499,17 @@ class FabricNetwork:
         if name in self.channels:
             raise FabricError(f"channel {name!r} already exists")
         if consensus == "solo":
-            orderer: Orderer = SoloOrderer(max_batch_size=max_batch_size, clock=self.clock)
+            orderer: Orderer = SoloOrderer(max_batch_size=max_batch_size)
         elif consensus == "bft":
             orderer = BftOrderer(
                 n_validators=n_validators,
                 max_batch_size=max_batch_size,
-                clock=self.clock,
                 behaviours=bft_behaviours,
                 checkpoint_interval=consensus_checkpoint_interval,
             )
         else:
             raise FabricError(f"unknown consensus type {consensus!r}")
-        channel = Channel(name, self.msp_registry, orderer, clock=self.clock)
+        channel = Channel(name, self.msp_registry, orderer)
         for org in orgs:
             if org not in self.msp_registry.orgs():
                 self.add_org(org)

@@ -27,7 +27,10 @@ It is queued with the carrier ``tx`` and ordered in the same consensus
 instance and block; ``max_batch_size`` counts carriers only.
 
 Orderers do not execute chaincode and never touch the world state — they
-sequence opaque envelopes, exactly as in Fabric.
+sequence opaque envelopes, exactly as in Fabric. They hold no clock either:
+a block's header carries the largest proposal timestamp in its batch, the
+channel's logical time (:data:`repro.fabric.channel.LEDGER_TICK_S`), so two
+runs of one input cut byte-identical blocks.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from repro.fabric.tx import Transaction
 from repro.net import SimNetwork
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
-from repro.util.clock import Clock, WallClock
 
 # A delivery callback receives the cut block plus the tx ids the consensus
 # rejected (empty for solo ordering).
@@ -60,11 +62,10 @@ class Orderer(Protocol):
 class _BatchCutter:
     """Shared block-building + hash-chain bookkeeping for both orderers."""
 
-    def __init__(self, max_batch_size: int, clock: Clock) -> None:
+    def __init__(self, max_batch_size: int) -> None:
         if max_batch_size < 1:
             raise OrderingError("max_batch_size must be >= 1")
         self.max_batch_size = max_batch_size
-        self.clock = clock
         self._pending: list[Transaction] = []
         self._next_number = 0
         self._prev_hash = GENESIS_PREVIOUS_HASH
@@ -90,7 +91,7 @@ class _BatchCutter:
             number=self._next_number,
             previous_hash=self._prev_hash,
             transactions=tuple(txs),
-            timestamp=self.clock.now(),
+            timestamp=max(tx.proposal.timestamp for tx in txs),
         )
         self._next_number += 1
         self._prev_hash = block.header.hash()
@@ -105,8 +106,8 @@ class _Ordering:
     full batch goes to be cut. Subclasses queue one transaction
     (``_queue``) and cut what is queued (``_cut``)."""
 
-    def __init__(self, max_batch_size: int = 1, clock: Clock | None = None) -> None:
-        self._cutter = _BatchCutter(max_batch_size, clock or WallClock())
+    def __init__(self, max_batch_size: int = 1) -> None:
+        self._cutter = _BatchCutter(max_batch_size)
         # Durability hook (repro.storage.persistence.DurabilityManager).
         self.journal = None
         self._carriers = 0  # queued carriers (riders do not count)
@@ -241,13 +242,12 @@ class BftOrderer(_Ordering):
         self,
         n_validators: int = 4,
         max_batch_size: int = 1,
-        clock: Clock | None = None,
         validator: Callable[[Transaction], bool] | None = None,
         behaviours: dict[str, Behaviour] | None = None,
         network: SimNetwork | None = None,
         checkpoint_interval: int = 0,
     ) -> None:
-        super().__init__(max_batch_size, clock)
+        super().__init__(max_batch_size)
         self._txs: dict[str, Transaction] = {}
         self._queued: list[str] = []  # tx ids awaiting a consensus instance
         self._decided: set[str] = set()  # batch request ids already enqueued

@@ -49,7 +49,9 @@ class Tracer:
 
     ``registry`` (optional) unifies tracing with metrics: each finished
     span's duration is observed into a ``span_seconds{name=...}`` histogram
-    and counted in ``spans_total{name=..., status=...}``.
+    and counted in ``spans_total{name=..., status=...}``. The tracer looks
+    each of those series up once, on the first span of its name (and
+    status), and keeps the handle.
 
     ``max_spans`` (optional) bounds retention: the finished list becomes a
     ring buffer that evicts the *oldest* span once full, counting each
@@ -80,6 +82,9 @@ class Tracer:
         # delivery ran inside it (their causal parent is elsewhere).
         self._exec_ix: dict[str, dict[str, Span]] = {}
         self._roots_ix: dict[str, Span] = {}
+        # Metric handles per span name / (name, status), resolved once.
+        self._seconds: dict[str, Any] = {}
+        self._totals: dict[tuple[str, str], Any] = {}
 
     # -- span lifecycle ---------------------------------------------------------
 
@@ -111,12 +116,20 @@ class Tracer:
         self._index(span)
         span.end_s = self.clock()
         if self.registry is not None:
-            self.registry.histogram(
-                "span_seconds", LATENCY_BUCKETS, labels={"name": span.name}
-            ).observe(span.duration_s)
-            self.registry.counter(
-                "spans_total", labels={"name": span.name, "status": span.status}
-            ).inc()
+            name = span.name
+            seconds = self._seconds.get(name)
+            if seconds is None:
+                seconds = self._seconds[name] = self.registry.histogram(
+                    "span_seconds", LATENCY_BUCKETS, labels={"name": name}
+                )
+            seconds.observe(span.duration_s)
+            key = (name, span.status)
+            total = self._totals.get(key)
+            if total is None:
+                total = self._totals[key] = self.registry.counter(
+                    "spans_total", labels={"name": name, "status": span.status}
+                )
+            total.inc()
 
     # -- index maintenance ------------------------------------------------------
 

@@ -129,8 +129,8 @@ class DurableStore:
         (rot under an intact length header, so the checksum catches it).
         Returns a short description of what was done, or ``"no-op"`` when
         the log has nothing to damage. The description counts frames, not
-        bytes: record payloads embed wall-clock timestamps whose float
-        reprs vary in length, and these strings enter chaos fingerprints.
+        bytes: these strings enter chaos fingerprints, which should not move
+        when a record's encoding does.
         """
         data = self._synced_logs.get(log)
         if not data:

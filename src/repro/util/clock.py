@@ -1,29 +1,14 @@
-"""Clock abstraction: wall-clock for benchmarks, simulated for determinism.
+"""Simulated time, and the rendering of ledger timestamps.
 
-Components that need "now" (block timestamps, trust decay, provenance records)
-take a :class:`Clock` so tests and the discrete-event network simulator can
-drive time deterministically, while benchmarks use the wall clock.
+Nothing that reaches the ledger reads a wall clock: ledger time is the
+channel's proposal counter (:mod:`repro.fabric.channel`), and the
+discrete-event network simulator and the chaos runner advance a
+:class:`SimClock` by hand.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Protocol
-
-
-class Clock(Protocol):
-    """Minimal clock interface used throughout the framework."""
-
-    def now(self) -> float:
-        """Current time in (possibly simulated) seconds."""
-        ...
-
-
-class WallClock:
-    """Real time, anchored to the epoch for human-readable timestamps."""
-
-    def now(self) -> float:
-        return time.time()
 
 
 class SimClock:
@@ -58,5 +43,5 @@ def isoformat(ts: float) -> str:
     """
     # Fixed-width ".3f" of an IEEE double is deterministic in CPython; the
     # rendered fraction is identical on every replica given the same ts.
-    frac = f"{ts % 1:.3f}"[1:]  # ".123"  # reprolint: disable=FLOW506
+    frac = f"{ts % 1:.3f}"[1:]  # ".123"
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(ts)) + frac + "Z"

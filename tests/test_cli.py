@@ -270,13 +270,13 @@ class TestLintCli:
         target.write_text(self._chaincode("time", "{'at': time.time()}"))
         assert main(["lint", str(target), "--baseline", str(tmp_path / "b.json")]) == 1
         out = capsys.readouterr().out
-        assert "FLOW501" in out
+        assert "DET103" in out
         assert "bad.py:7:" in out
 
     def test_json_format(self, capsys, tmp_path):
         chaincodes = tmp_path / "chaincodes"
         chaincodes.mkdir()
-        (chaincodes / "bad.py").write_text(self._chaincode("uuid", "str(uuid.uuid4())"))
+        (chaincodes / "bad.py").write_text(self._chaincode("os", "os.getenv('MODE')"))
         (chaincodes / "dump.py").write_text(
             "import json\n\n\ndef f(stub):\n    return json.dumps({'a': 1})\n"
         )
@@ -286,8 +286,8 @@ class TestLintCli:
         ]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        # One report for both passes.
-        assert [f["rule_id"] for f in payload["findings"]] == ["FLOW503", "DET105"]
+        # One report for both files, in path order.
+        assert [f["rule_id"] for f in payload["findings"]] == ["DET103", "DET105"]
         assert set(payload) == {"paths", "findings", "baselined", "stats", "ok"}
 
     def test_baseline_workflow(self, capsys, tmp_path):
@@ -302,7 +302,7 @@ class TestLintCli:
         assert main(["lint", str(chaincodes), "--baseline", str(baseline)]) == 0
         assert "1 baselined" in capsys.readouterr().out
         # ...but a fresh one still does.
-        (chaincodes / "new.py").write_text(self._chaincode("random", "random.random()"))
+        (chaincodes / "new.py").write_text(self._chaincode("os", "os.environ['MODE']"))
         assert main(["lint", str(chaincodes), "--baseline", str(baseline)]) == 1
 
     def test_missing_path_is_usage_error(self, capsys, tmp_path):
@@ -373,36 +373,27 @@ class TestSanitizeRunCli:
         assert "sanitizers : PASS (index, ledger)" in out
 
 
-class TestFlowcheckCli:
-    """The flow check (FLOW5xx) through ``repro lint``: traces, stats and
-    the baseline, on a package tree."""
+class TestLintTreeCli:
+    """``repro lint`` over a package tree: module naming, pragmas, stats and
+    the baseline."""
 
     @staticmethod
     def _fixture_tree(tmp_path):
-        """One true FLOW5xx positive, plus one suppressed flow."""
+        """One DET103 positive in a chaincode package, plus one suppressed."""
         pkg = tmp_path / "pkg"
-        pkg.mkdir()
+        (pkg / "chaincodes").mkdir(parents=True)
         (pkg / "__init__.py").write_text("")
-        (pkg / "codec.py").write_text(
-            "import json\n\n\ndef canonical_json(v):\n"
-            "    return json.dumps(v, sort_keys=True).encode()\n"
+        (pkg / "chaincodes" / "__init__.py").write_text("")
+        (pkg / "chaincodes" / "seal.py").write_text(
+            "import time\n\n\n"
+            "def seal(stub, payload):\n"
+            "    return {'p': payload, 'at': time.time()}\n"
         )
-        # FLOW5xx: wall clock two calls upstream of the codec sink.
-        (pkg / "seal.py").write_text(
-            "import time\n"
-            "from .codec import canonical_json\n\n\n"
-            "def stamp():\n"
-            "    return time.time()\n\n\n"
-            "def seal(payload):\n"
-            "    return canonical_json({'p': payload, 'at': stamp()})\n"
-        )
-        # Suppressed at the source line: must not count as a finding.
-        (pkg / "quiet.py").write_text(
-            "import time\n"
-            "from .codec import canonical_json\n\n\n"
-            "def ok():\n"
-            "    t = time.time()  # reprolint: disable=FLOW501\n"
-            "    return canonical_json({'t': t})\n"
+        # Suppressed at its line: must not count as a finding.
+        (pkg / "chaincodes" / "quiet.py").write_text(
+            "import time\n\n\n"
+            "def ok(stub):\n"
+            "    return {'t': time.time()}  # reprolint: disable=DET103\n"
         )
         return pkg
 
@@ -415,26 +406,14 @@ class TestFlowcheckCli:
                      "--baseline", str(tmp_path / "b.json")]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
 
-    def test_fixture_tree_reports_each_family_once(self, capsys, tmp_path):
-        pkg = self._fixture_tree(tmp_path)
-        assert main(["lint", str(pkg),
-                     "--baseline", str(tmp_path / "b.json")]) == 1
-        out = capsys.readouterr().out
-        assert out.count("FLOW501") == 1   # suppressed flow must not add one
-        assert "quiet.py" not in out
-
-    def test_json_output_carries_traces(self, capsys, tmp_path):
+    def test_fixture_tree_reports_each_finding_once(self, capsys, tmp_path):
         pkg = self._fixture_tree(tmp_path)
         assert main(["lint", str(pkg), "--format", "json",
                      "--baseline", str(tmp_path / "b.json")]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-        by_rule = {f["rule_id"]: f for f in payload["findings"]}
-        assert set(by_rule) == {"FLOW501"}
-        taint = by_rule["FLOW501"]
-        assert "time.time() [wall clock]" in taint["trace"][0]
-        assert "canonical_json() [sink]" in taint["trace"][-1]
-        assert payload["stats"]["modules"] == 4
+        assert [(f["rule_id"], f["path"].rsplit("/", 1)[-1], f["line"])
+                for f in payload["findings"]] == [("DET103", "seal.py", 5)]
+        assert payload["stats"] == {"modules": 4, "suppressed": 1}
 
     def test_baseline_workflow(self, capsys, tmp_path):
         pkg = self._fixture_tree(tmp_path)
@@ -444,15 +423,12 @@ class TestFlowcheckCli:
         capsys.readouterr()
         assert main(["lint", str(pkg), "--baseline", str(baseline)]) == 0
         assert "1 baselined" in capsys.readouterr().out
-        # A fresh flow still fails the gate.
-        (pkg / "fresh.py").write_text(
-            "import os\n"
-            "from .codec import canonical_json\n\n\n"
-            "def leak():\n"
-            "    return canonical_json(os.getenv('HOME'))\n"
+        # A fresh finding still fails the gate.
+        (pkg / "chaincodes" / "fresh.py").write_text(
+            "import os\n\n\ndef leak(stub):\n    return os.getenv('HOME')\n"
         )
         assert main(["lint", str(pkg), "--baseline", str(baseline)]) == 1
-        assert "FLOW504" in capsys.readouterr().out
+        assert "fresh.py:5:" in capsys.readouterr().out
 
     def test_missing_path_is_usage_error(self, capsys, tmp_path):
         # A missing path beside a real package refuses the whole run
@@ -461,7 +437,7 @@ class TestFlowcheckCli:
         assert main(["lint", str(pkg), str(tmp_path / "nope"),
                      "--baseline", str(tmp_path / "b.json")]) == 2
         captured = capsys.readouterr()
-        assert "FLOW501" not in captured.out
+        assert "DET103" not in captured.out
         assert "does not exist" in captured.err
 
     def test_repo_is_clean_against_checked_in_baseline(self, capsys, monkeypatch):
@@ -473,10 +449,9 @@ class TestFlowcheckCli:
         assert payload["ok"] is True
         assert payload["findings"] == []
         assert payload["baselined"] == 0
-        # The flow pass ran over the whole call graph: its raw findings
-        # exist and every one is silenced by a pragma, not by a baseline.
-        assert payload["stats"]["call_edges"] > 0
-        assert payload["stats"]["suppressed"] > 0
+        # Clean without a pragma: nothing is suppressed either.
+        assert payload["stats"]["modules"] > 100
+        assert payload["stats"]["suppressed"] == 0
 
 
 class TestDocsNameRealCommands:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import OrderingError
 from repro.fabric import BftOrderer, SoloOrderer
 from repro.fabric.orderer import _BatchCutter
-from repro.util.clock import SimClock
 
 from tests.fabric_helpers import make_network
 
@@ -13,10 +12,10 @@ from tests.fabric_helpers import make_network
 class TestBatchCutter:
     def test_invalid_batch_size(self):
         with pytest.raises(OrderingError):
-            _BatchCutter(0, SimClock())
+            _BatchCutter(0)
 
     def test_cut_on_empty_is_noop(self):
-        cutter = _BatchCutter(4, SimClock())
+        cutter = _BatchCutter(4)
         delivered = []
         cutter.register_delivery(lambda b, r: delivered.append(b))
         cutter.cut()

@@ -157,6 +157,36 @@ class TestGlobalTracer:
         assert snap["counters"]['spans_total{name="measured",status="error"}'] == 1
         assert snap["histograms"]['span_seconds{name="measured"}']["n"] == 2
 
+    def test_span_exit_looks_each_metric_handle_up_once(self):
+        lookups = []
+
+        class CountingRegistry(obs.MetricsRegistry):
+            def histogram(self, name, buckets, labels=None):
+                lookups.append((name, tuple(sorted((labels or {}).items()))))
+                return super().histogram(name, buckets, labels)
+
+            def counter(self, name, labels=None):
+                lookups.append((name, tuple(sorted((labels or {}).items()))))
+                return super().counter(name, labels)
+
+        registry = CountingRegistry()
+        tracer = Tracer(registry=registry)
+        for _ in range(50):
+            with tracer.span("hot"):
+                pass
+        with pytest.raises(ValueError):
+            with tracer.span("hot"):
+                raise ValueError("no")
+        assert sorted(lookups) == [
+            ("span_seconds", (("name", "hot"),)),
+            ("spans_total", (("name", "hot"), ("status", "error"))),
+            ("spans_total", (("name", "hot"), ("status", "ok"))),
+        ]
+        snap = registry.snapshot()
+        assert snap["counters"]['spans_total{name="hot",status="ok"}'] == 50
+        assert snap["counters"]['spans_total{name="hot",status="error"}'] == 1
+        assert snap["histograms"]['span_seconds{name="hot"}']["n"] == 51
+
 
 class TestRingBufferRetention:
     def test_unbounded_by_default(self):

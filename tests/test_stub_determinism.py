@@ -1,8 +1,9 @@
 """Endorsement determinism: the same proposal, simulated twice against the
 same world state, must produce byte-identical read/write sets — the property
-the flow check of ``repro lint`` (FLOW5xx, which follows clock, rng, uuid,
-environment, set-order and float-format values into state writes and the
-chaincode response) and the divergence sanitizer (SAN301) both protect.
+the divergence sanitizer (SAN301) checks on every endorsement, within one
+process. Across processes, where hash seed, clock and environment differ,
+the two-run differential (``tests/test_differential.py``) checks it, and
+``repro lint``'s DET103 keeps clock and environment reads out of chaincode.
 Exercised over the real application chaincodes (data / provenance / trust)."""
 
 import json

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.clock import SimClock, WallClock, isoformat
+from repro.util.clock import SimClock, isoformat
 from repro.util.rng import derive_seed, rng_for
 
 
@@ -27,11 +27,6 @@ class TestSimClock:
     def test_time_does_not_move_on_its_own(self):
         clock = SimClock()
         assert clock.now() == clock.now() == 0.0
-
-
-class TestRealClocks:
-    def test_wall_clock_is_epoch_scale(self):
-        assert WallClock().now() > 1.6e9  # after 2020
 
 
 class TestIsoformat:
