@@ -314,20 +314,6 @@ def _lint_module(source: str, path: str) -> tuple[list[Finding], int]:
     return kept, len(visitor.findings) - len(kept)
 
 
-def _module_name(path: Path, root: Path) -> str:
-    """Dotted module name for *path* under scan root *root*, taken relative
-    to the root's parent: ``src/repro/x/y.py`` under ``src/repro`` is
-    ``repro.x.y``, the name the interpreter uses with ``PYTHONPATH=src``."""
-    try:
-        rel = path.resolve().relative_to(root.resolve().parent)
-    except ValueError:
-        rel = Path(path.name)
-    parts = list(rel.with_suffix("").parts)
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) if parts else path.stem
-
-
 def _display_path(path: Path) -> str:
     """Stable repo-relative posix path so baselines survive checkout moves."""
     try:
@@ -337,9 +323,10 @@ def _display_path(path: Path) -> str:
 
 
 def lint_paths(paths: list[str | Path]) -> LintReport:
-    """Lint every ``.py`` file under the given files/directories. Two files
-    that would be one module name are an error, not a skip."""
-    modules: dict[str, str] = {}   # module name -> display path
+    """Lint every ``.py`` file under the given files/directories, each file
+    once however many of the paths name it; ``stats["modules"]`` is the
+    number of files linted."""
+    linted: set[Path] = set()
     findings: list[Finding] = []
     suppressed = 0
     for raw in paths:
@@ -350,27 +337,20 @@ def lint_paths(paths: list[str | Path]) -> LintReport:
             files = [root]
         else:
             raise AnalysisError(f"lint target does not exist: {root}")
-        base = root if root.is_dir() else root.parent
         for file in files:
-            name, shown = _module_name(file, base), _display_path(file)
-            seen = modules.get(name)
-            if seen is not None:
-                if seen != shown:
-                    raise AnalysisError(
-                        f"{file} and {seen} are both module {name!r}; "
-                        "lint them in separate runs"
-                    )
+            resolved = file.resolve()
+            if resolved in linted:
                 continue
-            modules[name] = shown
+            linted.add(resolved)
             try:
                 source = file.read_text(encoding="utf-8")
             except OSError as exc:
                 raise AnalysisError(f"cannot read {file}: {exc}") from exc
-            kept, dropped = _lint_module(source, shown)
+            kept, dropped = _lint_module(source, _display_path(file))
             findings.extend(kept)
             suppressed += dropped
     findings.sort(key=_report_order)
-    return LintReport(findings, {"modules": len(modules), "suppressed": suppressed})
+    return LintReport(findings, {"modules": len(linted), "suppressed": suppressed})
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Finding]:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 
+import orjson
+
 from repro.errors import ChaincodeError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
 from repro.util.serialization import canonical_json
@@ -53,7 +55,7 @@ class AccessControlChaincode(Chaincode):
         caller_org = stub.get_creator().org
         existing_raw = stub.get_state(self._key(entry_id))
         if existing_raw is not None:
-            existing = json.loads(existing_raw)
+            existing = orjson.loads(existing_raw)
             if existing["owner_org"] != caller_org:
                 raise ChaincodeError(
                     f"only owner org {existing['owner_org']!r} may change this ACL"
@@ -76,7 +78,7 @@ class AccessControlChaincode(Chaincode):
         raw = stub.get_state(self._key(entry_id))
         if raw is None:
             return None  # open entry
-        return json.loads(raw)
+        return orjson.loads(raw)
 
     def check_access(self, stub: ChaincodeStub, entry_id: str):
         """May the proposal's creator read this entry's raw data? The org is
@@ -104,4 +106,4 @@ class AccessControlChaincode(Chaincode):
 
     def access_log(self, stub: ChaincodeStub, entry_id: str):
         rows = stub.get_state_by_partial_composite_key(IDX_ACCESS_LOG, [entry_id])
-        return sorted((json.loads(v) for _, v in rows), key=lambda e: e["at"])
+        return sorted((orjson.loads(v) for _, v in rows), key=lambda e: e["at"])

@@ -15,7 +15,7 @@ and listing functions a real deployment needs for auditing.
 
 from __future__ import annotations
 
-import json
+import orjson
 
 from repro.errors import ChaincodeError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
@@ -59,7 +59,7 @@ class AdminEnrollmentChaincode(Chaincode):
         raw = stub.get_state(self._key(admin_id))
         if raw is None:
             raise ChaincodeError(f"Admin {admin_id} not found")
-        return json.loads(raw)
+        return orjson.loads(raw)
 
     def revoke_admin(self, stub: ChaincodeStub, admin_id: str, actor_admin_id: str):
         """Only an existing admin may revoke another (and not themselves)."""
@@ -75,4 +75,4 @@ class AdminEnrollmentChaincode(Chaincode):
 
     def list_admins(self, stub: ChaincodeStub):
         rows = stub.get_state_by_range(_ADMIN_PREFIX, _ADMIN_PREFIX + "\x7f")
-        return [json.loads(v) for _, v in rows]
+        return [orjson.loads(v) for _, v in rows]

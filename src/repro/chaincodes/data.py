@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 
+import orjson
+
 from repro.crypto.cid import CID
 from repro.errors import ChaincodeError, EncodingError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
@@ -95,7 +97,7 @@ class DataRetrievalChaincode(Chaincode):
         raw = stub.get_state(self._key(entry_id))
         if raw is None:
             raise ChaincodeError(f"No metadata found for transaction ID {entry_id}")
-        return json.loads(raw)
+        return orjson.loads(raw)
 
     def get_cid(self, stub: ChaincodeStub, entry_id: str):
         return self.get_data(stub, entry_id)["cid"]
@@ -104,7 +106,7 @@ class DataRetrievalChaincode(Chaincode):
         """Every data record, in entry-id (key) order: the query engine's
         fallback when no peer serves the index, and its parity oracle."""
         rows = stub.get_state_by_range(_DATA_PREFIX, _DATA_PREFIX + "\x7f")
-        return [json.loads(v) for _, v in rows]
+        return [orjson.loads(v) for _, v in rows]
 
     def history(self, stub: ChaincodeStub, entry_id: str):
         """Write history of a data record (audit trail)."""

@@ -21,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import orjson
+
 from repro.crypto.cid import CID
 from repro.errors import ChaincodeError, EncodingError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
@@ -76,7 +78,7 @@ class ProvenanceChaincode(Chaincode):
     @staticmethod
     def _store_events(stub: ChaincodeStub, entry_id: str) -> list[dict]:
         raw = stub.get_state(_DATA_PREFIX + entry_id)
-        return [] if raw is None else store_events(json.loads(raw))
+        return [] if raw is None else store_events(orjson.loads(raw))
 
     def record_many(self, stub: ChaincodeStub, events_json: str):
         """Append events in list order, each ``{"entry_id", "action",
@@ -104,7 +106,7 @@ class ProvenanceChaincode(Chaincode):
             raise ChaincodeError("entry_id and action are required")
         head_raw = stub.get_state(_HEAD_PREFIX + entry_id)
         if head_raw is not None:
-            head = json.loads(head_raw)
+            head = orjson.loads(head_raw)
             seq, prev_hash = head["seq"] + 1, head["entry_hash"]
         else:
             # The entry's first written event: after a store's derived
@@ -144,7 +146,7 @@ class ProvenanceChaincode(Chaincode):
         """The full provenance chain of an entry, oldest first: the events
         its data record determines, then the written ones."""
         rows = stub.get_state_by_partial_composite_key(IDX_PROV, [entry_id])
-        return self._store_events(stub, entry_id) + [json.loads(v) for _, v in rows]
+        return self._store_events(stub, entry_id) + [orjson.loads(v) for _, v in rows]
 
     def verify(self, stub: ChaincodeStub, entry_id: str):
         """Recompute and check every hash link; returns the verified length.

@@ -10,7 +10,7 @@ tamper-evident credential store.
 
 from __future__ import annotations
 
-import json
+import orjson
 
 from repro.errors import ChaincodeError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
@@ -62,7 +62,7 @@ class UserRegistrationChaincode(Chaincode):
         raw = stub.get_state(self._key(user_id))
         if raw is None:
             raise ChaincodeError(f"user {user_id} not found")
-        return json.loads(raw)
+        return orjson.loads(raw)
 
     def deactivate_user(self, stub: ChaincodeStub, user_id: str):
         record = self.get_user(stub, user_id)
@@ -75,11 +75,11 @@ class UserRegistrationChaincode(Chaincode):
         raw = stub.get_state(self._key(user_id))
         if raw is None:
             return False
-        return bool(json.loads(raw).get("active", False))
+        return bool(orjson.loads(raw).get("active", False))
 
     def list_users(self, stub: ChaincodeStub, tier: str = ""):
         rows = stub.get_state_by_range(_USER_PREFIX, _USER_PREFIX + "\x7f")
-        users = [json.loads(v) for _, v in rows]
+        users = [orjson.loads(v) for _, v in rows]
         if tier:
             users = [u for u in users if u["tier"] == tier]
         return users

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+import orjson
+
 from repro.errors import ChaincodeError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
 from repro.util.serialization import canonical_json
@@ -54,26 +56,26 @@ class TrustScoreChaincode(Chaincode):
         raw = stub.get_state(self._score_key(source_id))
         if raw is None:
             raise ChaincodeError(f"no trust score for source {source_id}")
-        return json.loads(raw)
+        return orjson.loads(raw)
 
     def score_history(self, stub: ChaincodeStub, source_id: str):
         """The source's full trust trajectory from the ledger history DB."""
         out = []
         for entry in stub.get_history_for_key(self._score_key(source_id)):
             if entry.value is not None:
-                record = json.loads(entry.value)
+                record = orjson.loads(entry.value)
                 out.append({"tx_id": entry.tx_id, "score": record["score"]})
         return out
 
     def list_scores(self, stub: ChaincodeStub):
         rows = stub.get_state_by_range(_SCORE_PREFIX, _SCORE_PREFIX + "\x7f")
-        return [json.loads(v) for _, v in rows]
+        return [orjson.loads(v) for _, v in rows]
 
     # -- validator accountability ----------------------------------------------------
 
     def flag_validator(self, stub: ChaincodeStub, name: str, reason: str):
         raw = stub.get_state(self._validator_key(name))
-        record = json.loads(raw) if raw is not None else {"name": name, "flags": 0, "removed": False}
+        record = orjson.loads(raw) if raw is not None else {"name": name, "flags": 0, "removed": False}
         record["flags"] += 1
         record["last_reason"] = reason
         record["flagged_at"] = isoformat(stub.get_timestamp())
@@ -83,7 +85,7 @@ class TrustScoreChaincode(Chaincode):
 
     def remove_validator(self, stub: ChaincodeStub, name: str, reason: str):
         raw = stub.get_state(self._validator_key(name))
-        record = json.loads(raw) if raw is not None else {"name": name, "flags": 0}
+        record = orjson.loads(raw) if raw is not None else {"name": name, "flags": 0}
         record["removed"] = True
         record["removal_reason"] = reason
         record["removed_at"] = isoformat(stub.get_timestamp())
@@ -95,4 +97,4 @@ class TrustScoreChaincode(Chaincode):
         raw = stub.get_state(self._validator_key(name))
         if raw is None:
             raise ChaincodeError(f"no record for validator {name}")
-        return json.loads(raw)
+        return orjson.loads(raw)

@@ -538,6 +538,8 @@ def _cmd_chaos(args) -> int:
         print(f"data loss  : {summary['data_loss']} "
               f"({'ZERO — all stored entries survived' if summary['data_loss'] == 0 else 'entries lost'})")
         print(f"fingerprint: {summary['fingerprint']}")
+        if not summary["submitted_ok"]:
+            print("stored     : nothing — no cycle stored an entry (FAIL)")
         failed = [c for c in report.cycles
                   if c.submit_error or c.retrieve_error or c.repair_error]
         for c in failed[:20]:
@@ -561,7 +563,8 @@ def _cmd_chaos(args) -> int:
 
         print()
         print(render_prometheus(registry), end="")
-    return 0 if report.data_loss == 0 and alerts_ok and sanitize_ok else 1
+    stored = summary["submitted_ok"] > 0  # a run that stored nothing lost nothing
+    return 0 if stored and report.data_loss == 0 and alerts_ok and sanitize_ok else 1
 
 
 def _cmd_lint(args) -> int:

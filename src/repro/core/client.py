@@ -28,6 +28,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import orjson
+
 from repro.core.framework import Framework
 from repro.crypto.cid import CID
 from repro.errors import (
@@ -170,7 +172,7 @@ class Client:
             result = framework.resilient_invoke(
                 self.identity, "data_upload", "store", [cid, json.dumps(metadata)]
             )
-            entry_id = json.loads(result.response)["entry_id"] if result.ok else result.tx_id
+            entry_id = orjson.loads(result.response)["entry_id"] if result.ok else result.tx_id
 
             # Trust update from the consensus outcome.
             with obs_span("submit.trust_update"):
@@ -326,39 +328,28 @@ class Client:
             self.identity, "access_control", "set_acl",
             [entry_id, json.dumps(allowed_orgs)],
         )
-        return json.loads(result.response)
+        return orjson.loads(result.response)
+
+    def _drained_read(self, chaincode: str, fn: str, arg: str):
+        """A chaincode read once the rider queue is drained, parsed."""
+        self.framework.riders.drain()
+        return orjson.loads(self.framework.channel.query(self.identity, chaincode, fn, [arg]))
 
     def access_log(self, entry_id: str) -> list[dict]:
-        self.framework.riders.drain()
-        raw = self.framework.channel.query(
-            self.identity, "access_control", "access_log", [entry_id]
-        )
-        return json.loads(raw)
+        return self._drained_read("access_control", "access_log", entry_id)
 
     # ------------------------------------------------------------------
     # Provenance + trust inspection
     # ------------------------------------------------------------------
 
     def provenance(self, entry_id: str) -> list[dict]:
-        self.framework.riders.drain()
-        raw = self.framework.channel.query(
-            self.identity, "provenance", "lineage", [entry_id]
-        )
-        return json.loads(raw)
+        return self._drained_read("provenance", "lineage", entry_id)
 
     def verify_provenance(self, entry_id: str) -> dict:
-        self.framework.riders.drain()
-        raw = self.framework.channel.query(
-            self.identity, "provenance", "verify", [entry_id]
-        )
-        return json.loads(raw)
+        return self._drained_read("provenance", "verify", entry_id)
 
     def trust_score(self, source_id: str | None = None) -> float:
         return self.framework.trust.score(source_id or self.source_id)
 
     def on_chain_trust(self, source_id: str | None = None) -> dict:
-        self.framework.riders.drain()
-        raw = self.framework.channel.query(
-            self.identity, "trust_score", "get_score", [source_id or self.source_id]
-        )
-        return json.loads(raw)
+        return self._drained_read("trust_score", "get_score", source_id or self.source_id)

@@ -27,6 +27,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import orjson
+
 from repro.core.framework import Framework
 from repro.errors import UntrustedSourceError
 from repro.fabric import Identity, ValidationCode
@@ -178,7 +180,7 @@ class BatchIngestor:
                 ok = result.code is ValidationCode.VALID
                 outcomes.setdefault(source_id, []).append(ok)
                 if ok:
-                    entry_ids.append(json.loads(result.response)["entry_id"])
+                    entry_ids.append(orjson.loads(result.response)["entry_id"])
                 else:
                     rejected += 1
 

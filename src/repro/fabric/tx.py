@@ -18,8 +18,8 @@ payload, envelope, rwset) is computed by the first node that asks and
 remembered while the transaction is in flight
 (:func:`repro.util.serialization.once`). A signed value is constructed once
 (:meth:`TxProposal.signed`, :meth:`ProposalResponse.endorsed`) and handed the
-bytes that were signed; the proposal's, of a fixed shape, are written out
-directly. The rwset and the signed proposal are rendered once per object and
+bytes that were signed; the proposal's, of a fixed shape, are rendered
+unchecked. The rwset and the signed proposal are rendered once per object and
 spliced into the forms that hold them as bytes.
 The envelope is a transaction's one stored form (blocks hash it, the WAL
 writes it), and a written value is its UTF-8 text in every form. A
@@ -36,13 +36,15 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from json.encoder import encode_basestring as _enc
+from itertools import repeat
 
 from repro.errors import EncodingError, SignatureError
 from repro.fabric.identity import Identity, IdentityInfo
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
-from repro.util.serialization import canonical_json, canonical_json_splice, once, value_to_json
+from repro.util.serialization import (
+    canonical_json, canonical_json_splice, once, render, value_to_json,
+)
 
 
 class ValidationCode(str, Enum):
@@ -96,8 +98,9 @@ class ReadWriteSet:
     def canonical(self) -> bytes:
         """``canonical_json(self.to_dict())``, rendered once per rwset
         object: the digest hashes it, and the endorsement payload and the
-        envelope splice it in rather than render the rwset again."""
-        return once(self, "canonical", lambda: canonical_json(self.to_dict()))
+        envelope splice it in rather than render the rwset again; its
+        fields are JSON's by construction, so it is rendered unchecked."""
+        return once(self, "canonical", lambda: canonical_json(self.to_dict(), checked=False))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical()).hexdigest()
@@ -265,26 +268,21 @@ def _proposal_payload(
     creator: IdentityInfo, timestamp: float,
 ) -> bytes:
     """``canonical_json`` of the proposal's fields with the creator as its
-    dict, written out: the shape is fixed and every leaf is a string but the
-    timestamp, a finite float (or an int). Anything else (a non-``str`` arg, a
-    NaN timestamp) raises :class:`EncodingError`."""
+    dict, rendered unchecked: the shape is fixed and every leaf is a string
+    but the timestamp, a finite float (or an int). Anything else (a non-``str``
+    field, a NaN timestamp, a lone surrogate) raises :class:`EncodingError`."""
     with profiled("serialize.proposal"):
         if type(timestamp) is float:
             if not math.isfinite(timestamp):
                 raise EncodingError("NaN/Inf are not canonically serializable")
         elif type(timestamp) is not int:
             raise EncodingError(f"timestamp is a {type(timestamp).__name__}, not a number")
-        try:
-            text = (
-                f'{{"args":[{",".join(map(_enc, args))}],"chaincode":{_enc(chaincode)},'
-                f'"channel":{_enc(channel)},"creator":{{"name":{_enc(creator.name)},'
-                f'"org":{_enc(creator.org)},"public_key":{_enc(creator.public_key_hex)},'
-                f'"role":{_enc(creator.role.value)}}},"fn":{_enc(fn)},'
-                f'"timestamp":{timestamp!r},"tx_id":{_enc(tx_id)}}}'
-            )
-        except TypeError as exc:
-            raise EncodingError(f"proposal is not canonically serializable: {exc}") from exc
-        return text.encode("utf-8")
+        if not all(map(isinstance, (tx_id, channel, chaincode, fn, *args), repeat(str))):
+            raise EncodingError("proposal is not canonically serializable: a field is no str")
+        return render({
+            "args": args, "chaincode": chaincode, "channel": channel, "creator": creator.to_dict(),
+            "fn": fn, "timestamp": timestamp, "tx_id": tx_id,
+        })
 
 
 def _endorsement_payload(tx_id: str, rwset: ReadWriteSet, response: str, success: bool) -> bytes:

@@ -25,10 +25,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring as _enc
 
 from repro.errors import LedgerError
-from repro.util.serialization import canonical_json, value_to_json
+from repro.util.serialization import render, value_to_json
 
 # Composite keys: \x00 + objectType + \x00 + attr1 + \x00 + attr2 + ...
 COMPOSITE_SEP = "\x00"
@@ -141,10 +140,9 @@ class WorldState:
 
     def _line(self, key: str) -> bytes:
         """``canonical_json([key, value, block, tx])`` with the value as
-        :func:`value_to_json` renders it, written out."""
-        version, value = self._versions[key], value_to_json(self._values[key])
-        text = _enc(value) if type(value) is str else canonical_json(value).decode()
-        return f"[{_enc(key)},{text},{version.block},{version.tx}]".encode()
+        :func:`value_to_json` renders it, rendered unchecked."""
+        version = self._versions[key]
+        return render([key, value_to_json(self._values[key]), version.block, version.tx])
 
     def snapshot_lines(self, keys: list[str] | None = None) -> tuple[bytes, ...]:
         """One canonical ``[key, value, block, tx]`` line per live key, in

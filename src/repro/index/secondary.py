@@ -48,17 +48,17 @@ rebuild against the maintained root at every commit.
 from __future__ import annotations
 
 import hashlib
-import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring as _enc
+
+import orjson
 
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
 from repro.fabric.audit import valid_txs
 from repro.obs.prof import profiled
 from repro.trust.engine import MIN_TRUST_THRESHOLD, TRUSTED_THRESHOLD
-from repro.util.serialization import canonical_json
+from repro.util.serialization import canonical_json, render
 
 _DATA_PREFIX = "data:"
 _TRUST_PREFIX = "trust:"
@@ -131,17 +131,15 @@ class Posting:
 
 def _posting_leaf(chain: str, dim: str, n: int, value: str) -> bytes:
     """``canonical_json({"chain": chain, "dim": dim, "n": n, "value": value})``,
-    written out: the shape is fixed, so no domain walk is needed."""
+    rendered unchecked: the shape is fixed."""
     with profiled("serialize.index_leaf"):
-        return f'{{"chain":{_enc(chain)},"dim":{_enc(dim)},"n":{n},"value":{_enc(value)}}}'.encode(
-            "utf-8"
-        )
+        return render({"chain": chain, "dim": dim, "n": n, "value": value})
 
 
 def _height_leaf(height: int) -> bytes:
-    """``canonical_json({"dim": "_meta", "height": height})``, written out."""
+    """``canonical_json({"dim": "_meta", "height": height})``, rendered unchecked."""
     with profiled("serialize.index_leaf"):
-        return f'{{"dim":"_meta","height":{height}}}'.encode()
+        return render({"dim": "_meta", "height": height})
 
 
 def _band_leaf_bytes(band: str, sources: dict[str, str]) -> bytes:
@@ -279,8 +277,8 @@ class PeerIndex:
     def _insert(self, key: str, raw: bytes) -> None:
         """Index one ``data:`` record; undecodable values are skipped."""
         try:
-            record = json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            record = orjson.loads(raw)
+        except orjson.JSONDecodeError:
             return
         if not isinstance(record, dict):
             return
@@ -325,8 +323,8 @@ class PeerIndex:
 
     def _apply_trust(self, source_id: str, raw: bytes) -> None:
         try:
-            record = json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            record = orjson.loads(raw)
+        except orjson.JSONDecodeError:
             return
         if not isinstance(record, dict):
             return

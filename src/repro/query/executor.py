@@ -39,11 +39,12 @@ window's residual runs on its edge buckets' rows only.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 import threading
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
+
+import orjson
 
 from repro.crypto.cid import CID
 from repro.errors import EncodingError, QueryError
@@ -341,7 +342,7 @@ class QueryEngine:
         (key) order."""
         with obs_span("query.chain_read") as sp:
             raw = self.channel.query(self.identity, self.retrieval_chaincode, "list_all", [])
-            records = json.loads(raw)
+            records = orjson.loads(raw)
             sp.set_attr("rows", len(records))
         return records
 
@@ -368,7 +369,7 @@ class QueryEngine:
         hit = self._records.get(key)
         if hit is not None and hit[0] is raw:
             return hit[1]
-        row = QueryRow(json.loads(raw))
+        row = QueryRow(orjson.loads(raw))
         with self._stats_lock:
             self.stats.records_decoded += 1
             if key not in self._records and len(self._records) >= _MAX_DECODED_RECORDS:
@@ -451,7 +452,7 @@ class QueryEngine:
     def _chain_get(self, entry_id: str, peer: str | None = None) -> dict:
         """The record through the chaincode's ``get_data`` read: a signed
         proposal, decoded afresh."""
-        return json.loads(
+        return orjson.loads(
             self.channel.query(
                 self.identity, self.retrieval_chaincode, "get_data", [entry_id], peer=peer
             )

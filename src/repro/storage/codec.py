@@ -13,16 +13,16 @@ the endorsements and the events. Signatures stay hex (canonical JSON
 refuses raw bytes), and tuples are rebuilt on decode so frozen dataclass
 equality holds.
 
-The batch and block records are written out directly around the envelope
-bytes each transaction already remembers, so the orderer's batch record and
-every peer's block record share them.
+The batch and block records are rendered in parts around the envelope bytes
+each transaction already remembers, so the orderer's batch record and every
+peer's block record share them.
 """
 
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring as _enc
 
+from repro.errors import EncodingError
 from repro.fabric.identity import IdentityInfo
 from repro.fabric.ledger import Block, BlockHeader
 from repro.fabric.tx import (
@@ -37,7 +37,7 @@ from repro.fabric.tx import (
 )
 from repro.fabric.worldstate import Version
 from repro.obs.prof import profiled
-from repro.util.serialization import canonical_json, from_canonical_json, value_from_json
+from repro.util.serialization import from_canonical_json, render, value_from_json
 
 
 def _version_from(doc: dict | None) -> Version | None:
@@ -108,51 +108,35 @@ def block_to_doc(block: Block) -> dict:
         }
 
 
-# -- WAL records: canonical_json of the documents, written out in key order
+# -- WAL records: canonical_json of the documents, rendered in key order
 # around the envelopes, since every committed transaction passes through
 # three of them.
 
 
-def _json(value) -> str:
-    """``canonical_json(value)`` as text, rendering only what is no string,
-    ``None`` or finite float."""
-    if type(value) is str:
-        return _enc(value)
-    if value is None:
-        return "null"
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    return canonical_json(value).decode()
-
-
-def tx_json(tx: Transaction) -> bytes:
-    """``canonical_json(tx_to_doc(tx))``: the envelope bytes."""
-    return tx.envelope_bytes()
-
-
 def batch_record(request_id: str, txs) -> bytes:
     """``canonical_json({"type": "batch", "request_id": ..., "txs": [doc, ...]})``."""
-    head = f'{{"request_id":{_enc(request_id)},"txs":['.encode()
-    return head + b",".join(tx_json(tx) for tx in txs) + b'],"type":"batch"}'
+    return (
+        b'{"request_id":' + render(request_id) + b',"txs":['
+        + b",".join(tx.envelope_bytes() for tx in txs) + b'],"type":"batch"}'
+    )
 
 
 def block_record(block: Block, rejected: list[str], index_epoch: str | None) -> bytes:
     """``canonical_json({"type": "block", "block": block_to_doc(block),
     "rejected": rejected, "index_epoch": index_epoch})``."""
     header = block.header
-    codes = ",".join(_enc(code.value) for code in block.validation_codes)
-    head = (
-        f'{{"block":{{"codes":[{codes}],"header":{{'
-        f'"data_hash":{_enc(header.data_hash)},"number":{header.number},'
-        f'"previous_hash":{_enc(header.previous_hash)},'
-        f'"timestamp":{_json(header.timestamp)}}},"txs":['
-    )
-    tail = (
-        f']}},"index_epoch":{_json(index_epoch)},'
-        f'"rejected":[{",".join(map(_enc, rejected))}],"type":"block"}}'
-    )
-    txs = b",".join(tx_json(tx) for tx in block.transactions)
-    return head.encode() + txs + tail.encode()
+    if not -math.inf < header.timestamp < math.inf:  # orjson would write null
+        raise EncodingError("NaN/Inf are not canonically serializable")
+    head = render({
+        "codes": [code.value for code in block.validation_codes],
+        "header": {
+            "data_hash": header.data_hash, "number": header.number,
+            "previous_hash": header.previous_hash, "timestamp": header.timestamp,
+        },
+    })
+    tail = render({"index_epoch": index_epoch, "rejected": rejected, "type": "block"})
+    txs = b",".join(tx.envelope_bytes() for tx in block.transactions)
+    return b'{"block":' + head[:-1] + b',"txs":[' + txs + b"]}," + tail[1:]
 
 
 def block_from_doc(doc: dict) -> Block:

@@ -7,7 +7,7 @@ the ordering service) holds:
   (``{"type": "block", "block": ..., "rejected": [...]}``), synced every
   ``wal_sync_every`` blocks — so a crash can lose at most the unsynced
   suffix; its transaction documents are the envelopes the orderer's
-  ``batch`` record holds, rendered once (:func:`~repro.storage.codec.tx_json`);
+  ``batch`` record holds, rendered once (``Transaction.envelope_bytes``);
 * ``checkpoint`` plus ``checkpoint-delta-<n>`` — a base
   :class:`~repro.fabric.snapshot.Snapshot` and the
   :class:`~repro.fabric.snapshot.SnapshotDelta` of each checkpoint since

@@ -3,9 +3,16 @@
 Everything the framework hashes or signs (transactions, blocks, metadata
 records, provenance entries) is first rendered to *canonical JSON*: UTF-8,
 sorted keys, no whitespace, and a restricted value domain (no floats with
-NaN/Inf, no non-string keys). Canonicality matters because two honest nodes
-must derive the identical byte string — and hence identical hash — from the
-same logical record; Python's default ``json.dumps`` does not guarantee that.
+NaN/Inf, no non-string keys, no ints beyond 64 bits). Canonicality matters
+because two honest nodes must derive the identical byte string — and hence
+identical hash — from the same logical record; Python's default
+``json.dumps`` does not guarantee that.
+
+``orjson`` renders every canonical form and parses every byte string the
+program rendered itself (DESIGN.md, "One renderer"). :func:`canonical_json`
+renders, then checks; only a value that fails the check is walked in Python
+(:func:`_check`). A form whose constructor fixes its field types skips the
+check (:func:`render`, or ``checked=False``).
 
 :func:`once` is the serialize-once primitive: a transaction in flight is one
 frozen object that the orderer, four validators and every committing peer
@@ -23,18 +30,18 @@ rwset, envelope, WAL, snapshot line — through one pair of helpers,
 from __future__ import annotations
 
 import base64
-import json
 import math
 import threading
 from typing import Any, Callable, TypeVar
+
+import orjson
 
 from repro.errors import EncodingError
 from repro.obs.prof import profiled
 
 _SCALARS = (str, int, bool, type(None))
 _PLAIN = frozenset(_SCALARS)
-# json.dumps builds a new encoder per call when given non-default arguments.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_dumps, _loads, _SORTED = orjson.dumps, orjson.loads, orjson.OPT_SORT_KEYS
 
 T = TypeVar("T")
 
@@ -104,11 +111,36 @@ def _check(value: Any, depth: int = 0) -> None:
     raise EncodingError(f"type {type(value).__name__} is not canonically serializable")
 
 
-def canonical_json(value: Any) -> bytes:
-    """Render ``value`` to canonical JSON bytes (sorted keys, compact)."""
-    with profiled("serialize.canonical_json") as pf:
+def render(value: Any) -> bytes:
+    """``value``'s canonical JSON, unchecked and unprofiled; what orjson
+    refuses (an int beyond 64 bits, a non-``str`` key, a lone surrogate, a
+    type it does not know) raises :class:`EncodingError`."""
+    try:
+        return _dumps(value, option=_SORTED)
+    except orjson.JSONEncodeError as exc:
+        raise EncodingError(f"not canonically serializable: {exc}") from exc
+
+
+def _checked(value: Any) -> bytes:
+    """``value`` rendered; walked only when orjson refuses it, or its rendering
+    does not parse back to it (a tuple, NaN, a UUID) or opens over 64 containers."""
+    try:
+        out = _dumps(value, option=_SORTED)
+    except orjson.JSONEncodeError as exc:
         _check(value)
-        out = _ENCODER.encode(value).encode("utf-8")
+        raise EncodingError(f"not canonically serializable: {exc}") from exc
+    # Containers opened; two replaces cost half of two ``bytes.count`` calls.
+    opened = 2 * len(out) - len(out.replace(b"[", b"")) - len(out.replace(b"{", b""))
+    if opened > 64 or _loads(out) != value:
+        _check(value)
+    return out
+
+
+def canonical_json(value: Any, checked: bool = True) -> bytes:
+    """Render ``value`` to canonical JSON bytes (sorted keys, compact);
+    ``checked=False`` renders a value whose constructor fixed its types."""
+    with profiled("serialize.canonical_json") as pf:
+        out = _checked(value) if checked else render(value)
         pf.add_bytes(len(out))
         return out
 
@@ -116,25 +148,25 @@ def canonical_json(value: Any) -> bytes:
 def canonical_json_splice(value: dict, fragments: dict[str, bytes]) -> bytes:
     """``canonical_json({**value, **{k: v}})`` for values ``v`` already
     rendered: ``fragments[k]`` is ``canonical_json(v)``, so ``v`` is not
-    walked or rendered again. The keys of ``value`` are rendered in runs
+    checked or rendered again. The keys of ``value`` are rendered in runs
     between the fragment keys in sorted order and each fragment is spliced
     in as it is; the profile counts the rendered bytes, not the spliced
     ones. No key of ``fragments`` may be in ``value``."""
     with profiled("serialize.canonical_json") as pf:
-        _check(value)
         parts: list[bytes] = []
         run: dict = {}
-        for key in sorted(value.keys() | fragments.keys()):
+        # key=str: a non-str key sorts, then its run refuses it.
+        for key in sorted(value.keys() | fragments.keys(), key=str):
             fragment = fragments.get(key)
             if fragment is None:
                 run[key] = value[key]
                 continue
             if run:
-                parts.append(_ENCODER.encode(run)[1:-1].encode("utf-8"))
+                parts.append(_checked(run)[1:-1])
                 run = {}
-            parts.append(_ENCODER.encode(key).encode("utf-8") + b":" + fragment)
+            parts.append(render(key) + b":" + fragment)
         if run:
-            parts.append(_ENCODER.encode(run)[1:-1].encode("utf-8"))
+            parts.append(_checked(run)[1:-1])
         out = b"{" + b",".join(parts) + b"}"
         pf.add_bytes(len(out) - sum(map(len, fragments.values())))
         return out
@@ -164,6 +196,6 @@ def from_canonical_json(data: bytes) -> Any:
     """Parse canonical JSON bytes back into Python values."""
     with profiled("serialize.decode", n_bytes=len(data)):
         try:
-            return json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError as exc:
             raise EncodingError(f"invalid canonical JSON: {exc}") from exc

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.cid import CID
-from repro.errors import ChaincodeError
+from repro.errors import ChaincodeError, EncodingError
 from repro.chaincodes import (
     AdminEnrollmentChaincode,
     DataRetrievalChaincode,
@@ -22,6 +22,8 @@ from repro.ipfs import IpfsCluster
 from repro.fabric.worldstate import composite_prefix_range
 from repro.query import QueryEngine
 from repro.util.serialization import canonical_json
+
+from tests import serialization_oracle as oracle
 
 
 @pytest.fixture()
@@ -353,11 +355,17 @@ class TestProvenance:
     @given(st.lists(_DETAILS, min_size=1, max_size=3))
     def test_each_stored_entry_is_canonical_and_the_chain_verifies(self, details):
         """An entry is rendered once and stored with its hash spliced in;
-        details that nest an ``entry_id`` key must not move the splice."""
+        details that nest an ``entry_id`` key must not move the splice.
+        Details holding an int beyond 64 bits are refused, as NaN is."""
         _, channel, client = make_env()
         first, *rest = details
-        record(channel, client, "e", "captured", "a", first)
         events = [{"entry_id": "e", "action": "stored", "actor": "b", "details": d} for d in rest]
+        if "int" in oracle.changes(details):
+            with pytest.raises(EncodingError, match="64-bit"):
+                record(channel, client, "e", "captured", "a", first)
+                channel.invoke(client, "provenance", "record_many", [json.dumps(events)])
+            return
+        record(channel, client, "e", "captured", "a", first)
         channel.invoke(client, "provenance", "record_many", [json.dumps(events)])
         peer = next(iter(channel.peers.values()))
         rows = peer.world.range(*composite_prefix_range("prov", ["e"]))

@@ -166,6 +166,22 @@ class TestChaosCommand:
         assert doc["data_loss"] == 0
         assert "repro_chaos_faults_total" in out
 
+    def test_a_run_that_stores_nothing_fails(self, capsys, monkeypatch):
+        """Zero loss of zero stored entries is no pass: with every
+        ``data_upload.store`` refused, the run exits 1."""
+        from repro.chaincodes import DataUploadChaincode
+        from repro.errors import ChaincodeError
+
+        def refuse(self, stub, cid, metadata_json):
+            raise ChaincodeError("store refused")
+
+        monkeypatch.setattr(DataUploadChaincode, "store", refuse)
+        assert main(["chaos", "run", "partition", "--seed", "0", "--cycles", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "0/4 submitted" in out
+        assert "data loss  : 0" in out
+        assert "no cycle stored an entry" in out
+
     def test_chaos_unknown_scenario_is_typed(self):
         from repro.errors import ReproError
 
@@ -309,15 +325,26 @@ class TestLintCli:
         assert main(["lint", str(tmp_path / "nope"), "--baseline",
                      str(tmp_path / "b.json")]) == 2
 
-    def test_two_roots_with_one_module_name_are_usage_error(self, capsys, tmp_path):
+    def test_two_roots_with_one_module_name_report_both_roots_findings(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Two roots that hold the same dotted module name are two files,
+        each linted and reported; a file named twice is linted once."""
+        monkeypatch.chdir(tmp_path)
         roots = []
         for side in ("a", "b"):
-            pkg = tmp_path / side / "pkg"
+            pkg = tmp_path / side / "chaincodes"
             pkg.mkdir(parents=True)
-            (pkg / "m.py").write_text("X = 1\n")
+            (pkg / "m.py").write_text(
+                "import time\n\n\ndef seal(stub):\n    return time.time()\n"
+            )
             roots.append(str(pkg))
-        assert main(["lint", *roots, "--baseline", str(tmp_path / "b.json")]) == 2
-        assert "are both module 'pkg.m'" in capsys.readouterr().err
+        assert main(["lint", *roots, roots[0], "--baseline", "b.json", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stats"]["modules"] == 2
+        assert [(f["path"], f["line"]) for f in payload["findings"]] == [
+            ("a/chaincodes/m.py", 5), ("b/chaincodes/m.py", 5)
+        ]
 
     def test_pragma_naming_an_unknown_rule_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "stale.py"

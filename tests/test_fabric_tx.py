@@ -1,7 +1,8 @@
 """Tests for serialize-once on the transaction values: each canonical form is
 computed once per object, a copy computes afresh, and the memo stays bounded
-and flat in ledger height. The proposal's signing payload is written out
-directly; ``canonical_json`` of the same dict is its oracle."""
+and flat in ledger height. The proposal's signing payload is rendered
+unchecked; the former renderer (``tests/serialization_oracle.py``) of the
+same dict is its oracle."""
 
 import dataclasses
 import hashlib
@@ -29,6 +30,7 @@ from repro.obs.prof import profiling
 from repro.util import serialization
 from repro.util.serialization import ONCE_MAX_ENTRIES, canonical_json
 
+from tests import serialization_oracle as oracle
 from tests.fabric_helpers import make_network
 
 ALICE = Identity.create("alice", "org1")
@@ -302,14 +304,6 @@ def proposal_dict(proposal: TxProposal) -> dict:
     }
 
 
-def rendered(render):
-    """``render()``, or the type of what it raised."""
-    try:
-        return render()
-    except Exception as exc:  # the oracle compares what each side raised
-        return type(exc)
-
-
 # Quotes, backslashes, control characters, separators JSON must escape or
 # keep, non-BMP characters, and anything else but a lone surrogate.
 _HOSTILE = st.text(
@@ -341,10 +335,14 @@ class TestProposalPayloadIsCanonicalJson:
             creator=IdentityInfo(name=name, org=org, role=role, public_key_hex=key),
             timestamp=timestamp,
         )
-        written = rendered(proposal.signing_payload)
-        assert written == rendered(lambda: canonical_json(proposal_dict(proposal)))
-        # A lone surrogate cannot be UTF-8: both sides raise, nothing else does.
-        assert (written is UnicodeEncodeError) == (surrogate is not None)
+        written = oracle.outcome(proposal.signing_payload)
+        want = oracle.expected(proposal_dict(proposal))
+        assert oracle.same(written, want), (written, want)
+        assert written == oracle.outcome(canonical_json, proposal_dict(proposal))
+        # A lone surrogate cannot be UTF-8, nor can JSON carry an int beyond
+        # 64 bits: both refuse, nothing else does.
+        beyond_64_bits = type(timestamp) is int and not -(2**63) <= timestamp < 2**64
+        assert isinstance(written, str) == (surrogate is not None or beyond_64_bits)
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     def test_a_timestamp_json_cannot_carry_is_refused(self, timestamp):

@@ -28,6 +28,8 @@ from repro.query import QueryEngine, parse_query, plan_query
 from repro.trust import SourceTier
 from repro.util.serialization import canonical_json
 
+from tests import serialization_oracle as oracle
+
 
 def make_framework(**overrides):
     defaults = dict(consensus="solo", n_ipfs_nodes=2)
@@ -588,8 +590,9 @@ _LEAF_TEXT = st.text(
 
 
 class TestLeafBytes:
-    """Posting and height leaves are written out, not rendered; the oracle
-    is ``canonical_json`` of the dict each stands for."""
+    """Posting and height leaves are rendered unchecked; the oracle is the
+    former renderer (``tests/serialization_oracle.py``) of the dict each
+    stands for."""
 
     @given(_LEAF_TEXT, _LEAF_TEXT, st.integers(0, 2**63), st.lists(_LEAF_TEXT, max_size=3))
     def test_leaves_are_the_canonical_json_of_their_dicts(self, dim, value, height, ids):
@@ -597,9 +600,9 @@ class TestLeafBytes:
         for entry_id in ids:
             posting.append(entry_id, "ab" * 32)
         expected = {"chain": posting.chain, "dim": dim, "n": len(ids), "value": value}
-        assert posting.leaf_bytes() == canonical_json(expected)
-        assert _posting_leaf(posting.chain, dim, len(ids), value) == canonical_json(expected)
-        assert _height_leaf(height) == canonical_json({"dim": "_meta", "height": height})
+        assert posting.leaf_bytes() == oracle.expected(expected)
+        assert _posting_leaf(posting.chain, dim, len(ids), value) == oracle.expected(expected)
+        assert _height_leaf(height) == oracle.expected({"dim": "_meta", "height": height})
 
 
 def _committed_ids(index, *keys):

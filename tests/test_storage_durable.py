@@ -27,11 +27,11 @@ from repro.storage.codec import (
     block_record,
     block_to_doc,
     tx_from_doc,
-    tx_json,
     tx_to_doc,
 )
 from repro.util.serialization import canonical_json
 
+from tests import serialization_oracle as oracle
 from tests.fabric_helpers import make_network
 
 
@@ -263,19 +263,44 @@ _transactions = st.builds(
 )
 
 
+def _envelope_doc(tx: Transaction) -> dict:
+    """The document a transaction's envelope stands for, from its fields."""
+    proposal = tx.proposal
+    return {
+        "proposal": {
+            "tx_id": proposal.tx_id, "channel": proposal.channel,
+            "chaincode": proposal.chaincode, "fn": proposal.fn, "args": list(proposal.args),
+            "creator": proposal.creator.to_dict(), "timestamp": proposal.timestamp,
+        },
+        "proposal_sig": proposal.signature.hex(),
+        "rwset": tx.rwset.to_dict(),
+        "response": tx.response,
+        "endorsements": [
+            {"endorser": e.endorser.to_dict(), "sig": e.signature.hex()} for e in tx.endorsements
+        ],
+        "events": [ev.to_dict() for ev in tx.events],
+    }
+
+
 class TestWalRecordRendering:
-    """The WAL records are written out rather than rendered, so each is held
-    to ``canonical_json`` of the document it stands for."""
+    """The WAL records are rendered in parts around the envelopes, so each is
+    held to the former renderer (``tests/serialization_oracle.py``) of the
+    document it stands for: the same bytes, or both refuse."""
 
     @settings(max_examples=150, deadline=None)
     @given(txs=st.lists(_transactions, max_size=3))
     def test_transactions_and_batches(self, txs):
         for tx in txs:
-            assert tx_json(tx) == canonical_json(tx_to_doc(tx))
+            got = oracle.outcome(tx.envelope_bytes)
+            assert oracle.same(got, oracle.expected(_envelope_doc(tx)))
+            if isinstance(got, bytes):
+                assert got == canonical_json(tx_to_doc(tx))
         for request_id in ("batch-0", "b\"\u00e9\n"):
-            assert batch_record(request_id, txs) == canonical_json(
-                {"type": "batch", "request_id": request_id, "txs": [tx_to_doc(t) for t in txs]}
+            want = oracle.expected(
+                {"type": "batch", "request_id": request_id,
+                 "txs": [_envelope_doc(t) for t in txs]}
             )
+            assert oracle.same(oracle.outcome(batch_record, request_id, txs), want)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -296,14 +321,22 @@ class TestWalRecordRendering:
             transactions=tuple(txs),
             validation_codes=tuple(codes[: len(txs)]),
         )
-        assert block_record(block, rejected, epoch) == canonical_json(
+        want = oracle.expected(
             {
                 "type": "block",
-                "block": block_to_doc(block),
+                "block": {
+                    "header": {
+                        "number": number, "previous_hash": hashes[0],
+                        "data_hash": hashes[1], "timestamp": timestamp,
+                    },
+                    "txs": [_envelope_doc(tx) for tx in txs],
+                    "codes": [code.value for code in block.validation_codes],
+                },
                 "rejected": rejected,
                 "index_epoch": epoch,
             }
         )
+        assert oracle.same(oracle.outcome(block_record, block, rejected, epoch), want)
 
     def test_an_unserialisable_value_is_refused_as_canonical_json_refuses_it(self):
         from repro.errors import EncodingError

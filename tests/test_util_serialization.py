@@ -1,13 +1,15 @@
 """Tests for canonical JSON serialization and the serialize-once memo."""
 
-import math
+import json
 import sys
 import threading
+import uuid
 from dataclasses import dataclass, replace
+from datetime import datetime
 from enum import Enum
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
@@ -19,6 +21,12 @@ from repro.util.serialization import (
     from_canonical_json,
     once,
 )
+from tests import serialization_oracle as oracle
+
+
+@dataclass(frozen=True)
+class _Value:
+    n: int
 
 
 class TestCanonicalJson:
@@ -94,38 +102,6 @@ def test_canonical_fixed_point(value):
     assert canonical_json(from_canonical_json(first)) == first
 
 
-def _reference_check(value, depth=0):
-    """``serialization._check`` as it was before scalar children were
-    accepted inline: one call per value. The oracle for the same errors."""
-    if depth > 64:
-        raise EncodingError("canonical JSON nesting exceeds 64 levels")
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise EncodingError("NaN/Inf are not canonically serializable")
-        return
-    if isinstance(value, (str, int, bool, type(None))):
-        return
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            _reference_check(item, depth + 1)
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise EncodingError(f"non-string dict key {key!r}")
-            _reference_check(item, depth + 1)
-        return
-    raise EncodingError(f"type {type(value).__name__} is not canonically serializable")
-
-
-def _outcome(check, value):
-    try:
-        check(value)
-    except EncodingError as exc:
-        return str(exc)
-    return None
-
-
 def _nested(levels, innermost, in_dict=False):
     value = innermost
     for _ in range(levels):
@@ -135,6 +111,10 @@ def _nested(levels, innermost, in_dict=False):
 
 class _Colour(str, Enum):
     RED = "red"
+
+
+class _Plain(Enum):
+    ONE = 1
 
 
 _CHECK_CASES = {
@@ -155,18 +135,105 @@ _CHECK_CASES = {
     "bytes in a list": ["ok", b"x"],
     "bool and None children": [True, None, {"f": False, "n": None}],
     "object child": [1, object()],
+    "UUID value": {"id": uuid.UUID(int=7)},
+    "plain Enum value": [_Plain.ONE],
+    "dataclass value": {"v": _Value(1)},
+    "datetime value": {"at": datetime(2020, 1, 1)},
+    "set value": {"s": {1}},
+    "tuples of scalars": {"t": (1, "a", (None, True))},
+    "many flat containers": [{"n": i} for i in range(100)],
+    "brackets inside strings": ["[{" * 40],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CHECK_CASES))
 def test_check_raises_what_the_call_per_value_walk_raised(case):
+    """``canonical_json`` refuses what the former walk refused, with the
+    same message, and renders the same bytes where it accepted."""
     value = _CHECK_CASES[case]
-    assert _outcome(serialization._check, value) == _outcome(_reference_check, value)
+    assert oracle.changes(value) == set()
+    assert oracle.outcome(canonical_json, value) == oracle.expected(value)
 
 
 @given(json_values)
 def test_check_accepts_what_the_call_per_value_walk_accepted(value):
-    assert _outcome(serialization._check, value) is _outcome(_reference_check, value) is None
+    assert oracle.same(oracle.outcome(canonical_json, value), oracle.expected(value))
+    assert not isinstance(oracle.expected(value), str)
+
+
+# json_values and everything a contract change or a refusal is about:
+# exponent floats, NaN/Inf, ints beyond 64 bits, tuples, str Enums (as values
+# and as keys), UUIDs, plain Enums and lone surrogates.
+_EXPONENT_FLOATS = st.sampled_from(
+    [1e-5, -1e-5, 9.999999999999999e-05, 2.5e-7, 5e-324, 1e16, -1.5e300, 1e22,
+     1.7976931348623157e308]
+)
+_SURROGATE_TEXT = st.tuples(
+    st.text(max_size=5), st.sampled_from(["\ud800", "\udfff", "\udbff\udc00"])
+).map("".join)
+_EXTENDED_KEYS = st.text(max_size=10) | st.sampled_from([_Colour.RED]) | _SURROGATE_TEXT
+extended_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**53), max_value=2**53)
+    | st.integers()
+    | st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _EXPONENT_FLOATS
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text(max_size=30)
+    | _SURROGATE_TEXT
+    | st.sampled_from([_Colour.RED, _Plain.ONE])
+    | st.uuids(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4)
+    | st.dictionaries(_EXTENDED_KEYS, children, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(extended_values)
+def test_the_former_renderer_is_the_oracle(value):
+    """Same bytes wherever no contract change applies, the same refusal
+    otherwise; where the former renderer refused, the same message."""
+    got, want = oracle.outcome(canonical_json, value), oracle.expected(value)
+    assert oracle.same(got, want), (got, want)
+    if isinstance(want, str) and want != "EncodingError":
+        assert got == want
+    if isinstance(got, bytes):
+        assert oracle.outcome(from_canonical_json, got) == oracle.outcome(
+            lambda: json.loads(want)
+        )
+
+
+@pytest.mark.parametrize(
+    "value, bytes_or_refusal",
+    [
+        (1e-5, b"0.00001"),
+        (-9.5e-5, b"-0.000095"),
+        (1e-4, b"0.0001"),
+        (2.5e-7, b"2.5e-7"),
+        (1e16, b"1e16"),
+        (1.5e300, b"1.5e300"),
+        (9999999999999998.0, b"9999999999999998.0"),
+        (2**64 - 1, b"18446744073709551615"),
+        (-(2**63), b"-9223372036854775808"),
+        (2**64, "EncodingError"),
+        (-(2**63) - 1, "EncodingError"),
+        ({_Colour.RED: 1}, "EncodingError"),
+        ("a\ud800", "EncodingError"),
+        ({"\udfff": 1}, "EncodingError"),
+    ],
+)
+def test_each_contract_change(value, bytes_or_refusal):
+    """The four deliberate changes from the former renderer, one value each:
+    float notation, the 64-bit int range, str-subclass keys and lone
+    surrogates (an :class:`EncodingError`, no ``UnicodeEncodeError``)."""
+    assert oracle.expected(value) == bytes_or_refusal
+    got = oracle.outcome(canonical_json, value)
+    assert oracle.same(got, bytes_or_refusal)
 
 
 json_objects = st.dictionaries(st.text(max_size=10), json_values, max_size=5)
@@ -180,16 +247,28 @@ def test_splice_equals_the_whole_dict_rendering(value, inner):
     assert canonical_json_splice(value, fragments) == canonical_json({**value, **inner})
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.text(max_size=10), extended_values, max_size=4),
+    st.dictionaries(st.text(max_size=10), json_values, max_size=2),
+)
+def test_splice_refuses_what_the_former_renderer_refused(value, inner):
+    for key in inner:
+        value.pop(key, None)
+    fragments = {key: canonical_json(v) for key, v in inner.items()}
+    got = oracle.outcome(canonical_json_splice, value, fragments)
+    want = oracle.expected({**value, **inner})
+    if isinstance(want, str):
+        assert isinstance(got, str)  # the first refusal may differ: runs are checked in key order
+    else:
+        assert got == want
+
+
 def test_splice_refuses_what_canonical_json_refuses():
     with pytest.raises(EncodingError):
         canonical_json_splice({"x": float("nan")}, {"rwset": b"{}"})
     with pytest.raises(EncodingError):
         canonical_json_splice({1: "a"}, {"rwset": b"{}"})
-
-
-@dataclass(frozen=True)
-class _Value:
-    n: int
 
 
 class TestOnce:
