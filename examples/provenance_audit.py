@@ -116,8 +116,7 @@ def main() -> None:
     framework.channel.orderer.submit(forged_tx)
     framework.channel.flush()
     outcome = framework.channel.result(forged_tx.tx_id)
-    votes = framework.consensus_votes(forged_tx.tx_id)
-    print(f"  validator votes: {votes}")
+    print(f"  validator votes: {outcome.votes}")
     print(f"  outcome: {outcome.code.value} "
           f"(expected {ValidationCode.REJECTED_BY_CONSENSUS.value})")
 

@@ -12,8 +12,9 @@ a mode spec — from the ``REPRO_SANITIZE`` environment variable, the
 Modes: ``divergence`` (SAN301), ``ledger`` (SAN302–SAN305), ``consensus``
 (SAN306), ``recovery`` (SAN307), ``index`` (SAN308/SAN309).
 
-:func:`install_sanitizers` wires a :class:`Sanitizer` into a channel; the
-peers call back after each endorsement/commit. Findings accumulate instead
+:func:`install_sanitizers` wires a :class:`Sanitizer` into one channel
+(``channel.sanitizer``, which that channel's query engines ask); its peers
+call back after each endorsement/commit. Findings accumulate instead
 of raising, so one run reports every violation; :meth:`Sanitizer.finalize`
 adds the end-of-run check (consensus log consistency) and publishes the
 :class:`SanitizerReport` for the CLI/CI gate.
@@ -286,17 +287,6 @@ class Sanitizer:
 # Installation
 # ---------------------------------------------------------------------------
 
-_ACTIVE: Sanitizer | None = None
-
-
-def active_sanitizer() -> Sanitizer | None:
-    """The most recently installed sanitizer, if any.
-
-    This is how the CLI reaches the sanitizer of a Framework built deep
-    inside a chaos scenario it never held a reference to.
-    """
-    return _ACTIVE
-
 
 def install_sanitizers(channel, spec: str = "") -> Sanitizer | None:
     """Attach sanitizers to *channel* per the combined mode spec.
@@ -304,13 +294,12 @@ def install_sanitizers(channel, spec: str = "") -> Sanitizer | None:
     Returns the installed :class:`Sanitizer`, or ``None`` when no mode is
     enabled (the common case: zero overhead, nothing attached).
     """
-    global _ACTIVE
     modes = enabled_modes(spec)
     if not modes:
         return None
     sanitizer = Sanitizer(modes)
     sanitizer.channel = channel
+    channel.sanitizer = sanitizer
     for peer in channel.peers.values():
         peer.sanitizer = sanitizer
-    _ACTIVE = sanitizer
     return sanitizer

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.chaos.faults import Fault
 from repro.core.client import Client
@@ -34,6 +34,9 @@ from repro.obs.tracer import span as obs_span
 from repro.trust import SourceTier
 from repro.util.clock import SimClock
 from repro.util.rng import rng_for
+
+if TYPE_CHECKING:
+    from repro.analysis.runtime import Sanitizer
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,8 @@ class ChaosReport:
     cycles: list[CycleResult]
     stored: int
     final_loss: list[int]
+    # The run's framework sanitizer, if one was enabled; not fingerprinted.
+    sanitizer: Sanitizer | None = None
 
     @property
     def data_loss(self) -> int:
@@ -188,6 +193,7 @@ class ChaosScenario:
             cycles=cycles,
             stored=len(stored),
             final_loss=final_loss,
+            sanitizer=framework.sanitizer,
         )
 
     def _one_cycle(

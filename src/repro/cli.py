@@ -511,14 +511,10 @@ def _cmd_chaos(args) -> int:
     report = scenario.run()
     summary = report.summary()
     sanitize_ok = True
-    if args.sanitize:
-        from repro.analysis.runtime import active_sanitizer
-
-        sanitizer = active_sanitizer()
-        if sanitizer is not None:
-            san_report = sanitizer.finalize()
-            sanitize_ok = san_report.ok
-            summary["sanitizers"] = san_report.to_dict()
+    if report.sanitizer is not None:
+        san_report = report.sanitizer.finalize()
+        sanitize_ok = san_report.ok
+        summary["sanitizers"] = san_report.to_dict()
     alerts_ok = True
     if probe is not None:
         alerts_ok, problems = probe.verify(args.scenario)

@@ -66,27 +66,36 @@ class Behaviour(str, Enum):
     ALWAYS_INVALID = "always-invalid"  # rejects everything, even valid
 
 
-@dataclass(frozen=True)
 class Decision:
     """One slot of the agreed log, identical on every honest replica.
 
-    For a batched request (``request.n_items > 1``) the slot carries one
-    verdict *per item*: ``item_accepted[i]`` is item i's 2/3-quorum outcome
-    and ``item_votes[replica][i]`` that replica's vote on item i. The
-    aggregate ``accepted``/``votes`` fields summarize the whole batch
-    (accepted iff every item was accepted) so single-transaction consumers
-    keep working unchanged.
+    ``item_accepted[i]`` is item i's 2/3-quorum outcome and
+    ``item_votes[replica][i]`` that replica's vote on item i, one entry per
+    item of the request (a single transaction is a one-item request);
+    ``accepted`` holds iff every item was accepted and ``votes`` holds each
+    replica's aggregate vote. Straggler commits keep adding to the two vote
+    maps after the decision; the verdicts never change.
     """
 
-    seq: int
-    view: int
-    request: ClientRequest
-    accepted: bool           # >= 2/3 of commit votes said "valid" (every item)
-    valid_votes: int
-    invalid_votes: int
-    votes: dict[str, bool] = field(default_factory=dict, compare=False)
-    item_accepted: tuple[bool, ...] = ()
-    item_votes: dict[str, tuple[bool, ...]] = field(default_factory=dict, compare=False)
+    __slots__ = ("seq", "view", "request", "accepted", "votes", "item_accepted", "item_votes")
+
+    def __init__(
+        self,
+        seq: int,
+        view: int,
+        request: ClientRequest,
+        accepted: bool,
+        votes: dict[str, bool],
+        item_accepted: tuple[bool, ...],
+        item_votes: dict[str, tuple[bool, ...]],
+    ) -> None:
+        self.seq = seq
+        self.view = view
+        self.request = request
+        self.accepted = accepted
+        self.votes = votes
+        self.item_accepted = item_accepted
+        self.item_votes = item_votes
 
 
 # Module globals: on Python 3.11 reading an enum member off its class costs ~70 ns.
@@ -397,7 +406,7 @@ class BftReplica(NetNode):
             decision, digest = slot.decision, slot.pre_prepare.digest
         if msg.digest == digest and peer not in decision.votes:
             decision.votes[peer] = msg.valid
-            decision.item_votes[peer] = _item_row(msg, len(decision.item_accepted) or 1)
+            decision.item_votes[peer] = _item_row(msg, len(decision.item_accepted))
 
     def _maybe_commit(self, view: int, seq: int, slot: _SlotState) -> None:
         """Prepared (pre-prepare plus 2f prepares matching its digest, own
@@ -452,11 +461,9 @@ class BftReplica(NetNode):
         if seq in self._decided_seqs:
             return
         self._decided_seqs.add(seq)
-        valid = sum(votes.values())
         request = slot.pre_prepare.request
         decision = Decision(
-            seq, view, request, all(item_accepted), valid, len(votes) - valid,
-            votes, tuple(item_accepted), rows,
+            seq, view, request, all(item_accepted), votes, tuple(item_accepted), rows
         )
         slot.decision = decision
         self.log.append(decision)

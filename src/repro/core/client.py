@@ -44,7 +44,7 @@ from repro.ipfs.unixfs import frozen_payload
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.query import QueryEngine, QueryRow
-from repro.trust import CORROBORATION_FLOOR, SourceTier
+from repro.trust import CORROBORATION_FLOOR
 from repro.trust.crossval import Observation
 from repro.vision import Frame, MetadataExtractor, SimulatedYolo
 
@@ -176,27 +176,11 @@ class Client:
 
             # Trust update from the consensus outcome.
             with obs_span("submit.trust_update"):
-                votes = framework.consensus_votes(result.tx_id)
-                accepted = result.ok
-                valid_votes = sum(1 for v in votes.values() if v)
-                invalid_votes = len(votes) - valid_votes
-                if framework.trust.tier(source_id) is not SourceTier.TRUSTED:
-                    score = framework.trust.record_validation(
-                        source_id,
-                        accepted,
-                        valid_votes=valid_votes or (1 if accepted else 0),
-                        invalid_votes=invalid_votes or (0 if accepted else 1),
-                        observation=observation,
-                    )
-                    framework.record_trust_on_chain(source_id)
-                else:
-                    score = 1.0
-                    if observation is not None:
-                        framework.trust.observe_trusted(observation)
-                framework.observe_validators(result.tx_id, accepted)
+                framework.settle_stores(((source_id, result.tx_id, observation),))
+                score = framework.trust.score(source_id)
 
             root.set_attr("entry_id", entry_id)
-            root.set_attr("accepted", accepted)
+            root.set_attr("accepted", result.ok)
 
         return SubmissionReceipt(
             entry_id=entry_id,
@@ -205,7 +189,7 @@ class Client:
             tx_id=result.tx_id,
             block_number=result.block_number,
             validation_code=result.code,
-            accepted=accepted,
+            accepted=result.ok,
             trust_score=score,
         )
 

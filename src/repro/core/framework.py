@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.chaincodes import (
     AdminEnrollmentChaincode,
@@ -45,6 +46,7 @@ from repro.ipfs.chunker import Chunker
 from repro.obs.metrics import get_registry
 from repro.resilience import ResilienceHub, retry
 from repro.trust import SourceTier, TrustEngine, ValidatorPool
+from repro.trust.crossval import Observation
 
 # Queued rider writes force an ordering round of their own at this many,
 # when no carrier has come along to take them.
@@ -340,29 +342,44 @@ class Framework:
         self.trust.register_source(source_id, tier)
         return identity
 
-    def consensus_votes(self, tx_id: str) -> dict[str, bool]:
-        """Per-validator validity votes for a transaction (BFT mode only)."""
-        orderer = self.channel.orderer
-        decisions = getattr(orderer, "decisions", None)
-        if not decisions or tx_id not in decisions:
-            return {}
-        return dict(decisions[tx_id].votes)
-
-    def observe_validators(self, tx_id: str, accepted: bool) -> list[str]:
-        """Feed one consensus outcome into the validator pool; records any
-        newly flagged/removed validators on-chain (paper §III-A)."""
-        votes = self.consensus_votes(tx_id)
-        if not votes:
-            return []
-        removed = self.validator_pool.observe_decision(accepted, votes)
-        for name in removed:
-            self.resilient_invoke(
-                self.admin,
-                "trust_score",
-                "remove_validator",
-                [name, "repeatedly acted against consensus"],
+    def settle_stores(self, stores: Sequence[tuple[str, str, Observation | None]]) -> None:
+        """Settle committed stores, each ``(source_id, tx_id, observation)``,
+        against their consensus outcome (paper §III, §III-A): the validators'
+        votes on each transaction fold into an untrusted source's score (a
+        trusted source's observation joins the cross-validation window), one
+        score snapshot per untrusted source is queued, and then the validator
+        pool observes each decision. The votes are read from the commit."""
+        trust = self.trust
+        results = [self.channel.result(tx_id) for _, tx_id, _ in stores]
+        scored: dict[str, None] = {}  # untrusted sources, first-seen order
+        for (source_id, _, observation), result in zip(stores, results):
+            if trust.tier(source_id) is SourceTier.TRUSTED:
+                if observation is not None:
+                    trust.observe_trusted(observation)
+                continue
+            ok, votes = result.ok, result.votes
+            valid = sum(votes.values())
+            # Solo ordering has no votes: the commit counts as one.
+            trust.record_validation(
+                source_id, ok,
+                valid_votes=valid or int(ok),
+                invalid_votes=len(votes) - valid or int(not ok),
+                observation=observation,
             )
-        return removed
+            scored[source_id] = None
+        for source_id in scored:
+            self.record_trust_on_chain(source_id)
+        for result in results:
+            votes = result.votes
+            if not votes:
+                continue
+            for name in self.validator_pool.observe_decision(result.ok, votes):
+                self.resilient_invoke(
+                    self.admin,
+                    "trust_score",
+                    "remove_validator",
+                    [name, "repeatedly acted against consensus"],
+                )
 
     # -- rider writes: each rides the next ordering round ------------------------
 

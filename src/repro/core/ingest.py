@@ -11,9 +11,12 @@ instance per block decides them all, and one flush commits a whole block
 of entries. Each item is the same ``data_upload.store`` transaction
 ``Client.submit`` sends — one record, which also determines the entry's
 ``captured`` → ``stored`` provenance, under the identity of the source
-that submitted it — and trust updates coalesce to one score write per
-source per batch rather than one per item. Score writes cut no block:
-they ride the next ordering round, normally the next batch's.
+that submitted it — and the batch settles trust through
+:meth:`Framework.settle_stores`, as a submit does: each item's validator
+votes fold into its source's score and the validator pool sees each
+decision, while score writes coalesce to one per source per batch. Score
+writes cut no block: they ride the next ordering round, normally the next
+batch's.
 
 Admission is per item: a non-admitted source's items are skipped and
 counted in :attr:`IngestReport.rejected` (nothing of theirs is stored
@@ -31,10 +34,10 @@ import orjson
 
 from repro.core.framework import Framework
 from repro.errors import UntrustedSourceError
-from repro.fabric import Identity, ValidationCode
+from repro.fabric import Identity
 from repro.ipfs.unixfs import frozen_payload
 from repro.obs.tracer import span as obs_span
-from repro.trust import SourceTier
+from repro.trust.crossval import Observation
 # Imported and never called: the e2e harness wraps this module global by
 # name (see repro.util.parallel).
 from repro.util.parallel import parallel_map  # noqa: F401
@@ -157,7 +160,7 @@ class BatchIngestor:
             # On-chain metadata: endorse + queue into the orderer's batch
             # (the first carries the queued riders); one flush drives one
             # consensus instance per cut block.
-            tx_meta: list[tuple[str, str]] = []
+            stores: list[tuple[str, str, Observation | None]] = []
             for (item, identity), add_result in zip(admitted, add_results):
                 metadata = dict(item.metadata)
                 metadata.setdefault("source_id", item.source_id)
@@ -167,42 +170,31 @@ class BatchIngestor:
                     "store",
                     [add_result.cid.encode(), json.dumps(metadata)],
                 )
-                tx_meta.append((tx_id, item.source_id))
+                stores.append((item.source_id, tx_id, item.observation))
 
             channel.flush()
             ingest_blocks = channel.height() - blocks_before
 
             entry_ids: list[str] = []
             rejected = len(skipped)
-            outcomes: dict[str, list[bool]] = {}
-            for tx_id, source_id in tx_meta:
+            for _, tx_id, _ in stores:
                 result = channel.result(tx_id)
-                ok = result.code is ValidationCode.VALID
-                outcomes.setdefault(source_id, []).append(ok)
-                if ok:
+                if result.ok:
                     entry_ids.append(orjson.loads(result.response)["entry_id"])
                 else:
                     rejected += 1
 
-            # One coalesced trust update per source; its score write rides
-            # the next ordering round.
+            # The same settlement as Client.submit's, over the whole batch:
+            # one score write per untrusted source, riding the next round.
             with obs_span("ingest.trust_update"):
-                for source_id, oks in outcomes.items():
-                    if framework.trust.tier(source_id) is SourceTier.TRUSTED:
-                        continue
-                    for ok in oks:
-                        framework.trust.record_validation(
-                            source_id, ok,
-                            valid_votes=1 if ok else 0, invalid_votes=0 if ok else 1,
-                        )
-                    framework.record_trust_on_chain(source_id)
+                framework.settle_stores(stores)
 
             root.set_attr("committed", len(entry_ids))
             root.set_attr("rejected", rejected)
 
         elapsed = time.perf_counter() - start
         return IngestReport(
-            submitted=len(tx_meta),
+            submitted=len(stores),
             committed=len(entry_ids),
             rejected=rejected,
             blocks=ingest_blocks,

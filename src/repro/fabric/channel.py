@@ -33,9 +33,10 @@ yields one ledger, byte for byte, on every replica and in every rerun.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
+from repro.consensus import Decision
 from repro.errors import (
     AccessDeniedError,
     ChaincodeError,
@@ -72,16 +73,30 @@ LEDGER_TICK_S = 1.0
 
 @dataclass(frozen=True)
 class TxResult:
-    """Commit outcome returned to the client."""
+    """A transaction's one outcome: its commit, and under BFT ordering the
+    consensus ``decision`` that ordered its block, of which it is item
+    ``index``."""
 
     tx_id: str
     code: ValidationCode
     response: str
     block_number: int
+    decision: Decision | None = field(default=None, compare=False, repr=False)
+    index: int = 0
 
     @property
     def ok(self) -> bool:
         return self.code is ValidationCode.VALID
+
+    @property
+    def votes(self) -> dict[str, bool]:
+        """Each validator's validity vote on this transaction (empty under
+        solo ordering), read from the decision when asked: a straggler
+        commit that arrives after the block still counts."""
+        if self.decision is None:
+            return {}
+        i = self.index
+        return {replica: row[i] for replica, row in self.decision.item_votes.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +146,8 @@ class Channel:
         self.rejected_by_block: dict[int, frozenset[str]] = {}
         # Index manager (repro.index.IndexManager); the query engine's index.
         self.indexing = None
+        # Runtime sanitizer (repro.analysis.runtime.Sanitizer), when enabled.
+        self.sanitizer = None
         # Writes that ride the next ordering round (see the module doc).
         self.riders: RiderSource | None = None
         self._riding: dict[str, DeferredCall] = {}  # rider tx id -> its call
@@ -173,9 +190,14 @@ class Channel:
 
     # -- block delivery -------------------------------------------------------------
 
-    def _deliver_block(self, block: Block, consensus_rejected: frozenset[str]) -> None:
+    def _deliver_block(self, block: Block, decision: Decision | None) -> None:
         attrs = {"block": block.number, "txs": len(block.transactions)}
         with obs_span("fabric.deliver", attrs, center="fabric.deliver"):
+            consensus_rejected = frozenset() if decision is None else frozenset(
+                tx.tx_id
+                for tx, accepted in zip(block.transactions, decision.item_accepted)
+                if not accepted
+            )
             self.rejected_by_block[block.number] = consensus_rejected
             annotated: Block | None = None
             for peer in self.peers.values():
@@ -195,6 +217,8 @@ class Channel:
                     code=annotated.validation_codes[i],
                     response=tx.response,
                     block_number=annotated.number,
+                    decision=decision,
+                    index=i,
                 )
                 call = self._riding.pop(tx.tx_id, None)
                 if call is not None:

@@ -36,7 +36,6 @@ runs of one input cut byte-identical blocks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from repro.consensus.bft import Behaviour, BftCluster, Decision
@@ -48,9 +47,10 @@ from repro.net import SimNetwork
 from repro.obs.prof import profiled
 from repro.obs.tracer import span as obs_span
 
-# A delivery callback receives the cut block plus the tx ids the consensus
-# rejected (empty for solo ordering).
-DeliverFn = Callable[[Block, frozenset[str]], None]
+# A delivery callback receives the cut block and the consensus decision that
+# ordered it: item i of the decision is transaction i of the block (``None``
+# for solo ordering).
+DeliverFn = Callable[[Block, Decision | None], None]
 
 
 class Orderer(Protocol):
@@ -85,7 +85,7 @@ class _BatchCutter:
             pending, self._pending = self._pending, []
             self.emit(pending)
 
-    def emit(self, txs: Sequence[Transaction], rejected: frozenset[str] = frozenset()) -> None:
+    def emit(self, txs: Sequence[Transaction], decision: Decision | None = None) -> None:
         """Cut exactly ``txs`` as the next block and deliver it."""
         block = Block.build(
             number=self._next_number,
@@ -98,7 +98,7 @@ class _BatchCutter:
         self.blocks_cut += 1
         self.txs_ordered += len(block.transactions)
         for deliver in self._delivery:
-            deliver(block, rejected)
+            deliver(block, decision)
 
 
 class _Ordering:
@@ -180,44 +180,6 @@ def default_tx_validator(tx: Transaction) -> bool:
     return bool(tx.endorsements) and all(tx.endorsement_verdicts())
 
 
-@dataclass(frozen=True)
-class TxDecision:
-    """Per-transaction view of one batched consensus :class:`Decision`.
-
-    The trust engine reads ``votes``/``accepted`` per transaction; this
-    projects item ``index`` of the batch decision. Vote dictionaries are
-    *live* views: straggler commits keep enriching the underlying batch
-    decision's vote record, and those late votes show up here too.
-    """
-
-    tx_id: str
-    index: int
-    batch: Decision
-
-    @property
-    def seq(self) -> int:
-        return self.batch.seq
-
-    @property
-    def view(self) -> int:
-        return self.batch.view
-
-    @property
-    def accepted(self) -> bool:
-        items = self.batch.item_accepted
-        return items[self.index] if items else self.batch.accepted
-
-    @property
-    def votes(self) -> dict[str, bool]:
-        if self.batch.item_votes:
-            return {
-                replica: verdicts[self.index]
-                for replica, verdicts in self.batch.item_votes.items()
-                if self.index < len(verdicts)
-            }
-        return dict(self.batch.votes)
-
-
 class BftOrderer(_Ordering):
     """Ordering via a PBFT validator cluster, amortized over blocks.
 
@@ -229,10 +191,10 @@ class BftOrderer(_Ordering):
     prepare/commit vote carries one ``validator(tx)`` verdict per
     transaction, so per-transaction acceptance (and
     ``REJECTED_BY_CONSENSUS`` flagging) is decided exactly as in the
-    one-instance-per-transaction configuration. Decisions are collected
-    from the first replica to decide (all honest replicas decide
-    identically — that is the BFT guarantee, separately tested in the
-    consensus suite).
+    one-instance-per-transaction configuration. The block is delivered
+    with the decision of the first replica to decide (all honest replicas
+    decide identically — that is the BFT guarantee, separately tested in
+    the consensus suite); the orderer keeps no outcome of its own.
 
     ``submit`` is asynchronous: it never drives the validator network.
     ``flush`` runs the network until every in-flight batch decides.
@@ -253,10 +215,6 @@ class BftOrderer(_Ordering):
         self._decided: set[str] = set()  # batch request ids already enqueued
         self._batch_seq = 0
         self.batches_ordered = 0
-        # tx_id -> per-transaction consensus outcome (validator votes,
-        # acceptance); the trust engine reads these to score sources and
-        # validators.
-        self.decisions: dict[str, TxDecision] = {}
         tx_validator = validator or default_tx_validator
 
         def replica_validator(
@@ -283,15 +241,8 @@ class BftOrderer(_Ordering):
         if request_id in self._decided:
             return  # one enqueue per batch, not per replica
         self._decided.add(request_id)
-        txs: list[Transaction] = []
-        rejected: set[str] = set()
-        for index, tx_id in enumerate(decision.request.payload["tx_ids"]):
-            tx_decision = TxDecision(tx_id=tx_id, index=index, batch=decision)
-            self.decisions[tx_id] = tx_decision
-            txs.append(self._txs[tx_id])
-            if not tx_decision.accepted:
-                rejected.add(tx_id)
-        self._cutter.emit(txs, frozenset(rejected))
+        txs = [self._txs[tx_id] for tx_id in decision.request.payload["tx_ids"]]
+        self._cutter.emit(txs, decision)
 
     def _cut(self) -> None:
         """Start one consensus instance over everything currently queued."""

@@ -39,7 +39,6 @@ window's residual runs on its edge buckets' rows only.
 from __future__ import annotations
 
 import dataclasses
-import sys
 import threading
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -414,10 +413,7 @@ class QueryEngine:
         (:meth:`scan` for a query, ``get_data`` for a point read). Its
         records are decoded afresh, so a shared record a caller changed
         shows here too."""
-        # No sanitizer is active unless its module was imported, so looking
-        # the module up (not importing it) keeps this a dict read when off.
-        runtime = sys.modules.get("repro.analysis.runtime")
-        sanitizer = runtime and runtime.active_sanitizer()
+        sanitizer = self.channel.sanitizer
         if sanitizer is None or "index" not in sanitizer.modes:
             return
         sanitizer.check_query_parity(describe(), [r.record for r in rows], reference())

@@ -42,6 +42,8 @@ from repro.obs.prof import profiled
 _SCALARS = (str, int, bool, type(None))
 _PLAIN = frozenset(_SCALARS)
 _dumps, _loads, _SORTED = orjson.dumps, orjson.loads, orjson.OPT_SORT_KEYS
+_INDENTED = _SORTED | orjson.OPT_INDENT_2
+_TOO_DEEP = b"\n" + b" " * 2 * 65
 
 T = TypeVar("T")
 
@@ -123,7 +125,7 @@ def render(value: Any) -> bytes:
 
 def _checked(value: Any) -> bytes:
     """``value`` rendered; walked only when orjson refuses it, or its rendering
-    does not parse back to it (a tuple, NaN, a UUID) or opens over 64 containers."""
+    does not parse back to it (a tuple, NaN, a UUID) or nests over 64 levels."""
     try:
         out = _dumps(value, option=_SORTED)
     except orjson.JSONEncodeError as exc:
@@ -131,7 +133,9 @@ def _checked(value: Any) -> bytes:
         raise EncodingError(f"not canonically serializable: {exc}") from exc
     # Containers opened; two replaces cost half of two ``bytes.count`` calls.
     opened = 2 * len(out) - len(out.replace(b"[", b"")) - len(out.replace(b"{", b""))
-    if opened > 64 or _loads(out) != value:
+    # Over 64 of them, the nesting is measured: indented two spaces a level,
+    # a value 65 levels down starts a line 130 spaces in.
+    if (opened > 64 and _TOO_DEEP in _dumps(value, option=_INDENTED)) or _loads(out) != value:
         _check(value)
     return out
 

@@ -12,19 +12,11 @@ from repro.analysis import (
     install_sanitizers,
     parse_modes,
 )
-from repro.analysis import runtime as analysis_runtime
 from repro.analysis.runtime import MODES
 from repro.errors import AnalysisError
 from repro.fabric import Chaincode, ValidationCode
 
 from tests.fabric_helpers import make_network
-
-
-@pytest.fixture(autouse=True)
-def _reset_sanitizer_globals():
-    yield
-    analysis_runtime._ACTIVE = None
-    analysis_runtime._LAST_REPORT = None
 
 
 class FlakyChaincode(Chaincode):
@@ -268,3 +260,20 @@ class TestConsensusSanitizer:
         channel.invoke(client, "kv", "put", ["a", "1"])
         report = sanitizer.finalize()
         assert report.ok and report.checks["consensus"] == 0
+
+
+class TestSanitizerBelongsToItsFramework:
+    def test_a_plain_framework_reports_nothing_to_an_earlier_sanitized_one(self, monkeypatch):
+        from repro.core import Client, Framework, FrameworkConfig
+        from repro.trust import SourceTier
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sanitized = Framework(FrameworkConfig(consensus="solo", sanitize="index"))
+        plain = Framework(FrameworkConfig(consensus="solo"))
+        assert plain.sanitizer is None
+        client = Client(plain, plain.register_source("cam", tier=SourceTier.TRUSTED))
+        receipt = client.submit(b"frame", {"timestamp": 1.0, "detections": []})
+        before = sanitized.sanitizer.report().checks.get("index", 0)
+        assert len(client.query("source_id = 'cam'")) == 1
+        client.retrieve(receipt.entry_id)
+        assert sanitized.sanitizer.report().checks.get("index", 0) == before

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
 from repro.errors import DagError, UntrustedSourceError
-from repro.fabric import BftOrderer
+from repro.fabric import BftOrderer, ValidationCode
 from repro.trust import SourceTier
 from repro.workloads.traffic import IngestItem
 
@@ -243,7 +243,15 @@ class TestBatchedConsensus:
         orderer = framework.channel.orderer
         assert orderer.batches_ordered - before == 1
         # All eight transactions share the one decision's sequence number.
-        seqs = {orderer.decisions[tx].seq for tx in list(orderer.decisions)[-8:]}
+        channel = framework.channel
+        ledger = next(iter(channel.peers.values())).ledger
+        stores = [
+            tx.tx_id
+            for number in range(ledger.height)
+            for tx in ledger.block(number).transactions
+            if tx.proposal.fn == "store"
+        ]
+        seqs = {channel.result(tx_id).decision.seq for tx_id in stores[-8:]}
         assert len(seqs) == 1
 
     def test_mixed_verdicts_in_one_instance(self):
@@ -255,8 +263,9 @@ class TestBatchedConsensus:
         orderer = BftOrderer(
             max_batch_size=4, validator=lambda tx: tx.tx_id not in bad_ids
         )
-        delivered = []
-        orderer.register_delivery(lambda block, rejected: delivered.append((block, rejected)))
+        # The channel commits what this orderer delivers.
+        channel.orderer = orderer
+        orderer.register_delivery(channel._deliver_block)
 
         txs = []
         for i in range(4):
@@ -268,16 +277,15 @@ class TestBatchedConsensus:
         orderer.flush()
 
         assert orderer.batches_ordered == 1
-        assert [orderer.decisions[tx.tx_id].accepted for tx in txs] == [
-            True, False, True, False,
-        ]
-        (block, rejected), = delivered
-        assert len(block.transactions) == 4
-        assert rejected == {txs[1].tx_id, txs[3].tx_id}
-        # Per-tx votes are projected from the one batch decision.
-        for tx in txs:
-            decision = orderer.decisions[tx.tx_id]
-            assert len(decision.votes) >= 3
+        results = [channel.result(tx.tx_id) for tx in txs]
+        assert [r.ok for r in results] == [True, False, True, False]
+        assert results[1].code is ValidationCode.REJECTED_BY_CONSENSUS
+        assert channel.height() == 1
+        assert {r.block_number for r in results} == {0}
+        assert channel.rejected_by_block[0] == {txs[1].tx_id, txs[3].tx_id}
+        # Per-tx votes are read from the one batch decision.
+        for result in results:
+            assert len(result.votes) >= 3
 
     def test_messages_per_tx_shrink_with_batch_size(self):
         """The amortization claim: consensus msgs/tx at batch 16 must be

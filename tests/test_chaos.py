@@ -195,8 +195,6 @@ class TestStandardScenarioAcrossSeeds:
     def test_recovers_with_zero_loss_and_consistent_logs(self, seed):
         import dataclasses
 
-        from repro.analysis.runtime import active_sanitizer
-
         scenario = get_scenario("standard", seed=seed)
         scenario.config = dataclasses.replace(scenario.config, sanitize="consensus")
 
@@ -208,7 +206,7 @@ class TestStandardScenarioAcrossSeeds:
         assert report.submitted_ok >= 40
         assert report.data_loss == 0 and report.stored == report.submitted_ok
         assert all(c.submitted and c.retrieved for c in report.cycles if c.cycle >= 30)
-        san_report = active_sanitizer().finalize()
+        san_report = report.sanitizer.finalize()
         assert san_report.ok, san_report.render()  # SAN306
         assert san_report.checks["consensus"] == 1
 
@@ -325,14 +323,12 @@ class TestCrashRecoveryScenario:
     def test_runs_clean_under_all_sanitizers(self):
         import dataclasses
 
-        from repro.analysis.runtime import active_sanitizer
-
         set_registry(MetricsRegistry())
         scenario = get_scenario("crash_recovery", seed=0, n_cycles=21)
         scenario.config = dataclasses.replace(scenario.config, sanitize="all")
         report = scenario.run()
         assert report.data_loss == 0
-        san_report = active_sanitizer().finalize()
+        san_report = report.sanitizer.finalize()
         assert san_report.ok, san_report.render()
         assert san_report.checks["recovery"] >= 1
 

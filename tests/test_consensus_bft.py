@@ -59,8 +59,8 @@ class TestHappyPath:
         cluster.submit("x")
         cluster.run()
         decision = cluster.decided_log()[0]
-        assert decision.valid_votes >= 3
-        assert decision.invalid_votes == 0
+        assert sum(decision.votes.values()) >= 3
+        assert not [v for v in decision.votes.values() if not v]
 
 
 class TestValidationVoting:
@@ -412,8 +412,9 @@ class TestLogHashChain:
             view=0,
             request=ClientRequest(request_id=request_id or f"req-{seq}", payload=seq),
             accepted=accepted,
-            valid_votes=3,
-            invalid_votes=0,
+            votes={},
+            item_accepted=(accepted,),
+            item_votes={},
         )
 
     def _replica_fed(self, seqs, rejected=()):

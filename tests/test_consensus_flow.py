@@ -182,15 +182,9 @@ class TestSubmitCost:
             sys.setprofile(None)
         return counts
 
-    def test_a_submit_stays_within_its_call_budget_and_walks_nothing(self, monkeypatch):
+    def test_a_submit_stays_within_its_call_budget_and_walks_nothing(self):
         from repro.core import BatchIngestor
         from repro.workloads import IngestItem
-
-        # A sanitized run earlier in this process leaves its sanitizer
-        # active, and its query parity check reads the whole chain.
-        runtime = sys.modules.get("repro.analysis.runtime")
-        if runtime is not None:
-            monkeypatch.setattr(runtime, "_ACTIVE", None)
 
         framework = Framework(FrameworkConfig())
         client = Client(framework, framework.register_source("cam", tier=SourceTier.TRUSTED))

@@ -242,3 +242,40 @@ class TestEachPayloadByteHashedOnce:
         ]
         assert list(tx.proposal.args)[0] == receipt.cid and len(tx.proposal.args) == 2
         assert client.get_metadata(receipt.entry_id)["cid"] == receipt.cid
+
+
+class TestSettlementParity:
+    """``Client.submit`` and ``BatchIngestor.ingest`` settle a committed
+    store through one path: the validators' real votes, and the pool sees
+    every decision."""
+
+    N = 4
+
+    def settle(self, path, behaviours):
+        from repro.consensus import Behaviour
+
+        framework = Framework(FrameworkConfig())
+        for name, behaviour in behaviours.items():
+            framework.channel.orderer.cluster.replicas[name].behaviour = Behaviour(behaviour)
+        identity = framework.register_source("mob", tier=SourceTier.UNTRUSTED)
+        items = make_items("mob", self.N)
+        if path == "submit":
+            client = Client(framework, identity)
+            for item in items:
+                assert client.submit(item.payload, item.metadata).ok
+        else:
+            ingestor = BatchIngestor(framework)
+            ingestor.register(identity)
+            assert ingestor.ingest(items).committed == self.N
+        return framework
+
+    @pytest.mark.parametrize("behaviours", [{}, {"validator-3": "always-invalid"}])
+    def test_submit_and_ingest_settle_the_same_items_alike(self, behaviours):
+        submitted = self.settle("submit", behaviours)
+        ingested = self.settle("ingest", behaviours)
+        assert ingested.trust.score("mob") == submitted.trust.score("mob")
+        assert ingested.trust.chain_record("mob") == submitted.trust.chain_record("mob")
+        assert ingested.validator_pool.stats() == submitted.validator_pool.stats()
+        if behaviours:
+            record = ingested.validator_pool.record("validator-3")
+            assert record.votes == record.disagreements == self.N

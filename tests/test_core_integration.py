@@ -118,7 +118,7 @@ class TestTrustIntegration:
     def test_consensus_votes_feed_validator_pool(self, bft_framework):
         client = make_client(bft_framework, "cam-vp-1", SourceTier.TRUSTED)
         receipt = client.submit(b"vp-data", dict(META))
-        votes = bft_framework.consensus_votes(receipt.tx_id)
+        votes = bft_framework.channel.result(receipt.tx_id).votes
         assert len(votes) >= 3  # 2f+1 of 4
         assert all(votes.values())
 
@@ -171,7 +171,8 @@ class TestFrameworkShape:
 
     def test_solo_mode_has_no_validators(self):
         framework = Framework(FrameworkConfig(consensus="solo"))
-        assert framework.consensus_votes("whatever") == {}
+        receipt = make_client(framework, "cam-solo-votes").submit(b"solo", dict(META))
+        assert framework.channel.result(receipt.tx_id).votes == {}
 
     def test_unknown_consensus_is_refused_not_replaced(self):
         # Only "solo" and "bft" order transactions; any other name must stop

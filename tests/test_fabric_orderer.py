@@ -64,9 +64,8 @@ class TestBftOrderer:
     def test_decisions_recorded_per_tx(self):
         net, channel, alice = make_network(consensus="bft")
         result = channel.invoke(alice, "kv", "put", ["k", "v"])
-        decision = channel.orderer.decisions[result.tx_id]
-        assert decision.accepted
-        assert len(decision.votes) >= 3
+        assert channel.result(result.tx_id).decision.accepted
+        assert len(channel.result(result.tx_id).votes) >= 3
 
     def test_multiple_channels_isolated(self):
         """Two channels on one network share nothing."""

@@ -842,28 +842,18 @@ class TestExplorerIntegration:
 class TestSanitizerMode:
     def test_clean_run_has_no_findings(self):
         framework = make_framework(sanitize="index")
-        try:
-            client, _ = populate(framework, n=3)
-            client.engine.run("source_id = 'idx-cam'")
-            report = framework.sanitizer.finalize()
-        finally:
-            import repro.analysis.runtime as runtime
-
-            runtime._ACTIVE = None
+        client, _ = populate(framework, n=3)
+        client.engine.run("source_id = 'idx-cam'")
+        report = framework.sanitizer.finalize()
         assert report.ok, report.render()
         assert report.checks["index"] > 0
 
     def test_state_scan_route_is_parity_checked(self):
         framework = make_framework(sanitize="index")
-        try:
-            client, _ = populate(framework, n=3)
-            checks = framework.sanitizer.report().checks["index"]
-            rows = client.engine.run("metadata.timestamp >= 800 LIMIT 1")  # no route
-            report = framework.sanitizer.finalize()
-        finally:
-            import repro.analysis.runtime as runtime
-
-            runtime._ACTIVE = None
+        client, _ = populate(framework, n=3)
+        checks = framework.sanitizer.report().checks["index"]
+        rows = client.engine.run("metadata.timestamp >= 800 LIMIT 1")  # no route
+        report = framework.sanitizer.finalize()
         assert len(rows) == 1 and client.engine.stats.index_hits == 0
         assert report.checks["index"] == checks + 1
         assert report.ok, report.render()
@@ -874,54 +864,39 @@ class TestSanitizerMode:
         the same text at the same height."""
         for repeat in ("metadata.camera_id = 'idx-cam'", "source_id = 'idx-cam'"):
             framework = make_framework(sanitize="index")
-            try:
-                client, _ = populate(framework, n=3)
-                rows = client.engine.run("source_id = 'idx-cam'")
-                before = framework.sanitizer.report()
-                assert before.ok
-                rows[0].record["cid"] = "bafy-scribbled"
-                again = client.engine.run(repeat)
-                assert again[0].record is rows[0].record
-                report = framework.sanitizer.finalize()
-            finally:
-                import repro.analysis.runtime as runtime
-
-                runtime._ACTIVE = None
+            client, _ = populate(framework, n=3)
+            rows = client.engine.run("source_id = 'idx-cam'")
+            before = framework.sanitizer.report()
+            assert before.ok
+            rows[0].record["cid"] = "bafy-scribbled"
+            again = client.engine.run(repeat)
+            assert again[0].record is rows[0].record
+            report = framework.sanitizer.finalize()
             assert report.checks["index"] == before.checks["index"] + 1, repeat
             assert [f.rule_id for f in report.findings] == ["SAN309"], repeat
 
     def test_divergent_index_is_flagged(self):
         framework = make_framework(sanitize="index")
-        try:
-            client, _ = populate(framework, n=2)
-            peer = next(iter(framework.channel.peers.values()))
-            # Corrupt one posting chain, then commit another block: SAN308's
-            # from-scratch rebuild can no longer reproduce the live root.
-            posting = peer.index.postings[("source", "idx-cam")]
-            posting.chain = "00" * 32
-            client.submit(b"one-more", dict(META))
-            report = framework.sanitizer.finalize()
-        finally:
-            import repro.analysis.runtime as runtime
-
-            runtime._ACTIVE = None
+        client, _ = populate(framework, n=2)
+        peer = next(iter(framework.channel.peers.values()))
+        # Corrupt one posting chain, then commit another block: SAN308's
+        # from-scratch rebuild can no longer reproduce the live root.
+        posting = peer.index.postings[("source", "idx-cam")]
+        posting.chain = "00" * 32
+        client.submit(b"one-more", dict(META))
+        report = framework.sanitizer.finalize()
         assert any(f.rule_id == "SAN308" for f in report.findings)
 
     def test_corruption_no_later_block_touches_is_flagged(self):
         framework = make_framework(sanitize="index")
-        try:
-            client, _ = populate(framework, n=2)
-            peer = next(iter(framework.channel.peers.values()))
-            # The next submit (a car at t=100) appends to neither this
-            # posting nor its leaf, so the maintained tree keeps serving the
-            # cached leaf hash: only re-hashing the live postings shows it.
-            peer.index.postings[("class", "truck")].chain = "00" * 32
-            client.submit(b"one-more", dict(META))
-            report = framework.sanitizer.finalize()
-        finally:
-            import repro.analysis.runtime as runtime
-
-            runtime._ACTIVE = None
+        client, _ = populate(framework, n=2)
+        peer = next(iter(framework.channel.peers.values()))
+        # The next submit (a car at t=100) appends to neither this
+        # posting nor its leaf, so the maintained tree keeps serving the
+        # cached leaf hash: only re-hashing the live postings shows it.
+        peer.index.postings[("class", "truck")].chain = "00" * 32
+        client.submit(b"one-more", dict(META))
+        report = framework.sanitizer.finalize()
         findings = [f for f in report.findings if f.rule_id == "SAN308"]
         assert findings
         assert all("re-hashed from live postings" in f.message for f in findings)

@@ -90,19 +90,14 @@ class TestArrayPredicates:
         assert {r["entry_id"] for r in client.engine.scan(text)} == want
 
     def test_the_index_sanitizer_finds_both_routes_agree(self):
-        import repro.analysis.runtime as runtime
-
-        try:
-            framework = _framework(sanitize="index")
-            client = _client(framework)
-            client.submit(b"good", _meta("cam-1", 1.0, detections=[{"vehicle_class": "car"}]))
-            for i, value in enumerate(MALFORMED):
-                client.submit(b"bad-%d" % i, _meta("cam-2", 2.0 + i, detections=value))
-            for text in ("vehicle_class = 'car'", "vehicle_class = 'car' OR source_id = 'x'"):
-                assert len(client.engine.run(text)) == 1
-            report = framework.sanitizer.finalize()
-        finally:
-            runtime._ACTIVE = None
+        framework = _framework(sanitize="index")
+        client = _client(framework)
+        client.submit(b"good", _meta("cam-1", 1.0, detections=[{"vehicle_class": "car"}]))
+        for i, value in enumerate(MALFORMED):
+            client.submit(b"bad-%d" % i, _meta("cam-2", 2.0 + i, detections=value))
+        for text in ("vehicle_class = 'car'", "vehicle_class = 'car' OR source_id = 'x'"):
+            assert len(client.engine.run(text)) == 1
+        report = framework.sanitizer.finalize()
         assert not [f for f in report.findings if f.rule_id == "SAN309"], report.render()
 
 

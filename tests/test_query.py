@@ -351,18 +351,13 @@ class TestTimeBoundary:
         assert len(engine.scan(text)) == expected
 
     def test_boundary_row_under_the_index_sanitizer(self):
-        import repro.analysis.runtime as runtime
-
-        try:
-            framework, client = _bulk_framework(sanitize="index")
-            for text in (
-                f"metadata.timestamp >= {T0} AND metadata.timestamp <= {T0 + 30}",
-                f"metadata.timestamp = {T0 + 30}",
-            ):
-                client.engine.run(text)
-            report = framework.sanitizer.finalize()
-        finally:
-            runtime._ACTIVE = None
+        framework, client = _bulk_framework(sanitize="index")
+        for text in (
+            f"metadata.timestamp >= {T0} AND metadata.timestamp <= {T0 + 30}",
+            f"metadata.timestamp = {T0 + 30}",
+        ):
+            client.engine.run(text)
+        report = framework.sanitizer.finalize()
         assert not [f for f in report.findings if f.rule_id == "SAN309"], report.render()
 
 

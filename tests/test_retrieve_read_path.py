@@ -351,13 +351,7 @@ class TestPointReadParity:
 
     @pytest.fixture
     def sanitized(self):
-        import repro.analysis.runtime as runtime
-
-        framework, client = make_site(sanitize="index")
-        try:
-            yield framework, client
-        finally:
-            runtime._ACTIVE = None
+        return make_site(sanitize="index")
 
     def test_clean_point_reads_are_checked(self, sanitized):
         framework, client = sanitized

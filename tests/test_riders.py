@@ -104,7 +104,8 @@ class TestOrderer:
         assert channel.orderer.blocks_cut == 1
         assert channel.orderer.batches_ordered == 1
         assert channel.result(riders[-1].tx_id).ok
-        assert set(channel.orderer.decisions) >= {t.tx_id for t in (carrier, *riders)}
+        decisions = {channel.result(t.tx_id).decision for t in (carrier, *riders)}
+        assert len(decisions) == 1 and None not in decisions
         assert journal.submitted == [t.tx_id for t in (carrier, *riders)]
 
 

@@ -109,6 +109,19 @@ def _nested(levels, innermost, in_dict=False):
     return value
 
 
+# A list_all answer: 200 data records, over 64 containers but 4 levels deep.
+_RECORDS = [
+    {
+        "entry_id": f"e-{i}", "cid": "bafy" + "k" * 55, "created_at": float(i),
+        "metadata": {
+            "camera_id": f"cam-{i % 8}", "location": {"lat": 12.5, "lon": 77.125},
+            "detections": [{"vehicle_class": "car", "confidence": 0.5}],
+        },
+    }
+    for i in range(200)
+]
+
+
 class _Colour(str, Enum):
     RED = "red"
 
@@ -142,6 +155,10 @@ _CHECK_CASES = {
     "set value": {"s": {1}},
     "tuples of scalars": {"t": (1, "a", (None, True))},
     "many flat containers": [{"n": i} for i in range(100)],
+    "200 records": _RECORDS,
+    "200 records and 64 levels, empty innermost": [*_RECORDS, _nested(63, [])],
+    "200 records and 65 levels (dicts)": [*_RECORDS, _nested(63, {"k": 0}, True)],
+    "200 records and 65 levels": [*_RECORDS, _nested(63, [0])],
     "brackets inside strings": ["[{" * 40],
 }
 
@@ -153,6 +170,15 @@ def test_check_raises_what_the_call_per_value_walk_raised(case):
     value = _CHECK_CASES[case]
     assert oracle.changes(value) == set()
     assert oracle.outcome(canonical_json, value) == oracle.expected(value)
+
+
+def test_many_shallow_containers_are_not_walked(monkeypatch):
+    """The Python walk runs on nesting deeper than 64 levels, not on a value
+    that merely holds many containers, such as a ``list_all`` answer."""
+    walks = []
+    monkeypatch.setattr(serialization, "_check", lambda value, depth=0: walks.append(value))
+    assert canonical_json(_RECORDS) == oracle.expected(_RECORDS)
+    assert walks == []
 
 
 @given(json_values)
