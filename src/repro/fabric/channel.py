@@ -143,7 +143,6 @@ class Channel:
         self.peers: dict[str, Peer] = {}
         self.events = EventHub()
         self.stats = ChannelStats()
-        self.rejected_by_block: dict[int, frozenset[str]] = {}
         # Index manager (repro.index.IndexManager); the query engine's index.
         self.indexing = None
         # Runtime sanitizer (repro.analysis.runtime.Sanitizer), when enabled.
@@ -193,19 +192,13 @@ class Channel:
     def _deliver_block(self, block: Block, decision: Decision | None) -> None:
         attrs = {"block": block.number, "txs": len(block.transactions)}
         with obs_span("fabric.deliver", attrs, center="fabric.deliver"):
-            consensus_rejected = frozenset() if decision is None else frozenset(
-                tx.tx_id
-                for tx, accepted in zip(block.transactions, decision.item_accepted)
-                if not accepted
-            )
-            self.rejected_by_block[block.number] = consensus_rejected
             annotated: Block | None = None
             for peer in self.peers.values():
                 if not peer.online:
                     continue  # it will catch up via gossip anti-entropy
                 if peer.ledger.height != block.number:
                     continue  # revived mid-run behind the chain — same remedy
-                committed = peer.commit_block(block, consensus_rejected=consensus_rejected)
+                committed = peer.commit_block(block)
                 if annotated is None:
                     annotated = committed
                     self.events.publish_block(peer.name, committed)
@@ -473,7 +466,7 @@ class Channel:
         """Catch lagging (recently restarted) peers up via gossip."""
         from repro.fabric.gossip import anti_entropy
 
-        return anti_entropy(list(self.peers.values()), self.rejected_by_block)
+        return anti_entropy(list(self.peers.values()))
 
     def height(self) -> int:
         online = [p for p in self.peers.values() if p.online]

@@ -3,8 +3,9 @@
 Fabric peers receive blocks either directly from ordering or from other
 peers via gossip; a peer that was offline catches up by pulling missing
 blocks from a healthy neighbour. :func:`sync_peer` replays the missing
-suffix through the normal commit path (so validation codes and world state
-come out identical), and :func:`anti_entropy` runs pairwise sync until all
+suffix through the normal commit path; each block names its own consensus
+verdicts, so validation codes and world state come out identical with no
+channel in the loop. :func:`anti_entropy` runs pairwise sync until all
 online peers converge to the same height.
 """
 
@@ -14,28 +15,17 @@ from repro.errors import FabricError, LedgerError
 from repro.fabric.peer import Peer
 
 
-def sync_peer(behind: Peer, ahead: Peer, rejected_by_block: dict[int, frozenset[str]] | None = None) -> int:
-    """Pull blocks ``behind`` is missing from ``ahead``; returns blocks copied.
-
-    ``rejected_by_block`` carries the consensus-rejection sets per block
-    number (empty when the channel uses solo ordering).
-    """
+def sync_peer(behind: Peer, ahead: Peer) -> int:
+    """Pull blocks ``behind`` is missing from ``ahead``; returns blocks copied."""
     if not behind.online:
         raise FabricError(f"peer {behind.name!r} is offline")
     copied = 0
-    rejected_by_block = rejected_by_block or {}
     while behind.ledger.height < ahead.ledger.height:
         number = behind.ledger.height
         block = ahead.ledger.block(number)
-        # Re-commit from the raw transactions: the receiving peer re-validates
-        # rather than trusting the sender's annotations.
-        from repro.fabric.ledger import Block
-
-        raw = Block(header=block.header, transactions=block.transactions)
-        recommitted = behind.commit_block(
-            raw, consensus_rejected=rejected_by_block.get(number, frozenset())
-        )
-        if recommitted.validation_codes != block.validation_codes:
+        # The receiving peer re-validates rather than trusting the sender's
+        # codes: commit_block derives them from the block alone.
+        if behind.commit_block(block).validation_codes != block.validation_codes:
             raise LedgerError(
                 f"peer {behind.name!r} disagrees with {ahead.name!r} on block {number}"
             )
@@ -43,7 +33,7 @@ def sync_peer(behind: Peer, ahead: Peer, rejected_by_block: dict[int, frozenset[
     return copied
 
 
-def anti_entropy(peers: list[Peer], rejected_by_block: dict[int, frozenset[str]] | None = None) -> int:
+def anti_entropy(peers: list[Peer]) -> int:
     """Bring every online peer to the maximum height among online peers."""
     online = [p for p in peers if p.online]
     if not online:
@@ -52,5 +42,5 @@ def anti_entropy(peers: list[Peer], rejected_by_block: dict[int, frozenset[str]]
     total = 0
     for peer in online:
         if peer is not ahead:
-            total += sync_peer(peer, ahead, rejected_by_block)
+            total += sync_peer(peer, ahead)
     return total

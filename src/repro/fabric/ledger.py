@@ -1,10 +1,11 @@
 """The ledger: a hash-chained block store.
 
-Each block header carries the previous header's hash and the Merkle root of
-the block's transaction envelopes, so any historical tamper breaks the chain
-at verification. Block metadata records the per-transaction validation codes
-the committer assigned — invalid transactions stay in the block (the audit
-trail the paper's provenance story needs) but never touch the world state.
+Each block header carries the previous header's hash, the Merkle root of
+the block's transaction envelopes and the positions consensus refused, so
+any historical tamper, verdicts included, breaks the chain at verification.
+Block metadata records the per-transaction validation codes the committer
+assigned — invalid transactions stay in the block (the audit trail the
+paper's provenance story needs) but never touch the world state.
 
 What "intact" means is defined once, in :mod:`repro.fabric.audit`;
 :meth:`BlockStore.append` and :meth:`BlockStore.verify_chain` run those
@@ -29,6 +30,7 @@ class BlockHeader:
     previous_hash: str
     data_hash: str  # Merkle root of tx envelopes
     timestamp: float
+    rejected: tuple[int, ...] = ()  # sorted positions consensus refused
 
     def hash(self) -> str:
         return once(self, "hash", self._hash)
@@ -41,6 +43,7 @@ class BlockHeader:
                     "previous_hash": self.previous_hash,
                     "data_hash": self.data_hash,
                     "timestamp": self.timestamp,
+                    "rejected": list(self.rejected),
                 }
             )
         ).hexdigest()
@@ -64,6 +67,7 @@ class Block:
         previous_hash: str,
         transactions: tuple[Transaction, ...],
         timestamp: float,
+        rejected: tuple[int, ...] = (),
     ) -> "Block":
         data_hash = merkle_root([tx.envelope_bytes() for tx in transactions]).hex()
         header = BlockHeader(
@@ -71,6 +75,7 @@ class Block:
             previous_hash=previous_hash,
             data_hash=data_hash,
             timestamp=timestamp,
+            rejected=rejected,
         )
         return cls(header=header, transactions=transactions)
 

@@ -10,8 +10,8 @@ Two implementations behind one interface:
   configuration the paper describes: validators independently re-verify each
   transaction (endorsement signatures + policy) and vote; a transaction
   needs a 2/3 quorum of valid votes, and rejected transactions are still
-  ordered into blocks flagged ``REJECTED_BY_CONSENSUS`` so the audit trail
-  shows what was refused and why.
+  ordered into blocks, named in the header and flagged
+  ``REJECTED_BY_CONSENSUS``, so the audit trail shows what was refused.
 
   Consensus is *batched*: ``submit`` only queues the transaction, and one
   PBFT instance runs per cut block — the batch digest is what replicas
@@ -92,6 +92,9 @@ class _BatchCutter:
             previous_hash=self._prev_hash,
             transactions=tuple(txs),
             timestamp=max(tx.proposal.timestamp for tx in txs),
+            rejected=() if decision is None else tuple(
+                i for i, accepted in enumerate(decision.item_accepted) if not accepted
+            ),
         )
         self._next_number += 1
         self._prev_hash = block.header.hash()

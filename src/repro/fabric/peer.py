@@ -7,10 +7,10 @@ installed chaincodes, and an endorsing identity. Two roles, as in Fabric:
   current state, capture the read/write set, sign the result. Nothing is
   committed.
 * **Commit** (:meth:`Peer.commit_block`): validate every transaction in an
-  ordered block — creator identity and signature, endorsement signatures and
-  policy, duplicate tx-id, then MVCC read-version checks (including
-  conflicts against earlier transactions *in the same block*) — and apply
-  the writes of valid transactions.
+  ordered block — the consensus verdict its header records, duplicate
+  tx-id, creator identity and signature, endorsement signatures and policy,
+  then MVCC read-version checks (including conflicts against earlier
+  transactions *in the same block*) — and apply the writes of valid ones.
 """
 
 from __future__ import annotations
@@ -146,14 +146,11 @@ class Peer:
     # ------------------------------------------------------------------
 
     def _validate_tx(
-        self,
-        tx: Transaction,
-        block_number: int,
-        written_this_block: dict[str, Version],
-        consensus_rejected: frozenset[str],
+        self, block: Block, tx_num: int, written_this_block: dict[str, Version]
     ) -> ValidationCode:
+        tx = block.transactions[tx_num]
         with profiled("fabric.validate"):
-            if tx.tx_id in consensus_rejected:
+            if tx_num in block.header.rejected:
                 return ValidationCode.REJECTED_BY_CONSENSUS
             if self.ledger.has_tx(tx.tx_id):
                 return ValidationCode.DUPLICATE_TXID
@@ -189,9 +186,10 @@ class Peer:
                     return ValidationCode.MVCC_READ_CONFLICT
             return ValidationCode.VALID
 
-    def commit_block(self, block: Block, consensus_rejected: frozenset[str] = frozenset()) -> Block:
+    def commit_block(self, block: Block) -> Block:
         """Validate and commit an ordered block; returns the block annotated
-        with validation codes (identical on every honest peer)."""
+        with validation codes (identical on every honest peer), consensus
+        verdicts read from its header; codes it already carries are ignored."""
         attrs = {"peer": self.name, "block": block.number}
         with obs_span("fabric.peer.commit", attrs, center="fabric.commit"):
             if not self.online:
@@ -200,7 +198,7 @@ class Peer:
             written_this_block: dict[str, Version] = {}
             staged: list[tuple[int, Transaction]] = []
             for tx_num, tx in enumerate(block.transactions):
-                code = self._validate_tx(tx, block.number, written_this_block, consensus_rejected)
+                code = self._validate_tx(block, tx_num, written_this_block)
                 codes.append(code)
                 if code is ValidationCode.VALID:
                     staged.append((tx_num, tx))
@@ -231,7 +229,7 @@ class Peer:
             if self.sanitizer is not None:
                 self.sanitizer.check_commit(self, annotated)
             if self.journal is not None:
-                self.journal.record_commit(self, annotated, consensus_rejected)
+                self.journal.record_commit(self, annotated)
             return annotated
 
     # ------------------------------------------------------------------

@@ -102,6 +102,7 @@ def block_to_doc(block: Block) -> dict:
                 "previous_hash": block.header.previous_hash,
                 "data_hash": block.header.data_hash,
                 "timestamp": block.header.timestamp,
+                "rejected": list(block.header.rejected),
             },
             "txs": [tx_to_doc(tx) for tx in block.transactions],
             "codes": [code.value for code in block.validation_codes],
@@ -121,9 +122,9 @@ def batch_record(request_id: str, txs) -> bytes:
     )
 
 
-def block_record(block: Block, rejected: list[str], index_epoch: str | None) -> bytes:
+def block_record(block: Block, index_epoch: str | None) -> bytes:
     """``canonical_json({"type": "block", "block": block_to_doc(block),
-    "rejected": rejected, "index_epoch": index_epoch})``."""
+    "index_epoch": index_epoch})``."""
     header = block.header
     if not -math.inf < header.timestamp < math.inf:  # orjson would write null
         raise EncodingError("NaN/Inf are not canonically serializable")
@@ -131,10 +132,11 @@ def block_record(block: Block, rejected: list[str], index_epoch: str | None) -> 
         "codes": [code.value for code in block.validation_codes],
         "header": {
             "data_hash": header.data_hash, "number": header.number,
-            "previous_hash": header.previous_hash, "timestamp": header.timestamp,
+            "previous_hash": header.previous_hash, "rejected": header.rejected,
+            "timestamp": header.timestamp,
         },
     })
-    tail = render({"index_epoch": index_epoch, "rejected": rejected, "type": "block"})
+    tail = render({"index_epoch": index_epoch, "type": "block"})
     txs = b",".join(tx.envelope_bytes() for tx in block.transactions)
     return b'{"block":' + head[:-1] + b',"txs":[' + txs + b"]}," + tail[1:]
 
@@ -148,6 +150,7 @@ def block_from_doc(doc: dict) -> Block:
                 previous_hash=header["previous_hash"],
                 data_hash=header["data_hash"],
                 timestamp=float(header["timestamp"]),
+                rejected=tuple(map(int, header["rejected"])),
             ),
             transactions=tuple(tx_from_doc(tx) for tx in doc["txs"]),
             validation_codes=tuple(ValidationCode(code) for code in doc["codes"]),

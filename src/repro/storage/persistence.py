@@ -4,7 +4,8 @@ One :class:`~repro.storage.durable.DurableStore` per peer (plus one for
 the ordering service) holds:
 
 * ``wal`` — one framed canonical-JSON record per committed block
-  (``{"type": "block", "block": ..., "rejected": [...]}``), synced every
+  (``{"type": "block", "block": ..., "index_epoch": ...}``, the consensus
+  verdicts inside the block's header), synced every
   ``wal_sync_every`` blocks — so a crash can lose at most the unsynced
   suffix; its transaction documents are the envelopes the orderer's
   ``batch`` record holds, rendered once (``Transaction.envelope_bytes``);
@@ -65,7 +66,7 @@ from repro.errors import (
 )
 from repro.fabric.audit import check_peers
 from repro.fabric.gossip import sync_peer
-from repro.fabric.ledger import Block, BlockStore
+from repro.fabric.ledger import BlockStore
 from repro.fabric.snapshot import (
     Snapshot,
     SnapshotDelta,
@@ -182,7 +183,7 @@ class DurabilityManager:
 
     # -- journaling (called from the commit / ordering paths) -----------------
 
-    def record_commit(self, peer, block, consensus_rejected) -> None:
+    def record_commit(self, peer, block) -> None:
         """Append one committed block to the peer's WAL; checkpoint on cadence."""
         if peer.name in self._replaying:
             return
@@ -196,10 +197,7 @@ class DurabilityManager:
         if getattr(peer, "index", None) is not None:
             index_epoch = peer.index.epochs.get(block.number)
         with profiled("storage.wal"):
-            store.append(
-                WAL_LOG,
-                block_record(block, sorted(consensus_rejected or ()), index_epoch),
-            )
+            store.append(WAL_LOG, block_record(block, index_epoch))
             self.stats.wal_records += 1
             height = peer.ledger.height
             if height % self.wal_sync_every == 0:
@@ -434,11 +432,8 @@ class DurabilityManager:
                 block = block_from_doc(doc["block"])
                 if block.header.number < peer.ledger.height:
                     continue  # covered by the checkpoint
-                annotated = peer.commit_block(
-                    Block(header=block.header, transactions=block.transactions),
-                    consensus_rejected=frozenset(doc.get("rejected", ())),
-                )
-                if tuple(annotated.validation_codes) != tuple(block.validation_codes):
+                annotated = peer.commit_block(block)
+                if annotated.validation_codes != block.validation_codes:
                     raise DurabilityError(
                         f"block {block.header.number} revalidated differently "
                         f"on replay — WAL record untrustworthy"
@@ -498,7 +493,7 @@ class DurabilityManager:
                 best = other
         if best is None:
             return 0
-        return sync_peer(peer, best, self.channel.rejected_by_block)
+        return sync_peer(peer, best)
 
     @staticmethod
     def _rebuild_index(peer) -> None:

@@ -155,8 +155,8 @@ def record(scenario: str, seed: int) -> dict:
     commits: list[dict] = []
     commit_block = Peer.commit_block
 
-    def recording_commit(peer, block, consensus_rejected=frozenset()):
-        annotated = commit_block(peer, block, consensus_rejected=consensus_rejected)
+    def recording_commit(peer, block):
+        annotated = commit_block(peer, block)
         commits.append({
             "peer": peer.name,
             "block": annotated.number,
@@ -279,8 +279,8 @@ def _planted(defect: str):
     build = Block.__dict__["build"]
     if defect == "wall_clock":
         Block.build = classmethod(
-            lambda cls, number, previous_hash, transactions, timestamp: build.__func__(
-                cls, number, previous_hash, transactions, time.time()
+            lambda cls, number, previous_hash, transactions, timestamp, rejected=(): (
+                build.__func__(cls, number, previous_hash, transactions, time.time(), rejected)
             )
         )
     try:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.errors import ChaincodeError, LedgerError
 from repro.fabric import Chaincode, ChaincodeStub, FabricNetwork, Role
+from repro.fabric.tx import Endorsement
 from repro.fabric.worldstate import COMPOSITE_SEP
 
 
@@ -89,3 +92,19 @@ def make_network(consensus="solo", orgs=("org1", "org2"), peers_per_org=1, **kwa
     channel.install_chaincode(KvChaincode())
     client = net.register_identity("alice", "org1", role=Role.CLIENT)
     return net, channel, client
+
+
+def submit_forged(channel, client, key):
+    """Order a ``kv`` put whose endorsement signatures are forged; under a
+    ``BftOrderer`` the validators refuse it. Returns the transaction."""
+    good = channel.assemble(*channel.endorse(client, "kv", "put", [key, "v"]))
+    forged = dataclasses.replace(
+        good,
+        endorsements=tuple(
+            Endorsement(endorser=e.endorser, signature=b"\x00" * 64)
+            for e in good.endorsements
+        ),
+    )
+    channel.orderer.submit(forged)
+    channel.flush()
+    return forged

@@ -282,7 +282,13 @@ class TestBatchedConsensus:
         assert results[1].code is ValidationCode.REJECTED_BY_CONSENSUS
         assert channel.height() == 1
         assert {r.block_number for r in results} == {0}
-        assert channel.rejected_by_block[0] == {txs[1].tx_id, txs[3].tx_id}
+        # The block names the refused positions; every peer reads them there.
+        for peer in channel.peers.values():
+            block = peer.ledger.block(0)
+            assert block.header.rejected == (1, 3)
+            assert {block.transactions[i].tx_id for i in block.header.rejected} == {
+                txs[1].tx_id, txs[3].tx_id
+            }
         # Per-tx votes are read from the one batch decision.
         for result in results:
             assert len(result.votes) >= 3

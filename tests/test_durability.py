@@ -19,7 +19,7 @@ from repro.storage.codec import block_to_doc, tx_to_doc
 from repro.storage.persistence import CHECKPOINT_FILE, DELTA_PREFIX, WAL_LOG
 from repro.util.serialization import canonical_json, from_canonical_json
 
-from tests.fabric_helpers import KvChaincode, make_network
+from tests.fabric_helpers import KvChaincode, make_network, submit_forged
 
 
 @pytest.fixture(autouse=True)
@@ -585,8 +585,6 @@ class TestWalRecords:
 
     @pytest.fixture(scope="class")
     def journaled(self):
-        from repro.fabric.tx import Endorsement
-
         net, channel, alice, manager = durable_network(
             checkpoint_interval=0, consensus="bft"
         )
@@ -597,16 +595,7 @@ class TestWalRecords:
         ]
         channel.orderer.submit(carrier, riders=tuple(riders))
         channel.flush()
-        good = channel.assemble(*channel.endorse(alice, "kv", "put", ["forged", "v"]))
-        forged = dataclasses.replace(
-            good,
-            endorsements=tuple(
-                Endorsement(endorser=e.endorser, signature=b"\x00" * 64)
-                for e in good.endorsements
-            ),
-        )
-        channel.orderer.submit(forged)
-        channel.flush()
+        forged = submit_forged(channel, alice, "forged")
         assert channel.result(forged.tx_id).code is ValidationCode.REJECTED_BY_CONSENSUS
         return channel, manager
 
@@ -621,12 +610,11 @@ class TestWalRecords:
                 expected = {
                     "type": "block",
                     "block": block_to_doc(block),
-                    "rejected": sorted(channel.rejected_by_block.get(number, ())),
                     "index_epoch": None,
                 }
                 assert payload == canonical_json(expected)
                 sizes.add(len(block.transactions))
-                rejected.update(expected["rejected"])
+                rejected.update(expected["block"]["header"]["rejected"])
         assert max(sizes) == 3 and rejected  # riders and a consensus rejection
 
     def test_batch_records(self, journaled):
@@ -644,6 +632,36 @@ class TestWalRecords:
                 "txs": [tx_to_doc(tx) for tx in txs],
             }
             assert payload == canonical_json(expected)
+
+
+class TestVerdictsInTheWal:
+    def test_a_flipped_verdict_goes_to_state_transfer_with_zero_loss(self):
+        """A block record whose header no longer names the consensus
+        rejection, rewritten well framed so it passes the CRC check:
+        replay re-validates the refused transaction differently and the
+        peer falls back to a verified state transfer."""
+        net, channel, alice, manager = durable_network(
+            checkpoint_interval=0, consensus="bft"
+        )
+        put_n(channel, alice, 1)
+        submit_forged(channel, alice, "forged")
+        put_n(channel, alice, 1, prefix="after")
+        name = "peer1.org1"
+        store = manager.stores[name]
+        records, _ = store.read_log(WAL_LOG)
+        docs = [from_canonical_json(payload) for payload in records]
+        at = next(i for i, doc in enumerate(docs) if doc["block"]["header"]["rejected"])
+        assert 0 < at < len(records) - 1
+        docs[at]["block"]["header"]["rejected"] = []
+        store.truncate_log(WAL_LOG)
+        for i, payload in enumerate(records):
+            store.append(WAL_LOG, canonical_json(docs[at]) if i == at else payload)
+        store.sync()
+        peer, other = reference(channel, name)
+        outcome = manager.crash_and_recover(name)
+        assert (outcome.kind, outcome.wal_damage) == ("state_transfer", "invalid")
+        assert peer.ledger.height == other.ledger.height
+        assert states_agree(peer, other)
 
 
 class TestRottedCheckpoints:

@@ -21,7 +21,7 @@ from repro.fabric.tx import ValidationCode, WriteEntry
 from repro.fabric.worldstate import Version, WorldState
 from repro.obs.explorer import LedgerExplorer
 
-from tests.fabric_helpers import make_network
+from tests.fabric_helpers import make_network, submit_forged
 from tests.test_fabric_ledger import make_block, make_tx
 
 CHAIN_CHECKS = {"block_number", "header_chain", "merkle_root"}
@@ -193,6 +193,23 @@ class TestBlockChecks:
         with pytest.raises(LedgerError, match="block 1"):
             store.append(bad)
         assert store.height == 1 and not store.has_tx(bad.transactions[0].tx_id)
+
+    def test_doctored_verdicts_break_the_chain_at_the_next_block(self):
+        """The header hash covers the consensus verdicts: dropping a refused
+        position from a stored block that is not the head is refused."""
+        net, channel, alice = make_network("bft")
+        channel.invoke(alice, "kv", "put", ["k", "v"])
+        forged = submit_forged(channel, alice, "forged")
+        channel.invoke(alice, "kv", "put", ["after", "v"])
+        peer = next(iter(channel.peers.values()))
+        number = peer.ledger.find_tx(forged.tx_id)[0].number
+        assert peer.ledger.block(number).header.rejected == (0,)
+        assert number < peer.ledger.height - 1
+        _replace_header(peer.ledger, number, rejected=())
+        findings = audit.check_chain(peer.ledger)
+        assert [(f.check, f.block) for f in findings] == [("header_chain", number + 1)]
+        with pytest.raises(LedgerError, match=f"block {number + 1}"):
+            peer.ledger.verify_chain()
 
     def test_valid_txs_treats_missing_codes_as_all_valid(self):
         block = make_block(0, GENESIS_PREVIOUS_HASH, n_txs=3)

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.errors import ChaincodeError, FabricError
-from repro.fabric import FabricNetwork, OutOf, SignedBy, ValidationCode
+from repro.fabric import FabricNetwork, OutOf, Peer, Role, SignedBy, ValidationCode, sync_peer
+from repro.fabric.snapshot import state_digest
 
-from tests.fabric_helpers import KvChaincode, make_network
+from tests.fabric_helpers import KvChaincode, make_network, submit_forged
 
 
 class TestInvokeQuery:
@@ -186,6 +187,28 @@ class TestGossip:
         # A fresh peer with no chaincode installed can't validate the same way;
         # instead check honest sync path equality:
         assert behind.ledger.last_hash() == ahead.ledger.last_hash()
+
+
+    def test_a_fresh_peer_re_validates_copied_blocks_with_no_channel(self):
+        """Two peers, no channel between them: the copied chain's consensus
+        rejection is read from the block, so codes and state come out equal."""
+        net, channel, alice = make_network(consensus="bft")
+        channel.invoke(alice, "kv", "put", ["k", "v"])
+        forged = submit_forged(channel, alice, "forged")
+        channel.invoke(alice, "kv", "put", ["after", "v"])
+        ahead = next(iter(channel.peers.values()))
+        behind = Peer(
+            "fresh.org1",
+            net.register_identity("fresh.org1", "org1", role=Role.PEER),
+            net.msp_registry,
+        )
+        behind.install_chaincode(ahead.chaincodes.get("kv"))
+        assert sync_peer(behind, ahead) == ahead.ledger.height == 3
+        assert behind.ledger.find_tx(forged.tx_id)[2] is ValidationCode.REJECTED_BY_CONSENSUS
+        assert [b.validation_codes for b in behind.ledger.blocks()] == [
+            b.validation_codes for b in ahead.ledger.blocks()
+        ]
+        assert state_digest(behind.world) == state_digest(ahead.world)
 
 
 class TestBftOrderedChannel:

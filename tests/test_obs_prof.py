@@ -182,7 +182,9 @@ class TestReconciliation:
             )
 
     def test_invoke_coverage_in_unit_range_and_substantial(self):
-        tracer, _profiler = self._traced_invoke()
+        # 20 pairs, not 2: one scheduler stall of a few ms is then a small
+        # share of the sampled fabric.invoke wall, not a third of it.
+        tracer, _profiler = self._traced_invoke(n_items=20)
         coverage = invoke_coverage(tracer)
         assert coverage <= 1.0 + 1e-6
         # CI gates >= 0.9 on the standard scenario; keep the unit bound

@@ -309,14 +309,14 @@ class TestWalRecordRendering:
         hashes=st.tuples(st.text(), st.text()),
         timestamp=_numbers,
         codes=st.lists(st.sampled_from(ValidationCode), min_size=2, max_size=2),
-        rejected=st.lists(st.text(), max_size=3),
+        rejected=st.lists(st.integers(0, 2**31), max_size=3),
         epoch=st.none() | st.text(),
     )
     def test_blocks(self, txs, number, hashes, timestamp, codes, rejected, epoch):
         block = Block(
             header=BlockHeader(
                 number=number, previous_hash=hashes[0], data_hash=hashes[1],
-                timestamp=timestamp,
+                timestamp=timestamp, rejected=tuple(rejected),
             ),
             transactions=tuple(txs),
             validation_codes=tuple(codes[: len(txs)]),
@@ -328,19 +328,19 @@ class TestWalRecordRendering:
                     "header": {
                         "number": number, "previous_hash": hashes[0],
                         "data_hash": hashes[1], "timestamp": timestamp,
+                        "rejected": rejected,
                     },
                     "txs": [_envelope_doc(tx) for tx in txs],
                     "codes": [code.value for code in block.validation_codes],
                 },
-                "rejected": rejected,
                 "index_epoch": epoch,
             }
         )
-        assert oracle.same(oracle.outcome(block_record, block, rejected, epoch), want)
+        assert oracle.same(oracle.outcome(block_record, block, epoch), want)
 
     def test_an_unserialisable_value_is_refused_as_canonical_json_refuses_it(self):
         from repro.errors import EncodingError
 
         header = BlockHeader(number=1, previous_hash="p", data_hash="d", timestamp=float("nan"))
         with pytest.raises(EncodingError):
-            block_record(Block(header=header, transactions=(), validation_codes=()), [], None)
+            block_record(Block(header=header, transactions=(), validation_codes=()), None)
