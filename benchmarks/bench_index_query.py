@@ -28,9 +28,9 @@ Two tiers, and the fixed cost in front of them:
   epoch root. All
   counts are EXACT, including what the read path is meant to cost:
   ``limit_rows_examined`` (a LIMIT stops at its last row),
-  ``window_rows_filtered`` (a time window runs its residual on its edge
-  buckets' rows only) and ``repeat_records_decoded`` (a repeated query
-  decodes nothing, = 0).
+  ``window_rows_filtered`` (a window-only query is answered by the index's
+  bisected time lookup, and its residual runs on no row, = 0) and
+  ``repeat_records_decoded`` (a repeated query decodes nothing, = 0).
 * **Parse + plan** — what every query text pays before it reads a row:
   ``parse_plan_<shape>_ms`` (TIMING) for the e2e ``eq_hot``, ``eq_adhoc``
   and ``range`` text shapes. Their exact call counts are gated in
@@ -273,9 +273,9 @@ def _parity_round() -> dict:
         answer = engine.run_verified(text)
         answer.verify()
         proofs_verified += len(answer.proofs)
-    # Only the window's edge buckets meet the residual; the rows of the
-    # buckets it wholly covers are examined and accepted unfiltered.
-    assert 0 < window_filtered < window_examined, (window_filtered, window_examined)
+    # The index's time lookup is the window's answer: every row examined is
+    # returned, and none meets the residual.
+    assert window_filtered == 0 < window_examined, (window_filtered, window_examined)
     return {
         "parity_queries": float(parity_queries),
         "proofs_verified": float(proofs_verified),

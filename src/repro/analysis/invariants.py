@@ -24,6 +24,7 @@ from .rules import Finding
 RULE_OF = {
     "header_chain": "SAN302",
     "merkle_root": "SAN303",
+    "consensus_verdicts": "SAN303",
     "remembered_form": "SAN303",
     "block_number": "SAN304",
     "state_replay": "SAN305",

@@ -75,7 +75,8 @@ _RULES = (
          "block's previous_hash does not match the preceding header hash",
          "runtime"),
     Rule("SAN303", ERROR, "block Merkle root mismatch",
-         "a transaction envelope was altered after ordering, or a remembered "
+         "a transaction envelope was altered after ordering, a block's "
+         "consensus verdicts do not fit its transactions, or a remembered "
          "canonical form is not what its value serialises to",
          "runtime"),
     Rule("SAN304", ERROR, "non-monotone ledger height",

@@ -14,7 +14,9 @@ The semantic (``docs/STATIC_ANALYSIS.md`` has the table):
 
 * **Block** (:func:`check_block`, :func:`check_chain`) — number equals
   position, ``previous_hash`` equals the prior header's hash, ``data_hash``
-  equals the recomputed Merkle root of the transaction envelopes.
+  equals the recomputed Merkle root of the transaction envelopes, and the
+  header's ``rejected`` positions ascend strictly inside the block — on an
+  annotated block, exactly the positions coded ``REJECTED_BY_CONSENSUS``.
 * **Remembered forms** (:func:`check_remembered`) — the header hash and each
   transaction's rwset, signing payload, envelope and endorsement payload,
   and its creator and endorsement signature verdicts, as every node in this
@@ -44,7 +46,7 @@ from repro.fabric.tx import ValidationCode, endorsement_payload
 class AuditFinding:
     """One integrity violation, located as precisely as the evidence allows."""
 
-    check: str                 # header_chain | merkle_root | block_number | ...
+    check: str                 # header_chain | merkle_root | consensus_verdicts | ...
     detail: str
     block: int | None = None
     tx_id: str | None = None
@@ -96,7 +98,38 @@ def check_block(block, number: int, prev_hash: str) -> list[AuditFinding]:
                 block=number,
             )
         )
+    rejected, n = header.rejected, len(block.transactions)
+    if rejected and not _ascending_below(rejected, n):
+        findings.append(
+            AuditFinding(
+                "consensus_verdicts",
+                f"header rejects positions {list(rejected)}, not strictly "
+                f"ascending positions of its {n} transactions",
+                block=number,
+            )
+        )
+    for tx_num, code in enumerate(block.validation_codes):
+        if (code is ValidationCode.REJECTED_BY_CONSENSUS) != (tx_num in rejected):
+            findings.append(
+                AuditFinding(
+                    "consensus_verdicts",
+                    f"tx {tx_num} is coded {code.value} where the header "
+                    f"rejects positions {list(rejected)}",
+                    block=number,
+                    tx_id=block.transactions[tx_num].tx_id if tx_num < n else None,
+                )
+            )
     return findings
+
+
+def _ascending_below(positions: tuple, n: int) -> bool:
+    """Are ``positions`` ints ascending strictly inside ``range(n)``?"""
+    previous = -1
+    for position in positions:
+        if type(position) is not int or not previous < position < n:
+            return False
+        previous = position
+    return True
 
 
 def check_chain(store) -> list[AuditFinding]:

@@ -9,7 +9,9 @@ Structure
   append costs O(1) and the whole history of the posting is committed by
   one hash. It also keeps the ids in entry-id order (one ``insort`` per
   append, not in the leaf), so a lookup copies or merges sorted runs
-  instead of sorting a posting per call.
+  instead of sorting a posting per call. A time bucket's posting keeps its
+  ids in time order too (one ``bisect`` insert each), so a window's two
+  edge buckets are cut at its bounds by bisection.
 * Trust bands are *mutable* (scores move sources between bands), so the
   ``trust_band`` dimension is kept as the current source→score-digest map
   per band rather than an append-only posting.
@@ -115,6 +117,9 @@ class Posting:
     chain: str = ""
     # The same ids in entry-id order: derived, for lookups, not in the leaf.
     ids: list[str] = field(default_factory=list, repr=False, compare=False)
+    # A time bucket's timestamps, sorted, and its ids in that order: derived.
+    times: list[float] = field(default_factory=list, repr=False, compare=False)
+    by_time: list[str] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.chain:
@@ -291,6 +296,11 @@ class PeerIndex:
             if posting is None:
                 posting = self.postings[(dim, value)] = Posting(dim, value)
             posting.append(entry_id, digest)
+            if dim == "time":
+                ts = record["metadata"]["timestamp"]
+                at = bisect_right(posting.times, ts)
+                posting.times.insert(at, ts)
+                posting.by_time.insert(at, entry_id)
             self._dirty.add((_POSTING, dim, value))
         self._indexed.add(entry_id)
 
@@ -453,10 +463,24 @@ class PeerIndex:
         postings = self.postings
         return self._merged([postings[k].ids for k in keys if k in postings])
 
-    def lookup_time_range(self, lower: float, upper: float) -> list[str]:
-        """Entry ids whose time bucket intersects ``[lower, upper)``."""
-        buckets = self.time_buckets(lower, upper)
-        return self._merged([self.postings[("time", b)].ids for b in buckets])
+    def lookup_time_range(
+        self, lower: float, upper: float, lower_closed: bool = True, upper_closed: bool = False
+    ) -> list[str]:
+        """Entry ids whose timestamp lies in the window, each bound inclusive
+        when it is ``_closed`` (``[lower, upper)`` by default), in entry-id
+        order; tombstoned entries excluded. The edge buckets, told apart by
+        number, are cut by bisection; a bucket between them is taken whole."""
+        lo_b, hi_b = int(lower // TIME_BUCKET_S), int(upper // TIME_BUCKET_S)
+        runs = []
+        for value in self.time_buckets(lower, upper):
+            posting = self.postings[("time", value)]
+            if lo_b < int(value) < hi_b:
+                runs.append(posting.ids)
+                continue
+            start = (bisect_left if lower_closed else bisect_right)(posting.times, lower)
+            end = (bisect_right if upper_closed else bisect_left)(posting.times, upper)
+            runs.append(sorted(posting.by_time[start:end]))
+        return self._merged(runs)
 
     def _merged(self, runs: list[list[str]]) -> list[str]:
         """A list of the caller's own: the disjoint sorted ``runs`` in

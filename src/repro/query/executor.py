@@ -32,16 +32,17 @@ Both state routes hand out candidates as a lazy stream in entry-id order:
 a record is JSON-decoded into one shared row, reused while the world state
 still holds the very value object it was decoded from, and a ``LIMIT``
 without ``ORDER BY`` stops the stream at the last row it needs — so a query
-costs the rows it examines, and examining a row costs a dict lookup. A time
-window's residual runs on its edge buckets' rows only.
+costs the rows it examines, and examining a row costs a dict lookup. The
+residual runs on no row of a window-only plan: its lookup is the answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import orjson
 
@@ -95,7 +96,7 @@ class QueryRow:
 class QueryStats:
     queries: int = 0
     rows_scanned: int = 0   # candidate records examined (a LIMIT stops early)
-    rows_filtered: int = 0  # examined records the residual ran on (see _matching)
+    rows_filtered: int = 0  # examined records the residual ran on (none if window-only)
     rows_returned: int = 0
     records_decoded: int = 0  # JSON decodes on the state routes (a reuse is none)
     bytes_fetched: int = 0
@@ -135,45 +136,39 @@ _Rows = list[QueryRow]
 
 
 def _matching(
-    candidates: Iterable[QueryRow], matches: _Filter, query: Query, exempt: Collection[str] = ()
-) -> tuple[_Rows, int, int]:
-    """``(matched, examined, filtered)``: the candidate rows whose record
-    ``matches``, how many were examined, and on how many ``matches`` ran —
-    a row whose entry id is ``exempt`` is taken without it.
+    candidates: Iterable[QueryRow], matches: _Filter | None, query: Query
+) -> tuple[_Rows, int]:
+    """``(matched, examined)``: the candidate rows whose record ``matches``
+    (every row when ``matches`` is None), and how many were examined.
 
     Candidates arrive in entry-id order, so with a LIMIT and no ORDER BY the
     first LIMIT matches are the answer and the rest are never examined
     (:meth:`Query.apply_post` still defines the cut; this only stops early).
     """
     stop = query.limit if query.order_by is None else None
+    if matches is None:
+        matched = list(islice(candidates, stop))
+        return matched, len(matched)
     matched: _Rows = []
-    examined = taken = 0
-    if stop == 0:
-        return matched, examined, examined
-    for row in candidates:
+    examined = 0
+    for row in candidates if stop != 0 else ():
         examined += 1
-        record = row.record
-        if exempt and record.get("entry_id") in exempt:
-            taken += 1
-        elif not matches(record):
-            continue
-        matched.append(row)
-        if len(matched) == stop:
-            break
-    return matched, examined, examined - taken
+        if matches(row.record):
+            matched.append(row)
+            if len(matched) == stop:
+                break
+    return matched, examined
 
 
-def _interior(index, plan: Plan) -> set[str]:
-    """The candidates that need no filter: on a window-only plan, those of
-    the buckets its window :meth:`~Plan.covers` (so only edge buckets pay it)."""
-    if not plan.window:
-        return set()
-    return {
-        entry_id
-        for bucket in index.time_buckets(*plan.index_route.time_range)
-        if plan.covers(int(bucket))
-        for entry_id in index.postings[("time", bucket)].ids
-    }
+def _route_ids(index, plan: Plan) -> list[str]:
+    """The entry ids the plan's route reads, in entry-id order: on a
+    window-only plan, exactly those of the answer."""
+    route = plan.index_route
+    if plan.window:
+        return index.lookup_time_range(*plan.window)
+    if route.time_range is not None:
+        return index.lookup_time_range(*route.time_range)
+    return index.lookup(route.dim, route.value)
 
 
 def _answer(matched: _Rows, query: Query) -> _Rows:
@@ -242,13 +237,13 @@ class QueryEngine:
                     "query_index_route_total",
                     {"route": "index" if used_index else "fallback"},
                 ).inc()
+            matches = plan.residual.matches
             if state is None:
-                state = map(QueryRow, self._chain_records()), ()
-            candidates, exempt = state
+                state = map(QueryRow, self._chain_records())
+            elif plan.window:
+                matches = None  # the lookup is the answer
             with obs_span("query.filter") as fsp:
-                matched, examined, filtered = _matching(
-                    candidates, plan.residual.matches, query, exempt
-                )
+                matched, examined = _matching(state, matches, query)
                 fsp.set_attr("examined", examined)
             rows = _answer(matched, query)
             if from_state:
@@ -259,7 +254,7 @@ class QueryEngine:
             with self._stats_lock:
                 self.stats.queries += 1
                 self.stats.rows_scanned += examined
-                self.stats.rows_filtered += filtered
+                self.stats.rows_filtered += 0 if matches is None else examined
                 self.stats.rows_returned += len(rows)
                 if route is not None:
                     if used_index:
@@ -298,23 +293,23 @@ class QueryEngine:
             )
         index = peer.index
         if route.time_range is not None:
+            # Whole bucket postings: a proof binds a posting's every entry.
             dims = [("time", v) for v in index.time_buckets(*route.time_range)]
-            entry_ids = index.lookup_time_range(*route.time_range)
         else:
             # An unindexed value has nothing to prove: the answer is empty
             # with zero proofs (absence proofs are out of scope).
             dims = [(route.dim, route.value)] if index.has(route.dim, route.value) else []
-            entry_ids = index.lookup(route.dim, route.value)
         proofs = tuple(index.prove(dim, value) for dim, value in dims)
         query = dataclasses.replace(query, select=None)
-        rows, examined, filtered = _matching(
-            self._load_rows(peer, entry_ids), plan.residual.matches, query
+        matches = None if plan.window else plan.residual.matches
+        rows, examined = _matching(
+            self._load_rows(peer, _route_ids(index, plan)), matches, query
         )
         matched = [row.record for row in _answer(rows, query)]
         with self._stats_lock:
             self.stats.queries += 1
             self.stats.rows_scanned += examined
-            self.stats.rows_filtered += filtered
+            self.stats.rows_filtered += 0 if matches is None else examined
             self.stats.rows_returned += len(matched)
             self.stats.index_hits += 1
         return VerifiedAnswer(
@@ -376,12 +371,9 @@ class QueryEngine:
             self._records[key] = (raw, row)
         return row
 
-    def _execute_state(
-        self, plan: Plan, height: int
-    ) -> tuple[Iterator[QueryRow], set[str]] | None:
-        """``(candidates, exempt)`` straight from an in-sync peer's world
-        state: a lazy stream of rows in entry-id order and the entry ids
-        among them the residual need not run on; None = fall back to the
+    def _execute_state(self, plan: Plan, height: int) -> Iterator[QueryRow] | None:
+        """The candidates straight from an in-sync peer's world state, a
+        lazy stream of rows in entry-id order; None = fall back to the
         chaincode scan.
 
         With a route: a posting lookup plus point reads of the matching
@@ -392,18 +384,13 @@ class QueryEngine:
         peer = self._index_peer(height)
         if peer is None:
             return None
-        route = plan.index_route
-        if route is None:
+        if plan.index_route is None:
             rows = peer.world.range(_DATA_PREFIX, _DATA_END)
-            return (self._row(key, raw) for key, raw in rows), set()
-        index = peer.index
+            return (self._row(key, raw) for key, raw in rows)
         with obs_span("query.index_read") as sp:
-            if route.time_range is not None:
-                entry_ids = index.lookup_time_range(*route.time_range)
-            else:
-                entry_ids = index.lookup(route.dim, route.value)
+            entry_ids = _route_ids(peer.index, plan)
             sp.set_attr("rows", len(entry_ids))
-        return self._load_rows(peer, entry_ids), _interior(index, plan)
+        return self._load_rows(peer, entry_ids)
 
     def _check_parity(
         self, describe: Callable[[], str], rows: _Rows, reference: Callable[[], list[dict]]

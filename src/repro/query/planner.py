@@ -8,9 +8,8 @@ for it, keeping the whole filter as a residual (the index narrows the
 candidate set; the residual guarantees correctness). A plan with no route
 is a full scan of the ``data:`` records.
 
-When the residual is nothing but the routed time window (numeric ``<`` /
-``<=`` / ``>`` / ``>=`` bounds), the plan keeps those bounds as its
-``window``: a bucket they wholly cover (:meth:`Plan.covers`) needs no filter.
+A ``WHERE`` of numeric ``<`` / ``<=`` / ``>`` / ``>=`` timestamp bounds only
+keeps its tightest two as the plan's ``window``, which the index answers exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.index.secondary import TIME_BUCKET_S
 from repro.query.ast import Compare, Expr, InSet, Query, conjuncts
 
 
@@ -45,22 +43,15 @@ class IndexRoute:
 class Plan:
     residual: Expr
     index_route: IndexRoute | None = None
-    # The residual's conjuncts when they are exactly the routed time window.
-    window: tuple[Compare, ...] = ()
-
-    def covers(self, bucket: int) -> bool:
-        """Does every time in ``bucket`` satisfy the window? Checked on its edges."""
-        start = bucket * TIME_BUCKET_S
-        end = start + TIME_BUCKET_S
-        return bool(self.window) and all(
-            _BUCKET_WITHIN[part.op](start, end, part.value) for part in self.window
-        )
+    # When the WHERE is nothing but time bounds, its tightest two as
+    # ``lookup_time_range(lower, upper, lower_closed, upper_closed)`` takes
+    # them: that lookup is the answer, and the residual need not run.
+    window: tuple = ()
 
     def explain(self) -> str:
         if self.index_route is None:
             return "FULL SCAN data:* -> filter"
-        edges = " edge buckets" if self.window else ""
-        return f"INDEX {self.index_route.describe()} -> filter{edges}"
+        return f"INDEX {self.index_route.describe()} -> {'exact' if self.window else 'filter'}"
 
 
 # field -> (preference rank, posting dimension) in the peers' authenticated
@@ -76,14 +67,6 @@ _INDEX_DIMS = {
 
 _TIME_FIELD = "metadata.timestamp"
 
-# op -> does a bound ``t op value`` hold for every t in [start, end)?
-_BUCKET_WITHIN = {
-    ">": lambda start, end, value: start > value,
-    ">=": lambda start, end, value: start >= value,
-    "<": lambda start, end, value: end <= value,
-    "<=": lambda start, end, value: end <= value,
-}
-
 
 def plan_query(query: Query) -> Plan:
     """The query's access path, chosen in one pass over its conjuncts: the
@@ -93,7 +76,8 @@ def plan_query(query: Query) -> Plan:
     parts = conjuncts(where)
     equalities = {}  # (rank, dim) -> the value its first equality binds
     lower = upper = None
-    window = True  # every conjunct is a bucket-checkable time bound
+    lower_closed = upper_closed = True  # of the tightest bound on each side
+    window = True  # every conjunct is a numeric time bound
     for part in parts:
         cls = part.__class__
         if cls is InSet and len(part.values) == 1 and part.field in _INDEX_DIMS:
@@ -107,9 +91,12 @@ def plan_query(query: Query) -> Plan:
         elif field != _TIME_FIELD or not isinstance(value, (int, float)):
             window = False
         elif op == ">" or op == ">=":
-            lower = value if lower is None else max(lower, value)
+            # On a tie the exclusive bound is the tighter one.
+            if lower is None or value > lower or (value == lower and op == ">"):
+                lower, lower_closed = value, op == ">="
         elif op == "<" or op == "<=":
-            upper = value if upper is None else min(upper, value)
+            if upper is None or value < upper or (value == upper and op == "<"):
+                upper, upper_closed = value, op == "<="
         else:  # "=" pins both edges; "!=" bounds nothing
             window = False
             if op == "=":
@@ -122,9 +109,10 @@ def plan_query(query: Query) -> Plan:
         return Plan(residual=where)  # half-open ranges would scan unbounded buckets
     # The route covers [lower, upper); widen the upper edge to the next
     # float so "<= t" and "= t" include t itself (a fixed epsilon is
-    # absorbed by any epoch-scale t).
+    # absorbed by any epoch-scale t). The lower edge stays as written.
     route = IndexRoute(
-        dim="time",
-        time_range=(float(lower), math.nextafter(float(upper), math.inf)),
+        dim="time", time_range=(lower, math.nextafter(float(upper), math.inf))
     )
-    return Plan(where, route, window=tuple(parts) if window else ())
+    if not window:
+        return Plan(where, route)
+    return Plan(where, route, window=(lower, upper, lower_closed, upper_closed))

@@ -196,7 +196,8 @@ class TestBlockChecks:
 
     def test_doctored_verdicts_break_the_chain_at_the_next_block(self):
         """The header hash covers the consensus verdicts: dropping a refused
-        position from a stored block that is not the head is refused."""
+        position from a stored block that is not the head is refused. The
+        block's own codes still flag that position, so it is named too."""
         net, channel, alice = make_network("bft")
         channel.invoke(alice, "kv", "put", ["k", "v"])
         forged = submit_forged(channel, alice, "forged")
@@ -207,9 +208,54 @@ class TestBlockChecks:
         assert number < peer.ledger.height - 1
         _replace_header(peer.ledger, number, rejected=())
         findings = audit.check_chain(peer.ledger)
-        assert [(f.check, f.block) for f in findings] == [("header_chain", number + 1)]
-        with pytest.raises(LedgerError, match=f"block {number + 1}"):
+        assert [(f.check, f.block) for f in findings] == [
+            ("consensus_verdicts", number), ("header_chain", number + 1)
+        ]
+        assert findings[0].tx_id == forged.tx_id
+        with pytest.raises(LedgerError, match=f"block {number}: tx 0 is coded"):
             peer.ledger.verify_chain()
+
+    @pytest.mark.parametrize(
+        "rejected, n_txs",
+        [((7, 3, 3), 1), ((2,), 2), ((1, 0), 2), ((0, 0), 2), ((-1,), 2), ((True,), 2)],
+        ids=["out_of_range_and_repeated", "past_the_end", "unsorted", "repeated",
+             "negative", "not_an_int"],
+    )
+    def test_append_refuses_verdicts_that_do_not_fit_the_block(self, rejected, n_txs):
+        txs = tuple(make_tx(i) for i in range(n_txs))
+        bad = Block.build(0, GENESIS_PREVIOUS_HASH, txs, 1.0, rejected=rejected)
+        findings = audit.check_block(bad, 0, GENESIS_PREVIOUS_HASH)
+        assert [f.check for f in findings] == ["consensus_verdicts"]
+        assert RULE_OF["consensus_verdicts"] == "SAN303"
+        store = BlockStore()
+        with pytest.raises(LedgerError, match="block 0: header rejects positions"):
+            store.append(bad)
+        assert store.height == 0
+        store._blocks.append(bad)  # past append: the chain walk finds it too
+        with pytest.raises(LedgerError, match="block 0"):
+            store.verify_chain()
+
+    @pytest.mark.parametrize(
+        "rejected, codes, clean",
+        [
+            ((1,), ("VALID", "REJECTED_BY_CONSENSUS"), True),
+            ((), ("VALID", "MVCC_READ_CONFLICT"), True),
+            ((1,), ("VALID", "VALID"), False),
+            ((), ("REJECTED_BY_CONSENSUS", "VALID"), False),
+            ((0,), ("VALID", "REJECTED_BY_CONSENSUS"), False),
+        ],
+        ids=["flagged", "none_refused", "refused_but_valid", "flagged_unrefused", "moved"],
+    )
+    def test_codes_flag_exactly_the_refused_positions(self, rejected, codes, clean):
+        txs = (make_tx(0), make_tx(1))
+        block = Block.build(0, GENESIS_PREVIOUS_HASH, txs, 1.0, rejected=rejected)
+        annotated = block.with_validation([ValidationCode(code) for code in codes])
+        findings = audit.check_block(annotated, 0, GENESIS_PREVIOUS_HASH)
+        assert findings == [] if clean else {f.check for f in findings} == {"consensus_verdicts"}
+        if not clean:
+            assert {f.tx_id for f in findings} <= {"tx-0", "tx-1"}
+            with pytest.raises(LedgerError, match="block 0: tx"):
+                BlockStore().append(annotated)
 
     def test_valid_txs_treats_missing_codes_as_all_valid(self):
         block = make_block(0, GENESIS_PREVIOUS_HASH, n_txs=3)

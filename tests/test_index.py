@@ -510,11 +510,16 @@ class TestMaintainedTree:
                     if dim == "time" and lower <= upper and lo_b <= int(v) <= hi_b
                 )
                 assert index.time_buckets(lower, upper) == expected
-                assert index.lookup_time_range(lower, upper) == sorted(
-                    eid
-                    for v in expected
-                    for eid, _ in index.postings[("time", v)].entries
-                )
+                for lower_closed in (True, False):
+                    for upper_closed in (True, False):
+                        assert index.lookup_time_range(
+                            lower, upper, lower_closed, upper_closed
+                        ) == sorted(
+                            f"e{i}"
+                            for i, ts in enumerate(stamps)
+                            if (lower <= ts if lower_closed else lower < ts)
+                            and (ts <= upper if upper_closed else ts < upper)
+                        )
 
     def test_one_block_splices_several_keys_and_empties_a_band(self):
         """One ``MerkleTree.edit`` batch holding inserts either side of
@@ -640,32 +645,40 @@ class TestPostingOrder:
             chain.commit(*(_delete_write(eid) for eid in rng.sample(entries, 5)))
         return chain
 
-    def _assert_order(self, index):
+    def _assert_order(self, index, world):
         for (dim, value), posting in index.postings.items():
             assert posting.ids == sorted(eid for eid, _ in posting.entries)
             assert index.lookup(dim, value) == _committed_ids(index, (dim, value))
         for band, sources in index.bands.items():
             keys = [("source", source) for source in sources]
             assert index.lookup("trust_band", band) == _committed_ids(index, *keys)
+        stamps = {
+            key[len("data:"):]: json.loads(raw)["metadata"]["timestamp"]
+            for key, raw in world.range("data:", "data:\x7f")
+        }
         for lower, upper in ((-3000, 9000), (-601, -1), (0, 600), (1200.5, 4800)):
-            keys = [("time", b) for b in index.time_buckets(lower, upper)]
-            assert index.lookup_time_range(lower, upper) == _committed_ids(index, *keys)
+            assert index.lookup_time_range(lower, upper) == sorted(
+                eid for eid, ts in stamps.items() if lower <= ts < upper
+            )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lookups_are_in_entry_id_order(self, seed):
         chain = self._random_chain(seed, deletes=False)
-        self._assert_order(chain.index)
+        self._assert_order(chain.index, chain.world)
         assert chain.index.bands
         rebuilt = PeerIndex.from_world(chain.world, chain.index.height)
         for key, posting in chain.index.postings.items():
-            assert rebuilt.postings[key].ids == posting.ids
-        self._assert_order(rebuilt)
+            twin = rebuilt.postings[key]
+            assert (twin.ids, twin.times, twin.by_time) == (
+                posting.ids, posting.times, posting.by_time
+            )
+        self._assert_order(rebuilt, chain.world)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tombstoned_ids_are_left_out(self, seed):
-        index = self._random_chain(seed, deletes=True).index
-        assert len(index.tombstones) == 5
-        self._assert_order(index)
+        chain = self._random_chain(seed, deletes=True)
+        assert len(chain.index.tombstones) == 5
+        self._assert_order(chain.index, chain.world)
 
     @pytest.mark.parametrize("deletes", [False, True])
     def test_a_returned_list_is_the_callers_own(self, deletes):

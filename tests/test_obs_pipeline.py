@@ -2,6 +2,7 @@
 a valid Chrome trace, and a per-stage breakdown that explains the wall time."""
 
 import json
+import statistics
 
 import pytest
 
@@ -17,9 +18,8 @@ def _no_global_tracer_leak():
     obs.disable()
 
 
-@pytest.fixture(scope="module")
-def traced_run():
-    """One framework, one submit + retrieve, traced; shared by the assertions."""
+def _traced_submit_and_retrieve():
+    """A fresh framework's first submit and its cold retrieve, traced."""
     with obs.enabled() as tracer:
         framework = Framework(FrameworkConfig())
         client = Client(
@@ -34,6 +34,20 @@ def traced_run():
         result = client.retrieve(receipt.entry_id)
     assert receipt.ok and result.verified
     return tracer
+
+
+@pytest.fixture(scope="module")
+def traced_run():
+    """One framework, one submit + retrieve, traced; shared by the assertions."""
+    return _traced_submit_and_retrieve()
+
+
+@pytest.fixture(scope="module")
+def cold_runs():
+    """Five such runs, each on its own framework: a ratio of wall-clock
+    readings is taken as their median, so one preempted sample cannot
+    decide it."""
+    return [_traced_submit_and_retrieve() for _ in range(5)]
 
 
 class TestStorageSpanTree:
@@ -148,10 +162,17 @@ class TestBreakdown:
             # Exclusive times over the full tree partition the wall time.
             assert total == pytest.approx(bd.wall_s, rel=0.02)
 
-    def test_coverage_at_least_90_percent(self, traced_run):
-        for bd in obs.pipeline_breakdown(traced_run).values():
-            assert bd.coverage >= 0.9, (
-                f"{bd.pipeline}: only {bd.coverage:.0%} of wall time attributed"
+    def test_coverage_at_least_90_percent(self, cold_runs):
+        samples: dict[str, list[float]] = {}
+        for tracer in cold_runs:
+            for bd in obs.pipeline_breakdown(tracer).values():
+                samples.setdefault(bd.pipeline, []).append(bd.coverage)
+        assert set(samples) == {"storage", "retrieval"}
+        for pipeline, coverages in samples.items():
+            coverage = statistics.median(coverages)
+            assert coverage >= 0.9, (
+                f"{pipeline}: only {coverage:.0%} of wall time attributed "
+                f"(median of {sorted(round(c, 3) for c in coverages)})"
             )
 
     def test_storage_reports_paper_stages(self, traced_run):

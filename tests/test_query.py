@@ -1,6 +1,7 @@
 """Tests for the query engine: parser, planner, and hybrid execution."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -543,7 +544,7 @@ class TestRoutesAgree:
         assert engine.get(row.entry_id).record == row.record
 
 
-# -- time windows: only the edge buckets are filtered ---------------------------
+# -- time windows: the index lookup is the answer ---------------------------------
 
 EDGE = 2_833_334 * 600  # a time-bucket edge at epoch scale (T0 + 400)
 TS = "metadata.timestamp"
@@ -641,17 +642,202 @@ class TestWindows:
         )
         _window_parity(windowed[1], text)
 
-    def test_only_the_edge_buckets_meet_the_residual(self, windowed):
+    def test_a_window_plan_filters_no_row(self, windowed):
+        """The index lookup is the answer: every row examined is returned,
+        and the residual runs on none of them."""
         framework, engine = windowed
         text = self.WINDOWS["seven_buckets"]
-        route = plan_query(parse_query(text)).index_route
+        plan = plan_query(parse_query(text))
         index = framework.channel.indexing.reference_peer().index
-        buckets = index.time_buckets(*route.time_range)
-        assert len(buckets) == 7
-        edges = len(index.lookup("time", buckets[0])) + len(index.lookup("time", buckets[-1]))
+        assert len(index.time_buckets(*plan.index_route.time_range)) == 7
         filtered_before = engine.stats.rows_filtered
         rows, examined = _counted(engine, "rows_scanned", lambda: engine.run(text))
-        assert examined == len(index.lookup_time_range(*route.time_range)) == 28
-        assert 0 < engine.stats.rows_filtered - filtered_before <= edges == 8
-        assert len(rows) == 27  # EDGE + 150 .. EDGE + 4050, every 150 s
+        assert engine.stats.rows_filtered == filtered_before
+        assert examined == len(rows) == len(index.lookup_time_range(*plan.window)) == 27
+        assert plan.explain().endswith("-> exact")
 
+
+# -- windows whose time order is not their commit order --------------------------
+
+# Duplicates on the bounds the windows below use, int and float stamps of
+# one value in one bucket, and a commit order that is not the time order.
+REORDERED_STAMPS = [
+    EDGE, EDGE, float(EDGE), EDGE + 100, float(EDGE + 100), EDGE + 250.5,
+    EDGE + 300, float(EDGE + 300), EDGE + 300, EDGE + 450, EDGE + 599.5,
+    EDGE + 600, float(EDGE + 600), EDGE + 900, EDGE + 1199, EDGE + 1200, -600, -600.0,
+]
+
+
+@pytest.fixture(scope="module")
+def reordered():
+    """A durable peer set whose records arrive in a seeded shuffle of
+    ``REORDERED_STAMPS``, one block each, so later blocks hold earlier times."""
+    framework = Framework(FrameworkConfig(
+        consensus="solo", n_ipfs_nodes=2, peers_per_org=2, durability=True,
+        checkpoint_interval=8,
+    ))
+    client = Client(framework, framework.register_source("reo", tier=SourceTier.TRUSTED))
+    order = list(range(len(REORDERED_STAMPS)))
+    random.Random(7).shuffle(order)
+    for i in order:
+        meta = {"camera_id": f"cam-{i % 3}", "timestamp": REORDERED_STAMPS[i]}
+        framework.channel.invoke(
+            client.identity, "data_upload", "store",
+            [CID.for_data(b"reo-%d" % i).encode(), canonical_json(meta).decode()],
+        )
+    stamps = [
+        row.record["metadata"]["timestamp"]
+        for row in sorted(client.engine.run(""), key=lambda row: row.record["created_at"])
+    ]
+    assert stamps != sorted(stamps)  # some record commits after a later one
+    return framework, client.engine
+
+
+class TestReorderedWindows:
+    WINDOWS = {
+        "duplicates_on_a_closed_lower": f"{TS} >= {EDGE + 300} AND {TS} < {EDGE + 1200}",
+        "duplicates_on_an_open_lower": f"{TS} > {EDGE + 300} AND {TS} < {EDGE + 1200}",
+        "duplicates_on_a_closed_upper": f"{TS} >= {EDGE + 1} AND {TS} <= {EDGE + 300}",
+        "duplicates_on_an_open_upper": f"{TS} >= {EDGE + 1} AND {TS} < {EDGE + 300}",
+        "duplicates_on_both_bounds": f"{TS} >= {EDGE + 300} AND {TS} <= {EDGE + 300}",
+        "a_point_left_open": f"{TS} > {EDGE + 300} AND {TS} <= {EDGE + 300}",
+        "float_bounds_on_int_stamps": f"{TS} >= {EDGE}.0 AND {TS} <= {EDGE + 600}.0",
+        "int_bounds_on_float_stamps": f"{TS} > {EDGE + 100} AND {TS} < {EDGE + 600}",
+        "bucket_edges_both_sides": f"{TS} >= {EDGE} AND {TS} < {EDGE + 600}",
+        "mixed_in_one_bucket": f"{TS} >= {EDGE + 100} AND {TS} <= {EDGE + 100}.0",
+        "three_buckets": f"{TS} > {EDGE - 1} AND {TS} <= {EDGE + 1200}",
+        "tie_resolves_to_open": (
+            f"{TS} >= {EDGE + 300} AND {TS} > {EDGE + 300}.0 AND "
+            f"{TS} <= {EDGE + 900} AND {TS} < {EDGE + 900}"
+        ),
+        "negative_duplicates": f"{TS} >= -600 AND {TS} < 0",
+    }
+    POST = {
+        "order_desc_limit": f"{TS} >= {EDGE} AND {TS} < {EDGE + 1200} "
+                            f"ORDER BY {TS} DESC LIMIT 4",
+        "order_asc": f"{TS} > {EDGE} AND {TS} <= {EDGE + 600} ORDER BY {TS}",
+        "limit": f"{TS} >= {EDGE} AND {TS} <= {EDGE + 1200} LIMIT 5",
+        "limit_zero": f"{TS} >= {EDGE} AND {TS} <= {EDGE + 1200} LIMIT 0",
+        "select": f"SELECT {TS}, metadata.camera_id WHERE {TS} >= {EDGE + 300} "
+                  f"AND {TS} < {EDGE + 1200}",
+        "select_order_limit": f"SELECT metadata.camera_id WHERE {TS} > {EDGE} "
+                              f"AND {TS} < {EDGE + 1200} ORDER BY {TS} DESC LIMIT 3",
+    }
+
+    @staticmethod
+    def _exact(engine, text):
+        """Scan parity, and not one row filtered."""
+        assert plan_query(parse_query(text)).window, text
+        filtered = engine.stats.rows_filtered
+        answer = _window_parity(engine, text)
+        assert engine.stats.rows_filtered == filtered, text
+        return answer
+
+    @pytest.mark.parametrize("shape", sorted(WINDOWS))
+    def test_window_matches_the_scan(self, reordered, shape):
+        assert self._exact(reordered[1], self.WINDOWS[shape]) or shape == "a_point_left_open"
+
+    def test_bounds_cut_duplicates_exactly(self, reordered):
+        engine = reordered[1]
+
+        def count(shape):
+            return len(self._exact(engine, self.WINDOWS[shape]))
+
+        assert count("duplicates_on_both_bounds") == 3
+        assert count("duplicates_on_a_closed_lower") - count("duplicates_on_an_open_lower") == 3
+        assert count("duplicates_on_a_closed_upper") - count("duplicates_on_an_open_upper") == 3
+        assert count("mixed_in_one_bucket") == 2
+        assert count("a_point_left_open") == 0
+
+    @pytest.mark.parametrize("shape", sorted(POST))
+    def test_order_limit_and_select_over_a_window(self, reordered, shape):
+        engine = reordered[1]
+        text = self.POST[shape]
+        examined_before = engine.stats.rows_scanned
+        answer = self._exact(engine, text)
+        query = parse_query(text)
+        if query.limit is not None:
+            assert len(answer) <= query.limit
+            if query.order_by is None:  # the stream stops at the LIMIT
+                assert engine.stats.rows_scanned - examined_before == query.limit
+
+    def test_run_verified_takes_the_exact_lookup(self, reordered):
+        engine = reordered[1]
+        for text in self.WINDOWS.values():
+            filtered = engine.stats.rows_filtered
+            answer = engine.run_verified(text)
+            assert engine.stats.rows_filtered == filtered
+            assert list(answer.records) == engine.scan(text), text
+            assert answer.verify() == len(answer.records)
+
+    def test_a_recovered_peer_answers_the_same(self, reordered):
+        framework, engine = reordered
+        reference = framework.channel.indexing.reference_peer()
+        before = {text: engine.scan(text) for text in self.WINDOWS.values()}
+        outcome = framework.durability.crash_and_recover(reference.name)
+        assert outcome.replayed_blocks > 0  # a checkpoint rebuild plus WAL blocks
+        assert framework.channel.indexing.reference_peer() is reference
+        for (dim, value), posting in reference.index.postings.items():
+            if dim == "time":
+                survivor = next(
+                    peer for peer in framework.channel.peers.values() if peer is not reference
+                )
+                twin = survivor.index.postings[(dim, value)]
+                assert (posting.times, posting.by_time) == (twin.times, twin.by_time)
+        for text, expected in before.items():
+            assert [row.record for row in engine.run(text)] == expected, text
+
+
+class TestRangeQueryCost:
+    """One ``range`` query of the e2e ``query_static`` workload's shape (a
+    3,600 s window over records 30 s apart, every record decoded before) on
+    a fixed ledger: its count of Python calls (``call`` and ``c_call``
+    events) is deterministic, so it gates as a count. 623 measured on
+    Python 3.11 for the 120 rows it returns, against 1,306 when the rows of
+    the window's edge buckets met the residual and the rest were tested
+    against a set of exempt ids."""
+
+    MAX_CALLS = 650  # about 4 % above the measured count
+    T0, STEP_S, RECORDS = 1_700_000_000, 30, 240
+
+    @staticmethod
+    def counted(op):
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            if event == "call" or event == "c_call":
+                n += 1
+
+        sys.setprofile(count)
+        try:
+            out = op()
+        finally:
+            sys.setprofile(None)
+        return out, n
+
+    def test_a_range_query_stays_within_its_call_budget_and_filters_nothing(self):
+        framework = Framework(FrameworkConfig(consensus="solo", n_ipfs_nodes=2, max_batch_size=32))
+        client = Client(framework, framework.register_source("rng", tier=SourceTier.TRUSTED))
+        for k in range(self.RECORDS):
+            meta = {
+                "camera_id": f"cam-{k % 40:03d}", "timestamp": float(self.T0 + self.STEP_S * k),
+                "location": {"lat": 12.5, "lon": 77.125},
+                "detections": [{"vehicle_class": "car", "confidence": 0.5}],
+            }
+            framework.channel.invoke_async(
+                client.identity, "data_upload", "store",
+                [CID.for_data(b"rng-%d" % k).encode(), canonical_json(meta).decode()],
+            )
+        framework.channel.flush()
+        engine = client.engine
+        end = self.T0 + self.STEP_S * self.RECORDS
+        assert len(engine.run(f"{TS} >= {self.T0} AND {TS} < {end}")) == self.RECORDS
+        t = self.T0 + 1210  # not on a bucket edge, as the workload's are not
+        text = f"{TS} >= {t} AND {TS} < {t + 3600}"
+        filtered = engine.stats.rows_filtered
+        rows, calls = self.counted(lambda: engine.run(text))
+        assert len(rows) == 3600 // self.STEP_S
+        assert engine.stats.rows_filtered == filtered
+        assert calls <= self.MAX_CALLS, calls
+        assert TestParsePlanCost.calls(text) <= TestParsePlanCost.MAX_CALLS["range"]
