@@ -10,7 +10,8 @@ Three cooperating layers keep the framework's trust story machine-checked:
   (``tests/differential.py``), not proved here;
 * :mod:`repro.analysis.runtime` (+ :mod:`divergence`, :mod:`invariants`)
   — sanitizers (SAN3xx) toggled by ``REPRO_SANITIZE``/``--sanitize`` that
-  re-simulate endorsements and audit ledger invariants at every commit;
+  re-simulate endorsements, check what each commit adds and, once per peer,
+  audit its whole ledger;
 * :mod:`repro.analysis.baseline` — the accepted-findings baseline the
   ``lint-gate`` CI job diffs against.
 

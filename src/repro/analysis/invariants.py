@@ -10,9 +10,9 @@ form that is not what its value serialises to is a SAN303 too: the bytes
 hashed into the block are not the transaction's. So is a remembered
 signature verdict that a fresh check does not repeat.
 
-:func:`check_block_commit` is the live mode (the whole chain after every
-commit, independently of the append path), :func:`check_store` the offline
-one; SAN304's stateful half (commits arrive in height order) is the sanitizer's.
+:func:`check_remembered` is the per-commit check (``BlockStore.append`` ran
+the rest of the block's audit); :func:`check_store` walks a whole chain and
+its world state, live once per peer or offline.
 """
 
 from __future__ import annotations
@@ -75,13 +75,8 @@ def check_store(store, world=None, location: str = "ledger") -> list[Finding]:
     return findings
 
 
-def check_block_commit(peer, block) -> list[Finding]:
-    """Per-commit invariant pass over *peer*'s chain (live sanitizer), plus
-    the one check the chain walk cannot make because it is served the same
-    remembered forms the committer was: *block*'s forms, recomputed."""
-    location = f"ledger:{peer.name}"
-    findings = check_store(peer.ledger, peer.world, location)
-    findings.extend(
-        _block_finding(found, location) for found in audit.check_remembered(block)
-    )
-    return findings
+def check_remembered(block, location: str) -> list[Finding]:
+    """The one check a chain walk cannot make, because it is served the same
+    remembered forms the committer was: *block*'s forms, recomputed. It
+    reads *block* only, so the live sanitizer runs it at every commit."""
+    return [_block_finding(found, location) for found in audit.check_remembered(block)]

@@ -80,8 +80,8 @@ _RULES = (
          "canonical form is not what its value serialises to",
          "runtime"),
     Rule("SAN304", ERROR, "non-monotone ledger height",
-         "a block is not numbered by its position, or a peer committed out "
-         "of sequence; block delivery is broken",
+         "a block is not numbered by its position in the chain (the audit's "
+         "block_number check); block delivery is broken",
          "runtime"),
     Rule("SAN305", ERROR, "world-state replay divergence",
          "replaying all valid write sets does not reproduce the live state",

@@ -1,8 +1,8 @@
 """Sanitizer harness: mode parsing, peer hooks, and the run report.
 
-Sanitizers are opt-in (they re-simulate every endorsement and re-audit the
-chain on every commit, so they cost real time) and are enabled per run with
-a mode spec — from the ``REPRO_SANITIZE`` environment variable, the
+Sanitizers are opt-in (they re-simulate every endorsement and audit every
+block as it commits, so they cost real time) and are enabled per run with a
+mode spec — from the ``REPRO_SANITIZE`` environment variable, the
 ``FrameworkConfig.sanitize`` field, or the ``--sanitize`` CLI flag::
 
     REPRO_SANITIZE=all                 # every sanitizer
@@ -14,10 +14,11 @@ Modes: ``divergence`` (SAN301), ``ledger`` (SAN302–SAN305), ``consensus``
 
 :func:`install_sanitizers` wires a :class:`Sanitizer` into one channel
 (``channel.sanitizer``, which that channel's query engines ask); its peers
-call back after each endorsement/commit. Findings accumulate instead
-of raising, so one run reports every violation; :meth:`Sanitizer.finalize`
-adds the end-of-run check (consensus log consistency) and publishes the
-:class:`SanitizerReport` for the CLI/CI gate.
+call back after each endorsement/commit, each checked for what it adds;
+:meth:`Sanitizer.check_peer` checks a peer's whole chain, state and index at
+:meth:`Sanitizer.finalize`, before a crash and after a recovery. Findings
+accumulate instead of raising, so one run reports every violation, and
+``finalize`` publishes the :class:`SanitizerReport` for the CLI/CI gate.
 """
 
 from __future__ import annotations
@@ -101,46 +102,50 @@ class Sanitizer:
         self._mutex = threading.Lock()
         self._findings: list[Finding] = []
         self._checks = {mode: 0 for mode in sorted(self.modes)}
-        self._expected_heights: dict[str, int] = {}
         self._finalized = False
 
     # -- hooks (called by Peer) -------------------------------------------
 
     def check_endorsement(self, peer, proposal, response) -> None:
-        if "divergence" not in self.modes:
-            return
-        found = divergence.check_endorsement(peer, proposal, response)
-        with self._mutex:
-            self._checks["divergence"] += 1
-            self._findings.extend(found)
+        if "divergence" in self.modes:
+            self._file(divergence.check_endorsement(peer, proposal, response), "divergence")
 
     def check_commit(self, peer, block) -> None:
+        """What *block* adds, in O(block): ``BlockStore.append`` has already
+        run ``audit.check_block`` on it, so its remembered forms and the
+        index's height are left."""
         found: list[Finding] = []
         if "ledger" in self.modes:
-            found.extend(invariants.check_block_commit(peer, block))
-            with self._mutex:
-                expected = self._expected_heights.get(peer.name)
-                if expected is not None and block.number != expected:
-                    found.append(
-                        Finding.for_rule(
-                            "SAN304", f"ledger:{peer.name}", block.number, 0,
-                            f"{peer.name} committed block {block.number} "
-                            f"where {expected} was expected next",
-                        )
-                    )
-                self._expected_heights[peer.name] = block.number + 1
+            found.extend(invariants.check_remembered(block, f"ledger:{peer.name}"))
         if "index" in self.modes:
-            found.extend(self._check_index(peer, block.number))
+            found.extend(self._check_index(peer, rebuild=False))
+        self._file(found, "ledger", "index")
+
+    def check_peer(self, peer) -> None:
+        """*peer*'s chain and world state under the audit (SAN302–SAN305)
+        and its index against a rebuild (SAN308), in O(chain)."""
+        found: list[Finding] = []
+        if "ledger" in self.modes:
+            found.extend(
+                invariants.check_store(peer.ledger, peer.world, f"ledger:{peer.name}")
+            )
+        if "index" in self.modes:
+            found.extend(self._check_index(peer))
+        self._file(found, "ledger", "index")
+
+    def _file(self, found: list[Finding], *modes: str) -> None:
+        """Count a check for each enabled mode of *modes*; keep *found*."""
         with self._mutex:
-            if "ledger" in self.modes:
-                self._checks["ledger"] += 1
-            if "index" in self.modes:
-                self._checks["index"] += 1
+            for mode in modes:
+                if mode in self._checks:
+                    self._checks[mode] += 1
             self._findings.extend(found)
 
-    def _check_index(self, peer, at: int) -> list[Finding]:
-        """SAN308: the peer's block-incremental index must equal an index
-        rebuilt from scratch out of its world state at the same height.
+    @staticmethod
+    def _check_index(peer, rebuild: bool = True) -> list[Finding]:
+        """SAN308: the peer's block-incremental index is at its ledger's
+        height and, with *rebuild*, equals an index rebuilt from scratch out
+        of its world state at that height.
 
         The rebuild is compared against both the *maintained* epoch root
         (what the peer serves) and the *reference* root re-serialised from
@@ -148,25 +153,28 @@ class Sanitizer:
         tree caches leaf hashes, so alone it would miss a posting corrupted
         in memory that no later block touches.
 
-        Skipped when tombstones exist — deleted records are invisible to
-        the world state, so a from-scratch rebuild legitimately differs
-        (see :meth:`repro.index.PeerIndex.from_world`).
+        The rebuild is skipped when tombstones exist — deleted records are
+        invisible to the world state, so a from-scratch rebuild legitimately
+        differs (see :meth:`repro.index.PeerIndex.from_world`).
         """
         index = getattr(peer, "index", None)
-        if index is None or index.tombstones:
+        if index is None:
             return []
-        if index.height != peer.ledger.height:
+        height = peer.ledger.height
+        if index.height != height:
             return [
                 Finding.for_rule(
-                    "SAN308", f"index:{peer.name}", at, 0,
+                    "SAN308", f"index:{peer.name}", height, 0,
                     f"{peer.name}'s index is at height {index.height} but "
-                    f"its ledger is at {peer.ledger.height}",
+                    f"its ledger is at {height}",
                 )
             ]
+        if not rebuild or index.tombstones:
+            return []
         from repro.crypto.merkle import MerkleTree
         from repro.index import PeerIndex
 
-        rebuilt = PeerIndex.from_world(peer.world, peer.ledger.height).root()
+        rebuilt = PeerIndex.from_world(peer.world, height).root()
         live = {
             "maintained": index.root(),
             "re-hashed from live postings": MerkleTree(index.leaves()).root.hex(),
@@ -178,10 +186,10 @@ class Sanitizer:
             return []
         return [
             Finding.for_rule(
-                "SAN308", f"index:{peer.name}", at, 0,
+                "SAN308", f"index:{peer.name}", height, 0,
                 f"{peer.name}'s incremental index root "
                 f"({' and '.join(diverged)}) disagrees with a from-scratch "
-                f"rebuild {rebuilt[:16]}… at height {peer.ledger.height}",
+                f"rebuild {rebuilt[:16]}… at height {height}",
             )
         ]
 
@@ -204,47 +212,33 @@ class Sanitizer:
                     f"the chaincode answer ({len(scanned)} rows) for {description}",
                 )
             )
-        with self._mutex:
-            self._checks["index"] += 1
-            self._findings.extend(found)
+        self._file(found, "index")
 
     # -- recovery (called by repro.storage.persistence) --------------------
-
-    def note_recovery(self, peer_name: str, resume_height: int) -> None:
-        """A peer was wiped and is about to re-commit from *resume_height*:
-        reset the SAN304 height expectation so checkpoint-based replay is
-        not flagged as a height regression."""
-        with self._mutex:
-            self._expected_heights[peer_name] = resume_height
 
     def check_recovery(self, peer, channel) -> None:
         """SAN307: after a recovery the chain audit is clean. That audit
         (``audit_chain()``, the checks of :mod:`repro.fabric.audit`) includes
         replica parity — head hash and state digest equal across the online
         peers at one height — so a recovered peer that is distinguishable
-        from an honest one is a finding."""
-        if "recovery" not in self.modes:
-            return
-        from repro.obs.explorer import LedgerExplorer
+        from an honest one is a finding. Then :meth:`check_peer`."""
+        if "recovery" in self.modes:
+            from repro.obs.explorer import LedgerExplorer
 
-        height = peer.ledger.height
-        found = [
-            Finding.for_rule(
-                "SAN307", f"recovery:{peer.name}", height, 0,
-                f"audit_chain failed after recovery of {peer.name}: "
-                f"{finding.check}: {finding.detail}",
+            height = peer.ledger.height
+            report = LedgerExplorer(channel).audit_chain(offchain=False)
+            self._file(
+                [
+                    Finding.for_rule(
+                        "SAN307", f"recovery:{peer.name}", height, 0,
+                        f"audit_chain failed after recovery of {peer.name}: "
+                        f"{finding.check}: {finding.detail}",
+                    )
+                    for finding in report.findings
+                ],
+                "recovery",
             )
-            for finding in LedgerExplorer(channel).audit_chain(offchain=False).findings
-        ]
-        if "index" in self.modes:
-            # A recovered peer's rebuilt/restored index must also agree
-            # with a from-scratch rebuild of its recovered world state.
-            found.extend(self._check_index(peer, height))
-        with self._mutex:
-            self._checks["recovery"] += 1
-            if "index" in self.modes:
-                self._checks["index"] += 1
-            self._findings.extend(found)
+        self.check_peer(peer)
 
     # -- end of run --------------------------------------------------------
 
@@ -264,8 +258,12 @@ class Sanitizer:
         ]
 
     def finalize(self) -> SanitizerReport:
-        """Run the end-of-run check and return the report (idempotent)."""
+        """Run :meth:`check_peer` on every peer and the consensus check, and
+        return the report (idempotent)."""
         if not self._finalized:
+            if self.modes & {"ledger", "index"}:
+                for peer in self.channel.peers.values():
+                    self.check_peer(peer)
             extra = self._check_consensus() if "consensus" in self.modes else []
             with self._mutex:
                 self._findings.extend(extra)

@@ -253,6 +253,7 @@ def _cmd_figure(number: int) -> int:
 
 def _cmd_query(args) -> int:
     from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
+    from repro.errors import MerkleProofError, QueryError
     from repro.query import parse_query
     from repro.trust import SourceTier
     from repro.workloads.traffic import ingest_stream
@@ -267,10 +268,14 @@ def _cmd_query(args) -> int:
     ingestor.ingest(items)
     client = Client(framework, identity)
     print(f"dataset: {len(items)} frames from {args.videos} cameras")
-    print(f"plan   : {client.engine.plan(args.text).explain()}")
-    rows = client.query(args.text, fetch_data=args.fetch)
+    try:
+        projected = parse_query(args.text).select is not None
+        print(f"plan   : {client.engine.plan(args.text).explain()}")
+        rows = client.query(args.text, fetch_data=args.fetch)
+    except QueryError as exc:
+        print(f"repro query: {exc}", file=sys.stderr)
+        return 2
     print(f"matched: {len(rows)} records")
-    projected = parse_query(args.text).select is not None
     for row in rows[:10]:
         extra = f", {len(row.data)} raw bytes" if row.data is not None else ""
         if projected:
@@ -283,8 +288,6 @@ def _cmd_query(args) -> int:
               f"t={meta.get('timestamp', 0):>10.1f}  "
               f"detections={len(meta.get('detections', []))}{extra}")
     if args.verify:
-        from repro.errors import MerkleProofError, QueryError
-
         try:
             answer = client.engine.run_verified(args.text)
             checked = answer.verify()

@@ -44,7 +44,7 @@ The index only ever observes **valid** transactions' write sets, so it is
 derived state: rebuildable from world state alone
 (:meth:`PeerIndex.from_world`). Nothing persists it — every recovery path
 rebuilds it from the state the peer adopted, and SAN308 compares the same
-rebuild against the maintained root at every commit.
+rebuild against the maintained root at each whole-peer check.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class PeerIndex:
         if camera:
             dims.append(("camera", str(camera)))
         ts = metadata.get("timestamp") if isinstance(metadata, dict) else None
-        if isinstance(ts, (int, float)) and not isinstance(ts, bool):
+        if isinstance(ts, (int, float)):
             dims.append(("time", time_bucket(ts)))
         classes, violations = set(), set()
         if isinstance(metadata, dict):

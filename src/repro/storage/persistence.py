@@ -50,7 +50,9 @@ Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 
 Whatever the path, recovery ends by rebuilding the node's durable state
 (a fold: fresh base, no deltas, truncated WAL), emitting a ``recovery``
-span plus metrics, and handing the peer to the SAN307 sanitizer check.
+span plus metrics, and handing the peer to the SAN307 sanitizer check. A
+sanitized crash first has the peer's chain, world state and index audited,
+so a tamper the wipe erases is still reported.
 """
 
 from __future__ import annotations
@@ -291,6 +293,8 @@ class DurabilityManager:
         """Amnesia crash: lose unsynced disk state and *all* memory, then
         restart from whatever the durable store still holds."""
         peer = self._peer(peer_name)
+        if peer.sanitizer is not None:
+            peer.sanitizer.check_peer(peer)  # the last look at what is lost
         self.stores[peer_name].crash(torn=torn)
         self._wipe(peer)
         return self.recover_peer(peer_name)
@@ -334,8 +338,6 @@ class DurabilityManager:
                     kind = "full_resync"
                     self.stats.full_resyncs += 1
                     self._wipe(peer)
-                    if peer.sanitizer is not None:
-                        peer.sanitizer.note_recovery(peer.name, 0)
             if damage:
                 self.stats.wal_damage += 1
                 registry.counter("wal_damage_total", {"mode": damage}).inc()
@@ -420,8 +422,6 @@ class DurabilityManager:
                 prev = delta.digest
             self._rebuild_index(peer)
             ckpt_height = peer.ledger.height
-        if peer.sanitizer is not None:
-            peer.sanitizer.note_recovery(peer.name, peer.ledger.height)
         replayed = 0
         self._replaying.add(peer.name)
         try:
@@ -474,8 +474,6 @@ class DurabilityManager:
             )
         adopt_snapshot(peer, snapshot)  # resets partial replay state, verifies digest
         self._rebuild_index(peer)
-        if peer.sanitizer is not None:
-            peer.sanitizer.note_recovery(peer.name, peer.ledger.height)
         return donor.name
 
     def _catch_up(self, peer) -> int:

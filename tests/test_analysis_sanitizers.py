@@ -15,6 +15,7 @@ from repro.analysis import (
 from repro.analysis.runtime import MODES
 from repro.errors import AnalysisError
 from repro.fabric import Chaincode, ValidationCode
+from repro.fabric.worldstate import Version
 
 from tests.fabric_helpers import make_network
 
@@ -84,16 +85,30 @@ class TestDivergenceSanitizer:
         assert report.checks["divergence"] >= 2  # both endorsing peers
 
 
+def _doctor_older_block(store):
+    """Alter the first non-empty block's first transaction in memory;
+    returns the block's number and the transaction as it was."""
+    number, block = next((b.number, b) for b in store.blocks() if b.transactions)
+    victim = block.transactions[0]
+    forged_tx = dataclasses.replace(victim, response='{"key":"evil"}')
+    store._blocks[number - store.base_height] = dataclasses.replace(
+        block, transactions=(forged_tx,) + block.transactions[1:]
+    )
+    return number, victim
+
+
 class TestLedgerSanitizer:
     def test_honest_run_has_zero_findings(self):
         net, channel, client = make_network("solo")
         sanitizer = install_sanitizers(channel, spec="ledger")
         for i in range(3):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
+        # 3 blocks x 2 peers committed, each audited.
+        assert sanitizer.report().checks["ledger"] == 6
         report = sanitizer.finalize()
         assert report.ok
-        # 3 blocks x 2 peers committed, each audited.
-        assert report.checks["ledger"] == 6
+        # ... and each peer's whole chain once more at the end.
+        assert report.checks["ledger"] == 6 + 2
 
     def test_wrong_remembered_form_is_reported(self):
         """Every node in the process is served the same remembered bytes, so
@@ -188,17 +203,8 @@ class TestLedgerSanitizer:
         net, channel, client = make_network("solo")
         for i in range(3):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
-        peer = next(iter(channel.peers.values()))
-        store = peer.ledger
-        number, block = next(
-            (b.number, b) for b in store.blocks() if b.transactions
-        )
-        victim = block.transactions[0]
-        forged_tx = dataclasses.replace(victim, response='{"key":"evil"}')
-        forged = dataclasses.replace(
-            block, transactions=(forged_tx,) + block.transactions[1:]
-        )
-        store._blocks[number - store.base_height] = forged
+        store = next(iter(channel.peers.values())).ledger
+        number, victim = _doctor_older_block(store)
         findings = check_store(store)
         assert [f.rule_id for f in findings] == ["SAN303"]
         message = findings[0].message
@@ -234,6 +240,87 @@ class TestLedgerSanitizer:
         report = LedgerExplorer(channel).audit_chain(offchain=False)
         assert [f.check for f in report.findings] == ["state_replay"]
         assert "'late'" in report.findings[0].detail
+
+
+class TestChecksByScope:
+    """A commit is checked for what it adds; a peer's whole chain, world
+    state and index once, at finalize, before a crash and after a recovery."""
+
+    def test_tampers_after_the_last_commit_are_reported_once_per_peer(self):
+        net, channel, client = make_network("solo")
+        sanitizer = install_sanitizers(channel, spec="ledger")
+        for i in range(3):
+            channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
+        doctored, written = channel.peers.values()
+        number, _ = _doctor_older_block(doctored.ledger)
+        written.world.apply_write("ghost", b"outside any commit", Version(99, 0), "evil", 0.0)
+        assert sanitizer.report().ok  # no commit came after the tampers
+        report = sanitizer.finalize()
+        assert [(f.rule_id, f.path) for f in report.findings] == [
+            ("SAN303", f"ledger:{doctored.name}"),
+            ("SAN305", f"ledger:{written.name}"),
+        ]
+        assert f"block {number}" in report.findings[0].message
+        assert "'ghost'" in report.findings[1].message
+        assert sanitizer.finalize().findings == report.findings  # idempotent
+
+    def test_a_tamper_is_reported_before_the_crash_wipes_it(self):
+        from repro.storage import DurabilityManager
+
+        net, channel, client = make_network("solo")
+        manager = DurabilityManager(channel, checkpoint_interval=4)
+        sanitizer = install_sanitizers(channel, spec="ledger,recovery")
+        for i in range(5):
+            channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
+        peer = next(iter(channel.peers.values()))
+        number, _ = _doctor_older_block(peer.ledger)
+        manager.crash_and_recover(peer.name)
+        assert check_store(peer.ledger, peer.world) == []  # the wipe erased it
+        report = sanitizer.finalize()
+        assert [(f.rule_id, f.path) for f in report.findings] == [
+            ("SAN303", f"ledger:{peer.name}")
+        ]
+        assert f"block {number}" in report.findings[0].message
+
+    def test_sanitizer_work_per_submit_does_not_grow_with_height(self, monkeypatch):
+        """Counted, not timed: one submit's calls to the chain audit's block
+        check and to the index's from-scratch rebuild under every sanitizer,
+        at height about 10 and about 200. The per-block remembered-form check
+        is counted too, to show the sanitizer ran."""
+        from repro.core import Client, Framework, FrameworkConfig
+        from repro.fabric import audit
+        from repro.index import PeerIndex
+        from repro.trust import SourceTier
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        calls = {"check_block": 0, "check_remembered": 0, "from_world": 0}
+
+        def counted(name, call):
+            def wrapper(*args):
+                calls[name] += 1
+                return call(*args)
+            return wrapper
+
+        for name in ("check_block", "check_remembered"):
+            monkeypatch.setattr(audit, name, counted(name, getattr(audit, name)))
+        rebuild = counted("from_world", PeerIndex.from_world)
+        monkeypatch.setattr(PeerIndex, "from_world", classmethod(lambda cls, *a: rebuild(*a)))
+        framework = Framework(FrameworkConfig(consensus="solo", sanitize="all"))
+        client = Client(framework, framework.register_source("cam", tier=SourceTier.TRUSTED))
+        meta = {"timestamp": 1.0, "camera_id": "cam", "detections": []}
+        per_submit = {}
+        for i in range(200):
+            before = dict(calls)
+            client.submit(b"frame-%d" % i, dict(meta, timestamp=float(i)))
+            if i in (10, 199):
+                per_submit[framework.channel.height()] = {
+                    k: calls[k] - before[k] for k in calls
+                }
+        low, high = sorted(per_submit)
+        assert low < 20 and high > 190
+        assert per_submit[low] == per_submit[high]
+        assert per_submit[high]["check_remembered"] > 0
+        assert framework.sanitizer.finalize().ok
 
 
 class TestConsensusSanitizer:

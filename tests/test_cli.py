@@ -69,6 +69,12 @@ class TestCli:
             assert set(row) == {"cid", "entry_id", "metadata"}
             assert set(row["metadata"]) == {"camera_id"}
 
+    def test_query_text_that_does_not_parse_is_one_line_and_exit_2(self, capsys):
+        assert main(["query", "metadata.timestamp < 1e12", "--videos", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro query: trailing input at 'e12'\n"
+        assert "matched:" not in captured.out
+
     def test_export_and_inspect_bundle(self, capsys, tmp_path):
         out = tmp_path / "evidence.bundle"
         assert main(["export", str(out), "--videos", "2"]) == 0

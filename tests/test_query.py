@@ -361,6 +361,42 @@ class TestTimeBoundary:
         report = framework.sanitizer.finalize()
         assert not [f for f in report.findings if f.rule_id == "SAN309"], report.render()
 
+    def test_a_bool_stamp_is_in_the_window_a_predicate_puts_it_in(self):
+        """A predicate compares a JSON boolean as Python's int, so ``true`` is
+        1 and ``false`` is 0 to the index as well: in a window straddling 0
+        or 1, the index route returns the rows a scan does."""
+        from repro.index import PeerIndex
+
+        framework = Framework(
+            FrameworkConfig(consensus="solo", n_ipfs_nodes=2, sanitize="index")
+        )
+        client = Client(framework, framework.register_source("b", tier=SourceTier.TRUSTED))
+        for i, stamp in enumerate((True, False, 0.5, 1.0, -0.5, 1.5, 600)):
+            framework.channel.invoke_async(
+                client.identity, "data_upload", "store",
+                [CID.for_data(b"stamp-%d" % i).encode(),
+                 canonical_json({"camera_id": "c", "timestamp": stamp}).decode()],
+            )
+        framework.channel.flush()
+        engine = client.engine
+        for lower, upper in (
+            (">= 0", "< 600"), (">= 0", "< 1"), ("> 0", "<= 1"), ("> 0", "< 1"),
+            (">= 1", "<= 1"), ("> -1", "< 0.75"), (">= -600", "<= 0"),
+        ):
+            text = f"metadata.timestamp {lower} AND metadata.timestamp {upper}"
+            hits = engine.stats.index_hits
+            rows = engine.run(text)
+            assert engine.stats.index_hits == hits + 1, text
+            assert [r.record for r in rows] == engine.scan(text), text
+        assert len(engine.run("metadata.timestamp >= 0 AND metadata.timestamp < 600")) == 5
+        report = framework.sanitizer.finalize()
+        assert report.ok, report.render()
+        peer = next(iter(framework.channel.peers.values()))
+        rebuilt = PeerIndex.from_world(peer.world, peer.ledger.height)
+        for key, posting in peer.index.postings.items():
+            twin = rebuilt.postings[key]
+            assert (twin.times, twin.by_time) == (posting.times, posting.by_time), key
+
 
 class TestDecodeOnce:
     RANGE = f"metadata.timestamp >= {T0 + 600} AND metadata.timestamp < {T0 + 1800}"
