@@ -4,18 +4,23 @@ Submits N frames through ``Client.submit`` on a solo-ordered framework, once
 plain and once per sanitizer spec, each in a fresh process, and prints the
 wall time of the whole run (for a sanitized one, ``finalize`` included: that
 is where each peer's whole chain and index are checked), the ms per submit
-over the last quarter of the run, and the ratio to the plain run. A sanitizer
-whose per-commit work grows with height shows as a last-quarter cost that
-grows with N.
+over the last quarter of the run, and the ratio to the plain run. Each
+figure is the median of 5 rounds; a round runs plain, then each spec, so a
+ratio divides two runs made side by side, and the ratios' range is printed
+beside their median. A sanitizer whose per-commit work grows with height
+shows as a last-quarter cost that grows with N.
 
     PYTHONPATH=src python benchmarks/sanitizer_cost.py --submits 1600
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
+
+ROUNDS = 5
 
 
 def run(submits: int, spec: str) -> dict:
@@ -51,18 +56,24 @@ def main() -> None:
     if args.child is not None:
         print(json.dumps(run(args.submits, args.child)))
         return
-    plain = None
-    for spec in ["", *(args.spec or ["all"])]:
-        out = subprocess.run(
-            [sys.executable, __file__, "--submits", str(args.submits), "--child", spec],
-            check=True, capture_output=True, text=True,
-        ).stdout
-        result = json.loads(out)
-        plain = plain or result
+    specs = ["", *(args.spec or ["all"])]
+    runs: dict[str, list[dict]] = {spec: [] for spec in specs}
+    for _ in range(ROUNDS):
+        for spec in specs:
+            out = subprocess.run(
+                [sys.executable, __file__, "--submits", str(args.submits), "--child", spec],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            runs[spec].append(json.loads(out))
+    for spec, results in runs.items():
+        ratios = [r["total_s"] / p["total_s"] for r, p in zip(results, runs[""])]
         print(
-            f"{spec or 'plain':<12} total {result['total_s']:7.2f} s  "
-            f"last quarter {result['last_quarter_ms']:6.2f} ms/submit  "
-            f"x{result['total_s'] / plain['total_s']:.2f} of plain"
+            f"{spec or 'plain':<12} "
+            f"total {statistics.median(r['total_s'] for r in results):7.2f} s  "
+            f"last quarter "
+            f"{statistics.median(r['last_quarter_ms'] for r in results):6.2f} ms/submit  "
+            f"x{statistics.median(ratios):.2f} of plain "
+            f"(x{min(ratios):.2f}-{max(ratios):.2f})"
         )
 
 

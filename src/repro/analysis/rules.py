@@ -90,13 +90,14 @@ _RULES = (
          "honest validators' decided logs are not prefix-consistent",
          "runtime"),
     Rule("SAN307", ERROR, "post-recovery state divergence",
-         "audit_chain() is not clean after a crash recovery: the chain or "
-         "its state fails the audit, or peers at one height disagree on the "
-         "head hash or the state digest",
+         "after a recovery, peers at one height disagree on the head hash or "
+         "the state digest",
          "runtime"),
     Rule("SAN308", ERROR, "secondary index diverged from world state",
-         "a peer's block-incremental index does not match an index rebuilt "
-         "from its world state at the same height",
+         "a peer's index is not at its ledger's height, or differs from an "
+         "index rebuilt from its world state: a posting (its entries, chain "
+         "or id orders), a trust band, or the maintained, re-hashed or "
+         "recorded head root",
          "runtime"),
     Rule("SAN309", ERROR, "indexed query answers diverge from scan answers",
          "a world-state route (authenticated index, state scan or point "

@@ -28,6 +28,8 @@ import threading
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
+from repro.fabric import audit
+from repro.index import check_index
 
 from . import divergence, invariants
 from .rules import Finding
@@ -118,12 +120,14 @@ class Sanitizer:
         if "ledger" in self.modes:
             found.extend(invariants.check_remembered(block, f"ledger:{peer.name}"))
         if "index" in self.modes:
-            found.extend(self._check_index(peer, rebuild=False))
+            index = peer.index
+            if index is not None and index.height != peer.ledger.height:
+                found.extend(self._check_index(peer))  # the height finding alone
         self._file(found, "ledger", "index")
 
     def check_peer(self, peer) -> None:
         """*peer*'s chain and world state under the audit (SAN302–SAN305)
-        and its index against a rebuild (SAN308), in O(chain)."""
+        and its index as data (SAN308), in O(chain)."""
         found: list[Finding] = []
         if "ledger" in self.modes:
             found.extend(
@@ -142,54 +146,22 @@ class Sanitizer:
             self._findings.extend(found)
 
     @staticmethod
-    def _check_index(peer, rebuild: bool = True) -> list[Finding]:
-        """SAN308: the peer's block-incremental index is at its ledger's
-        height and, with *rebuild*, equals an index rebuilt from scratch out
-        of its world state at that height.
-
-        The rebuild is compared against both the *maintained* epoch root
-        (what the peer serves) and the *reference* root re-serialised from
-        the live postings, ``MerkleTree(index.leaves())`` — the maintained
-        tree caches leaf hashes, so alone it would miss a posting corrupted
-        in memory that no later block touches.
-
-        The rebuild is skipped when tombstones exist — deleted records are
-        invisible to the world state, so a from-scratch rebuild legitimately
-        differs (see :meth:`repro.index.PeerIndex.from_world`).
-        """
-        index = getattr(peer, "index", None)
-        if index is None:
+    def _check_index(peer) -> list[Finding]:
+        """SAN308: :func:`repro.index.check_index` on *peer*'s index, its
+        findings in one. The epoch-log replay (:func:`repro.index.check_epochs`)
+        is the explorer's: it costs O(chain) index work per peer, and WAL
+        replay already checks every journaled epoch on recovery."""
+        if peer.index is None:
             return []
         height = peer.ledger.height
-        if index.height != height:
-            return [
-                Finding.for_rule(
-                    "SAN308", f"index:{peer.name}", height, 0,
-                    f"{peer.name}'s index is at height {index.height} but "
-                    f"its ledger is at {height}",
-                )
-            ]
-        if not rebuild or index.tombstones:
-            return []
-        from repro.crypto.merkle import MerkleTree
-        from repro.index import PeerIndex
-
-        rebuilt = PeerIndex.from_world(peer.world, height).root()
-        live = {
-            "maintained": index.root(),
-            "re-hashed from live postings": MerkleTree(index.leaves()).root.hex(),
-        }
-        diverged = [
-            f"{which} {root[:16]}…" for which, root in live.items() if root != rebuilt
-        ]
-        if not diverged:
+        found = check_index(peer.index, peer.world, height)
+        if not found:
             return []
         return [
             Finding.for_rule(
                 "SAN308", f"index:{peer.name}", height, 0,
-                f"{peer.name}'s incremental index root "
-                f"({' and '.join(diverged)}) disagrees with a from-scratch "
-                f"rebuild {rebuilt[:16]}… at height {height}",
+                f"{peer.name}'s index at height {height}: "
+                + "; ".join(finding.detail for finding in found),
             )
         ]
 
@@ -217,24 +189,20 @@ class Sanitizer:
     # -- recovery (called by repro.storage.persistence) --------------------
 
     def check_recovery(self, peer, channel) -> None:
-        """SAN307: after a recovery the chain audit is clean. That audit
-        (``audit_chain()``, the checks of :mod:`repro.fabric.audit`) includes
-        replica parity — head hash and state digest equal across the online
-        peers at one height — so a recovered peer that is distinguishable
-        from an honest one is a finding. Then :meth:`check_peer`."""
+        """After *peer* recovered: SAN307, peers at one height agree on the
+        head hash and the state digest (:func:`repro.fabric.audit.check_peers`
+        over the online peers), so a recovered peer that is distinguishable
+        from an honest one is a finding. Then :meth:`check_peer` on *peer*."""
         if "recovery" in self.modes:
-            from repro.obs.explorer import LedgerExplorer
-
             height = peer.ledger.height
-            report = LedgerExplorer(channel).audit_chain(offchain=False)
+            online = (p for p in channel.peers.values() if p.online)
             self._file(
                 [
                     Finding.for_rule(
                         "SAN307", f"recovery:{peer.name}", height, 0,
-                        f"audit_chain failed after recovery of {peer.name}: "
-                        f"{finding.check}: {finding.detail}",
+                        f"after the recovery of {peer.name}: {finding.detail}",
                     )
-                    for finding in report.findings
+                    for finding in audit.check_peers(online)
                 ],
                 "recovery",
             )

@@ -252,22 +252,11 @@ def _cmd_figure(number: int) -> int:
 
 
 def _cmd_query(args) -> int:
-    from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
     from repro.errors import MerkleProofError, QueryError
     from repro.query import parse_query
-    from repro.trust import SourceTier
-    from repro.workloads.traffic import ingest_stream
 
-    framework = Framework(FrameworkConfig(consensus="solo", max_batch_size=16))
-    ingestor = BatchIngestor(framework)
-    items = list(ingest_stream(n_videos=args.videos, frames_per_video=2))
-    identity = None
-    for source in sorted({i.source_id for i in items}):
-        identity = framework.register_source(source, tier=SourceTier.TRUSTED)
-        ingestor.register(identity)
-    ingestor.ingest(items)
-    client = Client(framework, identity)
-    print(f"dataset: {len(items)} frames from {args.videos} cameras")
+    client, n_items = _demo_client(args.videos)
+    print(f"dataset: {n_items} frames from {args.videos} cameras")
     try:
         projected = parse_query(args.text).select is not None
         print(f"plan   : {client.engine.plan(args.text).explain()}")

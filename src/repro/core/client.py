@@ -37,14 +37,12 @@ from repro.errors import (
     InvalidBlockError,
     ResilienceError,
     StorageError,
-    UntrustedSourceError,
 )
 from repro.fabric import Identity, ValidationCode
 from repro.ipfs.unixfs import frozen_payload
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span as obs_span
 from repro.query import QueryEngine, QueryRow
-from repro.trust import CORROBORATION_FLOOR
 from repro.trust.crossval import Observation
 from repro.vision import Frame, MetadataExtractor, SimulatedYolo
 
@@ -123,7 +121,6 @@ class Client:
         data = frozen_payload(data)
         framework = self.framework
         source_id = self.source_id
-        framework.require_registered(source_id)
 
         with obs_span("client.submit", {"source_id": source_id, "bytes": len(data)}) as root:
             # ① SHA-256 of the data, for the receipt only: the on-chain
@@ -133,32 +130,7 @@ class Client:
 
             # ② admission: trust gate before anything is stored.
             with obs_span("submit.admission"):
-                decision = framework.trust.admit(source_id)
-                if not decision.admitted:
-                    raise UntrustedSourceError(
-                        f"source {source_id!r} rejected: {decision.reason}"
-                    )
-                # Paper §III: discrepancy against trusted sources blocks recording.
-                if (
-                    framework.config.strict_admission
-                    and decision.requires_corroboration
-                    and observation is not None
-                ):
-                    neighbours = framework.trust.cross_validator.neighbours(observation)
-                    if neighbours:
-                        cross = framework.trust.cross_validate(observation)
-                        if cross < CORROBORATION_FLOOR:
-                            framework.trust.record_validation(
-                                source_id, False,
-                                valid_votes=0, invalid_votes=len(neighbours),
-                                observation=observation,
-                            )
-                            framework.record_trust_on_chain(source_id)
-                            raise UntrustedSourceError(
-                                f"source {source_id!r} contradicts {len(neighbours)} trusted "
-                                f"observation(s) (cross-validation {cross:.2f} < "
-                                f"{CORROBORATION_FLOOR}); submission refused"
-                            )
+                framework.admit(source_id, observation)
 
             # ③ raw data to IPFS.
             add_result = framework.ipfs.add(data)

@@ -36,6 +36,7 @@ from repro.errors import (
     IdentityError,
     MVCCConflictError,
     TrustError,
+    UntrustedSourceError,
 )
 from repro.fabric import Channel, FabricNetwork, Identity, Role
 from repro.fabric.channel import DeferredCall
@@ -45,7 +46,7 @@ from repro.ipfs import FixedSizeChunker, IpfsCluster
 from repro.ipfs.chunker import Chunker
 from repro.obs.metrics import get_registry
 from repro.resilience import ResilienceHub, retry
-from repro.trust import SourceTier, TrustEngine, ValidatorPool
+from repro.trust import CORROBORATION_FLOOR, SourceTier, TrustEngine, ValidatorPool
 from repro.trust.crossval import Observation
 
 # Queued rider writes force an ordering round of their own at this many,
@@ -399,6 +400,37 @@ class Framework:
         """Queue the access-log entry of a read the ACL refused ``identity``."""
         self.riders.put(identity, "log_access", [entry_id, "denied"])
 
-    def require_registered(self, source_id: str) -> None:
-        if not self.trust.is_registered(source_id):
+    def admit(self, source_id: str, observation: Observation | None = None) -> None:
+        """The admission gate of every store, a submit's or an ingested
+        item's (paper Figure 1, step ②), before anything is stored: the
+        source is registered and the trust engine admits it. Under
+        ``strict_admission`` an observation that contradicts trusted
+        neighbours (paper §III) is refused too, and scored down. Raises
+        :class:`TrustError` for an unregistered source, else
+        :class:`UntrustedSourceError`."""
+        trust = self.trust
+        if not trust.is_registered(source_id):
             raise TrustError(f"source {source_id!r} is not registered")
+        decision = trust.admit(source_id)
+        if not decision.admitted:
+            raise UntrustedSourceError(f"source {source_id!r} rejected: {decision.reason}")
+        strict = self.config.strict_admission and decision.requires_corroboration
+        if not strict or observation is None:
+            return
+        neighbours = trust.cross_validator.neighbours(observation)
+        if not neighbours:
+            return  # no corroboration to be had is no contradiction
+        cross = trust.cross_validate(observation)
+        if cross >= CORROBORATION_FLOOR:
+            return
+        trust.record_validation(
+            source_id, False,
+            valid_votes=0, invalid_votes=len(neighbours),
+            observation=observation,
+        )
+        self.record_trust_on_chain(source_id)
+        raise UntrustedSourceError(
+            f"source {source_id!r} contradicts {len(neighbours)} trusted "
+            f"observation(s) (cross-validation {cross:.2f} < "
+            f"{CORROBORATION_FLOOR}); submission refused"
+        )

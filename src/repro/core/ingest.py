@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import orjson
 
 from repro.core.framework import Framework
-from repro.errors import UntrustedSourceError
+from repro.errors import TrustError, UntrustedSourceError
 from repro.fabric import Identity
 from repro.ipfs.unixfs import frozen_payload
 from repro.obs.tracer import span as obs_span
@@ -103,7 +103,8 @@ class BatchIngestor:
     def _admit(self, items: list[IngestItem]):
         """Per-item admission: returns ``(admitted, skipped_sources)``.
 
-        A rejected or unknown source skips *its* items only — nothing of
+        Each item passes :meth:`Framework.admit`, the gate a submit passes.
+        A refused or unknown source skips *its* items only — nothing of
         theirs touches IPFS or the orderer queue, so a bad source can
         neither leak stored payloads nor bleed queued transactions into
         the next block. Raises only when no item at all was admissible.
@@ -121,12 +122,11 @@ class BatchIngestor:
                     first_reason = first_reason or str(exc)
                     sp.set_attr("skipped", "no_identity")
                     continue
-                decision = self.framework.trust.admit(item.source_id)
-                if not decision.admitted:
+                try:
+                    self.framework.admit(item.source_id, item.observation)
+                except TrustError as exc:
                     skipped.append(item.source_id)
-                    first_reason = first_reason or (
-                        f"source {item.source_id!r} rejected: {decision.reason}"
-                    )
+                    first_reason = first_reason or str(exc)
                     sp.set_attr("skipped", "not_admitted")
                     continue
                 admitted.append((item, identity))

@@ -253,8 +253,9 @@ def replay_writes(blocks) -> dict[str, bytes | None]:
     return replayed
 
 
-def check_state(store, world) -> list[AuditFinding]:
-    """*world* against the writes *store* replays, one finding per key.
+def check_state(store, world, replayed: dict | None = None) -> list[AuditFinding]:
+    """*world* against the writes *store* replays, one finding per key
+    (*replayed*: ``replay_writes(store.blocks())``, when the caller has it).
 
     Every replayed key must hold its replayed value (``None``: be absent) on
     any store. A store that starts at genesis replays *every* write, so there
@@ -263,7 +264,8 @@ def check_state(store, world) -> list[AuditFinding]:
     ``"<kind>: <key repr>"`` with three kinds of disagreement; SAN305 groups
     its one-per-pass summary by that kind.
     """
-    replayed = replay_writes(store.blocks())
+    if replayed is None:
+        replayed = replay_writes(store.blocks())
     get = world.get
     findings: list[AuditFinding] = []
     for key in sorted(k for k, value in replayed.items() if get(k) != value):

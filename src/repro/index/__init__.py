@@ -14,8 +14,9 @@ over the index's postings, so
 
 * the query planner can route equality/range/time-window predicates through
   :meth:`PeerIndex.lookup` instead of a full scan,
-* :meth:`~repro.obs.explorer.LedgerExplorer.audit_chain` can verify each
-  recorded epoch digest against an independent rebuild, and
+* :meth:`~repro.obs.explorer.LedgerExplorer.audit_chain` and SAN308 audit
+  the index as data against a rebuild (:func:`check_index`), and the
+  explorer verifies each recorded epoch by replay (:func:`check_epochs`),
 * a light client can check :class:`PostingProof` membership proofs attached
   to query answers against a trusted epoch root without replaying the chain
   (:func:`verify_posting_proof` / :func:`verify_answer_records`).
@@ -27,6 +28,8 @@ from repro.index.secondary import (
     PeerIndex,
     Posting,
     PostingProof,
+    check_epochs,
+    check_index,
     time_bucket,
     verify_answer_records,
     verify_posting_proof,
@@ -38,6 +41,8 @@ __all__ = [
     "Posting",
     "PostingProof",
     "TIME_BUCKET_S",
+    "check_epochs",
+    "check_index",
     "time_bucket",
     "verify_answer_records",
     "verify_posting_proof",

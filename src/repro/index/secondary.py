@@ -36,15 +36,16 @@ Structure
   leaf, and checks Merkle membership.
 * :meth:`PeerIndex.leaves` under a from-scratch ``MerkleTree`` is the
   **reference implementation** of the root: byte-identical to the
-  maintained one at every epoch, used by tests and by SAN308 (which
-  compares a ``from_world`` rebuild against both), never on the commit or
-  query path.
+  maintained one at every epoch, used by tests and by :func:`check_index`
+  (which compares a ``from_world`` rebuild against both), never on the
+  commit or query path.
 
 The index only ever observes **valid** transactions' write sets, so it is
 derived state: rebuildable from world state alone
 (:meth:`PeerIndex.from_world`). Nothing persists it — every recovery path
-rebuilds it from the state the peer adopted, and SAN308 compares the same
-rebuild against the maintained root at each whole-peer check.
+rebuilds it from the state the peer adopted, and :func:`check_index`
+(the explorer's and SAN308's one index audit) compares the same rebuild
+with the live index, posting by posting and root by root.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import orjson
 
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleProofError
-from repro.fabric.audit import valid_txs
+from repro.fabric.audit import AuditFinding, valid_txs
 from repro.obs.prof import profiled
 from repro.trust.engine import MIN_TRUST_THRESHOLD, TRUSTED_THRESHOLD
 from repro.util.serialization import canonical_json, render
@@ -518,8 +519,8 @@ class PeerIndex:
     @classmethod
     def from_world(cls, world, height: int) -> "PeerIndex":
         """Rebuild from committed world state — the one way a peer gets its
-        index back (checkpoint adoption, state transfer) and the SAN308
-        divergence check.
+        index back (checkpoint adoption, state transfer) and what
+        :func:`check_index` compares the live index with.
 
         Replaying inserts in ``(block, tx)`` version order reproduces the
         exact chained posting digests of incremental maintenance, so the
@@ -528,11 +529,11 @@ class PeerIndex:
         world state, and the ledger of a peer that adopted a snapshot holds
         no block below it either.
 
-        Like SAN308's rebuild, it does not see ``data:`` deletes: a deleted
+        It does not see ``data:`` deletes: a deleted
         record is gone from world state, so no tombstone is rebuilt. No
         chaincode deletes a ``data:`` key, so this never arises in a
-        deployment; callers still skip root comparison for an index that
-        carries tombstones.
+        deployment; :func:`check_index` still skips an index that carries
+        tombstones.
         """
         out = cls()
         rows = []
@@ -548,3 +549,87 @@ class PeerIndex:
         if height > 0:
             out.epochs[height - 1] = out.root()
         return out
+
+
+# -- the audit ----------------------------------------------------------------
+
+# Everything a posting holds: the leaf's chain and entries, and the derived
+# orders lookups read, which no root covers.
+_POSTING_FIELDS = ("entries", "chain", "ids", "times", "by_time")
+
+
+def check_index(index: PeerIndex, world, height: int) -> list[AuditFinding]:
+    """*index* as data, against a :meth:`PeerIndex.from_world` rebuild of
+    the *world* state it was derived from, at its ledger's *height*.
+
+    The index must be at *height*. Then the rebuild must equal it posting
+    by posting — every field of :data:`_POSTING_FIELDS` — and band by band,
+    and the rebuild's root must equal the root the peer maintains, the root
+    re-hashed from its live postings (the maintained tree caches leaf
+    hashes, so it misses a posting corrupted that no later block touches)
+    and the head epoch it recorded. A posting's id orders are in no leaf,
+    so only the posting comparison sees them.
+
+    Skipped when the index has tombstones: a deleted record is gone from
+    world state, so the rebuild legitimately differs.
+    """
+    if index.height != height:
+        return [
+            AuditFinding(
+                "index_height",
+                f"index is at height {index.height} but its ledger is at {height}",
+            )
+        ]
+    if index.tombstones:
+        return []
+    rebuilt = PeerIndex.from_world(world, height)
+    findings: list[AuditFinding] = []
+    for dim, value in sorted(index.postings.keys() | rebuilt.postings.keys()):
+        live, fresh = index.postings.get((dim, value)), rebuilt.postings.get((dim, value))
+        # A posting missing on one side differs in every field.
+        differs = [n for n in _POSTING_FIELDS if getattr(live, n, None) != getattr(fresh, n, None)]
+        if differs:
+            findings.append(
+                AuditFinding(
+                    "index_posting",
+                    f"posting {dim}={value!r}: {', '.join(differs)} differ from the rebuild",
+                )
+            )
+    if index.bands != rebuilt.bands:
+        findings.append(AuditFinding("index_posting", "trust bands differ from the rebuild"))
+    expected = rebuilt.root()
+    roots = {
+        "maintained root": index.root(),
+        "root re-hashed from live postings": MerkleTree(index.leaves()).root.hex(),
+        "recorded head epoch": index.epochs.get(height - 1, "") if height else expected,
+    }
+    findings.extend(
+        AuditFinding("index_root", f"{which} {root[:16]}… != rebuild {expected[:16]}…")
+        for which, root in roots.items()
+        if root != expected
+    )
+    return findings
+
+
+def check_epochs(index: PeerIndex, ledger) -> list[AuditFinding]:
+    """Every epoch *index* recorded is reproduced by replaying *ledger*'s
+    chain through a fresh index: the auditor trusts nothing but the blocks.
+    It needs the chain from genesis, so a ledger that starts at a snapshot
+    is not checked."""
+    if ledger.base_height != 0:
+        return []
+    findings: list[AuditFinding] = []
+    replayed = PeerIndex()
+    for block in ledger.blocks():
+        digest = replayed.apply_block(block)
+        recorded = index.epochs.get(block.number)
+        if recorded is not None and recorded != digest:
+            findings.append(
+                AuditFinding(
+                    "index_epoch",
+                    f"recorded epoch {recorded[:12]}… is not reproduced by "
+                    "replaying the chain through a fresh index",
+                    block=block.number,
+                )
+            )
+    return findings

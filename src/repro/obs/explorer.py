@@ -15,10 +15,11 @@ module is the Explorer half: a read-only API over a live channel that can
   (block numbering, header hash links, per-block Merkle roots,
   creator/endorsement signatures, world-state replay, replica parity — the
   same checks ``BlockStore.verify_chain`` raises on and the ledger sanitizer
-  files as SAN302–305/307, reported here as they are), plus two sections of
-  its own: the peers' index epochs and (when given the IPFS cluster) hash
-  verification of every off-chain block each data entry references —
-  pinpointing the exact block/tx/node that is wrong.
+  files as SAN302–305/307, reported here as they are), the index audit of
+  :mod:`repro.index`, plus two sections of its own: the peers' index epochs
+  and (when given the IPFS cluster) hash verification of every off-chain
+  block each data entry references — pinpointing the exact block/tx/node
+  that is wrong.
 
 Everything here reads committed state only; the explorer never signs,
 orders, or writes.
@@ -38,6 +39,7 @@ from repro.fabric.ledger import Block
 from repro.fabric.peer import Peer
 from repro.fabric.tx import ValidationCode
 from repro.fabric.worldstate import composite_prefix_range
+from repro.index import check_epochs, check_index
 
 _DATA_PREFIX = "data:"
 _TRUST_PREFIX = "trust:"
@@ -288,10 +290,12 @@ class LedgerExplorer:
         peer: block numbering, header hash links and Merkle roots, creator
         and endorsement signatures of every VALID transaction, the replay of
         all valid write sets against its world state, and head-hash +
-        state-digest parity across the online peers. Then the index epochs,
-        and off-chain (when the explorer holds the IPFS cluster) every block
-        of every data entry's DAG re-hashed against its CID on every node
-        that holds it — silent bit rot names the node and the rotten block.
+        state-digest parity across the online peers. Then the index epochs
+        across the online peers, and the reference peer's index under
+        :func:`repro.index.check_index` and :func:`repro.index.check_epochs`;
+        off-chain (when the explorer holds the IPFS cluster) every block of
+        every data entry's DAG re-hashed against its CID on every node that
+        holds it — silent bit rot names the node and the rotten block.
         """
         report = AuditReport()
         peer = self.reference_peer()
@@ -305,42 +309,28 @@ class LedgerExplorer:
         for block in blocks:
             report.txs_checked += len(audit.valid_txs(block))
             findings.extend(audit.check_signatures(block, msp))
-        report.state_keys_checked = len(audit.replay_writes(blocks))
-        findings.extend(audit.check_state(ledger, peer.world))
-        findings.extend(
-            audit.check_peers(p for p in self.channel.peers.values() if p.online)
-        )
-        self._audit_index(peer, blocks, report)
+        replayed = audit.replay_writes(blocks)
+        report.state_keys_checked = len(replayed)
+        findings.extend(audit.check_state(ledger, peer.world, replayed))
+        online = [p for p in self.channel.peers.values() if p.online]
+        findings.extend(audit.check_peers(online))
+        self._compare_epochs(online, report)
+        if peer.index is not None:
+            findings.extend(check_index(peer.index, peer.world, ledger.height))
+            findings.extend(check_epochs(peer.index, ledger))
         if offchain and self.ipfs is not None:
             self._audit_offchain(peer, report)
         return report
 
-    def _audit_index(self, peer: Peer, blocks: list[Block], report: AuditReport) -> None:
-        """Verify the peers' authenticated index epochs.
-
-        Cross-peer: online peers that indexed the same block number must
-        have recorded the same epoch digest. Independent: when the
-        reference ledger holds the full chain (no snapshot bootstrap), a
-        fresh index replays every block and must reproduce each recorded
-        epoch — the auditor trusts nothing but the blocks themselves.
-        """
-        indexes = {
-            name: p.index
-            for name, p in self.channel.peers.items()
-            if p.online and getattr(p, "index", None) is not None
-        }
-        if not indexes:
-            return
-        numbers: set[int] = set()
-        for index in indexes.values():
-            numbers.update(index.epochs)
-        for n in sorted(numbers):
-            recorded = {
-                name: index.epochs[n]
-                for name, index in sorted(indexes.items())
-                if n in index.epochs
-            }
-            report.index_epochs_checked += 1
+    @staticmethod
+    def _compare_epochs(peers: list[Peer], report: AuditReport) -> None:
+        """Online peers that indexed the same block number must have
+        recorded the same epoch digest."""
+        epochs = {p.name: p.index.epochs for p in peers if p.index is not None}
+        numbers = sorted({n for log in epochs.values() for n in log})
+        report.index_epochs_checked += len(numbers)
+        for n in numbers:
+            recorded = {name: log[n] for name, log in sorted(epochs.items()) if n in log}
             if len(set(recorded.values())) > 1:
                 report.findings.append(
                     AuditFinding(
@@ -348,27 +338,6 @@ class LedgerExplorer:
                         "peers disagree on the index epoch: "
                         + ", ".join(f"{p}={d[:12]}…" for p, d in recorded.items()),
                         block=n,
-                    )
-                )
-        reference = getattr(peer, "index", None)
-        if reference is None or peer.ledger.base_height != 0:
-            return
-        from repro.index import PeerIndex
-
-        replayed = PeerIndex()
-        for block in blocks:
-            replayed.apply_block(block)
-            recorded_epoch = reference.epochs.get(block.number)
-            if recorded_epoch is None:
-                continue
-            if replayed.epochs.get(block.number) != recorded_epoch:
-                report.findings.append(
-                    AuditFinding(
-                        "index_epoch",
-                        f"recorded epoch {recorded_epoch[:12]}… is not "
-                        "reproduced by replaying the chain through a fresh "
-                        "index",
-                        block=block.number,
                     )
                 )
 

@@ -2,9 +2,9 @@
 
 The layer that makes the storage/retrieval pipeline survivable: retries
 with exponential backoff and *deterministic* jitter (seeded streams, never
-wall-clock entropy), per-dependency circuit breakers with the standard
-closed/open/half-open machine, and deadline budgets. Every recovery
-action is metered into the shared :mod:`repro.obs` registry
+wall-clock entropy) and per-dependency circuit breakers with the standard
+closed/open/half-open machine. Every recovery action is metered into the
+shared :mod:`repro.obs` registry
 (``retries_total``, ``circuit_state``, ``ipfs_failover_total``, ...) so
 fault → recovery causality shows up in traces and ``repro metrics`` output.
 
@@ -17,13 +17,12 @@ writes through :meth:`~repro.core.framework.Framework.resilient_invoke`.
 
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.hub import ResilienceHub
-from repro.resilience.retry import Budget, RetryPolicy, retry
+from repro.resilience.retry import RetryPolicy, retry
 
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ResilienceHub",
-    "Budget",
     "RetryPolicy",
     "retry",
 ]

@@ -15,7 +15,6 @@ allocates no RNG.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -53,30 +52,6 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter) + raw * self.jitter * u
 
 
-class Budget:
-    """A deadline budget: total seconds an operation (with retries) may spend.
-
-    ``now`` is injectable so tests and simulations control time; the default
-    is the real monotonic clock.
-    """
-
-    def __init__(self, total_s: float, now: Callable[[], float] = time.monotonic) -> None:
-        if total_s <= 0:
-            raise ValueError("budget must be positive")
-        self.total_s = float(total_s)
-        self._now = now
-        self._start = now()
-
-    def elapsed_s(self) -> float:
-        return self._now() - self._start
-
-    def remaining_s(self) -> float:
-        return self.total_s - self.elapsed_s()
-
-    def exhausted(self) -> bool:
-        return self.remaining_s() <= 0.0
-
-
 def retry(
     fn: Callable[[], T],
     *,
@@ -86,9 +61,8 @@ def retry(
     op: str = "op",
     seed: int = 0,
     sleep: Callable[[float], None] | None = None,
-    budget: Budget | None = None,
 ) -> T:
-    """Call ``fn`` until it succeeds or the policy/budget is exhausted.
+    """Call ``fn`` until it succeeds or the policy is exhausted.
 
     * ``retryable`` — exception classes eligible for retry; anything else
       propagates immediately.
@@ -108,8 +82,7 @@ def retry(
         except retryable as exc:
             if should_retry is not None and not should_retry(exc):
                 raise
-            out_of_budget = budget is not None and budget.exhausted()
-            if attempt >= policy.max_attempts or out_of_budget:
+            if attempt >= policy.max_attempts:
                 get_registry().counter("retry_exhausted_total", {"op": op}).inc()
                 raise RetryExhaustedError(op, attempt, exc) from exc
             if rng is None:

@@ -50,7 +50,8 @@ Recovery (:meth:`DurabilityManager.recover_peer`) tries, in order:
 
 Whatever the path, recovery ends by rebuilding the node's durable state
 (a fold: fresh base, no deltas, truncated WAL), emitting a ``recovery``
-span plus metrics, and handing the peer to the SAN307 sanitizer check. A
+span plus metrics, and handing the peer to the sanitizer: its chain, world
+state and index are audited again, and SAN307 checks replica parity. A
 sanitized crash first has the peer's chain, world state and index audited,
 so a tamper the wipe erases is still reported.
 """

@@ -282,6 +282,69 @@ class TestChecksByScope:
         ]
         assert f"block {number}" in report.findings[0].message
 
+    def test_a_recovery_is_audited_on_the_peer_that_recovered(self):
+        """SAN307 is replica parity after a recovery; a tamper on another
+        peer is that peer's own finding, not the recovery's."""
+        from repro.storage import DurabilityManager
+
+        net, channel, client = make_network("solo")
+        manager = DurabilityManager(channel, checkpoint_interval=4)
+        sanitizer = install_sanitizers(channel, spec="all")
+        for i in range(5):
+            channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
+        number, _ = _doctor_older_block(channel.peers["peer0.org1"].ledger)
+        manager.crash_and_recover("peer1.org2")
+        assert not [f for f in sanitizer.report().findings if f.rule_id == "SAN307"]
+        report = sanitizer.finalize()
+        assert [(f.rule_id, f.path) for f in report.findings] == [
+            ("SAN303", "ledger:peer0.org1")
+        ]
+        assert f"block {number}" in report.findings[0].message
+
+    def test_one_recovery_audits_one_chain_twice(self, monkeypatch):
+        """Counted, not timed: a sanitized crash and recovery at height
+        about 400 walks the chain and replays its writes once before the
+        wipe and once after, both times on the peer that crashed; the only
+        index work is that peer's own re-application of blocks."""
+        from repro.core import Client, Framework, FrameworkConfig
+        from repro.fabric import audit
+        from repro.index import PeerIndex
+        from repro.trust import SourceTier
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        framework = Framework(
+            FrameworkConfig(consensus="solo", durability=True, sanitize="all")
+        )
+        client = Client(framework, framework.register_source("cam", tier=SourceTier.TRUSTED))
+        for i in range(400):
+            client.submit(b"frame-%d" % i, {"timestamp": float(i), "camera_id": "cam"})
+        peer = framework.channel.peers["peer1.org2"]
+        assert framework.channel.height() > 400
+        read: dict[str, list] = {"check_chain": [], "check_state": [], "replay_writes": []}
+        applied = []
+
+        def counted(name, call):
+            def wrapper(*args, **kwargs):
+                read[name].append(args[0])
+                return call(*args, **kwargs)
+            return wrapper
+
+        for name in read:
+            monkeypatch.setattr(audit, name, counted(name, getattr(audit, name)))
+        apply_block = PeerIndex.apply_block
+
+        def counted_apply(index, block):
+            applied.append(block)
+            return apply_block(index, block)
+
+        monkeypatch.setattr(PeerIndex, "apply_block", counted_apply)
+        before = peer.ledger
+        outcome = framework.durability.crash_and_recover(peer.name)
+        assert read["check_chain"] == read["check_state"] == [before, peer.ledger]
+        assert len(read["replay_writes"]) == 2
+        assert len(applied) == outcome.replayed_blocks + outcome.caught_up_blocks < 20
+        assert framework.sanitizer.finalize().ok
+
     def test_sanitizer_work_per_submit_does_not_grow_with_height(self, monkeypatch):
         """Counted, not timed: one submit's calls to the chain audit's block
         check and to the index's from-scratch rebuild under every sanitizer,

@@ -22,7 +22,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleProofError, QueryError
 from repro.fabric.tx import WriteEntry
 from repro.fabric.worldstate import Version, WorldState
-from repro.index import PeerIndex, verify_answer_records, verify_posting_proof
+from repro.index import PeerIndex, time_bucket, verify_answer_records, verify_posting_proof
 from repro.index.secondary import Posting, _height_leaf, _posting_leaf
 from repro.query import QueryEngine, parse_query, plan_query
 from repro.trust import SourceTier
@@ -850,6 +850,97 @@ class TestExplorerIntegration:
         report = LedgerExplorer(framework.channel).audit_chain(offchain=False)
         assert not report.ok
         assert any(f.check == "index_epoch" for f in report.findings)
+
+
+def _forge_head_epoch(peer):
+    peer.index.epochs[peer.ledger.height - 1] = "ab" * 32
+
+
+def _forge_older_epoch(peer):
+    peer.index.epochs[peer.ledger.height - 3] = "ab" * 32
+
+
+def _corrupt_posting_chain(peer):
+    peer.index.postings[("class", "truck")].chain = "00" * 32
+
+
+def _pop_posting_id(peer):
+    peer.index.postings[("source", "idx-cam")].ids.pop(0)
+
+
+def _swap_by_time(peer):
+    by_time = peer.index.postings[("time", time_bucket(100.0))].by_time
+    by_time[0], by_time[-1] = by_time[-1], by_time[0]
+
+
+def _rebuild_one_block_behind(peer):
+    behind = PeerIndex()
+    for block in peer.ledger.blocks()[:-1]:
+        behind.apply_block(block)
+    peer.index = behind
+
+
+class TestIndexAudit:
+    """The index is audited once, as data (``check_index``): the sanitizer
+    files what it finds as SAN308, the explorer reports it as ``index_*``.
+    The epoch-log replay (``check_epochs``) is the explorer's alone, so a
+    forged *older* epoch is reported by the explorer and not by SAN308."""
+
+    @staticmethod
+    def _indexed():
+        framework = make_framework(sanitize="index")
+        client = Client(
+            framework, framework.register_source("idx-cam", tier=SourceTier.TRUSTED)
+        )
+        # One time bucket, with a tie: the rebuild must keep commit order.
+        for i, ts in enumerate((100.0, 100.0, 200.0, 300.0)):
+            meta = dict(META, timestamp=ts)
+            meta["detections"] = [
+                {"vehicle_class": ("car" if i % 2 == 0 else "truck"), "confidence": 0.9}
+            ]
+            client.submit(f"payload-{i}".encode(), meta)
+        return framework, next(iter(framework.channel.peers.values()))
+
+    @staticmethod
+    def _consumers(framework):
+        from repro.obs.explorer import LedgerExplorer
+
+        report = LedgerExplorer(framework.channel).audit_chain(offchain=False)
+        explorer = {f.check for f in report.findings}
+        sanitizer = {f.rule_id for f in framework.sanitizer.finalize().findings}
+        return explorer, sanitizer
+
+    def test_an_honest_index_is_clean_for_both(self):
+        framework, _ = self._indexed()
+        assert self._consumers(framework) == (set(), set())
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _forge_head_epoch,
+            _forge_older_epoch,
+            _corrupt_posting_chain,
+            _pop_posting_id,
+            _swap_by_time,
+            _rebuild_one_block_behind,
+        ],
+    )
+    def test_each_tamper_is_reported_by_both(self, tamper):
+        framework, peer = self._indexed()
+        tamper(peer)
+        explorer, sanitizer = self._consumers(framework)
+        assert explorer and all(check.startswith("index_") for check in explorer)
+        if tamper is _forge_older_epoch:
+            assert sanitizer == set()  # the epoch-log replay is the explorer's
+        else:
+            assert sanitizer == {"SAN308"}
+
+    def test_a_popped_id_is_named(self):
+        framework, peer = self._indexed()
+        _pop_posting_id(peer)
+        (finding,) = framework.sanitizer.finalize().findings
+        assert finding.path == f"index:{peer.name}"
+        assert "posting source='idx-cam': ids differ from the rebuild" in finding.message
 
 
 class TestSanitizerMode:

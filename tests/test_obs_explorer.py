@@ -210,6 +210,22 @@ class TestAudit:
         assert report.offchain_files_checked == 3
         assert report.offchain_blocks_checked >= 3
 
+    def test_the_chain_is_replayed_once(self, deployment, monkeypatch):
+        """Counted: one audit replays the chain's writes once, for the state
+        check and the replayed-key count alike."""
+        from repro.fabric import audit
+
+        framework, client = deployment
+        _submit(client)
+        calls = []
+        replay_writes = audit.replay_writes
+        monkeypatch.setattr(
+            audit, "replay_writes", lambda blocks: calls.append(1) or replay_writes(blocks)
+        )
+        report = LedgerExplorer(framework.channel).audit_chain(offchain=False)
+        assert report.ok and report.state_keys_checked > 0
+        assert len(calls) == 1
+
     def test_tampered_world_state_is_pinpointed(self, deployment):
         framework, client = deployment
         entry_id = _submit(client, n=1)[0]

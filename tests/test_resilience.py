@@ -15,7 +15,6 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.resilience import (
-    Budget,
     CircuitBreaker,
     ResilienceHub,
     RetryPolicy,
@@ -116,21 +115,6 @@ class TestRetry:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
-
-    def test_budget_cuts_retries_short(self):
-        clock = {"t": 0.0}
-
-        def now():
-            clock["t"] += 10.0  # every check burns 10s
-            return clock["t"]
-
-        def fails():
-            raise FabricError("x")
-
-        budget = Budget(5.0, now=now)
-        with pytest.raises(RetryExhaustedError) as exc_info:
-            retry(fails, policy=RetryPolicy(max_attempts=10), op="budget", budget=budget)
-        assert exc_info.value.attempts < 10
 
     def test_happy_path_emits_no_metrics(self):
         retry(lambda: 42, op="quiet")

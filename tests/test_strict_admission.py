@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import Client, Framework, FrameworkConfig
+from repro.core import BatchIngestor, Client, Framework, FrameworkConfig
 from repro.errors import UntrustedSourceError
 from repro.trust import SourceTier
 from repro.trust.crossval import Observation
+from repro.workloads.traffic import IngestItem
 
 JUNCTION = dict(lat=12.97, lon=77.59)
 META = {"timestamp": 1.0, "detections": []}
@@ -84,3 +85,23 @@ class TestStrictAdmission:
         lie = Observation("p-mob", timestamp=12.0, counts={"truck": 9}, **JUNCTION)
         receipt = mob.submit(b"recorded but scored down", dict(META), observation=lie)
         assert receipt.ok  # permissive mode records and lets the score fall
+
+    def test_ingest_passes_the_same_gate_as_submit(self, strict_env):
+        """A contradicted item is refused by a batch ingest as by a submit:
+        skipped and counted rejected, never stored, and scored down."""
+        framework, cam, mob = strict_env
+        cam.submit(b"truth", dict(META),
+                   observation=Observation("s-cam", timestamp=10.0, counts={"car": 4}, **JUNCTION))
+        ingestor = BatchIngestor(framework)
+        for client in (mob, cam):
+            ingestor.register(client.identity)
+        before = framework.trust.score("s-mob")
+        lie = Observation("s-mob", timestamp=12.0, counts={"truck": 9}, **JUNCTION)
+        report = ingestor.ingest([
+            IngestItem("s-mob", b"fabricated", dict(META), lie),
+            IngestItem("s-cam", b"more truth", dict(META), None),
+        ])
+        assert (report.committed, report.rejected) == (1, 1)
+        assert report.skipped_sources == ("s-mob",)
+        assert cam.query("source_id = 's-mob'") == []
+        assert framework.trust.score("s-mob") < before
