@@ -35,22 +35,47 @@ def verdicts(replica, request):
 
 
 class TestGoldenFlow:
-    """n = 4 with checkpoints every 4 decisions and message chaos (drop,
-    duplicate and delay at 0.05 each, plus the network's own drop rate), in
-    two runs: a SILENT primary, so view changes run as well as the normal
-    case; and an ALWAYS_INVALID validator, so every decision has a dissenting
-    vote and four voters, the last one a straggler."""
+    """Checkpoints every 4 decisions and message chaos (drop, duplicate and
+    delay at 0.05 each, plus the network's own drop rate), with one faulty
+    replica per run: each fault, as the primary and as the last backup, at
+    n = 4 and n = 7. Two runs carry extra checks: a SILENT primary, so view
+    changes run as well as the normal case; and an ALWAYS_INVALID last
+    backup at n = 4, so every decision has a dissenting vote and four
+    voters, the last one a straggler."""
 
     DIGESTS = {
-        "silent-primary": "624c3a6d37319150de8c4ff8264b7112c2e1f315934d577f4df115ca31c2dd9a",
-        "invalid-voter": "b7628c1bbc8e78e5a15d8591404305e94082f4bcccc0c8beef730580c7375142",
+        "crashed-primary-n4": "43318d712c672250aa931171677c2cf13c892bd616f08092882c5e384d722c45",
+        "silent-primary-n4": "624c3a6d37319150de8c4ff8264b7112c2e1f315934d577f4df115ca31c2dd9a",
+        "equivocate-primary-n4": "7432c69a2081e8662433d4cf6d9aa7ce46d25cd760d352e3bf63d690ba4e44c7",
+        "wrong-digest-primary-n4": "448c9a2c336644ea030b897d8ed80de2e9e5e0bc9f8bfd17a8eaafc5f2e8da9e",
+        "always-valid-primary-n4": "fabc220894992a30614b0b6f9ff52fe31ed5d619b608e7c84731b80c92507cb4",
+        "always-invalid-primary-n4": "7ba5e9225054f3236b14515e7d2791f4c2144c0a8fa41f452cde6f8a5bd51f53",
+        "crashed-last-backup-n4": "b623d4f8c207ab64451cfa42f2d2cd82c95d2fdb3900e80b24f9f91f330dbbc3",
+        "silent-last-backup-n4": "aefa2456d17022a4fa0dd00dd0509adda1ca0dfb99a99b7aeae78c6aef953888",
+        "equivocate-last-backup-n4": "290a335d60e98f38cd31cb36226e46a3b7b5d05ef8fd6a73f3015ff80658b875",
+        "wrong-digest-last-backup-n4": "4a16cd9ab8acffc22d9fc3d35fce8c3a5c3bc1ff57bcede636538b91b13062e3",
+        "always-valid-last-backup-n4": "1d92e8f77dd34844abf50d10989bd2d1b2e0a99fcbf0d08cd3d5874ca65f0e2f",
+        "always-invalid-last-backup-n4": "b7628c1bbc8e78e5a15d8591404305e94082f4bcccc0c8beef730580c7375142",
+        "crashed-primary-n7": "0a74f2024e9b55759eaad0c40ccdac9c71eb5d0b990904aca14a1d661e44db81",
+        "silent-primary-n7": "12bca431f83af7da3e1feadafdff897e1d86758caf4e0713447d4cd49ba7962d",
+        "equivocate-primary-n7": "02a247bfbc3c57716d3ea902b96c4c53e8a0459e0d6f5c25e97d4ad1ab29c35c",
+        "wrong-digest-primary-n7": "0eca9adeafd63290ad1c5bd144c709d28cd7f1ea07eefa60224cc3ae4725d3c6",
+        "always-valid-primary-n7": "29abaeca617f1f80c4b6b10af30fc3beae841f7e03744c59f6476d1c27ca32a2",
+        "always-invalid-primary-n7": "db49ad4c6db81501b891cf5b643c6241ed98afb2a55af5cbed278d7a9d765dbf",
+        "crashed-last-backup-n7": "104a465537fd4c1bcc8ce2738ead14b91970f9e78a05b774aa1349d70bfdcee4",
+        "silent-last-backup-n7": "93ed486be0b2ada509c51d12f7d319f97bb3d7a581a33146591b4725d7ae570a",
+        "equivocate-last-backup-n7": "8ef031b988d891df893a512f8a6278be8d4ca2aa27836e44c4496c8c4b0d4928",
+        "wrong-digest-last-backup-n7": "71687cf44b56aa764b4e5834ae87a4983e53eb0b7ba0b78e1d2ba83baff81bf7",
+        "always-valid-last-backup-n7": "1b83008212ef2a618578b46b92b4115312f2735553d71154ad3507717a05a22a",
+        "always-invalid-last-backup-n7": "e2ba8ea4354c8b930222b61f33095164841a58342fedbe215949dea57489d16a",
     }
-    BEHAVIOURS = {
-        "silent-primary": {"validator-0": Behaviour.SILENT},
-        "invalid-voter": {"validator-3": Behaviour.ALWAYS_INVALID},
+    SCENARIOS = {  # the two runs with extra checks, by their pinned run
+        "silent-primary": "silent-primary-n4",
+        "invalid-voter": "always-invalid-last-backup-n4",
     }
 
-    def run(self, monkeypatch, behaviours):
+    def run(self, monkeypatch, scenario):
+        fault, n = self.fault_of(scenario)
         deliveries = []
         handle = BftReplica.on_message
 
@@ -64,7 +89,7 @@ class TestGoldenFlow:
             seed=1, drop_rate=0.05, duplicate_rate=0.05, delay_rate=0.05
         )
         cluster = BftCluster(
-            4, network=net, validator=verdicts, checkpoint_interval=4, behaviours=behaviours
+            n, network=net, validator=verdicts, checkpoint_interval=4, behaviours=fault
         )
         for i in range(12):
             cluster.submit({"tx": i}, n_items=1 + i % 3)
@@ -86,9 +111,18 @@ class TestGoldenFlow:
             },
         }
 
-    @pytest.mark.parametrize("scenario", sorted(DIGESTS))
+    @staticmethod
+    def fault_of(scenario):
+        """``"<fault>-<primary|last-backup>-n<N>"`` -> ({replica: fault}, N)."""
+        rest, n = scenario.rsplit("-n", 1)
+        for position, index in (("-primary", 0), ("-last-backup", int(n) - 1)):
+            if rest.endswith(position):
+                return {f"validator-{index}": Behaviour(rest[: -len(position)])}, int(n)
+        raise ValueError(scenario)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_the_delivery_sequence_stats_and_logs_are_pinned(self, monkeypatch, scenario):
-        cluster, doc = self.run(monkeypatch, self.BEHAVIOURS[scenario])
+        cluster, doc = self.run(monkeypatch, self.SCENARIOS[scenario])
         # What the pin covers: every fault class fired, views moved, and
         # either checkpoints collected the decided prefix or the straggler
         # and dissenting votes were recorded.
@@ -103,6 +137,14 @@ class TestGoldenFlow:
             assert max(doc["checkpoints"].values()) >= 3
         else:
             assert max(len(votes) for *_, votes, _ in decided) == 4
+        assert cluster.log_prefix_consistent()
+        assert sha(doc) == self.DIGESTS[self.SCENARIOS[scenario]]
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(set(DIGESTS) - set(SCENARIOS.values()))
+    )
+    def test_every_fault_as_primary_and_as_last_backup_is_pinned(self, monkeypatch, scenario):
+        cluster, doc = self.run(monkeypatch, scenario)
         assert cluster.log_prefix_consistent()
         assert sha(doc) == self.DIGESTS[scenario]
 
