@@ -11,12 +11,12 @@ paper's acceptance rule. Invalid transactions are still ordered (so every
 replica agrees on what was rejected), mirroring Fabric's validated-flag
 commit.
 
-Byzantine behaviour injection (:class:`Behaviour`) covers the faults the
-paper's threat model names: crashed validators, silent ones, equivocators
-that send conflicting digests, and corrupt validators that endorse invalid
-transactions / reject valid ones. With n = 3f+1 replicas the protocol
-tolerates f such faults; tests and the ablation bench drive it past that
-bound to show where agreement degrades.
+A Byzantine replica runs this honest code with an *adversary*: a transform
+of what each peer, and then its own loopback, receives from ``_cast``. The
+paper's threat model (:class:`Behaviour`: crashed, silent, equivocating,
+wrong-digest and lying validators) is the transforms of :data:`ADVERSARIES`.
+With n = 3f+1 replicas the protocol tolerates f such faults; tests and the
+ablation bench drive it past that bound to show where agreement degrades.
 
 A lightweight view-change fires when a replica's commit timer expires:
 replicas vote for view v+1, and on 2f+1 votes the new primary re-proposes
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -55,9 +55,9 @@ from repro.util.serialization import canonical_json, once
 
 
 class Behaviour(str, Enum):
-    """Fault model of a single replica."""
+    """The fault classes of the threat model, each a transform in
+    :data:`ADVERSARIES`. An honest replica has none."""
 
-    NORMAL = "normal"
     CRASHED = "crashed"          # participates in nothing
     SILENT = "silent"            # receives but never sends
     EQUIVOCATE = "equivocate"    # primary-only: conflicting pre-prepares
@@ -66,6 +66,7 @@ class Behaviour(str, Enum):
     ALWAYS_INVALID = "always-invalid"  # rejects everything, even valid
 
 
+@dataclass(slots=True, eq=False)
 class Decision:
     """One slot of the agreed log, identical on every honest replica.
 
@@ -77,30 +78,17 @@ class Decision:
     maps after the decision; the verdicts never change.
     """
 
-    __slots__ = ("seq", "view", "request", "accepted", "votes", "item_accepted", "item_votes")
-
-    def __init__(
-        self,
-        seq: int,
-        view: int,
-        request: ClientRequest,
-        accepted: bool,
-        votes: dict[str, bool],
-        item_accepted: tuple[bool, ...],
-        item_votes: dict[str, tuple[bool, ...]],
-    ) -> None:
-        self.seq = seq
-        self.view = view
-        self.request = request
-        self.accepted = accepted
-        self.votes = votes
-        self.item_accepted = item_accepted
-        self.item_votes = item_votes
+    seq: int
+    view: int
+    request: ClientRequest
+    accepted: bool
+    votes: dict[str, bool]
+    item_accepted: tuple[bool, ...]
+    item_votes: dict[str, tuple[bool, ...]]
 
 
-# Module globals: on Python 3.11 reading an enum member off its class costs ~70 ns.
-_CRASHED = Behaviour.CRASHED
-_MUTED = frozenset({Behaviour.CRASHED, Behaviour.SILENT})  # never send
+# adversary(replica, payload, target) -> what target receives, or None
+Adversary = Callable[["BftReplica", Any, str], Any]
 
 # Start of every replica's decided-log hash chain (the digest of an empty log).
 _EMPTY_LOG_LINK = hashlib.sha256(b"pbft-decided-log").digest()
@@ -151,16 +139,10 @@ class _SlotState:
 class BftReplica(NetNode):
     """One PBFT replica/validator."""
 
-    def __init__(
-        self,
-        name: str,
-        network: SimNetwork,
-        cluster: "BftCluster",
-        behaviour: Behaviour = Behaviour.NORMAL,
-    ) -> None:
+    def __init__(self, name: str, network: SimNetwork, cluster: "BftCluster") -> None:
         super().__init__(name, network)
         self.cluster = cluster
-        self.behaviour = behaviour
+        self.adversary: Adversary | None = None  # None: honest
         # The replica set is fixed at construction, so f and the quorum are
         # the cluster's, computed once.
         self.f = cluster.f
@@ -193,23 +175,33 @@ class BftReplica(NetNode):
         self._rearms: dict[str, int] = {}  # view changes triggered per request
         self._checkpoint_votes: dict[tuple[int, str], set[str]] = {}
         self.stable_checkpoint = -1  # highest garbage-collected sequence
-        if behaviour is Behaviour.CRASHED:
-            network.set_node_up(name, False)
 
     # -- identity helpers ----------------------------------------------------
 
     def is_primary(self) -> bool:
         return self.cluster.primary_for(self.view) == self.name
 
-    # -- sending with fault model ---------------------------------------------
+    # -- sending ---------------------------------------------------------------
 
     def _cast(self, payload: Any, size: int = 512) -> None:
-        if self.behaviour in _MUTED:
+        """Send ``payload`` to every peer, then handle it here (the loopback);
+        an adversary decides what each peer, in turn, and the loopback get."""
+        adversary = self.adversary
+        if adversary is None:
+            kind = type(payload)
+            self.network.broadcast(self.name, payload, size, kind.__name__)
+            self._HANDLERS[kind](self, payload)
             return
-        kind = type(payload)
-        self.network.broadcast(self.name, payload, size, kind.__name__)
-        # Loopback: a replica processes its own votes immediately.
-        self._HANDLERS[kind](self, payload)
+        if adversary is _equivocate and type(payload) is PrePrepare:
+            size = 256  # the size its pre-prepares were sent at before transforms
+        name, send = self.name, self.network.send
+        for target in self.network.peers(name):
+            sent = adversary(self, payload, target)
+            if sent is not None:
+                send(name, target, sent, size, type(sent).__name__)
+        own = adversary(self, payload, name)
+        if own is not None:
+            self._dispatch(own)
 
     # -- client entry point -----------------------------------------------------
 
@@ -218,24 +210,12 @@ class BftReplica(NetNode):
         if not self.is_primary():
             self._arm_timeout(request)
             return
-        if self.behaviour in _MUTED:
-            return  # a dead primary stalls the slot until view change
         if request.request_id in self._assigned:
             return  # duplicate delivery (clients broadcast requests)
         self._assigned.add(request.request_id)
         seq = self._next_seq
         self._next_seq += 1
-        digest = _digest(request)
-        if self.behaviour is Behaviour.EQUIVOCATE:
-            # Send conflicting digests to different halves of the cluster.
-            for i, dst in enumerate(self.cluster.replica_names):
-                if dst == self.name:
-                    continue
-                forged = digest if i % 2 == 0 else digest[::-1]
-                self.send(dst, PrePrepare(self.view, seq, forged, request), kind="PrePrepare")
-            self._dispatch(PrePrepare(self.view, seq, digest, request))
-            return
-        self._cast(PrePrepare(self.view, seq, digest, request))
+        self._cast(PrePrepare(self.view, seq, _digest(request), request))
 
     def _arm_timeout(self, request: ClientRequest) -> None:
         """Expect the request to commit within the view timeout."""
@@ -263,8 +243,6 @@ class BftReplica(NetNode):
     # -- message handling -----------------------------------------------------------
 
     def on_message(self, msg: Message) -> None:
-        if self.behaviour is _CRASHED:
-            return
         payload = msg.payload
         handler = self._HANDLERS.get(type(payload), BftReplica._ignore)
         if probe.INSTALLED is None:
@@ -301,10 +279,6 @@ class BftReplica(NetNode):
     def _verdict_for(self, request: ClientRequest) -> tuple[bool, ...]:
         """Per-item validation verdicts for a (possibly batched) request."""
         n = max(1, request.n_items)
-        if self.behaviour is Behaviour.ALWAYS_VALID:
-            return (True,) * n
-        if self.behaviour is Behaviour.ALWAYS_INVALID:
-            return (False,) * n
         # The validation smart contract executes here (paper §III step 6).
         attrs = {"replica": self.name, "request": request.request_id, "items": n}
         with obs_span("consensus.validate", attrs, center="consensus.validate"):
@@ -317,11 +291,6 @@ class BftReplica(NetNode):
                 )
             return tuple(map(bool, verdict))
         return (bool(verdict),) * n
-
-    def _vote_digest(self, digest: str) -> str:
-        if self.behaviour is Behaviour.WRONG_DIGEST:
-            return digest[::-1]
-        return digest
 
     def _on_pre_prepare(self, msg: PrePrepare) -> None:
         view = msg.view
@@ -344,7 +313,7 @@ class BftReplica(NetNode):
         if slot.pre_prepare is not None and slot.pre_prepare.digest != msg.digest:
             return  # equivocation detected: keep the first, ignore the fork
         # Honest replicas check the primary's digest against the request.
-        if self.behaviour is Behaviour.NORMAL and _digest(msg.request) != msg.digest:
+        if _digest(msg.request) != msg.digest:
             return
         slot.pre_prepare = msg
         if slot.sent_prepare:
@@ -353,9 +322,7 @@ class BftReplica(NetNode):
         # Independent validation — "each peer executes the smart contract
         # independently" (paper §III step 6).
         verdict = slot.my_verdict = self._verdict_for(msg.request)
-        self._cast(
-            Prepare(view, msg.seq, self._vote_digest(msg.digest), self.name, all(verdict), verdict)
-        )
+        self._cast(Prepare(view, msg.seq, msg.digest, self.name, all(verdict), verdict))
         # Votes that arrived ahead of the pre-prepare may complete both quorums.
         if not slot.sent_commit and len(slot.prepares) >= self.quorum:
             self._maybe_commit(view, msg.seq, slot)
@@ -422,7 +389,7 @@ class BftReplica(NetNode):
         self._prepared_digest.setdefault(seq, digest)
         n_items = max(1, slot.pre_prepare.request.n_items)
         verdict = slot.my_verdict if slot.my_verdict is not None else (False,) * n_items
-        self._cast(Commit(view, seq, self._vote_digest(digest), self.name, all(verdict), verdict))
+        self._cast(Commit(view, seq, digest, self.name, all(verdict), verdict))
         self._free_if_done(view, seq, slot)
 
     def _free_if_done(self, view: int, seq: int, slot: _SlotState) -> None:
@@ -625,6 +592,43 @@ class BftReplica(NetNode):
     }
 
 
+# -- the threat model: each transform builds a new message, never edits one --
+
+_VOTES = (Prepare, Commit)
+
+
+def _reversed(payload: Any) -> Any:
+    return replace(payload, digest=payload.digest[::-1])
+
+
+def _equivocate(replica: BftReplica, payload: Any, target: str) -> Any:
+    # The odd-index replicas are pre-prepared the reversed digest; the
+    # primary's own loopback keeps the true one.
+    if type(payload) is PrePrepare and target != replica.name:
+        if replica.cluster.replica_names.index(target) % 2:
+            return _reversed(payload)
+    return payload
+
+
+def _always(valid: bool) -> Adversary:
+    return lambda replica, payload, target: (
+        replace(payload, valid=valid, item_votes=(valid,) * len(payload.item_votes))
+        if type(payload) in _VOTES else payload
+    )
+
+
+ADVERSARIES: dict[Behaviour, Adversary] = {
+    Behaviour.CRASHED: lambda replica, payload, target: None,  # and off the network
+    Behaviour.SILENT: lambda replica, payload, target: None,
+    Behaviour.EQUIVOCATE: _equivocate,
+    Behaviour.WRONG_DIGEST: lambda replica, payload, target: (
+        _reversed(payload) if type(payload) in _VOTES else payload
+    ),
+    Behaviour.ALWAYS_VALID: _always(True),
+    Behaviour.ALWAYS_INVALID: _always(False),
+}
+
+
 class BftCluster:
     """Builds and drives a set of PBFT replicas on one SimNetwork.
 
@@ -657,12 +661,19 @@ class BftCluster:
         self.max_view_changes = max_view_changes
         self.checkpoint_interval = checkpoint_interval
         self.on_decision = on_decision or (lambda replica, decision: None)
-        behaviours = behaviours or {}
         self.replicas: dict[str, BftReplica] = {
-            name: BftReplica(name, self.network, self, behaviours.get(name, Behaviour.NORMAL))
-            for name in self.replica_names
+            name: BftReplica(name, self.network, self) for name in self.replica_names
         }
+        for name, behaviour in (behaviours or {}).items():
+            self.corrupt(name, behaviour)
         self._client_seq = 0
+
+    def corrupt(self, name: str, behaviour: Behaviour) -> None:
+        """Give replica ``name`` the adversary of ``behaviour``. A crash also
+        takes it off the network, as a chaos ``ValidatorCrash`` does."""
+        self.replicas[name].adversary = ADVERSARIES[behaviour]
+        if behaviour is Behaviour.CRASHED:
+            self.network.set_node_up(name, False)
 
     # -- cluster facts ---------------------------------------------------------
 
@@ -702,30 +713,31 @@ class BftCluster:
 
     # -- inspection ------------------------------------------------------------------
 
-    def decided_log(self) -> list[Decision]:
-        """The agreed log, taken from any honest NORMAL replica with the
-        longest log (all honest logs must be prefix-consistent)."""
-        normals = [
-            r
-            for r in self.replicas.values()
-            if r.behaviour is Behaviour.NORMAL and self.network.is_up(r.name)
+    def _honest(self) -> list[BftReplica]:
+        """The live replicas with no adversary: whom safety is promised to."""
+        return [
+            r for r in self.replicas.values()
+            if r.adversary is None and self.network.is_up(r.name)
         ]
-        if not normals:
+
+    def decided_log(self) -> list[Decision]:
+        """The agreed log, taken from any honest replica with the longest
+        log (all honest logs must be prefix-consistent)."""
+        honest = self._honest()
+        if not honest:
             raise ConsensusError("no honest replica available")
-        best = max(normals, key=lambda r: len(r.log))
+        best = max(honest, key=lambda r: len(r.log))
         return sorted(best.log, key=lambda d: d.seq)
 
     def log_prefix_consistent(self) -> bool:
         """PBFT's safety property, checked directly: no two live honest
-        NORMAL replicas may have decided the same sequence number
+        replicas may have decided the same sequence number
         differently — different request, or different verdicts. A replica
         can legitimately be *missing* a seq (it was down or partitioned
         when that slot decided), so logs are compared per shared seq, not
         positionally. Used by the consensus sanitizer (SAN306)."""
         by_seq: dict[int, tuple] = {}
-        for replica in self.replicas.values():
-            if replica.behaviour is not Behaviour.NORMAL or not self.network.is_up(replica.name):
-                continue
+        for replica in self._honest():
             for d in replica.log:
                 key = (d.request.request_id, d.accepted, d.item_accepted)
                 if by_seq.setdefault(d.seq, key) != key:
@@ -734,12 +746,8 @@ class BftCluster:
 
     def agreement_reached(self, request_id: str) -> bool:
         """Did every live honest replica decide this request identically?"""
-        decisions = []
-        for replica in self.replicas.values():
-            if replica.behaviour is not Behaviour.NORMAL or not self.network.is_up(replica.name):
-                continue
-            mine = [d for d in replica.log if d.request.request_id == request_id]
-            if not mine:
-                return False
-            decisions.append((mine[0].seq, mine[0].accepted))
-        return len(set(decisions)) == 1 and bool(decisions)
+        decisions = {
+            next(((d.seq, d.accepted) for d in r.log if d.request.request_id == request_id), None)
+            for r in self._honest()
+        }
+        return len(decisions) == 1 and None not in decisions

@@ -115,6 +115,10 @@ class SimNetwork:
         self._require_node(name)
         return self._up[name]
 
+    def peers(self, name: str) -> tuple[str, ...]:
+        """Every node but ``name``, in the order a broadcast reaches them."""
+        return self._peers[name]
+
     # -- partitions ----------------------------------------------------------
 
     def partition(self, *sides: list[str]) -> None:

@@ -160,7 +160,7 @@ class TestViewChange:
         )
         req = cluster.submit("survives primary crash")
         cluster.run(until=10.0)
-        honest = [r for r in cluster.replicas.values() if r.behaviour is Behaviour.NORMAL]
+        honest = [r for r in cluster.replicas.values() if r.adversary is None]
         assert all(r.view >= 1 for r in honest)
         assert cluster.agreement_reached(req.request_id)
 
@@ -182,7 +182,7 @@ class TestViewChange:
         # honest replicas must never decide different values.
         decisions = {}
         for r in cluster.replicas.values():
-            if r.behaviour is not Behaviour.NORMAL:
+            if r.adversary is not None:
                 continue
             for d in r.log:
                 if d.request.request_id == req.request_id:

@@ -64,7 +64,7 @@ class TestCheckpointing:
             cluster.submit(i)
         cluster.run()
         honest = [
-            r for r in cluster.replicas.values() if r.behaviour is Behaviour.NORMAL
+            r for r in cluster.replicas.values() if r.adversary is None
         ]
         # 3 honest replicas still form the 2f+1 checkpoint quorum.
         assert all(r.stable_checkpoint >= 4 for r in honest)

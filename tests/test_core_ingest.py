@@ -256,7 +256,7 @@ class TestSettlementParity:
 
         framework = Framework(FrameworkConfig())
         for name, behaviour in behaviours.items():
-            framework.channel.orderer.cluster.replicas[name].behaviour = Behaviour(behaviour)
+            framework.channel.orderer.cluster.corrupt(name, Behaviour(behaviour))
         identity = framework.register_source("mob", tier=SourceTier.UNTRUSTED)
         items = make_items("mob", self.N)
         if path == "submit":

@@ -89,7 +89,7 @@ class TestBftValidatorFailuresMidstream:
     def test_byzantine_validator_from_genesis(self):
         framework = Framework(FrameworkConfig(consensus="bft", n_validators=4))
         orderer = framework.channel.orderer
-        orderer.cluster.replicas["validator-1"].behaviour = Behaviour.WRONG_DIGEST
+        orderer.cluster.corrupt("validator-1", Behaviour.WRONG_DIGEST)
         client = Client(
             framework, framework.register_source("byz-cam", tier=SourceTier.TRUSTED)
         )
