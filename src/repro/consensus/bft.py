@@ -192,8 +192,6 @@ class BftReplica(NetNode):
             self.network.broadcast(self.name, payload, size, kind.__name__)
             self._HANDLERS[kind](self, payload)
             return
-        if adversary is _equivocate and type(payload) is PrePrepare:
-            size = 256  # the size its pre-prepares were sent at before transforms
         name, send = self.name, self.network.send
         for target in self.network.peers(name):
             sent = adversary(self, payload, target)

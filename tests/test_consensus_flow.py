@@ -46,7 +46,7 @@ class TestGoldenFlow:
     DIGESTS = {
         "crashed-primary-n4": "43318d712c672250aa931171677c2cf13c892bd616f08092882c5e384d722c45",
         "silent-primary-n4": "624c3a6d37319150de8c4ff8264b7112c2e1f315934d577f4df115ca31c2dd9a",
-        "equivocate-primary-n4": "7432c69a2081e8662433d4cf6d9aa7ce46d25cd760d352e3bf63d690ba4e44c7",
+        "equivocate-primary-n4": "b8ae0d8ddbb6d3b66c10a9e1022686f6e44760086843740eb489154a196c15e4",
         "wrong-digest-primary-n4": "448c9a2c336644ea030b897d8ed80de2e9e5e0bc9f8bfd17a8eaafc5f2e8da9e",
         "always-valid-primary-n4": "fabc220894992a30614b0b6f9ff52fe31ed5d619b608e7c84731b80c92507cb4",
         "always-invalid-primary-n4": "7ba5e9225054f3236b14515e7d2791f4c2144c0a8fa41f452cde6f8a5bd51f53",
@@ -58,7 +58,7 @@ class TestGoldenFlow:
         "always-invalid-last-backup-n4": "b7628c1bbc8e78e5a15d8591404305e94082f4bcccc0c8beef730580c7375142",
         "crashed-primary-n7": "0a74f2024e9b55759eaad0c40ccdac9c71eb5d0b990904aca14a1d661e44db81",
         "silent-primary-n7": "12bca431f83af7da3e1feadafdff897e1d86758caf4e0713447d4cd49ba7962d",
-        "equivocate-primary-n7": "02a247bfbc3c57716d3ea902b96c4c53e8a0459e0d6f5c25e97d4ad1ab29c35c",
+        "equivocate-primary-n7": "3d4ebc3aecf3978f20f947ebee63f3506d4e0b1d52b81d5ac749250c5d646825",
         "wrong-digest-primary-n7": "0eca9adeafd63290ad1c5bd144c709d28cd7f1ea07eefa60224cc3ae4725d3c6",
         "always-valid-primary-n7": "29abaeca617f1f80c4b6b10af30fc3beae841f7e03744c59f6476d1c27ca32a2",
         "always-invalid-primary-n7": "db49ad4c6db81501b891cf5b643c6241ed98afb2a55af5cbed278d7a9d765dbf",
