@@ -19,13 +19,13 @@ N_REQS = 5
 
 
 def _run_with_faults(n_faulty: int, behaviour: Behaviour):
-    behaviours = {f"validator-{N - 1 - i}": behaviour for i in range(n_faulty)}
     cluster = BftCluster(
         n_replicas=N,
         network=SimNetwork(latency=ConstantLatency(base=0.001)),
-        behaviours=behaviours,
         view_timeout=0.5,
     )
+    for i in range(n_faulty):
+        cluster.corrupt(f"validator-{N - 1 - i}", behaviour)
     start = time.perf_counter()
     requests = [cluster.submit({"n": i}) for i in range(N_REQS)]
     cluster.run(until=20.0)

@@ -27,10 +27,11 @@ def run_cluster(behaviours, n_requests=6, validator=None):
     cluster = BftCluster(
         n_replicas=N,
         network=SimNetwork(latency=ConstantLatency(base=0.001)),
-        behaviours=behaviours,
         validator=validator or (lambda name, req: req.payload["valid"]),
         view_timeout=0.5,
     )
+    for name, behaviour in behaviours.items():
+        cluster.corrupt(name, behaviour)
     requests = []
     for i in range(n_requests):
         # Even-numbered submissions are genuine, odd ones are garbage.

@@ -184,20 +184,19 @@ class BftReplica(NetNode):
     # -- sending ---------------------------------------------------------------
 
     def _cast(self, payload: Any, size: int = 512) -> None:
-        """Send ``payload`` to every peer, then handle it here (the loopback);
-        an adversary decides what each peer, in turn, and the loopback get."""
+        """Send ``payload`` to every peer, then handle it here (the loopback).
+        An adversary rewrites or drops what each peer, then the loopback, gets."""
         adversary = self.adversary
         if adversary is None:
             kind = type(payload)
             self.network.broadcast(self.name, payload, size, kind.__name__)
             self._HANDLERS[kind](self, payload)
             return
-        name, send = self.name, self.network.send
-        for target in self.network.peers(name):
+        for target in self.network.peers(self.name):
             sent = adversary(self, payload, target)
             if sent is not None:
-                send(name, target, sent, size, type(sent).__name__)
-        own = adversary(self, payload, name)
+                self.network.send(self.name, target, sent, size, type(sent).__name__)
+        own = adversary(self, payload, self.name)
         if own is not None:
             self._dispatch(own)
 
@@ -595,16 +594,12 @@ class BftReplica(NetNode):
 _VOTES = (Prepare, Commit)
 
 
-def _reversed(payload: Any) -> Any:
-    return replace(payload, digest=payload.digest[::-1])
-
-
 def _equivocate(replica: BftReplica, payload: Any, target: str) -> Any:
     # The odd-index replicas are pre-prepared the reversed digest; the
     # primary's own loopback keeps the true one.
     if type(payload) is PrePrepare and target != replica.name:
         if replica.cluster.replica_names.index(target) % 2:
-            return _reversed(payload)
+            return replace(payload, digest=payload.digest[::-1])
     return payload
 
 
@@ -620,7 +615,7 @@ ADVERSARIES: dict[Behaviour, Adversary] = {
     Behaviour.SILENT: lambda replica, payload, target: None,
     Behaviour.EQUIVOCATE: _equivocate,
     Behaviour.WRONG_DIGEST: lambda replica, payload, target: (
-        _reversed(payload) if type(payload) in _VOTES else payload
+        replace(payload, digest=payload.digest[::-1]) if type(payload) in _VOTES else payload
     ),
     Behaviour.ALWAYS_VALID: _always(True),
     Behaviour.ALWAYS_INVALID: _always(False),
@@ -642,7 +637,6 @@ class BftCluster:
         n_replicas: int = 4,
         network: SimNetwork | None = None,
         validator: Callable[[str, ClientRequest], bool] | None = None,
-        behaviours: dict[str, Behaviour] | None = None,
         view_timeout: float = 5.0,
         on_decision: Callable[[str, Decision], None] | None = None,
         checkpoint_interval: int = 0,
@@ -662,8 +656,6 @@ class BftCluster:
         self.replicas: dict[str, BftReplica] = {
             name: BftReplica(name, self.network, self) for name in self.replica_names
         }
-        for name, behaviour in (behaviours or {}).items():
-            self.corrupt(name, behaviour)
         self._client_seq = 0
 
     def corrupt(self, name: str, behaviour: Behaviour) -> None:

@@ -510,7 +510,6 @@ class FabricNetwork:
         consensus: str = "solo",
         max_batch_size: int = 1,
         n_validators: int = 4,
-        bft_behaviours=None,
         consensus_checkpoint_interval: int = 0,
     ) -> Channel:
         if name in self.channels:
@@ -521,7 +520,6 @@ class FabricNetwork:
             orderer = BftOrderer(
                 n_validators=n_validators,
                 max_batch_size=max_batch_size,
-                behaviours=bft_behaviours,
                 checkpoint_interval=consensus_checkpoint_interval,
             )
         else:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Protocol, Sequence
 
-from repro.consensus.bft import Behaviour, BftCluster, Decision
+from repro.consensus.bft import BftCluster, Decision
 from repro.consensus.messages import ClientRequest
 from repro.errors import OrderingError
 from repro.fabric.ledger import Block, GENESIS_PREVIOUS_HASH
@@ -208,7 +208,6 @@ class BftOrderer(_Ordering):
         n_validators: int = 4,
         max_batch_size: int = 1,
         validator: Callable[[Transaction], bool] | None = None,
-        behaviours: dict[str, Behaviour] | None = None,
         network: SimNetwork | None = None,
         checkpoint_interval: int = 0,
     ) -> None:
@@ -232,7 +231,6 @@ class BftOrderer(_Ordering):
             n_replicas=n_validators,
             network=network or SimNetwork(),
             validator=replica_validator,
-            behaviours=behaviours,
             on_decision=self._on_decision,
             checkpoint_interval=checkpoint_interval,
         )

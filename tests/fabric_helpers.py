@@ -108,3 +108,15 @@ def submit_forged(channel, client, key):
     channel.orderer.submit(forged)
     channel.flush()
     return forged
+
+
+def doctor_older_block(store):
+    """Alter the first non-empty block's first transaction in memory;
+    returns the block's number and the transaction as it was."""
+    number, block = next((b.number, b) for b in store.blocks() if b.transactions)
+    victim = block.transactions[0]
+    forged_tx = dataclasses.replace(victim, response='{"key":"evil"}')
+    store._blocks[number - store.base_height] = dataclasses.replace(
+        block, transactions=(forged_tx,) + block.transactions[1:]
+    )
+    return number, victim

@@ -1,7 +1,6 @@
 """Tests for the runtime sanitizers: endorsement divergence, ledger
 invariants (incl. tamper pinpointing), consensus."""
 
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +16,7 @@ from repro.errors import AnalysisError
 from repro.fabric import Chaincode, ValidationCode
 from repro.fabric.worldstate import Version
 
-from tests.fabric_helpers import make_network
+from tests.fabric_helpers import doctor_older_block, make_network
 
 
 class FlakyChaincode(Chaincode):
@@ -83,18 +82,6 @@ class TestDivergenceSanitizer:
         report = sanitizer.finalize()
         assert report.ok
         assert report.checks["divergence"] >= 2  # both endorsing peers
-
-
-def _doctor_older_block(store):
-    """Alter the first non-empty block's first transaction in memory;
-    returns the block's number and the transaction as it was."""
-    number, block = next((b.number, b) for b in store.blocks() if b.transactions)
-    victim = block.transactions[0]
-    forged_tx = dataclasses.replace(victim, response='{"key":"evil"}')
-    store._blocks[number - store.base_height] = dataclasses.replace(
-        block, transactions=(forged_tx,) + block.transactions[1:]
-    )
-    return number, victim
 
 
 class TestLedgerSanitizer:
@@ -204,7 +191,7 @@ class TestLedgerSanitizer:
         for i in range(3):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
         store = next(iter(channel.peers.values())).ledger
-        number, victim = _doctor_older_block(store)
+        number, victim = doctor_older_block(store)
         findings = check_store(store)
         assert [f.rule_id for f in findings] == ["SAN303"]
         message = findings[0].message
@@ -252,7 +239,7 @@ class TestChecksByScope:
         for i in range(3):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
         doctored, written = channel.peers.values()
-        number, _ = _doctor_older_block(doctored.ledger)
+        number, _ = doctor_older_block(doctored.ledger)
         written.world.apply_write("ghost", b"outside any commit", Version(99, 0), "evil", 0.0)
         assert sanitizer.report().ok  # no commit came after the tampers
         report = sanitizer.finalize()
@@ -273,7 +260,7 @@ class TestChecksByScope:
         for i in range(5):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
         peer = next(iter(channel.peers.values()))
-        number, _ = _doctor_older_block(peer.ledger)
+        number, _ = doctor_older_block(peer.ledger)
         manager.crash_and_recover(peer.name)
         assert check_store(peer.ledger, peer.world) == []  # the wipe erased it
         report = sanitizer.finalize()
@@ -292,7 +279,7 @@ class TestChecksByScope:
         sanitizer = install_sanitizers(channel, spec="all")
         for i in range(5):
             channel.invoke(client, "kv", "put", [f"k{i}", str(i)])
-        number, _ = _doctor_older_block(channel.peers["peer0.org1"].ledger)
+        number, _ = doctor_older_block(channel.peers["peer0.org1"].ledger)
         manager.crash_and_recover("peer1.org2")
         assert not [f for f in sanitizer.report().findings if f.rule_id == "SAN307"]
         report = sanitizer.finalize()

@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.consensus import Behaviour, BftCluster
+from repro.consensus import Behaviour
 from repro.errors import ConsensusError
-from repro.net import ConstantLatency, SimNetwork
 
-
-def make_cluster(n=4, validator=None, behaviours=None, **kwargs):
-    net = SimNetwork(latency=ConstantLatency(base=0.001))
-    return BftCluster(
-        n_replicas=n, network=net, validator=validator, behaviours=behaviours, **kwargs
-    )
+from tests.threat_table import make_cluster
 
 
 class TestHappyPath:
@@ -101,30 +95,6 @@ class TestByzantineFaults:
         cluster.run()
         assert cluster.agreement_reached(req.request_id)
 
-    def test_one_wrong_digest_replica_tolerated(self):
-        cluster = make_cluster(behaviours={"validator-1": Behaviour.WRONG_DIGEST})
-        req = cluster.submit("payload")
-        cluster.run()
-        assert cluster.agreement_reached(req.request_id)
-
-    def test_one_endorser_of_invalid_data_outvoted(self):
-        """A corrupt validator endorsing bad data cannot flip the verdict."""
-        cluster = make_cluster(
-            validator=lambda name, req: req.payload != "bad",
-            behaviours={"validator-0": Behaviour.ALWAYS_VALID},
-        )
-        bad = cluster.submit("bad")
-        cluster.run()
-        log = {d.request.request_id: d for d in cluster.decided_log()}
-        assert not log[bad.request_id].accepted
-
-    def test_one_rejector_of_valid_data_outvoted(self):
-        cluster = make_cluster(behaviours={"validator-2": Behaviour.ALWAYS_INVALID})
-        req = cluster.submit("fine")
-        cluster.run()
-        log = {d.request.request_id: d for d in cluster.decided_log()}
-        assert log[req.request_id].accepted
-
     def test_two_byzantine_of_four_break_liveness(self):
         """Beyond f=1 faults in n=4, requests cannot commit."""
         cluster = make_cluster(
@@ -151,43 +121,6 @@ class TestByzantineFaults:
         cluster.run()
         log = {d.request.request_id: d for d in cluster.decided_log()}
         assert log[req.request_id].accepted
-
-
-class TestViewChange:
-    def test_crashed_primary_triggers_view_change(self):
-        cluster = make_cluster(
-            behaviours={"validator-0": Behaviour.CRASHED}, view_timeout=0.5
-        )
-        req = cluster.submit("survives primary crash")
-        cluster.run(until=10.0)
-        honest = [r for r in cluster.replicas.values() if r.adversary is None]
-        assert all(r.view >= 1 for r in honest)
-        assert cluster.agreement_reached(req.request_id)
-
-    def test_silent_primary_request_eventually_commits(self):
-        cluster = make_cluster(
-            behaviours={"validator-0": Behaviour.SILENT}, view_timeout=0.5
-        )
-        req = cluster.submit("needs new primary")
-        cluster.run(until=10.0)
-        assert cluster.agreement_reached(req.request_id)
-
-    def test_equivocating_primary_does_not_split_honest_replicas(self):
-        cluster = make_cluster(
-            behaviours={"validator-0": Behaviour.EQUIVOCATE}, view_timeout=0.5
-        )
-        req = cluster.submit("no fork")
-        cluster.run(until=10.0)
-        # Either the request commits identically everywhere or nowhere;
-        # honest replicas must never decide different values.
-        decisions = {}
-        for r in cluster.replicas.values():
-            if r.adversary is not None:
-                continue
-            for d in r.log:
-                if d.request.request_id == req.request_id:
-                    decisions.setdefault(r.name, (d.seq, d.accepted))
-        assert len(set(decisions.values())) <= 1
 
 
 class TestDecisionCallback:

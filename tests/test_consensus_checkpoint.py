@@ -8,13 +8,15 @@ from repro.net.simnet import NO_FAULT
 
 
 def make_cluster(interval=10, n=4, behaviours=None):
-    return BftCluster(
+    cluster = BftCluster(
         n_replicas=n,
         network=SimNetwork(latency=ConstantLatency(base=0.001)),
-        behaviours=behaviours,
         checkpoint_interval=interval,
         view_timeout=0.5,
     )
+    for name, behaviour in (behaviours or {}).items():
+        cluster.corrupt(name, behaviour)
+    return cluster
 
 
 class TestCheckpointing:

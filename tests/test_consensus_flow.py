@@ -88,9 +88,8 @@ class TestGoldenFlow:
         net.fault_injector = NetChaosInjector(
             seed=1, drop_rate=0.05, duplicate_rate=0.05, delay_rate=0.05
         )
-        cluster = BftCluster(
-            n, network=net, validator=verdicts, checkpoint_interval=4, behaviours=fault
-        )
+        cluster = BftCluster(n, network=net, validator=verdicts, checkpoint_interval=4)
+        cluster.corrupt(*fault)
         for i in range(12):
             cluster.submit({"tx": i}, n_items=1 + i % 3)
             cluster.run()
@@ -113,11 +112,11 @@ class TestGoldenFlow:
 
     @staticmethod
     def fault_of(scenario):
-        """``"<fault>-<primary|last-backup>-n<N>"`` -> ({replica: fault}, N)."""
+        """``"<fault>-<primary|last-backup>-n<N>"`` -> ((replica, fault), N)."""
         rest, n = scenario.rsplit("-n", 1)
         for position, index in (("-primary", 0), ("-last-backup", int(n) - 1)):
             if rest.endswith(position):
-                return {f"validator-{index}": Behaviour(rest[: -len(position)])}, int(n)
+                return (f"validator-{index}", Behaviour(rest[: -len(position)])), int(n)
         raise ValueError(scenario)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

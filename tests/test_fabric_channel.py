@@ -251,9 +251,7 @@ class TestBftOrderedChannel:
     def test_byzantine_validator_tolerated(self):
         from repro.consensus import Behaviour
 
-        net, channel, alice = make_network(
-            consensus="bft",
-            bft_behaviours={"validator-3": Behaviour.ALWAYS_INVALID},
-        )
+        net, channel, alice = make_network(consensus="bft")
+        channel.orderer.cluster.corrupt("validator-3", Behaviour.ALWAYS_INVALID)
         result = channel.invoke(alice, "kv", "put", ["k", "v"])
         assert result.ok

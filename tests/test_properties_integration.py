@@ -137,16 +137,37 @@ class TestBftSafetyProperty:
     def test_agreement_under_any_admissible_faults(self, faults, n_requests):
         """With at most f arbitrary (non-primary-equivocating) faults in
         n=7, every request reaches identical agreement on honest replicas."""
-        behaviours = {
-            f"validator-{6 - i}": behaviour for i, behaviour in enumerate(faults)
-        }
         cluster = BftCluster(
             n_replicas=7,
             network=SimNetwork(latency=ConstantLatency(base=0.001)),
-            behaviours=behaviours,
             view_timeout=0.5,
         )
+        for i, behaviour in enumerate(faults):
+            cluster.corrupt(f"validator-{6 - i}", behaviour)
         requests = [cluster.submit({"n": i}) for i in range(n_requests)]
         cluster.run(until=30.0)
         for request in requests:
             assert cluster.agreement_reached(request.request_id)
+
+    @relaxed
+    @given(
+        st.lists(st.sampled_from(list(Behaviour)), max_size=1),  # f - 1 = 1 more
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_an_equivocating_primary_splits_no_two_honest_replicas(self, faults, n_requests):
+        """validator-0 equivocates, and up to f - 1 other replicas of n=7
+        run any fault in the table: no two honest replicas decide one seq
+        differently, whether the requests decide or not."""
+        cluster = BftCluster(
+            n_replicas=7,
+            network=SimNetwork(latency=ConstantLatency(base=0.001)),
+            view_timeout=0.5,
+        )
+        cluster.corrupt("validator-0", Behaviour.EQUIVOCATE)
+        for i, behaviour in enumerate(faults):
+            cluster.corrupt(f"validator-{6 - i}", behaviour)
+        for i in range(n_requests):
+            cluster.submit({"n": i})
+        cluster.run(until=30.0)
+        assert cluster.log_prefix_consistent()
+        assert cluster.decided_log()
