@@ -12,10 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.consensus import Behaviour, BftCluster
+from repro.consensus.bft import ADVERSARIES
 from repro.fabric.snapshot import state_digest
 from repro.net import ConstantLatency, SimNetwork
 
 from tests.fabric_helpers import make_network
+from tests.threat_table import equivocate_requests
 
 relaxed = settings(
     max_examples=15,
@@ -151,19 +153,22 @@ class TestBftSafetyProperty:
 
     @relaxed
     @given(
+        st.sampled_from([ADVERSARIES[Behaviour.EQUIVOCATE], equivocate_requests]),
         st.lists(st.sampled_from(list(Behaviour)), max_size=1),  # f - 1 = 1 more
         st.integers(min_value=1, max_value=4),
     )
-    def test_an_equivocating_primary_splits_no_two_honest_replicas(self, faults, n_requests):
-        """validator-0 equivocates, and up to f - 1 other replicas of n=7
-        run any fault in the table: no two honest replicas decide one seq
-        differently, whether the requests decide or not."""
+    def test_an_equivocating_primary_splits_no_two_honest_replicas(
+        self, equivocator, faults, n_requests
+    ):
+        """validator-0 equivocates, on the digest or on the request, and up
+        to f - 1 other replicas of n=7 run any fault in the table: no two
+        honest replicas decide one seq differently."""
         cluster = BftCluster(
             n_replicas=7,
             network=SimNetwork(latency=ConstantLatency(base=0.001)),
             view_timeout=0.5,
         )
-        cluster.corrupt("validator-0", Behaviour.EQUIVOCATE)
+        cluster.replicas["validator-0"].adversary = equivocator
         for i, behaviour in enumerate(faults):
             cluster.corrupt(f"validator-{6 - i}", behaviour)
         for i in range(n_requests):

@@ -24,7 +24,8 @@ from typing import Callable
 
 import pytest
 
-from repro.consensus import Behaviour, BftCluster, NewView, Prepare
+from repro.consensus import Behaviour, BftCluster, ClientRequest, NewView, Prepare, PrePrepare
+from repro.consensus.bft import _digest
 from repro.core import Client, Framework, FrameworkConfig
 from repro.errors import AccessDeniedError, MerkleProofError, RecoveryError, SignatureError
 from repro.index import PeerIndex
@@ -59,6 +60,18 @@ def make_cluster(n=4, validator=None, behaviours=None, **kwargs):
     return cluster
 
 
+def equivocate_requests(replica, payload, target):
+    """A primary that pre-prepares another request, under its own true
+    digest, to the odd-index replicas: an equivocation that passes every
+    replica's digest check, unlike ``Behaviour.EQUIVOCATE``'s."""
+    if type(payload) is PrePrepare and target != replica.name:
+        if replica.cluster.replica_names.index(target) % 2:
+            request = payload.request
+            other = ClientRequest(request.request_id + "'", request.payload, request.n_items)
+            return PrePrepare(payload.view, payload.seq, _digest(other), other)
+    return payload
+
+
 # -- consensus: defended ------------------------------------------------------
 
 
@@ -78,6 +91,15 @@ def equivocating_primary():
             if d.request.request_id == req.request_id:
                 decisions.setdefault(r.name, (d.seq, d.accepted))
     assert len(set(decisions.values())) <= 1
+
+
+def primary_proposing_two_requests():
+    cluster = make_cluster(view_timeout=0.5)
+    cluster.replicas["validator-0"].adversary = equivocate_requests
+    req = cluster.submit("one of two")
+    cluster.run(until=10.0)
+    assert cluster.log_prefix_consistent()
+    assert cluster.agreement_reached(req.request_id)
 
 
 def wrong_digest_voter():
@@ -224,6 +246,11 @@ THREATS: dict[str, Threat] = {
         "primary", "consensus: PrePrepare", "the reversed digest to odd-index replicas",
         "no two honest replicas decide the request differently",
         check=equivocating_primary,
+    ),
+    "two-request-primary": Threat(
+        "primary", "consensus: PrePrepare", "another request, with its true digest, to odd-index replicas",
+        "no seq decides two requests; the client's request decides after a view change",
+        check=primary_proposing_two_requests,
     ),
     "wrong-digest-voter": Threat(
         "backup", "consensus: Prepare, Commit", "votes on the reversed digest",
