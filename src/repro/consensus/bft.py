@@ -309,7 +309,7 @@ class BftReplica(NetNode):
             return
         if slot.pre_prepare is not None and slot.pre_prepare.digest != msg.digest:
             return  # equivocation detected: keep the first, ignore the fork
-        # Honest replicas check the primary's digest against the request.
+        # The primary's digest must be the request's.
         if _digest(msg.request) != msg.digest:
             return
         slot.pre_prepare = msg
