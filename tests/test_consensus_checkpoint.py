@@ -6,17 +6,13 @@ from repro.consensus import Behaviour, BftCluster
 from repro.net import ConstantLatency, FaultAction, SimNetwork
 from repro.net.simnet import NO_FAULT
 
+from tests import threat_table
+
 
 def make_cluster(interval=10, n=4, behaviours=None):
-    cluster = BftCluster(
-        n_replicas=n,
-        network=SimNetwork(latency=ConstantLatency(base=0.001)),
-        checkpoint_interval=interval,
-        view_timeout=0.5,
+    return threat_table.make_cluster(
+        n, behaviours=behaviours, checkpoint_interval=interval, view_timeout=0.5
     )
-    for name, behaviour in (behaviours or {}).items():
-        cluster.corrupt(name, behaviour)
-    return cluster
 
 
 class TestCheckpointing:

@@ -11,13 +11,12 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consensus import Behaviour, BftCluster
+from repro.consensus import Behaviour
 from repro.consensus.bft import ADVERSARIES
 from repro.fabric.snapshot import state_digest
-from repro.net import ConstantLatency, SimNetwork
 
 from tests.fabric_helpers import make_network
-from tests.threat_table import equivocate_requests
+from tests.threat_table import equivocate_requests, make_cluster
 
 relaxed = settings(
     max_examples=15,
@@ -119,6 +118,11 @@ class TestEndToEndIntegrity:
         assert result.verified
 
 
+def last_backups(faults):
+    """The faults on validator-6, validator-5, ... of n=7."""
+    return {f"validator-{6 - i}": behaviour for i, behaviour in enumerate(faults)}
+
+
 class TestBftSafetyProperty:
     @relaxed
     @given(
@@ -139,13 +143,7 @@ class TestBftSafetyProperty:
     def test_agreement_under_any_admissible_faults(self, faults, n_requests):
         """With at most f arbitrary (non-primary-equivocating) faults in
         n=7, every request reaches identical agreement on honest replicas."""
-        cluster = BftCluster(
-            n_replicas=7,
-            network=SimNetwork(latency=ConstantLatency(base=0.001)),
-            view_timeout=0.5,
-        )
-        for i, behaviour in enumerate(faults):
-            cluster.corrupt(f"validator-{6 - i}", behaviour)
+        cluster = make_cluster(7, behaviours=last_backups(faults), view_timeout=0.5)
         requests = [cluster.submit({"n": i}) for i in range(n_requests)]
         cluster.run(until=30.0)
         for request in requests:
@@ -163,14 +161,8 @@ class TestBftSafetyProperty:
         """validator-0 equivocates, on the digest or on the request, and up
         to f - 1 other replicas of n=7 run any fault in the table: no two
         honest replicas decide one seq differently."""
-        cluster = BftCluster(
-            n_replicas=7,
-            network=SimNetwork(latency=ConstantLatency(base=0.001)),
-            view_timeout=0.5,
-        )
+        cluster = make_cluster(7, behaviours=last_backups(faults), view_timeout=0.5)
         cluster.replicas["validator-0"].adversary = equivocator
-        for i, behaviour in enumerate(faults):
-            cluster.corrupt(f"validator-{6 - i}", behaviour)
         for i in range(n_requests):
             cluster.submit({"n": i})
         cluster.run(until=30.0)
