@@ -95,6 +95,24 @@ class TestByzantineFaults:
         cluster.run()
         assert cluster.agreement_reached(req.request_id)
 
+    def test_one_endorser_of_invalid_data_outvoted(self):
+        """A corrupt validator endorsing bad data cannot flip the verdict."""
+        cluster = make_cluster(
+            validator=lambda name, req: req.payload != "bad",
+            behaviours={"validator-0": Behaviour.ALWAYS_VALID},
+        )
+        bad = cluster.submit("bad")
+        cluster.run()
+        log = {d.request.request_id: d for d in cluster.decided_log()}
+        assert not log[bad.request_id].accepted
+
+    def test_one_rejector_of_valid_data_outvoted(self):
+        cluster = make_cluster(behaviours={"validator-2": Behaviour.ALWAYS_INVALID})
+        req = cluster.submit("fine")
+        cluster.run()
+        log = {d.request.request_id: d for d in cluster.decided_log()}
+        assert log[req.request_id].accepted
+
     def test_two_byzantine_of_four_break_liveness(self):
         """Beyond f=1 faults in n=4, requests cannot commit."""
         cluster = make_cluster(
@@ -121,6 +139,26 @@ class TestByzantineFaults:
         cluster.run()
         log = {d.request.request_id: d for d in cluster.decided_log()}
         assert log[req.request_id].accepted
+
+
+class TestViewChange:
+    def test_crashed_primary_triggers_view_change(self):
+        cluster = make_cluster(
+            behaviours={"validator-0": Behaviour.CRASHED}, view_timeout=0.5
+        )
+        req = cluster.submit("survives primary crash")
+        cluster.run(until=10.0)
+        honest = [r for r in cluster.replicas.values() if r.adversary is None]
+        assert all(r.view >= 1 for r in honest)
+        assert cluster.agreement_reached(req.request_id)
+
+    def test_silent_primary_request_eventually_commits(self):
+        cluster = make_cluster(
+            behaviours={"validator-0": Behaviour.SILENT}, view_timeout=0.5
+        )
+        req = cluster.submit("needs new primary")
+        cluster.run(until=10.0)
+        assert cluster.agreement_reached(req.request_id)
 
 
 class TestDecisionCallback:

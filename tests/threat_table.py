@@ -109,41 +109,6 @@ def wrong_digest_voter():
     assert cluster.agreement_reached(req.request_id)
 
 
-def lying_voters_outvoted():
-    # A corrupt validator endorsing bad data cannot flip the verdict.
-    cluster = make_cluster(
-        validator=lambda name, req: req.payload != "bad",
-        behaviours={"validator-0": Behaviour.ALWAYS_VALID},
-    )
-    bad = cluster.submit("bad")
-    cluster.run()
-    log = {d.request.request_id: d for d in cluster.decided_log()}
-    assert not log[bad.request_id].accepted
-    # Nor can one rejecting valid data.
-    cluster = make_cluster(behaviours={"validator-2": Behaviour.ALWAYS_INVALID})
-    req = cluster.submit("fine")
-    cluster.run()
-    log = {d.request.request_id: d for d in cluster.decided_log()}
-    assert log[req.request_id].accepted
-
-
-def primary_replaced_by_view_change():
-    cluster = make_cluster(
-        behaviours={"validator-0": Behaviour.CRASHED}, view_timeout=0.5
-    )
-    req = cluster.submit("survives primary crash")
-    cluster.run(until=10.0)
-    honest = [r for r in cluster.replicas.values() if r.adversary is None]
-    assert all(r.view >= 1 for r in honest)
-    assert cluster.agreement_reached(req.request_id)
-    cluster = make_cluster(
-        behaviours={"validator-0": Behaviour.SILENT}, view_timeout=0.5
-    )
-    req = cluster.submit("needs new primary")
-    cluster.run(until=10.0)
-    assert cluster.agreement_reached(req.request_id)
-
-
 # -- open ---------------------------------------------------------------------
 
 
@@ -256,14 +221,25 @@ THREATS: dict[str, Threat] = {
         "backup", "consensus: Prepare, Commit", "votes on the reversed digest",
         "outvoted: the request still reaches agreement", check=wrong_digest_voter,
     ),
-    "lying-voters": Threat(
-        "f validators", "consensus: Prepare, Commit", "valid on a bad request, invalid on a good one",
-        "outvoted: the 2/3 verdict stands", check=lying_voters_outvoted,
+    "lying-endorser": Threat(
+        "validator", "consensus: Prepare, Commit", "votes valid on a bad request",
+        "outvoted: the 2/3 verdict stands",
+        proof="tests/test_consensus_bft.py::TestByzantineFaults::test_one_endorser_of_invalid_data_outvoted",
     ),
-    "dead-primary": Threat(
-        "primary", "consensus: every send", "crashes, or stays silent",
+    "lying-rejector": Threat(
+        "validator", "consensus: Prepare, Commit", "votes invalid on a good request",
+        "outvoted: the 2/3 verdict stands",
+        proof="tests/test_consensus_bft.py::TestByzantineFaults::test_one_rejector_of_valid_data_outvoted",
+    ),
+    "crashed-primary": Threat(
+        "primary", "consensus: every send", "crashes",
         "a view change replaces it and the request decides",
-        check=primary_replaced_by_view_change,
+        proof="tests/test_consensus_bft.py::TestViewChange::test_crashed_primary_triggers_view_change",
+    ),
+    "silent-primary": Threat(
+        "primary", "consensus: every send", "stays silent",
+        "a view change replaces it and the request decides",
+        proof="tests/test_consensus_bft.py::TestViewChange::test_silent_primary_request_eventually_commits",
     ),
     "mixed-faults-at-f": Threat(
         "f validators of n = 7", "consensus: Prepare, Commit", "one wrong-digest, one lying voter",
